@@ -226,15 +226,68 @@ fn build_network(args: &Args, extras: BuildExtras) -> Result<Network, String> {
     single_spec(args, extras)?.build()
 }
 
+/// `run --json`: the results as one object, fields in declaration order,
+/// ids and ASNs as plain numbers, non-finite floats as `null`.
+fn results_json(results: &digs::results::RunResults) -> digs_conformance::json::Value {
+    use digs_conformance::json::Value;
+    let int = |x: u64| Value::Num(x as f64);
+    let flows = results.flows.iter().map(|f| {
+        Value::Obj(vec![
+            ("flow".into(), int(f.flow.0.into())),
+            ("source".into(), int(f.source.0.into())),
+            ("generated".into(), int(f.generated.into())),
+            ("delivered".into(), int(f.delivered.into())),
+            (
+                "delivered_seqs".into(),
+                Value::Arr(f.delivered_seqs.iter().map(|s| int((*s).into())).collect()),
+            ),
+            (
+                "latencies_ms".into(),
+                Value::Arr(f.latencies_ms.iter().map(|l| Value::num(*l)).collect()),
+            ),
+        ])
+    });
+    let nodes = results.nodes.iter().map(|n| {
+        Value::Obj(vec![
+            ("node".into(), int(n.node.0.into())),
+            ("energy_mj".into(), Value::num(n.energy_mj)),
+            ("mean_power_mw".into(), Value::num(n.mean_power_mw)),
+            ("duty_cycle".into(), Value::num(n.duty_cycle)),
+            ("tx_us".into(), int(n.tx_us)),
+            ("rx_us".into(), int(n.rx_us)),
+            ("joined_at".into(), n.joined_at.map_or(Value::Null, |t| int(t.0))),
+            ("parent_changes".into(), int(n.parent_changes as u64)),
+        ])
+    });
+    let violations = results.invariant_violations.iter().map(|v| {
+        Value::Obj(vec![
+            ("kind".into(), Value::Str(format!("{:?}", v.kind))),
+            ("asn".into(), int(v.asn.0)),
+            ("node".into(), int(v.node.0.into())),
+            ("detail".into(), Value::Str(v.detail.clone())),
+        ])
+    });
+    Value::Obj(vec![
+        ("duration".into(), int(results.duration.0)),
+        ("flows".into(), Value::Arr(flows.collect())),
+        ("nodes".into(), Value::Arr(nodes.collect())),
+        (
+            "parent_change_times".into(),
+            Value::Arr(results.parent_change_times.iter().map(|t| int(t.0)).collect()),
+        ),
+        ("retry_drops".into(), int(results.retry_drops)),
+        ("queue_drops".into(), int(results.queue_drops)),
+        ("invariant_violations".into(), Value::Arr(violations.collect())),
+    ])
+}
+
 fn cmd_run(args: &Args) -> Result<(), String> {
     let secs: u64 = get(args, "secs", 300)?;
     let mut network = build_network(args, BuildExtras::default())?;
     network.run_secs(secs);
     let results = network.results();
     if args.json {
-        let out = serde_json::to_string_pretty(&results)
-            .map_err(|e| format!("serialization failed: {e}"))?;
-        println!("{out}");
+        print!("{}", results_json(&results).to_pretty());
         return Ok(());
     }
     println!("protocol        : {}", network.config().protocol.name());
@@ -1184,5 +1237,58 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::results_json;
+    use digs::audit::{InvariantKind, InvariantViolation};
+    use digs::results::{FlowResult, NodeResult, RunResults};
+    use digs_conformance::json::{parse, Value};
+    use digs_sim::ids::{FlowId, NodeId};
+    use digs_sim::time::Asn;
+
+    #[test]
+    fn run_json_round_trips_and_nulls_non_finite_floats() {
+        let results = RunResults {
+            duration: Asn(100),
+            flows: vec![FlowResult {
+                flow: FlowId(0),
+                source: NodeId(3),
+                generated: 2,
+                delivered: 1,
+                delivered_seqs: [1].into(),
+                latencies_ms: vec![120.0],
+            }],
+            nodes: vec![NodeResult {
+                node: NodeId(3),
+                energy_mj: 1.5,
+                mean_power_mw: f64::INFINITY,
+                duty_cycle: 0.25,
+                tx_us: 10,
+                rx_us: 20,
+                joined_at: None,
+                parent_changes: 1,
+            }],
+            parent_change_times: vec![Asn(7)],
+            retry_drops: 1,
+            queue_drops: 0,
+            invariant_violations: vec![InvariantViolation {
+                kind: InvariantKind::QueueBound,
+                asn: Asn(9),
+                node: NodeId(3),
+                detail: "9 > 8".into(),
+            }],
+        };
+        let value = results_json(&results);
+        assert_eq!(parse(&value.to_pretty()).expect("output parses"), value);
+        let node = &value.field("nodes").and_then(Value::as_arr).expect("nodes")[0];
+        assert_eq!(node.field("mean_power_mw"), Some(&Value::Null));
+        assert_eq!(node.field("joined_at"), Some(&Value::Null));
+        let violation = &value.field("invariant_violations").and_then(Value::as_arr).expect("v")[0];
+        assert_eq!(violation.field("kind").and_then(Value::as_str), Some("QueueBound"));
+        let flow = &value.field("flows").and_then(Value::as_arr).expect("flows")[0];
+        assert_eq!(flow.field("delivered_seqs"), Some(&Value::Arr(vec![Value::Num(1.0)])));
     }
 }

@@ -8,20 +8,27 @@ use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
 use digs::telemetry;
 use digs_conformance::{MetricContext, RunMetrics};
+use digs_sim::fault::{ClockDesync, FaultPlan, Reboot};
 use digs_sim::interference::Jammer;
 use digs_sim::position::Position;
 use digs_sim::time::Asn;
 use digs_sim::topology::Topology;
 
 /// One full run: canonical metrics line + trace JSONL, tracing pinned on
-/// via the config (immune to the caller's `DIGS_TRACE_CAP`).
+/// via the config (immune to the caller's `DIGS_TRACE_CAP`) with a ring
+/// large enough to hold the whole run. The first flow's source cold-reboots
+/// at 30 s for 5 s and the second's loses clock sync at 50 s, so every
+/// stack's `reset` and `desync` are on the compared path.
 fn run_once(protocol: Protocol, seed: u64, secs: u64) -> (String, String) {
-    let config = NetworkConfig::builder(Topology::testbed_a_half())
+    let mut config = NetworkConfig::builder(Topology::testbed_a_half())
         .protocol(protocol)
         .seed(seed)
         .random_flows(2, 500, seed)
-        .trace_cap(4096)
+        .trace_cap(1 << 18)
         .build();
+    config.faults = FaultPlan::none()
+        .with_reboot(Reboot::new(config.flows[0].source, Asn::from_secs(30), Asn::from_secs(35)))
+        .with_desync(ClockDesync::new(config.flows[1].source, Asn::from_secs(50)));
     let specs = config.flows.clone();
     let mut net = Network::new(config);
     net.run_secs(secs);
@@ -65,6 +72,44 @@ fn identical_runs_are_byte_identical_for_all_three_stacks() {
         let parsed = RunMetrics::from_line(&metrics_a).expect("canonical line parses");
         assert_eq!(parsed.to_line(), metrics_a);
     }
+}
+
+fn fnv1a64(parts: &[&str]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in parts.iter().flat_map(|part| part.bytes()) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Byte identity across commits, not only across runs: the FNV-1a-64 of the
+/// canonical metrics line followed by the trace JSONL of `run_once(_, 7, 90)`
+/// is pinned per stack, so a refactor that claims to be byte-safe is held to
+/// it. A change that alters simulated behaviour on purpose re-pins: run this
+/// test, copy the `got` values from the failure message into the table, and
+/// say in the PR why the bytes moved.
+#[test]
+fn pinned_digests_hold_across_commits() {
+    let pinned = [
+        (Protocol::Digs, 0x7a4f_a194_66ac_08e8u64),
+        (Protocol::Orchestra, 0x4947_c927_a00c_9824),
+        (Protocol::WirelessHart, 0x1813_cb83_227b_a65c),
+    ];
+    let moved: Vec<String> = pinned
+        .into_iter()
+        .filter_map(|(protocol, want)| {
+            let (metrics, trace) = run_once(protocol, 7, 90);
+            assert!(
+                trace.contains("\"reboot\"") && trace.contains("\"clock-desync\""),
+                "{}: both faults must fire inside the traced window",
+                protocol.name()
+            );
+            let got = fnv1a64(&[&metrics, &trace]);
+            (got != want)
+                .then(|| format!("{}: got {got:#018x}, pinned {want:#018x}", protocol.name()))
+        })
+        .collect();
+    assert!(moved.is_empty(), "pinned digests moved: {moved:#?}");
 }
 
 /// The attack-vs-defense duel with every observer on: adaptive jammers

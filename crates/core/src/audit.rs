@@ -52,7 +52,7 @@ pub const CHILD_GRACE_SLOTS: u64 = 19_200;
 pub const GC_SWEEP_SLOTS: u64 = 64;
 
 /// One dedicated transmission cell a node claims under Eq. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellClaim {
     /// Application-slotframe slot of the claim.
     pub slot: u32,
@@ -61,7 +61,7 @@ pub struct CellClaim {
 }
 
 /// A node's local view of one of its parents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParentView {
     /// The selected parent.
     pub node: NodeId,
@@ -71,7 +71,7 @@ pub struct ParentView {
 }
 
 /// Per-node state captured for auditing.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeAudit {
     /// The node.
     pub node: NodeId,
@@ -102,7 +102,7 @@ pub struct NodeAudit {
 }
 
 /// A consistent snapshot of the distributed state at one instant.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditSnapshot {
     /// Snapshot time.
     pub asn: Asn,
@@ -113,7 +113,7 @@ pub struct AuditSnapshot {
 }
 
 /// Which invariant a violation breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvariantKind {
     /// The union of primary and backup edges contains a cycle.
     RoutingLoop,
@@ -133,7 +133,7 @@ pub enum InvariantKind {
 }
 
 /// One recorded invariant violation.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvariantViolation {
     /// The broken invariant.
     pub kind: InvariantKind,

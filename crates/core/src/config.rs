@@ -10,7 +10,7 @@ use digs_sim::rf::RfConfig;
 use digs_sim::topology::Topology;
 
 /// Which protocol suite the network runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// The paper's contribution: distributed graph routing + autonomous
     /// scheduling.

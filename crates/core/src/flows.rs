@@ -12,7 +12,7 @@ use digs_sim::time::Asn;
 use digs_sim::topology::Topology;
 
 /// One periodic data flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
     /// Flow identifier (dense, 0-based within a run).
     pub id: FlowId,

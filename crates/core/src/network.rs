@@ -5,7 +5,7 @@ use crate::audit::{
 };
 use crate::config::{NetworkConfig, Protocol};
 use crate::results::{FlowResult, NodeResult, RunResults};
-use crate::stack::{DigsStack, OrchestraStack, ProtocolStack};
+use crate::stack::{DigsProvision, DigsStack, OrchestraProvision, OrchestraStack, ProtocolStack};
 use crate::telemetry::{TelemetrySampler, TelemetrySettings};
 use digs_routing::graph::{GraphEntry, RoutingGraph};
 use digs_sim::engine::Engine;
@@ -161,24 +161,28 @@ impl Network {
                     Protocol::Digs => ProtocolStack::Digs(DigsStack::new(
                         id,
                         is_ap,
-                        num_aps,
-                        config.slotframes,
-                        config.attempts,
-                        config.routing,
                         my_flows,
-                        config.queue_capacity,
-                        config.max_cycles,
-                        seed,
-                        randomize_nonce,
+                        DigsProvision {
+                            num_aps,
+                            slotframes: config.slotframes,
+                            attempts: config.attempts,
+                            routing_config: config.routing,
+                            queue_capacity: config.queue_capacity,
+                            max_cycles: config.max_cycles,
+                            seed,
+                            randomize: randomize_nonce,
+                        },
                     )),
                     Protocol::Orchestra => ProtocolStack::Orchestra(OrchestraStack::new(
                         id,
                         is_ap,
-                        config.slotframes,
-                        config.routing,
                         my_flows,
-                        config.queue_capacity,
-                        seed,
+                        OrchestraProvision {
+                            slotframes: config.slotframes,
+                            routing_config: config.routing,
+                            queue_capacity: config.queue_capacity,
+                            seed,
+                        },
                     )),
                     Protocol::WirelessHart => {
                         ProtocolStack::WirelessHart(crate::stack::WhartStack::new(

@@ -6,7 +6,7 @@ use digs_sim::time::Asn;
 
 /// An application data packet travelling from a source field device to the
 /// access points.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataPacket {
     /// The flow this packet belongs to.
     pub flow: FlowId,

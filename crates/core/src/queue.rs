@@ -1,14 +1,13 @@
-//! Bounded per-node packet queues with drop accounting.
+//! Bounded per-node packet queues.
 
 use std::collections::VecDeque;
 
 /// A bounded FIFO queue; pushes beyond capacity drop the *newest* item
-/// (drop-tail, as Contiki's queuebuf does) and are counted.
+/// (drop-tail, as Contiki's queuebuf does). The owner counts the drops.
 #[derive(Debug, Clone, Default)]
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
-    drops: u64,
 }
 
 impl<T> BoundedQueue<T> {
@@ -19,13 +18,12 @@ impl<T> BoundedQueue<T> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> BoundedQueue<T> {
         assert!(capacity > 0, "queue capacity must be positive");
-        BoundedQueue { items: VecDeque::with_capacity(capacity), capacity, drops: 0 }
+        BoundedQueue { items: VecDeque::with_capacity(capacity), capacity }
     }
 
-    /// Enqueues an item; returns `false` (and counts a drop) when full.
+    /// Enqueues an item; returns `false` (the item is dropped) when full.
     pub fn push(&mut self, item: T) -> bool {
         if self.items.len() >= self.capacity {
-            self.drops += 1;
             false
         } else {
             self.items.push_back(item);
@@ -36,6 +34,12 @@ impl<T> BoundedQueue<T> {
     /// A reference to the head item.
     pub fn front(&self) -> Option<&T> {
         self.items.front()
+    }
+
+    /// A mutable reference to the head item (retry accounting in place,
+    /// so a retried item keeps its head-of-line position).
+    pub fn front_mut(&mut self) -> Option<&mut T> {
+        self.items.front_mut()
     }
 
     /// Removes and returns the head item.
@@ -53,18 +57,12 @@ impl<T> BoundedQueue<T> {
         self.items.is_empty()
     }
 
-    /// Items dropped because the queue was full.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
     /// Retains only items matching the predicate.
     pub fn retain(&mut self, f: impl FnMut(&T) -> bool) {
         self.items.retain(f);
     }
 
-    /// Discards every queued item (a cold reboot wiping the mote's RAM);
-    /// the drop counter is preserved.
+    /// Discards every queued item (a cold reboot wiping the mote's RAM).
     pub fn clear(&mut self) {
         self.items.clear();
     }
@@ -91,7 +89,6 @@ mod tests {
         assert!(q.push(1));
         assert!(q.push(2));
         assert!(!q.push(3));
-        assert_eq!(q.drops(), 1);
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(1));
     }
@@ -114,15 +111,24 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_but_keeps_drop_count() {
+    fn front_mut_edits_head_in_place() {
         let mut q = BoundedQueue::new(2);
         q.push(1);
         q.push(2);
-        q.push(3);
-        assert_eq!(q.drops(), 1);
+        *q.front_mut().expect("non-empty") += 10;
+        assert_eq!(q.pop(), Some(11));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.front_mut(), None);
+    }
+
+    #[test]
+    fn clear_empties_and_frees_capacity() {
+        let mut q = BoundedQueue::new(2);
+        q.push(1);
+        q.push(2);
+        assert!(!q.push(3));
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.drops(), 1, "drop accounting survives a wipe");
         assert!(q.push(4));
     }
 }

@@ -6,7 +6,7 @@ use digs_sim::time::Asn;
 use std::collections::BTreeSet;
 
 /// Per-flow outcome of a run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowResult {
     /// The flow.
     pub flow: FlowId,
@@ -49,7 +49,7 @@ impl FlowResult {
 }
 
 /// Per-node outcome of a run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeResult {
     /// The node.
     pub node: NodeId,
@@ -70,7 +70,7 @@ pub struct NodeResult {
 }
 
 /// The complete outcome of one network run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResults {
     /// Run duration.
     pub duration: Asn,

@@ -1,194 +1,122 @@
 //! The full DiGS node stack: EB scanning → distributed graph routing →
 //! autonomous scheduling → data forwarding over primary and backup routes.
 
-use super::{
-    scan_offset, trace_pid, DeliveryRecord, LastTx, QueuedPacket, QueuedRoutingMsg, StackTelemetry,
-    MAX_ROUTING_RETRIES,
-};
+use super::stack_core::TschMac;
+use super::StackTelemetry;
 use crate::flows::FlowSpec;
-use crate::payload::{DataPacket, Payload};
-use crate::queue::BoundedQueue;
-use digs_routing::messages::RoutingEvent;
+use crate::payload::Payload;
+use digs_routing::messages::{ParentSlot, RoutingEvent};
 use digs_routing::{DigsRouting, Rank, RoutingConfig};
 use digs_scheduling::slotframe::CellAction;
 use digs_scheduling::{DigsScheduler, SlotframeLengths};
 use digs_sim::engine::{NodeStack, SlotIntent, TxOutcome};
 use digs_sim::ids::NodeId;
-use digs_sim::packet::{Dest, Frame};
+use digs_sim::packet::Frame;
 use digs_sim::rf::Dbm;
 use digs_sim::time::Asn;
-use digs_trace::{EventKind, TraceHandle};
+use digs_trace::TraceHandle;
 
 /// The DiGS protocol stack for one node.
 #[derive(Debug)]
 pub struct DigsStack {
-    id: NodeId,
-    is_ap: bool,
+    /// The TSCH node underneath: queues, sync, children, telemetry, trace.
+    mac: TschMac,
     routing: DigsRouting,
     scheduler: DigsScheduler,
-    flows: Vec<FlowSpec>,
-    app_queue: BoundedQueue<QueuedPacket>,
-    routing_queue: BoundedQueue<QueuedRoutingMsg>,
-    /// When each registered child was last heard from (join-in, callback,
-    /// or data). Children are only unregistered on explicit revocation or
-    /// after an extended silence: over-listening costs idle-listen energy
-    /// (the overhead the paper acknowledges) but never loses packets.
-    child_last_seen: std::collections::BTreeMap<NodeId, Asn>,
     /// Whether the current second-best parent has confirmed (by ACKing a
     /// callback or a data frame) that it holds our registration. Until
     /// then, attempt-3 traffic is redirected to the primary parent — an
     /// unregistered backup would silently eat every third attempt — and
     /// the backup is probed on every fourth application cycle.
     second_confirmed: bool,
-    max_cycles: u8,
-    synced_at: Option<Asn>,
-    last_tx: Option<LastTx>,
-    seq_next: u32,
-    telemetry: StackTelemetry,
-    /// Flight recorder (no-op unless [`DigsStack::set_trace`] installed a
-    /// live handle).
-    trace: TraceHandle,
-    /// Parent set as last reported to the flight recorder, so a
-    /// `ParentSwitch` event can carry the pre-change view (the routing
-    /// layer has already updated itself by the time its event is seen).
-    traced_parents: (Option<NodeId>, Option<NodeId>),
-    /// Rank as last reported to the flight recorder.
-    traced_rank: Rank,
-    /// Construction parameters retained so a cold reboot (engine `reset`)
-    /// can reprovision the stack from factory state.
-    provision: Provision,
+    /// Retained so a cold reboot (engine `reset`) can reprovision the
+    /// stack from factory state.
+    provision: DigsProvision,
 }
 
-/// The immutable provisioning a mote ships with: everything `reset` needs
-/// to rebuild routing and scheduling from scratch.
+/// The immutable provisioning a DiGS mote ships with: everything needed to
+/// build its routing and scheduling from scratch, at first boot and again
+/// on every cold reboot.
 #[derive(Debug, Clone, Copy)]
-struct Provision {
-    num_aps: u16,
-    slotframes: SlotframeLengths,
-    attempts: u8,
-    routing_config: RoutingConfig,
-    queue_capacity: usize,
-    seed: u64,
+pub struct DigsProvision {
+    /// Number of access points in the network (Eq. 4's slot stride).
+    pub num_aps: u16,
+    /// Slotframe lengths of the three traffic classes.
+    pub slotframes: SlotframeLengths,
+    /// Transmission attempts per packet per application slotframe cycle.
+    pub attempts: u8,
+    /// Routing-layer parameters.
+    pub routing_config: RoutingConfig,
+    /// Capacity of the application and routing queues.
+    pub queue_capacity: usize,
+    /// Application cycles a packet is retried at one hop before it is
+    /// dropped (its attempt budget is `attempts × max_cycles`).
+    pub max_cycles: u8,
+    /// Per-node seed of the routing layer's randomness.
+    pub seed: u64,
     /// Shared schedule-randomization nonce (`None` = static Eq. 4). Like
     /// the slotframe lengths, this is factory provisioning: it survives
     /// reboots, so a rebooted mote rejoins the randomized schedule its
     /// neighbors are still following.
-    randomize: Option<u64>,
+    pub randomize: Option<u64>,
+}
+
+impl DigsProvision {
+    /// Factory-fresh routing and scheduling for node `id` booting at `asn`.
+    fn boot(&self, id: NodeId, is_ap: bool, seed: u64, asn: Asn) -> (DigsRouting, DigsScheduler) {
+        let routing = DigsRouting::new(id, is_ap, self.routing_config, seed, asn);
+        let mut scheduler = DigsScheduler::new(id, self.num_aps, self.slotframes, self.attempts);
+        scheduler.set_randomize(self.randomize);
+        (routing, scheduler)
+    }
 }
 
 impl DigsStack {
     /// Builds the stack for node `id`. `flows` lists the flows this node
     /// sources (usually zero or one).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: NodeId,
         is_ap: bool,
-        num_aps: u16,
-        slotframes: SlotframeLengths,
-        attempts: u8,
-        routing_config: RoutingConfig,
         flows: Vec<FlowSpec>,
-        queue_capacity: usize,
-        max_cycles: u8,
-        seed: u64,
-        randomize: Option<u64>,
+        provision: DigsProvision,
     ) -> DigsStack {
-        let mut telemetry = StackTelemetry::default();
-        if is_ap {
-            // Access points are synchronized roots from the start.
-            telemetry.synced_at = Some(Asn::ZERO);
-            telemetry.joined_at = Some(Asn::ZERO);
-        }
-        let routing = DigsRouting::new(id, is_ap, routing_config, seed, Asn::ZERO);
-        let mut scheduler = DigsScheduler::new(id, num_aps, slotframes, attempts);
-        scheduler.set_randomize(randomize);
+        let (routing, scheduler) = provision.boot(id, is_ap, provision.seed, Asn::ZERO);
         DigsStack {
-            id,
-            is_ap,
-            traced_rank: routing.rank(),
+            mac: TschMac::new(id, is_ap, flows, provision.queue_capacity, routing.rank()),
             routing,
             scheduler,
-            flows,
-            app_queue: BoundedQueue::new(queue_capacity),
-            routing_queue: BoundedQueue::new(queue_capacity),
-            child_last_seen: std::collections::BTreeMap::new(),
             second_confirmed: false,
-            max_cycles,
-            synced_at: if is_ap { Some(Asn::ZERO) } else { None },
-            last_tx: None,
-            seq_next: 0,
-            telemetry,
-            trace: TraceHandle::off(),
-            traced_parents: (None, None),
-            provision: Provision {
-                num_aps,
-                slotframes,
-                attempts,
-                routing_config,
-                queue_capacity,
-                seed,
-                randomize,
-            },
+            provision,
         }
     }
 
     /// Harness telemetry.
     pub fn telemetry(&self) -> &StackTelemetry {
-        &self.telemetry
+        &self.mac.core.telemetry
     }
 
     /// Installs the flight-recorder handle (shared with the engine).
     pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
-        self.traced_parents = self.parents();
-        self.traced_rank = self.rank();
+        self.mac.set_trace(trace, self.rank(), self.parents());
     }
 
-    /// Records a rank change since the last recorded value (called after
-    /// every routing-event batch, which is the only place rank moves).
-    fn trace_rank(&mut self, asn: Asn) {
-        if !self.trace.is_on() {
-            return;
-        }
-        let rank = self.routing.rank();
-        if rank != self.traced_rank {
-            self.trace.record(
-                asn.0,
-                self.id.0,
-                EventKind::RankChange { old: Some(self.traced_rank.0), new: rank.0 },
-            );
-            self.traced_rank = rank;
+    /// Records the installation or release of the dedicated receive cell
+    /// (Eq. 4, attempt 1) this node keeps for `child`.
+    fn trace_cell(&self, asn: Asn, child: NodeId, release: bool) {
+        if self.mac.core.trace.is_on() {
+            let cell =
+                (self.scheduler.tx_slot(child, 1), DigsScheduler::attempt_offset(child, 1).0);
+            self.mac.core.record_cell(asn, child, cell, release);
         }
     }
 
-    /// Records the dedicated receive cell (Eq. 4, attempt 1) installed for
-    /// a newly registered child.
-    fn trace_cell_alloc(&self, asn: Asn, child: NodeId) {
-        if self.trace.is_on() {
-            self.trace.record(
-                asn.0,
-                self.id.0,
-                EventKind::CellAlloc {
-                    slot: self.scheduler.tx_slot(child, 1),
-                    offset: DigsScheduler::attempt_offset(child, 1).0,
-                    child: child.0,
-                },
-            );
-        }
-    }
-
-    /// Records the release of a child's dedicated receive cell.
-    fn trace_cell_release(&self, asn: Asn, child: NodeId) {
-        if self.trace.is_on() {
-            self.trace.record(
-                asn.0,
-                self.id.0,
-                EventKind::CellRelease {
-                    slot: self.scheduler.tx_slot(child, 1),
-                    offset: DigsScheduler::attempt_offset(child, 1).0,
-                    child: child.0,
-                },
-            );
+    /// Registers `child` (or refreshes its registration) in the role it
+    /// gave us. Absence from a later join-in is NOT a removal — only
+    /// explicit revocation or prolonged silence unregisters a child.
+    fn register_child(&mut self, child: NodeId, role: ParentSlot, asn: Asn) {
+        self.scheduler.add_child(child, role);
+        if self.mac.child_heard(child, asn) {
+            self.trace_cell(asn, child, false);
         }
     }
 
@@ -204,18 +132,18 @@ impl DigsStack {
 
     /// Whether the node is synchronized and attached to the graph.
     pub fn is_joined(&self) -> bool {
-        self.synced_at.is_some() && self.routing.is_joined()
+        self.is_synced() && self.routing.is_joined()
     }
 
     /// Whether the node holds TSCH synchronization (a desynced node is
     /// scanning for EBs and its housekeeping is dormant).
     pub fn is_synced(&self) -> bool {
-        self.synced_at.is_some()
+        self.mac.synced_at.is_some()
     }
 
     /// When the node last (re-)acquired synchronization, if it has any.
     pub fn synced_at(&self) -> Option<Asn> {
-        self.synced_at
+        self.mac.synced_at
     }
 
     /// Read access to the routing state machine (snapshots, assertions).
@@ -230,7 +158,7 @@ impl DigsStack {
 
     /// Application queue length (congestion diagnostics).
     pub fn app_queue_len(&self) -> usize {
-        self.app_queue.len()
+        self.mac.app_queue.len()
     }
 
     /// Registered children with each one's last-heard time, for the
@@ -238,7 +166,7 @@ impl DigsStack {
     pub fn children_last_seen(&self) -> Vec<(NodeId, Asn)> {
         self.scheduler
             .children()
-            .map(|(c, _)| (c, self.child_last_seen.get(&c).copied().unwrap_or(Asn::ZERO)))
+            .map(|(c, _)| (c, self.mac.child_last_heard(c).unwrap_or(Asn::ZERO)))
             .collect()
     }
 
@@ -246,13 +174,12 @@ impl DigsStack {
     /// transmits in under Eq. 4 — empty for access points (they own no TX
     /// cells) and for unjoined nodes (they never fire a data cell).
     pub fn cell_claims(&self) -> Vec<(u32, digs_sim::channel::ChannelOffset)> {
-        if self.is_ap || !self.is_joined() {
+        let id = self.mac.core.id;
+        if self.mac.core.is_ap || !self.is_joined() {
             return Vec::new();
         }
         (1..=self.scheduler.attempts())
-            .map(|p| {
-                (self.scheduler.tx_slot(self.id, p), DigsScheduler::attempt_offset(self.id, p))
-            })
+            .map(|p| (self.scheduler.tx_slot(id, p), DigsScheduler::attempt_offset(id, p)))
             .collect()
     }
 
@@ -260,61 +187,31 @@ impl DigsStack {
         for event in events {
             match event {
                 RoutingEvent::BroadcastJoinIn(msg) => {
-                    // Keep only the freshest join-in in the queue.
-                    self.routing_queue.retain(|m| !matches!(m.payload, Payload::JoinIn(_)));
-                    self.routing_queue.push(QueuedRoutingMsg {
-                        dest: Dest::Broadcast,
-                        payload: Payload::JoinIn(msg),
-                        retries: 0,
-                    });
+                    self.mac.queue_broadcast(Payload::JoinIn(msg));
                 }
                 RoutingEvent::SendJoinedCallback { to, callback } => {
-                    self.routing_queue.push(QueuedRoutingMsg {
-                        dest: Dest::Unicast(to),
-                        payload: Payload::JoinedCallback(callback),
-                        retries: 0,
-                    });
+                    self.mac.queue_unicast(to, Payload::JoinedCallback(callback));
                 }
                 RoutingEvent::BroadcastDio(_) => {
                     debug_assert!(false, "DiGS routing never emits DIOs");
                 }
                 RoutingEvent::ParentsChanged { best, second } => {
-                    if self.trace.is_on() {
-                        let (old_best, old_second) = self.traced_parents;
-                        self.trace.record(
-                            asn.0,
-                            self.id.0,
-                            EventKind::ParentSwitch {
-                                old_best: old_best.map(|n| n.0),
-                                new_best: best.map(|n| n.0),
-                                old_second: old_second.map(|n| n.0),
-                                new_second: second.map(|n| n.0),
-                            },
-                        );
-                        self.traced_parents = (best, second);
-                    }
+                    self.mac.parents_changed(asn, best, second);
                     self.second_confirmed = false;
                     self.scheduler.set_parents(best, second);
-                    self.telemetry.parent_changes.push(asn);
-                    if self.telemetry.joined_at.is_none() && best.is_some() {
-                        self.telemetry.joined_at = Some(asn);
-                    }
                     // Announce the new parent set at the next shared slot
                     // without waiting for the Trickle firing point: until
                     // the new parents hear it (or the callback), their
                     // schedules lack our receive cells.
                     if best.is_some() {
-                        self.routing_queue.retain(|m| !matches!(m.payload, Payload::JoinIn(_)));
-                        self.routing_queue.push(QueuedRoutingMsg {
-                            dest: Dest::Broadcast,
-                            payload: Payload::JoinIn(self.routing.join_in()),
-                            retries: 0,
-                        });
+                        self.mac.queue_broadcast(Payload::JoinIn(self.routing.join_in()));
                     }
                 }
             }
         }
-        self.trace_rank(asn);
+        if self.mac.core.trace.is_on() {
+            self.mac.trace_rank(asn, self.routing.rank());
+        }
     }
 
     /// Picks the actual next hop for a data cell: the backup route is only
@@ -338,207 +235,60 @@ impl DigsStack {
             self.routing.best_parent().unwrap_or(scheduled)
         }
     }
-
-    fn generate_app_packets(&mut self, asn: Asn) {
-        // Sources generate according to their flow schedule regardless of
-        // join state (undeliverable packets count against PDR, as on the
-        // testbeds).
-        for i in 0..self.flows.len() {
-            let flow = self.flows[i];
-            if flow.generates_at(asn) {
-                let packet = DataPacket {
-                    flow: flow.id,
-                    seq: self.seq_next,
-                    origin: self.id,
-                    generated_at: asn,
-                };
-                self.seq_next += 1;
-                *self.telemetry.generated.entry(flow.id).or_insert(0) += 1;
-                if self.trace.is_on() {
-                    self.trace.record(
-                        asn.0,
-                        self.id.0,
-                        EventKind::Generated { packet: trace_pid(&packet) },
-                    );
-                }
-                if !self.app_queue.push(QueuedPacket { packet, failed_attempts: 0 }) {
-                    self.telemetry.queue_drops += 1;
-                    if self.trace.is_on() {
-                        self.trace.record(
-                            asn.0,
-                            self.id.0,
-                            EventKind::QueueOverflow { packet: trace_pid(&packet) },
-                        );
-                    }
-                } else if self.trace.is_on() {
-                    self.trace.record(
-                        asn.0,
-                        self.id.0,
-                        EventKind::QueueEnq {
-                            packet: trace_pid(&packet),
-                            depth: self.app_queue.len() as u32,
-                        },
-                    );
-                }
-            }
-        }
-    }
 }
 
 impl NodeStack for DigsStack {
     type Payload = Payload;
 
     fn slot_intent(&mut self, asn: Asn) -> SlotIntent<Payload> {
-        self.last_tx = None;
-        self.generate_app_packets(asn);
-
-        // Unsynchronised nodes park on a scan channel waiting for an EB.
-        if self.synced_at.is_none() {
-            return SlotIntent::Listen { offset: scan_offset(asn) };
+        if let Some(scan) = self.mac.begin_slot(asn) {
+            return scan;
         }
 
         // Routing housekeeping (Trickle, eviction).
         let events = self.routing.tick(asn);
         self.process_routing_events(events, asn);
 
-        // Garbage-collect children not heard from in three Trickle maximum
-        // intervals (192 s) — long enough that a child whose join-ins are
-        // paced at Imax is never evicted while alive.
-        if asn.0.is_multiple_of(64) && !self.child_last_seen.is_empty() {
-            let horizon = asn.0.saturating_sub(19_200);
-            let stale: Vec<NodeId> = self
-                .child_last_seen
-                .iter()
-                .filter(|(_, seen)| seen.0 < horizon)
-                .map(|(id, _)| *id)
-                .collect();
-            for id in stale {
-                self.child_last_seen.remove(&id);
-                self.scheduler.remove_child(id);
-                self.trace_cell_release(asn, id);
-            }
+        for child in self.mac.sweep_children(asn) {
+            self.scheduler.remove_child(child);
+            self.trace_cell(asn, child, true);
         }
 
-        let Some(cell) = self.scheduler.cell(asn) else {
+        let Some(mut cell) = self.scheduler.cell(asn) else {
             return SlotIntent::Sleep;
         };
-        match cell.action {
-            CellAction::TxBeacon => {
-                self.last_tx = Some(LastTx::Beacon);
-                SlotIntent::Transmit {
-                    offset: cell.offset,
-                    frame: Frame::new(
-                        self.id,
-                        Dest::Broadcast,
-                        Payload::Eb.frame_kind(),
-                        Payload::Eb.frame_size(),
-                        Payload::Eb,
-                    ),
-                    contention: cell.contention,
-                }
-            }
-            CellAction::RxBeacon { .. } | CellAction::RxData => {
-                SlotIntent::Listen { offset: cell.offset }
-            }
-            CellAction::Shared => match self.routing_queue.front() {
-                Some(msg) => {
-                    let (dest, payload) = (msg.dest, msg.payload);
-                    self.last_tx = Some(match dest {
-                        Dest::Broadcast => LastTx::RoutingBroadcast,
-                        Dest::Unicast(to) => LastTx::RoutingUnicast { to },
-                    });
-                    SlotIntent::Transmit {
-                        offset: cell.offset,
-                        frame: Frame::new(
-                            self.id,
-                            dest,
-                            payload.frame_kind(),
-                            payload.frame_size(),
-                            payload,
-                        ),
-                        contention: true,
-                    }
-                }
-                None => SlotIntent::Listen { offset: cell.offset },
-            },
-            CellAction::TxData { to, attempt } => {
-                let to = self.resolve_data_target(to, attempt, asn);
-                match self.app_queue.front() {
-                    Some(item) => {
-                        let pid = trace_pid(&item.packet);
-                        let payload = Payload::Data(item.packet);
-                        self.last_tx = Some(LastTx::Data { to });
-                        SlotIntent::Transmit {
-                            offset: cell.offset,
-                            frame: Frame::new(
-                                self.id,
-                                Dest::Unicast(to),
-                                payload.frame_kind(),
-                                payload.frame_size(),
-                                payload,
-                            )
-                            .with_trace_id(pid),
-                            contention: cell.contention,
-                        }
-                    }
-                    // A TX cell with an empty queue sleeps (TSCH semantics).
-                    None => SlotIntent::Sleep,
-                }
-            }
+        if let CellAction::TxData { to, attempt } = &mut cell.action {
+            *to = self.resolve_data_target(*to, *attempt, asn);
         }
+        self.mac.cell_intent(cell)
     }
 
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {
+        let me = self.mac.core.id;
         match &frame.payload {
-            Payload::Eb => {
-                // A scanning radio must acquire slot timing from the EB; in
-                // real TSCH association this fails more often than not (the
-                // mote wakes mid-beacon, or the timing offset exceeds the
-                // guard). Model a 25 percent association success per EB.
-                if self.synced_at.is_none()
-                    && digs_sim::rng::uniform01(u64::from(self.id.0) ^ 0xeb, asn.0, 3, 1) < 0.25
-                {
-                    self.synced_at = Some(asn);
-                    self.telemetry.synced_at = Some(asn);
-                }
-            }
+            Payload::Eb => self.mac.on_beacon(asn),
             Payload::JoinIn(msg) => {
-                if self.synced_at.is_some() {
+                if self.is_synced() {
                     let events = self.routing.on_join_in(frame.src, msg, rss, asn);
                     self.process_routing_events(events, asn);
                     // Refresh the scheduler's child table from the parent
-                    // ids piggybacked on the join-in. Absence of our id is
-                    // NOT a removal — only explicit revocation or prolonged
-                    // silence unregisters a child; over-listening costs
-                    // idle-listen energy (the overhead the paper concedes)
-                    // but never loses a packet.
-                    if msg.best_parent == Some(self.id) {
-                        self.scheduler
-                            .add_child(frame.src, digs_routing::messages::ParentSlot::Best);
-                        if self.child_last_seen.insert(frame.src, asn).is_none() {
-                            self.trace_cell_alloc(asn, frame.src);
-                        }
-                    } else if msg.second_parent == Some(self.id) {
-                        self.scheduler
-                            .add_child(frame.src, digs_routing::messages::ParentSlot::SecondBest);
-                        if self.child_last_seen.insert(frame.src, asn).is_none() {
-                            self.trace_cell_alloc(asn, frame.src);
-                        }
+                    // ids piggybacked on the join-in.
+                    if msg.best_parent == Some(me) {
+                        self.register_child(frame.src, ParentSlot::Best, asn);
+                    } else if msg.second_parent == Some(me) {
+                        self.register_child(frame.src, ParentSlot::SecondBest, asn);
                     }
                 }
             }
             Payload::JoinedCallback(cb) => {
-                if frame.dst.addressed_to(self.id) && !matches!(frame.dst, Dest::Broadcast) {
+                if self.mac.core.is_unicast_to_me(frame) {
                     let events = self.routing.on_joined_callback(frame.src, cb, asn);
                     if cb.selected {
-                        self.scheduler.add_child(frame.src, cb.slot);
-                        if self.child_last_seen.insert(frame.src, asn).is_none() {
-                            self.trace_cell_alloc(asn, frame.src);
-                        }
+                        self.register_child(frame.src, cb.slot, asn);
                     } else {
                         self.scheduler.remove_child(frame.src);
-                        if self.child_last_seen.remove(&frame.src).is_some() {
-                            self.trace_cell_release(asn, frame.src);
+                        if self.mac.child_revoked(frame.src) {
+                            self.trace_cell(asn, frame.src, true);
                         }
                     }
                     self.process_routing_events(events, asn);
@@ -546,7 +296,7 @@ impl NodeStack for DigsStack {
             }
             Payload::Dio(_) => {} // not ours; Orchestra traffic in mixed tests
             Payload::Data(packet) => {
-                if !frame.dst.addressed_to(self.id) || matches!(frame.dst, Dest::Broadcast) {
+                if !self.mac.core.is_unicast_to_me(frame) {
                     return;
                 }
                 // The frame's slot identifies the sender's attempt number
@@ -558,49 +308,13 @@ impl NodeStack for DigsStack {
                 // permanently asymmetric.
                 if let Some(p) = self.scheduler.infer_attempt_at(frame.src, asn) {
                     let role = if p < self.scheduler.attempts() {
-                        digs_routing::messages::ParentSlot::Best
+                        ParentSlot::Best
                     } else {
-                        digs_routing::messages::ParentSlot::SecondBest
+                        ParentSlot::SecondBest
                     };
-                    self.scheduler.add_child(frame.src, role);
-                    if self.child_last_seen.insert(frame.src, asn).is_none() {
-                        self.trace_cell_alloc(asn, frame.src);
-                    }
+                    self.register_child(frame.src, role, asn);
                 }
-                if self.is_ap {
-                    if self.trace.is_on() {
-                        self.trace.record(
-                            asn.0,
-                            self.id.0,
-                            EventKind::Delivered {
-                                packet: trace_pid(packet),
-                                latency_slots: asn.0.saturating_sub(packet.generated_at.0),
-                            },
-                        );
-                    }
-                    self.telemetry
-                        .deliveries
-                        .push(DeliveryRecord { packet: *packet, delivered_at: asn });
-                } else if !self.app_queue.push(QueuedPacket { packet: *packet, failed_attempts: 0 })
-                {
-                    self.telemetry.queue_drops += 1;
-                    if self.trace.is_on() {
-                        self.trace.record(
-                            asn.0,
-                            self.id.0,
-                            EventKind::QueueOverflow { packet: trace_pid(packet) },
-                        );
-                    }
-                } else if self.trace.is_on() {
-                    self.trace.record(
-                        asn.0,
-                        self.id.0,
-                        EventKind::QueueEnq {
-                            packet: trace_pid(packet),
-                            depth: self.app_queue.len() as u32,
-                        },
-                    );
-                }
+                self.mac.accept(packet, asn);
             }
         }
     }
@@ -608,124 +322,26 @@ impl NodeStack for DigsStack {
     fn reset(&mut self, asn: Asn) {
         // Cold reboot: routing, schedule, queues, children, and sync are
         // factory-fresh; the node must re-associate via EBs and rejoin the
-        // graph from scratch. Sequence numbers and telemetry survive — they
-        // are harness accounting, not mote RAM, and flow bookkeeping must
-        // stay cumulative across the reboot.
+        // graph from scratch.
         let p = self.provision;
         let seed = digs_sim::rng::mix(p.seed, asn.0, 0x001e_b007, 0);
-        self.routing = DigsRouting::new(self.id, self.is_ap, p.routing_config, seed, asn);
-        self.scheduler = DigsScheduler::new(self.id, p.num_aps, p.slotframes, p.attempts);
-        self.scheduler.set_randomize(p.randomize);
-        self.app_queue = BoundedQueue::new(p.queue_capacity);
-        self.routing_queue = BoundedQueue::new(p.queue_capacity);
-        self.child_last_seen.clear();
+        (self.routing, self.scheduler) = p.boot(self.mac.core.id, self.mac.core.is_ap, seed, asn);
+        self.mac.reboot(asn, self.routing.rank());
         self.second_confirmed = false;
-        self.synced_at = if self.is_ap { Some(asn) } else { None };
-        self.last_tx = None;
-        self.traced_parents = (None, None);
-        self.traced_rank = self.routing.rank();
     }
 
     fn desync(&mut self, _asn: Asn) {
-        if self.is_ap {
-            return; // APs are wired time roots and cannot lose sync.
-        }
-        // Routing state and queues survive, but the radio must re-acquire
-        // slot alignment from an EB before any cell lines up again.
-        self.synced_at = None;
-        self.last_tx = None;
+        self.mac.desync();
     }
 
     fn on_tx_outcome(&mut self, asn: Asn, outcome: TxOutcome) {
-        let Some(last) = self.last_tx.take() else {
-            return;
-        };
-        match last {
-            LastTx::Beacon => {}
-            LastTx::RoutingBroadcast => match outcome {
-                TxOutcome::SentBroadcast => {
-                    self.routing_queue.pop();
-                }
-                TxOutcome::DeferredCca => {} // retry at the next shared slot
-                _ => {}
-            },
-            LastTx::RoutingUnicast { to } => match outcome {
-                TxOutcome::Acked => {
-                    self.routing_queue.pop();
-                    if self.routing.second_best_parent() == Some(to) {
-                        self.second_confirmed = true;
-                    }
-                    let events = self.routing.on_tx_result(to, true, asn);
-                    self.process_routing_events(events, asn);
-                }
-                TxOutcome::NoAck => {
-                    if let Some(front) = self.routing_queue.front() {
-                        if front.retries + 1 >= MAX_ROUTING_RETRIES {
-                            self.routing_queue.pop();
-                        } else if let Some(mut msg) = self.routing_queue.pop() {
-                            msg.retries += 1;
-                            self.routing_queue.push(msg);
-                        }
-                    }
-                    let events = self.routing.on_tx_result(to, false, asn);
-                    self.process_routing_events(events, asn);
-                }
-                TxOutcome::DeferredCca => {}
-                TxOutcome::SentBroadcast => {}
-            },
-            LastTx::Data { to } => match outcome {
-                TxOutcome::Acked => {
-                    if let Some(item) = self.app_queue.pop() {
-                        if self.trace.is_on() {
-                            self.trace.record(
-                                asn.0,
-                                self.id.0,
-                                EventKind::QueueDeq {
-                                    packet: trace_pid(&item.packet),
-                                    depth: self.app_queue.len() as u32,
-                                },
-                            );
-                        }
-                    }
-                    self.telemetry.forwarded += 1;
-                    if self.routing.second_best_parent() == Some(to) {
-                        self.second_confirmed = true;
-                    }
-                    let events = self.routing.on_tx_result(to, true, asn);
-                    self.process_routing_events(events, asn);
-                }
-                TxOutcome::NoAck => {
-                    let budget = u16::from(self.scheduler.attempts()) * u16::from(self.max_cycles);
-                    if let Some(mut item) = self.app_queue.pop() {
-                        item.failed_attempts = item.failed_attempts.saturating_add(1);
-                        if u16::from(item.failed_attempts) >= budget {
-                            self.telemetry.retry_drops += 1;
-                            if self.trace.is_on() {
-                                self.trace.record(
-                                    asn.0,
-                                    self.id.0,
-                                    EventKind::RetryDrop { packet: trace_pid(&item.packet) },
-                                );
-                            }
-                        } else {
-                            // Head-of-line: retries keep FIFO position by
-                            // re-inserting at the front via rebuild.
-                            let mut rest: Vec<QueuedPacket> =
-                                Vec::with_capacity(self.app_queue.len());
-                            while let Some(p) = self.app_queue.pop() {
-                                rest.push(p);
-                            }
-                            self.app_queue.push(item);
-                            for p in rest {
-                                self.app_queue.push(p);
-                            }
-                        }
-                    }
-                    let events = self.routing.on_tx_result(to, false, asn);
-                    self.process_routing_events(events, asn);
-                }
-                TxOutcome::DeferredCca | TxOutcome::SentBroadcast => {}
-            },
+        let budget = u16::from(self.scheduler.attempts()) * u16::from(self.provision.max_cycles);
+        if let Some((to, acked)) = self.mac.settle(outcome, budget, asn) {
+            if acked && self.routing.second_best_parent() == Some(to) {
+                self.second_confirmed = true;
+            }
+            let events = self.routing.on_tx_result(to, acked, asn);
+            self.process_routing_events(events, asn);
         }
     }
 }

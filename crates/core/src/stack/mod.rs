@@ -3,28 +3,32 @@
 //! A stack owns everything one mote runs: time-sync state (EB scanning
 //! before joining), the routing state machine, the autonomous scheduler,
 //! the packet queues, and the bookkeeping the experiment harness reads
-//! back (deliveries, parent changes, join times).
+//! back (deliveries, parent changes, join times). What the three stacks
+//! have in common — the application-packet life cycle, and for DiGS and
+//! Orchestra the TSCH slot skeleton — lives once in `stack_core`; each
+//! protocol file keeps only its routing and scheduling decisions.
 
 mod digs_stack;
 mod orchestra_stack;
+mod stack_core;
 #[cfg(test)]
 mod tests_stacks;
 mod whart_stack;
 
-pub use digs_stack::DigsStack;
-pub use orchestra_stack::OrchestraStack;
+pub use digs_stack::{DigsProvision, DigsStack};
+pub use orchestra_stack::{OrchestraProvision, OrchestraStack};
 pub use whart_stack::WhartStack;
 
 use crate::payload::{DataPacket, Payload};
 use digs_sim::channel::{ChannelOffset, NUM_CHANNELS};
 use digs_sim::engine::{NodeStack, SlotIntent, TxOutcome};
 use digs_sim::ids::NodeId;
-use digs_sim::packet::{Dest, Frame};
+use digs_sim::packet::Frame;
 use digs_sim::rf::Dbm;
 use digs_sim::time::Asn;
 
 /// A packet delivered to an access point.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeliveryRecord {
     /// The delivered packet.
     pub packet: DataPacket,
@@ -32,35 +36,13 @@ pub struct DeliveryRecord {
     pub delivered_at: Asn,
 }
 
-/// What the stack transmitted in the current slot (to interpret the
-/// engine's `on_tx_outcome`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum LastTx {
-    Beacon,
-    RoutingBroadcast,
-    RoutingUnicast { to: NodeId },
-    Data { to: NodeId },
-}
-
-/// An application-queue entry: the packet plus how many scheduler cycles
-/// it has been retried at this hop.
+/// An application-queue entry: the packet plus how many transmissions of
+/// it have gone unacknowledged at this hop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct QueuedPacket {
     pub packet: DataPacket,
     pub failed_attempts: u8,
 }
-
-/// A routing-queue entry with its retry budget.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct QueuedRoutingMsg {
-    pub dest: Dest,
-    pub payload: Payload,
-    pub retries: u8,
-}
-
-/// Maximum CSMA/unicast retries for a routing-plane message before it is
-/// abandoned (a fresher one will follow via Trickle).
-pub(crate) const MAX_ROUTING_RETRIES: u8 = 8;
 
 /// The flight-recorder identity of an application packet.
 pub(crate) fn trace_pid(packet: &DataPacket) -> digs_trace::PacketId {
@@ -99,7 +81,7 @@ pub struct StackTelemetry {
     pub forwarded: u64,
 }
 
-/// The uniform view of both protocol stacks the network runner uses.
+/// The uniform view of the three protocol stacks the network runner uses.
 #[derive(Debug)]
 pub enum ProtocolStack {
     /// The paper's stack.

@@ -1,23 +1,19 @@
 //! The Orchestra baseline stack: EB scanning → RPL (single preferred
 //! parent) → Orchestra receiver-based scheduling.
 
-use super::{
-    scan_offset, trace_pid, DeliveryRecord, LastTx, QueuedPacket, QueuedRoutingMsg, StackTelemetry,
-    MAX_ROUTING_RETRIES,
-};
+use super::stack_core::TschMac;
+use super::StackTelemetry;
 use crate::flows::FlowSpec;
-use crate::payload::{DataPacket, Payload};
-use crate::queue::BoundedQueue;
+use crate::payload::Payload;
 use digs_routing::messages::RoutingEvent;
 use digs_routing::{Rank, RoutingConfig, RplRouting};
-use digs_scheduling::slotframe::CellAction;
 use digs_scheduling::{OrchestraScheduler, SlotframeLengths};
 use digs_sim::engine::{NodeStack, SlotIntent, TxOutcome};
 use digs_sim::ids::NodeId;
-use digs_sim::packet::{Dest, Frame};
+use digs_sim::packet::Frame;
 use digs_sim::rf::Dbm;
 use digs_sim::time::Asn;
-use digs_trace::{EventKind, TraceHandle};
+use digs_trace::TraceHandle;
 
 /// Maximum link-layer transmissions of a data packet before Orchestra
 /// drops it (TSCH's default MAC retry budget).
@@ -26,136 +22,98 @@ pub const MAX_DATA_RETRIES: u8 = 8;
 /// The Orchestra protocol stack for one node.
 #[derive(Debug)]
 pub struct OrchestraStack {
-    id: NodeId,
-    is_ap: bool,
+    /// The TSCH node underneath: queues, sync, children, telemetry, trace.
+    /// The children here are every neighbor heard (sender-based schedule:
+    /// the node's receive cells derive from this set).
+    mac: TschMac,
     routing: RplRouting,
     scheduler: OrchestraScheduler,
-    flows: Vec<FlowSpec>,
-    app_queue: BoundedQueue<QueuedPacket>,
-    routing_queue: BoundedQueue<QueuedRoutingMsg>,
-    /// When each registered child was last heard from (sender-based
-    /// schedule: the parent's receive cells derive from this set).
-    child_last_seen: std::collections::BTreeMap<NodeId, Asn>,
-    synced_at: Option<Asn>,
-    last_tx: Option<LastTx>,
-    seq_next: u32,
-    telemetry: StackTelemetry,
-    /// Flight recorder (no-op unless [`OrchestraStack::set_trace`]
-    /// installed a live handle).
-    trace: TraceHandle,
-    /// Preferred parent as last reported to the flight recorder.
-    traced_parent: Option<NodeId>,
-    /// Rank as last reported to the flight recorder.
-    traced_rank: Rank,
-    /// Construction parameters retained so a cold reboot (engine `reset`)
-    /// can reprovision the stack from factory state.
-    provision: Provision,
+    /// Retained so a cold reboot (engine `reset`) can reprovision the
+    /// stack from factory state.
+    provision: OrchestraProvision,
 }
 
-/// The immutable provisioning a mote ships with: everything `reset` needs
-/// to rebuild routing and scheduling from scratch.
+/// The immutable provisioning an Orchestra mote ships with: everything
+/// needed to build its routing and scheduling from scratch, at first boot
+/// and again on every cold reboot.
 #[derive(Debug, Clone, Copy)]
-struct Provision {
-    slotframes: SlotframeLengths,
-    routing_config: RoutingConfig,
-    queue_capacity: usize,
-    seed: u64,
+pub struct OrchestraProvision {
+    /// Slotframe lengths of the three traffic classes.
+    pub slotframes: SlotframeLengths,
+    /// Routing-layer parameters.
+    pub routing_config: RoutingConfig,
+    /// Capacity of the application and routing queues.
+    pub queue_capacity: usize,
+    /// Per-node seed of the routing layer's randomness.
+    pub seed: u64,
+}
+
+impl OrchestraProvision {
+    /// Factory-fresh routing and scheduling for node `id` booting at `asn`.
+    fn boot(
+        &self,
+        id: NodeId,
+        is_ap: bool,
+        seed: u64,
+        asn: Asn,
+    ) -> (RplRouting, OrchestraScheduler) {
+        (
+            RplRouting::new(id, is_ap, self.routing_config, seed, asn),
+            OrchestraScheduler::new(id, self.slotframes),
+        )
+    }
 }
 
 impl OrchestraStack {
-    /// Builds the stack for node `id`.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the stack for node `id`. `flows` lists the flows this node
+    /// sources (usually zero or one).
     pub fn new(
         id: NodeId,
         is_ap: bool,
-        slotframes: SlotframeLengths,
-        routing_config: RoutingConfig,
         flows: Vec<FlowSpec>,
-        queue_capacity: usize,
-        seed: u64,
+        provision: OrchestraProvision,
     ) -> OrchestraStack {
-        let mut telemetry = StackTelemetry::default();
-        if is_ap {
-            telemetry.synced_at = Some(Asn::ZERO);
-            telemetry.joined_at = Some(Asn::ZERO);
-        }
-        let routing = RplRouting::new(id, is_ap, routing_config, seed, Asn::ZERO);
+        let (routing, scheduler) = provision.boot(id, is_ap, provision.seed, Asn::ZERO);
         OrchestraStack {
-            id,
-            is_ap,
-            traced_rank: routing.rank(),
+            mac: TschMac::new(id, is_ap, flows, provision.queue_capacity, routing.rank()),
             routing,
-            scheduler: OrchestraScheduler::new(id, slotframes),
-            flows,
-            app_queue: BoundedQueue::new(queue_capacity),
-            routing_queue: BoundedQueue::new(queue_capacity),
-            child_last_seen: std::collections::BTreeMap::new(),
-            synced_at: if is_ap { Some(Asn::ZERO) } else { None },
-            last_tx: None,
-            seq_next: 0,
-            telemetry,
-            trace: TraceHandle::off(),
-            traced_parent: None,
-            provision: Provision { slotframes, routing_config, queue_capacity, seed },
+            scheduler,
+            provision,
         }
     }
 
     /// Harness telemetry.
     pub fn telemetry(&self) -> &StackTelemetry {
-        &self.telemetry
+        &self.mac.core.telemetry
     }
 
     /// Installs the flight-recorder handle (shared with the engine).
     pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
-        self.traced_parent = self.parent();
-        self.traced_rank = self.rank();
+        self.mac.set_trace(trace, self.rank(), (self.parent(), None));
     }
 
-    /// Records a rank change since the last recorded value.
-    fn trace_rank(&mut self, asn: Asn) {
-        if !self.trace.is_on() {
-            return;
-        }
-        let rank = self.routing.rank();
-        if rank != self.traced_rank {
-            self.trace.record(
-                asn.0,
-                self.id.0,
-                EventKind::RankChange { old: Some(self.traced_rank.0), new: rank.0 },
-            );
-            self.traced_rank = rank;
-        }
-    }
-
-    /// Records the sender-based receive cell installed for a newly heard
-    /// neighbor.
-    fn trace_cell_alloc(&self, asn: Asn, child: NodeId) {
-        if self.trace.is_on() {
-            self.trace.record(
-                asn.0,
-                self.id.0,
-                EventKind::CellAlloc {
-                    slot: self.scheduler.sbs_tx_slot(child),
-                    offset: digs_scheduling::slotframe::node_offset(child).0,
-                    child: child.0,
-                },
+    /// Records the installation or release of the sender-based receive
+    /// cell this node keeps for `child`.
+    fn trace_cell(&self, asn: Asn, child: NodeId, release: bool) {
+        if self.mac.core.trace.is_on() {
+            let offset = digs_scheduling::slotframe::node_offset(child).0;
+            self.mac.core.record_cell(
+                asn,
+                child,
+                (self.scheduler.sbs_tx_slot(child), offset),
+                release,
             );
         }
     }
 
-    /// Records the release of a garbage-collected neighbor's receive cell.
-    fn trace_cell_release(&self, asn: Asn, child: NodeId) {
-        if self.trace.is_on() {
-            self.trace.record(
-                asn.0,
-                self.id.0,
-                EventKind::CellRelease {
-                    slot: self.scheduler.sbs_tx_slot(child),
-                    offset: digs_scheduling::slotframe::node_offset(child).0,
-                    child: child.0,
-                },
-            );
+    /// Orchestra's sender-based mode: RPL gives no reliable child
+    /// knowledge, so a node installs a receive cell for *every* neighbor it
+    /// hears — the listening overhead that made receiver-based cells
+    /// Orchestra's default (SenSys'15, Section 4.3).
+    fn register_child(&mut self, child: NodeId, asn: Asn) {
+        self.scheduler.add_child(child);
+        if self.mac.child_heard(child, asn) {
+            self.trace_cell(asn, child, false);
         }
     }
 
@@ -171,7 +129,7 @@ impl OrchestraStack {
 
     /// Whether the node is synchronized and attached to the DODAG.
     pub fn is_joined(&self) -> bool {
-        self.synced_at.is_some() && self.routing.is_joined()
+        self.mac.synced_at.is_some() && self.routing.is_joined()
     }
 
     /// Read access to the RPL state machine.
@@ -181,87 +139,24 @@ impl OrchestraStack {
 
     /// Application queue length (congestion diagnostics).
     pub fn app_queue_len(&self) -> usize {
-        self.app_queue.len()
+        self.mac.app_queue.len()
     }
 
     fn process_routing_events(&mut self, events: Vec<RoutingEvent>, asn: Asn) {
         for event in events {
             match event {
-                RoutingEvent::BroadcastDio(dio) => {
-                    self.routing_queue.retain(|m| !matches!(m.payload, Payload::Dio(_)));
-                    self.routing_queue.push(QueuedRoutingMsg {
-                        dest: Dest::Broadcast,
-                        payload: Payload::Dio(dio),
-                        retries: 0,
-                    });
-                }
+                RoutingEvent::BroadcastDio(dio) => self.mac.queue_broadcast(Payload::Dio(dio)),
                 RoutingEvent::ParentsChanged { best, .. } => {
-                    if self.trace.is_on() {
-                        self.trace.record(
-                            asn.0,
-                            self.id.0,
-                            EventKind::ParentSwitch {
-                                old_best: self.traced_parent.map(|n| n.0),
-                                new_best: best.map(|n| n.0),
-                                old_second: None,
-                                new_second: None,
-                            },
-                        );
-                        self.traced_parent = best;
-                    }
+                    self.mac.parents_changed(asn, best, None);
                     self.scheduler.set_parent(best);
-                    self.telemetry.parent_changes.push(asn);
-                    if self.telemetry.joined_at.is_none() && best.is_some() {
-                        self.telemetry.joined_at = Some(asn);
-                    }
                 }
                 RoutingEvent::BroadcastJoinIn(_) | RoutingEvent::SendJoinedCallback { .. } => {
                     debug_assert!(false, "RPL never emits DiGS messages");
                 }
             }
         }
-        self.trace_rank(asn);
-    }
-
-    fn generate_app_packets(&mut self, asn: Asn) {
-        for i in 0..self.flows.len() {
-            let flow = self.flows[i];
-            if flow.generates_at(asn) {
-                let packet = DataPacket {
-                    flow: flow.id,
-                    seq: self.seq_next,
-                    origin: self.id,
-                    generated_at: asn,
-                };
-                self.seq_next += 1;
-                *self.telemetry.generated.entry(flow.id).or_insert(0) += 1;
-                if self.trace.is_on() {
-                    self.trace.record(
-                        asn.0,
-                        self.id.0,
-                        EventKind::Generated { packet: trace_pid(&packet) },
-                    );
-                }
-                if !self.app_queue.push(QueuedPacket { packet, failed_attempts: 0 }) {
-                    self.telemetry.queue_drops += 1;
-                    if self.trace.is_on() {
-                        self.trace.record(
-                            asn.0,
-                            self.id.0,
-                            EventKind::QueueOverflow { packet: trace_pid(&packet) },
-                        );
-                    }
-                } else if self.trace.is_on() {
-                    self.trace.record(
-                        asn.0,
-                        self.id.0,
-                        EventKind::QueueEnq {
-                            packet: trace_pid(&packet),
-                            depth: self.app_queue.len() as u32,
-                        },
-                    );
-                }
-            }
+        if self.mac.core.trace.is_on() {
+            self.mac.trace_rank(asn, self.routing.rank());
         }
     }
 }
@@ -270,282 +165,65 @@ impl NodeStack for OrchestraStack {
     type Payload = Payload;
 
     fn slot_intent(&mut self, asn: Asn) -> SlotIntent<Payload> {
-        self.last_tx = None;
-        self.generate_app_packets(asn);
-
-        if self.synced_at.is_none() {
-            return SlotIntent::Listen { offset: scan_offset(asn) };
+        if let Some(scan) = self.mac.begin_slot(asn) {
+            return scan;
         }
 
         let events = self.routing.tick(asn);
         self.process_routing_events(events, asn);
 
-        // Garbage-collect children not heard from in three Trickle maximum
-        // intervals (192 s).
-        if asn.0.is_multiple_of(64) && !self.child_last_seen.is_empty() {
-            let horizon = asn.0.saturating_sub(19_200);
-            let stale: Vec<NodeId> = self
-                .child_last_seen
-                .iter()
-                .filter(|(_, seen)| seen.0 < horizon)
-                .map(|(id, _)| *id)
-                .collect();
-            for id in stale {
-                self.child_last_seen.remove(&id);
-                self.scheduler.remove_child(id);
-                self.trace_cell_release(asn, id);
-            }
+        for child in self.mac.sweep_children(asn) {
+            self.scheduler.remove_child(child);
+            self.trace_cell(asn, child, true);
         }
 
-        let Some(cell) = self.scheduler.cell(asn) else {
-            return SlotIntent::Sleep;
-        };
-        match cell.action {
-            CellAction::TxBeacon => {
-                self.last_tx = Some(LastTx::Beacon);
-                SlotIntent::Transmit {
-                    offset: cell.offset,
-                    frame: Frame::new(
-                        self.id,
-                        Dest::Broadcast,
-                        Payload::Eb.frame_kind(),
-                        Payload::Eb.frame_size(),
-                        Payload::Eb,
-                    ),
-                    contention: cell.contention,
-                }
-            }
-            CellAction::RxBeacon { .. } | CellAction::RxData => {
-                SlotIntent::Listen { offset: cell.offset }
-            }
-            CellAction::Shared => match self.routing_queue.front() {
-                Some(msg) => {
-                    let (dest, payload) = (msg.dest, msg.payload);
-                    self.last_tx = Some(match dest {
-                        Dest::Broadcast => LastTx::RoutingBroadcast,
-                        Dest::Unicast(to) => LastTx::RoutingUnicast { to },
-                    });
-                    SlotIntent::Transmit {
-                        offset: cell.offset,
-                        frame: Frame::new(
-                            self.id,
-                            dest,
-                            payload.frame_kind(),
-                            payload.frame_size(),
-                            payload,
-                        ),
-                        contention: true,
-                    }
-                }
-                None => SlotIntent::Listen { offset: cell.offset },
-            },
-            CellAction::TxData { to, .. } => match self.app_queue.front() {
-                Some(item) => {
-                    let pid = trace_pid(&item.packet);
-                    let payload = Payload::Data(item.packet);
-                    self.last_tx = Some(LastTx::Data { to });
-                    SlotIntent::Transmit {
-                        offset: cell.offset,
-                        frame: Frame::new(
-                            self.id,
-                            Dest::Unicast(to),
-                            payload.frame_kind(),
-                            payload.frame_size(),
-                            payload,
-                        )
-                        .with_trace_id(pid),
-                        contention: cell.contention,
-                    }
-                }
-                // Orchestra's RBS: with nothing to send, the node still
-                // owns no rx duty here (its own rx cell is elsewhere).
-                None => SlotIntent::Sleep,
-            },
+        // Orchestra's RBS: a data cell with nothing to send sleeps — the
+        // node owns no rx duty there (its own rx cell is elsewhere).
+        match self.scheduler.cell(asn) {
+            Some(cell) => self.mac.cell_intent(cell),
+            None => SlotIntent::Sleep,
         }
     }
 
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {
         match &frame.payload {
-            Payload::Eb => {
-                // A scanning radio must acquire slot timing from the EB; in
-                // real TSCH association this fails more often than not (the
-                // mote wakes mid-beacon, or the timing offset exceeds the
-                // guard). Model a 25 percent association success per EB.
-                if self.synced_at.is_none()
-                    && digs_sim::rng::uniform01(u64::from(self.id.0) ^ 0xeb, asn.0, 3, 1) < 0.25
-                {
-                    self.synced_at = Some(asn);
-                    self.telemetry.synced_at = Some(asn);
-                }
-            }
+            Payload::Eb => self.mac.on_beacon(asn),
             Payload::Dio(dio) => {
-                if self.synced_at.is_some() {
+                if self.mac.synced_at.is_some() {
                     let events = self.routing.on_dio(frame.src, dio, rss, asn);
                     self.process_routing_events(events, asn);
-                    // Orchestra's sender-based mode: RPL gives no reliable
-                    // child knowledge, so a node installs a receive cell
-                    // for *every* neighbor it hears — the listening
-                    // overhead that made receiver-based cells Orchestra's
-                    // default (SenSys'15, Section 4.3).
-                    self.scheduler.add_child(frame.src);
-                    if self.child_last_seen.insert(frame.src, asn).is_none() {
-                        self.trace_cell_alloc(asn, frame.src);
-                    }
+                    self.register_child(frame.src, asn);
                 }
             }
             Payload::JoinIn(_) | Payload::JoinedCallback(_) => {}
             Payload::Data(packet) => {
-                if !frame.dst.addressed_to(self.id) || matches!(frame.dst, Dest::Broadcast) {
+                if !self.mac.core.is_unicast_to_me(frame) {
                     return;
                 }
                 // Observed traffic keeps the child registration fresh.
-                self.scheduler.add_child(frame.src);
-                if self.child_last_seen.insert(frame.src, asn).is_none() {
-                    self.trace_cell_alloc(asn, frame.src);
-                }
-                if self.is_ap {
-                    if self.trace.is_on() {
-                        self.trace.record(
-                            asn.0,
-                            self.id.0,
-                            EventKind::Delivered {
-                                packet: trace_pid(packet),
-                                latency_slots: asn.0.saturating_sub(packet.generated_at.0),
-                            },
-                        );
-                    }
-                    self.telemetry
-                        .deliveries
-                        .push(DeliveryRecord { packet: *packet, delivered_at: asn });
-                } else if !self.app_queue.push(QueuedPacket { packet: *packet, failed_attempts: 0 })
-                {
-                    self.telemetry.queue_drops += 1;
-                    if self.trace.is_on() {
-                        self.trace.record(
-                            asn.0,
-                            self.id.0,
-                            EventKind::QueueOverflow { packet: trace_pid(packet) },
-                        );
-                    }
-                } else if self.trace.is_on() {
-                    self.trace.record(
-                        asn.0,
-                        self.id.0,
-                        EventKind::QueueEnq {
-                            packet: trace_pid(packet),
-                            depth: self.app_queue.len() as u32,
-                        },
-                    );
-                }
+                self.register_child(frame.src, asn);
+                self.mac.accept(packet, asn);
             }
         }
     }
 
     fn reset(&mut self, asn: Asn) {
         // Cold reboot: RPL state, Orchestra cells, queues, children, and
-        // sync are factory-fresh. Sequence numbers and telemetry survive —
-        // harness accounting, not mote RAM.
+        // sync are factory-fresh.
         let p = self.provision;
         let seed = digs_sim::rng::mix(p.seed, asn.0, 0x001e_b007, 1);
-        self.routing = RplRouting::new(self.id, self.is_ap, p.routing_config, seed, asn);
-        self.scheduler = OrchestraScheduler::new(self.id, p.slotframes);
-        self.app_queue = BoundedQueue::new(p.queue_capacity);
-        self.routing_queue = BoundedQueue::new(p.queue_capacity);
-        self.child_last_seen.clear();
-        self.synced_at = if self.is_ap { Some(asn) } else { None };
-        self.last_tx = None;
-        self.traced_parent = None;
-        self.traced_rank = self.routing.rank();
+        (self.routing, self.scheduler) = p.boot(self.mac.core.id, self.mac.core.is_ap, seed, asn);
+        self.mac.reboot(asn, self.routing.rank());
     }
 
     fn desync(&mut self, _asn: Asn) {
-        if self.is_ap {
-            return; // APs are wired time roots and cannot lose sync.
-        }
-        self.synced_at = None;
-        self.last_tx = None;
+        self.mac.desync();
     }
 
     fn on_tx_outcome(&mut self, asn: Asn, outcome: TxOutcome) {
-        let Some(last) = self.last_tx.take() else {
-            return;
-        };
-        match last {
-            LastTx::Beacon => {}
-            LastTx::RoutingBroadcast => {
-                if outcome == TxOutcome::SentBroadcast {
-                    self.routing_queue.pop();
-                }
-            }
-            LastTx::RoutingUnicast { to } => match outcome {
-                TxOutcome::Acked => {
-                    self.routing_queue.pop();
-                    let events = self.routing.on_tx_result(to, true, asn);
-                    self.process_routing_events(events, asn);
-                }
-                TxOutcome::NoAck => {
-                    if let Some(front) = self.routing_queue.front() {
-                        if front.retries + 1 >= MAX_ROUTING_RETRIES {
-                            self.routing_queue.pop();
-                        } else if let Some(mut msg) = self.routing_queue.pop() {
-                            msg.retries += 1;
-                            self.routing_queue.push(msg);
-                        }
-                    }
-                    let events = self.routing.on_tx_result(to, false, asn);
-                    self.process_routing_events(events, asn);
-                }
-                _ => {}
-            },
-            LastTx::Data { to } => match outcome {
-                TxOutcome::Acked => {
-                    if let Some(item) = self.app_queue.pop() {
-                        if self.trace.is_on() {
-                            self.trace.record(
-                                asn.0,
-                                self.id.0,
-                                EventKind::QueueDeq {
-                                    packet: trace_pid(&item.packet),
-                                    depth: self.app_queue.len() as u32,
-                                },
-                            );
-                        }
-                    }
-                    self.telemetry.forwarded += 1;
-                    let events = self.routing.on_tx_result(to, true, asn);
-                    self.process_routing_events(events, asn);
-                }
-                TxOutcome::NoAck => {
-                    if let Some(mut item) = self.app_queue.pop() {
-                        item.failed_attempts = item.failed_attempts.saturating_add(1);
-                        if item.failed_attempts >= MAX_DATA_RETRIES {
-                            self.telemetry.retry_drops += 1;
-                            if self.trace.is_on() {
-                                self.trace.record(
-                                    asn.0,
-                                    self.id.0,
-                                    EventKind::RetryDrop { packet: trace_pid(&item.packet) },
-                                );
-                            }
-                        } else {
-                            let mut rest: Vec<QueuedPacket> =
-                                Vec::with_capacity(self.app_queue.len());
-                            while let Some(p) = self.app_queue.pop() {
-                                rest.push(p);
-                            }
-                            self.app_queue.push(item);
-                            for p in rest {
-                                self.app_queue.push(p);
-                            }
-                        }
-                    }
-                    let events = self.routing.on_tx_result(to, false, asn);
-                    self.process_routing_events(events, asn);
-                }
-                // A CCA deferral keeps the packet for the next cycle
-                // without consuming a MAC retry.
-                TxOutcome::DeferredCca | TxOutcome::SentBroadcast => {}
-            },
+        if let Some((to, acked)) = self.mac.settle(outcome, u16::from(MAX_DATA_RETRIES), asn) {
+            let events = self.routing.on_tx_result(to, acked, asn);
+            self.process_routing_events(events, asn);
         }
     }
 }

@@ -3,44 +3,47 @@
 
 use super::*;
 use crate::flows::FlowSpec;
-use digs_routing::messages::{JoinIn, Rank};
+use crate::payload::DataPacket;
+use digs_routing::messages::{Dio, JoinIn, Rank};
 use digs_routing::RoutingConfig;
 use digs_scheduling::SlotframeLengths;
 use digs_sim::ids::FlowId;
-use digs_sim::packet::FrameKind;
+use digs_sim::packet::{Dest, FrameKind};
 
 const STRONG: Dbm = Dbm(-55.0);
 
+fn digs_provision(queue_capacity: usize) -> DigsProvision {
+    DigsProvision {
+        num_aps: 2,
+        slotframes: SlotframeLengths::paper(),
+        attempts: 3,
+        routing_config: RoutingConfig::fast(),
+        queue_capacity,
+        max_cycles: 3,
+        seed: 7,
+        randomize: None,
+    }
+}
+
 fn digs_stack(id: u16, is_ap: bool) -> DigsStack {
-    DigsStack::new(
-        NodeId(id),
-        is_ap,
-        2,
-        SlotframeLengths::paper(),
-        3,
-        RoutingConfig::fast(),
-        Vec::new(),
-        8,
-        3,
-        7,
-        None,
-    )
+    DigsStack::new(NodeId(id), is_ap, Vec::new(), digs_provision(8))
+}
+
+fn flow_from(id: u16, period: u64) -> Vec<FlowSpec> {
+    vec![FlowSpec { id: FlowId(0), source: NodeId(id), period, phase: 0 }]
 }
 
 fn digs_source(id: u16, flow_period: u64) -> DigsStack {
-    DigsStack::new(
-        NodeId(id),
-        false,
-        2,
-        SlotframeLengths::paper(),
-        3,
-        RoutingConfig::fast(),
-        vec![FlowSpec { id: FlowId(0), source: NodeId(id), period: flow_period, phase: 0 }],
-        8,
-        3,
-        7,
-        None,
-    )
+    DigsStack::new(NodeId(id), false, flow_from(id, flow_period), digs_provision(8))
+}
+
+fn orchestra_provision(queue_capacity: usize) -> OrchestraProvision {
+    OrchestraProvision {
+        slotframes: SlotframeLengths::paper(),
+        routing_config: RoutingConfig::fast(),
+        queue_capacity,
+        seed: 7,
+    }
 }
 
 fn eb_frame(from: u16) -> Frame<Payload> {
@@ -238,15 +241,7 @@ fn parent_change_broadcasts_fresh_join_in_quickly() {
 
 #[test]
 fn orchestra_stack_mirrors_digs_lifecycle() {
-    let mut s = OrchestraStack::new(
-        NodeId(5),
-        false,
-        SlotframeLengths::paper(),
-        RoutingConfig::fast(),
-        Vec::new(),
-        8,
-        7,
-    );
+    let mut s = OrchestraStack::new(NodeId(5), false, Vec::new(), orchestra_provision(8));
     assert!(!s.is_joined());
     // Associate.
     let mut asn = 0;
@@ -264,9 +259,187 @@ fn orchestra_stack_mirrors_digs_lifecycle() {
         Dest::Broadcast,
         FrameKind::Routing,
         64,
-        Payload::Dio(digs_routing::messages::Dio { rank: Rank::ROOT, path_etx: 0.0, parent: None }),
+        Payload::Dio(Dio { rank: Rank::ROOT, path_etx: 0.0, parent: None }),
     );
     s.on_frame(Asn(asn + 1), &dio, STRONG);
     assert!(s.is_joined());
     assert_eq!(s.parent(), Some(NodeId(0)));
+}
+
+// --- The shared packet life cycle, driven through each of the three stacks ---
+
+/// When the life-cycle sources generate their one packet (sequence 0):
+/// late enough that every stack has associated and joined by then.
+const GEN_AT: u64 = 2000;
+
+fn dio_frame(from: u16, rank: u16) -> Frame<Payload> {
+    let dio = Dio { rank: Rank(rank), path_etx: 0.0, parent: None };
+    Frame::new(NodeId(from), Dest::Broadcast, FrameKind::Routing, 64, Payload::Dio(dio))
+}
+
+/// A packet of flow 0 from node 9 relayed through node 5.
+fn relayed(seq: u32) -> Frame<Payload> {
+    let packet = DataPacket { flow: FlowId(0), seq, origin: NodeId(9), generated_at: Asn(0) };
+    Frame::new(NodeId(9), Dest::Unicast(NodeId(5)), FrameKind::Data, 90, Payload::Data(packet))
+}
+
+/// Node 5 under each protocol with `queue_capacity`-deep queues, sourcing
+/// one packet of flow 0 at [`GEN_AT`], next to the attempts the protocol
+/// grants a data packet at one hop. The routing layers run the standard
+/// (slow) profile, so nothing ages out inside a test.
+fn three_sources(queue_capacity: usize) -> [(ProtocolStack, usize); 3] {
+    let me = NodeId(5);
+    let flows = || vec![FlowSpec { id: FlowId(0), source: me, period: 1 << 40, phase: GEN_AT }];
+    let routing_config = RoutingConfig::default();
+    let digs = DigsProvision { routing_config, ..digs_provision(queue_capacity) };
+    let orchestra = OrchestraProvision { routing_config, ..orchestra_provision(queue_capacity) };
+    let mut graph = digs_routing::graph::RoutingGraph::new([NodeId(0), NodeId(1)]);
+    let entry = digs_routing::graph::GraphEntry {
+        best: Some(NodeId(0)),
+        second: Some(NodeId(1)),
+        rank: Rank(2),
+    };
+    graph.insert(me, entry);
+    let schedule = digs_whart::CentralSchedule::build(&graph, &[me], 100).expect("one flow fits");
+    let whart = WhartStack::new(me, false, &schedule, flows(), queue_capacity);
+    [
+        (ProtocolStack::Digs(DigsStack::new(me, false, flows(), digs)), 3 * 3),
+        (ProtocolStack::Orchestra(OrchestraStack::new(me, false, flows(), orchestra)), 8),
+        (ProtocolStack::WirelessHart(whart), 6),
+    ]
+}
+
+/// What a clean channel answers to `frame`.
+fn clean(frame: &Frame<Payload>) -> TxOutcome {
+    match frame.dst {
+        Dest::Broadcast => TxOutcome::SentBroadcast,
+        Dest::Unicast(_) => TxOutcome::Acked,
+    }
+}
+
+/// Steps `stack` through `slots` under node 0: it hears an EB every slot
+/// (harmless once associated) and, every 50, a join-in and a DIO
+/// advertising `parent_rank`; `outcome_of` answers each transmission it
+/// makes.
+fn drive(
+    stack: &mut ProtocolStack,
+    slots: std::ops::Range<u64>,
+    parent_rank: u16,
+    mut outcome_of: impl FnMut(&Frame<Payload>) -> TxOutcome,
+) {
+    for t in slots {
+        let asn = Asn(t);
+        let intent = stack.slot_intent(asn);
+        stack.on_frame(asn, &eb_frame(0), STRONG);
+        if t % 50 == 0 {
+            stack.on_frame(asn, &join_in_frame(0, parent_rank, 0.0), STRONG);
+            stack.on_frame(asn, &dio_frame(0, parent_rank), STRONG);
+        }
+        if let SlotIntent::Transmit { frame, .. } = intent {
+            stack.on_tx_outcome(asn, outcome_of(&frame));
+        }
+    }
+}
+
+/// Brings `stack` to [`GEN_AT`] joined under access point 0 and idle.
+fn join(stack: &mut ProtocolStack) {
+    drive(stack, 0..GEN_AT, 1, |frame| {
+        assert!(!matches!(frame.payload, Payload::Data(_)), "no data before GEN_AT");
+        clean(frame)
+    });
+    assert!(stack.is_joined());
+}
+
+#[test]
+fn unacknowledged_head_keeps_its_place_until_its_budget_is_spent() {
+    // CCA deferrals ahead of the losses must not count against the budget.
+    for deferrals in [0, 5] {
+        for (mut stack, budget) in three_sources(8) {
+            join(&mut stack);
+            // Relayed packet 77 arrives first; the packet generated at
+            // GEN_AT (sequence 0) queues behind it.
+            stack.on_frame(Asn(GEN_AT - 1), &relayed(77), STRONG);
+            let mut sent = Vec::new();
+            drive(&mut stack, GEN_AT..GEN_AT + 20_000, 1, |frame| match &frame.payload {
+                Payload::Data(packet) => {
+                    sent.push(packet.seq);
+                    match packet.seq {
+                        77 if sent.len() <= deferrals => TxOutcome::DeferredCca,
+                        77 => TxOutcome::NoAck,
+                        _ => TxOutcome::Acked,
+                    }
+                }
+                _ => clean(frame),
+            });
+            let mut want = vec![77; deferrals + budget];
+            want.push(0);
+            assert_eq!(sent, want, "budget {budget}, {deferrals} deferrals");
+            assert_eq!(stack.telemetry().retry_drops, 1);
+            assert_eq!(stack.telemetry().forwarded, 1);
+            assert_eq!(stack.app_queue_len(), 0);
+        }
+    }
+}
+
+#[test]
+fn full_queue_counts_the_overflow_and_keeps_what_it_holds() {
+    for (mut stack, _) in three_sources(2) {
+        join(&mut stack);
+        for seq in [77, 78] {
+            stack.on_frame(Asn(GEN_AT - 1), &relayed(seq), STRONG);
+        }
+        assert_eq!(stack.telemetry().queue_drops, 0);
+        // The packet generated at GEN_AT finds the queue full.
+        let mut sent = Vec::new();
+        drive(&mut stack, GEN_AT..GEN_AT + 5_000, 1, |frame| {
+            if let Payload::Data(packet) = &frame.payload {
+                sent.push(packet.seq);
+            }
+            clean(frame)
+        });
+        assert_eq!(stack.telemetry().generated.get(&FlowId(0)), Some(&1));
+        assert_eq!(stack.telemetry().queue_drops, 1);
+        assert_eq!(sent, [77, 78], "the queued packets leave intact and in order");
+        assert_eq!(stack.telemetry().forwarded, 2);
+    }
+}
+
+#[test]
+fn unacknowledged_routing_unicast_is_abandoned_after_eight_tries() {
+    // Only DiGS sends routing unicasts (RPL's DIOs are all broadcast).
+    let [(mut digs, _), ..] = three_sources(8);
+    let mut callbacks = 0;
+    drive(&mut digs, 0..GEN_AT, 1, |frame| match frame.payload {
+        Payload::JoinedCallback(_) => {
+            callbacks += 1;
+            TxOutcome::NoAck
+        }
+        _ => clean(frame),
+    });
+    assert_eq!(callbacks, 8);
+}
+
+#[test]
+fn fresh_routing_broadcast_replaces_the_queued_one() {
+    let [(digs, _), (orchestra, _), _] = three_sources(8);
+    for mut stack in [digs, orchestra] {
+        join(&mut stack);
+        // A channel that defers every routing broadcast leaves the queue's
+        // head in place, so what is on offer only changes by replacement.
+        let mut offered = Vec::new();
+        let mut defer = |frame: &Frame<Payload>| match frame.payload {
+            Payload::JoinIn(_) | Payload::Dio(_) => {
+                offered.push(frame.payload);
+                TxOutcome::DeferredCca
+            }
+            _ => clean(frame),
+        };
+        // Node 1 shows up as a second root (DiGS gains a backup parent)
+        // while node 0's advertised rank worsens, then recovers.
+        stack.on_frame(Asn(GEN_AT), &join_in_frame(1, 1, 0.0), STRONG);
+        drive(&mut stack, GEN_AT..GEN_AT + 500, 3, &mut defer);
+        drive(&mut stack, GEN_AT + 500..GEN_AT + 1000, 1, &mut defer);
+        offered.dedup();
+        assert!(offered.len() >= 2, "the offer must follow the routing state: {offered:?}");
+    }
 }

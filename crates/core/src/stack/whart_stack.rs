@@ -10,18 +10,24 @@
 //! predictable — and why it cannot adapt until the manager completes a
 //! full update cycle (the Fig. 3 cost).
 
-use super::{trace_pid, DeliveryRecord, QueuedPacket, StackTelemetry};
+use super::stack_core::StackCore;
+use super::{QueuedPacket, StackTelemetry};
 use crate::flows::FlowSpec;
-use crate::payload::{DataPacket, Payload};
+use crate::payload::Payload;
 use crate::queue::BoundedQueue;
 use digs_sim::engine::{NodeStack, SlotIntent, TxOutcome};
 use digs_sim::ids::{FlowId, NodeId};
-use digs_sim::packet::{Dest, Frame};
+use digs_sim::packet::Frame;
 use digs_sim::rf::Dbm;
 use digs_sim::time::Asn;
-use digs_trace::{EventKind, TraceHandle};
+use digs_trace::TraceHandle;
 use digs_whart::schedule::CentralSchedule;
 use std::collections::BTreeMap;
+
+/// Attempts a packet gets at one hop before it is dropped: the superframe
+/// schedules several per hop, and the packet stays queued for the next
+/// scheduled cell until one full superframe's worth has failed.
+const MAX_DATA_ATTEMPTS: u16 = 6;
 
 /// A node's role in one superframe slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,20 +51,13 @@ enum CellRole {
 /// The WirelessHART field-device/access-point stack.
 #[derive(Debug)]
 pub struct WhartStack {
-    id: NodeId,
-    is_ap: bool,
+    core: StackCore,
     superframe_len: u32,
     /// Slot-in-superframe → role.
     cells: BTreeMap<u32, CellRole>,
-    flows: Vec<FlowSpec>,
     /// Per-flow forwarding queues (a relay may serve several flows).
     queues: BTreeMap<FlowId, BoundedQueue<QueuedPacket>>,
     last_tx: Option<FlowId>,
-    seq_next: u32,
-    telemetry: StackTelemetry,
-    /// Flight recorder (no-op unless [`WhartStack::set_trace`] installed a
-    /// live handle).
-    trace: TraceHandle,
 }
 
 impl WhartStack {
@@ -70,51 +69,29 @@ impl WhartStack {
         flows: Vec<FlowSpec>,
         queue_capacity: usize,
     ) -> WhartStack {
-        let mut cells = BTreeMap::new();
-        for cell in schedule.cells_of(id) {
-            let role = if cell.tx == id {
-                CellRole::Tx { to: cell.rx, flow: cell.flow, offset: cell.offset }
-            } else {
-                CellRole::Rx { offset: cell.offset }
-            };
-            cells.insert(cell.slot, role);
-        }
-        let mut queues = BTreeMap::new();
-        for cell in schedule.cells_of(id) {
-            queues.entry(cell.flow).or_insert_with(|| BoundedQueue::new(queue_capacity));
-        }
-        for f in &flows {
-            queues.entry(f.id).or_insert_with(|| BoundedQueue::new(queue_capacity));
-        }
+        let queues = flows
+            .iter()
+            .map(|f| (f.id, BoundedQueue::new(queue_capacity)))
+            .collect::<BTreeMap<_, _>>();
+        let mut core = StackCore::new(id, is_ap, flows);
         // WirelessHART devices are provisioned (synced + routed) by the
         // manager before the data phase begins.
-        let telemetry = StackTelemetry {
-            synced_at: Some(Asn::ZERO),
-            joined_at: Some(Asn::ZERO),
-            ..StackTelemetry::default()
-        };
-        WhartStack {
-            id,
-            is_ap,
-            superframe_len: schedule.length(),
-            cells,
-            flows,
-            queues,
-            last_tx: None,
-            seq_next: 0,
-            telemetry,
-            trace: TraceHandle::off(),
-        }
+        core.telemetry.synced_at = Some(Asn::ZERO);
+        core.telemetry.joined_at = Some(Asn::ZERO);
+        let mut stack =
+            WhartStack { core, superframe_len: 0, cells: BTreeMap::new(), queues, last_tx: None };
+        stack.install_schedule(schedule, queue_capacity);
+        stack
     }
 
     /// Harness telemetry.
     pub fn telemetry(&self) -> &StackTelemetry {
-        &self.telemetry
+        &self.core.telemetry
     }
 
     /// Installs the flight-recorder handle (shared with the engine).
     pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
+        self.core.trace = trace;
     }
 
     /// Installs a freshly disseminated schedule (the end of a manager
@@ -122,17 +99,16 @@ impl WhartStack {
     /// queues for newly assigned flows are created; telemetry and sequence
     /// numbers survive, as they would on the device.
     pub fn install_schedule(&mut self, schedule: &CentralSchedule, queue_capacity: usize) {
+        let id = self.core.id;
         self.superframe_len = schedule.length();
         self.cells.clear();
-        for cell in schedule.cells_of(self.id) {
-            let role = if cell.tx == self.id {
+        for cell in schedule.cells_of(id) {
+            let role = if cell.tx == id {
                 CellRole::Tx { to: cell.rx, flow: cell.flow, offset: cell.offset }
             } else {
                 CellRole::Rx { offset: cell.offset }
             };
             self.cells.insert(cell.slot, role);
-        }
-        for cell in schedule.cells_of(self.id) {
             self.queues.entry(cell.flow).or_insert_with(|| BoundedQueue::new(queue_capacity));
         }
     }
@@ -151,47 +127,6 @@ impl WhartStack {
     pub fn superframe_len(&self) -> u32 {
         self.superframe_len
     }
-
-    fn generate(&mut self, asn: Asn) {
-        for i in 0..self.flows.len() {
-            let flow = self.flows[i];
-            if flow.generates_at(asn) {
-                let packet = DataPacket {
-                    flow: flow.id,
-                    seq: self.seq_next,
-                    origin: self.id,
-                    generated_at: asn,
-                };
-                self.seq_next += 1;
-                *self.telemetry.generated.entry(flow.id).or_insert(0) += 1;
-                if self.trace.is_on() {
-                    self.trace.record(
-                        asn.0,
-                        self.id.0,
-                        EventKind::Generated { packet: trace_pid(&packet) },
-                    );
-                }
-                let queue = self.queues.get_mut(&flow.id).expect("own flow has a queue");
-                if !queue.push(QueuedPacket { packet, failed_attempts: 0 }) {
-                    self.telemetry.queue_drops += 1;
-                    if self.trace.is_on() {
-                        self.trace.record(
-                            asn.0,
-                            self.id.0,
-                            EventKind::QueueOverflow { packet: trace_pid(&packet) },
-                        );
-                    }
-                } else if self.trace.is_on() {
-                    let depth = self.queues[&flow.id].len() as u32;
-                    self.trace.record(
-                        asn.0,
-                        self.id.0,
-                        EventKind::QueueEnq { packet: trace_pid(&packet), depth },
-                    );
-                }
-            }
-        }
-    }
 }
 
 impl NodeStack for WhartStack {
@@ -199,75 +134,31 @@ impl NodeStack for WhartStack {
 
     fn slot_intent(&mut self, asn: Asn) -> SlotIntent<Payload> {
         self.last_tx = None;
-        self.generate(asn);
+        self.core.generate(asn, &mut self.queues, |queues, flow| {
+            queues.get_mut(&flow).expect("own flow has a queue")
+        });
         let slot = asn.slotframe_offset(self.superframe_len);
         match self.cells.get(&slot) {
             None => SlotIntent::Sleep,
             Some(CellRole::Rx { offset }) => SlotIntent::Listen { offset: *offset },
             Some(CellRole::Tx { to, flow, offset }) => {
-                let Some(queue) = self.queues.get(flow) else {
+                let Some(head) = self.queues.get(flow).and_then(|queue| queue.front()) else {
                     return SlotIntent::Sleep;
                 };
-                match queue.front() {
-                    None => SlotIntent::Sleep,
-                    Some(item) => {
-                        let pid = trace_pid(&item.packet);
-                        let payload = Payload::Data(item.packet);
-                        self.last_tx = Some(*flow);
-                        SlotIntent::Transmit {
-                            offset: *offset,
-                            frame: Frame::new(
-                                self.id,
-                                Dest::Unicast(*to),
-                                payload.frame_kind(),
-                                payload.frame_size(),
-                                payload,
-                            )
-                            .with_trace_id(pid),
-                            contention: false,
-                        }
-                    }
+                self.last_tx = Some(*flow);
+                SlotIntent::Transmit {
+                    offset: *offset,
+                    frame: self.core.data_frame(head, *to),
+                    contention: false,
                 }
             }
         }
     }
 
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, _rss: Dbm) {
-        let Payload::Data(packet) = &frame.payload else {
-            return;
-        };
-        if !frame.dst.addressed_to(self.id) || matches!(frame.dst, Dest::Broadcast) {
-            return;
-        }
-        if self.is_ap {
-            if self.trace.is_on() {
-                self.trace.record(
-                    asn.0,
-                    self.id.0,
-                    EventKind::Delivered {
-                        packet: trace_pid(packet),
-                        latency_slots: asn.0.saturating_sub(packet.generated_at.0),
-                    },
-                );
-            }
-            self.telemetry.deliveries.push(DeliveryRecord { packet: *packet, delivered_at: asn });
-        } else if let Some(queue) = self.queues.get_mut(&packet.flow) {
-            if !queue.push(QueuedPacket { packet: *packet, failed_attempts: 0 }) {
-                self.telemetry.queue_drops += 1;
-                if self.trace.is_on() {
-                    self.trace.record(
-                        asn.0,
-                        self.id.0,
-                        EventKind::QueueOverflow { packet: trace_pid(packet) },
-                    );
-                }
-            } else if self.trace.is_on() {
-                let depth = self.queues[&packet.flow].len() as u32;
-                self.trace.record(
-                    asn.0,
-                    self.id.0,
-                    EventKind::QueueEnq { packet: trace_pid(packet), depth },
-                );
+        if let Payload::Data(packet) = &frame.payload {
+            if self.core.is_unicast_to_me(frame) {
+                self.core.accept(self.queues.get_mut(&packet.flow), packet, asn);
             }
         }
     }
@@ -292,54 +183,8 @@ impl NodeStack for WhartStack {
     }
 
     fn on_tx_outcome(&mut self, asn: Asn, outcome: TxOutcome) {
-        let Some(flow) = self.last_tx.take() else {
-            return;
-        };
-        let Some(queue) = self.queues.get_mut(&flow) else {
-            return;
-        };
-        match outcome {
-            TxOutcome::Acked => {
-                if let Some(item) = queue.pop() {
-                    if self.trace.is_on() {
-                        let depth = queue.len() as u32;
-                        self.trace.record(
-                            asn.0,
-                            self.id.0,
-                            EventKind::QueueDeq { packet: trace_pid(&item.packet), depth },
-                        );
-                    }
-                }
-                self.telemetry.forwarded += 1;
-            }
-            TxOutcome::NoAck => {
-                // The superframe schedules multiple attempts per hop; the
-                // packet stays queued for the next scheduled cell, and is
-                // dropped after one full superframe's worth of attempts.
-                if let Some(mut item) = queue.pop() {
-                    item.failed_attempts = item.failed_attempts.saturating_add(1);
-                    if item.failed_attempts >= 6 {
-                        self.telemetry.retry_drops += 1;
-                        if self.trace.is_on() {
-                            self.trace.record(
-                                asn.0,
-                                self.id.0,
-                                EventKind::RetryDrop { packet: trace_pid(&item.packet) },
-                            );
-                        }
-                    } else {
-                        let mut rest = Vec::with_capacity(queue.len());
-                        while let Some(p) = queue.pop() {
-                            rest.push(p);
-                        }
-                        queue.push(item);
-                        for p in rest {
-                            queue.push(p);
-                        }
-                    }
-                }
-            }
-            TxOutcome::SentBroadcast | TxOutcome::DeferredCca => {}
+        if let Some(queue) = self.last_tx.take().and_then(|flow| self.queues.get_mut(&flow)) {
+            self.core.settle_data(queue, outcome, MAX_DATA_ATTEMPTS, asn);
         }
     }
 }

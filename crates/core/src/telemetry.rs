@@ -80,7 +80,7 @@ fn env_u64(name: &str) -> Option<u64> {
 /// joined-fraction bar are shared with [`crate::watchdog::WatchdogConfig`]
 /// so the live monitor and the post-hoc recovery analysis agree on what
 /// "converged" means.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
     /// Epoch PDR below this fires [`HealthRule::PdrCollapse`] (the paper's
     /// Fig. 5 floor band lower edge).
@@ -115,7 +115,7 @@ impl Default for HealthConfig {
 }
 
 /// The typed health rules the monitor evaluates each epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthRule {
     /// Windowed PDR fell below the configured floor after convergence.
     PdrCollapse,
@@ -140,7 +140,7 @@ impl HealthRule {
 }
 
 /// One alert raised by the health monitor at an epoch boundary.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthAlert {
     /// Which rule fired.
     pub rule: HealthRule,
@@ -157,7 +157,7 @@ pub struct HealthAlert {
 /// Per-flow delivery counts within one epoch, keyed by generation time
 /// (generated here) vs arrival time (delivered here) — in-flight packets
 /// can make a single epoch's ratio exceed 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowEpoch {
     /// Flow id.
     pub flow: u16,

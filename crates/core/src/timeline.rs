@@ -7,7 +7,7 @@ use crate::results::RunResults;
 use digs_sim::time::Asn;
 
 /// One point of a windowed delivery series.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelinePoint {
     /// Window start, seconds into the run.
     pub start_secs: f64,

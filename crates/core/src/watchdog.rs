@@ -17,7 +17,7 @@ use digs_sim::fault::ChaosEvent;
 use digs_sim::time::Asn;
 
 /// Tunables for the recovery analysis.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
     /// PDR windowing granularity, seconds.
     pub window_secs: u64,
@@ -35,7 +35,7 @@ impl Default for WatchdogConfig {
 }
 
 /// A fault event the watchdog tracks recovery from.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WatchdogEvent {
     /// Human-readable description of the injected fault.
     pub label: String,
@@ -58,7 +58,7 @@ pub fn events_from_chaos(events: &[ChaosEvent]) -> Vec<WatchdogEvent> {
 }
 
 /// Recovery outcome for one injected fault.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryReport {
     /// The fault this report covers.
     pub event: WatchdogEvent,
@@ -82,7 +82,7 @@ pub struct RecoveryReport {
 }
 
 /// Aggregate of a whole chaos run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WatchdogSummary {
     /// Number of injected events analyzed.
     pub events: usize,

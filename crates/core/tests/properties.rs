@@ -37,8 +37,8 @@ proptest! {
         }
     }
 
-    /// The bounded queue never exceeds its capacity and counts every
-    /// rejected push as a drop.
+    /// The bounded queue never exceeds its capacity, holds exactly what
+    /// was accepted and not yet popped, and stays FIFO.
     #[test]
     fn queue_conservation(capacity in 1usize..32, ops in prop::collection::vec(any::<bool>(), 0..200)) {
         let mut q = BoundedQueue::new(capacity);

@@ -2,12 +2,12 @@
 //! harness's canonical records and golden files, and for the fleet's
 //! SLO reports.
 //!
-//! The system `serde_json` cannot be relied on in every build environment
-//! (offline builds substitute a stub), and determinism is a hard
-//! requirement here: the same `RunMetrics` or fleet report must serialize
-//! to the same bytes on every run, which is what the double-run
-//! conformance test pins down. So, like `digs-trace`'s JSONL module, this
-//! is a tiny hand-rolled implementation with a fixed field order (objects
+//! The tree has no `serde` (a registry crate cannot be relied on in every
+//! build environment), and determinism is a hard requirement here: the
+//! same `RunMetrics` or fleet report must serialize to the same bytes on
+//! every run, which is what the double-run conformance test pins down. So,
+//! like `digs-trace`'s JSONL module, this is a tiny hand-rolled
+//! implementation with a fixed field order (objects
 //! preserve insertion order) and shortest-round-trip float formatting
 //! (Rust's `{}` for `f64`, which is deterministic across platforms).
 

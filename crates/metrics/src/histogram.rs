@@ -19,7 +19,7 @@ pub const SUB_BUCKETS: u64 = 8;
 const SUB_BUCKET_BITS: u32 = SUB_BUCKETS.trailing_zeros();
 
 /// A fixed-boundary log-bucketed histogram over `u64` values.
-#[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LogHistogram {
     /// Per-bucket counts, grown on demand (index via
     /// [`LogHistogram::bucket_index`]).

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 /// A monotonic counter with a mark for delta reads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter {
     total: u64,
     marked: u64,
@@ -50,7 +50,7 @@ impl Counter {
 }
 
 /// A last-write-wins point-in-time value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Gauge {
     value: i64,
 }
@@ -73,7 +73,7 @@ impl Gauge {
 }
 
 /// Named counters and gauges with deterministic iteration order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Registry {
     counters: BTreeMap<&'static str, Counter>,
     gauges: BTreeMap<&'static str, Gauge>,

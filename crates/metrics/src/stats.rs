@@ -3,7 +3,7 @@
 use core::fmt;
 
 /// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -61,7 +61,7 @@ impl Summary {
 /// Non-finite samples are ignored (mirroring [`Summary::of`], which
 /// rejects them wholesale; a streaming accumulator cannot reject
 /// retroactively, so it skips them).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingSummary {
     count: u64,
     mean: f64,
@@ -214,7 +214,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// An empirical cumulative distribution function.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -300,7 +300,7 @@ impl Cdf {
 }
 
 /// A two-sided confidence interval around a sample mean.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Sample mean.
     pub mean: f64,
@@ -354,7 +354,7 @@ pub fn mean_confidence_interval(samples: &[f64], level: f64) -> Option<Confidenc
 }
 
 /// Five-number summary plus mean, matching the paper's boxplots.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxplotStats {
     /// Lower whisker (minimum).
     pub min: f64,

@@ -32,7 +32,7 @@ use digs_sim::time::Asn;
 use std::collections::BTreeSet;
 
 /// Tuning knobs for [`DigsRouting`] (and, where shared, [`crate::rpl::RplRouting`]).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// Trickle timer parameters for join-in emission.
     pub trickle: TrickleConfig,

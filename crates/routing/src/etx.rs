@@ -18,7 +18,7 @@ pub const ETX_CAP: f64 = 10.0;
 pub const EWMA_ALPHA: f64 = 0.95;
 
 /// Per-link ETX estimator.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EtxEstimator {
     /// Smoothed delivery probability of a single transmission attempt.
     prr: f64,

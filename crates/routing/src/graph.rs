@@ -10,7 +10,7 @@ use digs_sim::ids::NodeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One node's entry in a routing-graph snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GraphEntry {
     /// Primary (best) parent.
     pub best: Option<NodeId>,
@@ -21,7 +21,7 @@ pub struct GraphEntry {
 }
 
 /// A snapshot of the whole network's routing state.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoutingGraph {
     roots: BTreeSet<NodeId>,
     entries: BTreeMap<NodeId, GraphEntry>,

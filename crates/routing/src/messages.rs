@@ -5,9 +5,7 @@ use digs_sim::ids::NodeId;
 
 /// A node's rank: its hop-distance-derived position in the DAG. Access
 /// points have rank 1; a field device's rank is its best parent's rank + 1.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rank(pub u16);
 
 impl Rank {
@@ -58,7 +56,7 @@ impl fmt::Display for Rank {
 /// was lost — without this, a lost callback leaves the parent's autonomous
 /// schedule permanently missing the child's receive cells (two node ids of
 /// extra payload buy schedule self-healing).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinIn {
     /// Sender's rank.
     pub rank: Rank,
@@ -71,7 +69,7 @@ pub struct JoinIn {
 }
 
 /// Which parent slot a joined-callback refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParentSlot {
     /// The primary (best) parent.
     Best,
@@ -83,7 +81,7 @@ pub enum ParentSlot {
 /// (or dropped) as a parent, so it can maintain its child table — which
 /// both feeds the autonomous scheduler's receive cells and excludes
 /// children from parent candidacy (loop avoidance).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinedCallback {
     /// Which role the sender assigned to the addressee.
     pub slot: ParentSlot,
@@ -95,7 +93,7 @@ pub struct JoinedCallback {
 /// ETX through the single preferred parent. The preferred parent id stands
 /// in for RPL's DAO child registration (storing mode), which Orchestra's
 /// sender-based schedule needs to derive its receive cells.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dio {
     /// Sender's rank.
     pub rank: Rank,

@@ -8,7 +8,7 @@ use digs_sim::time::Asn;
 use std::collections::BTreeMap;
 
 /// State kept about one neighbor.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeighborEntry {
     /// Link ETX estimate toward this neighbor.
     pub etx: EtxEstimator,
@@ -35,7 +35,7 @@ impl NeighborEntry {
 }
 
 /// The neighbor table, ordered by id for determinism.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborTable {
     entries: BTreeMap<NodeId, NeighborEntry>,
 }

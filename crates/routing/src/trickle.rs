@@ -12,7 +12,7 @@ use digs_sim::rng;
 use digs_sim::time::Asn;
 
 /// Trickle timer configuration, in slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrickleConfig {
     /// Minimum interval length, in slots.
     pub imin: u64,
@@ -41,7 +41,7 @@ impl TrickleConfig {
 }
 
 /// A Trickle timer instance.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trickle {
     config: TrickleConfig,
     seed: u64,

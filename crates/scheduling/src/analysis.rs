@@ -28,7 +28,7 @@ pub fn contention_probability(t: f64, n: u32, l: u32) -> f64 {
 /// Occupancy description of one slotframe for the Eq. 6 skip model: its
 /// length and how many of its slots carry scheduled (non-idle) cells for
 /// the node under analysis.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotframeOccupancy {
     /// Slotframe length in slots.
     pub length: u32,

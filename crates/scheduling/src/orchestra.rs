@@ -33,7 +33,7 @@ use std::collections::BTreeSet;
 pub const DEFAULT_UNICAST_LEN: u32 = 53;
 
 /// Which Orchestra unicast-cell flavor to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrchestraMode {
     /// Sender-owned dedicated cells; receive cells derived from children.
     SenderBased,

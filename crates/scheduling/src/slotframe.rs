@@ -13,9 +13,7 @@ use digs_sim::time::Asn;
 /// The three traffic classes, in descending combination priority
 /// (paper Section VI: "The most critical synchronization traffic has the
 /// highest priority, while the application traffic has the lowest").
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TrafficClass {
     /// Time synchronization (Enhanced Beacons). Highest priority.
     Sync,
@@ -37,7 +35,7 @@ impl fmt::Display for TrafficClass {
 }
 
 /// The three slotframe lengths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotframeLengths {
     /// Synchronization slotframe length, in slots.
     pub sync: u32,
@@ -124,7 +122,7 @@ fn gcd(mut a: u32, mut b: u32) -> u32 {
 }
 
 /// What a cell asks the node to do with its radio.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellAction {
     /// Broadcast an Enhanced Beacon.
     TxBeacon,
@@ -151,7 +149,7 @@ pub enum CellAction {
 }
 
 /// A fully resolved cell for one slot, after schedule combination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
     /// Which traffic class won this slot.
     pub class: TrafficClass,

@@ -11,19 +11,7 @@ pub const FIRST_CHANNEL: u8 = 11;
 
 /// A logical TSCH channel offset (0–15); the physical channel it maps to
 /// changes every slot via the hopping function.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChannelOffset(pub u8);
 
 impl ChannelOffset {
@@ -46,9 +34,7 @@ impl fmt::Display for ChannelOffset {
 }
 
 /// A physical 802.15.4 channel, stored as an index 0–15 (channel 11–26).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhysChannel(pub u8);
 
 impl PhysChannel {

@@ -30,7 +30,7 @@ pub const IDLE_LISTEN_US: u32 = 2200;
 pub const ACK_WAIT_US: u32 = 1000;
 
 /// Per-node accumulator of radio-on time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyMeter {
     /// Microseconds spent transmitting.
     pub tx_us: u64,

@@ -65,7 +65,7 @@ pub enum SlotIntent<P> {
 }
 
 /// Result of a transmission attempt, reported back to the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxOutcome {
     /// Unicast frame delivered and acknowledged.
     Acked,

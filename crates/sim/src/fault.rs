@@ -14,7 +14,7 @@ use crate::time::Asn;
 use crate::topology::Topology;
 
 /// One scheduled outage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outage {
     /// Node that fails.
     pub node: NodeId,
@@ -49,7 +49,7 @@ impl Outage {
 /// One scheduled *link* outage: the radio path between two nodes is
 /// obstructed (in both directions) for a window — e.g. a vehicle parked in
 /// front of an antenna, or a door closing on a corridor path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkOutage {
     /// One endpoint.
     pub a: NodeId,
@@ -97,7 +97,7 @@ impl LinkOutage {
 /// `Outage`), a reboot models a watchdog reset or firmware crash: the engine
 /// invokes the stack's reset hook at `until` and the node must rejoin from
 /// scratch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reboot {
     /// Node that reboots.
     pub node: NodeId,
@@ -128,7 +128,7 @@ impl Reboot {
 /// drifts past the guard time and it loses slot alignment. Routing state and
 /// queues survive, but the node must re-associate time-wise via enhanced
 /// beacons before it can communicate again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClockDesync {
     /// Node whose clock slips.
     pub node: NodeId,
@@ -144,7 +144,7 @@ impl ClockDesync {
 }
 
 /// The full failure schedule for a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     outages: Vec<Outage>,
     link_outages: Vec<LinkOutage>,
@@ -335,7 +335,7 @@ impl FaultPlan {
 /// seed. `intensity` scales every event's *duration* (outage length, reboot
 /// downtime, link-flap length, jammer-burst length) without changing how
 /// often events fire.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// First slot of the chaos window.
     pub start: Asn,
@@ -395,7 +395,7 @@ impl ChaosConfig {
 }
 
 /// What kind of chaos event was injected (for the convergence watchdog).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosEventKind {
     /// Transient node outage; RAM state survives.
     Churn,
@@ -410,7 +410,7 @@ pub enum ChaosEventKind {
 }
 
 /// One injected chaos event, in the order faults hit the network.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosEvent {
     /// Event kind.
     pub kind: ChaosEventKind,
@@ -430,7 +430,7 @@ pub struct ChaosEvent {
 ///
 /// Generation is a pure function of `(config, topology, seed)` — the same
 /// inputs always produce the same plan, so chaos soaks are reproducible.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPlan {
     faults: FaultPlan,
     jammers: Vec<Jammer>,

@@ -8,9 +8,7 @@ use core::fmt;
 /// access points occupy the lowest ids. The DiGS autonomous scheduler derives
 /// transmission slots directly from this id (paper Eq. 4), mirroring how the
 /// real system derives them from the MAC address.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
 
 impl NodeId {
@@ -39,9 +37,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of an end-to-end data flow (source field device → access points).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u16);
 
 impl FlowId {

@@ -9,7 +9,7 @@ use crate::ids::NodeId;
 use core::fmt;
 
 /// Destination of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dest {
     /// Link-layer unicast to one neighbor; acknowledged.
     Unicast(NodeId),
@@ -43,7 +43,7 @@ impl fmt::Display for Dest {
 
 /// Coarse traffic class of a frame, mirroring the paper's three traffic
 /// types plus network-layer signalling used by the centralized baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameKind {
     /// Enhanced Beacon: time-synchronization traffic.
     Beacon,

@@ -4,7 +4,7 @@ use core::fmt;
 
 /// A device position in meters. `z` encodes the floor height for multi-floor
 /// deployments such as the paper's Testbed B.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// East-west coordinate in meters.
     pub x: f64,

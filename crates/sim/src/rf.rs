@@ -12,7 +12,7 @@ use core::fmt;
 use core::ops::{Add, Sub};
 
 /// A signal power in dBm.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Dbm(pub f64);
 
 impl Dbm {
@@ -79,7 +79,7 @@ pub fn initial_etx_from_rss(rss: Dbm) -> f64 {
 }
 
 /// Static propagation parameters for a deployment site.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RfConfig {
     /// Transmit power (TelosB/CC2420 at 0 dBm by default).
     pub tx_power: Dbm,

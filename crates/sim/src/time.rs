@@ -13,19 +13,7 @@ pub const SLOTS_PER_SECOND: u64 = 1000 / SLOT_MS;
 ///
 /// All devices in a TSCH network share the ASN once synchronized; the
 /// channel-hopping function and every slotframe offset are derived from it.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Asn(pub u64);
 
 impl Asn {

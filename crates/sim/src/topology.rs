@@ -19,7 +19,7 @@ use crate::position::Position;
 use crate::rng;
 
 /// The role a device plays in the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// Wired access point (WirelessHART gateway attachment); roots the
     /// routing graph. The paper uses two per network.
@@ -29,7 +29,7 @@ pub enum Role {
 }
 
 /// An immutable network topology: device roles and physical placement.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     name: String,
     positions: Vec<Position>,

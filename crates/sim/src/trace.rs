@@ -4,7 +4,7 @@ use crate::packet::FrameKind;
 use core::fmt;
 
 /// Counters the engine maintains while running, broken down by traffic class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindCounters {
     /// Frames put on the air.
     pub transmitted: u64,
@@ -17,7 +17,7 @@ pub struct KindCounters {
 }
 
 /// Engine-level statistics across all nodes and traffic classes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Beacon traffic counters.
     pub beacon: KindCounters,

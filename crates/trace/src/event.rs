@@ -15,9 +15,7 @@ pub const NETWORK_NODE: u16 = u16::MAX;
 ///
 /// Mirrors the `DataPacket` key used by the harness for delivery dedup:
 /// `(flow, seq, origin)` uniquely names a generated packet.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId {
     /// Flow the packet belongs to.
     pub flow: u16,
@@ -34,7 +32,7 @@ impl fmt::Display for PacketId {
 }
 
 /// Coarse traffic class of a frame, mirroring `digs_sim::packet::FrameKind`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Enhanced Beacon (time synchronization).
     Beacon,
@@ -70,7 +68,7 @@ impl TrafficClass {
 }
 
 /// Why a unicast transmission went unacknowledged or a packet was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// The bounded queue was full on enqueue.
     QueueOverflow,
@@ -112,7 +110,7 @@ impl DropReason {
 
 /// Which scripted fault hit or cleared (for [`EventKind::FaultInject`] /
 /// [`EventKind::FaultClear`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Node outage (warm RAM state survives).
     Outage,
@@ -148,7 +146,7 @@ impl FaultKind {
 /// `seq` is a recorder-global monotone counter: sorting any merged event set
 /// by `seq` restores the exact order in which the (deterministic) simulation
 /// emitted them, which is what makes same-seed traces byte-identical.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Global emission order.
     pub seq: u64,
@@ -163,7 +161,7 @@ pub struct Event {
 
 /// Everything the flight recorder can log. See ISSUE/DESIGN §4.8 for the
 /// taxonomy rationale.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// Slot boundary marker (one per simulated slot, on [`NETWORK_NODE`]).
     SlotStart,

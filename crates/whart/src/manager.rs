@@ -25,7 +25,7 @@ use digs_routing::graph::RoutingGraph;
 use digs_sim::ids::NodeId;
 
 /// Cost-model parameters for a manager update cycle.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateCostConfig {
     /// Health-report frames each device sends per collection round.
     pub report_frames: u32,
@@ -60,7 +60,7 @@ impl Default for UpdateCostConfig {
 }
 
 /// Breakdown of one full manager update cycle.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateReport {
     /// Mesh frames spent collecting health reports.
     pub collection_frames: u64,

@@ -15,7 +15,7 @@ use digs_sim::ids::{FlowId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One dedicated cell in the central schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CentralCell {
     /// Slot within the superframe.
     pub slot: u32,
@@ -62,7 +62,7 @@ impl fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 /// A centrally computed superframe schedule.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CentralSchedule {
     length: u32,
     cells: Vec<CentralCell>,
