@@ -25,10 +25,6 @@ fn arg(args: &[String], name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let networks = arg(&args, "--networks", 64) as u32;
@@ -65,7 +61,7 @@ fn main() {
         .iter()
         .map(|(name, busy)| {
             let max = busy.iter().map(|d| d.as_secs_f64()).fold(1e-9_f64, f64::max);
-            obj(vec![
+            Value::obj([
                 ("name", Value::Str(name.clone())),
                 ("shards", Value::num(busy.len() as f64)),
                 (
@@ -80,7 +76,7 @@ fn main() {
         })
         .collect();
 
-    let result = obj(vec![
+    let result = Value::obj([
         ("bench", Value::Str("fleet_bench".into())),
         ("networks", Value::num(report.networks as f64)),
         ("nodes", Value::num(total_nodes as f64)),

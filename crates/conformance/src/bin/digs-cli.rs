@@ -230,7 +230,7 @@ fn build_network(args: &Args, extras: BuildExtras) -> Result<Network, String> {
 /// ids and ASNs as plain numbers, non-finite floats as `null`.
 fn results_json(results: &digs::results::RunResults) -> digs_conformance::json::Value {
     use digs_conformance::json::Value;
-    let int = |x: u64| Value::Num(x as f64);
+    let int = Value::Int;
     let flows = results.flows.iter().map(|f| {
         Value::Obj(vec![
             ("flow".into(), int(f.flow.0.into())),

@@ -18,12 +18,12 @@ use std::collections::BTreeSet;
 
 /// The launch spec for one scenario run, as sent over the wire.
 pub fn scenario_spec_json(matrix: &str, scenario: &str, seed: u64, secs: Option<u64>) -> Value {
-    Value::Obj(vec![
-        ("kind".into(), Value::Str("scenario".into())),
-        ("matrix".into(), Value::Str(matrix.to_string())),
-        ("scenario".into(), Value::Str(scenario.to_string())),
-        ("seed".into(), Value::Num(seed as f64)),
-        ("secs".into(), secs.map_or(Value::Null, |s| Value::Num(s as f64))),
+    Value::obj([
+        ("kind", Value::Str("scenario".into())),
+        ("matrix", Value::Str(matrix.to_string())),
+        ("scenario", Value::Str(scenario.to_string())),
+        ("seed", Value::Int(seed)),
+        ("secs", Value::opt_int(secs)),
     ])
 }
 
@@ -31,14 +31,10 @@ pub fn scenario_spec_json(matrix: &str, scenario: &str, seed: u64, secs: Option<
 /// the conformance matrix, runs one seed, and publishes the canonical
 /// record as the run's single `meta` frame.
 pub fn prepare_scenario(spec: &Value) -> Result<Job, String> {
-    let matrix = MatrixKind::parse(spec.field("matrix").and_then(Value::as_str).unwrap_or("full"))?;
-    let name = spec
-        .field("scenario")
-        .and_then(Value::as_str)
-        .ok_or("scenario spec needs a `scenario` name")?
-        .to_string();
-    let seed = spec.field("seed").and_then(Value::as_u64).unwrap_or(1);
-    let secs = spec.field("secs").and_then(Value::as_u64);
+    let matrix = MatrixKind::parse(spec.opt_str("matrix")?.unwrap_or("full"))?;
+    let name = spec.str("scenario")?.to_string();
+    let seed = spec.opt_uint("seed")?.unwrap_or(1);
+    let secs = spec.opt_uint("secs")?;
     let scenario: ScenarioSpec = matrix
         .scenarios(secs)
         .into_iter()
@@ -147,6 +143,18 @@ mod tests {
             Ok(_) => panic!("must reject an unknown scenario name"),
         };
         assert!(err.contains("no-such-scenario"), "{err}");
+    }
+
+    #[test]
+    fn scenario_runner_rejects_ill_typed_seed_and_secs() {
+        // Both used to fall back silently (seed 1, the matrix's own length).
+        for (field, bad) in [("seed", "-3"), ("seed", "1.5"), ("secs", "\"60\"")] {
+            let text =
+                format!(r#"{{"kind":"scenario","matrix":"small","scenario":"x","{field}":{bad}}}"#);
+            let spec = crate::json::parse(&text).expect("parses");
+            let err = prepare_scenario(&spec).err().expect("must refuse");
+            assert!(err.contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -228,17 +228,14 @@ impl Golden {
                     .collect();
                 Value::Obj(vec![
                     ("name".into(), Value::Str(s.name.clone())),
-                    ("secs".into(), Value::Num(s.secs as f64)),
+                    ("secs".into(), Value::Int(s.secs)),
                     ("checks".into(), Value::Arr(checks)),
                 ])
             })
             .collect();
         Value::Obj(vec![
             ("matrix".into(), Value::Str(self.matrix.clone())),
-            (
-                "seeds".into(),
-                Value::Arr(self.seeds.iter().map(|s| Value::Num(*s as f64)).collect()),
-            ),
+            ("seeds".into(), Value::Arr(self.seeds.iter().map(|s| Value::Int(*s)).collect())),
             ("scenarios".into(), Value::Arr(scenarios)),
         ])
         .to_pretty()
@@ -251,40 +248,25 @@ impl Golden {
     /// Returns a message on malformed JSON or missing fields.
     pub fn parse(text: &str) -> Result<Golden, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
-        let matrix =
-            v.field("matrix").and_then(Value::as_str).ok_or("golden missing `matrix`")?.to_string();
-        let seeds = v
-            .field("seeds")
-            .and_then(Value::as_arr)
-            .ok_or("golden missing `seeds`")?
-            .iter()
-            .map(|s| s.as_u64().ok_or("bad seed".to_string()))
-            .collect::<Result<Vec<u64>, String>>()?;
+        let matrix = v.str("matrix")?.to_string();
+        let seeds =
+            v.arr("seeds")?.iter().map(|s| s.to_uint("seeds[]")).collect::<Result<_, _>>()?;
         let mut scenarios = Vec::new();
-        for s in v.field("scenarios").and_then(Value::as_arr).ok_or("golden missing `scenarios`")? {
-            let name = s
-                .field("name")
-                .and_then(Value::as_str)
-                .ok_or("scenario missing `name`")?
-                .to_string();
-            let secs = s.field("secs").and_then(Value::as_u64).ok_or("scenario missing `secs`")?;
+        for s in v.arr("scenarios")? {
             let mut checks = Vec::new();
-            for c in s.field("checks").and_then(Value::as_arr).ok_or("scenario missing `checks`")? {
+            for c in s.arr("checks")? {
                 checks.push(Check {
-                    metric: c
-                        .field("metric")
-                        .and_then(Value::as_str)
-                        .ok_or("check missing `metric`")?
-                        .to_string(),
-                    observed: c
-                        .field("observed")
-                        .and_then(Value::as_f64)
-                        .ok_or("check missing `observed`")?,
-                    lo: c.field("lo").and_then(Value::as_f64).ok_or("check missing `lo`")?,
-                    hi: c.field("hi").and_then(Value::as_f64).ok_or("check missing `hi`")?,
+                    metric: c.str("metric")?.to_string(),
+                    observed: c.f64("observed")?,
+                    lo: c.f64("lo")?,
+                    hi: c.f64("hi")?,
                 });
             }
-            scenarios.push(ScenarioGolden { name, secs, checks });
+            scenarios.push(ScenarioGolden {
+                name: s.str("name")?.to_string(),
+                secs: s.uint("secs")?,
+                checks,
+            });
         }
         Ok(Golden { matrix, seeds, scenarios })
     }

@@ -226,8 +226,8 @@ impl RunMetrics {
         Value::Obj(vec![
             ("scenario".into(), Value::Str(self.scenario.clone())),
             ("protocol".into(), Value::Str(self.protocol.clone())),
-            ("seed".into(), Value::Num(self.seed as f64)),
-            ("secs".into(), Value::Num(self.secs as f64)),
+            ("seed".into(), Value::Int(self.seed)),
+            ("secs".into(), Value::Int(self.secs)),
             ("pdr".into(), Value::num(self.pdr)),
             ("worst_flow_pdr".into(), Value::num(self.worst_flow_pdr)),
             ("median_latency_ms".into(), Value::opt(self.median_latency_ms)),
@@ -240,12 +240,12 @@ impl RunMetrics {
             ("windowed_pdr_worst".into(), Value::opt(self.windowed_pdr_worst)),
             ("fraction_joined".into(), Value::num(self.fraction_joined)),
             ("mean_join_secs".into(), Value::opt(self.mean_join_secs)),
-            ("parent_changes".into(), Value::Num(self.parent_changes as f64)),
-            ("retry_drops".into(), Value::Num(self.retry_drops as f64)),
-            ("queue_drops".into(), Value::Num(self.queue_drops as f64)),
-            ("audit_violations".into(), Value::Num(self.audit_violations as f64)),
-            ("telemetry_epochs".into(), Value::opt(self.telemetry_epochs.map(|v| v as f64))),
-            ("health_alerts".into(), Value::opt(self.health_alerts.map(|v| v as f64))),
+            ("parent_changes".into(), Value::Int(self.parent_changes)),
+            ("retry_drops".into(), Value::Int(self.retry_drops)),
+            ("queue_drops".into(), Value::Int(self.queue_drops)),
+            ("audit_violations".into(), Value::Int(self.audit_violations)),
+            ("telemetry_epochs".into(), Value::opt_int(self.telemetry_epochs)),
+            ("health_alerts".into(), Value::opt_int(self.health_alerts)),
             ("epoch_pdr_min".into(), Value::opt(self.epoch_pdr_min)),
         ])
     }
@@ -261,39 +261,30 @@ impl RunMetrics {
     ///
     /// Returns a message naming the first missing or ill-typed field.
     pub fn from_value(v: &Value) -> Result<RunMetrics, String> {
-        let str_field = |k: &str| {
-            v.field(k).and_then(Value::as_str).map(str::to_string).ok_or(format!("missing {k}"))
-        };
-        let u64_field = |k: &str| v.field(k).and_then(Value::as_u64).ok_or(format!("missing {k}"));
-        let f64_field = |k: &str| v.field(k).and_then(Value::as_f64).ok_or(format!("missing {k}"));
-        let opt_field = |k: &str| match v.field(k) {
-            None | Some(Value::Null) => Ok(None),
-            Some(x) => x.as_f64().map(Some).ok_or(format!("bad {k}")),
-        };
         Ok(RunMetrics {
-            scenario: str_field("scenario")?,
-            protocol: str_field("protocol")?,
-            seed: u64_field("seed")?,
-            secs: u64_field("secs")?,
-            pdr: f64_field("pdr")?,
-            worst_flow_pdr: f64_field("worst_flow_pdr")?,
-            median_latency_ms: opt_field("median_latency_ms")?,
-            worst_latency_ms: opt_field("worst_latency_ms")?,
-            duty_cycle_percent: f64_field("duty_cycle_percent")?,
-            power_per_packet_mw: opt_field("power_per_packet_mw")?,
-            energy_per_packet_mj: opt_field("energy_per_packet_mj")?,
-            repair_time_secs: opt_field("repair_time_secs")?,
-            windowed_pdr_median: opt_field("windowed_pdr_median")?,
-            windowed_pdr_worst: opt_field("windowed_pdr_worst")?,
-            fraction_joined: f64_field("fraction_joined")?,
-            mean_join_secs: opt_field("mean_join_secs")?,
-            parent_changes: u64_field("parent_changes")?,
-            retry_drops: u64_field("retry_drops")?,
-            queue_drops: u64_field("queue_drops")?,
-            audit_violations: u64_field("audit_violations")?,
-            telemetry_epochs: opt_field("telemetry_epochs")?.map(|v| v as u64),
-            health_alerts: opt_field("health_alerts")?.map(|v| v as u64),
-            epoch_pdr_min: opt_field("epoch_pdr_min")?,
+            scenario: v.str("scenario")?.to_string(),
+            protocol: v.str("protocol")?.to_string(),
+            seed: v.uint("seed")?,
+            secs: v.uint("secs")?,
+            pdr: v.f64("pdr")?,
+            worst_flow_pdr: v.f64("worst_flow_pdr")?,
+            median_latency_ms: v.opt_f64("median_latency_ms")?,
+            worst_latency_ms: v.opt_f64("worst_latency_ms")?,
+            duty_cycle_percent: v.f64("duty_cycle_percent")?,
+            power_per_packet_mw: v.opt_f64("power_per_packet_mw")?,
+            energy_per_packet_mj: v.opt_f64("energy_per_packet_mj")?,
+            repair_time_secs: v.opt_f64("repair_time_secs")?,
+            windowed_pdr_median: v.opt_f64("windowed_pdr_median")?,
+            windowed_pdr_worst: v.opt_f64("windowed_pdr_worst")?,
+            fraction_joined: v.f64("fraction_joined")?,
+            mean_join_secs: v.opt_f64("mean_join_secs")?,
+            parent_changes: v.uint("parent_changes")?,
+            retry_drops: v.uint("retry_drops")?,
+            queue_drops: v.uint("queue_drops")?,
+            audit_violations: v.uint("audit_violations")?,
+            telemetry_epochs: v.opt_uint("telemetry_epochs")?,
+            health_alerts: v.opt_uint("health_alerts")?,
+            epoch_pdr_min: v.opt_f64("epoch_pdr_min")?,
         })
     }
 
@@ -404,5 +395,17 @@ mod tests {
     fn missing_field_is_an_error() {
         assert!(RunMetrics::from_line("{\"scenario\":\"x\"}").is_err());
         assert!(RunMetrics::from_line("not json").is_err());
+    }
+
+    #[test]
+    fn integer_fields_are_exact_and_ill_typed_ones_are_named() {
+        let mut m = sample();
+        m.seed = u64::MAX;
+        m.telemetry_epochs = Some((1 << 53) + 1);
+        let line = m.to_line();
+        assert!(line.contains("\"seed\":18446744073709551615"), "{line}");
+        assert_eq!(RunMetrics::from_line(&line).expect("parse back"), m);
+        let err = RunMetrics::from_line(&line.replace("18446744073709551615", "-7")).unwrap_err();
+        assert!(err.contains("seed"), "{err}");
     }
 }

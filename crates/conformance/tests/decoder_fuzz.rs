@@ -1,0 +1,263 @@
+//! Decoder fuzz that runs offline (ROADMAP 4b): std only, deterministic per
+//! seed, no `proptest`. Random bytes, bit- and byte-mutated valid lines,
+//! truncations, nesting bombs and 1 MiB strings go through every decoder
+//! that reads text from outside the program. Each call must return — `Ok`
+//! or `Err`, never a panic or a stack overflow — and whatever decodes must
+//! re-encode and decode again to itself.
+
+use digs_conformance::golden::Golden;
+use digs_conformance::RunMetrics;
+use digs_digsd::{
+    ClientMsg, EventFrame, Filter, FrameKind, Journal, Record, RunInfo, RunState, ServerMsg,
+    SingleSpec,
+};
+use digs_sim::seeds::SeedSpec;
+use digs_trace::{Event, EventKind, PacketId, TrafficClass};
+use std::fmt::Debug;
+
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// If `input` decodes, the value must survive its own encoder.
+fn round_trip<T: PartialEq + Debug, E: Debug>(
+    what: &str,
+    input: &str,
+    decode: impl Fn(&str) -> Result<T, E>,
+    encode: impl Fn(&T) -> String,
+) {
+    if let Ok(value) = decode(input) {
+        let text = encode(&value);
+        match decode(&text) {
+            Ok(again) => assert_eq!(again, value, "{what}: {input:?} re-encoded as {text:?}"),
+            Err(e) => {
+                panic!("{what}: {input:?} decoded, but its re-encoding {text:?} did not: {e:?}")
+            }
+        }
+    }
+}
+
+/// One input through every decoder.
+fn feed(input: &str) {
+    round_trip("json", input, digs_json::parse, |v| v.to_compact());
+    round_trip("json pretty", input, digs_json::parse, |v| v.to_pretty());
+    round_trip("client", input, ClientMsg::decode, ClientMsg::encode);
+    round_trip("server", input, ServerMsg::decode, ServerMsg::encode);
+    round_trip("frame", input, EventFrame::decode, EventFrame::encode);
+    round_trip("journal", input, Record::decode, Record::encode);
+    round_trip("trace", input, digs_trace::from_jsonl, |events| digs_trace::to_jsonl(events));
+    round_trip("metrics", input, RunMetrics::from_line, RunMetrics::to_line);
+    round_trip("golden", input, Golden::parse, Golden::to_pretty);
+    round_trip("seeds", input, SeedSpec::parse, SeedSpec::to_string);
+}
+
+const METRICS_LINE: &str = r#"{"scenario":"fig04-05-jam4","protocol":"orchestra","seed":2,"secs":420,"pdr":0.9826388888888888,"worst_flow_pdr":0.9305555555555556,"median_latency_ms":2320,"worst_latency_ms":31260,"duty_cycle_percent":5.2728904,"power_per_packet_mw":0.2625899284474206,"energy_per_packet_mj":110.2877699479166,"repair_time_secs":80.05,"windowed_pdr_median":0.9916666666666667,"windowed_pdr_worst":0.9166666666666666,"fraction_joined":1,"mean_join_secs":16.2244,"parent_changes":82,"retry_drops":1,"queue_drops":0,"audit_violations":0,"telemetry_epochs":null,"health_alerts":3,"epoch_pdr_min":null}"#;
+
+/// Valid lines of every format, built by the encoders themselves.
+fn corpus() -> Vec<String> {
+    let filter = Filter {
+        kinds: Some([FrameKind::Trace, FrameKind::Alert].into()),
+        nodes: Some([0, 7, u16::MAX].into()),
+    };
+    let spec = SingleSpec {
+        seed: u64::MAX,
+        telemetry: Some((1000, 4096)),
+        jam: Some((120, 180)),
+        ..SingleSpec::default()
+    };
+    let packet = PacketId { flow: 2, seq: 17, origin: 9 };
+    let events = [
+        Event {
+            seq: 3,
+            asn: 104,
+            node: 9,
+            kind: EventKind::Tx {
+                dst: Some(4),
+                class: TrafficClass::Data,
+                channel: 11,
+                contention: false,
+                packet: Some(packet),
+            },
+        },
+        Event {
+            seq: u64::MAX,
+            asn: 111,
+            node: 7,
+            kind: EventKind::ParentSwitch {
+                old_best: Some(4),
+                new_best: Some(5),
+                old_second: None,
+                new_second: Some(4),
+            },
+        },
+        Event {
+            seq: 20,
+            asn: 160,
+            node: digs_trace::NETWORK_NODE,
+            kind: EventKind::AuditViolation {
+                kind: "routing-loop".into(),
+                detail: "cycle #1 → \"#2\"\n\ttab \\ \u{1}".into(),
+            },
+        },
+    ];
+    let frame = EventFrame {
+        run: "r-1".into(),
+        kind: FrameKind::Trace,
+        node: Some(9),
+        seq: 41,
+        payload: digs_trace::to_jsonl_line(&events[0]),
+    };
+    let run = RunInfo {
+        name: "r-1".into(),
+        kind: "single".into(),
+        state: RunState::Running,
+        asn: 12_000,
+        subscribers: 2,
+        restarts: 1,
+        uptime_secs: 5,
+        drops: 0,
+    };
+    let golden = include_str!("../../../goldens/small.json");
+    vec![
+        ClientMsg::Hello { version: 2, client: "fuzz \"client\"".into() }.encode(),
+        ClientMsg::Launch {
+            name: "r-1".into(),
+            tail: true,
+            filter: filter.clone(),
+            spec: spec.to_json(),
+        }
+        .encode(),
+        ClientMsg::Subscribe { run: "r-1".into(), filter, from_seq: Some(977) }.encode(),
+        ClientMsg::Kill { run: "r-1".into() }.encode(),
+        ServerMsg::Runs { runs: vec![run.clone(), run] }.encode(),
+        ServerMsg::Heartbeat { run: "r-1".into(), asn: 9, sent: 8, dropped: 1 }.encode(),
+        ServerMsg::RunEnded { run: "r-1".into(), state: RunState::Quarantined, asn: 9 }.encode(),
+        ServerMsg::RunRestarting { run: "r-1".into(), restarts: 2, backoff_ms: 400 }.encode(),
+        ServerMsg::Event(frame).encode(),
+        Record::Launch { run: "r-1".into(), kind: "single".into(), spec: spec.to_json() }.encode(),
+        Record::Progress { run: "r-1".into(), asn: 1000, seq: 1581 }.encode(),
+        Record::Subscriber { run: "r-1".into(), client: "tail".into(), seq: 25 }.encode(),
+        Record::End { run: "r-1".into(), state: RunState::Done, asn: 6000 }.encode(),
+        digs_trace::to_jsonl(&events),
+        digs_trace::to_jsonl_line(&events[2]),
+        METRICS_LINE.into(),
+        golden[..golden.len().min(1800)].into(),
+        golden.into(),
+        "1-3".into(),
+        "8".into(),
+        "1,4,9".into(),
+    ]
+}
+
+/// One random edit of `bytes`: bit flip, byte overwrite, insert of a JSON
+/// syntax byte, delete, truncate, or a doubled slice.
+fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>) {
+    const SYNTAX: &[u8] = b"{}[]\",:\\-+.eE0123456789 \n\tntfu";
+    if bytes.is_empty() {
+        bytes.push(SYNTAX[rng.below(SYNTAX.len())]);
+        return;
+    }
+    let at = rng.below(bytes.len());
+    match rng.below(6) {
+        0 => bytes[at] ^= 1 << rng.below(8),
+        1 => bytes[at] = rng.next() as u8,
+        2 => bytes.insert(at, SYNTAX[rng.below(SYNTAX.len())]),
+        3 => {
+            bytes.remove(at);
+        }
+        4 => bytes.truncate(at),
+        _ => {
+            let end = (at + 1 + rng.below(16)).min(bytes.len());
+            let slice = bytes[at..end].to_vec();
+            bytes.splice(at..at, slice);
+        }
+    }
+}
+
+fn fuzz(seed: u64) {
+    let mut rng = SplitMix64(seed);
+    let corpus = corpus();
+    let mut fed = Vec::new();
+
+    for line in &corpus {
+        feed(line);
+        // The golden file is ~30 KB: fewer, since every decoder lexes all of it.
+        let rounds = if line.len() > 4096 { 40 } else { 400 };
+        for _ in 0..rounds {
+            let mut bytes = line.clone().into_bytes();
+            for _ in 0..=rng.below(3) {
+                mutate(&mut rng, &mut bytes);
+            }
+            let input = String::from_utf8_lossy(&bytes).into_owned();
+            feed(&input);
+            if input.len() < 512 {
+                fed.push(input);
+            }
+        }
+    }
+
+    for _ in 0..2000 {
+        let len = rng.below(96);
+        let bytes: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        feed(&String::from_utf8_lossy(&bytes));
+    }
+
+    // Nesting bombs, bare and inside otherwise valid messages.
+    let deep = 100_000;
+    for bomb in [
+        "[".repeat(deep),
+        "{\"a\":".repeat(deep),
+        "[{\"a\":".repeat(deep / 2),
+        "[".repeat(deep) + &"]".repeat(deep),
+        format!("{{\"type\":\"launch\",\"name\":\"x\",\"spec\":{}", "[".repeat(deep)),
+        format!(
+            "{{\"type\":\"launch\",\"run\":\"x\",\"kind\":\"single\",\"spec\":{}",
+            "{\"k\":".repeat(deep)
+        ),
+        format!("{{\"run\":\"x\",\"kind\":\"trace\",\"seq\":1,\"payload\":{}}}", "[".repeat(deep)),
+    ] {
+        feed(&bomb);
+    }
+
+    // 1 MiB strings: plain, all escapes, and as a message field.
+    let big = "a".repeat(1 << 20);
+    feed(&format!("\"{big}\""));
+    feed(&format!("\"{}\"", "\\u0041\\n".repeat(1 << 17)));
+    feed(&format!("{{\"type\":\"hello\",\"version\":2,\"client\":\"{big}\"}}"));
+    feed(&format!("{{\"type\":\"kill\",\"run\":\"{big}"));
+
+    // A journal file made of the mutated lines: recovery folds what parses
+    // and counts the rest.
+    let path =
+        std::env::temp_dir().join(format!("digs-decoder-fuzz-{}-{seed}", std::process::id()));
+    std::fs::write(&path, fed.join("\n")).expect("write the garbage journal");
+    let recovery = Journal::recover(&path).expect("recovery reads any file");
+    std::fs::remove_file(&path).expect("remove the garbage journal");
+    assert!(recovery.corrupt_lines > 0, "most mutated lines are not journal records");
+}
+
+#[test]
+fn no_decoder_panics_and_what_decodes_round_trips() {
+    // The stack a digsd connection thread gets: a decoder that recurses
+    // without a bound overflows it on the nesting bombs.
+    for seed in [1, 0x5eed] {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || fuzz(seed))
+            .expect("spawn")
+            .join()
+            .expect("a decoder panicked");
+    }
+}

@@ -112,6 +112,28 @@ fn pinned_digests_hold_across_commits() {
     assert!(moved.is_empty(), "pinned digests moved: {moved:#?}");
 }
 
+/// The telemetry exporter is held to the same cross-commit identity: FNV-1a-64
+/// of `telemetry::to_jsonl` for what `digs-cli telemetry export --secs 300
+/// --jam 120:180` runs (30 epochs, 21 alerts, `pdr-collapse` among them),
+/// pinned before the alert writer moved onto the shared escaper. Re-pin the
+/// same way as above.
+#[test]
+fn pinned_telemetry_digest_holds_across_commits() {
+    let spec = digs_digsd::SingleSpec {
+        secs: 300,
+        trace_cap: Some(0),
+        telemetry: Some((1000, 4096)),
+        jam: Some((120, 180)),
+        ..digs_digsd::SingleSpec::default()
+    };
+    let mut net = spec.build().expect("spec builds");
+    net.run_secs(spec.secs);
+    let text = telemetry::to_jsonl(net.telemetry().expect("telemetry is on"));
+    assert!(text.contains("\"rule\":\"pdr-collapse\""), "the jam must raise pdr-collapse alerts");
+    let (got, want) = (fnv1a64(&[&text]), 0x80c2_e5e2_6331_0176u64);
+    assert_eq!(got, want, "telemetry digest moved: got {got:#018x}, pinned {want:#018x}");
+}
+
 /// The attack-vs-defense duel with every observer on: adaptive jammers
 /// next to each access point, schedule randomization enabled, trace and
 /// telemetry both recording. Returns (trace JSONL, telemetry JSONL).

@@ -730,20 +730,8 @@ pub fn alert_jsonl_line(a: &HealthAlert) -> String {
         a.asn_start,
         a.asn_end
     );
-    // Details are generated strings (no quotes/control chars), but
-    // escape defensively anyway.
-    out.push('"');
-    for c in a.detail.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push_str("\"}");
+    digs_json::write_string(&mut out, &a.detail);
+    out.push('}');
     out
 }
 

@@ -82,21 +82,6 @@ pub enum Record {
     },
 }
 
-fn num(n: u64) -> Value {
-    Value::Num(n as f64)
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.field(key)
-        .and_then(Value::as_str)
-        .map(ToString::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.field(key).and_then(Value::as_u64).ok_or_else(|| format!("missing integer field `{key}`"))
-}
-
 impl Record {
     /// Encodes to one JSONL line (no trailing newline).
     pub fn encode(&self) -> String {
@@ -110,30 +95,30 @@ impl Record {
             Record::Progress { run, asn, seq } => vec![
                 ("type".to_string(), Value::Str("progress".into())),
                 ("run".to_string(), Value::Str(run.clone())),
-                ("asn".to_string(), num(*asn)),
-                ("seq".to_string(), num(*seq)),
+                ("asn".to_string(), Value::Int(*asn)),
+                ("seq".to_string(), Value::Int(*seq)),
             ],
             Record::Restart { run, restarts } => vec![
                 ("type".to_string(), Value::Str("restart".into())),
                 ("run".to_string(), Value::Str(run.clone())),
-                ("restarts".to_string(), num(*restarts)),
+                ("restarts".to_string(), Value::Int(*restarts)),
             ],
             Record::Subscriber { run, client, seq } => vec![
                 ("type".to_string(), Value::Str("subscriber".into())),
                 ("run".to_string(), Value::Str(run.clone())),
                 ("client".to_string(), Value::Str(client.clone())),
-                ("seq".to_string(), num(*seq)),
+                ("seq".to_string(), Value::Int(*seq)),
             ],
             Record::End { run, state, asn } => vec![
                 ("type".to_string(), Value::Str("end".into())),
                 ("run".to_string(), Value::Str(run.clone())),
                 ("state".to_string(), Value::Str(state.as_str().into())),
-                ("asn".to_string(), num(*asn)),
+                ("asn".to_string(), Value::Int(*asn)),
             ],
             Record::Resume { run, restarts } => vec![
                 ("type".to_string(), Value::Str("resume".into())),
                 ("run".to_string(), Value::Str(run.clone())),
-                ("restarts".to_string(), num(*restarts)),
+                ("restarts".to_string(), Value::Int(*restarts)),
             ],
         };
         Value::Obj(fields).to_compact()
@@ -142,28 +127,26 @@ impl Record {
     /// Decodes one line.
     pub fn decode(line: &str) -> Result<Record, String> {
         let v = digs_json::parse(line).map_err(|e| e.to_string())?;
-        let run = str_field(&v, "run")?;
-        match str_field(&v, "type")?.as_str() {
+        let run = v.str("run")?.to_string();
+        match v.str("type")? {
             "launch" => Ok(Record::Launch {
                 run,
-                kind: str_field(&v, "kind")?,
-                spec: v.field("spec").cloned().ok_or("launch record needs a spec")?,
+                kind: v.str("kind")?.to_string(),
+                spec: v.req("spec")?.clone(),
             }),
-            "progress" => {
-                Ok(Record::Progress { run, asn: u64_field(&v, "asn")?, seq: u64_field(&v, "seq")? })
-            }
-            "restart" => Ok(Record::Restart { run, restarts: u64_field(&v, "restarts")? }),
+            "progress" => Ok(Record::Progress { run, asn: v.uint("asn")?, seq: v.uint("seq")? }),
+            "restart" => Ok(Record::Restart { run, restarts: v.uint("restarts")? }),
             "subscriber" => Ok(Record::Subscriber {
                 run,
-                client: str_field(&v, "client")?,
-                seq: u64_field(&v, "seq")?,
+                client: v.str("client")?.to_string(),
+                seq: v.uint("seq")?,
             }),
             "end" => Ok(Record::End {
                 run,
-                state: RunState::parse(&str_field(&v, "state")?)?,
-                asn: u64_field(&v, "asn")?,
+                state: RunState::parse(v.str("state")?)?,
+                asn: v.uint("asn")?,
             }),
-            "resume" => Ok(Record::Resume { run, restarts: u64_field(&v, "restarts")? }),
+            "resume" => Ok(Record::Resume { run, restarts: v.uint("restarts")? }),
             other => Err(format!("unknown journal record type `{other}`")),
         }
     }
@@ -330,7 +313,7 @@ mod tests {
     fn spec() -> Value {
         Value::Obj(vec![
             ("kind".into(), Value::Str("single".into())),
-            ("seed".into(), Value::Num(7.0)),
+            ("seed".into(), Value::Int(7)),
         ])
     }
 
@@ -339,6 +322,7 @@ mod tests {
         let records = vec![
             Record::Launch { run: "a".into(), kind: "single".into(), spec: spec() },
             Record::Progress { run: "a".into(), asn: 12_000, seq: 340 },
+            Record::Progress { run: "a".into(), asn: u64::MAX, seq: u64::MAX },
             Record::Restart { run: "a".into(), restarts: 2 },
             Record::Subscriber { run: "a".into(), client: "cli \"q\"".into(), seq: 120 },
             Record::End { run: "a".into(), state: RunState::Quarantined, asn: 12_500 },

@@ -25,7 +25,7 @@ use crate::wire::{
 use digs::network::{Network, RunObserver};
 use digs_json::Value;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -481,18 +481,47 @@ fn send_error(out: &mut TcpStream, code: ErrorCode, message: &str) -> std::io::R
     send(out, &ServerMsg::Error { code, message: message.to_string() })
 }
 
+/// Longest request line a client may send: ~1000× the largest launch spec,
+/// so a peer that never sends `\n` cannot grow daemon memory without limit.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Reads and decodes one request line. `None` means the connection is over:
+/// the client hung up, or sent a line longer than [`MAX_REQUEST_BYTES`] and
+/// got its one `bad-request` frame.
+fn read_request(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    line: &mut Vec<u8>,
+) -> std::io::Result<Option<Result<ClientMsg, String>>> {
+    line.clear();
+    if reader.take(MAX_REQUEST_BYTES as u64 + 1).read_until(b'\n', line)? == 0 {
+        return Ok(None);
+    }
+    if line.len() > MAX_REQUEST_BYTES {
+        let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+        send_error(writer, ErrorCode::BadRequest, &message)?;
+        // Closing with the rest of the line unread would reset the
+        // connection and could lose that frame: half-close, then discard
+        // what the peer still sends (bounded, so it cannot hold us forever).
+        writer.shutdown(Shutdown::Write)?;
+        std::io::copy(&mut reader.take(16 * MAX_REQUEST_BYTES as u64), &mut std::io::sink())?;
+        return Ok(None);
+    }
+    let text = std::str::from_utf8(line).map_err(|e| e.to_string());
+    Ok(Some(text.and_then(|text| ClientMsg::decode(text.trim_end()))))
+}
+
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
 
     // Version negotiation gates everything: any first message that is not
     // a hello with our version gets exactly one error frame and a close.
-    line.clear();
-    if reader.read_line(&mut line)? == 0 {
+    let Some(hello) = read_request(&mut reader, &mut writer, &mut line)? else {
         return Ok(());
-    }
-    let client_name = match ClientMsg::decode(line.trim_end()) {
+    };
+    let client_name = match hello {
         Ok(ClientMsg::Hello { version, client }) if version == WIRE_VERSION => {
             send(
                 &mut writer,
@@ -517,11 +546,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<
     };
 
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let Some(request) = read_request(&mut reader, &mut writer, &mut line)? else {
             return Ok(());
-        }
-        let msg = match ClientMsg::decode(line.trim_end()) {
+        };
+        let msg = match request {
             Ok(msg) => msg,
             Err(e) => {
                 send_error(&mut writer, ErrorCode::BadRequest, &e)?;
@@ -958,17 +986,17 @@ fn prepare_single(spec: &Value) -> Result<Job, String> {
 }
 
 fn network_summary_line(s: &digs_fleet::NetworkSummary) -> String {
-    Value::Obj(vec![
-        ("label".into(), Value::Str(s.label.clone())),
-        ("nodes".into(), Value::Num(f64::from(s.nodes))),
-        ("flows".into(), Value::Num(f64::from(s.flows))),
-        ("generated".into(), Value::Num(s.generated as f64)),
-        ("delivered".into(), Value::Num(s.delivered as f64)),
-        ("pdr".into(), Value::num(s.pdr)),
-        ("worst_flow_pdr".into(), Value::num(s.worst_flow_pdr)),
-        ("fraction_joined".into(), Value::num(s.fraction_joined)),
-        ("alerts".into(), Value::Num(s.alerts as f64)),
-        ("violations".into(), Value::Num(s.violations as f64)),
+    Value::obj([
+        ("label", Value::Str(s.label.clone())),
+        ("nodes", Value::Int(u64::from(s.nodes))),
+        ("flows", Value::Int(u64::from(s.flows))),
+        ("generated", Value::Int(s.generated)),
+        ("delivered", Value::Int(s.delivered)),
+        ("pdr", Value::num(s.pdr)),
+        ("worst_flow_pdr", Value::num(s.worst_flow_pdr)),
+        ("fraction_joined", Value::num(s.fraction_joined)),
+        ("alerts", Value::Int(s.alerts)),
+        ("violations", Value::Int(s.violations)),
     ])
     .to_compact()
 }
@@ -993,11 +1021,11 @@ fn prepare_fleet(spec: &Value) -> Result<Job, String> {
             ctx.publish(
                 FrameKind::Fleet,
                 None,
-                Value::Obj(vec![
-                    ("label".into(), Value::Str(d.label.clone())),
-                    ("degraded".into(), Value::Str(d.reason.clone())),
-                    ("attempts".into(), Value::Num(f64::from(d.attempts))),
-                    ("quarantined".into(), Value::Bool(d.quarantined)),
+                Value::obj([
+                    ("label", Value::Str(d.label.clone())),
+                    ("degraded", Value::Str(d.reason.clone())),
+                    ("attempts", Value::Int(u64::from(d.attempts))),
+                    ("quarantined", Value::Bool(d.quarantined)),
                 ])
                 .to_compact(),
             );

@@ -184,70 +184,59 @@ impl SingleSpec {
 
     /// Encodes for the wire.
     pub fn to_json(&self) -> Value {
-        let opt_num = |v: Option<u64>| v.map_or(Value::Null, |n| Value::Num(n as f64));
-        Value::Obj(vec![
-            ("kind".into(), Value::Str("single".into())),
-            ("topology".into(), Value::Str(self.topology.clone())),
-            ("protocol".into(), Value::Str(self.protocol.clone())),
-            ("seed".into(), Value::Num(self.seed as f64)),
-            ("flows".into(), Value::Num(self.flows as f64)),
-            ("period_ms".into(), Value::Num(self.period_ms as f64)),
-            ("secs".into(), Value::Num(self.secs as f64)),
-            ("jammers".into(), Value::Num(self.jammers as f64)),
-            ("adaptive_jam".into(), opt_num(self.adaptive_jam)),
-            ("randomize".into(), opt_num(self.randomize)),
-            ("trace_cap".into(), opt_num(self.trace_cap.map(|c| c as u64))),
-            (
-                "telemetry".into(),
-                match self.telemetry {
-                    None => Value::Null,
-                    Some((e, c)) => Value::Arr(vec![Value::Num(e as f64), Value::Num(c as f64)]),
-                },
-            ),
-            (
-                "jam".into(),
-                match self.jam {
-                    None => Value::Null,
-                    Some((s, e)) => Value::Arr(vec![Value::Num(s as f64), Value::Num(e as f64)]),
-                },
-            ),
-            ("audit_every".into(), opt_num(self.audit_every)),
+        let pair = |p: Option<(u64, u64)>| {
+            p.map_or(Value::Null, |(a, b)| Value::Arr(vec![Value::Int(a), Value::Int(b)]))
+        };
+        Value::obj([
+            ("kind", Value::Str("single".into())),
+            ("topology", Value::Str(self.topology.clone())),
+            ("protocol", Value::Str(self.protocol.clone())),
+            ("seed", Value::Int(self.seed)),
+            ("flows", Value::Int(self.flows as u64)),
+            ("period_ms", Value::Int(self.period_ms)),
+            ("secs", Value::Int(self.secs)),
+            ("jammers", Value::Int(self.jammers as u64)),
+            ("adaptive_jam", Value::opt_int(self.adaptive_jam)),
+            ("randomize", Value::opt_int(self.randomize)),
+            ("trace_cap", Value::opt_int(self.trace_cap.map(|c| c as u64))),
+            ("telemetry", pair(self.telemetry.map(|(e, c)| (e, c as u64)))),
+            ("jam", pair(self.jam)),
+            ("audit_every", Value::opt_int(self.audit_every)),
         ])
     }
 
-    /// Decodes from the wire. Missing fields take their defaults, so a
-    /// minimal `{"kind":"single"}` spec is valid.
+    /// Decodes from the wire. Missing (or `null`) fields take their
+    /// defaults, so a minimal `{"kind":"single"}` spec is valid; a field of
+    /// the wrong type or out of range is an error.
     pub fn from_json(v: &Value) -> Result<SingleSpec, String> {
         let d = SingleSpec::default();
-        let s = |key: &str, d: &str| v.field(key).and_then(Value::as_str).unwrap_or(d).to_string();
-        let n = |key: &str, d: u64| v.field(key).and_then(Value::as_u64).unwrap_or(d);
-        let opt = |key: &str| v.field(key).and_then(Value::as_u64);
-        let pair = |key: &str| -> Result<Option<(u64, u64)>, String> {
-            match v.field(key) {
-                None | Some(Value::Null) => Ok(None),
-                Some(Value::Arr(items)) if items.len() == 2 => {
-                    let a = items[0].as_u64().ok_or(format!("bad {key}[0]"))?;
-                    let b = items[1].as_u64().ok_or(format!("bad {key}[1]"))?;
-                    Ok(Some((a, b)))
-                }
-                Some(_) => Err(format!("{key} must be a two-element list or null")),
-            }
-        };
         Ok(SingleSpec {
-            topology: s("topology", &d.topology),
-            protocol: s("protocol", &d.protocol),
-            seed: n("seed", d.seed),
-            flows: n("flows", d.flows as u64) as usize,
-            period_ms: n("period_ms", d.period_ms),
-            secs: n("secs", d.secs),
-            jammers: n("jammers", d.jammers as u64) as usize,
-            adaptive_jam: opt("adaptive_jam"),
-            randomize: opt("randomize"),
-            trace_cap: opt("trace_cap").map(|c| c as usize),
-            telemetry: pair("telemetry")?.map(|(e, c)| (e, c as usize)),
-            jam: pair("jam")?,
-            audit_every: opt("audit_every"),
+            topology: v.opt_str("topology")?.unwrap_or(&d.topology).to_string(),
+            protocol: v.opt_str("protocol")?.unwrap_or(&d.protocol).to_string(),
+            seed: v.opt_uint("seed")?.unwrap_or(d.seed),
+            flows: v.opt_uint("flows")?.unwrap_or(d.flows),
+            period_ms: v.opt_uint("period_ms")?.unwrap_or(d.period_ms),
+            secs: v.opt_uint("secs")?.unwrap_or(d.secs),
+            jammers: v.opt_uint("jammers")?.unwrap_or(d.jammers),
+            adaptive_jam: v.opt_uint("adaptive_jam")?,
+            randomize: v.opt_uint("randomize")?,
+            trace_cap: v.opt_uint("trace_cap")?,
+            telemetry: pair(v, "telemetry")?,
+            jam: pair(v, "jam")?,
+            audit_every: v.opt_uint("audit_every")?,
         })
+    }
+}
+
+/// An optional `[a, b]` field, each element range-checked.
+fn pair<B: TryFrom<u64>>(v: &Value, key: &str) -> Result<Option<(u64, B)>, String> {
+    match v.present(key) {
+        None => Ok(None),
+        Some(Value::Arr(items)) if items.len() == 2 => Ok(Some((
+            items[0].to_uint(&format!("{key}[0]"))?,
+            items[1].to_uint(&format!("{key}[1]"))?,
+        ))),
+        Some(_) => Err(format!("{key} must be a two-element list or null")),
     }
 }
 
@@ -327,39 +316,32 @@ impl FleetParams {
 
     /// Encodes for the wire.
     pub fn to_json(&self) -> Value {
-        Value::Obj(vec![
-            ("kind".into(), Value::Str("fleet".into())),
-            ("template".into(), Value::Str(self.template.clone())),
-            ("networks".into(), Value::Num(f64::from(self.networks))),
-            ("seed_base".into(), Value::Num(self.seed_base as f64)),
-            ("secs".into(), Value::Num(self.secs as f64)),
-            ("sharded_devices".into(), Value::Num(self.sharded_devices as f64)),
-            ("shard_size".into(), Value::Num(self.shard_size as f64)),
-            (
-                "sharded_seed".into(),
-                self.sharded_seed.map_or(Value::Null, |s| Value::Num(s as f64)),
-            ),
-            ("jobs".into(), self.jobs.map_or(Value::Null, |j| Value::Num(j as f64))),
+        Value::obj([
+            ("kind", Value::Str("fleet".into())),
+            ("template", Value::Str(self.template.clone())),
+            ("networks", Value::Int(u64::from(self.networks))),
+            ("seed_base", Value::Int(self.seed_base)),
+            ("secs", Value::Int(self.secs)),
+            ("sharded_devices", Value::Int(self.sharded_devices as u64)),
+            ("shard_size", Value::Int(self.shard_size as u64)),
+            ("sharded_seed", Value::opt_int(self.sharded_seed)),
+            ("jobs", Value::opt_int(self.jobs.map(|j| j as u64))),
         ])
     }
 
-    /// Decodes from the wire; missing fields take their defaults.
+    /// Decodes from the wire; missing (or `null`) fields take their
+    /// defaults, a wrong type or an out-of-range value is an error.
     pub fn from_json(v: &Value) -> Result<FleetParams, String> {
         let d = FleetParams::default();
-        let n = |key: &str, d: u64| v.field(key).and_then(Value::as_u64).unwrap_or(d);
         Ok(FleetParams {
-            template: v
-                .field("template")
-                .and_then(Value::as_str)
-                .unwrap_or(&d.template)
-                .to_string(),
-            networks: n("networks", u64::from(d.networks)) as u32,
-            seed_base: n("seed_base", d.seed_base),
-            secs: n("secs", d.secs),
-            sharded_devices: n("sharded_devices", d.sharded_devices as u64) as usize,
-            shard_size: n("shard_size", d.shard_size as u64) as usize,
-            sharded_seed: v.field("sharded_seed").and_then(Value::as_u64),
-            jobs: v.field("jobs").and_then(Value::as_u64).map(|j| j as usize),
+            template: v.opt_str("template")?.unwrap_or(&d.template).to_string(),
+            networks: v.opt_uint("networks")?.unwrap_or(d.networks),
+            seed_base: v.opt_uint("seed_base")?.unwrap_or(d.seed_base),
+            secs: v.opt_uint("secs")?.unwrap_or(d.secs),
+            sharded_devices: v.opt_uint("sharded_devices")?.unwrap_or(d.sharded_devices),
+            shard_size: v.opt_uint("shard_size")?.unwrap_or(d.shard_size),
+            sharded_seed: v.opt_uint("sharded_seed")?,
+            jobs: v.opt_uint("jobs")?,
         })
     }
 }
@@ -391,6 +373,41 @@ mod tests {
         let text = spec.to_json().to_compact();
         let parsed = digs_json::parse(&text).expect("parses");
         assert_eq!(SingleSpec::from_json(&parsed).expect("decodes"), spec);
+    }
+
+    #[test]
+    fn sixty_four_bit_seeds_and_secrets_cross_the_wire_exactly() {
+        // Both used to pass through an f64: 2^53+1 arrived as 2^53 and the
+        // secret as …111680, so the daemon built a different network than
+        // `digs-cli run` did from the same options.
+        let spec = SingleSpec {
+            seed: (1 << 53) + 1,
+            randomize: Some(0xdead_beef_cafe_f00d),
+            ..SingleSpec::default()
+        };
+        let text = spec.to_json().to_compact();
+        assert!(text.contains("\"seed\":9007199254740993"), "{text}");
+        assert!(text.contains("\"randomize\":16045690984503111693"), "{text}");
+        let back = SingleSpec::from_json(&digs_json::parse(&text).expect("parses")).expect("ok");
+        assert_eq!(back, spec);
+        let (a, b) = (spec.build_config().expect("builds"), back.build_config().expect("builds"));
+        assert_eq!((a.seed, a.sched_randomize), (spec.seed, spec.randomize));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "both sides build the same network");
+    }
+
+    #[test]
+    fn out_of_range_and_ill_typed_spec_fields_are_errors() {
+        let single = |text: &str| SingleSpec::from_json(&digs_json::parse(text).expect("parses"));
+        assert!(single(r#"{"seed":-1}"#).unwrap_err().contains("seed"));
+        assert!(single(r#"{"seed":"7"}"#).unwrap_err().contains("seed"));
+        assert!(single(r#"{"flows":1e30}"#).unwrap_err().contains("flows"));
+        assert!(single(r#"{"telemetry":[1000,1.5]}"#).unwrap_err().contains("telemetry[1]"));
+        assert!(single(r#"{"topology":7}"#).unwrap_err().contains("topology"));
+        let fleet = |text: &str| FleetParams::from_json(&digs_json::parse(text).expect("parses"));
+        // 2^32+1 networks used to wrap to 1.
+        let err = fleet(r#"{"networks":4294967297}"#).unwrap_err();
+        assert!(err.contains("networks") && err.contains("4294967297"), "{err}");
+        assert_eq!(fleet(r#"{"networks":4294967295}"#).expect("fits").networks, u32::MAX);
     }
 
     #[test]

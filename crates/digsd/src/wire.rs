@@ -366,7 +366,7 @@ fn kinds_json(kinds: &Option<BTreeSet<FrameKind>>) -> Value {
 fn nodes_json(nodes: &Option<BTreeSet<u16>>) -> Value {
     match nodes {
         None => Value::Null,
-        Some(ns) => Value::Arr(ns.iter().map(|n| Value::Num(f64::from(*n))).collect()),
+        Some(ns) => Value::Arr(ns.iter().map(|n| Value::Int(u64::from(*n))).collect()),
     }
 }
 
@@ -375,21 +375,13 @@ fn filter_fields(filter: &Filter, fields: &mut Vec<(String, Value)>) {
     fields.push(("nodes".into(), nodes_json(&filter.nodes)));
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn num(n: u64) -> Value {
-    Value::Num(n as f64)
-}
-
 impl ClientMsg {
     /// Encodes to one line (no trailing newline).
     pub fn encode(&self) -> String {
         match self {
-            ClientMsg::Hello { version, client } => obj(vec![
+            ClientMsg::Hello { version, client } => Value::obj([
                 ("type", Value::Str("hello".into())),
-                ("version", num(*version)),
+                ("version", Value::Int(*version)),
                 ("client", Value::Str(client.clone())),
             ])
             .to_compact(),
@@ -410,42 +402,43 @@ impl ClientMsg {
                 ];
                 filter_fields(filter, &mut fields);
                 if let Some(seq) = from_seq {
-                    fields.push(("from_seq".to_string(), num(*seq)));
+                    fields.push(("from_seq".to_string(), Value::Int(*seq)));
                 }
                 Value::Obj(fields).to_compact()
             }
-            ClientMsg::List => obj(vec![("type", Value::Str("list".into()))]).to_compact(),
+            ClientMsg::List => Value::obj([("type", Value::Str("list".into()))]).to_compact(),
             ClientMsg::Kill { run } => {
-                obj(vec![("type", Value::Str("kill".into())), ("run", Value::Str(run.clone()))])
+                Value::obj([("type", Value::Str("kill".into())), ("run", Value::Str(run.clone()))])
                     .to_compact()
             }
-            ClientMsg::Shutdown => obj(vec![("type", Value::Str("shutdown".into()))]).to_compact(),
-            ClientMsg::Ping => obj(vec![("type", Value::Str("ping".into()))]).to_compact(),
+            ClientMsg::Shutdown => {
+                Value::obj([("type", Value::Str("shutdown".into()))]).to_compact()
+            }
+            ClientMsg::Ping => Value::obj([("type", Value::Str("ping".into()))]).to_compact(),
         }
     }
 
     /// Decodes one line.
     pub fn decode(line: &str) -> Result<ClientMsg, String> {
         let v = digs_json::parse(line).map_err(|e| e.to_string())?;
-        let ty = str_field(&v, "type")?;
-        match ty.as_str() {
+        match v.str("type")? {
             "hello" => Ok(ClientMsg::Hello {
-                version: u64_field(&v, "version")?,
-                client: str_field(&v, "client").unwrap_or_default(),
+                version: v.uint("version")?,
+                client: v.opt_str("client")?.unwrap_or_default().to_string(),
             }),
             "launch" => Ok(ClientMsg::Launch {
-                name: str_field(&v, "name")?,
+                name: v.str("name")?.to_string(),
                 tail: matches!(v.field("tail"), Some(Value::Bool(true))),
                 filter: decode_filter(&v)?,
-                spec: v.field("spec").cloned().ok_or("launch needs a spec")?,
+                spec: v.req("spec")?.clone(),
             }),
             "subscribe" => Ok(ClientMsg::Subscribe {
-                run: str_field(&v, "run")?,
+                run: v.str("run")?.to_string(),
                 filter: decode_filter(&v)?,
-                from_seq: v.field("from_seq").and_then(Value::as_u64),
+                from_seq: v.opt_uint("from_seq")?,
             }),
             "list" => Ok(ClientMsg::List),
-            "kill" => Ok(ClientMsg::Kill { run: str_field(&v, "run")? }),
+            "kill" => Ok(ClientMsg::Kill { run: v.str("run")?.to_string() }),
             "shutdown" => Ok(ClientMsg::Shutdown),
             "ping" => Ok(ClientMsg::Ping),
             other => Err(format!("unknown client message type `{other}`")),
@@ -458,17 +451,15 @@ const PAYLOAD_MARKER: &str = ",\"payload\":";
 impl EventFrame {
     /// Encodes with the payload spliced in verbatim as the final field.
     pub fn encode(&self) -> String {
-        let mut head = vec![
-            ("type".to_string(), Value::Str("event".into())),
-            ("run".to_string(), Value::Str(self.run.clone())),
-            ("kind".to_string(), Value::Str(self.kind.as_str().to_string())),
-        ];
+        use std::fmt::Write;
+        let mut out = String::with_capacity(64 + self.run.len() + self.payload.len());
+        out.push_str("{\"type\":\"event\",\"run\":");
+        digs_json::write_string(&mut out, &self.run);
+        let _ = write!(out, ",\"kind\":\"{}\"", self.kind.as_str());
         if let Some(n) = self.node {
-            head.push(("node".to_string(), Value::Num(f64::from(n))));
+            let _ = write!(out, ",\"node\":{n}");
         }
-        head.push(("seq".to_string(), num(self.seq)));
-        let mut out = Value::Obj(head).to_compact();
-        out.pop(); // strip the closing brace
+        let _ = write!(out, ",\"seq\":{}", self.seq);
         out.push_str(PAYLOAD_MARKER);
         out.push_str(&self.payload);
         out.push('}');
@@ -476,20 +467,25 @@ impl EventFrame {
     }
 
     /// Decodes, recovering the payload's exact original bytes by slicing
-    /// the frame (the fields before the marker are produced by our own
-    /// encoder and cannot contain the marker text).
+    /// the frame at the first marker. Everything before it must close into
+    /// a complete object on its own, which rules out a marker found inside a
+    /// string or a nested value — the slice is always the frame's own payload.
+    /// The payload itself is opaque here; [`ServerMsg::decode`] has parsed the
+    /// whole line before it dispatches to this.
     pub fn decode(line: &str) -> Result<EventFrame, String> {
-        let v = digs_json::parse(line).map_err(|e| e.to_string())?;
-        let run = str_field(&v, "run")?;
-        let kind = FrameKind::parse(&str_field(&v, "kind")?)?;
-        let node = v.field("node").and_then(Value::as_u64).map(|n| n as u16);
-        let seq = u64_field(&v, "seq")?;
         let at = line.find(PAYLOAD_MARKER).ok_or("event frame lacks a payload")?;
         let payload = line[at + PAYLOAD_MARKER.len()..]
             .strip_suffix('}')
             .ok_or("event frame is not `}`-terminated")?
             .to_string();
-        Ok(EventFrame { run, kind, node, seq, payload })
+        let head = digs_json::parse(&format!("{}}}", &line[..at])).map_err(|e| e.to_string())?;
+        Ok(EventFrame {
+            run: head.str("run")?.to_string(),
+            kind: FrameKind::parse(head.str("kind")?)?,
+            node: head.opt_uint("node")?,
+            seq: head.uint("seq")?,
+            payload,
+        })
     }
 }
 
@@ -497,35 +493,35 @@ impl ServerMsg {
     /// Encodes to one line (no trailing newline).
     pub fn encode(&self) -> String {
         match self {
-            ServerMsg::HelloAck { version, server } => obj(vec![
+            ServerMsg::HelloAck { version, server } => Value::obj([
                 ("type", Value::Str("hello-ack".into())),
-                ("version", num(*version)),
+                ("version", Value::Int(*version)),
                 ("server", Value::Str(server.clone())),
             ])
             .to_compact(),
-            ServerMsg::Ok => obj(vec![("type", Value::Str("ok".into()))]).to_compact(),
-            ServerMsg::Error { code, message } => obj(vec![
+            ServerMsg::Ok => Value::obj([("type", Value::Str("ok".into()))]).to_compact(),
+            ServerMsg::Error { code, message } => Value::obj([
                 ("type", Value::Str("error".into())),
                 ("code", Value::Str(code.as_str().into())),
                 ("message", Value::Str(message.clone())),
             ])
             .to_compact(),
-            ServerMsg::Runs { runs } => obj(vec![
+            ServerMsg::Runs { runs } => Value::obj([
                 ("type", Value::Str("runs".into())),
                 (
                     "runs",
                     Value::Arr(
                         runs.iter()
                             .map(|r| {
-                                obj(vec![
+                                Value::obj([
                                     ("name", Value::Str(r.name.clone())),
                                     ("kind", Value::Str(r.kind.clone())),
                                     ("state", Value::Str(r.state.as_str().into())),
-                                    ("asn", num(r.asn)),
-                                    ("subscribers", num(r.subscribers)),
-                                    ("restarts", num(r.restarts)),
-                                    ("uptime_secs", num(r.uptime_secs)),
-                                    ("drops", num(r.drops)),
+                                    ("asn", Value::Int(r.asn)),
+                                    ("subscribers", Value::Int(r.subscribers)),
+                                    ("restarts", Value::Int(r.restarts)),
+                                    ("uptime_secs", Value::Int(r.uptime_secs)),
+                                    ("drops", Value::Int(r.drops)),
                                 ])
                             })
                             .collect(),
@@ -534,60 +530,59 @@ impl ServerMsg {
             ])
             .to_compact(),
             ServerMsg::Event(frame) => frame.encode(),
-            ServerMsg::Heartbeat { run, asn, sent, dropped } => obj(vec![
+            ServerMsg::Heartbeat { run, asn, sent, dropped } => Value::obj([
                 ("type", Value::Str("heartbeat".into())),
                 ("run", Value::Str(run.clone())),
-                ("asn", num(*asn)),
-                ("sent", num(*sent)),
-                ("dropped", num(*dropped)),
+                ("asn", Value::Int(*asn)),
+                ("sent", Value::Int(*sent)),
+                ("dropped", Value::Int(*dropped)),
             ])
             .to_compact(),
-            ServerMsg::RunEnded { run, state, asn } => obj(vec![
+            ServerMsg::RunEnded { run, state, asn } => Value::obj([
                 ("type", Value::Str("run-state".into())),
                 ("run", Value::Str(run.clone())),
                 ("state", Value::Str(state.as_str().into())),
-                ("asn", num(*asn)),
+                ("asn", Value::Int(*asn)),
             ])
             .to_compact(),
-            ServerMsg::RunRestarting { run, restarts, backoff_ms } => obj(vec![
+            ServerMsg::RunRestarting { run, restarts, backoff_ms } => Value::obj([
                 ("type", Value::Str("run-restart".into())),
                 ("run", Value::Str(run.clone())),
-                ("restarts", num(*restarts)),
-                ("backoff_ms", num(*backoff_ms)),
+                ("restarts", Value::Int(*restarts)),
+                ("backoff_ms", Value::Int(*backoff_ms)),
             ])
             .to_compact(),
-            ServerMsg::Pong => obj(vec![("type", Value::Str("pong".into()))]).to_compact(),
+            ServerMsg::Pong => Value::obj([("type", Value::Str("pong".into()))]).to_compact(),
         }
     }
 
     /// Decodes one line.
     pub fn decode(line: &str) -> Result<ServerMsg, String> {
         let v = digs_json::parse(line).map_err(|e| e.to_string())?;
-        let ty = str_field(&v, "type")?;
-        match ty.as_str() {
+        match v.str("type")? {
             "hello-ack" => Ok(ServerMsg::HelloAck {
-                version: u64_field(&v, "version")?,
-                server: str_field(&v, "server").unwrap_or_default(),
+                version: v.uint("version")?,
+                server: v.opt_str("server")?.unwrap_or_default().to_string(),
             }),
             "ok" => Ok(ServerMsg::Ok),
             "error" => Ok(ServerMsg::Error {
-                code: ErrorCode::parse(&str_field(&v, "code")?)?,
-                message: str_field(&v, "message").unwrap_or_default(),
+                code: ErrorCode::parse(v.str("code")?)?,
+                message: v.opt_str("message")?.unwrap_or_default().to_string(),
             }),
             "runs" => {
-                let rows = v.field("runs").and_then(Value::as_arr).ok_or("runs needs a list")?;
-                let runs = rows
+                let runs = v
+                    .arr("runs")?
                     .iter()
                     .map(|r| {
                         Ok(RunInfo {
-                            name: str_field(r, "name")?,
-                            kind: str_field(r, "kind")?,
-                            state: RunState::parse(&str_field(r, "state")?)?,
-                            asn: u64_field(r, "asn")?,
-                            subscribers: u64_field(r, "subscribers")?,
-                            restarts: u64_field(r, "restarts").unwrap_or(0),
-                            uptime_secs: u64_field(r, "uptime_secs").unwrap_or(0),
-                            drops: u64_field(r, "drops").unwrap_or(0),
+                            name: r.str("name")?.to_string(),
+                            kind: r.str("kind")?.to_string(),
+                            state: RunState::parse(r.str("state")?)?,
+                            asn: r.uint("asn")?,
+                            subscribers: r.uint("subscribers")?,
+                            restarts: r.opt_uint("restarts")?.unwrap_or(0),
+                            uptime_secs: r.opt_uint("uptime_secs")?.unwrap_or(0),
+                            drops: r.opt_uint("drops")?.unwrap_or(0),
                         })
                     })
                     .collect::<Result<Vec<_>, String>>()?;
@@ -595,36 +590,25 @@ impl ServerMsg {
             }
             "event" => Ok(ServerMsg::Event(EventFrame::decode(line)?)),
             "heartbeat" => Ok(ServerMsg::Heartbeat {
-                run: str_field(&v, "run")?,
-                asn: u64_field(&v, "asn")?,
-                sent: u64_field(&v, "sent")?,
-                dropped: u64_field(&v, "dropped")?,
+                run: v.str("run")?.to_string(),
+                asn: v.uint("asn")?,
+                sent: v.uint("sent")?,
+                dropped: v.uint("dropped")?,
             }),
             "run-state" => Ok(ServerMsg::RunEnded {
-                run: str_field(&v, "run")?,
-                state: RunState::parse(&str_field(&v, "state")?)?,
-                asn: u64_field(&v, "asn")?,
+                run: v.str("run")?.to_string(),
+                state: RunState::parse(v.str("state")?)?,
+                asn: v.uint("asn")?,
             }),
             "run-restart" => Ok(ServerMsg::RunRestarting {
-                run: str_field(&v, "run")?,
-                restarts: u64_field(&v, "restarts")?,
-                backoff_ms: u64_field(&v, "backoff_ms")?,
+                run: v.str("run")?.to_string(),
+                restarts: v.uint("restarts")?,
+                backoff_ms: v.uint("backoff_ms")?,
             }),
             "pong" => Ok(ServerMsg::Pong),
             other => Err(format!("unknown server message type `{other}`")),
         }
     }
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.field(key)
-        .and_then(Value::as_str)
-        .map(ToString::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.field(key).and_then(Value::as_u64).ok_or_else(|| format!("missing integer field `{key}`"))
 }
 
 fn decode_filter(v: &Value) -> Result<Filter, String> {
@@ -640,16 +624,9 @@ fn decode_filter(v: &Value) -> Result<Filter, String> {
     };
     let nodes = match v.field("nodes") {
         None | Some(Value::Null) => None,
-        Some(Value::Arr(items)) => Some(
-            items
-                .iter()
-                .map(|n| {
-                    n.as_u64()
-                        .and_then(|n| u16::try_from(n).ok())
-                        .ok_or_else(|| "nodes must be u16".to_string())
-                })
-                .collect::<Result<BTreeSet<_>, _>>()?,
-        ),
+        Some(Value::Arr(items)) => {
+            Some(items.iter().map(|n| n.to_uint("nodes[]")).collect::<Result<BTreeSet<u16>, _>>()?)
+        }
         Some(_) => return Err("nodes must be a list or null".into()),
     };
     Ok(Filter { kinds, nodes })
@@ -685,6 +662,53 @@ mod tests {
         assert_eq!(back, frame);
         assert_eq!(back.payload, payload, "payload bytes must be untouched");
         assert_eq!(back.seq, 41);
+    }
+
+    #[test]
+    fn event_frame_refuses_what_it_cannot_slice_or_hold() {
+        let ok = r#"{"type":"event","run":"r","kind":"trace","node":65535,"seq":1,"payload":{}}"#;
+        assert_eq!(EventFrame::decode(ok).expect("decodes").node, Some(u16::MAX));
+        // Node 70000 used to arrive as 4464.
+        let err = EventFrame::decode(&ok.replace("65535", "70000")).unwrap_err();
+        assert!(err.contains("node") && err.contains("70000"), "{err}");
+        // A nested `payload` key ahead of the real one would be sliced instead.
+        let nested = r#"{"run":"r","kind":"trace","seq":1,"x":{"a":1,"payload":2},"payload":3}"#;
+        assert!(EventFrame::decode(nested).is_err());
+        assert!(EventFrame::decode(r#"{"run":"r","kind":"trace","seq":1}"#).is_err());
+    }
+
+    #[test]
+    fn counters_and_cursors_are_exact_over_the_whole_u64_range() {
+        let beat =
+            ServerMsg::Heartbeat { run: "r".into(), asn: u64::MAX, sent: u64::MAX - 1, dropped: 3 };
+        assert!(beat.encode().contains("18446744073709551615"), "{}", beat.encode());
+        assert_eq!(ServerMsg::decode(&beat.encode()), Ok(beat));
+        let sub = ClientMsg::Subscribe {
+            run: "r".into(),
+            filter: Filter::default(),
+            from_seq: Some((1 << 53) + 1),
+        };
+        assert_eq!(ClientMsg::decode(&sub.encode()), Ok(sub));
+        let frame = EventFrame {
+            run: "r".into(),
+            kind: FrameKind::Meta,
+            node: None,
+            seq: u64::MAX,
+            payload: "{}".into(),
+        };
+        assert_eq!(EventFrame::decode(&frame.encode()), Ok(frame));
+    }
+
+    #[test]
+    fn out_of_range_and_ill_typed_fields_are_errors() {
+        let nodes = r#"{"type":"subscribe","run":"r","nodes":[70000]}"#;
+        assert!(ClientMsg::decode(nodes).unwrap_err().contains("70000"));
+        let cursor = r#"{"type":"subscribe","run":"r","from_seq":-1}"#;
+        assert!(ClientMsg::decode(cursor).unwrap_err().contains("from_seq"));
+        let version = r#"{"type":"hello","version":1.5}"#;
+        assert!(ClientMsg::decode(version).unwrap_err().contains("version"));
+        let beat = r#"{"type":"heartbeat","run":"r","asn":1e30,"sent":0,"dropped":0}"#;
+        assert!(ServerMsg::decode(beat).unwrap_err().contains("asn"));
     }
 
     #[test]

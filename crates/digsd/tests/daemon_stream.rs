@@ -61,6 +61,44 @@ fn version_mismatch_is_rejected_before_anything_else() {
     ok.ping().expect("ping");
 }
 
+/// Sends raw bytes on a fresh connection and returns everything the daemon
+/// answers until it closes.
+fn raw_exchange(addr: &str, bytes: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    stream.write_all(bytes).expect("send");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("the daemon answers, then closes");
+    reply
+}
+
+#[test]
+fn hostile_first_lines_get_one_error_frame_and_the_daemon_lives() {
+    let addr = start_daemon(DaemonConfig::default());
+    // Before the hello: a nesting bomb (used to overflow the connection
+    // thread's stack and abort the process), and 2 MiB with no newline
+    // (used to grow the line buffer without limit).
+    let bomb = "[".repeat(100_000) + "\n";
+    for hostile in [bomb.into_bytes(), vec![b'x'; 2 << 20]] {
+        let reply = raw_exchange(&addr, &hostile);
+        assert_eq!(reply.lines().count(), 1, "exactly one frame: {reply}");
+        assert!(reply.contains("\"code\":\"bad-request\""), "{reply}");
+    }
+    // After the hello an over-long line also ends the connection.
+    let hello =
+        digs_digsd::ClientMsg::Hello { version: digs_digsd::WIRE_VERSION, client: "t".into() }
+            .encode();
+    let mut session = (hello + "\n").into_bytes();
+    session.resize(session.len() + (1 << 20) + 1, b'y');
+    let reply = raw_exchange(&addr, &session);
+    assert_eq!(reply.lines().count(), 2, "hello-ack, then one error: {reply}");
+    assert!(reply.lines().nth(1).expect("error").contains("\"code\":\"bad-request\""));
+    // The same daemon still serves a fresh client.
+    let mut client = Client::connect(&addr, "after").expect("connect");
+    assert!(client.list().expect("list").is_empty());
+}
+
 #[test]
 fn streamed_jsonl_is_byte_identical_to_file_export() {
     // Caps sized so neither the trace ring nor the telemetry sampler

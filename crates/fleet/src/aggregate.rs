@@ -277,31 +277,31 @@ impl FleetReport {
         let breaches = self.breaches(policy);
         let q = |p: f64| Value::opt(self.latency.quantile(p));
         Value::Obj(vec![
-            ("networks".into(), Value::num(self.networks as f64)),
-            ("nodes".into(), Value::num(self.nodes as f64)),
-            ("secs".into(), Value::num(self.secs as f64)),
-            ("generated".into(), Value::num(self.generated as f64)),
-            ("delivered".into(), Value::num(self.delivered as f64)),
+            ("networks".into(), Value::Int(self.networks)),
+            ("nodes".into(), Value::Int(self.nodes)),
+            ("secs".into(), Value::Int(self.secs)),
+            ("generated".into(), Value::Int(self.generated)),
+            ("delivered".into(), Value::Int(self.delivered)),
             ("fleet_pdr".into(), Value::num(self.fleet_pdr)),
             ("mean_network_pdr".into(), Value::num(self.mean_network_pdr)),
             ("mean_fraction_joined".into(), Value::num(self.mean_fraction_joined)),
-            ("latency_samples".into(), Value::num(self.latency.count() as f64)),
+            ("latency_samples".into(), Value::Int(self.latency.count())),
             ("latency_p50_ms".into(), q(50.0)),
             ("latency_p99_ms".into(), q(99.0)),
-            ("alert_networks".into(), Value::num(self.alert_networks as f64)),
-            ("total_alerts".into(), Value::num(self.total_alerts as f64)),
+            ("alert_networks".into(), Value::Int(self.alert_networks)),
+            ("total_alerts".into(), Value::Int(self.total_alerts)),
             (
                 "alerts_by_rule".into(),
                 Value::Obj(
                     ALERT_RULES
                         .iter()
                         .zip(&self.alert_kind_totals)
-                        .map(|(rule, &n)| (rule.to_string(), Value::num(n as f64)))
+                        .map(|(rule, &n)| (rule.to_string(), Value::Int(n)))
                         .collect(),
                 ),
             ),
-            ("violation_networks".into(), Value::num(self.violation_networks as f64)),
-            ("total_violations".into(), Value::num(self.total_violations as f64)),
+            ("violation_networks".into(), Value::Int(self.violation_networks)),
+            ("total_violations".into(), Value::Int(self.total_violations)),
             (
                 "worst_networks".into(),
                 Value::Arr(
@@ -324,7 +324,7 @@ impl FleetReport {
                         .map(|(label, n)| {
                             Value::Obj(vec![
                                 ("label".into(), Value::Str(label.clone())),
-                                ("alerts".into(), Value::num(*n as f64)),
+                                ("alerts".into(), Value::Int(*n)),
                             ])
                         })
                         .collect(),
@@ -338,7 +338,7 @@ impl FleetReport {
                         .map(|(label, n)| {
                             Value::Obj(vec![
                                 ("label".into(), Value::Str(label.clone())),
-                                ("violations".into(), Value::num(*n as f64)),
+                                ("violations".into(), Value::Int(*n)),
                             ])
                         })
                         .collect(),
@@ -347,9 +347,9 @@ impl FleetReport {
             (
                 "degraded".into(),
                 Value::Obj(vec![
-                    ("skipped".into(), Value::num(self.skipped as f64)),
-                    ("retried".into(), Value::num(self.retried_count() as f64)),
-                    ("quarantined".into(), Value::num(self.quarantined_count() as f64)),
+                    ("skipped".into(), Value::Int(self.skipped)),
+                    ("retried".into(), Value::Int(self.retried_count())),
+                    ("quarantined".into(), Value::Int(self.quarantined_count())),
                     (
                         "runs".into(),
                         Value::Arr(
@@ -359,7 +359,7 @@ impl FleetReport {
                                     Value::Obj(vec![
                                         ("label".into(), Value::Str(d.label.clone())),
                                         ("reason".into(), Value::Str(d.reason.clone())),
-                                        ("attempts".into(), Value::num(f64::from(d.attempts))),
+                                        ("attempts".into(), Value::Int(u64::from(d.attempts))),
                                         ("quarantined".into(), Value::Bool(d.quarantined)),
                                     ])
                                 })

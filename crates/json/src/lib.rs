@@ -1,30 +1,47 @@
-//! Minimal deterministic JSON: writer and reader for the conformance
-//! harness's canonical records and golden files, and for the fleet's
-//! SLO reports.
+//! The tree's one JSON codec: lexer, string escaper, number rules and
+//! typed field access.
 //!
-//! The tree has no `serde` (a registry crate cannot be relied on in every
-//! build environment), and determinism is a hard requirement here: the
-//! same `RunMetrics` or fleet report must serialize to the same bytes on
-//! every run, which is what the double-run conformance test pins down. So,
-//! like `digs-trace`'s JSONL module, this is a tiny hand-rolled
-//! implementation with a fixed field order (objects
-//! preserve insertion order) and shortest-round-trip float formatting
-//! (Rust's `{}` for `f64`, which is deterministic across platforms).
+//! Every JSON seam — trace JSONL, telemetry epochs, the digsd wire and
+//! journal, canonical `RunMetrics` records, goldens, fleet reports — reads
+//! through [`parse`] and writes through [`Value`] or, for the per-event
+//! writers that format straight into a `String`, through [`write_string`].
+//! Nothing outside this crate knows JSON syntax.
+//!
+//! Determinism is the hard requirement ("same spec + seed = same bytes"),
+//! so the rules are few and fixed: objects keep insertion order;
+//! non-negative integers are exact over the whole `u64` range
+//! ([`Value::Int`], written as their digits); every other number is an
+//! `f64` written with Rust's shortest-round-trip `{}`; one escape table;
+//! nesting is refused past [`MAX_DEPTH`]. There is no `serde` — a registry
+//! crate cannot be relied on in every build environment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use core::fmt;
 
+/// Deepest array/object nesting [`parse`] accepts. The deepest document the
+/// tree writes (a fleet report) nests 5 levels; 64 leaves room and keeps the
+/// recursive reader within a few KiB of stack on any thread.
+pub const MAX_DEPTH: usize = 64;
+
 /// A JSON value. Objects preserve insertion order so encoding is
 /// deterministic and diffs stay readable.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is numeric: `Int(3) == Num(3.0)`, so a value compares equal to
+/// its own written-then-parsed form whichever variant built it.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// `null` — used for absent optional metrics (e.g. no repair event).
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any finite number. Integers are written without a decimal point.
+    /// A non-negative integer, exact over the whole `u64` range (seeds,
+    /// secrets, ASNs, sequence cursors). [`parse`] yields it for every
+    /// plain digit literal that fits.
+    Int(u64),
+    /// Any other finite number. Integers are written without a decimal
+    /// point.
     Num(f64),
     /// A string.
     Str(String),
@@ -32,6 +49,24 @@ pub enum Value {
     Arr(Vec<Value>),
     /// An object with insertion-ordered fields.
     Obj(Vec<(String, Value)>),
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Num(a), Value::Num(b)) => a == b,
+            (Value::Int(i), n @ Value::Num(_)) | (n @ Value::Num(_), Value::Int(i)) => {
+                n.as_u64() == Some(*i)
+            }
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Arr(a), Value::Arr(b)) => a == b,
+            (Value::Obj(a), Value::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Value {
@@ -52,6 +87,16 @@ impl Value {
         x.map_or(Value::Null, Value::num)
     }
 
+    /// Builds an exact integer from an optional one (absent → `null`).
+    pub fn opt_int(x: Option<u64>) -> Value {
+        x.map_or(Value::Null, Value::Int)
+    }
+
+    /// Builds an object from `(key, value)` pairs, in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
     /// Looks up an object field.
     pub fn field(&self, key: &str) -> Option<&Value> {
         match self {
@@ -63,6 +108,7 @@ impl Value {
     /// The value as a finite float, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -71,7 +117,9 @@ impl Value {
     /// The value as a non-negative integer, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Int(n) => Some(*n),
+            // 2^64 itself is out: `as` would saturate it to `u64::MAX`.
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 18_446_744_073_709_551_616.0 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -91,6 +139,68 @@ impl Value {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// The value as a non-negative integer that fits `T`; the error names
+    /// `what` (a field key, or `key[i]` for a list element).
+    pub fn to_uint<T: TryFrom<u64>>(&self, what: &str) -> Result<T, String> {
+        let n = self.as_u64().ok_or_else(|| format!("`{what}` is not a non-negative integer"))?;
+        T::try_from(n).map_err(|_| {
+            format!("`{what}`: {n} is out of range for {}", std::any::type_name::<T>())
+        })
+    }
+
+    /// A required object field.
+    pub fn req(&self, key: &str) -> Result<&Value, String> {
+        self.field(key).ok_or_else(|| format!("missing field `{key}`"))
+    }
+
+    /// An optional object field: absent and `null` are both `None`.
+    pub fn present(&self, key: &str) -> Option<&Value> {
+        self.field(key).filter(|v| !matches!(v, Value::Null))
+    }
+
+    /// A required non-negative integer field, range-checked into `T`.
+    pub fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.req(key)?.to_uint(key)
+    }
+
+    /// An optional non-negative integer field, range-checked into `T`.
+    pub fn opt_uint<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
+        self.present(key).map(|v| v.to_uint(key)).transpose()
+    }
+
+    /// A required number field.
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.req(key)?.as_f64().ok_or_else(|| format!("`{key}` is not a number"))
+    }
+
+    /// An optional number field.
+    pub fn opt_f64(&self, key: &str) -> Result<Option<f64>, String> {
+        self.present(key).map(|_| self.f64(key)).transpose()
+    }
+
+    /// A required string field.
+    pub fn str(&self, key: &str) -> Result<&str, String> {
+        self.req(key)?.as_str().ok_or_else(|| format!("`{key}` is not a string"))
+    }
+
+    /// An optional string field.
+    pub fn opt_str(&self, key: &str) -> Result<Option<&str>, String> {
+        self.present(key).map(|_| self.str(key)).transpose()
+    }
+
+    /// A required array field.
+    pub fn arr(&self, key: &str) -> Result<&[Value], String> {
+        self.req(key)?.as_arr().ok_or_else(|| format!("`{key}` is not a list"))
+    }
+
+    /// A required boolean field.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        match self.req(key)? {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(format!("`{key}` is not a boolean")),
         }
     }
 
@@ -114,6 +224,9 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Value::Num(n) => write_num(out, *n),
             Value::Str(s) => write_string(out, s),
             Value::Arr(items) => {
@@ -133,7 +246,7 @@ impl Value {
                         out.push(',');
                     }
                     write_string(out, k);
-                    let _ = write!(out, ":");
+                    out.push(':');
                     v.write(out);
                 }
                 out.push('}');
@@ -187,7 +300,10 @@ fn write_num(out: &mut String, n: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string — the one escape table: `"`, `\\`,
+/// `\n`, `\r`, `\t` by name, other control characters as `\u00XX`,
+/// everything else verbatim.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -224,8 +340,10 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
+/// Input from outside the program is safe to hand in: every failure is an
+/// `Err`, and nesting past [`MAX_DEPTH`] is refused before it costs stack.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut r = Reader { bytes: text.as_bytes(), pos: 0 };
+    let mut r = Reader { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let value = r.value()?;
     r.skip_ws();
     if r.pos != r.bytes.len() {
@@ -237,6 +355,7 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -271,8 +390,15 @@ impl<'a> Reader<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -422,6 +548,11 @@ impl<'a> Reader<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|e| self.err(e.to_string()))?;
+        // Plain digits that fit stay exact (`text` starts with a digit or
+        // `-`, so this accepts nothing else); the rest is a float.
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
         let n: f64 = text.parse().map_err(|_| self.err(format!("bad number \"{text}\"")))?;
         if !n.is_finite() {
             return Err(self.err(format!("non-finite number \"{text}\"")));
@@ -434,13 +565,9 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
-    fn obj(fields: &[(&str, Value)]) -> Value {
-        Value::Obj(fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect())
-    }
-
     #[test]
     fn round_trips_every_value_kind() {
-        let v = obj(&[
+        let v = Value::obj([
             ("null", Value::Null),
             ("flag", Value::Bool(true)),
             ("int", Value::Num(42.0)),
@@ -448,7 +575,7 @@ mod tests {
             ("float", Value::Num(0.8437)),
             ("text", Value::Str("a \"quoted\" s\\ash\nline".into())),
             ("arr", Value::Arr(vec![Value::Num(1.0), Value::Null, Value::Bool(false)])),
-            ("nested", obj(&[("k", Value::Num(1.5))])),
+            ("nested", Value::obj([("k", Value::Num(1.5))])),
         ]);
         for text in [v.to_compact(), v.to_pretty()] {
             assert_eq!(parse(&text).expect("parse back"), v, "from: {text}");
@@ -472,7 +599,7 @@ mod tests {
 
     #[test]
     fn field_order_is_preserved() {
-        let v = obj(&[("z", Value::Num(1.0)), ("a", Value::Num(2.0))]);
+        let v = Value::obj([("z", Value::Num(1.0)), ("a", Value::Num(2.0))]);
         assert_eq!(v.to_compact(), "{\"z\":1,\"a\":2}");
         let back = parse(&v.to_compact()).unwrap();
         assert_eq!(back.to_compact(), v.to_compact());
@@ -480,14 +607,14 @@ mod tests {
 
     #[test]
     fn serialization_is_deterministic() {
-        let v = obj(&[("pdr", Value::Num(0.9871234567)), ("lat", Value::Num(1430.5))]);
+        let v = Value::obj([("pdr", Value::Num(0.9871234567)), ("lat", Value::Num(1430.5))]);
         assert_eq!(v.to_compact(), v.to_compact());
         assert_eq!(parse(&v.to_compact()).unwrap().to_compact(), v.to_compact());
     }
 
     #[test]
     fn accessors() {
-        let v = obj(&[("n", Value::Num(3.0)), ("s", Value::Str("x".into()))]);
+        let v = Value::obj([("n", Value::Num(3.0)), ("s", Value::Str("x".into()))]);
         assert_eq!(v.field("n").and_then(Value::as_u64), Some(3));
         assert_eq!(v.field("n").and_then(Value::as_f64), Some(3.0));
         assert_eq!(v.field("s").and_then(Value::as_str), Some("x"));
@@ -503,6 +630,79 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("[1 2]").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn integers_are_exact_over_the_whole_u64_range() {
+        for n in [0, 1, (1 << 53) + 1, 0xdead_beef_cafe_f00d, u64::MAX] {
+            let text = Value::Int(n).to_compact();
+            assert_eq!(text, n.to_string());
+            let back = parse(&text).unwrap();
+            assert!(matches!(back, Value::Int(m) if m == n), "{back:?}");
+            assert_eq!(back.as_u64(), Some(n));
+        }
+        // One past u64::MAX is a float, and no longer an integer we can hold.
+        let big = parse("18446744073709551616").unwrap();
+        assert!(matches!(big, Value::Num(_)));
+        assert_eq!(big.as_u64(), None);
+        assert_eq!(Value::opt_int(None), Value::Null);
+    }
+
+    #[test]
+    fn equality_is_numeric_across_int_and_num() {
+        assert_eq!(Value::Int(42), Value::Num(42.0));
+        assert_eq!(Value::Num(0.0), Value::Int(0));
+        assert_ne!(Value::Int(42), Value::Num(42.5));
+        assert_ne!(Value::Int((1 << 53) + 1), Value::Num((1u64 << 53) as f64));
+        assert_eq!(Value::Int(7).as_f64(), Some(7.0));
+        // A value built either way equals its written-then-parsed form.
+        let v = Value::obj([("a", Value::Num(3.0)), ("b", Value::Int(3))]);
+        assert_eq!(parse(&v.to_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn keyed_accessors_check_type_and_range_and_name_the_field() {
+        let v = parse(r#"{"node":70000,"seq":7,"s":"x","f":1.5,"b":true,"nil":null}"#).unwrap();
+        assert_eq!(v.uint::<u64>("node"), Ok(70000));
+        assert_eq!(v.uint::<u32>("node"), Ok(70000));
+        let err = v.uint::<u16>("node").unwrap_err();
+        assert!(err.contains("node") && err.contains("70000") && err.contains("u16"), "{err}");
+        assert!(v.uint::<u64>("missing").unwrap_err().contains("missing"));
+        assert!(v.uint::<u64>("f").unwrap_err().contains("`f`"));
+        assert_eq!(v.opt_uint::<u16>("seq"), Ok(Some(7)));
+        assert_eq!(v.opt_uint::<u16>("missing"), Ok(None));
+        assert_eq!(v.opt_uint::<u16>("nil"), Ok(None));
+        assert!(v.opt_uint::<u16>("node").is_err());
+        assert!(v.opt_uint::<u16>("s").is_err());
+        assert_eq!(v.str("s"), Ok("x"));
+        assert!(v.str("seq").unwrap_err().contains("seq"));
+        assert_eq!(v.opt_str("nil"), Ok(None));
+        assert_eq!(v.f64("f"), Ok(1.5));
+        assert_eq!(v.f64("seq"), Ok(7.0));
+        assert_eq!(v.opt_f64("nil"), Ok(None));
+        assert!(v.opt_f64("s").is_err());
+        assert!(v.arr("s").unwrap_err().contains("`s`"));
+        assert_eq!(v.bool("b"), Ok(true));
+        assert!(v.bool("seq").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // The 2 MiB stack a digsd connection thread gets.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                assert!(parse(&"[".repeat(100_000)).is_err());
+                assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+                assert!(parse(&("[{\"a\":".repeat(50_000) + "1")).is_err());
+            })
+            .expect("spawn")
+            .join()
+            .expect("the reader must return, not overflow the stack");
     }
 
     #[test]

@@ -15,6 +15,11 @@ pub struct SeedSpec {
     seeds: Vec<u64>,
 }
 
+/// Largest sweep [`SeedSpec::parse`] accepts: far above any the gate or the
+/// figures run (tens), so a typo like `1-99999999999` is an error, not an
+/// allocation.
+const MAX_SEEDS: u64 = 100_000;
+
 /// Error from [`SeedSpec::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeedSpecError(String);
@@ -38,7 +43,8 @@ impl SeedSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SeedSpecError`] on empty, unparsable, or inverted input.
+    /// Returns [`SeedSpecError`] on empty, unparsable, or inverted input,
+    /// and on a count or range of zero or more than 100 000 seeds.
     pub fn parse(spec: &str) -> Result<SeedSpec, SeedSpecError> {
         let spec = spec.trim();
         let err = || SeedSpecError(spec.to_string());
@@ -58,12 +64,15 @@ impl SeedSpec {
         if let Some((lo, hi)) = spec.split_once('-') {
             let lo: u64 = lo.trim().parse().map_err(|_| err())?;
             let hi: u64 = hi.trim().parse().map_err(|_| err())?;
-            if lo > hi {
+            if lo > hi || hi - lo >= MAX_SEEDS {
                 return Err(err());
             }
             return Ok(SeedSpec { seeds: (lo..=hi).collect() });
         }
         let n: u64 = spec.parse().map_err(|_| err())?;
+        if n == 0 || n > MAX_SEEDS {
+            return Err(err());
+        }
         Ok(SeedSpec::first(n))
     }
 
@@ -85,10 +94,11 @@ impl SeedSpec {
 
 impl fmt::Display for SeedSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Print the densest form: a contiguous run as LO-HI, else a list.
-        let contiguous = self.seeds.windows(2).all(|w| w[1] == w[0] + 1);
+        // Print the densest form that parses back to the same sweep: a
+        // contiguous run as LO-HI (a lone `7` would read as 1-7), else a list.
+        let contiguous = self.seeds.windows(2).all(|w| w[1].checked_sub(w[0]) == Some(1));
         match (self.seeds.first(), self.seeds.last()) {
-            (Some(lo), Some(hi)) if contiguous && lo != hi => write!(f, "{lo}-{hi}"),
+            (Some(lo), Some(hi)) if contiguous => write!(f, "{lo}-{hi}"),
             _ => {
                 for (i, s) in self.seeds.iter().enumerate() {
                     if i > 0 {
@@ -124,14 +134,14 @@ mod tests {
 
     #[test]
     fn bad_specs_error() {
-        for bad in ["", "x", "5-2", "1..3", "-3", "1,,2"] {
+        for bad in ["", "x", "5-2", "1..3", "-3", "1,,2", "0", "100001", "0-18446744073709551615"] {
             assert!(SeedSpec::parse(bad).is_err(), "{bad} should be rejected");
         }
     }
 
     #[test]
     fn display_round_trips() {
-        for spec in ["1-8", "3-10", "9,2,5", "7"] {
+        for spec in ["1-8", "3-10", "9,2,5", "7", "4-4", "6,6", "18446744073709551615,0"] {
             let parsed = SeedSpec::parse(spec).unwrap();
             assert_eq!(SeedSpec::parse(&parsed.to_string()).unwrap(), parsed);
         }

@@ -1,14 +1,16 @@
 //! Deterministic JSONL (one JSON object per line) export and import.
 //!
-//! The encoder is hand-rolled with a fixed field order, so the same event
-//! stream always serializes to the same bytes — the property the
-//! determinism acceptance test pins down. The decoder is a tiny recursive
-//! JSON reader sufficient for the documents this module emits (objects,
-//! strings, unsigned integers, booleans).
+//! The encoder formats each event straight into the output `String` with a
+//! fixed field order (no value tree per event), so the same event stream
+//! always serializes to the same bytes — the property the determinism
+//! acceptance test pins down. It knows the events' field layout, not JSON
+//! syntax: strings go through [`digs_json::write_string`], and the decoder
+//! reads each line with [`digs_json::parse`] and its range-checked
+//! accessors (`seq`/`asn` are exact over the whole `u64` range).
 
 use crate::event::{DropReason, Event, EventKind, FaultKind, PacketId, TrafficClass};
 use core::fmt;
-use std::collections::BTreeMap;
+use digs_json::{write_string, Value};
 
 /// Error from [`from_jsonl`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,8 +57,11 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
         if line.is_empty() {
             continue;
         }
-        let value = parse_json(line).map_err(|message| ParseError { line: i + 1, message })?;
-        events.push(decode_event(&value).map_err(|message| ParseError { line: i + 1, message })?);
+        let event = digs_json::parse(line)
+            .map_err(|e| e.to_string())
+            .and_then(|value| decode_event(&value))
+            .map_err(|message| ParseError { line: i + 1, message })?;
+        events.push(event);
     }
     Ok(events)
 }
@@ -129,15 +134,15 @@ fn write_event(out: &mut String, event: &Event) {
         }
         EventKind::AuditViolation { kind, detail } => {
             out.push_str(",\"kind\":");
-            write_json_string(out, kind);
+            write_string(out, kind);
             out.push_str(",\"detail\":");
-            write_json_string(out, detail);
+            write_string(out, detail);
         }
         EventKind::HealthAlert { rule, detail } => {
             out.push_str(",\"rule\":");
-            write_json_string(out, rule);
+            write_string(out, rule);
             out.push_str(",\"detail\":");
-            write_json_string(out, detail);
+            write_string(out, detail);
         }
         EventKind::AttackPhase { jamming, targets, hit_rate_bp } => {
             let _ = write!(
@@ -174,331 +179,79 @@ fn write_opt_packet(out: &mut String, p: &Option<PacketId>) {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 // ---------------------------------------------------------------- decoding
 
-/// Minimal JSON value: only what [`to_jsonl`] emits.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Object(BTreeMap<String, Value>),
-    String(String),
-    Number(u64),
-    Bool(bool),
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(c) if c == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!("expected '{}', found {:?}", b as char, other.map(|c| c as char))),
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(c) if c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected token {:?}", other.map(|c| c as char))),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal, expected {text}"))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' in object, found {:?}",
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            s.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                other => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    if other < 0x80 {
-                        s.push(other as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let width = match other {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            _ => 4,
-                        };
-                        let chunk =
-                            self.bytes.get(start..start + width).ok_or("truncated UTF-8")?;
-                        s.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                        self.pos = start + width;
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<u64>().map(Value::Number).map_err(|e| e.to_string())
-    }
-}
-
-fn parse_json(line: &str) -> Result<Value, String> {
-    let mut reader = Reader { bytes: line.as_bytes(), pos: 0 };
-    let value = reader.value()?;
-    reader.skip_ws();
-    if reader.pos != reader.bytes.len() {
-        return Err("trailing characters after JSON value".into());
-    }
-    Ok(value)
-}
-
-impl Value {
-    fn field<'a>(&'a self, key: &str) -> Result<&'a Value, String> {
-        match self {
-            Value::Object(map) => map.get(key).ok_or_else(|| format!("missing field \"{key}\"")),
-            _ => Err("not an object".into()),
-        }
-    }
-
-    fn opt_field<'a>(&'a self, key: &str) -> Option<&'a Value> {
-        match self {
-            Value::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Value::Number(n) => Ok(*n),
-            _ => Err("expected number".into()),
-        }
-    }
-
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            Value::String(s) => Ok(s),
-            _ => Err("expected string".into()),
-        }
-    }
-
-    fn as_bool(&self) -> Result<bool, String> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            _ => Err("expected bool".into()),
-        }
-    }
-}
-
-fn num_u16(value: &Value, key: &str) -> Result<u16, String> {
-    let n = value.field(key)?.as_u64()?;
-    u16::try_from(n).map_err(|_| format!("\"{key}\" out of u16 range"))
-}
-
-fn opt_u16(value: &Value, key: &str) -> Result<Option<u16>, String> {
-    match value.opt_field(key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = v.as_u64()?;
-            u16::try_from(n).map(Some).map_err(|_| format!("\"{key}\" out of u16 range"))
-        }
-    }
-}
-
 fn packet_field(value: &Value) -> Result<PacketId, String> {
-    let p = value.field("packet")?;
-    Ok(PacketId {
-        flow: num_u16(p, "flow")?,
-        seq: u32::try_from(p.field("seq")?.as_u64()?).map_err(|_| "packet seq out of range")?,
-        origin: num_u16(p, "origin")?,
-    })
+    let p = value.req("packet")?;
+    Ok(PacketId { flow: p.uint("flow")?, seq: p.uint("seq")?, origin: p.uint("origin")? })
 }
 
 fn opt_packet_field(value: &Value) -> Result<Option<PacketId>, String> {
-    if value.opt_field("packet").is_none() {
-        return Ok(None);
-    }
-    packet_field(value).map(Some)
+    value.present("packet").map(|_| packet_field(value)).transpose()
 }
 
 fn class_field(value: &Value) -> Result<TrafficClass, String> {
-    let s = value.field("class")?.as_str()?;
+    let s = value.str("class")?;
     TrafficClass::parse(s).ok_or_else(|| format!("unknown traffic class \"{s}\""))
 }
 
 fn decode_event(value: &Value) -> Result<Event, String> {
-    let seq = value.field("seq")?.as_u64()?;
-    let asn = value.field("asn")?.as_u64()?;
-    let node = num_u16(value, "node")?;
-    let ev = value.field("ev")?.as_str()?;
+    let seq = value.uint("seq")?;
+    let asn = value.uint("asn")?;
+    let node = value.uint("node")?;
+    let ev = value.str("ev")?;
     let kind = match ev {
         "slot" => EventKind::SlotStart,
         "cca-defer" => EventKind::CcaDefer,
         "node-reset" => EventKind::NodeReset,
         "clock-desync" => EventKind::ClockDesync,
         "tx" => EventKind::Tx {
-            dst: opt_u16(value, "dst")?,
+            dst: value.opt_uint("dst")?,
             class: class_field(value)?,
-            channel: u8::try_from(value.field("channel")?.as_u64()?)
-                .map_err(|_| "channel out of range")?,
-            contention: value.field("contention")?.as_bool()?,
+            channel: value.uint("channel")?,
+            contention: value.bool("contention")?,
             packet: opt_packet_field(value)?,
         },
         "rx" => EventKind::Rx {
-            src: num_u16(value, "src")?,
+            src: value.uint("src")?,
             class: class_field(value)?,
             packet: opt_packet_field(value)?,
         },
-        "ack" => EventKind::Ack { dst: num_u16(value, "dst")?, packet: opt_packet_field(value)? },
+        "ack" => EventKind::Ack { dst: value.uint("dst")?, packet: opt_packet_field(value)? },
         "nack" => {
-            let s = value.field("reason")?.as_str()?;
+            let s = value.str("reason")?;
             EventKind::Nack {
-                dst: num_u16(value, "dst")?,
+                dst: value.uint("dst")?,
                 reason: DropReason::parse(s).ok_or_else(|| format!("unknown reason \"{s}\""))?,
                 packet: opt_packet_field(value)?,
             }
         }
-        "q-enq" => EventKind::QueueEnq {
-            packet: packet_field(value)?,
-            depth: u32::try_from(value.field("depth")?.as_u64()?)
-                .map_err(|_| "depth out of range")?,
-        },
-        "q-deq" => EventKind::QueueDeq {
-            packet: packet_field(value)?,
-            depth: u32::try_from(value.field("depth")?.as_u64()?)
-                .map_err(|_| "depth out of range")?,
-        },
+        "q-enq" => {
+            EventKind::QueueEnq { packet: packet_field(value)?, depth: value.uint("depth")? }
+        }
+        "q-deq" => {
+            EventKind::QueueDeq { packet: packet_field(value)?, depth: value.uint("depth")? }
+        }
         "q-overflow" => EventKind::QueueOverflow { packet: packet_field(value)? },
         "retry-drop" => EventKind::RetryDrop { packet: packet_field(value)? },
         "generated" => EventKind::Generated { packet: packet_field(value)? },
         "delivered" => EventKind::Delivered {
             packet: packet_field(value)?,
-            latency_slots: value.field("latency")?.as_u64()?,
+            latency_slots: value.uint("latency")?,
         },
         "parent-switch" => EventKind::ParentSwitch {
-            old_best: opt_u16(value, "old_best")?,
-            new_best: opt_u16(value, "new_best")?,
-            old_second: opt_u16(value, "old_second")?,
-            new_second: opt_u16(value, "new_second")?,
+            old_best: value.opt_uint("old_best")?,
+            new_best: value.opt_uint("new_best")?,
+            old_second: value.opt_uint("old_second")?,
+            new_second: value.opt_uint("new_second")?,
         },
         "rank-change" => {
-            EventKind::RankChange { old: opt_u16(value, "old")?, new: num_u16(value, "new")? }
+            EventKind::RankChange { old: value.opt_uint("old")?, new: value.uint("new")? }
         }
         "cell-alloc" | "cell-release" => {
-            let slot =
-                u32::try_from(value.field("slot")?.as_u64()?).map_err(|_| "slot out of range")?;
-            let offset = u8::try_from(value.field("offset")?.as_u64()?)
-                .map_err(|_| "offset out of range")?;
-            let child = num_u16(value, "child")?;
+            let slot = value.uint("slot")?;
+            let offset = value.uint("offset")?;
+            let child = value.uint("child")?;
             if ev == "cell-alloc" {
                 EventKind::CellAlloc { slot, offset, child }
             } else {
@@ -506,9 +259,9 @@ fn decode_event(value: &Value) -> Result<Event, String> {
             }
         }
         "fault-inject" | "fault-clear" => {
-            let s = value.field("fault")?.as_str()?;
+            let s = value.str("fault")?;
             let fault = FaultKind::parse(s).ok_or_else(|| format!("unknown fault kind \"{s}\""))?;
-            let peer = opt_u16(value, "peer")?;
+            let peer = value.opt_uint("peer")?;
             if ev == "fault-inject" {
                 EventKind::FaultInject { fault, peer }
             } else {
@@ -516,21 +269,19 @@ fn decode_event(value: &Value) -> Result<Event, String> {
             }
         }
         "audit-violation" => EventKind::AuditViolation {
-            kind: value.field("kind")?.as_str()?.to_owned(),
-            detail: value.field("detail")?.as_str()?.to_owned(),
+            kind: value.str("kind")?.to_owned(),
+            detail: value.str("detail")?.to_owned(),
         },
         "health-alert" => EventKind::HealthAlert {
-            rule: value.field("rule")?.as_str()?.to_owned(),
-            detail: value.field("detail")?.as_str()?.to_owned(),
+            rule: value.str("rule")?.to_owned(),
+            detail: value.str("detail")?.to_owned(),
         },
         "attack-phase" => EventKind::AttackPhase {
-            jamming: value.field("jamming")?.as_bool()?,
-            targets: u32::try_from(value.field("targets")?.as_u64()?)
-                .map_err(|_| "targets out of range")?,
-            hit_rate_bp: u32::try_from(value.field("hit_rate_bp")?.as_u64()?)
-                .map_err(|_| "hit_rate_bp out of range")?,
+            jamming: value.bool("jamming")?,
+            targets: value.uint("targets")?,
+            hit_rate_bp: value.uint("hit_rate_bp")?,
         },
-        "defense-epoch" => EventKind::DefenseEpoch { epoch: value.field("epoch")?.as_u64()? },
+        "defense-epoch" => EventKind::DefenseEpoch { epoch: value.uint("epoch")? },
         other => return Err(format!("unknown event name \"{other}\"")),
     };
     Ok(Event { seq, asn, node, kind })
