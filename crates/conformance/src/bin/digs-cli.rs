@@ -1092,10 +1092,12 @@ fn parse_epoch(payload: &str) -> Result<EpochRow, String> {
                 .iter()
                 .filter_map(|b| {
                     let pair = b.as_arr()?;
-                    Some((pair.first()?.as_u64()? as usize, pair.get(1)?.as_u64()?))
+                    let index = usize::try_from(pair.first()?.as_u64()?).ok()?;
+                    Some((index, pair.get(1)?.as_u64()?))
                 })
                 .collect();
-            let hist = digs_metrics::LogHistogram::from_sparse(&pairs, min, max);
+            let hist = digs_metrics::LogHistogram::from_sparse(&pairs, min, max)
+                .map_err(|e| format!("bad epoch frame: latency_ms: {e}"))?;
             p50 = hist.quantile(50.0);
             p99 = hist.quantile(99.0);
         }

@@ -8,10 +8,13 @@
 use digs_conformance::golden::Golden;
 use digs_conformance::RunMetrics;
 use digs_digsd::{
-    ClientMsg, EventFrame, Filter, FrameKind, Journal, Record, RunInfo, RunState, ServerMsg,
-    SingleSpec,
+    ClientMsg, EventFrame, Filter, FleetParams, FrameKind, Journal, Record, RunInfo, RunState,
+    ServerMsg, SingleSpec,
 };
+use digs_json::Value;
+use digs_metrics::LogHistogram;
 use digs_sim::seeds::SeedSpec;
+use digs_sim::time::SLOTS_PER_SECOND;
 use digs_trace::{Event, EventKind, PacketId, TrafficClass};
 use std::fmt::Debug;
 
@@ -49,6 +52,53 @@ fn round_trip<T: PartialEq + Debug, E: Debug>(
     }
 }
 
+/// A launch spec as the daemon decodes it. Every count of seconds it
+/// accepts must still fit the slot counter once the run multiplies it out.
+fn single_spec(input: &str) -> Result<SingleSpec, String> {
+    let spec = SingleSpec::from_json(&digs_json::parse(input).map_err(|e| e.to_string())?)?;
+    let (start, end) = spec.jam.unwrap_or_default();
+    for secs in [spec.secs, spec.adaptive_jam.unwrap_or(0), start, end] {
+        assert!(secs.checked_mul(SLOTS_PER_SECOND).is_some(), "{input:?}: {secs} s overflows");
+    }
+    Ok(spec)
+}
+
+fn fleet_params(input: &str) -> Result<FleetParams, String> {
+    let params = FleetParams::from_json(&digs_json::parse(input).map_err(|e| e.to_string())?)?;
+    assert!(params.secs.checked_mul(SLOTS_PER_SECOND).is_some(), "{input:?} overflows");
+    Ok(params)
+}
+
+/// A telemetry epoch's `latency_ms` object as the CLI dashboard rebuilds
+/// it: `{"min":…,"max":…,"buckets":[[index,count],…]}`.
+fn histogram(input: &str) -> Result<LogHistogram, String> {
+    let v = digs_json::parse(input).map_err(|e| e.to_string())?;
+    let pairs = v.arr("buckets")?.iter().map(|pair| match pair {
+        Value::Arr(pair) if pair.len() == 2 => {
+            Ok((pair[0].to_uint("index")?, pair[1].to_uint("count")?))
+        }
+        _ => Err("a bucket is an [index, count] pair".to_string()),
+    });
+    LogHistogram::from_sparse(
+        &pairs.collect::<Result<Vec<_>, _>>()?,
+        v.uint("min")?,
+        v.uint("max")?,
+    )
+}
+
+fn histogram_json(h: &LogHistogram) -> String {
+    let buckets = h
+        .sparse()
+        .into_iter()
+        .map(|(index, count)| Value::Arr(vec![Value::Int(index as u64), Value::Int(count)]));
+    Value::obj([
+        ("min", Value::Int(h.min().unwrap_or(0))),
+        ("max", Value::Int(h.max().unwrap_or(0))),
+        ("buckets", Value::Arr(buckets.collect())),
+    ])
+    .to_compact()
+}
+
 /// One input through every decoder.
 fn feed(input: &str) {
     round_trip("json", input, digs_json::parse, |v| v.to_compact());
@@ -61,6 +111,9 @@ fn feed(input: &str) {
     round_trip("metrics", input, RunMetrics::from_line, RunMetrics::to_line);
     round_trip("golden", input, Golden::parse, Golden::to_pretty);
     round_trip("seeds", input, SeedSpec::parse, SeedSpec::to_string);
+    round_trip("single spec", input, single_spec, |spec| spec.to_json().to_compact());
+    round_trip("fleet params", input, fleet_params, |params| params.to_json().to_compact());
+    round_trip("histogram", input, histogram, histogram_json);
 }
 
 const METRICS_LINE: &str = r#"{"scenario":"fig04-05-jam4","protocol":"orchestra","seed":2,"secs":420,"pdr":0.9826388888888888,"worst_flow_pdr":0.9305555555555556,"median_latency_ms":2320,"worst_latency_ms":31260,"duty_cycle_percent":5.2728904,"power_per_packet_mw":0.2625899284474206,"energy_per_packet_mj":110.2877699479166,"repair_time_secs":80.05,"windowed_pdr_median":0.9916666666666667,"windowed_pdr_worst":0.9166666666666666,"fraction_joined":1,"mean_join_secs":16.2244,"parent_changes":82,"retry_drops":1,"queue_drops":0,"audit_violations":0,"telemetry_epochs":null,"health_alerts":3,"epoch_pdr_min":null}"#;
@@ -158,6 +211,17 @@ fn corpus() -> Vec<String> {
         "1-3".into(),
         "8".into(),
         "1,4,9".into(),
+        spec.to_json().to_compact(),
+        // Seconds at and past the last count whose slots fit a `u64`.
+        r#"{"kind":"single","secs":184467440737095516,"adaptive_jam":184467440737095516,"jam":[184467440737095515,184467440737095516]}"#.into(),
+        r#"{"kind":"single","secs":18446744073709551615,"jam":[184467440737095517,18446744073709551615]}"#.into(),
+        FleetParams { secs: 150, jobs: Some(2), ..FleetParams::default() }.to_json().to_compact(),
+        r#"{"kind":"fleet","networks":1,"secs":18446744073709551615}"#.into(),
+        // A histogram, then one whose index would size a 2^61-entry table
+        // and one whose counts overflow.
+        r#"{"min":3,"max":90210,"buckets":[[3,2],[40,1],[110,7]]}"#.into(),
+        r#"{"min":0,"max":9,"buckets":[[2305843009213693952,1],[495,1]]}"#.into(),
+        r#"{"min":3,"max":3,"buckets":[[3,18446744073709551615],[3,1],[496,1]]}"#.into(),
     ]
 }
 

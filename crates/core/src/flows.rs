@@ -30,6 +30,13 @@ impl FlowSpec {
         asn.0 >= self.phase && (asn.0 - self.phase).is_multiple_of(self.period)
     }
 
+    /// The first slot at or after `from` in which the source generates a
+    /// packet.
+    pub fn next_generation(&self, from: Asn) -> Asn {
+        let since_phase = from.0.saturating_sub(self.phase);
+        Asn(self.phase + since_phase.div_ceil(self.period) * self.period)
+    }
+
     /// How many packets the flow generates in `[0, end)`.
     pub fn packets_by(&self, end: Asn) -> u32 {
         if end.0 <= self.phase {
@@ -97,6 +104,29 @@ mod tests {
         assert!(f.generates_at(Asn(100)));
         assert!(!f.generates_at(Asn(101)));
         assert!(f.generates_at(Asn(600)));
+    }
+
+    #[test]
+    fn closed_form_next_generation_agrees_with_generates_at() {
+        // A deterministic stream of draws (`proptest` is not always at hand).
+        let mut draws = 0u64;
+        let mut below = |n: u64| {
+            draws += 1;
+            rng::mix(0xf10e, draws, 0, 0) % n
+        };
+        for _ in 0..500 {
+            let period = 1 + below(400);
+            let f = FlowSpec { id: FlowId(0), source: NodeId(5), period, phase: below(900) };
+            let from = below(2_000);
+            let brute = (from..).find(|a| f.generates_at(Asn(*a))).map(Asn);
+            assert_eq!(Some(f.next_generation(Asn(from))), brute, "{f:?} from {from}");
+        }
+        // At, just before and just after a generation slot.
+        let f = FlowSpec { id: FlowId(0), source: NodeId(5), period: 500, phase: 100 };
+        assert_eq!(f.next_generation(Asn(0)), Asn(100));
+        assert_eq!(f.next_generation(Asn(100)), Asn(100));
+        assert_eq!(f.next_generation(Asn(101)), Asn(600));
+        assert_eq!(f.next_generation(Asn(600)), Asn(600));
     }
 
     #[test]

@@ -106,6 +106,10 @@ pub struct Network {
     observer_cursor: u64,
     /// Set when the observer's `on_progress` asked the run to stop.
     observer_stopped: bool,
+    /// Drives the stacks through [`crate::stack::AskEverySlot`]: the
+    /// reference the wake-driven path is differentially tested against.
+    #[cfg(test)]
+    ask_every_slot: bool,
 }
 
 impl Network {
@@ -224,6 +228,8 @@ impl Network {
             observer: ObserverSlot(None),
             observer_cursor: 0,
             observer_stopped: false,
+            #[cfg(test)]
+            ask_every_slot: false,
         }
     }
 
@@ -315,10 +321,21 @@ impl Network {
         }
     }
 
+    /// Advances the engine by `slots` slots.
+    fn advance(&mut self, slots: u64) {
+        #[cfg(test)]
+        if self.ask_every_slot {
+            let mut asked: Vec<_> =
+                self.stacks.iter_mut().map(crate::stack::AskEverySlot).collect();
+            return self.engine.run(&mut asked, slots);
+        }
+        self.engine.run(&mut self.stacks, slots);
+    }
+
     fn run_inner(&mut self, slots: u64) {
         let every = self.telemetry.as_ref().map(|s| s.settings().epoch_slots);
         if every.is_none() && self.observer.0.is_none() {
-            self.engine.run(&mut self.stacks, slots);
+            self.advance(slots);
             return;
         }
         let end = self.engine.asn().0 + slots;
@@ -332,7 +349,7 @@ impl Network {
                 next =
                     next.min((now / Self::OBSERVER_FLUSH_SLOTS + 1) * Self::OBSERVER_FLUSH_SLOTS);
             }
-            self.engine.run(&mut self.stacks, next - now);
+            self.advance(next - now);
             if let Some(every) = every {
                 if self.engine.asn().0.is_multiple_of(every) {
                     let sampler = self.telemetry.as_mut().expect("checked above");
@@ -763,6 +780,9 @@ impl Network {
         }
     }
 }
+
+#[cfg(test)]
+mod wake_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,188 @@
+//! Differential oracle for wake-driven stepping (ROADMAP 4a): the same
+//! configuration is run twice, once as production runs it and once with
+//! every stack wrapped in [`crate::stack::AskEverySlot`], so that the
+//! engine asks every alive node in every slot the way it did before stacks
+//! named their wake slots. Whatever the harness can observe must agree
+//! after every chunk. Std only, deterministic, runs offline.
+
+use super::*;
+use crate::config::NetworkConfig;
+use digs_sim::fault::{ChaosConfig, ChaosPlan, Outage};
+use digs_sim::topology::Topology;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scenario {
+    Clean,
+    /// Reboots, desyncs, node and link outages, jammer bursts, and two
+    /// devices that die for good (their parents' child sweeps and their
+    /// neighbours' evictions come due 192 s later, inside the run).
+    Chaos,
+    /// Schedule randomization on (DiGS).
+    Randomized,
+    /// A new central schedule installed mid-run (WirelessHART).
+    Reprovisioned,
+}
+
+/// Which `Network` entry point advances the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Drive {
+    Run,
+    Audited,
+    Resume,
+}
+
+const SEEDS: [u64; 3] = [1, 7, 23];
+const RUN_SLOTS: u64 = 30_000;
+/// Odd sizes, so chunk edges fall inside slotframes, Trickle intervals and
+/// telemetry epochs; the rest of the run is the last chunk.
+const CHUNKS: [u64; 5] = [1, 2_999, 7_777, 64, 9_000];
+const DEAD_FROM_SECS: u64 = 45;
+
+struct Quiet;
+
+impl RunObserver for Quiet {}
+
+fn config(protocol: Protocol, scenario: Scenario, traced: bool, seed: u64) -> NetworkConfig {
+    let topology = Topology::testbed_a_half();
+    let mut builder = NetworkConfig::builder(topology.clone())
+        .protocol(protocol)
+        .seed(seed)
+        .random_flows(3, 700, seed)
+        .trace_cap(if traced { 400_000 } else { 0 })
+        .telemetry_epoch(1_000)
+        .telemetry_cap(4_096);
+    match scenario {
+        Scenario::Chaos => {
+            let chaos = ChaosConfig::harsh(Asn::from_secs(30), 150);
+            let (mut faults, jammers, _) =
+                ChaosPlan::generate(&chaos, &topology, seed).into_parts();
+            for victim in topology.field_devices().into_iter().skip(2).step_by(9).take(2) {
+                faults.push(Outage::permanent(victim, Asn::from_secs(DEAD_FROM_SECS)));
+            }
+            builder = jammers.into_iter().fold(builder.faults(faults), |b, j| b.jammer(j));
+        }
+        Scenario::Randomized => builder = builder.randomize(0x5ec2e7),
+        Scenario::Clean | Scenario::Reprovisioned => {}
+    }
+    let mut config = builder.build();
+    if scenario != Scenario::Randomized {
+        config.sched_randomize = Some(0);
+    }
+    config
+}
+
+/// A schedule for the same flows over a longer superframe, so every cell
+/// moves.
+fn new_schedule(network: &Network) -> digs_whart::CentralSchedule {
+    let config = network.config();
+    let db = digs_whart::LinkDb::from_link_model(network.engine().link_model());
+    let graph = digs_whart::build_uplink_graph(&db, &config.topology.access_points());
+    let sources: Vec<_> = config.flows.iter().map(|f| f.source).collect();
+    digs_whart::CentralSchedule::build(&graph, &sources, 811).expect("the flows still fit")
+}
+
+/// Everything observable about `wake` equals `every`; `cursor` is the
+/// trace sequence number compared so far.
+fn assert_same(what: &str, wake: &Network, every: &Network, cursor: &mut u64) {
+    let at = wake.asn();
+    assert_eq!(at, every.asn(), "{what}: slot clocks");
+    assert_eq!(wake.engine().stats(), every.engine().stats(), "{what} at {at}: engine stats");
+    assert_eq!(
+        wake.engine().energy_meters(),
+        every.engine().energy_meters(),
+        "{what} at {at}: energy meters"
+    );
+    assert_eq!(wake.engine().peek_rng(), every.engine().peek_rng(), "{what} at {at}: next draw");
+    assert_eq!(wake.results(), every.results(), "{what} at {at}: results");
+    assert_eq!(wake.violations(), every.violations(), "{what} at {at}: audit violations");
+    let (ours, theirs) = (wake.trace().events_since(*cursor), every.trace().events_since(*cursor));
+    assert_eq!(
+        digs_trace::to_jsonl(&ours),
+        digs_trace::to_jsonl(&theirs),
+        "{what} at {at}: trace JSONL from seq {cursor}"
+    );
+    *cursor += ours.len() as u64;
+    let telemetry = |n: &Network| crate::telemetry::to_jsonl(n.telemetry().expect("telemetry on"));
+    assert_eq!(telemetry(wake), telemetry(every), "{what} at {at}: telemetry JSONL");
+}
+
+fn differential(protocol: Protocol, scenario: Scenario, traced: bool, drive: Drive, seed: u64) {
+    let what = format!("{protocol:?}/{scenario:?}/traced={traced}/{drive:?}/seed {seed}");
+    let mut wake = Network::new(config(protocol, scenario, traced, seed));
+    let mut every = Network::new(config(protocol, scenario, traced, seed));
+    every.ask_every_slot = true;
+    if drive == Drive::Resume {
+        wake.set_observer(Box::new(Quiet));
+        every.set_observer(Box::new(Quiet));
+    }
+    let mut cursor = 0;
+    let last = RUN_SLOTS - CHUNKS.iter().sum::<u64>();
+    for (i, slots) in CHUNKS.into_iter().chain([last]).enumerate() {
+        if scenario == Scenario::Reprovisioned && i == 3 {
+            let schedule = new_schedule(&wake);
+            wake.reprovision_wirelesshart(&schedule);
+            every.reprovision_wirelesshart(&schedule);
+        }
+        for network in [&mut wake, &mut every] {
+            match drive {
+                Drive::Run => network.run(slots),
+                Drive::Audited => network.run_audited(slots, 100),
+                Drive::Resume => network.resume_to(network.asn().0 + slots),
+            }
+        }
+        assert_same(&what, &wake, &every, &mut cursor);
+    }
+    assert_eq!(wake.asn(), Asn(RUN_SLOTS));
+    if traced {
+        exercised(&what, protocol, scenario, &wake);
+    }
+}
+
+/// The runs are only a proof if the things the closed forms mirror really
+/// happened in them.
+fn exercised(what: &str, protocol: Protocol, scenario: Scenario, network: &Network) {
+    let events = network.trace().events();
+    let count = |name: &str| events.iter().filter(|e| e.kind.name() == name).count();
+    assert!(count("generated") > 0 && count("delivered") > 0, "{what}: no traffic");
+    if protocol != Protocol::WirelessHart {
+        // Formation: unsynchronised scanning, first join, Trickle resets.
+        assert!(count("parent-switch") > 0 && count("cell-alloc") > 0, "{what}: no formation");
+    }
+    if scenario == Scenario::Chaos {
+        assert!(count("node-reset") > 0 && count("clock-desync") > 0, "{what}: no chaos");
+        if protocol != Protocol::WirelessHart {
+            let swept = events
+                .iter()
+                .any(|e| e.kind.name() == "cell-release" && e.asn > (DEAD_FROM_SECS + 192) * 100);
+            assert!(swept, "{what}: no child was swept for silence");
+        }
+    }
+}
+
+/// Every (trace, drive) pair of one protocol and scenario, the three seeds
+/// spread over them.
+fn matrix(protocol: Protocol, scenarios: &[Scenario]) {
+    for &scenario in scenarios {
+        for traced in [false, true] {
+            for (k, drive) in [Drive::Run, Drive::Audited, Drive::Resume].into_iter().enumerate() {
+                let seed = SEEDS[(k + usize::from(traced)) % SEEDS.len()];
+                differential(protocol, scenario, traced, drive, seed);
+            }
+        }
+    }
+}
+
+#[test]
+fn digs_wake_driven_matches_ask_every_slot() {
+    matrix(Protocol::Digs, &[Scenario::Clean, Scenario::Chaos, Scenario::Randomized]);
+}
+
+#[test]
+fn orchestra_wake_driven_matches_ask_every_slot() {
+    matrix(Protocol::Orchestra, &[Scenario::Clean, Scenario::Chaos]);
+}
+
+#[test]
+fn wirelesshart_wake_driven_matches_ask_every_slot() {
+    matrix(Protocol::WirelessHart, &[Scenario::Clean, Scenario::Chaos, Scenario::Reprovisioned]);
+}

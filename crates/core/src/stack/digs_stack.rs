@@ -263,6 +263,11 @@ impl NodeStack for DigsStack {
         self.mac.cell_intent(cell)
     }
 
+    fn next_wake(&self, from: Asn) -> Asn {
+        self.mac
+            .next_wake(from, || self.routing.next_tick(from).min(self.scheduler.next_cell(from)))
+    }
+
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {
         let me = self.mac.core.id;
         match &frame.payload {

@@ -164,6 +164,14 @@ impl NodeStack for ProtocolStack {
         }
     }
 
+    fn next_wake(&self, from: Asn) -> Asn {
+        match self {
+            ProtocolStack::Digs(s) => s.next_wake(from),
+            ProtocolStack::Orchestra(s) => s.next_wake(from),
+            ProtocolStack::WirelessHart(s) => s.next_wake(from),
+        }
+    }
+
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {
         match self {
             ProtocolStack::Digs(s) => s.on_frame(asn, frame, rss),
@@ -194,6 +202,38 @@ impl NodeStack for ProtocolStack {
             ProtocolStack::Orchestra(s) => s.desync(asn),
             ProtocolStack::WirelessHart(s) => s.desync(asn),
         }
+    }
+}
+
+/// A stack driven the way the engine drove every stack before it had
+/// wake slots: everything is the wrapped stack's, except that `next_wake`
+/// keeps the trait's default and so asks for `slot_intent` in every slot.
+/// The reference of the wake-driven path's differential test.
+#[cfg(test)]
+pub(crate) struct AskEverySlot<'a>(pub &'a mut ProtocolStack);
+
+#[cfg(test)]
+impl NodeStack for AskEverySlot<'_> {
+    type Payload = Payload;
+
+    fn slot_intent(&mut self, asn: Asn) -> SlotIntent<Payload> {
+        self.0.slot_intent(asn)
+    }
+
+    fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {
+        self.0.on_frame(asn, frame, rss);
+    }
+
+    fn on_tx_outcome(&mut self, asn: Asn, outcome: TxOutcome) {
+        self.0.on_tx_outcome(asn, outcome);
+    }
+
+    fn reset(&mut self, asn: Asn) {
+        self.0.reset(asn);
+    }
+
+    fn desync(&mut self, asn: Asn) {
+        self.0.desync(asn);
     }
 }
 

@@ -185,6 +185,11 @@ impl NodeStack for OrchestraStack {
         }
     }
 
+    fn next_wake(&self, from: Asn) -> Asn {
+        self.mac
+            .next_wake(from, || self.routing.next_tick(from).min(self.scheduler.next_cell(from)))
+    }
+
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {
         match &frame.payload {
             Payload::Eb => self.mac.on_beacon(asn),

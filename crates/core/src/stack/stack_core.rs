@@ -109,6 +109,12 @@ impl StackCore {
         }
     }
 
+    /// The first slot at or after `from` in which [`Self::generate`]
+    /// generates a packet (`None`: the node sources no flow).
+    pub fn next_generation(&self, from: Asn) -> Option<Asn> {
+        self.flows.iter().map(|flow| flow.next_generation(from)).min()
+    }
+
     fn next_packet(&mut self, flow: FlowId, asn: Asn) -> DataPacket {
         let packet = DataPacket { flow, seq: self.seq_next, origin: self.id, generated_at: asn };
         self.seq_next += 1;
@@ -217,6 +223,9 @@ const MAX_ROUTING_RETRIES: u8 = 8;
 /// unregistered — long enough that a child whose routing broadcasts are
 /// paced at Imax is never evicted while alive.
 const CHILD_SILENCE_SLOTS: u64 = 19_200;
+
+/// How often the child table is swept for silent children, in slots.
+const CHILD_SWEEP_PERIOD: u64 = 64;
 
 /// The TSCH node DiGS and Orchestra both are underneath their routing and
 /// scheduling: one application queue, one routing queue, EB-acquired
@@ -360,6 +369,26 @@ impl TschMac {
         }
     }
 
+    /// The earliest slot at or after `from` at which the stack above must
+    /// be asked for its intent, given the earliest slot its routing layer
+    /// and its scheduler need (`protocol`, evaluated only when it counts).
+    /// An unsynchronised node scans in every slot; a synchronised one is
+    /// also due when a flow generates and at each child sweep.
+    #[inline]
+    pub fn next_wake(&self, from: Asn, protocol: impl FnOnce() -> Asn) -> Asn {
+        if self.synced_at.is_none() {
+            return from;
+        }
+        let mut wake = protocol();
+        if let Some(generation) = self.core.next_generation(from) {
+            wake = wake.min(generation);
+        }
+        if !self.child_last_seen.is_empty() {
+            wake = wake.min(Asn(from.0.next_multiple_of(CHILD_SWEEP_PERIOD)));
+        }
+        wake
+    }
+
     /// Queues a routing broadcast, replacing any queued one of its kind:
     /// only the freshest is worth sending.
     pub fn queue_broadcast(&mut self, payload: Payload) {
@@ -389,11 +418,12 @@ impl TschMac {
         self.child_last_seen.get(&child).copied()
     }
 
-    /// Every 64 slots, forgets and returns the children silent for longer
-    /// than [`CHILD_SILENCE_SLOTS`]; the caller releases their cells.
+    /// Every [`CHILD_SWEEP_PERIOD`] slots, forgets and returns the children
+    /// silent for longer than [`CHILD_SILENCE_SLOTS`]; the caller releases
+    /// their cells.
     #[inline]
     pub fn sweep_children(&mut self, asn: Asn) -> Vec<NodeId> {
-        if asn.0.is_multiple_of(64) && !self.child_last_seen.is_empty() {
+        if asn.0.is_multiple_of(CHILD_SWEEP_PERIOD) && !self.child_last_seen.is_empty() {
             self.sweep_children_now(asn)
         } else {
             Vec::new()

@@ -15,6 +15,7 @@ use super::{QueuedPacket, StackTelemetry};
 use crate::flows::FlowSpec;
 use crate::payload::Payload;
 use crate::queue::BoundedQueue;
+use digs_scheduling::slotframe::next_at;
 use digs_sim::engine::{NodeStack, SlotIntent, TxOutcome};
 use digs_sim::ids::{FlowId, NodeId};
 use digs_sim::packet::Frame;
@@ -155,6 +156,15 @@ impl NodeStack for WhartStack {
         }
     }
 
+    fn next_wake(&self, from: Asn) -> Asn {
+        // The next provisioned cell, wrapping into the next superframe; a
+        // node with no cell and no flow never wakes.
+        let slot = from.slotframe_offset(self.superframe_len);
+        let cell = self.cells.range(slot..).next().or_else(|| self.cells.first_key_value());
+        let cell = cell.map(|(slot, _)| next_at(from, self.superframe_len, *slot));
+        cell.into_iter().chain(self.core.next_generation(from)).min().unwrap_or(Asn(u64::MAX))
+    }
+
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, _rss: Dbm) {
         if let Payload::Data(packet) = &frame.payload {
             if self.core.is_unicast_to_me(frame) {
@@ -185,6 +195,49 @@ impl NodeStack for WhartStack {
     fn on_tx_outcome(&mut self, asn: Asn, outcome: TxOutcome) {
         if let Some(queue) = self.last_tx.take().and_then(|flow| self.queues.get_mut(&flow)) {
             self.core.settle_data(queue, outcome, MAX_DATA_ATTEMPTS, asn);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use digs_routing::graph::{GraphEntry, RoutingGraph};
+    use digs_routing::Rank;
+
+    /// Devices 2 → 3 → AP 0, with AP 1 as device 2's backup: over one
+    /// superframe, device 2 holds three cells, AP 1 one and device 4 none.
+    fn schedule(length: u32) -> CentralSchedule {
+        let mut graph = RoutingGraph::new([NodeId(0), NodeId(1)]);
+        let entry = |best, second, rank| GraphEntry { best: Some(best), second, rank: Rank(rank) };
+        graph.insert(NodeId(2), entry(NodeId(3), Some(NodeId(1)), 3));
+        graph.insert(NodeId(3), entry(NodeId(0), None, 2));
+        CentralSchedule::build(&graph, &[NodeId(2)], length).expect("one flow fits")
+    }
+
+    #[test]
+    fn closed_form_next_wake_wraps_the_superframe() {
+        for length in [7u32, 100, 811] {
+            let schedule = schedule(length);
+            for (id, cells, period) in
+                [(4u16, 0, None), (1, 1, None), (2, 3, Some(37)), (3, 4, None)]
+            {
+                let id = NodeId(id);
+                let flow =
+                    period.map(|p| FlowSpec { id: FlowId(0), source: id, period: p, phase: 5 });
+                let stack = WhartStack::new(id, id.0 < 2, &schedule, Vec::from_iter(flow), 4);
+                assert_eq!(stack.cell_count(), cells, "node {id:?}");
+                let due = |a: u64| {
+                    stack.cells.contains_key(&Asn(a).slotframe_offset(length))
+                        || flow.is_some_and(|f| f.generates_at(Asn(a)))
+                };
+                for from in 0..3 * u64::from(length) + 2 {
+                    // A node with no cell and no flow never wakes.
+                    let brute = (from..from + 2 * u64::from(length)).find(|a| due(*a));
+                    let expected = brute.map_or(Asn(u64::MAX), Asn);
+                    assert_eq!(stack.next_wake(Asn(from)), expected, "node {id:?} from {from}");
+                }
+            }
         }
     }
 }

@@ -216,16 +216,36 @@ impl SingleSpec {
             seed: v.opt_uint("seed")?.unwrap_or(d.seed),
             flows: v.opt_uint("flows")?.unwrap_or(d.flows),
             period_ms: v.opt_uint("period_ms")?.unwrap_or(d.period_ms),
-            secs: v.opt_uint("secs")?.unwrap_or(d.secs),
+            secs: opt_secs(v, "secs")?.unwrap_or(d.secs),
             jammers: v.opt_uint("jammers")?.unwrap_or(d.jammers),
-            adaptive_jam: v.opt_uint("adaptive_jam")?,
+            adaptive_jam: opt_secs(v, "adaptive_jam")?,
             randomize: v.opt_uint("randomize")?,
             trace_cap: v.opt_uint("trace_cap")?,
             telemetry: pair(v, "telemetry")?,
-            jam: pair(v, "jam")?,
+            jam: match pair(v, "jam")? {
+                Some((start, end)) => {
+                    Some((countable_secs("jam[0]", start)?, countable_secs("jam[1]", end)?))
+                }
+                None => None,
+            },
             audit_every: v.opt_uint("audit_every")?,
         })
     }
+}
+
+/// A wire-supplied count of simulated seconds, which the run turns into
+/// slots (`Asn::from_secs`, [`SingleSpec::total_slots`]): refused when that
+/// product does not fit the slot counter.
+fn countable_secs(field: &str, secs: u64) -> Result<u64, String> {
+    match secs.checked_mul(digs_sim::time::SLOTS_PER_SECOND) {
+        Some(_) => Ok(secs),
+        None => Err(format!("`{field}`: {secs} s is more slots than a run can count")),
+    }
+}
+
+/// An optional seconds field (see [`countable_secs`]).
+fn opt_secs(v: &Value, key: &str) -> Result<Option<u64>, String> {
+    v.opt_uint(key)?.map(|secs| countable_secs(key, secs)).transpose()
 }
 
 /// An optional `[a, b]` field, each element range-checked.
@@ -337,7 +357,7 @@ impl FleetParams {
             template: v.opt_str("template")?.unwrap_or(&d.template).to_string(),
             networks: v.opt_uint("networks")?.unwrap_or(d.networks),
             seed_base: v.opt_uint("seed_base")?.unwrap_or(d.seed_base),
-            secs: v.opt_uint("secs")?.unwrap_or(d.secs),
+            secs: opt_secs(v, "secs")?.unwrap_or(d.secs),
             sharded_devices: v.opt_uint("sharded_devices")?.unwrap_or(d.sharded_devices),
             shard_size: v.opt_uint("shard_size")?.unwrap_or(d.shard_size),
             sharded_seed: v.opt_uint("sharded_seed")?,
@@ -408,6 +428,27 @@ mod tests {
         let err = fleet(r#"{"networks":4294967297}"#).unwrap_err();
         assert!(err.contains("networks") && err.contains("4294967297"), "{err}");
         assert_eq!(fleet(r#"{"networks":4294967295}"#).expect("fits").networks, u32::MAX);
+    }
+
+    #[test]
+    fn seconds_whose_slot_count_overflows_are_refused_at_decode() {
+        // `secs × 100` used to panic a debug daemon in `total_slots` and
+        // `Asn::from_secs`, and wrap to a garbage run length in release.
+        let single = |text: &str| SingleSpec::from_json(&digs_json::parse(text).expect("parses"));
+        let fleet = |text: &str| FleetParams::from_json(&digs_json::parse(text).expect("parses"));
+        let max = u64::MAX;
+        assert!(single(&format!(r#"{{"secs":{max}}}"#)).unwrap_err().contains("`secs`"));
+        assert!(single(&format!(r#"{{"adaptive_jam":{max}}}"#))
+            .unwrap_err()
+            .contains("`adaptive_jam`"));
+        assert!(single(&format!(r#"{{"jam":[{max},5]}}"#)).unwrap_err().contains("`jam[0]`"));
+        assert!(single(&format!(r#"{{"jam":[5,{max}]}}"#)).unwrap_err().contains("`jam[1]`"));
+        assert!(fleet(&format!(r#"{{"secs":{max}}}"#)).unwrap_err().contains("`secs`"));
+        // The largest countable run still decodes, and its slots fit.
+        let edge = max / digs_sim::time::SLOTS_PER_SECOND;
+        let spec = single(&format!(r#"{{"secs":{edge},"jam":[1,{edge}]}}"#)).expect("fits");
+        assert_eq!(spec.total_slots(), edge * digs_sim::time::SLOTS_PER_SECOND);
+        assert!(single(&format!(r#"{{"secs":{}}}"#, edge + 1)).is_err());
     }
 
     #[test]

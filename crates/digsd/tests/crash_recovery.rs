@@ -251,12 +251,16 @@ fn resumable_stream_reconnects_across_injected_drops() {
 
     // Sever the subscriber's connection twice, 200 delivered lines in;
     // the resumable stream must reattach with its cursor both times and
-    // account every frame as delivered or lost — no silent holes.
+    // account every frame as delivered or lost — no silent holes. The run
+    // is paced (20 ms at each of its nine flush boundaries) so that it
+    // outlasts both reconnects however fast the simulation itself is: a
+    // run that ends while the subscriber is away has a tail nobody counts.
     let addr = start_daemon(DaemonConfig {
         queue_cap: 1 << 20,
         chaos: ChaosConfig {
             drop_subscriber_after: Some(200),
             drop_count: 2,
+            slow_run_ms: Some(20),
             ..ChaosConfig::default()
         },
         ..DaemonConfig::default()

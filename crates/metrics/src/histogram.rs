@@ -200,23 +200,29 @@ impl LogHistogram {
 
     /// Rebuilds a histogram from its sparse wire form plus the exact
     /// min/max. Inverse of [`LogHistogram::sparse`] for every histogram.
-    pub fn from_sparse(pairs: &[(usize, u64)], min: u64, max: u64) -> LogHistogram {
+    /// The pairs come off the wire: a bucket index no `u64` value falls
+    /// into (it would size the table) or counts that overflow are refused.
+    pub fn from_sparse(pairs: &[(usize, u64)], min: u64, max: u64) -> Result<LogHistogram, String> {
+        let top = Self::bucket_index(u64::MAX);
         let mut h = LogHistogram::new();
-        for (idx, count) in pairs {
-            if *count == 0 {
+        for &(idx, count) in pairs {
+            if idx > top {
+                return Err(format!("bucket index {idx} is above the last bucket ({top})"));
+            }
+            if count == 0 {
                 continue;
             }
-            if h.counts.len() <= *idx {
-                h.counts.resize(*idx + 1, 0);
+            if h.counts.len() <= idx {
+                h.counts.resize(idx + 1, 0);
             }
-            h.counts[*idx] += count;
-            h.total += count;
+            let sums = h.counts[idx].checked_add(count).zip(h.total.checked_add(count));
+            (h.counts[idx], h.total) = sums.ok_or("bucket counts overflow a u64")?;
         }
         if h.total > 0 {
             h.min = min;
             h.max = max;
         }
-        h
+        Ok(h)
     }
 }
 
@@ -310,14 +316,29 @@ mod tests {
         h.record(u64::MAX);
         h.record(u64::MAX - 1);
         h.record_n(1, 3);
-        let back = LogHistogram::from_sparse(&h.sparse(), h.min().unwrap(), h.max().unwrap());
+        let back = LogHistogram::from_sparse(&h.sparse(), h.min().unwrap(), h.max().unwrap())
+            .expect("its own sparse form");
         assert_eq!(back, h);
         assert_eq!(back.count(), 6);
         assert_eq!(back.min(), Some(0));
         assert_eq!(back.max(), Some(u64::MAX));
         // Empty round trip too.
         let empty = LogHistogram::new();
-        assert_eq!(LogHistogram::from_sparse(&empty.sparse(), 0, 0), empty);
+        assert_eq!(LogHistogram::from_sparse(&empty.sparse(), 0, 0), Ok(empty));
+    }
+
+    #[test]
+    fn hostile_sparse_forms_are_refused() {
+        // An index past the last bucket used to size the table (this one
+        // asks for 2^61 counters), and counts used to add unchecked.
+        let top = LogHistogram::bucket_index(u64::MAX);
+        assert!(LogHistogram::from_sparse(&[(top, 1)], 0, u64::MAX).is_ok());
+        let err = LogHistogram::from_sparse(&[(top + 1, 1)], 0, 0).unwrap_err();
+        assert!(err.contains("bucket index"), "{err}");
+        assert!(LogHistogram::from_sparse(&[(1 << 61, 1)], 0, 0).is_err());
+        let err = LogHistogram::from_sparse(&[(3, u64::MAX), (3, 1)], 3, 3).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+        assert!(LogHistogram::from_sparse(&[(3, u64::MAX), (4, 1)], 3, 4).is_err());
     }
 
     #[test]

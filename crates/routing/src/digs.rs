@@ -24,7 +24,7 @@
 //! or prolonged silence), which the pseudo-code leaves implicit.
 
 use crate::messages::{JoinIn, JoinedCallback, ParentSlot, Rank, RoutingEvent};
-use crate::neighbor::NeighborTable;
+use crate::neighbor::{is_housekeeping_turn, next_housekeeping_turn, NeighborTable};
 use crate::trickle::{Trickle, TrickleConfig};
 use digs_sim::ids::NodeId;
 use digs_sim::rf::Dbm;
@@ -343,7 +343,7 @@ impl DigsRouting {
     /// emission.
     pub fn tick(&mut self, now: Asn) -> Vec<RoutingEvent> {
         let mut events = Vec::new();
-        if now.0 % 64 == u64::from(self.id.0) % 64 && now.0 >= self.config.neighbor_timeout {
+        if is_housekeeping_turn(self.id, now) && now.0 >= self.config.neighbor_timeout {
             let horizon = Asn(now.0 - self.config.neighbor_timeout);
             let evicted = self.neighbors.evict_stale(horizon);
             let lost_parent =
@@ -363,7 +363,7 @@ impl DigsRouting {
         // trusting it — `reevaluate` refuses stale incumbents and picks a
         // fresh (or no) backup, clearing frozen loops long before the
         // `neighbor_timeout` eviction would.
-        if !self.is_root && now.0 % 64 == u64::from(self.id.0) % 64 {
+        if !self.is_root && is_housekeeping_turn(self.id, now) {
             let stale_second = self.second.is_some_and(|s| {
                 self.neighbors.get(s).is_none_or(|e| {
                     now.0.saturating_sub(e.last_heard.0) > self.config.backup_staleness
@@ -377,6 +377,13 @@ impl DigsRouting {
             events.push(RoutingEvent::BroadcastJoinIn(self.join_in()));
         }
         events
+    }
+
+    /// The earliest slot at or after `from` at which [`Self::tick`] does
+    /// anything: the node's turn in the staggered eviction and
+    /// backup-staleness cadence, or the Trickle timer's next event.
+    pub fn next_tick(&self, from: Asn) -> Asn {
+        next_housekeeping_turn(self.id, from).min(self.trickle.next_event().max(from))
     }
 
     /// Re-runs parent selection over the neighbor table. Emits callbacks

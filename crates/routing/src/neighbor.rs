@@ -7,6 +7,22 @@ use digs_sim::rf::Dbm;
 use digs_sim::time::Asn;
 use std::collections::BTreeMap;
 
+/// Neighbor-table housekeeping (eviction, backup re-validation) runs once
+/// every this many slots, each node on its own turn `id mod 64` so the
+/// network's sweeps do not coincide.
+const HOUSEKEEPING_PERIOD: u64 = 64;
+
+/// Whether `now` is node `id`'s housekeeping turn.
+pub(crate) fn is_housekeeping_turn(id: NodeId, now: Asn) -> bool {
+    now.0 % HOUSEKEEPING_PERIOD == u64::from(id.0) % HOUSEKEEPING_PERIOD
+}
+
+/// Node `id`'s first housekeeping turn at or after `from`.
+pub(crate) fn next_housekeeping_turn(id: NodeId, from: Asn) -> Asn {
+    let p = HOUSEKEEPING_PERIOD;
+    from + (u64::from(id.0) % p + p - from.0 % p) % p
+}
+
 /// State kept about one neighbor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborEntry {

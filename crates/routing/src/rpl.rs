@@ -14,7 +14,7 @@
 
 use crate::digs::RoutingConfig;
 use crate::messages::{Dio, Rank, RoutingEvent};
-use crate::neighbor::NeighborTable;
+use crate::neighbor::{is_housekeeping_turn, next_housekeeping_turn, NeighborTable};
 use crate::trickle::Trickle;
 use digs_sim::ids::NodeId;
 use digs_sim::rf::Dbm;
@@ -153,7 +153,7 @@ impl RplRouting {
     /// Per-slot housekeeping: eviction, poison emission, Trickle-paced DIOs.
     pub fn tick(&mut self, now: Asn) -> Vec<RoutingEvent> {
         let mut events = Vec::new();
-        if now.0 % 64 == u64::from(self.id.0) % 64 && now.0 >= self.config.neighbor_timeout {
+        if is_housekeeping_turn(self.id, now) && now.0 >= self.config.neighbor_timeout {
             let horizon = Asn(now.0 - self.config.neighbor_timeout);
             let evicted = self.neighbors.evict_stale(horizon);
             if evicted.iter().any(|id| self.preferred == Some(*id)) {
@@ -173,6 +173,17 @@ impl RplRouting {
             events.push(RoutingEvent::BroadcastDio(self.dio()));
         }
         events
+    }
+
+    /// The earliest slot at or after `from` at which [`Self::tick`] does
+    /// anything: at once while a poison DIO is pending, else the node's
+    /// turn in the staggered eviction cadence or the Trickle timer's next
+    /// event.
+    pub fn next_tick(&self, from: Asn) -> Asn {
+        if self.poison_pending {
+            return from;
+        }
+        next_housekeeping_turn(self.id, from).min(self.trickle.next_event().max(from))
     }
 
     /// Standard RPL parent selection: cheapest neighbor whose rank is

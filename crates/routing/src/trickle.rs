@@ -144,6 +144,18 @@ impl Trickle {
         }
         false
     }
+
+    /// The earliest slot at which [`Self::tick`] does anything: the firing
+    /// point while the interval's transmission is still open (a late tick
+    /// settles it, so the slot may be in the past), else the rollover into
+    /// the next interval. Ticks before it are no-ops.
+    pub fn next_event(&self) -> Asn {
+        if self.fired {
+            Asn(self.interval_start.0 + self.interval)
+        } else {
+            self.fire_at
+        }
+    }
 }
 
 #[cfg(test)]
@@ -242,5 +254,53 @@ mod tests {
     #[should_panic(expected = "Imin must be positive")]
     fn zero_imin_panics() {
         let _ = Trickle::new(TrickleConfig { imin: 0, imax: 4, k: 1 }, 0, Asn(0));
+    }
+
+    #[test]
+    fn closed_form_skipping_to_next_event_matches_ticking_every_slot() {
+        // A deterministic stream of draws (`proptest` is not always at hand).
+        let mut draws = 0u64;
+        let mut below = |n: u64| {
+            draws += 1;
+            rng::mix(0x7e1c, draws, 0, 0) % n
+        };
+        for case in 0..300u64 {
+            let imin = 1 + below(40);
+            let config = TrickleConfig { imin, imax: imin << below(5), k: below(3) as u32 };
+            let start = below(1_000);
+            let mut every = Trickle::new(config, case, Asn(start));
+            let mut skipping = every.clone();
+            let mut fires = (Vec::new(), Vec::new());
+            let mut wake = skipping.next_event();
+            for now in (start..start + 600).map(Asn) {
+                if every.tick(now) {
+                    fires.0.push(now);
+                }
+                if now >= wake {
+                    if skipping.tick(now) {
+                        fires.1.push(now);
+                    }
+                    wake = skipping.next_event().max(now.next());
+                }
+                // What reaches the timer from outside: a reset, or a
+                // consistent message heard. Both happen while the node is
+                // awake, after which the engine asks for the wake slot again.
+                match below(40) {
+                    0 => {
+                        every.reset(now);
+                        skipping.reset(now);
+                        wake = skipping.next_event().max(now.next());
+                    }
+                    1..=4 => {
+                        every.hear_consistent();
+                        skipping.hear_consistent();
+                    }
+                    _ => {}
+                }
+                assert_eq!(skipping, every, "{config:?} at {now}");
+            }
+            assert_eq!(fires.0, fires.1, "{config:?} from {start}");
+            assert!(!fires.0.is_empty() || config.k != 0, "{config:?} never fired");
+        }
     }
 }

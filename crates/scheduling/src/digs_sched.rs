@@ -41,8 +41,8 @@
 //! operate in logical space and translate at the radio boundary.
 
 use crate::slotframe::{
-    combine, frame_offset, node_offset, Cell, CellAction, SlotframeLengths, TrafficClass,
-    ROUTING_OFFSET, ROUTING_SLOT,
+    combine, frame_offset, next_sync_or_routing_cell, node_offset, Cell, CellAction, CellTable,
+    SlotframeLengths, TrafficClass, ROUTING_OFFSET, ROUTING_SLOT,
 };
 use digs_routing::messages::ParentSlot;
 use digs_sim::channel::ChannelOffset;
@@ -72,10 +72,12 @@ struct EpochPerm {
     inverse: Vec<u32>,
 }
 
-/// Memo for the most recently resolved epoch's permutation (interior
-/// mutability: schedule lookup is logically `&self`).
+/// Memo for the permutations of the two most recently resolved epochs,
+/// one of each parity: a lookup in the current epoch and a look ahead into
+/// the next do not evict each other (interior mutability: schedule lookup
+/// is logically `&self`).
 #[derive(Debug, Clone, Default)]
-struct PermCache(RefCell<Option<EpochPerm>>);
+struct PermCache(RefCell<[Option<EpochPerm>; 2]>);
 
 impl PartialEq for PermCache {
     /// The cache is derived data: schedulers with equal configuration are
@@ -115,8 +117,13 @@ pub struct DigsScheduler {
     /// Network-wide schedule-randomization nonce (`None` = the paper's
     /// static Eq. 4 placement).
     randomize: Option<u64>,
-    /// Cached permutation for the last epoch queried.
+    /// Cached permutations for the last epochs queried.
     perm: PermCache,
+    /// The application cells, keyed by logical (Eq. 4) slot and holding
+    /// each cell's unshifted channel offset; rebuilt by
+    /// [`Self::compile_app_cells`] whenever the parents or the set of
+    /// children change.
+    app_cells: CellTable,
 }
 
 impl DigsScheduler {
@@ -142,6 +149,7 @@ impl DigsScheduler {
             children: BTreeMap::new(),
             randomize: None,
             perm: PermCache::default(),
+            app_cells: CellTable::default(),
         }
     }
 
@@ -152,7 +160,7 @@ impl DigsScheduler {
     /// without any negotiation.
     pub fn set_randomize(&mut self, nonce: Option<u64>) {
         self.randomize = nonce;
-        self.perm.0.replace(None);
+        self.perm.0.replace([None, None]);
     }
 
     /// The active schedule-randomization nonce, if any.
@@ -191,18 +199,65 @@ impl DigsScheduler {
     /// property: "the transmission schedule is automatically determined and
     /// updated once the network topology changes".
     pub fn set_parents(&mut self, best: Option<NodeId>, second: Option<NodeId>) {
-        self.best_parent = best;
-        self.second_parent = second;
+        if (self.best_parent, self.second_parent) != (best, second) {
+            self.best_parent = best;
+            self.second_parent = second;
+            self.compile_app_cells();
+        }
     }
 
     /// Registers a child (from a joined-callback with `selected = true`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `child` is an access point (they own no Eq. 4 cells).
     pub fn add_child(&mut self, child: NodeId, slot: ParentSlot) {
-        self.children.insert(child, slot);
+        // A role change moves no cell: a parent listens in all of a
+        // child's attempt cells whatever its role.
+        if self.children.insert(child, slot).is_none() {
+            self.compile_app_cells();
+        }
     }
 
     /// Removes a child (revocation callback, or child death).
     pub fn remove_child(&mut self, child: NodeId) {
-        self.children.remove(&child);
+        if self.children.remove(&child).is_some() {
+            self.compile_app_cells();
+        }
+    }
+
+    /// Rebuilds the application-cell table, claimants in priority order
+    /// (the first claimant of a logical slot keeps it).
+    fn compile_app_cells(&mut self) {
+        let mut cells = std::mem::take(&mut self.app_cells);
+        cells.clear();
+        let app_cell =
+            |action, offset| Cell { class: TrafficClass::App, action, offset, contention: false };
+        // Own transmission cells (field devices with a route only).
+        if !self.is_access_point() {
+            for p in 1..=self.attempts {
+                if let Some(to) = self.attempt_target(p) {
+                    let action = CellAction::TxData { to, attempt: p };
+                    let offset = Self::attempt_offset(self.id, p);
+                    cells.claim(self.tx_slot(self.id, p), app_cell(action, offset));
+                }
+            }
+        }
+        // Receive cells derived from the child table. A parent listens in
+        // *all* of a child's attempt cells regardless of its nominal role:
+        // nominally, primary parents are reached on attempts 1..A and the
+        // backup on attempt A, but listening to every attempt makes the
+        // schedule immune to role-swap races (a Best↔SecondBest promotion
+        // at the child re-maps its attempts instantly, while the parents
+        // learn of it asynchronously). The cost is idle listening — the
+        // energy overhead the paper attributes to DiGS.
+        for child in self.children.keys() {
+            for p in 1..=self.attempts {
+                let offset = Self::attempt_offset(*child, p);
+                cells.claim(self.tx_slot(*child, p), app_cell(CellAction::RxData, offset));
+            }
+        }
+        self.app_cells = cells;
     }
 
     /// Currently registered children.
@@ -264,7 +319,7 @@ impl DigsScheduler {
     /// Runs `f` against the permutation for `epoch`, (re)building the memo
     /// when the epoch rolled over since the last lookup.
     fn with_perm<R>(&self, nonce: u64, epoch: u64, f: impl FnOnce(&EpochPerm) -> R) -> R {
-        let mut cached = self.perm.0.borrow_mut();
+        let cached = &mut self.perm.0.borrow_mut()[(epoch % 2) as usize];
         if cached.as_ref().is_none_or(|p| p.epoch != epoch) {
             *cached = Some(build_perm(nonce, epoch, self.lengths.app));
         }
@@ -345,6 +400,12 @@ impl DigsScheduler {
         combine(self.sync_cell(asn), self.routing_cell(asn), self.app_cell(asn))
     }
 
+    /// The first slot at or after `from` in which [`Self::cell`] is `Some`.
+    pub fn next_cell(&self, from: Asn) -> Asn {
+        let next = next_sync_or_routing_cell(from, self.lengths, self.id, self.best_parent);
+        self.next_app_cell(from).map_or(next, |app| next.min(app))
+    }
+
     fn sync_cell(&self, asn: Asn) -> Option<Cell> {
         let off = frame_offset(asn, self.lengths.sync);
         if off == self.eb_slot(self.id) {
@@ -385,43 +446,30 @@ impl DigsScheduler {
         let off = frame_offset(asn, self.lengths.app);
         // Cell identity lives in logical (Eq. 4) space; under randomization
         // this slot physically hosts a *different* logical slot's cell.
-        let logical = self.logical_slot(off, asn);
-        // Own transmission cells (field devices with a route only).
-        if !self.is_access_point() {
-            for p in 1..=self.attempts {
-                if logical == self.tx_slot(self.id, p) {
-                    if let Some(target) = self.attempt_target(p) {
-                        return Some(Cell {
-                            class: TrafficClass::App,
-                            action: CellAction::TxData { to: target, attempt: p },
-                            offset: self.cell_offset(Self::attempt_offset(self.id, p), off, asn),
-                            contention: false,
-                        });
-                    }
-                }
-            }
+        let mut cell = self.app_cells.get(self.logical_slot(off, asn))?;
+        cell.offset = self.cell_offset(cell.offset, off, asn);
+        Some(cell)
+    }
+
+    /// The first slot at or after `from` that holds an application cell.
+    fn next_app_cell(&self, from: Asn) -> Option<Asn> {
+        let app = self.lengths.app;
+        if self.randomize.is_none() {
+            return self.app_cells.next_cell(from, app);
         }
-        // Receive cells derived from the child table. A parent listens in
-        // *all* of a child's attempt cells regardless of its nominal role:
-        // nominally, primary parents are reached on attempts 1..A and the
-        // backup on attempt A, but listening to every attempt makes the
-        // schedule immune to role-swap races (a Best↔SecondBest promotion
-        // at the child re-maps its attempts instantly, while the parents
-        // learn of it asynchronously). The cost is idle listening — the
-        // energy overhead the paper attributes to DiGS.
-        for child in self.children.keys() {
-            for p in 1..=self.attempts {
-                if logical == self.tx_slot(*child, p) {
-                    return Some(Cell {
-                        class: TrafficClass::App,
-                        action: CellAction::RxData,
-                        offset: self.cell_offset(Self::attempt_offset(*child, p), off, asn),
-                        contention: false,
-                    });
-                }
-            }
+        // Each epoch places the table's logical slots afresh: the earliest
+        // one still ahead in `from`'s epoch, else the earliest of the next.
+        let off = frame_offset(from, app);
+        let earliest = |epoch_asn: Asn, not_before: u32| {
+            let placed =
+                self.app_cells.slots().map(|logical| self.physical_slot(logical, epoch_asn));
+            placed.filter(|physical| *physical >= not_before).min()
+        };
+        if let Some(physical) = earliest(from, off) {
+            return Some(from + u64::from(physical - off));
         }
-        None
+        let next_epoch = from + u64::from(app - off);
+        earliest(next_epoch, 0).map(|physical| next_epoch + u64::from(physical))
     }
 }
 
@@ -727,5 +775,93 @@ mod tests {
         }
         // And the cache state never leaks into equality.
         assert_eq!(a, b);
+    }
+
+    /// The per-slot scan over own attempts and children that the compiled
+    /// table replaced, kept as the table's reference.
+    fn scanned_app_cell(s: &DigsScheduler, asn: Asn) -> Option<Cell> {
+        let off = frame_offset(asn, s.lengths.app);
+        let logical = s.logical_slot(off, asn);
+        let cell = |action, base| Cell {
+            class: TrafficClass::App,
+            action,
+            offset: s.cell_offset(base, off, asn),
+            contention: false,
+        };
+        if !s.is_access_point() {
+            for p in 1..=s.attempts {
+                if logical == s.tx_slot(s.id, p) {
+                    if let Some(to) = s.attempt_target(p) {
+                        let action = CellAction::TxData { to, attempt: p };
+                        return Some(cell(action, DigsScheduler::attempt_offset(s.id, p)));
+                    }
+                }
+            }
+        }
+        for child in s.children.keys() {
+            for p in 1..=s.attempts {
+                if logical == s.tx_slot(*child, p) {
+                    let base = DigsScheduler::attempt_offset(*child, p);
+                    return Some(cell(CellAction::RxData, base));
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn closed_form_table_matches_the_scan_and_next_cell_matches_brute_force() {
+        // A deterministic stream of draws (`proptest` is not always at hand).
+        let mut draws = 0u64;
+        let mut below = |n: u64| {
+            draws += 1;
+            rng::mix(0xd165, draws, 0, 0) % n
+        };
+        let lengths = [
+            SlotframeLengths::example(),
+            SlotframeLengths::paper(),
+            SlotframeLengths { sync: 101, routing: 9, app: 20 },
+            SlotframeLengths { sync: 13, routing: 7, app: 5 },
+        ];
+        for case in 0..200 {
+            let lengths = lengths[below(lengths.len() as u64) as usize];
+            let num_aps = 1 + below(3) as u16;
+            let attempts = 1 + below(4) as u8;
+            let mut s = DigsScheduler::new(NodeId(below(40) as u16), num_aps, lengths, attempts);
+            s.set_randomize((case % 2 == 1).then(|| below(u64::MAX)));
+            for _ in 0..6 {
+                // Grow, shrink and re-parent, so slots change hands between
+                // claimants (small slotframes make children collide).
+                for _ in 0..=below(4) {
+                    let child = NodeId(num_aps + below(40) as u16);
+                    match below(4) {
+                        0 => s.remove_child(child),
+                        1 => s.add_child(child, ParentSlot::SecondBest),
+                        _ => s.add_child(child, ParentSlot::Best),
+                    }
+                }
+                match below(4) {
+                    0 => s.set_parents(None, None),
+                    1 => s.set_parents(Some(NodeId(below(40) as u16)), None),
+                    2 => s.set_parents(
+                        Some(NodeId(below(40) as u16)),
+                        Some(NodeId(below(40) as u16)),
+                    ),
+                    _ => {}
+                }
+                // A window that starts near the end of an epoch.
+                let app = u64::from(lengths.app);
+                let start = below(1 << 20) * app + app - 1 - below(app.min(4));
+                for from in (start..start + 2 * app + 3).map(Asn) {
+                    assert_eq!(s.app_cell(from), scanned_app_cell(&s, from), "{s:?} at {from}");
+                    let ahead = |a: &u64| s.app_cell(Asn(*a)).is_some();
+                    let brute = (from.0..from.0 + 2 * app).find(ahead).map(Asn);
+                    assert_eq!(s.next_app_cell(from), brute, "{s:?} from {from}");
+                    let ahead = |a: &u64| s.cell(Asn(*a)).is_some();
+                    let brute = (from.0..).find(ahead).map(Asn);
+                    assert_eq!(Some(s.next_cell(from)), brute, "{s:?} from {from}");
+                }
+            }
+        }
     }
 }

@@ -22,8 +22,8 @@
 //! 557/47/151).
 
 use crate::slotframe::{
-    combine, frame_offset, node_offset, Cell, CellAction, SlotframeLengths, TrafficClass,
-    ROUTING_OFFSET, ROUTING_SLOT,
+    combine, frame_offset, next_sync_or_routing_cell, node_offset, Cell, CellAction, CellTable,
+    SlotframeLengths, TrafficClass, ROUTING_OFFSET, ROUTING_SLOT,
 };
 use digs_sim::ids::NodeId;
 use digs_sim::time::Asn;
@@ -54,6 +54,10 @@ pub struct OrchestraScheduler {
     /// Children (sender-based mode only): nodes whose preferred parent is
     /// us, learned from RPL signalling and observed traffic.
     children: BTreeSet<NodeId>,
+    /// The unicast cells of one [`Self::unicast_len`] slotframe; rebuilt by
+    /// [`Self::compile_app_cells`] whenever the parent or the set of
+    /// children changes.
+    app_cells: CellTable,
 }
 
 impl OrchestraScheduler {
@@ -82,7 +86,16 @@ impl OrchestraScheduler {
         if let OrchestraMode::ReceiverBased { unicast_len } = mode {
             assert!(unicast_len > 0, "unicast slotframe length must be positive");
         }
-        OrchestraScheduler { id, lengths, mode, preferred_parent: None, children: BTreeSet::new() }
+        let mut scheduler = OrchestraScheduler {
+            id,
+            lengths,
+            mode,
+            preferred_parent: None,
+            children: BTreeSet::new(),
+            app_cells: CellTable::default(),
+        };
+        scheduler.compile_app_cells();
+        scheduler
     }
 
     /// This node's id.
@@ -97,7 +110,10 @@ impl OrchestraScheduler {
 
     /// Updates the preferred parent (on RPL parent change).
     pub fn set_parent(&mut self, parent: Option<NodeId>) {
-        self.preferred_parent = parent;
+        if self.preferred_parent != parent {
+            self.preferred_parent = parent;
+            self.compile_app_cells();
+        }
     }
 
     /// Current preferred parent.
@@ -108,12 +124,65 @@ impl OrchestraScheduler {
     /// Registers a child (sender-based mode; no-op semantics for
     /// receiver-based, which always listens in its own cell).
     pub fn add_child(&mut self, child: NodeId) {
-        self.children.insert(child);
+        if self.children.insert(child) {
+            self.compile_app_cells();
+        }
     }
 
     /// Unregisters a child.
     pub fn remove_child(&mut self, child: NodeId) {
-        self.children.remove(&child);
+        if self.children.remove(&child) {
+            self.compile_app_cells();
+        }
+    }
+
+    /// Length of the slotframe the unicast cells repeat in.
+    fn unicast_len(&self) -> u32 {
+        match self.mode {
+            OrchestraMode::SenderBased => self.lengths.app,
+            OrchestraMode::ReceiverBased { unicast_len } => unicast_len,
+        }
+    }
+
+    /// Rebuilds the unicast-cell table, claimants in priority order (the
+    /// first claimant of a slot keeps it).
+    fn compile_app_cells(&mut self) {
+        let mut cells = std::mem::take(&mut self.app_cells);
+        cells.clear();
+        let app_cell = |action, offset, contention| Cell {
+            class: TrafficClass::App,
+            action,
+            offset,
+            contention,
+        };
+        match self.mode {
+            OrchestraMode::SenderBased => {
+                if let Some(to) = self.preferred_parent {
+                    let action = CellAction::TxData { to, attempt: 1 };
+                    let own = app_cell(action, node_offset(self.id), false);
+                    cells.claim(self.sbs_tx_slot(self.id), own);
+                }
+                for child in &self.children {
+                    let listen = app_cell(CellAction::RxData, node_offset(*child), false);
+                    cells.claim(self.sbs_tx_slot(*child), listen);
+                }
+            }
+            // Siblings share the parent's cell, so both cells contend.
+            OrchestraMode::ReceiverBased { unicast_len } => {
+                if let Some(to) = self.preferred_parent {
+                    let action = CellAction::TxData { to, attempt: 1 };
+                    cells.claim(
+                        self.rbs_rx_slot(to, unicast_len),
+                        app_cell(action, node_offset(to), true),
+                    );
+                }
+                cells.claim(
+                    self.rbs_rx_slot(self.id, unicast_len),
+                    app_cell(CellAction::RxData, node_offset(self.id), true),
+                );
+            }
+        }
+        self.app_cells = cells;
     }
 
     /// Registered children.
@@ -140,6 +209,12 @@ impl OrchestraScheduler {
     /// Resolves the combined cell for a slot (`None` = sleep).
     pub fn cell(&self, asn: Asn) -> Option<Cell> {
         combine(self.sync_cell(asn), self.routing_cell(asn), self.app_cell(asn))
+    }
+
+    /// The first slot at or after `from` in which [`Self::cell`] is `Some`.
+    pub fn next_cell(&self, from: Asn) -> Asn {
+        let next = next_sync_or_routing_cell(from, self.lengths, self.id, self.preferred_parent);
+        self.app_cells.next_cell(from, self.unicast_len()).map_or(next, |app| next.min(app))
     }
 
     fn sync_cell(&self, asn: Asn) -> Option<Cell> {
@@ -179,54 +254,7 @@ impl OrchestraScheduler {
     }
 
     fn app_cell(&self, asn: Asn) -> Option<Cell> {
-        match self.mode {
-            OrchestraMode::SenderBased => {
-                let off = frame_offset(asn, self.lengths.app);
-                if let Some(p) = self.preferred_parent {
-                    if off == self.sbs_tx_slot(self.id) {
-                        return Some(Cell {
-                            class: TrafficClass::App,
-                            action: CellAction::TxData { to: p, attempt: 1 },
-                            offset: node_offset(self.id),
-                            contention: false,
-                        });
-                    }
-                }
-                for child in &self.children {
-                    if off == self.sbs_tx_slot(*child) {
-                        return Some(Cell {
-                            class: TrafficClass::App,
-                            action: CellAction::RxData,
-                            offset: node_offset(*child),
-                            contention: false,
-                        });
-                    }
-                }
-                None
-            }
-            OrchestraMode::ReceiverBased { unicast_len } => {
-                let off = frame_offset(asn, unicast_len);
-                if let Some(p) = self.preferred_parent {
-                    if off == self.rbs_rx_slot(p, unicast_len) {
-                        return Some(Cell {
-                            class: TrafficClass::App,
-                            action: CellAction::TxData { to: p, attempt: 1 },
-                            offset: node_offset(p),
-                            contention: true, // siblings share the parent's cell
-                        });
-                    }
-                }
-                if off == self.rbs_rx_slot(self.id, unicast_len) {
-                    return Some(Cell {
-                        class: TrafficClass::App,
-                        action: CellAction::RxData,
-                        offset: node_offset(self.id),
-                        contention: true,
-                    });
-                }
-                None
-            }
-        }
+        self.app_cells.get(frame_offset(asn, self.unicast_len()))
     }
 }
 
@@ -349,6 +377,87 @@ mod tests {
         b.set_parent(Some(NodeId(2)));
         for asn in 0..1000u64 {
             assert_eq!(a.cell(Asn(asn)), b.cell(Asn(asn)));
+        }
+    }
+
+    /// The per-slot scan the compiled table replaced, kept as the table's
+    /// reference.
+    fn scanned_app_cell(s: &OrchestraScheduler, asn: Asn) -> Option<Cell> {
+        let cell = |action, offset, contention| {
+            Some(Cell { class: TrafficClass::App, action, offset, contention })
+        };
+        match s.mode {
+            OrchestraMode::SenderBased => {
+                let off = frame_offset(asn, s.lengths.app);
+                if let Some(p) = s.preferred_parent {
+                    if off == s.sbs_tx_slot(s.id) {
+                        let action = CellAction::TxData { to: p, attempt: 1 };
+                        return cell(action, node_offset(s.id), false);
+                    }
+                }
+                for child in &s.children {
+                    if off == s.sbs_tx_slot(*child) {
+                        return cell(CellAction::RxData, node_offset(*child), false);
+                    }
+                }
+                None
+            }
+            OrchestraMode::ReceiverBased { unicast_len } => {
+                let off = frame_offset(asn, unicast_len);
+                if let Some(p) = s.preferred_parent {
+                    if off == s.rbs_rx_slot(p, unicast_len) {
+                        let action = CellAction::TxData { to: p, attempt: 1 };
+                        return cell(action, node_offset(p), true);
+                    }
+                }
+                if off == s.rbs_rx_slot(s.id, unicast_len) {
+                    return cell(CellAction::RxData, node_offset(s.id), true);
+                }
+                None
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_table_matches_the_scan_and_next_cell_matches_brute_force() {
+        // A deterministic stream of draws (`proptest` is not always at hand).
+        let mut draws = 0u64;
+        let mut below = |n: u64| {
+            draws += 1;
+            digs_sim::rng::mix(0x0c4e, draws, 0, 0) % n
+        };
+        let lengths = [
+            SlotframeLengths::example(),
+            SlotframeLengths::paper(),
+            SlotframeLengths { sync: 101, routing: 9, app: 20 },
+        ];
+        for case in 0..200 {
+            let lengths = lengths[below(lengths.len() as u64) as usize];
+            let mode = match case % 3 {
+                0 => OrchestraMode::ReceiverBased { unicast_len: 1 + below(60) as u32 },
+                _ => OrchestraMode::SenderBased,
+            };
+            let mut s = OrchestraScheduler::with_mode(NodeId(below(60) as u16), lengths, mode);
+            for _ in 0..6 {
+                for _ in 0..=below(6) {
+                    match below(3) {
+                        0 => s.remove_child(NodeId(below(60) as u16)),
+                        _ => s.add_child(NodeId(below(60) as u16)),
+                    }
+                }
+                match below(3) {
+                    0 => s.set_parent(None),
+                    1 => s.set_parent(Some(NodeId(below(60) as u16))),
+                    _ => {}
+                }
+                let start = below(1 << 30);
+                for from in (start..start + 2 * u64::from(s.unicast_len()) + 3).map(Asn) {
+                    assert_eq!(s.app_cell(from), scanned_app_cell(&s, from), "{s:?} at {from}");
+                    let ahead = |a: &u64| s.cell(Asn(*a)).is_some();
+                    let brute = (from.0..).find(ahead).map(Asn);
+                    assert_eq!(Some(s.next_cell(from)), brute, "{s:?} from {from}");
+                }
+            }
         }
     }
 }

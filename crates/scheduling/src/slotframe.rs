@@ -187,6 +187,79 @@ pub fn frame_offset(asn: Asn, len: u32) -> u32 {
     asn.slotframe_offset(len)
 }
 
+/// The first slot at or after `from` whose offset in a slotframe of `len`
+/// slots is `slot` (`slot < len`).
+pub fn next_at(from: Asn, len: u32, slot: u32) -> Asn {
+    from + u64::from((slot + len - frame_offset(from, len)) % len)
+}
+
+/// The first slot at or after `from` that holds node `id`'s own EB cell, the
+/// EB cell of its time source, or the shared routing cell — the cells both
+/// schedulers lay out alike. The own EB slot recurs every sync slotframe,
+/// so there always is one.
+pub(crate) fn next_sync_or_routing_cell(
+    from: Asn,
+    lengths: SlotframeLengths,
+    id: NodeId,
+    time_source: Option<NodeId>,
+) -> Asn {
+    let sync = lengths.sync;
+    let off = frame_offset(from, sync);
+    let until = |node: NodeId| (u32::from(node.0) % sync + sync - off) % sync;
+    let eb = time_source.map_or(until(id), |source| until(id).min(until(source)));
+    (from + u64::from(eb)).min(next_at(from, lengths.routing, ROUTING_SLOT))
+}
+
+/// A node's application cells for one slotframe, compiled from its parent
+/// and child set so that a slot is resolved by one binary search and the
+/// next occupied slot by another, with no walk over the children.
+///
+/// Claimants are entered in priority order and the **first claimant of a
+/// slot keeps it** (a node's own transmit cells before its children's
+/// receive cells, children in id order) — the order the schedulers'
+/// per-slot scans used to resolve a clash in. The table is rebuilt when
+/// the set of claimants changes and never per slot.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub(crate) struct CellTable {
+    /// `(slot, cell)`, sorted by slot, one entry per slot.
+    cells: Vec<(u32, Cell)>,
+}
+
+impl CellTable {
+    /// Empties the table for a rebuild.
+    pub fn clear(&mut self) {
+        self.cells.clear();
+    }
+
+    /// Enters `cell` at `slot` unless an earlier claimant holds the slot.
+    pub fn claim(&mut self, slot: u32, cell: Cell) {
+        if let Err(at) = self.cells.binary_search_by_key(&slot, |(s, _)| *s) {
+            self.cells.insert(at, (slot, cell));
+        }
+    }
+
+    /// The cell at `slot`.
+    pub fn get(&self, slot: u32) -> Option<Cell> {
+        let at = self.cells.binary_search_by_key(&slot, |(s, _)| *s).ok()?;
+        Some(self.cells[at].1)
+    }
+
+    /// The occupied slots, ascending.
+    pub fn slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.cells.iter().map(|(s, _)| *s)
+    }
+
+    /// The first slot at or after `from` that holds a cell, in a slotframe
+    /// of `len` slots (`None`: the table is empty).
+    pub fn next_cell(&self, from: Asn, len: u32) -> Option<Asn> {
+        let off = frame_offset(from, len);
+        let at = self.cells.partition_point(|(s, _)| *s < off);
+        // Past the last cell of this frame the first cell of the next is due.
+        let (slot, _) = self.cells.get(at).or(self.cells.first())?;
+        Some(next_at(from, len, *slot))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,8 @@
 //! The slot-synchronous simulation engine.
 //!
-//! Each TSCH slot, every alive node's protocol stack declares a
-//! [`SlotIntent`]; the engine then:
+//! Each TSCH slot, every alive node whose stack is awake declares a
+//! [`SlotIntent`] (a node the engine does not ask is asleep: radio off,
+//! nothing to do — see the wake contract on [`NodeStack`]); the engine then:
 //!
 //! 1. commits dedicated-cell transmissions unconditionally,
 //! 2. runs slotted CSMA/CA for shared-cell (contention) transmissions —
@@ -19,6 +20,22 @@
 //! The engine is deterministic under its seed: nodes are visited in id
 //! order and all randomness flows from one [`rand::rngs::SmallRng`] plus the
 //! frozen hash-derived link/fading values.
+//!
+//! ## Wake-driven stepping
+//!
+//! A TSCH radio is off in almost every slot, and when a stack next has
+//! anything to do is a pure function of its state (its cells, its timers,
+//! its flows' periods). [`Engine::run`] therefore keeps, per node, the slot
+//! [`NodeStack::next_wake`] last named, and skips `slot_intent` for a node
+//! until that slot arrives. The wake slots are filled when `run` is entered
+//! and refreshed at the end of each slot for exactly the nodes that were
+//! asked in it (only they can have received a frame or a transmission
+//! outcome, so only their state can have moved); they live no longer than
+//! the `run` call's borrow of the stacks, so whatever the caller does to a
+//! stack between calls needs no invalidation. Fault handling, `reset` and
+//! `desync` (each forces the node awake in its slot), slot accounting on
+//! the energy meters, the visiting order, the random stream and every trace
+//! event are where they would be if every node were asked in every slot.
 
 use crate::channel::ChannelOffset;
 use crate::energy::{EnergyMeter, ACK_WAIT_US, IDLE_LISTEN_US};
@@ -81,10 +98,25 @@ pub enum TxOutcome {
 /// A protocol stack driven by the engine, one instance per node.
 ///
 /// Implementations live in the `digs` crate (DiGS, Orchestra, and
-/// WirelessHART stacks). All callbacks receive the current ASN; the engine
-/// guarantees `slot_intent` is called exactly once per slot per alive node,
-/// then zero or more `on_frame` deliveries, then at most one
-/// `on_tx_outcome`.
+/// WirelessHART stacks). All callbacks receive the current ASN. In a slot
+/// in which the node is alive and awake the engine calls `slot_intent`
+/// once, then delivers zero or more `on_frame`s, then at most one
+/// `on_tx_outcome`; a node that is not asked gets no callback at all.
+///
+/// ## Wake contract
+///
+/// [`next_wake`](NodeStack::next_wake) lets a stack tell the engine when
+/// it next needs to be asked. The engine calls it on entering
+/// [`Engine::run`] and again after every slot in which the node was asked
+/// (after that slot's callbacks), and does not call `slot_intent` before
+/// the slot it returned — except in a slot where it calls `reset` or
+/// `desync`, in which the node is always asked. A stack that names a slot
+/// later than `from` promises that in every slot before it `slot_intent`
+/// would have answered [`SlotIntent::Sleep`] and changed nothing
+/// observable: no trace event, no telemetry or counter the harness reads,
+/// no queue, routing, schedule or timer state that a later answer, a
+/// snapshot or an auditor could tell apart. Naming a slot earlier than
+/// necessary is always safe; it only costs the call.
 pub trait NodeStack {
     /// Protocol-defined frame payload.
     type Payload: Clone;
@@ -112,6 +144,17 @@ pub trait NodeStack {
     /// its routing state but must re-acquire slot alignment from enhanced
     /// beacons. Default no-op.
     fn desync(&mut self, _asn: Asn) {}
+
+    /// The earliest slot at or after `from` at which `slot_intent` must be
+    /// called (see the wake contract above). Slots in which the node is
+    /// dead do not count: the stack is not called in them either way, and
+    /// a wake slot that passes during an outage is honoured at the first
+    /// slot the node is alive again. The default, `from`, asks in every
+    /// slot, which is right for any stack whose `slot_intent` has effects
+    /// it cannot predict (a scripted test stack, say).
+    fn next_wake(&self, from: Asn) -> Asn {
+        from
+    }
 }
 
 struct CommittedTx<P> {
@@ -247,27 +290,43 @@ impl Engine {
         &self.stats
     }
 
-    /// Runs `slots` slots.
+    /// The value the engine's random stream yields next, without drawing
+    /// it: two engines that agree on it have consumed the same randomness
+    /// (differential tests compare it).
+    pub fn peek_rng(&self) -> u64 {
+        self.rng.clone().gen()
+    }
+
+    /// Runs `slots` slots, asking each node for its intent only in the
+    /// slots its stack's [`NodeStack::next_wake`] names.
     ///
     /// # Panics
     ///
     /// Panics if `stacks.len()` differs from the topology size.
     pub fn run<S: NodeStack>(&mut self, stacks: &mut [S], slots: u64) {
+        assert_eq!(stacks.len(), self.topology.len(), "one stack per topology node required");
+        let mut wake: Vec<Asn> = stacks.iter().map(|s| s.next_wake(self.asn)).collect();
+        // The nodes asked in the current slot (reused across slots).
+        let mut asked: Vec<usize> = Vec::new();
         for _ in 0..slots {
-            self.step(stacks);
+            self.slot(stacks, &mut wake, &mut asked);
         }
     }
 
-    /// Simulates one slot.
+    /// Simulates one slot (`run(stacks, 1)`).
     ///
     /// # Panics
     ///
     /// Panics if `stacks.len()` differs from the topology size.
     pub fn step<S: NodeStack>(&mut self, stacks: &mut [S]) {
-        let n = self.topology.len();
-        assert_eq!(stacks.len(), n, "one stack per topology node required");
+        self.run(stacks, 1);
+    }
+
+    /// One slot of [`Engine::run`]: `wake[i]` is the slot node `i` must
+    /// next be asked in.
+    fn slot<S: NodeStack>(&mut self, stacks: &mut [S], wake: &mut [Asn], asked: &mut Vec<usize>) {
         let asn = self.asn;
-        let rf = self.link.rf().clone();
+        let rf = self.link.rf();
         let tracing = self.trace.is_on();
         if tracing {
             self.trace.record_network(asn.0, EventKind::SlotStart);
@@ -293,20 +352,29 @@ impl Engine {
             if !self.faults.is_alive(id, asn) {
                 continue;
             }
+            // A reset or desync changes the stack under the wake slot it
+            // named, so either one wakes the node now.
+            let mut awake = wake[i] <= asn;
             if self.pending_reset[i] {
                 self.pending_reset[i] = false;
                 if tracing {
                     self.trace.record(asn.0, id.0, EventKind::NodeReset);
                 }
                 stack.reset(asn);
+                awake = true;
             }
             if self.faults.has_desyncs() && self.faults.desync_at(id, asn) {
                 if tracing {
                     self.trace.record(asn.0, id.0, EventKind::ClockDesync);
                 }
                 stack.desync(asn);
+                awake = true;
             }
             self.energy[i].tick_slot();
+            if !awake {
+                continue;
+            }
+            asked.push(i);
             match stack.slot_intent(asn) {
                 SlotIntent::Sleep => {}
                 SlotIntent::Listen { offset } => listeners.push((id, offset)),
@@ -333,13 +401,11 @@ impl Engine {
             committed.push(CommittedTx { node: id, frame });
         }
         // Random backoff order, deterministic under the engine seed.
-        let mut order: Vec<usize> = (0..contenders.len()).collect();
-        for i in (1..order.len()).rev() {
+        for i in (1..contenders.len()).rev() {
             let j = self.rng.gen_range(0..=i);
-            order.swap(i, j);
+            contenders.swap(i, j);
         }
-        for idx in order {
-            let (id, offset, frame) = contenders[idx].clone();
+        for (id, offset, frame) in contenders {
             let ch = offset.hop(asn);
             // CCA: busy if any committed 802.15.4 transmitter on this
             // channel is audible. Jammers do NOT trip CCA: the emulated
@@ -396,8 +462,8 @@ impl Engine {
             }
             cands.sort_by(|a, b| b.1.dbm().total_cmp(&a.1.dbm()));
             let (best_idx, best_rss) = cands[0];
-            let mut interference_mw = total_interference_mw(&self.jammers, &rx_pos, ch, asn, &rf)
-                + total_interference_mw(&self.ambient, &rx_pos, ch, asn, &rf)
+            let mut interference_mw = total_interference_mw(&self.jammers, &rx_pos, ch, asn, rf)
+                + total_interference_mw(&self.ambient, &rx_pos, ch, asn, rf)
                 + rf.noise_floor.to_milliwatts();
             for (_, rss) in &cands[1..] {
                 interference_mw += rss.to_milliwatts();
@@ -417,8 +483,8 @@ impl Engine {
                     let link_up = !self.faults.has_link_outages()
                         || self.faults.is_link_up(*rx_id, tx_id, asn);
                     let ack_rss = self.link.rss(*rx_id, tx_id, ch, asn);
-                    let ack_inter = total_interference_mw(&self.jammers, &tx_pos, ch, asn, &rf)
-                        + total_interference_mw(&self.ambient, &tx_pos, ch, asn, &rf)
+                    let ack_inter = total_interference_mw(&self.jammers, &tx_pos, ch, asn, rf)
+                        + total_interference_mw(&self.ambient, &tx_pos, ch, asn, rf)
                         + rf.noise_floor.to_milliwatts();
                     let ack_sinr = ack_rss.dbm() - 10.0 * ack_inter.log10();
                     if link_up && self.rng.gen::<f64>() < prr_from_sinr_db(ack_sinr) {
@@ -583,6 +649,11 @@ impl Engine {
         }
 
         self.asn = asn.next();
+        // Only a node that was asked can have been called back, so only
+        // its wake slot can have moved.
+        for i in asked.drain(..) {
+            wake[i] = stacks[i].next_wake(self.asn);
+        }
     }
 }
 
@@ -904,6 +975,59 @@ mod tests {
         assert_eq!(stacks[0].desyncs, vec![4]);
         assert!(stacks[1].desyncs.is_empty());
         assert!(stacks[0].resets.is_empty());
+    }
+
+    /// A stack that needs asking only in every fifth slot.
+    #[derive(Default)]
+    struct Napping {
+        asked: Vec<u64>,
+    }
+
+    impl NodeStack for Napping {
+        type Payload = u32;
+
+        fn slot_intent(&mut self, asn: Asn) -> SlotIntent<u32> {
+            self.asked.push(asn.0);
+            SlotIntent::Sleep
+        }
+
+        fn next_wake(&self, from: Asn) -> Asn {
+            Asn(from.0.next_multiple_of(5))
+        }
+
+        fn on_frame(&mut self, _asn: Asn, _frame: &Frame<u32>, _rss: Dbm) {}
+
+        fn on_tx_outcome(&mut self, _asn: Asn, _outcome: TxOutcome) {}
+    }
+
+    #[test]
+    fn a_node_is_asked_only_at_its_wake_slots_but_every_slot_is_counted() {
+        let mut engine = Engine::new(two_node_topology(5.0), RfConfig::deterministic(), 7);
+        let mut stacks = vec![Napping::default(), Napping::default()];
+        engine.run(&mut stacks, 7);
+        // A second call starts from the stacks, not from a remembered slot.
+        engine.run(&mut stacks, 6);
+        assert_eq!(stacks[0].asked, vec![0, 5, 10]);
+        assert_eq!(stacks[1].asked, vec![0, 5, 10]);
+        assert_eq!(engine.stats().slots, 13);
+        assert_eq!(engine.energy(NodeId(1)).slots, 13);
+    }
+
+    #[test]
+    fn reset_desync_and_a_wake_slot_missed_while_dead_all_wake_the_node() {
+        use crate::fault::{ClockDesync, Outage, Reboot};
+        let mut engine = Engine::new(two_node_topology(5.0), RfConfig::deterministic(), 7);
+        engine.set_fault_plan(
+            FaultPlan::none()
+                .with_reboot(Reboot::new(NodeId(0), Asn(1), Asn(3)))
+                .with_desync(ClockDesync::new(NodeId(0), Asn(7)))
+                .with(Outage::transient(NodeId(1), Asn(4), Asn(8))),
+        );
+        let mut stacks = vec![Napping::default(), Napping::default()];
+        engine.run(&mut stacks, 12);
+        assert_eq!(stacks[0].asked, vec![0, 3, 5, 7, 10], "reset at 3, desync at 7");
+        assert_eq!(stacks[1].asked, vec![0, 8, 10], "slot 5 fell in the outage");
+        assert_eq!(engine.energy(NodeId(1)).slots, 8, "dead slots are not counted");
     }
 
     #[test]

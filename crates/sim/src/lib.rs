@@ -20,10 +20,11 @@
 //! - **Faults** as scripted node failures and recoveries; see [`fault`].
 //!
 //! Protocol stacks plug into the [`engine::Engine`] through the
-//! [`engine::NodeStack`] trait: each slot, every alive node declares a
-//! [`engine::SlotIntent`] (sleep, listen, or transmit on a channel offset)
-//! and the engine resolves propagation, contention, collisions, and
-//! acknowledgements, then reports outcomes back to the stacks.
+//! [`engine::NodeStack`] trait: each slot, every alive node that is awake
+//! (see the trait's wake contract) declares a [`engine::SlotIntent`] (sleep,
+//! listen, or transmit on a channel offset) and the engine resolves
+//! propagation, contention, collisions, and acknowledgements, then reports
+//! outcomes back to the stacks.
 //!
 //! # Example
 //!
