@@ -3,7 +3,9 @@
 //! truncations, nesting bombs and 1 MiB strings go through every decoder
 //! that reads text from outside the program. Each call must return — `Ok`
 //! or `Err`, never a panic or a stack overflow — and whatever decodes must
-//! re-encode and decode again to itself.
+//! re-encode and decode again to itself. `digs_json::walk_fields`, the
+//! reading of the grammar that builds nothing, must agree with `parse` on
+//! every one of those inputs.
 
 use digs_conformance::golden::Golden;
 use digs_conformance::RunMetrics;
@@ -99,8 +101,26 @@ fn histogram_json(h: &LogHistogram) -> String {
     .to_compact()
 }
 
+/// The building-off reading of the grammar gives `parse`'s verdict — same
+/// `Ok`, same error at the same byte — and slices out exactly the top-level
+/// fields `parse` built.
+fn walk_agrees_with_parse(input: &str) {
+    let mut slices = Vec::new();
+    let walked = digs_json::walk_fields(input, |_, value| slices.push(value));
+    let parsed = digs_json::parse(input);
+    let verdict = parsed.as_ref().map(drop).map_err(Clone::clone);
+    assert_eq!(walked, verdict, "walk_fields vs parse on {input:?}");
+    if let Ok(Value::Obj(fields)) = parsed {
+        let built: Vec<Value> = fields.into_iter().map(|(_, value)| value).collect();
+        let sliced: Vec<Value> =
+            slices.into_iter().map(|raw| digs_json::parse(raw).expect("a checked slice")).collect();
+        assert_eq!(sliced, built, "top-level fields of {input:?}");
+    }
+}
+
 /// One input through every decoder.
 fn feed(input: &str) {
+    walk_agrees_with_parse(input);
     round_trip("json", input, digs_json::parse, |v| v.to_compact());
     round_trip("json pretty", input, digs_json::parse, |v| v.to_pretty());
     round_trip("client", input, ClientMsg::decode, ClientMsg::encode);

@@ -658,25 +658,25 @@ fn write_summary_json(out: &mut String, s: &StreamingSummary) {
     out.push('}');
 }
 
-/// Serializes a sampler's `meta` line (no trailing newline): settings,
+/// Appends a sampler's `meta` line (no trailing newline): settings,
 /// total epoch count, and drop count. In a streamed run this is the final
 /// frame, emitted once the run is complete (the counts are only then
 /// known).
-pub fn meta_jsonl_line(sampler: &TelemetrySampler) -> String {
-    format!(
+pub fn write_meta_line(out: &mut String, sampler: &TelemetrySampler) {
+    let _ = write!(
+        out,
         "{{\"type\":\"meta\",\"epoch_slots\":{},\"cap\":{},\"epochs\":{},\"dropped_epochs\":{}}}",
         sampler.settings().epoch_slots,
         sampler.settings().cap,
         sampler.next_epoch,
         sampler.dropped_epochs(),
-    )
+    );
 }
 
-/// Serializes one epoch snapshot as a single JSONL line (no trailing
+/// Appends one epoch snapshot as a single JSONL line (no trailing
 /// newline). Streaming exporters emit this per epoch; concatenating the
 /// lines reproduces the `epoch` section of [`to_jsonl`] byte for byte.
-pub fn epoch_jsonl_line(e: &EpochSnapshot) -> String {
-    let mut out = String::new();
+pub fn write_epoch_line(out: &mut String, e: &EpochSnapshot) {
     let _ = write!(
         out,
         "{{\"type\":\"epoch\",\"epoch\":{},\"asn_start\":{},\"asn_end\":{}",
@@ -708,20 +708,18 @@ pub fn epoch_jsonl_line(e: &EpochSnapshot) -> String {
         );
     }
     out.push_str("],\"latency_ms\":");
-    write_histogram_json(&mut out, &e.latency_ms);
+    write_histogram_json(out, &e.latency_ms);
     out.push_str(",\"etx\":");
-    write_summary_json(&mut out, &e.etx);
+    write_summary_json(out, &e.etx);
     out.push_str(",\"duty_cycle\":");
-    write_summary_json(&mut out, &e.duty_cycle);
+    write_summary_json(out, &e.duty_cycle);
     out.push('}');
-    out
 }
 
-/// Serializes one health alert as a single JSONL line (no trailing
+/// Appends one health alert as a single JSONL line (no trailing
 /// newline); the streaming counterpart of the `alert` section of
 /// [`to_jsonl`].
-pub fn alert_jsonl_line(a: &HealthAlert) -> String {
-    let mut out = String::new();
+pub fn write_alert_line(out: &mut String, a: &HealthAlert) {
     let _ = write!(
         out,
         "{{\"type\":\"alert\",\"rule\":\"{}\",\"epoch\":{},\"asn_start\":{},\"asn_end\":{},\"detail\":",
@@ -730,26 +728,28 @@ pub fn alert_jsonl_line(a: &HealthAlert) -> String {
         a.asn_start,
         a.asn_end
     );
-    digs_json::write_string(&mut out, &a.detail);
+    digs_json::write_string(out, &a.detail);
     out.push('}');
-    out
 }
 
 /// Serializes a sampler's full state as deterministic JSONL: one `meta`
 /// line, one `epoch` line per retained snapshot, one `alert` line per
 /// alert. Float fields use Rust's shortest-round-trip `Display`, so the
 /// output is byte-identical for identical runs. Built from the per-line
-/// writers ([`meta_jsonl_line`], [`epoch_jsonl_line`],
-/// [`alert_jsonl_line`]) so a streamed export reassembles to these exact
+/// writers ([`write_meta_line`], [`write_epoch_line`],
+/// [`write_alert_line`]) so a streamed export reassembles to these exact
 /// bytes.
 pub fn to_jsonl(sampler: &TelemetrySampler) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{}", meta_jsonl_line(sampler));
+    write_meta_line(&mut out, sampler);
+    out.push('\n');
     for e in sampler.epochs() {
-        let _ = writeln!(out, "{}", epoch_jsonl_line(e));
+        write_epoch_line(&mut out, e);
+        out.push('\n');
     }
     for a in sampler.alerts() {
-        let _ = writeln!(out, "{}", alert_jsonl_line(a));
+        write_alert_line(&mut out, a);
+        out.push('\n');
     }
     out
 }

@@ -21,6 +21,9 @@ use std::time::{Duration, Instant};
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The line being received; kept so a stream of frames reuses one
+    /// buffer.
+    line: String,
 }
 
 impl Client {
@@ -34,7 +37,7 @@ impl Client {
     pub fn connect_with_version(addr: &str, name: &str, version: u64) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
         let writer = stream.try_clone().map_err(|e| format!("cloning stream: {e}"))?;
-        let mut client = Client { writer, reader: BufReader::new(stream) };
+        let mut client = Client { writer, reader: BufReader::new(stream), line: String::new() };
         client.send(&ClientMsg::Hello { version, client: name.to_string() })?;
         match client.recv()? {
             ServerMsg::HelloAck { .. } => Ok(client),
@@ -53,12 +56,12 @@ impl Client {
     /// Receives one message (blocking). A closed connection is an error —
     /// streams always end with an explicit `run-state` frame.
     pub fn recv(&mut self) -> Result<ServerMsg, String> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).map_err(|e| format!("recv failed: {e}"))?;
+        self.line.clear();
+        let n = self.reader.read_line(&mut self.line).map_err(|e| format!("recv failed: {e}"))?;
         if n == 0 {
             return Err("server closed the connection".into());
         }
-        ServerMsg::decode(line.trim_end())
+        ServerMsg::decode(self.line.trim_end())
     }
 
     fn expect_ok(&mut self) -> Result<(), String> {

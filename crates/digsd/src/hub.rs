@@ -16,17 +16,35 @@
 //! resume replays the run from sequence 0 and the cursor silently skips
 //! the already-delivered prefix, which is how a subscription survives a
 //! restart without duplicates (DESIGN §4.13).
+//!
+//! Frames move in batches. A run hands over its events one observer flush
+//! at a time, and [`Hub::publish_batch`] keeps the flush together: one hub
+//! lock, one lock per subscriber, one queue entry and one wake-up per
+//! subscriber per batch. Inside the locks the rule is still applied frame
+//! by frame, in order — filter, cursor skip, cursor advance, drop-newest at
+//! the cap — so a batch leaves every subscriber exactly where the same
+//! frames published one at a time would ([`Hub::publish`] *is* a batch of
+//! one). A queue entry is a chunk: the newline-terminated wire lines one
+//! batch left for that subscriber, ready to be written to its socket as
+//! they stand. The cap counts lines, not chunks.
 
 use crate::wire::{EventFrame, Filter, FrameKind, RunState};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::ops::Range;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// What a subscriber's queue drain produced.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Recv {
-    /// Frames, in publish order.
-    Lines(Vec<String>),
+    /// Everything queued, in publish order.
+    Lines {
+        /// Newline-terminated wire lines, one chunk per published batch or
+        /// control line.
+        chunks: Vec<String>,
+        /// Lines in `chunks`.
+        lines: usize,
+    },
     /// Nothing arrived within the timeout (send a heartbeat).
     Idle,
     /// The stream is complete and fully drained.
@@ -35,6 +53,8 @@ pub enum Recv {
 
 struct SubState {
     queue: VecDeque<String>,
+    /// Lines in `queue` — what the cap bounds.
+    queued: usize,
     sent: u64,
     dropped: u64,
     /// First frame sequence this subscriber still wants. Frames below it
@@ -62,6 +82,7 @@ impl Subscription {
             cap: cap.max(1),
             state: Mutex::new(SubState {
                 queue: VecDeque::new(),
+                queued: 0,
                 sent: 0,
                 dropped: 0,
                 next_seq: from_seq,
@@ -72,10 +93,14 @@ impl Subscription {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, SubState> {
+        self.state.lock().expect("subscriber lock")
+    }
+
     /// Drains everything queued, or waits up to `timeout` for the first
     /// frame. [`Recv::Closed`] only after the final frame is delivered.
     pub fn recv_timeout(&self, timeout: Duration) -> Recv {
-        let mut state = self.state.lock().expect("subscriber lock");
+        let mut state = self.lock();
         if state.queue.is_empty() && !state.closed {
             let (next, _) = self
                 .ready
@@ -90,13 +115,14 @@ impl Subscription {
                 Recv::Idle
             }
         } else {
-            Recv::Lines(state.queue.drain(..).collect())
+            let lines = std::mem::take(&mut state.queued);
+            Recv::Lines { chunks: state.queue.drain(..).collect(), lines }
         }
     }
 
     /// `(sent, dropped)` so far — the heartbeat's flow-control report.
     pub fn stats(&self) -> (u64, u64) {
-        let state = self.state.lock().expect("subscriber lock");
+        let state = self.lock();
         (state.sent, state.dropped)
     }
 
@@ -104,51 +130,40 @@ impl Subscription {
     /// cursor, journaled so a restarted daemon can hold replay until the
     /// subscriber is back.
     pub fn cursor(&self) -> u64 {
-        self.state.lock().expect("subscriber lock").next_seq
+        self.lock().next_seq
     }
 
     /// Marks the reader gone; the hub prunes detached subscriptions on
     /// the next publish.
     pub fn detach(&self) {
-        self.state.lock().expect("subscriber lock").detached = true;
+        self.lock().detached = true;
     }
 
-    /// Offers frame `seq` to this subscriber. Frames below the cursor
-    /// were already delivered (or dropped) and are skipped silently —
-    /// that is the replay path of crash recovery, not an error.
-    fn offer(&self, seq: u64, line: &str) {
-        let mut state = self.state.lock().expect("subscriber lock");
-        if state.detached || state.closed || seq < state.next_seq {
-            return;
-        }
-        state.next_seq = seq + 1;
-        if state.queue.len() >= self.cap {
-            state.dropped += 1;
-            return;
-        }
-        state.queue.push_back(line.to_string());
-        state.sent += 1;
-        drop(state);
-        self.ready.notify_one();
-    }
-
-    /// Queues a control line past the cap without counting it as sent —
-    /// restart notices and terminal frames must reach even a stalled
-    /// reader.
-    fn push_control(&self, line: &str) {
-        let mut state = self.state.lock().expect("subscriber lock");
+    /// Queues a control line unless the reader is gone or the stream is
+    /// over, and with `close` ends the stream after it. The line goes past
+    /// the cap and is not counted as sent: restart notices and terminal
+    /// frames must reach even a stalled reader.
+    fn control(&self, line: Option<&str>, close: bool) {
+        let mut state = self.lock();
         if state.detached || state.closed {
             return;
         }
-        state.queue.push_back(line.to_string());
+        if let Some(line) = line {
+            state.queue.push_back(format!("{line}\n"));
+            state.queued += 1;
+        }
+        state.closed = close;
         drop(state);
         self.ready.notify_one();
     }
+}
 
-    fn close(&self) {
-        self.state.lock().expect("subscriber lock").closed = true;
-        self.ready.notify_one();
-    }
+/// One subscriber's share of a batch being published: its state, held
+/// locked for the whole batch, and the chunk the batch is leaving it.
+struct Offer<'a> {
+    sub: &'a Subscription,
+    state: MutexGuard<'a, SubState>,
+    chunk: String,
 }
 
 struct HubInner {
@@ -156,6 +171,10 @@ struct HubInner {
     /// Sequence the next published frame will get. Reset to 0 when the
     /// supervisor replays the run.
     next_seq: u64,
+    /// Set by [`Hub::close`], which also leaves its terminal line here: a
+    /// subscriber that arrives afterwards still gets its stream end.
+    closed: bool,
+    final_line: Option<String>,
 }
 
 /// The fan-out point of one run's stream.
@@ -167,7 +186,12 @@ pub struct Hub {
 impl Hub {
     /// A hub whose subscribers each buffer up to `cap` frames.
     pub fn new(cap: usize) -> Hub {
-        Hub { inner: Mutex::new(HubInner { subs: Vec::new(), next_seq: 0 }), cap }
+        let inner = HubInner { subs: Vec::new(), next_seq: 0, closed: false, final_line: None };
+        Hub { inner: Mutex::new(inner), cap }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HubInner> {
+        self.inner.lock().expect("hub lock")
     }
 
     /// Registers a subscriber at the live point: frames published after
@@ -175,62 +199,57 @@ impl Hub {
     /// bound). The cursor snapshot happens under the hub lock, so no
     /// frame can slip between the snapshot and the registration.
     pub fn subscribe(&self, filter: Filter) -> Arc<Subscription> {
-        let mut inner = self.inner.lock().expect("hub lock");
+        let mut inner = self.lock();
         let from_seq = inner.next_seq;
-        let sub = Arc::new(Subscription::new(filter, self.cap, from_seq));
-        inner.subs.push(Arc::clone(&sub));
-        sub
+        self.attach(&mut inner, filter, from_seq)
     }
 
     /// Registers a subscriber with an explicit resume cursor: it wants
     /// frames from `from_seq` on. Sequences the run has already passed
     /// only reach it if the run is replayed (crash recovery).
     pub fn subscribe_from(&self, filter: Filter, from_seq: u64) -> Arc<Subscription> {
+        self.attach(&mut self.lock(), filter, from_seq)
+    }
+
+    /// On a closed hub the subscription is born finished: it holds the
+    /// terminal line and is closed, exactly as if it had been registered
+    /// when [`Hub::close`] walked the list. Without that, a subscriber that
+    /// lost the race against the run's end would wait on heartbeats forever.
+    fn attach(&self, inner: &mut HubInner, filter: Filter, from_seq: u64) -> Arc<Subscription> {
         let sub = Arc::new(Subscription::new(filter, self.cap, from_seq));
-        self.inner.lock().expect("hub lock").subs.push(Arc::clone(&sub));
+        if inner.closed {
+            sub.control(inner.final_line.as_deref(), true);
+        } else {
+            inner.subs.push(Arc::clone(&sub));
+        }
         sub
     }
 
     /// Live (non-detached) subscriber count.
     pub fn subscriber_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("hub lock")
-            .subs
-            .iter()
-            .filter(|s| !s.state.lock().expect("subscriber lock").detached)
-            .count()
+        self.lock().subs.iter().filter(|s| !s.lock().detached).count()
     }
 
     /// Frames dropped across live subscribers (bounded-queue overflow).
     pub fn drops_total(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("hub lock")
-            .subs
-            .iter()
-            .map(|s| s.state.lock().expect("subscriber lock").dropped)
-            .sum()
+        self.lock().subs.iter().map(|s| s.lock().dropped).sum()
     }
 
     /// The sequence the next published frame will carry — the run's
     /// current stream position, journaled as the progress cursor.
     pub fn seq(&self) -> u64 {
-        self.inner.lock().expect("hub lock").next_seq
+        self.lock().next_seq
     }
 
     /// Rewinds the stream position to 0 for a deterministic replay
     /// (supervised restart or journal resume). Subscriptions keep their
     /// cursors, so the replayed prefix is skipped per subscriber.
     pub fn reset_for_replay(&self) {
-        self.inner.lock().expect("hub lock").next_seq = 0;
+        self.lock().next_seq = 0;
     }
 
     /// Publishes one frame to every matching subscriber and returns its
-    /// sequence. The sequence is consumed even when nobody is listening
-    /// (stream position must not depend on subscriber timing); encoding
-    /// is skipped unless some live subscriber actually wants the frame.
-    /// Never blocks; full queues count drops instead.
+    /// sequence: a [`Hub::publish_batch`] of one.
     pub fn publish(
         &self,
         run: &str,
@@ -238,34 +257,83 @@ impl Hub {
         node: Option<u16>,
         payload: impl FnOnce() -> String,
     ) -> u64 {
-        let mut inner = self.inner.lock().expect("hub lock");
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.subs.retain(|s| !s.state.lock().expect("subscriber lock").detached);
-        let wanted = inner.subs.iter().any(|s| {
-            s.filter.accepts(kind, node) && s.state.lock().expect("subscriber lock").next_seq <= seq
-        });
-        if !wanted {
-            return seq;
-        }
-        let frame = EventFrame { run: run.to_string(), kind, node, seq, payload: payload() };
-        let line = frame.encode();
-        for sub in inner.subs.iter() {
-            if sub.filter.accepts(kind, node) {
-                sub.offer(seq, &line);
+        self.publish_batch(run, [(kind, node, |out: &mut String| out.push_str(&payload()))]).start
+    }
+
+    /// Publishes frames, in order, to every matching subscriber and returns
+    /// the consecutive sequences they were given. A frame is `(kind, node,
+    /// payload)`; `payload` appends the payload line to its argument and only
+    /// runs if some subscriber takes the frame, which is then encoded once.
+    /// Sequences are consumed even when nobody is listening (stream position
+    /// must not depend on subscriber timing). Never blocks; full queues count
+    /// drops instead.
+    pub fn publish_batch<W: FnOnce(&mut String)>(
+        &self,
+        run: &str,
+        frames: impl IntoIterator<Item = (FrameKind, Option<u16>, W)>,
+    ) -> Range<u64> {
+        let mut inner = self.lock();
+        let HubInner { subs, next_seq, .. } = &mut *inner;
+        let first = *next_seq;
+        let mut detached = false;
+        let mut offers = Vec::with_capacity(subs.len());
+        for sub in subs.iter() {
+            let state = sub.lock();
+            if state.detached {
+                detached = true;
+            } else if !state.closed {
+                offers.push(Offer { sub, state, chunk: String::new() });
             }
         }
-        seq
+        // The frame being offered, encoded when its first taker turns up.
+        let mut line = String::new();
+        for (kind, node, payload) in frames {
+            let seq = *next_seq;
+            *next_seq += 1;
+            let mut payload = Some(payload);
+            for offer in &mut offers {
+                // Frames below the cursor were already delivered (or
+                // dropped) and are skipped silently — that is the replay
+                // path of crash recovery, not an error.
+                if !offer.sub.filter.accepts(kind, node) || seq < offer.state.next_seq {
+                    continue;
+                }
+                offer.state.next_seq = seq + 1;
+                if offer.state.queued >= offer.sub.cap {
+                    offer.state.dropped += 1;
+                    continue;
+                }
+                if let Some(payload) = payload.take() {
+                    line.clear();
+                    EventFrame::encode_into(&mut line, run, kind, node, seq, payload);
+                    line.push('\n');
+                }
+                offer.chunk.push_str(&line);
+                offer.state.queued += 1;
+                offer.state.sent += 1;
+            }
+        }
+        for Offer { sub, mut state, chunk } in offers {
+            if !chunk.is_empty() {
+                state.queue.push_back(chunk);
+                drop(state);
+                sub.ready.notify_one();
+            }
+        }
+        if detached {
+            subs.retain(|s| !s.lock().detached);
+        }
+        first..*next_seq
     }
 
     /// Publishes a control line (e.g. a `run-restart` notice) to every
     /// live subscriber. Control lines carry no sequence, bypass the queue
     /// cap, do not count as sent, and do not close the stream.
     pub fn publish_control(&self, line: &str) {
-        let mut inner = self.inner.lock().expect("hub lock");
-        inner.subs.retain(|s| !s.state.lock().expect("subscriber lock").detached);
+        let mut inner = self.lock();
+        inner.subs.retain(|s| !s.lock().detached);
         for sub in inner.subs.iter() {
-            sub.push_control(line);
+            sub.control(Some(line), false);
         }
     }
 
@@ -273,17 +341,16 @@ impl Hub {
     /// apply, because every stream must observe its end — then closes the
     /// hub. The line reaches even subscribers whose queue is full (it is
     /// the one frame allowed to exceed the cap; a stream that cannot say
-    /// "ended" leaves its reader hanging forever).
+    /// "ended" leaves its reader hanging forever), and, kept in the hub,
+    /// subscribers that arrive after this call. A control frame, not a
+    /// payload frame: it does not count toward a subscriber's `sent` total.
     pub fn close(&self, final_line: Option<&str>) {
-        let inner = self.inner.lock().expect("hub lock");
+        let mut inner = self.lock();
         for sub in inner.subs.iter() {
-            if let Some(line) = final_line {
-                // A control frame, not a payload frame: it does not
-                // count toward the subscriber's `sent` total.
-                sub.push_control(line);
-            }
-            sub.close();
+            sub.control(final_line, true);
         }
+        inner.closed = true;
+        inner.final_line = final_line.map(str::to_string);
     }
 }
 
@@ -400,6 +467,19 @@ mod tests {
         hub.publish("t", kind, node, move || p)
     }
 
+    /// Drains `sub` and splits what it got back into lines.
+    fn drain(sub: &Subscription) -> Vec<String> {
+        match sub.recv_timeout(Duration::from_millis(10)) {
+            Recv::Lines { chunks, lines } => {
+                assert!(chunks.iter().all(|c| c.ends_with('\n')), "{chunks:?}");
+                let text = chunks.concat();
+                assert_eq!(text.lines().count(), lines);
+                text.lines().map(str::to_string).collect()
+            }
+            other => panic!("expected lines, got {other:?}"),
+        }
+    }
+
     #[test]
     fn publish_is_ordered_and_filtered() {
         let hub = Hub::new(16);
@@ -409,13 +489,9 @@ mod tests {
         let alerts_only = hub.subscribe(Filter { kinds: Some(kinds), nodes: None });
         publish(&hub, FrameKind::Trace, Some(1), r#"{"n":1}"#);
         publish(&hub, FrameKind::Alert, None, r#"{"rule":"x"}"#);
-        let Recv::Lines(lines) = all.recv_timeout(Duration::from_millis(10)) else {
-            panic!("expected lines");
-        };
+        let lines = drain(&all);
         assert_eq!(lines.len(), 2);
-        let Recv::Lines(lines) = alerts_only.recv_timeout(Duration::from_millis(10)) else {
-            panic!("expected lines");
-        };
+        let lines = drain(&alerts_only);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains(r#""kind":"alert""#));
     }
@@ -447,9 +523,7 @@ mod tests {
         for i in 0..5 {
             publish(&hub, FrameKind::Trace, None, &format!(r#"{{"n":{i}}}"#));
         }
-        let Recv::Lines(lines) = sub.recv_timeout(Duration::from_millis(10)) else {
-            panic!("expected lines");
-        };
+        let lines = drain(&sub);
         assert_eq!(lines.len(), 5, "3 originals + 2 new, no replayed duplicates");
         let (sent, dropped) = sub.stats();
         assert_eq!((sent, dropped), (5, 0));
@@ -468,9 +542,7 @@ mod tests {
         for i in 0..6 {
             publish(&hub, FrameKind::Trace, None, &format!(r#"{{"n":{i}}}"#));
         }
-        let Recv::Lines(lines) = sub.recv_timeout(Duration::from_millis(10)) else {
-            panic!("expected lines");
-        };
+        let lines = drain(&sub);
         assert_eq!(lines.len(), 4, "sequences 2..6");
         assert!(lines[0].contains(r#""seq":2"#));
     }
@@ -490,9 +562,7 @@ mod tests {
         // stream prefix contiguous — and the cursor is past the drops,
         // so a replay cannot deliver dropped frames out of order.
         assert_eq!(sub.cursor(), 5);
-        let Recv::Lines(lines) = sub.recv_timeout(Duration::from_millis(10)) else {
-            panic!("expected lines");
-        };
+        let lines = drain(&sub);
         assert!(lines[0].contains(r#""n":0"#));
         assert!(lines[1].contains(r#""n":1"#));
     }
@@ -503,9 +573,7 @@ mod tests {
         let sub = hub.subscribe(Filter::default());
         publish(&hub, FrameKind::Trace, None, r#"{"n":0}"#);
         hub.publish_control(r#"{"type":"run-restart"}"#);
-        let Recv::Lines(lines) = sub.recv_timeout(Duration::from_millis(10)) else {
-            panic!("expected lines");
-        };
+        let lines = drain(&sub);
         assert_eq!(lines.len(), 2, "control line exceeds the cap");
         assert_eq!(sub.stats().0, 1, "control lines are not counted as sent");
         assert_eq!(sub.recv_timeout(Duration::from_millis(5)), Recv::Idle, "hub stays open");
@@ -518,11 +586,62 @@ mod tests {
         publish(&hub, FrameKind::Trace, None, r#"{"n":0}"#);
         publish(&hub, FrameKind::Trace, None, r#"{"n":1}"#); // dropped
         hub.close(Some(r#"{"type":"run-state"}"#));
-        let Recv::Lines(lines) = sub.recv_timeout(Duration::from_millis(10)) else {
-            panic!("expected lines");
-        };
+        let lines = drain(&sub);
         assert_eq!(lines.len(), 2, "final line bypasses the cap");
         assert_eq!(sub.recv_timeout(Duration::from_millis(10)), Recv::Closed);
+    }
+
+    #[test]
+    fn subscribing_to_a_closed_hub_yields_the_final_line_then_closed() {
+        // The race `serve_connection` can lose: the run ends between its
+        // liveness check and its subscribe. The late subscription used to
+        // be registered after `close` had walked the list and idled forever.
+        let hub = Hub::new(4);
+        publish(&hub, FrameKind::Trace, None, "{}");
+        hub.close(Some(r#"{"type":"run-state"}"#));
+        for sub in [hub.subscribe(Filter::default()), hub.subscribe_from(Filter::default(), 0)] {
+            assert_eq!(drain(&sub), [r#"{"type":"run-state"}"#]);
+            assert_eq!(sub.recv_timeout(Duration::from_millis(5)), Recv::Closed);
+            assert_eq!(sub.stats(), (0, 0), "the final line is not a payload frame");
+        }
+        let bare = Hub::new(4);
+        bare.close(None);
+        let sub = bare.subscribe(Filter::default());
+        assert_eq!(sub.recv_timeout(Duration::from_millis(5)), Recv::Closed);
+    }
+
+    #[test]
+    fn a_batch_is_one_chunk_and_counts_its_frames_one_by_one() {
+        let hub = Hub::new(3);
+        let sub = hub.subscribe(Filter::default());
+        let mut nodes = std::collections::BTreeSet::new();
+        nodes.insert(1u16);
+        let node_1 = hub.subscribe(Filter { kinds: None, nodes: Some(nodes) });
+        let seqs = hub.publish_batch(
+            "t",
+            (0..5u16).map(|n| {
+                (FrameKind::Trace, Some(n % 2), move |out: &mut String| {
+                    out.push_str(&format!(r#"{{"n":{n}}}"#));
+                })
+            }),
+        );
+        assert_eq!(seqs, 0..5);
+        assert_eq!(hub.publish_batch("t", Vec::<(_, _, fn(&mut String))>::new()), 5..5);
+        // The cap is counted in frames inside the batch: three fit, two drop.
+        assert_eq!(sub.stats(), (3, 2));
+        assert_eq!(sub.cursor(), 5);
+        let Recv::Lines { chunks, lines } = sub.recv_timeout(Duration::from_millis(10)) else {
+            panic!("expected lines");
+        };
+        assert_eq!((chunks.len(), lines), (1, 3), "one queue entry for the whole batch");
+        assert_eq!(
+            chunks[0].lines().next(),
+            Some(r#"{"type":"event","run":"t","kind":"trace","node":0,"seq":0,"payload":{"n":0}}"#)
+        );
+        // The filtered subscriber saw sequences 1 and 3 only.
+        let lines = drain(&node_1);
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].contains(r#""seq":1"#) && lines[1].contains(r#""seq":3"#), "{lines:?}");
     }
 
     #[test]

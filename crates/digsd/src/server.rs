@@ -176,20 +176,31 @@ impl RunCtx {
     /// Publishes one payload line to all matching subscribers. Never
     /// blocks; full subscriber queues count drops.
     pub fn publish(&self, kind: FrameKind, node: Option<u16>, payload: String) {
-        self.publish_with(kind, node, move || payload);
+        self.publish_with(kind, node, |out| out.push_str(&payload));
     }
 
-    /// Like [`RunCtx::publish`] but lazy: the payload closure only runs
-    /// if some live subscriber actually wants the frame. The frame's
-    /// sequence number is consumed either way — the stream position is a
-    /// function of the run, never of who is watching.
+    /// Like [`RunCtx::publish`] but lazy: the closure appends the payload
+    /// line to its argument, and only runs if some live subscriber
+    /// actually wants the frame. The frame's sequence number is consumed
+    /// either way — the stream position is a function of the run, never
+    /// of who is watching.
     pub fn publish_with(
         &self,
         kind: FrameKind,
         node: Option<u16>,
-        payload: impl FnOnce() -> String,
+        payload: impl FnOnce(&mut String),
     ) {
-        self.handle.hub.publish(&self.handle.name, kind, node, payload);
+        self.publish_batch([(kind, node, payload)]);
+    }
+
+    /// Publishes frames `(kind, node, payload)` in order as one batch:
+    /// what [`RunCtx::publish_with`] would do for each in turn, under one
+    /// hub lock and with one queue entry per subscriber.
+    pub fn publish_batch<W: FnOnce(&mut String)>(
+        &self,
+        frames: impl IntoIterator<Item = (FrameKind, Option<u16>, W)>,
+    ) {
+        self.handle.hub.publish_batch(&self.handle.name, frames);
     }
 
     /// Updates the progress marker reported in heartbeats and listings,
@@ -512,6 +523,10 @@ fn read_request(
 }
 
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
+    // A stream ends in two short writes, the `run-state` line and the
+    // footer heartbeat. With Nagle's algorithm on, the second waits for the
+    // peer's delayed ACK of the first: 40 ms on every stream end.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
@@ -744,7 +759,7 @@ fn stream_to(
             ServerMsg::Heartbeat { run: handle.name.clone(), asn: handle.progress(), sent, dropped }
         };
         let step = match sub.recv_timeout(HEARTBEAT) {
-            Recv::Lines(lines) => {
+            Recv::Lines { chunks, lines } => {
                 shared.chaos.stall();
                 if shared.chaos.should_drop_connection(delivered) {
                     sub.detach();
@@ -754,13 +769,8 @@ fn stream_to(
                         "chaos: injected connection drop",
                     ));
                 }
-                delivered += lines.len() as u64;
-                let mut buf = String::new();
-                for l in &lines {
-                    buf.push_str(l);
-                    buf.push('\n');
-                }
-                writer.write_all(buf.as_bytes())
+                delivered += lines as u64;
+                chunks.iter().try_for_each(|chunk| writer.write_all(chunk.as_bytes()))
             }
             Recv::Idle => send(writer, &heartbeat(sub)),
             Recv::Closed => {
@@ -914,10 +924,10 @@ struct StreamObserver {
 
 impl RunObserver for StreamObserver {
     fn on_events(&mut self, events: &[digs_trace::Event]) {
-        for e in events {
+        self.ctx.publish_batch(events.iter().map(|e| {
             let node = (e.node != digs_trace::NETWORK_NODE).then_some(e.node);
-            self.ctx.publish_with(FrameKind::Trace, node, || digs_trace::to_jsonl_line(e));
-        }
+            (FrameKind::Trace, node, |out: &mut String| digs_trace::write_jsonl_line(out, e))
+        }));
     }
 
     fn on_epoch(
@@ -925,11 +935,12 @@ impl RunObserver for StreamObserver {
         snapshot: &digs::telemetry::EpochSnapshot,
         alerts: &[digs::telemetry::HealthAlert],
     ) {
-        self.ctx
-            .publish_with(FrameKind::Epoch, None, || digs::telemetry::epoch_jsonl_line(snapshot));
-        for a in alerts {
-            self.ctx.publish_with(FrameKind::Alert, None, || digs::telemetry::alert_jsonl_line(a));
-        }
+        self.ctx.publish_with(FrameKind::Epoch, None, |out| {
+            digs::telemetry::write_epoch_line(out, snapshot);
+        });
+        self.ctx.publish_batch(alerts.iter().map(|a| {
+            (FrameKind::Alert, None, |out: &mut String| digs::telemetry::write_alert_line(out, a))
+        }));
     }
 
     fn on_progress(&mut self, asn: u64) -> bool {
@@ -976,8 +987,8 @@ fn prepare_single(spec: &Value) -> Result<Job, String> {
         // positions, and a partial meta would occupy one.
         if !network.observer_stopped() {
             if let Some(sampler) = network.telemetry() {
-                ctx.publish_with(FrameKind::Meta, None, || {
-                    digs::telemetry::meta_jsonl_line(sampler)
+                ctx.publish_with(FrameKind::Meta, None, |out| {
+                    digs::telemetry::write_meta_line(out, sampler);
                 });
             }
         }

@@ -4,12 +4,20 @@
 //! Explicit message structs with hand-rolled encode/decode (via
 //! [`digs_json`]) — simplicity over space efficiency, SIP-003 style. The
 //! full spec lives in DESIGN §4.12; the load-bearing invariant is that
-//! **event frames carry their payload as the last field**, so a client
-//! can recover the payload's *exact original bytes* by slicing the frame
-//! after `"payload":` instead of re-encoding a parsed value. That slice
-//! is what makes streamed JSONL byte-identical to file export.
+//! **event frames carry their payload as the last field, verbatim**, and a
+//! client recovers the payload's *exact original bytes* as a slice of the
+//! line instead of re-encoding a parsed value. That slice is what makes
+//! streamed JSONL byte-identical to file export.
+//!
+//! An event line is read once. [`digs_json::walk_fields`] checks the whole
+//! line against the one JSON grammar — nesting bound and errors included —
+//! without building anything, and hands back the top-level fields as slices
+//! of the line: the few head fields are parsed from theirs, the payload is
+//! kept as the bytes it arrived in. Every other message is rare and small
+//! and goes through a [`Value`].
 
 use digs_json::Value;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -34,11 +42,11 @@ pub fn valid_run_name(name: &str) -> bool {
 /// What kind of payload an event frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FrameKind {
-    /// One flight-recorder event (`digs_trace::to_jsonl_line`).
+    /// One flight-recorder event (`digs_trace::write_jsonl_line`).
     Trace,
-    /// One telemetry epoch snapshot (`digs::telemetry::epoch_jsonl_line`).
+    /// One telemetry epoch snapshot (`digs::telemetry::write_epoch_line`).
     Epoch,
-    /// One health alert (`digs::telemetry::alert_jsonl_line`).
+    /// One health alert (`digs::telemetry::write_alert_line`).
     Alert,
     /// End-of-run summary line (telemetry meta line for single runs,
     /// a `RunMetrics` record for scenario runs).
@@ -446,47 +454,112 @@ impl ClientMsg {
     }
 }
 
-const PAYLOAD_MARKER: &str = ",\"payload\":";
-
 impl EventFrame {
     /// Encodes with the payload spliced in verbatim as the final field.
     pub fn encode(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::with_capacity(64 + self.run.len() + self.payload.len());
-        out.push_str("{\"type\":\"event\",\"run\":");
-        digs_json::write_string(&mut out, &self.run);
-        let _ = write!(out, ",\"kind\":\"{}\"", self.kind.as_str());
-        if let Some(n) = self.node {
-            let _ = write!(out, ",\"node\":{n}");
-        }
-        let _ = write!(out, ",\"seq\":{}", self.seq);
-        out.push_str(PAYLOAD_MARKER);
-        out.push_str(&self.payload);
-        out.push('}');
+        EventFrame::encode_into(&mut out, &self.run, self.kind, self.node, self.seq, |out| {
+            out.push_str(&self.payload);
+        });
         out
     }
 
-    /// Decodes, recovering the payload's exact original bytes by slicing
-    /// the frame at the first marker. Everything before it must close into
-    /// a complete object on its own, which rules out a marker found inside a
-    /// string or a nested value — the slice is always the frame's own payload.
-    /// The payload itself is opaque here; [`ServerMsg::decode`] has parsed the
-    /// whole line before it dispatches to this.
+    /// Appends the line [`EventFrame::encode`] returns for these fields;
+    /// `payload` appends the payload. The hub encodes through this into a
+    /// buffer it reuses, with no frame or payload `String` between.
+    pub fn encode_into(
+        out: &mut String,
+        run: &str,
+        kind: FrameKind,
+        node: Option<u16>,
+        seq: u64,
+        payload: impl FnOnce(&mut String),
+    ) {
+        use std::fmt::Write;
+        out.push_str("{\"type\":\"event\",\"run\":");
+        digs_json::write_string(out, run);
+        let _ = write!(out, ",\"kind\":\"{}\"", kind.as_str());
+        if let Some(n) = node {
+            let _ = write!(out, ",\"node\":{n}");
+        }
+        let _ = write!(out, ",\"seq\":{seq},\"payload\":");
+        payload(out);
+        out.push('}');
+    }
+
+    /// Decodes in one pass over the line (see [`Fields`]). The payload is
+    /// checked to be well-formed and otherwise opaque: it comes back as the
+    /// exact bytes its value has in the line.
     pub fn decode(line: &str) -> Result<EventFrame, String> {
-        let at = line.find(PAYLOAD_MARKER).ok_or("event frame lacks a payload")?;
-        let payload = line[at + PAYLOAD_MARKER.len()..]
-            .strip_suffix('}')
-            .ok_or("event frame is not `}`-terminated")?
-            .to_string();
-        let head = digs_json::parse(&format!("{}}}", &line[..at])).map_err(|e| e.to_string())?;
+        Fields::walk(line)?.event()
+    }
+}
+
+/// The top-level fields of one wire line, as the slices of it that
+/// [`digs_json::walk_fields`] found while checking the whole line. Of a
+/// repeated key the last one counts.
+#[derive(Default)]
+struct Fields<'a> {
+    message: Option<&'a str>,
+    run: Option<&'a str>,
+    kind: Option<&'a str>,
+    node: Option<&'a str>,
+    seq: Option<&'a str>,
+    payload: Option<&'a str>,
+    /// Whether the field seen last was the payload.
+    payload_is_last: bool,
+}
+
+impl<'a> Fields<'a> {
+    fn walk(line: &'a str) -> Result<Fields<'a>, String> {
+        let mut fields = Fields::default();
+        digs_json::walk_fields(line, |key, value| {
+            let slot = match key {
+                "type" => &mut fields.message,
+                "run" => &mut fields.run,
+                "kind" => &mut fields.kind,
+                "node" => &mut fields.node,
+                "seq" => &mut fields.seq,
+                "payload" => &mut fields.payload,
+                _ => &mut None,
+            };
+            *slot = Some(value);
+            fields.payload_is_last = key == "payload";
+        })
+        .map_err(|e| e.to_string())?;
+        Ok(fields)
+    }
+
+    /// The event frame these fields spell: the head fields parsed from
+    /// their slices, the payload as it stands.
+    fn event(&self) -> Result<EventFrame, String> {
+        let payload = self.payload.ok_or("event frame lacks a payload")?;
+        if !self.payload_is_last {
+            return Err("event frame's payload is not its last field".into());
+        }
+        let node = match self.node.map(head).transpose()? {
+            None | Some(Value::Null) => None,
+            Some(node) => Some(node.to_uint("node")?),
+        };
         Ok(EventFrame {
-            run: head.str("run")?.to_string(),
-            kind: FrameKind::parse(head.str("kind")?)?,
-            node: head.opt_uint("node")?,
-            seq: head.uint("seq")?,
-            payload,
+            run: head_str("run", self.run)?.into_owned(),
+            kind: FrameKind::parse(&head_str("kind", self.kind)?)?,
+            node,
+            seq: head(self.seq.ok_or("missing field `seq`")?)?.to_uint("seq")?,
+            payload: payload.to_string(),
         })
     }
+}
+
+/// A head field parsed from its slice (which the walk has checked).
+fn head(raw: &str) -> Result<Value, String> {
+    digs_json::parse(raw).map_err(|e| e.to_string())
+}
+
+/// A required head field that must be a string.
+fn head_str<'a>(key: &str, raw: Option<&'a str>) -> Result<Cow<'a, str>, String> {
+    let raw = raw.ok_or_else(|| format!("missing field `{key}`"))?;
+    digs_json::raw_str(raw).ok_or_else(|| format!("`{key}` is not a string"))
 }
 
 impl ServerMsg {
@@ -556,10 +629,16 @@ impl ServerMsg {
         }
     }
 
-    /// Decodes one line.
+    /// Decodes one line. An event line — nearly every line of a stream —
+    /// is read once and nothing is built for its payload.
     pub fn decode(line: &str) -> Result<ServerMsg, String> {
+        let fields = Fields::walk(line)?;
+        let kind = head_str("type", fields.message)?;
+        if kind == "event" {
+            return fields.event().map(ServerMsg::Event);
+        }
         let v = digs_json::parse(line).map_err(|e| e.to_string())?;
-        match v.str("type")? {
+        match &*kind {
             "hello-ack" => Ok(ServerMsg::HelloAck {
                 version: v.uint("version")?,
                 server: v.opt_str("server")?.unwrap_or_default().to_string(),
@@ -588,7 +667,6 @@ impl ServerMsg {
                     .collect::<Result<Vec<_>, String>>()?;
                 Ok(ServerMsg::Runs { runs })
             }
-            "event" => Ok(ServerMsg::Event(EventFrame::decode(line)?)),
             "heartbeat" => Ok(ServerMsg::Heartbeat {
                 run: v.str("run")?.to_string(),
                 asn: v.uint("asn")?,
@@ -671,10 +749,21 @@ mod tests {
         // Node 70000 used to arrive as 4464.
         let err = EventFrame::decode(&ok.replace("65535", "70000")).unwrap_err();
         assert!(err.contains("node") && err.contains("70000"), "{err}");
-        // A nested `payload` key ahead of the real one would be sliced instead.
-        let nested = r#"{"run":"r","kind":"trace","seq":1,"x":{"a":1,"payload":2},"payload":3}"#;
-        assert!(EventFrame::decode(nested).is_err());
+        // Only the top-level `payload` is the payload, whatever the rest of
+        // the line looks like; it comes back without the space around it.
+        let nested =
+            r#"{"run":"r","kind":"trace","seq":1,"x":{"a":1,"payload":2},"payload": [3, 4] }"#;
+        assert_eq!(EventFrame::decode(nested).expect("decodes").payload, "[3, 4]");
         assert!(EventFrame::decode(r#"{"run":"r","kind":"trace","seq":1}"#).is_err());
+        // The payload must be the last field, and the whole line — payload
+        // included — one well-formed document.
+        let err =
+            EventFrame::decode(&ok.replace(r#","seq":1,"payload":{}"#, r#","payload":{},"seq":1"#));
+        assert!(err.unwrap_err().contains("last field"));
+        for broken in [ok.replace("{}}", "{]}"), ok.replace("{}}", "{}"), format!("{ok}}}")] {
+            assert!(EventFrame::decode(&broken).is_err(), "{broken}");
+            assert!(ServerMsg::decode(&broken).is_err(), "{broken}");
+        }
     }
 
     #[test]

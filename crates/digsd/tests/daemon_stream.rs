@@ -273,3 +273,71 @@ fn filters_narrow_the_stream() {
     // 30 s at 500-slot epochs = 6 epochs.
     assert_eq!(got.epochs.len(), 6);
 }
+
+#[test]
+fn the_raw_bytes_of_a_tailed_launch_are_pinned() {
+    // "Same wire bytes" as a test: everything the daemon writes to the
+    // socket of a short tailed launch after its hello-ack (which names the
+    // package version) — launch ack, every event line, the `run-state` line
+    // and the footer heartbeat — read raw, never through the client's
+    // decoder. Idle heartbeats are the only lines that depend on the host's
+    // speed; they are left out of the digest.
+    use std::io::{BufRead, BufReader, Write};
+    let spec = SingleSpec {
+        topology: "testbed-a-half".into(),
+        seed: 11,
+        flows: 2,
+        period_ms: 3000,
+        secs: 20,
+        trace_cap: Some(200_000),
+        telemetry: Some((500, 256)),
+        ..SingleSpec::default()
+    };
+    let hello =
+        digs_digsd::ClientMsg::Hello { version: digs_digsd::WIRE_VERSION, client: "raw".into() };
+    let launch = digs_digsd::ClientMsg::Launch {
+        name: "pinned".into(),
+        tail: true,
+        filter: Filter::default(),
+        spec: spec.to_json(),
+    };
+    let addr = start_daemon(DaemonConfig { queue_cap: 1 << 20, ..DaemonConfig::default() });
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(120))).expect("timeout");
+    stream
+        .write_all(format!("{}\n{}\n", hello.encode(), launch.encode()).as_bytes())
+        .expect("send");
+
+    let (mut digest, mut lines, mut bytes) = (0xcbf2_9ce4_8422_2325_u64, 0_u64, 0_u64);
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    let mut ended = false;
+    reader.read_line(&mut line).expect("read");
+    assert!(line.starts_with("{\"type\":\"hello-ack\",\"version\":2,"), "{line}");
+    loop {
+        line.clear();
+        assert!(reader.read_line(&mut line).expect("read") > 0, "closed before the stream end");
+        let heartbeat = line.starts_with("{\"type\":\"heartbeat\"");
+        if heartbeat && !ended {
+            continue;
+        }
+        for b in line.bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        lines += 1;
+        bytes += line.len() as u64;
+        if heartbeat {
+            let footer =
+                r#"{"type":"heartbeat","run":"pinned","asn":2000,"sent":3082,"dropped":0}"#;
+            assert_eq!(line.trim_end(), footer);
+            break;
+        }
+        ended |= line.starts_with("{\"type\":\"run-state\"");
+    }
+    // Computed at the commit before the hub moved batches (d79e3bd).
+    assert_eq!(
+        (lines, bytes, digest),
+        (3085, 400_985, 0xdd35_4463_1c52_ab98),
+        "got ({lines}, {bytes}, {digest:#018x})"
+    );
+}

@@ -1,0 +1,328 @@
+//! The hub against a reference model (ROADMAP 4c): std only, deterministic
+//! per seed, runs offline.
+//!
+//! Random interleavings of everything a hub can be asked — single publishes,
+//! batches sized around the cap, live and cursor subscriptions under random
+//! filters, drains, detaches, replays from sequence 0, control lines, close,
+//! late subscriptions — run against a model that applies the backpressure
+//! rule one frame at a time, the way the hub did before it moved batches.
+//! After every step each subscriber's counters and cursor equal the model's,
+//! and every drain returns the model's lines. Each scenario runs twice, once
+//! with its batches published whole and once frame by frame, and the two
+//! transcripts must be the same bytes.
+
+use digs_digsd::{EventFrame, Filter, FrameKind, Hub, Recv, Subscription};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+use std::time::Duration;
+
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+const RUN: &str = "model";
+const KINDS: [FrameKind; 3] = [FrameKind::Trace, FrameKind::Epoch, FrameKind::Alert];
+
+/// The frame a run publishes at `seq`. A function of the position alone, as
+/// in a deterministic run: a replay regenerates the same frames.
+fn frame_at(seq: u64) -> EventFrame {
+    let kind = KINDS[(seq % 5 % 3) as usize];
+    let node = (kind == FrameKind::Trace).then_some((seq % 4) as u16);
+    EventFrame { run: RUN.into(), kind, node, seq, payload: format!("{{\"n\":{seq}}}") }
+}
+
+fn random_filter(rng: &mut SplitMix64) -> Filter {
+    let mut subset = |n: usize| -> Option<BTreeSet<usize>> {
+        (rng.below(2) == 0).then(|| (0..n).filter(|_| rng.below(2) == 0).collect())
+    };
+    let kinds = subset(KINDS.len()).map(|ks| ks.into_iter().map(|k| KINDS[k]).collect());
+    let nodes = subset(4).map(|ns| ns.into_iter().map(|n| n as u16).collect());
+    Filter { kinds, nodes }
+}
+
+/// One subscriber as the per-frame hub kept it: a queue of lines.
+struct ModelSub {
+    filter: Filter,
+    queue: Vec<String>,
+    sent: u64,
+    dropped: u64,
+    next_seq: u64,
+    closed: bool,
+    detached: bool,
+    /// In the hub's list (a subscription made after `close` never is).
+    registered: bool,
+}
+
+impl ModelSub {
+    fn offer(&mut self, cap: usize, frame: &EventFrame) {
+        if !self.filter.accepts(frame.kind, frame.node) {
+            return;
+        }
+        if self.detached || self.closed || frame.seq < self.next_seq {
+            return;
+        }
+        self.next_seq = frame.seq + 1;
+        if self.queue.len() >= cap {
+            self.dropped += 1;
+            return;
+        }
+        self.queue.push(frame.encode());
+        self.sent += 1;
+    }
+
+    fn control(&mut self, line: Option<&str>, close: bool) {
+        if self.detached || self.closed {
+            return;
+        }
+        self.queue.extend(line.map(str::to_string));
+        self.closed = close;
+    }
+}
+
+struct Model {
+    cap: usize,
+    next_seq: u64,
+    subs: Vec<ModelSub>,
+    /// `Some(final line)` once closed.
+    closed: Option<Option<String>>,
+}
+
+impl Model {
+    fn publish(&mut self) -> u64 {
+        let frame = frame_at(self.next_seq);
+        self.next_seq += 1;
+        for sub in &mut self.subs {
+            sub.offer(self.cap, &frame);
+        }
+        frame.seq
+    }
+
+    fn subscribe(&mut self, filter: Filter, from_seq: u64) {
+        let mut sub = ModelSub {
+            filter,
+            queue: Vec::new(),
+            sent: 0,
+            dropped: 0,
+            next_seq: from_seq,
+            closed: false,
+            detached: false,
+            registered: self.closed.is_none(),
+        };
+        if let Some(final_line) = &self.closed {
+            sub.control(final_line.as_deref(), true);
+        }
+        self.subs.push(sub);
+    }
+}
+
+/// The hub under test beside the model, and everything drained so far.
+struct Scenario {
+    hub: Hub,
+    subs: Vec<Arc<Subscription>>,
+    model: Model,
+    batched: bool,
+    /// Per subscriber: every line it was handed, in order.
+    transcript: Vec<Vec<String>>,
+}
+
+impl Scenario {
+    /// Publishes the next `n` frames of the run: as one batch, or — the
+    /// twin — one at a time.
+    fn publish(&mut self, n: u64) {
+        let first = self.model.next_seq;
+        if self.batched {
+            let frames = (first..first + n).map(|seq| {
+                let f = frame_at(seq);
+                (f.kind, f.node, move |out: &mut String| out.push_str(&f.payload))
+            });
+            assert_eq!(self.hub.publish_batch(RUN, frames), first..first + n);
+        }
+        for seq in first..first + n {
+            if !self.batched {
+                let f = frame_at(seq);
+                assert_eq!(self.hub.publish(RUN, f.kind, f.node, || f.payload), seq);
+            }
+            assert_eq!(self.model.publish(), seq);
+        }
+    }
+
+    fn subscribe(&mut self, filter: Filter, from_seq: Option<u64>) {
+        self.subs.push(match from_seq {
+            Some(seq) => self.hub.subscribe_from(filter.clone(), seq),
+            None => self.hub.subscribe(filter.clone()),
+        });
+        self.model.subscribe(filter, from_seq.unwrap_or(self.model.next_seq));
+        self.transcript.push(Vec::new());
+    }
+
+    /// Drains subscriber `i` and holds what came against the model's queue.
+    fn drain(&mut self, i: usize) {
+        let want = std::mem::take(&mut self.model.subs[i].queue);
+        match self.subs[i].recv_timeout(Duration::ZERO) {
+            Recv::Lines { chunks, lines } => {
+                assert!(chunks.iter().all(|c| c.ends_with('\n')), "{chunks:?}");
+                let text = chunks.concat();
+                let got: Vec<&str> = text.lines().collect();
+                assert_eq!(got.len(), lines, "the chunks' line count");
+                assert_eq!(got, want, "subscriber {i}");
+                self.transcript[i].extend(got.into_iter().map(str::to_string));
+            }
+            Recv::Idle => assert!(want.is_empty() && !self.model.subs[i].closed, "idle {i}"),
+            Recv::Closed => assert!(want.is_empty() && self.model.subs[i].closed, "closed {i}"),
+        }
+    }
+
+    /// What must hold after every step, drained or not.
+    fn check(&self) {
+        assert_eq!(self.hub.seq(), self.model.next_seq);
+        let live = self.model.subs.iter().filter(|s| s.registered && !s.detached).count();
+        assert_eq!(self.hub.subscriber_count(), live);
+        for (i, (sub, model)) in self.subs.iter().zip(&self.model.subs).enumerate() {
+            assert_eq!(sub.stats(), (model.sent, model.dropped), "sent/dropped of {i}");
+            assert_eq!(sub.cursor(), model.next_seq, "cursor of {i}");
+        }
+    }
+
+    /// What must hold of a finished transcript whatever the model says: a
+    /// subscriber's frames pass its filter and climb strictly in sequence
+    /// (no duplicate, nothing out of order, across every replay), each is
+    /// the run's frame at that sequence, and `sent` counted exactly them.
+    fn check_transcripts(&self) {
+        for (i, lines) in self.transcript.iter().enumerate() {
+            let mut last = None;
+            let mut frames = 0;
+            for line in lines.iter().filter(|l| l.contains("\"type\":\"event\"")) {
+                let frame = EventFrame::decode(line).expect("a queued frame decodes");
+                assert_eq!(frame, frame_at(frame.seq), "subscriber {i}");
+                assert!(self.model.subs[i].filter.accepts(frame.kind, frame.node));
+                assert!(last < Some(frame.seq), "subscriber {i}: {last:?} then {}", frame.seq);
+                last = Some(frame.seq);
+                frames += 1;
+            }
+            assert_eq!(self.subs[i].stats().0, frames, "subscriber {i}: sent");
+        }
+    }
+}
+
+/// One random scenario; returns every subscriber's transcript and how many
+/// frames the full queues dropped.
+fn scenario(seed: u64, batched: bool) -> (Vec<Vec<String>>, u64) {
+    let mut rng = SplitMix64(seed);
+    let cap = 1 + rng.below(6);
+    let mut s = Scenario {
+        hub: Hub::new(cap),
+        subs: Vec::new(),
+        model: Model { cap, next_seq: 0, subs: Vec::new(), closed: None },
+        batched,
+        transcript: Vec::new(),
+    };
+    let steps = 40 + rng.below(40);
+    for step in 0..steps {
+        // Close somewhere in the last quarter, then keep going: a closed
+        // hub still counts sequences and still answers subscribers.
+        if step == steps * 3 / 4 {
+            let final_line = (rng.below(4) > 0).then(|| "{\"type\":\"run-state\"}".to_string());
+            s.hub.close(final_line.as_deref());
+            for sub in &mut s.model.subs {
+                sub.control(final_line.as_deref(), true);
+            }
+            s.model.closed = Some(final_line);
+        }
+        match rng.below(12) {
+            0 | 1 => s.publish(1),
+            2..=4 => {
+                let sizes = [0, 1, cap.saturating_sub(1), cap, cap + 3];
+                s.publish(sizes[rng.below(sizes.len())] as u64);
+            }
+            5 => s.subscribe(random_filter(&mut rng), None),
+            6 => {
+                let from = rng.below(s.model.next_seq as usize + 4) as u64;
+                s.subscribe(random_filter(&mut rng), Some(from));
+            }
+            7 | 8 if !s.subs.is_empty() => s.drain(rng.below(s.subs.len())),
+            9 if !s.subs.is_empty() => {
+                let i = rng.below(s.subs.len());
+                s.subs[i].detach();
+                s.model.subs[i].detached = true;
+            }
+            10 => {
+                // A supervised restart: the run starts over at sequence 0
+                // and regenerates its frames, usually past where it was.
+                let reached = s.model.next_seq;
+                s.hub.reset_for_replay();
+                s.model.next_seq = 0;
+                let replay = reached / 2 + rng.below(reached as usize / 2 + 4) as u64;
+                s.publish(replay / 2);
+                s.publish(replay - replay / 2);
+            }
+            _ => {
+                s.hub.publish_control("{\"type\":\"run-restart\"}");
+                for sub in s.model.subs.iter_mut().filter(|sub| sub.registered) {
+                    sub.control(Some("{\"type\":\"run-restart\"}"), false);
+                }
+            }
+        }
+        s.check();
+    }
+    // Every stream that still has a reader ends: its queue, then `Closed`.
+    for i in 0..s.subs.len() {
+        s.drain(i);
+        if !s.model.subs[i].detached {
+            assert_eq!(s.subs[i].recv_timeout(Duration::ZERO), Recv::Closed, "subscriber {i}");
+        }
+    }
+    s.check();
+    s.check_transcripts();
+    let dropped = s.subs.iter().map(|sub| sub.stats().1).sum();
+    (s.transcript, dropped)
+}
+
+#[test]
+fn the_hub_is_its_per_frame_model_and_a_batch_is_its_frames_one_by_one() {
+    let (mut lines, mut drops) = (0, 0);
+    for seed in 0..400 {
+        let (batched, dropped) = scenario(seed, true);
+        assert_eq!((&batched, dropped), (&scenario(seed, false).0, dropped), "seed {seed}");
+        lines += batched.iter().map(Vec::len).sum::<usize>();
+        drops += dropped;
+    }
+    // The scenarios must reach both the delivery and the overflow path.
+    assert!(lines > 10_000 && drops > 1_000, "{lines} lines delivered, {drops} frames dropped");
+}
+
+#[test]
+fn control_and_final_lines_pass_a_full_queue_that_drops_a_batch() {
+    let hub = Hub::new(2);
+    let sub = hub.subscribe(Filter::default());
+    let batch = |n: u64| {
+        (0..n)
+            .map(|i| (FrameKind::Trace, None, move |out: &mut String| out.push_str(&i.to_string())))
+    };
+    assert_eq!(hub.publish_batch(RUN, batch(5)), 0..5);
+    assert_eq!(sub.stats(), (2, 3));
+    hub.publish_control("restart");
+    assert_eq!(hub.publish_batch(RUN, batch(2)), 5..7);
+    hub.close(Some("end"));
+    assert_eq!((sub.stats(), sub.cursor()), ((2, 5), 7));
+    let Recv::Lines { chunks, lines } = sub.recv_timeout(Duration::ZERO) else {
+        panic!("expected lines");
+    };
+    assert_eq!(lines, 4);
+    let text = chunks.concat();
+    let got: Vec<&str> = text.lines().collect();
+    assert!(got[0].ends_with("\"seq\":0,\"payload\":0}") && got[1].contains("\"seq\":1,"));
+    assert_eq!(got[2..], ["restart", "end"]);
+    assert_eq!(sub.recv_timeout(Duration::ZERO), Recv::Closed);
+}

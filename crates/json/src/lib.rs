@@ -7,6 +7,14 @@
 //! writers that format straight into a `String`, through [`write_string`].
 //! Nothing outside this crate knows JSON syntax.
 //!
+//! There is one grammar and it has two readings. [`parse`] builds a
+//! [`Value`] tree. [`walk_fields`] runs the same reader over the same text
+//! with building switched off: it accepts exactly the documents [`parse`]
+//! accepts and fails with exactly its errors, allocates nothing, and hands
+//! the caller each top-level object field as a slice of the source text. A
+//! reader of streamed lines uses it to check a whole line once and to lift
+//! out a field it must keep byte-exact (a digsd event frame's payload).
+//!
 //! Determinism is the hard requirement ("same spec + seed = same bytes"),
 //! so the rules are few and fixed: objects keep insertion order;
 //! non-negative integers are exact over the whole `u64` range
@@ -19,6 +27,7 @@
 #![warn(missing_docs)]
 
 use core::fmt;
+use std::borrow::Cow;
 
 /// Deepest array/object nesting [`parse`] accepts. The deepest document the
 /// tree writes (a fleet report) nests 5 levels; 64 leaves room and keeps the
@@ -343,22 +352,60 @@ impl std::error::Error for ParseError {}
 /// Input from outside the program is safe to hand in: every failure is an
 /// `Err`, and nesting past [`MAX_DEPTH`] is refused before it costs stack.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut r = Reader { bytes: text.as_bytes(), pos: 0, depth: 0 };
-    let value = r.value()?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err(r.err("trailing characters after JSON value"));
-    }
-    Ok(value)
+    Reader::<true> { text, bytes: text.as_bytes(), pos: 0, depth: 0, top_field: &mut |_, _| {} }
+        .document()
 }
 
-struct Reader<'a> {
+/// Checks that `text` is one JSON document — the documents [`parse`]
+/// accepts, with its errors — and builds nothing. When the document is an
+/// object, `field` gets each of its top-level fields in order as two slices
+/// of `text`: the key as written between its quotes (escapes unresolved) and
+/// the value's exact bytes, which [`parse`] turns into a [`Value`] on demand.
+/// Fields seen before an `Err` belong to a malformed document.
+pub fn walk_fields<'a>(
+    text: &'a str,
+    mut field: impl FnMut(&'a str, &'a str),
+) -> Result<(), ParseError> {
+    Reader::<false> { text, bytes: text.as_bytes(), pos: 0, depth: 0, top_field: &mut field }
+        .document()
+        .map(drop)
+}
+
+/// The string that `raw` — a value slice from [`walk_fields`] — spells, or
+/// `None` when it spells something else. Borrowed from `raw` unless the
+/// string has escapes to resolve.
+pub fn raw_str(raw: &str) -> Option<Cow<'_, str>> {
+    let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
+    if !inner.contains(['"', '\\']) {
+        return Some(Cow::Borrowed(inner));
+    }
+    match parse(raw) {
+        Ok(Value::Str(s)) => Some(Cow::Owned(s)),
+        _ => None,
+    }
+}
+
+/// The one grammar. With `BUILD` it returns the [`Value`] it read; without,
+/// it reads the same way but leaves every string and container it returns
+/// empty, and sends each top-level object field to `top_field`.
+struct Reader<'a, 'f, const BUILD: bool> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    top_field: &'f mut dyn FnMut(&'a str, &'a str),
 }
 
-impl<'a> Reader<'a> {
+impl<const BUILD: bool> Reader<'_, '_, BUILD> {
+    fn document(&mut self) -> Result<Value, ParseError> {
+        let value = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError { at: self.pos, message: message.into() }
     }
@@ -426,10 +473,22 @@ impl<'a> Reader<'a> {
             return Ok(Value::Obj(fields));
         }
         loop {
+            self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
+            let key_end = self.pos;
             self.expect(b':')?;
+            self.skip_ws();
+            let value_at = self.pos;
             let value = self.value()?;
-            fields.push((key, value));
+            if BUILD {
+                fields.push((key, value));
+            } else if self.depth == 1 {
+                (self.top_field)(
+                    &self.text[key_at + 1..key_end - 1],
+                    &self.text[value_at..self.pos],
+                );
+            }
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
@@ -454,7 +513,10 @@ impl<'a> Reader<'a> {
             return Ok(Value::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            let item = self.value()?;
+            if BUILD {
+                items.push(item);
+            }
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
@@ -475,60 +537,49 @@ impl<'a> Reader<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Up to the next quote or backslash the text is copied as it
+            // stands: both are ASCII, so a run never splits a character.
+            let run = self.pos;
+            let rest = &self.bytes[run..];
+            self.pos += rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            if BUILD {
+                s.push_str(&self.text[run..self.pos]);
+            }
             let Some(&b) = self.bytes.get(self.pos) else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| self.err(e.to_string()))?,
-                                16,
-                            )
-                            .map_err(|e| self.err(e.to_string()))?;
-                            s.push(char::from_u32(code).ok_or_else(|| self.err("bad code point"))?);
-                        }
-                        other => return Err(self.err(format!("bad escape '\\{}'", other as char))),
-                    }
+            if b == b'"' {
+                return Ok(s);
+            }
+            let Some(&esc) = self.bytes.get(self.pos) else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            let c = match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    self.pos += 4;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|e| self.err(e.to_string()))?,
+                        16,
+                    )
+                    .map_err(|e| self.err(e.to_string()))?;
+                    char::from_u32(code).ok_or_else(|| self.err("bad code point"))?
                 }
-                other => {
-                    if other < 0x80 {
-                        s.push(other as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let width = match other {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            _ => 4,
-                        };
-                        let chunk = self
-                            .bytes
-                            .get(start..start + width)
-                            .ok_or_else(|| self.err("truncated UTF-8"))?;
-                        s.push_str(
-                            std::str::from_utf8(chunk).map_err(|e| self.err(e.to_string()))?,
-                        );
-                        self.pos = start + width;
-                    }
-                }
+                other => return Err(self.err(format!("bad escape '\\{}'", other as char))),
+            };
+            if BUILD {
+                s.push(c);
             }
         }
     }
@@ -546,8 +597,7 @@ impl<'a> Reader<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| self.err(e.to_string()))?;
+        let text = &self.text[start..self.pos];
         // Plain digits that fit stay exact (`text` starts with a digit or
         // `-`, so this accepts nothing else); the rest is a float.
         if let Ok(n) = text.parse::<u64>() {
@@ -703,6 +753,56 @@ mod tests {
             .expect("spawn")
             .join()
             .expect("the reader must return, not overflow the stack");
+    }
+
+    #[test]
+    fn walk_fields_reads_what_parse_reads_and_slices_the_top_level() {
+        let text =
+            r#" { "a" : [1, {"a": 2}] , "k\u0065y":"v \" \\ \u00e9 é","n":-2.5e-2,"o":{"a":{}} } "#;
+        let mut seen = Vec::new();
+        walk_fields(text, |key, value| seen.push((key, value))).expect("well-formed");
+        assert_eq!(
+            seen,
+            [
+                ("a", r#"[1, {"a": 2}]"#),
+                (r"k\u0065y", r#""v \" \\ \u00e9 é""#),
+                ("n", "-2.5e-2"),
+                ("o", r#"{"a":{}}"#)
+            ]
+        );
+        // Each slice is a document of its own, equal to the field `parse` built.
+        let built = parse(text).unwrap();
+        for ((_, raw), (_, value)) in seen.iter().zip(match &built {
+            Value::Obj(fields) => fields,
+            _ => unreachable!(),
+        }) {
+            assert_eq!(&parse(raw).unwrap(), value);
+        }
+        assert_eq!(raw_str(seen[1].1).as_deref(), Some("v \" \\ \u{e9} é"));
+        assert!(matches!(raw_str(r#""plain é""#), Some(Cow::Borrowed("plain é"))));
+        for not_a_string in ["1", "null", "[\"a\"]", "\"", "\"a\"b\"", "\"a\\\""] {
+            assert_eq!(raw_str(not_a_string), None, "{not_a_string}");
+        }
+        // Not an object: checked all the same, no fields.
+        walk_fields("[{\"a\":1}]", |_, _| panic!("no top-level object")).expect("well-formed");
+        // Same verdict and same error as `parse`, wherever the fault is.
+        let nest = "[".repeat(MAX_DEPTH + 1);
+        for bad in [
+            "",
+            "{\"a\":1,}",
+            "{\"a\":1} extra",
+            "{\"a\":[1 2]}",
+            "{\"a\":\"unterminated",
+            "{\"a\":\"\\x\"}",
+            "{\"a\":\"\\ud800\"}",
+            "{\"a\":1e999}",
+            "{\"a\":tru}",
+            "{\"a\" 1}",
+            nest.as_str(),
+        ] {
+            assert_eq!(walk_fields(bad, |_, _| {}), parse(bad).map(drop), "{bad:?}");
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl std::error::Error for ParseError {}
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::with_capacity(events.len() * 80);
     for event in events {
-        write_event(&mut out, event);
+        write_jsonl_line(&mut out, event);
         out.push('\n');
     }
     out
@@ -44,7 +44,7 @@ pub fn to_jsonl(events: &[Event]) -> String {
 /// byte-identical to a [`to_jsonl`] dump of the same events.
 pub fn to_jsonl_line(event: &Event) -> String {
     let mut out = String::with_capacity(80);
-    write_event(&mut out, event);
+    write_jsonl_line(&mut out, event);
     out
 }
 
@@ -68,7 +68,9 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
 
 // ---------------------------------------------------------------- encoding
 
-fn write_event(out: &mut String, event: &Event) {
+/// Appends what [`to_jsonl_line`] returns to `out`, for a caller that is
+/// assembling a larger buffer (a digsd frame around the line).
+pub fn write_jsonl_line(out: &mut String, event: &Event) {
     use std::fmt::Write;
     let _ = write!(
         out,

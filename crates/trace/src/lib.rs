@@ -35,7 +35,7 @@ pub use analysis::{
     LatencyBreakdown, RepairEpisode,
 };
 pub use event::{DropReason, Event, EventKind, FaultKind, PacketId, TrafficClass, NETWORK_NODE};
-pub use jsonl::{from_jsonl, to_jsonl, to_jsonl_line, ParseError};
+pub use jsonl::{from_jsonl, to_jsonl, to_jsonl_line, write_jsonl_line, ParseError};
 pub use recorder::{
     NoopRecorder, Recorder, RingRecorder, TraceHandle, DEFAULT_CAPACITY, TRACE_CAP_ENV,
 };

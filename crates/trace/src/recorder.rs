@@ -85,9 +85,7 @@ impl RingRecorder {
 
     /// All retained events merged across rings, in emission (`seq`) order.
     pub fn events(&self) -> Vec<Event> {
-        let mut all: Vec<Event> = self.rings.values().flat_map(RingBuffer::iter).cloned().collect();
-        all.sort_by_key(|e| e.seq);
-        all
+        self.events_since(0)
     }
 
     /// Retained events with `seq >= since`, in emission order. This is the
@@ -95,14 +93,18 @@ impl RingRecorder {
     /// the last seq seen and call again. Events evicted from a ring before
     /// the cursor advanced past them are gone — the caller's flush cadence
     /// must outpace ring turnover for a gapless stream.
+    ///
+    /// Each ring is in `seq` order, so its new tail is found by bisection
+    /// and only the tails are merged: a call costs what it returns, not
+    /// what the recorder retains.
     pub fn events_since(&self, since: u64) -> Vec<Event> {
-        let mut all: Vec<Event> = self
-            .rings
-            .values()
-            .flat_map(RingBuffer::iter)
-            .filter(|e| e.seq >= since)
-            .cloned()
-            .collect();
+        let mut all = Vec::new();
+        for ring in self.rings.values() {
+            let (older, newer) = ring.as_slices();
+            for part in [older, newer] {
+                all.extend_from_slice(&part[part.partition_point(|e| e.seq < since)..]);
+            }
+        }
         all.sort_by_key(|e| e.seq);
         all
     }
@@ -333,6 +335,40 @@ mod tests {
         let mut all = first;
         all.extend(next);
         assert_eq!(all, h.events());
+    }
+
+    #[test]
+    fn events_since_equals_filtering_everything_retained() {
+        // splitmix64, inline: the test runs without a registry.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for round in 0..200 {
+            // Caps from 1 up, so some rings wrap many times and some never.
+            let mut r = RingRecorder::new(1 + (next() % 9) as usize);
+            let nodes = 1 + next() % 5;
+            let recorded = next() % 60;
+            for asn in 0..recorded {
+                let node = (next() % nodes) as u16;
+                r.record(Event { seq: 0, asn, node, kind: EventKind::SlotStart });
+            }
+            for since in (0..=recorded + 2).chain([u64::MAX]) {
+                let mut old: Vec<Event> = r
+                    .rings
+                    .values()
+                    .flat_map(RingBuffer::iter)
+                    .filter(|e| e.seq >= since)
+                    .cloned()
+                    .collect();
+                old.sort_by_key(|e| e.seq);
+                assert_eq!(r.events_since(since), old, "round {round}, since {since}");
+            }
+        }
     }
 
     #[test]

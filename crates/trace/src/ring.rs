@@ -48,9 +48,17 @@ impl<T> RingBuffer<T> {
         }
     }
 
+    /// The retained items as two slices, oldest-first: the older part, then
+    /// the part written since the buffer last wrapped.
+    pub fn as_slices(&self) -> (&[T], &[T]) {
+        let (newer, older) = self.items.split_at(self.head);
+        (older, newer)
+    }
+
     /// Iterates oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items[self.head..].iter().chain(self.items[..self.head].iter())
+        let (older, newer) = self.as_slices();
+        older.iter().chain(newer)
     }
 
     /// Drains into a `Vec`, oldest-first.
