@@ -4,10 +4,9 @@
 //! Runs a standard mixed fleet workload (oil-field + factory-floor
 //! template networks plus one sharded campus network) through
 //! [`digs_fleet::run_fleet`] and records machine-readable results in
-//! `bench_results/fleet_bench.json` and `BENCH_fleet.json`, seeding the
-//! perf trajectory future PRs gate against. Simulation outcomes (PDR,
-//! SLO verdict) are deterministic; only the wall-clock fields vary
-//! between machines.
+//! `bench_results/fleet_bench.json`, seeding the perf trajectory future
+//! PRs gate against. Simulation outcomes (PDR, SLO verdict) are
+//! deterministic; only the wall-clock fields vary between machines.
 //!
 //! ```text
 //! cargo run --release -p digs-bench --bin fleet_bench [-- --networks N \
@@ -95,11 +94,10 @@ fn main() {
     ]);
 
     let json = result.to_pretty() + "\n";
-    for path in ["bench_results/fleet_bench.json", "BENCH_fleet.json"] {
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("fleet_bench: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+    let path = "bench_results/fleet_bench.json";
+    if let Err(e) = std::fs::write(path, &json) {
+        eprintln!("fleet_bench: cannot write {path}: {e}");
+        std::process::exit(1);
     }
     println!("{}", report.render(&SloPolicy::default()));
     println!(

@@ -1,12 +1,12 @@
-//! Decoder fuzz that runs offline (ROADMAP 4b): std only, deterministic per
-//! seed, no `proptest`. Random bytes, bit- and byte-mutated valid lines,
-//! truncations, nesting bombs and 1 MiB strings go through every decoder
-//! that reads text from outside the program. Each call must return — `Ok`
-//! or `Err`, never a panic or a stack overflow — and whatever decodes must
-//! re-encode and decode again to itself. `digs_json::walk_fields`, the
-//! reading of the grammar that builds nothing, must agree with `parse` on
-//! every one of those inputs.
+//! Decoder fuzz (ROADMAP 4b), deterministic per seed. Random bytes, bit- and
+//! byte-mutated valid lines, truncations, nesting bombs and 1 MiB strings go
+//! through every decoder that reads text from outside the program. Each call
+//! must return — `Ok` or `Err`, never a panic or a stack overflow — and
+//! whatever decodes must re-encode and decode again to itself.
+//! `digs_json::walk_fields`, the reading of the grammar that builds nothing,
+//! must agree with `parse` on every one of those inputs.
 
+use digs_cases::Draw;
 use digs_conformance::golden::Golden;
 use digs_conformance::RunMetrics;
 use digs_digsd::{
@@ -19,22 +19,6 @@ use digs_sim::seeds::SeedSpec;
 use digs_sim::time::SLOTS_PER_SECOND;
 use digs_trace::{Event, EventKind, PacketId, TrafficClass};
 use std::fmt::Debug;
-
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 /// If `input` decodes, the value must survive its own encoder.
 fn round_trip<T: PartialEq + Debug, E: Debug>(
@@ -247,23 +231,23 @@ fn corpus() -> Vec<String> {
 
 /// One random edit of `bytes`: bit flip, byte overwrite, insert of a JSON
 /// syntax byte, delete, truncate, or a doubled slice.
-fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>) {
+fn mutate(d: &mut Draw, bytes: &mut Vec<u8>) {
     const SYNTAX: &[u8] = b"{}[]\",:\\-+.eE0123456789 \n\tntfu";
     if bytes.is_empty() {
-        bytes.push(SYNTAX[rng.below(SYNTAX.len())]);
+        bytes.push(*d.pick(SYNTAX));
         return;
     }
-    let at = rng.below(bytes.len());
-    match rng.below(6) {
-        0 => bytes[at] ^= 1 << rng.below(8),
-        1 => bytes[at] = rng.next() as u8,
-        2 => bytes.insert(at, SYNTAX[rng.below(SYNTAX.len())]),
+    let at = d.int(0..bytes.len());
+    match d.int(0..6) {
+        0 => bytes[at] ^= 1 << d.int(0..8),
+        1 => bytes[at] = d.u64() as u8,
+        2 => bytes.insert(at, *d.pick(SYNTAX)),
         3 => {
             bytes.remove(at);
         }
         4 => bytes.truncate(at),
         _ => {
-            let end = (at + 1 + rng.below(16)).min(bytes.len());
+            let end = (at + d.int(1..=16)).min(bytes.len());
             let slice = bytes[at..end].to_vec();
             bytes.splice(at..at, slice);
         }
@@ -271,7 +255,7 @@ fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>) {
 }
 
 fn fuzz(seed: u64) {
-    let mut rng = SplitMix64(seed);
+    let mut d = Draw::from_seed(seed);
     let corpus = corpus();
     let mut fed = Vec::new();
 
@@ -281,8 +265,8 @@ fn fuzz(seed: u64) {
         let rounds = if line.len() > 4096 { 40 } else { 400 };
         for _ in 0..rounds {
             let mut bytes = line.clone().into_bytes();
-            for _ in 0..=rng.below(3) {
-                mutate(&mut rng, &mut bytes);
+            for _ in 0..d.int(1..=3) {
+                mutate(&mut d, &mut bytes);
             }
             let input = String::from_utf8_lossy(&bytes).into_owned();
             feed(&input);
@@ -293,8 +277,7 @@ fn fuzz(seed: u64) {
     }
 
     for _ in 0..2000 {
-        let len = rng.below(96);
-        let bytes: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        let bytes = d.vec(0..96, |d| d.u64() as u8);
         feed(&String::from_utf8_lossy(&bytes));
     }
 

@@ -108,19 +108,13 @@ mod tests {
 
     #[test]
     fn closed_form_next_generation_agrees_with_generates_at() {
-        // A deterministic stream of draws (`proptest` is not always at hand).
-        let mut draws = 0u64;
-        let mut below = |n: u64| {
-            draws += 1;
-            rng::mix(0xf10e, draws, 0, 0) % n
-        };
-        for _ in 0..500 {
-            let period = 1 + below(400);
-            let f = FlowSpec { id: FlowId(0), source: NodeId(5), period, phase: below(900) };
-            let from = below(2_000);
+        digs_cases::cases(500, |d| {
+            let (period, phase) = (d.int(1u64..=400), d.int(0u64..900));
+            let f = FlowSpec { id: FlowId(0), source: NodeId(5), period, phase };
+            let from = d.int(0u64..2_000);
             let brute = (from..).find(|a| f.generates_at(Asn(*a))).map(Asn);
             assert_eq!(Some(f.next_generation(Asn(from))), brute, "{f:?} from {from}");
-        }
+        });
         // At, just before and just after a generation slot.
         let f = FlowSpec { id: FlowId(0), source: NodeId(5), period: 500, phase: 100 };
         assert_eq!(f.next_generation(Asn(0)), Asn(100));

@@ -1,5 +1,4 @@
-//! The hub against a reference model (ROADMAP 4c): std only, deterministic
-//! per seed, runs offline.
+//! The hub against a reference model (ROADMAP 4c), deterministic per seed.
 //!
 //! Random interleavings of everything a hub can be asked — single publishes,
 //! batches sized around the cap, live and cursor subscriptions under random
@@ -11,26 +10,11 @@
 //! with its batches published whole and once frame by frame, and the two
 //! transcripts must be the same bytes.
 
+use digs_cases::{cases, Draw};
 use digs_digsd::{EventFrame, Filter, FrameKind, Hub, Recv, Subscription};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
-
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 const RUN: &str = "model";
 const KINDS: [FrameKind; 3] = [FrameKind::Trace, FrameKind::Epoch, FrameKind::Alert];
@@ -43,9 +27,9 @@ fn frame_at(seq: u64) -> EventFrame {
     EventFrame { run: RUN.into(), kind, node, seq, payload: format!("{{\"n\":{seq}}}") }
 }
 
-fn random_filter(rng: &mut SplitMix64) -> Filter {
+fn random_filter(d: &mut Draw) -> Filter {
     let mut subset = |n: usize| -> Option<BTreeSet<usize>> {
-        (rng.below(2) == 0).then(|| (0..n).filter(|_| rng.below(2) == 0).collect())
+        d.bool().then(|| (0..n).filter(|_| d.bool()).collect())
     };
     let kinds = subset(KINDS.len()).map(|ks| ks.into_iter().map(|k| KINDS[k]).collect());
     let nodes = subset(4).map(|ns| ns.into_iter().map(|n| n as u16).collect());
@@ -219,8 +203,8 @@ impl Scenario {
 /// One random scenario; returns every subscriber's transcript and how many
 /// frames the full queues dropped.
 fn scenario(seed: u64, batched: bool) -> (Vec<Vec<String>>, u64) {
-    let mut rng = SplitMix64(seed);
-    let cap = 1 + rng.below(6);
+    let mut d = Draw::from_seed(seed);
+    let cap = d.int(1..=6);
     let mut s = Scenario {
         hub: Hub::new(cap),
         subs: Vec::new(),
@@ -228,32 +212,32 @@ fn scenario(seed: u64, batched: bool) -> (Vec<Vec<String>>, u64) {
         batched,
         transcript: Vec::new(),
     };
-    let steps = 40 + rng.below(40);
+    let steps = d.int(40..80);
     for step in 0..steps {
         // Close somewhere in the last quarter, then keep going: a closed
         // hub still counts sequences and still answers subscribers.
         if step == steps * 3 / 4 {
-            let final_line = (rng.below(4) > 0).then(|| "{\"type\":\"run-state\"}".to_string());
+            let final_line = (d.int(0..4) > 0).then(|| "{\"type\":\"run-state\"}".to_string());
             s.hub.close(final_line.as_deref());
             for sub in &mut s.model.subs {
                 sub.control(final_line.as_deref(), true);
             }
             s.model.closed = Some(final_line);
         }
-        match rng.below(12) {
+        match d.int(0..12) {
             0 | 1 => s.publish(1),
             2..=4 => {
                 let sizes = [0, 1, cap.saturating_sub(1), cap, cap + 3];
-                s.publish(sizes[rng.below(sizes.len())] as u64);
+                s.publish(*d.pick(&sizes) as u64);
             }
-            5 => s.subscribe(random_filter(&mut rng), None),
+            5 => s.subscribe(random_filter(&mut d), None),
             6 => {
-                let from = rng.below(s.model.next_seq as usize + 4) as u64;
-                s.subscribe(random_filter(&mut rng), Some(from));
+                let from = d.int(0..s.model.next_seq + 4);
+                s.subscribe(random_filter(&mut d), Some(from));
             }
-            7 | 8 if !s.subs.is_empty() => s.drain(rng.below(s.subs.len())),
+            7 | 8 if !s.subs.is_empty() => s.drain(d.int(0..s.subs.len())),
             9 if !s.subs.is_empty() => {
-                let i = rng.below(s.subs.len());
+                let i = d.int(0..s.subs.len());
                 s.subs[i].detach();
                 s.model.subs[i].detached = true;
             }
@@ -263,7 +247,7 @@ fn scenario(seed: u64, batched: bool) -> (Vec<Vec<String>>, u64) {
                 let reached = s.model.next_seq;
                 s.hub.reset_for_replay();
                 s.model.next_seq = 0;
-                let replay = reached / 2 + rng.below(reached as usize / 2 + 4) as u64;
+                let replay = reached / 2 + d.int(0..reached / 2 + 4);
                 s.publish(replay / 2);
                 s.publish(replay - replay / 2);
             }
@@ -292,12 +276,13 @@ fn scenario(seed: u64, batched: bool) -> (Vec<Vec<String>>, u64) {
 #[test]
 fn the_hub_is_its_per_frame_model_and_a_batch_is_its_frames_one_by_one() {
     let (mut lines, mut drops) = (0, 0);
-    for seed in 0..400 {
+    cases(400, |d| {
+        let seed = d.seed();
         let (batched, dropped) = scenario(seed, true);
-        assert_eq!((&batched, dropped), (&scenario(seed, false).0, dropped), "seed {seed}");
+        assert_eq!((&batched, dropped), (&scenario(seed, false).0, dropped), "seed {seed:#x}");
         lines += batched.iter().map(Vec::len).sum::<usize>();
         drops += dropped;
-    }
+    });
     // The scenarios must reach both the delivery and the overflow path.
     assert!(lines > 10_000 && drops > 1_000, "{lines} lines delivered, {drops} frames dropped");
 }

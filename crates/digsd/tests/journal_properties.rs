@@ -5,8 +5,8 @@
 //! restart, and subscriber records, including the stale cursors a
 //! crashed replay leaves behind.
 
+use digs_cases::cases;
 use digs_digsd::{Journal, Record, RunState, Value};
-use proptest::prelude::*;
 use std::path::PathBuf;
 
 const NAME_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-_";
@@ -61,17 +61,16 @@ fn tmp(tag: &str) -> PathBuf {
     p
 }
 
-proptest! {
-    #[test]
-    fn journal_records_round_trip(
-        name_seed in prop::collection::vec(any::<u8>(), 0..40),
-        text_seed in prop::collection::vec(any::<u8>(), 0..30),
+#[test]
+fn journal_records_round_trip() {
+    cases(256, |d| {
+        let name_seed = d.vec(0..40, |d| d.int(0..=u8::MAX));
+        let text_seed = d.vec(0..30, |d| d.int(0..=u8::MAX));
         // Cursors and seeds are exact over the whole u64 range.
-        asn in any::<u64>(),
-        seq in any::<u64>(),
-        restarts in any::<u64>(),
-        state_pick in any::<u8>(),
-    ) {
+        let asn = d.u64();
+        let seq = d.u64();
+        let restarts = d.u64();
+        let state_pick = d.int(0..=u8::MAX);
         let run = name_from(&name_seed);
         let records = vec![
             Record::Launch {
@@ -87,17 +86,18 @@ proptest! {
         ];
         for r in records {
             let line = r.encode();
-            prop_assert!(!line.contains('\n'), "a journal line must stay one line: {line:?}");
-            prop_assert_eq!(Record::decode(&line), Ok(r));
+            assert!(!line.contains('\n'), "a journal line must stay one line: {line:?}");
+            assert_eq!(Record::decode(&line), Ok(r));
         }
-    }
+    });
+}
 
-    #[test]
-    fn recovered_cursors_are_the_running_maximum(
-        cursors in prop::collection::vec((any::<u32>(), any::<u32>()), 1..20),
-        restart_marks in prop::collection::vec(any::<u16>(), 0..5),
-        sub_cursors in prop::collection::vec((any::<u8>(), any::<u32>()), 0..10),
-    ) {
+#[test]
+fn recovered_cursors_are_the_running_maximum() {
+    cases(256, |d| {
+        let cursors = d.vec(1..20, |d| (d.int(0..=u32::MAX), d.int(0..=u32::MAX)));
+        let restart_marks = d.vec(0..5, |d| d.int(0..=u16::MAX));
+        let sub_cursors = d.vec(0..10, |d| (d.int(0..=u8::MAX), d.int(0..=u32::MAX)));
         // One run, an arbitrary interleaving of progress / restart /
         // subscriber records (stale values included — a crashed replay
         // journals cursors *behind* the previous session's). Recovery
@@ -138,21 +138,21 @@ proptest! {
 
         let recovery = Journal::recover(&path).expect("recover");
         let _ = std::fs::remove_file(&path);
-        prop_assert_eq!(recovery.corrupt_lines, 0);
-        prop_assert_eq!(recovery.runs.len(), 1);
+        assert_eq!(recovery.corrupt_lines, 0);
+        assert_eq!(recovery.runs.len(), 1);
         let run = &recovery.runs[0];
-        prop_assert_eq!(run.ended, None, "no end record: the run must stay resumable");
+        assert_eq!(run.ended, None, "no end record: the run must stay resumable");
         let max_asn = cursors.iter().map(|(a, _)| u64::from(*a)).max().unwrap_or(0);
         let max_seq = cursors.iter().map(|(_, s)| u64::from(*s)).max().unwrap_or(0);
-        prop_assert_eq!(run.asn, max_asn, "asn cursor must be the running maximum");
-        prop_assert_eq!(run.seq, max_seq, "seq cursor must be the running maximum");
+        assert_eq!(run.asn, max_asn, "asn cursor must be the running maximum");
+        assert_eq!(run.seq, max_seq, "seq cursor must be the running maximum");
         let max_restarts = restart_marks
             .iter()
             .take(cursors.len()) // marks beyond the cursor list were never appended
             .map(|r| u64::from(*r))
             .max()
             .unwrap_or(0);
-        prop_assert_eq!(run.restarts, max_restarts);
+        assert_eq!(run.restarts, max_restarts);
         for (client, cursor) in &run.subscribers {
             let expected = sub_cursors
                 .iter()
@@ -160,7 +160,7 @@ proptest! {
                 .map(|(_, s)| u64::from(*s))
                 .max()
                 .expect("client came from the generator");
-            prop_assert_eq!(*cursor, expected, "subscriber cursor must be the per-client maximum");
+            assert_eq!(*cursor, expected, "subscriber cursor must be the per-client maximum");
         }
-    }
+    });
 }

@@ -2,12 +2,12 @@
 //! and event-frame payloads survive *byte-exactly* (the protocol's
 //! byte-identity guarantee rests on that splice).
 
+use digs_cases::cases;
 use digs_digsd::{
     valid_run_name, ClientMsg, ErrorCode, EventFrame, Filter, FrameKind, RunInfo, RunState,
     ServerMsg,
 };
 use digs_json::Value;
-use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 const NAME_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-_";
@@ -61,19 +61,18 @@ fn filter_from(kinds: &[u8], nodes: &[u16], none_kinds: bool, none_nodes: bool) 
     }
 }
 
-proptest! {
-    #[test]
-    fn client_messages_round_trip(
-        version in 0u64..10,
-        seed in any::<u64>(),
-        name_seed in prop::collection::vec(any::<u8>(), 0..40),
-        kinds in prop::collection::vec(any::<u8>(), 0..5),
-        nodes in prop::collection::vec(any::<u16>(), 0..5),
-        flags in prop::collection::vec(any::<bool>(), 3..4),
-        text_seed in prop::collection::vec(any::<u8>(), 0..30),
-    ) {
+#[test]
+fn client_messages_round_trip() {
+    cases(256, |d| {
+        let version = d.int(0u64..10);
+        let seed = d.u64();
+        let name_seed = d.vec(0..40, |d| d.int(0..=u8::MAX));
+        let kinds = d.vec(0..5, |d| d.int(0..=u8::MAX));
+        let nodes = d.vec(0..5, |d| d.int(0..=u16::MAX));
+        let flags = d.vec(3..4, |d| d.bool());
+        let text_seed = d.vec(0..30, |d| d.int(0..=u8::MAX));
         let name = name_from(name_seed);
-        prop_assert!(valid_run_name(&name), "generator must produce valid names: {name}");
+        assert!(valid_run_name(&name), "generator must produce valid names: {name}");
         let filter = filter_from(&kinds, &nodes, flags[0], flags[1]);
         let spec = Value::Obj(vec![
             ("kind".into(), Value::Str("single".into())),
@@ -83,11 +82,7 @@ proptest! {
         let msgs = vec![
             ClientMsg::Hello { version, client: text_from(&text_seed) },
             ClientMsg::Launch { name: name.clone(), tail: flags[2], filter: filter.clone(), spec },
-            ClientMsg::Subscribe {
-                run: name.clone(),
-                filter,
-                from_seq: flags[0].then_some(seed),
-            },
+            ClientMsg::Subscribe { run: name.clone(), filter, from_seq: flags[0].then_some(seed) },
             ClientMsg::List,
             ClientMsg::Kill { run: name },
             ClientMsg::Shutdown,
@@ -95,22 +90,23 @@ proptest! {
         ];
         for msg in msgs {
             let line = msg.encode();
-            prop_assert!(!line.contains('\n'), "one message, one line: {line}");
-            let back = ClientMsg::decode(&line)
-                .map_err(|e| format!("decode failed: {e} on {line}"))?;
-            prop_assert_eq!(back, msg);
+            assert!(!line.contains('\n'), "one message, one line: {line}");
+            let back =
+                ClientMsg::decode(&line).unwrap_or_else(|e| panic!("decode failed: {e} on {line}"));
+            assert_eq!(back, msg);
         }
-    }
+    });
+}
 
-    #[test]
-    fn server_messages_round_trip(
+#[test]
+fn server_messages_round_trip() {
+    cases(256, |d| {
         // Wire integers are exact over the whole u64 range.
-        nums in prop::collection::vec(any::<u64>(), 4..5),
-        name_seed in prop::collection::vec(any::<u8>(), 1..20),
-        text_seed in prop::collection::vec(any::<u8>(), 0..30),
-        states in prop::collection::vec(any::<u8>(), 2..3),
-        run_count in 0usize..4,
-    ) {
+        let nums = d.vec(4..5, |d| d.u64());
+        let name_seed = d.vec(1..20, |d| d.int(0..=u8::MAX));
+        let text_seed = d.vec(0..30, |d| d.int(0..=u8::MAX));
+        let states = d.vec(2..3, |d| d.int(0..=u8::MAX));
+        let run_count = d.int(0usize..4);
         let name = name_from(name_seed);
         let state = [
             RunState::Running,
@@ -156,23 +152,24 @@ proptest! {
         ];
         for msg in msgs {
             let line = msg.encode();
-            prop_assert!(!line.contains('\n'), "one message, one line: {line}");
-            let back = ServerMsg::decode(&line)
-                .map_err(|e| format!("decode failed: {e} on {line}"))?;
-            prop_assert_eq!(back, msg);
+            assert!(!line.contains('\n'), "one message, one line: {line}");
+            let back =
+                ServerMsg::decode(&line).unwrap_or_else(|e| panic!("decode failed: {e} on {line}"));
+            assert_eq!(back, msg);
         }
-    }
+    });
+}
 
-    #[test]
-    fn event_frames_round_trip_payloads_byte_exact(
-        name_seed in prop::collection::vec(any::<u8>(), 1..20),
-        payload_seed in prop::collection::vec(any::<u8>(), 0..60),
-        n in any::<u64>(),
-        seq in any::<u64>(),
-        kind in any::<u8>(),
-        node in any::<u16>(),
-        has_node in any::<bool>(),
-    ) {
+#[test]
+fn event_frames_round_trip_payloads_byte_exact() {
+    cases(256, |d| {
+        let name_seed = d.vec(1..20, |d| d.int(0..=u8::MAX));
+        let payload_seed = d.vec(0..60, |d| d.int(0..=u8::MAX));
+        let n = d.u64();
+        let seq = d.u64();
+        let kind = d.int(0..=u8::MAX);
+        let node = d.int(0..=u16::MAX);
+        let has_node = d.bool();
         let payload = payload_from(&payload_seed, n);
         let frame = EventFrame {
             run: name_from(name_seed),
@@ -182,16 +179,16 @@ proptest! {
             payload: payload.clone(),
         };
         let line = frame.encode();
-        let back = EventFrame::decode(&line)
-            .map_err(|e| format!("decode failed: {e} on {line}"))?;
-        prop_assert_eq!(&back.payload, &payload, "payload bytes must survive untouched");
-        prop_assert_eq!(back, frame);
+        let back =
+            EventFrame::decode(&line).unwrap_or_else(|e| panic!("decode failed: {e} on {line}"));
+        assert_eq!(&back.payload, &payload, "payload bytes must survive untouched");
+        assert_eq!(back, frame);
         // And through the ServerMsg dispatcher too.
         let ServerMsg::Event(via_dispatch) =
-            ServerMsg::decode(&line).map_err(|e| format!("dispatch decode failed: {e}"))?
+            ServerMsg::decode(&line).unwrap_or_else(|e| panic!("dispatch decode failed: {e}"))
         else {
-            return Err("event line must dispatch to Event".into());
+            panic!("event line must dispatch to Event");
         };
-        prop_assert_eq!(via_dispatch.payload, payload);
-    }
+        assert_eq!(via_dispatch.payload, payload);
+    });
 }

@@ -378,14 +378,13 @@ mod tests {
 mod prop_tests {
     use super::*;
     use crate::stats::percentile_sorted;
-    use proptest::prelude::*;
+    use digs_cases::cases;
 
-    proptest! {
-        #[test]
-        fn histogram_quantiles_agree_with_percentile_sorted(
-            values in proptest::collection::vec(0u64..1_000_000, 1..200),
-            p in 0.0f64..100.0
-        ) {
+    #[test]
+    fn histogram_quantiles_agree_with_percentile_sorted() {
+        cases(256, |d| {
+            let values = d.vec(1..200, |d| d.int(0u64..1_000_000));
+            let p = d.f64(0.0..100.0);
             let mut h = LogHistogram::new();
             let mut sorted: Vec<f64> = Vec::with_capacity(values.len());
             for v in &values {
@@ -403,17 +402,18 @@ mod prop_tests {
             let v0 = sorted[pos.floor() as usize] as u64;
             let v1 = sorted[pos.ceil() as usize] as u64;
             let width = LogHistogram::width_at(v0).max(LogHistogram::width_at(v1)) as f64;
-            prop_assert!(
+            assert!(
                 (est - exact).abs() <= width,
-                "p={}: est {} vs exact {} (width {})", p, est, exact, width
+                "p={p}: est {est} vs exact {exact} (width {width})"
             );
-        }
+        });
+    }
 
-        #[test]
-        fn merge_equals_single_stream(
-            left in proptest::collection::vec(0u64..1_000_000, 0..100),
-            right in proptest::collection::vec(0u64..1_000_000, 0..100)
-        ) {
+    #[test]
+    fn merge_equals_single_stream() {
+        cases(256, |d| {
+            let left = d.vec(0..100, |d| d.int(0u64..1_000_000));
+            let right = d.vec(0..100, |d| d.int(0u64..1_000_000));
             let mut a = LogHistogram::new();
             left.iter().for_each(|v| a.record(*v));
             let mut b = LogHistogram::new();
@@ -421,23 +421,21 @@ mod prop_tests {
             let mut whole = LogHistogram::new();
             left.iter().chain(&right).for_each(|v| whole.record(*v));
             a.merge(&b);
-            prop_assert_eq!(a, whole);
-        }
+            assert_eq!(a, whole);
+        });
+    }
 
-        /// The fleet invariant: folding N per-network histograms into one
-        /// is structurally identical to recording the pooled stream, and
-        /// the merged quantiles agree with the pooled quantiles to within
-        /// one bucket width (they are in fact identical here, since the
-        /// structures are equal — the quantile bound is stated to match
-        /// the documented contract).
-        #[test]
-        fn n_way_merge_equals_pooled_stream(
-            streams in proptest::collection::vec(
-                proptest::collection::vec(0u64..1_000_000, 0..60),
-                1..12
-            ),
-            p in 0.0f64..100.0
-        ) {
+    /// The fleet invariant: folding N per-network histograms into one
+    /// is structurally identical to recording the pooled stream, and
+    /// the merged quantiles agree with the pooled quantiles to within
+    /// one bucket width (they are in fact identical here, since the
+    /// structures are equal — the quantile bound is stated to match
+    /// the documented contract).
+    #[test]
+    fn n_way_merge_equals_pooled_stream() {
+        cases(256, |d| {
+            let streams = d.vec(1..12, |d| d.vec(0..60, |d| d.int(0u64..1_000_000)));
+            let p = d.f64(0.0..100.0);
             let mut merged = LogHistogram::new();
             let mut pooled = LogHistogram::new();
             for stream in &streams {
@@ -448,19 +446,19 @@ mod prop_tests {
                 }
                 merged.merge(&h);
             }
-            prop_assert_eq!(&merged, &pooled);
-            prop_assert_eq!(merged.count(), streams.iter().map(Vec::len).sum::<usize>() as u64);
+            assert_eq!(&merged, &pooled);
+            assert_eq!(merged.count(), streams.iter().map(Vec::len).sum::<usize>() as u64);
             match (merged.quantile(p), pooled.quantile(p)) {
-                (None, None) => prop_assert!(merged.is_empty()),
+                (None, None) => assert!(merged.is_empty()),
                 (Some(m), Some(w)) => {
                     let width = LogHistogram::width_at(w.max(0.0) as u64) as f64;
-                    prop_assert!(
+                    assert!(
                         (m - w).abs() <= width,
-                        "p={}: merged {} vs pooled {} (width {})", p, m, w, width
+                        "p={p}: merged {m} vs pooled {w} (width {width})"
                     );
                 }
-                other => prop_assert!(false, "emptiness mismatch: {:?}", other),
+                other => panic!("emptiness mismatch: {other:?}"),
             }
-        }
+        });
     }
 }

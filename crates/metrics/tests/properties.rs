@@ -1,93 +1,118 @@
 //! Property-based tests for the statistics toolkit.
 
+use digs_cases::{cases, Draw};
 use digs_metrics::stats::percentile_sorted;
 use digs_metrics::{BoxplotStats, Cdf, Summary};
-use proptest::prelude::*;
 
-fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(-1e6f64..1e6, 1..200)
+fn finite_samples(d: &mut Draw) -> Vec<f64> {
+    d.vec(1..200, |d| d.f64(-1e6..1e6))
 }
 
-proptest! {
-    /// Summary statistics respect basic order relations.
-    #[test]
-    fn summary_order_relations(samples in finite_samples()) {
+/// Summary statistics respect basic order relations.
+#[test]
+fn summary_order_relations() {
+    cases(256, |d| {
+        let samples = finite_samples(d);
         let s = Summary::of(&samples).expect("non-empty finite");
-        prop_assert!(s.min <= s.median + 1e-9);
-        prop_assert!(s.median <= s.max + 1e-9);
-        prop_assert!(s.min <= s.mean + 1e-9);
-        prop_assert!(s.mean <= s.max + 1e-9);
-        prop_assert!(s.std_dev >= 0.0);
-        prop_assert_eq!(s.count, samples.len());
-    }
+        assert!(s.min <= s.median + 1e-9);
+        assert!(s.median <= s.max + 1e-9);
+        assert!(s.min <= s.mean + 1e-9);
+        assert!(s.mean <= s.max + 1e-9);
+        assert!(s.std_dev >= 0.0);
+        assert_eq!(s.count, samples.len());
+    });
+}
 
-    /// The CDF is monotone: F(x) ≤ F(y) whenever x ≤ y, and its range
-    /// is [0, 1].
-    #[test]
-    fn cdf_is_monotone(samples in finite_samples(), x in -1e6f64..1e6, y in -1e6f64..1e6) {
+/// The CDF is monotone: F(x) ≤ F(y) whenever x ≤ y, and its range
+/// is [0, 1].
+#[test]
+fn cdf_is_monotone() {
+    cases(256, |d| {
+        let samples = finite_samples(d);
+        let x = d.f64(-1e6..1e6);
+        let y = d.f64(-1e6..1e6);
         let cdf = Cdf::new(samples).expect("ok");
         let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
         let f_lo = cdf.fraction_at_or_below(lo);
         let f_hi = cdf.fraction_at_or_below(hi);
-        prop_assert!(f_lo <= f_hi);
-        prop_assert!((0.0..=1.0).contains(&f_lo));
-        prop_assert!((0.0..=1.0).contains(&f_hi));
-    }
+        assert!(f_lo <= f_hi);
+        assert!((0.0..=1.0).contains(&f_lo));
+        assert!((0.0..=1.0).contains(&f_hi));
+    });
+}
 
-    /// `fraction_at_or_below` and `fraction_at_or_above` partition the
-    /// sample (up to ties at exactly `x`).
-    #[test]
-    fn cdf_fractions_partition(samples in finite_samples(), x in -1e6f64..1e6) {
+/// `fraction_at_or_below` and `fraction_at_or_above` partition the
+/// sample (up to ties at exactly `x`).
+#[test]
+fn cdf_fractions_partition() {
+    cases(256, |d| {
+        let samples = finite_samples(d);
+        let x = d.f64(-1e6..1e6);
         let cdf = Cdf::new(samples).expect("ok");
         let below = cdf.fraction_at_or_below(x);
         let above = cdf.fraction_at_or_above(x);
         // Ties at x are counted on both sides, so the sum is ≥ 1 − ε only
         // when x is a sample; in general below + strictly-above = 1.
-        prop_assert!(below + above >= 1.0 - 1e-9);
-    }
+        assert!(below + above >= 1.0 - 1e-9);
+    });
+}
 
-    /// Percentiles are monotone in p and bracketed by min/max.
-    #[test]
-    fn percentiles_monotone(samples in finite_samples(), p in 0.0f64..100.0, q in 0.0f64..100.0) {
+/// Percentiles are monotone in p and bracketed by min/max.
+#[test]
+fn percentiles_monotone() {
+    cases(256, |d| {
+        let samples = finite_samples(d);
+        let p = d.f64(0.0..100.0);
+        let q = d.f64(0.0..100.0);
         let cdf = Cdf::new(samples).expect("ok");
         let (lo, hi) = if p <= q { (p, q) } else { (q, p) };
-        prop_assert!(cdf.percentile(lo) <= cdf.percentile(hi) + 1e-9);
-        prop_assert!(cdf.percentile(0.0) >= cdf.min() - 1e-9);
-        prop_assert!(cdf.percentile(100.0) <= cdf.max() + 1e-9);
-    }
+        assert!(cdf.percentile(lo) <= cdf.percentile(hi) + 1e-9);
+        assert!(cdf.percentile(0.0) >= cdf.min() - 1e-9);
+        assert!(cdf.percentile(100.0) <= cdf.max() + 1e-9);
+    });
+}
 
-    /// Boxplot quartiles are ordered.
-    #[test]
-    fn boxplot_quartiles_ordered(samples in finite_samples()) {
+/// Boxplot quartiles are ordered.
+#[test]
+fn boxplot_quartiles_ordered() {
+    cases(256, |d| {
+        let samples = finite_samples(d);
         let b = BoxplotStats::of(&samples).expect("ok");
-        prop_assert!(b.min <= b.q1 + 1e-9);
-        prop_assert!(b.q1 <= b.median + 1e-9);
-        prop_assert!(b.median <= b.q3 + 1e-9);
-        prop_assert!(b.q3 <= b.max + 1e-9);
-        prop_assert!(b.iqr() >= -1e-9);
-    }
+        assert!(b.min <= b.q1 + 1e-9);
+        assert!(b.q1 <= b.median + 1e-9);
+        assert!(b.median <= b.q3 + 1e-9);
+        assert!(b.q3 <= b.max + 1e-9);
+        assert!(b.iqr() >= -1e-9);
+    });
+}
 
-    /// The CDF series is a valid staircase: monotone in both coordinates,
-    /// covering the full range.
-    #[test]
-    fn cdf_series_staircase(samples in finite_samples(), steps in 1usize..50) {
+/// The CDF series is a valid staircase: monotone in both coordinates,
+/// covering the full range.
+#[test]
+fn cdf_series_staircase() {
+    cases(256, |d| {
+        let samples = finite_samples(d);
+        let steps = d.int(1usize..50);
         let cdf = Cdf::new(samples).expect("ok");
         let series = cdf.series(steps);
-        prop_assert_eq!(series.len(), steps + 1);
+        assert_eq!(series.len(), steps + 1);
         for w in series.windows(2) {
-            prop_assert!(w[1].0 >= w[0].0 - 1e-9);
-            prop_assert!(w[1].1 >= w[0].1 - 1e-12);
+            assert!(w[1].0 >= w[0].0 - 1e-9);
+            assert!(w[1].1 >= w[0].1 - 1e-12);
         }
-        prop_assert!((series[0].0 - cdf.min()).abs() < 1e-9);
-        prop_assert!((series[steps].0 - cdf.max()).abs() < 1e-9);
-    }
+        assert!((series[0].0 - cdf.min()).abs() < 1e-9);
+        assert!((series[steps].0 - cdf.max()).abs() < 1e-9);
+    });
+}
 
-    /// Percentile interpolation agrees with the sorted slice's endpoints.
-    #[test]
-    fn percentile_endpoints(samples in finite_samples()) {
+/// Percentile interpolation agrees with the sorted slice's endpoints.
+#[test]
+fn percentile_endpoints() {
+    cases(256, |d| {
+        let samples = finite_samples(d);
         let mut sorted = samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        prop_assert_eq!(percentile_sorted(&sorted, 0.0), sorted[0]);
-        prop_assert_eq!(percentile_sorted(&sorted, 100.0), sorted[sorted.len() - 1]);
-    }
+        assert_eq!(percentile_sorted(&sorted, 0.0), sorted[0]);
+        assert_eq!(percentile_sorted(&sorted, 100.0), sorted[sorted.len() - 1]);
+    });
 }

@@ -258,17 +258,11 @@ mod tests {
 
     #[test]
     fn closed_form_skipping_to_next_event_matches_ticking_every_slot() {
-        // A deterministic stream of draws (`proptest` is not always at hand).
-        let mut draws = 0u64;
-        let mut below = |n: u64| {
-            draws += 1;
-            rng::mix(0x7e1c, draws, 0, 0) % n
-        };
-        for case in 0..300u64 {
-            let imin = 1 + below(40);
-            let config = TrickleConfig { imin, imax: imin << below(5), k: below(3) as u32 };
-            let start = below(1_000);
-            let mut every = Trickle::new(config, case, Asn(start));
+        digs_cases::cases(300, |d| {
+            let imin = d.int(1u64..=40);
+            let config = TrickleConfig { imin, imax: imin << d.int(0..5), k: d.int(0u32..3) };
+            let start = d.int(0u64..1_000);
+            let mut every = Trickle::new(config, d.u64(), Asn(start));
             let mut skipping = every.clone();
             let mut fires = (Vec::new(), Vec::new());
             let mut wake = skipping.next_event();
@@ -285,7 +279,7 @@ mod tests {
                 // What reaches the timer from outside: a reset, or a
                 // consistent message heard. Both happen while the node is
                 // awake, after which the engine asks for the wake slot again.
-                match below(40) {
+                match d.int(0..40) {
                     0 => {
                         every.reset(now);
                         skipping.reset(now);
@@ -301,6 +295,6 @@ mod tests {
             }
             assert_eq!(fires.0, fires.1, "{config:?} from {start}");
             assert!(!fires.0.is_empty() || config.k != 0, "{config:?} never fired");
-        }
+        });
     }
 }

@@ -476,6 +476,7 @@ impl DigsScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use digs_cases::Draw;
 
     /// The Fig. 7 configuration: slotframes 61/11/7, two APs (#1, #2 in the
     /// paper, ids 0 and 1 here) and two field devices (#3, #4 → ids 2, 3).
@@ -811,47 +812,39 @@ mod tests {
 
     #[test]
     fn closed_form_table_matches_the_scan_and_next_cell_matches_brute_force() {
-        // A deterministic stream of draws (`proptest` is not always at hand).
-        let mut draws = 0u64;
-        let mut below = |n: u64| {
-            draws += 1;
-            rng::mix(0xd165, draws, 0, 0) % n
-        };
         let lengths = [
             SlotframeLengths::example(),
             SlotframeLengths::paper(),
             SlotframeLengths { sync: 101, routing: 9, app: 20 },
             SlotframeLengths { sync: 13, routing: 7, app: 5 },
         ];
-        for case in 0..200 {
-            let lengths = lengths[below(lengths.len() as u64) as usize];
-            let num_aps = 1 + below(3) as u16;
-            let attempts = 1 + below(4) as u8;
-            let mut s = DigsScheduler::new(NodeId(below(40) as u16), num_aps, lengths, attempts);
-            s.set_randomize((case % 2 == 1).then(|| below(u64::MAX)));
+        digs_cases::cases(200, |d| {
+            let node = |d: &mut Draw| NodeId(d.int(0u16..40));
+            let lengths = *d.pick(&lengths);
+            let num_aps = d.int(1u16..=3);
+            let attempts = d.int(1u8..=4);
+            let mut s = DigsScheduler::new(node(d), num_aps, lengths, attempts);
+            s.set_randomize(d.bool().then(|| d.u64()));
             for _ in 0..6 {
                 // Grow, shrink and re-parent, so slots change hands between
                 // claimants (small slotframes make children collide).
-                for _ in 0..=below(4) {
-                    let child = NodeId(num_aps + below(40) as u16);
-                    match below(4) {
+                for _ in 0..d.int(1..=4) {
+                    let child = NodeId(num_aps + d.int(0u16..40));
+                    match d.int(0..4) {
                         0 => s.remove_child(child),
                         1 => s.add_child(child, ParentSlot::SecondBest),
                         _ => s.add_child(child, ParentSlot::Best),
                     }
                 }
-                match below(4) {
+                match d.int(0..4) {
                     0 => s.set_parents(None, None),
-                    1 => s.set_parents(Some(NodeId(below(40) as u16)), None),
-                    2 => s.set_parents(
-                        Some(NodeId(below(40) as u16)),
-                        Some(NodeId(below(40) as u16)),
-                    ),
+                    1 => s.set_parents(Some(node(d)), None),
+                    2 => s.set_parents(Some(node(d)), Some(node(d))),
                     _ => {}
                 }
                 // A window that starts near the end of an epoch.
                 let app = u64::from(lengths.app);
-                let start = below(1 << 20) * app + app - 1 - below(app.min(4));
+                let start = d.int(0u64..1 << 20) * app + app - 1 - d.int(0..app.min(4));
                 for from in (start..start + 2 * app + 3).map(Asn) {
                     assert_eq!(s.app_cell(from), scanned_app_cell(&s, from), "{s:?} at {from}");
                     let ahead = |a: &u64| s.app_cell(Asn(*a)).is_some();
@@ -862,6 +855,6 @@ mod tests {
                     assert_eq!(Some(s.next_cell(from)), brute, "{s:?} from {from}");
                 }
             }
-        }
+        });
     }
 }

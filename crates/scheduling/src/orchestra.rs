@@ -261,6 +261,7 @@ impl OrchestraScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use digs_cases::Draw;
 
     fn sbs(id: u16) -> OrchestraScheduler {
         OrchestraScheduler::new(NodeId(id), SlotframeLengths::example())
@@ -420,37 +421,31 @@ mod tests {
 
     #[test]
     fn closed_form_table_matches_the_scan_and_next_cell_matches_brute_force() {
-        // A deterministic stream of draws (`proptest` is not always at hand).
-        let mut draws = 0u64;
-        let mut below = |n: u64| {
-            draws += 1;
-            digs_sim::rng::mix(0x0c4e, draws, 0, 0) % n
-        };
         let lengths = [
             SlotframeLengths::example(),
             SlotframeLengths::paper(),
             SlotframeLengths { sync: 101, routing: 9, app: 20 },
         ];
-        for case in 0..200 {
-            let lengths = lengths[below(lengths.len() as u64) as usize];
-            let mode = match case % 3 {
-                0 => OrchestraMode::ReceiverBased { unicast_len: 1 + below(60) as u32 },
+        digs_cases::cases(200, |d| {
+            let node = |d: &mut Draw| NodeId(d.int(0u16..60));
+            let mode = match d.int(0..3) {
+                0 => OrchestraMode::ReceiverBased { unicast_len: d.int(1u32..=60) },
                 _ => OrchestraMode::SenderBased,
             };
-            let mut s = OrchestraScheduler::with_mode(NodeId(below(60) as u16), lengths, mode);
+            let mut s = OrchestraScheduler::with_mode(node(d), *d.pick(&lengths), mode);
             for _ in 0..6 {
-                for _ in 0..=below(6) {
-                    match below(3) {
-                        0 => s.remove_child(NodeId(below(60) as u16)),
-                        _ => s.add_child(NodeId(below(60) as u16)),
+                for _ in 0..d.int(1..=6) {
+                    match d.int(0..3) {
+                        0 => s.remove_child(node(d)),
+                        _ => s.add_child(node(d)),
                     }
                 }
-                match below(3) {
+                match d.int(0..3) {
                     0 => s.set_parent(None),
-                    1 => s.set_parent(Some(NodeId(below(60) as u16))),
+                    1 => s.set_parent(Some(node(d))),
                     _ => {}
                 }
-                let start = below(1 << 30);
+                let start = d.int(0u64..1 << 30);
                 for from in (start..start + 2 * u64::from(s.unicast_len()) + 3).map(Asn) {
                     assert_eq!(s.app_cell(from), scanned_app_cell(&s, from), "{s:?} at {from}");
                     let ahead = |a: &u64| s.cell(Asn(*a)).is_some();
@@ -458,6 +453,6 @@ mod tests {
                     assert_eq!(Some(s.next_cell(from)), brute, "{s:?} from {from}");
                 }
             }
-        }
+        });
     }
 }

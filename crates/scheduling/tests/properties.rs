@@ -1,5 +1,6 @@
 //! Property-based tests for the scheduling crate.
 
+use digs_cases::cases;
 use digs_routing::messages::ParentSlot;
 use digs_scheduling::analysis::{contention_probability, skip_probability, SlotframeOccupancy};
 use digs_scheduling::slotframe::{combine, Cell, CellAction, TrafficClass};
@@ -7,23 +8,25 @@ use digs_scheduling::{DigsScheduler, OrchestraScheduler, SlotframeLengths};
 use digs_sim::channel::ChannelOffset;
 use digs_sim::ids::NodeId;
 use digs_sim::time::Asn;
-use proptest::prelude::*;
 
 fn any_cell(class: TrafficClass) -> Cell {
     Cell { class, action: CellAction::TxBeacon, offset: ChannelOffset::new(0), contention: false }
 }
 
-proptest! {
-    /// Schedule combination always returns the highest-priority non-idle
-    /// class, and `None` only when every class is idle.
-    #[test]
-    fn combination_priority_total(s in any::<bool>(), r in any::<bool>(), a in any::<bool>()) {
+/// Schedule combination always returns the highest-priority non-idle
+/// class, and `None` only when every class is idle.
+#[test]
+fn combination_priority_total() {
+    cases(256, |d| {
+        let s = d.bool();
+        let r = d.bool();
+        let a = d.bool();
         let sync = s.then(|| any_cell(TrafficClass::Sync));
         let routing = r.then(|| any_cell(TrafficClass::Routing));
         let app = a.then(|| any_cell(TrafficClass::App));
         let combined = combine(sync, routing, app);
         match combined {
-            None => prop_assert!(!s && !r && !a),
+            None => assert!(!s && !r && !a),
             Some(cell) => {
                 let expected = if s {
                     TrafficClass::Sync
@@ -32,16 +35,20 @@ proptest! {
                 } else {
                     TrafficClass::App
                 };
-                prop_assert_eq!(cell.class, expected);
+                assert_eq!(cell.class, expected);
             }
         }
-    }
+    });
+}
 
-    /// Over one full application slotframe, a joined DiGS node is offered
-    /// exactly `A` transmission cells (minus any masked by higher-priority
-    /// slotframes), and they target only its two parents.
-    #[test]
-    fn digs_tx_cells_per_frame(id in 2u16..50, frame in 0u64..20) {
+/// Over one full application slotframe, a joined DiGS node is offered
+/// exactly `A` transmission cells (minus any masked by higher-priority
+/// slotframes), and they target only its two parents.
+#[test]
+fn digs_tx_cells_per_frame() {
+    cases(256, |d| {
+        let id = d.int(2u16..50);
+        let frame = d.int(0u64..20);
         let lengths = SlotframeLengths::paper();
         let mut s = DigsScheduler::new(NodeId(id), 2, lengths, 3);
         s.set_parents(Some(NodeId(0)), Some(NodeId(1)));
@@ -51,63 +58,74 @@ proptest! {
             if let Some(cell) = s.cell(Asn(asn)) {
                 if let CellAction::TxData { to, .. } = cell.action {
                     tx += 1;
-                    prop_assert!(to == NodeId(0) || to == NodeId(1));
+                    assert!(to == NodeId(0) || to == NodeId(1));
                 }
             }
         }
-        prop_assert!(tx <= 3);
-        prop_assert!(tx >= 1, "higher-priority frames can mask at most 2 of 3 cells");
-    }
+        assert!(tx <= 3);
+        assert!(tx >= 1, "higher-priority frames can mask at most 2 of 3 cells");
+    });
+}
 
-    /// Attempt channel offsets are valid and distinct across a packet's
-    /// attempts (the jam-resilience property).
-    #[test]
-    fn attempt_offsets_distinct(id in 0u16..1000) {
-        let offs: Vec<u8> = (1..=3u8)
-            .map(|p| DigsScheduler::attempt_offset(NodeId(id), p).0)
-            .collect();
-        prop_assert!(offs.iter().all(|o| *o < 16));
-        prop_assert_ne!(offs[0], offs[1]);
-        prop_assert_ne!(offs[1], offs[2]);
-        prop_assert_ne!(offs[0], offs[2]);
-    }
+/// Attempt channel offsets are valid and distinct across a packet's
+/// attempts (the jam-resilience property).
+#[test]
+fn attempt_offsets_distinct() {
+    cases(256, |d| {
+        let id = d.int(0u16..1000);
+        let offs: Vec<u8> =
+            (1..=3u8).map(|p| DigsScheduler::attempt_offset(NodeId(id), p).0).collect();
+        assert!(offs.iter().all(|o| *o < 16));
+        assert_ne!(offs[0], offs[1]);
+        assert_ne!(offs[1], offs[2]);
+        assert_ne!(offs[0], offs[2]);
+    });
+}
 
-    /// An Orchestra node's schedule contains at most one data transmission
-    /// cell per unicast slotframe.
-    #[test]
-    fn orchestra_single_attempt_per_frame(id in 2u16..50, parent in 0u16..2, frame in 0u64..20) {
+/// An Orchestra node's schedule contains at most one data transmission
+/// cell per unicast slotframe.
+#[test]
+fn orchestra_single_attempt_per_frame() {
+    cases(256, |d| {
+        let id = d.int(2u16..50);
+        let parent = d.int(0u16..2);
+        let frame = d.int(0u64..20);
         let lengths = SlotframeLengths::paper();
         let mut s = OrchestraScheduler::new(NodeId(id), lengths);
         s.set_parent(Some(NodeId(parent)));
         let start = frame * u64::from(lengths.app);
         let tx = (start..start + u64::from(lengths.app))
             .filter(|asn| {
-                matches!(
-                    s.cell(Asn(*asn)).map(|c| c.action),
-                    Some(CellAction::TxData { .. })
-                )
+                matches!(s.cell(Asn(*asn)).map(|c| c.action), Some(CellAction::TxData { .. }))
             })
             .count();
-        prop_assert!(tx <= 1);
-    }
+        assert!(tx <= 1);
+    });
+}
 
-    /// Eq. 5's contention probability is a valid probability, increasing
-    /// in the offered load.
-    #[test]
-    fn eq5_is_probability(t1 in 0.0f64..5.0, t2 in 0.0f64..5.0, n in 1u32..300, l in 1u32..600) {
+/// Eq. 5's contention probability is a valid probability, increasing
+/// in the offered load.
+#[test]
+fn eq5_is_probability() {
+    cases(256, |d| {
+        let t1 = d.f64(0.0..5.0);
+        let t2 = d.f64(0.0..5.0);
+        let n = d.int(1u32..300);
+        let l = d.int(1u32..600);
         let p1 = contention_probability(t1.min(t2), n, l);
         let p2 = contention_probability(t1.max(t2), n, l);
-        prop_assert!((0.0..=1.0).contains(&p1));
-        prop_assert!((0.0..=1.0).contains(&p2));
-        prop_assert!(p1 <= p2 + 1e-12);
-    }
+        assert!((0.0..=1.0).contains(&p1));
+        assert!((0.0..=1.0).contains(&p2));
+        assert!(p1 <= p2 + 1e-12);
+    });
+}
 
-    /// Eq. 6's skip probability grows monotonically as higher-priority
-    /// slotframes are added, and stays a probability.
-    #[test]
-    fn eq6_monotone_in_interferers(
-        frames in prop::collection::vec((1u32..600, 0u32..20), 0..6)
-    ) {
+/// Eq. 6's skip probability grows monotonically as higher-priority
+/// slotframes are added, and stays a probability.
+#[test]
+fn eq6_monotone_in_interferers() {
+    cases(256, |d| {
+        let frames = d.vec(0..6, |d| (d.int(1u32..600), d.int(0u32..20)));
         let occ: Vec<SlotframeOccupancy> = frames
             .iter()
             .map(|(len, occ)| SlotframeOccupancy { length: *len, occupied: (*occ).min(*len) })
@@ -115,18 +133,22 @@ proptest! {
         let mut prev = 0.0;
         for k in 0..=occ.len() {
             let p = skip_probability(&occ[..k]);
-            prop_assert!((0.0..=1.0).contains(&p));
-            prop_assert!(p >= prev - 1e-12);
+            assert!((0.0..=1.0).contains(&p));
+            assert!(p >= prev - 1e-12);
             prev = p;
         }
-    }
+    });
+}
 
-    /// Per-epoch schedule randomization preserves the Eq. 4 invariant:
-    /// for any nonce and epoch, distinct `(node, attempt)` pairs still
-    /// occupy distinct physical application slots (the permutation is a
-    /// bijection, so it cannot introduce collisions).
-    #[test]
-    fn randomization_keeps_slots_collision_free(nonce in any::<u64>(), epoch in 0u64..1000) {
+/// Per-epoch schedule randomization preserves the Eq. 4 invariant:
+/// for any nonce and epoch, distinct `(node, attempt)` pairs still
+/// occupy distinct physical application slots (the permutation is a
+/// bijection, so it cannot introduce collisions).
+#[test]
+fn randomization_keeps_slots_collision_free() {
+    cases(256, |d| {
+        let nonce = d.u64();
+        let epoch = d.int(0u64..1000);
         let lengths = SlotframeLengths::paper();
         let mut s = DigsScheduler::new(NodeId(2), 2, lengths, 3);
         s.set_randomize(Some(nonce));
@@ -135,20 +157,24 @@ proptest! {
         for id in 2u16..52 {
             for p in 1..=3u8 {
                 let slot = s.scheduled_slot(NodeId(id), p, asn);
-                prop_assert!(slot < lengths.app);
-                prop_assert!(seen.insert(slot), "physical-slot collision at node {} attempt {}", id, p);
+                assert!(slot < lengths.app);
+                assert!(seen.insert(slot), "physical-slot collision at node {} attempt {}", id, p);
             }
         }
-    }
+    });
+}
 
-    /// A transmitting child and a listening parent — independent scheduler
-    /// instances sharing only the network-wide nonce — agree on the
-    /// physical slot and shifted channel offset of every attempt, and the
-    /// parent's epoch-aware inversion recovers the attempt number.
-    #[test]
-    fn randomization_keeps_child_and_parent_aligned(
-        nonce in any::<u64>(), epoch in 0u64..1000, child in 2u16..50, p in 1u8..=3
-    ) {
+/// A transmitting child and a listening parent — independent scheduler
+/// instances sharing only the network-wide nonce — agree on the
+/// physical slot and shifted channel offset of every attempt, and the
+/// parent's epoch-aware inversion recovers the attempt number.
+#[test]
+fn randomization_keeps_child_and_parent_aligned() {
+    cases(256, |d| {
+        let nonce = d.u64();
+        let epoch = d.int(0u64..1000);
+        let child = d.int(2u16..50);
+        let p = d.int(1u8..=3);
         let lengths = SlotframeLengths::paper();
         let mut tx = DigsScheduler::new(NodeId(child), 2, lengths, 3);
         let mut rx = DigsScheduler::new(NodeId(0), 2, lengths, 3);
@@ -157,33 +183,42 @@ proptest! {
         let frame_start = epoch * u64::from(lengths.app);
         let slot = tx.scheduled_slot(NodeId(child), p, Asn(frame_start));
         let asn = Asn(frame_start + u64::from(slot));
-        prop_assert_eq!(rx.scheduled_slot(NodeId(child), p, asn), slot);
+        assert_eq!(rx.scheduled_slot(NodeId(child), p, asn), slot);
         let off = tx.scheduled_offset(NodeId(child), p, asn);
-        prop_assert!(off.0 < 16);
-        prop_assert_eq!(rx.scheduled_offset(NodeId(child), p, asn), off);
-        prop_assert_eq!(rx.infer_attempt_at(NodeId(child), asn), Some(p));
-    }
+        assert!(off.0 < 16);
+        assert_eq!(rx.scheduled_offset(NodeId(child), p, asn), off);
+        assert_eq!(rx.infer_attempt_at(NodeId(child), asn), Some(p));
+    });
+}
 
-    /// With randomization off, the physical schedule is exactly Eq. 4 with
-    /// the static per-attempt channel offsets, at every epoch.
-    #[test]
-    fn randomization_off_is_identity_everywhere(epoch in 0u64..1000, node in 2u16..50, p in 1u8..=3) {
+/// With randomization off, the physical schedule is exactly Eq. 4 with
+/// the static per-attempt channel offsets, at every epoch.
+#[test]
+fn randomization_off_is_identity_everywhere() {
+    cases(256, |d| {
+        let epoch = d.int(0u64..1000);
+        let node = d.int(2u16..50);
+        let p = d.int(1u8..=3);
         let lengths = SlotframeLengths::paper();
         let s = DigsScheduler::new(NodeId(2), 2, lengths, 3);
         let asn = Asn(epoch * u64::from(lengths.app));
-        prop_assert_eq!(s.scheduled_slot(NodeId(node), p, asn), s.tx_slot(NodeId(node), p));
-        prop_assert_eq!(
+        assert_eq!(s.scheduled_slot(NodeId(node), p, asn), s.tx_slot(NodeId(node), p));
+        assert_eq!(
             s.scheduled_offset(NodeId(node), p, asn),
             DigsScheduler::attempt_offset(NodeId(node), p)
         );
-    }
+    });
+}
 
-    /// Consecutive epochs actually reshuffle: the mapping a sniffer could
-    /// learn in one epoch is stale in the next. (The chance two
-    /// independent 151-slot permutations agree on all 150 tracked cells is
-    /// negligible.)
-    #[test]
-    fn randomization_reshuffles_across_epochs(nonce in any::<u64>(), epoch in 0u64..1000) {
+/// Consecutive epochs actually reshuffle: the mapping a sniffer could
+/// learn in one epoch is stale in the next. (The chance two
+/// independent 151-slot permutations agree on all 150 tracked cells is
+/// negligible.)
+#[test]
+fn randomization_reshuffles_across_epochs() {
+    cases(256, |d| {
+        let nonce = d.u64();
+        let epoch = d.int(0u64..1000);
         let lengths = SlotframeLengths::paper();
         let mut s = DigsScheduler::new(NodeId(2), 2, lengths, 3);
         s.set_randomize(Some(nonce));
@@ -195,13 +230,17 @@ proptest! {
                 s.scheduled_slot(NodeId(*id), *p, a) != s.scheduled_slot(NodeId(*id), *p, b)
             })
             .count();
-        prop_assert!(moved > 0, "two consecutive epochs produced identical schedules");
-    }
+        assert!(moved > 0, "two consecutive epochs produced identical schedules");
+    });
+}
 
-    /// The scheduler's receive cells always sit exactly on registered
-    /// children's attempt slots.
-    #[test]
-    fn rx_cells_match_child_slots(child in 2u16..50, asn in 0u64..100_000) {
+/// The scheduler's receive cells always sit exactly on registered
+/// children's attempt slots.
+#[test]
+fn rx_cells_match_child_slots() {
+    cases(256, |d| {
+        let child = d.int(2u16..50);
+        let asn = d.int(0u64..100_000);
         let lengths = SlotframeLengths::paper();
         let mut parent = DigsScheduler::new(NodeId(0), 2, lengths, 3);
         parent.add_child(NodeId(child), ParentSlot::Best);
@@ -209,8 +248,8 @@ proptest! {
             if cell.action == CellAction::RxData {
                 let off = Asn(asn).slotframe_offset(lengths.app);
                 let matches_child = (1..=3u8).any(|p| parent.tx_slot(NodeId(child), p) == off);
-                prop_assert!(matches_child, "rx cell at offset {} matches no attempt", off);
+                assert!(matches_child, "rx cell at offset {} matches no attempt", off);
             }
         }
-    }
+    });
 }

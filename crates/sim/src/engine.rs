@@ -18,7 +18,7 @@
 //! 6. reports a [`TxOutcome`] to each transmitter.
 //!
 //! The engine is deterministic under its seed: nodes are visited in id
-//! order and all randomness flows from one [`rand::rngs::SmallRng`] plus the
+//! order and all randomness flows from one [`rng::SmallRng`] plus the
 //! frozen hash-derived link/fading values.
 //!
 //! ## Wake-driven stepping
@@ -45,13 +45,11 @@ use crate::interference::{total_interference_mw, Jammer};
 use crate::link::LinkModel;
 use crate::packet::{Frame, ACK_AIRTIME_US};
 use crate::rf::{prr_from_sinr_db, Dbm, RfConfig};
-use crate::rng;
+use crate::rng::{self, SmallRng};
 use crate::time::Asn;
 use crate::topology::Topology;
 use crate::trace::EngineStats;
 use digs_trace::{DropReason, EventKind, TraceHandle};
-use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// CCA threshold: a contender defers if it senses energy above this level.
 pub const CCA_THRESHOLD: Dbm = Dbm(-85.0);
@@ -294,7 +292,7 @@ impl Engine {
     /// it: two engines that agree on it have consumed the same randomness
     /// (differential tests compare it).
     pub fn peek_rng(&self) -> u64 {
-        self.rng.clone().gen()
+        self.rng.clone().next_u64()
     }
 
     /// Runs `slots` slots, asking each node for its intent only in the
@@ -402,7 +400,7 @@ impl Engine {
         }
         // Random backoff order, deterministic under the engine seed.
         for i in (1..contenders.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
+            let j = self.rng.up_to(i);
             contenders.swap(i, j);
         }
         for (id, offset, frame) in contenders {
@@ -473,7 +471,7 @@ impl Engine {
             // The radio stays in RX for the frame airtime whether or not the
             // CRC ultimately passes.
             self.energy[rx_id.index()].charge_rx(frame.airtime_us());
-            if self.rng.gen::<f64>() < prr_from_sinr_db(sinr_db) {
+            if self.rng.next_f64() < prr_from_sinr_db(sinr_db) {
                 deliveries.push((*rx_id, best_idx, best_rss));
                 if frame.dst.expects_ack() && frame.dst.addressed_to(*rx_id) {
                     // The receiver transmits an ACK on the reverse link.
@@ -487,7 +485,7 @@ impl Engine {
                         + total_interference_mw(&self.ambient, &tx_pos, ch, asn, rf)
                         + rf.noise_floor.to_milliwatts();
                     let ack_sinr = ack_rss.dbm() - 10.0 * ack_inter.log10();
-                    if link_up && self.rng.gen::<f64>() < prr_from_sinr_db(ack_sinr) {
+                    if link_up && self.rng.next_f64() < prr_from_sinr_db(ack_sinr) {
                         acked[best_idx] = true;
                     }
                 }

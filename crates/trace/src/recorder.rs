@@ -339,22 +339,13 @@ mod tests {
 
     #[test]
     fn events_since_equals_filtering_everything_retained() {
-        // splitmix64, inline: the test runs without a registry.
-        let mut state = 0x5eed_u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        for round in 0..200 {
+        digs_cases::cases(200, |d| {
             // Caps from 1 up, so some rings wrap many times and some never.
-            let mut r = RingRecorder::new(1 + (next() % 9) as usize);
-            let nodes = 1 + next() % 5;
-            let recorded = next() % 60;
+            let mut r = RingRecorder::new(d.int(1..=9));
+            let nodes = d.int(1u16..=5);
+            let recorded = d.int(0u64..60);
             for asn in 0..recorded {
-                let node = (next() % nodes) as u16;
+                let node = d.int(0..nodes);
                 r.record(Event { seq: 0, asn, node, kind: EventKind::SlotStart });
             }
             for since in (0..=recorded + 2).chain([u64::MAX]) {
@@ -366,9 +357,9 @@ mod tests {
                     .cloned()
                     .collect();
                 old.sort_by_key(|e| e.seq);
-                assert_eq!(r.events_since(since), old, "round {round}, since {since}");
+                assert_eq!(r.events_since(since), old, "since {since}");
             }
-        }
+        });
     }
 
     #[test]
