@@ -58,7 +58,12 @@ impl EnergyMeter {
 
     /// Notes that one slot elapsed (alive, whether or not the radio was on).
     pub fn tick_slot(&mut self) {
-        self.slots += 1;
+        self.tick_slots(1);
+    }
+
+    /// Notes that `k` slots elapsed (`k` times [`tick_slot`](Self::tick_slot)).
+    pub fn tick_slots(&mut self, k: u64) {
+        self.slots += k;
     }
 
     /// Total radio energy consumed, in millijoules. Sleep energy for the

@@ -32,18 +32,44 @@
 //! asked in it (only they can have received a frame or a transmission
 //! outcome, so only their state can have moved); they live no longer than
 //! the `run` call's borrow of the stacks, so whatever the caller does to a
-//! stack between calls needs no invalidation. Fault handling, `reset` and
-//! `desync` (each forces the node awake in its slot), slot accounting on
-//! the energy meters, the visiting order, the random stream and every trace
-//! event are where they would be if every node were asked in every slot.
+//! stack between calls needs no invalidation.
+//!
+//! Nor does the engine do per slot what cannot have changed since the last
+//! one. Liveness moves only at the [`FaultPlan::edges`]: the plan is
+//! consulted node by node in the slot `run` is entered in and in each edge
+//! slot after it (that is where a completed reboot is noted and `reset` and
+//! `desync` are delivered, each of which forces the node awake in its
+//! slot), and between edges a slot is one scan over `alive[i]` and
+//! `wake[i] <= asn` for the due nodes. The energy meters' slot counts are
+//! settled at each edge and on leaving `run` — alive slots only, as if
+//! ticked one by one. And when the scan finds nobody due, the recorder is
+//! off and no jammer is adaptive, the engine moves straight to the earliest
+//! of the next wake slot of an alive node, the next edge and the end of the
+//! run, adding the gap to `stats.slots`: a slot in which no node is asked
+//! draws no randomness, charges no radio and calls no stack, so the only
+//! things that could tell it from a jumped one are the recorder's per-slot
+//! `SlotStart` and an adaptive jammer's sniffer, which counts every slot.
+//! The visiting order, the random stream, every trace event and every
+//! callback are therefore where they would be if every node were visited in
+//! every slot — which is what the test module's `reference_slot`, the
+//! kernel as it was before any of this, is kept to check, case by case and
+//! chunk by chunk; the stacks' side of the contract is checked one level up
+//! by `AskEverySlot` in `digs`'s wake oracle.
+//!
+//! A slot's working storage (who listens on which channel, the committed
+//! transmissions bucketed by physical channel, the candidates at the
+//! listener being resolved) belongs to the `run` call and is cleared, not
+//! freed, between slots. Each jammer's path loss to each node is computed
+//! when the jammer is installed, and whether it emits on a channel is asked
+//! once per slot and channel, not once per listener.
 
-use crate::channel::ChannelOffset;
+use crate::channel::{ChannelOffset, PhysChannel, NUM_CHANNELS};
 use crate::energy::{EnergyMeter, ACK_WAIT_US, IDLE_LISTEN_US};
 use crate::fault::FaultPlan;
 use crate::ids::NodeId;
-use crate::interference::{total_interference_mw, Jammer};
+use crate::interference::{Jammer, JammerField};
 use crate::link::LinkModel;
-use crate::packet::{Frame, ACK_AIRTIME_US};
+use crate::packet::{Dest, Frame, FrameKind, ACK_AIRTIME_US};
 use crate::rf::{prr_from_sinr_db, Dbm, RfConfig};
 use crate::rng::{self, SmallRng};
 use crate::time::Asn;
@@ -160,19 +186,162 @@ struct CommittedTx<P> {
     frame: Frame<P>,
 }
 
+/// How far a committed unicast frame got.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ack {
+    /// Its addressee did not decode it.
+    Undecoded,
+    /// Its addressee decoded it, but the acknowledgement died on the way back.
+    Lost,
+    /// Its addressee decoded it and the acknowledgement arrived.
+    Arrived,
+}
+
+/// `Run::listening_on` of a node whose radio is not in receive.
+const NOT_LISTENING: u8 = u8::MAX;
+
+/// The state of one [`Engine::run`] call: the wake slots, how far the fault
+/// plan and the energy meters' slot counts have been followed, and the
+/// working storage every slot clears and refills, so that the steady state
+/// allocates nothing.
+struct Run<P> {
+    /// The first slot this call does not simulate.
+    end: Asn,
+    /// `wake[i]` is the slot node `i` must next be asked in.
+    wake: Vec<Asn>,
+    /// The next slot in which the fault plan is consulted node by node:
+    /// the slot `run` was entered in, then each later one of
+    /// [`FaultPlan::edges`]. `Engine::alive` holds in between.
+    next_edge: Asn,
+    /// Every alive node's meter has counted the slots before this one.
+    ticked_to: Asn,
+    /// The nodes asked in the current slot.
+    asked: Vec<usize>,
+    /// Radios in receive and the physical channel each is on: `Listen`
+    /// intents in id order, then the contenders that deferred.
+    listeners: Vec<(NodeId, PhysChannel)>,
+    /// Per node, the physical channel its radio is receiving on, or
+    /// [`NOT_LISTENING`].
+    listening_on: Vec<u8>,
+    /// Shared-cell transmissions waiting for CSMA/CA, in id order.
+    contenders: Vec<(NodeId, PhysChannel, Frame<P>)>,
+    /// This slot's transmissions, dedicated cells first, and in step with
+    /// them their physical channels, whether CSMA/CA let them through, and
+    /// how far each got.
+    committed: Vec<CommittedTx<P>>,
+    committed_channels: Vec<PhysChannel>,
+    committed_contention: Vec<bool>,
+    acks: Vec<Ack>,
+    /// Per physical channel, the indices into `committed` of the
+    /// transmissions on it, in commit order.
+    on_channel: [Vec<usize>; NUM_CHANNELS as usize],
+    deferred: Vec<NodeId>,
+    /// `(listener, index into committed, rss)` of every decoded frame.
+    deliveries: Vec<(NodeId, usize, Dbm)>,
+    /// The signals audible at the listener being resolved.
+    cands: Vec<(usize, Dbm)>,
+}
+
+impl<P> Run<P> {
+    fn new(wake: Vec<Asn>, from: Asn, slots: u64) -> Run<P> {
+        Run {
+            end: Asn(from.0 + slots),
+            next_edge: from,
+            ticked_to: from,
+            asked: Vec::new(),
+            listeners: Vec::new(),
+            listening_on: vec![NOT_LISTENING; wake.len()],
+            wake,
+            contenders: Vec::new(),
+            committed: Vec::new(),
+            committed_channels: Vec::new(),
+            committed_contention: Vec::new(),
+            acks: Vec::new(),
+            on_channel: Default::default(),
+            deferred: Vec::new(),
+            deliveries: Vec::new(),
+            cands: Vec::new(),
+        }
+    }
+
+    /// Asks node `i` for its intent and files the answer.
+    fn ask<S: NodeStack<Payload = P>>(&mut self, i: usize, stack: &mut S, asn: Asn) {
+        let id = NodeId(i as u16);
+        self.asked.push(i);
+        match stack.slot_intent(asn) {
+            SlotIntent::Sleep => {}
+            SlotIntent::Listen { offset } => self.listen(id, offset.hop(asn)),
+            SlotIntent::Transmit { offset, frame, contention } => {
+                debug_assert_eq!(frame.src, id, "frame src must be the transmitting node");
+                if contention {
+                    self.contenders.push((id, offset.hop(asn), frame));
+                } else {
+                    self.commit(id, offset.hop(asn), frame, false);
+                }
+            }
+        }
+    }
+
+    fn listen(&mut self, id: NodeId, channel: PhysChannel) {
+        self.listeners.push((id, channel));
+        self.listening_on[id.index()] = channel.0;
+    }
+
+    fn commit(&mut self, node: NodeId, channel: PhysChannel, frame: Frame<P>, contention: bool) {
+        self.on_channel[usize::from(channel.0)].push(self.committed.len());
+        self.committed.push(CommittedTx { node, frame });
+        self.committed_channels.push(channel);
+        self.committed_contention.push(contention);
+        self.acks.push(Ack::Undecoded);
+    }
+
+    /// Whether `node`'s radio is receiving on `channel` in this slot.
+    fn is_listening(&self, node: NodeId, channel: PhysChannel) -> bool {
+        self.listening_on.get(node.index()) == Some(&channel.0)
+    }
+
+    /// Empties the slot's working storage, keeping its capacity.
+    fn clear_slot(&mut self) {
+        for (id, _) in self.listeners.drain(..) {
+            self.listening_on[id.index()] = NOT_LISTENING;
+        }
+        for channel in self.committed_channels.drain(..) {
+            self.on_channel[usize::from(channel.0)].clear();
+        }
+        self.committed.clear();
+        self.committed_contention.clear();
+        self.acks.clear();
+        self.deferred.clear();
+        self.deliveries.clear();
+    }
+}
+
 /// The simulation engine. See the [module documentation](self) for the slot
 /// resolution algorithm.
 #[derive(Debug)]
 pub struct Engine {
     topology: Topology,
     link: LinkModel,
+    /// Thermal noise floor in milliwatts (the last term of every
+    /// interference sum).
+    noise_floor_mw: f64,
     jammers: Vec<Jammer>,
+    jammer_field: JammerField,
+    /// Whether any of `jammers` is adaptive: its sniffer counts every slot,
+    /// so no slot may be jumped over.
+    any_adaptive: bool,
     /// Ambient (cross-network) interference sources: boundary load
     /// installed by the fleet's shard exchange. Kept apart from
     /// `jammers` so scenario-owned adversaries and fleet-owned boundary
     /// state can be replaced independently between slotframe windows.
     ambient: Vec<Jammer>,
+    ambient_field: JammerField,
     faults: FaultPlan,
+    /// [`FaultPlan::edges`] of `faults`.
+    edges: Vec<Asn>,
+    /// Whether each node is alive; inside [`Engine::run`] only, where it is
+    /// brought up to date at every fault edge.
+    alive: Vec<bool>,
     rng: SmallRng,
     asn: Asn,
     energy: Vec<EnergyMeter>,
@@ -193,11 +362,17 @@ impl Engine {
         let link = LinkModel::new(&topology, rf, seed);
         let n = topology.len();
         Engine {
+            noise_floor_mw: link.rf().noise_floor.to_milliwatts(),
+            jammers: Vec::new(),
+            jammer_field: JammerField::default(),
+            any_adaptive: false,
+            ambient: Vec::new(),
+            ambient_field: JammerField::default(),
             topology,
             link,
-            jammers: Vec::new(),
-            ambient: Vec::new(),
             faults: FaultPlan::none(),
+            edges: Vec::new(),
+            alive: vec![true; n],
             rng: rng::engine_rng(seed),
             asn: Asn::ZERO,
             energy: vec![EnergyMeter::new(); n],
@@ -236,6 +411,8 @@ impl Engine {
 
     /// Adds an interference source.
     pub fn add_jammer(&mut self, jammer: Jammer) {
+        self.jammer_field.push(&jammer, &self.topology, self.link.rf());
+        self.any_adaptive |= jammer.adaptive_counters().is_some();
         self.jammers.push(jammer);
     }
 
@@ -250,6 +427,7 @@ impl Engine {
     /// `(salt, asn, channel)`, so swapping the set never perturbs the
     /// engine's random stream.
     pub fn set_ambient_jammers(&mut self, ambient: Vec<Jammer>) {
+        self.ambient_field = JammerField::new(&ambient, &self.topology, self.link.rf());
         self.ambient = ambient;
     }
 
@@ -260,6 +438,7 @@ impl Engine {
 
     /// Installs the failure schedule.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.edges = plan.edges().collect();
         self.faults = plan;
     }
 
@@ -303,12 +482,12 @@ impl Engine {
     /// Panics if `stacks.len()` differs from the topology size.
     pub fn run<S: NodeStack>(&mut self, stacks: &mut [S], slots: u64) {
         assert_eq!(stacks.len(), self.topology.len(), "one stack per topology node required");
-        let mut wake: Vec<Asn> = stacks.iter().map(|s| s.next_wake(self.asn)).collect();
-        // The nodes asked in the current slot (reused across slots).
-        let mut asked: Vec<usize> = Vec::new();
-        for _ in 0..slots {
-            self.slot(stacks, &mut wake, &mut asked);
+        let wake = stacks.iter().map(|s| s.next_wake(self.asn)).collect();
+        let mut run = Run::new(wake, self.asn, slots);
+        while self.asn < run.end {
+            self.slot(stacks, &mut run);
         }
+        self.tick_alive_to(&mut run, self.asn);
     }
 
     /// Simulates one slot (`run(stacks, 1)`).
@@ -320,176 +499,193 @@ impl Engine {
         self.run(stacks, 1);
     }
 
-    /// One slot of [`Engine::run`]: `wake[i]` is the slot node `i` must
-    /// next be asked in.
-    fn slot<S: NodeStack>(&mut self, stacks: &mut [S], wake: &mut [Asn], asked: &mut Vec<usize>) {
+    /// Counts the slots `run.ticked_to..asn` on the meter of every alive
+    /// node (liveness has not moved since `run.ticked_to`).
+    fn tick_alive_to<P>(&mut self, run: &mut Run<P>, asn: Asn) {
+        let slots = asn - run.ticked_to;
+        for (meter, _) in self.energy.iter_mut().zip(&self.alive).filter(|(_, alive)| **alive) {
+            meter.tick_slots(slots);
+        }
+        run.ticked_to = asn;
+    }
+
+    /// Follows the fault plan across an edge at `asn` for node `i`: notes a
+    /// completed reboot, brings `alive[i]` up to date and, if the node is
+    /// alive, delivers a due cold reset and a clock desync. Returns whether
+    /// the stack was called — either call changes it under the wake slot it
+    /// named, so the node is asked now.
+    fn cross_fault_edge<S: NodeStack>(&mut self, i: usize, stack: &mut S, asn: Asn) -> bool {
+        let id = NodeId(i as u16);
+        if self.faults.reboot_completing_at(id, asn) {
+            self.pending_reset[i] = true;
+        }
+        self.alive[i] = self.faults.is_alive(id, asn);
+        if !self.alive[i] {
+            return false;
+        }
+        let mut called = false;
+        if self.pending_reset[i] {
+            self.pending_reset[i] = false;
+            if self.trace.is_on() {
+                self.trace.record(asn.0, id.0, EventKind::NodeReset);
+            }
+            stack.reset(asn);
+            called = true;
+        }
+        if self.faults.desync_at(id, asn) {
+            if self.trace.is_on() {
+                self.trace.record(asn.0, id.0, EventKind::ClockDesync);
+            }
+            stack.desync(asn);
+            called = true;
+        }
+        called
+    }
+
+    /// One step of [`Engine::run`]: the slot `self.asn`, or — when no alive
+    /// node is due before a later slot and nothing reads the slots in
+    /// between — the whole gap up to it.
+    fn slot<S: NodeStack>(&mut self, stacks: &mut [S], run: &mut Run<S::Payload>) {
         let asn = self.asn;
-        let rf = self.link.rf();
         let tracing = self.trace.is_on();
+        let at_edge = asn == run.next_edge;
         if tracing {
             self.trace.record_network(asn.0, EventKind::SlotStart);
-            for (node, fault, peer, injected) in self.faults.transitions_at(asn) {
-                let kind = if injected {
-                    EventKind::FaultInject { fault, peer: peer.map(|p| p.0) }
-                } else {
-                    EventKind::FaultClear { fault, peer: peer.map(|p| p.0) }
-                };
-                self.trace.record(asn.0, node.0, kind);
-            }
-        }
-
-        // Phase 1: collect intents from alive nodes.
-        let mut listeners: Vec<(NodeId, ChannelOffset)> = Vec::new();
-        let mut dedicated: Vec<(NodeId, ChannelOffset, Frame<S::Payload>)> = Vec::new();
-        let mut contenders: Vec<(NodeId, ChannelOffset, Frame<S::Payload>)> = Vec::new();
-        for (i, stack) in stacks.iter_mut().enumerate() {
-            let id = NodeId(i as u16);
-            if self.faults.has_reboots() && self.faults.reboot_completing_at(id, asn) {
-                self.pending_reset[i] = true;
-            }
-            if !self.faults.is_alive(id, asn) {
-                continue;
-            }
-            // A reset or desync changes the stack under the wake slot it
-            // named, so either one wakes the node now.
-            let mut awake = wake[i] <= asn;
-            if self.pending_reset[i] {
-                self.pending_reset[i] = false;
-                if tracing {
-                    self.trace.record(asn.0, id.0, EventKind::NodeReset);
-                }
-                stack.reset(asn);
-                awake = true;
-            }
-            if self.faults.has_desyncs() && self.faults.desync_at(id, asn) {
-                if tracing {
-                    self.trace.record(asn.0, id.0, EventKind::ClockDesync);
-                }
-                stack.desync(asn);
-                awake = true;
-            }
-            self.energy[i].tick_slot();
-            if !awake {
-                continue;
-            }
-            asked.push(i);
-            match stack.slot_intent(asn) {
-                SlotIntent::Sleep => {}
-                SlotIntent::Listen { offset } => listeners.push((id, offset)),
-                SlotIntent::Transmit { offset, frame, contention } => {
-                    debug_assert_eq!(frame.src, id, "frame src must be the transmitting node");
-                    if contention {
-                        contenders.push((id, offset, frame));
+            if at_edge {
+                for (node, fault, peer, injected) in self.faults.transitions_at(asn) {
+                    let kind = if injected {
+                        EventKind::FaultInject { fault, peer: peer.map(|p| p.0) }
                     } else {
-                        dedicated.push((id, offset, frame));
-                    }
+                        EventKind::FaultClear { fault, peer: peer.map(|p| p.0) }
+                    };
+                    self.trace.record(asn.0, node.0, kind);
                 }
             }
         }
 
-        // Phase 2: commit transmissions. Dedicated cells transmit
-        // unconditionally; shared cells run CSMA/CA in a random order.
-        let mut committed: Vec<CommittedTx<S::Payload>> = Vec::new();
-        let mut committed_channels = Vec::new();
-        let mut committed_contention = Vec::new();
-        let mut deferred: Vec<NodeId> = Vec::new();
-        for (id, offset, frame) in dedicated {
-            committed_channels.push(offset.hop(asn));
-            committed_contention.push(false);
-            committed.push(CommittedTx { node: id, frame });
+        // Phase 1: collect intents from the alive nodes that are due,
+        // bringing liveness up to date first if this is a fault edge.
+        if at_edge {
+            self.tick_alive_to(run, asn);
+            let later = self.edges.partition_point(|edge| *edge <= asn);
+            run.next_edge = self.edges.get(later).copied().unwrap_or(Asn(u64::MAX));
         }
-        // Random backoff order, deterministic under the engine seed.
+        // The next slot anything can happen in, if nobody is due in this one.
+        let mut next = run.next_edge.min(run.end);
+        for (i, stack) in stacks.iter_mut().enumerate() {
+            let called = at_edge && self.cross_fault_edge(i, stack, asn);
+            if !self.alive[i] {
+                continue;
+            }
+            if called || run.wake[i] <= asn {
+                run.ask(i, stack, asn);
+            } else {
+                next = next.min(run.wake[i]);
+            }
+        }
+        // A slot in which nobody is asked draws no randomness and changes
+        // nothing but the slot counts, so unless something reads every slot
+        // (the recorder's `SlotStart`, an adaptive jammer's sniffer) the
+        // whole gap is taken in this step.
+        if run.asked.is_empty() && !tracing && !self.any_adaptive {
+            self.stats.slots += next - asn;
+            self.asn = next;
+            return;
+        }
+
+        // Phase 2: commit transmissions. Dedicated cells were committed
+        // unconditionally as they were declared; shared cells run CSMA/CA
+        // in a random order, deterministic under the engine seed.
+        let mut contenders = std::mem::take(&mut run.contenders);
         for i in (1..contenders.len()).rev() {
             let j = self.rng.up_to(i);
             contenders.swap(i, j);
         }
-        for (id, offset, frame) in contenders {
-            let ch = offset.hop(asn);
+        for (id, ch, frame) in contenders.drain(..) {
             // CCA: busy if any committed 802.15.4 transmitter on this
             // channel is audible. Jammers do NOT trip CCA: the emulated
             // WiFi/Bluetooth bursts are microseconds long and use a foreign
             // modulation, which 802.15.4 carrier sense does not reliably
             // detect — nodes transmit into the jam and lose frames, as on
             // the paper's testbeds.
-            let busy = committed.iter().zip(&committed_channels).any(|(tx, tx_ch)| {
-                *tx_ch == ch
-                    && tx.node != id
-                    && self.link.static_rss(tx.node, id).dbm() > CCA_THRESHOLD.dbm()
+            let busy = run.on_channel[usize::from(ch.0)].iter().any(|&k| {
+                let tx = run.committed[k].node;
+                tx != id && self.link.static_rss(tx, id).dbm() > CCA_THRESHOLD.dbm()
             });
             if busy {
-                deferred.push(id);
+                run.deferred.push(id);
                 self.stats.cca_deferrals += 1;
                 if tracing {
                     self.trace.record(asn.0, id.0, EventKind::CcaDefer);
                 }
                 // A deferring node keeps its radio in RX for the rest of
                 // the slot — it hears the winning frame like any listener.
-                listeners.push((id, offset));
+                run.listen(id, ch);
             } else {
-                committed_channels.push(ch);
-                committed_contention.push(true);
-                committed.push(CommittedTx { node: id, frame });
+                run.commit(id, ch, frame, true);
             }
         }
+        run.contenders = contenders;
 
         // Phase 3: reception. For each listener, decode the strongest
         // committed frame on its physical channel against the sum of all
         // other signals, jammers, and thermal noise.
-        // deliveries: (listener, committed_idx, rss); ack_map: committed_idx -> acked
-        let mut deliveries: Vec<(NodeId, usize, Dbm)> = Vec::new();
-        let mut acked = vec![false; committed.len()];
-        for (rx_id, offset) in &listeners {
-            let ch = offset.hop(asn);
-            let rx_pos = self.topology.position(*rx_id);
-            // Candidate signals on this channel audible at the listener.
-            let mut cands: Vec<(usize, Dbm)> = committed
-                .iter()
-                .enumerate()
-                .filter(|(k, tx)| {
-                    tx.node != *rx_id
-                        && committed_channels[*k] == ch
-                        && (!self.faults.has_link_outages()
-                            || self.faults.is_link_up(tx.node, *rx_id, asn))
-                })
-                .map(|(k, tx)| (k, self.link.rss(tx.node, *rx_id, ch, asn)))
-                .filter(|(_, rss)| rss.dbm() > SENSITIVITY.dbm())
-                .collect();
-            if cands.is_empty() {
-                self.energy[rx_id.index()].charge_rx(IDLE_LISTEN_US);
+        for &(rx_id, ch) in &run.listeners {
+            let rx = rx_id.index();
+            // Candidate signals on this channel audible at the listener,
+            // strongest first, ties in commit order (the order the
+            // interference sum below adds them in).
+            run.cands.clear();
+            for &k in &run.on_channel[usize::from(ch.0)] {
+                let tx = run.committed[k].node;
+                if tx == rx_id
+                    || (self.faults.has_link_outages() && !self.faults.is_link_up(tx, rx_id, asn))
+                {
+                    continue;
+                }
+                if let Some(rss) = self.link.rss_if_above(tx, rx_id, ch, asn, SENSITIVITY.dbm()) {
+                    run.cands.push((k, rss));
+                }
+            }
+            if run.cands.is_empty() {
+                self.energy[rx].charge_rx(IDLE_LISTEN_US);
                 continue;
             }
-            cands.sort_by(|a, b| b.1.dbm().total_cmp(&a.1.dbm()));
-            let (best_idx, best_rss) = cands[0];
-            let mut interference_mw = total_interference_mw(&self.jammers, &rx_pos, ch, asn, rf)
-                + total_interference_mw(&self.ambient, &rx_pos, ch, asn, rf)
-                + rf.noise_floor.to_milliwatts();
-            for (_, rss) in &cands[1..] {
+            run.cands.sort_by(|a, b| b.1.dbm().total_cmp(&a.1.dbm()));
+            let (best_idx, best_rss) = run.cands[0];
+            let mut interference_mw = self.jammer_field.total_mw(&self.jammers, rx, ch, asn)
+                + self.ambient_field.total_mw(&self.ambient, rx, ch, asn)
+                + self.noise_floor_mw;
+            for (_, rss) in &run.cands[1..] {
                 interference_mw += rss.to_milliwatts();
             }
             let sinr_db = best_rss.dbm() - 10.0 * interference_mw.log10();
-            let frame = &committed[best_idx].frame;
+            let frame = &run.committed[best_idx].frame;
             // The radio stays in RX for the frame airtime whether or not the
             // CRC ultimately passes.
-            self.energy[rx_id.index()].charge_rx(frame.airtime_us());
+            self.energy[rx].charge_rx(frame.airtime_us());
             if self.rng.next_f64() < prr_from_sinr_db(sinr_db) {
-                deliveries.push((*rx_id, best_idx, best_rss));
-                if frame.dst.expects_ack() && frame.dst.addressed_to(*rx_id) {
+                run.deliveries.push((rx_id, best_idx, best_rss));
+                if frame.dst.expects_ack() && frame.dst.addressed_to(rx_id) {
                     // The receiver transmits an ACK on the reverse link.
-                    self.energy[rx_id.index()].charge_tx(ACK_AIRTIME_US);
+                    self.energy[rx].charge_tx(ACK_AIRTIME_US);
                     let tx_id = frame.src;
-                    let tx_pos = self.topology.position(tx_id);
                     let link_up = !self.faults.has_link_outages()
-                        || self.faults.is_link_up(*rx_id, tx_id, asn);
-                    let ack_rss = self.link.rss(*rx_id, tx_id, ch, asn);
-                    let ack_inter = total_interference_mw(&self.jammers, &tx_pos, ch, asn, rf)
-                        + total_interference_mw(&self.ambient, &tx_pos, ch, asn, rf)
-                        + rf.noise_floor.to_milliwatts();
+                        || self.faults.is_link_up(rx_id, tx_id, asn);
+                    let ack_rss = self.link.rss(rx_id, tx_id, ch, asn);
+                    let ack_inter =
+                        self.jammer_field.total_mw(&self.jammers, tx_id.index(), ch, asn)
+                            + self.ambient_field.total_mw(&self.ambient, tx_id.index(), ch, asn)
+                            + self.noise_floor_mw;
                     let ack_sinr = ack_rss.dbm() - 10.0 * ack_inter.log10();
-                    if link_up && self.rng.next_f64() < prr_from_sinr_db(ack_sinr) {
-                        acked[best_idx] = true;
-                    }
+                    run.acks[best_idx] =
+                        if link_up && self.rng.next_f64() < prr_from_sinr_db(ack_sinr) {
+                            Ack::Arrived
+                        } else {
+                            Ack::Lost
+                        };
                 }
-            } else if cands.len() > 1 {
+            } else if run.cands.len() > 1 {
                 self.stats.collision_drops += 1;
             } else {
                 self.stats.noise_drops += 1;
@@ -497,8 +693,9 @@ impl Engine {
         }
 
         // Phase 4: stats + energy for transmitters.
-        for (k, tx) in committed.iter().enumerate() {
-            self.stats.channel_tx[committed_channels[k].0 as usize] += 1;
+        for (k, tx) in run.committed.iter().enumerate() {
+            let ch = run.committed_channels[k];
+            self.stats.channel_tx[ch.0 as usize] += 1;
             let meter = &mut self.energy[tx.node.index()];
             meter.charge_tx(tx.frame.airtime_us());
             if tx.frame.dst.expects_ack() {
@@ -506,24 +703,19 @@ impl Engine {
             }
             let counters = self.stats.kind_mut(tx.frame.kind);
             counters.transmitted += 1;
-            if tx.frame.dst.expects_ack() {
-                if acked[k] {
+            if let Dest::Unicast(dst) = tx.frame.dst {
+                if run.acks[k] == Ack::Arrived {
                     counters.acked += 1;
                 } else {
                     counters.unacked += 1;
-                    if let crate::packet::Dest::Unicast(dst) = tx.frame.dst {
-                        let ch = committed_channels[k];
-                        let dst_listening =
-                            listeners.iter().any(|(id, off)| *id == dst && off.hop(asn) == ch);
-                        if !dst_listening && tx.frame.kind == crate::packet::FrameKind::Data {
-                            self.stats.unacked_no_listener += 1;
-                        }
+                    if !run.is_listening(dst, ch) && tx.frame.kind == FrameKind::Data {
+                        self.stats.unacked_no_listener += 1;
                     }
                 }
             }
         }
-        for (_, k, _) in &deliveries {
-            self.stats.kind_mut(committed[*k].frame.kind).received += 1;
+        for (_, k, _) in &run.deliveries {
+            self.stats.kind_mut(run.committed[*k].frame.kind).received += 1;
         }
         self.stats.slots += 1;
 
@@ -531,23 +723,21 @@ impl Engine {
         // channels and advance their learn/jam state machines. The sniffer
         // consumes no engine randomness, so determinism is untouched; the
         // engine-level counters are cumulative sums over all jammers.
-        let mut any_adaptive = false;
-        for jammer in &mut self.jammers {
-            if let Some(t) = jammer.observe_slot(asn, &committed_channels) {
-                if tracing {
-                    self.trace.record_network(
-                        asn.0,
-                        EventKind::AttackPhase {
-                            jamming: t.jamming,
-                            targets: t.targets,
-                            hit_rate_bp: t.hit_rate_bp,
-                        },
-                    );
+        if self.any_adaptive {
+            for jammer in &mut self.jammers {
+                if let Some(t) = jammer.observe_slot(asn, &run.committed_channels) {
+                    if tracing {
+                        self.trace.record_network(
+                            asn.0,
+                            EventKind::AttackPhase {
+                                jamming: t.jamming,
+                                targets: t.targets,
+                                hit_rate_bp: t.hit_rate_bp,
+                            },
+                        );
+                    }
                 }
             }
-            any_adaptive |= jammer.adaptive_counters().is_some();
-        }
-        if any_adaptive {
             let mut sum = crate::interference::AdaptiveCounters::default();
             for c in self.jammers.iter().filter_map(Jammer::adaptive_counters) {
                 sum.jam_slots += c.jam_slots;
@@ -564,10 +754,10 @@ impl Engine {
         }
 
         // Phase 5: callbacks — deliveries first, then outcomes, in id order.
-        deliveries.sort_by_key(|(rx, _, _)| *rx);
-        for (rx_id, k, rss) in &deliveries {
+        run.deliveries.sort_by_key(|(rx, _, _)| *rx);
+        for (rx_id, k, rss) in &run.deliveries {
+            let frame = &run.committed[*k].frame;
             if tracing {
-                let frame = &committed[*k].frame;
                 self.trace.record(
                     asn.0,
                     rx_id.0,
@@ -578,29 +768,28 @@ impl Engine {
                     },
                 );
             }
-            stacks[rx_id.index()].on_frame(asn, &committed[*k].frame, *rss);
+            stacks[rx_id.index()].on_frame(asn, frame, *rss);
         }
-        for (k, tx) in committed.iter().enumerate() {
-            let outcome = if !tx.frame.dst.expects_ack() {
-                TxOutcome::SentBroadcast
-            } else if acked[k] {
-                TxOutcome::Acked
-            } else {
-                TxOutcome::NoAck
+        for (k, tx) in run.committed.iter().enumerate() {
+            let outcome = match (tx.frame.dst, run.acks[k]) {
+                (Dest::Broadcast, _) => TxOutcome::SentBroadcast,
+                (Dest::Unicast(_), Ack::Arrived) => TxOutcome::Acked,
+                (Dest::Unicast(_), _) => TxOutcome::NoAck,
             };
             if tracing {
                 let dst = match tx.frame.dst {
-                    crate::packet::Dest::Unicast(d) => Some(d.0),
-                    crate::packet::Dest::Broadcast => None,
+                    Dest::Unicast(d) => Some(d),
+                    Dest::Broadcast => None,
                 };
+                let ch = run.committed_channels[k];
                 self.trace.record(
                     asn.0,
                     tx.node.0,
                     EventKind::Tx {
-                        dst,
+                        dst: dst.map(|d| d.0),
                         class: tx.frame.kind.traffic_class(),
-                        channel: committed_channels[k].0,
-                        contention: committed_contention[k],
+                        channel: ch.0,
+                        contention: run.committed_contention[k],
                         packet: tx.frame.trace_id,
                     },
                 );
@@ -609,7 +798,7 @@ impl Engine {
                         self.trace.record(
                             asn.0,
                             tx.node.0,
-                            EventKind::Ack { dst: d, packet: tx.frame.trace_id },
+                            EventKind::Ack { dst: d.0, packet: tx.frame.trace_id },
                         );
                     }
                     (TxOutcome::NoAck, Some(d)) => {
@@ -617,24 +806,17 @@ impl Engine {
                         // addressee but the ACK died on the way back; the
                         // destination never had its radio on this channel;
                         // or the frame itself was lost on the air.
-                        let decoded_by_dst =
-                            deliveries.iter().any(|(rx, kk, _)| *kk == k && rx.0 == d);
-                        let reason = if decoded_by_dst {
+                        let reason = if run.acks[k] == Ack::Lost {
                             DropReason::AckLost
+                        } else if run.is_listening(d, ch) {
+                            DropReason::FrameLost
                         } else {
-                            let ch = committed_channels[k];
-                            let dst_listening =
-                                listeners.iter().any(|(id, off)| id.0 == d && off.hop(asn) == ch);
-                            if dst_listening {
-                                DropReason::FrameLost
-                            } else {
-                                DropReason::NoListener
-                            }
+                            DropReason::NoListener
                         };
                         self.trace.record(
                             asn.0,
                             tx.node.0,
-                            EventKind::Nack { dst: d, reason, packet: tx.frame.trace_id },
+                            EventKind::Nack { dst: d.0, reason, packet: tx.frame.trace_id },
                         );
                     }
                     _ => {}
@@ -642,25 +824,28 @@ impl Engine {
             }
             stacks[tx.node.index()].on_tx_outcome(asn, outcome);
         }
-        for id in deferred {
+        for id in &run.deferred {
             stacks[id.index()].on_tx_outcome(asn, TxOutcome::DeferredCca);
         }
 
         self.asn = asn.next();
         // Only a node that was asked can have been called back, so only
         // its wake slot can have moved.
-        for i in asked.drain(..) {
-            wake[i] = stacks[i].next_wake(self.asn);
+        for i in run.asked.drain(..) {
+            run.wake[i] = stacks[i].next_wake(self.asn);
         }
+        run.clear_slot();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Dest, FrameKind};
+    use crate::interference::{total_interference_mw, AdaptiveSniffer, JammerKind};
     use crate::position::Position;
     use crate::topology::{Role, Topology};
+    use digs_cases::{cases, Draw};
+    use std::collections::BTreeMap;
 
     /// A scriptable test stack.
     #[derive(Default)]
@@ -1107,5 +1292,846 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5).0, 0);
+    }
+
+    // ----- The oracle: the slot kernel as it was before it learnt to skip
+    // work, kept verbatim, and the differential test that holds the
+    // production kernel to it.
+
+    impl Engine {
+        /// `Engine::run` as it was when it visited every node in every
+        /// slot: the loop around [`Engine::reference_slot`].
+        fn reference_run<S: NodeStack>(&mut self, stacks: &mut [S], slots: u64) {
+            assert_eq!(stacks.len(), self.topology.len(), "one stack per topology node required");
+            let mut wake: Vec<Asn> = stacks.iter().map(|s| s.next_wake(self.asn)).collect();
+            let mut asked: Vec<usize> = Vec::new();
+            for _ in 0..slots {
+                self.reference_slot(stacks, &mut wake, &mut asked);
+            }
+        }
+
+        /// `Engine::slot` as it was at that commit, unchanged but for its
+        /// name: every node visited in every slot, every signal drawn in full,
+        /// every path loss recomputed, nine fresh `Vec`s a slot.
+        fn reference_slot<S: NodeStack>(
+            &mut self,
+            stacks: &mut [S],
+            wake: &mut [Asn],
+            asked: &mut Vec<usize>,
+        ) {
+            let asn = self.asn;
+            let rf = self.link.rf();
+            let tracing = self.trace.is_on();
+            if tracing {
+                self.trace.record_network(asn.0, EventKind::SlotStart);
+                for (node, fault, peer, injected) in self.faults.transitions_at(asn) {
+                    let kind = if injected {
+                        EventKind::FaultInject { fault, peer: peer.map(|p| p.0) }
+                    } else {
+                        EventKind::FaultClear { fault, peer: peer.map(|p| p.0) }
+                    };
+                    self.trace.record(asn.0, node.0, kind);
+                }
+            }
+
+            // Phase 1: collect intents from alive nodes.
+            let mut listeners: Vec<(NodeId, ChannelOffset)> = Vec::new();
+            let mut dedicated: Vec<(NodeId, ChannelOffset, Frame<S::Payload>)> = Vec::new();
+            let mut contenders: Vec<(NodeId, ChannelOffset, Frame<S::Payload>)> = Vec::new();
+            for (i, stack) in stacks.iter_mut().enumerate() {
+                let id = NodeId(i as u16);
+                if self.faults.has_reboots() && self.faults.reboot_completing_at(id, asn) {
+                    self.pending_reset[i] = true;
+                }
+                if !self.faults.is_alive(id, asn) {
+                    continue;
+                }
+                // A reset or desync changes the stack under the wake slot it
+                // named, so either one wakes the node now.
+                let mut awake = wake[i] <= asn;
+                if self.pending_reset[i] {
+                    self.pending_reset[i] = false;
+                    if tracing {
+                        self.trace.record(asn.0, id.0, EventKind::NodeReset);
+                    }
+                    stack.reset(asn);
+                    awake = true;
+                }
+                if self.faults.has_desyncs() && self.faults.desync_at(id, asn) {
+                    if tracing {
+                        self.trace.record(asn.0, id.0, EventKind::ClockDesync);
+                    }
+                    stack.desync(asn);
+                    awake = true;
+                }
+                self.energy[i].tick_slot();
+                if !awake {
+                    continue;
+                }
+                asked.push(i);
+                match stack.slot_intent(asn) {
+                    SlotIntent::Sleep => {}
+                    SlotIntent::Listen { offset } => listeners.push((id, offset)),
+                    SlotIntent::Transmit { offset, frame, contention } => {
+                        debug_assert_eq!(frame.src, id, "frame src must be the transmitting node");
+                        if contention {
+                            contenders.push((id, offset, frame));
+                        } else {
+                            dedicated.push((id, offset, frame));
+                        }
+                    }
+                }
+            }
+
+            // Phase 2: commit transmissions. Dedicated cells transmit
+            // unconditionally; shared cells run CSMA/CA in a random order.
+            let mut committed: Vec<CommittedTx<S::Payload>> = Vec::new();
+            let mut committed_channels = Vec::new();
+            let mut committed_contention = Vec::new();
+            let mut deferred: Vec<NodeId> = Vec::new();
+            for (id, offset, frame) in dedicated {
+                committed_channels.push(offset.hop(asn));
+                committed_contention.push(false);
+                committed.push(CommittedTx { node: id, frame });
+            }
+            // Random backoff order, deterministic under the engine seed.
+            for i in (1..contenders.len()).rev() {
+                let j = self.rng.up_to(i);
+                contenders.swap(i, j);
+            }
+            for (id, offset, frame) in contenders {
+                let ch = offset.hop(asn);
+                // CCA: busy if any committed 802.15.4 transmitter on this
+                // channel is audible. Jammers do NOT trip CCA: the emulated
+                // WiFi/Bluetooth bursts are microseconds long and use a foreign
+                // modulation, which 802.15.4 carrier sense does not reliably
+                // detect — nodes transmit into the jam and lose frames, as on
+                // the paper's testbeds.
+                let busy = committed.iter().zip(&committed_channels).any(|(tx, tx_ch)| {
+                    *tx_ch == ch
+                        && tx.node != id
+                        && self.link.static_rss(tx.node, id).dbm() > CCA_THRESHOLD.dbm()
+                });
+                if busy {
+                    deferred.push(id);
+                    self.stats.cca_deferrals += 1;
+                    if tracing {
+                        self.trace.record(asn.0, id.0, EventKind::CcaDefer);
+                    }
+                    // A deferring node keeps its radio in RX for the rest of
+                    // the slot — it hears the winning frame like any listener.
+                    listeners.push((id, offset));
+                } else {
+                    committed_channels.push(ch);
+                    committed_contention.push(true);
+                    committed.push(CommittedTx { node: id, frame });
+                }
+            }
+
+            // Phase 3: reception. For each listener, decode the strongest
+            // committed frame on its physical channel against the sum of all
+            // other signals, jammers, and thermal noise.
+            // deliveries: (listener, committed_idx, rss); ack_map: committed_idx -> acked
+            let mut deliveries: Vec<(NodeId, usize, Dbm)> = Vec::new();
+            let mut acked = vec![false; committed.len()];
+            for (rx_id, offset) in &listeners {
+                let ch = offset.hop(asn);
+                let rx_pos = self.topology.position(*rx_id);
+                // Candidate signals on this channel audible at the listener.
+                let mut cands: Vec<(usize, Dbm)> = committed
+                    .iter()
+                    .enumerate()
+                    .filter(|(k, tx)| {
+                        tx.node != *rx_id
+                            && committed_channels[*k] == ch
+                            && (!self.faults.has_link_outages()
+                                || self.faults.is_link_up(tx.node, *rx_id, asn))
+                    })
+                    .map(|(k, tx)| (k, self.link.rss(tx.node, *rx_id, ch, asn)))
+                    .filter(|(_, rss)| rss.dbm() > SENSITIVITY.dbm())
+                    .collect();
+                if cands.is_empty() {
+                    self.energy[rx_id.index()].charge_rx(IDLE_LISTEN_US);
+                    continue;
+                }
+                cands.sort_by(|a, b| b.1.dbm().total_cmp(&a.1.dbm()));
+                let (best_idx, best_rss) = cands[0];
+                let mut interference_mw =
+                    total_interference_mw(&self.jammers, &rx_pos, ch, asn, rf)
+                        + total_interference_mw(&self.ambient, &rx_pos, ch, asn, rf)
+                        + rf.noise_floor.to_milliwatts();
+                for (_, rss) in &cands[1..] {
+                    interference_mw += rss.to_milliwatts();
+                }
+                let sinr_db = best_rss.dbm() - 10.0 * interference_mw.log10();
+                let frame = &committed[best_idx].frame;
+                // The radio stays in RX for the frame airtime whether or not the
+                // CRC ultimately passes.
+                self.energy[rx_id.index()].charge_rx(frame.airtime_us());
+                if self.rng.next_f64() < prr_from_sinr_db(sinr_db) {
+                    deliveries.push((*rx_id, best_idx, best_rss));
+                    if frame.dst.expects_ack() && frame.dst.addressed_to(*rx_id) {
+                        // The receiver transmits an ACK on the reverse link.
+                        self.energy[rx_id.index()].charge_tx(ACK_AIRTIME_US);
+                        let tx_id = frame.src;
+                        let tx_pos = self.topology.position(tx_id);
+                        let link_up = !self.faults.has_link_outages()
+                            || self.faults.is_link_up(*rx_id, tx_id, asn);
+                        let ack_rss = self.link.rss(*rx_id, tx_id, ch, asn);
+                        let ack_inter = total_interference_mw(&self.jammers, &tx_pos, ch, asn, rf)
+                            + total_interference_mw(&self.ambient, &tx_pos, ch, asn, rf)
+                            + rf.noise_floor.to_milliwatts();
+                        let ack_sinr = ack_rss.dbm() - 10.0 * ack_inter.log10();
+                        if link_up && self.rng.next_f64() < prr_from_sinr_db(ack_sinr) {
+                            acked[best_idx] = true;
+                        }
+                    }
+                } else if cands.len() > 1 {
+                    self.stats.collision_drops += 1;
+                } else {
+                    self.stats.noise_drops += 1;
+                }
+            }
+
+            // Phase 4: stats + energy for transmitters.
+            for (k, tx) in committed.iter().enumerate() {
+                self.stats.channel_tx[committed_channels[k].0 as usize] += 1;
+                let meter = &mut self.energy[tx.node.index()];
+                meter.charge_tx(tx.frame.airtime_us());
+                if tx.frame.dst.expects_ack() {
+                    meter.charge_rx(ACK_WAIT_US);
+                }
+                let counters = self.stats.kind_mut(tx.frame.kind);
+                counters.transmitted += 1;
+                if tx.frame.dst.expects_ack() {
+                    if acked[k] {
+                        counters.acked += 1;
+                    } else {
+                        counters.unacked += 1;
+                        if let crate::packet::Dest::Unicast(dst) = tx.frame.dst {
+                            let ch = committed_channels[k];
+                            let dst_listening =
+                                listeners.iter().any(|(id, off)| *id == dst && off.hop(asn) == ch);
+                            if !dst_listening && tx.frame.kind == crate::packet::FrameKind::Data {
+                                self.stats.unacked_no_listener += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            for (_, k, _) in &deliveries {
+                self.stats.kind_mut(committed[*k].frame.kind).received += 1;
+            }
+            self.stats.slots += 1;
+
+            // Adaptive jammers passively observe this slot's committed physical
+            // channels and advance their learn/jam state machines. The sniffer
+            // consumes no engine randomness, so determinism is untouched; the
+            // engine-level counters are cumulative sums over all jammers.
+            let mut any_adaptive = false;
+            for jammer in &mut self.jammers {
+                if let Some(t) = jammer.observe_slot(asn, &committed_channels) {
+                    if tracing {
+                        self.trace.record_network(
+                            asn.0,
+                            EventKind::AttackPhase {
+                                jamming: t.jamming,
+                                targets: t.targets,
+                                hit_rate_bp: t.hit_rate_bp,
+                            },
+                        );
+                    }
+                }
+                any_adaptive |= jammer.adaptive_counters().is_some();
+            }
+            if any_adaptive {
+                let mut sum = crate::interference::AdaptiveCounters::default();
+                for c in self.jammers.iter().filter_map(Jammer::adaptive_counters) {
+                    sum.jam_slots += c.jam_slots;
+                    sum.hits += c.hits;
+                    sum.opportunities += c.opportunities;
+                    sum.retargets += c.retargets;
+                    sum.relearns += c.relearns;
+                }
+                self.stats.adaptive_jam_slots = sum.jam_slots;
+                self.stats.adaptive_jam_hits = sum.hits;
+                self.stats.adaptive_jam_opportunities = sum.opportunities;
+                self.stats.adaptive_retargets = sum.retargets;
+                self.stats.adaptive_relearns = sum.relearns;
+            }
+
+            // Phase 5: callbacks — deliveries first, then outcomes, in id order.
+            deliveries.sort_by_key(|(rx, _, _)| *rx);
+            for (rx_id, k, rss) in &deliveries {
+                if tracing {
+                    let frame = &committed[*k].frame;
+                    self.trace.record(
+                        asn.0,
+                        rx_id.0,
+                        EventKind::Rx {
+                            src: frame.src.0,
+                            class: frame.kind.traffic_class(),
+                            packet: frame.trace_id,
+                        },
+                    );
+                }
+                stacks[rx_id.index()].on_frame(asn, &committed[*k].frame, *rss);
+            }
+            for (k, tx) in committed.iter().enumerate() {
+                let outcome = if !tx.frame.dst.expects_ack() {
+                    TxOutcome::SentBroadcast
+                } else if acked[k] {
+                    TxOutcome::Acked
+                } else {
+                    TxOutcome::NoAck
+                };
+                if tracing {
+                    let dst = match tx.frame.dst {
+                        crate::packet::Dest::Unicast(d) => Some(d.0),
+                        crate::packet::Dest::Broadcast => None,
+                    };
+                    self.trace.record(
+                        asn.0,
+                        tx.node.0,
+                        EventKind::Tx {
+                            dst,
+                            class: tx.frame.kind.traffic_class(),
+                            channel: committed_channels[k].0,
+                            contention: committed_contention[k],
+                            packet: tx.frame.trace_id,
+                        },
+                    );
+                    match (outcome, dst) {
+                        (TxOutcome::Acked, Some(d)) => {
+                            self.trace.record(
+                                asn.0,
+                                tx.node.0,
+                                EventKind::Ack { dst: d, packet: tx.frame.trace_id },
+                            );
+                        }
+                        (TxOutcome::NoAck, Some(d)) => {
+                            // Diagnose the loss: the frame was decoded by the
+                            // addressee but the ACK died on the way back; the
+                            // destination never had its radio on this channel;
+                            // or the frame itself was lost on the air.
+                            let decoded_by_dst =
+                                deliveries.iter().any(|(rx, kk, _)| *kk == k && rx.0 == d);
+                            let reason = if decoded_by_dst {
+                                DropReason::AckLost
+                            } else {
+                                let ch = committed_channels[k];
+                                let dst_listening = listeners
+                                    .iter()
+                                    .any(|(id, off)| id.0 == d && off.hop(asn) == ch);
+                                if dst_listening {
+                                    DropReason::FrameLost
+                                } else {
+                                    DropReason::NoListener
+                                }
+                            };
+                            self.trace.record(
+                                asn.0,
+                                tx.node.0,
+                                EventKind::Nack { dst: d, reason, packet: tx.frame.trace_id },
+                            );
+                        }
+                        _ => {}
+                    }
+                }
+                stacks[tx.node.index()].on_tx_outcome(asn, outcome);
+            }
+            for id in deferred {
+                stacks[id.index()].on_tx_outcome(asn, TxOutcome::DeferredCca);
+            }
+
+            self.asn = asn.next();
+            // Only a node that was asked can have been called back, so only
+            // its wake slot can have moved.
+            for i in asked.drain(..) {
+                wake[i] = stacks[i].next_wake(self.asn);
+            }
+        }
+    }
+
+    /// One thing the engine did to a stack.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Call {
+        Intent,
+        Frame { payload: u32, rss_bits: u64 },
+        Outcome(TxOutcome),
+        Reset,
+        Desync,
+    }
+
+    /// A scripted stack that records every call made to it. One that `naps`
+    /// names its next planned slot as its wake slot; the others ask to be
+    /// asked in every slot.
+    struct Recording {
+        plan: BTreeMap<u64, SlotIntent<u32>>,
+        naps: bool,
+        calls: Vec<(u64, Call)>,
+    }
+
+    impl NodeStack for Recording {
+        type Payload = u32;
+
+        fn slot_intent(&mut self, asn: Asn) -> SlotIntent<u32> {
+            self.calls.push((asn.0, Call::Intent));
+            self.plan.get(&asn.0).cloned().unwrap_or(SlotIntent::Sleep)
+        }
+
+        fn on_frame(&mut self, asn: Asn, frame: &Frame<u32>, rss: Dbm) {
+            let call = Call::Frame { payload: frame.payload, rss_bits: rss.dbm().to_bits() };
+            self.calls.push((asn.0, call));
+        }
+
+        fn on_tx_outcome(&mut self, asn: Asn, outcome: TxOutcome) {
+            self.calls.push((asn.0, Call::Outcome(outcome)));
+        }
+
+        fn reset(&mut self, asn: Asn) {
+            self.calls.push((asn.0, Call::Reset));
+        }
+
+        fn desync(&mut self, asn: Asn) {
+            self.calls.push((asn.0, Call::Desync));
+        }
+
+        fn next_wake(&self, from: Asn) -> Asn {
+            if !self.naps {
+                return from;
+            }
+            Asn(self.plan.range(from.0..).next().map_or(u64::MAX, |(asn, _)| *asn))
+        }
+    }
+
+    /// What a differential case does to both engines between two chunks.
+    #[derive(Debug, Clone)]
+    enum Between {
+        Nothing,
+        AddJammer(Jammer),
+        SwapAmbient(Vec<Jammer>),
+        SwapFaults(FaultPlan),
+    }
+
+    /// One drawn scenario: everything needed to build it twice.
+    struct Case {
+        topology: Topology,
+        rf: RfConfig,
+        seed: u64,
+        plans: Vec<(BTreeMap<u64, SlotIntent<u32>>, bool)>,
+        faults: FaultPlan,
+        jammers: Vec<Jammer>,
+        ambient: Vec<Jammer>,
+        traced: bool,
+        chunks: Vec<(u64, Between)>,
+    }
+
+    fn draw_position(d: &mut Draw, side: f64) -> Position {
+        let floor = f64::from(d.int(0u8..3)) * 4.0;
+        Position::with_height(d.f64(0.0..side), d.f64(0.0..side), floor)
+    }
+
+    fn draw_jammer(d: &mut Draw, side: f64, horizon: u64) -> Jammer {
+        let at = draw_position(d, side);
+        let start = Asn(d.int(0..horizon));
+        let jammer = match d.int(0u8..5) {
+            0 => Jammer::wifi(at, d.int(1u8..=13), start),
+            1 => Jammer::bluetooth(at, start),
+            2 => Jammer::disturber(at, 1, d.u64()).with_period(d.int(1u64..40)),
+            3 => Jammer {
+                kind: JammerKind::Adaptive(AdaptiveSniffer::new(
+                    d.int(3u32..20),
+                    d.int(5u64..60),
+                    d.int(5u64..40),
+                    d.int(1usize..6),
+                    d.f64(0.0..0.5),
+                )),
+                ..Jammer::adaptive(at, 1, start, d.u64())
+            },
+            _ => draw_ambient(d, side),
+        };
+        if d.bool() {
+            jammer
+        } else {
+            let stop = Asn(jammer.start.0 + d.int(1..horizon));
+            jammer.until(stop)
+        }
+    }
+
+    fn draw_ambient(d: &mut Draw, side: f64) -> Jammer {
+        let mut duty_pm = [0u16; 16];
+        for duty in &mut duty_pm {
+            *duty = *d.pick(&[0, 0, 300, 1000]);
+        }
+        Jammer::ambient(draw_position(d, side), duty_pm, Dbm(d.f64(-10.0..10.0)), d.u64())
+    }
+
+    fn draw_faults(d: &mut Draw, n: u16, horizon: u64) -> FaultPlan {
+        use crate::fault::{ClockDesync, LinkOutage, Outage, Reboot};
+        let mut plan = FaultPlan::none();
+        for _ in 0..d.int(0u8..4) {
+            let node = NodeId(d.int(0..n));
+            let from = d.int(0..horizon);
+            plan.push(if d.bool() {
+                Outage::permanent(node, Asn(from))
+            } else {
+                Outage::transient(node, Asn(from), Asn(from + d.int(1..horizon)))
+            });
+            if d.bool() {
+                // A reboot whose window straddles the outage's start.
+                let down = from.saturating_sub(d.int(0u64..5));
+                plan.push_reboot(Reboot::new(node, Asn(down), Asn(down + d.int(1u64..30))));
+            }
+        }
+        for _ in 0..d.int(0u8..3) {
+            let from = d.int(0..horizon);
+            plan.push_reboot(Reboot::new(
+                NodeId(d.int(0..n)),
+                Asn(from),
+                Asn(from + d.int(1u64..40)),
+            ));
+        }
+        for _ in 0..d.int(0u8..3) {
+            plan.push_desync(ClockDesync::new(NodeId(d.int(0..n)), Asn(d.int(0..horizon))));
+        }
+        for _ in 0..d.int(0u8..4) {
+            let a = d.int(0..n);
+            let b = (a + d.int(1..n)) % n;
+            let from = d.int(0..horizon);
+            plan.push_link(if d.bool() {
+                LinkOutage::permanent(NodeId(a), NodeId(b), Asn(from))
+            } else {
+                LinkOutage::transient(
+                    NodeId(a),
+                    NodeId(b),
+                    Asn(from),
+                    Asn(from + d.int(1..horizon)),
+                )
+            });
+        }
+        plan
+    }
+
+    fn draw_case(d: &mut Draw) -> Case {
+        let n = d.int(2u16..=60);
+        let horizon = d.int(40u64..300);
+        let rf =
+            d.pick(&[RfConfig::indoor(), RfConfig::open_area(), RfConfig::deterministic()]).clone();
+        // Sides around the radio range, so that links of every quality occur.
+        let side = d.f64(10.0..90.0) * if rf == RfConfig::open_area() { 4.0 } else { 1.0 };
+        // On a coarse grid nodes share positions, and without fading equal
+        // distances are equal signals: the ties the candidate order breaks.
+        let cell = if d.bool() { side / 3.0 } else { 0.0 };
+        let positions = (0..n)
+            .map(|_| {
+                let at = draw_position(d, side);
+                if cell > 0.0 {
+                    Position {
+                        x: (at.x / cell).floor() * cell,
+                        y: (at.y / cell).floor() * cell,
+                        ..at
+                    }
+                } else {
+                    at
+                }
+            })
+            .collect();
+        let mut roles = vec![Role::FieldDevice; usize::from(n)];
+        roles[0] = Role::AccessPoint;
+
+        // How often a node has anything planned; the sparse plans of nodes
+        // that all nap are what lets the engine jump.
+        let busy = *d.pick(&[0.004, 0.03, 0.2, 0.7]);
+        let all_nap = d.bool();
+        let offsets = d.int(1u8..4);
+        let mut plans = vec![BTreeMap::new(); usize::from(n)];
+        let mut payload = 0;
+        for asn in 0..horizon {
+            for id in 0..n {
+                if d.f64(0.0..1.0) >= busy || plans[usize::from(id)].contains_key(&asn) {
+                    continue;
+                }
+                let offset = ChannelOffset::new(d.int(0..offsets));
+                let intent = if d.bool() {
+                    SlotIntent::Listen { offset }
+                } else {
+                    let dst = match d.int(0u8..3) {
+                        0 => Dest::Broadcast,
+                        _ => Dest::Unicast(NodeId((id + d.int(1..n)) % n)),
+                    };
+                    // Mostly the addressee is listening, as a schedule
+                    // would arrange.
+                    if let (Dest::Unicast(dst), true) = (dst, d.int(0u8..4) > 0) {
+                        plans[dst.index()].entry(asn).or_insert(SlotIntent::Listen { offset });
+                    }
+                    let kind = *d.pick(&[
+                        FrameKind::Beacon,
+                        FrameKind::Routing,
+                        FrameKind::Data,
+                        FrameKind::Management,
+                    ]);
+                    payload += 1;
+                    let frame = Frame::new(NodeId(id), dst, kind, d.int(20u16..120), payload);
+                    SlotIntent::Transmit { offset, frame, contention: d.bool() }
+                };
+                plans[usize::from(id)].insert(asn, intent);
+            }
+        }
+        let plans = plans.into_iter().map(|plan| (plan, all_nap || d.bool())).collect();
+
+        let jammers = d.vec(0..4, |d| draw_jammer(d, side, horizon));
+        let mut chunks = Vec::new();
+        let mut left = horizon;
+        while left > 0 {
+            let most = left.min(*d.pick(&[1, 3, 20, 150]));
+            let slots = d.int(1..=most);
+            left -= slots;
+            let between = match d.int(0u8..8) {
+                0 => Between::AddJammer(draw_jammer(d, side, horizon)),
+                1 => Between::SwapAmbient(d.vec(0..3, |d| draw_ambient(d, side))),
+                2 => Between::SwapFaults(draw_faults(d, n, horizon)),
+                _ => Between::Nothing,
+            };
+            chunks.push((slots, between));
+        }
+        Case {
+            topology: Topology::new("drawn", positions, roles),
+            rf,
+            seed: d.u64(),
+            plans,
+            faults: draw_faults(d, n, horizon),
+            jammers,
+            ambient: d.vec(0..3, |d| draw_ambient(d, side)),
+            traced: d.bool(),
+            chunks,
+        }
+    }
+
+    impl Case {
+        fn build(&self) -> (Engine, Vec<Recording>) {
+            let mut engine = Engine::new(self.topology.clone(), self.rf.clone(), self.seed);
+            for jammer in &self.jammers {
+                engine.add_jammer(jammer.clone());
+            }
+            engine.set_ambient_jammers(self.ambient.clone());
+            engine.set_fault_plan(self.faults.clone());
+            if self.traced {
+                engine.set_trace(TraceHandle::bounded(1 << 14));
+            }
+            let stacks = self
+                .plans
+                .iter()
+                .map(|(plan, naps)| Recording {
+                    plan: plan.clone(),
+                    naps: *naps,
+                    calls: Vec::new(),
+                })
+                .collect();
+            (engine, stacks)
+        }
+    }
+
+    impl Between {
+        fn apply(&self, engine: &mut Engine) {
+            match self.clone() {
+                Between::Nothing => {}
+                Between::AddJammer(jammer) => engine.add_jammer(jammer),
+                Between::SwapAmbient(ambient) => engine.set_ambient_jammers(ambient),
+                Between::SwapFaults(plan) => engine.set_fault_plan(plan),
+            }
+        }
+    }
+
+    /// Panics unless the two engines and their stacks are in the same state.
+    fn assert_same(
+        at: &str,
+        (engine, stacks): &(Engine, Vec<Recording>),
+        (oracle, oracle_stacks): &(Engine, Vec<Recording>),
+    ) {
+        assert_eq!(engine.asn(), oracle.asn(), "asn {at}");
+        assert_eq!(engine.stats(), oracle.stats(), "stats {at}");
+        assert_eq!(engine.energy_meters(), oracle.energy_meters(), "energy {at}");
+        assert_eq!(engine.peek_rng(), oracle.peek_rng(), "random stream {at}");
+        assert_eq!(engine.trace().events(), oracle.trace().events(), "trace {at}");
+        assert_eq!(engine.jammers(), oracle.jammers(), "sniffer state {at}");
+        for (id, (stack, twin)) in stacks.iter().zip(oracle_stacks).enumerate() {
+            assert_eq!(stack.calls, twin.calls, "calls to node {id} {at}");
+        }
+    }
+
+    /// Runs a case on the production kernel and on the reference kernel,
+    /// comparing after every chunk.
+    fn run_against_reference(case: &Case) {
+        let mut ours = case.build();
+        let mut reference = case.build();
+        for (chunk, (slots, between)) in case.chunks.iter().enumerate() {
+            ours.0.run(&mut ours.1, *slots);
+            reference.0.reference_run(&mut reference.1, *slots);
+            assert_same(&format!("after chunk {chunk} of {slots} slots"), &ours, &reference);
+            between.apply(&mut ours.0);
+            between.apply(&mut reference.0);
+        }
+    }
+
+    #[test]
+    fn the_slot_kernel_matches_the_reference_kernel() {
+        let mut jumped = 0;
+        cases(320, |d| {
+            let case = draw_case(d);
+            run_against_reference(&case);
+            if !case.traced {
+                let (mut engine, mut stacks) = case.build();
+                for (slots, between) in &case.chunks {
+                    let steps = run_noting_steps(&mut engine, &mut stacks, *slots);
+                    jumped += u32::from((steps.len() as u64) < *slots);
+                    between.apply(&mut engine);
+                }
+            }
+        });
+        assert!(jumped >= 50, "only {jumped} chunks jumped a gap");
+    }
+
+    /// [`Engine::run`], noting the slot each step of the kernel started in
+    /// (a slot missing from the list was jumped over).
+    fn run_noting_steps(engine: &mut Engine, stacks: &mut [Recording], slots: u64) -> Vec<u64> {
+        let wake = stacks.iter().map(|s| s.next_wake(engine.asn)).collect();
+        let mut run = Run::new(wake, engine.asn, slots);
+        let mut steps = Vec::new();
+        while engine.asn < run.end {
+            steps.push(engine.asn.0);
+            engine.slot(stacks, &mut run);
+        }
+        let asn = engine.asn;
+        engine.tick_alive_to(&mut run, asn);
+        steps
+    }
+
+    /// A pair 12 m apart, node 1 sending node 0 a unicast in every one of
+    /// the first `slots` slots: a link a strong jammer at the receiver
+    /// destroys.
+    fn jammable_pair(slots: u64) -> Case {
+        let offset = ChannelOffset::new(0);
+        let sender = (0..slots).map(|asn| (asn, tx_intent(1, Some(0), asn as u32, false)));
+        let listener = (0..slots).map(|asn| (asn, SlotIntent::Listen { offset }));
+        Case {
+            topology: two_node_topology(12.0),
+            rf: RfConfig::deterministic(),
+            seed: 7,
+            plans: vec![(listener.collect(), false), (sender.collect(), false)],
+            faults: FaultPlan::none(),
+            jammers: Vec::new(),
+            ambient: Vec::new(),
+            traced: true,
+            chunks: Vec::new(),
+        }
+    }
+
+    fn frames_received(stack: &Recording) -> usize {
+        stack.calls.iter().filter(|(_, call)| matches!(call, Call::Frame { .. })).count()
+    }
+
+    #[test]
+    fn a_jammer_added_between_two_runs_is_heard_in_the_second() {
+        let mut case = jammable_pair(200);
+        let mut jammer = Jammer::disturber(Position::new(0.5, 0.0), 1, 3).with_period(1_000);
+        jammer.tx_power = Dbm(20.0);
+        case.chunks = vec![(100, Between::AddJammer(jammer)), (100, Between::Nothing)];
+        run_against_reference(&case);
+
+        let (mut engine, mut stacks) = case.build();
+        engine.run(&mut stacks, 100);
+        let before = frames_received(&stacks[0]);
+        case.chunks[0].1.apply(&mut engine);
+        engine.run(&mut stacks, 100);
+        let after = frames_received(&stacks[0]) - before;
+        assert!(before > 90 && after < 20, "{before} frames before the jammer, {after} after");
+    }
+
+    #[test]
+    fn an_ambient_set_swapped_between_chunks_replaces_the_old_one() {
+        let loud = |salt| Jammer::ambient(Position::new(0.5, 0.0), [1000; 16], Dbm(20.0), salt);
+        let far = Jammer::ambient(Position::new(900.0, 0.0), [1000; 16], Dbm(0.0), 5);
+        let mut case = jammable_pair(300);
+        case.ambient = vec![loud(1)];
+        case.chunks = vec![
+            (100, Between::SwapAmbient(vec![far.clone()])),
+            (100, Between::SwapAmbient(vec![far, loud(2)])),
+            (100, Between::Nothing),
+        ];
+        run_against_reference(&case);
+
+        let (mut engine, mut stacks) = case.build();
+        let mut received = Vec::new();
+        for (slots, between) in &case.chunks {
+            engine.run(&mut stacks, *slots);
+            received.push(frames_received(&stacks[0]) - received.iter().sum::<usize>());
+            between.apply(&mut engine);
+        }
+        assert!(
+            received[0] < 20 && received[1] > 90 && received[2] < 20,
+            "frames per chunk under loud, distant, loud ambient load: {received:?}"
+        );
+    }
+
+    /// Three nodes that nap: node 0 has nothing planned, node 1 is down
+    /// over slots 40..70, node 2 listens in slot 100 only.
+    fn nappers() -> Case {
+        use crate::fault::Outage;
+        let listen = SlotIntent::Listen { offset: ChannelOffset::new(0) };
+        Case {
+            topology: Topology::new(
+                "triple",
+                vec![Position::new(0.0, 0.0), Position::new(5.0, 0.0), Position::new(-5.0, 0.0)],
+                vec![Role::AccessPoint, Role::FieldDevice, Role::FieldDevice],
+            ),
+            rf: RfConfig::deterministic(),
+            seed: 7,
+            plans: vec![
+                (BTreeMap::new(), true),
+                (BTreeMap::new(), true),
+                (BTreeMap::from([(100, listen)]), true),
+            ],
+            faults: FaultPlan::none().with(Outage::transient(NodeId(1), Asn(40), Asn(70))),
+            jammers: Vec::new(),
+            ambient: Vec::new(),
+            traced: false,
+            chunks: vec![(100, Between::Nothing), (1, Between::Nothing)],
+        }
+    }
+
+    #[test]
+    fn a_jump_lands_on_each_fault_edge_on_the_end_and_not_past_a_wake_slot() {
+        let case = nappers();
+        run_against_reference(&case);
+
+        let (mut engine, mut stacks) = case.build();
+        // One step per stretch between fault edges: nobody is ever due.
+        assert_eq!(run_noting_steps(&mut engine, &mut stacks, 100), vec![0, 40, 70]);
+        assert_eq!(engine.asn(), Asn(100), "the last jump stops at the end of the run");
+        assert_eq!(engine.stats().slots, 100);
+        assert_eq!(stacks[2].calls, vec![], "slot 100 is the next run's");
+        let slots: Vec<u64> = engine.energy_meters().iter().map(|m| m.slots).collect();
+        assert_eq!(slots, vec![100, 70, 100], "node 1 was down for 30 of the jumped slots");
+
+        assert_eq!(run_noting_steps(&mut engine, &mut stacks, 1), vec![100]);
+        assert_eq!(stacks[2].calls, vec![(100, Call::Intent)]);
+        assert_eq!(engine.energy(NodeId(2)).rx_us, u64::from(IDLE_LISTEN_US));
+    }
+
+    #[test]
+    fn a_recorder_or_an_adaptive_jammer_reads_every_slot_so_nothing_is_jumped() {
+        let every_slot: Vec<u64> = (0..100).collect();
+        let mut traced = nappers();
+        traced.traced = true;
+        run_against_reference(&traced);
+        let (mut engine, mut stacks) = traced.build();
+        assert_eq!(run_noting_steps(&mut engine, &mut stacks, 100), every_slot);
+
+        let mut sniffed = nappers();
+        sniffed.jammers = vec![Jammer::adaptive(Position::new(1.0, 1.0), 7, Asn(0), 9)];
+        run_against_reference(&sniffed);
+        let (mut engine, mut stacks) = sniffed.build();
+        assert_eq!(run_noting_steps(&mut engine, &mut stacks, 100), every_slot);
     }
 }

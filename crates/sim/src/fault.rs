@@ -2,8 +2,9 @@
 //!
 //! The paper's failure experiment turns off four nodes on the routing graph
 //! in turn (Section VII-B). A [`FaultPlan`] holds the schedule of outages;
-//! the engine consults it each slot and simply stops invoking a dead node's
-//! stack (the radio falls silent, exactly like pulling a mote's battery).
+//! the engine consults it at each of its [edges](FaultPlan::edges) and
+//! simply stops invoking a dead node's stack (the radio falls silent,
+//! exactly like pulling a mote's battery).
 
 use crate::ids::NodeId;
 use crate::interference::{Jammer, JammerKind};
@@ -232,13 +233,12 @@ impl FaultPlan {
         self.desyncs.iter().any(|d| d.node == node && d.at == asn)
     }
 
-    /// Whether the plan contains any reboots (fast path for the engine).
+    /// Whether the plan contains any reboots.
     pub fn has_reboots(&self) -> bool {
         !self.reboots.is_empty()
     }
 
-    /// Whether the plan contains any desync events (fast path for the
-    /// engine).
+    /// Whether the plan contains any desync events.
     pub fn has_desyncs(&self) -> bool {
         !self.desyncs.is_empty()
     }
@@ -279,40 +279,52 @@ impl FaultPlan {
     /// `true` at fault onset and `false` at clearance. Link outages report
     /// one entry per endpoint with the other endpoint as `peer`. Desyncs
     /// are not reported here — the engine records them at the stack
-    /// callback. Permanent faults never produce a clearance entry.
+    /// callback. Permanent faults never produce a clearance entry. Every
+    /// slot that yields an entry is one of [`FaultPlan::edges`].
     pub fn transitions_at(
         &self,
         asn: Asn,
-    ) -> Vec<(NodeId, digs_trace::FaultKind, Option<NodeId>, bool)> {
+    ) -> impl Iterator<Item = (NodeId, digs_trace::FaultKind, Option<NodeId>, bool)> + '_ {
         use digs_trace::FaultKind;
-        let mut out = Vec::new();
-        for o in &self.outages {
-            if o.from == asn {
-                out.push((o.node, FaultKind::Outage, None, true));
-            }
-            if o.until == Some(asn) {
-                out.push((o.node, FaultKind::Outage, None, false));
-            }
-        }
-        for r in &self.reboots {
-            if r.from == asn {
-                out.push((r.node, FaultKind::Reboot, None, true));
-            }
-            if r.until == asn {
-                out.push((r.node, FaultKind::Reboot, None, false));
-            }
-        }
-        for l in &self.link_outages {
-            if l.from == asn {
-                out.push((l.a, FaultKind::LinkOutage, Some(l.b), true));
-                out.push((l.b, FaultKind::LinkOutage, Some(l.a), true));
-            }
-            if l.until == Some(asn) {
-                out.push((l.a, FaultKind::LinkOutage, Some(l.b), false));
-                out.push((l.b, FaultKind::LinkOutage, Some(l.a), false));
-            }
-        }
-        out
+        let outages = self.outages.iter().flat_map(move |o| {
+            [
+                (o.from == asn).then_some((o.node, FaultKind::Outage, None, true)),
+                (o.until == Some(asn)).then_some((o.node, FaultKind::Outage, None, false)),
+            ]
+        });
+        let reboots = self.reboots.iter().flat_map(move |r| {
+            [
+                (r.from == asn).then_some((r.node, FaultKind::Reboot, None, true)),
+                (r.until == asn).then_some((r.node, FaultKind::Reboot, None, false)),
+            ]
+        });
+        let links = self.link_outages.iter().flat_map(move |l| {
+            let ends = |injected| {
+                [(l.a, l.b), (l.b, l.a)]
+                    .map(|(node, peer)| Some((node, FaultKind::LinkOutage, Some(peer), injected)))
+            };
+            let onset = if l.from == asn { ends(true) } else { [None; 2] };
+            let clearance = if l.until == Some(asn) { ends(false) } else { [None; 2] };
+            onset.into_iter().chain(clearance)
+        });
+        outages.chain(reboots).chain(links).flatten()
+    }
+
+    /// Every slot at which the plan changes something: the `from` and
+    /// `until` of each outage, reboot and link outage and the `at` of each
+    /// desync, ascending and without repeats. Between two consecutive edges
+    /// no node's liveness and no link's state moves, so the engine consults
+    /// the plan per node only at these slots.
+    pub fn edges(&self) -> impl Iterator<Item = Asn> {
+        let mut edges: Vec<Asn> = (self.outages.iter().flat_map(|o| [Some(o.from), o.until]))
+            .chain(self.reboots.iter().flat_map(|r| [Some(r.from), Some(r.until)]))
+            .chain(self.link_outages.iter().flat_map(|l| [Some(l.from), l.until]))
+            .chain(self.desyncs.iter().map(|d| Some(d.at)))
+            .flatten()
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges.into_iter()
     }
 
     /// The paper's Fig. 11 scenario: turn off the given nodes *in turn*,
@@ -732,6 +744,53 @@ mod reboot_tests {
     #[should_panic(expected = "must end after it starts")]
     fn inverted_reboot_panics() {
         let _ = Reboot::new(NodeId(0), Asn(20), Asn(20));
+    }
+
+    #[test]
+    fn edges_are_every_boundary_once_in_order() {
+        let plan = FaultPlan::none()
+            .with(Outage::transient(NodeId(1), Asn(30), Asn(50)))
+            .with(Outage::permanent(NodeId(2), Asn(10)))
+            .with_reboot(Reboot::new(NodeId(3), Asn(10), Asn(30)))
+            .with_link(LinkOutage::transient(NodeId(1), NodeId(2), Asn(5), Asn(70)))
+            .with_link(LinkOutage::permanent(NodeId(3), NodeId(4), Asn(60)))
+            .with_desync(ClockDesync::new(NodeId(4), Asn(40)));
+        let edges: Vec<u64> = plan.edges().map(|asn| asn.0).collect();
+        assert_eq!(edges, vec![5, 10, 30, 40, 50, 60, 70]);
+        assert_eq!(FaultPlan::none().edges().count(), 0);
+        // Liveness and link state move at edges only, and every transition
+        // the recorder is told of falls on one.
+        for asn in (1..80).map(Asn).filter(|asn| !edges.contains(&asn.0)) {
+            assert_eq!(plan.transitions_at(asn).count(), 0, "{asn}");
+            for node in (0..5).map(NodeId) {
+                assert_eq!(plan.is_alive(node, asn), plan.is_alive(node, Asn(asn.0 - 1)));
+                assert!(!plan.desync_at(node, asn) && !plan.reboot_completing_at(node, asn));
+            }
+        }
+    }
+
+    #[test]
+    fn transitions_come_kind_by_kind_in_plan_order() {
+        use digs_trace::FaultKind::{LinkOutage as Link, Outage as Out, Reboot as Boot};
+        let plan = FaultPlan::none()
+            .with_link(LinkOutage::transient(NodeId(1), NodeId(2), Asn(5), Asn(9)))
+            .with_reboot(Reboot::new(NodeId(3), Asn(5), Asn(9)))
+            .with(Outage::transient(NodeId(4), Asn(2), Asn(5)))
+            .with(Outage::transient(NodeId(4), Asn(5), Asn(9)));
+        let at = |asn| plan.transitions_at(Asn(asn)).collect::<Vec<_>>();
+        assert_eq!(
+            at(5),
+            vec![
+                (NodeId(4), Out, None, false),
+                (NodeId(4), Out, None, true),
+                (NodeId(3), Boot, None, true),
+                (NodeId(1), Link, Some(NodeId(2)), true),
+                (NodeId(2), Link, Some(NodeId(1)), true),
+            ]
+        );
+        assert_eq!(at(9).len(), 4);
+        assert_eq!(at(9)[3], (NodeId(2), Link, Some(NodeId(1)), false));
+        assert!(at(6).is_empty());
     }
 
     #[test]

@@ -83,6 +83,32 @@ impl LinkModel {
         Dbm(base + fade + fast)
     }
 
+    /// [`rss`](LinkModel::rss) if it exceeds `floor_dbm`, else `None` — the
+    /// same answer as `Some(self.rss(..)).filter(|r| r.dbm() > floor_dbm)`,
+    /// but a link that cannot reach the floor even with both fades at the
+    /// bound of [`rng::normal_abs_bound`] is turned away for two hashes,
+    /// before the logarithms, roots and cosines of the Box–Muller draws.
+    pub fn rss_if_above(
+        &self,
+        tx: NodeId,
+        rx: NodeId,
+        channel: PhysChannel,
+        asn: Asn,
+        floor_dbm: f64,
+    ) -> Option<Dbm> {
+        let (lo, hi) = (tx.index().min(rx.index()), tx.index().max(rx.index()));
+        let key = (lo * self.n + hi) as u64;
+        let ch = u64::from(channel.0);
+        let upper = self.static_rss(tx, rx).dbm()
+            + self.rf.fading_sigma_db * rng::normal_abs_bound(self.seed ^ 0xfade, key, ch, 1)
+            + self.rf.fast_fading_sigma_db
+                * rng::normal_abs_bound(self.seed ^ 0xfa57, key, ch, asn.0 + 2);
+        if upper <= floor_dbm - 1e-6 {
+            return None;
+        }
+        Some(self.rss(tx, rx, channel, asn)).filter(|rss| rss.dbm() > floor_dbm)
+    }
+
     /// Expected RSS averaged over channels (used for ETX initialisation and
     /// by the centralized manager's link-state database).
     pub fn mean_rss(&self, tx: NodeId, rx: NodeId) -> Dbm {

@@ -5,6 +5,8 @@
 //! computed by hashing, while per-transmission noise uses a single
 //! [`SmallRng`] owned by the engine.
 
+use std::sync::OnceLock;
+
 /// The engine's generator: xoshiro256++ seeded through SplitMix64. The
 /// algorithms and their constants are those of `rand` 0.8.5's `SmallRng` on
 /// a 64-bit target, so a seed draws the stream every golden was recorded
@@ -95,6 +97,20 @@ pub fn standard_normal(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     let u1 = uniform01(seed, a, b, c).max(1e-12);
     let u2 = uniform01(seed ^ 0x5851_f42d_4c95_7f2d, a, b, c);
     (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+}
+
+/// An upper bound on `|standard_normal(seed, a, b, c)|` for the price of
+/// its first hash: Box–Muller's radius `sqrt(-2 ln u1)` falls as `u1` rises
+/// and `|cos| <= 1`, so the radius at the low edge of the 1/4096-wide bucket
+/// the hash's top twelve bits put `u1` in bounds every sample of that bucket.
+pub fn normal_abs_bound(seed: u64, a: u64, b: u64, c: u64) -> f64 {
+    static RADIUS: OnceLock<[f64; 4096]> = OnceLock::new();
+    let radius = RADIUS.get_or_init(|| {
+        // Bucket 0 holds the `1e-12` clamp of `standard_normal`; the factor
+        // is slack for the last-place error of `ln` and `sqrt`.
+        std::array::from_fn(|b| (-2.0 * (b as f64 / 4096.0).max(1e-12).ln()).sqrt() * (1.0 + 1e-9))
+    });
+    radius[(mix(seed, a, b, c) >> 52) as usize]
 }
 
 #[cfg(test)]

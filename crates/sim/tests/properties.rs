@@ -5,7 +5,7 @@ use digs_sim::channel::{wifi_overlap, ChannelOffset, PhysChannel, NUM_CHANNELS};
 use digs_sim::energy::EnergyMeter;
 use digs_sim::fault::{FaultPlan, Outage};
 use digs_sim::ids::NodeId;
-use digs_sim::interference::Jammer;
+use digs_sim::interference::{AdaptiveSniffer, Jammer, JammerKind};
 use digs_sim::link::LinkModel;
 use digs_sim::position::Position;
 use digs_sim::rf::{initial_etx_from_rss, prr_from_sinr_db, Dbm, RfConfig};
@@ -291,5 +291,134 @@ fn slotframe_offset_in_range() {
         let asn = d.u64();
         let len = d.int(1u32..10_000);
         assert!(Asn(asn).slotframe_offset(len) < len);
+    });
+}
+
+/// The first `c` at or after `from` whose hash lands `standard_normal`'s
+/// first uniform in `bucket` (of 4096): bucket 0 holds the `1e-12` clamp,
+/// bucket 4095 the smallest radii.
+fn c_in_bucket(seed: u64, a: u64, b: u64, from: u64, bucket: u64) -> u64 {
+    (from..).find(|c| rng::mix(seed, a, b, *c) >> 52 == bucket).expect("one in 4096 hashes")
+}
+
+/// The bound `rss_if_above` rejects on really bounds the sample, at both
+/// ends of the table too.
+#[test]
+fn normal_abs_bound_bounds_the_sample() {
+    cases(256, |d| {
+        let (seed, a, b) = (d.u64(), d.u64(), d.u64());
+        let mut inputs = d.vec(200..201, |d| d.u64());
+        let from = d.int(0u64..1 << 40);
+        inputs.extend([0, 4095].map(|bucket| c_in_bucket(seed, a, b, from, bucket)));
+        for c in inputs {
+            let sample = rng::standard_normal(seed, a, b, c);
+            let bound = rng::normal_abs_bound(seed, a, b, c);
+            assert!(bound >= sample.abs(), "|{sample}| > {bound} at c = {c}");
+            assert!(bound <= 7.5, "{bound}");
+        }
+    });
+}
+
+/// `rss_if_above` is `rss` behind the floor, whatever the floor — far
+/// below, far above, or a hair either side of the signal — under every RF
+/// model, and where the fast fade sits in the first or the last bucket of
+/// the bound's table.
+#[test]
+fn rss_if_above_is_rss_behind_the_floor() {
+    cases(256, |d| {
+        let rf =
+            d.pick(&[RfConfig::indoor(), RfConfig::open_area(), RfConfig::deterministic()]).clone();
+        let n = d.int(2usize..40);
+        let topo = Topology::random_area(n, d.f64(10.0..400.0), d.u64());
+        let n = topo.len() as u16;
+        let seed = d.u64();
+        let model = LinkModel::new(&topo, rf, seed);
+        for _ in 0..150 {
+            let tx = d.int(0..n);
+            let rx = (tx + d.int(1..n)) % n;
+            let ch = d.int(0u8..16);
+            // The fast fade is `standard_normal(seed ^ 0xfa57, pair, channel, asn + 2)`.
+            let pair = u64::from(tx.min(rx)) * u64::from(n) + u64::from(tx.max(rx));
+            let asn = match d.int(0u8..8) {
+                0 => c_in_bucket(seed ^ 0xfa57, pair, u64::from(ch), 2, 0) - 2,
+                1 => c_in_bucket(seed ^ 0xfa57, pair, u64::from(ch), 2, 4095) - 2,
+                _ => d.int(0u64..1 << 40),
+            };
+            let (tx, rx, ch, asn) = (NodeId(tx), NodeId(rx), PhysChannel(ch), Asn(asn));
+            let rss = model.rss(tx, rx, ch, asn);
+            let floor = match d.int(0u8..4) {
+                0 => d.f64(-140.0..0.0),
+                1 => rss.dbm() + d.f64(-1e-5..1e-5),
+                2 => rss.dbm(),
+                _ => rss.dbm() + d.f64(-12.0..12.0),
+            };
+            assert_eq!(
+                model.rss_if_above(tx, rx, ch, asn, floor),
+                Some(rss).filter(|rss| rss.dbm() > floor),
+                "{tx}→{rx} on {ch:?} at {asn}, floor {floor}"
+            );
+        }
+    });
+}
+
+/// Counting `k` slots at once is counting one slot `k` times.
+#[test]
+fn tick_slots_is_repeated_tick_slot() {
+    cases(256, |d| {
+        let mut at_once = EnergyMeter::new();
+        let mut one_by_one = EnergyMeter::new();
+        for k in d.vec(0..20, |d| d.int(0u64..500)) {
+            at_once.tick_slots(k);
+            at_once.charge_rx(7);
+            for _ in 0..k {
+                one_by_one.tick_slot();
+            }
+            one_by_one.charge_rx(7);
+            assert_eq!(at_once, one_by_one);
+        }
+    });
+}
+
+/// For every kind of jammer, the interference at a position is the
+/// carrier power there whenever the jammer emits on the channel, and
+/// nothing otherwise: slot and channel decide only *whether*.
+#[test]
+fn interference_is_the_carrier_gated_by_emission() {
+    cases(256, |d| {
+        let at = Position::with_height(d.f64(0.0..100.0), d.f64(0.0..100.0), d.f64(0.0..9.0));
+        let start = Asn(d.int(0u64..200));
+        let mut learnt = Jammer {
+            kind: JammerKind::Adaptive(AdaptiveSniffer::new(d.int(2u32..12), 20, 20, 3, 0.0)),
+            ..Jammer::adaptive(at, 1, start, d.u64())
+        };
+        // Teach the sniffer a victim, so that it has cells to jam.
+        for asn in start.0..start.0 + 60 {
+            learnt.observe_slot(Asn(asn), &[ChannelOffset::new(3).hop(Asn(asn))]);
+        }
+        let mut duty_pm = [0u16; 16];
+        for duty in &mut duty_pm {
+            *duty = *d.pick(&[0, 500, 1000]);
+        }
+        let jammers = [
+            Jammer::wifi(at, d.int(1u8..=13), start),
+            Jammer::bluetooth(at, start).until(Asn(start.0 + 300)),
+            Jammer::disturber(at, 1, d.u64()).with_period(d.int(1u64..50)),
+            learnt,
+            Jammer::ambient(at, duty_pm, Dbm(d.f64(-10.0..10.0)), d.u64()),
+        ];
+        let rf =
+            d.pick(&[RfConfig::indoor(), RfConfig::open_area(), RfConfig::deterministic()]).clone();
+        let mut emitted = 0;
+        for _ in 0..100 {
+            let rx = Position::with_height(d.f64(0.0..100.0), d.f64(0.0..100.0), d.f64(0.0..9.0));
+            let (ch, asn) = (PhysChannel(d.int(0u8..16)), Asn(d.int(0u64..600)));
+            for jammer in &jammers {
+                let gated = (jammer.emits(asn) && jammer.covers(ch, asn))
+                    .then(|| jammer.carrier_at(&rx, &rf));
+                assert_eq!(jammer.interference_at(&rx, ch, asn, &rf), gated, "{:?}", jammer.kind);
+                emitted += usize::from(gated.is_some());
+            }
+        }
+        assert!(emitted > 0, "no jammer ever emitted");
     });
 }
