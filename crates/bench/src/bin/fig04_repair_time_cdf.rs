@@ -51,8 +51,10 @@ fn main() {
     // Flight-recorder drill-down: with DIGS_TRACE_CAP set, re-run the
     // 1-jammer scenario once with the recorder on and print the
     // parent-churn timeline hiding behind the aggregate CDF above.
-    if digs_trace::TraceHandle::from_env().is_on() {
-        let mut net = Network::new(scenarios::testbed_a_jammer_sweep(Protocol::Orchestra, 1, 1));
+    if let Some(cap) = digs_bench::trace_cap() {
+        let mut config = scenarios::testbed_a_jammer_sweep(Protocol::Orchestra, 1, 1);
+        config.trace_cap = Some(cap);
+        let mut net = Network::new(config);
         net.run_secs(secs);
         let events = net.trace().events();
         let churn = digs_trace::churn_timeline(&events);

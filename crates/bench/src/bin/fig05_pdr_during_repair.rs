@@ -49,8 +49,10 @@ fn main() {
     // Flight-recorder drill-down: with DIGS_TRACE_CAP set, trace the
     // 4-jammer worst case once and relate the PDR dip to the packet
     // journeys the recorder reconstructs across the jammed window.
-    if digs_trace::TraceHandle::from_env().is_on() {
-        let mut net = Network::new(scenarios::testbed_a_jammer_sweep(Protocol::Orchestra, 4, 1));
+    if let Some(cap) = digs_bench::trace_cap() {
+        let mut config = scenarios::testbed_a_jammer_sweep(Protocol::Orchestra, 4, 1);
+        config.trace_cap = Some(cap);
+        let mut net = Network::new(config);
         net.run_secs(secs);
         let events = net.trace().events();
         let journeys = digs_trace::journeys(&events);

@@ -13,7 +13,7 @@
 //!     --sharded-devices N --secs N --jobs N]
 //! ```
 
-use digs_fleet::{aggregate, FleetSpec, ShardedSpec, SloPolicy, Template};
+use digs_fleet::{aggregate, FleetSpec, RunPolicy, ShardedSpec, SloPolicy, Template};
 use digs_json::Value;
 
 fn arg(args: &[String], name: &str, default: u64) -> u64 {
@@ -47,7 +47,7 @@ fn main() {
     }
 
     let total_nodes = spec.total_nodes();
-    let outcome = digs_fleet::run_fleet(&spec, jobs);
+    let outcome = digs_fleet::run_fleet(&spec, jobs, None, &RunPolicy::from_env());
     let report = aggregate(&outcome.summaries, spec.secs);
     let breaches = report.breaches(&SloPolicy::default());
     let rate = outcome.node_secs as f64 / outcome.serial_equivalent.as_secs_f64().max(1e-9);

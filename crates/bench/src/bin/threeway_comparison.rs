@@ -39,7 +39,9 @@ fn main() {
         "protocol", "clean PDR", "PDR w/failure", "median lat", "mW/packet"
     );
     for protocol in [Protocol::Digs, Protocol::Orchestra, Protocol::WirelessHart] {
-        let mut clean = Network::new(config(protocol, seed));
+        let mut clean_config = config(protocol, seed);
+        clean_config.trace_cap = digs_bench::trace_cap();
+        let mut clean = Network::new(clean_config);
         clean.run_secs(secs);
         let clean_results = clean.results();
 

@@ -9,7 +9,9 @@
 //! are sized for a laptop run):
 //!
 //! - `DIGS_SETS` — number of flow-set repetitions per protocol;
-//! - `DIGS_SECS` — simulated seconds per run.
+//! - `DIGS_SECS` — simulated seconds per run;
+//! - `DIGS_TRACE_CAP` — flight-recorder ring capacity for the one
+//!   drill-down run of `fig04`, `fig05` and `threeway_comparison`.
 
 use digs::config::{NetworkConfig, Protocol};
 use digs::results::RunResults;
@@ -23,6 +25,13 @@ pub fn sets(default: u64) -> u64 {
 /// Simulated seconds per run, from `DIGS_SECS` (default `default`).
 pub fn secs(default: u64) -> u64 {
     std::env::var("DIGS_SECS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+}
+
+/// Flight-recorder ring capacity for a binary's drill-down run, from
+/// `DIGS_TRACE_CAP` (unset, unparsable or 0 = no drill-down). The libraries
+/// do not read it: pass it to [`NetworkConfig::trace_cap`].
+pub fn trace_cap() -> Option<usize> {
+    std::env::var("DIGS_TRACE_CAP").ok().and_then(|s| s.trim().parse().ok()).filter(|&cap| cap > 0)
 }
 
 /// Runs `scenario(seed)` for seeds `1..=sets`, fanned out over the

@@ -597,43 +597,30 @@ fn fleet_jobs(args: &Args) -> Result<Option<usize>, String> {
     }
 }
 
-fn cmd_fleet_run(args: &Args) -> Result<(), String> {
-    use digs_fleet::{FleetSpec, ShardedSpec, SloPolicy, Template};
-    let networks: u32 = get(args, "networks", 32)?;
-    let seed_base: u64 = get(args, "seed-base", 1)?;
-    let secs: u64 = get(args, "secs", 600)?;
-    let sharded_devices: usize = get(args, "sharded-devices", 0)?;
+/// The fleet the common fleet options describe — what `fleet run` builds
+/// locally and what `digsd launch --kind fleet` sends, so the same flags
+/// are the same [`digs_fleet::FleetSpec`] either way.
+fn fleet_params(args: &Args, default_networks: u32) -> Result<digs_digsd::FleetParams, String> {
+    let d = digs_digsd::FleetParams::default();
+    Ok(digs_digsd::FleetParams {
+        template: args.options.get("template").cloned().unwrap_or(d.template),
+        networks: get(args, "networks", default_networks)?,
+        seed_base: get(args, "seed-base", d.seed_base)?,
+        secs: get(args, "secs", d.secs)?,
+        sharded_devices: get(args, "sharded-devices", d.sharded_devices)?,
+        shard_size: get(args, "shard-size", d.shard_size)?,
+        sharded_seed: args
+            .options
+            .get("sharded-seed")
+            .map(|s| s.parse().map_err(|e| format!("bad --sharded-seed: {e}")))
+            .transpose()?,
+        jobs: fleet_jobs(args)?,
+    })
+}
 
-    let mut spec = FleetSpec::new().secs(secs);
-    match args.options.get("template").map_or("mixed", String::as_str) {
-        "mixed" => {
-            // Alternating split: oil-field gets the odd network out.
-            let oil = networks.div_ceil(2);
-            if oil > 0 {
-                spec = spec.group(Template::OilField, oil, seed_base);
-            }
-            if networks > oil {
-                spec = spec.group(Template::FactoryFloor, networks - oil, seed_base);
-            }
-        }
-        name => {
-            let template: Template = name.parse()?;
-            spec = spec.group(template, networks, seed_base);
-        }
-    }
-    if sharded_devices > 0 {
-        let sharded_seed: u64 = get(args, "sharded-seed", seed_base)?;
-        let mut sharded =
-            ShardedSpec::sized(format!("campus-{sharded_devices}"), sharded_devices, sharded_seed);
-        sharded.shard_devices = get(args, "shard-size", sharded.shard_devices)?;
-        if sharded.shard_devices == 0 {
-            return Err("--shard-size must be > 0".into());
-        }
-        spec = spec.sharded(sharded);
-    }
-    if spec.networks() == 0 {
-        return Err("empty fleet: need --networks > 0 or --sharded-devices > 0".into());
-    }
+fn cmd_fleet_run(args: &Args) -> Result<(), String> {
+    let params = fleet_params(args, 32)?;
+    let spec = params.build()?;
 
     // Degradation policy: env defaults, overridable per invocation. The
     // --inject-timeout hook forces matching networks to time out so CI
@@ -649,7 +636,7 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
     }
     run_policy.inject_timeout = args.options.get("inject-timeout").cloned();
 
-    let outcome = digs_fleet::run_fleet_policed(&spec, fleet_jobs(args)?, None, &run_policy);
+    let outcome = digs_fleet::run_fleet(&spec, params.jobs, None, &run_policy);
     let mut summaries = outcome.summaries;
     if let Some(pattern) = args.options.get("inject-loss") {
         let hit = digs_fleet::degrade_matching(&mut summaries, pattern);
@@ -657,7 +644,7 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
     }
     let report =
         digs_fleet::aggregate_partial(&summaries, spec.secs, outcome.degraded, outcome.skipped);
-    let policy = SloPolicy::new();
+    let policy = digs_fleet::SloPolicy::new();
 
     let rate = outcome.node_secs as f64 / outcome.serial_equivalent.as_secs_f64().max(1e-9);
     eprintln!(
@@ -927,24 +914,7 @@ fn digsd_launch(args: &Args) -> Result<(), String> {
             }
             spec.to_json()
         }
-        "fleet" => {
-            let d = digs_digsd::FleetParams::default();
-            digs_digsd::FleetParams {
-                template: args.options.get("template").cloned().unwrap_or(d.template),
-                networks: get(args, "networks", d.networks)?,
-                seed_base: get(args, "seed-base", d.seed_base)?,
-                secs: get(args, "secs", d.secs)?,
-                sharded_devices: get(args, "sharded-devices", d.sharded_devices)?,
-                shard_size: get(args, "shard-size", d.shard_size)?,
-                sharded_seed: args
-                    .options
-                    .get("sharded-seed")
-                    .map(|s| s.parse().map_err(|e| format!("bad --sharded-seed: {e}")))
-                    .transpose()?,
-                jobs: fleet_jobs(args)?,
-            }
-            .to_json()
-        }
+        "fleet" => fleet_params(args, digs_digsd::FleetParams::default().networks)?.to_json(),
         "scenario" => {
             let matrix = args.options.get("matrix").map_or("full", String::as_str);
             let scenario = args

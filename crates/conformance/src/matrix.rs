@@ -164,7 +164,7 @@ impl ScenarioSpec {
             repair_settle_secs: REPAIR_SETTLE_SECS,
             window_start_slot: Some(ADAPTIVE_ACTIVE_SECS * SLOTS_PER_SECOND),
         };
-        let (mut config, ctx) = match self.kind {
+        let (config, ctx) = match self.kind {
             Kind::TestbedAInterference => {
                 (scenarios::testbed_a_interference_on(topology, self.protocol, seed), jam_ctx)
             }
@@ -219,11 +219,6 @@ impl ScenarioSpec {
                 (scenarios::testbed_a_adaptive_duel_on(topology, self.protocol, seed), adaptive_ctx)
             }
         };
-        // The gate never traces or samples telemetry: keep runs lean and
-        // immune to the DIGS_TRACE_CAP / DIGS_TELEMETRY_* environment of
-        // whoever invokes it.
-        config.trace_cap = Some(0);
-        config.telemetry_epoch = Some(0);
         let specs = config.flows.clone();
         let results = match self.kind {
             Kind::ThreewayFail => {
@@ -277,9 +272,7 @@ impl ScenarioSpec {
             .protocol(self.protocol)
             .seed(seed)
             .flows(flows)
-            .faults(plan.faults().clone())
-            .trace_cap(0)
-            .telemetry_epoch(0);
+            .faults(plan.faults().clone());
         for jammer in plan.jammers() {
             builder = builder.jammer(jammer.clone());
         }

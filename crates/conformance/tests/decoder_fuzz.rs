@@ -52,6 +52,14 @@ fn single_spec(input: &str) -> Result<SingleSpec, String> {
 fn fleet_params(input: &str) -> Result<FleetParams, String> {
     let params = FleetParams::from_json(&digs_json::parse(input).map_err(|e| e.to_string())?)?;
     assert!(params.secs.checked_mul(SLOTS_PER_SECOND).is_some(), "{input:?} overflows");
+    // What `prepare_fleet` does with whatever a client sends; a fleet that
+    // builds must survive the sums the runner does before it simulates.
+    if let Ok(spec) = params.build() {
+        assert!(spec.networks() > 0 && spec.total_nodes() > 0, "{input:?}: an empty fleet built");
+        for group in &spec.groups {
+            assert!(!group.label(group.networks.saturating_sub(1)).is_empty());
+        }
+    }
     Ok(params)
 }
 
@@ -221,6 +229,9 @@ fn corpus() -> Vec<String> {
         r#"{"kind":"single","secs":18446744073709551615,"jam":[184467440737095517,18446744073709551615]}"#.into(),
         FleetParams { secs: 150, jobs: Some(2), ..FleetParams::default() }.to_json().to_compact(),
         r#"{"kind":"fleet","networks":1,"secs":18446744073709551615}"#.into(),
+        // Fleets whose last seed, or whose node count, does not fit.
+        r#"{"kind":"fleet","template":"oil","networks":2,"seed_base":18446744073709551615}"#.into(),
+        r#"{"kind":"fleet","networks":0,"sharded_devices":18446744073709551615,"shard_size":1}"#.into(),
         // A histogram, then one whose index would size a 2^61-entry table
         // and one whose counts overflow.
         r#"{"min":3,"max":90210,"buckets":[[3,2],[40,1],[110,7]]}"#.into(),

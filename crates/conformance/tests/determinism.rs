@@ -14,8 +14,7 @@ use digs_sim::position::Position;
 use digs_sim::time::Asn;
 use digs_sim::topology::Topology;
 
-/// One full run: canonical metrics line + trace JSONL, tracing pinned on
-/// via the config (immune to the caller's `DIGS_TRACE_CAP`) with a ring
+/// One full run: canonical metrics line + trace JSONL, traced with a ring
 /// large enough to hold the whole run. The first flow's source cold-reboots
 /// at 30 s for 5 s and the second's loses clock sync at 50 s, so every
 /// stack's `reset` and `desync` are on the compared path.

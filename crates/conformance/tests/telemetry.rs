@@ -11,21 +11,18 @@ use digs_sim::rf::Dbm;
 use digs_sim::time::{Asn, SLOTS_PER_SECOND};
 use digs_sim::topology::Topology;
 
-/// One run with telemetry pinned on via the config (immune to the
-/// caller's `DIGS_TELEMETRY_*` environment), returning the exported
-/// JSONL series.
+/// One run with telemetry on, returning the exported JSONL series.
 fn telemetry_jsonl(protocol: Protocol, seed: u64, secs: u64) -> String {
     let config = NetworkConfig::builder(Topology::testbed_a_half())
         .protocol(protocol)
         .seed(seed)
         .random_flows(2, 500, seed)
-        .trace_cap(0)
         .telemetry_epoch(1000)
         .telemetry_cap(4096)
         .build();
     let mut net = Network::new(config);
     net.run_secs(secs);
-    let sampler = net.telemetry().expect("telemetry pinned on");
+    let sampler = net.telemetry().expect("telemetry on");
     telemetry::to_jsonl(sampler)
 }
 

@@ -62,17 +62,15 @@ pub struct NetworkConfig {
     /// Application slotframe cycles a packet may spend at one hop before
     /// being dropped (total link-layer persistence).
     pub max_cycles: u8,
-    /// Flight-recorder ring capacity per node (events). `None` defers to
-    /// the `DIGS_TRACE_CAP` environment variable; `Some(0)` forces tracing
-    /// off regardless of the environment.
+    /// Flight-recorder ring capacity per node (events). `None` and
+    /// `Some(0)` both mean tracing is off.
     pub trace_cap: Option<usize>,
-    /// Telemetry sampling cadence in slots. `None` defers to the
-    /// `DIGS_TELEMETRY_EPOCH` environment variable (unset or 0 = off);
-    /// `Some(0)` forces telemetry off regardless of the environment.
+    /// Telemetry sampling cadence in slots. `None` and `Some(0)` both mean
+    /// telemetry is off.
     pub telemetry_epoch: Option<u64>,
     /// Maximum retained epoch snapshots (oldest dropped first). `None`
-    /// defers to `DIGS_TELEMETRY_CAP` (default 4096); `Some(0)` forces
-    /// telemetry off regardless of the environment.
+    /// means [`crate::telemetry::DEFAULT_CAP`]; `Some(0)` switches
+    /// telemetry off.
     pub telemetry_cap: Option<usize>,
     /// Seconds after convergence before the health monitor's steady-state
     /// rules arm (`None` = the watchdog default). Large dense deployments
@@ -88,10 +86,8 @@ pub struct NetworkConfig {
     pub health_churn_storm: Option<u32>,
     /// Schedule-randomization defense (DiGS only): a shared secret from
     /// which every node re-derives its application-cell placement each
-    /// slotframe epoch, defeating schedule-learning jammers. `None` defers
-    /// to the `DIGS_SCHED_RANDOMIZE` environment variable (unset, empty,
-    /// or `0` = off); `Some(0)` forces the defense off regardless of the
-    /// environment; any other value enables it.
+    /// slotframe epoch, defeating schedule-learning jammers. `None` and
+    /// `Some(0)` both mean the defense is off; any other value enables it.
     pub sched_randomize: Option<u64>,
 }
 
@@ -123,20 +119,11 @@ impl NetworkConfig {
         }
     }
 
-    /// Resolves the schedule-randomization knob: an explicit builder value
-    /// wins (`0` pinning the defense off), otherwise the
-    /// `DIGS_SCHED_RANDOMIZE` environment variable decides (unset, empty,
-    /// unparsable, or `0` = off). Returns the raw shared secret; the
-    /// network derives the per-run nonce by mixing it with the seed.
+    /// The schedule-randomization shared secret, if the defense is on
+    /// (unset and `0` are both off). The network derives the per-run nonce
+    /// by mixing it with the seed.
     pub fn resolve_randomize(&self) -> Option<u64> {
-        let raw = match self.sched_randomize {
-            Some(v) => v,
-            None => std::env::var("DIGS_SCHED_RANDOMIZE")
-                .ok()
-                .and_then(|s| s.trim().parse::<u64>().ok())
-                .unwrap_or(0),
-        };
-        (raw != 0).then_some(raw)
+        self.sched_randomize.filter(|&secret| secret != 0)
     }
 }
 
@@ -236,24 +223,21 @@ impl NetworkConfigBuilder {
     }
 
     /// Enables the flight recorder with the given per-node ring capacity
-    /// (0 forces it off). Without this call the `DIGS_TRACE_CAP`
-    /// environment variable decides.
+    /// (0, the default, is off).
     pub fn trace_cap(mut self, cap: usize) -> Self {
         self.config.trace_cap = Some(cap);
         self
     }
 
-    /// Enables epoch telemetry sampling every `slots` slots (0 forces it
-    /// off). Without this call the `DIGS_TELEMETRY_EPOCH` environment
-    /// variable decides.
+    /// Enables epoch telemetry sampling every `slots` slots (0, the
+    /// default, is off).
     pub fn telemetry_epoch(mut self, slots: u64) -> Self {
         self.config.telemetry_epoch = Some(slots);
         self
     }
 
-    /// Caps the retained telemetry epochs (0 forces telemetry off).
-    /// Without this call the `DIGS_TELEMETRY_CAP` environment variable
-    /// decides, defaulting to 4096.
+    /// Caps the retained telemetry epochs (0 switches telemetry off;
+    /// the default is [`crate::telemetry::DEFAULT_CAP`]).
     pub fn telemetry_cap(mut self, cap: usize) -> Self {
         self.config.telemetry_cap = Some(cap);
         self
@@ -277,8 +261,7 @@ impl NetworkConfigBuilder {
     }
 
     /// Enables the schedule-randomization defense with the given shared
-    /// secret (0 pins it off). Without this call the
-    /// `DIGS_SCHED_RANDOMIZE` environment variable decides.
+    /// secret (0, the default, is off).
     pub fn randomize(mut self, secret: u64) -> Self {
         self.config.sched_randomize = Some(secret);
         self
@@ -326,8 +309,6 @@ mod tests {
     fn randomize_knob_resolves_explicit_values() {
         let on = NetworkConfig::builder(Topology::testbed_a()).randomize(7).build();
         assert_eq!(on.resolve_randomize(), Some(7));
-        // An explicit zero pins the defense off even if the environment
-        // would enable it.
         let off = NetworkConfig::builder(Topology::testbed_a()).randomize(0).build();
         assert_eq!(off.resolve_randomize(), None);
     }

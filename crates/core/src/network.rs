@@ -40,10 +40,13 @@ pub trait RunObserver: Send {
         let _ = (snapshot, alerts);
     }
 
-    /// Progress heartbeat at every flush boundary. Return `false` to stop
-    /// the run cooperatively: the current [`Network::run`] (and any
-    /// enclosing [`Network::run_audited`]) returns early with the
-    /// simulation in a consistent state at a flush boundary.
+    /// Progress heartbeat: once per stop of the run (see [`Network::run`]
+    /// for the stop list; the end of each call is a stop, so how often it
+    /// fires — unlike everything else here — depends on how the caller cut
+    /// the run). Return `false` to stop cooperatively: the current
+    /// [`Network::run`] or [`Network::run_audited`] returns with the
+    /// simulation in a consistent state at that stop, and later calls do
+    /// nothing until a new observer is installed.
     fn on_progress(&mut self, asn: u64) -> bool {
         let _ = asn;
         true
@@ -120,10 +123,7 @@ impl Network {
             engine.add_jammer(jammer.clone());
         }
         engine.set_fault_plan(config.faults.clone());
-        let trace = match config.trace_cap {
-            Some(cap) => TraceHandle::bounded(cap),
-            None => TraceHandle::from_env(),
-        };
+        let trace = TraceHandle::bounded(config.trace_cap.unwrap_or(0));
         engine.set_trace(trace.clone());
 
         // The centralized baseline needs the manager's schedule computed
@@ -234,8 +234,8 @@ impl Network {
     }
 
     /// Installs a streaming [`RunObserver`]. Subsequent [`Network::run`]
-    /// calls flush new trace events and telemetry epochs to it at bounded
-    /// chunk boundaries (see [`Network::OBSERVER_FLUSH_SLOTS`]).
+    /// calls flush new trace events and telemetry epochs to it at every
+    /// stop, at least every [`Network::OBSERVER_FLUSH_SLOTS`].
     pub fn set_observer(&mut self, observer: Box<dyn RunObserver>) {
         self.observer = ObserverSlot(Some(observer));
         self.observer_stopped = false;
@@ -282,23 +282,29 @@ impl Network {
         self.engine.trace()
     }
 
-    /// Slots between observer flushes when no telemetry epoch boundary
-    /// falls sooner (10 s of simulated time). Small enough that per-node
-    /// trace rings at practical capacities do not wrap between flushes.
+    /// Slots between observer flushes (10 s of simulated time). Small
+    /// enough that per-node trace rings at practical capacities do not
+    /// wrap between flushes.
     pub const OBSERVER_FLUSH_SLOTS: u64 = 1_000;
 
-    /// Runs for `slots` slots. With telemetry enabled the run is chunked
-    /// to epoch boundaries (multiples of the cadence on the global slot
-    /// clock) and sampled at each; sampling only observes, so outcomes
-    /// are identical to an unsampled run. With an observer installed the
-    /// run is additionally chunked to flush boundaries; observation is
-    /// also read-only, so a streamed run stays byte-identical to a plain
-    /// one (the engine is insensitive to how its slot loop is chunked).
+    /// Runs for `slots` slots.
+    ///
+    /// The run pauses at *stops*: every multiple, on the global slot
+    /// clock, of each period the configuration switched on — the
+    /// telemetry epoch (sampler on), [`Network::OBSERVER_FLUSH_SLOTS`]
+    /// (observer installed), the audit cadence ([`Network::run_audited`]
+    /// only) and the application slotframe (schedule randomization *and*
+    /// tracing on) — plus the end of the call. Whatever is due at a stop
+    /// happens in one fixed order (epoch sample, audit, defense-epoch
+    /// mark, one observer flush) and carries the stop's ASN, so which
+    /// events and epochs exist, and in what order, depends on the
+    /// configuration and the slots covered, never on how the caller cut
+    /// the run into calls. All of it only observes: the engine is
+    /// insensitive to how its slot loop is chunked, so outcomes equal
+    /// those of a run with everything off — which has no stops and is a
+    /// single engine call.
     pub fn run(&mut self, slots: u64) {
-        let start = self.engine.asn().0;
-        self.run_inner(slots);
-        self.record_defense_epochs(start);
-        self.flush_observer();
+        self.drive(slots, None);
     }
 
     /// Crash-recovery entry point: deterministically replays the run up
@@ -307,10 +313,11 @@ impl Network {
     /// seed means the replay regenerates the *identical* event and
     /// telemetry stream the lost process produced — the observer (and
     /// per-subscriber sequence cursors above it) decide what of it is
-    /// silently skipped. Chunking is the same as [`Network::run`], so a
-    /// resumed run `resume_to(c)` + `run(total - c)` is byte-identical
-    /// to an uninterrupted `run(total)`. A cursor at or behind the
-    /// current ASN only fires the hook.
+    /// silently skipped. The replay is a plain [`Network::run`], so
+    /// `resume_to(c)` + `run(total - c)` is byte-identical to an
+    /// uninterrupted `run(total)` for every configuration
+    /// (`any_cut_of_a_run_is_the_same_run` in `network/chunking.rs` holds
+    /// it). A cursor at or behind the current ASN only fires the hook.
     pub fn resume_to(&mut self, cursor: u64) {
         let now = self.engine.asn().0;
         if cursor > now {
@@ -332,50 +339,59 @@ impl Network {
         self.engine.run(&mut self.stacks, slots);
     }
 
-    fn run_inner(&mut self, slots: u64) {
-        let every = self.telemetry.as_ref().map(|s| s.settings().epoch_slots);
-        if every.is_none() && self.observer.0.is_none() {
-            self.advance(slots);
-            return;
-        }
+    /// The one driver loop under [`Network::run`], [`Network::run_audited`]
+    /// and [`Network::resume_to`]: advance to the next stop, do what is due
+    /// there, flush once. A new periodic concern is one more period here
+    /// and one more arm below.
+    fn drive(&mut self, slots: u64, audit: Option<u64>) {
+        let epoch = self.telemetry.as_ref().map(|s| s.settings().epoch_slots);
+        let flush = self.observer.0.is_some().then_some(Self::OBSERVER_FLUSH_SLOTS);
+        // The schedule is *born* randomized; events mark the re-draws, so
+        // ASN 0 is not one (a stop is always past the current slot).
+        let defense = (self.randomize_nonce.is_some() && self.engine.trace().is_on())
+            .then(|| u64::from(self.config.slotframes.app));
         let end = self.engine.asn().0 + slots;
         while self.engine.asn().0 < end && !self.observer_stopped {
             let now = self.engine.asn().0;
-            let mut next = end;
-            if let Some(every) = every {
-                next = next.min((now / every + 1) * every);
-            }
-            if self.observer.0.is_some() {
-                next =
-                    next.min((now / Self::OBSERVER_FLUSH_SLOTS + 1) * Self::OBSERVER_FLUSH_SLOTS);
-            }
+            let next = [epoch, flush, audit, defense]
+                .into_iter()
+                .flatten()
+                .fold(end, |next, period| next.min((now / period + 1) * period));
             self.advance(next - now);
-            if let Some(every) = every {
-                if self.engine.asn().0.is_multiple_of(every) {
-                    let sampler = self.telemetry.as_mut().expect("checked above");
-                    let alerts = sampler.sample(&self.engine, &self.stacks, &self.config);
-                    if !alerts.is_empty() && self.engine.trace().is_on() {
-                        for a in &alerts {
-                            self.engine.trace().record(
-                                a.asn_end,
-                                digs_trace::NETWORK_NODE,
-                                EventKind::HealthAlert {
-                                    rule: a.rule.as_str().to_owned(),
-                                    detail: a.detail.clone(),
-                                },
-                            );
-                        }
-                    }
-                    if let Some(obs) = &mut self.observer.0 {
-                        if let Some(snap) =
-                            self.telemetry.as_ref().expect("sampled").epochs().last()
-                        {
-                            obs.on_epoch(snap, &alerts);
-                        }
-                    }
-                }
+            let due = |period: Option<u64>| period.filter(|p| next.is_multiple_of(*p));
+            if due(epoch).is_some() {
+                self.sample_epoch();
+            }
+            if let Some(every) = due(audit) {
+                self.audit_now(every);
+            }
+            if let Some(app) = due(defense) {
+                self.engine
+                    .trace()
+                    .record_network(next, EventKind::DefenseEpoch { epoch: next / app });
             }
             self.flush_observer();
+        }
+    }
+
+    /// Samples one telemetry epoch, mirrors the health alerts it raised
+    /// into the flight recorder and hands both to the observer.
+    fn sample_epoch(&mut self) {
+        let sampler = self.telemetry.as_mut().expect("an epoch is due only with a sampler");
+        let alerts = sampler.sample(&self.engine, &self.stacks, &self.config);
+        if self.engine.trace().is_on() {
+            for a in &alerts {
+                self.engine.trace().record_network(
+                    a.asn_end,
+                    EventKind::HealthAlert {
+                        rule: a.rule.as_str().to_owned(),
+                        detail: a.detail.clone(),
+                    },
+                );
+            }
+        }
+        if let (Some(obs), Some(snap)) = (&mut self.observer.0, sampler.epochs().last()) {
+            obs.on_epoch(snap, &alerts);
         }
     }
 
@@ -392,27 +408,6 @@ impl Network {
         }
         if !obs.on_progress(self.engine.asn().0) {
             self.observer_stopped = true;
-        }
-    }
-
-    /// Mirrors schedule re-randomization points into the flight recorder:
-    /// one run-scoped `DefenseEpoch` event per application-slotframe
-    /// boundary crossed in `(start, now]`. Half-open so the chunked calls
-    /// from [`Network::run_audited`] never double-record a boundary; the
-    /// initial epoch (ASN 0) is not an event — the schedule is *born*
-    /// randomized, events mark re-draws.
-    fn record_defense_epochs(&self, start: u64) {
-        if self.randomize_nonce.is_none() || !self.engine.trace().is_on() {
-            return;
-        }
-        let app = u64::from(self.config.slotframes.app);
-        let end = self.engine.asn().0;
-        let mut boundary = (start / app + 1) * app;
-        while boundary <= end {
-            self.engine
-                .trace()
-                .record_network(boundary, EventKind::DefenseEpoch { epoch: boundary / app });
-            boundary += app;
         }
     }
 
@@ -455,10 +450,10 @@ impl Network {
     /// cycle that outlives it is a genuine bug, not skew.
     pub const LOOP_PERSISTENCE_SLOTS: u64 = 12_000;
 
-    /// Runs for `slots` slots, invoking the invariant auditor every `every`
-    /// slots (aligned to multiples of `every` on the global slot clock).
-    /// Violations accumulate on the network and are reported through
-    /// [`RunResults::invariant_violations`].
+    /// [`Network::run`] with one more period in the stop list: the
+    /// invariant auditor runs at every multiple of `every` on the global
+    /// slot clock. Violations accumulate on the network and are reported
+    /// through [`RunResults::invariant_violations`].
     ///
     /// Per-node invariants are recorded immediately; `RoutingLoop`
     /// findings are debounced — only recorded once the *same* cycle
@@ -471,48 +466,41 @@ impl Network {
     /// Panics if `every` is zero.
     pub fn run_audited(&mut self, slots: u64, every: u64) {
         assert!(every > 0, "audit period must be positive");
-        let persistence_audits = Self::LOOP_PERSISTENCE_SLOTS.div_ceil(every);
-        let end = self.engine.asn().0 + slots;
-        while self.engine.asn().0 < end && !self.observer_stopped {
-            let next_audit = (self.engine.asn().0 / every + 1) * every;
-            let step = next_audit.min(end) - self.engine.asn().0;
-            // Through `run`, not the engine directly, so telemetry epochs
-            // keep sampling inside audited runs.
-            self.run(step);
-            if self.engine.asn().0.is_multiple_of(every) {
-                let recorded_before = self.violations.len();
-                let snapshot = self.audit_snapshot();
-                let (loops, immediate): (Vec<_>, Vec<_>) = crate::audit::audit(&snapshot)
-                    .into_iter()
-                    .partition(|v| v.kind == InvariantKind::RoutingLoop);
-                self.violations.extend(immediate);
+        self.drive(slots, Some(every));
+    }
 
-                // Frozen-loop debounce: the streak only grows while the
-                // cycle keeps the exact same shape.
-                let signature: Vec<_> = crate::audit::cycle_members(&snapshot.graph)
-                    .into_iter()
-                    .map(|n| {
-                        let e = snapshot.graph.entry(n);
-                        (n, e.and_then(|e| e.best), e.and_then(|e| e.second))
-                    })
-                    .collect();
-                if signature.is_empty() {
-                    self.loop_streak = 0;
-                } else if signature == self.loop_signature {
-                    self.loop_streak += 1;
-                    if self.loop_streak >= persistence_audits {
-                        self.violations.extend(loops);
-                    }
-                } else {
-                    self.loop_streak = 1;
-                }
-                self.loop_signature = signature;
-                self.trace_new_violations(recorded_before);
-                // Violations were recorded after `run` flushed; push them
-                // to the observer before the next audit window.
-                self.flush_observer();
+    /// One audit at the current slot, for a run audited every `every`
+    /// slots.
+    fn audit_now(&mut self, every: u64) {
+        let persistence_audits = Self::LOOP_PERSISTENCE_SLOTS.div_ceil(every);
+        let recorded_before = self.violations.len();
+        let snapshot = self.audit_snapshot();
+        let (loops, immediate): (Vec<_>, Vec<_>) = crate::audit::audit(&snapshot)
+            .into_iter()
+            .partition(|v| v.kind == InvariantKind::RoutingLoop);
+        self.violations.extend(immediate);
+
+        // Frozen-loop debounce: the streak only grows while the
+        // cycle keeps the exact same shape.
+        let signature: Vec<_> = crate::audit::cycle_members(&snapshot.graph)
+            .into_iter()
+            .map(|n| {
+                let e = snapshot.graph.entry(n);
+                (n, e.and_then(|e| e.best), e.and_then(|e| e.second))
+            })
+            .collect();
+        if signature.is_empty() {
+            self.loop_streak = 0;
+        } else if signature == self.loop_signature {
+            self.loop_streak += 1;
+            if self.loop_streak >= persistence_audits {
+                self.violations.extend(loops);
             }
+        } else {
+            self.loop_streak = 1;
         }
+        self.loop_signature = signature;
+        self.trace_new_violations(recorded_before);
     }
 
     /// Violations collected so far by [`Network::run_audited`].
@@ -782,6 +770,8 @@ impl Network {
 }
 
 #[cfg(test)]
+mod chunking;
+#[cfg(test)]
 mod wake_oracle;
 
 #[cfg(test)]
@@ -956,33 +946,32 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_outcomes() {
-        let run = |cap: Option<usize>| {
-            let mut b = NetworkConfig::builder(Topology::testbed_a_half())
+        let run = |cap: usize| {
+            let config = NetworkConfig::builder(Topology::testbed_a_half())
                 .protocol(Protocol::Digs)
                 .seed(11)
                 .random_flows(2, 300, 5)
-                .trace_cap(0); // pin off, immune to DIGS_TRACE_CAP
-            if let Some(c) = cap {
-                b = b.trace_cap(c);
-            }
-            let mut net = Network::new(b.build());
+                .trace_cap(cap)
+                .build();
+            let mut net = Network::new(config);
             net.run_secs(60);
             let r = net.results();
             (r.total_delivered(), r.total_generated(), r.parent_change_times.len())
         };
-        assert_eq!(run(None), run(Some(100_000)), "tracing must be observation-only");
+        assert_eq!(run(0), run(100_000), "tracing must be observation-only");
     }
 
+    /// What an observer was handed (shared with `chunking.rs`).
     #[derive(Default)]
-    struct ObserverLog {
-        events: Vec<digs_trace::Event>,
-        epochs: usize,
+    pub(super) struct ObserverLog {
+        pub(super) events: Vec<digs_trace::Event>,
+        pub(super) epochs: usize,
         last_asn: u64,
     }
 
-    struct SharedObserver {
-        log: std::sync::Arc<std::sync::Mutex<ObserverLog>>,
-        stop_at: Option<u64>,
+    pub(super) struct SharedObserver {
+        pub(super) log: std::sync::Arc<std::sync::Mutex<ObserverLog>>,
+        pub(super) stop_at: Option<u64>,
     }
 
     impl RunObserver for SharedObserver {

@@ -36,7 +36,7 @@ use digs_sim::time::{SLOTS_PER_SECOND, SLOT_MS};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
-/// Default retained-epoch cap when `DIGS_TELEMETRY_CAP` is unset.
+/// Retained-epoch cap when the configuration names none.
 pub const DEFAULT_CAP: usize = 4096;
 
 /// Registry keys for the 16 per-channel occupancy counters.
@@ -55,25 +55,14 @@ pub struct TelemetrySettings {
 }
 
 impl TelemetrySettings {
-    /// Resolves the effective settings from a configuration, deferring
-    /// to `DIGS_TELEMETRY_EPOCH` / `DIGS_TELEMETRY_CAP` where the config
-    /// leaves a knob `None`. Returns `None` — telemetry fully off, not a
+    /// The settings a configuration asks for: no cadence means off, no cap
+    /// means [`DEFAULT_CAP`]. Returns `None` — telemetry fully off, not a
     /// degraded mode — unless both the cadence and the cap are positive.
     pub fn resolve(config: &NetworkConfig) -> Option<TelemetrySettings> {
-        let epoch_slots = match config.telemetry_epoch {
-            Some(slots) => slots,
-            None => env_u64("DIGS_TELEMETRY_EPOCH").unwrap_or(0),
-        };
-        let cap = match config.telemetry_cap {
-            Some(cap) => cap,
-            None => env_u64("DIGS_TELEMETRY_CAP").map_or(DEFAULT_CAP, |v| v as usize),
-        };
+        let epoch_slots = config.telemetry_epoch.unwrap_or(0);
+        let cap = config.telemetry_cap.unwrap_or(DEFAULT_CAP);
         (epoch_slots > 0 && cap > 0).then_some(TelemetrySettings { epoch_slots, cap })
     }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
 }
 
 /// Thresholds for the per-epoch health rules. Settle time and the

@@ -1024,7 +1024,8 @@ fn prepare_fleet(spec: &Value) -> Result<Job, String> {
         };
         let observer =
             digs_fleet::FleetObserver { on_network: &on_network, cancel: ctx.cancel_flag() };
-        let outcome = digs_fleet::run_fleet_observed(&spec, params.jobs, Some(&observer));
+        let policy = digs_fleet::RunPolicy::from_env();
+        let outcome = digs_fleet::run_fleet(&spec, params.jobs, Some(&observer), &policy);
         // Degraded runs ride the fleet frame stream too, so a tailing
         // client sees quarantines as they are accounted, not only in the
         // final meta report.

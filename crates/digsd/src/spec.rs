@@ -260,7 +260,8 @@ fn pair<B: TryFrom<u64>>(v: &Value, key: &str) -> Result<Option<(u64, B)>, Strin
     }
 }
 
-/// One fleet run, mirroring the `digs-cli fleet run` options.
+/// One fleet run: the options of `digs-cli fleet run`, which builds its
+/// fleet through this struct too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetParams {
     /// `oil` | `factory` | `mixed`.
@@ -271,10 +272,11 @@ pub struct FleetParams {
     pub seed_base: u64,
     /// Simulated seconds per network.
     pub secs: u64,
-    /// Devices in the optional sharded large network (0 = none).
-    pub sharded_devices: usize,
+    /// Devices in the optional sharded large network (0 = none). 32 bits
+    /// on the wire, so that the node sums the runner does over it fit.
+    pub sharded_devices: u32,
     /// Devices per shard.
-    pub shard_size: usize,
+    pub shard_size: u32,
     /// Sharded network master seed (`None` = `seed_base`).
     pub sharded_seed: Option<u64>,
     /// Worker threads (`None` = one per core).
@@ -297,11 +299,19 @@ impl Default for FleetParams {
 }
 
 impl FleetParams {
-    /// Expands to the fleet spec (same split rules as the CLI).
+    /// Expands to the fleet spec.
     pub fn build(&self) -> Result<FleetSpec, String> {
+        // Network `k` runs at seed `seed_base + k`.
+        if self.seed_base.checked_add(u64::from(self.networks)).is_none() {
+            return Err(format!(
+                "seed_base: {} leaves no seeds for {} networks",
+                self.seed_base, self.networks
+            ));
+        }
         let mut spec = FleetSpec::new().secs(self.secs);
         match self.template.as_str() {
             "mixed" => {
+                // Alternating split: oil-field gets the odd network out.
                 let oil = self.networks.div_ceil(2);
                 if oil > 0 {
                     spec = spec.group(Template::OilField, oil, self.seed_base);
@@ -322,10 +332,10 @@ impl FleetParams {
             let seed = self.sharded_seed.unwrap_or(self.seed_base);
             let mut sharded = ShardedSpec::sized(
                 format!("campus-{}", self.sharded_devices),
-                self.sharded_devices,
+                self.sharded_devices as usize,
                 seed,
             );
-            sharded.shard_devices = self.shard_size;
+            sharded.shard_devices = self.shard_size as usize;
             spec = spec.sharded(sharded);
         }
         if spec.networks() == 0 {
@@ -342,8 +352,8 @@ impl FleetParams {
             ("networks", Value::Int(u64::from(self.networks))),
             ("seed_base", Value::Int(self.seed_base)),
             ("secs", Value::Int(self.secs)),
-            ("sharded_devices", Value::Int(self.sharded_devices as u64)),
-            ("shard_size", Value::Int(self.shard_size as u64)),
+            ("sharded_devices", Value::Int(u64::from(self.sharded_devices))),
+            ("shard_size", Value::Int(u64::from(self.shard_size))),
             ("sharded_seed", Value::opt_int(self.sharded_seed)),
             ("jobs", Value::opt_int(self.jobs.map(|j| j as u64))),
         ])
@@ -475,6 +485,26 @@ mod tests {
         // mixed split: 2 oil + 1 factory.
         assert_eq!(spec.networks(), 3);
         assert_eq!(spec.secs, 150);
+    }
+
+    #[test]
+    fn a_fleet_whose_seeds_or_nodes_do_not_fit_is_refused() {
+        // Found by `decoder_fuzz.rs` once it built what it decoded: the
+        // last network's seed overflowed in `FleetGroup::label` on the run
+        // thread, and 2^64 − 1 sharded devices overflowed `total_nodes`.
+        let fleet = |text: &str| FleetParams::from_json(&digs_json::parse(text).expect("parses"));
+        let max = u64::MAX;
+        let late = fleet(&format!(r#"{{"template":"oil","networks":2,"seed_base":{max}}}"#));
+        assert!(late.expect("decodes").build().unwrap_err().contains("seed_base"));
+        let last = fleet(&format!(r#"{{"networks":2,"seed_base":{}}}"#, max - 2)).expect("decodes");
+        assert_eq!(
+            last.build().expect("fits").groups[0].label(0),
+            format!("oil-field-0000/seed{}", max - 2)
+        );
+        let err = fleet(&format!(r#"{{"sharded_devices":{max}}}"#)).unwrap_err();
+        assert!(err.contains("sharded_devices"), "{err}");
+        let big = fleet(r#"{"networks":0,"sharded_devices":4294967295,"shard_size":1}"#);
+        assert_eq!(big.expect("decodes").build().expect("fits").total_nodes(), 3 * 4_294_967_295);
     }
 
     #[test]

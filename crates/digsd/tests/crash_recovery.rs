@@ -31,6 +31,7 @@ fn identity_spec(seed: u64) -> SingleSpec {
         flows: 2,
         period_ms: 3000,
         secs: 45,
+        randomize: Some(7),
         trace_cap: Some(200_000),
         telemetry: Some((500, 256)),
         ..SingleSpec::default()
@@ -252,7 +253,8 @@ fn resumable_stream_reconnects_across_injected_drops() {
     // Sever the subscriber's connection twice, 200 delivered lines in;
     // the resumable stream must reattach with its cursor both times and
     // account every frame as delivered or lost — no silent holes. The run
-    // is paced (20 ms at each of its nine flush boundaries) so that it
+    // is paced (20 ms at each of its 38 stops: nine epochs, 29 defense
+    // epochs) so that it
     // outlasts both reconnects however fast the simulation itself is: a
     // run that ends while the subscriber is away has a tail nobody counts.
     let addr = start_daemon(DaemonConfig {

@@ -39,9 +39,8 @@ pub mod spec;
 
 pub use aggregate::{aggregate, aggregate_partial, degrade_matching, FleetReport, SloPolicy};
 pub use runner::{
-    fleet_tuned, run_fleet, run_fleet_observed, run_fleet_policed, run_network,
-    run_network_deadline, summarize, DegradedRun, FleetObserver, FleetOutcome, NetworkSummary,
-    RunPolicy, RUN_TIMEOUT_ENV,
+    fleet_tuned, run_fleet, run_network, summarize, DegradedRun, FleetObserver, FleetOutcome,
+    NetworkSummary, RunPolicy, RUN_TIMEOUT_ENV,
 };
 pub use shard::ShardedOutcome;
 pub use spec::{FleetGroup, FleetSpec, ShardedSpec, Template};

@@ -48,16 +48,25 @@ pub struct NetworkSummary {
 
 /// Runs one fleet network to completion (audited, telemetry on) and
 /// summarizes it. `config` should already have its telemetry cadence and
-/// trace capacity pinned (see [`fleet_tuned`]).
+/// trace capacity set (see [`fleet_tuned`]). With a wall-clock `deadline`
+/// the run is checked against it at every stop; `Err(asn)` is the slot it
+/// had reached when the deadline interrupted it.
 pub fn run_network(
     label: &str,
     config: NetworkConfig,
     secs: u64,
     audit_every: u64,
-) -> NetworkSummary {
+    deadline: Option<Instant>,
+) -> Result<NetworkSummary, u64> {
     let mut net = Network::new(config);
+    if let Some(deadline) = deadline {
+        net.set_observer(Box::new(DeadlineObserver { deadline }));
+    }
     net.run_audited(secs * SLOTS_PER_SECOND, audit_every);
-    summarize(label, &net)
+    if net.observer_stopped() {
+        return Err(net.asn().0);
+    }
+    Ok(summarize(label, &net))
 }
 
 /// Reduces a finished network to its summary.
@@ -96,10 +105,10 @@ pub fn summarize(label: &str, net: &Network) -> NetworkSummary {
     }
 }
 
-/// Pins the per-run knobs the fleet requires for determinism and bounded
-/// memory: tracing off (immune to `DIGS_TRACE_CAP`), telemetry at the
-/// fleet cadence with a cap sized to the run length (no epoch is ever
-/// dropped, so the latency histogram covers the whole run).
+/// Sets the per-run knobs the fleet requires for bounded memory and a
+/// complete report: tracing off, telemetry at the fleet cadence with a cap
+/// sized to the run length (no epoch is ever dropped, so the latency
+/// histogram covers the whole run).
 pub fn fleet_tuned(mut config: NetworkConfig, secs: u64, telemetry_epoch: u64) -> NetworkConfig {
     config.trace_cap = Some(0);
     config.telemetry_epoch = Some(telemetry_epoch);
@@ -113,8 +122,8 @@ pub fn fleet_tuned(mut config: NetworkConfig, secs: u64, telemetry_epoch: u64) -
 }
 
 /// Degradation policy for the independent networks of a fleet run: a
-/// per-network wall-clock deadline (enforced cooperatively at observer
-/// flush boundaries — std threads cannot be killed), a bounded number of
+/// per-network wall-clock deadline (enforced cooperatively at the run's
+/// stops — std threads cannot be killed), a bounded number of
 /// retries, and a deterministic timeout-injection hook for tests and CI
 /// smoke. Sharded networks are out of scope: their shard loop already
 /// has its own windowed progress structure.
@@ -128,7 +137,7 @@ pub struct RunPolicy {
     pub retries: u32,
     /// Test hook: networks whose label contains this substring run with
     /// an already-expired deadline, so they time out deterministically at
-    /// the first flush boundary and land in the degraded report.
+    /// the first stop and land in the degraded report.
     pub inject_timeout: Option<String>,
 }
 
@@ -165,8 +174,7 @@ pub struct DegradedRun {
 
 /// Stops a run cooperatively once the wall-clock deadline passes. The
 /// check rides the ordinary progress heartbeat, so an expired deadline
-/// halts the simulation at the next flush boundary, in a consistent
-/// state.
+/// halts the simulation at the next stop, in a consistent state.
 struct DeadlineObserver {
     deadline: Instant,
 }
@@ -175,24 +183,6 @@ impl RunObserver for DeadlineObserver {
     fn on_progress(&mut self, _asn: u64) -> bool {
         Instant::now() < self.deadline
     }
-}
-
-/// [`run_network`] under a wall-clock deadline. Returns `Err(asn)` with
-/// the slot the run had reached if the deadline interrupted it.
-pub fn run_network_deadline(
-    label: &str,
-    config: NetworkConfig,
-    secs: u64,
-    audit_every: u64,
-    deadline: Instant,
-) -> Result<NetworkSummary, u64> {
-    let mut net = Network::new(config);
-    net.set_observer(Box::new(DeadlineObserver { deadline }));
-    net.run_audited(secs * SLOTS_PER_SECOND, audit_every);
-    if net.observer_stopped() {
-        return Err(net.asn().0);
-    }
-    Ok(summarize(label, &net))
 }
 
 /// What one fleet invocation produced.
@@ -238,27 +228,6 @@ pub struct FleetObserver<'a> {
     pub cancel: &'a std::sync::atomic::AtomicBool,
 }
 
-/// Runs the whole fleet: independent networks fan out over the pool
-/// (results in input order), then each sharded network runs its windowed
-/// shard loop. Progress goes to stderr. Uses the environment's
-/// [`RunPolicy`]; a network that exhausts its attempts is quarantined in
-/// [`FleetOutcome::degraded`] rather than aborting the fleet.
-pub fn run_fleet(spec: &FleetSpec, jobs: Option<usize>) -> FleetOutcome {
-    run_fleet_policed(spec, jobs, None, &RunPolicy::from_env())
-}
-
-/// [`run_fleet`] with optional streaming observation. With an observer,
-/// each completed network's summary is pushed through `on_network` as it
-/// finishes, and a raised `cancel` flag skips networks that have not yet
-/// started (already-running networks finish normally).
-pub fn run_fleet_observed(
-    spec: &FleetSpec,
-    jobs: Option<usize>,
-    observer: Option<&FleetObserver<'_>>,
-) -> FleetOutcome {
-    run_fleet_policed(spec, jobs, observer, &RunPolicy::from_env())
-}
-
 /// Outcome of the retry loop for one independent network.
 enum TaskOutcome {
     Done { summary: Box<NetworkSummary>, attempts: u32, last_failure: Option<String> },
@@ -266,13 +235,21 @@ enum TaskOutcome {
     Skipped,
 }
 
-/// [`run_fleet_observed`] with an explicit degradation policy: each
-/// independent network gets `1 + policy.retries` attempts under
+/// Runs the whole fleet: independent networks fan out over the pool
+/// (results in input order), then each sharded network runs its windowed
+/// shard loop. Progress goes to stderr.
+///
+/// With an `observer`, each completed network's summary is pushed through
+/// `on_network` as it finishes, and a raised `cancel` flag skips networks
+/// that have not yet started (already-running networks finish normally).
+///
+/// Each independent network gets `1 + policy.retries` attempts under
 /// `policy.timeout`; a network that exhausts them is recorded in
 /// [`FleetOutcome::degraded`] (quarantined) and the fleet carries on —
 /// the caller gates on the partial report instead of losing the whole
-/// sweep to one bad run.
-pub fn run_fleet_policed(
+/// sweep to one bad run. [`RunPolicy::default`] is one attempt with no
+/// deadline; [`RunPolicy::from_env`] is what the binaries pass.
+pub fn run_fleet(
     spec: &FleetSpec,
     jobs: Option<usize>,
     observer: Option<&FleetObserver<'_>>,
@@ -314,18 +291,16 @@ pub fn run_fleet_policed(
             let mut last_failure = None;
             for attempt in 1..=attempts_max {
                 // The injected deadline is already expired: the run stops
-                // deterministically at its first flush boundary.
+                // deterministically at its first stop.
                 let deadline = if injected {
                     Some(Instant::now())
                 } else {
                     policy.timeout.map(|t| Instant::now() + t)
                 };
                 let config = config.clone();
-                let attempted =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match deadline {
-                        Some(d) => run_network_deadline(&label, config, secs, audit_every, d),
-                        None => Ok(run_network(&label, config, secs, audit_every)),
-                    }));
+                let attempted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_network(&label, config, secs, audit_every, deadline)
+                }));
                 match attempted {
                     Ok(Ok(summary)) => {
                         if let Some(o) = observer {
@@ -443,7 +418,7 @@ mod tests {
             retries: 1,
             inject_timeout: Some("0001".into()), // label of network index 1
         };
-        let outcome = run_fleet_policed(&spec, Some(2), None, &policy);
+        let outcome = run_fleet(&spec, Some(2), None, &policy);
         assert_eq!(outcome.summaries.len(), 2, "the quarantined network has no summary");
         assert_eq!(outcome.skipped, 0);
         assert_eq!(outcome.degraded.len(), 1);
@@ -453,7 +428,7 @@ mod tests {
         assert_eq!(d.attempts, 2, "one retry means two attempts");
         assert!(d.reason.starts_with("timeout at asn"), "reason: {}", d.reason);
         // The survivors are the byte-identical runs the clean fleet produces.
-        let clean = run_fleet_policed(&spec, Some(1), None, &RunPolicy::default());
+        let clean = run_fleet(&spec, Some(1), None, &RunPolicy::default());
         assert!(clean.degraded.is_empty());
         assert_eq!(outcome.summaries[0], clean.summaries[0]);
         assert_eq!(outcome.summaries[1], clean.summaries[2]);
@@ -468,8 +443,8 @@ mod tests {
             retries: 0,
             inject_timeout: None,
         };
-        let bounded = run_fleet_policed(&spec, Some(1), None, &policy);
-        let unbounded = run_fleet_policed(&spec, Some(1), None, &RunPolicy::default());
+        let bounded = run_fleet(&spec, Some(1), None, &policy);
+        let unbounded = run_fleet(&spec, Some(1), None, &RunPolicy::default());
         assert!(bounded.degraded.is_empty());
         assert_eq!(bounded.summaries, unbounded.summaries);
     }
@@ -477,8 +452,8 @@ mod tests {
     #[test]
     fn small_fleet_is_deterministic_and_summarized() {
         let spec = FleetSpec::new().group(Template::OilField, 2, 1).secs(150);
-        let a = run_fleet(&spec, Some(2));
-        let b = run_fleet(&spec, Some(1));
+        let a = run_fleet(&spec, Some(2), None, &RunPolicy::from_env());
+        let b = run_fleet(&spec, Some(1), None, &RunPolicy::from_env());
         assert_eq!(a.summaries.len(), 2);
         assert_eq!(a.node_secs, 2 * 47 * 150);
         // Same spec, different worker counts: identical summaries.

@@ -5,7 +5,9 @@
 //! typed [`Event`]s through a shared [`TraceHandle`], which keeps the last
 //! N events per node in ring buffers ([`RingRecorder`]). Tracing is off by
 //! default and costs one branch per instrumentation site; it is switched on
-//! programmatically or with the `DIGS_TRACE_CAP` environment variable.
+//! by whoever builds the handle ([`TraceHandle::bounded`]; a network takes
+//! its capacity from `NetworkConfig::trace_cap`). Nothing here reads the
+//! environment.
 //!
 //! On top of the raw stream:
 //!
@@ -36,7 +38,5 @@ pub use analysis::{
 };
 pub use event::{DropReason, Event, EventKind, FaultKind, PacketId, TrafficClass, NETWORK_NODE};
 pub use jsonl::{from_jsonl, to_jsonl, to_jsonl_line, write_jsonl_line, ParseError};
-pub use recorder::{
-    NoopRecorder, Recorder, RingRecorder, TraceHandle, DEFAULT_CAPACITY, TRACE_CAP_ENV,
-};
+pub use recorder::{NoopRecorder, Recorder, RingRecorder, TraceHandle, DEFAULT_CAPACITY};
 pub use ring::RingBuffer;

@@ -12,10 +12,6 @@ use crate::ring::RingBuffer;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Environment variable selecting the per-node ring capacity. Unset, `0`,
-/// or unparsable means tracing stays off.
-pub const TRACE_CAP_ENV: &str = "DIGS_TRACE_CAP";
-
 /// Default per-node ring capacity when tracing is enabled programmatically
 /// without an explicit capacity.
 pub const DEFAULT_CAPACITY: usize = 4096;
@@ -153,14 +149,6 @@ impl TraceHandle {
     /// An enabled handle with the [`DEFAULT_CAPACITY`].
     pub fn on() -> TraceHandle {
         TraceHandle::bounded(DEFAULT_CAPACITY)
-    }
-
-    /// Reads [`TRACE_CAP_ENV`]: unset, unparsable, or `0` → off.
-    pub fn from_env() -> TraceHandle {
-        match std::env::var(TRACE_CAP_ENV) {
-            Ok(v) => TraceHandle::bounded(v.trim().parse::<usize>().unwrap_or(0)),
-            Err(_) => TraceHandle::off(),
-        }
     }
 
     /// Whether events are being retained.
@@ -360,19 +348,5 @@ mod tests {
                 assert_eq!(r.events_since(since), old, "since {since}");
             }
         });
-    }
-
-    #[test]
-    fn from_env_parses_capacity() {
-        // Env mutation: run the three cases in one test to avoid races with
-        // parallel test threads reading the same variable.
-        std::env::set_var(TRACE_CAP_ENV, "16");
-        assert!(TraceHandle::from_env().is_on());
-        std::env::set_var(TRACE_CAP_ENV, "0");
-        assert!(!TraceHandle::from_env().is_on());
-        std::env::set_var(TRACE_CAP_ENV, "nonsense");
-        assert!(!TraceHandle::from_env().is_on());
-        std::env::remove_var(TRACE_CAP_ENV);
-        assert!(!TraceHandle::from_env().is_on());
     }
 }

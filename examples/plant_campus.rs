@@ -14,7 +14,7 @@
 //! The run is deterministic: same spec, same report, regardless of
 //! worker count (set `DIGS_FLEET_JOBS` to check).
 
-use digs_fleet::{aggregate, run_fleet, FleetSpec, ShardedSpec, SloPolicy, Template};
+use digs_fleet::{aggregate, run_fleet, FleetSpec, RunPolicy, ShardedSpec, SloPolicy, Template};
 
 fn main() {
     // Eight oil fields, eight factory floors, and one sharded campus:
@@ -33,7 +33,7 @@ fn main() {
     );
 
     let jobs = std::env::var("DIGS_FLEET_JOBS").ok().and_then(|s| s.parse().ok());
-    let outcome = run_fleet(&spec, jobs);
+    let outcome = run_fleet(&spec, jobs, None, &RunPolicy::from_env());
 
     let report = aggregate(&outcome.summaries, spec.secs);
     let policy = SloPolicy::default();
