@@ -47,7 +47,7 @@ fn main() {
     }
 
     let total_nodes = spec.total_nodes();
-    let outcome = digs_fleet::run_fleet(&spec, jobs, None, &RunPolicy::from_env());
+    let outcome = digs_fleet::run_fleet(&spec, jobs, None, &RunPolicy::default());
     let report = aggregate(&outcome.summaries, spec.secs);
     let breaches = report.breaches(&SloPolicy::default());
     let rate = outcome.node_secs as f64 / outcome.serial_equivalent.as_secs_f64().max(1e-9);

@@ -23,10 +23,9 @@ fn spawn_serve(addr: &str, journal: &std::path::Path, slow_ms: Option<u64>) -> C
         .arg("--journal")
         .arg(journal)
         .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .env_remove(digs_digsd::CHAOS_SLOW_ENV);
+        .stderr(Stdio::null());
     if let Some(ms) = slow_ms {
-        cmd.env(digs_digsd::CHAOS_SLOW_ENV, ms.to_string());
+        cmd.args(["--chaos-slow-ms", &ms.to_string()]);
     }
     cmd.spawn().expect("spawn digs-cli digsd serve")
 }

@@ -187,13 +187,6 @@ impl RunMetrics {
         }
     }
 
-    /// Attaches a run's telemetry summary (when telemetry was enabled).
-    pub fn attach_telemetry(&mut self, summary: &digs::telemetry::TelemetrySummary) {
-        self.telemetry_epochs = Some(summary.epochs);
-        self.health_alerts = Some(summary.alerts);
-        self.epoch_pdr_min = summary.epoch_pdr_min;
-    }
-
     /// The value of one scalar metric by key, `None` when absent for
     /// this run (so it contributes no sample to the aggregate).
     pub fn metric(&self, key: &str) -> Option<f64> {

@@ -85,13 +85,6 @@ pub struct FailureRunOutcome {
     pub victims_wanted: usize,
 }
 
-impl FailureRunOutcome {
-    /// How many requested victims could not be found on the live graph.
-    pub fn victim_shortfall(&self) -> usize {
-        self.victims_wanted.saturating_sub(self.victims.len())
-    }
-}
-
 /// Runs the paper's Fig. 11 node-failure experiment: the network forms and
 /// carries traffic normally until `failure_start_secs`, then the current
 /// best parents of the flow sources — genuine relays *on the live routing

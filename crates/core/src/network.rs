@@ -241,11 +241,6 @@ impl Network {
         self.observer_stopped = false;
     }
 
-    /// Removes and returns the installed observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn RunObserver>> {
-        self.observer.0.take()
-    }
-
     /// Whether the observer's `on_progress` stopped the run early.
     pub fn observer_stopped(&self) -> bool {
         self.observer_stopped

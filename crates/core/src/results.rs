@@ -37,15 +37,6 @@ impl FlowResult {
     pub fn seq_delivered(&self, seq: u32) -> bool {
         self.delivered_seqs.contains(&seq)
     }
-
-    /// Mean end-to-end latency in ms, or `None` if nothing was delivered.
-    pub fn mean_latency_ms(&self) -> Option<f64> {
-        if self.latencies_ms.is_empty() {
-            None
-        } else {
-            Some(self.latencies_ms.iter().sum::<f64>() / self.latencies_ms.len() as f64)
-        }
-    }
 }
 
 /// Per-node outcome of a run.

@@ -1,9 +1,9 @@
 //! Fault injection for the daemon itself — chaos for the harness, not
 //! the simulated network.
 //!
-//! Four knobs, all off by default, all env-tunable for CI smoke jobs and
-//! constructible directly for in-process tests (tests must not share
-//! process-global env): a one-shot or repeating panic at a target ASN
+//! Four knobs, all off by default, set as [`ChaosConfig`] fields by
+//! in-process tests (`digs-cli digsd serve --chaos-slow-ms` sets the one
+//! an external smoke needs): a one-shot or repeating panic at a target ASN
 //! (exercises the supervisor), a forced subscriber-connection drop after
 //! N delivered lines (exercises client reconnect), a per-write stall on
 //! the stream path (exercises bounded-queue drop accounting), and a
@@ -11,21 +11,6 @@
 //! for an external `kill -9` to land mid-run deterministically).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-
-/// Env var: panic the run thread at this ASN (`N`, or `N!` to panic on
-/// every attempt — the poison path that ends in quarantine).
-pub const CHAOS_PANIC_ENV: &str = "DIGS_DIGSD_CHAOS_PANIC_ASN";
-
-/// Env var: hard-drop a subscriber connection after `N` delivered lines
-/// (`N`, or `N:COUNT` to limit how many connections get dropped).
-pub const CHAOS_DROP_ENV: &str = "DIGS_DIGSD_CHAOS_DROP_AFTER";
-
-/// Env var: sleep this many milliseconds before each stream write batch.
-pub const CHAOS_STALL_ENV: &str = "DIGS_DIGSD_CHAOS_STALL_MS";
-
-/// Env var: sleep this many milliseconds at each observer flush boundary
-/// (paces a run in wall-clock without touching simulated time).
-pub const CHAOS_SLOW_ENV: &str = "DIGS_DIGSD_CHAOS_SLOW_MS";
 
 /// Fault-injection configuration (all `None`/off by default).
 #[derive(Debug, Clone, Default)]
@@ -44,31 +29,6 @@ pub struct ChaosConfig {
     pub stall_ms: Option<u64>,
     /// Sleep at each observer flush boundary, ms.
     pub slow_run_ms: Option<u64>,
-}
-
-impl ChaosConfig {
-    /// Reads the chaos env knobs ([`CHAOS_PANIC_ENV`] etc.).
-    pub fn from_env() -> ChaosConfig {
-        let mut config = ChaosConfig { drop_count: u32::MAX, ..ChaosConfig::default() };
-        if let Ok(v) = std::env::var(CHAOS_PANIC_ENV) {
-            let (n, repeat) = match v.strip_suffix('!') {
-                Some(head) => (head, true),
-                None => (v.as_str(), false),
-            };
-            config.panic_at_asn = n.parse().ok();
-            config.panic_repeat = repeat;
-        }
-        if let Ok(v) = std::env::var(CHAOS_DROP_ENV) {
-            let mut parts = v.splitn(2, ':');
-            config.drop_subscriber_after = parts.next().and_then(|n| n.parse().ok());
-            if let Some(count) = parts.next().and_then(|c| c.parse().ok()) {
-                config.drop_count = count;
-            }
-        }
-        config.stall_ms = std::env::var(CHAOS_STALL_ENV).ok().and_then(|v| v.parse().ok());
-        config.slow_run_ms = std::env::var(CHAOS_SLOW_ENV).ok().and_then(|v| v.parse().ok());
-        config
-    }
 }
 
 /// Per-daemon chaos state: the config plus the latches that make

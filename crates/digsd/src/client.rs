@@ -257,8 +257,11 @@ pub struct ResumableStream {
     carry_dropped: u64,
     conn_dropped: u64,
     reconnects: u64,
-    retry_budget: Duration,
 }
+
+/// How long a reconnect loop keeps retrying: enough for a supervised
+/// daemon restart.
+const RETRY_BUDGET: Duration = Duration::from_secs(15);
 
 impl ResumableStream {
     /// Launches a run and tails it from sequence 0 with resilience: if
@@ -325,7 +328,6 @@ impl ResumableStream {
             carry_dropped: 0,
             conn_dropped: 0,
             reconnects: 0,
-            retry_budget: Duration::from_secs(15),
         }
     }
 
@@ -338,13 +340,6 @@ impl ResumableStream {
         } else {
             self.carry_dropped + self.conn_dropped
         }
-    }
-
-    /// Overrides how long a reconnect attempt loop may keep retrying
-    /// (default 15 s — enough for a supervised daemon restart).
-    pub fn with_retry_budget(mut self, budget: Duration) -> ResumableStream {
-        self.retry_budget = budget;
-        self
     }
 
     /// The resume cursor: first sequence still wanted.
@@ -435,7 +430,7 @@ impl ResumableStream {
     /// state run is *not* an error (subscribe succeeds and the stream
     /// delivers its end frame).
     fn reconnect(&mut self) -> Result<(), String> {
-        let deadline = Instant::now() + self.retry_budget;
+        let deadline = Instant::now() + RETRY_BUDGET;
         let mut delay = Duration::from_millis(100);
         loop {
             let attempt = Client::connect(&self.addr, &self.client_name).and_then(|mut c| {

@@ -17,7 +17,7 @@
 //!    and seed. Frame payloads *are* the deterministic JSONL lines of
 //!    `digs-trace` and `digs::telemetry`, spliced into frames verbatim.
 //! 2. **The engine never blocks on a subscriber.** Every subscriber owns
-//!    a bounded queue ([`QUEUE_CAP_ENV`], default 4096 frames); a full
+//!    a bounded queue ([`DaemonConfig::queue_cap`], default 4096 frames); a full
 //!    queue counts a drop (reported in that subscriber's heartbeats) and
 //!    the simulation moves on.
 
@@ -29,17 +29,12 @@ mod server;
 mod spec;
 mod wire;
 
-pub use chaos::{
-    ChaosConfig, ChaosState, CHAOS_DROP_ENV, CHAOS_PANIC_ENV, CHAOS_SLOW_ENV, CHAOS_STALL_ENV,
-};
+pub use chaos::{ChaosConfig, ChaosState};
 pub use client::{error_code, Client, ResumableStream, StreamEnd, StreamItem};
 pub use digs_json::Value;
 pub use hub::{BackoffPolicy, Hub, Recv, Subscription, Supervisor, Verdict};
 pub use journal::{Journal, Record, RecoveredRun, Recovery};
-pub use server::{
-    default_addr, Daemon, DaemonConfig, Job, RunCtx, RunHandle, Runner, ADDR_ENV, DEFAULT_ADDR,
-    HEARTBEAT, JOURNAL_ENV, MAX_RESTARTS_ENV, QUEUE_CAP_ENV, RESUME_GRACE_ENV,
-};
+pub use server::{Daemon, DaemonConfig, Job, RunCtx, RunHandle, Runner, DEFAULT_ADDR, HEARTBEAT};
 pub use spec::{topology_from, FleetParams, SingleSpec};
 pub use wire::{
     valid_run_name, ClientMsg, ErrorCode, EventFrame, Filter, FrameKind, RunInfo, RunState,

@@ -32,49 +32,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Environment variable overriding the per-subscriber queue capacity.
-pub const QUEUE_CAP_ENV: &str = "DIGS_DIGSD_QUEUE";
-
-/// Environment variable naming the default daemon address.
-pub const ADDR_ENV: &str = "DIGS_DIGSD_ADDR";
-
-/// Environment variable naming the durable run journal. Unset means no
-/// journal: runs die with the daemon, as before wire v2.
-pub const JOURNAL_ENV: &str = "DIGS_DIGSD_JOURNAL";
-
-/// Environment variable bounding supervised restarts per run (default
-/// 3). A run that fails more often is quarantined; `0` disables
-/// supervision entirely (first failure is terminal).
-pub const MAX_RESTARTS_ENV: &str = "DIGS_DIGSD_MAX_RESTARTS";
-
-/// Environment variable for the resume grace window, milliseconds
-/// (default 1500): how long a recovered run waits for its journaled
-/// subscribers to reconnect before replaying without them.
-pub const RESUME_GRACE_ENV: &str = "DIGS_DIGSD_RESUME_GRACE_MS";
-
-/// Default listen/connect address when [`ADDR_ENV`] is unset.
+/// Default listen/connect address, shared by client and server.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:4901";
-
-/// The daemon address: [`ADDR_ENV`] if set, else [`DEFAULT_ADDR`].
-pub fn default_addr() -> String {
-    std::env::var(ADDR_ENV).unwrap_or_else(|_| DEFAULT_ADDR.to_string())
-}
 
 /// How long an idle stream waits before emitting a heartbeat.
 pub const HEARTBEAT: Duration = Duration::from_millis(500);
 
-/// Daemon tunables. [`Default`] reads the environment; tests construct
-/// configs directly so parallel in-process daemons never share knobs.
+/// Daemon tunables. [`Default`] is plain constants and reads nothing
+/// outside the program, so in-process daemons share no state through it.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Per-subscriber queue capacity, frames ([`QUEUE_CAP_ENV`] or 4096).
+    /// Per-subscriber queue capacity, frames (default 4096).
     pub queue_cap: usize,
-    /// Durable journal path ([`JOURNAL_ENV`]); `None` disables recovery.
+    /// Durable journal path; `None` (the default) disables recovery.
     pub journal: Option<PathBuf>,
-    /// Supervised-restart policy ([`MAX_RESTARTS_ENV`] caps attempts).
+    /// Supervised-restart policy (default: at most 3 restarts per run).
     pub backoff: BackoffPolicy,
     /// How long a recovered run holds its replay for journaled
-    /// subscribers to reconnect ([`RESUME_GRACE_ENV`]).
+    /// subscribers to reconnect (default 1500 ms).
     pub resume_grace: Duration,
     /// Fault injection for the harness itself (off by default).
     pub chaos: ChaosConfig,
@@ -82,24 +57,12 @@ pub struct DaemonConfig {
 
 impl Default for DaemonConfig {
     fn default() -> DaemonConfig {
-        let queue_cap = std::env::var(QUEUE_CAP_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&c: &usize| c > 0)
-            .unwrap_or(4096);
-        let journal = std::env::var(JOURNAL_ENV).ok().filter(|p| !p.is_empty()).map(PathBuf::from);
-        let max_restarts =
-            std::env::var(MAX_RESTARTS_ENV).ok().and_then(|v| v.parse().ok()).unwrap_or(3);
-        let resume_grace = std::env::var(RESUME_GRACE_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .map_or(Duration::from_millis(1500), Duration::from_millis);
         DaemonConfig {
-            queue_cap,
-            journal,
-            backoff: BackoffPolicy::new(max_restarts),
-            resume_grace,
-            chaos: ChaosConfig::from_env(),
+            queue_cap: 4096,
+            journal: None,
+            backoff: BackoffPolicy::new(3),
+            resume_grace: Duration::from_millis(1500),
+            chaos: ChaosConfig::default(),
         }
     }
 }
@@ -295,6 +258,36 @@ impl Shared {
             }
         }
     }
+
+    /// Validates `spec` with the runner registered for `kind` and packages
+    /// the run; called again with the stored spec on every restart.
+    fn prepare(&self, kind: &str, spec: &Value) -> Result<Job, String> {
+        match self.runners.get(kind) {
+            Some(runner) => runner.prepare(spec),
+            None => Err(format!("unknown run kind `{kind}`")),
+        }
+    }
+
+    /// Adds a run to the registry in `state`, its hub closed unless the
+    /// state is live. `None` when the name is taken.
+    fn register(
+        &self,
+        name: &str,
+        kind: String,
+        spec: Value,
+        state: RunState,
+    ) -> Option<Arc<RunHandle>> {
+        let mut runs = self.runs.lock().expect("runs lock");
+        if runs.contains_key(name) {
+            return None;
+        }
+        let handle = Arc::new(RunHandle::new(name.to_string(), kind, spec, self.queue_cap, state));
+        if !state.is_live() {
+            handle.hub.close(None);
+        }
+        runs.insert(name.to_string(), Arc::clone(&handle));
+        Some(handle)
+    }
 }
 
 /// The digsd server. Bind, optionally register extra runners, then
@@ -399,43 +392,27 @@ impl Daemon {
             );
         }
         for rec in recovery.runs {
+            let register = |state| {
+                self.shared
+                    .register(&rec.name, rec.kind.clone(), rec.spec.clone(), state)
+                    .expect("the journal fold yields each run name once")
+            };
             if let Some((state, asn)) = rec.ended {
-                let handle = Arc::new(RunHandle::new(
-                    rec.name.clone(),
-                    rec.kind,
-                    rec.spec,
-                    self.shared.queue_cap,
-                    state,
-                ));
+                let handle = register(state);
                 handle.asn.store(asn, Ordering::Relaxed);
                 handle.restarts.store(rec.restarts, Ordering::Relaxed);
-                handle.hub.close(None);
-                self.shared.runs.lock().expect("runs lock").insert(rec.name, handle);
                 continue;
             }
-            let prepared = match self.shared.runners.get(&rec.kind) {
-                Some(runner) => runner.prepare(&rec.spec),
-                None => Err(format!("unknown run kind `{}`", rec.kind)),
-            };
-            let job = match prepared {
+            let job = match self.shared.prepare(&rec.kind, &rec.spec) {
                 Ok(job) => job,
                 Err(e) => {
                     eprintln!("digsd: cannot resume run `{}`: {e}", rec.name);
-                    let handle = Arc::new(RunHandle::new(
-                        rec.name.clone(),
-                        rec.kind,
-                        rec.spec,
-                        self.shared.queue_cap,
-                        RunState::Failed,
-                    ));
-                    handle.asn.store(rec.asn, Ordering::Relaxed);
-                    handle.hub.close(None);
+                    register(RunState::Failed).asn.store(rec.asn, Ordering::Relaxed);
                     self.shared.journal(&Record::End {
-                        run: rec.name.clone(),
+                        run: rec.name,
                         state: RunState::Failed,
                         asn: rec.asn,
                     });
-                    self.shared.runs.lock().expect("runs lock").insert(rec.name, handle);
                     continue;
                 }
             };
@@ -443,41 +420,12 @@ impl Daemon {
                 "digsd: resuming run `{}` from journal (asn {}, seq {})",
                 rec.name, rec.asn, rec.seq
             );
-            let handle = Arc::new(RunHandle::new(
-                rec.name.clone(),
-                rec.kind,
-                rec.spec,
-                self.shared.queue_cap,
-                RunState::Restarting,
-            ));
+            let handle = register(RunState::Restarting);
             handle.restarts.store(rec.restarts, Ordering::Relaxed);
             handle.resume_asn.store(rec.asn, Ordering::Relaxed);
-            self.shared
-                .runs
-                .lock()
-                .expect("runs lock")
-                .insert(rec.name.clone(), Arc::clone(&handle));
             self.shared.journal(&Record::Resume { run: rec.name, restarts: rec.restarts });
-            let expected_subscribers = rec.subscribers.len();
-            let grace = self.shared.resume_grace;
-            let shared = Arc::clone(&self.shared);
-            shared.active_runs.fetch_add(1, Ordering::SeqCst);
-            std::thread::spawn(move || {
-                // Hold the replay so journaled subscribers can reconnect
-                // and land their cursors before sequence 0 regenerates.
-                if expected_subscribers > 0 {
-                    let deadline = Instant::now() + grace;
-                    while Instant::now() < deadline
-                        && handle.hub.subscriber_count() < expected_subscribers
-                        && !handle.kill.load(Ordering::Relaxed)
-                        && !handle.suspend.load(Ordering::Relaxed)
-                    {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-                run_supervised(&shared, &handle, job);
-                shared.active_runs.fetch_sub(1, Ordering::SeqCst);
-            });
+            let hold = (rec.subscribers.len(), self.shared.resume_grace);
+            spawn_run(&self.shared, handle, job, Some(hold));
         }
     }
 }
@@ -649,44 +597,26 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<
                 }
                 let kind =
                     spec.field("kind").and_then(Value::as_str).unwrap_or("single").to_string();
-                let Some(runner) = shared.runners.get(&kind) else {
-                    send_error(
-                        &mut writer,
-                        ErrorCode::BadSpec,
-                        &format!("unknown run kind `{kind}`"),
-                    )?;
-                    continue;
-                };
-                let job = match runner.prepare(&spec) {
+                let job = match shared.prepare(&kind, &spec) {
                     Ok(job) => job,
                     Err(e) => {
                         send_error(&mut writer, ErrorCode::BadSpec, &e)?;
                         continue;
                     }
                 };
-                let handle = {
-                    let mut runs = shared.runs.lock().expect("runs lock");
-                    if runs.contains_key(&name) {
-                        send_error(&mut writer, ErrorCode::NameTaken, &name)?;
-                        continue;
-                    }
-                    let handle = Arc::new(RunHandle::new(
-                        name.clone(),
-                        kind.clone(),
-                        spec.clone(),
-                        shared.queue_cap,
-                        RunState::Running,
-                    ));
-                    runs.insert(name.clone(), Arc::clone(&handle));
-                    handle
+                let Some(handle) =
+                    shared.register(&name, kind.clone(), spec.clone(), RunState::Running)
+                else {
+                    send_error(&mut writer, ErrorCode::NameTaken, &name)?;
+                    continue;
                 };
-                shared.journal(&Record::Launch { run: name.clone(), kind, spec });
+                shared.journal(&Record::Launch { run: name, kind, spec });
                 // Tail subscriptions register before the run thread
                 // starts: the subscriber is guaranteed the complete
                 // stream, which is what makes a tailed export
                 // byte-identical to a file export.
                 let sub = tail.then(|| handle.hub.subscribe(filter));
-                spawn_run(shared, Arc::clone(&handle), job);
+                spawn_run(shared, Arc::clone(&handle), job, None);
                 send(&mut writer, &ServerMsg::Ok)?;
                 if let Some(sub) = sub {
                     stream_to(&mut writer, shared, &handle, &sub, &client_name)?;
@@ -789,11 +719,29 @@ fn stream_to(
     }
 }
 
-/// Spawns the supervised run thread and tracks it for shutdown.
-fn spawn_run(shared: &Arc<Shared>, handle: Arc<RunHandle>, job: Job) {
+/// Spawns the supervised run thread and tracks it for shutdown. A
+/// recovered run passes `hold`: the journaled subscriber count and the
+/// grace window it waits for them, so they can reconnect and land their
+/// cursors before sequence 0 regenerates.
+fn spawn_run(
+    shared: &Arc<Shared>,
+    handle: Arc<RunHandle>,
+    job: Job,
+    hold: Option<(usize, Duration)>,
+) {
     shared.active_runs.fetch_add(1, Ordering::SeqCst);
     let shared = Arc::clone(shared);
     std::thread::spawn(move || {
+        if let Some((subscribers, grace)) = hold {
+            let deadline = Instant::now() + grace;
+            while Instant::now() < deadline
+                && handle.hub.subscriber_count() < subscribers
+                && !handle.kill.load(Ordering::Relaxed)
+                && !handle.suspend.load(Ordering::Relaxed)
+            {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
         run_supervised(&shared, &handle, job);
         shared.active_runs.fetch_sub(1, Ordering::SeqCst);
     });
@@ -865,11 +813,7 @@ fn run_supervised(shared: &Arc<Shared>, handle: &Arc<RunHandle>, job: Job) {
                     }
                     std::thread::sleep(Duration::from_millis(10));
                 }
-                let prepared = match shared.runners.get(&handle.kind) {
-                    Some(runner) => runner.prepare(&handle.spec),
-                    None => Err(format!("unknown run kind `{}`", handle.kind)),
-                };
-                match prepared {
+                match shared.prepare(&handle.kind, &handle.spec) {
                     Ok(next) => {
                         // Replay from slot 0: sequences regenerate and
                         // every subscription's cursor skips its
@@ -890,24 +834,28 @@ fn run_supervised(shared: &Arc<Shared>, handle: &Arc<RunHandle>, job: Job) {
     }
 }
 
-/// Graceful suspension: journal the final cursor, close the stream with
-/// a `restarting` epilogue, and write **no** end record — the missing
-/// end record is what marks the run resumable on the next start.
+/// Graceful suspension: the run stays resumable from the journal.
 fn suspend_run(shared: &Shared, handle: &RunHandle) {
-    *handle.state.lock().expect("run state lock") = RunState::Restarting;
-    let asn = handle.progress();
-    shared.journal(&Record::Progress { run: handle.name.clone(), asn, seq: handle.hub.seq() });
-    let ended = ServerMsg::RunEnded { run: handle.name.clone(), state: RunState::Restarting, asn };
-    handle.hub.close(Some(&ended.encode()));
-    eprintln!("digsd: run `{}` suspended at asn {asn} (resumable from the journal)", handle.name);
+    finish_run(shared, handle, RunState::Restarting);
+    eprintln!(
+        "digsd: run `{}` suspended at asn {} (resumable from the journal)",
+        handle.name,
+        handle.progress()
+    );
 }
 
-/// Terminal exit: record the final state in the journal and close the
-/// hub with the terminal `run-state` frame.
+/// Ends the run's stream in `state`: journal it and close the hub with
+/// the `run-state` frame. A terminal state is journaled as an end record;
+/// `restarting` journals the final cursor and writes **no** end record —
+/// the missing end record is what marks the run resumable on the next
+/// start.
 fn finish_run(shared: &Shared, handle: &RunHandle, state: RunState) {
     *handle.state.lock().expect("run state lock") = state;
-    let asn = handle.progress();
-    shared.journal(&Record::End { run: handle.name.clone(), state, asn });
+    let (run, asn) = (handle.name.clone(), handle.progress());
+    shared.journal(&match state {
+        RunState::Restarting => Record::Progress { run, asn, seq: handle.hub.seq() },
+        _ => Record::End { run, state, asn },
+    });
     let ended = ServerMsg::RunEnded { run: handle.name.clone(), state, asn };
     handle.hub.close(Some(&ended.encode()));
 }
@@ -1024,7 +972,7 @@ fn prepare_fleet(spec: &Value) -> Result<Job, String> {
         };
         let observer =
             digs_fleet::FleetObserver { on_network: &on_network, cancel: ctx.cancel_flag() };
-        let policy = digs_fleet::RunPolicy::from_env();
+        let policy = digs_fleet::RunPolicy::default();
         let outcome = digs_fleet::run_fleet(&spec, params.jobs, Some(&observer), &policy);
         // Degraded runs ride the fleet frame stream too, so a tailing
         // client sees quarantines as they are accounted, not only in the

@@ -287,6 +287,79 @@ fn the_hub_is_its_per_frame_model_and_a_batch_is_its_frames_one_by_one() {
     assert!(lines > 10_000 && drops > 1_000, "{lines} lines delivered, {drops} frames dropped");
 }
 
+/// The same contract with a reader that races the writer: one thread
+/// publishes a run in drawn batches, starts it over once (`reset_for_replay`,
+/// then every frame again from 0) and closes; another drains as fast as it
+/// can. Whatever the interleaving, the reader sees strictly climbing
+/// sequences — nothing twice across the replay — every frame its filter
+/// accepts is counted once as sent or dropped, and the stream ends.
+#[test]
+fn a_draining_thread_races_a_publishing_thread_through_a_replay() {
+    const FINAL: &str = "{\"type\":\"run-state\"}";
+    let (mut delivered, mut drops) = (0, 0);
+    cases(48, |d| {
+        let total = d.int(50..400u64);
+        let replay_at = d.int(1..total);
+        let sizes: Vec<u64> = (0..2 * total).map(|_| d.int(0..10u64)).collect();
+        let filter = random_filter(d);
+        let accepted = (0..total).map(frame_at).filter(|f| filter.accepts(f.kind, f.node)).count();
+        for cap in [1 << 20, 4] {
+            let hub = Hub::new(cap);
+            // Subscribed before the first publish: the whole run is offered.
+            let sub = hub.subscribe(filter.clone());
+            let mut sizes = sizes.iter().copied().cycle();
+            let mut publish_to = |from: u64, to: u64| {
+                let mut seq = from;
+                while seq < to {
+                    let end = to.min(seq + sizes.next().expect("cycled"));
+                    let frames = (seq..end).map(|seq| {
+                        let f = frame_at(seq);
+                        (f.kind, f.node, move |out: &mut String| out.push_str(&f.payload))
+                    });
+                    assert_eq!(hub.publish_batch(RUN, frames), seq..end);
+                    seq = end;
+                }
+            };
+            let lines = std::thread::scope(|scope| {
+                let reader = scope.spawn(|| {
+                    let mut lines = Vec::new();
+                    loop {
+                        match sub.recv_timeout(Duration::from_millis(200)) {
+                            Recv::Lines { chunks, .. } => {
+                                lines.extend(chunks.concat().lines().map(str::to_string));
+                            }
+                            Recv::Idle => {}
+                            Recv::Closed => return lines,
+                        }
+                    }
+                });
+                publish_to(0, replay_at);
+                hub.reset_for_replay();
+                publish_to(0, total);
+                hub.close(Some(FINAL));
+                reader.join().expect("the reader ends with the stream")
+            });
+            assert_eq!(lines.last().map(String::as_str), Some(FINAL), "cap {cap}");
+            let seqs: Vec<u64> = lines[..lines.len() - 1]
+                .iter()
+                .map(|line| EventFrame::decode(line).expect("a queued frame decodes").seq)
+                .collect();
+            assert!(seqs.windows(2).all(|w| w[0] < w[1]), "cap {cap}: {seqs:?}");
+            let (sent, dropped) = sub.stats();
+            assert_eq!(sent, seqs.len() as u64, "cap {cap}: sent counts what was drained");
+            assert_eq!(sent + dropped, accepted as u64, "cap {cap}: each accepted frame once");
+            assert_eq!(hub.seq(), total, "cap {cap}: the replay ran to the end");
+            if cap > 4 {
+                assert_eq!(dropped, 0, "a queue of {cap} never fills");
+            }
+            delivered += sent;
+            drops += dropped;
+        }
+    });
+    // Both the delivery and the overflow path must have been raced.
+    assert!(delivered > 2_000 && drops > 500, "{delivered} delivered, {drops} dropped");
+}
+
 #[test]
 fn control_and_final_lines_pass_a_full_queue_that_drops_a_batch() {
     let hub = Hub::new(2);

@@ -40,7 +40,7 @@ pub mod spec;
 pub use aggregate::{aggregate, aggregate_partial, degrade_matching, FleetReport, SloPolicy};
 pub use runner::{
     fleet_tuned, run_fleet, run_network, summarize, DegradedRun, FleetObserver, FleetOutcome,
-    NetworkSummary, RunPolicy, RUN_TIMEOUT_ENV,
+    NetworkSummary, RunPolicy,
 };
 pub use shard::ShardedOutcome;
 pub use spec::{FleetGroup, FleetSpec, ShardedSpec, Template};

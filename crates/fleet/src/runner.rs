@@ -9,10 +9,6 @@ use digs_pool as pool;
 use digs_sim::time::SLOTS_PER_SECOND;
 use std::time::{Duration, Instant};
 
-/// Environment knob: per-network wall-clock budget in whole seconds
-/// (unset or 0 = no deadline). See [`RunPolicy::from_env`].
-pub const RUN_TIMEOUT_ENV: &str = "DIGS_FLEET_RUN_TIMEOUT";
-
 /// Everything the fleet report needs from one network run. Latencies are
 /// carried as a [`LogHistogram`] (ms), not raw samples, so aggregating a
 /// thousand networks is a per-bucket add, and the merged quantiles agree
@@ -141,20 +137,6 @@ pub struct RunPolicy {
     pub inject_timeout: Option<String>,
 }
 
-impl RunPolicy {
-    /// Policy from the environment: [`RUN_TIMEOUT_ENV`] seconds as the
-    /// deadline (unset/unparseable/0 = none), one retry when a deadline
-    /// is set (a timed-out network gets a second chance), none otherwise.
-    pub fn from_env() -> RunPolicy {
-        let timeout = std::env::var(RUN_TIMEOUT_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&s| s > 0)
-            .map(Duration::from_secs);
-        RunPolicy { retries: u32::from(timeout.is_some()), timeout, inject_timeout: None }
-    }
-}
-
 /// One network the fleet could not run cleanly: it needed retries
 /// (`quarantined == false`, the last attempt succeeded) or exhausted its
 /// attempts (`quarantined == true`, no summary exists for it).
@@ -248,7 +230,7 @@ enum TaskOutcome {
 /// [`FleetOutcome::degraded`] (quarantined) and the fleet carries on —
 /// the caller gates on the partial report instead of losing the whole
 /// sweep to one bad run. [`RunPolicy::default`] is one attempt with no
-/// deadline; [`RunPolicy::from_env`] is what the binaries pass.
+/// deadline.
 pub fn run_fleet(
     spec: &FleetSpec,
     jobs: Option<usize>,
@@ -452,8 +434,8 @@ mod tests {
     #[test]
     fn small_fleet_is_deterministic_and_summarized() {
         let spec = FleetSpec::new().group(Template::OilField, 2, 1).secs(150);
-        let a = run_fleet(&spec, Some(2), None, &RunPolicy::from_env());
-        let b = run_fleet(&spec, Some(1), None, &RunPolicy::from_env());
+        let a = run_fleet(&spec, Some(2), None, &RunPolicy::default());
+        let b = run_fleet(&spec, Some(1), None, &RunPolicy::default());
         assert_eq!(a.summaries.len(), 2);
         assert_eq!(a.node_secs, 2 * 47 * 150);
         // Same spec, different worker counts: identical summaries.

@@ -185,11 +185,6 @@ impl DigsRouting {
         self.children.iter().copied()
     }
 
-    /// Whether the given node is currently one of our children.
-    pub fn has_child(&self, id: NodeId) -> bool {
-        self.children.contains(&id)
-    }
-
     /// Whether the node has joined the routing graph (roots always have).
     pub fn is_joined(&self) -> bool {
         self.is_root || self.best.is_some()

@@ -431,11 +431,6 @@ impl Engine {
         self.ambient = ambient;
     }
 
-    /// The currently installed ambient interference sources.
-    pub fn ambient_jammers(&self) -> &[Jammer] {
-        &self.ambient
-    }
-
     /// Installs the failure schedule.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.edges = plan.edges().collect();

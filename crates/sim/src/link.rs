@@ -115,12 +115,6 @@ impl LinkModel {
         self.static_rss(tx, rx)
     }
 
-    /// Whether a transmitter is within carrier-sense range of a listener:
-    /// its static signal exceeds the CCA threshold (-85 dBm, CC2420 default).
-    pub fn in_carrier_sense_range(&self, a: NodeId, b: NodeId) -> bool {
-        self.static_rss(a, b).dbm() > -85.0
-    }
-
     /// Number of nodes the model covers.
     pub fn len(&self) -> usize {
         self.n

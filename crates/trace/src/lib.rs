@@ -38,5 +38,5 @@ pub use analysis::{
 };
 pub use event::{DropReason, Event, EventKind, FaultKind, PacketId, TrafficClass, NETWORK_NODE};
 pub use jsonl::{from_jsonl, to_jsonl, to_jsonl_line, write_jsonl_line, ParseError};
-pub use recorder::{NoopRecorder, Recorder, RingRecorder, TraceHandle, DEFAULT_CAPACITY};
+pub use recorder::{RingRecorder, TraceHandle, DEFAULT_CAPACITY};
 pub use ring::RingBuffer;

@@ -16,30 +16,6 @@ use std::sync::{Arc, Mutex};
 /// without an explicit capacity.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Sink for flight-recorder events.
-pub trait Recorder: std::fmt::Debug + Send {
-    /// Stores one event.
-    fn record(&mut self, event: Event);
-
-    /// Whether recording is active (call sites may skip event construction
-    /// entirely when this is `false`).
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The always-off recorder: discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn record(&mut self, _event: Event) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
 /// Bounded per-node flight recorder.
 ///
 /// Each node (plus the [`NETWORK_NODE`] sentinel) gets its own ring of
@@ -111,10 +87,9 @@ impl RingRecorder {
             ring.clear();
         }
     }
-}
 
-impl Recorder for RingRecorder {
-    fn record(&mut self, mut event: Event) {
+    /// Stores one event under the next sequence number.
+    pub fn record(&mut self, mut event: Event) {
         event.seq = self.next_seq;
         self.next_seq += 1;
         let cap = self.cap;
@@ -211,13 +186,6 @@ mod tests {
 
     fn ev(kind: EventKind) -> EventKind {
         kind
-    }
-
-    #[test]
-    fn noop_recorder_is_disabled() {
-        let mut r = NoopRecorder;
-        assert!(!r.enabled());
-        r.record(Event { seq: 0, asn: 0, node: 0, kind: EventKind::SlotStart });
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl NetworkManager {
         self.schedule.as_ref()
     }
 
-    /// The link database (mutable: the caller applies link/node events
-    /// before requesting an update).
-    pub fn link_db_mut(&mut self) -> &mut LinkDb {
-        &mut self.db
-    }
-
     /// Number of full update cycles performed.
     pub fn updates_performed(&self) -> u64 {
         self.updates

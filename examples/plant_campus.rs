@@ -12,7 +12,8 @@
 //! ```
 //!
 //! The run is deterministic: same spec, same report, regardless of
-//! worker count (set `DIGS_FLEET_JOBS` to check).
+//! worker count (`digs-cli fleet run --jobs N` runs the same pipeline on
+//! a chosen count).
 
 use digs_fleet::{aggregate, run_fleet, FleetSpec, RunPolicy, ShardedSpec, SloPolicy, Template};
 
@@ -32,8 +33,7 @@ fn main() {
         spec.secs
     );
 
-    let jobs = std::env::var("DIGS_FLEET_JOBS").ok().and_then(|s| s.parse().ok());
-    let outcome = run_fleet(&spec, jobs, None, &RunPolicy::from_env());
+    let outcome = run_fleet(&spec, None, None, &RunPolicy::default());
 
     let report = aggregate(&outcome.summaries, spec.secs);
     let policy = SloPolicy::default();
