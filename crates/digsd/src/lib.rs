@@ -25,7 +25,9 @@ mod chaos;
 mod client;
 mod hub;
 mod journal;
+mod run;
 mod server;
+mod session;
 mod spec;
 mod wire;
 
@@ -34,7 +36,8 @@ pub use client::{error_code, Client, ResumableStream, StreamEnd, StreamItem};
 pub use digs_json::Value;
 pub use hub::{BackoffPolicy, Hub, Recv, Subscription, Supervisor, Verdict};
 pub use journal::{Journal, Record, RecoveredRun, Recovery};
-pub use server::{Daemon, DaemonConfig, Job, RunCtx, RunHandle, Runner, DEFAULT_ADDR, HEARTBEAT};
+pub use run::{Job, RunCtx, RunHandle, Runner};
+pub use server::{Daemon, DaemonConfig, DEFAULT_ADDR, HEARTBEAT};
 pub use spec::{topology_from, FleetParams, SingleSpec};
 pub use wire::{
     valid_run_name, ClientMsg, ErrorCode, EventFrame, Filter, FrameKind, RunInfo, RunState,
