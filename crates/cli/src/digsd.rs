@@ -153,7 +153,7 @@ pub fn launch(args: &Args) -> Result<(), String> {
         eprintln!("digsd: launched `{name}` on {addr}");
         follow(&mut stream, false)
     } else {
-        connect(args)?.launch(&name, spec, false, filter(args)?)?;
+        Client::connect(&addr, "digs-cli")?.launch(&name, spec, false, filter(args)?)?;
         eprintln!("digsd: launched `{name}` on {addr}");
         Ok(())
     }

@@ -34,8 +34,7 @@ const fn flag(name: &'static str, value: &'static str, help: &'static str) -> Fl
 const TOPOLOGY: &[Flag] = &[flag(
     "topology",
     "T",
-    "testbed-a (default) | testbed-a-half | testbed-b | testbed-b-half | cooja | \
-     random:<devices>:<side-m>",
+    "testbed-{a,b}[-half] | cooja | random:<devices>:<side-m> (testbed-a)",
 )];
 
 /// What describes one network run (with [`TOPOLOGY`]): the fields of a
@@ -50,8 +49,7 @@ const RUN: &[Flag] = &[
     flag(
         "adaptive-jam",
         "START",
-        "a schedule-learning jammer beside every access point, on at START s \
-         (sniffs 30 s, then jams the busiest cells)",
+        "a schedule-learning jammer at every access point, on at START s",
     ),
     flag("randomize", "SECRET", "DiGS schedule randomization under this shared secret (0 = off)"),
     flag("seed", "N", "master RNG seed (default 1)"),
@@ -62,23 +60,15 @@ const TRACE: &[Flag] = &[flag("trace-cap", "N", "flight-recorder events per node
 const TELEMETRY: &[Flag] = &[
     flag("epoch-slots", "N", "slots per telemetry epoch (default 1000 = 10 s)"),
     flag("cap", "N", "epochs kept (default 4096)"),
-    flag(
-        "jam",
-        "START:END",
-        "full-band high-power WiFi jammer cluster on every access point for the window, seconds",
-    ),
+    flag("jam", "START:END", "full-band WiFi jammer cluster at every access point, seconds"),
 ];
 
 /// What describes a fleet: the fields of a `digs_digsd::FleetParams`.
 const FLEET: &[Flag] = &[
     flag("template", "NAME", "oil | factory | mixed (default: alternates the two)"),
-    flag("networks", "N", "independent networks to stamp out"),
+    flag("networks", "N", "independent networks to stamp out (fleet run 32, digsd launch 4)"),
     flag("seed-base", "N", "seed of the first network (default 1)"),
-    flag(
-        "sharded-devices",
-        "N",
-        "devices of one extra spatially sharded network (default 0: none)",
-    ),
+    flag("sharded-devices", "N", "devices of one extra, spatially sharded network (default 0)"),
     flag("shard-size", "N", "devices per shard (default 100)"),
     flag("sharded-seed", "N", "seed of the sharded network (default: the seed base)"),
     Flag {
@@ -105,7 +95,7 @@ const JSON: &[Flag] = &[flag("json", "", "machine-readable output")];
 
 /// `--run` and `--from-seq`, for the two commands that follow a stream.
 const FOLLOW: &[Flag] = &[
-    flag("run", "RUN", "the run to follow"),
+    flag("run", "RUN", "the run to follow (required)"),
     flag("from-seq", "N", "resume a previous session's stream position without duplicates"),
 ];
 
@@ -222,7 +212,10 @@ pub const COMMANDS: &[Command] = &[
         path: &["fleet", "report"],
         about: "re-render a saved fleet report; exit 1 if it records a breach",
         run: fleet::report,
-        flags: &[&[flag("input", "FILE", "a report written by fleet run --report")], JSON],
+        flags: &[
+            &[flag("input", "FILE", "a report written by fleet run --report (required)")],
+            JSON,
+        ],
     },
     Command {
         path: &["digsd", "serve"],
@@ -249,12 +242,12 @@ pub const COMMANDS: &[Command] = &[
         run: digsd::launch,
         flags: &[
             &[
-                flag("name", "RUN", "the run's name, [a-z0-9_-]{1,64}"),
+                flag("name", "RUN", "the run's name, [a-z0-9_-]{1,64} (required)"),
                 flag("kind", "K", "single (default) | fleet | scenario"),
                 flag("tail", "", "follow the stream: payload on stdout, control on stderr"),
                 flag("inject-loss", "START:END", "--jam under its daemon name"),
                 flag("matrix", "M", "scenario runs: small | full (default)"),
-                flag("scenario", "NAME", "scenario runs: which scenario of the matrix"),
+                flag("scenario", "NAME", "scenario runs: which scenario of the matrix (required)"),
             ],
             TOPOLOGY,
             RUN,
@@ -287,7 +280,7 @@ pub const COMMANDS: &[Command] = &[
         path: &["digsd", "kill"],
         about: "stop a run at its next flush boundary",
         run: digsd::kill,
-        flags: &[&[flag("run", "RUN", "the run to stop")], ADDR],
+        flags: &[&[flag("run", "RUN", "the run to stop (required)")], ADDR],
     },
     Command {
         path: &["digsd", "shutdown"],
@@ -340,9 +333,11 @@ impl Command {
             text.push_str(&format!(" [{}]", f.spelling()));
         }
         text.push_str(&format!("\n    {}\n", self.about));
-        for f in self.all_flags().filter(|_| detail) {
-            let env = f.env.map_or(String::new(), |var| format!(" [else ${var}]"));
-            text.push_str(&format!("      {}: {}{env}\n", f.spelling(), f.help));
+        if detail {
+            for f in self.all_flags() {
+                let env = f.env.map_or(String::new(), |var| format!(" [else ${var}]"));
+                text.push_str(&format!("      {}: {}{env}\n", f.spelling(), f.help));
+            }
         }
         text
     }
@@ -396,25 +391,33 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
         };
         given.insert(flag.name, (text, None));
     }
-    for flag in command.all_flags() {
-        if let (Some(var), false) = (flag.env, given.contains_key(flag.name)) {
-            if let Ok(text) = std::env::var(var) {
-                given.insert(flag.name, (text, Some(var)));
-            }
-        }
+    let from_env = command.all_flags().filter_map(|f| Some((f, std::env::var(f.env?).ok()?)));
+    for (flag, text) in from_env {
+        given.entry(flag.name).or_insert((text, flag.env));
     }
     Ok(Args { command, given })
 }
 
 impl Args {
+    /// The row's flag `name`; asking for one it does not declare is a bug
+    /// in the handler, found by the first smoke that reaches it.
     fn declared(&self, name: &str) -> &'static Flag {
         self.command.flag(name).unwrap_or_else(|| {
             panic!("`{}` asks for --{name}, which its row declares not", self.command.name())
         })
     }
 
-    /// The flag's value — the only place one is parsed. `None` when
-    /// neither the flag nor its variable is set.
+    /// The one shape of a value that does not parse: `bad --name: …`, or
+    /// `bad DIGS_X: …` when the variable supplied it.
+    fn bad(&self, name: &str, error: impl Display) -> String {
+        match self.given.get(name) {
+            Some((_, Some(var))) => format!("bad {var}: {error}"),
+            _ => format!("bad --{name}: {error}"),
+        }
+    }
+
+    /// The flag's value; `None` when neither the flag nor its variable is
+    /// set.
     ///
     /// # Panics
     ///
@@ -423,13 +426,11 @@ impl Args {
     where
         T::Err: Display,
     {
-        let Some((text, env)) = self.given.get(self.declared(name).name) else {
+        self.declared(name);
+        let Some((text, _)) = self.given.get(name) else {
             return Ok(None);
         };
-        text.parse().map(Some).map_err(|e| match env {
-            Some(var) => format!("bad {var}: {e}"),
-            None => format!("bad --{name}: {e}"),
-        })
+        text.parse().map(Some).map_err(|e| self.bad(name, e))
     }
 
     /// A flag the command cannot do without.
@@ -444,12 +445,19 @@ impl Args {
 
     /// Whether a switch was given.
     pub fn switch(&self, name: &str) -> bool {
-        self.given.contains_key(self.declared(name).name)
+        self.declared(name);
+        self.given.contains_key(name)
     }
 
     /// A `START:END` window of seconds.
     pub fn window(&self, name: &str) -> Result<Option<(u64, u64)>, String> {
-        Ok(self.get::<Window>(name)?.map(|w| (w.0, w.1)))
+        let Some(text) = self.get::<String>(name)? else {
+            return Ok(None);
+        };
+        match text.split_once(':').map(|(start, end)| (start.parse(), end.parse())) {
+            Some((Ok(start), Ok(end))) => Ok(Some((start, end))),
+            _ => Err(self.bad(name, format!("`{text}` is not START:END seconds"))),
+        }
     }
 
     /// A comma-separated list.
@@ -457,35 +465,11 @@ impl Args {
     where
         T::Err: Display,
     {
-        Ok(self.get::<Csv<T>>(name)?.map(|list| list.0))
-    }
-}
-
-struct Window(u64, u64);
-
-impl FromStr for Window {
-    type Err = String;
-
-    fn from_str(text: &str) -> Result<Window, String> {
-        let parts = text.split_once(':').map(|(start, end)| (start.parse(), end.parse()));
-        match parts {
-            Some((Ok(start), Ok(end))) => Ok(Window(start, end)),
-            _ => Err(format!("`{text}` is not START:END seconds")),
-        }
-    }
-}
-
-struct Csv<T>(Vec<T>);
-
-impl<T: FromStr> FromStr for Csv<T>
-where
-    T::Err: Display,
-{
-    type Err = String;
-
-    fn from_str(text: &str) -> Result<Csv<T>, String> {
-        let items = text.split(',').map(|item| item.trim().parse().map_err(|e| format!("{e}")));
-        items.collect::<Result<_, _>>().map(Csv)
+        let Some(text) = self.get::<String>(name)? else {
+            return Ok(None);
+        };
+        let items = text.split(',').map(|item| item.trim().parse().map_err(|e| self.bad(name, e)));
+        items.collect::<Result<_, _>>().map(Some)
     }
 }
 

@@ -147,12 +147,6 @@ impl RunCtx {
     pub fn cancel_flag(&self) -> &AtomicBool {
         &self.handle.kill
     }
-
-    /// Fault-injection hook at progress boundaries (may panic or stall;
-    /// see [`crate::chaos`]).
-    fn chaos_tick(&self, asn: u64) {
-        self.shared.chaos.on_progress(asn);
-    }
 }
 
 /// The work a validated launch will execute on its run thread.
@@ -351,7 +345,8 @@ impl RunObserver for StreamObserver {
 
     fn on_progress(&mut self, asn: u64) -> bool {
         self.ctx.set_progress(asn);
-        self.ctx.chaos_tick(asn);
+        // Fault injection: may stall or panic here (see `crate::chaos`).
+        self.ctx.shared.chaos.on_progress(asn);
         !self.ctx.cancelled()
     }
 
