@@ -113,6 +113,10 @@ pub struct Network {
     /// reference the wake-driven path is differentially tested against.
     #[cfg(test)]
     ask_every_slot: bool,
+    /// When `Some`, how many times the engine has called `slot_intent`
+    /// since it was set (counted through [`crate::stack::CountAsks`]).
+    #[cfg(test)]
+    asks: Option<u64>,
 }
 
 impl Network {
@@ -230,6 +234,8 @@ impl Network {
             observer_stopped: false,
             #[cfg(test)]
             ask_every_slot: false,
+            #[cfg(test)]
+            asks: None,
         }
     }
 
@@ -330,6 +336,15 @@ impl Network {
             let mut asked: Vec<_> =
                 self.stacks.iter_mut().map(crate::stack::AskEverySlot).collect();
             return self.engine.run(&mut asked, slots);
+        }
+        #[cfg(test)]
+        if let Some(asks) = &mut self.asks {
+            let counter = std::cell::Cell::new(*asks);
+            let mut counted: Vec<_> =
+                self.stacks.iter_mut().map(|s| crate::stack::CountAsks(s, &counter)).collect();
+            self.engine.run(&mut counted, slots);
+            *asks = counter.get();
+            return;
         }
         self.engine.run(&mut self.stacks, slots);
     }

@@ -8,6 +8,7 @@
 use super::*;
 use crate::config::NetworkConfig;
 use digs_sim::fault::{ChaosConfig, ChaosPlan, Outage};
+use digs_sim::ids::NodeId;
 use digs_sim::topology::Topology;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +22,10 @@ enum Scenario {
     Randomized,
     /// A new central schedule installed mid-run (WirelessHART).
     Reprovisioned,
+    /// All of Testbed A, on which three devices die for good: every
+    /// neighbour's eviction and, where one had registered as a child, the
+    /// sweep of its receive cell come due 192 s later, inside the run.
+    Deaths,
 }
 
 /// Which `Network` entry point advances the run.
@@ -43,7 +48,10 @@ struct Quiet;
 impl RunObserver for Quiet {}
 
 fn config(protocol: Protocol, scenario: Scenario, traced: bool, seed: u64) -> NetworkConfig {
-    let topology = Topology::testbed_a_half();
+    let topology = match scenario {
+        Scenario::Deaths => Topology::testbed_a(),
+        _ => Topology::testbed_a_half(),
+    };
     let mut builder = NetworkConfig::builder(topology.clone())
         .protocol(protocol)
         .seed(seed)
@@ -60,6 +68,14 @@ fn config(protocol: Protocol, scenario: Scenario, traced: bool, seed: u64) -> Ne
                 faults.push(Outage::permanent(victim, Asn::from_secs(DEAD_FROM_SECS)));
             }
             builder = jammers.into_iter().fold(builder.faults(faults), |b, j| b.jammer(j));
+        }
+        Scenario::Deaths => {
+            let dead_from = Asn::from_secs(DEAD_FROM_SECS);
+            let victims = topology.field_devices().into_iter().skip(5).step_by(16);
+            builder =
+                builder.faults(victims.fold(digs_sim::fault::FaultPlan::none(), |plan, v| {
+                    plan.with(Outage::permanent(v, dead_from))
+                }));
         }
         Scenario::Randomized => builder = builder.randomize(0x5ec2e7),
         Scenario::Clean | Scenario::Reprovisioned => {}
@@ -148,8 +164,19 @@ fn exercised(what: &str, protocol: Protocol, scenario: Scenario, network: &Netwo
         // Formation: unsynchronised scanning, first join, Trickle resets.
         assert!(count("parent-switch") > 0 && count("cell-alloc") > 0, "{what}: no formation");
     }
-    if scenario == Scenario::Chaos {
-        assert!(count("node-reset") > 0 && count("clock-desync") > 0, "{what}: no chaos");
+    if scenario == Scenario::Deaths {
+        let dead_from = Asn::from_secs(DEAD_FROM_SECS);
+        let dead = |id: NodeId| !network.config().faults.is_alive(id, dead_from);
+        for (id, stack) in network.stacks().iter().enumerate() {
+            let ProtocolStack::Orchestra(stack) = stack else { panic!("{what}: not Orchestra") };
+            let known = stack.routing().neighbors().iter().filter(|(n, _)| dead(*n)).count();
+            assert!(dead(NodeId(id as u16)) || known == 0, "{what}: node {id} evicted nobody");
+        }
+    }
+    if matches!(scenario, Scenario::Chaos | Scenario::Deaths) {
+        if scenario == Scenario::Chaos {
+            assert!(count("node-reset") > 0 && count("clock-desync") > 0, "{what}: no chaos");
+        }
         if protocol != Protocol::WirelessHart {
             let swept = events
                 .iter()
@@ -180,6 +207,65 @@ fn digs_wake_driven_matches_ask_every_slot() {
 #[test]
 fn orchestra_wake_driven_matches_ask_every_slot() {
     matrix(Protocol::Orchestra, &[Scenario::Clean, Scenario::Chaos]);
+}
+
+#[test]
+fn orchestra_on_all_of_testbed_a_sweeps_children_and_evicts_neighbours() {
+    differential(Protocol::Orchestra, Scenario::Deaths, true, Drive::Run, SEEDS[0]);
+}
+
+/// Formation, while most nodes scan, cut into single slots: the meters are
+/// settled on return from every one of them.
+#[test]
+fn formation_cut_into_single_slots_matches_ask_every_slot() {
+    for protocol in [Protocol::Digs, Protocol::Orchestra] {
+        let what = format!("{protocol:?} forming slot by slot");
+        let mut wake = Network::new(config(protocol, Scenario::Clean, true, SEEDS[1]));
+        let mut every = Network::new(config(protocol, Scenario::Clean, true, SEEDS[1]));
+        every.ask_every_slot = true;
+        let mut cursor = 0;
+        for slot in 1..=3_000 {
+            wake.run(1);
+            every.run(1);
+            let meters = |n: &Network| n.engine().energy_meters().to_vec();
+            assert_eq!(meters(&wake), meters(&every), "{what}: energy meters after {slot}");
+            if slot % 250 == 0 {
+                assert_same(&what, &wake, &every, &mut cursor);
+            }
+        }
+        let scanning = wake.stacks().iter().filter(|s| s.telemetry().synced_at.is_none()).count();
+        assert!(scanning > 0, "{what}: every node synchronised inside the cut");
+        wake.run(7_000);
+        every.run(7_000);
+        assert_same(&what, &wake, &every, &mut cursor);
+        assert!(wake.stacks().iter().all(ProtocolStack::is_joined), "{what}: not formed");
+    }
+}
+
+/// The exactness above holds for a kernel that asks every node in every
+/// slot, too: this holds the gain. On the idle configuration (Testbed A,
+/// two slow flows, formed) the production run asks each stack in fewer than
+/// one node-slot in 25 — the sync cells, the shared routing cell every 47
+/// slots, and what little is due besides; its `AskEverySlot` twin asks in
+/// every one, and before receive cells, scanning, empty transmit cells and
+/// the two 64-slot polls left `next_wake` it was one in 11 under DiGS and
+/// one in 4 under Orchestra.
+#[test]
+fn an_idle_network_is_asked_in_a_small_share_of_its_node_slots() {
+    for protocol in [Protocol::Digs, Protocol::Orchestra] {
+        let topology = Topology::testbed_a();
+        let nodes = topology.len() as u64;
+        let mut config =
+            NetworkConfig::builder(topology).protocol(protocol).seed(1).random_flows(2, 3000, 1);
+        config = config.trace_cap(0).telemetry_epoch(0);
+        let mut network = Network::new(config.build());
+        network.run(18_000);
+        network.asks = Some(0);
+        network.run(40_000);
+        let asks = network.asks.expect("counted");
+        let twin_asks = nodes * 40_000;
+        assert!(asks * 25 < twin_asks, "{protocol:?}: {asks} asks in {twin_asks} node-slots");
+    }
 }
 
 #[test]

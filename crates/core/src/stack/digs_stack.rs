@@ -9,7 +9,7 @@ use digs_routing::messages::{ParentSlot, RoutingEvent};
 use digs_routing::{DigsRouting, Rank, RoutingConfig};
 use digs_scheduling::slotframe::CellAction;
 use digs_scheduling::{DigsScheduler, SlotframeLengths};
-use digs_sim::engine::{NodeStack, SlotIntent, TxOutcome};
+use digs_sim::engine::{NodeStack, SlotIntent, StandingListens, TxOutcome};
 use digs_sim::ids::NodeId;
 use digs_sim::packet::Frame;
 use digs_sim::rf::Dbm;
@@ -138,12 +138,12 @@ impl DigsStack {
     /// Whether the node holds TSCH synchronization (a desynced node is
     /// scanning for EBs and its housekeeping is dormant).
     pub fn is_synced(&self) -> bool {
-        self.mac.synced_at.is_some()
+        self.mac.synced_at().is_some()
     }
 
     /// When the node last (re-)acquired synchronization, if it has any.
     pub fn synced_at(&self) -> Option<Asn> {
-        self.mac.synced_at
+        self.mac.synced_at()
     }
 
     /// Read access to the routing state machine (snapshots, assertions).
@@ -264,8 +264,18 @@ impl NodeStack for DigsStack {
     }
 
     fn next_wake(&self, from: Asn) -> Asn {
-        self.mac
-            .next_wake(from, || self.routing.next_tick(from).min(self.scheduler.next_cell(from)))
+        let has_data = !self.mac.app_queue.is_empty();
+        self.mac.next_wake(from, || {
+            self.routing.next_tick(from).min(self.scheduler.next_wake_cell(from, has_data))
+        })
+    }
+
+    fn standing_listens(&self) -> StandingListens<'_> {
+        self.mac.standing_listens(self.scheduler.standing_listens())
+    }
+
+    fn standing_version(&self) -> u64 {
+        self.mac.standing_version(self.scheduler.standing_version())
     }
 
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {

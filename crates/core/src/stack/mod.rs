@@ -21,7 +21,7 @@ pub use whart_stack::WhartStack;
 
 use crate::payload::{DataPacket, Payload};
 use digs_sim::channel::{ChannelOffset, NUM_CHANNELS};
-use digs_sim::engine::{NodeStack, SlotIntent, TxOutcome};
+use digs_sim::engine::{NodeStack, SlotIntent, StandingListens, TxOutcome};
 use digs_sim::ids::NodeId;
 use digs_sim::packet::Frame;
 use digs_sim::rf::Dbm;
@@ -172,6 +172,22 @@ impl NodeStack for ProtocolStack {
         }
     }
 
+    fn standing_listens(&self) -> StandingListens<'_> {
+        match self {
+            ProtocolStack::Digs(s) => s.standing_listens(),
+            ProtocolStack::Orchestra(s) => s.standing_listens(),
+            ProtocolStack::WirelessHart(s) => s.standing_listens(),
+        }
+    }
+
+    fn standing_version(&self) -> u64 {
+        match self {
+            ProtocolStack::Digs(s) => s.standing_version(),
+            ProtocolStack::Orchestra(s) => s.standing_version(),
+            ProtocolStack::WirelessHart(s) => s.standing_version(),
+        }
+    }
+
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {
         match self {
             ProtocolStack::Digs(s) => s.on_frame(asn, frame, rss),
@@ -207,7 +223,8 @@ impl NodeStack for ProtocolStack {
 
 /// A stack driven the way the engine drove every stack before it had
 /// wake slots: everything is the wrapped stack's, except that `next_wake`
-/// keeps the trait's default and so asks for `slot_intent` in every slot.
+/// and `standing_listens` keep the trait's defaults, and so `slot_intent`
+/// is asked for in every slot and the radio does only what it answers.
 /// The reference of the wake-driven path's differential test.
 #[cfg(test)]
 pub(crate) struct AskEverySlot<'a>(pub &'a mut ProtocolStack);
@@ -218,6 +235,49 @@ impl NodeStack for AskEverySlot<'_> {
 
     fn slot_intent(&mut self, asn: Asn) -> SlotIntent<Payload> {
         self.0.slot_intent(asn)
+    }
+
+    fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {
+        self.0.on_frame(asn, frame, rss);
+    }
+
+    fn on_tx_outcome(&mut self, asn: Asn, outcome: TxOutcome) {
+        self.0.on_tx_outcome(asn, outcome);
+    }
+
+    fn reset(&mut self, asn: Asn) {
+        self.0.reset(asn);
+    }
+
+    fn desync(&mut self, asn: Asn) {
+        self.0.desync(asn);
+    }
+}
+
+/// A stack driven as production drives it, counting into `.1` how often
+/// the engine asks it for its intent.
+#[cfg(test)]
+pub(crate) struct CountAsks<'a>(pub &'a mut ProtocolStack, pub &'a std::cell::Cell<u64>);
+
+#[cfg(test)]
+impl NodeStack for CountAsks<'_> {
+    type Payload = Payload;
+
+    fn slot_intent(&mut self, asn: Asn) -> SlotIntent<Payload> {
+        self.1.set(self.1.get() + 1);
+        self.0.slot_intent(asn)
+    }
+
+    fn next_wake(&self, from: Asn) -> Asn {
+        self.0.next_wake(from)
+    }
+
+    fn standing_listens(&self) -> StandingListens<'_> {
+        self.0.standing_listens()
+    }
+
+    fn standing_version(&self) -> u64 {
+        self.0.standing_version()
     }
 
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {

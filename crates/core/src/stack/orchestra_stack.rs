@@ -8,7 +8,7 @@ use crate::payload::Payload;
 use digs_routing::messages::RoutingEvent;
 use digs_routing::{Rank, RoutingConfig, RplRouting};
 use digs_scheduling::{OrchestraScheduler, SlotframeLengths};
-use digs_sim::engine::{NodeStack, SlotIntent, TxOutcome};
+use digs_sim::engine::{NodeStack, SlotIntent, StandingListens, TxOutcome};
 use digs_sim::ids::NodeId;
 use digs_sim::packet::Frame;
 use digs_sim::rf::Dbm;
@@ -129,7 +129,7 @@ impl OrchestraStack {
 
     /// Whether the node is synchronized and attached to the DODAG.
     pub fn is_joined(&self) -> bool {
-        self.mac.synced_at.is_some() && self.routing.is_joined()
+        self.mac.synced_at().is_some() && self.routing.is_joined()
     }
 
     /// Read access to the RPL state machine.
@@ -186,15 +186,25 @@ impl NodeStack for OrchestraStack {
     }
 
     fn next_wake(&self, from: Asn) -> Asn {
-        self.mac
-            .next_wake(from, || self.routing.next_tick(from).min(self.scheduler.next_cell(from)))
+        let has_data = !self.mac.app_queue.is_empty();
+        self.mac.next_wake(from, || {
+            self.routing.next_tick(from).min(self.scheduler.next_wake_cell(from, has_data))
+        })
+    }
+
+    fn standing_listens(&self) -> StandingListens<'_> {
+        self.mac.standing_listens(self.scheduler.standing_listens())
+    }
+
+    fn standing_version(&self) -> u64 {
+        self.mac.standing_version(self.scheduler.standing_version())
     }
 
     fn on_frame(&mut self, asn: Asn, frame: &Frame<Payload>, rss: Dbm) {
         match &frame.payload {
             Payload::Eb => self.mac.on_beacon(asn),
             Payload::Dio(dio) => {
-                if self.mac.synced_at.is_some() {
+                if self.mac.synced_at().is_some() {
                     let events = self.routing.on_dio(frame.src, dio, rss, asn);
                     self.process_routing_events(events, asn);
                     self.register_child(frame.src, asn);

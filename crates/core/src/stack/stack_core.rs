@@ -19,7 +19,7 @@ use crate::payload::{DataPacket, Payload};
 use crate::queue::BoundedQueue;
 use digs_routing::Rank;
 use digs_scheduling::slotframe::{Cell, CellAction};
-use digs_sim::engine::{SlotIntent, TxOutcome};
+use digs_sim::engine::{SlotIntent, StandingListens, TxOutcome};
 use digs_sim::ids::{FlowId, NodeId};
 use digs_sim::packet::{Dest, Frame};
 use digs_sim::time::Asn;
@@ -240,9 +240,15 @@ pub(crate) struct TschMac {
     /// over-listening costs idle-listen energy (the overhead the paper
     /// acknowledges) but never loses packets.
     child_last_seen: BTreeMap<NodeId, Asn>,
+    /// The first slot in which a sweep finds a silent child (`None`: no
+    /// child is registered), kept so that it is named without a walk over
+    /// the table.
+    first_silent_at: Option<Asn>,
     /// When the node last acquired synchronization (`None`: it is scanning
     /// for EBs and its housekeeping is dormant).
-    pub synced_at: Option<Asn>,
+    synced_at: Option<Asn>,
+    /// How many times `synced_at` was set or cleared.
+    sync_changes: u32,
     last_tx: Option<LastTx>,
     /// Rank as last reported to the flight recorder.
     traced_rank: Rank,
@@ -271,7 +277,9 @@ impl TschMac {
             app_queue: BoundedQueue::new(queue_capacity),
             routing_queue: BoundedQueue::new(queue_capacity),
             child_last_seen: BTreeMap::new(),
+            first_silent_at: None,
             synced_at: is_ap.then_some(Asn::ZERO),
+            sync_changes: 0,
             last_tx: None,
             traced_rank: rank,
             traced_parents: (None, None),
@@ -285,7 +293,8 @@ impl TschMac {
         self.app_queue.clear();
         self.routing_queue.clear();
         self.child_last_seen.clear();
-        self.synced_at = self.core.is_ap.then_some(asn);
+        self.first_silent_at = None;
+        self.set_synced_at(self.core.is_ap.then_some(asn));
         self.last_tx = None;
         self.traced_rank = rank;
         self.traced_parents = (None, None);
@@ -296,9 +305,20 @@ impl TschMac {
     /// Access points are wired time roots and cannot lose sync.
     pub fn desync(&mut self) {
         if !self.core.is_ap {
-            self.synced_at = None;
+            self.set_synced_at(None);
             self.last_tx = None;
         }
+    }
+
+    /// When the node last acquired synchronization (`None`: it is scanning
+    /// for EBs and its housekeeping is dormant).
+    pub fn synced_at(&self) -> Option<Asn> {
+        self.synced_at
+    }
+
+    fn set_synced_at(&mut self, synced_at: Option<Asn>) {
+        self.synced_at = synced_at;
+        self.sync_changes += 1;
     }
 
     /// Installs the flight-recorder handle (shared with the engine), with
@@ -352,7 +372,7 @@ impl TschMac {
         if self.synced_at.is_none()
             && digs_sim::rng::uniform01(u64::from(self.core.id.0) ^ 0xeb, asn.0, 3, 1) < 0.25
         {
-            self.synced_at = Some(asn);
+            self.set_synced_at(Some(asn));
             self.core.telemetry.synced_at = Some(asn);
         }
     }
@@ -372,21 +392,38 @@ impl TschMac {
     /// The earliest slot at or after `from` at which the stack above must
     /// be asked for its intent, given the earliest slot its routing layer
     /// and its scheduler need (`protocol`, evaluated only when it counts).
-    /// An unsynchronised node scans in every slot; a synchronised one is
-    /// also due when a flow generates and at each child sweep.
+    /// An unsynchronised node is due only when a flow generates — its
+    /// scanning is a standing listen; a synchronised one also at the first
+    /// child sweep that finds a silent child.
     #[inline]
     pub fn next_wake(&self, from: Asn, protocol: impl FnOnce() -> Asn) -> Asn {
-        if self.synced_at.is_none() {
-            return from;
+        let mut wake = Asn(u64::MAX);
+        if self.synced_at.is_some() {
+            wake = protocol();
+            if let Some(silent) = self.first_silent_at {
+                wake = wake.min(Asn(from.max(silent).0.next_multiple_of(CHILD_SWEEP_PERIOD)));
+            }
         }
-        let mut wake = protocol();
         if let Some(generation) = self.core.next_generation(from) {
             wake = wake.min(generation);
         }
-        if !self.child_last_seen.is_empty() {
-            wake = wake.min(Asn(from.0.next_multiple_of(CHILD_SWEEP_PERIOD)));
-        }
         wake
+    }
+
+    /// What the radio does in the slots [`Self::next_wake`] does not name:
+    /// it scans while unsynchronised, and receives in the scheduler's
+    /// receive cells (`scheduled`) after.
+    pub fn standing_listens<'a>(&self, scheduled: StandingListens<'a>) -> StandingListens<'a> {
+        match self.synced_at {
+            None => StandingListens::EverySlot(scan_offset),
+            Some(_) => scheduled,
+        }
+    }
+
+    /// Moves whenever [`Self::standing_listens`] may: with the
+    /// synchronization state and with the scheduler's `cells_version`.
+    pub fn standing_version(&self, cells_version: u32) -> u64 {
+        u64::from(self.sync_changes) << 32 | u64::from(cells_version)
     }
 
     /// Queues a routing broadcast, replacing any queued one of its kind:
@@ -405,12 +442,24 @@ impl TschMac {
     /// Notes that `child` was heard at `asn`; `true` when it is newly
     /// registered (its receive cell was just installed).
     pub fn child_heard(&mut self, child: NodeId, asn: Asn) -> bool {
-        self.child_last_seen.insert(child, asn).is_none()
+        let new = self.child_last_seen.insert(child, asn).is_none();
+        self.find_first_silent();
+        new
     }
 
     /// Forgets `child`; `true` when it was registered.
     pub fn child_revoked(&mut self, child: NodeId) -> bool {
-        self.child_last_seen.remove(&child).is_some()
+        let registered = self.child_last_seen.remove(&child).is_some();
+        self.find_first_silent();
+        registered
+    }
+
+    /// A sweep at `asn` forgets the children with
+    /// `seen < asn - CHILD_SILENCE_SLOTS`: the first is the one heard
+    /// longest ago, from the slot after its silence is complete.
+    fn find_first_silent(&mut self) {
+        let oldest = self.child_last_seen.values().min();
+        self.first_silent_at = oldest.map(|seen| *seen + (CHILD_SILENCE_SLOTS + 1));
     }
 
     /// When `child` was last heard from.
@@ -440,6 +489,7 @@ impl TschMac {
             }
             keep
         });
+        self.find_first_silent();
         stale
     }
 
@@ -515,5 +565,43 @@ impl TschMac {
             // whatever it held back queued for its next cell.
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn closed_form_sweep_wake_matches_sweeping_every_slot() {
+        let mut swept_children = 0;
+        digs_cases::cases(12, |d| {
+            // Synchronised from birth, no flow: only a sweep can be due.
+            let mac = || TschMac::new(NodeId(0), true, Vec::new(), 4, Rank::ROOT);
+            let (mut every, mut skipping) = (mac(), mac());
+            let nothing_else = || Asn(u64::MAX);
+            // Children heard now and then, each until it falls silent for good.
+            let children = d.vec(1..6, |d| (NodeId(d.int(1u16..30)), d.int(1u64..30_000)));
+            for now in (0..30_000 + CHILD_SILENCE_SLOTS + 2 * CHILD_SWEEP_PERIOD).map(Asn) {
+                let swept = every.sweep_children(now);
+                if skipping.next_wake(now, nothing_else) == now {
+                    assert_eq!(skipping.sweep_children(now), swept, "at {now}");
+                    assert!(!swept.is_empty(), "named {now}, a sweep that finds nobody");
+                } else {
+                    assert!(swept.is_empty(), "skipped {now}, which sweeps {swept:?}");
+                }
+                swept_children += swept.len();
+                for (child, silent_from) in &children {
+                    if now.0 < *silent_from && d.int(0..2_000) == 0 {
+                        assert_eq!(
+                            every.child_heard(*child, now),
+                            skipping.child_heard(*child, now)
+                        );
+                    }
+                }
+            }
+            assert_eq!(skipping.next_wake(Asn(0), nothing_else), Asn(u64::MAX), "children left");
+        });
+        assert!(swept_children >= 12, "only {swept_children} children swept");
     }
 }

@@ -443,3 +443,93 @@ fn fresh_routing_broadcast_replaces_the_queued_one() {
         assert!(offered.len() >= 2, "the offer must follow the routing state: {offered:?}");
     }
 }
+
+/// What the wake contract says about a stack's answers, checked against a
+/// stack that is asked in every slot: `next_wake` never names a slot later
+/// than one in which `slot_intent` answers `Transmit`, and in a slot it
+/// does not name the answer is `Listen` on the offset the standing
+/// description gives, or `Sleep` where it gives none.
+#[test]
+fn next_wake_names_every_transmit_and_standing_listens_say_the_rest() {
+    let routing_config = RoutingConfig::default();
+    let me = NodeId(5);
+    let flows = || vec![FlowSpec { id: FlowId(0), source: me, period: 900, phase: 40 }];
+    let digs = DigsProvision { routing_config, ..digs_provision(8) };
+    let orchestra = OrchestraProvision { routing_config, ..orchestra_provision(8) };
+    digs_cases::cases(6, |d| {
+        let randomize = d.bool().then(|| d.u64());
+        for mut stack in [
+            ProtocolStack::Digs(DigsStack::new(
+                me,
+                false,
+                flows(),
+                DigsProvision { randomize, ..digs },
+            )),
+            ProtocolStack::Orchestra(OrchestraStack::new(me, false, flows(), orchestra)),
+        ] {
+            let (mut data_sent, mut unasked_listens, mut unasked_sleeps) = (0, 0, 0);
+            let mut relayed_seq = 0;
+            for asn in (0..40_000).map(Asn) {
+                // Now and then the clock slips or the node reboots, and has
+                // to scan its way back in.
+                match d.int(0..15_000) {
+                    0 => stack.desync(asn),
+                    1 => stack.reset(asn),
+                    _ => {}
+                }
+                let wake = stack.next_wake(asn);
+                let standing = stack.standing_listens().offset_at(asn);
+                assert!(wake >= asn);
+                let intent = stack.slot_intent(asn);
+                match &intent {
+                    SlotIntent::Transmit { frame, .. } => {
+                        assert_eq!(wake, asn, "a {:?} frame in a slot not named", frame.kind);
+                        data_sent += u32::from(frame.kind == FrameKind::Data);
+                    }
+                    SlotIntent::Listen { offset } if wake > asn => {
+                        assert_eq!(standing, Some(*offset), "at {asn}, next wake {wake}");
+                        unasked_listens += 1;
+                    }
+                    SlotIntent::Sleep if wake > asn => {
+                        assert_eq!(standing, None, "at {asn}, next wake {wake}");
+                        unasked_sleeps += 1;
+                    }
+                    _ => {}
+                }
+                // Node 0 is in range as in `drive`; node 9 relays through us
+                // now and then, which makes it our child.
+                if d.int(0..4) == 0 {
+                    stack.on_frame(asn, &eb_frame(0), STRONG);
+                }
+                if asn.0 % 50 == 0 {
+                    stack.on_frame(asn, &join_in_frame(0, 1, 0.0), STRONG);
+                    stack.on_frame(asn, &dio_frame(0, 1), STRONG);
+                }
+                if asn.0 % 1_000 == 7 {
+                    let mut child = join_in_frame(9, 3, 2.0);
+                    if let Payload::JoinIn(join_in) = &mut child.payload {
+                        join_in.best_parent = Some(me);
+                    }
+                    stack.on_frame(asn, &child, STRONG);
+                    stack.on_frame(asn, &dio_frame(9, 3), STRONG);
+                }
+                if d.int(0..700) == 0 {
+                    relayed_seq += 1;
+                    stack.on_frame(asn, &relayed(relayed_seq), STRONG);
+                }
+                if let SlotIntent::Transmit { frame, .. } = intent {
+                    let outcome = match d.int(0..4) {
+                        0 if frame.dst != Dest::Broadcast => TxOutcome::NoAck,
+                        _ => clean(&frame),
+                    };
+                    stack.on_tx_outcome(asn, outcome);
+                }
+            }
+            let what = (data_sent, unasked_listens, unasked_sleeps);
+            // A randomized DiGS schedule keeps its receive cells asked.
+            let moving = randomize.is_some() && matches!(stack, ProtocolStack::Digs(_));
+            let listens = if moving { 50 } else { 500 };
+            assert!(what.0 > 100 && what.1 > listens && what.2 > 30_000, "{what:?}");
+        }
+    });
+}

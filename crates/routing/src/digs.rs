@@ -24,7 +24,7 @@
 //! or prolonged silence), which the pseudo-code leaves implicit.
 
 use crate::messages::{JoinIn, JoinedCallback, ParentSlot, Rank, RoutingEvent};
-use crate::neighbor::{is_housekeeping_turn, next_housekeeping_turn, NeighborTable};
+use crate::neighbor::{is_housekeeping_turn, next_due_housekeeping_turn, NeighborTable};
 use crate::trickle::{Trickle, TrickleConfig};
 use digs_sim::ids::NodeId;
 use digs_sim::rf::Dbm;
@@ -109,7 +109,7 @@ impl RoutingConfig {
 }
 
 /// The per-node DiGS routing state machine. See the [module docs](self).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DigsRouting {
     id: NodeId,
     is_root: bool,
@@ -375,10 +375,22 @@ impl DigsRouting {
     }
 
     /// The earliest slot at or after `from` at which [`Self::tick`] does
-    /// anything: the node's turn in the staggered eviction and
-    /// backup-staleness cadence, or the Trickle timer's next event.
+    /// anything: the Trickle timer's next event, or the node's first turn
+    /// in the staggered housekeeping cadence that finds something — a
+    /// neighbor silent for longer than `neighbor_timeout`, or a backup
+    /// parent silent for longer than `backup_staleness` (at once, if it has
+    /// no neighbor entry). A turn before that evicts nothing and
+    /// re-evaluates nothing, by the very conditions `tick` tests.
     pub fn next_tick(&self, from: Asn) -> Asn {
-        next_housekeeping_turn(self.id, from).min(self.trickle.next_event().max(from))
+        let config = &self.config;
+        let evicts =
+            self.neighbors.oldest_heard().map(|heard| heard + (config.neighbor_timeout + 1));
+        let distrusts = self.second.map(|second| {
+            let entry = self.neighbors.get(second);
+            entry.map_or(Asn::ZERO, |e| e.last_heard + (config.backup_staleness + 1))
+        });
+        let due = evicts.into_iter().chain(distrusts).min();
+        next_due_housekeeping_turn(self.id, from, due).min(self.trickle.next_event().max(from))
     }
 
     /// Re-runs parent selection over the neighbor table. Emits callbacks
@@ -944,5 +956,65 @@ mod tests {
         d.on_join_in(NodeId(1), &join_in_from(&r1), STRONG, Asn(2));
         assert_eq!(d.parent_changes(), 2);
         assert_eq!(d.last_parent_change(), Some(Asn(2)));
+    }
+    #[test]
+    fn closed_form_skipping_to_next_tick_matches_ticking_every_slot() {
+        let (mut evictions, mut distrusted) = (0, 0);
+        digs_cases::cases(120, |d| {
+            let mut config = RoutingConfig::fast();
+            if d.bool() {
+                (config.neighbor_timeout, config.backup_staleness) = (300, 150);
+            }
+            let id = NodeId(d.int(2u16..300));
+            let mut every = DigsRouting::new(id, d.int(0u8..8) == 0, config, d.u64(), Asn(0));
+            let mut skipping = every.clone();
+            // Neighbors of ranks 1 to 3 that advertise now and then, each
+            // until it falls silent for good.
+            let neighbors = d.vec(1..8, |d| {
+                let join_in = JoinIn {
+                    rank: Rank(d.int(1u16..4)),
+                    etx_w: d.f64(0.0..4.0),
+                    best_parent: None,
+                    second_parent: None,
+                };
+                (NodeId(d.int(0u16..40)), join_in, Dbm(d.f64(-85.0..-50.0)), d.int(1u64..400))
+            });
+            let mut wake = skipping.next_tick(Asn(0));
+            for now in (0..3 * config.neighbor_timeout + 400).map(Asn) {
+                let known = every.neighbors().len();
+                let events = every.tick(now);
+                if now >= wake {
+                    let before = skipping.clone();
+                    assert_eq!(skipping.tick(now), events, "{id} at {now}");
+                    assert_ne!(skipping, before, "{id} named {now}, a turn that does nothing");
+                    wake = skipping.next_tick(now.next());
+                } else {
+                    assert!(events.is_empty(), "{id} skipped {now} for {wake}: {events:?}");
+                }
+                let lost_parent =
+                    events.iter().any(|e| matches!(e, RoutingEvent::ParentsChanged { .. }));
+                evictions += usize::from(every.neighbors().len() < known);
+                distrusted += usize::from(lost_parent && every.neighbors().len() == known);
+                // What reaches the node from outside: an advertisement, or
+                // the outcome of a transmission. Either is a call into the
+                // stack, after which the engine asks for the wake slot again.
+                for (from, join_in, rss, silent_from) in &neighbors {
+                    if now.0 < *silent_from && d.int(0..30) == 0 {
+                        every.on_join_in(*from, join_in, *rss, now);
+                        skipping.on_join_in(*from, join_in, *rss, now);
+                        wake = skipping.next_tick(now.next());
+                    }
+                }
+                if let (Some(parent), 0) = (every.best_parent(), d.int(0..25)) {
+                    let acked = d.int(0..3) > 0;
+                    every.on_tx_result(parent, acked, now);
+                    skipping.on_tx_result(parent, acked, now);
+                    wake = skipping.next_tick(now.next());
+                }
+                assert_eq!(skipping, every, "{id} at {now}");
+            }
+            assert!(every.neighbors().is_empty(), "{id} still knows {:?}", every.neighbors());
+        });
+        assert!(evictions > 100 && distrusted > 20, "{evictions} evictions, {distrusted} backups");
     }
 }

@@ -23,6 +23,13 @@ pub(crate) fn next_housekeeping_turn(id: NodeId, from: Asn) -> Asn {
     from + (u64::from(id.0) % p + p - from.0 % p) % p
 }
 
+/// Node `id`'s first housekeeping turn at or after `from` that finds
+/// anything to do, given the first slot in which something is `due`
+/// (`None`: nothing ever is, and no turn is named).
+pub(crate) fn next_due_housekeeping_turn(id: NodeId, from: Asn, due: Option<Asn>) -> Asn {
+    due.map_or(Asn(u64::MAX), |due| next_housekeeping_turn(id, from.max(due)))
+}
+
 /// State kept about one neighbor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborEntry {
@@ -54,6 +61,9 @@ impl NeighborEntry {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborTable {
     entries: BTreeMap<NodeId, NeighborEntry>,
+    /// The earliest `last_heard` of any entry, kept so that the next
+    /// eviction is named without a walk over the table.
+    oldest_heard: Option<Asn>,
 }
 
 impl NeighborTable {
@@ -86,7 +96,11 @@ impl NeighborTable {
         entry.last_rss = Dbm(0.7 * entry.last_rss.dbm() + 0.3 * rss.dbm());
         entry.rank = rank;
         entry.advertised_cost = advertised_cost;
-        entry.last_heard = now;
+        let heard_before = std::mem::replace(&mut entry.last_heard, now);
+        // The minimum moves only if this entry held it (or is below it).
+        if self.oldest_heard.is_none_or(|oldest| oldest == heard_before || now < oldest) {
+            self.find_oldest_heard();
+        }
         // Link ETX is initialised from RSS on first contact (paper
         // Section V) but thereafter updated from transmission outcomes
         // only, as Contiki's link-stats do.
@@ -113,7 +127,19 @@ impl NeighborTable {
 
     /// Removes a neighbor (e.g. presumed dead); returns whether it existed.
     pub fn remove(&mut self, id: NodeId) -> bool {
-        self.entries.remove(&id).is_some()
+        let existed = self.entries.remove(&id).is_some();
+        self.find_oldest_heard();
+        existed
+    }
+
+    /// When the neighbor silent for longest was last heard (`None`: the
+    /// table is empty).
+    pub fn oldest_heard(&self) -> Option<Asn> {
+        self.oldest_heard
+    }
+
+    fn find_oldest_heard(&mut self) {
+        self.oldest_heard = self.entries.values().map(|e| e.last_heard).min();
     }
 
     /// Degrades a neighbor's link estimate to the worst value without
@@ -158,6 +184,7 @@ impl NeighborTable {
         for id in &stale {
             self.entries.remove(id);
         }
+        self.find_oldest_heard();
         stale
     }
 }

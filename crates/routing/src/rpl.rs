@@ -14,14 +14,14 @@
 
 use crate::digs::RoutingConfig;
 use crate::messages::{Dio, Rank, RoutingEvent};
-use crate::neighbor::{is_housekeeping_turn, next_housekeeping_turn, NeighborTable};
+use crate::neighbor::{is_housekeeping_turn, next_due_housekeeping_turn, NeighborTable};
 use crate::trickle::Trickle;
 use digs_sim::ids::NodeId;
 use digs_sim::rf::Dbm;
 use digs_sim::time::Asn;
 
 /// The per-node RPL state machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RplRouting {
     id: NodeId,
     is_root: bool,
@@ -176,14 +176,18 @@ impl RplRouting {
     }
 
     /// The earliest slot at or after `from` at which [`Self::tick`] does
-    /// anything: at once while a poison DIO is pending, else the node's
-    /// turn in the staggered eviction cadence or the Trickle timer's next
-    /// event.
+    /// anything: at once while a poison DIO is pending, else the Trickle
+    /// timer's next event or the node's first turn in the staggered
+    /// eviction cadence that finds a neighbor silent for longer than
+    /// `neighbor_timeout` (a turn before that evicts nothing, by the very
+    /// condition `tick` tests).
     pub fn next_tick(&self, from: Asn) -> Asn {
         if self.poison_pending {
             return from;
         }
-        next_housekeeping_turn(self.id, from).min(self.trickle.next_event().max(from))
+        let timeout = self.config.neighbor_timeout;
+        let evicts = self.neighbors.oldest_heard().map(|heard| heard + (timeout + 1));
+        next_due_housekeeping_turn(self.id, from, evicts).min(self.trickle.next_event().max(from))
     }
 
     /// Standard RPL parent selection: cheapest neighbor whose rank is
@@ -400,5 +404,58 @@ mod tests {
                 .count();
         }
         assert!(emitted > 0);
+    }
+    #[test]
+    fn closed_form_skipping_to_next_tick_matches_ticking_every_slot() {
+        let mut evictions = 0;
+        digs_cases::cases(120, |d| {
+            let mut config = RoutingConfig::fast();
+            if d.bool() {
+                config.neighbor_timeout = 300;
+            }
+            let id = NodeId(d.int(1u16..300));
+            let mut every = RplRouting::new(id, d.int(0u8..8) == 0, config, d.u64(), Asn(0));
+            let mut skipping = every.clone();
+            // Neighbors of ranks 1 to 3 that advertise now and then, each
+            // until it falls silent for good.
+            let neighbors = d.vec(1..8, |d| {
+                let dio =
+                    Dio { rank: Rank(d.int(1u16..4)), path_etx: d.f64(0.0..4.0), parent: None };
+                (NodeId(d.int(0u16..40)), dio, Dbm(d.f64(-85.0..-50.0)), d.int(1u64..400))
+            });
+            let mut wake = skipping.next_tick(Asn(0));
+            for now in (0..3 * config.neighbor_timeout + 400).map(Asn) {
+                let known = every.neighbors().len();
+                let events = every.tick(now);
+                if now >= wake {
+                    let before = skipping.clone();
+                    assert_eq!(skipping.tick(now), events, "{id} at {now}");
+                    assert_ne!(skipping, before, "{id} named {now}, a turn that does nothing");
+                    wake = skipping.next_tick(now.next());
+                } else {
+                    assert!(events.is_empty(), "{id} skipped {now} for {wake}: {events:?}");
+                }
+                evictions += usize::from(every.neighbors().len() < known);
+                // What reaches the node from outside: a DIO, or the outcome
+                // of a transmission. Either is a call into the stack, after
+                // which the engine asks for the wake slot again.
+                for (from, dio, rss, silent_from) in &neighbors {
+                    if now.0 < *silent_from && d.int(0..30) == 0 {
+                        every.on_dio(*from, dio, *rss, now);
+                        skipping.on_dio(*from, dio, *rss, now);
+                        wake = skipping.next_tick(now.next());
+                    }
+                }
+                if let (Some(parent), 0) = (every.preferred_parent(), d.int(0..25)) {
+                    let acked = d.int(0..3) > 0;
+                    every.on_tx_result(parent, acked, now);
+                    skipping.on_tx_result(parent, acked, now);
+                    wake = skipping.next_tick(now.next());
+                }
+                assert_eq!(skipping, every, "{id} at {now}");
+            }
+            assert!(every.neighbors().is_empty(), "{id} still knows {:?}", every.neighbors());
+        });
+        assert!(evictions > 100, "{evictions} evictions");
     }
 }

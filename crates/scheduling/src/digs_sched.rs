@@ -46,6 +46,7 @@ use crate::slotframe::{
 };
 use digs_routing::messages::ParentSlot;
 use digs_sim::channel::ChannelOffset;
+use digs_sim::engine::StandingListens;
 use digs_sim::ids::NodeId;
 use digs_sim::rng;
 use digs_sim::time::Asn;
@@ -161,6 +162,8 @@ impl DigsScheduler {
     pub fn set_randomize(&mut self, nonce: Option<u64>) {
         self.randomize = nonce;
         self.perm.0.replace([None, None]);
+        // Whether the receive cells are standing listens just changed.
+        self.compile_app_cells();
     }
 
     /// The active schedule-randomization nonce, if any.
@@ -400,10 +403,37 @@ impl DigsScheduler {
         combine(self.sync_cell(asn), self.routing_cell(asn), self.app_cell(asn))
     }
 
-    /// The first slot at or after `from` in which [`Self::cell`] is `Some`.
-    pub fn next_cell(&self, from: Asn) -> Asn {
+    /// The first slot at or after `from` whose [`Self::cell`] the node must
+    /// be asked in: a sync cell, the shared routing cell, and — only while
+    /// it has application data queued (`has_data`) — one of its own transmit
+    /// cells. Its receive cells are [`Self::standing_listens`], and an
+    /// empty-queue transmit cell sleeps. Under randomization every
+    /// application cell is named instead: a cell that moves each epoch is
+    /// not a standing listen.
+    pub fn next_wake_cell(&self, from: Asn, has_data: bool) -> Asn {
         let next = next_sync_or_routing_cell(from, self.lengths, self.id, self.best_parent);
-        self.next_app_cell(from).map_or(next, |app| next.min(app))
+        let app = if self.randomize.is_some() {
+            self.next_app_cell(from)
+        } else if has_data {
+            self.app_cells.next_transmit(from, self.lengths.app)
+        } else {
+            None
+        };
+        app.map_or(next, |app| next.min(app))
+    }
+
+    /// The receive cells of the application slotframe, which
+    /// [`Self::next_wake_cell`] does not name (none under randomization):
+    /// where they are not masked by a sync or routing cell — slots the node
+    /// is asked in — [`Self::cell`] is a `RxData` cell on that offset.
+    pub fn standing_listens(&self) -> StandingListens<'_> {
+        let cells = if self.randomize.is_none() { self.app_cells.listens() } else { &[] };
+        StandingListens::Cells { period: self.lengths.app, cells }
+    }
+
+    /// Differs from its last value whenever [`Self::standing_listens`] may.
+    pub fn standing_version(&self) -> u32 {
+        self.app_cells.version()
     }
 
     fn sync_cell(&self, asn: Asn) -> Option<Cell> {
@@ -451,12 +481,10 @@ impl DigsScheduler {
         Some(cell)
     }
 
-    /// The first slot at or after `from` that holds an application cell.
+    /// The first slot at or after `from` that holds an application cell
+    /// of a randomized schedule.
     fn next_app_cell(&self, from: Asn) -> Option<Asn> {
         let app = self.lengths.app;
-        if self.randomize.is_none() {
-            return self.app_cells.next_cell(from, app);
-        }
         // Each epoch places the table's logical slots afresh: the earliest
         // one still ahead in `from`'s epoch, else the earliest of the next.
         let off = frame_offset(from, app);
@@ -850,9 +878,26 @@ mod tests {
                     let ahead = |a: &u64| s.app_cell(Asn(*a)).is_some();
                     let brute = (from.0..from.0 + 2 * app).find(ahead).map(Asn);
                     assert_eq!(s.next_app_cell(from), brute, "{s:?} from {from}");
-                    let ahead = |a: &u64| s.cell(Asn(*a)).is_some();
-                    let brute = (from.0..).find(ahead).map(Asn);
-                    assert_eq!(Some(s.next_cell(from)), brute, "{s:?} from {from}");
+                    // Asked in: sync and routing cells, own transmit cells
+                    // while data is queued, and every cell that moves.
+                    for has_data in [false, true] {
+                        let ahead = |a: &u64| {
+                            s.cell(Asn(*a)).is_some_and(|cell| match cell.action {
+                                CellAction::RxData => s.randomize.is_some(),
+                                CellAction::TxData { .. } => has_data || s.randomize.is_some(),
+                                _ => true,
+                            })
+                        };
+                        let brute = (from.0..).find(ahead).map(Asn);
+                        assert_eq!(Some(s.next_wake_cell(from, has_data)), brute, "{s:?} {from}");
+                    }
+                    // Not asked in, the radio does what the cell says.
+                    if s.next_wake_cell(from, false) != from {
+                        let listen = s.cell(from).and_then(|cell| {
+                            (cell.action == CellAction::RxData).then_some(cell.offset)
+                        });
+                        assert_eq!(s.standing_listens().offset_at(from), listen, "{s:?} at {from}");
+                    }
                 }
             }
         });

@@ -25,6 +25,7 @@ use crate::slotframe::{
     combine, frame_offset, next_sync_or_routing_cell, node_offset, Cell, CellAction, CellTable,
     SlotframeLengths, TrafficClass, ROUTING_OFFSET, ROUTING_SLOT,
 };
+use digs_sim::engine::StandingListens;
 use digs_sim::ids::NodeId;
 use digs_sim::time::Asn;
 use std::collections::BTreeSet;
@@ -211,10 +212,29 @@ impl OrchestraScheduler {
         combine(self.sync_cell(asn), self.routing_cell(asn), self.app_cell(asn))
     }
 
-    /// The first slot at or after `from` in which [`Self::cell`] is `Some`.
-    pub fn next_cell(&self, from: Asn) -> Asn {
+    /// The first slot at or after `from` whose [`Self::cell`] the node must
+    /// be asked in: a sync cell, the shared routing cell, and — only while
+    /// it has application data queued (`has_data`) — its transmit cell. Its
+    /// receive cells are [`Self::standing_listens`], and an empty-queue
+    /// transmit cell sleeps.
+    pub fn next_wake_cell(&self, from: Asn, has_data: bool) -> Asn {
         let next = next_sync_or_routing_cell(from, self.lengths, self.id, self.preferred_parent);
-        self.app_cells.next_cell(from, self.unicast_len()).map_or(next, |app| next.min(app))
+        let own =
+            if has_data { self.app_cells.next_transmit(from, self.unicast_len()) } else { None };
+        own.map_or(next, |own| next.min(own))
+    }
+
+    /// The receive cells of the unicast slotframe, which
+    /// [`Self::next_wake_cell`] does not name: where they are not masked by
+    /// a sync or routing cell — slots the node is asked in — [`Self::cell`]
+    /// is a `RxData` cell on that offset.
+    pub fn standing_listens(&self) -> StandingListens<'_> {
+        StandingListens::Cells { period: self.unicast_len(), cells: self.app_cells.listens() }
+    }
+
+    /// Differs from its last value whenever [`Self::standing_listens`] may.
+    pub fn standing_version(&self) -> u32 {
+        self.app_cells.version()
     }
 
     fn sync_cell(&self, asn: Asn) -> Option<Cell> {
@@ -448,9 +468,26 @@ mod tests {
                 let start = d.int(0u64..1 << 30);
                 for from in (start..start + 2 * u64::from(s.unicast_len()) + 3).map(Asn) {
                     assert_eq!(s.app_cell(from), scanned_app_cell(&s, from), "{s:?} at {from}");
-                    let ahead = |a: &u64| s.cell(Asn(*a)).is_some();
-                    let brute = (from.0..).find(ahead).map(Asn);
-                    assert_eq!(Some(s.next_cell(from)), brute, "{s:?} from {from}");
+                    // Asked in: sync and routing cells, and the own transmit
+                    // cell while data is queued.
+                    for has_data in [false, true] {
+                        let ahead = |a: &u64| {
+                            s.cell(Asn(*a)).is_some_and(|cell| match cell.action {
+                                CellAction::RxData => false,
+                                CellAction::TxData { .. } => has_data,
+                                _ => true,
+                            })
+                        };
+                        let brute = (from.0..).find(ahead).map(Asn);
+                        assert_eq!(Some(s.next_wake_cell(from, has_data)), brute, "{s:?} {from}");
+                    }
+                    // Not asked in, the radio does what the cell says.
+                    if s.next_wake_cell(from, false) != from {
+                        let listen = s.cell(from).and_then(|cell| {
+                            (cell.action == CellAction::RxData).then_some(cell.offset)
+                        });
+                        assert_eq!(s.standing_listens().offset_at(from), listen, "{s:?} at {from}");
+                    }
                 }
             }
         });

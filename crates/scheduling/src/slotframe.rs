@@ -223,18 +223,41 @@ pub(crate) fn next_sync_or_routing_cell(
 pub(crate) struct CellTable {
     /// `(slot, cell)`, sorted by slot, one entry per slot.
     cells: Vec<(u32, Cell)>,
+    /// The slots of the cells that transmit, ascending: the only ones a
+    /// node with data queued has to be asked in.
+    transmits: Vec<u32>,
+    /// `(slot, offset)` of the cells that receive, ascending by slot: what
+    /// the radio does unasked (the engine's `StandingListens::Cells`).
+    listens: Vec<(u32, ChannelOffset)>,
+    /// How many times the table was rebuilt.
+    version: u32,
 }
 
 impl CellTable {
     /// Empties the table for a rebuild.
     pub fn clear(&mut self) {
         self.cells.clear();
+        self.transmits.clear();
+        self.listens.clear();
+        self.version = self.version.wrapping_add(1);
     }
 
     /// Enters `cell` at `slot` unless an earlier claimant holds the slot.
     pub fn claim(&mut self, slot: u32, cell: Cell) {
-        if let Err(at) = self.cells.binary_search_by_key(&slot, |(s, _)| *s) {
-            self.cells.insert(at, (slot, cell));
+        let Err(at) = self.cells.binary_search_by_key(&slot, |(s, _)| *s) else {
+            return;
+        };
+        self.cells.insert(at, (slot, cell));
+        match cell.action {
+            CellAction::TxData { .. } => {
+                let at = self.transmits.partition_point(|s| *s < slot);
+                self.transmits.insert(at, slot);
+            }
+            CellAction::RxData => {
+                let at = self.listens.partition_point(|(s, _)| *s < slot);
+                self.listens.insert(at, (slot, cell.offset));
+            }
+            _ => unreachable!("application cells transmit or receive data"),
         }
     }
 
@@ -249,13 +272,23 @@ impl CellTable {
         self.cells.iter().map(|(s, _)| *s)
     }
 
-    /// The first slot at or after `from` that holds a cell, in a slotframe
-    /// of `len` slots (`None`: the table is empty).
-    pub fn next_cell(&self, from: Asn, len: u32) -> Option<Asn> {
+    /// The receive cells, ascending by slot.
+    pub fn listens(&self) -> &[(u32, ChannelOffset)] {
+        &self.listens
+    }
+
+    /// Differs between two tables whose [`Self::listens`] differ.
+    pub fn version(&self) -> u32 {
+        self.version
+    }
+
+    /// The first slot at or after `from` that holds a transmit cell, in a
+    /// slotframe of `len` slots (`None`: the table has none).
+    pub fn next_transmit(&self, from: Asn, len: u32) -> Option<Asn> {
         let off = frame_offset(from, len);
-        let at = self.cells.partition_point(|(s, _)| *s < off);
-        // Past the last cell of this frame the first cell of the next is due.
-        let (slot, _) = self.cells.get(at).or(self.cells.first())?;
+        let at = self.transmits.partition_point(|s| *s < off);
+        // Past the last one of this frame the first of the next is due.
+        let slot = self.transmits.get(at).or(self.transmits.first())?;
         Some(next_at(from, len, *slot))
     }
 }

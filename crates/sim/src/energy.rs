@@ -56,6 +56,12 @@ impl EnergyMeter {
         self.rx_us += u64::from(us);
     }
 
+    /// Charges `k` listen slots in which nothing arrived (`k` times
+    /// [`charge_rx`](Self::charge_rx) of [`IDLE_LISTEN_US`]).
+    pub fn charge_idle_listens(&mut self, k: u64) {
+        self.rx_us += k * u64::from(IDLE_LISTEN_US);
+    }
+
     /// Notes that one slot elapsed (alive, whether or not the radio was on).
     pub fn tick_slot(&mut self) {
         self.tick_slots(1);

@@ -1,21 +1,25 @@
 //! The slot-synchronous simulation engine.
 //!
-//! Each TSCH slot, every alive node whose stack is awake declares a
-//! [`SlotIntent`] (a node the engine does not ask is asleep: radio off,
-//! nothing to do — see the wake contract on [`NodeStack`]); the engine then:
+//! Each TSCH slot, every alive node whose stack is due declares a
+//! [`SlotIntent`], and every alive node that is not does what its
+//! [`StandingListens`] says: radio off, or receiving on a stated channel
+//! offset (see the wake contract on [`NodeStack`]). The engine then:
 //!
 //! 1. commits dedicated-cell transmissions unconditionally,
-//! 2. runs slotted CSMA/CA for shared-cell (contention) transmissions —
-//!    a contender defers if a committed transmitter or a jammer is audible
-//!    above the CCA threshold at its own position,
-//! 3. for every listener, picks the strongest committed frame on its
+//! 2. if anything transmits or contends, looks up the standing listeners
+//!    on the physical channels in use and enters them beside the listeners
+//!    that were asked, in id order,
+//! 3. runs slotted CSMA/CA for shared-cell (contention) transmissions —
+//!    a contender defers if a committed transmitter is audible above the
+//!    CCA threshold at its own position, and listens out the slot,
+//! 4. for every listener, picks the strongest committed frame on its
 //!    physical channel and decodes it with probability given by the
 //!    PRR-vs-SINR curve, where the interference term sums every other
 //!    concurrent transmission and all active jammers,
-//! 4. generates link-layer acknowledgements for unicast frames (the ACK
+//! 5. generates link-layer acknowledgements for unicast frames (the ACK
 //!    itself traverses the reverse link and can be lost),
-//! 5. charges the CC2420 energy model for every radio activity,
-//! 6. reports a [`TxOutcome`] to each transmitter.
+//! 6. charges the CC2420 energy model for every radio activity,
+//! 7. reports a [`TxOutcome`] to each transmitter.
 //!
 //! The engine is deterministic under its seed: nodes are visited in id
 //! order and all randomness flows from one [`rng::SmallRng`] plus the
@@ -23,16 +27,39 @@
 //!
 //! ## Wake-driven stepping
 //!
-//! A TSCH radio is off in almost every slot, and when a stack next has
-//! anything to do is a pure function of its state (its cells, its timers,
-//! its flows' periods). [`Engine::run`] therefore keeps, per node, the slot
-//! [`NodeStack::next_wake`] last named, and skips `slot_intent` for a node
-//! until that slot arrives. The wake slots are filled when `run` is entered
-//! and refreshed at the end of each slot for exactly the nodes that were
-//! asked in it (only they can have received a frame or a transmission
-//! outcome, so only their state can have moved); they live no longer than
-//! the `run` call's borrow of the stacks, so whatever the caller does to a
-//! stack between calls needs no invalidation.
+//! A TSCH radio is off or hears nothing in almost every slot, and when a
+//! stack next transmits or changes its own state is a pure function of that
+//! state (its cells, its queue, its timers, its flows' periods).
+//! [`Engine::run`] therefore keeps, per node, the slot
+//! [`NodeStack::next_wake`] last named, and an index of the standing
+//! listens by slot, and skips `slot_intent` for a node until that slot
+//! arrives. Both are filled when `run` is entered and refreshed at the end
+//! of each slot for exactly the nodes that were called in it — asked, or
+//! entered as a standing listener (only they can have received a frame or a
+//! transmission outcome, so only their state can have moved; a node's index
+//! entries only if its [`NodeStack::standing_version`] did); they live no
+//! longer than the `run` call's borrow of the stacks, so whatever the
+//! caller does to a stack between calls needs no invalidation.
+//!
+//! **A listen to silence is settled, not simulated.** A standing listen in
+//! a slot in which nothing is on the air on its channel is
+//! `IDLE_LISTEN_US` of receive on the node's meter and nothing else, so the
+//! engine keeps, per node, how far its standing listens are on its meter
+//! and adds `count(from..to) × IDLE_LISTEN_US` — integers, exact — when it
+//! has to know. *A node's standing description changes only inside a call
+//! the engine makes, and the engine settles before that call*: node `i` is
+//! settled up to the current slot before it is asked (the asked slot itself
+//! is its answer's, not the description's) and before it is entered as a
+//! listener, every alive node is settled before liveness moves at a fault
+//! edge and when `run` returns, and every other call into a stack
+//! (`on_frame`, `on_tx_outcome`; `reset` and `desync` at an edge) is to a
+//! node settled earlier in the same slot. So the meters are exact wherever
+//! a caller can read them. The standing listeners of a slot are found
+//! through an index the run owns (per slotframe length, slot in frame →
+//! `(node, offset)`; every-slot listeners asked for their offset), and only
+//! in a slot in which something is committed or contending: those alive,
+//! not asked, and on a physical channel in use are settled, entered as
+//! listeners and take part in reception exactly as an asked listener does.
 //!
 //! Nor does the engine do per slot what cannot have changed since the last
 //! one. Liveness moves only at the [`FaultPlan::edges`]: the plan is
@@ -46,15 +73,17 @@
 //! off and no jammer is adaptive, the engine moves straight to the earliest
 //! of the next wake slot of an alive node, the next edge and the end of the
 //! run, adding the gap to `stats.slots`: a slot in which no node is asked
-//! draws no randomness, charges no radio and calls no stack, so the only
+//! has nothing on the air, so it draws no randomness and calls no stack,
+//! what its standing listeners are charged is settled later, and the only
 //! things that could tell it from a jumped one are the recorder's per-slot
 //! `SlotStart` and an adaptive jammer's sniffer, which counts every slot.
-//! The visiting order, the random stream, every trace event and every
-//! callback are therefore where they would be if every node were visited in
-//! every slot — which is what the test module's `reference_slot`, the
-//! kernel as it was before any of this, is kept to check, case by case and
-//! chunk by chunk; the stacks' side of the contract is checked one level up
-//! by `AskEverySlot` in `digs`'s wake oracle.
+//! The visiting order, the random stream, every meter, every trace event
+//! and every callback are therefore where they would be if every node were
+//! visited in every slot and answered `Listen` where its description says
+//! so — which is what the test module's `reference_slot`, the kernel as it
+//! was before any of this, is kept to check, case by case and chunk by
+//! chunk; the stacks' side of the contract is checked one level up by
+//! `AskEverySlot` in `digs`'s wake oracle.
 //!
 //! A slot's working storage (who listens on which channel, the committed
 //! transmissions bucketed by physical channel, the candidates at the
@@ -119,28 +148,97 @@ pub enum TxOutcome {
     DeferredCca,
 }
 
+/// Gives the channel offset an every-slot listener receives on in a slot.
+pub type OffsetRule = fn(Asn) -> ChannelOffset;
+
+/// What a node's radio does in the slots the engine does not ask its stack
+/// in: a pure description, from which the engine works out membership at a
+/// slot ([`offset_at`](Self::offset_at)) and the count over a range
+/// ([`count`](Self::count)) itself.
+#[derive(Debug, Clone, Copy)]
+pub enum StandingListens<'a> {
+    /// Radio off.
+    Off,
+    /// Receiving in every slot, on the channel offset the rule gives for the
+    /// slot (an unsynchronised node scanning for beacons).
+    EverySlot(OffsetRule),
+    /// Receiving in the cells `(slot, offset)` of a slotframe of `period`
+    /// slots (a schedule's receive cells): `slot < period`, ascending, one
+    /// cell per slot.
+    Cells {
+        /// Slotframe length, in slots.
+        period: u32,
+        /// The receive cells of one slotframe.
+        cells: &'a [(u32, ChannelOffset)],
+    },
+}
+
+impl StandingListens<'_> {
+    /// The channel offset the radio receives on in slot `asn`, if it does.
+    pub fn offset_at(&self, asn: Asn) -> Option<ChannelOffset> {
+        match *self {
+            StandingListens::Off => None,
+            StandingListens::EverySlot(rule) => Some(rule(asn)),
+            StandingListens::Cells { cells: [], .. } => None,
+            StandingListens::Cells { period, cells } => {
+                let slot = asn.slotframe_offset(period);
+                let at = cells.binary_search_by_key(&slot, |(slot, _)| *slot).ok()?;
+                Some(cells[at].1)
+            }
+        }
+    }
+
+    /// In how many of the slots `from..to` the radio receives.
+    pub fn count(&self, from: Asn, to: Asn) -> u64 {
+        self.count_before(to) - self.count_before(from)
+    }
+
+    /// In how many of the slots before `asn` the radio receives.
+    fn count_before(&self, asn: Asn) -> u64 {
+        match *self {
+            StandingListens::Off | StandingListens::Cells { cells: [], .. } => 0,
+            StandingListens::EverySlot(_) => asn.0,
+            StandingListens::Cells { period, cells } => {
+                let slot = asn.slotframe_offset(period);
+                let in_frame = cells.partition_point(|(cell, _)| *cell < slot);
+                asn.0 / u64::from(period) * cells.len() as u64 + in_frame as u64
+            }
+        }
+    }
+}
+
 /// A protocol stack driven by the engine, one instance per node.
 ///
 /// Implementations live in the `digs` crate (DiGS, Orchestra, and
 /// WirelessHART stacks). All callbacks receive the current ASN. In a slot
-/// in which the node is alive and awake the engine calls `slot_intent`
-/// once, then delivers zero or more `on_frame`s, then at most one
-/// `on_tx_outcome`; a node that is not asked gets no callback at all.
+/// in which the node is alive and due the engine calls `slot_intent` once,
+/// then delivers zero or more `on_frame`s, then at most one
+/// `on_tx_outcome`; a node that is neither asked nor receiving as its
+/// standing description says gets no callback at all.
 ///
 /// ## Wake contract
 ///
-/// [`next_wake`](NodeStack::next_wake) lets a stack tell the engine when
-/// it next needs to be asked. The engine calls it on entering
-/// [`Engine::run`] and again after every slot in which the node was asked
-/// (after that slot's callbacks), and does not call `slot_intent` before
-/// the slot it returned — except in a slot where it calls `reset` or
-/// `desync`, in which the node is always asked. A stack that names a slot
-/// later than `from` promises that in every slot before it `slot_intent`
-/// would have answered [`SlotIntent::Sleep`] and changed nothing
-/// observable: no trace event, no telemetry or counter the harness reads,
-/// no queue, routing, schedule or timer state that a later answer, a
-/// snapshot or an auditor could tell apart. Naming a slot earlier than
-/// necessary is always safe; it only costs the call.
+/// [`next_wake`](NodeStack::next_wake) names the first slot in which the
+/// node may *transmit or change its own state*; what its radio does in
+/// every other slot is what [`standing_listens`](NodeStack::standing_listens)
+/// describes. The engine calls `next_wake` on entering [`Engine::run`] and
+/// again after every slot in which it called the stack (after that slot's
+/// callbacks), and does not call `slot_intent` before the slot it returned
+/// — except in a slot where it calls `reset` or `desync`, in which the node
+/// is always asked. A stack that names a slot later than `from` promises
+/// that in every slot before it `slot_intent` would have answered
+/// [`SlotIntent::Sleep`], or [`SlotIntent::Listen`] on the offset its
+/// standing description gives for that slot and [`SlotIntent::Sleep`]
+/// where it gives none, and changed nothing observable: no trace event, no
+/// telemetry or counter the harness reads, no queue, routing, schedule or
+/// timer state that a later answer, a snapshot or an auditor could tell
+/// apart. Naming a slot earlier than necessary is always safe; it only
+/// costs the call, and in a slot in which the node is asked its answer
+/// alone counts, whatever the description says.
+///
+/// **A node's standing description changes only inside a call the engine
+/// makes (`slot_intent`, `on_frame`, `on_tx_outcome`, `reset`, `desync`),
+/// and the engine settles the node's listens so far before that call.**
 pub trait NodeStack {
     /// Protocol-defined frame payload.
     type Payload: Clone;
@@ -179,6 +277,23 @@ pub trait NodeStack {
     fn next_wake(&self, from: Asn) -> Asn {
         from
     }
+
+    /// What the radio does in the slots the stack is not asked in (see the
+    /// wake contract above). A standing listen is one `IDLE_LISTEN_US` of
+    /// receive on the node's meter, or the reception of whatever is on the
+    /// air on its channel, exactly as if `slot_intent` had answered
+    /// [`SlotIntent::Listen`] there. The default is a radio that is off
+    /// unless the stack is asked.
+    fn standing_listens(&self) -> StandingListens<'_> {
+        StandingListens::Off
+    }
+
+    /// Differs from its last value whenever
+    /// [`standing_listens`](NodeStack::standing_listens) may: the engine
+    /// reads the description again only when this moved.
+    fn standing_version(&self) -> u64 {
+        0
+    }
 }
 
 struct CommittedTx<P> {
@@ -200,25 +315,46 @@ enum Ack {
 /// `Run::listening_on` of a node whose radio is not in receive.
 const NOT_LISTENING: u8 = u8::MAX;
 
-/// The state of one [`Engine::run`] call: the wake slots, how far the fault
-/// plan and the energy meters' slot counts have been followed, and the
-/// working storage every slot clears and refills, so that the steady state
-/// allocates nothing.
+/// Puts a node's standing listens in the slots `*settled_to..asn` on its
+/// meter. What its stack describes now is what held over all of them: the
+/// description changes only inside a call the engine makes, and this comes
+/// before every one.
+fn settle<S: NodeStack>(settled_to: &mut Asn, stack: &S, meter: &mut EnergyMeter, asn: Asn) {
+    meter.charge_idle_listens(stack.standing_listens().count(*settled_to, asn));
+    *settled_to = asn;
+}
+
+/// The state of one [`Engine::run`] call: the wake slots and the index of
+/// the standing listens, how far the fault plan and the energy meters have
+/// been followed, and the working storage every slot clears and refills, so
+/// that the steady state allocates nothing.
 struct Run<P> {
     /// The first slot this call does not simulate.
     end: Asn,
     /// `wake[i]` is the slot node `i` must next be asked in.
     wake: Vec<Asn>,
+    /// What the radios do until then, by slot — who receives in a slot
+    /// without being asked: the receive cells, per slotframe length in use,
+    /// and the nodes receiving in every slot, each with its offset rule.
+    /// `standing_version[i]` is node `i`'s when its entries were made.
+    cell_listeners: Vec<FrameListeners>,
+    every_slot_listeners: Vec<(usize, OffsetRule)>,
+    standing_version: Vec<u64>,
+    /// Node `i`'s standing listens in the slots before `settled_to[i]` are
+    /// on its meter, or were not its to make: it was dead, it was asked and
+    /// its answer counted instead, or it took part in reception.
+    settled_to: Vec<Asn>,
     /// The next slot in which the fault plan is consulted node by node:
     /// the slot `run` was entered in, then each later one of
     /// [`FaultPlan::edges`]. `Engine::alive` holds in between.
     next_edge: Asn,
     /// Every alive node's meter has counted the slots before this one.
     ticked_to: Asn,
-    /// The nodes asked in the current slot.
-    asked: Vec<usize>,
-    /// Radios in receive and the physical channel each is on: `Listen`
-    /// intents in id order, then the contenders that deferred.
+    /// The nodes the current slot can call back: those asked, then the
+    /// standing listeners it found on a channel in use.
+    awake: Vec<usize>,
+    /// Radios in receive and the physical channel each is on: asked and
+    /// standing listeners in id order, then the contenders that deferred.
     listeners: Vec<(NodeId, PhysChannel)>,
     /// Per node, the physical channel its radio is receiving on, or
     /// [`NOT_LISTENING`].
@@ -243,15 +379,19 @@ struct Run<P> {
 }
 
 impl<P> Run<P> {
-    fn new(wake: Vec<Asn>, from: Asn, slots: u64) -> Run<P> {
-        Run {
+    fn new<S: NodeStack<Payload = P>>(stacks: &[S], from: Asn, slots: u64) -> Run<P> {
+        let mut run = Run {
             end: Asn(from.0 + slots),
+            wake: stacks.iter().map(|s| s.next_wake(from)).collect(),
+            cell_listeners: Vec::new(),
+            every_slot_listeners: Vec::new(),
+            standing_version: stacks.iter().map(NodeStack::standing_version).collect(),
+            settled_to: vec![from; stacks.len()],
             next_edge: from,
             ticked_to: from,
-            asked: Vec::new(),
+            awake: Vec::new(),
             listeners: Vec::new(),
-            listening_on: vec![NOT_LISTENING; wake.len()],
-            wake,
+            listening_on: vec![NOT_LISTENING; stacks.len()],
             contenders: Vec::new(),
             committed: Vec::new(),
             committed_channels: Vec::new(),
@@ -261,13 +401,56 @@ impl<P> Run<P> {
             deferred: Vec::new(),
             deliveries: Vec::new(),
             cands: Vec::new(),
+        };
+        for (i, stack) in stacks.iter().enumerate() {
+            run.index_standing(i, stack);
         }
+        run
+    }
+
+    /// Enters node `i`'s standing listens in the index.
+    fn index_standing<S: NodeStack<Payload = P>>(&mut self, i: usize, stack: &S) {
+        match stack.standing_listens() {
+            StandingListens::Off => {}
+            StandingListens::EverySlot(rule) => self.every_slot_listeners.push((i, rule)),
+            StandingListens::Cells { period, cells } => {
+                let frame = match self.cell_listeners.iter_mut().find(|f| f.period == period) {
+                    Some(frame) => frame,
+                    None if cells.is_empty() => return,
+                    None => {
+                        let by_slot = vec![Vec::new(); period as usize];
+                        self.cell_listeners.push(FrameListeners { period, by_slot });
+                        self.cell_listeners.last_mut().expect("just pushed")
+                    }
+                };
+                for &(slot, offset) in cells {
+                    frame.by_slot[slot as usize].push((i, offset));
+                }
+            }
+        }
+    }
+
+    /// Node `i`'s stack was called in the slot before `next`: names its
+    /// wake slot afresh and, if its standing description moved, takes it
+    /// out of the index and enters it again.
+    fn refresh<S: NodeStack<Payload = P>>(&mut self, i: usize, stack: &S, next: Asn) {
+        self.wake[i] = stack.next_wake(next);
+        let version = stack.standing_version();
+        if version == self.standing_version[i] {
+            return;
+        }
+        self.standing_version[i] = version;
+        self.every_slot_listeners.retain(|(n, _)| *n != i);
+        for cell in self.cell_listeners.iter_mut().flat_map(|frame| &mut frame.by_slot) {
+            cell.retain(|(n, _)| *n != i);
+        }
+        self.index_standing(i, stack);
     }
 
     /// Asks node `i` for its intent and files the answer.
     fn ask<S: NodeStack<Payload = P>>(&mut self, i: usize, stack: &mut S, asn: Asn) {
         let id = NodeId(i as u16);
-        self.asked.push(i);
+        self.awake.push(i);
         match stack.slot_intent(asn) {
             SlotIntent::Sleep => {}
             SlotIntent::Listen { offset } => self.listen(id, offset.hop(asn)),
@@ -314,6 +497,13 @@ impl<P> Run<P> {
         self.deferred.clear();
         self.deliveries.clear();
     }
+}
+
+/// The receive cells `(node, offset)` of every node whose standing listens
+/// repeat every `period` slots, by slot in that frame.
+struct FrameListeners {
+    period: u32,
+    by_slot: Vec<Vec<(usize, ChannelOffset)>>,
 }
 
 /// The simulation engine. See the [module documentation](self) for the slot
@@ -477,12 +667,11 @@ impl Engine {
     /// Panics if `stacks.len()` differs from the topology size.
     pub fn run<S: NodeStack>(&mut self, stacks: &mut [S], slots: u64) {
         assert_eq!(stacks.len(), self.topology.len(), "one stack per topology node required");
-        let wake = stacks.iter().map(|s| s.next_wake(self.asn)).collect();
-        let mut run = Run::new(wake, self.asn, slots);
+        let mut run = Run::new(stacks, self.asn, slots);
         while self.asn < run.end {
             self.slot(stacks, &mut run);
         }
-        self.tick_alive_to(&mut run, self.asn);
+        self.settle_alive_to(stacks, &mut run, self.asn);
     }
 
     /// Simulates one slot (`run(stacks, 1)`).
@@ -494,12 +683,18 @@ impl Engine {
         self.run(stacks, 1);
     }
 
-    /// Counts the slots `run.ticked_to..asn` on the meter of every alive
-    /// node (liveness has not moved since `run.ticked_to`).
-    fn tick_alive_to<P>(&mut self, run: &mut Run<P>, asn: Asn) {
+    /// Brings the meters up to `asn`, across which liveness may move (it
+    /// has not since `run.ticked_to`): every alive node's counts the slots
+    /// `run.ticked_to..asn` and its standing listens before `asn`; a dead
+    /// node has none.
+    fn settle_alive_to<S: NodeStack>(&mut self, stacks: &[S], run: &mut Run<S::Payload>, asn: Asn) {
         let slots = asn - run.ticked_to;
-        for (meter, _) in self.energy.iter_mut().zip(&self.alive).filter(|(_, alive)| **alive) {
-            meter.tick_slots(slots);
+        for (i, meter) in self.energy.iter_mut().enumerate() {
+            if self.alive[i] {
+                meter.tick_slots(slots);
+                settle(&mut run.settled_to[i], &stacks[i], meter, asn);
+            }
+            run.settled_to[i] = asn;
         }
         run.ticked_to = asn;
     }
@@ -561,7 +756,7 @@ impl Engine {
         // Phase 1: collect intents from the alive nodes that are due,
         // bringing liveness up to date first if this is a fault edge.
         if at_edge {
-            self.tick_alive_to(run, asn);
+            self.settle_alive_to(stacks, run, asn);
             let later = self.edges.partition_point(|edge| *edge <= asn);
             run.next_edge = self.edges.get(later).copied().unwrap_or(Asn(u64::MAX));
         }
@@ -573,6 +768,9 @@ impl Engine {
                 continue;
             }
             if called || run.wake[i] <= asn {
+                // Its standing listens so far; this slot is its answer's.
+                settle(&mut run.settled_to[i], stack, &mut self.energy[i], asn);
+                run.settled_to[i] = asn.next();
                 run.ask(i, stack, asn);
             } else {
                 next = next.min(run.wake[i]);
@@ -582,11 +780,12 @@ impl Engine {
         // nothing but the slot counts, so unless something reads every slot
         // (the recorder's `SlotStart`, an adaptive jammer's sniffer) the
         // whole gap is taken in this step.
-        if run.asked.is_empty() && !tracing && !self.any_adaptive {
+        if run.awake.is_empty() && !tracing && !self.any_adaptive {
             self.stats.slots += next - asn;
             self.asn = next;
             return;
         }
+        self.enter_standing_listeners(stacks, run, asn);
 
         // Phase 2: commit transmissions. Dedicated cells were committed
         // unconditionally as they were declared; shared cells run CSMA/CA
@@ -824,12 +1023,52 @@ impl Engine {
         }
 
         self.asn = asn.next();
-        // Only a node that was asked can have been called back, so only
-        // its wake slot can have moved.
-        for i in run.asked.drain(..) {
-            run.wake[i] = stacks[i].next_wake(self.asn);
+        // Only a node that was asked or entered as a standing listener can
+        // have been called, so only its wake slot and its standing
+        // description can have moved.
+        let mut awake = std::mem::take(&mut run.awake);
+        for i in awake.drain(..) {
+            run.refresh(i, &stacks[i], self.asn);
         }
+        run.awake = awake;
         run.clear_slot();
+    }
+
+    /// Finds the standing listeners of slot `asn` that can hear anything —
+    /// alive, not asked, on a physical channel a transmission is committed
+    /// to or contending for — settles them and enters them as listeners, in
+    /// id order with those that were asked because that is the order
+    /// reception draws in. The others hear nothing, which is what
+    /// settlement charges them.
+    fn enter_standing_listeners<S: NodeStack>(
+        &mut self,
+        stacks: &[S],
+        run: &mut Run<S::Payload>,
+        asn: Asn,
+    ) {
+        let in_use = run.committed_channels.iter().chain(run.contenders.iter().map(|c| &c.1));
+        let in_use = in_use.fold(0u16, |mask, channel| mask | 1 << channel.0);
+        if in_use == 0 {
+            return;
+        }
+        let asked = run.listeners.len();
+        let in_cells = run.cell_listeners.iter().flat_map(|frame| {
+            frame.by_slot[asn.slotframe_offset(frame.period) as usize].iter().copied()
+        });
+        let in_every_slot = run.every_slot_listeners.iter().map(|&(i, rule)| (i, rule(asn)));
+        for (i, offset) in in_cells.chain(in_every_slot) {
+            let channel = offset.hop(asn);
+            if in_use & 1 << channel.0 != 0 && self.alive[i] && run.settled_to[i] <= asn {
+                settle(&mut run.settled_to[i], &stacks[i], &mut self.energy[i], asn);
+                run.settled_to[i] = asn.next();
+                run.awake.push(i);
+                run.listeners.push((NodeId(i as u16), channel));
+                run.listening_on[i] = channel.0;
+            }
+        }
+        if run.listeners.len() > asked {
+            run.listeners.sort_unstable_by_key(|(id, _)| *id);
+        }
     }
 }
 
@@ -1658,45 +1897,113 @@ mod tests {
         Desync,
     }
 
-    /// A scripted stack that records every call made to it. One that `naps`
-    /// names its next planned slot as its wake slot; the others ask to be
-    /// asked in every slot.
+    /// A standing description as a case draws it.
+    #[derive(Debug, Clone, Default)]
+    enum Drawn {
+        #[default]
+        Off,
+        EverySlot(OffsetRule),
+        Cells {
+            period: u32,
+            cells: Vec<(u32, ChannelOffset)>,
+        },
+    }
+
+    impl Drawn {
+        fn listens(&self) -> StandingListens<'_> {
+            match self {
+                Drawn::Off => StandingListens::Off,
+                Drawn::EverySlot(rule) => StandingListens::EverySlot(*rule),
+                Drawn::Cells { period, cells } => StandingListens::Cells { period: *period, cells },
+            }
+        }
+    }
+
+    fn parked(_: Asn) -> ChannelOffset {
+        ChannelOffset::new(1)
+    }
+
+    fn rotating(asn: Asn) -> ChannelOffset {
+        ChannelOffset::new((asn.0 / 8 % 3) as u8)
+    }
+
+    /// A scripted stack that records every call made to it but the asks it
+    /// has nothing planned for (those depend on who drives it). One that
+    /// `naps` names its next planned slot as its wake slot; the others ask
+    /// to be asked in every slot. Where it has nothing planned its radio
+    /// does what `standing` says, which the `k`-th recorded call replaces
+    /// by `changes[k]`. On the reference side (`every_slot`) it withholds
+    /// the description, is asked in every slot, and answers `Listen` where
+    /// the description says so.
     struct Recording {
         plan: BTreeMap<u64, SlotIntent<u32>>,
         naps: bool,
+        standing: Drawn,
+        changes: BTreeMap<usize, Drawn>,
+        version: u64,
+        every_slot: bool,
         calls: Vec<(u64, Call)>,
+    }
+
+    impl Recording {
+        fn record(&mut self, asn: Asn, call: Call) {
+            self.calls.push((asn.0, call));
+            if let Some(next) = self.changes.remove(&self.calls.len()) {
+                self.standing = next;
+                self.version += 1;
+            }
+        }
     }
 
     impl NodeStack for Recording {
         type Payload = u32;
 
         fn slot_intent(&mut self, asn: Asn) -> SlotIntent<u32> {
-            self.calls.push((asn.0, Call::Intent));
-            self.plan.get(&asn.0).cloned().unwrap_or(SlotIntent::Sleep)
+            match self.plan.get(&asn.0).cloned() {
+                Some(planned) => {
+                    self.record(asn, Call::Intent);
+                    planned
+                }
+                None => match self.standing.listens().offset_at(asn) {
+                    Some(offset) => SlotIntent::Listen { offset },
+                    None => SlotIntent::Sleep,
+                },
+            }
         }
 
         fn on_frame(&mut self, asn: Asn, frame: &Frame<u32>, rss: Dbm) {
             let call = Call::Frame { payload: frame.payload, rss_bits: rss.dbm().to_bits() };
-            self.calls.push((asn.0, call));
+            self.record(asn, call);
         }
 
         fn on_tx_outcome(&mut self, asn: Asn, outcome: TxOutcome) {
-            self.calls.push((asn.0, Call::Outcome(outcome)));
+            self.record(asn, Call::Outcome(outcome));
         }
 
         fn reset(&mut self, asn: Asn) {
-            self.calls.push((asn.0, Call::Reset));
+            self.record(asn, Call::Reset);
         }
 
         fn desync(&mut self, asn: Asn) {
-            self.calls.push((asn.0, Call::Desync));
+            self.record(asn, Call::Desync);
         }
 
         fn next_wake(&self, from: Asn) -> Asn {
-            if !self.naps {
+            if self.every_slot || !self.naps {
                 return from;
             }
             Asn(self.plan.range(from.0..).next().map_or(u64::MAX, |(asn, _)| *asn))
+        }
+
+        fn standing_listens(&self) -> StandingListens<'_> {
+            if self.every_slot {
+                return StandingListens::Off;
+            }
+            self.standing.listens()
+        }
+
+        fn standing_version(&self) -> u64 {
+            self.version
         }
     }
 
@@ -1715,6 +2022,9 @@ mod tests {
         rf: RfConfig,
         seed: u64,
         plans: Vec<(BTreeMap<u64, SlotIntent<u32>>, bool)>,
+        /// Per node, its standing description and the changes to it (none
+        /// drawn: off).
+        standing: Vec<(Drawn, BTreeMap<usize, Drawn>)>,
         faults: FaultPlan,
         jammers: Vec<Jammer>,
         ambient: Vec<Jammer>,
@@ -1808,6 +2118,20 @@ mod tests {
         plan
     }
 
+    fn draw_standing(d: &mut Draw, offsets: u8) -> Drawn {
+        match d.int(0u8..5) {
+            0 | 1 => Drawn::Off,
+            2 => Drawn::EverySlot(*d.pick(&[parked as OffsetRule, rotating])),
+            _ => {
+                let period = *d.pick(&[3, 7, 16, 47]);
+                let slots: std::collections::BTreeSet<u32> =
+                    (0..d.int(1u8..=6)).map(|_| d.int(0..period)).collect();
+                let cells = slots.into_iter().map(|s| (s, ChannelOffset::new(d.int(0..offsets))));
+                Drawn::Cells { period, cells: cells.collect() }
+            }
+        }
+    }
+
     fn draw_case(d: &mut Draw) -> Case {
         let n = d.int(2u16..=60);
         let horizon = d.int(40u64..300);
@@ -1890,20 +2214,37 @@ mod tests {
             };
             chunks.push((slots, between));
         }
-        Case {
+        let mut case = Case {
             topology: Topology::new("drawn", positions, roles),
             rf,
             seed: d.u64(),
             plans,
+            standing: Vec::new(),
             faults: draw_faults(d, n, horizon),
             jammers,
             ambient: d.vec(0..3, |d| draw_ambient(d, side)),
             traced: d.bool(),
             chunks,
-        }
+        };
+        // Drawn last, so that the rest of the case is what it was before
+        // there were standing listens.
+        case.standing = (0..n)
+            .map(|_| {
+                let changes = d.vec(0..3, |d| (d.int(1usize..12), draw_standing(d, offsets)));
+                (draw_standing(d, offsets), changes.into_iter().collect())
+            })
+            .collect();
+        case
     }
 
     impl Case {
+        /// The case with its stacks as the reference kernel is to see them.
+        fn build_reference(&self) -> (Engine, Vec<Recording>) {
+            let (engine, mut stacks) = self.build();
+            stacks.iter_mut().for_each(|stack| stack.every_slot = true);
+            (engine, stacks)
+        }
+
         fn build(&self) -> (Engine, Vec<Recording>) {
             let mut engine = Engine::new(self.topology.clone(), self.rf.clone(), self.seed);
             for jammer in &self.jammers {
@@ -1917,10 +2258,18 @@ mod tests {
             let stacks = self
                 .plans
                 .iter()
-                .map(|(plan, naps)| Recording {
-                    plan: plan.clone(),
-                    naps: *naps,
-                    calls: Vec::new(),
+                .enumerate()
+                .map(|(i, (plan, naps))| {
+                    let (standing, changes) = self.standing.get(i).cloned().unwrap_or_default();
+                    Recording {
+                        plan: plan.clone(),
+                        naps: *naps,
+                        standing,
+                        changes,
+                        version: 0,
+                        every_slot: false,
+                        calls: Vec::new(),
+                    }
                 })
                 .collect();
             (engine, stacks)
@@ -1956,10 +2305,11 @@ mod tests {
     }
 
     /// Runs a case on the production kernel and on the reference kernel,
-    /// comparing after every chunk.
-    fn run_against_reference(case: &Case) {
+    /// comparing after every chunk. Returns how many frames were heard
+    /// through a standing listen (by a node with nothing planned).
+    fn run_against_reference(case: &Case) -> usize {
         let mut ours = case.build();
-        let mut reference = case.build();
+        let mut reference = case.build_reference();
         for (chunk, (slots, between)) in case.chunks.iter().enumerate() {
             ours.0.run(&mut ours.1, *slots);
             reference.0.reference_run(&mut reference.1, *slots);
@@ -1967,14 +2317,22 @@ mod tests {
             between.apply(&mut ours.0);
             between.apply(&mut reference.0);
         }
+        let heard_standing = |stack: &Recording| {
+            let unplanned = |(asn, call): &&(u64, Call)| {
+                matches!(call, Call::Frame { .. }) && !stack.plan.contains_key(asn)
+            };
+            stack.calls.iter().filter(unplanned).count()
+        };
+        ours.1.iter().map(heard_standing).sum()
     }
 
     #[test]
     fn the_slot_kernel_matches_the_reference_kernel() {
         let mut jumped = 0;
+        let mut heard_standing = 0;
         cases(320, |d| {
             let case = draw_case(d);
-            run_against_reference(&case);
+            heard_standing += run_against_reference(&case);
             if !case.traced {
                 let (mut engine, mut stacks) = case.build();
                 for (slots, between) in &case.chunks {
@@ -1985,20 +2343,40 @@ mod tests {
             }
         });
         assert!(jumped >= 50, "only {jumped} chunks jumped a gap");
+        assert!(
+            heard_standing >= 10_000,
+            "only {heard_standing} frames heard by standing listeners"
+        );
+    }
+
+    #[test]
+    fn closed_form_count_of_standing_listens_matches_membership_slot_by_slot() {
+        cases(400, |d| {
+            let standing = draw_standing(d, 3);
+            let listens = standing.listens();
+            // Ranges that start and end inside a frame, empty ones included.
+            let from = d.int(0u64..1 << 20);
+            let to = from + d.int(0u64..200);
+            let brute = (from..to).filter(|asn| listens.offset_at(Asn(*asn)).is_some()).count();
+            assert_eq!(
+                listens.count(Asn(from), Asn(to)),
+                brute as u64,
+                "{standing:?} {from}..{to}"
+            );
+        });
     }
 
     /// [`Engine::run`], noting the slot each step of the kernel started in
     /// (a slot missing from the list was jumped over).
     fn run_noting_steps(engine: &mut Engine, stacks: &mut [Recording], slots: u64) -> Vec<u64> {
-        let wake = stacks.iter().map(|s| s.next_wake(engine.asn)).collect();
-        let mut run = Run::new(wake, engine.asn, slots);
+        let mut run = Run::new(stacks, engine.asn, slots);
         let mut steps = Vec::new();
         while engine.asn < run.end {
             steps.push(engine.asn.0);
             engine.slot(stacks, &mut run);
         }
         let asn = engine.asn;
-        engine.tick_alive_to(&mut run, asn);
+        engine.settle_alive_to(stacks, &mut run, asn);
         steps
     }
 
@@ -2014,6 +2392,7 @@ mod tests {
             rf: RfConfig::deterministic(),
             seed: 7,
             plans: vec![(listener.collect(), false), (sender.collect(), false)],
+            standing: Vec::new(),
             faults: FaultPlan::none(),
             jammers: Vec::new(),
             ambient: Vec::new(),
@@ -2087,6 +2466,7 @@ mod tests {
                 (BTreeMap::new(), true),
                 (BTreeMap::from([(100, listen)]), true),
             ],
+            standing: Vec::new(),
             faults: FaultPlan::none().with(Outage::transient(NodeId(1), Asn(40), Asn(70))),
             jammers: Vec::new(),
             ambient: Vec::new(),
