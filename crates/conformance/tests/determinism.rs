@@ -90,9 +90,9 @@ fn fnv1a64(parts: &[&str]) -> u64 {
 #[test]
 fn pinned_digests_hold_across_commits() {
     let pinned = [
-        (Protocol::Digs, 0x7a4f_a194_66ac_08e8u64),
-        (Protocol::Orchestra, 0x4947_c927_a00c_9824),
-        (Protocol::WirelessHart, 0x1813_cb83_227b_a65c),
+        (Protocol::Digs, 0x861f_dba7_4278_71d6u64),
+        (Protocol::Orchestra, 0x2bbc_cac6_fcad_d2f6),
+        (Protocol::WirelessHart, 0x7843_02d3_aea4_91a0),
     ];
     let moved: Vec<String> = pinned
         .into_iter()
@@ -131,6 +131,32 @@ fn pinned_telemetry_digest_holds_across_commits() {
     assert!(text.contains("\"rule\":\"pdr-collapse\""), "the jam must raise pdr-collapse alerts");
     let (got, want) = (fnv1a64(&[&text]), 0x80c2_e5e2_6331_0176u64);
     assert_eq!(got, want, "telemetry digest moved: got {got:#018x}, pinned {want:#018x}");
+}
+
+/// The recorder remembers what happened, however long nothing did: at
+/// `digs-cli`'s default `--trace-cap` a 900 s traced run keeps in its trace
+/// every `HealthAlert` the sampler raised over the same jam window. (While the
+/// network ring also took a marker per slot, the 90 000 of them evicted all
+/// but the last 4.)
+#[test]
+fn a_long_traced_run_keeps_every_health_alert_the_sampler_raised() {
+    let spec = digs_digsd::SingleSpec {
+        secs: 900,
+        trace_cap: Some(65_536),
+        telemetry: Some((1000, 4096)),
+        jam: Some((120, 180)),
+        ..digs_digsd::SingleSpec::default()
+    };
+    let mut net = spec.build().expect("spec builds");
+    net.run_secs(spec.secs);
+    let raised = net.telemetry().expect("telemetry is on").alerts().len();
+    let kept = net
+        .trace()
+        .node_events(digs_trace::NETWORK_NODE)
+        .iter()
+        .filter(|e| matches!(e.kind, digs_trace::EventKind::HealthAlert { .. }))
+        .count();
+    assert_eq!((raised, kept), (24, 24), "(alerts raised, alerts still in the trace)");
 }
 
 /// The attack-vs-defense duel with every observer on: adaptive jammers

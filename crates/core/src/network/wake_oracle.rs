@@ -253,18 +253,26 @@ fn formation_cut_into_single_slots_matches_ask_every_slot() {
 #[test]
 fn an_idle_network_is_asked_in_a_small_share_of_its_node_slots() {
     for protocol in [Protocol::Digs, Protocol::Orchestra] {
-        let topology = Topology::testbed_a();
-        let nodes = topology.len() as u64;
-        let mut config =
-            NetworkConfig::builder(topology).protocol(protocol).seed(1).random_flows(2, 3000, 1);
-        config = config.trace_cap(0).telemetry_epoch(0);
-        let mut network = Network::new(config.build());
-        network.run(18_000);
-        network.asks = Some(0);
-        network.run(40_000);
-        let asks = network.asks.expect("counted");
+        let nodes = Topology::testbed_a().len() as u64;
+        let asks_with = |trace_cap: usize| {
+            let config = NetworkConfig::builder(Topology::testbed_a())
+                .protocol(protocol)
+                .seed(1)
+                .random_flows(2, 3000, 1)
+                .trace_cap(trace_cap)
+                .telemetry_epoch(0);
+            let mut network = Network::new(config.build());
+            network.run(18_000);
+            network.asks = Some(0);
+            network.run(40_000);
+            network.asks.expect("counted")
+        };
+        let asks = asks_with(0);
         let twin_asks = nodes * 40_000;
         assert!(asks * 25 < twin_asks, "{protocol:?}: {asks} asks in {twin_asks} node-slots");
+        // The recorder holds what happened, not which slots passed: a traced
+        // run is asked exactly as often.
+        assert_eq!(asks_with(digs_trace::DEFAULT_CAPACITY), asks, "{protocol:?}: traced twin");
     }
 }
 

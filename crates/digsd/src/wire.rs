@@ -537,23 +537,24 @@ impl<'a> Fields<'a> {
         if !self.payload_is_last {
             return Err("event frame's payload is not its last field".into());
         }
-        let node = match self.node.map(head).transpose()? {
-            None | Some(Value::Null) => None,
-            Some(node) => Some(node.to_uint("node")?),
+        let node = match self.node {
+            None | Some("null") => None,
+            Some(node) => Some(head_uint("node", node)?),
         };
         Ok(EventFrame {
             run: head_str("run", self.run)?.into_owned(),
             kind: FrameKind::parse(&head_str("kind", self.kind)?)?,
             node,
-            seq: head(self.seq.ok_or("missing field `seq`")?)?.to_uint("seq")?,
+            seq: head_uint("seq", self.seq.ok_or("missing field `seq`")?)?,
             payload: payload.to_string(),
         })
     }
 }
 
-/// A head field parsed from its slice (which the walk has checked).
-fn head(raw: &str) -> Result<Value, String> {
-    digs_json::parse(raw).map_err(|e| e.to_string())
+/// A head field that must be a non-negative integer fitting `T`, read from
+/// its slice (which the walk has checked) with [`Value::to_uint`]'s errors.
+fn head_uint<T: TryFrom<u64>>(key: &str, raw: &str) -> Result<T, String> {
+    digs_json::raw_uint(raw).map_or(Value::Null, Value::Int).to_uint(key)
 }
 
 /// A required head field that must be a string.
@@ -749,6 +750,15 @@ mod tests {
         // Node 70000 used to arrive as 4464.
         let err = EventFrame::decode(&ok.replace("65535", "70000")).unwrap_err();
         assert!(err.contains("node") && err.contains("70000"), "{err}");
+        // The head integers read from their slices by the rule every other
+        // integer field is read by: a float that spells one is one.
+        let spelled = EventFrame::decode(&ok.replace("65535", "6.5e4").replace(":1,", ":1.0,"));
+        assert_eq!(spelled.map(|f| (f.node, f.seq)), Ok((Some(65000), 1)));
+        assert_eq!(EventFrame::decode(&ok.replace("65535", "null")).expect("decodes").node, None);
+        for bad in [":-1,", ":1.5,", ":\"1\",", ":[1],"] {
+            let err = EventFrame::decode(&ok.replace(":1,", bad)).unwrap_err();
+            assert!(err.contains("`seq` is not a non-negative integer"), "{bad}: {err}");
+        }
         // Only the top-level `payload` is the payload, whatever the rest of
         // the line looks like; it comes back without the space around it.
         let nested =

@@ -385,6 +385,20 @@ pub fn raw_str(raw: &str) -> Option<Cow<'_, str>> {
     }
 }
 
+/// The non-negative integer that `raw` — a value slice from [`walk_fields`]
+/// — spells, or `None` when it spells something else: what
+/// [`Value::as_u64`] says of the parsed slice, with nothing built when the
+/// slice is plain digits that fit.
+pub fn raw_uint(raw: &str) -> Option<u64> {
+    // Digits only: `u64::from_str` would also take a leading `+`.
+    if raw.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(n) = raw.parse() {
+            return Some(n);
+        }
+    }
+    parse(raw).ok()?.as_u64()
+}
+
 /// The one grammar. With `BUILD` it returns the [`Value`] it read; without,
 /// it reads the same way but leaves every string and container it returns
 /// empty, and sends each top-level object field to `top_field`.
@@ -782,6 +796,14 @@ mod tests {
         assert!(matches!(raw_str(r#""plain é""#), Some(Cow::Borrowed("plain é"))));
         for not_a_string in ["1", "null", "[\"a\"]", "\"", "\"a\"b\"", "\"a\\\""] {
             assert_eq!(raw_str(not_a_string), None, "{not_a_string}");
+        }
+        // An integer slice reads as `as_u64` reads the value `parse` builds.
+        assert_eq!(raw_uint("18446744073709551615"), Some(u64::MAX));
+        for raw in ["0", "42", "007", "4e2", "5.0", "-0", "-1", "0.5", "18446744073709551616"]
+            .into_iter()
+            .chain(["", "+5", "null", "\"7\"", "[7]", "7 ", "1e999"])
+        {
+            assert_eq!(raw_uint(raw), parse(raw).ok().and_then(|v| v.as_u64()), "{raw:?}");
         }
         // Not an object: checked all the same, no fields.
         walk_fields("[{\"a\":1}]", |_, _| panic!("no top-level object")).expect("well-formed");

@@ -69,14 +69,16 @@
 //! slot), and between edges a slot is one scan over `alive[i]` and
 //! `wake[i] <= asn` for the due nodes. The energy meters' slot counts are
 //! settled at each edge and on leaving `run` — alive slots only, as if
-//! ticked one by one. And when the scan finds nobody due, the recorder is
-//! off and no jammer is adaptive, the engine moves straight to the earliest
-//! of the next wake slot of an alive node, the next edge and the end of the
-//! run, adding the gap to `stats.slots`: a slot in which no node is asked
-//! has nothing on the air, so it draws no randomness and calls no stack,
-//! what its standing listeners are charged is settled later, and the only
-//! things that could tell it from a jumped one are the recorder's per-slot
-//! `SlotStart` and an adaptive jammer's sniffer, which counts every slot.
+//! ticked one by one. And when the scan finds nobody due and no jammer is
+//! adaptive, the engine moves straight to the earliest of the next wake slot
+//! of an alive node, the next edge and the end of the run, adding the gap to
+//! `stats.slots`: a slot in which no node is asked has nothing on the air,
+//! so it draws no randomness and calls no stack, what its standing listeners
+//! are charged is settled later, and the only thing that could tell it from
+//! a jumped one is an adaptive jammer's sniffer, which counts every slot.
+//! The recorder cannot: a fault transition is recorded at the top of its
+//! edge slot, where every jump lands, and every other event inside a call
+//! the engine makes into a stack, so a traced run jumps like an untraced one.
 //! The visiting order, the random stream, every meter, every trace event
 //! and every callback are therefore where they would be if every node were
 //! visited in every slot and answered `Listen` where its description says
@@ -739,17 +741,14 @@ impl Engine {
         let asn = self.asn;
         let tracing = self.trace.is_on();
         let at_edge = asn == run.next_edge;
-        if tracing {
-            self.trace.record_network(asn.0, EventKind::SlotStart);
-            if at_edge {
-                for (node, fault, peer, injected) in self.faults.transitions_at(asn) {
-                    let kind = if injected {
-                        EventKind::FaultInject { fault, peer: peer.map(|p| p.0) }
-                    } else {
-                        EventKind::FaultClear { fault, peer: peer.map(|p| p.0) }
-                    };
-                    self.trace.record(asn.0, node.0, kind);
-                }
+        if tracing && at_edge {
+            for (node, fault, peer, injected) in self.faults.transitions_at(asn) {
+                let kind = if injected {
+                    EventKind::FaultInject { fault, peer: peer.map(|p| p.0) }
+                } else {
+                    EventKind::FaultClear { fault, peer: peer.map(|p| p.0) }
+                };
+                self.trace.record(asn.0, node.0, kind);
             }
         }
 
@@ -776,11 +775,11 @@ impl Engine {
                 next = next.min(run.wake[i]);
             }
         }
-        // A slot in which nobody is asked draws no randomness and changes
-        // nothing but the slot counts, so unless something reads every slot
-        // (the recorder's `SlotStart`, an adaptive jammer's sniffer) the
-        // whole gap is taken in this step.
-        if run.awake.is_empty() && !tracing && !self.any_adaptive {
+        // A slot in which nobody is asked draws no randomness, records no
+        // event and changes nothing but the slot counts, so unless something
+        // reads every slot (an adaptive jammer's sniffer) the whole gap is
+        // taken in this step.
+        if run.awake.is_empty() && !self.any_adaptive {
             self.stats.slots += next - asn;
             self.asn = next;
             return;
@@ -1459,10 +1458,9 @@ mod tests {
         engine.step(&mut stacks);
         let events = trace.events();
         let names: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
-        assert!(names.contains(&"slot"), "{names:?}");
-        assert!(names.contains(&"tx"), "{names:?}");
-        assert!(names.contains(&"rx"), "{names:?}");
-        assert!(names.contains(&"ack"), "{names:?}");
+        // Nothing marks the slot itself: the frame is decoded, then its
+        // transmission and its acknowledgement are reported.
+        assert_eq!(names, vec!["rx", "tx", "ack"]);
     }
 
     #[test]
@@ -1557,7 +1555,6 @@ mod tests {
             let rf = self.link.rf();
             let tracing = self.trace.is_on();
             if tracing {
-                self.trace.record_network(asn.0, EventKind::SlotStart);
                 for (node, fault, peer, injected) in self.faults.transitions_at(asn) {
                     let kind = if injected {
                         EventKind::FaultInject { fault, peer: peer.map(|p| p.0) }
@@ -2333,13 +2330,11 @@ mod tests {
         cases(320, |d| {
             let case = draw_case(d);
             heard_standing += run_against_reference(&case);
-            if !case.traced {
-                let (mut engine, mut stacks) = case.build();
-                for (slots, between) in &case.chunks {
-                    let steps = run_noting_steps(&mut engine, &mut stacks, *slots);
-                    jumped += u32::from((steps.len() as u64) < *slots);
-                    between.apply(&mut engine);
-                }
+            let (mut engine, mut stacks) = case.build();
+            for (slots, between) in &case.chunks {
+                let steps = run_noting_steps(&mut engine, &mut stacks, *slots);
+                jumped += u32::from((steps.len() as u64) < *slots);
+                between.apply(&mut engine);
             }
         });
         assert!(jumped >= 50, "only {jumped} chunks jumped a gap");
@@ -2495,14 +2490,24 @@ mod tests {
     }
 
     #[test]
-    fn a_recorder_or_an_adaptive_jammer_reads_every_slot_so_nothing_is_jumped() {
-        let every_slot: Vec<u64> = (0..100).collect();
+    fn a_traced_run_takes_the_untraced_steps_and_an_adaptive_jammer_reads_every_slot() {
+        let untraced = nappers();
         let mut traced = nappers();
         traced.traced = true;
+        run_against_reference(&untraced);
         run_against_reference(&traced);
-        let (mut engine, mut stacks) = traced.build();
-        assert_eq!(run_noting_steps(&mut engine, &mut stacks, 100), every_slot);
+        let (mut engine, mut stacks) = untraced.build();
+        let (mut traced_engine, mut traced_stacks) = traced.build();
+        assert_eq!(
+            run_noting_steps(&mut traced_engine, &mut traced_stacks, 100),
+            run_noting_steps(&mut engine, &mut stacks, 100),
+            "the recorder holds a line per event, not per slot, so it reads no gap"
+        );
+        let names: Vec<&str> =
+            traced_engine.trace().events().iter().map(|e| e.kind.name()).collect();
+        assert_eq!(names, vec!["fault-inject", "fault-clear"], "the two edges landed on");
 
+        let every_slot: Vec<u64> = (0..100).collect();
         let mut sniffed = nappers();
         sniffed.jammers = vec![Jammer::adaptive(Position::new(1.0, 1.0), 7, Asn(0), 9)];
         run_against_reference(&sniffed);

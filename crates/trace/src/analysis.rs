@@ -410,7 +410,7 @@ mod tests {
     #[test]
     fn churn_timeline_filters_and_keeps_order() {
         let events = vec![
-            ev(0, 1, 3, EventKind::SlotStart),
+            ev(0, 1, 3, EventKind::CcaDefer),
             ev(1, 2, 3, EventKind::FaultInject { fault: FaultKind::Outage, peer: None }),
             ev(
                 2,
@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn window_is_bounded_and_inclusive_of_end() {
-        let events: Vec<Event> = (0..100).map(|i| ev(i, i, 0, EventKind::SlotStart)).collect();
+        let events: Vec<Event> = (0..100).map(|i| ev(i, i, 0, EventKind::CcaDefer)).collect();
         let w = window(&events, 50, 10);
         assert_eq!(w.len(), 10);
         assert_eq!(w.first().unwrap().asn, 41);

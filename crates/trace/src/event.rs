@@ -7,8 +7,9 @@
 
 use core::fmt;
 
-/// Sentinel node id for network-scoped events (slot boundaries, audit
-/// violations attributed to the run rather than a device).
+/// Sentinel node id for network-scoped events (audit violations, health
+/// alerts, attack phases and defense epochs: attributed to the run rather
+/// than a device).
 pub const NETWORK_NODE: u16 = u16::MAX;
 
 /// End-to-end identity of one application data packet, stable across hops.
@@ -163,8 +164,6 @@ pub struct Event {
 /// taxonomy rationale.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
-    /// Slot boundary marker (one per simulated slot, on [`NETWORK_NODE`]).
-    SlotStart,
     /// A frame was committed to the air by this node.
     Tx {
         /// Unicast destination (`None` = broadcast).
@@ -353,7 +352,6 @@ impl EventKind {
     /// Stable wire name of the variant (the `"ev"` JSONL field).
     pub fn name(&self) -> &'static str {
         match self {
-            EventKind::SlotStart => "slot",
             EventKind::Tx { .. } => "tx",
             EventKind::Rx { .. } => "rx",
             EventKind::Ack { .. } => "ack",
@@ -503,7 +501,7 @@ mod tests {
     fn packet_accessor_covers_data_events() {
         let p = PacketId { flow: 1, seq: 2, origin: 3 };
         assert_eq!(EventKind::Generated { packet: p }.packet(), Some(p));
-        assert_eq!(EventKind::SlotStart.packet(), None);
+        assert_eq!(EventKind::CcaDefer.packet(), None);
         assert_eq!(
             EventKind::Tx {
                 dst: Some(4),

@@ -81,10 +81,7 @@ pub fn write_jsonl_line(out: &mut String, event: &Event) {
         event.kind.name()
     );
     match &event.kind {
-        EventKind::SlotStart
-        | EventKind::CcaDefer
-        | EventKind::NodeReset
-        | EventKind::ClockDesync => {}
+        EventKind::CcaDefer | EventKind::NodeReset | EventKind::ClockDesync => {}
         EventKind::Tx { dst, class, channel, contention, packet } => {
             if let Some(d) = dst {
                 let _ = write!(out, ",\"dst\":{d}");
@@ -203,7 +200,6 @@ fn decode_event(value: &Value) -> Result<Event, String> {
     let node = value.uint("node")?;
     let ev = value.str("ev")?;
     let kind = match ev {
-        "slot" => EventKind::SlotStart,
         "cca-defer" => EventKind::CcaDefer,
         "node-reset" => EventKind::NodeReset,
         "clock-desync" => EventKind::ClockDesync,
@@ -296,12 +292,6 @@ mod tests {
     fn sample_events() -> Vec<Event> {
         let p = PacketId { flow: 2, seq: 17, origin: 9 };
         vec![
-            Event {
-                seq: 0,
-                asn: 100,
-                node: crate::event::NETWORK_NODE,
-                kind: EventKind::SlotStart,
-            },
             Event { seq: 1, asn: 100, node: 9, kind: EventKind::Generated { packet: p } },
             Event { seq: 2, asn: 100, node: 9, kind: EventKind::QueueEnq { packet: p, depth: 1 } },
             Event {
@@ -458,8 +448,8 @@ mod tests {
 
     #[test]
     fn garbage_reports_line_number() {
-        let err =
-            from_jsonl("{\"seq\":0,\"asn\":0,\"node\":1,\"ev\":\"slot\"}\nnot json").unwrap_err();
+        let err = from_jsonl("{\"seq\":0,\"asn\":0,\"node\":1,\"ev\":\"cca-defer\"}\nnot json")
+            .unwrap_err();
         assert_eq!(err.line, 2);
     }
 
@@ -467,6 +457,9 @@ mod tests {
     fn unknown_event_name_is_an_error() {
         let err = from_jsonl("{\"seq\":0,\"asn\":0,\"node\":1,\"ev\":\"warp\"}").unwrap_err();
         assert!(err.message.contains("warp"), "{err}");
+        // The per-slot marker older traces carried is no event any more.
+        let err = from_jsonl("{\"seq\":0,\"asn\":0,\"node\":65535,\"ev\":\"slot\"}").unwrap_err();
+        assert!(err.message.contains("unknown event name \"slot\""), "{err}");
     }
 
     #[test]

@@ -192,7 +192,7 @@ mod tests {
     fn off_handle_records_nothing() {
         let h = TraceHandle::off();
         assert!(!h.is_on());
-        h.record(5, 1, EventKind::SlotStart);
+        h.record(5, 1, EventKind::CcaDefer);
         assert!(h.events().is_empty());
     }
 
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn seq_fixes_global_order_across_nodes() {
         let h = TraceHandle::bounded(8);
-        h.record(0, 2, ev(EventKind::SlotStart));
+        h.record(0, 2, ev(EventKind::CcaDefer));
         h.record(0, 1, ev(EventKind::CcaDefer));
         h.record(1, 2, ev(EventKind::NodeReset));
         let all = h.events();
@@ -246,7 +246,7 @@ mod tests {
     fn zero_capacity_ring_recorder_is_a_no_op() {
         let mut r = RingRecorder::new(0);
         for asn in 0..10 {
-            r.record(Event { seq: 0, asn, node: 3, kind: EventKind::SlotStart });
+            r.record(Event { seq: 0, asn, node: 3, kind: EventKind::CcaDefer });
         }
         assert_eq!(r.capacity(), 0);
         assert_eq!(r.len(), 0);
@@ -260,13 +260,13 @@ mod tests {
         let mut r = RingRecorder::new(4);
         // Fill exactly to capacity: nothing evicted, seqs start at 0.
         for asn in 0..4 {
-            r.record(Event { seq: 0, asn, node: 1, kind: EventKind::SlotStart });
+            r.record(Event { seq: 0, asn, node: 1, kind: EventKind::CcaDefer });
         }
         assert_eq!(r.len(), 4);
         assert_eq!(r.events().iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         // One past capacity: the oldest is evicted, the retained window is
         // the newest four with still-contiguous sequence numbers.
-        r.record(Event { seq: 0, asn: 4, node: 1, kind: EventKind::SlotStart });
+        r.record(Event { seq: 0, asn: 4, node: 1, kind: EventKind::CcaDefer });
         let events = r.events();
         assert_eq!(events.len(), 4);
         assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
@@ -277,7 +277,7 @@ mod tests {
     fn events_since_cursors_through_the_stream() {
         let h = TraceHandle::bounded(8);
         for asn in 0..5 {
-            h.record(asn, (asn % 2) as u16, ev(EventKind::SlotStart));
+            h.record(asn, (asn % 2) as u16, ev(EventKind::CcaDefer));
         }
         let first = h.events_since(0);
         assert_eq!(first.len(), 5);
@@ -302,7 +302,7 @@ mod tests {
             let recorded = d.int(0u64..60);
             for asn in 0..recorded {
                 let node = d.int(0..nodes);
-                r.record(Event { seq: 0, asn, node, kind: EventKind::SlotStart });
+                r.record(Event { seq: 0, asn, node, kind: EventKind::CcaDefer });
             }
             for since in (0..=recorded + 2).chain([u64::MAX]) {
                 let mut old: Vec<Event> = r
