@@ -18,13 +18,18 @@
 //! second-best parent must have strictly lower rank — the paper's
 //! loop-avoidance rules (same-rank links are never used for routing).
 //!
-//! This implementation processes Algorithm 1's event-driven updates as a
-//! batch re-evaluation on every received join-in, which yields the same
-//! fixed point while also handling parent *loss* (consecutive missed ACKs
-//! or prolonged silence), which the pseudo-code leaves implicit.
+//! Parent *loss* (consecutive missed ACKs or prolonged silence), which the
+//! pseudo-code leaves implicit, runs a full selection over the neighbor
+//! table. A join-in is Algorithm 1's per-sender comparison: while a full
+//! selection is known to be a fixed point (`settled_until`), one from a
+//! neighbor that is not a parent re-runs it only if that neighbor, with its
+//! new entry, could beat the best or the second-best parent under
+//! hysteresis — nobody else's standing can have moved.
 
 use crate::messages::{JoinIn, JoinedCallback, ParentSlot, Rank, RoutingEvent};
-use crate::neighbor::{is_housekeeping_turn, next_due_housekeeping_turn, NeighborTable};
+use crate::neighbor::{
+    is_housekeeping_turn, next_due_housekeeping_turn, NeighborEntry, NeighborTable,
+};
 use crate::trickle::{Trickle, TrickleConfig};
 use digs_sim::ids::NodeId;
 use digs_sim::rf::Dbm;
@@ -125,6 +130,28 @@ pub struct DigsRouting {
     last_parent_change: Option<Asn>,
     /// Voluntary switches are suppressed until this slot.
     lockout_until: Asn,
+    /// Before this slot a full selection ([`Self::reevaluate`]) over
+    /// `neighbors` and `children` as they stand changes neither a parent
+    /// nor the rank. Only a selection that changed nothing sets it, to the
+    /// earliest slot at which one of its tests flips with time alone: the
+    /// lockout's expiry, or the backup parent's advertisement passing
+    /// `backup_staleness`. Everything else that moves the selection's
+    /// inputs clears it — `record_tx` (and `degrade`) in `on_tx_result`, an
+    /// eviction in `tick`, `on_joined_callback`'s change to `children`, and
+    /// any selection that changed something — except the two mutations
+    /// `on_join_in` makes (`record_advertisement` and the sender's own
+    /// child-set membership), which touch the sender alone and are what
+    /// [`Self::could_take_a_slot`] tests. Those are all the mutators of
+    /// `neighbors` and `children` there are. (Clearing on an eviction, and
+    /// requiring the rank to have held, are more than exactness needs — a
+    /// neighbor leaving only reveals dearer challengers, and this selection
+    /// does not read the node's own rank — but keep the rule the same as
+    /// RPL's, where the rank is read.)
+    settled_until: Asn,
+    /// Test builds only: full selections run the pre-PR-22 body, the
+    /// oracle of the differential twin.
+    #[cfg(test)]
+    oracle: bool,
 }
 
 impl DigsRouting {
@@ -152,6 +179,9 @@ impl DigsRouting {
             parent_changes: 0,
             last_parent_change: None,
             lockout_until: Asn::ZERO,
+            settled_until: Asn::ZERO,
+            #[cfg(test)]
+            oracle: false,
         }
     }
 
@@ -286,11 +316,49 @@ impl DigsRouting {
         if self.is_root {
             return Vec::new();
         }
-        if advertises_us && (self.best == Some(from) || self.second == Some(from)) {
-            // Mutual parenthood detected via advertisement: resolve it.
-            return self.reevaluate(now);
+        // A parent's advertisement moves what everybody is compared with
+        // (and mutual parenthood, detected here, has to be resolved); anyone
+        // else's matters only through the sender while the node is settled.
+        let is_parent = self.best == Some(from) || self.second == Some(from);
+        if now < self.settled_until && !is_parent && !self.could_take_a_slot(from) {
+            return Vec::new();
         }
         self.reevaluate(now)
+    }
+
+    /// Whether a full selection could hand `from` — not a current parent,
+    /// its entry and child-set membership already updated from the join-in
+    /// just heard — a parent slot: it is a candidate, and it undercuts the
+    /// best parent or, from a lower rank, the backup by more than the
+    /// hysteresis (or the slot is empty). These are the selection's own
+    /// float expressions; the lockout is left out, which only makes this
+    /// say yes more often than the selection would.
+    ///
+    /// While the node is settled, a no here means the selection is still a
+    /// fixed point. Every other neighbor has already lost to the incumbents,
+    /// and costs enter only through `challenger + hysteresis >= incumbent`,
+    /// which is monotone in the challenger's cost: the sender getting
+    /// dearer, ineligible or becoming a child, like a challenger going
+    /// stale, only reveals a dearer challenger. The incumbents' entries
+    /// and our rank move only with a parent's join-in or a call that
+    /// clears `settled_until`.
+    fn could_take_a_slot(&self, from: NodeId) -> bool {
+        let Some(entry) = self.neighbors.get(from).filter(|e| self.is_candidate(from, e)) else {
+            return false;
+        };
+        let cost = entry.accumulated_cost();
+        let undercuts = |holder: Option<NodeId>| {
+            holder
+                .and_then(|h| self.neighbors.get(h))
+                .is_none_or(|h| cost + self.config.hysteresis < h.accumulated_cost())
+        };
+        undercuts(self.best)
+            || (self.config.use_second_parent && entry.rank < self.rank && undercuts(self.second))
+    }
+
+    /// Candidate parents: usable neighbors that are not our children.
+    fn is_candidate(&self, id: NodeId, entry: &NeighborEntry) -> bool {
+        entry.is_usable() && !self.children.contains(&id)
     }
 
     /// Handles a received joined-callback unicast addressed to us.
@@ -300,6 +368,7 @@ impl DigsRouting {
         cb: &JoinedCallback,
         now: Asn,
     ) -> Vec<RoutingEvent> {
+        self.settled_until = Asn::ZERO;
         if cb.selected {
             self.children.insert(from);
             // A child cannot simultaneously be our parent: if it just
@@ -322,6 +391,7 @@ impl DigsRouting {
         let Some(failures) = self.neighbors.record_tx(to, acked) else {
             return Vec::new();
         };
+        self.settled_until = Asn::ZERO;
         let is_parent = self.best == Some(to) || self.second == Some(to);
         if is_parent && failures >= self.config.parent_failure_threshold {
             // Degrade rather than forget: the scheduler's backup route
@@ -343,6 +413,9 @@ impl DigsRouting {
             let evicted = self.neighbors.evict_stale(horizon);
             let lost_parent =
                 evicted.iter().any(|id| self.best == Some(*id) || self.second == Some(*id));
+            if !evicted.is_empty() {
+                self.settled_until = Asn::ZERO;
+            }
             for id in evicted {
                 self.children.remove(&id);
             }
@@ -393,42 +466,30 @@ impl DigsRouting {
         next_due_housekeeping_turn(self.id, from, due).min(self.trickle.next_event().max(from))
     }
 
-    /// Re-runs parent selection over the neighbor table. Emits callbacks
-    /// and telemetry, and resets Trickle, when the parent set changes.
+    /// Re-runs parent selection over the neighbor table — the full
+    /// selection, one walk per slot and no allocation. Emits callbacks and
+    /// telemetry, and resets Trickle, when the parent set changes; settles
+    /// the node (see `settled_until`) when nothing does.
     fn reevaluate(&mut self, now: Asn) -> Vec<RoutingEvent> {
         debug_assert!(!self.is_root, "roots never select parents");
+        #[cfg(test)]
+        if self.oracle {
+            return self.reference_reevaluate(now);
+        }
         let old_best = self.best;
         let old_second = self.second;
 
-        // Candidate parents: joined neighbors that are not our children and
-        // whose signal is above the paper's RSSmin — links weaker than
-        // -90 dBm are below the usable floor, and picking one as a parent
-        // only buys a string of failed transmissions.
-        let mut candidates: Vec<(NodeId, f64, Rank)> = self
-            .neighbors
-            .iter()
-            .filter(|(id, e)| {
-                !self.children.contains(id)
-                    && e.rank.is_finite()
-                    && e.advertised_cost.is_finite()
-                    && e.last_rss.dbm() >= digs_sim::rf::RSS_MIN.dbm()
-            })
-            .map(|(id, e)| (id, e.accumulated_cost(), e.rank))
-            .collect();
-        candidates.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1).expect("finite costs").then(a.2.cmp(&b.2)).then(a.0.cmp(&b.0))
-        });
-
         // Best parent: minimum accumulated ETX, with hysteresis in favor of
         // the incumbent.
-        let new_best = match candidates.first() {
+        let new_best = match self.neighbors.cheapest(|id, e| self.is_candidate(id, e)) {
             None => None,
-            Some(&(challenger, challenger_cost, _)) => {
+            Some((challenger, challenger_cost)) => {
                 // The incumbent only survives if it still passes the same
                 // eligibility bar as the challengers (finite rank/cost,
                 // usable RSS, not a child).
                 let incumbent = old_best.and_then(|b| {
-                    candidates.iter().find(|(id, _, _)| *id == b).map(|(_, cost, _)| (b, *cost))
+                    let entry = self.neighbors.get(b).filter(|e| self.is_candidate(b, e));
+                    entry.map(|e| (b, e.accumulated_cost()))
                 });
                 match incumbent {
                     Some((b, cost))
@@ -461,11 +522,12 @@ impl DigsRouting {
             let fresh = |last_heard: Asn| {
                 now.0.saturating_sub(last_heard.0) <= self.config.backup_staleness
             };
-            let challenger = candidates
-                .iter()
-                .filter(|(id, _, rank)| Some(*id) != new_best && *rank < new_rank)
-                .find(|(id, _, _)| self.neighbors.get(*id).is_some_and(|e| fresh(e.last_heard)))
-                .map(|(id, cost, _)| (*id, *cost));
+            let challenger = self.neighbors.cheapest(|id, e| {
+                self.is_candidate(id, e)
+                    && Some(id) != new_best
+                    && e.rank < new_rank
+                    && fresh(e.last_heard)
+            });
             let incumbent = old_second
                 .filter(|s| Some(*s) != new_best && !self.children.contains(s))
                 .and_then(|s| {
@@ -497,10 +559,25 @@ impl DigsRouting {
             None
         };
 
+        let rank_held = self.rank == new_rank;
         self.rank = new_rank;
         if new_best == old_best && new_second == old_second {
+            // Nothing changed, so nothing changes until a test above flips
+            // with time alone: the lockout runs out, or the backup's
+            // advertisement goes stale. (A *challenger* going stale only
+            // leaves a dearer one.)
+            self.settled_until = if rank_held {
+                let lockout_ends = Some(self.lockout_until).filter(|until| now < *until);
+                let backup_stale = new_second
+                    .and_then(|s| self.neighbors.get(s))
+                    .map(|e| e.last_heard + (self.config.backup_staleness + 1));
+                lockout_ends.into_iter().chain(backup_stale).min().unwrap_or(Asn(u64::MAX))
+            } else {
+                Asn::ZERO
+            };
             return Vec::new();
         }
+        self.settled_until = Asn::ZERO;
         self.best = new_best;
         self.second = new_second;
         self.parent_changes += 1;
@@ -543,6 +620,157 @@ impl DigsRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neighbor::drawn::Neighbor;
+
+    impl DigsRouting {
+        /// `reevaluate` as it stood before PR 22 — every candidate collected
+        /// into a `Vec` and sorted, on every call — kept verbatim (name and
+        /// indentation aside) as the oracle of the differential twin below. It
+        /// knows nothing of `settled_until`.
+        pub(super) fn reference_reevaluate(&mut self, now: Asn) -> Vec<RoutingEvent> {
+            debug_assert!(!self.is_root, "roots never select parents");
+            let old_best = self.best;
+            let old_second = self.second;
+
+            // Candidate parents: joined neighbors that are not our children and
+            // whose signal is above the paper's RSSmin — links weaker than
+            // -90 dBm are below the usable floor, and picking one as a parent
+            // only buys a string of failed transmissions.
+            let mut candidates: Vec<(NodeId, f64, Rank)> = self
+                .neighbors
+                .iter()
+                .filter(|(id, e)| {
+                    !self.children.contains(id)
+                        && e.rank.is_finite()
+                        && e.advertised_cost.is_finite()
+                        && e.last_rss.dbm() >= digs_sim::rf::RSS_MIN.dbm()
+                })
+                .map(|(id, e)| (id, e.accumulated_cost(), e.rank))
+                .collect();
+            candidates.sort_by(|a, b| {
+                a.1.partial_cmp(&b.1).expect("finite costs").then(a.2.cmp(&b.2)).then(a.0.cmp(&b.0))
+            });
+
+            // Best parent: minimum accumulated ETX, with hysteresis in favor of
+            // the incumbent.
+            let new_best = match candidates.first() {
+                None => None,
+                Some(&(challenger, challenger_cost, _)) => {
+                    // The incumbent only survives if it still passes the same
+                    // eligibility bar as the challengers (finite rank/cost,
+                    // usable RSS, not a child).
+                    let incumbent = old_best.and_then(|b| {
+                        candidates.iter().find(|(id, _, _)| *id == b).map(|(_, cost, _)| (b, *cost))
+                    });
+                    match incumbent {
+                        Some((b, cost))
+                            if challenger != b
+                                && (challenger_cost + self.config.hysteresis >= cost
+                                    || now < self.lockout_until) =>
+                        {
+                            Some(b)
+                        }
+                        _ => Some(challenger),
+                    }
+                }
+            };
+
+            // Rank derives from the best parent.
+            let new_rank = match new_best.and_then(|b| self.neighbors.get(b)) {
+                Some(e) => e.rank.deeper(),
+                None => Rank::INFINITE,
+            };
+
+            // Second-best parent: next-cheapest candidate with *strictly lower
+            // rank than us* (paper's loop rule: same-rank links are not used).
+            // The incumbent also enjoys hysteresis — backup flapping costs a
+            // joined-callback exchange per flip.
+            let new_second = if self.config.use_second_parent {
+                // Freshness bar for backup edges only: the primary parent's
+                // liveness is continuously probed by data traffic (failure
+                // threshold), but a backup's advertised rank is only as old as
+                // its last join-in.
+                let fresh = |last_heard: Asn| {
+                    now.0.saturating_sub(last_heard.0) <= self.config.backup_staleness
+                };
+                let challenger = candidates
+                    .iter()
+                    .filter(|(id, _, rank)| Some(*id) != new_best && *rank < new_rank)
+                    .find(|(id, _, _)| self.neighbors.get(*id).is_some_and(|e| fresh(e.last_heard)))
+                    .map(|(id, cost, _)| (*id, *cost));
+                let incumbent = old_second
+                    .filter(|s| Some(*s) != new_best && !self.children.contains(s))
+                    .and_then(|s| {
+                        self.neighbors
+                            .get(s)
+                            .filter(|e| {
+                                e.rank < new_rank
+                                    && e.advertised_cost.is_finite()
+                                    && fresh(e.last_heard)
+                            })
+                            .map(|e| (s, e.accumulated_cost()))
+                    });
+                match (challenger, incumbent) {
+                    (Some((c, c_cost)), Some((i, i_cost))) => {
+                        if c != i
+                            && c_cost + self.config.hysteresis < i_cost
+                            && now >= self.lockout_until
+                        {
+                            Some(c)
+                        } else {
+                            Some(i)
+                        }
+                    }
+                    (Some((c, _)), None) => Some(c),
+                    (None, Some((i, _))) => Some(i),
+                    (None, None) => None,
+                }
+            } else {
+                None
+            };
+
+            self.rank = new_rank;
+            if new_best == old_best && new_second == old_second {
+                return Vec::new();
+            }
+            self.best = new_best;
+            self.second = new_second;
+            self.parent_changes += 1;
+            self.last_parent_change = Some(now);
+            self.lockout_until = Asn(now.0 + self.config.switch_lockout);
+            if self.joined_at.is_none() && new_best.is_some() {
+                self.joined_at = Some(now);
+            }
+            self.trickle.reset(now);
+
+            let mut events = Vec::new();
+            for (slot, new, old) in [
+                (ParentSlot::Best, new_best, old_best),
+                (ParentSlot::SecondBest, new_second, old_second),
+            ] {
+                if new != old {
+                    if let Some(o) = old {
+                        // Revoke unless the node still holds the other slot.
+                        let still_parent = Some(o) == new_best || Some(o) == new_second;
+                        if !still_parent {
+                            events.push(RoutingEvent::SendJoinedCallback {
+                                to: o,
+                                callback: JoinedCallback { slot, selected: false },
+                            });
+                        }
+                    }
+                    if let Some(n) = new {
+                        events.push(RoutingEvent::SendJoinedCallback {
+                            to: n,
+                            callback: JoinedCallback { slot, selected: true },
+                        });
+                    }
+                }
+            }
+            events.push(RoutingEvent::ParentsChanged { best: new_best, second: new_second });
+            events
+        }
+    }
 
     const STRONG: Dbm = Dbm(-55.0);
 
@@ -956,6 +1184,83 @@ mod tests {
         d.on_join_in(NodeId(1), &join_in_from(&r1), STRONG, Asn(2));
         assert_eq!(d.parent_changes(), 2);
         assert_eq!(d.last_parent_change(), Some(Asn(2)));
+    }
+    #[test]
+    fn settled_skip_and_sort_free_selection_match_the_reference_selection() {
+        let (mut heard, mut skipped, mut changes) = (0u64, 0u64, 0u64);
+        digs_cases::cases(400, |d| {
+            let mut config = RoutingConfig::fast();
+            if d.bool() {
+                (config.neighbor_timeout, config.backup_staleness) = (300, 150);
+            }
+            config.switch_lockout = d.int(0u64..=200);
+            config.hysteresis = *d.pick(&[0.0, 0.25, 0.5, 1.0]);
+            config.use_second_parent = d.int(0..4) > 0;
+            let id = NodeId(d.int(20u16..300));
+            let mut ours = DigsRouting::new(id, false, config, d.u64(), Asn(0));
+            // The twin never settles: every full selection it runs is the
+            // reference body, which does not know the field.
+            let mut twin = DigsRouting { oracle: true, ..ours.clone() };
+            let mut neighbors = d.vec(2..13, Neighbor::draw);
+            for now in (0..2000).map(Asn) {
+                assert_eq!(ours.tick(now), twin.tick(now), "{id} ticks at {now}");
+                let at = d.int(0..neighbors.len());
+                let from = neighbors[at].id;
+                match d.int(0..12) {
+                    0 => {
+                        let to = if d.bool() { ours.best_parent().unwrap_or(from) } else { from };
+                        let acked = d.int(0..3) > 0;
+                        let events = ours.on_tx_result(to, acked, now);
+                        assert_eq!(events, twin.on_tx_result(to, acked, now), "{id} at {now}");
+                    }
+                    1 => {
+                        let cb = JoinedCallback { slot: ParentSlot::Best, selected: d.bool() };
+                        let events = ours.on_joined_callback(from, &cb, now);
+                        assert_eq!(
+                            events,
+                            twin.on_joined_callback(from, &cb, now),
+                            "{id} at {now}"
+                        );
+                    }
+                    2..=5 => {
+                        let Some((rank, etx_w, rss)) = neighbors[at].advertise(d, now) else {
+                            continue;
+                        };
+                        // One in ten names us as its parent.
+                        let best_parent = Some(id).filter(|_| d.int(0..10) == 0);
+                        let join_in = JoinIn { rank, etx_w, best_parent, second_parent: None };
+                        let was_parent = [ours.best, ours.second].contains(&Some(from));
+                        let may_skip = now < ours.settled_until && !was_parent;
+                        let before = ours.parent_changes();
+                        let events = ours.on_join_in(from, &join_in, rss, now);
+                        assert_eq!(
+                            events,
+                            twin.on_join_in(from, &join_in, rss, now),
+                            "{id} at {now}"
+                        );
+                        heard += 1;
+                        // A skip leaves the state `could_take_a_slot` saw; a
+                        // full selection that found nothing does too, and a
+                        // full selection runs only after a yes.
+                        let quiet_call = events.is_empty() && !ours.could_take_a_slot(from);
+                        skipped += u64::from(may_skip && quiet_call);
+                        changes += ours.parent_changes() - before;
+                    }
+                    _ => {}
+                }
+                // Whole state equal, the new field (and the twin's mark) aside.
+                let seen = DigsRouting {
+                    settled_until: ours.settled_until,
+                    oracle: false,
+                    ..twin.clone()
+                };
+                assert_eq!(ours, seen, "{id} at {now}");
+            }
+        });
+        assert!(
+            heard > 200_000 && skipped > 60_000 && changes > 20_000,
+            "{heard} join-ins heard, {skipped} skipped, {changes} parent changes"
+        );
     }
     #[test]
     fn closed_form_skipping_to_next_tick_matches_ticking_every_slot() {

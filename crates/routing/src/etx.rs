@@ -53,14 +53,6 @@ impl EtxEstimator {
         let sample = if acked { 1.0 } else { 0.0 };
         self.prr = EWMA_ALPHA * self.prr + (1.0 - EWMA_ALPHA) * sample;
     }
-
-    /// Refreshes the estimate toward a newly observed RSS without discarding
-    /// transmission history (light nudge; broadcast receptions carry some
-    /// information too).
-    pub fn observe_rss(&mut self, rss: Dbm) {
-        let fresh = 1.0 / initial_etx_from_rss(rss);
-        self.prr = 0.98 * self.prr + 0.02 * fresh;
-    }
 }
 
 #[cfg(test)]
@@ -130,13 +122,5 @@ mod tests {
     #[should_panic(expected = "ETX cannot be below 1")]
     fn from_etx_rejects_sub_one() {
         let _ = EtxEstimator::from_etx(0.5);
-    }
-
-    #[test]
-    fn rss_observation_nudges_gently() {
-        let mut e = EtxEstimator::from_rss(Dbm(-50.0));
-        e.observe_rss(Dbm(-95.0));
-        // One weak-RSS overheard frame should not destroy a good link.
-        assert!(e.etx() < 1.2);
     }
 }

@@ -55,6 +55,17 @@ impl NeighborEntry {
     pub fn accumulated_cost(&self) -> f64 {
         self.etx.etx() + self.advertised_cost
     }
+
+    /// Whether a route through this neighbor exists and its link carries
+    /// it: it advertises a finite rank and cost, and its smoothed signal is
+    /// at or above the paper's RSSmin — links weaker than -90 dBm are below
+    /// the usable floor, and picking one as a parent only buys a string of
+    /// failed transmissions.
+    pub(crate) fn is_usable(&self) -> bool {
+        self.rank.is_finite()
+            && self.advertised_cost.is_finite()
+            && self.last_rss.dbm() >= digs_sim::rf::RSS_MIN.dbm()
+    }
 }
 
 /// The neighbor table, ordered by id for determinism.
@@ -125,13 +136,6 @@ impl NeighborTable {
         self.entries.get(&id)
     }
 
-    /// Removes a neighbor (e.g. presumed dead); returns whether it existed.
-    pub fn remove(&mut self, id: NodeId) -> bool {
-        let existed = self.entries.remove(&id).is_some();
-        self.find_oldest_heard();
-        existed
-    }
-
     /// When the neighbor silent for longest was last heard (`None`: the
     /// table is empty).
     pub fn oldest_heard(&self) -> Option<Asn> {
@@ -145,8 +149,8 @@ impl NeighborTable {
     /// Degrades a neighbor's link estimate to the worst value without
     /// forgetting it: alternatives will now win parent selection, but the
     /// neighbor can rehabilitate itself through future ACKs and
-    /// advertisements (gentler than [`NeighborTable::remove`], which forces
-    /// a full re-discovery).
+    /// advertisements (gentler than forgetting it, which forces a full
+    /// re-discovery).
     pub fn degrade(&mut self, id: NodeId) -> bool {
         match self.entries.get_mut(&id) {
             Some(e) => {
@@ -160,6 +164,25 @@ impl NeighborTable {
     /// Iterates over neighbors in id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NeighborEntry)> {
         self.entries.iter().map(|(id, e)| (*id, e))
+    }
+
+    /// The neighbor `admits` lets through with the least accumulated cost,
+    /// and that cost; among equals the lowest rank, then the lowest id —
+    /// the first element of a `(cost, rank, id)` sort, found in one walk:
+    /// the table is in id order, so only a strictly smaller `(cost, rank)`
+    /// displaces the holder. `admits` must refuse non-finite costs.
+    pub(crate) fn cheapest(
+        &self,
+        admits: impl Fn(NodeId, &NeighborEntry) -> bool,
+    ) -> Option<(NodeId, f64)> {
+        let mut holder: Option<(NodeId, f64, Rank)> = None;
+        for (id, e) in self.iter().filter(|(id, e)| admits(*id, e)) {
+            let cost = e.accumulated_cost();
+            if holder.is_none_or(|(_, c, r)| cost < c || (cost == c && e.rank < r)) {
+                holder = Some((id, cost, e.rank));
+            }
+        }
+        holder.map(|(id, cost, _)| (id, cost))
     }
 
     /// Number of known neighbors.
@@ -186,6 +209,53 @@ impl NeighborTable {
         }
         self.find_oldest_heard();
         stale
+    }
+}
+
+/// Drawn neighbors for the two routings' differential twins.
+#[cfg(test)]
+pub(crate) mod drawn {
+    use super::*;
+    use digs_cases::Draw;
+
+    /// A neighbor whose signal sits somewhere around RSSmin, that is silent
+    /// for one stretch of a 2 000-slot case (long enough, for some, to go
+    /// stale as a backup or be evicted) and that repeats its last
+    /// advertisement more often than not.
+    pub(crate) struct Neighbor {
+        pub(crate) id: NodeId,
+        base_rss: f64,
+        quiet: std::ops::Range<u64>,
+        says: Option<(Rank, f64)>,
+    }
+
+    impl Neighbor {
+        pub(crate) fn draw(d: &mut Draw) -> Neighbor {
+            let quiet_from = d.int(0u64..2000);
+            Neighbor {
+                id: NodeId(d.int(0u16..20)),
+                base_rss: d.f64(-95.0..-55.0),
+                quiet: quiet_from..quiet_from + d.int(0u64..500),
+                says: None,
+            }
+        }
+
+        /// The rank and cost (either may be infinite) the neighbor
+        /// advertises at `now` and the RSS it is heard at, unless it is
+        /// silent.
+        pub(crate) fn advertise(&mut self, d: &mut Draw, now: Asn) -> Option<(Rank, f64, Dbm)> {
+            if self.quiet.contains(&now.0) {
+                return None;
+            }
+            if self.says.is_none() || d.int(0..6) == 0 {
+                let rank = d.int(1u16..=6);
+                let rank = if rank == 6 { Rank::INFINITE } else { Rank(rank) };
+                let cost = if d.int(0..8) == 0 { f64::INFINITY } else { d.f64(0.0..6.0) };
+                self.says = Some((rank, cost));
+            }
+            let (rank, cost) = self.says.expect("just drawn");
+            Some((rank, cost, Dbm(self.base_rss + d.f64(-6.0..6.0))))
+        }
     }
 }
 

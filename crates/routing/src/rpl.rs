@@ -11,10 +11,17 @@
 //!   sub-DODAG with an infinite-rank DIO, and must wait for fresh DIOs to
 //!   rejoin — the source of RPL's long repair times under interference and
 //!   node failure.
+//!
+//! As in DiGS, a DIO from a neighbor that is not the preferred parent
+//! re-runs the full selection only if the node is not settled
+//! (`settled_until`) or that neighbor, with its new entry, is eligible and
+//! undercuts the parent by more than the hysteresis.
 
 use crate::digs::RoutingConfig;
 use crate::messages::{Dio, Rank, RoutingEvent};
-use crate::neighbor::{is_housekeeping_turn, next_due_housekeeping_turn, NeighborTable};
+use crate::neighbor::{
+    is_housekeeping_turn, next_due_housekeeping_turn, NeighborEntry, NeighborTable,
+};
 use crate::trickle::Trickle;
 use digs_sim::ids::NodeId;
 use digs_sim::rf::Dbm;
@@ -36,6 +43,23 @@ pub struct RplRouting {
     lockout_until: Asn,
     parent_changes: u64,
     last_parent_change: Option<Asn>,
+    /// Before this slot a full selection ([`Self::reevaluate`]) over
+    /// `neighbors` as it stands changes neither the parent nor the rank.
+    /// Only a selection that changed neither sets it — the rank too,
+    /// because eligibility reads the node's own rank — to the slot the
+    /// lockout runs out, the one test that flips with time alone.
+    /// Everything else that moves the selection's inputs clears it —
+    /// `record_tx` (and `degrade`) in `on_tx_result`, an eviction in `tick`
+    /// (more than exactness needs: a neighbor leaving only reveals dearer
+    /// challengers), any selection that changed something — except
+    /// `on_dio`'s `record_advertisement`, which touches the sender alone and
+    /// is what [`Self::could_take_over`] tests. Those are all the mutators
+    /// of `neighbors` there are.
+    settled_until: Asn,
+    /// Test builds only: full selections run the pre-PR-22 body, the
+    /// oracle of the differential twin.
+    #[cfg(test)]
+    oracle: bool,
 }
 
 impl RplRouting {
@@ -61,6 +85,9 @@ impl RplRouting {
             joined_at: if is_root { Some(now) } else { None },
             parent_changes: 0,
             last_parent_change: None,
+            settled_until: Asn::ZERO,
+            #[cfg(test)]
+            oracle: false,
         }
     }
 
@@ -134,7 +161,45 @@ impl RplRouting {
         if self.is_root {
             return Vec::new();
         }
+        // The parent's DIO moves what everybody is compared with, and our
+        // rank; anyone else's matters only through the sender while the
+        // node is settled.
+        let is_parent = self.preferred == Some(from);
+        if now < self.settled_until && !is_parent && !self.could_take_over(from) {
+            return Vec::new();
+        }
         self.reevaluate(now)
+    }
+
+    /// Whether a full selection could prefer `from` — not the current
+    /// parent, its entry already updated from the DIO just heard: it is
+    /// eligible, and it undercuts the parent by more than the hysteresis
+    /// (or there is no parent). These are the selection's own float
+    /// expressions; the lockout is left out, which only makes this say yes
+    /// more often than the selection would.
+    ///
+    /// While the node is settled, a no here means the selection is still a
+    /// fixed point. Every other neighbor has already lost to the parent, and
+    /// costs enter only through `challenger + hysteresis >= incumbent`,
+    /// which is monotone in the challenger's cost: the sender getting
+    /// dearer or ineligible only reveals a dearer challenger (and the
+    /// parent, one rank above us, stays an eligible one). The parent's
+    /// entry and our rank move only with the parent's DIO or a call that
+    /// clears `settled_until`.
+    fn could_take_over(&self, from: NodeId) -> bool {
+        let Some(entry) = self.neighbors.get(from).filter(|e| self.is_eligible(e)) else {
+            return false;
+        };
+        self.preferred.and_then(|p| self.neighbors.get(p)).is_none_or(|p| {
+            entry.accumulated_cost() + self.config.hysteresis < p.accumulated_cost()
+        })
+    }
+
+    /// Rank rule: once joined, never select a parent whose rank is not
+    /// strictly below our own (loop avoidance); a detached node may pick
+    /// any usable neighbor.
+    fn is_eligible(&self, entry: &NeighborEntry) -> bool {
+        entry.is_usable() && (!self.rank.is_finite() || entry.rank < self.rank)
     }
 
     /// Handles the outcome of a unicast transmission to `to`.
@@ -142,6 +207,7 @@ impl RplRouting {
         let Some(failures) = self.neighbors.record_tx(to, acked) else {
             return Vec::new();
         };
+        self.settled_until = Asn::ZERO;
         if self.preferred == Some(to) && failures >= self.config.parent_failure_threshold {
             self.neighbors.degrade(to);
             self.lockout_until = Asn::ZERO; // failure overrides the lockout
@@ -156,6 +222,9 @@ impl RplRouting {
         if is_housekeeping_turn(self.id, now) && now.0 >= self.config.neighbor_timeout {
             let horizon = Asn(now.0 - self.config.neighbor_timeout);
             let evicted = self.neighbors.evict_stale(horizon);
+            if !evicted.is_empty() {
+                self.settled_until = Asn::ZERO;
+            }
             if evicted.iter().any(|id| self.preferred == Some(*id)) {
                 self.lockout_until = Asn::ZERO;
                 events.extend(self.reevaluate(now));
@@ -191,42 +260,25 @@ impl RplRouting {
     }
 
     /// Standard RPL parent selection: cheapest neighbor whose rank is
-    /// strictly below ours-to-be, with hysteresis.
+    /// strictly below ours-to-be, with hysteresis — the full selection, in
+    /// one walk and no allocation. Settles the node (see `settled_until`)
+    /// when it changes nothing.
     fn reevaluate(&mut self, now: Asn) -> Vec<RoutingEvent> {
         debug_assert!(!self.is_root);
+        #[cfg(test)]
+        if self.oracle {
+            return self.reference_reevaluate(now);
+        }
         let old = self.preferred;
 
-        let mut candidates: Vec<(NodeId, f64, Rank)> = self
-            .neighbors
-            .iter()
-            .filter(|(_, e)| {
-                e.rank.is_finite()
-                    && e.advertised_cost.is_finite()
-                    && e.last_rss.dbm() >= digs_sim::rf::RSS_MIN.dbm()
-            })
-            .map(|(id, e)| (id, e.accumulated_cost(), e.rank))
-            .collect();
-        candidates.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1).expect("finite").then(a.2.cmp(&b.2)).then(a.0.cmp(&b.0))
-        });
-
-        // Rank rule: once joined, never select a parent whose rank is not
-        // strictly below our own (loop avoidance); a detached node may pick
-        // anyone.
-        let eligible = |rank: Rank| -> bool {
-            if self.rank.is_finite() {
-                rank < self.rank
-            } else {
-                true
-            }
-        };
-        let new = match candidates.iter().find(|(_, _, r)| eligible(*r)) {
+        let new = match self.neighbors.cheapest(|_, e| self.is_eligible(e)) {
             None => None,
-            Some(&(challenger, ccost, _)) => {
-                // Incumbents must pass the same eligibility bar as
+            Some((challenger, ccost)) => {
+                // Incumbents must pass the same usability bar as
                 // challengers (finite rank/cost, usable RSS).
                 let incumbent = old.and_then(|p| {
-                    candidates.iter().find(|(id, _, _)| *id == p).map(|(_, cost, _)| (p, *cost))
+                    let entry = self.neighbors.get(p).filter(|e| e.is_usable());
+                    entry.map(|e| (p, e.accumulated_cost()))
                 });
                 match incumbent {
                     Some((p, cost))
@@ -246,10 +298,21 @@ impl RplRouting {
             None => Rank::INFINITE,
         };
         let detaching = self.rank.is_finite() && !new_rank.is_finite();
+        let rank_held = self.rank == new_rank;
         self.rank = new_rank;
         if new == old {
+            // Nothing changed — unless the rank did, which eligibility
+            // reads — so nothing changes before the lockout runs out.
+            self.settled_until = if !rank_held {
+                Asn::ZERO
+            } else if now < self.lockout_until {
+                self.lockout_until
+            } else {
+                Asn(u64::MAX)
+            };
             return Vec::new();
         }
+        self.settled_until = Asn::ZERO;
         self.preferred = new;
         self.parent_changes += 1;
         self.last_parent_change = Some(now);
@@ -268,6 +331,85 @@ impl RplRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neighbor::drawn::Neighbor;
+
+    impl RplRouting {
+        /// `reevaluate` as it stood before PR 22 — every candidate collected
+        /// into a `Vec` and sorted, on every call — kept verbatim (name and
+        /// indentation aside) as the oracle of the differential twin below. It
+        /// knows nothing of `settled_until`.
+        pub(super) fn reference_reevaluate(&mut self, now: Asn) -> Vec<RoutingEvent> {
+            debug_assert!(!self.is_root);
+            let old = self.preferred;
+
+            let mut candidates: Vec<(NodeId, f64, Rank)> = self
+                .neighbors
+                .iter()
+                .filter(|(_, e)| {
+                    e.rank.is_finite()
+                        && e.advertised_cost.is_finite()
+                        && e.last_rss.dbm() >= digs_sim::rf::RSS_MIN.dbm()
+                })
+                .map(|(id, e)| (id, e.accumulated_cost(), e.rank))
+                .collect();
+            candidates.sort_by(|a, b| {
+                a.1.partial_cmp(&b.1).expect("finite").then(a.2.cmp(&b.2)).then(a.0.cmp(&b.0))
+            });
+
+            // Rank rule: once joined, never select a parent whose rank is not
+            // strictly below our own (loop avoidance); a detached node may pick
+            // anyone.
+            let eligible = |rank: Rank| -> bool {
+                if self.rank.is_finite() {
+                    rank < self.rank
+                } else {
+                    true
+                }
+            };
+            let new = match candidates.iter().find(|(_, _, r)| eligible(*r)) {
+                None => None,
+                Some(&(challenger, ccost, _)) => {
+                    // Incumbents must pass the same eligibility bar as
+                    // challengers (finite rank/cost, usable RSS).
+                    let incumbent = old.and_then(|p| {
+                        candidates.iter().find(|(id, _, _)| *id == p).map(|(_, cost, _)| (p, *cost))
+                    });
+                    match incumbent {
+                        Some((p, cost))
+                            if challenger != p
+                                && (ccost + self.config.hysteresis >= cost
+                                    || now < self.lockout_until) =>
+                        {
+                            Some(p)
+                        }
+                        _ => Some(challenger),
+                    }
+                }
+            };
+
+            let new_rank = match new.and_then(|p| self.neighbors.get(p)) {
+                Some(e) => e.rank.deeper(),
+                None => Rank::INFINITE,
+            };
+            let detaching = self.rank.is_finite() && !new_rank.is_finite();
+            self.rank = new_rank;
+            if new == old {
+                return Vec::new();
+            }
+            self.preferred = new;
+            self.parent_changes += 1;
+            self.last_parent_change = Some(now);
+            self.lockout_until = Asn(now.0 + self.config.switch_lockout);
+            if self.joined_at.is_none() && new.is_some() {
+                self.joined_at = Some(now);
+            }
+            self.trickle.reset(now);
+            if detaching {
+                self.poison_pending = true;
+            }
+            vec![RoutingEvent::ParentsChanged { best: new, second: None }]
+        }
+    }
 
     const STRONG: Dbm = Dbm(-55.0);
 
@@ -404,6 +546,65 @@ mod tests {
                 .count();
         }
         assert!(emitted > 0);
+    }
+    #[test]
+    fn settled_skip_and_sort_free_selection_match_the_reference_selection() {
+        let (mut heard, mut skipped, mut changes) = (0u64, 0u64, 0u64);
+        digs_cases::cases(400, |d| {
+            let mut config = RoutingConfig::fast();
+            if d.bool() {
+                (config.neighbor_timeout, config.backup_staleness) = (300, 150);
+            }
+            config.switch_lockout = d.int(0u64..=200);
+            config.hysteresis = *d.pick(&[0.0, 0.25, 0.5, 1.0]);
+            let id = NodeId(d.int(20u16..300));
+            let mut ours = RplRouting::new(id, false, config, d.u64(), Asn(0));
+            // The twin never settles: every full selection it runs is the
+            // reference body, which does not know the field.
+            let mut twin = RplRouting { oracle: true, ..ours.clone() };
+            let mut neighbors = d.vec(2..13, Neighbor::draw);
+            for now in (0..2000).map(Asn) {
+                assert_eq!(ours.tick(now), twin.tick(now), "{id} ticks at {now}");
+                let at = d.int(0..neighbors.len());
+                let from = neighbors[at].id;
+                match d.int(0..12) {
+                    0 => {
+                        let to =
+                            if d.bool() { ours.preferred_parent().unwrap_or(from) } else { from };
+                        let acked = d.int(0..3) > 0;
+                        let events = ours.on_tx_result(to, acked, now);
+                        assert_eq!(events, twin.on_tx_result(to, acked, now), "{id} at {now}");
+                    }
+                    2..=5 => {
+                        let Some((rank, path_etx, rss)) = neighbors[at].advertise(d, now) else {
+                            continue;
+                        };
+                        let dio = Dio { rank, path_etx, parent: None };
+                        let may_skip =
+                            now < ours.settled_until && ours.preferred_parent() != Some(from);
+                        let before = ours.parent_changes();
+                        let events = ours.on_dio(from, &dio, rss, now);
+                        assert_eq!(events, twin.on_dio(from, &dio, rss, now), "{id} at {now}");
+                        heard += 1;
+                        // A skip leaves the state `could_take_over` saw; a
+                        // full selection that found nothing does too, and a
+                        // full selection runs only after a yes.
+                        let quiet_call = events.is_empty() && !ours.could_take_over(from);
+                        skipped += u64::from(may_skip && quiet_call);
+                        changes += ours.parent_changes() - before;
+                    }
+                    _ => {}
+                }
+                // Whole state equal, the new field (and the twin's mark) aside.
+                let seen =
+                    RplRouting { settled_until: ours.settled_until, oracle: false, ..twin.clone() };
+                assert_eq!(ours, seen, "{id} at {now}");
+            }
+        });
+        assert!(
+            heard > 200_000 && skipped > 100_000 && changes > 10_000,
+            "{heard} DIOs heard, {skipped} skipped, {changes} parent changes"
+        );
     }
     #[test]
     fn closed_form_skipping_to_next_tick_matches_ticking_every_slot() {
