@@ -865,7 +865,10 @@ impl Engine {
                     let tx_id = frame.src;
                     let link_up = !self.faults.has_link_outages()
                         || self.faults.is_link_up(rx_id, tx_id, asn);
-                    let ack_rss = self.link.rss(rx_id, tx_id, ch, asn);
+                    // Every term of the RSS is keyed on the unordered pair,
+                    // so the reverse link reads what the frame arrived at.
+                    debug_assert_eq!(tx_id, run.committed[best_idx].node);
+                    let ack_rss = best_rss;
                     let ack_inter =
                         self.jammer_field.total_mw(&self.jammers, tx_id.index(), ch, asn)
                             + self.ambient_field.total_mw(&self.ambient, tx_id.index(), ch, asn)

@@ -1,5 +1,9 @@
 //! The link model: per-link received signal strength with frozen shadowing,
 //! per-channel frequency-selective fading, and per-slot fast fading.
+//!
+//! [`LinkModel::rss`] is the definition. The engine's reception loop asks
+//! [`LinkModel::rss_if_above`], which gives the same answer behind the
+//! sensitivity floor and draws a fade only for a signal that is heard.
 
 use crate::channel::PhysChannel;
 use crate::ids::NodeId;
@@ -35,22 +39,22 @@ impl LinkModel {
     pub fn new(topology: &Topology, rf: RfConfig, seed: u64) -> LinkModel {
         let n = topology.len();
         let mut static_rss = vec![f64::NEG_INFINITY; n * n];
-        for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                let (lo, hi) = (a.min(b), a.max(b));
-                let pa = topology.position(NodeId(a as u16));
-                let pb = topology.position(NodeId(b as u16));
+        // Distance, floors and shadowing are those of the unordered pair, so
+        // each pair is computed once and stored in both directions.
+        for lo in 0..n {
+            let pa = topology.position(NodeId(lo as u16));
+            for hi in lo + 1..n {
+                let pb = topology.position(NodeId(hi as u16));
                 let d = pa.distance(&pb);
                 let floors = pa.floors_between(&pb, rf.floor_height_m);
                 let shadow =
                     rng::standard_normal(seed, lo as u64, hi as u64, 0) * rf.shadowing_sigma_db;
-                static_rss[a * n + b] = rf.tx_power.dbm()
+                let rss = rf.tx_power.dbm()
                     - rf.path_loss_db(d)
                     - f64::from(floors) * rf.floor_attenuation_db
                     + shadow;
+                static_rss[lo * n + hi] = rss;
+                static_rss[hi * n + lo] = rss;
             }
         }
         LinkModel { rf, seed, static_rss, n }
@@ -85,9 +89,22 @@ impl LinkModel {
 
     /// [`rss`](LinkModel::rss) if it exceeds `floor_dbm`, else `None` — the
     /// same answer as `Some(self.rss(..)).filter(|r| r.dbm() > floor_dbm)`,
-    /// but a link that cannot reach the floor even with both fades at the
-    /// bound of [`rng::normal_abs_bound`] is turned away for two hashes,
-    /// before the logarithms, roots and cosines of the Box–Muller draws.
+    /// in three stages that each see the hashes of the one before:
+    ///
+    /// 1. the first hash of each fade bounds its magnitude
+    ///    ([`rng::NormalFirst::abs_upper`]); a link that cannot reach the
+    ///    floor with both fades at that bound is turned away;
+    /// 2. the second hash of each bounds it with its sign
+    ///    ([`rng::NormalHashes::upper`]); a link whose fades happen to fall
+    ///    the wrong way is turned away, still without a logarithm, root or
+    ///    cosine;
+    /// 3. what is left is all but certainly heard: the fades are drawn from
+    ///    the four hashes in hand, and the sum is compared with the floor.
+    ///
+    /// Stage 2 bounds the very samples stage 3 draws, and stage 1 bounds
+    /// stage 2, so a signal turned away early would have failed the final
+    /// comparison too. Both bounds are scaled by the two fading sigmas, which
+    /// must not be negative ([`RfConfig::fading_sigma_db`]).
     pub fn rss_if_above(
         &self,
         tx: NodeId,
@@ -96,17 +113,26 @@ impl LinkModel {
         asn: Asn,
         floor_dbm: f64,
     ) -> Option<Dbm> {
+        let base = self.static_rss(tx, rx).dbm();
         let (lo, hi) = (tx.index().min(rx.index()), tx.index().max(rx.index()));
         let key = (lo * self.n + hi) as u64;
         let ch = u64::from(channel.0);
-        let upper = self.static_rss(tx, rx).dbm()
-            + self.rf.fading_sigma_db * rng::normal_abs_bound(self.seed ^ 0xfade, key, ch, 1)
-            + self.rf.fast_fading_sigma_db
-                * rng::normal_abs_bound(self.seed ^ 0xfa57, key, ch, asn.0 + 2);
-        if upper <= floor_dbm - 1e-6 {
+        let (fade_sigma, fast_sigma) = (self.rf.fading_sigma_db, self.rf.fast_fading_sigma_db);
+        // The slack covers the rounding of the bounds' sums.
+        let reach = floor_dbm - 1e-6;
+
+        let fade = rng::NormalFirst::new(self.seed ^ 0xfade, key, ch, 1);
+        let fast = rng::NormalFirst::new(self.seed ^ 0xfa57, key, ch, asn.0 + 2);
+        if base + fade_sigma * fade.abs_upper() + fast_sigma * fast.abs_upper() <= reach {
             return None;
         }
-        Some(self.rss(tx, rx, channel, asn)).filter(|rss| rss.dbm() > floor_dbm)
+        let (fade, fast) = (fade.second(), fast.second());
+        if base + fade_sigma * fade.upper() + fast_sigma * fast.upper() <= reach {
+            return None;
+        }
+        // `rss`'s own sum, term by term.
+        let rss = base + fade.sample() * fade_sigma + fast.sample() * fast_sigma;
+        Some(Dbm(rss)).filter(|rss| rss.dbm() > floor_dbm)
     }
 
     /// Expected RSS averaged over channels (used for ETX initialisation and
@@ -135,13 +161,25 @@ mod tests {
         LinkModel::new(&Topology::testbed_a(), RfConfig::indoor(), 42)
     }
 
+    /// To the bit, over every pair of both testbeds: the engine reads the
+    /// acknowledgement's RSS off the frame's.
     #[test]
     fn static_rss_is_symmetric() {
-        let m = model();
-        let a = NodeId(3);
-        let b = NodeId(17);
-        // Path loss and shadowing are symmetric by construction.
-        assert!((m.static_rss(a, b).dbm() - m.static_rss(b, a).dbm()).abs() < 1e-9);
+        for topo in [Topology::testbed_a(), Topology::testbed_b()] {
+            let m = LinkModel::new(&topo, RfConfig::indoor(), 42);
+            for a in topo.node_ids() {
+                for b in topo.node_ids().filter(|b| *b != a) {
+                    let (ab, ba) = (m.static_rss(a, b).dbm(), m.static_rss(b, a).dbm());
+                    assert!(ab.is_finite());
+                    assert_eq!(ab.to_bits(), ba.to_bits(), "{a}↔{b}");
+                    let there = m.rss(a, b, PhysChannel(3), Asn(77)).dbm();
+                    assert_eq!(
+                        there.to_bits(),
+                        m.rss(b, a, PhysChannel(3), Asn(77)).dbm().to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

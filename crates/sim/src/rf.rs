@@ -90,8 +90,10 @@ pub struct RfConfig {
     /// Log-normal shadowing standard deviation, in dB (frozen per link).
     pub shadowing_sigma_db: f64,
     /// Per-channel frequency-selective fading standard deviation, in dB.
+    /// Not negative: `LinkModel::rss_if_above` scales upper bounds by it.
     pub fading_sigma_db: f64,
-    /// Fast (per-transmission) fading standard deviation, in dB.
+    /// Fast (per-transmission) fading standard deviation, in dB. Not
+    /// negative, for the same reason.
     pub fast_fading_sigma_db: f64,
     /// Thermal noise floor.
     pub noise_floor: Dbm,
@@ -169,8 +171,8 @@ impl RfConfig {
 /// 8 dB, approximating the CC2420's PRR waterfall for full-size frames.
 pub fn prr_from_sinr_db(sinr_db: f64) -> f64 {
     let p = 1.0 / (1.0 + (-(sinr_db - 4.0) * 1.6).exp());
-    // Clamp away the extreme tails: even excellent links occasionally lose a
-    // frame (CRC, preamble miss), and terrible links occasionally get lucky.
+    // Clamp away the upper tail only: even excellent links occasionally lose
+    // a frame (CRC, preamble miss). The lower bound is the logistic's own.
     p.clamp(0.0, 0.999)
 }
 

@@ -4,6 +4,14 @@
 //! and per-channel fading are *frozen* functions of (seed, link, channel)
 //! computed by hashing, while per-transmission noise uses a single
 //! [`SmallRng`] owned by the engine.
+//!
+//! A hashed normal sample ([`standard_normal`]) is two hashes, then a
+//! logarithm, a root and a cosine. Reception asks for millions of them only
+//! to find most signals below the sensitivity floor, so the hashes also come
+//! apart from the arithmetic: [`NormalFirst`] bounds the sample's magnitude
+//! from the first hash, [`NormalHashes`] bounds the signed sample from both,
+//! each by table look-up, and [`NormalHashes::sample`] finishes the draw from
+//! the same two hashes.
 
 use std::sync::OnceLock;
 
@@ -87,8 +95,12 @@ pub fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
 
 /// A uniform sample in `[0, 1)` derived deterministically from the inputs.
 pub fn uniform01(seed: u64, a: u64, b: u64, c: u64) -> f64 {
-    // 53 high bits → uniform double in [0, 1).
-    (mix(seed, a, b, c) >> 11) as f64 / (1u64 << 53) as f64
+    unit_interval(mix(seed, a, b, c))
+}
+
+/// 53 high bits → uniform double in [0, 1).
+fn unit_interval(hash: u64) -> f64 {
+    (hash >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A standard-normal sample derived deterministically from the inputs
@@ -99,18 +111,120 @@ pub fn standard_normal(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
 }
 
-/// An upper bound on `|standard_normal(seed, a, b, c)|` for the price of
-/// its first hash: Box–Muller's radius `sqrt(-2 ln u1)` falls as `u1` rises
-/// and `|cos| <= 1`, so the radius at the low edge of the 1/4096-wide bucket
-/// the hash's top twelve bits put `u1` in bounds every sample of that bucket.
-pub fn normal_abs_bound(seed: u64, a: u64, b: u64, c: u64) -> f64 {
-    static RADIUS: OnceLock<[f64; 4096]> = OnceLock::new();
-    let radius = RADIUS.get_or_init(|| {
-        // Bucket 0 holds the `1e-12` clamp of `standard_normal`; the factor
-        // is slack for the last-place error of `ln` and `sqrt`.
-        std::array::from_fn(|b| (-2.0 * (b as f64 / 4096.0).max(1e-12).ln()).sqrt() * (1.0 + 1e-9))
-    });
-    radius[(mix(seed, a, b, c) >> 52) as usize]
+/// Buckets of the two bound tables: a hash's top ten bits index them.
+const BUCKETS: usize = 1024;
+
+/// What [`NormalFirst::abs_upper`] and [`NormalHashes::upper`] look up,
+/// 16 KB in all.
+struct BoundTables {
+    /// Box–Muller's radius `sqrt(-2 ln u1)` at the low edge of each bucket of
+    /// `u1`, where it is largest, times `1 + 1e-9` for the last-place error
+    /// of `ln` and `sqrt`. Bucket 0 holds the `1e-12` clamp. The entry past
+    /// the end is the radius at `u1 = 1`, so that `radius_hi[b + 1]` is the
+    /// radius at bucket `b`'s high edge, where it is smallest.
+    radius_hi: Box<[f64; BUCKETS + 1]>,
+    /// The largest `cos(τ·u2)` over each bucket of `u2` — at the edge nearer
+    /// 0 or 1 — plus `1e-9` for the rounding of the product and of `cos`.
+    cos_hi: Box<[f64; BUCKETS]>,
+}
+
+fn bound_tables() -> &'static BoundTables {
+    static TABLES: OnceLock<BoundTables> = OnceLock::new();
+    // Filled on the heap: an array returned by value crosses the stack.
+    fn zeroed<const N: usize>() -> Box<[f64; N]> {
+        vec![0.0; N].into_boxed_slice().try_into().expect("N elements were allocated")
+    }
+    TABLES.get_or_init(|| {
+        let mut tables = BoundTables { radius_hi: zeroed(), cos_hi: zeroed() };
+        for (b, radius) in tables.radius_hi.iter_mut().enumerate() {
+            let u1 = (b as f64 / BUCKETS as f64).max(1e-12);
+            *radius = (-2.0 * u1.ln()).sqrt() * (1.0 + 1e-9);
+        }
+        for (b, cos) in tables.cos_hi.iter_mut().enumerate() {
+            // The cosine falls over the first half turn and rises over the
+            // second; the buckets touching 0 and τ reach 1 itself.
+            let edge = if b < BUCKETS / 2 { b } else { b + 1 };
+            *cos = if edge % BUCKETS == 0 {
+                1.0
+            } else {
+                (core::f64::consts::TAU * (edge as f64 / BUCKETS as f64)).cos() + 1e-9
+            };
+        }
+        tables
+    })
+}
+
+/// The bucket of a uniform drawn from `hash`: `uniform01` keeps the 53 high
+/// bits, so the top ten place it among 1024 equal intervals of `[0, 1)`.
+fn bucket(hash: u64) -> usize {
+    (hash >> 54) as usize
+}
+
+/// The first of the two hashes behind `standard_normal(seed, a, b, c)`:
+/// enough to bound the sample's magnitude, and the start of a
+/// [`NormalHashes`].
+#[derive(Debug, Clone, Copy)]
+pub struct NormalFirst {
+    seed: u64,
+    a: u64,
+    b: u64,
+    c: u64,
+    first: u64,
+}
+
+impl NormalFirst {
+    /// Hashes the first uniform of `standard_normal(seed, a, b, c)`.
+    pub fn new(seed: u64, a: u64, b: u64, c: u64) -> NormalFirst {
+        NormalFirst { seed, a, b, c, first: mix(seed, a, b, c) }
+    }
+
+    /// An upper bound of `|standard_normal(seed, a, b, c)|`: the radius falls
+    /// as `u1` rises and `|cos| <= 1`, so the radius at the low edge of
+    /// `u1`'s bucket bounds every sample of that bucket.
+    pub fn abs_upper(&self) -> f64 {
+        bound_tables().radius_hi[bucket(self.first)]
+    }
+
+    /// Hashes the second uniform as well.
+    pub fn second(self) -> NormalHashes {
+        let NormalFirst { seed, a, b, c, first } = self;
+        NormalHashes { first, second: mix(seed ^ 0x5851_f42d_4c95_7f2d, a, b, c) }
+    }
+}
+
+/// Both hashes behind `standard_normal(seed, a, b, c)`, from
+/// [`NormalFirst::second`]: the sample, and a signed upper bound of it that
+/// costs two table look-ups.
+#[derive(Debug, Clone, Copy)]
+pub struct NormalHashes {
+    first: u64,
+    second: u64,
+}
+
+impl NormalHashes {
+    /// An upper bound of [`sample`](NormalHashes::sample), sign included:
+    /// where the cosine can be positive, the largest radius of `u1`'s bucket
+    /// times the largest cosine of `u2`'s; where it cannot, the smallest
+    /// radius times the cosine nearest zero. Half of all samples are
+    /// negative, which [`NormalFirst::abs_upper`] cannot see.
+    ///
+    /// The smallest radius is read from a table of largest ones, so it sits
+    /// `1e-9` of itself too high; the cosine's own `1e-9` more than makes up
+    /// for it, `(1 + ε)(c + ε) >= c` for any `c >= -1`.
+    pub fn upper(&self) -> f64 {
+        let tables = bound_tables();
+        let b1 = bucket(self.first);
+        let cos_hi = tables.cos_hi[bucket(self.second)];
+        let radius = if cos_hi >= 0.0 { tables.radius_hi[b1] } else { tables.radius_hi[b1 + 1] };
+        radius * cos_hi
+    }
+
+    /// `standard_normal(seed, a, b, c)` to the bit, from the hashes in hand.
+    pub fn sample(&self) -> f64 {
+        let u1 = unit_interval(self.first).max(1e-12);
+        let u2 = unit_interval(self.second);
+        (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+    }
 }
 
 #[cfg(test)]

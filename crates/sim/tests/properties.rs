@@ -294,54 +294,143 @@ fn slotframe_offset_in_range() {
     });
 }
 
-/// The first `c` at or after `from` whose hash lands `standard_normal`'s
-/// first uniform in `bucket` (of 4096): bucket 0 holds the `1e-12` clamp,
-/// bucket 4095 the smallest radii.
-fn c_in_bucket(seed: u64, a: u64, b: u64, from: u64, bucket: u64) -> u64 {
-    (from..).find(|c| rng::mix(seed, a, b, *c) >> 52 == bucket).expect("one in 4096 hashes")
+/// `rng::mix`'s three multipliers, and the salt of `standard_normal`'s second
+/// hash.
+const MIX: [u64; 3] = [0x9e37_79b9_7f4a_7c15, 0xbf58_476d_1ce4_e5b9, 0x94d0_49bb_1331_11eb];
+const SECOND: u64 = 0x5851_f42d_4c95_7f2d;
+
+/// The inverse of an odd number modulo 2⁶⁴: each round of Newton's iteration
+/// doubles the correct low bits, starting from three.
+fn inverse(m: u64) -> u64 {
+    (0..5).fold(m, |x, _| x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x))))
 }
 
-/// The bound `rss_if_above` rejects on really bounds the sample, at both
-/// ends of the table too.
+/// The sum `rng::mix` finalizes into `hash`. The finalizer is SplitMix64's, a
+/// bijection of `u64`, and the sum is linear in the seed and in `c`, so a test
+/// can ask for any hash: an exact bucket edge, or the one-in-10¹² `u1` that
+/// `standard_normal` clamps.
+fn sum_hashing_to(hash: u64) -> u64 {
+    // `x ^ (x >> k)` keeps its top `k` bits; each round recovers `k` more.
+    let unshift = |y: u64, k: u32| (0..64 / k).fold(y, |x, _| y ^ (x >> k));
+    let z = unshift(hash, 31).wrapping_mul(inverse(MIX[2]));
+    let z = unshift(z, 27).wrapping_mul(inverse(MIX[1]));
+    unshift(z, 30)
+}
+
+/// The `c` at which `rng::mix(seed, a, b, c)` is `hash`.
+fn c_hashing_to(hash: u64, seed: u64, a: u64, b: u64) -> u64 {
+    let rest = seed.wrapping_add(a.wrapping_mul(MIX[0])).wrapping_add(b.wrapping_mul(MIX[1]));
+    let c = sum_hashing_to(hash).wrapping_sub(rest).wrapping_mul(inverse(MIX[2]));
+    assert_eq!(rng::mix(seed, a, b, c), hash);
+    c
+}
+
+/// The seed at which `rng::mix(seed, a, b, c)` is `hash`.
+fn seed_hashing_to(hash: u64, a: u64, b: u64, c: u64) -> u64 {
+    let rest = a
+        .wrapping_mul(MIX[0])
+        .wrapping_add(b.wrapping_mul(MIX[1]))
+        .wrapping_add(c.wrapping_mul(MIX[2]));
+    let seed = sum_hashing_to(hash).wrapping_sub(rest);
+    assert_eq!(rng::mix(seed, a, b, c), hash);
+    seed
+}
+
+/// Hashes at which a bound is most likely to give way. For `u1`: zero (the
+/// clamp) and the ends of the first, of the last and of a drawn bucket of
+/// 1024. For `u2`: the ends of the buckets either side of 0, ¼, ½, ¾ and 1 —
+/// the cosine's extremes and its changes of sign — and of a drawn one.
+fn edge_hashes(d: &mut digs_cases::Draw) -> (Vec<u64>, Vec<u64>) {
+    let ends = |bucket: u64| [0, 1 << 11, (1 << 54) - 1].map(|low| (bucket << 54) | low);
+    let first = [0, 1023, d.int(1u64..1023)].into_iter().flat_map(ends).collect();
+    let second = [0, 255, 256, 511, 512, 767, 768, 1023, d.int(0u64..1024)];
+    (first, second.into_iter().flat_map(ends).collect())
+}
+
+/// The signed bound `rss_if_above` rejects on really bounds the sample it
+/// goes on to draw, that sample is `standard_normal` to the bit, and both
+/// tables carry their slack.
 #[test]
-fn normal_abs_bound_bounds_the_sample() {
+fn signed_bound_bounds_the_sample() {
+    let check = |seed: u64, a: u64, b: u64, c: u64| {
+        let first = rng::NormalFirst::new(seed, a, b, c);
+        let hashes = first.second();
+        let sample = rng::standard_normal(seed, a, b, c);
+        assert_eq!(hashes.sample().to_bits(), sample.to_bits(), "at c = {c}");
+        let (upper, abs_upper) = (hashes.upper(), first.abs_upper());
+        assert!(upper >= sample, "{sample} > {upper} at c = {c}");
+        assert!(abs_upper >= upper.abs() && abs_upper <= 7.5, "{upper}, {abs_upper} at c = {c}");
+        (upper, abs_upper)
+    };
     cases(256, |d| {
         let (seed, a, b) = (d.u64(), d.u64(), d.u64());
-        let mut inputs = d.vec(200..201, |d| d.u64());
-        let from = d.int(0u64..1 << 40);
-        inputs.extend([0, 4095].map(|bucket| c_in_bucket(seed, a, b, from, bucket)));
-        for c in inputs {
-            let sample = rng::standard_normal(seed, a, b, c);
-            let bound = rng::normal_abs_bound(seed, a, b, c);
-            assert!(bound >= sample.abs(), "|{sample}| > {bound} at c = {c}");
-            assert!(bound <= 7.5, "{bound}");
+        for _ in 0..200 {
+            check(seed, a, b, d.u64());
+        }
+        let (first, second) = edge_hashes(d);
+        for hash in first {
+            let c = c_hashing_to(hash, seed, a, b);
+            let (_, abs_upper) = check(seed, a, b, c);
+            // At a bucket's low edge the table holds that very radius, plus
+            // the slack.
+            let radius = (-2.0 * rng::uniform01(seed, a, b, c).max(1e-12).ln()).sqrt();
+            assert!(abs_upper > radius, "no slack on the radius: {abs_upper} at {hash:#x}");
+        }
+        for hash in second {
+            let c = c_hashing_to(hash, seed ^ SECOND, a, b);
+            let (upper, abs_upper) = check(seed, a, b, c);
+            // Likewise the cosine, except a hair from 0 and 1, where it
+            // rounds to one and the table holds one.
+            let cos = (std::f64::consts::TAU * rng::uniform01(seed ^ SECOND, a, b, c)).cos();
+            if upper >= 0.0 && cos < 1.0 {
+                assert!(upper > abs_upper * cos, "no slack on the cosine: {upper} at {hash:#x}");
+            }
         }
     });
 }
 
 /// `rss_if_above` is `rss` behind the floor, whatever the floor — far
 /// below, far above, or a hair either side of the signal — under every RF
-/// model, and where the fast fade sits in the first or the last bucket of
-/// the bound's table.
+/// model, where either fade sits on an edge of the bounds' tables, and in
+/// each of its three stages a thousand times.
 #[test]
 fn rss_if_above_is_rss_behind_the_floor() {
+    let mut stages = [0usize; 3];
     cases(256, |d| {
         let rf =
             d.pick(&[RfConfig::indoor(), RfConfig::open_area(), RfConfig::deterministic()]).clone();
         let n = d.int(2usize..40);
         let topo = Topology::random_area(n, d.f64(10.0..400.0), d.u64());
         let n = topo.len() as u16;
-        let seed = d.u64();
-        let model = LinkModel::new(&topo, rf, seed);
-        for _ in 0..150 {
+        let link = |d: &mut digs_cases::Draw| {
             let tx = d.int(0..n);
             let rx = (tx + d.int(1..n)) % n;
-            let ch = d.int(0u8..16);
-            // The fast fade is `standard_normal(seed ^ 0xfa57, pair, channel, asn + 2)`.
             let pair = u64::from(tx.min(rx)) * u64::from(n) + u64::from(tx.max(rx));
-            let asn = match d.int(0u8..8) {
-                0 => c_in_bucket(seed ^ 0xfa57, pair, u64::from(ch), 2, 0) - 2,
-                1 => c_in_bucket(seed ^ 0xfa57, pair, u64::from(ch), 2, 4095) - 2,
+            (tx, rx, d.int(0u8..16), pair)
+        };
+        let (first, second) = edge_hashes(d);
+        // The frozen fade is `standard_normal(seed ^ 0xfade, pair, channel, 1)`:
+        // two models in three are seeded to put one link's on an edge.
+        let edge_link = link(d);
+        let seed = match d.int(0u8..3) {
+            0 => d.u64(),
+            1 => seed_hashing_to(*d.pick(&first), edge_link.3, u64::from(edge_link.2), 1) ^ 0xfade,
+            _ => {
+                seed_hashing_to(*d.pick(&second), edge_link.3, u64::from(edge_link.2), 1)
+                    ^ SECOND
+                    ^ 0xfade
+            }
+        };
+        let model = LinkModel::new(&topo, rf, seed);
+        let (fade_sigma, fast_sigma) =
+            (model.rf().fading_sigma_db, model.rf().fast_fading_sigma_db);
+        for _ in 0..150 {
+            let (tx, rx, ch, pair) = if d.bool() { edge_link } else { link(d) };
+            // The fast fade is `standard_normal(seed ^ 0xfa57, pair, channel, asn + 2)`.
+            let fast_seed = seed ^ 0xfa57;
+            let asn = match d.int(0u8..4) {
+                0 => c_hashing_to(*d.pick(&first), fast_seed, pair, u64::from(ch)) - 2,
+                1 => c_hashing_to(*d.pick(&second), fast_seed ^ SECOND, pair, u64::from(ch)) - 2,
                 _ => d.int(0u64..1 << 40),
             };
             let (tx, rx, ch, asn) = (NodeId(tx), NodeId(rx), PhysChannel(ch), Asn(asn));
@@ -357,8 +446,25 @@ fn rss_if_above_is_rss_behind_the_floor() {
                 Some(rss).filter(|rss| rss.dbm() > floor),
                 "{tx}→{rx} on {ch:?} at {asn}, floor {floor}"
             );
+
+            // Where that call stopped: its own three conditions, on the
+            // public bounds.
+            let fade = rng::NormalFirst::new(seed ^ 0xfade, pair, u64::from(ch.0), 1);
+            let fast = rng::NormalFirst::new(fast_seed, pair, u64::from(ch.0), asn.0 + 2);
+            let base = model.static_rss(tx, rx).dbm();
+            let silent =
+                |fade: f64, fast: f64| base + fade_sigma * fade + fast_sigma * fast <= floor - 1e-6;
+            stages[if silent(fade.abs_upper(), fast.abs_upper()) {
+                0
+            } else if silent(fade.second().upper(), fast.second().upper()) {
+                1
+            } else {
+                2
+            }] += 1;
         }
     });
+    assert_eq!(stages.iter().sum::<usize>(), 38_400);
+    assert!(stages.iter().all(|&calls| calls >= 1_000), "calls ending in each stage: {stages:?}");
 }
 
 /// Counting `k` slots at once is counting one slot `k` times.
