@@ -317,6 +317,81 @@ enum Ack {
 /// `Run::listening_on` of a node whose radio is not in receive.
 const NOT_LISTENING: u8 = u8::MAX;
 
+/// A signal audible at the listener being resolved: the transmission's index
+/// into `Run::committed` and an interval of dBm its RSS lies in — its
+/// [`Signal::bounds`](crate::link::Signal::bounds), or the RSS itself at both
+/// ends where it had to be drawn to tell whether it is audible.
+#[derive(Debug, Clone, Copy)]
+struct Heard {
+    k: usize,
+    lo: f64,
+    hi: f64,
+}
+
+/// How [`decide`] settled a listener.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settled {
+    /// The frame is lost to the strongest of the other signals alone.
+    LostToOne,
+    /// The frame is lost to everything else on the channel together.
+    LostToAll,
+    /// The frame is decoded.
+    Decoded,
+}
+
+/// What becomes of the strongest frame a listener hears, from the intervals
+/// alone: `Some((index into heard, answer))` where every RSS inside them
+/// gives that frame and that answer, `None` where the exact resolution —
+/// draw every signal, sort, sum the rest with `ambient_mw` (jammers, ambient
+/// and thermal noise, in milliwatts), compare the listener's uniform `u` with
+/// the PRR at that SINR — has to say: a listener that hears one signal, two
+/// candidates for the strongest whose intervals overlap, or a `u` between the
+/// PRRs at the SINR's two bounds.
+///
+/// Each test is one-sided, with `1e-6` dB for the rounding of whichever sum
+/// the exact resolution goes on to make:
+///
+/// - the interference is at least the strongest other signal at its weakest,
+///   so the SINR is at most the distance to it: a `u` at or above the PRR
+///   there has lost the frame, and no power or logarithm was taken;
+/// - it is at least `level`, ambient and every other signal at its weakest:
+///   the same test, one logarithm later;
+/// - it is at most `level` plus the widest other interval — every term grown
+///   by that factor is at least the term at its strongest — so a `u` below
+///   the PRR that far down has decoded the frame.
+fn decide(heard: &[Heard], ambient_mw: f64, u: f64) -> Option<(usize, Settled)> {
+    if heard.len() < 2 {
+        return None;
+    }
+    let mut best = 0;
+    for (i, signal) in heard.iter().enumerate().skip(1) {
+        if signal.lo > heard[best].lo {
+            best = i;
+        }
+    }
+    let others = || heard.iter().enumerate().filter(|(i, _)| *i != best).map(|(_, signal)| signal);
+    let Heard { lo, hi, .. } = heard[best];
+    // Equal ends overlap too: the exact order of equal signals is the commit
+    // order, which the intervals do not see.
+    if others().any(|other| other.hi >= lo) {
+        return None;
+    }
+    let rival_lo = others().fold(f64::NEG_INFINITY, |max, other| max.max(other.lo));
+    if u >= prr_from_sinr_db(hi - rival_lo + 1e-6) {
+        return Some((best, Settled::LostToOne));
+    }
+    let weakest_mw = others().fold(ambient_mw, |sum, other| sum + Dbm(other.lo).to_milliwatts());
+    let width = others().fold(0.0, |max: f64, other| max.max(other.hi - other.lo));
+    let level = 10.0 * weakest_mw.log10();
+    if u >= prr_from_sinr_db(hi - level + 1e-6) {
+        Some((best, Settled::LostToAll))
+    } else if u < prr_from_sinr_db(lo - level - width - 1e-6) {
+        Some((best, Settled::Decoded))
+    } else {
+        None
+    }
+}
+
 /// Puts a node's standing listens in the slots `*settled_to..asn` on its
 /// meter. What its stack describes now is what held over all of them: the
 /// description changes only inside a call the engine makes, and this comes
@@ -376,7 +451,10 @@ struct Run<P> {
     deferred: Vec<NodeId>,
     /// `(listener, index into committed, rss)` of every decoded frame.
     deliveries: Vec<(NodeId, usize, Dbm)>,
-    /// The signals audible at the listener being resolved.
+    /// The signals audible at the listener being resolved, in commit order,
+    /// and — only where their intervals do not decide it — the same signals
+    /// drawn, strongest first.
+    heard: Vec<Heard>,
     cands: Vec<(usize, Dbm)>,
 }
 
@@ -402,6 +480,7 @@ impl<P> Run<P> {
             on_channel: Default::default(),
             deferred: Vec::new(),
             deliveries: Vec::new(),
+            heard: Vec::new(),
             cands: Vec::new(),
         };
         for (i, stack) in stacks.iter().enumerate() {
@@ -544,7 +623,18 @@ pub struct Engine {
     pending_reset: Vec<bool>,
     /// Flight recorder; off by default (one branch per potential event).
     trace: TraceHandle,
+    /// How phase 3 came by its answers ([`ROUTES`]), so that the differential
+    /// test can say that it went every way often.
+    #[cfg(test)]
+    routes: [u64; ROUTES.len()],
 }
+
+/// What [`Engine::routes`] counts, in its order: signals drawn because their
+/// interval straddled the sensitivity floor, then listeners hearing two
+/// signals or more by what [`decide`] said of them.
+#[cfg(test)]
+const ROUTES: [&str; 5] =
+    ["drawn for audibility", "lost to one", "lost to all", "decoded", "declined"];
 
 impl Engine {
     /// Creates an engine over a topology with the given RF environment and
@@ -571,6 +661,8 @@ impl Engine {
             stats: EngineStats::default(),
             pending_reset: vec![false; n],
             trace: TraceHandle::off(),
+            #[cfg(test)]
+            routes: [0; ROUTES.len()],
         }
     }
 
@@ -822,13 +914,15 @@ impl Engine {
 
         // Phase 3: reception. For each listener, decode the strongest
         // committed frame on its physical channel against the sum of all
-        // other signals, jammers, and thermal noise.
+        // other signals, jammers, and thermal noise — reading each signal as
+        // an interval and drawing its fades only where the intervals leave
+        // the answer open, or the answer is a frame to hand over.
+        let floor = SENSITIVITY.dbm();
         for &(rx_id, ch) in &run.listeners {
             let rx = rx_id.index();
-            // Candidate signals on this channel audible at the listener,
-            // strongest first, ties in commit order (the order the
-            // interference sum below adds them in).
-            run.cands.clear();
+            // The signals on this channel audible at the listener, in commit
+            // order.
+            run.heard.clear();
             for &k in &run.on_channel[usize::from(ch.0)] {
                 let tx = run.committed[k].node;
                 if tx == rx_id
@@ -836,28 +930,71 @@ impl Engine {
                 {
                     continue;
                 }
-                if let Some(rss) = self.link.rss_if_above(tx, rx_id, ch, asn, SENSITIVITY.dbm()) {
-                    run.cands.push((k, rss));
+                let signal = self.link.signal(tx, rx_id, ch, asn);
+                let (lo, hi) = signal.bounds();
+                if hi <= floor {
+                    continue;
+                }
+                if lo > floor {
+                    run.heard.push(Heard { k, lo, hi });
+                } else {
+                    // Audible or not is the RSS's to say; it is its own
+                    // interval from here on.
+                    #[cfg(test)]
+                    {
+                        self.routes[0] += 1;
+                    }
+                    let rss = signal.rss().dbm();
+                    if rss > floor {
+                        run.heard.push(Heard { k, lo: rss, hi: rss });
+                    }
                 }
             }
-            if run.cands.is_empty() {
+            if run.heard.is_empty() {
                 self.energy[rx].charge_rx(IDLE_LISTEN_US);
                 continue;
             }
-            run.cands.sort_by(|a, b| b.1.dbm().total_cmp(&a.1.dbm()));
-            let (best_idx, best_rss) = run.cands[0];
-            let mut interference_mw = self.jammer_field.total_mw(&self.jammers, rx, ch, asn)
+            let ambient_mw = self.jammer_field.total_mw(&self.jammers, rx, ch, asn)
                 + self.ambient_field.total_mw(&self.ambient, rx, ch, asn)
                 + self.noise_floor_mw;
-            for (_, rss) in &run.cands[1..] {
-                interference_mw += rss.to_milliwatts();
+            let u = self.rng.next_f64();
+            let settled = decide(&run.heard, ambient_mw, u);
+            #[cfg(test)]
+            match settled {
+                Some((_, settled)) => self.routes[1 + settled as usize] += 1,
+                None => self.routes[4] += u64::from(run.heard.len() > 1),
             }
-            let sinr_db = best_rss.dbm() - 10.0 * interference_mw.log10();
+            let (best_idx, decoded) = match settled {
+                Some((best, settled)) => {
+                    let k = run.heard[best].k;
+                    let rss = (settled == Settled::Decoded)
+                        .then(|| self.link.signal(run.committed[k].node, rx_id, ch, asn).rss());
+                    (k, rss)
+                }
+                None => {
+                    // The definition: every audible signal drawn, strongest
+                    // first, ties in commit order (the order the
+                    // interference sum below adds them in).
+                    run.cands.clear();
+                    for heard in &run.heard {
+                        let tx = run.committed[heard.k].node;
+                        run.cands.push((heard.k, self.link.rss(tx, rx_id, ch, asn)));
+                    }
+                    run.cands.sort_by(|a, b| b.1.dbm().total_cmp(&a.1.dbm()));
+                    let (best_idx, best_rss) = run.cands[0];
+                    let mut interference_mw = ambient_mw;
+                    for (_, rss) in &run.cands[1..] {
+                        interference_mw += rss.to_milliwatts();
+                    }
+                    let sinr_db = best_rss.dbm() - 10.0 * interference_mw.log10();
+                    (best_idx, (u < prr_from_sinr_db(sinr_db)).then_some(best_rss))
+                }
+            };
             let frame = &run.committed[best_idx].frame;
             // The radio stays in RX for the frame airtime whether or not the
             // CRC ultimately passes.
             self.energy[rx].charge_rx(frame.airtime_us());
-            if self.rng.next_f64() < prr_from_sinr_db(sinr_db) {
+            if let Some(best_rss) = decoded {
                 run.deliveries.push((rx_id, best_idx, best_rss));
                 if frame.dst.expects_ack() && frame.dst.addressed_to(rx_id) {
                     // The receiver transmits an ACK on the reverse link.
@@ -881,7 +1018,7 @@ impl Engine {
                             Ack::Lost
                         };
                 }
-            } else if run.cands.len() > 1 {
+            } else if run.heard.len() > 1 {
                 self.stats.collision_drops += 1;
             } else {
                 self.stats.noise_drops += 1;
@@ -2306,8 +2443,9 @@ mod tests {
 
     /// Runs a case on the production kernel and on the reference kernel,
     /// comparing after every chunk. Returns how many frames were heard
-    /// through a standing listen (by a node with nothing planned).
-    fn run_against_reference(case: &Case) -> usize {
+    /// through a standing listen (by a node with nothing planned) and the
+    /// production kernel's [`ROUTES`].
+    fn run_against_reference(case: &Case) -> (usize, [u64; ROUTES.len()]) {
         let mut ours = case.build();
         let mut reference = case.build_reference();
         for (chunk, (slots, between)) in case.chunks.iter().enumerate() {
@@ -2323,16 +2461,19 @@ mod tests {
             };
             stack.calls.iter().filter(unplanned).count()
         };
-        ours.1.iter().map(heard_standing).sum()
+        (ours.1.iter().map(heard_standing).sum(), ours.0.routes)
     }
 
     #[test]
     fn the_slot_kernel_matches_the_reference_kernel() {
         let mut jumped = 0;
         let mut heard_standing = 0;
+        let mut routes = [0; ROUTES.len()];
         cases(320, |d| {
             let case = draw_case(d);
-            heard_standing += run_against_reference(&case);
+            let (heard, case_routes) = run_against_reference(&case);
+            heard_standing += heard;
+            routes.iter_mut().zip(case_routes).for_each(|(sum, n)| *sum += n);
             let (mut engine, mut stacks) = case.build();
             for (slots, between) in &case.chunks {
                 let steps = run_noting_steps(&mut engine, &mut stacks, *slots);
@@ -2345,6 +2486,97 @@ mod tests {
             heard_standing >= 10_000,
             "only {heard_standing} frames heard by standing listeners"
         );
+        let floors = [50, 200, 200, 200, 200];
+        for ((route, n), floor) in ROUTES.iter().zip(routes).zip(floors) {
+            assert!(n >= floor, "only {n} {route}: {routes:?}");
+        }
+    }
+
+    /// Phase 3's exact resolution, on signals already drawn: the strongest
+    /// (ties in commit order) against the rest summed in sorted order on top
+    /// of `ambient_mw`. Returns its index and the PRR a listener's uniform is
+    /// held against.
+    fn resolve_exactly(rss: &[f64], ambient_mw: f64) -> (usize, f64) {
+        let mut cands: Vec<(usize, Dbm)> = rss.iter().map(|r| Dbm(*r)).enumerate().collect();
+        cands.sort_by(|a, b| b.1.dbm().total_cmp(&a.1.dbm()));
+        let (best_idx, best_rss) = cands[0];
+        let mut interference_mw = ambient_mw;
+        for (_, rss) in &cands[1..] {
+            interference_mw += rss.to_milliwatts();
+        }
+        (best_idx, prr_from_sinr_db(best_rss.dbm() - 10.0 * interference_mw.log10()))
+    }
+
+    /// Whenever `decide` answers, the answer is the exact resolution's, for
+    /// every RSS the intervals allow — here the one they were drawn around —
+    /// and it answers each way, and declines, often.
+    #[test]
+    fn decide_answers_what_drawing_every_signal_answers() {
+        let mut routes = [0usize; 4];
+        cases(256, |d| {
+            for _ in 0..100 {
+                // The strongest two apart by nothing, by a hair, or by dBs;
+                // the rest anywhere below the first.
+                let top = d.f64(-90.0..-20.0);
+                let gap = match d.int(0u8..6) {
+                    0 => 0.0,
+                    1 => *d.pick(&[1e-12, 1e-9, 1e-7, 2e-6, 1e-4]),
+                    2 | 3 => d.f64(0.0..10.0),
+                    _ => d.f64(0.0..40.0),
+                };
+                let mut rss = vec![top, top - gap];
+                for _ in 2..d.int(2usize..=8) {
+                    rss.push(top - if d.bool() { d.f64(0.0..12.0) } else { d.f64(0.0..60.0) });
+                }
+                // Commit order is not order of strength.
+                for i in (1..rss.len()).rev() {
+                    rss.swap(i, d.int(0..=i));
+                }
+                // Intervals of any width around them, none included, and
+                // either end may be the signal itself: two equal signals can
+                // meet where their intervals only touch.
+                let width = *d.pick(&[0.0, 1e-6, 0.03, 0.03, 0.5]);
+                let reach = |d: &mut Draw| match d.int(0u8..3) {
+                    0 => 0.0,
+                    1 => width,
+                    _ => d.f64(0.0..1.0) * width,
+                };
+                let heard: Vec<Heard> = rss
+                    .iter()
+                    .enumerate()
+                    .map(|(k, r)| Heard { k, lo: r - reach(d), hi: r + reach(d) })
+                    .collect();
+                // Thermal noise with or without a jammer on top — or next to
+                // none, where the other signals are all the interference is.
+                let ambient_mw = match d.int(0u8..5) {
+                    0 => 1e-30,
+                    1 | 2 => Dbm(-98.0).to_milliwatts(),
+                    _ => Dbm(-98.0).to_milliwatts() + Dbm(d.f64(-110.0..-40.0)).to_milliwatts(),
+                };
+
+                // `u` where the exact answer turns, and at both ends.
+                let (best, prr) = resolve_exactly(&rss, ambient_mw);
+                let u = match d.int(0u8..12) {
+                    0 => prr,
+                    1 => f64::from_bits(prr.to_bits() - 1),
+                    2 => prr + 1e-12,
+                    3 => (prr - 1e-12).max(0.0),
+                    4 => 0.0,
+                    5 => 0.999,
+                    _ => d.f64(0.0..1.0),
+                };
+                match decide(&heard, ambient_mw, u) {
+                    Some((i, settled)) => {
+                        assert_eq!(heard[i].k, best, "{settled:?} {heard:?} around {rss:?}");
+                        let decoded = settled == Settled::Decoded;
+                        assert_eq!(decoded, u < prr, "{settled:?} at {u} {heard:?} around {rss:?}");
+                        routes[settled as usize] += 1;
+                    }
+                    None => routes[3] += 1,
+                }
+            }
+        });
+        assert!(routes.iter().all(|&n| n >= 1_000), "{:?}: {routes:?}", &ROUTES[1..]);
     }
 
     #[test]

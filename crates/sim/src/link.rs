@@ -2,8 +2,10 @@
 //! per-channel frequency-selective fading, and per-slot fast fading.
 //!
 //! [`LinkModel::rss`] is the definition. The engine's reception loop asks
-//! [`LinkModel::rss_if_above`], which gives the same answer behind the
-//! sensitivity floor and draws a fade only for a signal that is heard.
+//! [`LinkModel::signal`] for the hashes behind it: [`Signal::bounds`] brackets
+//! the RSS without a logarithm, root or cosine, which is all most signals are
+//! ever asked, and [`Signal::rss`] draws it to the bit for the few that are
+//! read.
 
 use crate::channel::PhysChannel;
 use crate::ids::NodeId;
@@ -36,7 +38,19 @@ pub struct LinkModel {
 
 impl LinkModel {
     /// Builds the model for a topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either fading sigma of `rf` is negative or not finite:
+    /// [`Signal::bounds`] scales a lower and an upper bound by them, and a
+    /// negative factor would swap the two.
     pub fn new(topology: &Topology, rf: RfConfig, seed: u64) -> LinkModel {
+        for sigma in [rf.fading_sigma_db, rf.fast_fading_sigma_db] {
+            assert!(
+                sigma.is_finite() && sigma >= 0.0,
+                "a fading sigma must be finite and not negative"
+            );
+        }
         let n = topology.len();
         let mut static_rss = vec![f64::NEG_INFINITY; n * n];
         // Distance, floors and shadowing are those of the unordered pair, so
@@ -87,52 +101,22 @@ impl LinkModel {
         Dbm(base + fade + fast)
     }
 
-    /// [`rss`](LinkModel::rss) if it exceeds `floor_dbm`, else `None` — the
-    /// same answer as `Some(self.rss(..)).filter(|r| r.dbm() > floor_dbm)`,
-    /// in three stages that each see the hashes of the one before:
-    ///
-    /// 1. the first hash of each fade bounds its magnitude
-    ///    ([`rng::NormalFirst::abs_upper`]); a link that cannot reach the
-    ///    floor with both fades at that bound is turned away;
-    /// 2. the second hash of each bounds it with its sign
-    ///    ([`rng::NormalHashes::upper`]); a link whose fades happen to fall
-    ///    the wrong way is turned away, still without a logarithm, root or
-    ///    cosine;
-    /// 3. what is left is all but certainly heard: the fades are drawn from
-    ///    the four hashes in hand, and the sum is compared with the floor.
-    ///
-    /// Stage 2 bounds the very samples stage 3 draws, and stage 1 bounds
-    /// stage 2, so a signal turned away early would have failed the final
-    /// comparison too. Both bounds are scaled by the two fading sigmas, which
-    /// must not be negative ([`RfConfig::fading_sigma_db`]).
-    pub fn rss_if_above(
-        &self,
-        tx: NodeId,
-        rx: NodeId,
-        channel: PhysChannel,
-        asn: Asn,
-        floor_dbm: f64,
-    ) -> Option<Dbm> {
+    /// The static part and the four hashes behind
+    /// [`rss(tx, rx, channel, asn)`](LinkModel::rss), always all four and
+    /// nothing else: no logarithm, root or cosine, and no branch on what the
+    /// hashes turn out to be.
+    pub fn signal(&self, tx: NodeId, rx: NodeId, channel: PhysChannel, asn: Asn) -> Signal {
         let base = self.static_rss(tx, rx).dbm();
         let (lo, hi) = (tx.index().min(rx.index()), tx.index().max(rx.index()));
         let key = (lo * self.n + hi) as u64;
         let ch = u64::from(channel.0);
-        let (fade_sigma, fast_sigma) = (self.rf.fading_sigma_db, self.rf.fast_fading_sigma_db);
-        // The slack covers the rounding of the bounds' sums.
-        let reach = floor_dbm - 1e-6;
-
-        let fade = rng::NormalFirst::new(self.seed ^ 0xfade, key, ch, 1);
-        let fast = rng::NormalFirst::new(self.seed ^ 0xfa57, key, ch, asn.0 + 2);
-        if base + fade_sigma * fade.abs_upper() + fast_sigma * fast.abs_upper() <= reach {
-            return None;
+        Signal {
+            base,
+            fade: rng::NormalHashes::new(self.seed ^ 0xfade, key, ch, 1),
+            fast: rng::NormalHashes::new(self.seed ^ 0xfa57, key, ch, asn.0 + 2),
+            fade_sigma: self.rf.fading_sigma_db,
+            fast_sigma: self.rf.fast_fading_sigma_db,
         }
-        let (fade, fast) = (fade.second(), fast.second());
-        if base + fade_sigma * fade.upper() + fast_sigma * fast.upper() <= reach {
-            return None;
-        }
-        // `rss`'s own sum, term by term.
-        let rss = base + fade.sample() * fade_sigma + fast.sample() * fast_sigma;
-        Some(Dbm(rss)).filter(|rss| rss.dbm() > floor_dbm)
     }
 
     /// Expected RSS averaged over channels (used for ETX initialisation and
@@ -149,6 +133,39 @@ impl LinkModel {
     /// Whether the model is empty (no nodes).
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+}
+
+/// One transmission as one receiver's radio sees it, from
+/// [`LinkModel::signal`]: the link's static RSS and the hashes of its two
+/// fades, not yet drawn.
+#[derive(Debug, Clone, Copy)]
+pub struct Signal {
+    base: f64,
+    fade: rng::NormalHashes,
+    fast: rng::NormalHashes,
+    fade_sigma: f64,
+    fast_sigma: f64,
+}
+
+impl Signal {
+    /// `(lo, hi)` in dBm with `lo <= rss() <= hi`, from table look-ups
+    /// ([`rng::NormalHashes::bounds`]) and without a branch. The `1e-6` either
+    /// way covers the rounding of the two sums; the sigmas are not negative
+    /// ([`LinkModel::new`] checks), so each bound scales to a bound.
+    pub fn bounds(&self) -> (f64, f64) {
+        let (fade_lo, fade_hi) = self.fade.bounds();
+        let (fast_lo, fast_hi) = self.fast.bounds();
+        (
+            self.base + self.fade_sigma * fade_lo + self.fast_sigma * fast_lo - 1e-6,
+            self.base + self.fade_sigma * fade_hi + self.fast_sigma * fast_hi + 1e-6,
+        )
+    }
+
+    /// [`LinkModel::rss`] to the bit — its own sum, term by term — from the
+    /// hashes in hand.
+    pub fn rss(&self) -> Dbm {
+        Dbm(self.base + self.fade.sample() * self.fade_sigma + self.fast.sample() * self.fast_sigma)
     }
 }
 
@@ -249,6 +266,22 @@ mod tests {
             rss_through_floor < expected_same_floor - 10.0,
             "floor attenuation should cost ≥ 10 dB"
         );
+    }
+
+    /// A real `assert!`: a negative sigma would swap `Signal::bounds`' two
+    /// ends in release builds too, where a `debug_assert!` is compiled out.
+    #[test]
+    #[should_panic(expected = "fading sigma must be finite and not negative")]
+    fn a_negative_fading_sigma_is_refused() {
+        let rf = RfConfig { fast_fading_sigma_db: -1.0, ..RfConfig::indoor() };
+        let _ = LinkModel::new(&Topology::testbed_a(), rf, 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "fading sigma must be finite and not negative")]
+    fn an_infinite_fading_sigma_is_refused() {
+        let rf = RfConfig { fading_sigma_db: f64::INFINITY, ..RfConfig::indoor() };
+        let _ = LinkModel::new(&Topology::testbed_a(), rf, 42);
     }
 
     #[test]

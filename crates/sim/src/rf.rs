@@ -90,10 +90,11 @@ pub struct RfConfig {
     /// Log-normal shadowing standard deviation, in dB (frozen per link).
     pub shadowing_sigma_db: f64,
     /// Per-channel frequency-selective fading standard deviation, in dB.
-    /// Not negative: `LinkModel::rss_if_above` scales upper bounds by it.
+    /// Finite and not negative, which `LinkModel::new` checks:
+    /// `Signal::bounds` scales a lower and an upper bound by it.
     pub fading_sigma_db: f64,
-    /// Fast (per-transmission) fading standard deviation, in dB. Not
-    /// negative, for the same reason.
+    /// Fast (per-transmission) fading standard deviation, in dB. Finite and
+    /// not negative, checked by `LinkModel::new` for the same reason.
     pub fast_fading_sigma_db: f64,
     /// Thermal noise floor.
     pub noise_floor: Dbm,
@@ -236,6 +237,24 @@ mod tests {
             assert!(p >= prev);
             prev = p;
         }
+    }
+
+    /// Reception decides from bounds on the SINR and on each interferer's
+    /// power, a millionth of a dB apart at the least: across that step
+    /// neither curve may come back down, rounding included.
+    #[test]
+    fn prr_and_milliwatts_do_not_fall_across_a_millionth_of_a_db() {
+        let check = |x: f64| {
+            assert!(prr_from_sinr_db(x) <= prr_from_sinr_db(x + 1e-6), "PRR falls after {x} dB");
+            assert!(
+                Dbm(x).to_milliwatts() <= Dbm(x + 1e-6).to_milliwatts(),
+                "milliwatts fall after {x} dBm"
+            );
+        };
+        for step in 0..=80_000 {
+            check(-40.0 + f64::from(step) * 1e-3);
+        }
+        digs_cases::cases(100, |d| (0..100).for_each(|_| check(d.f64(-40.0..40.0))));
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! [`SmallRng`] owned by the engine.
 //!
 //! A hashed normal sample ([`standard_normal`]) is two hashes, then a
-//! logarithm, a root and a cosine. Reception asks for millions of them only
-//! to find most signals below the sensitivity floor, so the hashes also come
-//! apart from the arithmetic: [`NormalFirst`] bounds the sample's magnitude
-//! from the first hash, [`NormalHashes`] bounds the signed sample from both,
-//! each by table look-up, and [`NormalHashes::sample`] finishes the draw from
-//! the same two hashes.
+//! logarithm, a root and a cosine. Reception asks for millions of them and
+//! reads nearly all of them only to compare, so the hashes also come apart
+//! from the arithmetic: [`NormalHashes::bounds`] brackets the sample from the
+//! two hashes by table look-up, and [`NormalHashes::sample`] finishes the draw
+//! from the same two hashes where the bracket does not settle the question.
 
 use std::sync::OnceLock;
 
@@ -114,8 +113,7 @@ pub fn standard_normal(seed: u64, a: u64, b: u64, c: u64) -> f64 {
 /// Buckets of the two bound tables: a hash's top ten bits index them.
 const BUCKETS: usize = 1024;
 
-/// What [`NormalFirst::abs_upper`] and [`NormalHashes::upper`] look up,
-/// 16 KB in all.
+/// What [`NormalHashes::bounds`] looks up, 16 KB in all.
 struct BoundTables {
     /// Box–Muller's radius `sqrt(-2 ln u1)` at the low edge of each bucket of
     /// `u1`, where it is largest, times `1 + 1e-9` for the last-place error
@@ -160,41 +158,8 @@ fn bucket(hash: u64) -> usize {
     (hash >> 54) as usize
 }
 
-/// The first of the two hashes behind `standard_normal(seed, a, b, c)`:
-/// enough to bound the sample's magnitude, and the start of a
-/// [`NormalHashes`].
-#[derive(Debug, Clone, Copy)]
-pub struct NormalFirst {
-    seed: u64,
-    a: u64,
-    b: u64,
-    c: u64,
-    first: u64,
-}
-
-impl NormalFirst {
-    /// Hashes the first uniform of `standard_normal(seed, a, b, c)`.
-    pub fn new(seed: u64, a: u64, b: u64, c: u64) -> NormalFirst {
-        NormalFirst { seed, a, b, c, first: mix(seed, a, b, c) }
-    }
-
-    /// An upper bound of `|standard_normal(seed, a, b, c)|`: the radius falls
-    /// as `u1` rises and `|cos| <= 1`, so the radius at the low edge of
-    /// `u1`'s bucket bounds every sample of that bucket.
-    pub fn abs_upper(&self) -> f64 {
-        bound_tables().radius_hi[bucket(self.first)]
-    }
-
-    /// Hashes the second uniform as well.
-    pub fn second(self) -> NormalHashes {
-        let NormalFirst { seed, a, b, c, first } = self;
-        NormalHashes { first, second: mix(seed ^ 0x5851_f42d_4c95_7f2d, a, b, c) }
-    }
-}
-
-/// Both hashes behind `standard_normal(seed, a, b, c)`, from
-/// [`NormalFirst::second`]: the sample, and a signed upper bound of it that
-/// costs two table look-ups.
+/// Both hashes behind `standard_normal(seed, a, b, c)`: the sample, and an
+/// interval around it that costs four table look-ups.
 #[derive(Debug, Clone, Copy)]
 pub struct NormalHashes {
     first: u64,
@@ -202,21 +167,35 @@ pub struct NormalHashes {
 }
 
 impl NormalHashes {
-    /// An upper bound of [`sample`](NormalHashes::sample), sign included:
-    /// where the cosine can be positive, the largest radius of `u1`'s bucket
-    /// times the largest cosine of `u2`'s; where it cannot, the smallest
-    /// radius times the cosine nearest zero. Half of all samples are
-    /// negative, which [`NormalFirst::abs_upper`] cannot see.
+    /// Hashes the two uniforms of `standard_normal(seed, a, b, c)`.
+    pub fn new(seed: u64, a: u64, b: u64, c: u64) -> NormalHashes {
+        NormalHashes {
+            first: mix(seed, a, b, c),
+            second: mix(seed ^ 0x5851_f42d_4c95_7f2d, a, b, c),
+        }
+    }
+
+    /// `(lo, hi)` with `lo <= sample() <= hi`, without a branch. The upper
+    /// bound: where the cosine can be positive, the largest radius of `u1`'s
+    /// bucket times the largest cosine of `u2`'s; where it cannot, the
+    /// smallest radius times the cosine nearest zero. The lower bound is its
+    /// mirror image, `cos(τ(u + ½)) = −cos(τu)`: the smallest cosine of a
+    /// bucket is minus the largest of the bucket half a turn away.
     ///
     /// The smallest radius is read from a table of largest ones, so it sits
     /// `1e-9` of itself too high; the cosine's own `1e-9` more than makes up
-    /// for it, `(1 + ε)(c + ε) >= c` for any `c >= -1`.
-    pub fn upper(&self) -> f64 {
+    /// for it, `(1 + ε)(c + ε) >= c` for any `c >= -1` — and, mirrored,
+    /// `(1 + ε)(c − ε) <= c` for any `c <= 1`.
+    pub fn bounds(&self) -> (f64, f64) {
         let tables = bound_tables();
-        let b1 = bucket(self.first);
-        let cos_hi = tables.cos_hi[bucket(self.second)];
-        let radius = if cos_hi >= 0.0 { tables.radius_hi[b1] } else { tables.radius_hi[b1 + 1] };
-        radius * cos_hi
+        let (b1, b2) = (bucket(self.first), bucket(self.second));
+        let cos_hi = tables.cos_hi[b2];
+        let cos_lo = -tables.cos_hi[b2 ^ (BUCKETS / 2)];
+        // The choice of radius is an index, not a jump: the sign of a cosine
+        // is a coin flip no predictor learns.
+        let lo = tables.radius_hi[b1 + usize::from(cos_lo > 0.0)] * cos_lo;
+        let hi = tables.radius_hi[b1 + usize::from(cos_hi < 0.0)] * cos_hi;
+        (lo, hi)
     }
 
     /// `standard_normal(seed, a, b, c)` to the bit, from the hashes in hand.
@@ -230,6 +209,7 @@ impl NormalHashes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::f64::consts::TAU;
 
     #[test]
     fn mix_is_deterministic() {
@@ -261,6 +241,23 @@ mod tests {
         let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
+    }
+
+    /// Every entry lies strictly beyond the value it bounds as this machine
+    /// computes it, so a last-place wobble inside a bucket stays inside.
+    #[test]
+    fn the_bound_tables_carry_their_slack() {
+        let tables = bound_tables();
+        let at = |edge: usize| edge as f64 / BUCKETS as f64;
+        for b in 0..BUCKETS {
+            let radius = (-2.0 * at(b).max(1e-12).ln()).sqrt();
+            assert!(tables.radius_hi[b] > radius, "radius of bucket {b}");
+            assert!(tables.radius_hi[b] > tables.radius_hi[b + 1], "radius falls at {b}");
+            let cos = (TAU * at(b)).cos().max((TAU * at(b + 1)).cos());
+            let cos_hi = tables.cos_hi[b];
+            assert!(cos_hi > cos || cos_hi == 1.0, "cosine of bucket {b}: {cos_hi} over {cos}");
+        }
+        assert_eq!(tables.radius_hi[BUCKETS], 0.0);
     }
 
     #[test]

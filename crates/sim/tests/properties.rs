@@ -347,55 +347,45 @@ fn edge_hashes(d: &mut digs_cases::Draw) -> (Vec<u64>, Vec<u64>) {
     (first, second.into_iter().flat_map(ends).collect())
 }
 
-/// The signed bound `rss_if_above` rejects on really bounds the sample it
-/// goes on to draw, that sample is `standard_normal` to the bit, and both
-/// tables carry their slack.
+/// The interval reception reads a fade as really holds the sample it goes on
+/// to draw where it has to, that sample is `standard_normal` to the bit, and
+/// at the edges of the tables' buckets neither end is reached.
 #[test]
-fn signed_bound_bounds_the_sample() {
+fn bounds_contain_the_sample() {
     let check = |seed: u64, a: u64, b: u64, c: u64| {
-        let first = rng::NormalFirst::new(seed, a, b, c);
-        let hashes = first.second();
+        let hashes = rng::NormalHashes::new(seed, a, b, c);
         let sample = rng::standard_normal(seed, a, b, c);
         assert_eq!(hashes.sample().to_bits(), sample.to_bits(), "at c = {c}");
-        let (upper, abs_upper) = (hashes.upper(), first.abs_upper());
-        assert!(upper >= sample, "{sample} > {upper} at c = {c}");
-        assert!(abs_upper >= upper.abs() && abs_upper <= 7.5, "{upper}, {abs_upper} at c = {c}");
-        (upper, abs_upper)
+        let (lo, hi) = hashes.bounds();
+        assert!(lo <= sample && sample <= hi, "{sample} outside {lo}..{hi} at c = {c}");
+        assert!((-7.5..=7.5).contains(&lo) && (-7.5..=7.5).contains(&hi), "{lo}..{hi} at c = {c}");
+        (lo, sample, hi)
     };
     cases(256, |d| {
         let (seed, a, b) = (d.u64(), d.u64(), d.u64());
         for _ in 0..200 {
             check(seed, a, b, d.u64());
         }
+        // Where a hash sits on an edge the bound is that edge's own value,
+        // which only the tables' slack keeps off the sample.
         let (first, second) = edge_hashes(d);
-        for hash in first {
-            let c = c_hashing_to(hash, seed, a, b);
-            let (_, abs_upper) = check(seed, a, b, c);
-            // At a bucket's low edge the table holds that very radius, plus
-            // the slack.
-            let radius = (-2.0 * rng::uniform01(seed, a, b, c).max(1e-12).ln()).sqrt();
-            assert!(abs_upper > radius, "no slack on the radius: {abs_upper} at {hash:#x}");
-        }
-        for hash in second {
-            let c = c_hashing_to(hash, seed ^ SECOND, a, b);
-            let (upper, abs_upper) = check(seed, a, b, c);
-            // Likewise the cosine, except a hair from 0 and 1, where it
-            // rounds to one and the table holds one.
-            let cos = (std::f64::consts::TAU * rng::uniform01(seed ^ SECOND, a, b, c)).cos();
-            if upper >= 0.0 && cos < 1.0 {
-                assert!(upper > abs_upper * cos, "no slack on the cosine: {upper} at {hash:#x}");
-            }
+        let on_first = first.into_iter().map(|hash| c_hashing_to(hash, seed, a, b));
+        let on_second = second.into_iter().map(|hash| c_hashing_to(hash, seed ^ SECOND, a, b));
+        for c in on_first.chain(on_second) {
+            let (lo, sample, hi) = check(seed, a, b, c);
+            assert!(lo < sample && sample < hi, "no slack: {sample} in {lo}..{hi} at c = {c}");
         }
     });
 }
 
-/// `rss_if_above` is `rss` behind the floor, whatever the floor — far
-/// below, far above, or a hair either side of the signal — under every RF
-/// model, where either fade sits on an edge of the bounds' tables, and in
-/// each of its three stages a thousand times.
+/// `Signal::bounds` holds `rss`, and `Signal::rss` is `rss` to the bit,
+/// under every RF model and where either fade sits on an edge of the bounds'
+/// tables; against a floor far below, far above, or a hair either side of the
+/// signal, the interval says audible, says silent and leaves it open a
+/// thousand times each.
 #[test]
-fn rss_if_above_is_rss_behind_the_floor() {
-    let mut stages = [0usize; 3];
+fn signal_bounds_contain_rss() {
+    let mut said = [0usize; 3];
     cases(256, |d| {
         let rf =
             d.pick(&[RfConfig::indoor(), RfConfig::open_area(), RfConfig::deterministic()]).clone();
@@ -421,9 +411,8 @@ fn rss_if_above_is_rss_behind_the_floor() {
                     ^ 0xfade
             }
         };
+        let flat = rf == RfConfig::deterministic();
         let model = LinkModel::new(&topo, rf, seed);
-        let (fade_sigma, fast_sigma) =
-            (model.rf().fading_sigma_db, model.rf().fast_fading_sigma_db);
         for _ in 0..150 {
             let (tx, rx, ch, pair) = if d.bool() { edge_link } else { link(d) };
             // The fast fade is `standard_normal(seed ^ 0xfa57, pair, channel, asn + 2)`.
@@ -434,37 +423,34 @@ fn rss_if_above_is_rss_behind_the_floor() {
                 _ => d.int(0u64..1 << 40),
             };
             let (tx, rx, ch, asn) = (NodeId(tx), NodeId(rx), PhysChannel(ch), Asn(asn));
-            let rss = model.rss(tx, rx, ch, asn);
+            let rss = model.rss(tx, rx, ch, asn).dbm();
+            let signal = model.signal(tx, rx, ch, asn);
+            assert_eq!(signal.rss().dbm().to_bits(), rss.to_bits(), "{tx}→{rx} on {ch:?} at {asn}");
+            let (lo, hi) = signal.bounds();
+            assert!(
+                lo <= rss && rss <= hi,
+                "{rss} outside {lo}..{hi}: {tx}→{rx} on {ch:?} at {asn}"
+            );
+            assert!(!flat || hi - lo <= 2.1e-6, "{lo}..{hi} without fading");
+
             let floor = match d.int(0u8..4) {
                 0 => d.f64(-140.0..0.0),
-                1 => rss.dbm() + d.f64(-1e-5..1e-5),
-                2 => rss.dbm(),
-                _ => rss.dbm() + d.f64(-12.0..12.0),
+                1 => rss + d.f64(-1e-5..1e-5),
+                2 => rss,
+                _ => rss + d.f64(-12.0..12.0),
             };
-            assert_eq!(
-                model.rss_if_above(tx, rx, ch, asn, floor),
-                Some(rss).filter(|rss| rss.dbm() > floor),
-                "{tx}→{rx} on {ch:?} at {asn}, floor {floor}"
-            );
-
-            // Where that call stopped: its own three conditions, on the
-            // public bounds.
-            let fade = rng::NormalFirst::new(seed ^ 0xfade, pair, u64::from(ch.0), 1);
-            let fast = rng::NormalFirst::new(fast_seed, pair, u64::from(ch.0), asn.0 + 2);
-            let base = model.static_rss(tx, rx).dbm();
-            let silent =
-                |fade: f64, fast: f64| base + fade_sigma * fade + fast_sigma * fast <= floor - 1e-6;
-            stages[if silent(fade.abs_upper(), fast.abs_upper()) {
+            // The engine's three-way reading of the interval.
+            said[if lo > floor {
                 0
-            } else if silent(fade.second().upper(), fast.second().upper()) {
+            } else if hi <= floor {
                 1
             } else {
                 2
             }] += 1;
         }
     });
-    assert_eq!(stages.iter().sum::<usize>(), 38_400);
-    assert!(stages.iter().all(|&calls| calls >= 1_000), "calls ending in each stage: {stages:?}");
+    assert_eq!(said.iter().sum::<usize>(), 38_400);
+    assert!(said.iter().all(|&calls| calls >= 1_000), "audible, silent, open: {said:?}");
 }
 
 /// Counting `k` slots at once is counting one slot `k` times.
