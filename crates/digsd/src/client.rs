@@ -17,6 +17,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+/// Bytes the client reads from its socket at a time. A tailed stream arrives
+/// as the hub's batches — tens of KiB of lines at once — and every refill is
+/// a `read` system call on the thread that also decodes them.
+const READ_BUFFER: usize = 64 << 10;
+
 /// A connected, version-negotiated client.
 pub struct Client {
     writer: TcpStream,
@@ -37,7 +42,8 @@ impl Client {
     pub fn connect_with_version(addr: &str, name: &str, version: u64) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
         let writer = stream.try_clone().map_err(|e| format!("cloning stream: {e}"))?;
-        let mut client = Client { writer, reader: BufReader::new(stream), line: String::new() };
+        let reader = BufReader::with_capacity(READ_BUFFER, stream);
+        let mut client = Client { writer, reader, line: String::new() };
         client.send(&ClientMsg::Hello { version, client: name.to_string() })?;
         match client.recv()? {
             ServerMsg::HelloAck { .. } => Ok(client),

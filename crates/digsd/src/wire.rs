@@ -475,14 +475,18 @@ impl EventFrame {
         seq: u64,
         payload: impl FnOnce(&mut String),
     ) {
-        use std::fmt::Write;
         out.push_str("{\"type\":\"event\",\"run\":");
         digs_json::write_string(out, run);
-        let _ = write!(out, ",\"kind\":\"{}\"", kind.as_str());
+        out.push_str(",\"kind\":\"");
+        out.push_str(kind.as_str());
+        out.push('"');
         if let Some(n) = node {
-            let _ = write!(out, ",\"node\":{n}");
+            out.push_str(",\"node\":");
+            digs_json::write_uint(out, n);
         }
-        let _ = write!(out, ",\"seq\":{seq},\"payload\":");
+        out.push_str(",\"seq\":");
+        digs_json::write_uint(out, seq);
+        out.push_str(",\"payload\":");
         payload(out);
         out.push('}');
     }

@@ -4,16 +4,21 @@
 //! Every JSON seam — trace JSONL, telemetry epochs, the digsd wire and
 //! journal, canonical `RunMetrics` records, goldens, fleet reports — reads
 //! through [`parse`] and writes through [`Value`] or, for the per-event
-//! writers that format straight into a `String`, through [`write_string`].
-//! Nothing outside this crate knows JSON syntax.
+//! writers that format straight into a `String`, through [`write_string`]
+//! and [`write_uint`]: a string copied whole when it has nothing to escape,
+//! an integer as its decimal digits, neither through `core::fmt`. Nothing
+//! outside this crate knows JSON syntax.
 //!
-//! There is one grammar and it has two readings. [`parse`] builds a
-//! [`Value`] tree. [`walk_fields`] runs the same reader over the same text
-//! with building switched off: it accepts exactly the documents [`parse`]
-//! accepts and fails with exactly its errors, allocates nothing, and hands
-//! the caller each top-level object field as a slice of the source text. A
-//! reader of streamed lines uses it to check a whole line once and to lift
-//! out a field it must keep byte-exact (a digsd event frame's payload).
+//! There is one grammar, one reader, and two builders it reads into. The
+//! reader owns the grammar — every position, every error message, the
+//! nesting bound; a builder only says what a value is made of. [`parse`]
+//! reads with one whose values are [`Value`]s. [`walk_fields`] reads with
+//! one whose values are `()`: it accepts exactly the documents [`parse`]
+//! accepts and fails with exactly its errors, builds and allocates nothing,
+//! and hands the caller each top-level object field as a slice of the source
+//! text. A reader of streamed lines uses it to check a whole line once and
+//! to lift out a field it must keep byte-exact (a digsd event frame's
+//! payload).
 //!
 //! Determinism is the hard requirement ("same spec + seed = same bytes"),
 //! so the rules are few and fixed: objects keep insertion order;
@@ -27,6 +32,7 @@
 #![warn(missing_docs)]
 
 use core::fmt;
+use core::ops::Range;
 use std::borrow::Cow;
 
 /// Deepest array/object nesting [`parse`] accepts. The deepest document the
@@ -229,13 +235,10 @@ impl Value {
     }
 
     fn write(&self, out: &mut String) {
-        use std::fmt::Write;
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
+            Value::Int(n) => write_uint(out, *n),
             Value::Num(n) => write_num(out, *n),
             Value::Str(s) => write_string(out, s),
             Value::Arr(items) => {
@@ -302,30 +305,75 @@ fn write_num(out: &mut String, n: f64) {
     use std::fmt::Write;
     debug_assert!(n.is_finite(), "use Value::num to map non-finite to null");
     if n.fract() == 0.0 && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
+        // `-0.0` is written `0`: it is not below zero.
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_uint(out, n.abs() as u64);
     } else {
         // Rust's shortest round-trip formatting: deterministic and exact.
         let _ = write!(out, "{n}");
     }
 }
 
+/// `"00"`, `"01"`, … `"99"` back to back: two digits per division.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Appends `n` in decimal — the bytes `format!("{n}")` gives, without the
+/// formatting machinery. The per-event writers (trace JSONL, digsd frame
+/// heads) write every integer through this.
+pub fn write_uint(out: &mut String, n: impl Into<u64>) {
+    let mut n: u64 = n.into();
+    let mut digits = [0; 20];
+    let mut at = digits.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + n as u8;
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
 /// Appends `s` as a quoted JSON string — the one escape table: `"`, `\\`,
 /// `\n`, `\r`, `\t` by name, other control characters as `\u00XX`,
-/// everything else verbatim.
+/// everything else verbatim. A string with nothing to escape — no byte
+/// below 0x20, no `"`, no `\\` — is copied whole.
 pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    use std::fmt::Write;
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
@@ -352,8 +400,7 @@ impl std::error::Error for ParseError {}
 /// Input from outside the program is safe to hand in: every failure is an
 /// `Err`, and nesting past [`MAX_DEPTH`] is refused before it costs stack.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    Reader::<true> { text, bytes: text.as_bytes(), pos: 0, depth: 0, top_field: &mut |_, _| {} }
-        .document()
+    Reader::new(text, Tree).document()
 }
 
 /// Checks that `text` is one JSON document — the documents [`parse`]
@@ -364,11 +411,9 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 /// Fields seen before an `Err` belong to a malformed document.
 pub fn walk_fields<'a>(
     text: &'a str,
-    mut field: impl FnMut(&'a str, &'a str),
+    field: impl FnMut(&'a str, &'a str),
 ) -> Result<(), ParseError> {
-    Reader::<false> { text, bytes: text.as_bytes(), pos: 0, depth: 0, top_field: &mut field }
-        .document()
-        .map(drop)
+    Reader::new(text, Walk(field)).document()
 }
 
 /// The string that `raw` — a value slice from [`walk_fields`] — spells, or
@@ -399,19 +444,123 @@ pub fn raw_uint(raw: &str) -> Option<u64> {
     parse(raw).ok()?.as_u64()
 }
 
-/// The one grammar. With `BUILD` it returns the [`Value`] it read; without,
-/// it reads the same way but leaves every string and container it returns
-/// empty, and sends each top-level object field to `top_field`.
-struct Reader<'a, 'f, const BUILD: bool> {
+/// Somewhere a [`Build`] puts what the reader hands it: the real container
+/// for [`Tree`], `()` — which keeps nothing — for [`Walk`].
+trait Sink<T>: Default {
+    fn put(&mut self, item: T);
+}
+
+impl<T> Sink<T> for Vec<T> {
+    fn put(&mut self, item: T) {
+        self.push(item);
+    }
+}
+
+impl Sink<char> for String {
+    fn put(&mut self, c: char) {
+        self.push(c);
+    }
+}
+
+impl<'s> Sink<&'s str> for String {
+    fn put(&mut self, s: &'s str) {
+        self.push_str(s);
+    }
+}
+
+impl<T> Sink<T> for () {
+    fn put(&mut self, _: T) {}
+}
+
+/// What the one [`Reader`] makes of the text it reads. The grammar, its
+/// positions and its errors belong to the reader; a builder only decides
+/// what a value is made of.
+trait Build<'a> {
+    /// What one value reads as.
+    type Value;
+    /// A string's contents.
+    type Text: Sink<char> + for<'s> Sink<&'s str>;
+    /// An array's items.
+    type Items: Sink<Self::Value>;
+    /// An object's fields.
+    type Fields: Sink<(Self::Text, Self::Value)>;
+    /// A `null`, boolean or number.
+    fn scalar(value: Value) -> Self::Value;
+    /// A string, an array, an object: what was put into its sink.
+    fn string(text: Self::Text) -> Self::Value;
+    fn array(items: Self::Items) -> Self::Value;
+    fn object(fields: Self::Fields) -> Self::Value;
+    /// One field of the top-level object, as the byte ranges of `text` its
+    /// quoted key and its value cover.
+    fn top_field(&mut self, text: &'a str, key: Range<usize>, value: Range<usize>);
+}
+
+/// The builder [`parse`] reads with: a [`Value`] tree.
+struct Tree;
+
+impl Build<'_> for Tree {
+    type Value = Value;
+    type Text = String;
+    type Items = Vec<Value>;
+    type Fields = Vec<(String, Value)>;
+
+    fn scalar(value: Value) -> Value {
+        value
+    }
+
+    fn string(text: String) -> Value {
+        Value::Str(text)
+    }
+
+    fn array(items: Vec<Value>) -> Value {
+        Value::Arr(items)
+    }
+
+    fn object(fields: Vec<(String, Value)>) -> Value {
+        Value::Obj(fields)
+    }
+
+    fn top_field(&mut self, _: &str, _: Range<usize>, _: Range<usize>) {}
+}
+
+/// The builder [`walk_fields`] reads with: every value is `()`, and each
+/// top-level field goes to the caller as slices of the text.
+struct Walk<F>(F);
+
+impl<'a, F: FnMut(&'a str, &'a str)> Build<'a> for Walk<F> {
+    type Value = ();
+    type Text = ();
+    type Items = ();
+    type Fields = ();
+
+    fn scalar(_: Value) {}
+
+    fn string(_: ()) {}
+
+    fn array(_: ()) {}
+
+    fn object(_: ()) {}
+
+    fn top_field(&mut self, text: &'a str, key: Range<usize>, value: Range<usize>) {
+        (self.0)(&text[key.start + 1..key.end - 1], &text[value]);
+    }
+}
+
+/// The one grammar, read into whatever `B` builds.
+struct Reader<'a, B> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
-    top_field: &'f mut dyn FnMut(&'a str, &'a str),
+    build: B,
 }
 
-impl<const BUILD: bool> Reader<'_, '_, BUILD> {
-    fn document(&mut self) -> Result<Value, ParseError> {
+impl<'a, B: Build<'a>> Reader<'a, B> {
+    fn new(text: &'a str, build: B) -> Reader<'a, B> {
+        Reader { text, bytes: text.as_bytes(), pos: 0, depth: 0, build }
+    }
+
+    fn document(&mut self) -> Result<B::Value, ParseError> {
         let value = self.value()?;
         self.skip_ws();
         if self.pos != self.bytes.len() {
@@ -449,7 +598,7 @@ impl<const BUILD: bool> Reader<'_, '_, BUILD> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
+    fn value(&mut self) -> Result<B::Value, ParseError> {
         match self.peek() {
             Some(open @ (b'{' | b'[')) => {
                 if self.depth == MAX_DEPTH {
@@ -460,7 +609,7 @@ impl<const BUILD: bool> Reader<'_, '_, BUILD> {
                 self.depth -= 1;
                 value
             }
-            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'"') => Ok(B::string(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
@@ -469,22 +618,22 @@ impl<const BUILD: bool> Reader<'_, '_, BUILD> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, ParseError> {
+    fn literal(&mut self, text: &str, value: Value) -> Result<B::Value, ParseError> {
         self.skip_ws();
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
-            Ok(value)
+            Ok(B::scalar(value))
         } else {
             Err(self.err(format!("bad literal, expected {text}")))
         }
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
+    fn object(&mut self) -> Result<B::Value, ParseError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        let mut fields = B::Fields::default();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(fields));
+            return Ok(B::object(fields));
         }
         loop {
             self.skip_ws();
@@ -495,19 +644,15 @@ impl<const BUILD: bool> Reader<'_, '_, BUILD> {
             self.skip_ws();
             let value_at = self.pos;
             let value = self.value()?;
-            if BUILD {
-                fields.push((key, value));
-            } else if self.depth == 1 {
-                (self.top_field)(
-                    &self.text[key_at + 1..key_end - 1],
-                    &self.text[value_at..self.pos],
-                );
+            if self.depth == 1 {
+                self.build.top_field(self.text, key_at..key_end, value_at..self.pos);
             }
+            fields.put((key, value));
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(fields));
+                    return Ok(B::object(fields));
                 }
                 other => {
                     return Err(self.err(format!(
@@ -519,23 +664,20 @@ impl<const BUILD: bool> Reader<'_, '_, BUILD> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, ParseError> {
+    fn array(&mut self) -> Result<B::Value, ParseError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        let mut items = B::Items::default();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Arr(items));
+            return Ok(B::array(items));
         }
         loop {
-            let item = self.value()?;
-            if BUILD {
-                items.push(item);
-            }
+            items.put(self.value()?);
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Arr(items));
+                    return Ok(B::array(items));
                 }
                 other => {
                     return Err(self.err(format!(
@@ -547,18 +689,16 @@ impl<const BUILD: bool> Reader<'_, '_, BUILD> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    fn string(&mut self) -> Result<B::Text, ParseError> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let mut s = B::Text::default();
         loop {
             // Up to the next quote or backslash the text is copied as it
             // stands: both are ASCII, so a run never splits a character.
             let run = self.pos;
             let rest = &self.bytes[run..];
             self.pos += rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
-            if BUILD {
-                s.push_str(&self.text[run..self.pos]);
-            }
+            s.put(&self.text[run..self.pos]);
             let Some(&b) = self.bytes.get(self.pos) else {
                 return Err(self.err("unterminated string"));
             };
@@ -592,13 +732,11 @@ impl<const BUILD: bool> Reader<'_, '_, BUILD> {
                 }
                 other => return Err(self.err(format!("bad escape '\\{}'", other as char))),
             };
-            if BUILD {
-                s.push(c);
-            }
+            s.put(c);
         }
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    fn number(&mut self) -> Result<B::Value, ParseError> {
         self.skip_ws();
         let start = self.pos;
         if self.bytes.get(self.pos) == Some(&b'-') {
@@ -615,13 +753,13 @@ impl<const BUILD: bool> Reader<'_, '_, BUILD> {
         // Plain digits that fit stay exact (`text` starts with a digit or
         // `-`, so this accepts nothing else); the rest is a float.
         if let Ok(n) = text.parse::<u64>() {
-            return Ok(Value::Int(n));
+            return Ok(B::scalar(Value::Int(n)));
         }
         let n: f64 = text.parse().map_err(|_| self.err(format!("bad number \"{text}\"")))?;
         if !n.is_finite() {
             return Err(self.err(format!("non-finite number \"{text}\"")));
         }
-        Ok(Value::Num(n))
+        Ok(B::scalar(Value::Num(n)))
     }
 }
 
@@ -825,6 +963,286 @@ mod tests {
             assert_eq!(walk_fields(bad, |_, _| {}), parse(bad).map(drop), "{bad:?}");
             assert!(parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    /// The escaper before it learned to copy a string whole: the oracle
+    /// [`write_string`] is held to.
+    fn escape_char_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn the_writers_write_what_format_and_the_char_loop_wrote() {
+        let uint = |n: u64| {
+            let mut out = String::from("x");
+            write_uint(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+            assert_eq!(Value::Int(n).to_compact(), n.to_string());
+        };
+        for n in [0, 9, 10, 99, 100, u64::MAX - 1, u64::MAX] {
+            uint(n);
+        }
+        for k in 0..20 {
+            let p = 10u64.pow(k);
+            [p - 1, p, p + 1].into_iter().for_each(uint);
+        }
+        digs_cases::cases(10_000, |d| uint(d.u64() >> d.int(0u32..64)));
+        let mut narrow = String::new();
+        write_uint(&mut narrow, u8::MAX);
+        write_uint(&mut narrow, u16::MAX);
+        write_uint(&mut narrow, u32::MAX);
+        assert_eq!(narrow, "255655354294967295");
+        // Integral floats below 10^15 are written as the `i64` they hold.
+        for x in [0.0, -0.0, 7.0, -7.0, 999_999_999_999_999.0, -999_999_999_999_999.0] {
+            assert_eq!(Value::Num(x).to_compact(), format!("{}", x as i64), "{x}");
+        }
+
+        const CHARS: &[char] = &[
+            'a',
+            'Z',
+            ' ',
+            '~',
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\r',
+            '\t',
+            '\u{0}',
+            '\u{8}',
+            '\u{1f}',
+            '\u{7f}',
+            'é',
+            '→',
+            '\u{10ffff}',
+        ];
+        digs_cases::cases(256, |d| {
+            // Half the strings need no escape: the whole-string copy.
+            let plain = d.bool();
+            let s: String = d
+                .vec(0..24, |d| *d.pick(if plain { &CHARS[..4] } else { CHARS }))
+                .into_iter()
+                .chain(plain.then_some('\u{7f}'))
+                .chain(plain.then_some('é'))
+                .collect();
+            let mut out = String::from("x");
+            write_string(&mut out, &s);
+            assert_eq!(out, format!("x{}", escape_char_by_char(&s)), "{s:?}");
+            assert_eq!(parse(&out[1..]), Ok(Value::Str(s)));
+        });
+    }
+
+    /// Lines a `stream-50` launch (seed 1) put on the socket.
+    const WIRE_LINES: &[&str] = &[
+        r#"{"type":"event","run":"cap","kind":"trace","node":12,"seq":141,"payload":{"seq":140,"asn":182,"node":12,"ev":"tx","dst":0,"class":"data","channel":2,"contention":false,"packet":{"flow":0,"seq":0,"origin":12}}}"#,
+        r#"{"type":"event","run":"cap","kind":"trace","node":0,"seq":173,"payload":{"seq":172,"asn":212,"node":0,"ev":"rx","src":22,"class":"data","packet":{"flow":1,"seq":0,"origin":22}}}"#,
+        r#"{"type":"event","run":"cap","kind":"trace","node":12,"seq":142,"payload":{"seq":141,"asn":182,"node":12,"ev":"nack","dst":0,"reason":"no-listener","packet":{"flow":0,"seq":0,"origin":12}}}"#,
+        r#"{"type":"event","run":"cap","kind":"trace","node":12,"seq":295,"payload":{"seq":294,"asn":335,"node":12,"ev":"parent-switch","old_best":0,"new_best":22,"new_second":0}}"#,
+        r#"{"type":"event","run":"cap","kind":"trace","node":3,"seq":75,"payload":{"seq":74,"asn":94,"node":3,"ev":"rank-change","old":65535,"new":2}}"#,
+        r#"{"type":"event","run":"cap","kind":"trace","node":0,"seq":127,"payload":{"seq":126,"asn":141,"node":0,"ev":"cell-alloc","slot":61,"offset":6,"child":22}}"#,
+        r#"{"type":"event","run":"cap","kind":"trace","node":0,"seq":174,"payload":{"seq":173,"asn":212,"node":0,"ev":"delivered","packet":{"flow":1,"seq":0,"origin":22},"latency":150}}"#,
+        r#"{"type":"event","run":"cap","kind":"epoch","seq":424,"payload":{"type":"epoch","epoch":1,"asn_start":500,"asn_end":1000,"counters":{"ack.data":4,"cca.deferrals":63,"chan.00":5,"chan.01":6,"chan.02":5,"chan.03":9,"chan.04":5,"chan.05":8,"chan.06":5,"chan.07":5,"chan.08":2,"chan.09":1,"chan.10":2,"chan.11":3,"chan.12":4,"chan.13":5,"chan.14":5,"chan.15":5,"churn.parent":4,"drop.collision":43,"drop.noise":2,"drop.queue":0,"drop.retry":3,"fwd.data":4,"jam.hits":0,"jam.opps":0,"jam.relearns":0,"jam.retargets":0,"jam.slots":0,"nack.data":21,"rx.data":49,"tx.beacon":15,"tx.data":25,"tx.routing":35},"gauges":{"chan.entropy_bp":9650,"nodes.joined":15,"nodes.total":50,"queue.max":2,"queue.total":9,"slotframe.util_bp":52,"trickle.max_slots":800,"trickle.min_slots":100},"flows":[{"flow":0,"generated":1,"delivered":2},{"flow":1,"generated":1,"delivered":1},{"flow":2,"generated":1,"delivered":0},{"flow":3,"generated":1,"delivered":0},{"flow":4,"generated":1,"delivered":0},{"flow":5,"generated":1,"delivered":0},{"flow":6,"generated":1,"delivered":0},{"flow":7,"generated":1,"delivered":0}],"latency_ms":{"count":3,"min":1030,"max":5140,"buckets":[[64,1],[68,1],[82,1]]},"etx":{"count":15,"mean":3.114581259727155,"min":0,"max":10},"duty_cycle":{"count":50,"mean":0.15701447999999998,"min":0.0045952,"max":0.220276}}}"#,
+        r#"{"type":"event","run":"cap","kind":"meta","seq":817,"payload":{"type":"meta","epoch_slots":500,"cap":512,"epochs":2,"dropped_epochs":0}}"#,
+        r#"{"type":"run-state","run":"cap","state":"done","asn":1000}"#,
+        r#"{"type":"heartbeat","run":"cap","asn":1000,"sent":818,"dropped":0}"#,
+    ];
+
+    /// Appends a drawn document whose deepest path opens `spine` containers
+    /// (one more where its leaf is `{}` or `[]`). A `clean` one draws only
+    /// tokens the grammar accepts (`007` and `1.` among them), so its verdict
+    /// turns on its nesting.
+    fn draw_document(d: &mut digs_cases::Draw, out: &mut String, spine: usize, clean: bool) {
+        const WS: &[&str] = &["", "", " ", "\n", "\t", "\r\n "];
+        // Accepted first, refused from `SCALARS_OK` on.
+        const SCALARS: &[&str] = &[
+            "0",
+            "007",
+            "-0",
+            "1.",
+            "-1e-400",
+            "-2.5e-2",
+            "1E+2",
+            "0.5",
+            "9999999999999999999",
+            "1844674407370955161",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+            "-18446744073709551615",
+            "true",
+            "false",
+            "null",
+            "{}",
+            "[]",
+            "{ }",
+            "-",
+            "1e309",
+            "+1",
+            ".5",
+            "1e",
+            "--1",
+            "tru",
+            "nul",
+            "True",
+            "[,]",
+            "{,}",
+        ];
+        const SCALARS_OK: usize = 20;
+        const PIECES: &[&str] = &[
+            "a",
+            "é",
+            "→",
+            " ",
+            "\t",
+            "\u{1}",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\n",
+            "\\r",
+            "\\t",
+            "\\u0041",
+            "\\u00e9",
+            "\\b",
+            "\\ud800",
+            "\\udc00",
+            "\\ud83d\\ude00",
+            "\\uZZZZ",
+            "\\u12",
+            "\\x",
+        ];
+        const PIECES_OK: usize = 14;
+        let ws = |d: &mut digs_cases::Draw, out: &mut String| out.push_str(d.pick::<&str>(WS));
+        let string = |d: &mut digs_cases::Draw, out: &mut String| {
+            out.push('"');
+            for _ in 0..d.int(0usize..5) {
+                out.push_str(d.pick::<&str>(if clean { &PIECES[..PIECES_OK] } else { PIECES }));
+            }
+            out.push('"');
+        };
+        ws(d, out);
+        if spine == 0 {
+            match d.int(0..3) {
+                0 => string(d, out),
+                1 => out.push_str(&(d.u64() >> d.int(0u32..64)).to_string()),
+                _ => out.push_str(d.pick::<&str>(if clean {
+                    &SCALARS[..SCALARS_OK]
+                } else {
+                    SCALARS
+                })),
+            }
+        } else {
+            let object = d.bool();
+            out.push(if object { '{' } else { '[' });
+            let n = d.int(1usize..=3);
+            let deepest = d.int(0..n);
+            for i in 0..n {
+                if i > 0 {
+                    out.push(',');
+                }
+                if object {
+                    ws(d, out);
+                    string(d, out);
+                    ws(d, out);
+                    out.push(':');
+                }
+                let below = if i == deepest { spine - 1 } else { d.int(0..=(spine - 1).min(2)) };
+                draw_document(d, out, below, clean);
+            }
+            ws(d, out);
+            out.push(if object { '}' } else { ']' });
+        }
+        ws(d, out);
+    }
+
+    /// One byte edit: truncate, flip a bit, or insert a byte of JSON syntax.
+    fn mutate(d: &mut digs_cases::Draw, text: &str) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        let at = d.int(0..=bytes.len());
+        match d.int(0..3) {
+            0 => bytes.truncate(at),
+            1 if at < bytes.len() => bytes[at] ^= 1 << d.int(0u32..8),
+            _ => bytes.insert(at, *d.pick(b"{}[]\",:\\-.e0 ")),
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// `walk_fields` gives `parse`'s verdict — the same `Ok`, or the same
+    /// message at the same byte — and hands out exactly the top-level fields
+    /// `parse` built: each key slice spells its key and each value slice
+    /// parses to its value.
+    fn reads_as_parse_reads(text: &str) {
+        let mut seen = Vec::new();
+        let walked = walk_fields(text, |key, value| seen.push((key, value)));
+        let parsed = parse(text);
+        assert_eq!(walked, parsed.as_ref().map(drop).map_err(Clone::clone), "{text:?}");
+        let built: &[(String, Value)] = match &parsed {
+            Ok(Value::Obj(fields)) => fields,
+            _ if walked.is_ok() => &[],
+            _ => return,
+        };
+        assert_eq!(seen.len(), built.len(), "top-level fields of {text:?}");
+        for ((key, raw), (name, value)) in seen.into_iter().zip(built) {
+            assert_eq!(parse(&format!("\"{key}\"")).as_ref(), Ok(&Value::Str(name.clone())));
+            assert_eq!(parse(raw).as_ref(), Ok(value), "{raw:?} in {text:?}");
+        }
+    }
+
+    #[test]
+    fn walk_fields_and_parse_read_one_grammar() {
+        let (mut refused, mut accepted, mut too_deep) = (0, 0, 0);
+        digs_cases::cases(256, |d| {
+            let spine = *d.pick(&[0, 1, 2, 3, 5, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1]);
+            let mut text = String::new();
+            let clean = d.int(0..4) > 0;
+            draw_document(d, &mut text, spine, clean);
+            if d.int(0..4) == 0 {
+                text = mutate(d, &text);
+            }
+            reads_as_parse_reads(&text);
+            match parse(&text) {
+                Ok(_) => accepted += 1,
+                Err(e) if e.message.contains("nesting") => too_deep += 1,
+                Err(_) => refused += 1,
+            }
+            let line = *d.pick(WIRE_LINES);
+            reads_as_parse_reads(line);
+            let mut edited = line.to_string();
+            for _ in 0..d.int(1..=3) {
+                edited = mutate(d, &edited);
+            }
+            reads_as_parse_reads(&edited);
+        });
+        // The drawn documents reach every verdict, the nesting bound included.
+        assert!(
+            accepted >= 64 && refused >= 64 && too_deep >= 10,
+            "{accepted} {refused} {too_deep}"
+        );
+    }
+
+    #[test]
+    fn the_walking_builder_builds_nothing() {
+        fn holds_nothing<T>() -> bool {
+            std::mem::size_of::<T>() == 0
+        }
+        type W = Walk<fn(&'static str, &'static str)>;
+        assert!(holds_nothing::<<W as Build<'static>>::Value>());
+        assert!(holds_nothing::<<W as Build<'static>>::Text>());
+        assert!(holds_nothing::<<W as Build<'static>>::Items>());
+        assert!(holds_nothing::<<W as Build<'static>>::Fields>());
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! fixed field order (no value tree per event), so the same event stream
 //! always serializes to the same bytes — the property the determinism
 //! acceptance test pins down. It knows the events' field layout, not JSON
-//! syntax: strings go through [`digs_json::write_string`], and the decoder
+//! syntax: strings go through [`digs_json::write_string`], integers through
+//! [`digs_json::write_uint`] (no `core::fmt` per field), and the decoder
 //! reads each line with [`digs_json::parse`] and its range-checked
 //! accessors (`seq`/`asn` are exact over the whole `u64` range).
 
 use crate::event::{DropReason, Event, EventKind, FaultKind, PacketId, TrafficClass};
 use core::fmt;
-use digs_json::{write_string, Value};
+use digs_json::{write_string, write_uint, Value};
 
 /// Error from [`from_jsonl`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,65 +72,67 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
 /// Appends what [`to_jsonl_line`] returns to `out`, for a caller that is
 /// assembling a larger buffer (a digsd frame around the line).
 pub fn write_jsonl_line(out: &mut String, event: &Event) {
-    use std::fmt::Write;
-    let _ = write!(
-        out,
-        "{{\"seq\":{},\"asn\":{},\"node\":{},\"ev\":\"{}\"",
-        event.seq,
-        event.asn,
-        event.node,
-        event.kind.name()
-    );
+    put_uint(out, "{\"seq\":", event.seq);
+    put_uint(out, ",\"asn\":", event.asn);
+    put_uint(out, ",\"node\":", event.node);
+    put_name(out, ",\"ev\":\"", event.kind.name());
     match &event.kind {
         EventKind::CcaDefer | EventKind::NodeReset | EventKind::ClockDesync => {}
         EventKind::Tx { dst, class, channel, contention, packet } => {
-            if let Some(d) = dst {
-                let _ = write!(out, ",\"dst\":{d}");
-            }
-            let _ = write!(out, ",\"class\":\"{}\",\"channel\":{channel}", class.as_str());
-            let _ = write!(out, ",\"contention\":{contention}");
-            write_opt_packet(out, packet);
+            put_opt_u16(out, ",\"dst\":", dst);
+            put_name(out, ",\"class\":\"", class.as_str());
+            put_uint(out, ",\"channel\":", *channel);
+            out.push_str(if *contention {
+                ",\"contention\":true"
+            } else {
+                ",\"contention\":false"
+            });
+            put_opt_packet(out, packet);
         }
         EventKind::Rx { src, class, packet } => {
-            let _ = write!(out, ",\"src\":{src},\"class\":\"{}\"", class.as_str());
-            write_opt_packet(out, packet);
+            put_uint(out, ",\"src\":", *src);
+            put_name(out, ",\"class\":\"", class.as_str());
+            put_opt_packet(out, packet);
         }
         EventKind::Ack { dst, packet } => {
-            let _ = write!(out, ",\"dst\":{dst}");
-            write_opt_packet(out, packet);
+            put_uint(out, ",\"dst\":", *dst);
+            put_opt_packet(out, packet);
         }
         EventKind::Nack { dst, reason, packet } => {
-            let _ = write!(out, ",\"dst\":{dst},\"reason\":\"{}\"", reason.as_str());
-            write_opt_packet(out, packet);
+            put_uint(out, ",\"dst\":", *dst);
+            put_name(out, ",\"reason\":\"", reason.as_str());
+            put_opt_packet(out, packet);
         }
         EventKind::QueueEnq { packet, depth } | EventKind::QueueDeq { packet, depth } => {
-            write_packet(out, packet);
-            let _ = write!(out, ",\"depth\":{depth}");
+            put_packet(out, packet);
+            put_uint(out, ",\"depth\":", *depth);
         }
         EventKind::QueueOverflow { packet }
         | EventKind::RetryDrop { packet }
-        | EventKind::Generated { packet } => write_packet(out, packet),
+        | EventKind::Generated { packet } => put_packet(out, packet),
         EventKind::Delivered { packet, latency_slots } => {
-            write_packet(out, packet);
-            let _ = write!(out, ",\"latency\":{latency_slots}");
+            put_packet(out, packet);
+            put_uint(out, ",\"latency\":", *latency_slots);
         }
         EventKind::ParentSwitch { old_best, new_best, old_second, new_second } => {
-            write_opt_u16(out, "old_best", old_best);
-            write_opt_u16(out, "new_best", new_best);
-            write_opt_u16(out, "old_second", old_second);
-            write_opt_u16(out, "new_second", new_second);
+            put_opt_u16(out, ",\"old_best\":", old_best);
+            put_opt_u16(out, ",\"new_best\":", new_best);
+            put_opt_u16(out, ",\"old_second\":", old_second);
+            put_opt_u16(out, ",\"new_second\":", new_second);
         }
         EventKind::RankChange { old, new } => {
-            write_opt_u16(out, "old", old);
-            let _ = write!(out, ",\"new\":{new}");
+            put_opt_u16(out, ",\"old\":", old);
+            put_uint(out, ",\"new\":", *new);
         }
         EventKind::CellAlloc { slot, offset, child }
         | EventKind::CellRelease { slot, offset, child } => {
-            let _ = write!(out, ",\"slot\":{slot},\"offset\":{offset},\"child\":{child}");
+            put_uint(out, ",\"slot\":", *slot);
+            put_uint(out, ",\"offset\":", *offset);
+            put_uint(out, ",\"child\":", *child);
         }
         EventKind::FaultInject { fault, peer } | EventKind::FaultClear { fault, peer } => {
-            let _ = write!(out, ",\"fault\":\"{}\"", fault.as_str());
-            write_opt_u16(out, "peer", peer);
+            put_name(out, ",\"fault\":\"", fault.as_str());
+            put_opt_u16(out, ",\"peer\":", peer);
         }
         EventKind::AuditViolation { kind, detail } => {
             out.push_str(",\"kind\":");
@@ -144,37 +147,45 @@ pub fn write_jsonl_line(out: &mut String, event: &Event) {
             write_string(out, detail);
         }
         EventKind::AttackPhase { jamming, targets, hit_rate_bp } => {
-            let _ = write!(
-                out,
-                ",\"jamming\":{jamming},\"targets\":{targets},\"hit_rate_bp\":{hit_rate_bp}"
-            );
+            out.push_str(if *jamming { ",\"jamming\":true" } else { ",\"jamming\":false" });
+            put_uint(out, ",\"targets\":", *targets);
+            put_uint(out, ",\"hit_rate_bp\":", *hit_rate_bp);
         }
-        EventKind::DefenseEpoch { epoch } => {
-            let _ = write!(out, ",\"epoch\":{epoch}");
-        }
+        EventKind::DefenseEpoch { epoch } => put_uint(out, ",\"epoch\":", *epoch),
     }
     out.push('}');
 }
 
-fn write_opt_u16(out: &mut String, key: &str, value: &Option<u16>) {
-    use std::fmt::Write;
+/// Appends `head` — the field's comma, quoted key and colon — then `n`.
+fn put_uint(out: &mut String, head: &str, n: impl Into<u64>) {
+    out.push_str(head);
+    write_uint(out, n);
+}
+
+/// Appends `head` — up to the value's opening quote — then a wire name that
+/// needs no escaping and its closing quote.
+fn put_name(out: &mut String, head: &str, name: &str) {
+    out.push_str(head);
+    out.push_str(name);
+    out.push('"');
+}
+
+fn put_opt_u16(out: &mut String, head: &str, value: &Option<u16>) {
     if let Some(v) = value {
-        let _ = write!(out, ",\"{key}\":{v}");
+        put_uint(out, head, *v);
     }
 }
 
-fn write_packet(out: &mut String, p: &PacketId) {
-    use std::fmt::Write;
-    let _ = write!(
-        out,
-        ",\"packet\":{{\"flow\":{},\"seq\":{},\"origin\":{}}}",
-        p.flow, p.seq, p.origin
-    );
+fn put_packet(out: &mut String, p: &PacketId) {
+    put_uint(out, ",\"packet\":{\"flow\":", p.flow);
+    put_uint(out, ",\"seq\":", p.seq);
+    put_uint(out, ",\"origin\":", p.origin);
+    out.push('}');
 }
 
-fn write_opt_packet(out: &mut String, p: &Option<PacketId>) {
+fn put_opt_packet(out: &mut String, p: &Option<PacketId>) {
     if let Some(p) = p {
-        write_packet(out, p);
+        put_packet(out, p);
     }
 }
 
@@ -493,6 +504,121 @@ mod tests {
         ];
         let back = from_jsonl(&to_jsonl(&events)).expect("parse back");
         assert_eq!(back, events);
+    }
+
+    /// One event per variant at the edges of every field: integers at their
+    /// type's maximum, then at zero, and every `Option` both ways.
+    fn edge_events() -> Vec<Event> {
+        let p = PacketId { flow: u16::MAX, seq: u32::MAX, origin: u16::MAX };
+        let z = PacketId { flow: 0, seq: 0, origin: 0 };
+        let max = |kind| Event { seq: u64::MAX, asn: u64::MAX, node: u16::MAX, kind };
+        let zero = |kind| Event { seq: 0, asn: 0, node: 0, kind };
+        vec![
+            max(EventKind::Tx {
+                dst: Some(u16::MAX),
+                class: TrafficClass::Data,
+                channel: u8::MAX,
+                contention: true,
+                packet: Some(p),
+            }),
+            zero(EventKind::Tx {
+                dst: None,
+                class: TrafficClass::Beacon,
+                channel: 0,
+                contention: false,
+                packet: None,
+            }),
+            max(EventKind::Rx { src: u16::MAX, class: TrafficClass::Routing, packet: Some(p) }),
+            zero(EventKind::Rx { src: 0, class: TrafficClass::Management, packet: None }),
+            max(EventKind::Ack { dst: u16::MAX, packet: Some(p) }),
+            zero(EventKind::Ack { dst: 0, packet: None }),
+            max(EventKind::Nack { dst: u16::MAX, reason: DropReason::AckLost, packet: Some(p) }),
+            zero(EventKind::Nack { dst: 0, reason: DropReason::NoListener, packet: None }),
+            max(EventKind::CcaDefer),
+            max(EventKind::QueueEnq { packet: p, depth: u32::MAX }),
+            zero(EventKind::QueueDeq { packet: z, depth: 0 }),
+            max(EventKind::QueueOverflow { packet: p }),
+            zero(EventKind::RetryDrop { packet: z }),
+            max(EventKind::Generated { packet: p }),
+            max(EventKind::Delivered { packet: p, latency_slots: u64::MAX }),
+            zero(EventKind::Delivered { packet: z, latency_slots: 0 }),
+            max(EventKind::ParentSwitch {
+                old_best: Some(u16::MAX),
+                new_best: Some(u16::MAX),
+                old_second: Some(u16::MAX),
+                new_second: Some(u16::MAX),
+            }),
+            zero(EventKind::ParentSwitch {
+                old_best: None,
+                new_best: None,
+                old_second: None,
+                new_second: None,
+            }),
+            max(EventKind::RankChange { old: Some(u16::MAX), new: u16::MAX }),
+            zero(EventKind::RankChange { old: None, new: 0 }),
+            max(EventKind::CellAlloc { slot: u32::MAX, offset: u8::MAX, child: u16::MAX }),
+            zero(EventKind::CellRelease { slot: 0, offset: 0, child: 0 }),
+            max(EventKind::FaultInject { fault: FaultKind::LinkOutage, peer: Some(u16::MAX) }),
+            zero(EventKind::FaultClear { fault: FaultKind::Reboot, peer: None }),
+            zero(EventKind::NodeReset),
+            max(EventKind::ClockDesync),
+            max(EventKind::AuditViolation {
+                kind: "q\"b\\s/".into(),
+                detail: "\u{0}\u{1f}\n\r\t\u{7f} é → \u{10ffff}".into(),
+            }),
+            zero(EventKind::HealthAlert { rule: String::new(), detail: "plain".into() }),
+            max(EventKind::AttackPhase { jamming: true, targets: u32::MAX, hit_rate_bp: u32::MAX }),
+            zero(EventKind::AttackPhase { jamming: false, targets: 0, hit_rate_bp: 0 }),
+            max(EventKind::DefenseEpoch { epoch: u64::MAX }),
+            zero(EventKind::DefenseEpoch { epoch: 0 }),
+        ]
+    }
+
+    #[test]
+    fn every_variant_writes_its_pinned_line() {
+        // Written by the `write!`-based encoder this one replaced; the pinned
+        // workload digests only reach the variants those workloads emit.
+        const PINNED: &[&str] = &[
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"tx","dst":65535,"class":"data","channel":255,"contention":true,"packet":{"flow":65535,"seq":4294967295,"origin":65535}}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"tx","class":"beacon","channel":0,"contention":false}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"rx","src":65535,"class":"routing","packet":{"flow":65535,"seq":4294967295,"origin":65535}}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"rx","src":0,"class":"mgmt"}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"ack","dst":65535,"packet":{"flow":65535,"seq":4294967295,"origin":65535}}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"ack","dst":0}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"nack","dst":65535,"reason":"ack-lost","packet":{"flow":65535,"seq":4294967295,"origin":65535}}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"nack","dst":0,"reason":"no-listener"}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"cca-defer"}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"q-enq","packet":{"flow":65535,"seq":4294967295,"origin":65535},"depth":4294967295}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"q-deq","packet":{"flow":0,"seq":0,"origin":0},"depth":0}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"q-overflow","packet":{"flow":65535,"seq":4294967295,"origin":65535}}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"retry-drop","packet":{"flow":0,"seq":0,"origin":0}}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"generated","packet":{"flow":65535,"seq":4294967295,"origin":65535}}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"delivered","packet":{"flow":65535,"seq":4294967295,"origin":65535},"latency":18446744073709551615}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"delivered","packet":{"flow":0,"seq":0,"origin":0},"latency":0}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"parent-switch","old_best":65535,"new_best":65535,"old_second":65535,"new_second":65535}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"parent-switch"}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"rank-change","old":65535,"new":65535}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"rank-change","new":0}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"cell-alloc","slot":4294967295,"offset":255,"child":65535}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"cell-release","slot":0,"offset":0,"child":0}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"fault-inject","fault":"link-outage","peer":65535}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"fault-clear","fault":"reboot"}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"node-reset"}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"clock-desync"}"#,
+            concat!(
+                r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"audit-violation","kind":"q\"b\\s/","detail":"\u0000\u001f\n\r\t"#,
+                "\u{7f} é → \u{10ffff}\"}"
+            ),
+            r#"{"seq":0,"asn":0,"node":0,"ev":"health-alert","rule":"","detail":"plain"}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"attack-phase","jamming":true,"targets":4294967295,"hit_rate_bp":4294967295}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"attack-phase","jamming":false,"targets":0,"hit_rate_bp":0}"#,
+            r#"{"seq":18446744073709551615,"asn":18446744073709551615,"node":65535,"ev":"defense-epoch","epoch":18446744073709551615}"#,
+            r#"{"seq":0,"asn":0,"node":0,"ev":"defense-epoch","epoch":0}"#,
+        ];
+        let events = edge_events();
+        let lines: Vec<String> = events.iter().map(to_jsonl_line).collect();
+        assert_eq!(lines, PINNED);
+        assert_eq!(from_jsonl(&to_jsonl(&events)).expect("parse back"), events);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::event::{Event, EventKind, NETWORK_NODE};
 use crate::ring::RingBuffer;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Default per-node ring capacity when tracing is enabled programmatically
@@ -26,13 +25,20 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 pub struct RingRecorder {
     cap: usize,
     next_seq: u64,
-    rings: BTreeMap<u16, RingBuffer<Event>>,
+    /// Node `n`'s ring at `ring_index(n)`, grown on a node's first event.
+    rings: Vec<RingBuffer<Event>>,
+}
+
+/// Where a node's ring sits: [`NETWORK_NODE`] (`u16::MAX`) at 0 and node `n`
+/// at `n + 1`, so the sentinel does not stretch the table to 65 536 rings.
+fn ring_index(node: u16) -> usize {
+    usize::from(node.wrapping_add(1))
 }
 
 impl RingRecorder {
     /// Creates a recorder with the given per-node ring capacity.
     pub fn new(cap: usize) -> RingRecorder {
-        RingRecorder { cap, next_seq: 0, rings: BTreeMap::new() }
+        RingRecorder { cap, next_seq: 0, rings: Vec::new() }
     }
 
     /// Per-node ring capacity.
@@ -42,17 +48,17 @@ impl RingRecorder {
 
     /// Total events currently retained across all rings.
     pub fn len(&self) -> usize {
-        self.rings.values().map(RingBuffer::len).sum()
+        self.rings.iter().map(RingBuffer::len).sum()
     }
 
     /// Whether nothing has been retained.
     pub fn is_empty(&self) -> bool {
-        self.rings.values().all(RingBuffer::is_empty)
+        self.rings.iter().all(RingBuffer::is_empty)
     }
 
     /// Events retained for one node, oldest-first.
     pub fn node_events(&self, node: u16) -> Vec<Event> {
-        self.rings.get(&node).map(RingBuffer::to_vec).unwrap_or_default()
+        self.rings.get(ring_index(node)).map(RingBuffer::to_vec).unwrap_or_default()
     }
 
     /// All retained events merged across rings, in emission (`seq`) order.
@@ -67,23 +73,25 @@ impl RingRecorder {
     /// must outpace ring turnover for a gapless stream.
     ///
     /// Each ring is in `seq` order, so its new tail is found by bisection
-    /// and only the tails are merged: a call costs what it returns, not
-    /// what the recorder retains.
+    /// and only the tails are merged — by reference, each event cloned once
+    /// in its final place: a call costs what it returns, not what the
+    /// recorder retains.
     pub fn events_since(&self, since: u64) -> Vec<Event> {
-        let mut all = Vec::new();
-        for ring in self.rings.values() {
+        let mut tails: Vec<&Event> = Vec::new();
+        for ring in &self.rings {
             let (older, newer) = ring.as_slices();
             for part in [older, newer] {
-                all.extend_from_slice(&part[part.partition_point(|e| e.seq < since)..]);
+                tails.extend(&part[part.partition_point(|e| e.seq < since)..]);
             }
         }
-        all.sort_by_key(|e| e.seq);
-        all
+        // Every seq is recorded once, so no two events tie.
+        tails.sort_unstable_by_key(|e| e.seq);
+        tails.into_iter().cloned().collect()
     }
 
     /// Drops all retained events (sequence numbering continues).
     pub fn clear(&mut self) {
-        for ring in self.rings.values_mut() {
+        for ring in &mut self.rings {
             ring.clear();
         }
     }
@@ -92,8 +100,12 @@ impl RingRecorder {
     pub fn record(&mut self, mut event: Event) {
         event.seq = self.next_seq;
         self.next_seq += 1;
-        let cap = self.cap;
-        self.rings.entry(event.node).or_insert_with(|| RingBuffer::new(cap)).push(event);
+        let at = ring_index(event.node);
+        if at >= self.rings.len() {
+            let cap = self.cap;
+            self.rings.resize_with(at + 1, || RingBuffer::new(cap));
+        }
+        self.rings[at].push(event);
     }
 }
 
@@ -183,6 +195,7 @@ impl TraceHandle {
 mod tests {
     use super::*;
     use crate::event::PacketId;
+    use std::collections::BTreeMap;
 
     fn ev(kind: EventKind) -> EventKind {
         kind
@@ -297,24 +310,54 @@ mod tests {
     fn events_since_equals_filtering_everything_retained() {
         digs_cases::cases(200, |d| {
             // Caps from 1 up, so some rings wrap many times and some never.
-            let mut r = RingRecorder::new(d.int(1..=9));
+            let cap = d.int(1..=9);
+            let mut r = RingRecorder::new(cap);
             let nodes = d.int(1u16..=5);
-            let recorded = d.int(0u64..60);
+            let recorded = d.int(0u64..200);
+            // Node `nodes`, when drawn quiet, logs `seq 0` and nothing after.
+            let quiet = d.bool();
+            let mut sent: BTreeMap<u16, Vec<Event>> = BTreeMap::new();
             for asn in 0..recorded {
-                let node = d.int(0..nodes);
+                let node = if quiet && asn == 0 {
+                    nodes
+                } else if d.int(0..4) == 0 {
+                    NETWORK_NODE
+                } else {
+                    d.int(0..nodes)
+                };
                 r.record(Event { seq: 0, asn, node, kind: EventKind::CcaDefer });
+                let event = Event { seq: asn, asn, node, kind: EventKind::CcaDefer };
+                sent.entry(node).or_default().push(event);
+            }
+            // Each ring keeps its node's newest `cap` events.
+            let mut retained = Vec::new();
+            for (node, events) in &sent {
+                let kept = &events[events.len().saturating_sub(cap)..];
+                assert_eq!(r.node_events(*node), kept, "node {node}");
+                retained.extend_from_slice(kept);
+            }
+            assert!(r.node_events(1000).is_empty());
+            assert_eq!(r.len(), retained.len());
+            assert_eq!(r.is_empty(), retained.is_empty());
+            if quiet && recorded > 0 {
+                assert_eq!(r.node_events(nodes)[0].seq, 0, "the quiet ring keeps seq 0");
             }
             for since in (0..=recorded + 2).chain([u64::MAX]) {
-                let mut old: Vec<Event> = r
-                    .rings
-                    .values()
-                    .flat_map(RingBuffer::iter)
-                    .filter(|e| e.seq >= since)
-                    .cloned()
-                    .collect();
+                let mut old: Vec<Event> =
+                    retained.iter().filter(|e| e.seq >= since).cloned().collect();
                 old.sort_by_key(|e| e.seq);
                 assert_eq!(r.events_since(since), old, "since {since}");
             }
         });
+    }
+
+    #[test]
+    fn the_sentinel_ring_does_not_stretch_the_table() {
+        let mut r = RingRecorder::new(4);
+        r.record(Event { seq: 0, asn: 0, node: 0, kind: EventKind::CcaDefer });
+        r.record(Event { seq: 0, asn: 1, node: NETWORK_NODE, kind: EventKind::CcaDefer });
+        assert_eq!(r.rings.len(), 2, "node 0 and the network ring, nothing between");
+        assert_eq!(r.node_events(NETWORK_NODE).len(), 1);
+        assert_eq!(r.node_events(0).len(), 1);
     }
 }
