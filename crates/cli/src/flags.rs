@@ -3,7 +3,7 @@
 //! README knob-table test are all read off [`COMMANDS`]: adding a knob is
 //! adding a [`Flag`] row to the groups of the commands that take it.
 
-use crate::{digsd, fleet, gate, run, telemetry, trace};
+use crate::{digsd, figures, fleet, gate, run, telemetry, trace};
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::str::FromStr;
@@ -93,6 +93,13 @@ const ADDR: &[Flag] = &[Flag {
 
 const JSON: &[Flag] = &[flag("json", "", "machine-readable output")];
 
+/// Which seeds and how long, for the two commands that run catalogue
+/// scenarios.
+const SWEEP: &[Flag] = &[
+    flag("seeds", "SPEC", "N (seeds 1-N), LO-HI or a,b,c (default: gate 8, figures 6)"),
+    flag("secs", "N", "override every scenario's length"),
+];
+
 /// `--run` and `--from-seq`, for the two commands that follow a stream.
 const FOLLOW: &[Flag] = &[
     flag("run", "RUN", "the run to follow (required)"),
@@ -177,10 +184,9 @@ pub const COMMANDS: &[Command] = &[
         about: "run the conformance matrix against goldens/<matrix>.json; exit 1 on a breach",
         run: gate::gate,
         flags: &[
+            &[flag("matrix", "M", "small | full (default)")],
+            SWEEP,
             &[
-                flag("matrix", "M", "small | full (default)"),
-                flag("seeds", "SPEC", "8 (seeds 1-8), 3-10 or 1,4,9"),
-                flag("secs", "N", "override every scenario's length"),
                 flag("jobs", "N", "worker threads (default: one per core)"),
                 flag("goldens", "DIR", "where the baselines live (default goldens)"),
                 flag("bless", "", "regenerate the baseline and pass"),
@@ -189,6 +195,15 @@ pub const COMMANDS: &[Command] = &[
                 flag("attach", "ADDR", "collect the records from a running digsd at ADDR"),
             ],
             JSON,
+        ],
+    },
+    Command {
+        path: &["figures"],
+        about: "the paper's figures as markdown tables over the scenario catalogue's runs",
+        run: figures::figures,
+        flags: &[
+            &[flag("fig", "ID", "one figure (default: all; an unknown ID lists them)")],
+            SWEEP,
         ],
     },
     Command {
@@ -290,11 +305,11 @@ pub const COMMANDS: &[Command] = &[
     },
 ];
 
-/// Read by `digs-bench`'s figure binaries, which take no flags.
-const BENCH_ENV: [&str; 3] = ["DIGS_SETS", "DIGS_SECS", "DIGS_TRACE_CAP"];
-
 /// Variables that used to be read, and the flag that does their job.
 const RETIRED_ENV: &[(&str, &str)] = &[
+    ("DIGS_SETS", "figures --seeds"),
+    ("DIGS_SECS", "figures --secs"),
+    ("DIGS_TRACE_CAP", "trace journeys --trace-cap"),
     ("DIGS_DIGSD_QUEUE", "digsd serve --queue"),
     ("DIGS_DIGSD_JOURNAL", "digsd serve --journal"),
     ("DIGS_DIGSD_MAX_RESTARTS", "digsd serve --max-restarts"),
@@ -476,10 +491,8 @@ impl Args {
 /// One line for every `DIGS_*` variable that is set and that nothing
 /// reads — a retired spelling must not pass for a setting.
 pub fn unread_env() -> Vec<String> {
-    let read = |name: &str| {
-        BENCH_ENV.contains(&name)
-            || COMMANDS.iter().flat_map(Command::all_flags).any(|f| f.env == Some(name))
-    };
+    let read =
+        |name: &str| COMMANDS.iter().flat_map(Command::all_flags).any(|f| f.env == Some(name));
     let mut names: Vec<String> = std::env::vars_os()
         .filter_map(|(name, _)| name.into_string().ok())
         .filter(|name| name.starts_with("DIGS_") && !read(name))
@@ -568,10 +581,9 @@ mod tests {
             .iter()
             .flat_map(Command::all_flags)
             .filter_map(|f| f.env)
-            .chain(BENCH_ENV)
             .map(|var| var.strip_prefix("DIGS_").expect("every knob is DIGS_*"))
             .collect();
-        assert_eq!(documented, read, "README knob table vs the `env` column + digs-bench");
+        assert_eq!(documented, read, "README knob table vs the `env` column");
 
         let shown = readme.replace("\\\n", " ");
         let lines: Vec<&str> = shown

@@ -1,10 +1,11 @@
 //! `digs-cli` — run DiGS / Orchestra / WirelessHART networks, the flight
-//! recorder, telemetry, the conformance gate, fleets and the `digsd`
-//! daemon from the command line. `digs-cli help` prints every command
+//! recorder, telemetry, the conformance gate, the paper's figures, fleets
+//! and the `digsd` daemon from the command line. `digs-cli help` prints every command
 //! and flag; both come from the one table in [`flags`], and each command
 //! family's handlers live in the module named after it.
 
 mod digsd;
+mod figures;
 mod flags;
 mod fleet;
 mod gate;

@@ -3,7 +3,10 @@
 use crate::flags::Args;
 use digs_digsd::{topology_from, SingleSpec};
 use digs_json::Value;
+use digs_sim::link::LinkModel;
 use digs_sim::rf::RfConfig;
+use digs_sim::topology::Topology;
+use digs_whart::{LinkDb, NetworkManager, UpdateCostConfig, UpdateReport};
 
 /// The run flags as a [`SingleSpec`] — the one "options → network" code
 /// path shared with the daemon, so a local run and a `digsd launch` of
@@ -168,13 +171,14 @@ pub fn graph(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-pub fn manager(args: &Args) -> Result<(), String> {
-    use digs_sim::link::LinkModel;
-    use digs_whart::{LinkDb, NetworkManager, UpdateCostConfig};
-    let name: Option<String> = args.get("topology")?;
-    let topology = topology_from(name.as_deref().unwrap_or("testbed-a"))?;
-    let flows: usize = args.get("flows")?.unwrap_or(8);
-    let model = LinkModel::new(&topology, RfConfig::indoor(), 1);
+/// One full update cycle of the centralized manager — Fig. 3's cost model —
+/// with flows from the `flows` farthest field devices (multi-hop flows, as
+/// in the paper's workloads).
+pub(crate) fn manager_update(
+    topology: &Topology,
+    flows: usize,
+) -> Result<(NetworkManager, UpdateReport), String> {
+    let model = LinkModel::new(topology, RfConfig::indoor(), 1);
     let db = LinkDb::from_link_model(&model);
     let mut manager =
         NetworkManager::new(db, topology.access_points(), UpdateCostConfig::default());
@@ -183,6 +187,13 @@ pub fn manager(args: &Args) -> Result<(), String> {
     sources.truncate(flows);
     let report =
         manager.full_update(&sources, 1000).map_err(|e| format!("scheduling failed: {e}"))?;
+    Ok((manager, report))
+}
+
+pub fn manager(args: &Args) -> Result<(), String> {
+    let name: Option<String> = args.get("topology")?;
+    let topology = topology_from(name.as_deref().unwrap_or("testbed-a"))?;
+    let (manager, report) = manager_update(&topology, args.get("flows")?.unwrap_or(8))?;
     println!("centralized WirelessHART update cycle for {}:", topology.name());
     println!("  {report}");
     let schedule = manager.schedule().expect("just computed");

@@ -54,7 +54,25 @@ fn a_variable_nothing_reads_is_warned_about_once_and_changes_nothing() {
     assert_eq!(stale.stdout, plain.stdout);
     assert_eq!(
         stderr(&stale),
-        "digs-cli: DIGS_DIGSD_QUEUE is set but nothing reads it — use digsd serve --queue\n"
+        "digs-cli: DIGS_DIGSD_QUEUE is set but nothing reads it — use digsd serve --queue\n\
+         digs-cli: DIGS_SECS is set but nothing reads it — use figures --secs\n"
+    );
+}
+
+#[test]
+fn figure_3_is_the_cost_model_and_an_unknown_figure_lists_the_choices() {
+    let fig3 = cli(&["figures", "--fig", "3"], &[]);
+    assert!(fig3.status.success(), "{}", stderr(&fig3));
+    let table = String::from_utf8_lossy(&fig3.stdout).into_owned();
+    assert!(table.contains("| metric | paper | measured | 95 % interval | n |"), "{table}");
+    for secs in ["| 201.640 |", "| 503.280 |", "| 191.804 |", "| 521.312 |"] {
+        assert!(table.contains(secs), "Fig. 3 lacks {secs}:\n{table}");
+    }
+    let fig7 = cli(&["figures", "--fig", "7"], &[]);
+    assert!(!fig7.status.success() && fig7.stdout.is_empty());
+    assert_eq!(
+        stderr(&fig7),
+        "unknown figure `7` (3|4|5|9|10|11|12|13|threeway|soak|backup|etx|slotframe)\n"
     );
 }
 

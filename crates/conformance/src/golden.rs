@@ -376,7 +376,7 @@ mod tests {
 
     #[test]
     fn golden_round_trips_through_pretty_json() {
-        let specs = crate::matrix::small_matrix(Some(60));
+        let specs = crate::MatrixKind::Small.scenarios(Some(60));
         let spec = &specs[0];
         let records = vec![record(1, 0.9), record(2, 0.95)];
         let golden = Golden::bless("small", &[1, 2], &[(spec, records)]);

@@ -3,8 +3,10 @@
 //! Turns the DiGS reproduction's paper-figure scenarios into an enforced
 //! regression suite:
 //!
-//! - [`matrix`] defines the scenario × seed matrix (Figs. 4/5, 9–13, the
-//!   three-way comparison, the chaos soak) with shared immutable
+//! - [`matrix`] is the scenario catalogue — the one definition of every
+//!   paper scenario (Figs. 4/5, 9–13, the three-way comparison, the chaos
+//!   soak, the adversarial family, the ablations) — and the two gated
+//!   matrices as ordered name lists over it, with shared immutable
 //!   topology setup hoisted out of the per-seed loop;
 //! - [`pool`] (the shared [`digs_pool`] crate, re-exported) fans the
 //!   deterministic simulations out over the available cores (one run per

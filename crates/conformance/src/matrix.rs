@@ -1,17 +1,23 @@
-//! The conformance matrix: every gated scenario and how to run one seed
-//! of it.
+//! The scenario catalogue: every paper scenario the repo runs, and how to
+//! run one seed of it.
 //!
-//! A [`ScenarioSpec`] owns a pre-built topology — the expensive immutable
+//! `CATALOGUE` is the only place a paper scenario is defined: the gate's
+//! matrices and `digs-cli figures` both name their runs from it. A
+//! [`ScenarioSpec`] owns a pre-built topology — the expensive immutable
 //! setup is hoisted out of the per-seed loop, and each run receives a
 //! cheap clone — plus the scenario's duration and metric context (where
-//! its disturbance window and repair event sit). [`full_matrix`] covers
-//! the paper's evaluation (Figs. 4/5, 9–13), the three-way comparison,
-//! and the chaos soak; [`small_matrix`] is the CI subset (Testbed A
-//! scenarios only).
+//! its disturbance window and repair event sit). The two gated matrices
+//! are ordered name lists over the catalogue: [`MatrixKind::Full`] covers
+//! the paper's evaluation (Figs. 4/5, 9–13), the three-way comparison, the
+//! chaos soak and the adversarial family; [`MatrixKind::Small`] is the CI
+//! subset (Testbed A scenarios only). The ablations are catalogue entries
+//! no golden gates.
 
 use crate::metrics::{MetricContext, RunMetrics};
 use digs::config::{NetworkConfig, Protocol};
+use digs::flows::FlowSpec;
 use digs::network::Network;
+use digs::results::RunResults;
 use digs::scenarios;
 use digs_sim::fault::{ChaosConfig, ChaosPlan, FaultPlan, Outage};
 use digs_sim::time::{Asn, SLOTS_PER_SECOND};
@@ -21,10 +27,11 @@ use digs_sim::topology::Topology;
 /// repair-time metric.
 pub const REPAIR_SETTLE_SECS: u64 = 10;
 
-/// Auditor sampling period for the chaos scenarios: every 10 s.
-const AUDIT_EVERY_SLOTS: u64 = 10 * SLOTS_PER_SECOND;
+/// Auditor sampling period for the audited scenarios: every 10 s.
+pub const AUDIT_EVERY_SLOTS: u64 = 10 * SLOTS_PER_SECOND;
 
-/// Chaos scenario phases (mirrors the `chaos_soak` binary).
+/// Chaos scenario phases: clean formation before the first fault, and a
+/// chaos-free tail so the last fault has room to recover.
 const CHAOS_WARMUP_SECS: u64 = 120;
 const CHAOS_TAIL_SECS: u64 = 120;
 
@@ -90,33 +97,205 @@ enum Kind {
     /// Attack-vs-defense duel: adaptive jammers against a randomized
     /// schedule, runtime auditor on.
     AdaptiveDuel,
+    /// Ablation: Fig. 9 without the backup parent
+    /// (`use_second_parent = false`) — single-path routing on the Eq. 4
+    /// schedule.
+    SinglePath,
+    /// Ablation: Fig. 9 with the plain accumulated ETX in place of
+    /// Eq. 1–3's weighting (`use_weighted_etx = false`).
+    PlainEtx,
+    /// Ablation: Fig. 9 without jammers, the application slotframe `app`
+    /// slots long.
+    AppSlotframe { app: u32 },
 }
 
 impl Kind {
+    /// Run length when nothing overrides it.
+    fn default_secs(self) -> u64 {
+        match self {
+            Kind::Initialization => 120,
+            Kind::AppSlotframe { .. } => 300,
+            Kind::ThreewayClean | Kind::ThreewayFail => 360,
+            Kind::Chaos => 600,
+            _ => 420,
+        }
+    }
+
     /// Shortest run that still fits the scenario's warm-up and events.
     fn min_secs(self) -> u64 {
         match self {
             Kind::Initialization => 60,
-            Kind::TestbedAInterference
-            | Kind::TestbedBInterference
-            | Kind::JammerSweep { .. }
-            | Kind::NodeFailure
-            | Kind::LargeScale => scenarios::JAM_START_SECS + 60,
             Kind::ThreewayClean => 120,
             Kind::ThreewayFail => THREEWAY_FAIL_END_SECS + 60,
             Kind::Chaos => CHAOS_WARMUP_SECS + CHAOS_TAIL_SECS + 60,
             // Adversarial legs need the learning window plus a solid
             // stretch of active jamming inside the PDR window.
-            Kind::AdaptiveJam | Kind::AdaptiveDuel => ADAPTIVE_ACTIVE_SECS + 120,
-            Kind::Randomized => ADAPTIVE_ACTIVE_SECS + 120,
+            Kind::AdaptiveJam | Kind::AdaptiveDuel | Kind::Randomized => ADAPTIVE_ACTIVE_SECS + 120,
+            _ => scenarios::JAM_START_SECS + 60,
+        }
+    }
+
+    /// Index into [`TESTBEDS`].
+    fn testbed(self) -> usize {
+        match self {
+            Kind::TestbedBInterference => 1,
+            Kind::LargeScale => 2,
+            _ => 0,
+        }
+    }
+
+    /// Where the scenario's disturbance window and repair event sit.
+    fn context(self) -> MetricContext {
+        let from = |event_secs: u64, window_secs: u64| MetricContext {
+            repair_event_secs: Some(event_secs),
+            repair_settle_secs: REPAIR_SETTLE_SECS,
+            window_start_slot: Some(window_secs * SLOTS_PER_SECOND),
+        };
+        let jam = scenarios::JAM_START_SECS;
+        match self {
+            Kind::TestbedAInterference
+            | Kind::TestbedBInterference
+            | Kind::JammerSweep { .. }
+            | Kind::SinglePath
+            | Kind::PlainEtx => from(jam, jam),
+            Kind::NodeFailure => from(scenarios::FAILURE_START_SECS, scenarios::FAILURE_START_SECS),
+            Kind::ThreewayFail => from(THREEWAY_FAIL_START_SECS, THREEWAY_FAIL_START_SECS),
+            // Adversarial legs measure PDR only while the sniffer actively
+            // jams (its learning phase is silent).
+            Kind::AdaptiveJam | Kind::AdaptiveDuel => from(jam, ADAPTIVE_ACTIVE_SECS),
+            Kind::Randomized => MetricContext {
+                repair_event_secs: None,
+                repair_settle_secs: 0,
+                window_start_slot: Some(ADAPTIVE_ACTIVE_SECS * SLOTS_PER_SECOND),
+            },
+            _ => MetricContext::default(),
         }
     }
 }
 
-/// One scenario of the conformance matrix.
+/// The three topologies, built only when a listed scenario needs one.
+const TESTBEDS: [fn() -> Topology; 3] =
+    [Topology::testbed_a, Topology::testbed_b, || Topology::cooja_150(7)];
+
+/// Every scenario: its name (stable across releases — golden files index
+/// on it), the protocol under test, and what it runs.
+const CATALOGUE: &[(&str, Protocol, Kind)] = &[
+    ("fig04-05-jam1", Protocol::Orchestra, Kind::JammerSweep { jammers: 1 }),
+    ("fig04-05-jam2", Protocol::Orchestra, Kind::JammerSweep { jammers: 2 }),
+    ("fig04-05-jam3", Protocol::Orchestra, Kind::JammerSweep { jammers: 3 }),
+    ("fig04-05-jam4", Protocol::Orchestra, Kind::JammerSweep { jammers: 4 }),
+    ("fig09-digs", Protocol::Digs, Kind::TestbedAInterference),
+    ("fig09-orchestra", Protocol::Orchestra, Kind::TestbedAInterference),
+    ("fig10-digs", Protocol::Digs, Kind::TestbedBInterference),
+    ("fig10-orchestra", Protocol::Orchestra, Kind::TestbedBInterference),
+    ("fig11-digs", Protocol::Digs, Kind::NodeFailure),
+    ("fig11-orchestra", Protocol::Orchestra, Kind::NodeFailure),
+    ("fig12-digs", Protocol::Digs, Kind::LargeScale),
+    ("fig12-orchestra", Protocol::Orchestra, Kind::LargeScale),
+    ("fig13-digs", Protocol::Digs, Kind::Initialization),
+    ("fig13-orchestra", Protocol::Orchestra, Kind::Initialization),
+    ("threeway-clean-digs", Protocol::Digs, Kind::ThreewayClean),
+    ("threeway-clean-orchestra", Protocol::Orchestra, Kind::ThreewayClean),
+    ("threeway-clean-wirelesshart", Protocol::WirelessHart, Kind::ThreewayClean),
+    ("threeway-fail-digs", Protocol::Digs, Kind::ThreewayFail),
+    ("threeway-fail-orchestra", Protocol::Orchestra, Kind::ThreewayFail),
+    ("threeway-fail-wirelesshart", Protocol::WirelessHart, Kind::ThreewayFail),
+    ("chaos-digs", Protocol::Digs, Kind::Chaos),
+    ("chaos-orchestra", Protocol::Orchestra, Kind::Chaos),
+    ("chaos-wirelesshart", Protocol::WirelessHart, Kind::Chaos),
+    ("adv-attack-digs", Protocol::Digs, Kind::AdaptiveJam),
+    ("adv-attack-orchestra", Protocol::Orchestra, Kind::AdaptiveJam),
+    ("adv-defense-digs", Protocol::Digs, Kind::Randomized),
+    ("adv-duel-digs", Protocol::Digs, Kind::AdaptiveDuel),
+    ("ablation-single-path", Protocol::Digs, Kind::SinglePath),
+    ("ablation-plain-etx", Protocol::Digs, Kind::PlainEtx),
+    ("ablation-app53", Protocol::Digs, Kind::AppSlotframe { app: 53 }),
+    ("ablation-app101", Protocol::Digs, Kind::AppSlotframe { app: 101 }),
+    ("ablation-app151", Protocol::Digs, Kind::AppSlotframe { app: 151 }),
+    ("ablation-app307", Protocol::Digs, Kind::AppSlotframe { app: 307 }),
+];
+
+/// The full matrix, in `goldens/full.json`'s order (record order feeds
+/// the gate's output, so it is part of the contract).
+const FULL: &[&str] = &[
+    "fig09-digs",
+    "fig10-digs",
+    "fig11-digs",
+    "fig12-digs",
+    "fig13-digs",
+    "fig09-orchestra",
+    "fig10-orchestra",
+    "fig11-orchestra",
+    "fig12-orchestra",
+    "fig13-orchestra",
+    "fig04-05-jam1",
+    "fig04-05-jam2",
+    "fig04-05-jam3",
+    "fig04-05-jam4",
+    "threeway-clean-digs",
+    "threeway-fail-digs",
+    "chaos-digs",
+    "threeway-clean-orchestra",
+    "threeway-fail-orchestra",
+    "chaos-orchestra",
+    "threeway-clean-wirelesshart",
+    "threeway-fail-wirelesshart",
+    "chaos-wirelesshart",
+    "adv-attack-digs",
+    "adv-attack-orchestra",
+    "adv-defense-digs",
+    "adv-duel-digs",
+];
+
+/// The CI subset — every Testbed A scenario family once, cheap enough for
+/// every CI run — in `goldens/small.json`'s order.
+const SMALL: &[&str] = &[
+    "fig09-digs",
+    "fig11-digs",
+    "fig09-orchestra",
+    "fig11-orchestra",
+    "fig13-digs",
+    "fig04-05-jam1",
+    "fig04-05-jam4",
+    "threeway-clean-digs",
+    "threeway-fail-digs",
+    "chaos-digs",
+    "adv-attack-digs",
+    "adv-defense-digs",
+    "adv-duel-digs",
+];
+
+/// Every catalogue name, in catalogue order.
+pub fn catalogue_names() -> impl Iterator<Item = &'static str> {
+    CATALOGUE.iter().map(|(name, _, _)| *name)
+}
+
+/// Builds the named scenarios, in the order given, each topology once.
+/// `secs_override` shortens or lengthens every scenario (clamped to each
+/// scenario's minimum).
+///
+/// # Errors
+///
+/// Names the first scenario the catalogue lacks.
+pub fn scenarios(names: &[&str], secs_override: Option<u64>) -> Result<Vec<ScenarioSpec>, String> {
+    let mut topologies: [Option<Topology>; 3] = Default::default();
+    names
+        .iter()
+        .map(|name| {
+            let &(name, protocol, kind) = CATALOGUE
+                .iter()
+                .find(|entry| entry.0 == *name)
+                .ok_or_else(|| format!("unknown scenario `{name}`"))?;
+            let topology = topologies[kind.testbed()].get_or_insert_with(TESTBEDS[kind.testbed()]);
+            Ok(ScenarioSpec::new(name, protocol, kind, topology, secs_override))
+        })
+        .collect()
+}
+
+/// One scenario of the catalogue.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
-    /// Matrix key (stable across releases — golden files index on it).
+    /// Catalogue key (stable across releases — golden files index on it).
     pub name: String,
     /// Protocol under test.
     pub protocol: Protocol,
@@ -135,91 +314,92 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    fn new(name: &str, protocol: Protocol, secs: u64, kind: Kind, topology: &Topology) -> Self {
+    fn new(
+        name: &str,
+        protocol: Protocol,
+        kind: Kind,
+        topology: &Topology,
+        secs_override: Option<u64>,
+    ) -> Self {
+        let (windowed_pdr_floor, windowed_pdr_ceiling) = match kind {
+            Kind::JammerSweep { jammers } => {
+                (Some(FIG5_PAPER_MEDIANS[jammers - 1] - FIG5_FLOOR_SLACK), None)
+            }
+            Kind::AdaptiveJam => (None, Some(ADAPTIVE_ATTACK_PDR_CEILING)),
+            Kind::Randomized | Kind::AdaptiveDuel => (Some(ADAPTIVE_DEFENSE_PDR_FLOOR), None),
+            _ => (None, None),
+        };
         ScenarioSpec {
             name: name.to_string(),
             protocol,
-            secs: secs.max(kind.min_secs()),
-            windowed_pdr_floor: None,
-            windowed_pdr_ceiling: None,
+            secs: secs_override.unwrap_or(kind.default_secs()).max(kind.min_secs()),
+            windowed_pdr_floor,
+            windowed_pdr_ceiling,
             kind,
             topology: topology.clone(),
         }
     }
 
-    /// Runs one seed of the scenario and reduces it to its canonical
-    /// record. Deterministic: same spec + seed → same record.
-    pub fn run(&self, seed: u64) -> RunMetrics {
+    /// The seeded chaos plan of a chaos scenario: which faults and jammer
+    /// bursts its run injects, and when (`None` for any other scenario).
+    pub fn chaos_plan(&self, seed: u64) -> Option<ChaosPlan> {
+        (self.kind == Kind::Chaos).then(|| {
+            let chaos_secs = self.secs - CHAOS_WARMUP_SECS - CHAOS_TAIL_SECS;
+            let config = ChaosConfig::moderate(Asn::from_secs(CHAOS_WARMUP_SECS), chaos_secs);
+            ChaosPlan::generate(&config, &self.topology, seed)
+        })
+    }
+
+    /// The network one seed of the scenario runs.
+    pub fn config(&self, seed: u64) -> NetworkConfig {
         let topology = self.topology.clone();
-        let secs = self.secs;
-        let jam_ctx = MetricContext {
-            repair_event_secs: Some(scenarios::JAM_START_SECS),
-            repair_settle_secs: REPAIR_SETTLE_SECS,
-            window_start_slot: Some(scenarios::JAM_START_SECS * SLOTS_PER_SECOND),
-        };
-        // Adversarial legs measure PDR only while the sniffer actively
-        // jams (its learning phase is silent).
-        let adaptive_ctx = MetricContext {
-            repair_event_secs: Some(scenarios::JAM_START_SECS),
-            repair_settle_secs: REPAIR_SETTLE_SECS,
-            window_start_slot: Some(ADAPTIVE_ACTIVE_SECS * SLOTS_PER_SECOND),
-        };
-        let (config, ctx) = match self.kind {
-            Kind::TestbedAInterference => {
-                (scenarios::testbed_a_interference_on(topology, self.protocol, seed), jam_ctx)
+        let protocol = self.protocol;
+        let mut config = match self.kind {
+            Kind::TestbedAInterference
+            | Kind::SinglePath
+            | Kind::PlainEtx
+            | Kind::AppSlotframe { .. } => {
+                scenarios::testbed_a_interference_on(topology, protocol, seed)
             }
             Kind::TestbedBInterference => {
-                (scenarios::testbed_b_interference_on(topology, self.protocol, seed), jam_ctx)
+                scenarios::testbed_b_interference_on(topology, protocol, seed)
             }
-            Kind::JammerSweep { jammers } => (
-                scenarios::testbed_a_jammer_sweep_on(topology, self.protocol, jammers, seed),
-                jam_ctx,
-            ),
-            Kind::NodeFailure => (
-                scenarios::testbed_a_node_failure_on(topology, self.protocol, seed),
-                MetricContext {
-                    repair_event_secs: Some(scenarios::FAILURE_START_SECS),
-                    repair_settle_secs: REPAIR_SETTLE_SECS,
-                    window_start_slot: Some(scenarios::FAILURE_START_SECS * SLOTS_PER_SECOND),
-                },
-            ),
-            Kind::LargeScale => {
-                (scenarios::large_scale_on(topology, self.protocol, seed), MetricContext::default())
+            Kind::JammerSweep { jammers } => {
+                scenarios::testbed_a_jammer_sweep_on(topology, protocol, jammers, seed)
             }
-            Kind::Initialization => (
-                scenarios::initialization_on(topology, self.protocol, seed),
-                MetricContext::default(),
-            ),
-            Kind::ThreewayClean => {
-                (threeway_config(topology, self.protocol, seed), MetricContext::default())
+            Kind::NodeFailure => scenarios::testbed_a_node_failure_on(topology, protocol, seed),
+            Kind::LargeScale => scenarios::large_scale_on(topology, protocol, seed),
+            Kind::Initialization => scenarios::initialization_on(topology, protocol, seed),
+            Kind::ThreewayClean | Kind::ThreewayFail | Kind::Chaos => {
+                far_flows_config(topology, protocol, seed)
             }
-            Kind::ThreewayFail => (
-                threeway_config(topology, self.protocol, seed),
-                MetricContext {
-                    repair_event_secs: Some(THREEWAY_FAIL_START_SECS),
-                    repair_settle_secs: REPAIR_SETTLE_SECS,
-                    window_start_slot: Some(THREEWAY_FAIL_START_SECS * SLOTS_PER_SECOND),
-                },
-            ),
-            Kind::Chaos => {
-                return self.run_chaos(seed);
-            }
-            Kind::AdaptiveJam => {
-                (scenarios::testbed_a_adaptive_jam_on(topology, self.protocol, seed), adaptive_ctx)
-            }
-            Kind::Randomized => (
-                scenarios::testbed_a_randomized_on(topology, self.protocol, seed),
-                MetricContext {
-                    repair_event_secs: None,
-                    repair_settle_secs: 0,
-                    window_start_slot: Some(ADAPTIVE_ACTIVE_SECS * SLOTS_PER_SECOND),
-                },
-            ),
-            Kind::AdaptiveDuel => {
-                (scenarios::testbed_a_adaptive_duel_on(topology, self.protocol, seed), adaptive_ctx)
-            }
+            Kind::AdaptiveJam => scenarios::testbed_a_adaptive_jam_on(topology, protocol, seed),
+            Kind::Randomized => scenarios::testbed_a_randomized_on(topology, protocol, seed),
+            Kind::AdaptiveDuel => scenarios::testbed_a_adaptive_duel_on(topology, protocol, seed),
         };
-        let specs = config.flows.clone();
+        match self.kind {
+            Kind::SinglePath => config.routing.use_second_parent = false,
+            Kind::PlainEtx => config.routing.use_weighted_etx = false,
+            Kind::AppSlotframe { app } => {
+                config.jammers.clear();
+                config.slotframes.app = app;
+            }
+            Kind::Chaos => {
+                let plan = self.chaos_plan(seed).expect("a chaos scenario");
+                config.faults = plan.faults().clone();
+                config.jammers.extend(plan.jammers().iter().cloned());
+            }
+            _ => {}
+        }
+        config
+    }
+
+    /// Runs one seed of the scenario: the results and the flows they
+    /// measure. Deterministic: same spec + seed → same results.
+    pub fn results(&self, seed: u64) -> (RunResults, Vec<FlowSpec>) {
+        let config = self.config(seed);
+        let flows = config.flows.clone();
+        let secs = self.secs;
         let results = match self.kind {
             Kind::ThreewayFail => {
                 let mut network = Network::new(config.clone());
@@ -234,68 +414,39 @@ impl ScenarioSpec {
                 network.run_secs(secs - THREEWAY_FAIL_START_SECS);
                 network.results()
             }
-            // The defense legs run audited: the golden pins their
-            // `audit_violations.max` to zero, proving the per-epoch
-            // permutation never breaks Eq. 4 conflict-freedom.
-            Kind::Randomized | Kind::AdaptiveDuel => {
+            // The chaos soak and the defense legs run audited: the golden
+            // pins their `audit_violations.max` to zero — for the defense,
+            // proof that the per-epoch permutation never breaks Eq. 4
+            // conflict-freedom.
+            Kind::Chaos | Kind::Randomized | Kind::AdaptiveDuel => {
                 let mut network = Network::new(config);
                 network.run_audited(secs * SLOTS_PER_SECOND, AUDIT_EVERY_SLOTS);
                 network.results()
             }
             _ => digs::experiment::run_for(config, secs),
         };
-        RunMetrics::from_results(
-            &self.name,
-            self.protocol.name(),
-            seed,
-            secs,
-            &results,
-            &specs,
-            ctx,
-        )
+        (results, flows)
     }
 
-    /// The chaos soak leg: seeded [`ChaosPlan`] faults + jammer bursts
-    /// with the runtime invariant auditor sampling every 10 s. The
-    /// record's `audit_violations` count is the robustness metric the
-    /// golden pins to zero for DiGS.
-    fn run_chaos(&self, seed: u64) -> RunMetrics {
-        let secs = self.secs;
-        let chaos_secs = secs - CHAOS_WARMUP_SECS - CHAOS_TAIL_SECS;
-        let chaos_config = ChaosConfig::moderate(Asn::from_secs(CHAOS_WARMUP_SECS), chaos_secs);
-        let plan = ChaosPlan::generate(&chaos_config, &self.topology, seed);
-        let mut flows = scenarios::far_flow_set(&self.topology, 6, 500, seed);
-        for f in &mut flows {
-            f.phase += 60 * SLOTS_PER_SECOND;
-        }
-        let mut builder = NetworkConfig::builder(self.topology.clone())
-            .protocol(self.protocol)
-            .seed(seed)
-            .flows(flows)
-            .faults(plan.faults().clone());
-        for jammer in plan.jammers() {
-            builder = builder.jammer(jammer.clone());
-        }
-        let config = builder.build();
-        let specs = config.flows.clone();
-        let mut network = Network::new(config);
-        network.run_audited(secs * SLOTS_PER_SECOND, AUDIT_EVERY_SLOTS);
-        let results = network.results();
+    /// Runs one seed of the scenario and reduces it to its canonical
+    /// record. Deterministic: same spec + seed → same record.
+    pub fn run(&self, seed: u64) -> RunMetrics {
+        let (results, flows) = self.results(seed);
         RunMetrics::from_results(
             &self.name,
             self.protocol.name(),
             seed,
-            secs,
+            self.secs,
             &results,
-            &specs,
-            MetricContext::default(),
+            &flows,
+            self.kind.context(),
         )
     }
 }
 
-/// The three-way comparison's configuration: six far-source flows on
-/// Testbed A, phased past a 60 s warm-up.
-fn threeway_config(topology: Topology, protocol: Protocol, seed: u64) -> NetworkConfig {
+/// Six far-source flows on Testbed A, phased past a 60 s warm-up: the
+/// three-way comparison's network, and the chaos soak's before its faults.
+fn far_flows_config(topology: Topology, protocol: Protocol, seed: u64) -> NetworkConfig {
     let mut flows = scenarios::far_flow_set(&topology, 6, 500, seed);
     for f in &mut flows {
         f.phase += 60 * SLOTS_PER_SECOND;
@@ -303,7 +454,7 @@ fn threeway_config(topology: Topology, protocol: Protocol, seed: u64) -> Network
     NetworkConfig::builder(topology).protocol(protocol).seed(seed).flows(flows).build()
 }
 
-/// Which matrix tier to run.
+/// Which gated matrix to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatrixKind {
     /// CI subset: Testbed A scenarios only.
@@ -334,234 +485,82 @@ impl MatrixKind {
         }
     }
 
+    /// The catalogue names the matrix runs, in its golden's order.
+    pub fn names(self) -> &'static [&'static str] {
+        match self {
+            MatrixKind::Small => SMALL,
+            MatrixKind::Full => FULL,
+        }
+    }
+
     /// Builds the tier's scenario list. `secs_override` shortens or
     /// lengthens every scenario (clamped to each scenario's minimum).
     pub fn scenarios(self, secs_override: Option<u64>) -> Vec<ScenarioSpec> {
-        match self {
-            MatrixKind::Small => small_matrix(secs_override),
-            MatrixKind::Full => full_matrix(secs_override),
-        }
+        scenarios(self.names(), secs_override).expect("every matrix name is in the catalogue")
     }
-}
-
-fn jammer_sweep_specs(
-    testbed_a: &Topology,
-    secs: u64,
-    jammer_counts: &[usize],
-) -> Vec<ScenarioSpec> {
-    jammer_counts
-        .iter()
-        .map(|&jammers| {
-            let mut spec = ScenarioSpec::new(
-                &format!("fig04-05-jam{jammers}"),
-                Protocol::Orchestra,
-                secs,
-                Kind::JammerSweep { jammers },
-                testbed_a,
-            );
-            spec.windowed_pdr_floor = Some(FIG5_PAPER_MEDIANS[jammers - 1] - FIG5_FLOOR_SLACK);
-            spec
-        })
-        .collect()
-}
-
-/// The adversarial family: attack legs per requested protocol, plus the
-/// DiGS-only defense-overhead and duel legs (schedule randomization is a
-/// DiGS mechanism — Orchestra has no Eq. 4 schedule to permute).
-fn adversarial_specs(
-    testbed_a: &Topology,
-    secs: u64,
-    attack_protocols: &[Protocol],
-) -> Vec<ScenarioSpec> {
-    let mut specs = Vec::new();
-    for &protocol in attack_protocols {
-        let mut attack = ScenarioSpec::new(
-            &format!("adv-attack-{}", protocol.name()),
-            protocol,
-            secs,
-            Kind::AdaptiveJam,
-            testbed_a,
-        );
-        attack.windowed_pdr_ceiling = Some(ADAPTIVE_ATTACK_PDR_CEILING);
-        specs.push(attack);
-    }
-    let mut defense =
-        ScenarioSpec::new("adv-defense-digs", Protocol::Digs, secs, Kind::Randomized, testbed_a);
-    defense.windowed_pdr_floor = Some(ADAPTIVE_DEFENSE_PDR_FLOOR);
-    specs.push(defense);
-    let mut duel =
-        ScenarioSpec::new("adv-duel-digs", Protocol::Digs, secs, Kind::AdaptiveDuel, testbed_a);
-    duel.windowed_pdr_floor = Some(ADAPTIVE_DEFENSE_PDR_FLOOR);
-    specs.push(duel);
-    specs
-}
-
-/// The full conformance matrix: paper figures, the three-way comparison,
-/// and the chaos soak, for all protocols each figure compares.
-pub fn full_matrix(secs_override: Option<u64>) -> Vec<ScenarioSpec> {
-    // Hoisted shared setup: one topology build per testbed, cloned into
-    // every spec (and from there into every seeded run).
-    let testbed_a = Topology::testbed_a();
-    let testbed_b = Topology::testbed_b();
-    let cooja = Topology::cooja_150(7);
-    let s = |default: u64| secs_override.unwrap_or(default);
-
-    let mut specs = Vec::new();
-    for protocol in [Protocol::Digs, Protocol::Orchestra] {
-        let p = protocol.name();
-        specs.push(ScenarioSpec::new(
-            &format!("fig09-{p}"),
-            protocol,
-            s(420),
-            Kind::TestbedAInterference,
-            &testbed_a,
-        ));
-        specs.push(ScenarioSpec::new(
-            &format!("fig10-{p}"),
-            protocol,
-            s(420),
-            Kind::TestbedBInterference,
-            &testbed_b,
-        ));
-        specs.push(ScenarioSpec::new(
-            &format!("fig11-{p}"),
-            protocol,
-            s(420),
-            Kind::NodeFailure,
-            &testbed_a,
-        ));
-        specs.push(ScenarioSpec::new(
-            &format!("fig12-{p}"),
-            protocol,
-            s(420),
-            Kind::LargeScale,
-            &cooja,
-        ));
-        specs.push(ScenarioSpec::new(
-            &format!("fig13-{p}"),
-            protocol,
-            s(120),
-            Kind::Initialization,
-            &testbed_a,
-        ));
-    }
-    specs.extend(jammer_sweep_specs(&testbed_a, s(420), &[1, 2, 3, 4]));
-    for protocol in [Protocol::Digs, Protocol::Orchestra, Protocol::WirelessHart] {
-        let p = protocol.name();
-        specs.push(ScenarioSpec::new(
-            &format!("threeway-clean-{p}"),
-            protocol,
-            s(360),
-            Kind::ThreewayClean,
-            &testbed_a,
-        ));
-        specs.push(ScenarioSpec::new(
-            &format!("threeway-fail-{p}"),
-            protocol,
-            s(360),
-            Kind::ThreewayFail,
-            &testbed_a,
-        ));
-        specs.push(ScenarioSpec::new(
-            &format!("chaos-{p}"),
-            protocol,
-            s(600),
-            Kind::Chaos,
-            &testbed_a,
-        ));
-    }
-    specs.extend(adversarial_specs(&testbed_a, s(420), &[Protocol::Digs, Protocol::Orchestra]));
-    specs
-}
-
-/// The CI subset: every Testbed A scenario family once, cheap enough for
-/// a per-PR wall-clock budget.
-pub fn small_matrix(secs_override: Option<u64>) -> Vec<ScenarioSpec> {
-    let testbed_a = Topology::testbed_a();
-    let s = |default: u64| secs_override.unwrap_or(default);
-    let mut specs = Vec::new();
-    for protocol in [Protocol::Digs, Protocol::Orchestra] {
-        let p = protocol.name();
-        specs.push(ScenarioSpec::new(
-            &format!("fig09-{p}"),
-            protocol,
-            s(420),
-            Kind::TestbedAInterference,
-            &testbed_a,
-        ));
-        specs.push(ScenarioSpec::new(
-            &format!("fig11-{p}"),
-            protocol,
-            s(420),
-            Kind::NodeFailure,
-            &testbed_a,
-        ));
-    }
-    specs.push(ScenarioSpec::new(
-        "fig13-digs",
-        Protocol::Digs,
-        s(120),
-        Kind::Initialization,
-        &testbed_a,
-    ));
-    specs.extend(jammer_sweep_specs(&testbed_a, s(420), &[1, 4]));
-    specs.push(ScenarioSpec::new(
-        "threeway-clean-digs",
-        Protocol::Digs,
-        s(360),
-        Kind::ThreewayClean,
-        &testbed_a,
-    ));
-    specs.push(ScenarioSpec::new(
-        "threeway-fail-digs",
-        Protocol::Digs,
-        s(360),
-        Kind::ThreewayFail,
-        &testbed_a,
-    ));
-    specs.push(ScenarioSpec::new("chaos-digs", Protocol::Digs, s(600), Kind::Chaos, &testbed_a));
-    specs.extend(adversarial_specs(&testbed_a, s(420), &[Protocol::Digs]));
-    specs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::Golden;
 
     #[test]
     fn matrix_names_are_unique() {
-        for kind in [MatrixKind::Small, MatrixKind::Full] {
+        for names in [catalogue_names().collect(), SMALL.to_vec(), FULL.to_vec()] {
+            let mut sorted = names.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), names.len(), "{names:?} repeats a name");
+        }
+    }
+
+    /// Each matrix runs exactly its golden's scenarios, at the golden's
+    /// lengths and in the golden's order.
+    #[test]
+    fn the_matrices_equal_the_goldens() {
+        for (kind, text) in [
+            (MatrixKind::Small, include_str!("../../../goldens/small.json")),
+            (MatrixKind::Full, include_str!("../../../goldens/full.json")),
+        ] {
+            let golden = Golden::parse(text).expect("the golden parses");
+            let blessed: Vec<(&str, u64)> =
+                golden.scenarios.iter().map(|s| (s.name.as_str(), s.secs)).collect();
             let specs = kind.scenarios(None);
-            let mut names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
-            names.sort_unstable();
-            let before = names.len();
-            names.dedup();
-            assert_eq!(names.len(), before, "{} matrix has duplicate names", kind.name());
+            let built: Vec<(&str, u64)> = specs.iter().map(|s| (s.name.as_str(), s.secs)).collect();
+            assert_eq!(built, blessed, "the {} matrix vs its golden", kind.name());
         }
     }
 
     #[test]
     fn small_is_a_subset_of_full() {
-        let full = full_matrix(None);
-        for small in small_matrix(None) {
-            assert!(
-                full.iter().any(|f| f.name == small.name),
-                "{} missing from the full matrix",
-                small.name
-            );
+        for name in SMALL {
+            assert!(FULL.contains(name), "{name} missing from the full matrix");
         }
     }
 
     #[test]
+    fn the_small_matrix_builds_testbed_a_only() {
+        assert!(MatrixKind::Small.scenarios(None).iter().all(|s| s.kind.testbed() == 0));
+    }
+
+    #[test]
+    fn an_unknown_name_is_refused_by_name() {
+        let err = scenarios(&["fig09-digs", "fig07-digs"], None).expect_err("unknown");
+        assert_eq!(err, "unknown scenario `fig07-digs`");
+    }
+
+    #[test]
     fn secs_override_respects_scenario_minimums() {
-        for spec in full_matrix(Some(10)) {
+        let names: Vec<&str> = catalogue_names().collect();
+        for spec in scenarios(&names, Some(10)).expect("the catalogue builds") {
             assert!(spec.secs >= spec.kind.min_secs(), "{} shrunk below its minimum", spec.name);
         }
     }
 
     #[test]
     fn jammer_sweep_carries_paper_floor() {
-        let specs = full_matrix(None);
+        let specs = MatrixKind::Full.scenarios(None);
         let jam1 = specs.iter().find(|s| s.name == "fig04-05-jam1").expect("present");
         assert_eq!(jam1.windowed_pdr_floor, Some(FIG5_PAPER_MEDIANS[0] - FIG5_FLOOR_SLACK));
     }
@@ -579,14 +578,14 @@ mod tests {
                 assert_eq!(spec.windowed_pdr_ceiling, None);
             }
         }
-        let full = full_matrix(None);
+        let full = MatrixKind::Full.scenarios(None);
         assert!(full.iter().any(|s| s.name == "adv-attack-orchestra"));
     }
 
     #[test]
     fn one_cheap_scenario_runs_deterministically() {
         let testbed = Topology::testbed_a_half();
-        let spec = ScenarioSpec::new("t", Protocol::Digs, 60, Kind::Initialization, &testbed);
+        let spec = ScenarioSpec::new("t", Protocol::Digs, Kind::Initialization, &testbed, Some(60));
         let a = spec.run(1);
         let b = spec.run(1);
         assert_eq!(a.to_line(), b.to_line());

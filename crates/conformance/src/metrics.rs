@@ -1,8 +1,10 @@
 //! The canonical per-run metric record.
 //!
-//! Every simulation in the conformance matrix — and every figure binary
-//! that wants machine-readable output — reduces to one [`RunMetrics`]
-//! record: the paper's headline metrics plus the robustness counters.
+//! Every simulation in the conformance matrix reduces to one
+//! [`RunMetrics`] record: the paper's headline metrics plus the robustness
+//! counters. (`digs-cli figures` reads the runs' `RunResults` instead, for
+//! what a record does not carry: latency and join-time distributions, the
+//! per-flow PDRs, the duty cycle per packet.)
 //! The JSON encoding is canonical (fixed field order, shortest
 //! round-trip floats, `null` for absent values), so identical runs
 //! produce byte-identical lines; the double-run determinism test pins

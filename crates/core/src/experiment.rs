@@ -1,4 +1,6 @@
-//! Experiment runners: repeated flow-set runs and derived measurements.
+//! Experiment runners — one run, the live-relay failure runs, the
+//! centralized baseline's recovery — and the measurements the scenario
+//! catalogue derives from a run.
 
 use crate::config::NetworkConfig;
 use crate::network::Network;
@@ -13,47 +15,10 @@ pub fn run_for(config: NetworkConfig, secs: u64) -> RunResults {
     network.results()
 }
 
-/// Runs `sets` flow-set experiments (seeded 1..=sets) built by `scenario`,
-/// each for `secs` simulated seconds.
-pub fn run_flow_sets(
-    scenario: impl Fn(u64) -> NetworkConfig,
-    sets: u64,
-    secs: u64,
-) -> Vec<RunResults> {
-    (1..=sets).map(|seed| run_for(scenario(seed), secs)).collect()
-}
-
-/// Extracts the paper's per-flow-set PDR samples from a batch of runs.
-pub fn flow_set_pdrs(runs: &[RunResults]) -> Vec<f64> {
-    runs.iter().map(RunResults::network_pdr).collect()
-}
-
-/// Extracts all end-to-end latencies (ms) across runs.
-pub fn all_latencies_ms(runs: &[RunResults]) -> Vec<f64> {
-    runs.iter().flat_map(RunResults::all_latencies_ms).collect()
-}
-
-/// Extracts power-per-received-packet samples (mW), skipping runs that
-/// delivered nothing (infinite power).
-pub fn power_per_packet_samples(runs: &[RunResults]) -> Vec<f64> {
-    runs.iter().map(RunResults::power_per_received_packet_mw).filter(|p| p.is_finite()).collect()
-}
-
-/// Extracts duty-cycle-per-received-packet samples (percent/packet).
-pub fn duty_cycle_samples(runs: &[RunResults]) -> Vec<f64> {
-    runs.iter().map(RunResults::duty_cycle_per_received_packet).filter(|p| p.is_finite()).collect()
-}
-
-/// Extracts repair times (seconds) for an event at `event`, using a
-/// `settle_secs` quiet window, skipping runs with no repair activity.
-pub fn repair_times_secs(runs: &[RunResults], event: Asn, settle_secs: u64) -> Vec<f64> {
-    runs.iter().filter_map(|r| r.repair_time_secs(event, settle_secs * 100)).collect()
-}
-
 /// Variant of [`run_node_failure`] with a pre-determined victim list: the
 /// paper turns off the *same* four routing-graph nodes for both protocols,
-/// so the comparison binary derives victims once (from a DiGS pilot run)
-/// and applies them to both.
+/// so a comparison derives victims once (from a DiGS pilot run) and
+/// applies them to both.
 pub fn run_node_failure_with_victims(
     config: NetworkConfig,
     victims: &[digs_sim::ids::NodeId],
@@ -242,72 +207,4 @@ pub fn shared_relay_victim(cfg: &NetworkConfig) -> Option<digs_sim::ids::NodeId>
             .and_then(|e| e.best)
             .filter(|p| !cfg.topology.is_access_point(*p) && !sources.contains(p))
     })
-}
-
-/// The Fig. 9f / 11b micro-benchmark: per-flow delivery success of packets
-/// with sequence numbers in `[from, to]`. Returns one row per flow:
-/// `(flow index, Vec<(seq, delivered)>)`.
-pub fn delivery_microbench(
-    results: &RunResults,
-    from: u32,
-    to: u32,
-) -> Vec<(u16, Vec<(u32, bool)>)> {
-    results
-        .flows
-        .iter()
-        .map(|f| {
-            let rows =
-                (from..=to).map(|seq| (seq, f.seq_delivered(seq) && seq < f.generated)).collect();
-            (f.flow.0, rows)
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::Protocol;
-    use crate::flows::flow_set_from_sources;
-    use digs_sim::ids::NodeId;
-    use digs_sim::topology::Topology;
-
-    fn quick_scenario(seed: u64) -> NetworkConfig {
-        NetworkConfig::builder(Topology::testbed_a_half())
-            .protocol(Protocol::Digs)
-            .seed(seed)
-            .flows(flow_set_from_sources(&[NodeId(10), NodeId(15)], 300))
-            .build()
-    }
-
-    #[test]
-    fn flow_set_batches_produce_samples() {
-        let runs = run_flow_sets(quick_scenario, 2, 60);
-        assert_eq!(runs.len(), 2);
-        let pdrs = flow_set_pdrs(&runs);
-        assert_eq!(pdrs.len(), 2);
-        assert!(pdrs.iter().all(|p| (0.0..=1.0).contains(p)));
-        let lat = all_latencies_ms(&runs);
-        assert!(!lat.is_empty(), "some packets must be delivered");
-        assert!(lat.iter().all(|l| *l >= 0.0));
-    }
-
-    #[test]
-    fn power_samples_are_positive() {
-        let runs = run_flow_sets(quick_scenario, 1, 60);
-        let p = power_per_packet_samples(&runs);
-        assert_eq!(p.len(), 1);
-        assert!(p[0] > 0.0);
-        let d = duty_cycle_samples(&runs);
-        assert!(d[0] > 0.0);
-    }
-
-    #[test]
-    fn microbench_rows_cover_requested_range() {
-        let runs = run_flow_sets(quick_scenario, 1, 60);
-        let rows = delivery_microbench(&runs[0], 0, 5);
-        assert_eq!(rows.len(), 2);
-        for (_, seqs) in &rows {
-            assert_eq!(seqs.len(), 6);
-        }
-    }
 }

@@ -135,13 +135,8 @@ pub fn testbed_a_jammer_sweep_on(
     builder.build()
 }
 
-/// Fig. 10 scenario: Testbed B, 6 flows @ 5 s, 3 jammers over two floors.
-pub fn testbed_b_interference(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
-    testbed_b_interference_on(Topology::testbed_b(), protocol, flow_seed)
-}
-
-/// [`testbed_b_interference`] on a pre-built topology (see
-/// [`testbed_a_interference_on`]).
+/// Fig. 10 scenario: Testbed B, 6 flows @ 5 s, 3 jammers over two floors,
+/// on a pre-built topology (see [`testbed_a_interference_on`]).
 pub fn testbed_b_interference_on(
     topology: Topology,
     protocol: Protocol,
@@ -385,13 +380,8 @@ pub fn large_scale_on(topology: Topology, protocol: Protocol, flow_seed: u64) ->
     builder.build()
 }
 
-/// Fig. 13 scenario: a cold-start Testbed A network with no flows, used to
-/// measure per-node joining time.
-pub fn initialization(protocol: Protocol, seed: u64) -> NetworkConfig {
-    initialization_on(Topology::testbed_a(), protocol, seed)
-}
-
-/// [`initialization`] on a pre-built topology (see
+/// Fig. 13 scenario: a cold-start network with no flows, used to measure
+/// per-node joining time, on a pre-built topology (see
 /// [`testbed_a_interference_on`]).
 pub fn initialization_on(topology: Topology, protocol: Protocol, seed: u64) -> NetworkConfig {
     NetworkConfig::builder(topology).protocol(protocol).seed(seed).build()
@@ -542,7 +532,7 @@ mod tests {
         assert_eq!(c.flows.len(), 8);
         assert_eq!(c.jammers.len(), 3);
         assert!(c.flows.iter().all(|f| f.phase >= WARMUP_SECS * 100));
-        let b = testbed_b_interference(Protocol::Orchestra, 1);
+        let b = testbed_b_interference_on(Topology::testbed_b(), Protocol::Orchestra, 1);
         assert_eq!(b.flows.len(), 6);
         assert_eq!(b.jammers.len(), 3);
     }

@@ -27,7 +27,7 @@
 //!   rendered as canonical JSON (byte-identical for identical spec +
 //!   seed; wall-clock timings are deliberately excluded).
 //!
-//! Surfaced as `digs-cli fleet run|report` and the `fleet_bench` binary.
+//! Surfaced as `digs-cli fleet run|report`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -182,8 +182,9 @@ pub struct FleetOutcome {
     /// Simulated node-seconds (Σ nodes × secs) — the numerator of the
     /// nodes-per-core-second headline.
     pub node_secs: u64,
-    /// Per-shard busy time of each sharded network, for the bench's
-    /// utilization report (empty without sharded specs).
+    /// Per-shard busy time of each sharded network — what a utilization
+    /// report reads to find the window-barrier stragglers (empty without
+    /// sharded specs).
     pub shard_busy: Vec<(String, Vec<Duration>)>,
     /// Networks that needed retries or were quarantined, in spec order.
     /// Quarantined entries have no summary in `summaries`.

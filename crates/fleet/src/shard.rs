@@ -165,7 +165,7 @@ impl BoundaryLoad {
 pub struct ShardedOutcome {
     /// One summary per shard, labeled `name/shard<i>`.
     pub summaries: Vec<NetworkSummary>,
-    /// Per-shard compute time (for the bench's utilization report).
+    /// Per-shard compute time (for a utilization report).
     pub busy: Vec<Duration>,
     /// Slotframe windows executed.
     pub windows: u64,

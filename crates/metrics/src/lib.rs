@@ -1,9 +1,10 @@
 //! # digs-metrics — statistics toolkit for the DiGS reproduction
 //!
 //! Small, dependency-light statistics used by the experiment harness and
-//! the per-figure benchmark binaries: summary statistics ([`Summary`]),
-//! empirical CDFs ([`Cdf`]) matching the paper's CDF figures, and boxplot
-//! five-number summaries ([`BoxplotStats`]) matching its boxplot figures.
+//! `digs-cli figures`: summary statistics ([`Summary`]), empirical CDFs
+//! ([`Cdf`]) for the order statistics the paper's figures quote, and the
+//! normal-approximation interval around a mean
+//! ([`stats::mean_confidence_interval`]).
 //!
 //! The telemetry layer builds on the same crate: a named-metric
 //! [`Registry`] of monotonic [`Counter`]s and [`Gauge`]s, deterministic
@@ -14,11 +15,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod format;
 pub mod histogram;
 pub mod registry;
 pub mod stats;
 
 pub use histogram::LogHistogram;
 pub use registry::{Counter, Gauge, Registry};
-pub use stats::{BoxplotStats, Cdf, ConfidenceInterval, StreamingSummary, Summary};
+pub use stats::{Cdf, ConfidenceInterval, StreamingSummary, Summary};

@@ -1,4 +1,4 @@
-//! Summary statistics, empirical CDFs, and boxplot summaries.
+//! Summary statistics, empirical CDFs, and confidence intervals.
 
 use core::fmt;
 
@@ -232,30 +232,6 @@ impl Cdf {
         Some(Cdf { sorted })
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the CDF holds no samples (never true: construction rejects
-    /// empty input).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Fraction of samples ≤ `x` (the CDF value at `x`).
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        let idx = self.sorted.partition_point(|s| *s <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
-    /// Fraction of samples ≥ `x` (used for "75% of flow sets achieve PDR
-    /// higher than 95%"-style claims).
-    pub fn fraction_at_or_above(&self, x: f64) -> f64 {
-        let idx = self.sorted.partition_point(|s| *s < x);
-        (self.sorted.len() - idx) as f64 / self.sorted.len() as f64
-    }
-
     /// The `p`-th percentile value. Out-of-range `p` is clamped into
     /// `[0, 100]` (NaN is treated as 0), matching [`percentile_sorted`].
     pub fn percentile(&self, p: f64) -> f64 {
@@ -280,22 +256,6 @@ impl Cdf {
     /// Median of the underlying sample.
     pub fn median(&self) -> f64 {
         self.percentile(50.0)
-    }
-
-    /// Evenly spaced `(value, cumulative_fraction)` points for plotting or
-    /// printing, `steps + 1` rows from p0 to p100.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is zero.
-    pub fn series(&self, steps: usize) -> Vec<(f64, f64)> {
-        assert!(steps > 0, "need at least one step");
-        (0..=steps)
-            .map(|i| {
-                let p = 100.0 * i as f64 / steps as f64;
-                (self.percentile(p), p / 100.0)
-            })
-            .collect()
     }
 }
 
@@ -322,7 +282,7 @@ impl ConfidenceInterval {
     }
 
     /// Whether this interval overlaps another (a cheap "statistically
-    /// indistinguishable" check for bench summaries).
+    /// indistinguishable" check).
     pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
     }
@@ -351,58 +311,6 @@ pub fn mean_confidence_interval(samples: &[f64], level: f64) -> Option<Confidenc
         lo: summary.mean - z * se,
         hi: summary.mean + z * se,
     })
-}
-
-/// Five-number summary plus mean, matching the paper's boxplots.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoxplotStats {
-    /// Lower whisker (minimum).
-    pub min: f64,
-    /// First quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
-    /// Upper whisker (maximum).
-    pub max: f64,
-    /// Mean.
-    pub mean: f64,
-}
-
-impl BoxplotStats {
-    /// Computes the boxplot summary. Returns `None` on empty or non-finite
-    /// input.
-    pub fn of(samples: &[f64]) -> Option<BoxplotStats> {
-        if samples.is_empty() || samples.iter().any(|s| !s.is_finite()) {
-            return None;
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        Some(BoxplotStats {
-            min: sorted[0],
-            q1: percentile_sorted(&sorted, 25.0),
-            median: percentile_sorted(&sorted, 50.0),
-            q3: percentile_sorted(&sorted, 75.0),
-            max: sorted[sorted.len() - 1],
-            mean: samples.iter().sum::<f64>() / samples.len() as f64,
-        })
-    }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-}
-
-impl fmt::Display for BoxplotStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "min={:.3} q1={:.3} med={:.3} q3={:.3} max={:.3} mean={:.3}",
-            self.min, self.q1, self.median, self.q3, self.max, self.mean
-        )
-    }
 }
 
 #[cfg(test)]
@@ -532,33 +440,10 @@ mod tests {
     }
 
     #[test]
-    fn cdf_fractions() {
-        let cdf = Cdf::new([1.0, 2.0, 3.0, 4.0]).expect("non-empty");
-        assert_eq!(cdf.fraction_at_or_below(0.5), 0.0);
-        assert_eq!(cdf.fraction_at_or_below(2.0), 0.5);
-        assert_eq!(cdf.fraction_at_or_below(10.0), 1.0);
-        assert_eq!(cdf.fraction_at_or_above(3.0), 0.5);
-        assert_eq!(cdf.fraction_at_or_above(0.0), 1.0);
-    }
-
-    #[test]
     fn cdf_order_independent() {
         let a = Cdf::new([3.0, 1.0, 2.0]).expect("ok");
         let b = Cdf::new([1.0, 2.0, 3.0]).expect("ok");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cdf_series_is_monotone() {
-        let cdf = Cdf::new((0..100).map(f64::from)).expect("ok");
-        let series = cdf.series(20);
-        assert_eq!(series.len(), 21);
-        for w in series.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert_eq!(series[0].0, cdf.min());
-        assert_eq!(series[20].0, cdf.max());
     }
 
     #[test]
@@ -568,7 +453,6 @@ mod tests {
         assert!((cdf.median() - 5.0).abs() < 1e-12);
         assert_eq!(cdf.min(), 2.0);
         assert_eq!(cdf.max(), 8.0);
-        assert_eq!(cdf.len(), 4);
     }
 
     #[test]
@@ -611,24 +495,6 @@ mod tests {
         assert_eq!(ci.lo, 3.0);
         assert_eq!(ci.hi, 3.0);
         assert_eq!(ci.half_width(), 0.0);
-    }
-
-    #[test]
-    fn boxplot_five_numbers() {
-        let b = BoxplotStats::of(&[1.0, 2.0, 3.0, 4.0, 5.0]).expect("ok");
-        assert_eq!(b.min, 1.0);
-        assert_eq!(b.median, 3.0);
-        assert_eq!(b.max, 5.0);
-        assert_eq!(b.q1, 2.0);
-        assert_eq!(b.q3, 4.0);
-        assert_eq!(b.iqr(), 2.0);
-        assert_eq!(b.mean, 3.0);
-    }
-
-    #[test]
-    fn boxplot_rejects_bad_input() {
-        assert!(BoxplotStats::of(&[]).is_none());
-        assert!(BoxplotStats::of(&[f64::NAN]).is_none());
     }
 }
 
