@@ -5,8 +5,8 @@ use crate::flags::Args;
 use crate::fleet::fleet_params;
 use crate::telemetry::telemetry_spec;
 use digs_digsd::{
-    BackoffPolicy, Client, Daemon, DaemonConfig, Filter, FleetParams, FrameKind, Job,
-    ResumableStream, RunState, ServerMsg, SingleSpec, StreamItem, Value, DEFAULT_ADDR,
+    BackoffPolicy, Client, Daemon, DaemonConfig, Filter, FleetParams, FrameKind, ResumableStream,
+    RunState, ServerMsg, SingleSpec, StreamItem, DEFAULT_ADDR,
 };
 use std::io::Write as _;
 use std::time::Duration;
@@ -50,10 +50,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     config.chaos.slow_run_ms = args.get("chaos-slow-ms")?;
     let mut daemon =
         Daemon::bind(&addr, config.clone()).map_err(|e| format!("binding {addr}: {e}"))?;
-    daemon.register_runner(
-        "scenario",
-        Box::new(digs_conformance::prepare_scenario as fn(&Value) -> Result<Job, String>),
-    );
+    daemon.register_runner("scenario", digs_conformance::prepare_scenario);
     let bound = daemon.local_addr().map_err(|e| format!("local addr: {e}"))?;
     eprintln!(
         "digsd: serving on {bound} (runners: single, fleet, scenario; \

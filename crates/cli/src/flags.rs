@@ -169,7 +169,7 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         path: &["telemetry", "top"],
-        about: "live dashboard of a local run, or of a daemon's run with --attach",
+        about: "report's view redrawn per epoch (last 12), of a local run or a daemon's (--attach)",
         run: telemetry::top,
         flags: &[
             TOPOLOGY,
@@ -225,7 +225,7 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         path: &["fleet", "report"],
-        about: "re-render a saved fleet report; exit 1 if it records a breach",
+        about: "print a saved fleet report as fleet run did; exit 1 if it records a breach",
         run: fleet::report,
         flags: &[
             &[flag("input", "FILE", "a report written by fleet run --report (required)")],

@@ -1,9 +1,8 @@
 //! `fleet run|report`: a fleet of template networks reduced to one SLO
-//! report, and a saved report re-rendered.
+//! report, and a saved report rendered by the same renderer.
 
 use crate::flags::Args;
 use digs_digsd::FleetParams;
-use digs_json::Value;
 use std::time::Duration;
 
 /// The fleet the fleet flags describe — what `fleet run` builds locally
@@ -58,14 +57,15 @@ pub fn run(args: &Args) -> Result<(), String> {
         outcome.jobs,
         rate
     );
+    let json = report.to_json(&policy);
     if args.switch("json") {
-        println!("{}", report.to_json(&policy).to_pretty());
+        println!("{}", json.to_pretty());
     } else {
-        print!("{}", report.render(&policy));
+        print!("{}", digs_fleet::render(&json)?);
     }
     if let Some(path) = args.get::<String>("report")? {
-        let text = report.to_json(&policy).to_pretty() + "\n";
-        std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(&path, json.to_pretty() + "\n")
+            .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("fleet: canonical report written to {path}");
     }
     let breaches = report.breaches(&policy);
@@ -76,6 +76,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 }
 
+/// Renders a saved canonical report through the same renderer `fleet run`
+/// prints with, exiting non-zero when it records an SLO breach.
 pub fn report(args: &Args) -> Result<(), String> {
     let path: String = args.require("input")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -84,72 +86,8 @@ pub fn report(args: &Args) -> Result<(), String> {
         println!("{}", v.to_pretty());
         return Ok(());
     }
-    let num = |key: &str| v.field(key).and_then(|f| f.as_f64());
-    let show = |x: Option<f64>| x.map_or("-".to_string(), |x| format!("{x}"));
-    println!("fleet SLO report ({path})");
-    println!(
-        "  networks        : {} ({} nodes, {} s simulated each)",
-        show(num("networks")),
-        show(num("nodes")),
-        show(num("secs"))
-    );
-    println!(
-        "  fleet PDR       : {} ({} / {} packets; mean network {})",
-        show(num("fleet_pdr")),
-        show(num("delivered")),
-        show(num("generated")),
-        show(num("mean_network_pdr"))
-    );
-    println!(
-        "  e2e latency     : p50 {} ms / p99 {} ms ({} samples)",
-        show(num("latency_p50_ms").map(|x| x.round())),
-        show(num("latency_p99_ms").map(|x| x.round())),
-        show(num("latency_samples"))
-    );
-    println!(
-        "  health alerts   : {} network(s), {} alert(s)",
-        show(num("alert_networks")),
-        show(num("total_alerts"))
-    );
-    println!(
-        "  audit violations: {} network(s), {} violation(s)",
-        show(num("violation_networks")),
-        show(num("total_violations"))
-    );
-    println!("  worst networks  :");
-    for w in v.field("worst_networks").and_then(|f| f.as_arr()).unwrap_or(&[]) {
-        println!(
-            "    {}  {}",
-            w.field("pdr").and_then(|f| f.as_f64()).map_or("-".into(), |p| format!("{p:.4}")),
-            w.field("label").and_then(|f| f.as_str()).unwrap_or("?")
-        );
-    }
-    for (key, header, field) in [
-        ("alerting_networks", "  most alerting   :", "alerts"),
-        ("violating_networks", "  violating       :", "violations"),
-    ] {
-        let rows = v.field(key).and_then(|f| f.as_arr()).unwrap_or(&[]);
-        if !rows.is_empty() {
-            println!("{header}");
-            for w in rows {
-                println!(
-                    "    {:>6}  {}",
-                    w.field(field).and_then(|f| f.as_f64()).map_or("-".into(), |n| format!("{n}")),
-                    w.field("label").and_then(|f| f.as_str()).unwrap_or("?")
-                );
-            }
-        }
-    }
-    let slo = v.field("slo");
-    let passed =
-        slo.and_then(|s| s.field("passed")).is_some_and(|p| matches!(p, Value::Bool(true)));
-    println!("  SLO             : {}", if passed { "PASSED" } else { "FAILED" });
-    if let Some(breaches) = slo.and_then(|s| s.field("breaches")).and_then(|b| b.as_arr()) {
-        for b in breaches {
-            println!("    breach: {}", b.as_str().unwrap_or("?"));
-        }
-    }
-    if passed {
+    print!("{}", digs_fleet::render(&v).map_err(|e| format!("{path}: {e}"))?);
+    if v.req("slo")?.bool("passed")? {
         Ok(())
     } else {
         Err("saved report records an SLO breach".into())

@@ -1,5 +1,6 @@
-//! The built `digs-cli`, driven as a user would: what it refuses, and
-//! what it says about an environment variable nothing reads.
+//! The built `digs-cli`, driven as a user would: what it refuses, what it
+//! says about an environment variable nothing reads, and what it prints
+//! for a saved fleet report.
 
 use std::process::{Command, Output};
 
@@ -93,4 +94,44 @@ fn help_and_a_missing_subcommand_print_the_generated_usage() {
     }
     let zero = cli(&["digsd", "serve", "--queue", "0"], &[]);
     assert_eq!(stderr(&zero), "--queue must be > 0\n");
+}
+
+#[test]
+fn fleet_report_prints_every_breach_of_a_saved_report_and_fails() {
+    let lossy = digs_fleet::NetworkSummary {
+        label: "lossy".into(),
+        nodes: 10,
+        flows: 2,
+        generated: 100,
+        delivered: 40,
+        pdr: 0.4,
+        worst_flow_pdr: 0.3,
+        fraction_joined: 1.0,
+        alerts: 0,
+        alert_kinds: [0; 4],
+        violations: 0,
+        latency: digs_metrics::LogHistogram::new(),
+    };
+    let quarantined = digs_fleet::DegradedRun {
+        label: "stuck".into(),
+        reason: "timeout at asn 100".into(),
+        attempts: 2,
+        quarantined: true,
+    };
+    let report = digs_fleet::aggregate_partial(&[lossy], 60, vec![quarantined], 1);
+    let policy = digs_fleet::SloPolicy::new();
+    let breaches = report.breaches(&policy);
+    assert_eq!(breaches.len(), 4, "{breaches:?}");
+    let json = report.to_json(&policy);
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fleet_breached.json");
+    std::fs::write(&path, json.to_pretty() + "\n").unwrap();
+
+    let output = cli(&["fleet", "report", "--input", path.to_str().unwrap()], &[]);
+    assert!(!output.status.success());
+    assert_eq!(stderr(&output), "saved report records an SLO breach\n");
+    let text = String::from_utf8_lossy(&output.stdout).into_owned();
+    assert_eq!(text, digs_fleet::render(&json).unwrap());
+    for breach in &breaches {
+        assert!(text.contains(&format!("    breach: {breach}\n")), "{text}");
+    }
 }

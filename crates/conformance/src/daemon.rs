@@ -124,10 +124,7 @@ mod tests {
 
     fn start() -> String {
         let mut daemon = Daemon::bind("127.0.0.1:0", DaemonConfig::default()).expect("bind");
-        daemon.register_runner(
-            "scenario",
-            Box::new(prepare_scenario as fn(&Value) -> Result<Job, String>),
-        );
+        daemon.register_runner("scenario", prepare_scenario);
         let addr = daemon.local_addr().expect("bound").to_string();
         std::thread::spawn(move || {
             let _ = daemon.serve_forever();

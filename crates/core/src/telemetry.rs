@@ -780,64 +780,185 @@ pub fn to_csv(sampler: &TelemetrySampler) -> String {
     out
 }
 
-/// Renders a per-epoch text report: PDR sparkline plus a compact table,
-/// ending with the alert log.
-pub fn report(sampler: &TelemetrySampler) -> String {
-    let points: Vec<crate::timeline::TimelinePoint> = sampler
-        .epochs()
-        .map(|e| crate::timeline::TimelinePoint {
-            start_secs: e.asn_start as f64 / SLOTS_PER_SECOND as f64,
-            generated: e.generated().min(u64::from(u32::MAX)) as u32,
-            delivered: e.delivered().min(u64::from(u32::MAX)) as u32,
-        })
-        .collect();
-    let mut out = String::new();
-    let s = sampler.settings();
-    let _ = writeln!(
-        out,
-        "telemetry: {} epochs x {} slots ({} retained, {} dropped), {} alerts",
-        sampler.next_epoch,
-        s.epoch_slots,
-        sampler.epochs.len(),
-        sampler.dropped_epochs(),
-        sampler.alerts().len(),
-    );
-    let _ = writeln!(out, "pdr: {}", crate::timeline::sparkline(&points));
-    let _ = writeln!(
-        out,
-        "{:>6} {:>10} {:>6} {:>6} {:>6} {:>6} {:>7} {:>7} {:>6}",
-        "epoch", "t(s)", "gen", "dlv", "pdr", "churn", "p50ms", "p99ms", "q.max"
-    );
-    for e in sampler.epochs() {
-        let pdr = e.pdr().map_or("-".into(), |p| format!("{p:.2}"));
-        let p50 = e.latency_ms.quantile(50.0).map_or("-".into(), |v| format!("{v:.0}"));
-        let p99 = e.latency_ms.quantile(99.0).map_or("-".into(), |v| format!("{v:.0}"));
+/// How much of a run a [`TelemetryView`] renders: the last `epochs` table
+/// rows and the last `alerts` alert lines.
+#[derive(Debug, Clone, Copy)]
+pub struct Window {
+    /// Table rows shown, newest last.
+    pub epochs: usize,
+    /// Alert lines shown, newest last.
+    pub alerts: usize,
+}
+
+impl Window {
+    /// Every epoch and every alert.
+    pub const ALL: Window = Window { epochs: usize::MAX, alerts: usize::MAX };
+}
+
+/// One table row, read from an `epoch` line.
+#[derive(Debug)]
+struct EpochRow {
+    epoch: u64,
+    asn_start: u64,
+    joined: (u64, u64),
+    generated: u64,
+    delivered: u64,
+    tx: u64,
+    drops: u64,
+    churn: u64,
+    queue_max: u64,
+    p50: Option<f64>,
+    p99: Option<f64>,
+}
+
+/// The human-readable telemetry view, built from the JSONL lines
+/// [`to_jsonl`] writes and a daemon streams — `meta`, `epoch` and `alert`
+/// — so a run rendered in process and the same run attached over the wire
+/// draw the same text.
+#[derive(Debug, Default)]
+pub struct TelemetryView {
+    /// `(epochs, epoch_slots, dropped_epochs)`; a stream sends `meta` last,
+    /// so until it arrives these render as `-`.
+    meta: Option<(u64, u64, u64)>,
+    epochs: Vec<EpochRow>,
+    alerts: Vec<String>,
+}
+
+impl TelemetryView {
+    /// Reads a whole JSONL export.
+    pub fn from_jsonl(text: &str) -> Result<TelemetryView, String> {
+        let mut view = TelemetryView::default();
+        for line in text.lines() {
+            view.push_line(line)?;
+        }
+        Ok(view)
+    }
+
+    /// Adds one `meta`, `epoch` or `alert` line.
+    pub fn push_line(&mut self, line: &str) -> Result<(), String> {
+        let v = digs_json::parse(line).map_err(|e| format!("bad telemetry line: {e}"))?;
+        match v.str("type")? {
+            "meta" => {
+                self.meta =
+                    Some((v.uint("epochs")?, v.uint("epoch_slots")?, v.uint("dropped_epochs")?))
+            }
+            "epoch" => self.epochs.push(epoch_row(&v)?),
+            "alert" => self.alerts.push(format!(
+                "ALERT {} epoch {} [{}-{}): {}",
+                v.str("rule")?,
+                v.uint::<u64>("epoch")?,
+                v.uint::<u64>("asn_start")?,
+                v.uint::<u64>("asn_end")?,
+                v.str("detail")?
+            )),
+            other => return Err(format!("unknown telemetry line type `{other}`")),
+        }
+        Ok(())
+    }
+
+    /// The header, the PDR sparkline over every epoch held, the table over
+    /// `window.epochs` and the alert log over `window.alerts`.
+    pub fn render(&self, window: Window) -> String {
+        let dash = |x: Option<u64>| x.map_or("-".to_string(), |x| x.to_string());
+        let points: Vec<crate::timeline::TimelinePoint> = self
+            .epochs
+            .iter()
+            .map(|e| crate::timeline::TimelinePoint {
+                start_secs: e.asn_start as f64 / SLOTS_PER_SECOND as f64,
+                generated: e.generated.min(u64::from(u32::MAX)) as u32,
+                delivered: e.delivered.min(u64::from(u32::MAX)) as u32,
+            })
+            .collect();
+        let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>6} {:>10.1} {:>6} {:>6} {:>6} {:>6} {:>7} {:>7} {:>6}",
-            e.epoch,
-            e.asn_start as f64 / SLOTS_PER_SECOND as f64,
-            e.generated(),
-            e.delivered(),
-            pdr,
-            e.counter("churn.parent").unwrap_or(0),
-            p50,
-            p99,
-            e.gauge("queue.max").unwrap_or(0),
+            "telemetry: {} epochs x {} slots ({} retained, {} dropped), {} alerts",
+            dash(self.meta.map(|m| m.0)),
+            dash(self.meta.map(|m| m.1)),
+            self.epochs.len(),
+            dash(self.meta.map(|m| m.2)),
+            self.alerts.len(),
         );
-    }
-    for a in sampler.alerts() {
-        let _ = writeln!(
-            out,
-            "ALERT {} epoch {} [{}-{}): {}",
-            a.rule.as_str(),
-            a.epoch,
-            a.asn_start,
-            a.asn_end,
-            a.detail
+        let _ = writeln!(out, "pdr: {}", crate::timeline::sparkline(&points));
+        out.push_str(
+            " epoch       t(s)    joined    gen    dlv    pdr      tx  drops  churn   p50ms   p99ms  q.max\n",
         );
+        let ms = |x: Option<f64>| x.map_or("-".into(), |v| format!("{v:.0}"));
+        for e in &self.epochs[self.epochs.len().saturating_sub(window.epochs)..] {
+            let pdr = (e.generated > 0)
+                .then(|| format!("{:.2}", e.delivered as f64 / e.generated as f64));
+            let _ = writeln!(
+                out,
+                "{:>6} {:>10.1} {:>9} {:>6} {:>6} {:>6} {:>7} {:>6} {:>6} {:>7} {:>7} {:>6}",
+                e.epoch,
+                e.asn_start as f64 / SLOTS_PER_SECOND as f64,
+                format!("{}/{}", e.joined.0, e.joined.1),
+                e.generated,
+                e.delivered,
+                pdr.as_deref().unwrap_or("-"),
+                e.tx,
+                e.drops,
+                e.churn,
+                ms(e.p50),
+                ms(e.p99),
+                e.queue_max,
+            );
+        }
+        for a in &self.alerts[self.alerts.len().saturating_sub(window.alerts)..] {
+            let _ = writeln!(out, "{a}");
+        }
+        out
     }
-    out
+}
+
+/// Reads an `epoch` line into its row; a counter or gauge the line does
+/// not carry reads as 0, and the latency quantiles come from the sparse
+/// histogram rebuilt with [`LogHistogram::from_sparse`].
+fn epoch_row(v: &digs_json::Value) -> Result<EpochRow, String> {
+    let in_map = |map: &str, key: &str| -> Result<u64, String> {
+        v.req(map)?.opt_uint(key).map(Option::unwrap_or_default)
+    };
+    let (mut generated, mut delivered) = (0u64, 0u64);
+    for f in v.arr("flows")? {
+        generated += f.uint::<u64>("generated")?;
+        delivered += f.uint::<u64>("delivered")?;
+    }
+    let h = v.req("latency_ms")?;
+    let latency = match (h.opt_uint("min")?, h.opt_uint("max")?) {
+        (Some(min), Some(max)) => {
+            let mut pairs = Vec::new();
+            for b in h.arr("buckets")? {
+                match b.as_arr() {
+                    Some([index, count]) => {
+                        pairs.push((index.to_uint("buckets")?, count.to_uint("buckets")?))
+                    }
+                    _ => return Err("`buckets` holds a non-pair".into()),
+                }
+            }
+            LogHistogram::from_sparse(&pairs, min, max)?
+        }
+        _ => LogHistogram::new(),
+    };
+    Ok(EpochRow {
+        epoch: v.uint("epoch")?,
+        asn_start: v.uint("asn_start")?,
+        joined: (in_map("gauges", "nodes.joined")?, in_map("gauges", "nodes.total")?),
+        generated,
+        delivered,
+        tx: in_map("counters", "tx.data")?,
+        drops: in_map("counters", "drop.noise")? + in_map("counters", "drop.collision")?,
+        churn: in_map("counters", "churn.parent")?,
+        queue_max: in_map("gauges", "queue.max")?,
+        p50: latency.quantile(50.0),
+        p99: latency.quantile(99.0),
+    })
+}
+
+/// The [`TelemetryView`] of a sampler's [`to_jsonl`] export, over `window`.
+pub fn report(sampler: &TelemetrySampler, window: Window) -> String {
+    TelemetryView::from_jsonl(&to_jsonl(sampler))
+        .expect("a sampler's own export reads back")
+        .render(window)
 }
 
 #[cfg(test)]
@@ -915,7 +1036,12 @@ mod tests {
         assert!(jsonl.matches("\"type\":\"epoch\"").count() == 12);
         let csv = to_csv(tele);
         assert_eq!(csv.lines().count(), 13, "header + 12 epochs");
-        let text = report(tele);
-        assert!(text.contains("telemetry: 12 epochs"));
+        let text = report(tele, Window::ALL);
+        assert!(text.starts_with("telemetry: 12 epochs x 1000 slots (12 retained, 0 dropped)"));
+        // A stream sends `meta` last: until then its fields read `-`.
+        let (_, no_meta) = jsonl.split_once('\n').unwrap();
+        let streaming = TelemetryView::from_jsonl(no_meta).unwrap().render(Window::ALL);
+        assert!(streaming.starts_with("telemetry: - epochs x - slots (12 retained, - dropped)"));
+        assert_eq!(streaming.split_once('\n').unwrap().1, text.split_once('\n').unwrap().1);
     }
 }

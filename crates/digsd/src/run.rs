@@ -152,24 +152,12 @@ impl RunCtx {
 /// The work a validated launch will execute on its run thread.
 pub type Job = Box<dyn FnOnce(&RunCtx) -> Result<(), String> + Send>;
 
-/// A launchable run kind. `prepare` runs on the connection thread so
-/// spec errors surface as a `bad-spec` reply *before* the run is
-/// registered; the returned [`Job`] runs on a dedicated thread. The
-/// supervisor calls `prepare` again with the stored spec on every
-/// restart, so preparation must be repeatable.
-pub trait Runner: Send + Sync {
-    /// Validates the spec and packages the run.
-    fn prepare(&self, spec: &Value) -> Result<Job, String>;
-}
-
-impl<F> Runner for F
-where
-    F: Fn(&Value) -> Result<Job, String> + Send + Sync,
-{
-    fn prepare(&self, spec: &Value) -> Result<Job, String> {
-        self(spec)
-    }
-}
+/// A launchable run kind: validates the spec and packages the run. It
+/// runs on the connection thread so spec errors surface as a `bad-spec`
+/// reply *before* the run is registered; the returned [`Job`] runs on a
+/// dedicated thread. The supervisor calls it again with the stored spec
+/// on every restart, so preparation must be repeatable.
+pub type Runner = fn(&Value) -> Result<Job, String>;
 
 /// Spawns the supervised run thread and tracks it for shutdown. A
 /// recovered run passes `hold`: the journaled subscriber count and the

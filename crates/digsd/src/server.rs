@@ -67,7 +67,7 @@ impl Default for DaemonConfig {
 
 pub(crate) struct Shared {
     pub(crate) runs: Mutex<BTreeMap<String, Arc<RunHandle>>>,
-    pub(crate) runners: BTreeMap<String, Box<dyn Runner>>,
+    pub(crate) runners: BTreeMap<String, Runner>,
     queue_cap: usize,
     pub(crate) policy: BackoffPolicy,
     resume_grace: Duration,
@@ -103,7 +103,7 @@ impl Shared {
     /// the run; called again with the stored spec on every restart.
     pub(crate) fn prepare(&self, kind: &str, spec: &Value) -> Result<Job, String> {
         match self.runners.get(kind) {
-            Some(runner) => runner.prepare(spec),
+            Some(runner) => runner(spec),
             None => Err(format!("unknown run kind `{kind}`")),
         }
     }
@@ -151,9 +151,9 @@ impl Daemon {
             Some(path) => Some(Mutex::new(Journal::open(path)?)),
             None => None,
         };
-        let mut runners: BTreeMap<String, Box<dyn Runner>> = BTreeMap::new();
-        runners.insert("single".into(), Box::new(prepare_single as fn(&Value) -> _));
-        runners.insert("fleet".into(), Box::new(prepare_fleet as fn(&Value) -> _));
+        let mut runners: BTreeMap<String, Runner> = BTreeMap::new();
+        runners.insert("single".into(), prepare_single);
+        runners.insert("fleet".into(), prepare_fleet);
         Ok(Daemon {
             listener,
             shared: Arc::new(Shared {
@@ -179,7 +179,7 @@ impl Daemon {
     ///
     /// Panics if the daemon has already started serving (the registry is
     /// frozen once shared with connection threads).
-    pub fn register_runner(&mut self, kind: &str, runner: Box<dyn Runner>) {
+    pub fn register_runner(&mut self, kind: &str, runner: Runner) {
         Arc::get_mut(&mut self.shared)
             .expect("register runners before serving")
             .runners

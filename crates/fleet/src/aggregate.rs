@@ -377,99 +377,120 @@ impl FleetReport {
             ),
         ])
     }
+}
 
-    /// Human-readable report.
-    pub fn render(&self, policy: &SloPolicy) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let fmt_q =
-            |p: f64| self.latency.quantile(p).map_or("-".to_string(), |v| format!("{v:.0} ms"));
-        let _ = writeln!(out, "fleet SLO report");
-        let _ = writeln!(
-            out,
-            "  networks        : {} ({} nodes, {} s simulated each)",
-            self.networks, self.nodes, self.secs
-        );
-        let _ = writeln!(
-            out,
-            "  fleet PDR       : {:.4} ({} / {} packets; mean network {:.4})",
-            self.fleet_pdr, self.delivered, self.generated, self.mean_network_pdr
-        );
-        let _ = writeln!(
-            out,
-            "  e2e latency     : p50 {} / p99 {} ({} samples)",
-            fmt_q(50.0),
-            fmt_q(99.0),
-            self.latency.count()
-        );
-        let _ = writeln!(out, "  joined          : {:.3} mean fraction", self.mean_fraction_joined);
-        let _ = writeln!(
-            out,
-            "  health alerts   : {} network(s), {} alert(s) (rate {:.4})",
-            self.alert_networks,
-            self.total_alerts,
-            self.alert_rate()
-        );
-        if self.total_alerts > 0 {
-            let kinds: Vec<String> = ALERT_RULES
-                .iter()
-                .zip(&self.alert_kind_totals)
-                .filter(|(_, &n)| n > 0)
-                .map(|(rule, n)| format!("{rule} {n}"))
-                .collect();
-            let _ = writeln!(out, "    by rule: {}", kinds.join(", "));
-        }
-        let _ = writeln!(
-            out,
-            "  audit violations: {} network(s), {} violation(s) (rate {:.4})",
-            self.violation_networks,
-            self.total_violations,
-            self.violation_rate()
-        );
-        let _ = writeln!(out, "  worst networks  :");
-        for (label, pdr) in &self.worst {
-            let _ = writeln!(out, "    {pdr:.4}  {label}");
-        }
-        if !self.alerting.is_empty() {
-            let _ = writeln!(out, "  most alerting   :");
-            for (label, n) in &self.alerting {
-                let _ = writeln!(out, "    {n:>6}  {label}");
+/// Renders a canonical fleet report — the [`FleetReport::to_json`] value,
+/// built in process or parsed back from a saved file — as the
+/// human-readable table. It is the only renderer, so a saved report
+/// prints exactly what its run printed. A missing or mistyped field is an
+/// error naming it.
+pub fn render(report: &Value) -> Result<String, String> {
+    use std::fmt::Write;
+    let int = |v: &Value, key: &str| v.uint::<u64>(key);
+    let networks = int(report, "networks")?;
+    let rate = |n: u64| n as f64 / networks.max(1) as f64;
+    let ms = |key: &str| -> Result<String, String> {
+        Ok(report.opt_f64(key)?.map_or("-".to_string(), |v| format!("{v:.0} ms")))
+    };
+    let mut out = String::new();
+    let _ = writeln!(out, "fleet SLO report");
+    let _ = writeln!(
+        out,
+        "  networks        : {networks} ({} nodes, {} s simulated each)",
+        int(report, "nodes")?,
+        int(report, "secs")?
+    );
+    let _ = writeln!(
+        out,
+        "  fleet PDR       : {:.4} ({} / {} packets; mean network {:.4})",
+        report.f64("fleet_pdr")?,
+        int(report, "delivered")?,
+        int(report, "generated")?,
+        report.f64("mean_network_pdr")?
+    );
+    let _ = writeln!(
+        out,
+        "  e2e latency     : p50 {} / p99 {} ({} samples)",
+        ms("latency_p50_ms")?,
+        ms("latency_p99_ms")?,
+        int(report, "latency_samples")?
+    );
+    let _ = writeln!(
+        out,
+        "  joined          : {:.3} mean fraction",
+        report.f64("mean_fraction_joined")?
+    );
+    let (alert_networks, total_alerts) =
+        (int(report, "alert_networks")?, int(report, "total_alerts")?);
+    let _ = writeln!(
+        out,
+        "  health alerts   : {alert_networks} network(s), {total_alerts} alert(s) (rate {:.4})",
+        rate(alert_networks)
+    );
+    if total_alerts > 0 {
+        let by_rule = report.req("alerts_by_rule")?;
+        let mut kinds = Vec::new();
+        for rule in ALERT_RULES {
+            let n = int(by_rule, rule)?;
+            if n > 0 {
+                kinds.push(format!("{rule} {n}"));
             }
         }
-        if !self.violating.is_empty() {
-            let _ = writeln!(out, "  violating       :");
-            for (label, n) in &self.violating {
-                let _ = writeln!(out, "    {n:>6}  {label}");
+        let _ = writeln!(out, "    by rule: {}", kinds.join(", "));
+    }
+    let violation_networks = int(report, "violation_networks")?;
+    let _ = writeln!(
+        out,
+        "  audit violations: {violation_networks} network(s), {} violation(s) (rate {:.4})",
+        int(report, "total_violations")?,
+        rate(violation_networks)
+    );
+    let _ = writeln!(out, "  worst networks  :");
+    for w in report.arr("worst_networks")? {
+        let _ = writeln!(out, "    {:.4}  {}", w.f64("pdr")?, w.str("label")?);
+    }
+    for (key, header, count) in [
+        ("alerting_networks", "  most alerting   :", "alerts"),
+        ("violating_networks", "  violating       :", "violations"),
+    ] {
+        let rows = report.arr(key)?;
+        if !rows.is_empty() {
+            let _ = writeln!(out, "{header}");
+            for w in rows {
+                let _ = writeln!(out, "    {:>6}  {}", int(w, count)?, w.str("label")?);
             }
         }
-        if !self.degraded.is_empty() || self.skipped > 0 {
+    }
+    let degraded = report.req("degraded")?;
+    let (skipped, runs) = (int(degraded, "skipped")?, degraded.arr("runs")?);
+    if !runs.is_empty() || skipped > 0 {
+        let _ = writeln!(
+            out,
+            "  degraded        : {skipped} skipped, {} retried, {} quarantined",
+            int(degraded, "retried")?,
+            int(degraded, "quarantined")?
+        );
+        for d in runs {
+            let state = if d.bool("quarantined")? { "quarantined" } else { "recovered" };
             let _ = writeln!(
                 out,
-                "  degraded        : {} skipped, {} retried, {} quarantined",
-                self.skipped,
-                self.retried_count(),
-                self.quarantined_count()
+                "    {state}  {} (attempt(s) {}: {})",
+                d.str("label")?,
+                int(d, "attempts")?,
+                d.str("reason")?
             );
-            for d in &self.degraded {
-                let state = if d.quarantined { "quarantined" } else { "recovered" };
-                let _ = writeln!(
-                    out,
-                    "    {state}  {} (attempt(s) {}: {})",
-                    d.label, d.attempts, d.reason
-                );
-            }
         }
-        let breaches = self.breaches(policy);
-        if breaches.is_empty() {
-            let _ = writeln!(out, "  SLO             : PASSED");
-        } else {
-            let _ = writeln!(out, "  SLO             : FAILED");
-            for b in &breaches {
-                let _ = writeln!(out, "    breach: {b}");
-            }
-        }
-        out
     }
+    let slo = report.req("slo")?;
+    let _ = writeln!(
+        out,
+        "  SLO             : {}",
+        if slo.bool("passed")? { "PASSED" } else { "FAILED" }
+    );
+    for b in slo.arr("breaches")? {
+        let _ = writeln!(out, "    breach: {}", b.as_str().ok_or("`breaches` holds a non-string")?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -581,7 +602,7 @@ mod tests {
         let json = report.to_json(&SloPolicy::new()).to_compact();
         assert!(json.contains("\"degraded\":{\"skipped\":3,\"retried\":1,\"quarantined\":1"));
         assert!(json.contains("oil-field-0003/seed4"));
-        let rendered = report.render(&SloPolicy::new());
+        let rendered = render(&report.to_json(&SloPolicy::new())).unwrap();
         assert!(rendered.contains("quarantined"), "{rendered}");
         assert!(rendered.contains("FAILED"), "{rendered}");
 
@@ -592,6 +613,54 @@ mod tests {
             .to_json(&SloPolicy::new())
             .to_compact()
             .contains("\"degraded\":{\"skipped\":0,\"retried\":0,\"quarantined\":0,\"runs\":[]}"));
+    }
+
+    #[test]
+    fn a_saved_report_renders_what_its_run_rendered() {
+        let summaries =
+            vec![summary("a", 0.99, 0, 0), summary("b", 0.80, 2, 0), summary("c", 0.95, 0, 3)];
+        let degraded = vec![
+            DegradedRun {
+                label: "d".into(),
+                reason: "timeout at asn 900".into(),
+                attempts: 2,
+                quarantined: false,
+            },
+            DegradedRun {
+                label: "e".into(),
+                reason: "panicked: \"boom\"".into(),
+                attempts: 3,
+                quarantined: true,
+            },
+        ];
+        let report = aggregate_partial(&summaries, 60, degraded, 2);
+        assert!(!report.worst.is_empty() && !report.alerting.is_empty());
+        assert!(!report.violating.is_empty());
+        let json = report.to_json(&SloPolicy::new());
+        let text = render(&json).unwrap();
+        let saved = digs_json::parse(&(json.to_pretty() + "\n")).unwrap();
+        assert_eq!(render(&saved).unwrap(), text);
+        for section in [
+            "joined          : 1.000",
+            "by rule: churn-storm 2",
+            "most alerting   :\n         2  b",
+            "violating       :\n         3  c",
+            "degraded        : 2 skipped, 1 retried, 1 quarantined",
+            "recovered  d (attempt(s) 2: timeout at asn 900)",
+            "quarantined  e (attempt(s) 3: panicked: \"boom\")",
+            "SLO             : FAILED",
+        ] {
+            assert!(text.contains(section), "missing `{section}` in\n{text}");
+        }
+        for breach in report.breaches(&SloPolicy::new()) {
+            assert!(text.contains(&format!("    breach: {breach}\n")), "{text}");
+        }
+
+        let mut broken = saved;
+        if let Value::Obj(fields) = &mut broken {
+            fields.retain(|(k, _)| k != "latency_samples");
+        }
+        assert_eq!(render(&broken).unwrap_err(), "missing field `latency_samples`");
     }
 
     #[test]

@@ -37,7 +37,9 @@ pub mod runner;
 pub mod shard;
 pub mod spec;
 
-pub use aggregate::{aggregate, aggregate_partial, degrade_matching, FleetReport, SloPolicy};
+pub use aggregate::{
+    aggregate, aggregate_partial, degrade_matching, render, FleetReport, SloPolicy,
+};
 pub use runner::{
     fleet_tuned, run_fleet, run_network, summarize, DegradedRun, FleetObserver, FleetOutcome,
     NetworkSummary, RunPolicy,

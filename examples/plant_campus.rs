@@ -37,7 +37,7 @@ fn main() {
 
     let report = aggregate(&outcome.summaries, spec.secs);
     let policy = SloPolicy::default();
-    println!("\n{}", report.render(&policy));
+    println!("\n{}", digs_fleet::render(&report.to_json(&policy)).expect("a canonical report"));
 
     // Shard utilization: how evenly the windowed shard loop kept its
     // workers busy (the slowest shard sets each window's pace).
