@@ -9,16 +9,16 @@
 use digs_cases::Draw;
 use digs_conformance::golden::Golden;
 use digs_conformance::RunMetrics;
-use digs_digsd::{
-    ClientMsg, EventFrame, Filter, FleetParams, FrameKind, Journal, Record, RunInfo, RunState,
-    ServerMsg, SingleSpec,
-};
+use digs_digsd::{ClientMsg, EventFrame, FleetParams, Journal, Record, ServerMsg, SingleSpec};
 use digs_json::Value;
 use digs_metrics::LogHistogram;
 use digs_sim::seeds::SeedSpec;
 use digs_sim::time::SLOTS_PER_SECOND;
 use digs_trace::{Event, EventKind, PacketId, TrafficClass};
 use std::fmt::Debug;
+
+#[path = "../../digsd/tests/drawn/mod.rs"]
+mod drawn;
 
 /// If `input` decodes, the value must survive its own encoder.
 fn round_trip<T: PartialEq + Debug, E: Debug>(
@@ -130,18 +130,9 @@ fn feed(input: &str) {
 
 const METRICS_LINE: &str = r#"{"scenario":"fig04-05-jam4","protocol":"orchestra","seed":2,"secs":420,"pdr":0.9826388888888888,"worst_flow_pdr":0.9305555555555556,"median_latency_ms":2320,"worst_latency_ms":31260,"duty_cycle_percent":5.2728904,"power_per_packet_mw":0.2625899284474206,"energy_per_packet_mj":110.2877699479166,"repair_time_secs":80.05,"windowed_pdr_median":0.9916666666666667,"windowed_pdr_worst":0.9166666666666666,"fraction_joined":1,"mean_join_secs":16.2244,"parent_changes":82,"retry_drops":1,"queue_drops":0,"audit_violations":0,"telemetry_epochs":null,"health_alerts":3,"epoch_pdr_min":null}"#;
 
-/// Valid lines of every format, built by the encoders themselves.
-fn corpus() -> Vec<String> {
-    let filter = Filter {
-        kinds: Some([FrameKind::Trace, FrameKind::Alert].into()),
-        nodes: Some([0, 7, u16::MAX].into()),
-    };
-    let spec = SingleSpec {
-        seed: u64::MAX,
-        telemetry: Some((1000, 4096)),
-        jam: Some((120, 180)),
-        ..SingleSpec::default()
-    };
+/// Valid lines of every format: the messages drawn from their tables, the
+/// rest built by their encoders.
+fn corpus(d: &mut Draw) -> Vec<String> {
     let packet = PacketId { flow: 2, seq: 17, origin: 9 };
     let events = [
         Event {
@@ -177,44 +168,15 @@ fn corpus() -> Vec<String> {
             },
         },
     ];
-    let frame = EventFrame {
-        run: "r-1".into(),
-        kind: FrameKind::Trace,
-        node: Some(9),
-        seq: 41,
-        payload: digs_trace::to_jsonl_line(&events[0]),
-    };
-    let run = RunInfo {
-        name: "r-1".into(),
-        kind: "single".into(),
-        state: RunState::Running,
-        asn: 12_000,
-        subscribers: 2,
-        restarts: 1,
-        uptime_secs: 5,
-        drops: 0,
-    };
     let golden = include_str!("../../../goldens/small.json");
-    vec![
-        ClientMsg::Hello { version: 2, client: "fuzz \"client\"".into() }.encode(),
-        ClientMsg::Launch {
-            name: "r-1".into(),
-            tail: true,
-            filter: filter.clone(),
-            spec: spec.to_json(),
-        }
-        .encode(),
-        ClientMsg::Subscribe { run: "r-1".into(), filter, from_seq: Some(977) }.encode(),
-        ClientMsg::Kill { run: "r-1".into() }.encode(),
-        ServerMsg::Runs { runs: vec![run.clone(), run] }.encode(),
-        ServerMsg::Heartbeat { run: "r-1".into(), asn: 9, sent: 8, dropped: 1 }.encode(),
-        ServerMsg::RunEnded { run: "r-1".into(), state: RunState::Quarantined, asn: 9 }.encode(),
-        ServerMsg::RunRestarting { run: "r-1".into(), restarts: 2, backoff_ms: 400 }.encode(),
-        ServerMsg::Event(frame).encode(),
-        Record::Launch { run: "r-1".into(), kind: "single".into(), spec: spec.to_json() }.encode(),
-        Record::Progress { run: "r-1".into(), asn: 1000, seq: 1581 }.encode(),
-        Record::Subscriber { run: "r-1".into(), client: "tail".into(), seq: 25 }.encode(),
-        Record::End { run: "r-1".into(), state: RunState::Done, asn: 6000 }.encode(),
+    // Every message type of the five tables, canonical and with optional
+    // fields left out.
+    let mut lines: Vec<String> = drawn::PROTOCOLS
+        .iter()
+        .flat_map(|p| p.table.iter().map(move |def| (p.tag, def)))
+        .flat_map(|(tag, def)| [drawn::line(d, tag, def), drawn::sparse_line(d, tag, def)])
+        .collect();
+    lines.extend([
         digs_trace::to_jsonl(&events),
         digs_trace::to_jsonl_line(&events[2]),
         METRICS_LINE.into(),
@@ -223,11 +185,9 @@ fn corpus() -> Vec<String> {
         "1-3".into(),
         "8".into(),
         "1,4,9".into(),
-        spec.to_json().to_compact(),
         // Seconds at and past the last count whose slots fit a `u64`.
         r#"{"kind":"single","secs":184467440737095516,"adaptive_jam":184467440737095516,"jam":[184467440737095515,184467440737095516]}"#.into(),
         r#"{"kind":"single","secs":18446744073709551615,"jam":[184467440737095517,18446744073709551615]}"#.into(),
-        FleetParams { secs: 150, jobs: Some(2), ..FleetParams::default() }.to_json().to_compact(),
         r#"{"kind":"fleet","networks":1,"secs":18446744073709551615}"#.into(),
         // Fleets whose last seed, or whose node count, does not fit.
         r#"{"kind":"fleet","template":"oil","networks":2,"seed_base":18446744073709551615}"#.into(),
@@ -237,7 +197,8 @@ fn corpus() -> Vec<String> {
         r#"{"min":3,"max":90210,"buckets":[[3,2],[40,1],[110,7]]}"#.into(),
         r#"{"min":0,"max":9,"buckets":[[2305843009213693952,1],[495,1]]}"#.into(),
         r#"{"min":3,"max":3,"buckets":[[3,18446744073709551615],[3,1],[496,1]]}"#.into(),
-    ]
+    ]);
+    lines
 }
 
 /// One random edit of `bytes`: bit flip, byte overwrite, insert of a JSON
@@ -267,7 +228,7 @@ fn mutate(d: &mut Draw, bytes: &mut Vec<u8>) {
 
 fn fuzz(seed: u64) {
     let mut d = Draw::from_seed(seed);
-    let corpus = corpus();
+    let corpus = corpus(&mut d);
     let mut fed = Vec::new();
 
     for line in &corpus {

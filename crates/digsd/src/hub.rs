@@ -361,7 +361,7 @@ impl Hub {
 /// (quarantined, not crash-looped).
 #[derive(Debug, Clone)]
 pub struct BackoffPolicy {
-    /// Restart attempts before giving up (`DIGS_DIGSD_MAX_RESTARTS`).
+    /// Restart attempts before giving up (`digsd serve --max-restarts`).
     /// Zero disables supervision: the first failure is terminal.
     pub max_restarts: u64,
     /// First backoff; doubles per attempt.

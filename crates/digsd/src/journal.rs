@@ -16,6 +16,7 @@
 //! a `kill -9` loses at most the bytes of one partially written line,
 //! which recovery tolerates (a torn tail line is skipped, not fatal).
 
+use crate::message::decode_line;
 use crate::wire::RunState;
 use digs_json::Value;
 use std::collections::BTreeMap;
@@ -23,132 +24,71 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// One journal record. The `spec` in [`Record::Launch`] is stored
-/// verbatim so recovery can hand it back to the registered runner.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Record {
-    /// A run was registered and its thread started.
-    Launch {
-        /// Run name.
-        run: String,
-        /// Runner kind (`single`, `fleet`, ...).
-        kind: String,
-        /// The launch spec, verbatim.
-        spec: Value,
-    },
-    /// Progress cursor at an observer flush boundary.
-    Progress {
-        /// Run name.
-        run: String,
-        /// Last observed ASN (or completed networks for fleet runs).
-        asn: u64,
-        /// Stream position: the sequence the next frame will carry.
-        seq: u64,
-    },
-    /// The supervisor restarted the run after a failure.
-    Restart {
-        /// Run name.
-        run: String,
-        /// Total restarts so far.
-        restarts: u64,
-    },
-    /// A subscriber's resume cursor (written on heartbeat cadence).
-    Subscriber {
-        /// Run name.
-        run: String,
-        /// Client identification from its hello.
-        client: String,
-        /// First sequence the subscriber still wants.
-        seq: u64,
-    },
-    /// The run reached a terminal state. Suspended runs (graceful
-    /// shutdown) deliberately get **no** end record — that is what marks
-    /// them resumable.
-    End {
-        /// Run name.
-        run: String,
-        /// Terminal state.
-        state: RunState,
-        /// Final progress marker.
-        asn: u64,
-    },
-    /// Recovery re-queued an incomplete run for deterministic replay
-    /// (informational; recovery folds it like a restart marker).
-    Resume {
-        /// Run name.
-        run: String,
-        /// Restart count carried over from the previous daemon process.
-        restarts: u64,
-    },
+message! {
+    /// One journal record. The `spec` in [`Record::Launch`] is stored
+    /// verbatim so recovery can hand it back to the registered runner.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Record: "journal record" {
+        /// A run was registered and its thread started.
+        Launch = "launch" {
+            /// Run name.
+            run: String,
+            /// Runner kind (`single`, `fleet`, ...).
+            kind: String,
+            /// The launch spec, verbatim.
+            spec: Value,
+        },
+        /// Progress cursor at an observer flush boundary.
+        Progress = "progress" {
+            /// Run name.
+            run: String,
+            /// Last observed ASN (or completed networks for fleet runs).
+            asn: u64,
+            /// Stream position: the sequence the next frame will carry.
+            seq: u64,
+        },
+        /// The supervisor restarted the run after a failure.
+        Restart = "restart" {
+            /// Run name.
+            run: String,
+            /// Total restarts so far.
+            restarts: u64,
+        },
+        /// A subscriber's resume cursor (written on heartbeat cadence).
+        Subscriber = "subscriber" {
+            /// Run name.
+            run: String,
+            /// Client identification from its hello.
+            client: String,
+            /// First sequence the subscriber still wants.
+            seq: u64,
+        },
+        /// The run reached a terminal state. Suspended runs (graceful
+        /// shutdown) deliberately get **no** end record — that is what marks
+        /// them resumable.
+        End = "end" {
+            /// Run name.
+            run: String,
+            /// Terminal state.
+            state: RunState,
+            /// Final progress marker.
+            asn: u64,
+        },
+        /// Recovery re-queued an incomplete run for deterministic replay
+        /// (informational; recovery folds it like a restart marker).
+        Resume = "resume" {
+            /// Run name.
+            run: String,
+            /// Restart count carried over from the previous daemon process.
+            restarts: u64,
+        },
+    }
 }
 
 impl Record {
-    /// Encodes to one JSONL line (no trailing newline).
-    pub fn encode(&self) -> String {
-        let fields = match self {
-            Record::Launch { run, kind, spec } => vec![
-                ("type".to_string(), Value::Str("launch".into())),
-                ("run".to_string(), Value::Str(run.clone())),
-                ("kind".to_string(), Value::Str(kind.clone())),
-                ("spec".to_string(), spec.clone()),
-            ],
-            Record::Progress { run, asn, seq } => vec![
-                ("type".to_string(), Value::Str("progress".into())),
-                ("run".to_string(), Value::Str(run.clone())),
-                ("asn".to_string(), Value::Int(*asn)),
-                ("seq".to_string(), Value::Int(*seq)),
-            ],
-            Record::Restart { run, restarts } => vec![
-                ("type".to_string(), Value::Str("restart".into())),
-                ("run".to_string(), Value::Str(run.clone())),
-                ("restarts".to_string(), Value::Int(*restarts)),
-            ],
-            Record::Subscriber { run, client, seq } => vec![
-                ("type".to_string(), Value::Str("subscriber".into())),
-                ("run".to_string(), Value::Str(run.clone())),
-                ("client".to_string(), Value::Str(client.clone())),
-                ("seq".to_string(), Value::Int(*seq)),
-            ],
-            Record::End { run, state, asn } => vec![
-                ("type".to_string(), Value::Str("end".into())),
-                ("run".to_string(), Value::Str(run.clone())),
-                ("state".to_string(), Value::Str(state.as_str().into())),
-                ("asn".to_string(), Value::Int(*asn)),
-            ],
-            Record::Resume { run, restarts } => vec![
-                ("type".to_string(), Value::Str("resume".into())),
-                ("run".to_string(), Value::Str(run.clone())),
-                ("restarts".to_string(), Value::Int(*restarts)),
-            ],
-        };
-        Value::Obj(fields).to_compact()
-    }
-
     /// Decodes one line.
     pub fn decode(line: &str) -> Result<Record, String> {
-        let v = digs_json::parse(line).map_err(|e| e.to_string())?;
-        let run = v.str("run")?.to_string();
-        match v.str("type")? {
-            "launch" => Ok(Record::Launch {
-                run,
-                kind: v.str("kind")?.to_string(),
-                spec: v.req("spec")?.clone(),
-            }),
-            "progress" => Ok(Record::Progress { run, asn: v.uint("asn")?, seq: v.uint("seq")? }),
-            "restart" => Ok(Record::Restart { run, restarts: v.uint("restarts")? }),
-            "subscriber" => Ok(Record::Subscriber {
-                run,
-                client: v.str("client")?.to_string(),
-                seq: v.uint("seq")?,
-            }),
-            "end" => Ok(Record::End {
-                run,
-                state: RunState::parse(v.str("state")?)?,
-                asn: v.uint("asn")?,
-            }),
-            "resume" => Ok(Record::Resume { run, restarts: v.uint("restarts")? }),
-            other => Err(format!("unknown journal record type `{other}`")),
-        }
+        decode_line(line, Record::from_value)
     }
 }
 

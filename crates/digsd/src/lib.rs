@@ -21,6 +21,8 @@
 //!    queue counts a drop (reported in that subscriber's heartbeats) and
 //!    the simulation moves on.
 
+#[macro_use]
+mod message;
 mod chaos;
 mod client;
 mod hub;
@@ -36,6 +38,7 @@ pub use client::{error_code, Client, ResumableStream, StreamEnd, StreamItem};
 pub use digs_json::Value;
 pub use hub::{BackoffPolicy, Hub, Recv, Subscription, Supervisor, Verdict};
 pub use journal::{Journal, Record, RecoveredRun, Recovery};
+pub use message::{FieldDef, Kind, MessageDef};
 pub use run::{Job, RunCtx, RunHandle, Runner};
 pub use server::{Daemon, DaemonConfig, DEFAULT_ADDR, HEARTBEAT};
 pub use spec::{topology_from, FleetParams, SingleSpec};

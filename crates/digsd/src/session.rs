@@ -7,9 +7,8 @@ use crate::journal::Record;
 use crate::run::{spawn_run, RunHandle};
 use crate::server::{shutdown_daemon, Shared, HEARTBEAT};
 use crate::wire::{
-    valid_run_name, ClientMsg, ErrorCode, RunInfo, RunState, ServerMsg, WIRE_VERSION,
+    spec_kind, valid_run_name, ClientMsg, ErrorCode, RunInfo, RunState, ServerMsg, WIRE_VERSION,
 };
-use digs_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
@@ -181,10 +180,10 @@ pub(crate) fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::
                     )?;
                     continue;
                 }
-                let kind =
-                    spec.field("kind").and_then(Value::as_str).unwrap_or("single").to_string();
-                let job = match shared.prepare(&kind, &spec) {
-                    Ok(job) => job,
+                let prepared = spec_kind(&spec)
+                    .and_then(|kind| Ok((kind.to_string(), shared.prepare(kind, &spec)?)));
+                let (kind, job) = match prepared {
+                    Ok(prepared) => prepared,
                     Err(e) => {
                         send_error(&mut writer, ErrorCode::BadSpec, &e)?;
                         continue;

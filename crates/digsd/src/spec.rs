@@ -6,6 +6,7 @@
 //! in-process runs through the same code, so a daemon-launched run and a
 //! local `digs-cli run` of the same options are the same network.
 
+use crate::message::Secs;
 use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
 use digs_fleet::{FleetSpec, ShardedSpec, Template};
@@ -49,57 +50,46 @@ fn protocol_from(name: &str) -> Result<Protocol, String> {
     }
 }
 
-/// One single-network run, fully specified. Field-for-field this mirrors
-/// the `digs-cli` run/trace/telemetry options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SingleSpec {
-    /// Topology name (see [`topology_from`]).
-    pub topology: String,
-    /// Protocol name (`digs` | `orchestra` | `wirelesshart`).
-    pub protocol: String,
-    /// Master RNG seed.
-    pub seed: u64,
-    /// Random monitor flows.
-    pub flows: usize,
-    /// Flow period, milliseconds.
-    pub period_ms: u64,
-    /// Simulated seconds.
-    pub secs: u64,
-    /// Fixed WiFi jammers switching on at 60 s.
-    pub jammers: usize,
-    /// Adaptive schedule-learning jammer per access point, on at this
-    /// second.
-    pub adaptive_jam: Option<u64>,
-    /// Schedule-randomization defense secret (`None` = off).
-    pub randomize: Option<u64>,
-    /// Flight-recorder capacity per node (`None` = config default).
-    pub trace_cap: Option<usize>,
-    /// `(epoch_slots, cap)` — enables telemetry sampling.
-    pub telemetry: Option<(u64, usize)>,
-    /// `(start_secs, end_secs)` — full-band jammer cluster on every
-    /// access point for the window.
-    pub jam: Option<(u64, u64)>,
-    /// Invariant-audit cadence in slots (`None` = unaudited run).
-    pub audit_every: Option<u64>,
+message! {
+    /// One single-network run, fully specified. Field-for-field this mirrors
+    /// the `digs-cli` run/trace/telemetry options.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SingleSpec = "single" {
+        /// Topology name (see [`topology_from`]).
+        topology: String = "testbed-a".into(),
+        /// Protocol name (`digs` | `orchestra` | `wirelesshart`).
+        protocol: String = "digs".into(),
+        /// Master RNG seed.
+        seed: u64 = 1,
+        /// Random monitor flows.
+        flows: usize = 4,
+        /// Flow period, milliseconds.
+        period_ms: u64 = 5000,
+        /// Simulated seconds.
+        secs: u64 as Secs = 300,
+        /// Fixed WiFi jammers switching on at 60 s.
+        jammers: usize = 0,
+        /// Adaptive schedule-learning jammer per access point, on at this
+        /// second.
+        adaptive_jam: Option<u64> as Option<Secs>,
+        /// Schedule-randomization defense secret (`None` = off).
+        randomize: Option<u64>,
+        /// Flight-recorder capacity per node (`None` = config default).
+        trace_cap: Option<usize>,
+        /// `(epoch_slots, cap)` — enables telemetry sampling.
+        telemetry: Option<(u64, usize)>,
+        /// `(start_secs, end_secs)` — full-band jammer cluster on every
+        /// access point for the window.
+        jam: Option<(u64, u64)> as Option<(Secs, Secs)>,
+        /// Invariant-audit cadence in slots (`None` = unaudited run).
+        audit_every: Option<u64>,
+    }
 }
 
 impl Default for SingleSpec {
+    /// Every row's default: what the minimal spec `{"kind":"single"}` is.
     fn default() -> SingleSpec {
-        SingleSpec {
-            topology: "testbed-a".into(),
-            protocol: "digs".into(),
-            seed: 1,
-            flows: 4,
-            period_ms: 5000,
-            secs: 300,
-            jammers: 0,
-            adaptive_jam: None,
-            randomize: None,
-            trace_cap: None,
-            telemetry: None,
-            jam: None,
-            audit_every: None,
-        }
+        SingleSpec::from_json(&Value::Obj(Vec::new())).expect("every row has a default")
     }
 }
 
@@ -181,120 +171,37 @@ impl SingleSpec {
     pub fn total_slots(&self) -> u64 {
         self.secs * digs_sim::time::SLOTS_PER_SECOND
     }
-
-    /// Encodes for the wire.
-    pub fn to_json(&self) -> Value {
-        let pair = |p: Option<(u64, u64)>| {
-            p.map_or(Value::Null, |(a, b)| Value::Arr(vec![Value::Int(a), Value::Int(b)]))
-        };
-        Value::obj([
-            ("kind", Value::Str("single".into())),
-            ("topology", Value::Str(self.topology.clone())),
-            ("protocol", Value::Str(self.protocol.clone())),
-            ("seed", Value::Int(self.seed)),
-            ("flows", Value::Int(self.flows as u64)),
-            ("period_ms", Value::Int(self.period_ms)),
-            ("secs", Value::Int(self.secs)),
-            ("jammers", Value::Int(self.jammers as u64)),
-            ("adaptive_jam", Value::opt_int(self.adaptive_jam)),
-            ("randomize", Value::opt_int(self.randomize)),
-            ("trace_cap", Value::opt_int(self.trace_cap.map(|c| c as u64))),
-            ("telemetry", pair(self.telemetry.map(|(e, c)| (e, c as u64)))),
-            ("jam", pair(self.jam)),
-            ("audit_every", Value::opt_int(self.audit_every)),
-        ])
-    }
-
-    /// Decodes from the wire. Missing (or `null`) fields take their
-    /// defaults, so a minimal `{"kind":"single"}` spec is valid; a field of
-    /// the wrong type or out of range is an error.
-    pub fn from_json(v: &Value) -> Result<SingleSpec, String> {
-        let d = SingleSpec::default();
-        Ok(SingleSpec {
-            topology: v.opt_str("topology")?.unwrap_or(&d.topology).to_string(),
-            protocol: v.opt_str("protocol")?.unwrap_or(&d.protocol).to_string(),
-            seed: v.opt_uint("seed")?.unwrap_or(d.seed),
-            flows: v.opt_uint("flows")?.unwrap_or(d.flows),
-            period_ms: v.opt_uint("period_ms")?.unwrap_or(d.period_ms),
-            secs: opt_secs(v, "secs")?.unwrap_or(d.secs),
-            jammers: v.opt_uint("jammers")?.unwrap_or(d.jammers),
-            adaptive_jam: opt_secs(v, "adaptive_jam")?,
-            randomize: v.opt_uint("randomize")?,
-            trace_cap: v.opt_uint("trace_cap")?,
-            telemetry: pair(v, "telemetry")?,
-            jam: match pair(v, "jam")? {
-                Some((start, end)) => {
-                    Some((countable_secs("jam[0]", start)?, countable_secs("jam[1]", end)?))
-                }
-                None => None,
-            },
-            audit_every: v.opt_uint("audit_every")?,
-        })
-    }
 }
 
-/// A wire-supplied count of simulated seconds, which the run turns into
-/// slots (`Asn::from_secs`, [`SingleSpec::total_slots`]): refused when that
-/// product does not fit the slot counter.
-fn countable_secs(field: &str, secs: u64) -> Result<u64, String> {
-    match secs.checked_mul(digs_sim::time::SLOTS_PER_SECOND) {
-        Some(_) => Ok(secs),
-        None => Err(format!("`{field}`: {secs} s is more slots than a run can count")),
+message! {
+    /// One fleet run: the options of `digs-cli fleet run`, which builds its
+    /// fleet through this struct too.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FleetParams = "fleet" {
+        /// `oil` | `factory` | `mixed`.
+        template: String = "mixed".into(),
+        /// Independent networks to stamp out.
+        networks: u32 = 4,
+        /// Seed of the first network.
+        seed_base: u64 = 1,
+        /// Simulated seconds per network.
+        secs: u64 as Secs = 600,
+        /// Devices in the optional sharded large network (0 = none). 32 bits
+        /// on the wire, so that the node sums the runner does over it fit.
+        sharded_devices: u32 = 0,
+        /// Devices per shard.
+        shard_size: u32 = 100,
+        /// Sharded network master seed (`None` = `seed_base`).
+        sharded_seed: Option<u64>,
+        /// Worker threads (`None` = one per core).
+        jobs: Option<usize>,
     }
-}
-
-/// An optional seconds field (see [`countable_secs`]).
-fn opt_secs(v: &Value, key: &str) -> Result<Option<u64>, String> {
-    v.opt_uint(key)?.map(|secs| countable_secs(key, secs)).transpose()
-}
-
-/// An optional `[a, b]` field, each element range-checked.
-fn pair<B: TryFrom<u64>>(v: &Value, key: &str) -> Result<Option<(u64, B)>, String> {
-    match v.present(key) {
-        None => Ok(None),
-        Some(Value::Arr(items)) if items.len() == 2 => Ok(Some((
-            items[0].to_uint(&format!("{key}[0]"))?,
-            items[1].to_uint(&format!("{key}[1]"))?,
-        ))),
-        Some(_) => Err(format!("{key} must be a two-element list or null")),
-    }
-}
-
-/// One fleet run: the options of `digs-cli fleet run`, which builds its
-/// fleet through this struct too.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetParams {
-    /// `oil` | `factory` | `mixed`.
-    pub template: String,
-    /// Independent networks to stamp out.
-    pub networks: u32,
-    /// Seed of the first network.
-    pub seed_base: u64,
-    /// Simulated seconds per network.
-    pub secs: u64,
-    /// Devices in the optional sharded large network (0 = none). 32 bits
-    /// on the wire, so that the node sums the runner does over it fit.
-    pub sharded_devices: u32,
-    /// Devices per shard.
-    pub shard_size: u32,
-    /// Sharded network master seed (`None` = `seed_base`).
-    pub sharded_seed: Option<u64>,
-    /// Worker threads (`None` = one per core).
-    pub jobs: Option<usize>,
 }
 
 impl Default for FleetParams {
+    /// Every row's default.
     fn default() -> FleetParams {
-        FleetParams {
-            template: "mixed".into(),
-            networks: 4,
-            seed_base: 1,
-            secs: 600,
-            sharded_devices: 0,
-            shard_size: 100,
-            sharded_seed: None,
-            jobs: None,
-        }
+        FleetParams::from_json(&Value::Obj(Vec::new())).expect("every row has a default")
     }
 }
 
@@ -342,37 +249,6 @@ impl FleetParams {
             return Err("empty fleet: need networks > 0 or sharded_devices > 0".into());
         }
         Ok(spec)
-    }
-
-    /// Encodes for the wire.
-    pub fn to_json(&self) -> Value {
-        Value::obj([
-            ("kind", Value::Str("fleet".into())),
-            ("template", Value::Str(self.template.clone())),
-            ("networks", Value::Int(u64::from(self.networks))),
-            ("seed_base", Value::Int(self.seed_base)),
-            ("secs", Value::Int(self.secs)),
-            ("sharded_devices", Value::Int(u64::from(self.sharded_devices))),
-            ("shard_size", Value::Int(u64::from(self.shard_size))),
-            ("sharded_seed", Value::opt_int(self.sharded_seed)),
-            ("jobs", Value::opt_int(self.jobs.map(|j| j as u64))),
-        ])
-    }
-
-    /// Decodes from the wire; missing (or `null`) fields take their
-    /// defaults, a wrong type or an out-of-range value is an error.
-    pub fn from_json(v: &Value) -> Result<FleetParams, String> {
-        let d = FleetParams::default();
-        Ok(FleetParams {
-            template: v.opt_str("template")?.unwrap_or(&d.template).to_string(),
-            networks: v.opt_uint("networks")?.unwrap_or(d.networks),
-            seed_base: v.opt_uint("seed_base")?.unwrap_or(d.seed_base),
-            secs: opt_secs(v, "secs")?.unwrap_or(d.secs),
-            sharded_devices: v.opt_uint("sharded_devices")?.unwrap_or(d.sharded_devices),
-            shard_size: v.opt_uint("shard_size")?.unwrap_or(d.shard_size),
-            sharded_seed: v.opt_uint("sharded_seed")?,
-            jobs: v.opt_uint("jobs")?,
-        })
     }
 }
 

@@ -1,9 +1,9 @@
 //! The digsd wire protocol: versioned, line-oriented JSON frames.
 //!
 //! Every message is one JSON object on one line, newline-terminated.
-//! Explicit message structs with hand-rolled encode/decode (via
-//! [`digs_json`]) — simplicity over space efficiency, SIP-003 style. The
-//! full spec lives in DESIGN §4.12; the load-bearing invariant is that
+//! Each message type is declared by its rows ([`crate::message`]), which
+//! give its codec and the tables DESIGN §4.12 prints — simplicity over
+//! space efficiency, SIP-003 style. The load-bearing invariant is that
 //! **event frames carry their payload as the last field, verbatim**, and a
 //! client recovers the payload's *exact original bytes* as a slice of the
 //! line instead of re-encoding a parsed value. That slice is what makes
@@ -16,6 +16,7 @@
 //! kept as the bytes it arrived in. Every other message is rare and small
 //! and goes through a [`Value`].
 
+use crate::message::{decode_line, FieldDef, Flat, Kind, MessageDef, WireField};
 use digs_json::Value;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -39,95 +40,49 @@ pub fn valid_run_name(name: &str) -> bool {
             .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' || b == b'_')
 }
 
-/// What kind of payload an event frame carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FrameKind {
-    /// One flight-recorder event (`digs_trace::write_jsonl_line`).
-    Trace,
-    /// One telemetry epoch snapshot (`digs::telemetry::write_epoch_line`).
-    Epoch,
-    /// One health alert (`digs::telemetry::write_alert_line`).
-    Alert,
-    /// End-of-run summary line (telemetry meta line for single runs,
-    /// a `RunMetrics` record for scenario runs).
-    Meta,
-    /// One per-network summary of a fleet run.
-    Fleet,
-}
-
-impl FrameKind {
-    /// Wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FrameKind::Trace => "trace",
-            FrameKind::Epoch => "epoch",
-            FrameKind::Alert => "alert",
-            FrameKind::Meta => "meta",
-            FrameKind::Fleet => "fleet",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Result<FrameKind, String> {
-        match s {
-            "trace" => Ok(FrameKind::Trace),
-            "epoch" => Ok(FrameKind::Epoch),
-            "alert" => Ok(FrameKind::Alert),
-            "meta" => Ok(FrameKind::Meta),
-            "fleet" => Ok(FrameKind::Fleet),
-            other => Err(format!("unknown frame kind `{other}`")),
-        }
+named! {
+    /// What kind of payload an event frame carries.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum FrameKind: "frame kind" {
+        /// One flight-recorder event (`digs_trace::write_jsonl_line`).
+        Trace = "trace",
+        /// One telemetry epoch snapshot (`digs::telemetry::write_epoch_line`).
+        Epoch = "epoch",
+        /// One health alert (`digs::telemetry::write_alert_line`).
+        Alert = "alert",
+        /// End-of-run summary line (telemetry meta line for single runs,
+        /// a `RunMetrics` record for scenario runs).
+        Meta = "meta",
+        /// One per-network summary of a fleet run.
+        Fleet = "fleet",
     }
 }
 
-/// Lifecycle state of a run (see the state machine in DESIGN §4.12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunState {
-    /// The run thread is simulating.
-    Running,
-    /// The run failed (or was suspended by a daemon shutdown / recovered
-    /// from a journal) and the supervisor will restart it. The hub stays
-    /// open: subscriptions attach to — and survive into — the restarted
-    /// run.
-    Restarting,
-    /// The run completed normally.
-    Done,
-    /// The run was stopped by a `kill` request.
-    Killed,
-    /// The runner returned an error or panicked with no restart budget
-    /// (`DIGS_DIGSD_MAX_RESTARTS` = 0).
-    Failed,
-    /// The run kept failing past the poison threshold and the supervisor
-    /// gave up (deterministic failures recur on every replay).
-    Quarantined,
+named! {
+    /// Lifecycle state of a run (see the state machine in DESIGN §4.12).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RunState: "run state" {
+        /// The run thread is simulating.
+        Running = "running",
+        /// The run failed (or was suspended by a daemon shutdown / recovered
+        /// from a journal) and the supervisor will restart it. The hub stays
+        /// open: subscriptions attach to — and survive into — the restarted
+        /// run.
+        Restarting = "restarting",
+        /// The run completed normally.
+        Done = "done",
+        /// The run was stopped by a `kill` request.
+        Killed = "killed",
+        /// The runner returned an error or panicked with no restart budget
+        /// (`digsd serve --max-restarts 0`).
+        Failed = "failed",
+        /// The run kept failing past the poison threshold and the supervisor
+        /// gave up (deterministic failures recur on every replay).
+        Quarantined = "quarantined",
+    }
 }
 
 impl RunState {
-    /// Wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RunState::Running => "running",
-            RunState::Restarting => "restarting",
-            RunState::Done => "done",
-            RunState::Killed => "killed",
-            RunState::Failed => "failed",
-            RunState::Quarantined => "quarantined",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Result<RunState, String> {
-        match s {
-            "running" => Ok(RunState::Running),
-            "restarting" => Ok(RunState::Restarting),
-            "done" => Ok(RunState::Done),
-            "killed" => Ok(RunState::Killed),
-            "failed" => Ok(RunState::Failed),
-            "quarantined" => Ok(RunState::Quarantined),
-            other => Err(format!("unknown run state `{other}`")),
-        }
-    }
-
     /// Whether the run can still produce frames (its hub is open).
     /// `restarting` is live: the supervisor or a daemon restart will
     /// resume publishing into the same hub.
@@ -142,55 +97,34 @@ impl fmt::Display for RunState {
     }
 }
 
-/// Machine-readable error classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// Client spoke a different [`WIRE_VERSION`].
-    VersionMismatch,
-    /// No run with that name.
-    UnknownRun,
-    /// A run with that name already exists.
-    NameTaken,
-    /// Malformed or out-of-protocol message.
-    BadRequest,
-    /// The launch spec did not validate.
-    BadSpec,
-}
-
-impl ErrorCode {
-    /// Wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::VersionMismatch => "version-mismatch",
-            ErrorCode::UnknownRun => "unknown-run",
-            ErrorCode::NameTaken => "name-taken",
-            ErrorCode::BadRequest => "bad-request",
-            ErrorCode::BadSpec => "bad-spec",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Result<ErrorCode, String> {
-        match s {
-            "version-mismatch" => Ok(ErrorCode::VersionMismatch),
-            "unknown-run" => Ok(ErrorCode::UnknownRun),
-            "name-taken" => Ok(ErrorCode::NameTaken),
-            "bad-request" => Ok(ErrorCode::BadRequest),
-            "bad-spec" => Ok(ErrorCode::BadSpec),
-            other => Err(format!("unknown error code `{other}`")),
-        }
+named! {
+    /// Machine-readable error classes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ErrorCode: "error code" {
+        /// Client spoke a different [`WIRE_VERSION`].
+        VersionMismatch = "version-mismatch",
+        /// No run with that name.
+        UnknownRun = "unknown-run",
+        /// A run with that name already exists.
+        NameTaken = "name-taken",
+        /// Malformed or out-of-protocol message.
+        BadRequest = "bad-request",
+        /// The launch spec did not validate.
+        BadSpec = "bad-spec",
     }
 }
 
-/// A subscription filter. `None` means "everything" for that axis; the
-/// node filter only constrains frames that *have* a node (trace events) —
-/// network-level frames (epoch, alert, meta, fleet) always pass it.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Filter {
-    /// Frame kinds to deliver (`None` = all).
-    pub kinds: Option<BTreeSet<FrameKind>>,
-    /// Source nodes to deliver trace events for (`None` = all).
-    pub nodes: Option<BTreeSet<u16>>,
+message! {
+    /// A subscription filter. `None` means "everything" for that axis; the
+    /// node filter only constrains frames that *have* a node (trace events) —
+    /// network-level frames (epoch, alert, meta, fleet) always pass it.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct Filter {
+        /// Frame kinds to deliver (`None` = all).
+        kinds: Option<BTreeSet<FrameKind>>,
+        /// Source nodes to deliver trace events for (`None` = all).
+        nodes: Option<BTreeSet<u16>>,
+    }
 }
 
 impl Filter {
@@ -206,77 +140,94 @@ impl Filter {
     }
 }
 
-/// A message from a client to the server.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClientMsg {
-    /// Mandatory first message: version negotiation.
-    Hello {
-        /// The client's [`WIRE_VERSION`].
-        version: u64,
-        /// Free-form client identification (for logs).
-        client: String,
-    },
-    /// Start a named run. With `tail`, the connection is subscribed
-    /// *before* the run thread starts, guaranteeing a complete stream.
-    Launch {
-        /// Run name (must satisfy [`valid_run_name`]).
-        name: String,
-        /// Subscribe this connection to the run's stream.
-        tail: bool,
-        /// Stream filter (only meaningful with `tail`).
-        filter: Filter,
-        /// Runner spec, dispatched on its `"kind"` field.
-        spec: Value,
-    },
-    /// Subscribe to an existing run's stream (mid-stream attach).
-    Subscribe {
-        /// Run to attach to.
-        run: String,
-        /// Stream filter.
-        filter: Filter,
-        /// Resume cursor: the first frame `seq` the client wants. `None`
-        /// attaches at the live point; `Some(k)` asks the server to
-        /// deliver from sequence `k` (frames below `k` are silently
-        /// skipped — the replay path of crash recovery regenerates them
-        /// and the subscription filters by cursor).
-        from_seq: Option<u64>,
-    },
-    /// List runs.
-    List,
-    /// Request cooperative cancellation of a run.
-    Kill {
-        /// Run to kill.
-        run: String,
-    },
-    /// Graceful daemon shutdown: suspend live runs (journal their
-    /// cursors, no terminal `end` record, so they resume on the next
-    /// start), send every subscriber the stream epilogue, flush the
-    /// journal, and stop accepting connections.
-    Shutdown,
-    /// Liveness check.
-    Ping,
+message! {
+    /// A message from a client to the server.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ClientMsg: "client message" {
+        /// Mandatory first message: version negotiation.
+        Hello = "hello" {
+            /// The client's [`WIRE_VERSION`].
+            version: u64,
+            /// Free-form client identification (for logs).
+            client: String = String::new(),
+        },
+        /// Start a named run. With `tail`, the connection is subscribed
+        /// *before* the run thread starts, guaranteeing a complete stream.
+        Launch = "launch" {
+            /// Run name (must satisfy [`valid_run_name`]).
+            name: String,
+            /// Subscribe this connection to the run's stream.
+            tail: bool = false,
+            /// Stream filter (only meaningful with `tail`).
+            filter: Filter as Flat<Filter>,
+            /// Runner spec, dispatched on its `"kind"` field.
+            spec: Value,
+        },
+        /// Subscribe to an existing run's stream (mid-stream attach).
+        Subscribe = "subscribe" {
+            /// Run to attach to.
+            run: String,
+            /// Stream filter.
+            filter: Filter as Flat<Filter>,
+            /// Resume cursor: the first frame `seq` the client wants. `None`
+            /// attaches at the live point; `Some(k)` asks the server to
+            /// deliver from sequence `k` (frames below `k` are silently
+            /// skipped — the replay path of crash recovery regenerates them
+            /// and the subscription filters by cursor).
+            from_seq: Option<u64>,
+        },
+        /// List runs.
+        List = "list",
+        /// Request cooperative cancellation of a run.
+        Kill = "kill" {
+            /// Run to kill.
+            run: String,
+        },
+        /// Graceful daemon shutdown: suspend live runs (journal their
+        /// cursors, no terminal `end` record, so they resume on the next
+        /// start), send every subscriber the stream epilogue, flush the
+        /// journal, and stop accepting connections.
+        Shutdown = "shutdown",
+        /// Liveness check.
+        Ping = "ping",
+    }
 }
 
-/// One row of a `runs` listing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunInfo {
-    /// Run name.
-    pub name: String,
-    /// Runner kind (`single`, `fleet`, ...).
-    pub kind: String,
-    /// Lifecycle state.
-    pub state: RunState,
-    /// Progress marker (ASN for single runs, completed networks for
-    /// fleet runs).
-    pub asn: u64,
-    /// Live subscriber count.
-    pub subscribers: u64,
-    /// Supervised restarts so far (counts journal-recovery resumes too).
-    pub restarts: u64,
-    /// Seconds since the run was registered with this daemon process.
-    pub uptime_secs: u64,
-    /// Frames dropped across live subscribers (bounded-queue overflow).
-    pub drops: u64,
+impl ClientMsg {
+    /// Decodes one line.
+    pub fn decode(line: &str) -> Result<ClientMsg, String> {
+        decode_line(line, ClientMsg::from_value)
+    }
+}
+
+/// The runner a launch spec names: its `kind`, or `single` when that is
+/// absent or `null`. Any other non-string is an error, not a default.
+pub(crate) fn spec_kind(spec: &Value) -> Result<&str, String> {
+    Ok(spec.opt_str("kind")?.unwrap_or("single"))
+}
+
+message! {
+    /// One row of a `runs` listing.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunInfo {
+        /// Run name.
+        name: String,
+        /// Runner kind (`single`, `fleet`, ...).
+        kind: String,
+        /// Lifecycle state.
+        state: RunState,
+        /// Progress marker (ASN for single runs, completed networks for
+        /// fleet runs).
+        asn: u64,
+        /// Live subscriber count.
+        subscribers: u64,
+        /// Supervised restarts so far (counts journal-recovery resumes too).
+        restarts: u64 = 0,
+        /// Seconds since the run was registered with this daemon process.
+        uptime_secs: u64 = 0,
+        /// Frames dropped across live subscribers (bounded-queue overflow).
+        drops: u64 = 0,
+    }
 }
 
 /// One streamed event. `payload` is the *raw bytes* of one deterministic
@@ -299,162 +250,90 @@ pub struct EventFrame {
     pub payload: String,
 }
 
-/// A message from the server to a client.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServerMsg {
-    /// Successful version negotiation.
-    HelloAck {
-        /// The server's [`WIRE_VERSION`].
-        version: u64,
-        /// Free-form server identification.
-        server: String,
-    },
-    /// Generic success acknowledgement.
-    Ok,
-    /// A request failed.
-    Error {
-        /// Machine-readable class.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
-    /// Response to `list`.
-    Runs {
-        /// One row per run, name order.
-        runs: Vec<RunInfo>,
-    },
-    /// One streamed event.
-    Event(EventFrame),
-    /// Periodic liveness + flow-control report on an idle stream.
-    Heartbeat {
-        /// The subscribed run.
-        run: String,
-        /// Current progress marker.
-        asn: u64,
-        /// Frames delivered to this subscriber so far.
-        sent: u64,
-        /// Frames dropped for this subscriber (bounded queue overflow).
-        dropped: u64,
-    },
-    /// Terminal frame of a stream: the run reached a final state — or,
-    /// with `state: restarting`, the daemon suspended the run for a
-    /// graceful shutdown (re-attach later with a resume cursor).
-    RunEnded {
-        /// The run.
-        run: String,
-        /// Final state (`done`, `killed`, `failed`, `quarantined`), or
-        /// `restarting` for a shutdown suspension.
-        state: RunState,
-        /// Final progress marker.
-        asn: u64,
-    },
-    /// Control frame on a live stream: the run failed and the supervisor
-    /// scheduled a restart. The subscription survives — replayed frames
-    /// below the subscriber's cursor are skipped and the stream continues
-    /// seamlessly.
-    RunRestarting {
-        /// The run.
-        run: String,
-        /// Restarts so far (this one included).
-        restarts: u64,
-        /// Supervisor backoff before the restart, milliseconds.
-        backoff_ms: u64,
-    },
-    /// Response to `ping`.
-    Pong,
-}
-
-fn kinds_json(kinds: &Option<BTreeSet<FrameKind>>) -> Value {
-    match kinds {
-        None => Value::Null,
-        Some(ks) => Value::Arr(ks.iter().map(|k| Value::Str(k.as_str().to_string())).collect()),
+message! {
+    /// A message from the server to a client.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ServerMsg: "server message" {
+        /// Successful version negotiation.
+        HelloAck = "hello-ack" {
+            /// The server's [`WIRE_VERSION`].
+            version: u64,
+            /// Free-form server identification.
+            server: String = String::new(),
+        },
+        /// Generic success acknowledgement.
+        Ok = "ok",
+        /// A request failed.
+        Error = "error" {
+            /// Machine-readable class.
+            code: ErrorCode,
+            /// Human-readable detail.
+            message: String = String::new(),
+        },
+        /// Response to `list`.
+        Runs = "runs" {
+            /// One row per run, name order.
+            runs: Vec<RunInfo>,
+        },
+        /// Periodic liveness + flow-control report on an idle stream.
+        Heartbeat = "heartbeat" {
+            /// The subscribed run.
+            run: String,
+            /// Current progress marker.
+            asn: u64,
+            /// Frames delivered to this subscriber so far.
+            sent: u64,
+            /// Frames dropped for this subscriber (bounded queue overflow).
+            dropped: u64,
+        },
+        /// Terminal frame of a stream: the run reached a final state — or,
+        /// with `state: restarting`, the daemon suspended the run for a
+        /// graceful shutdown (re-attach later with a resume cursor).
+        RunEnded = "run-state" {
+            /// The run.
+            run: String,
+            /// Final state (`done`, `killed`, `failed`, `quarantined`), or
+            /// `restarting` for a shutdown suspension.
+            state: RunState,
+            /// Final progress marker.
+            asn: u64,
+        },
+        /// Control frame on a live stream: the run failed and the supervisor
+        /// scheduled a restart. The subscription survives — replayed frames
+        /// below the subscriber's cursor are skipped and the stream continues
+        /// seamlessly.
+        RunRestarting = "run-restart" {
+            /// The run.
+            run: String,
+            /// Restarts so far (this one included).
+            restarts: u64,
+            /// Supervisor backoff before the restart, milliseconds.
+            backoff_ms: u64,
+        },
+        /// Response to `ping`.
+        Pong = "pong",
     }
-}
-
-fn nodes_json(nodes: &Option<BTreeSet<u16>>) -> Value {
-    match nodes {
-        None => Value::Null,
-        Some(ns) => Value::Arr(ns.iter().map(|n| Value::Int(u64::from(*n))).collect()),
-    }
-}
-
-fn filter_fields(filter: &Filter, fields: &mut Vec<(String, Value)>) {
-    fields.push(("kinds".into(), kinds_json(&filter.kinds)));
-    fields.push(("nodes".into(), nodes_json(&filter.nodes)));
-}
-
-impl ClientMsg {
-    /// Encodes to one line (no trailing newline).
-    pub fn encode(&self) -> String {
-        match self {
-            ClientMsg::Hello { version, client } => Value::obj([
-                ("type", Value::Str("hello".into())),
-                ("version", Value::Int(*version)),
-                ("client", Value::Str(client.clone())),
-            ])
-            .to_compact(),
-            ClientMsg::Launch { name, tail, filter, spec } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("launch".into())),
-                    ("name".to_string(), Value::Str(name.clone())),
-                    ("tail".to_string(), Value::Bool(*tail)),
-                ];
-                filter_fields(filter, &mut fields);
-                fields.push(("spec".to_string(), spec.clone()));
-                Value::Obj(fields).to_compact()
-            }
-            ClientMsg::Subscribe { run, filter, from_seq } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("subscribe".into())),
-                    ("run".to_string(), Value::Str(run.clone())),
-                ];
-                filter_fields(filter, &mut fields);
-                if let Some(seq) = from_seq {
-                    fields.push(("from_seq".to_string(), Value::Int(*seq)));
-                }
-                Value::Obj(fields).to_compact()
-            }
-            ClientMsg::List => Value::obj([("type", Value::Str("list".into()))]).to_compact(),
-            ClientMsg::Kill { run } => {
-                Value::obj([("type", Value::Str("kill".into())), ("run", Value::Str(run.clone()))])
-                    .to_compact()
-            }
-            ClientMsg::Shutdown => {
-                Value::obj([("type", Value::Str("shutdown".into()))]).to_compact()
-            }
-            ClientMsg::Ping => Value::obj([("type", Value::Str("ping".into()))]).to_compact(),
-        }
-    }
-
-    /// Decodes one line.
-    pub fn decode(line: &str) -> Result<ClientMsg, String> {
-        let v = digs_json::parse(line).map_err(|e| e.to_string())?;
-        match v.str("type")? {
-            "hello" => Ok(ClientMsg::Hello {
-                version: v.uint("version")?,
-                client: v.opt_str("client")?.unwrap_or_default().to_string(),
-            }),
-            "launch" => Ok(ClientMsg::Launch {
-                name: v.str("name")?.to_string(),
-                tail: matches!(v.field("tail"), Some(Value::Bool(true))),
-                filter: decode_filter(&v)?,
-                spec: v.req("spec")?.clone(),
-            }),
-            "subscribe" => Ok(ClientMsg::Subscribe {
-                run: v.str("run")?.to_string(),
-                filter: decode_filter(&v)?,
-                from_seq: v.opt_uint("from_seq")?,
-            }),
-            "list" => Ok(ClientMsg::List),
-            "kill" => Ok(ClientMsg::Kill { run: v.str("run")?.to_string() }),
-            "shutdown" => Ok(ClientMsg::Shutdown),
-            "ping" => Ok(ClientMsg::Ping),
-            other => Err(format!("unknown client message type `{other}`")),
-        }
+    framed {
+        /// One streamed event.
+        Event(EventFrame),
     }
 }
 
 impl EventFrame {
+    /// The event frame's rows. Its codec is the hand-tuned one below — the
+    /// head written without a [`Value`], the payload spliced in last — and
+    /// a test holds what it writes to these rows.
+    pub const MESSAGE: MessageDef = MessageDef {
+        name: "event",
+        fields: &[
+            FieldDef { key: "run", kind: String::KIND, required: true },
+            FieldDef { key: "kind", kind: FrameKind::KIND, required: true },
+            FieldDef { key: "node", kind: Kind::Omitted(&u16::KIND), required: false },
+            FieldDef { key: "seq", kind: u64::KIND, required: true },
+            FieldDef { key: "payload", kind: Value::KIND, required: true },
+        ],
+    };
+
     /// Encodes with the payload spliced in verbatim as the final field.
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(64 + self.run.len() + self.payload.len());
@@ -501,7 +380,7 @@ impl EventFrame {
 
 /// The top-level fields of one wire line, as the slices of it that
 /// [`digs_json::walk_fields`] found while checking the whole line. Of a
-/// repeated key the last one counts.
+/// repeated key the first one counts, as it does for [`Value::field`].
 #[derive(Default)]
 struct Fields<'a> {
     message: Option<&'a str>,
@@ -510,7 +389,7 @@ struct Fields<'a> {
     node: Option<&'a str>,
     seq: Option<&'a str>,
     payload: Option<&'a str>,
-    /// Whether the field seen last was the payload.
+    /// Whether the field seen last was the payload that counts.
     payload_is_last: bool,
 }
 
@@ -527,8 +406,11 @@ impl<'a> Fields<'a> {
                 "payload" => &mut fields.payload,
                 _ => &mut None,
             };
-            *slot = Some(value);
-            fields.payload_is_last = key == "payload";
+            let first = slot.is_none();
+            if first {
+                *slot = Some(value);
+            }
+            fields.payload_is_last = first && key == "payload";
         })
         .map_err(|e| e.to_string())?;
         Ok(fields)
@@ -568,151 +450,15 @@ fn head_str<'a>(key: &str, raw: Option<&'a str>) -> Result<Cow<'a, str>, String>
 }
 
 impl ServerMsg {
-    /// Encodes to one line (no trailing newline).
-    pub fn encode(&self) -> String {
-        match self {
-            ServerMsg::HelloAck { version, server } => Value::obj([
-                ("type", Value::Str("hello-ack".into())),
-                ("version", Value::Int(*version)),
-                ("server", Value::Str(server.clone())),
-            ])
-            .to_compact(),
-            ServerMsg::Ok => Value::obj([("type", Value::Str("ok".into()))]).to_compact(),
-            ServerMsg::Error { code, message } => Value::obj([
-                ("type", Value::Str("error".into())),
-                ("code", Value::Str(code.as_str().into())),
-                ("message", Value::Str(message.clone())),
-            ])
-            .to_compact(),
-            ServerMsg::Runs { runs } => Value::obj([
-                ("type", Value::Str("runs".into())),
-                (
-                    "runs",
-                    Value::Arr(
-                        runs.iter()
-                            .map(|r| {
-                                Value::obj([
-                                    ("name", Value::Str(r.name.clone())),
-                                    ("kind", Value::Str(r.kind.clone())),
-                                    ("state", Value::Str(r.state.as_str().into())),
-                                    ("asn", Value::Int(r.asn)),
-                                    ("subscribers", Value::Int(r.subscribers)),
-                                    ("restarts", Value::Int(r.restarts)),
-                                    ("uptime_secs", Value::Int(r.uptime_secs)),
-                                    ("drops", Value::Int(r.drops)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-            .to_compact(),
-            ServerMsg::Event(frame) => frame.encode(),
-            ServerMsg::Heartbeat { run, asn, sent, dropped } => Value::obj([
-                ("type", Value::Str("heartbeat".into())),
-                ("run", Value::Str(run.clone())),
-                ("asn", Value::Int(*asn)),
-                ("sent", Value::Int(*sent)),
-                ("dropped", Value::Int(*dropped)),
-            ])
-            .to_compact(),
-            ServerMsg::RunEnded { run, state, asn } => Value::obj([
-                ("type", Value::Str("run-state".into())),
-                ("run", Value::Str(run.clone())),
-                ("state", Value::Str(state.as_str().into())),
-                ("asn", Value::Int(*asn)),
-            ])
-            .to_compact(),
-            ServerMsg::RunRestarting { run, restarts, backoff_ms } => Value::obj([
-                ("type", Value::Str("run-restart".into())),
-                ("run", Value::Str(run.clone())),
-                ("restarts", Value::Int(*restarts)),
-                ("backoff_ms", Value::Int(*backoff_ms)),
-            ])
-            .to_compact(),
-            ServerMsg::Pong => Value::obj([("type", Value::Str("pong".into()))]).to_compact(),
-        }
-    }
-
     /// Decodes one line. An event line — nearly every line of a stream —
     /// is read once and nothing is built for its payload.
     pub fn decode(line: &str) -> Result<ServerMsg, String> {
         let fields = Fields::walk(line)?;
-        let kind = head_str("type", fields.message)?;
-        if kind == "event" {
+        if head_str("type", fields.message)? == "event" {
             return fields.event().map(ServerMsg::Event);
         }
-        let v = digs_json::parse(line).map_err(|e| e.to_string())?;
-        match &*kind {
-            "hello-ack" => Ok(ServerMsg::HelloAck {
-                version: v.uint("version")?,
-                server: v.opt_str("server")?.unwrap_or_default().to_string(),
-            }),
-            "ok" => Ok(ServerMsg::Ok),
-            "error" => Ok(ServerMsg::Error {
-                code: ErrorCode::parse(v.str("code")?)?,
-                message: v.opt_str("message")?.unwrap_or_default().to_string(),
-            }),
-            "runs" => {
-                let runs = v
-                    .arr("runs")?
-                    .iter()
-                    .map(|r| {
-                        Ok(RunInfo {
-                            name: r.str("name")?.to_string(),
-                            kind: r.str("kind")?.to_string(),
-                            state: RunState::parse(r.str("state")?)?,
-                            asn: r.uint("asn")?,
-                            subscribers: r.uint("subscribers")?,
-                            restarts: r.opt_uint("restarts")?.unwrap_or(0),
-                            uptime_secs: r.opt_uint("uptime_secs")?.unwrap_or(0),
-                            drops: r.opt_uint("drops")?.unwrap_or(0),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(ServerMsg::Runs { runs })
-            }
-            "heartbeat" => Ok(ServerMsg::Heartbeat {
-                run: v.str("run")?.to_string(),
-                asn: v.uint("asn")?,
-                sent: v.uint("sent")?,
-                dropped: v.uint("dropped")?,
-            }),
-            "run-state" => Ok(ServerMsg::RunEnded {
-                run: v.str("run")?.to_string(),
-                state: RunState::parse(v.str("state")?)?,
-                asn: v.uint("asn")?,
-            }),
-            "run-restart" => Ok(ServerMsg::RunRestarting {
-                run: v.str("run")?.to_string(),
-                restarts: v.uint("restarts")?,
-                backoff_ms: v.uint("backoff_ms")?,
-            }),
-            "pong" => Ok(ServerMsg::Pong),
-            other => Err(format!("unknown server message type `{other}`")),
-        }
+        decode_line(line, ServerMsg::from_value)
     }
-}
-
-fn decode_filter(v: &Value) -> Result<Filter, String> {
-    let kinds = match v.field("kinds") {
-        None | Some(Value::Null) => None,
-        Some(Value::Arr(items)) => Some(
-            items
-                .iter()
-                .map(|k| FrameKind::parse(k.as_str().unwrap_or_default()))
-                .collect::<Result<BTreeSet<_>, _>>()?,
-        ),
-        Some(_) => return Err("kinds must be a list or null".into()),
-    };
-    let nodes = match v.field("nodes") {
-        None | Some(Value::Null) => None,
-        Some(Value::Arr(items)) => {
-            Some(items.iter().map(|n| n.to_uint("nodes[]")).collect::<Result<BTreeSet<u16>, _>>()?)
-        }
-        Some(_) => return Err("nodes must be a list or null".into()),
-    };
-    Ok(Filter { kinds, nodes })
 }
 
 #[cfg(test)]
@@ -812,6 +558,55 @@ mod tests {
         assert!(ClientMsg::decode(version).unwrap_err().contains("version"));
         let beat = r#"{"type":"heartbeat","run":"r","asn":1e30,"sent":0,"dropped":0}"#;
         assert!(ServerMsg::decode(beat).unwrap_err().contains("asn"));
+        // Ill-typed, so none of these reads as a default: `tail` as
+        // `false`, a kind as the empty name, a spec's kind as `single`.
+        let tail = r#"{"type":"launch","name":"r","tail":"yes","spec":{}}"#;
+        assert_eq!(ClientMsg::decode(tail).unwrap_err(), "`tail` is not a boolean");
+        let kinds = r#"{"type":"subscribe","run":"r","kinds":["trace",7]}"#;
+        assert_eq!(ClientMsg::decode(kinds).unwrap_err(), "`kinds[]` is not a string");
+        let spec = |text: &str| digs_json::parse(text).expect("parses");
+        assert_eq!(spec_kind(&spec(r#"{"kind":7}"#)).unwrap_err(), "`kind` is not a string");
+        assert_eq!(spec_kind(&spec(r#"{"kind":null}"#)), Ok("single"));
+        assert_eq!(spec_kind(&spec(r#"{"kind":"fleet"}"#)), Ok("fleet"));
+    }
+
+    #[test]
+    fn a_repeated_key_counts_where_it_first_appears() {
+        // The walk that reads event frames and the `Value` every other
+        // message is read through keep the same occurrence.
+        let event = r#"{"type":"event","run":"a","run":"b","kind":"meta","seq":1,"payload":{}}"#;
+        assert_eq!(EventFrame::decode(event).expect("decodes").run, "a");
+        let beat = r#"{"type":"heartbeat","run":"a","run":"b","asn":1,"sent":0,"dropped":0}"#;
+        let Ok(ServerMsg::Heartbeat { run, .. }) = ServerMsg::decode(beat) else {
+            panic!("a heartbeat")
+        };
+        assert_eq!(run, "a");
+        // A second payload is not the payload, and the first is not last.
+        let twice = event.replace(r#""payload":{}"#, r#""payload":{},"payload":[]"#);
+        assert!(EventFrame::decode(&twice).unwrap_err().contains("last field"));
+    }
+
+    #[test]
+    fn the_event_row_is_what_encode_writes() {
+        let keys = |line: &str| {
+            let mut keys = Vec::new();
+            digs_json::walk_fields(line, |key, _| keys.push(key.to_string())).expect("parses");
+            keys
+        };
+        let row: Vec<&str> = EventFrame::MESSAGE.fields.iter().map(|f| f.key).collect();
+        for node in [Some(3), None] {
+            let frame = EventFrame {
+                run: "r".into(),
+                kind: FrameKind::Trace,
+                node,
+                seq: 1,
+                payload: "{}".into(),
+            };
+            let mut want = vec!["type"];
+            want.extend(row.iter().filter(|&&key| key != "node" || node.is_some()));
+            assert_eq!(keys(&frame.encode()), want);
+        }
+        assert!(ServerMsg::MESSAGES.contains(&EventFrame::MESSAGE));
     }
 
     #[test]

@@ -246,6 +246,18 @@ fn kill_stops_a_run_and_the_stream_reports_it() {
 }
 
 #[test]
+fn a_spec_whose_kind_is_not_a_string_is_bad_spec() {
+    // Refused before it is registered: it is not run, nor journaled, as `single`.
+    let addr = start_daemon(DaemonConfig::default());
+    let mut client = Client::connect(&addr, "typed").expect("connect");
+    let spec = digs_digsd::Value::obj([("kind", digs_digsd::Value::Int(7))]);
+    let err = client.launch("typed", spec, false, Filter::default()).expect_err("bad spec");
+    assert_eq!(digs_digsd::error_code(&err), Some(digs_digsd::ErrorCode::BadSpec));
+    assert!(err.contains("`kind` is not a string"), "{err}");
+    assert!(client.list().expect("list").is_empty(), "nothing was registered");
+}
+
+#[test]
 fn filters_narrow_the_stream() {
     let spec = SingleSpec {
         topology: "testbed-a-half".into(),

@@ -1,14 +1,12 @@
-//! Property tests: every wire message survives encode → decode intact,
-//! and event-frame payloads survive *byte-exactly* (the protocol's
-//! byte-identity guarantee rests on that splice).
+//! Property tests: every message the tables declare survives decode →
+//! encode byte for byte, and event-frame payloads survive *byte-exactly*
+//! (the protocol's byte-identity guarantee rests on that splice).
 
 use digs_cases::cases;
-use digs_digsd::{
-    valid_run_name, ClientMsg, ErrorCode, EventFrame, Filter, FrameKind, RunInfo, RunState,
-    ServerMsg,
-};
+use digs_digsd::{valid_run_name, EventFrame, FrameKind, ServerMsg};
 use digs_json::Value;
-use std::collections::BTreeSet;
+
+mod drawn;
 
 const NAME_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-_";
 
@@ -49,113 +47,25 @@ fn payload_from(seed: &[u8], n: u64) -> String {
     .to_compact()
 }
 
-fn kind_from(k: u8) -> FrameKind {
-    [FrameKind::Trace, FrameKind::Epoch, FrameKind::Alert, FrameKind::Meta, FrameKind::Fleet]
-        [k as usize % 5]
-}
-
-fn filter_from(kinds: &[u8], nodes: &[u16], none_kinds: bool, none_nodes: bool) -> Filter {
-    Filter {
-        kinds: (!none_kinds).then(|| kinds.iter().map(|k| kind_from(*k)).collect::<BTreeSet<_>>()),
-        nodes: (!none_nodes).then(|| nodes.iter().copied().collect::<BTreeSet<_>>()),
-    }
-}
-
+/// Every line drawn from the five tables — one per message type — comes
+/// back byte for byte through its decoder and encoder; one that leaves out
+/// optional fields decodes too.
 #[test]
-fn client_messages_round_trip() {
+fn every_drawn_canonical_line_round_trips_byte_for_byte() {
     cases(256, |d| {
-        let version = d.int(0u64..10);
-        let seed = d.u64();
-        let name_seed = d.vec(0..40, |d| d.int(0..=u8::MAX));
-        let kinds = d.vec(0..5, |d| d.int(0..=u8::MAX));
-        let nodes = d.vec(0..5, |d| d.int(0..=u16::MAX));
-        let flags = d.vec(3..4, |d| d.bool());
-        let text_seed = d.vec(0..30, |d| d.int(0..=u8::MAX));
-        let name = name_from(name_seed);
-        assert!(valid_run_name(&name), "generator must produce valid names: {name}");
-        let filter = filter_from(&kinds, &nodes, flags[0], flags[1]);
-        let spec = Value::Obj(vec![
-            ("kind".into(), Value::Str("single".into())),
-            ("seed".into(), Value::Int(seed)),
-            ("note".into(), Value::Str(text_from(&text_seed))),
-        ]);
-        let msgs = vec![
-            ClientMsg::Hello { version, client: text_from(&text_seed) },
-            ClientMsg::Launch { name: name.clone(), tail: flags[2], filter: filter.clone(), spec },
-            ClientMsg::Subscribe { run: name.clone(), filter, from_seq: flags[0].then_some(seed) },
-            ClientMsg::List,
-            ClientMsg::Kill { run: name },
-            ClientMsg::Shutdown,
-            ClientMsg::Ping,
-        ];
-        for msg in msgs {
-            let line = msg.encode();
-            assert!(!line.contains('\n'), "one message, one line: {line}");
-            let back =
-                ClientMsg::decode(&line).unwrap_or_else(|e| panic!("decode failed: {e} on {line}"));
-            assert_eq!(back, msg);
-        }
-    });
-}
-
-#[test]
-fn server_messages_round_trip() {
-    cases(256, |d| {
-        // Wire integers are exact over the whole u64 range.
-        let nums = d.vec(4..5, |d| d.u64());
-        let name_seed = d.vec(1..20, |d| d.int(0..=u8::MAX));
-        let text_seed = d.vec(0..30, |d| d.int(0..=u8::MAX));
-        let states = d.vec(2..3, |d| d.int(0..=u8::MAX));
-        let run_count = d.int(0usize..4);
-        let name = name_from(name_seed);
-        let state = [
-            RunState::Running,
-            RunState::Restarting,
-            RunState::Done,
-            RunState::Killed,
-            RunState::Failed,
-            RunState::Quarantined,
-        ][states[0] as usize % 6];
-        let code = [
-            ErrorCode::VersionMismatch,
-            ErrorCode::UnknownRun,
-            ErrorCode::NameTaken,
-            ErrorCode::BadRequest,
-            ErrorCode::BadSpec,
-        ][states[1] as usize % 5];
-        let runs = (0..run_count)
-            .map(|i| RunInfo {
-                name: format!("{name}-{i}"),
-                kind: "single".into(),
-                state,
-                asn: nums[0].wrapping_add(i as u64),
-                subscribers: nums[1] % 100,
-                restarts: nums[2] % 10,
-                uptime_secs: nums[3] % 100_000,
-                drops: nums[1] % 977,
-            })
-            .collect();
-        let msgs = vec![
-            ServerMsg::HelloAck { version: nums[0], server: text_from(&text_seed) },
-            ServerMsg::Ok,
-            ServerMsg::Error { code, message: text_from(&text_seed) },
-            ServerMsg::Runs { runs },
-            ServerMsg::Heartbeat {
-                run: name.clone(),
-                asn: nums[0],
-                sent: nums[1],
-                dropped: nums[2],
-            },
-            ServerMsg::RunEnded { run: name.clone(), state, asn: nums[3] },
-            ServerMsg::RunRestarting { run: name, restarts: nums[2] % 100, backoff_ms: nums[1] },
-            ServerMsg::Pong,
-        ];
-        for msg in msgs {
-            let line = msg.encode();
-            assert!(!line.contains('\n'), "one message, one line: {line}");
-            let back =
-                ServerMsg::decode(&line).unwrap_or_else(|e| panic!("decode failed: {e} on {line}"));
-            assert_eq!(back, msg);
+        for protocol in drawn::PROTOCOLS {
+            for def in protocol.table {
+                let line = drawn::line(d, protocol.tag, def);
+                assert!(!line.contains('\n'), "one message, one line: {line}");
+                let back = (protocol.codec)(&line);
+                assert_eq!(back.as_ref(), Ok(&line), "{} `{}`", protocol.name, def.name);
+                // Leaving out what may be left out reads as the defaults,
+                // which then write a canonical line.
+                let sparse = drawn::sparse_line(d, protocol.tag, def);
+                let canonical = (protocol.codec)(&sparse)
+                    .unwrap_or_else(|e| panic!("{} {sparse}: {e}", protocol.name));
+                assert_eq!((protocol.codec)(&canonical), Ok(canonical.clone()), "{sparse}");
+            }
         }
     });
 }
@@ -163,7 +73,7 @@ fn server_messages_round_trip() {
 #[test]
 fn event_frames_round_trip_payloads_byte_exact() {
     cases(256, |d| {
-        let name_seed = d.vec(1..20, |d| d.int(0..=u8::MAX));
+        let name_seed = d.vec(0..40, |d| d.int(0..=u8::MAX));
         let payload_seed = d.vec(0..60, |d| d.int(0..=u8::MAX));
         let n = d.u64();
         let seq = d.u64();
@@ -171,9 +81,11 @@ fn event_frames_round_trip_payloads_byte_exact() {
         let node = d.int(0..=u16::MAX);
         let has_node = d.bool();
         let payload = payload_from(&payload_seed, n);
+        let run = name_from(name_seed);
+        assert!(valid_run_name(&run), "generator must produce valid names: {run}");
         let frame = EventFrame {
-            run: name_from(name_seed),
-            kind: kind_from(kind),
+            run,
+            kind: FrameKind::ALL[kind as usize % FrameKind::ALL.len()],
             node: has_node.then_some(node),
             seq,
             payload: payload.clone(),

@@ -24,7 +24,8 @@
 //! so the rules are few and fixed: objects keep insertion order;
 //! non-negative integers are exact over the whole `u64` range
 //! ([`Value::Int`], written as their digits); every other number is an
-//! `f64` written with Rust's shortest-round-trip `{}`; one escape table;
+//! `f64` written with Rust's shortest-round-trip `{}` (an integral one
+//! below 2^64 as the integer it holds); one escape table;
 //! nesting is refused past [`MAX_DEPTH`]. There is no `serde` — a registry
 //! crate cannot be relied on in every build environment.
 
@@ -304,7 +305,10 @@ impl Value {
 fn write_num(out: &mut String, n: f64) {
     use std::fmt::Write;
     debug_assert!(n.is_finite(), "use Value::num to map non-finite to null");
-    if n.fract() == 0.0 && n.abs() < 1e15 {
+    if n.fract() == 0.0 && n.abs() < 18_446_744_073_709_551_616.0 {
+        // The exact integer the float holds. Above 2^53 its shortest
+        // round-trip digits are another integer, which `parse` would read
+        // back exactly as an `Int` of a different value.
         // `-0.0` is written `0`: it is not below zero.
         if n < 0.0 {
             out.push('-');
@@ -1009,6 +1013,14 @@ mod tests {
         for x in [0.0, -0.0, 7.0, -7.0, 999_999_999_999_999.0, -999_999_999_999_999.0] {
             assert_eq!(Value::Num(x).to_compact(), format!("{}", x as i64), "{x}");
         }
+        // So are the larger ones below 2^64, whose shortest digits would
+        // read back as another integer: `{}` writes this one …217000.
+        let big = 14_538_535_474_261_217_018.0_f64;
+        assert_eq!(Value::Num(big).to_compact(), "14538535474261217280");
+        assert_eq!(parse(&Value::Num(big).to_compact()), Ok(Value::Num(big)));
+        assert_eq!(Value::Num(-big).to_compact(), "-14538535474261217280");
+        assert_eq!(parse(&Value::Num(-big).to_compact()), Ok(Value::Num(-big)));
+        assert_eq!(Value::Num(2f64.powi(64)).to_compact(), "18446744073709552000");
 
         const CHARS: &[char] = &[
             'a',
