@@ -134,13 +134,13 @@ pub fn launch(args: &Args) -> Result<(), String> {
         "fleet" => fleet_params(args, FleetParams::default().networks)?.to_json(),
         "scenario" => {
             let matrix: Option<String> = args.get("matrix")?;
-            let scenario: String = args.require("scenario")?;
-            digs_conformance::scenario_spec_json(
-                matrix.as_deref().unwrap_or("full"),
-                &scenario,
-                args.get("seed")?.unwrap_or(1),
-                args.get("secs")?,
-            )
+            digs_conformance::ScenarioLaunch {
+                matrix: digs_conformance::MatrixKind::parse(matrix.as_deref().unwrap_or("full"))?,
+                scenario: args.require("scenario")?,
+                seed: args.get("seed")?.unwrap_or(1),
+                secs: args.get("secs")?,
+            }
+            .to_json()
         }
         other => return Err(format!("unknown --kind `{other}` (single|fleet|scenario)")),
     };

@@ -16,30 +16,31 @@ use digs_digsd::{Filter, FrameKind, Job, ResumableStream, RunState, StreamItem, 
 use digs_sim::time::SLOTS_PER_SECOND;
 use std::collections::BTreeSet;
 
-/// The launch spec for one scenario run, as sent over the wire.
-pub fn scenario_spec_json(matrix: &str, scenario: &str, seed: u64, secs: Option<u64>) -> Value {
-    Value::obj([
-        ("kind", Value::Str("scenario".into())),
-        ("matrix", Value::Str(matrix.to_string())),
-        ("scenario", Value::Str(scenario.to_string())),
-        ("seed", Value::Int(seed)),
-        ("secs", Value::opt_int(secs)),
-    ])
+digs_json::message! {
+    /// One seed of one catalogue scenario: the launch spec of the
+    /// `scenario` runner, declared beside `SingleSpec` and `FleetParams`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ScenarioLaunch = "scenario" {
+        /// The matrix the scenario is looked up in.
+        matrix: MatrixKind = MatrixKind::Full,
+        /// Catalogue name.
+        scenario: String,
+        /// Flow-set seed.
+        seed: u64 = 1,
+        /// Simulated seconds (`None` = the scenario's own length).
+        secs: Option<u64>,
+    }
 }
 
 /// The daemon-side `scenario` runner: resolves the named scenario from
 /// the conformance matrix, runs one seed, and publishes the canonical
 /// record as the run's single `meta` frame.
 pub fn prepare_scenario(spec: &Value) -> Result<Job, String> {
-    let matrix = MatrixKind::parse(spec.opt_str("matrix")?.unwrap_or("full"))?;
-    let name = spec.str("scenario")?.to_string();
-    let seed = spec.opt_uint("seed")?.unwrap_or(1);
-    let secs = spec.opt_uint("secs")?;
-    let scenario: ScenarioSpec = matrix
-        .scenarios(secs)
-        .into_iter()
-        .find(|s| s.name == name)
-        .ok_or_else(|| format!("unknown scenario `{name}` in the {} matrix", matrix.name()))?;
+    let ScenarioLaunch { matrix, scenario: name, seed, secs } = ScenarioLaunch::from_json(spec)?;
+    let scenario: ScenarioSpec =
+        matrix.scenarios(secs).into_iter().find(|s| s.name == name).ok_or_else(|| {
+            format!("unknown scenario `{name}` in the {} matrix", matrix.as_str())
+        })?;
     Ok(Box::new(move |ctx| {
         // ScenarioSpec::run is monolithic, so kill granularity is the
         // whole run: a cancelled scenario still finishes simulating but
@@ -59,7 +60,7 @@ pub fn prepare_scenario(spec: &Value) -> Result<Job, String> {
 /// filter; the daemon's run threads provide the parallelism.
 pub fn collect_attached(
     addr: &str,
-    matrix: &str,
+    matrix: MatrixKind,
     specs: &[ScenarioSpec],
     tasks: &[(usize, u64)],
     jobs: usize,
@@ -84,7 +85,7 @@ pub fn collect_attached(
                 addr,
                 "digs-gate",
                 &run_name,
-                scenario_spec_json(matrix, &spec.name, *seed, secs),
+                ScenarioLaunch { matrix, scenario: spec.name.clone(), seed: *seed, secs }.to_json(),
                 meta_only.clone(),
             )
             .map_err(|e| format!("gate --attach {addr}: {e}"))?;
@@ -134,8 +135,13 @@ mod tests {
 
     #[test]
     fn scenario_runner_rejects_unknown_names() {
-        let spec = scenario_spec_json("small", "no-such-scenario", 1, None);
-        let err = match prepare_scenario(&spec) {
+        let spec = ScenarioLaunch {
+            matrix: MatrixKind::Small,
+            scenario: "no-such-scenario".into(),
+            seed: 1,
+            secs: None,
+        };
+        let err = match prepare_scenario(&spec.to_json()) {
             Err(e) => e,
             Ok(_) => panic!("must reject an unknown scenario name"),
         };
@@ -164,8 +170,8 @@ mod tests {
         let direct = specs[0].run(3);
 
         let addr = start();
-        let records =
-            collect_attached(&addr, "small", &specs, &[(0, 3)], 2, secs).expect("attached");
+        let records = collect_attached(&addr, MatrixKind::Small, &specs, &[(0, 3)], 2, secs)
+            .expect("attached");
         assert_eq!(records.len(), 1);
         assert_eq!(records[0], direct, "attached and in-process records must agree");
         assert_eq!(records[0].to_line(), direct.to_line(), "and serialize identically");

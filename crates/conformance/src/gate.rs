@@ -60,7 +60,7 @@ impl GateOptions {
 
     /// The golden file this invocation reads or writes.
     pub fn golden_path(&self) -> PathBuf {
-        self.goldens_dir.join(format!("{}.json", self.matrix.name()))
+        self.goldens_dir.join(format!("{}.json", self.matrix.as_str()))
     }
 }
 
@@ -122,7 +122,7 @@ pub fn run_gate(opts: &GateOptions) -> Result<GateOutcome, String> {
     let jobs = opts.jobs.unwrap_or_else(|| pool::default_jobs(tasks.len())).max(1);
     eprintln!(
         "gate: {} matrix, {} scenarios x {} seeds = {} runs on {} worker(s){}",
-        opts.matrix.name(),
+        opts.matrix.as_str(),
         specs.len(),
         opts.seeds.len(),
         tasks.len(),
@@ -138,7 +138,7 @@ pub fn run_gate(opts: &GateOptions) -> Result<GateOutcome, String> {
         Some(addr) => {
             let records = crate::daemon::collect_attached(
                 addr,
-                opts.matrix.name(),
+                opts.matrix,
                 &specs,
                 &tasks,
                 jobs,
@@ -215,7 +215,7 @@ pub fn run_gate(opts: &GateOptions) -> Result<GateOutcome, String> {
 
     let golden_path = opts.golden_path();
     if opts.bless {
-        let golden = Golden::bless(opts.matrix.name(), &opts.seeds, &groups);
+        let golden = Golden::bless(opts.matrix.as_str(), &opts.seeds, &groups);
         std::fs::create_dir_all(&opts.goldens_dir)
             .map_err(|e| format!("creating {}: {e}", opts.goldens_dir.display()))?;
         std::fs::write(&golden_path, golden.to_pretty())

@@ -18,9 +18,10 @@
 //! - `repair_time_secs.median` (Fig. 4) gets a tight ±40 % band instead
 //!   of the loose range overlap noted there.
 
-use crate::json::{self, Value};
 use crate::matrix::ScenarioSpec;
-use crate::metrics::{RunMetrics, METRIC_KEYS};
+use crate::metrics::RunMetrics;
+use digs_json::message::{decode_line, Rows};
+use digs_json::Value;
 
 /// The aggregate statistics a check can gate on.
 pub const STATS: &[&str] = &["median", "p90", "min", "max"];
@@ -45,102 +46,104 @@ pub fn aggregate_stat(samples: &[f64], stat: &str) -> Option<f64> {
 /// pairs in canonical order. Metrics absent from every record contribute
 /// nothing.
 pub fn aggregate(records: &[RunMetrics]) -> Vec<(String, f64)> {
+    let encoded: Vec<Value> = records.iter().map(Rows::to_value).collect();
     let mut out = Vec::new();
-    for key in METRIC_KEYS {
-        let samples: Vec<f64> = records.iter().filter_map(|r| r.metric(key)).collect();
+    for row in RunMetrics::metric_rows() {
+        let samples: Vec<f64> = encoded.iter().filter_map(|r| r.field(row.key)?.as_f64()).collect();
         if samples.is_empty() {
             continue;
         }
         for stat in STATS {
             if let Some(v) = aggregate_stat(&samples, stat) {
-                out.push((format!("{key}.{stat}"), v));
+                out.push((format!("{}.{stat}", row.key), v));
             }
         }
     }
     out
 }
 
-/// The aggregates each scenario is gated on. Everything else is recorded
-/// but not checked (p90/max of most metrics track the gated stats and
-/// would only double-report the same regression).
-const GATED: &[&str] = &[
-    "pdr.median",
-    "pdr.min",
-    "worst_flow_pdr.median",
-    "worst_flow_pdr.min",
-    "median_latency_ms.median",
-    "worst_latency_ms.median",
-    "duty_cycle_percent.median",
-    "power_per_packet_mw.median",
-    "energy_per_packet_mj.median",
-    "repair_time_secs.median",
-    "windowed_pdr_median.median",
-    "windowed_pdr_worst.min",
-    "fraction_joined.min",
-    "mean_join_secs.median",
-    "audit_violations.max",
+/// How a gated aggregate's band follows from its blessed value.
+#[derive(Debug, Clone, Copy)]
+enum Slack {
+    /// A ratio: absolute slack below and above, the band kept in [0, 1].
+    Ratio(f64, f64),
+    /// A scale: this fraction of the value, at least this much.
+    Relative(f64, f64),
+    /// Never above the blessed value.
+    AtMost,
+}
+
+/// The aggregates each scenario is gated on, with their slack. Everything
+/// else is recorded but not checked (p90/max of most metrics track the
+/// gated stats and would only double-report the same regression).
+const GATED: &[(&str, Slack)] = &[
+    ("pdr.median", Slack::Ratio(0.04, 0.04)),
+    ("pdr.min", Slack::Ratio(0.08, 1.0)),
+    ("worst_flow_pdr.median", Slack::Ratio(0.08, 0.08)),
+    ("worst_flow_pdr.min", Slack::Ratio(0.15, 1.0)),
+    ("median_latency_ms.median", Slack::Relative(0.30, 20.0)),
+    ("worst_latency_ms.median", Slack::Relative(0.60, 50.0)),
+    ("duty_cycle_percent.median", Slack::Relative(0.25, 0.05)),
+    ("power_per_packet_mw.median", Slack::Relative(0.30, 0.01)),
+    ("energy_per_packet_mj.median", Slack::Relative(0.30, 0.5)),
+    // Fig. 4: tightened from the old "range overlaps" eyeball check.
+    ("repair_time_secs.median", Slack::Relative(0.40, 2.0)),
+    // Fig. 5: tight absolute band; `floor` adds the paper bound.
+    ("windowed_pdr_median.median", Slack::Ratio(0.03, 0.03)),
+    ("windowed_pdr_worst.min", Slack::Ratio(0.10, 1.0)),
+    ("fraction_joined.min", Slack::Ratio(0.05, 1.0)),
+    ("mean_join_secs.median", Slack::Relative(0.40, 5.0)),
+    // Robustness: violations may never exceed the blessed count (zero on
+    // a healthy tree), and a later drop to zero is fine.
+    ("audit_violations.max", Slack::AtMost),
 ];
 
-/// Derives the `[lo, hi]` tolerance band for a gated aggregate observed
-/// at `observed`. `floor` is an optional absolute lower bound (the
-/// paper-derived Fig. 5 floor) that tightens `lo` upward; `ceiling` is an
-/// optional absolute upper bound (the adversarial-gate attack ceiling)
-/// that tightens `hi` downward — an attack scenario whose victim PDR
-/// *recovers* above the ceiling means the attack stopped working, which
-/// is just as much a conformance failure as a regression.
-pub fn band(key: &str, observed: f64, floor: Option<f64>, ceiling: Option<f64>) -> (f64, f64) {
-    // Ratio metrics: absolute slack, upper bound clamped to 1.
-    let ratio = |slack_lo: f64, slack_hi: f64| {
-        ((observed - slack_lo).max(0.0), (observed + slack_hi).min(1.0))
-    };
-    // Scale metrics: relative slack with an absolute slack floor.
-    let rel = |fraction: f64, abs_floor: f64| {
-        let slack = (observed.abs() * fraction).max(abs_floor);
-        ((observed - slack).max(0.0), observed + slack)
-    };
-    let (lo, hi) = match key {
-        "pdr.median" => ratio(0.04, 0.04),
-        "pdr.min" => ratio(0.08, 1.0),
-        "worst_flow_pdr.median" => ratio(0.08, 0.08),
-        "worst_flow_pdr.min" => ratio(0.15, 1.0),
-        "median_latency_ms.median" => rel(0.30, 20.0),
-        "worst_latency_ms.median" => rel(0.60, 50.0),
-        "duty_cycle_percent.median" => rel(0.25, 0.05),
-        "power_per_packet_mw.median" => rel(0.30, 0.01),
-        "energy_per_packet_mj.median" => rel(0.30, 0.5),
-        // Fig. 4: tightened from the old "range overlaps" eyeball check.
-        "repair_time_secs.median" => rel(0.40, 2.0),
-        // Fig. 5: tight absolute band; `floor` adds the paper bound.
-        "windowed_pdr_median.median" => ratio(0.03, 0.03),
-        "windowed_pdr_worst.min" => ratio(0.10, 1.0),
-        "fraction_joined.min" => ratio(0.05, 1.0),
-        "mean_join_secs.median" => rel(0.40, 5.0),
-        // Robustness: violations may never exceed the blessed count
-        // (zero on a healthy tree), and a later drop to zero is fine.
-        "audit_violations.max" => (0.0, observed),
-        _ => rel(0.50, 1.0),
+/// Derives the `[lo, hi]` tolerance band for the aggregate `key` observed
+/// at `observed`, or `None` when `key` is not gated. `floor` is an
+/// optional absolute lower bound (the paper-derived Fig. 5 floor) that
+/// tightens `lo` upward; `ceiling` is an optional absolute upper bound
+/// (the adversarial-gate attack ceiling) that tightens `hi` downward — an
+/// attack scenario whose victim PDR *recovers* above the ceiling means
+/// the attack stopped working, which is just as much a conformance
+/// failure as a regression.
+pub fn band(
+    key: &str,
+    observed: f64,
+    floor: Option<f64>,
+    ceiling: Option<f64>,
+) -> Option<(f64, f64)> {
+    let &(_, slack) = GATED.iter().find(|(gated, _)| *gated == key)?;
+    let (lo, hi) = match slack {
+        Slack::Ratio(below, above) => ((observed - below).max(0.0), (observed + above).min(1.0)),
+        Slack::Relative(fraction, at_least) => {
+            let slack = (observed.abs() * fraction).max(at_least);
+            ((observed - slack).max(0.0), observed + slack)
+        }
+        Slack::AtMost => (0.0, observed),
     };
     let (lo, hi) = match floor {
         Some(f) => (lo.max(f), hi.max(f)),
         None => (lo, hi),
     };
-    match ceiling {
+    Some(match ceiling {
         Some(c) => (lo.min(c), hi.min(c)),
         None => (lo, hi),
-    }
+    })
 }
 
-/// One gated aggregate with its blessed value and tolerance band.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Check {
-    /// `metric.stat` key, e.g. `pdr.median`.
-    pub metric: String,
-    /// The aggregate at bless time.
-    pub observed: f64,
-    /// Inclusive lower bound.
-    pub lo: f64,
-    /// Inclusive upper bound.
-    pub hi: f64,
+digs_json::message! {
+    /// One gated aggregate with its blessed value and tolerance band.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Check {
+        /// `metric.stat` key, e.g. `pdr.median`.
+        metric: String,
+        /// The aggregate at bless time.
+        observed: f64,
+        /// Inclusive lower bound.
+        lo: f64,
+        /// Inclusive upper bound.
+        hi: f64,
+    }
 }
 
 impl Check {
@@ -150,28 +153,32 @@ impl Check {
     }
 }
 
-/// One scenario's golden baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioGolden {
-    /// Matrix key.
-    pub name: String,
-    /// Simulated seconds the baseline was blessed at.
-    pub secs: u64,
-    /// The gated aggregates.
-    pub checks: Vec<Check>,
+digs_json::message! {
+    /// One scenario's golden baseline.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioGolden {
+        /// Matrix key.
+        name: String,
+        /// Simulated seconds the baseline was blessed at.
+        secs: u64,
+        /// The gated aggregates.
+        checks: Vec<Check>,
+    }
 }
 
-/// A checked-in golden baseline for one matrix tier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Golden {
-    /// Matrix tier name (`small` / `full`).
-    pub matrix: String,
-    /// The seeds the baseline was blessed over. A gate run must use the
-    /// same sweep — different seeds sample a different distribution and
-    /// comparing them would be meaningless.
-    pub seeds: Vec<u64>,
-    /// Per-scenario baselines, in matrix order.
-    pub scenarios: Vec<ScenarioGolden>,
+digs_json::message! {
+    /// A checked-in golden baseline for one matrix tier.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Golden {
+        /// Matrix tier name (`small` / `full`).
+        matrix: String,
+        /// The seeds the baseline was blessed over. A gate run must use the
+        /// same sweep — different seeds sample a different distribution and
+        /// comparing them would be meaningless.
+        seeds: Vec<u64>,
+        /// Per-scenario baselines, in matrix order.
+        scenarios: Vec<ScenarioGolden>,
+    }
 }
 
 impl Golden {
@@ -185,16 +192,14 @@ impl Golden {
         let scenarios = groups
             .iter()
             .map(|(spec, records)| {
-                let aggregates = aggregate(records);
-                let checks = aggregates
-                    .iter()
-                    .filter(|(key, _)| GATED.contains(&key.as_str()))
-                    .map(|(key, observed)| {
+                let checks = aggregate(records)
+                    .into_iter()
+                    .filter_map(|(key, observed)| {
                         let is_windowed = key == "windowed_pdr_median.median";
                         let floor = is_windowed.then_some(spec.windowed_pdr_floor).flatten();
                         let ceiling = is_windowed.then_some(spec.windowed_pdr_ceiling).flatten();
-                        let (lo, hi) = band(key, *observed, floor, ceiling);
-                        Check { metric: key.clone(), observed: *observed, lo, hi }
+                        let (lo, hi) = band(&key, observed, floor, ceiling)?;
+                        Some(Check { metric: key, observed, lo, hi })
                     })
                     .collect();
                 ScenarioGolden { name: spec.name.clone(), secs: spec.secs, checks }
@@ -210,65 +215,17 @@ impl Golden {
 
     /// Serializes to the checked-in pretty JSON form.
     pub fn to_pretty(&self) -> String {
-        let scenarios = self
-            .scenarios
-            .iter()
-            .map(|s| {
-                let checks = s
-                    .checks
-                    .iter()
-                    .map(|c| {
-                        Value::Obj(vec![
-                            ("metric".into(), Value::Str(c.metric.clone())),
-                            ("observed".into(), Value::num(c.observed)),
-                            ("lo".into(), Value::num(c.lo)),
-                            ("hi".into(), Value::num(c.hi)),
-                        ])
-                    })
-                    .collect();
-                Value::Obj(vec![
-                    ("name".into(), Value::Str(s.name.clone())),
-                    ("secs".into(), Value::Int(s.secs)),
-                    ("checks".into(), Value::Arr(checks)),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("matrix".into(), Value::Str(self.matrix.clone())),
-            ("seeds".into(), Value::Arr(self.seeds.iter().map(|s| Value::Int(*s)).collect())),
-            ("scenarios".into(), Value::Arr(scenarios)),
-        ])
-        .to_pretty()
+        self.to_value().to_pretty()
     }
 
     /// Parses a golden file.
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed JSON or missing fields.
+    /// Returns a message on malformed JSON, or naming the first missing or
+    /// ill-typed field.
     pub fn parse(text: &str) -> Result<Golden, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        let matrix = v.str("matrix")?.to_string();
-        let seeds =
-            v.arr("seeds")?.iter().map(|s| s.to_uint("seeds[]")).collect::<Result<_, _>>()?;
-        let mut scenarios = Vec::new();
-        for s in v.arr("scenarios")? {
-            let mut checks = Vec::new();
-            for c in s.arr("checks")? {
-                checks.push(Check {
-                    metric: c.str("metric")?.to_string(),
-                    observed: c.f64("observed")?,
-                    lo: c.f64("lo")?,
-                    hi: c.f64("hi")?,
-                });
-            }
-            scenarios.push(ScenarioGolden {
-                name: s.str("name")?.to_string(),
-                secs: s.uint("secs")?,
-                checks,
-            });
-        }
-        Ok(Golden { matrix, seeds, scenarios })
+        decode_line(text, Golden::take_fields)
     }
 }
 
@@ -323,28 +280,46 @@ mod tests {
         assert!(aggs.iter().all(|(k, _)| !k.starts_with("repair_time_secs")));
     }
 
+    fn gated(key: &str, observed: f64, floor: Option<f64>, ceiling: Option<f64>) -> (f64, f64) {
+        band(key, observed, floor, ceiling).expect("a gated aggregate")
+    }
+
+    #[test]
+    fn only_the_gated_aggregates_get_a_band() {
+        assert_eq!(band("pdr.p90", 0.9, None, None), None);
+        let golden = Golden::parse(include_str!("../../../goldens/full.json")).expect("parses");
+        let checks: Vec<&str> = golden
+            .scenarios
+            .iter()
+            .flat_map(|s| s.checks.iter().map(|c| c.metric.as_str()))
+            .collect();
+        for (key, _) in GATED {
+            assert!(checks.contains(key), "no golden checks {key}");
+        }
+    }
+
     #[test]
     fn bands_clamp_ratios_to_unit_interval() {
-        let (lo, hi) = band("pdr.median", 0.99, None, None);
+        let (lo, hi) = gated("pdr.median", 0.99, None, None);
         assert!(lo < 0.99 && hi <= 1.0);
-        let (lo, _) = band("pdr.min", 0.05, None, None);
+        let (lo, _) = gated("pdr.min", 0.05, None, None);
         assert!(lo >= 0.0);
     }
 
     #[test]
     fn repair_band_is_tight_but_not_degenerate() {
-        let (lo, hi) = band("repair_time_secs.median", 10.0, None, None);
+        let (lo, hi) = gated("repair_time_secs.median", 10.0, None, None);
         assert!((lo - 6.0).abs() < 1e-9 && (hi - 14.0).abs() < 1e-9);
         // Small medians fall back to the absolute slack.
-        let (lo, hi) = band("repair_time_secs.median", 1.0, None, None);
+        let (lo, hi) = gated("repair_time_secs.median", 1.0, None, None);
         assert!(lo == 0.0 && hi == 3.0);
     }
 
     #[test]
     fn paper_floor_tightens_the_lower_bound() {
-        let (lo, _) = band("windowed_pdr_median.median", 0.97, Some(0.85), None);
+        let (lo, _) = gated("windowed_pdr_median.median", 0.97, Some(0.85), None);
         assert!((lo - 0.94).abs() < 1e-9, "band slack wins when above the floor");
-        let (lo, _) = band("windowed_pdr_median.median", 0.86, Some(0.85), None);
+        let (lo, _) = gated("windowed_pdr_median.median", 0.86, Some(0.85), None);
         assert!((lo - 0.85).abs() < 1e-9, "floor wins when the band dips below it");
     }
 
@@ -352,22 +327,22 @@ mod tests {
     fn attack_ceiling_tightens_the_upper_bound() {
         // A collapsed victim PDR sits far under the ceiling: the band's
         // own slack applies unchanged.
-        let (lo, hi) = band("windowed_pdr_median.median", 0.11, None, Some(0.65));
+        let (lo, hi) = gated("windowed_pdr_median.median", 0.11, None, Some(0.65));
         assert!((lo - 0.08).abs() < 1e-9 && (hi - 0.14).abs() < 1e-9);
         // An observation near the ceiling clamps `hi` down — a recovering
         // victim means the attack stopped working, which must fail the
         // gate rather than slide through as drift.
-        let (_, hi) = band("windowed_pdr_median.median", 0.64, None, Some(0.65));
+        let (_, hi) = gated("windowed_pdr_median.median", 0.64, None, Some(0.65));
         assert!((hi - 0.65).abs() < 1e-9, "ceiling wins when the band rises above it");
         // Floor and ceiling compose without crossing.
-        let (lo, hi) = band("windowed_pdr_median.median", 0.5, Some(0.4), Some(0.6));
+        let (lo, hi) = gated("windowed_pdr_median.median", 0.5, Some(0.4), Some(0.6));
         assert!(lo <= hi && (lo - 0.47).abs() < 1e-9 && (hi - 0.53).abs() < 1e-9);
     }
 
     #[test]
     fn violations_band_pins_increases() {
         let c = {
-            let (lo, hi) = band("audit_violations.max", 0.0, None, None);
+            let (lo, hi) = gated("audit_violations.max", 0.0, None, None);
             Check { metric: "audit_violations.max".into(), observed: 0.0, lo, hi }
         };
         assert!(c.passes(0.0));

@@ -48,7 +48,7 @@ pub use digs_pool as pool;
 /// under the historical `digs_conformance::json` path.
 pub use digs_json as json;
 
-pub use daemon::{collect_attached, prepare_scenario, scenario_spec_json};
+pub use daemon::{collect_attached, prepare_scenario, ScenarioLaunch};
 pub use gate::{run_gate, GateOptions, GateOutcome};
 pub use matrix::{MatrixKind, ScenarioSpec};
 pub use metrics::{MetricContext, RunMetrics};

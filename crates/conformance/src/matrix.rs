@@ -454,37 +454,18 @@ fn far_flows_config(topology: Topology, protocol: Protocol, seed: u64) -> Networ
     NetworkConfig::builder(topology).protocol(protocol).seed(seed).flows(flows).build()
 }
 
-/// Which gated matrix to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatrixKind {
-    /// CI subset: Testbed A scenarios only.
-    Small,
-    /// The whole evaluation.
-    Full,
+digs_json::named! {
+    /// Which gated matrix to run. Its name is the golden file's stem.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum MatrixKind: "matrix" {
+        /// CI subset: Testbed A scenarios only.
+        Small = "small",
+        /// The whole evaluation.
+        Full = "full",
+    }
 }
 
 impl MatrixKind {
-    /// Parses `small` / `full`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on anything else.
-    pub fn parse(s: &str) -> Result<MatrixKind, String> {
-        match s {
-            "small" => Ok(MatrixKind::Small),
-            "full" => Ok(MatrixKind::Full),
-            other => Err(format!("unknown matrix `{other}` (small|full)")),
-        }
-    }
-
-    /// The tier's name (used as the golden file stem).
-    pub fn name(self) -> &'static str {
-        match self {
-            MatrixKind::Small => "small",
-            MatrixKind::Full => "full",
-        }
-    }
-
     /// The catalogue names the matrix runs, in its golden's order.
     pub fn names(self) -> &'static [&'static str] {
         match self {
@@ -528,7 +509,7 @@ mod tests {
                 golden.scenarios.iter().map(|s| (s.name.as_str(), s.secs)).collect();
             let specs = kind.scenarios(None);
             let built: Vec<(&str, u64)> = specs.iter().map(|s| (s.name.as_str(), s.secs)).collect();
-            assert_eq!(built, blessed, "the {} matrix vs its golden", kind.name());
+            assert_eq!(built, blessed, "the {} matrix vs its golden", kind.as_str());
         }
     }
 

@@ -5,14 +5,14 @@
 //! counters. (`digs-cli figures` reads the runs' `RunResults` instead, for
 //! what a record does not carry: latency and join-time distributions, the
 //! per-flow PDRs, the duty cycle per packet.)
-//! The JSON encoding is canonical (fixed field order, shortest
-//! round-trip floats, `null` for absent values), so identical runs
-//! produce byte-identical lines; the double-run determinism test pins
-//! exactly that.
+//! The record is declared by its rows ([`digs_json::message`](mod@digs_json::message)), and its
+//! JSON encoding is canonical (fixed field order, shortest round-trip
+//! floats, `null` for absent values), so identical runs produce
+//! byte-identical lines; the double-run determinism test pins exactly that.
 
-use crate::json::{self, Value};
 use digs::flows::FlowSpec;
 use digs::results::RunResults;
+use digs_json::message::{decode_line, FieldDef, Rows};
 use digs_sim::time::Asn;
 
 /// Context a raw [`RunResults`] cannot supply on its own: which window
@@ -30,88 +30,74 @@ pub struct MetricContext {
     pub window_start_slot: Option<u64>,
 }
 
-/// One run's canonical metrics. Field order here is the canonical JSON
-/// field order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunMetrics {
-    /// Scenario name (matrix key, e.g. `fig09-digs`).
-    pub scenario: String,
-    /// Protocol short name.
-    pub protocol: String,
-    /// Flow-set seed of the run.
-    pub seed: u64,
-    /// Simulated seconds.
-    pub secs: u64,
-    /// Mean per-flow PDR (the paper's flow-set PDR).
-    pub pdr: f64,
-    /// Worst per-flow PDR.
-    pub worst_flow_pdr: f64,
-    /// Median end-to-end latency, ms (`None` if nothing delivered).
-    pub median_latency_ms: Option<f64>,
-    /// Worst-case end-to-end latency across all flows, ms.
-    pub worst_latency_ms: Option<f64>,
-    /// Mean per-node radio duty cycle, percent.
-    pub duty_cycle_percent: f64,
-    /// Network radio power per delivered packet, mW (`None` when nothing
-    /// was delivered — the metric is infinite there).
-    pub power_per_packet_mw: Option<f64>,
-    /// Radio energy per delivered packet, mJ (`None` as above).
-    pub energy_per_packet_mj: Option<f64>,
-    /// Repair time after the scenario's disturbance, seconds (`None`
-    /// without a disturbance or without repair activity).
-    pub repair_time_secs: Option<f64>,
-    /// Median per-flow PDR inside the disturbance window (Fig. 5).
-    pub windowed_pdr_median: Option<f64>,
-    /// Worst per-flow PDR inside the disturbance window.
-    pub windowed_pdr_worst: Option<f64>,
-    /// Fraction of nodes that joined.
-    pub fraction_joined: f64,
-    /// Mean join time over joined nodes, seconds (Fig. 13).
-    pub mean_join_secs: Option<f64>,
-    /// Parent-set changes across all nodes.
-    pub parent_changes: u64,
-    /// Packets dropped after exhausting retries.
-    pub retry_drops: u64,
-    /// Packets dropped on queue overflow.
-    pub queue_drops: u64,
-    /// Invariant violations recorded by the runtime auditor (0 for
-    /// unaudited runs).
-    pub audit_violations: u64,
-    /// Telemetry epochs sampled (`None` when telemetry was off — the
-    /// golden aggregator skips absent metrics, so gate runs with
-    /// telemetry pinned off are unaffected).
-    pub telemetry_epochs: Option<u64>,
-    /// Health alerts the telemetry monitor raised (`None` as above).
-    pub health_alerts: Option<u64>,
-    /// Lowest non-idle epoch PDR the telemetry stream saw (`None` when
-    /// telemetry was off or no epoch carried traffic).
-    pub epoch_pdr_min: Option<f64>,
+digs_json::message! {
+    /// One run's canonical metrics. The rows' order is the canonical JSON
+    /// field order; a non-finite number is written `null`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunMetrics {
+        /// Scenario name (matrix key, e.g. `fig09-digs`).
+        scenario: String,
+        /// Protocol short name.
+        protocol: String,
+        /// Flow-set seed of the run.
+        seed: u64,
+        /// Simulated seconds.
+        secs: u64,
+        /// Mean per-flow PDR (the paper's flow-set PDR).
+        pdr: f64,
+        /// Worst per-flow PDR.
+        worst_flow_pdr: f64,
+        /// Median end-to-end latency, ms (`None` if nothing delivered).
+        median_latency_ms: Option<f64>,
+        /// Worst-case end-to-end latency across all flows, ms.
+        worst_latency_ms: Option<f64>,
+        /// Mean per-node radio duty cycle, percent.
+        duty_cycle_percent: f64,
+        /// Network radio power per delivered packet, mW (`None` when nothing
+        /// was delivered — the metric is infinite there).
+        power_per_packet_mw: Option<f64>,
+        /// Radio energy per delivered packet, mJ (`None` as above).
+        energy_per_packet_mj: Option<f64>,
+        /// Repair time after the scenario's disturbance, seconds (`None`
+        /// without a disturbance or without repair activity).
+        repair_time_secs: Option<f64>,
+        /// Median per-flow PDR inside the disturbance window (Fig. 5).
+        windowed_pdr_median: Option<f64>,
+        /// Worst per-flow PDR inside the disturbance window.
+        windowed_pdr_worst: Option<f64>,
+        /// Fraction of nodes that joined.
+        fraction_joined: f64,
+        /// Mean join time over joined nodes, seconds (Fig. 13).
+        mean_join_secs: Option<f64>,
+        /// Parent-set changes across all nodes.
+        parent_changes: u64,
+        /// Packets dropped after exhausting retries.
+        retry_drops: u64,
+        /// Packets dropped on queue overflow.
+        queue_drops: u64,
+        /// Invariant violations recorded by the runtime auditor (0 for
+        /// unaudited runs).
+        audit_violations: u64,
+        /// Telemetry epochs sampled (`None` when telemetry was off — the
+        /// golden aggregator skips absent metrics, so gate runs with
+        /// telemetry pinned off are unaffected).
+        telemetry_epochs: Option<u64>,
+        /// Health alerts the telemetry monitor raised (`None` as above).
+        health_alerts: Option<u64>,
+        /// Lowest non-idle epoch PDR the telemetry stream saw (`None` when
+        /// telemetry was off or no epoch carried traffic).
+        epoch_pdr_min: Option<f64>,
+    }
 }
 
-/// The scalar metrics a golden check can reference, in canonical order.
-pub const METRIC_KEYS: &[&str] = &[
-    "pdr",
-    "worst_flow_pdr",
-    "median_latency_ms",
-    "worst_latency_ms",
-    "duty_cycle_percent",
-    "power_per_packet_mw",
-    "energy_per_packet_mj",
-    "repair_time_secs",
-    "windowed_pdr_median",
-    "windowed_pdr_worst",
-    "fraction_joined",
-    "mean_join_secs",
-    "parent_changes",
-    "retry_drops",
-    "queue_drops",
-    "audit_violations",
-    "telemetry_epochs",
-    "health_alerts",
-    "epoch_pdr_min",
-];
-
 impl RunMetrics {
+    /// The scalar metrics a golden aggregates: every row after `secs`, in
+    /// canonical order.
+    pub fn metric_rows() -> &'static [FieldDef] {
+        let secs = RunMetrics::FIELDS.iter().position(|f| f.key == "secs").expect("a `secs` row");
+        &RunMetrics::FIELDS[secs + 1..]
+    }
+
     /// Reduces a finished run to its canonical record.
     pub fn from_results(
         scenario: &str,
@@ -189,108 +175,19 @@ impl RunMetrics {
         }
     }
 
-    /// The value of one scalar metric by key, `None` when absent for
-    /// this run (so it contributes no sample to the aggregate).
-    pub fn metric(&self, key: &str) -> Option<f64> {
-        match key {
-            "pdr" => Some(self.pdr),
-            "worst_flow_pdr" => Some(self.worst_flow_pdr),
-            "median_latency_ms" => self.median_latency_ms,
-            "worst_latency_ms" => self.worst_latency_ms,
-            "duty_cycle_percent" => Some(self.duty_cycle_percent),
-            "power_per_packet_mw" => self.power_per_packet_mw,
-            "energy_per_packet_mj" => self.energy_per_packet_mj,
-            "repair_time_secs" => self.repair_time_secs,
-            "windowed_pdr_median" => self.windowed_pdr_median,
-            "windowed_pdr_worst" => self.windowed_pdr_worst,
-            "fraction_joined" => Some(self.fraction_joined),
-            "mean_join_secs" => self.mean_join_secs,
-            "parent_changes" => Some(self.parent_changes as f64),
-            "retry_drops" => Some(self.retry_drops as f64),
-            "queue_drops" => Some(self.queue_drops as f64),
-            "audit_violations" => Some(self.audit_violations as f64),
-            "telemetry_epochs" => self.telemetry_epochs.map(|v| v as f64),
-            "health_alerts" => self.health_alerts.map(|v| v as f64),
-            "epoch_pdr_min" => self.epoch_pdr_min,
-            _ => None,
-        }
-    }
-
-    /// The canonical JSON value (fixed field order).
-    pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("scenario".into(), Value::Str(self.scenario.clone())),
-            ("protocol".into(), Value::Str(self.protocol.clone())),
-            ("seed".into(), Value::Int(self.seed)),
-            ("secs".into(), Value::Int(self.secs)),
-            ("pdr".into(), Value::num(self.pdr)),
-            ("worst_flow_pdr".into(), Value::num(self.worst_flow_pdr)),
-            ("median_latency_ms".into(), Value::opt(self.median_latency_ms)),
-            ("worst_latency_ms".into(), Value::opt(self.worst_latency_ms)),
-            ("duty_cycle_percent".into(), Value::num(self.duty_cycle_percent)),
-            ("power_per_packet_mw".into(), Value::opt(self.power_per_packet_mw)),
-            ("energy_per_packet_mj".into(), Value::opt(self.energy_per_packet_mj)),
-            ("repair_time_secs".into(), Value::opt(self.repair_time_secs)),
-            ("windowed_pdr_median".into(), Value::opt(self.windowed_pdr_median)),
-            ("windowed_pdr_worst".into(), Value::opt(self.windowed_pdr_worst)),
-            ("fraction_joined".into(), Value::num(self.fraction_joined)),
-            ("mean_join_secs".into(), Value::opt(self.mean_join_secs)),
-            ("parent_changes".into(), Value::Int(self.parent_changes)),
-            ("retry_drops".into(), Value::Int(self.retry_drops)),
-            ("queue_drops".into(), Value::Int(self.queue_drops)),
-            ("audit_violations".into(), Value::Int(self.audit_violations)),
-            ("telemetry_epochs".into(), Value::opt_int(self.telemetry_epochs)),
-            ("health_alerts".into(), Value::opt_int(self.health_alerts)),
-            ("epoch_pdr_min".into(), Value::opt(self.epoch_pdr_min)),
-        ])
-    }
-
     /// One canonical JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
         self.to_value().to_compact()
-    }
-
-    /// Decodes a record from its JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first missing or ill-typed field.
-    pub fn from_value(v: &Value) -> Result<RunMetrics, String> {
-        Ok(RunMetrics {
-            scenario: v.str("scenario")?.to_string(),
-            protocol: v.str("protocol")?.to_string(),
-            seed: v.uint("seed")?,
-            secs: v.uint("secs")?,
-            pdr: v.f64("pdr")?,
-            worst_flow_pdr: v.f64("worst_flow_pdr")?,
-            median_latency_ms: v.opt_f64("median_latency_ms")?,
-            worst_latency_ms: v.opt_f64("worst_latency_ms")?,
-            duty_cycle_percent: v.f64("duty_cycle_percent")?,
-            power_per_packet_mw: v.opt_f64("power_per_packet_mw")?,
-            energy_per_packet_mj: v.opt_f64("energy_per_packet_mj")?,
-            repair_time_secs: v.opt_f64("repair_time_secs")?,
-            windowed_pdr_median: v.opt_f64("windowed_pdr_median")?,
-            windowed_pdr_worst: v.opt_f64("windowed_pdr_worst")?,
-            fraction_joined: v.f64("fraction_joined")?,
-            mean_join_secs: v.opt_f64("mean_join_secs")?,
-            parent_changes: v.uint("parent_changes")?,
-            retry_drops: v.uint("retry_drops")?,
-            queue_drops: v.uint("queue_drops")?,
-            audit_violations: v.uint("audit_violations")?,
-            telemetry_epochs: v.opt_uint("telemetry_epochs")?,
-            health_alerts: v.opt_uint("health_alerts")?,
-            epoch_pdr_min: v.opt_f64("epoch_pdr_min")?,
-        })
     }
 
     /// Parses one canonical JSONL line.
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed JSON or a missing field.
+    /// Returns a message on malformed JSON, or naming the first missing or
+    /// ill-typed field.
     pub fn from_line(line: &str) -> Result<RunMetrics, String> {
-        let v = json::parse(line).map_err(|e| e.to_string())?;
-        RunMetrics::from_value(&v)
+        decode_line(line, RunMetrics::take_fields)
     }
 }
 
@@ -366,14 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn every_metric_key_resolves() {
-        let m = sample();
-        for key in METRIC_KEYS {
-            // Keys must at least be known (absent values are fine).
-            let _ = m.metric(key);
-        }
-        assert_eq!(m.metric("no-such-metric"), None);
-        assert_eq!(m.metric("pdr"), Some(m.pdr));
+    fn the_metrics_are_the_rows_after_secs() {
+        let keys: Vec<&str> = RunMetrics::metric_rows().iter().map(|f| f.key).collect();
+        assert_eq!((keys.len(), keys[0], keys[18]), (19, "pdr", "epoch_pdr_min"));
     }
 
     #[test]

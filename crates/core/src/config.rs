@@ -9,28 +9,26 @@ use digs_sim::interference::Jammer;
 use digs_sim::rf::RfConfig;
 use digs_sim::topology::Topology;
 
-/// Which protocol suite the network runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Protocol {
-    /// The paper's contribution: distributed graph routing + autonomous
-    /// scheduling.
-    Digs,
-    /// The baseline: Orchestra scheduling over RPL.
-    Orchestra,
-    /// The centralized baseline: devices execute a schedule computed by
-    /// the WirelessHART Network Manager (static during the run; the
-    /// manager's reaction-time cost is modelled by `digs-whart`).
-    WirelessHart,
+digs_json::named! {
+    /// Which protocol suite the network runs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Protocol: "protocol" {
+        /// The paper's contribution: distributed graph routing + autonomous
+        /// scheduling.
+        Digs = "digs",
+        /// The baseline: Orchestra scheduling over RPL.
+        Orchestra = "orchestra",
+        /// The centralized baseline: devices execute a schedule computed by
+        /// the WirelessHART Network Manager (static during the run; the
+        /// manager's reaction-time cost is modelled by `digs-whart`).
+        WirelessHart = "wirelesshart",
+    }
 }
 
 impl Protocol {
-    /// Short lowercase name for table labels.
+    /// Short lowercase name for table labels: [`Protocol::as_str`].
     pub fn name(self) -> &'static str {
-        match self {
-            Protocol::Digs => "digs",
-            Protocol::Orchestra => "orchestra",
-            Protocol::WirelessHart => "wirelesshart",
-        }
+        self.as_str()
     }
 }
 
@@ -317,5 +315,10 @@ mod tests {
     fn protocol_names() {
         assert_eq!(Protocol::Digs.name(), "digs");
         assert_eq!(Protocol::Orchestra.name(), "orchestra");
+        assert_eq!(Protocol::parse("wirelesshart"), Ok(Protocol::WirelessHart));
+        assert_eq!(
+            Protocol::parse("rpl"),
+            Err("unknown protocol `rpl` (digs|orchestra|wirelesshart)".to_string())
+        );
     }
 }

@@ -103,28 +103,19 @@ impl Default for HealthConfig {
     }
 }
 
-/// The typed health rules the monitor evaluates each epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthRule {
-    /// Windowed PDR fell below the configured floor after convergence.
-    PdrCollapse,
-    /// Parent churn in one epoch exceeded the storm threshold.
-    ChurnStorm,
-    /// Some node's application queue reached its configured capacity.
-    QueueSaturation,
-    /// The network failed to converge within the stall deadline.
-    ConvergenceStall,
-}
-
-impl HealthRule {
-    /// Stable wire name (also the trace event's `rule` field).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HealthRule::PdrCollapse => "pdr-collapse",
-            HealthRule::ChurnStorm => "churn-storm",
-            HealthRule::QueueSaturation => "queue-saturation",
-            HealthRule::ConvergenceStall => "convergence-stall",
-        }
+digs_json::named! {
+    /// The typed health rules the monitor evaluates each epoch. The names
+    /// are stable: they are the trace event's `rule` field.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum HealthRule: "health rule" {
+        /// Windowed PDR fell below the configured floor after convergence.
+        PdrCollapse = "pdr-collapse",
+        /// Parent churn in one epoch exceeded the storm threshold.
+        ChurnStorm = "churn-storm",
+        /// Some node's application queue reached its configured capacity.
+        QueueSaturation = "queue-saturation",
+        /// The network failed to converge within the stall deadline.
+        ConvergenceStall = "convergence-stall",
     }
 }
 

@@ -16,9 +16,9 @@
 //! a `kill -9` loses at most the bytes of one partially written line,
 //! which recovery tolerates (a torn tail line is skipped, not fatal).
 
-use crate::message::decode_line;
 use crate::wire::RunState;
-use digs_json::Value;
+use digs_json::message::decode_line;
+use digs_json::{message, Value};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};

@@ -21,12 +21,11 @@
 //!    queue counts a drop (reported in that subscriber's heartbeats) and
 //!    the simulation moves on.
 
-#[macro_use]
-mod message;
 mod chaos;
 mod client;
 mod hub;
 mod journal;
+mod message;
 mod run;
 mod server;
 mod session;
@@ -35,10 +34,10 @@ mod wire;
 
 pub use chaos::{ChaosConfig, ChaosState};
 pub use client::{error_code, Client, ResumableStream, StreamEnd, StreamItem};
+pub use digs_json::message::{FieldDef, Kind, MessageDef};
 pub use digs_json::Value;
 pub use hub::{BackoffPolicy, Hub, Recv, Subscription, Supervisor, Verdict};
 pub use journal::{Journal, Record, RecoveredRun, Recovery};
-pub use message::{FieldDef, Kind, MessageDef};
 pub use run::{Job, RunCtx, RunHandle, Runner};
 pub use server::{Daemon, DaemonConfig, DEFAULT_ADDR, HEARTBEAT};
 pub use spec::{topology_from, FleetParams, SingleSpec};

@@ -10,7 +10,7 @@ use crate::message::Secs;
 use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
 use digs_fleet::{FleetSpec, ShardedSpec, Template};
-use digs_json::Value;
+use digs_json::{message, Value};
 use digs_sim::interference::Jammer;
 use digs_sim::position::Position;
 use digs_sim::rf::{Dbm, RfConfig};
@@ -38,15 +38,6 @@ pub fn topology_from(name: &str) -> Result<Topology, String> {
                 Err(format!("unknown topology `{other}`"))
             }
         }
-    }
-}
-
-fn protocol_from(name: &str) -> Result<Protocol, String> {
-    match name {
-        "digs" => Ok(Protocol::Digs),
-        "orchestra" => Ok(Protocol::Orchestra),
-        "wirelesshart" => Ok(Protocol::WirelessHart),
-        other => Err(format!("unknown protocol `{other}` (digs|orchestra|wirelesshart)")),
     }
 }
 
@@ -99,7 +90,7 @@ impl SingleSpec {
     /// produces the same network.
     pub fn build_config(&self) -> Result<NetworkConfig, String> {
         let topology = topology_from(&self.topology)?;
-        let protocol = protocol_from(&self.protocol)?;
+        let protocol = Protocol::parse(&self.protocol)?;
         let rf = if topology.name().starts_with("random") || topology.name().starts_with("cooja") {
             RfConfig::open_area()
         } else {

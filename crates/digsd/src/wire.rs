@@ -1,8 +1,8 @@
 //! The digsd wire protocol: versioned, line-oriented JSON frames.
 //!
 //! Every message is one JSON object on one line, newline-terminated.
-//! Each message type is declared by its rows ([`crate::message`]), which
-//! give its codec and the tables DESIGN §4.12 prints — simplicity over
+//! Each message type is declared by its rows ([`digs_json::message`](mod@digs_json::message)),
+//! which give its codec and the tables DESIGN §4.12 prints — simplicity over
 //! space efficiency, SIP-003 style. The load-bearing invariant is that
 //! **event frames carry their payload as the last field, verbatim**, and a
 //! client recovers the payload's *exact original bytes* as a slice of the
@@ -16,8 +16,8 @@
 //! kept as the bytes it arrived in. Every other message is rare and small
 //! and goes through a [`Value`].
 
-use crate::message::{decode_line, FieldDef, Flat, Kind, MessageDef, WireField};
-use digs_json::Value;
+use digs_json::message::{decode_line, FieldDef, Flat, Kind, MessageDef, WireField};
+use digs_json::{message, named, Value};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;

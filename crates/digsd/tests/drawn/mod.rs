@@ -116,6 +116,7 @@ pub fn value(d: &mut Draw, kind: &Kind) -> Value {
     match *kind {
         Kind::Str => Value::Str(text(d)),
         Kind::Int { max } => Value::Int(int(d, max)),
+        Kind::Num => Value::Num(*d.pick(&[0.0, 1e-7, 0.5, 1320.0])),
         Kind::Bool => Value::Bool(d.bool()),
         Kind::Raw => Value::obj([
             ("kind", Value::Str(text(d))),

@@ -4,15 +4,12 @@
 //! deliberately excluded) or a human-readable table.
 
 use crate::runner::{DegradedRun, NetworkSummary};
+use digs::telemetry::HealthRule;
 use digs_json::Value;
 use digs_metrics::histogram::LogHistogram;
 
 /// How many worst networks the report names.
 pub const WORST_K: usize = 5;
-
-/// Wire names of the health rules, in [`crate::runner::NetworkSummary::alert_kinds`] order.
-pub const ALERT_RULES: [&str; 4] =
-    ["pdr-collapse", "churn-storm", "queue-saturation", "convergence-stall"];
 
 /// Fleet service-level objectives. A breach makes `digs-cli fleet run`
 /// exit non-zero (the CI gate).
@@ -32,18 +29,22 @@ pub struct SloPolicy {
 
 impl SloPolicy {
     /// Defaults calibrated to clean (un-jammed, un-faulted) scenarios:
-    /// pooled PDR ≥ 0.90, no network below 0.50, at most 5% of networks
+    /// pooled PDR ≥ 0.90, no network below 0.50, at most 15% of networks
     /// alerting, zero invariant violations anywhere. The alert ceiling
-    /// sits above the measured clean realization tail (~3% of 1600
-    /// template networks raise at least one discovery-phase alert over
-    /// 600 s) and far below any fault signature (a jammed fleet alerts
-    /// at tens of percent); violations stay zero-tolerance because a
-    /// frozen invariant breach is an incident, not noise.
+    /// sits above the measured clean realization tail: over 600 s, 150 of
+    /// 1600 template networks (9.4%: 57 of 800 oil-field, 93 of 800
+    /// factory-floor) raise at least one alert, and the first 400 and 42
+    /// raise 11.75% and 11.9%. Those alerts are steady-state, spread over
+    /// the whole armed window rather than bunched after the settle time:
+    /// oil-field churn storms of 16–23 parent changes per epoch, and
+    /// factory-floor epochs that deliver 3–5 of their 8 packets.
+    /// Violations stay zero-tolerance because a frozen invariant breach is
+    /// an incident, not noise.
     pub fn new() -> SloPolicy {
         SloPolicy {
             fleet_pdr_floor: 0.90,
             worst_network_pdr_floor: 0.50,
-            max_alert_rate: 0.05,
+            max_alert_rate: 0.15,
             max_violation_rate: 0.0,
         }
     }
@@ -80,8 +81,8 @@ pub struct FleetReport {
     pub alert_networks: u64,
     /// Total health alerts.
     pub total_alerts: u64,
-    /// Fleet-wide alerts by rule, in [`ALERT_RULES`] order.
-    pub alert_kind_totals: [u64; 4],
+    /// Fleet-wide alerts by rule, in [`HealthRule::ALL`] order.
+    pub alert_kind_totals: [u64; HealthRule::ALL.len()],
     /// Networks with at least one audit violation.
     pub violation_networks: u64,
     /// Total audit violations.
@@ -124,7 +125,7 @@ pub fn aggregate_partial(
     let mut generated = 0u64;
     let mut delivered = 0u64;
     let mut alerts = (0u64, 0u64);
-    let mut alert_kind_totals = [0u64; 4];
+    let mut alert_kind_totals = [0u64; HealthRule::ALL.len()];
     let mut violations = (0u64, 0u64);
     let mut pdr_sum = 0.0;
     let mut joined_sum = 0.0;
@@ -293,10 +294,10 @@ impl FleetReport {
             (
                 "alerts_by_rule".into(),
                 Value::Obj(
-                    ALERT_RULES
+                    HealthRule::ALL
                         .iter()
                         .zip(&self.alert_kind_totals)
-                        .map(|(rule, &n)| (rule.to_string(), Value::Int(n)))
+                        .map(|(rule, &n)| (rule.as_str().to_string(), Value::Int(n)))
                         .collect(),
                 ),
             ),
@@ -430,10 +431,10 @@ pub fn render(report: &Value) -> Result<String, String> {
     if total_alerts > 0 {
         let by_rule = report.req("alerts_by_rule")?;
         let mut kinds = Vec::new();
-        for rule in ALERT_RULES {
-            let n = int(by_rule, rule)?;
+        for rule in HealthRule::ALL {
+            let n = int(by_rule, rule.as_str())?;
             if n > 0 {
-                kinds.push(format!("{rule} {n}"));
+                kinds.push(format!("{} {n}", rule.as_str()));
             }
         }
         let _ = writeln!(out, "    by rule: {}", kinds.join(", "));

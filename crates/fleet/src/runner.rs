@@ -4,6 +4,7 @@
 use crate::spec::FleetSpec;
 use digs::config::NetworkConfig;
 use digs::network::{Network, RunObserver};
+use digs::telemetry::HealthRule;
 use digs_metrics::histogram::LogHistogram;
 use digs_pool as pool;
 use digs_sim::time::SLOTS_PER_SECOND;
@@ -33,9 +34,8 @@ pub struct NetworkSummary {
     pub fraction_joined: f64,
     /// Health alerts the telemetry monitor raised.
     pub alerts: u64,
-    /// Alerts by rule, indexed by [`crate::aggregate::ALERT_RULES`]
-    /// (pdr-collapse, churn-storm, queue-saturation, convergence-stall).
-    pub alert_kinds: [u64; 4],
+    /// Alerts by rule, in [`HealthRule::ALL`] order.
+    pub alert_kinds: [u64; HealthRule::ALL.len()],
     /// Invariant violations the runtime auditor recorded.
     pub violations: u64,
     /// End-to-end delivery latency, ms.
@@ -67,23 +67,17 @@ pub fn run_network(
 
 /// Reduces a finished network to its summary.
 pub fn summarize(label: &str, net: &Network) -> NetworkSummary {
-    use digs::telemetry::HealthRule;
     let results = net.results();
-    let (alerts, alert_kinds, latency) = match net.telemetry() {
+    let mut alert_kinds = [0; HealthRule::ALL.len()];
+    let (alerts, latency) = match net.telemetry() {
         Some(t) => {
-            let mut kinds = [0u64; 4];
             for a in t.alerts() {
-                let k = match a.rule {
-                    HealthRule::PdrCollapse => 0,
-                    HealthRule::ChurnStorm => 1,
-                    HealthRule::QueueSaturation => 2,
-                    HealthRule::ConvergenceStall => 3,
-                };
-                kinds[k] += 1;
+                // `ALL` lists the rules in declaration order.
+                alert_kinds[a.rule as usize] += 1;
             }
-            (t.summary().alerts, kinds, t.latency_histogram().clone())
+            (t.summary().alerts, t.latency_histogram().clone())
         }
-        None => (0, [0; 4], LogHistogram::new()),
+        None => (0, LogHistogram::new()),
     };
     NetworkSummary {
         label: label.to_string(),

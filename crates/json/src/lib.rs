@@ -20,6 +20,12 @@
 //! to lift out a field it must keep byte-exact (a digsd event frame's
 //! payload).
 //!
+//! A record type is declared once, by its rows ([`message`](mod@message)): the digsd
+//! messages, journal records and launch specs, `RunMetrics` and the
+//! goldens get their encoder, decoder and printed table from one
+//! `key: Type` list, and every enum that travels by name gets its names
+//! from one `(Variant, "name")` list.
+//!
 //! Determinism is the hard requirement ("same spec + seed = same bytes"),
 //! so the rules are few and fixed: objects keep insertion order;
 //! non-negative integers are exact over the whole `u64` range
@@ -35,6 +41,8 @@
 use core::fmt;
 use core::ops::Range;
 use std::borrow::Cow;
+
+pub mod message;
 
 /// Deepest array/object nesting [`parse`] accepts. The deepest document the
 /// tree writes (a fleet report) nests 5 levels; 64 leaves room and keeps the

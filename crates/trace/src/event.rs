@@ -32,113 +32,50 @@ impl fmt::Display for PacketId {
     }
 }
 
-/// Coarse traffic class of a frame, mirroring `digs_sim::packet::FrameKind`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TrafficClass {
-    /// Enhanced Beacon (time synchronization).
-    Beacon,
-    /// Routing signalling.
-    Routing,
-    /// Application data.
-    Data,
-    /// Centralized manager dissemination.
-    Management,
-}
-
-impl TrafficClass {
-    /// Stable lowercase wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TrafficClass::Beacon => "beacon",
-            TrafficClass::Routing => "routing",
-            TrafficClass::Data => "data",
-            TrafficClass::Management => "mgmt",
-        }
-    }
-
-    /// Parses a wire name produced by [`TrafficClass::as_str`].
-    pub fn parse(s: &str) -> Option<TrafficClass> {
-        Some(match s {
-            "beacon" => TrafficClass::Beacon,
-            "routing" => TrafficClass::Routing,
-            "data" => TrafficClass::Data,
-            "mgmt" => TrafficClass::Management,
-            _ => return None,
-        })
+digs_json::named! {
+    /// Coarse traffic class of a frame, mirroring `digs_sim::packet::FrameKind`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum TrafficClass: "traffic class" {
+        /// Enhanced Beacon (time synchronization).
+        Beacon = "beacon",
+        /// Routing signalling.
+        Routing = "routing",
+        /// Application data.
+        Data = "data",
+        /// Centralized manager dissemination.
+        Management = "mgmt",
     }
 }
 
-/// Why a unicast transmission went unacknowledged or a packet was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropReason {
-    /// The bounded queue was full on enqueue.
-    QueueOverflow,
-    /// The per-hop retransmission budget was exhausted.
-    RetryBudget,
-    /// The destination was not listening on the frame's channel.
-    NoListener,
-    /// The frame itself was lost on the air (CRC failure / collision / jam).
-    FrameLost,
-    /// The frame was decoded but the acknowledgement was lost on the way
-    /// back.
-    AckLost,
-}
-
-impl DropReason {
-    /// Stable lowercase wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DropReason::QueueOverflow => "queue-overflow",
-            DropReason::RetryBudget => "retry-budget",
-            DropReason::NoListener => "no-listener",
-            DropReason::FrameLost => "frame-lost",
-            DropReason::AckLost => "ack-lost",
-        }
-    }
-
-    /// Parses a wire name produced by [`DropReason::as_str`].
-    pub fn parse(s: &str) -> Option<DropReason> {
-        Some(match s {
-            "queue-overflow" => DropReason::QueueOverflow,
-            "retry-budget" => DropReason::RetryBudget,
-            "no-listener" => DropReason::NoListener,
-            "frame-lost" => DropReason::FrameLost,
-            "ack-lost" => DropReason::AckLost,
-            _ => return None,
-        })
+digs_json::named! {
+    /// Why a unicast transmission went unacknowledged or a packet was dropped.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum DropReason: "reason" {
+        /// The bounded queue was full on enqueue.
+        QueueOverflow = "queue-overflow",
+        /// The per-hop retransmission budget was exhausted.
+        RetryBudget = "retry-budget",
+        /// The destination was not listening on the frame's channel.
+        NoListener = "no-listener",
+        /// The frame itself was lost on the air (CRC failure / collision / jam).
+        FrameLost = "frame-lost",
+        /// The frame was decoded but the acknowledgement was lost on the way
+        /// back.
+        AckLost = "ack-lost",
     }
 }
 
-/// Which scripted fault hit or cleared (for [`EventKind::FaultInject`] /
-/// [`EventKind::FaultClear`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultKind {
-    /// Node outage (warm RAM state survives).
-    Outage,
-    /// Cold reboot (stack resets when the node returns).
-    Reboot,
-    /// Bidirectional link obstruction; `peer` names the other endpoint.
-    LinkOutage,
-}
-
-impl FaultKind {
-    /// Stable lowercase wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::Outage => "outage",
-            FaultKind::Reboot => "reboot",
-            FaultKind::LinkOutage => "link-outage",
-        }
-    }
-
-    /// Parses a wire name produced by [`FaultKind::as_str`].
-    pub fn parse(s: &str) -> Option<FaultKind> {
-        Some(match s {
-            "outage" => FaultKind::Outage,
-            "reboot" => FaultKind::Reboot,
-            "link-outage" => FaultKind::LinkOutage,
-            _ => return None,
-        })
+digs_json::named! {
+    /// Which scripted fault hit or cleared (for [`EventKind::FaultInject`] /
+    /// [`EventKind::FaultClear`]).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum FaultKind: "fault kind" {
+        /// Node outage (warm RAM state survives).
+        Outage = "outage",
+        /// Cold reboot (stack resets when the node returns).
+        Reboot = "reboot",
+        /// Bidirectional link obstruction; `peer` names the other endpoint.
+        LinkOutage = "link-outage",
     }
 }
 
@@ -474,27 +411,19 @@ mod tests {
 
     #[test]
     fn wire_names_round_trip() {
-        for c in [
-            TrafficClass::Beacon,
-            TrafficClass::Routing,
-            TrafficClass::Data,
-            TrafficClass::Management,
-        ] {
-            assert_eq!(TrafficClass::parse(c.as_str()), Some(c));
+        for &c in TrafficClass::ALL {
+            assert_eq!(TrafficClass::parse(c.as_str()), Ok(c));
         }
-        for r in [
-            DropReason::QueueOverflow,
-            DropReason::RetryBudget,
-            DropReason::NoListener,
-            DropReason::FrameLost,
-            DropReason::AckLost,
-        ] {
-            assert_eq!(DropReason::parse(r.as_str()), Some(r));
+        for &r in DropReason::ALL {
+            assert_eq!(DropReason::parse(r.as_str()), Ok(r));
         }
-        for k in [FaultKind::Outage, FaultKind::Reboot, FaultKind::LinkOutage] {
-            assert_eq!(FaultKind::parse(k.as_str()), Some(k));
+        for &k in FaultKind::ALL {
+            assert_eq!(FaultKind::parse(k.as_str()), Ok(k));
         }
-        assert_eq!(TrafficClass::parse("bogus"), None);
+        assert_eq!(
+            TrafficClass::parse("bogus"),
+            Err("unknown traffic class `bogus` (beacon|routing|data|mgmt)".to_string())
+        );
     }
 
     #[test]

@@ -201,8 +201,7 @@ fn opt_packet_field(value: &Value) -> Result<Option<PacketId>, String> {
 }
 
 fn class_field(value: &Value) -> Result<TrafficClass, String> {
-    let s = value.str("class")?;
-    TrafficClass::parse(s).ok_or_else(|| format!("unknown traffic class \"{s}\""))
+    TrafficClass::parse(value.str("class")?)
 }
 
 fn decode_event(value: &Value) -> Result<Event, String> {
@@ -227,14 +226,11 @@ fn decode_event(value: &Value) -> Result<Event, String> {
             packet: opt_packet_field(value)?,
         },
         "ack" => EventKind::Ack { dst: value.uint("dst")?, packet: opt_packet_field(value)? },
-        "nack" => {
-            let s = value.str("reason")?;
-            EventKind::Nack {
-                dst: value.uint("dst")?,
-                reason: DropReason::parse(s).ok_or_else(|| format!("unknown reason \"{s}\""))?,
-                packet: opt_packet_field(value)?,
-            }
-        }
+        "nack" => EventKind::Nack {
+            dst: value.uint("dst")?,
+            reason: DropReason::parse(value.str("reason")?)?,
+            packet: opt_packet_field(value)?,
+        },
         "q-enq" => {
             EventKind::QueueEnq { packet: packet_field(value)?, depth: value.uint("depth")? }
         }
@@ -268,8 +264,7 @@ fn decode_event(value: &Value) -> Result<Event, String> {
             }
         }
         "fault-inject" | "fault-clear" => {
-            let s = value.str("fault")?;
-            let fault = FaultKind::parse(s).ok_or_else(|| format!("unknown fault kind \"{s}\""))?;
+            let fault = FaultKind::parse(value.str("fault")?)?;
             let peer = value.opt_uint("peer")?;
             if ev == "fault-inject" {
                 EventKind::FaultInject { fault, peer }
