@@ -20,7 +20,7 @@ digs_json::message! {
     /// One seed of one catalogue scenario: the launch spec of the
     /// `scenario` runner, declared beside `SingleSpec` and `FleetParams`.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct ScenarioLaunch = "scenario" {
+    pub struct ScenarioLaunch: "scenario" by "kind" {
         /// The matrix the scenario is looked up in.
         matrix: MatrixKind = MatrixKind::Full,
         /// Catalogue name.

@@ -177,7 +177,7 @@ impl RunMetrics {
 
     /// One canonical JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
-        self.to_value().to_compact()
+        self.to_json_line()
     }
 
     /// Parses one canonical JSONL line.
@@ -195,7 +195,7 @@ impl RunMetrics {
 pub fn to_jsonl(records: &[RunMetrics]) -> String {
     let mut out = String::new();
     for r in records {
-        out.push_str(&r.to_line());
+        r.write_json(&mut out);
         out.push('\n');
     }
     out

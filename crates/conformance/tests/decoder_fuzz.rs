@@ -1,11 +1,14 @@
 //! Decoder fuzz (ROADMAP 4b), deterministic per seed. Random bytes, bit- and
 //! byte-mutated valid lines, truncations, nesting bombs and 1 MiB strings go
-//! through every decoder that reads text from outside the program. Each call
-//! must return — `Ok` or `Err`, never a panic or a stack overflow — and
-//! whatever decodes must re-encode and decode again to itself.
+//! through every decoder that reads text from outside the program — the
+//! daemon's messages, trace events, telemetry lines and the view a client
+//! draws from them. Each call must return — `Ok` or `Err`, never a panic or
+//! a stack overflow — and whatever decodes must re-encode and decode again
+//! to itself.
 //! `digs_json::walk_fields`, the reading of the grammar that builds nothing,
 //! must agree with `parse` on every one of those inputs.
 
+use digs::telemetry::{TelemetryLine, TelemetryView, Window};
 use digs_cases::Draw;
 use digs_conformance::golden::Golden;
 use digs_conformance::RunMetrics;
@@ -120,6 +123,11 @@ fn feed(input: &str) {
     round_trip("frame", input, EventFrame::decode, EventFrame::encode);
     round_trip("journal", input, Record::decode, Record::encode);
     round_trip("trace", input, digs_trace::from_jsonl, |events| digs_trace::to_jsonl(events));
+    round_trip("telemetry", input, TelemetryLine::decode, TelemetryLine::encode);
+    let mut view = TelemetryView::default();
+    if view.push_line(input).is_ok() {
+        view.render(Window::ALL);
+    }
     round_trip("metrics", input, RunMetrics::from_line, RunMetrics::to_line);
     round_trip("golden", input, Golden::parse, Golden::to_pretty);
     round_trip("seeds", input, SeedSpec::parse, SeedSpec::to_string);
@@ -169,12 +177,13 @@ fn corpus(d: &mut Draw) -> Vec<String> {
         },
     ];
     let golden = include_str!("../../../goldens/small.json");
-    // Every message type of the five tables, canonical and with optional
-    // fields left out.
+    // Every message type of the seven tables — every trace event kind and
+    // telemetry line among them — canonical and with optional fields left
+    // out.
     let mut lines: Vec<String> = drawn::PROTOCOLS
         .iter()
-        .flat_map(|p| p.table.iter().map(move |def| (p.tag, def)))
-        .flat_map(|(tag, def)| [drawn::line(d, tag, def), drawn::sparse_line(d, tag, def)])
+        .flat_map(|p| p.table.iter().map(move |def| (p, def)))
+        .flat_map(|(p, def)| [drawn::line(d, p, def), drawn::sparse_line(d, p, def)])
         .collect();
     lines.extend([
         digs_trace::to_jsonl(&events),

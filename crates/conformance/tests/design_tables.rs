@@ -1,12 +1,14 @@
-//! DESIGN prints every row table the code declares: the client, server and
-//! journal protocols (types, keys, order), the three launch specs (keys,
-//! kinds, defaults) and the `RunMetrics` record (keys, kinds). This crate
+//! DESIGN prints every row table the code declares: the trace event, the
+//! telemetry line, the client, server and journal protocols (names, keys,
+//! order), the three launch specs (keys, kinds, defaults), and the
+//! `RunMetrics` record and the trace event's head (keys, kinds). This crate
 //! sees all of them.
 
+use digs::telemetry::TelemetryLine;
 use digs_conformance::{RunMetrics, ScenarioLaunch};
 use digs_digsd::{ClientMsg, FieldDef, FleetParams, Kind, Record, ServerMsg, SingleSpec};
-use digs_json::message::Rows;
 use digs_json::Value;
+use digs_trace::{Event, EventKind};
 
 const DESIGN: &str = include_str!("../../../DESIGN.md");
 
@@ -43,12 +45,14 @@ fn ticked(cell: &str) -> Vec<String> {
     outside.split('`').skip(1).step_by(2).map(str::to_string).collect()
 }
 
-/// A row's keys, with flattened fields spliced in.
+/// A row's keys, with flattened fields spliced in and a flattened message
+/// standing for its tag.
 fn keys(fields: &[FieldDef]) -> Vec<String> {
     fields
         .iter()
         .flat_map(|f| match f.kind {
             Kind::Flat(inner) => keys(inner),
+            Kind::OneOf { tag, .. } => vec![tag.to_string()],
             _ => vec![f.key.to_string()],
         })
         .collect()
@@ -64,30 +68,36 @@ fn label(kind: &Kind) -> String {
         Kind::Named(names) => names.join(" or "),
         Kind::Opt(inner) => format!("{} or null", label(inner)),
         Kind::Pair(a, b) => format!("[{}, {}]", label(a), label(b)),
+        Kind::OneOf { .. } => "a name from the table below".into(),
         other => format!("{other:?}"),
     }
 }
 
-/// The client, server and journal tables: the same message types, keys
-/// and order.
+/// The trace event, telemetry line, client, server and journal tables, in
+/// DESIGN's order: the same message types, keys and order.
 #[test]
 fn design_prints_every_protocol_table() {
     let printed: Vec<Vec<(String, Vec<String>)>> = tables(DESIGN)
         .iter()
-        .filter(|(header, _)| header[..2] == ["type", "fields"])
+        .filter(|(header, _)| matches!(header[0].as_str(), "type" | "ev") && header[1] == "fields")
         .map(|(_, rows)| rows.iter().map(|r| (ticked(&r[0])[0].clone(), ticked(&r[1]))).collect())
         .collect();
-    let declared: Vec<Vec<(String, Vec<String>)>> =
-        [ClientMsg::MESSAGES, ServerMsg::MESSAGES, Record::MESSAGES]
-            .iter()
-            .map(|table| table.iter().map(|m| (m.name.to_string(), keys(m.fields))).collect())
-            .collect();
-    assert_eq!(printed, declared, "DESIGN's client, server and journal tables");
+    let declared: Vec<Vec<(String, Vec<String>)>> = [
+        EventKind::MESSAGES,
+        TelemetryLine::MESSAGES,
+        ClientMsg::MESSAGES,
+        ServerMsg::MESSAGES,
+        Record::MESSAGES,
+    ]
+    .iter()
+    .map(|table| table.iter().map(|m| (m.name.to_string(), keys(m.fields))).collect())
+    .collect();
+    assert_eq!(printed, declared, "DESIGN's trace, telemetry, client, server and journal tables");
 }
 
-/// The `RunMetrics` record and the three launch specs: each field's key
-/// and kind, in order; for a spec, its default too (`required` for a field
-/// without one).
+/// The `RunMetrics` record, the trace event's head and the three launch
+/// specs: each field's key and kind, in order; for a spec, its default too
+/// (`required` for a field without one).
 #[test]
 fn design_prints_every_field_table() {
     let printed: Vec<(String, Vec<Vec<String>>)> = tables(DESIGN)
@@ -117,11 +127,12 @@ fn design_prints_every_field_table() {
             .collect()
     };
     let scenario = digs_json::parse(r#"{"scenario":"fig09-digs"}"#).expect("parses");
+    let record = |fields: &[FieldDef]| -> Vec<Vec<String>> {
+        fields.iter().zip(keys(fields)).map(|(f, key)| vec![key, label(&f.kind)]).collect()
+    };
     let declared = vec![
-        (
-            "RunMetrics".to_string(),
-            RunMetrics::FIELDS.iter().map(|f| vec![f.key.to_string(), label(&f.kind)]).collect(),
-        ),
+        ("RunMetrics".to_string(), record(RunMetrics::FIELDS)),
+        ("Event".to_string(), record(Event::FIELDS)),
         (
             SingleSpec::MESSAGES[0].name.to_string(),
             spec(SingleSpec::MESSAGES[0].fields, SingleSpec::default().to_json()),

@@ -148,7 +148,7 @@ impl StackCore {
                 asn,
                 EventKind::Delivered {
                     packet: trace_pid(packet),
-                    latency_slots: asn.0.saturating_sub(packet.generated_at.0),
+                    latency: asn.0.saturating_sub(packet.generated_at.0),
                 },
             );
             self.telemetry.deliveries.push(DeliveryRecord { packet: *packet, delivered_at: asn });

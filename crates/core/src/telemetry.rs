@@ -30,9 +30,12 @@
 
 use crate::config::NetworkConfig;
 use crate::stack::ProtocolStack;
+use digs_json::message::{decode_line, Kind, Map, Omitted, Rows, WireField};
+use digs_json::Value;
 use digs_metrics::{LogHistogram, Registry, StreamingSummary};
 use digs_sim::engine::Engine;
 use digs_sim::time::{SLOTS_PER_SECOND, SLOT_MS};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
@@ -119,55 +122,172 @@ digs_json::named! {
     }
 }
 
-/// One alert raised by the health monitor at an epoch boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthAlert {
-    /// Which rule fired.
-    pub rule: HealthRule,
-    /// Epoch index (0-based).
-    pub epoch: u64,
-    /// First slot of the epoch window.
-    pub asn_start: u64,
-    /// One past the last slot of the epoch window.
-    pub asn_end: u64,
-    /// Deterministic human-readable detail.
-    pub detail: String,
+digs_json::message! {
+    /// One alert raised by the health monitor at an epoch boundary: an
+    /// `alert` line.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HealthAlert: "alert" by "type" {
+        /// Which rule fired.
+        rule: HealthRule,
+        /// Epoch index (0-based).
+        epoch: u64,
+        /// First slot of the epoch window.
+        asn_start: u64,
+        /// One past the last slot of the epoch window.
+        asn_end: u64,
+        /// Deterministic human-readable detail.
+        detail: String,
+    }
 }
 
-/// Per-flow delivery counts within one epoch, keyed by generation time
-/// (generated here) vs arrival time (delivered here) — in-flight packets
-/// can make a single epoch's ratio exceed 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowEpoch {
-    /// Flow id.
-    pub flow: u16,
-    /// Packets the source generated during the epoch.
-    pub generated: u64,
-    /// Unique packets of this flow first delivered during the epoch.
-    pub delivered: u64,
+digs_json::message! {
+    /// Per-flow delivery counts within one epoch, keyed by generation time
+    /// (generated here) vs arrival time (delivered here) — in-flight packets
+    /// can make a single epoch's ratio exceed 1.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FlowEpoch {
+        /// Flow id.
+        flow: u16,
+        /// Packets the source generated during the epoch.
+        generated: u64,
+        /// Unique packets of this flow first delivered during the epoch.
+        delivered: u64,
+    }
 }
 
-/// One typed time-series sample covering `[asn_start, asn_end)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochSnapshot {
-    /// Epoch index (0-based, monotonic even past the retention cap).
-    pub epoch: u64,
-    /// First slot of the window.
-    pub asn_start: u64,
-    /// One past the last slot of the window.
-    pub asn_end: u64,
-    /// Registry counter deltas for the window, in key order.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Registry gauge values at the window end, in key order.
-    pub gauges: Vec<(&'static str, i64)>,
-    /// Per-flow generation/delivery counts.
-    pub flows: Vec<FlowEpoch>,
-    /// End-to-end latencies (ms) of packets delivered in the window.
-    pub latency_ms: LogHistogram,
-    /// Advertised path cost (ETXw / path ETX) across joined nodes.
-    pub etx: StreamingSummary,
-    /// Cumulative radio duty cycle across nodes at the window end.
-    pub duty_cycle: StreamingSummary,
+digs_json::message! {
+    /// A distribution over nodes as an epoch line carries it: how many
+    /// samples it has and, when that is any, their mean, min and max.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct Spread {
+        /// Samples.
+        count: u64,
+        /// Their mean.
+        mean: Option<f64> as Omitted<f64>,
+        /// The smallest.
+        min: Option<f64> as Omitted<f64>,
+        /// The largest.
+        max: Option<f64> as Omitted<f64>,
+    }
+}
+
+impl From<&StreamingSummary> for Spread {
+    fn from(s: &StreamingSummary) -> Spread {
+        Spread { count: s.count(), mean: s.mean(), min: s.min(), max: s.max() }
+    }
+}
+
+digs_json::message! {
+    /// A latency histogram as an epoch line carries it: its count and, when
+    /// that is any, its exact min and max and its non-empty buckets as
+    /// `[index, count]` pairs ([`LogHistogram::sparse`]).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Buckets {
+        /// Values recorded.
+        count: u64,
+        /// The smallest.
+        min: Option<u64> as Omitted<u64>,
+        /// The largest.
+        max: Option<u64> as Omitted<u64>,
+        /// The non-empty buckets, in index order.
+        buckets: Option<Vec<(usize, u64)>> as Omitted<Vec<(usize, u64)>>,
+    }
+}
+
+/// Codes a [`LogHistogram`] as its [`Buckets`]. A histogram whose count is
+/// not its buckets' sum, or whose min is above its max, is refused.
+pub struct Histogram;
+
+impl WireField<LogHistogram> for Histogram {
+    const KIND: Kind = Kind::Obj(Buckets::FIELDS);
+
+    fn write(h: &LogHistogram, out: &mut String) {
+        let buckets = (!h.is_empty()).then(|| h.sparse());
+        Buckets { count: h.count(), min: h.min(), max: h.max(), buckets }.write_json(out);
+    }
+
+    fn decode(key: &str, value: &Value) -> Result<LogHistogram, String> {
+        let b = Buckets::take_fields(value)?;
+        let h = match (b.min, b.max) {
+            (Some(min), Some(max)) => {
+                LogHistogram::from_sparse(&b.buckets.unwrap_or_default(), min, max)?
+            }
+            _ => LogHistogram::new(),
+        };
+        if h.count() != b.count {
+            return Err(format!("`{key}` counts {} values, its buckets {}", b.count, h.count()));
+        }
+        Ok(h)
+    }
+}
+
+digs_json::message! {
+    /// One typed time-series sample covering `[asn_start, asn_end)`: an
+    /// `epoch` line.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EpochSnapshot: "epoch" by "type" {
+        /// Epoch index (0-based, monotonic even past the retention cap).
+        epoch: u64,
+        /// First slot of the window.
+        asn_start: u64,
+        /// One past the last slot of the window.
+        asn_end: u64,
+        /// Registry counter deltas for the window, in key order.
+        counters: Vec<(Cow<'static, str>, u64)> as Map<u64>,
+        /// Registry gauge values at the window end, in key order.
+        gauges: Vec<(Cow<'static, str>, i64)> as Map<i64>,
+        /// Per-flow generation/delivery counts.
+        flows: Vec<FlowEpoch>,
+        /// End-to-end latencies (ms) of packets delivered in the window.
+        latency_ms: LogHistogram as Histogram,
+        /// Advertised path cost (ETXw / path ETX) across joined nodes.
+        etx: Spread,
+        /// Cumulative radio duty cycle across nodes at the window end.
+        duty_cycle: Spread,
+    }
+}
+
+digs_json::message! {
+    /// A sampler's settings and counts: the `meta` line. A streamed run
+    /// sends it last, once the run is complete and the counts are known.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct TelemetryMeta: "meta" by "type" {
+        /// Slots per epoch.
+        epoch_slots: u64,
+        /// Retained-epoch cap.
+        cap: usize,
+        /// Epochs sampled, dropped ones included.
+        epochs: u64,
+        /// Epochs dropped past the cap.
+        dropped_epochs: u64,
+    }
+}
+
+digs_json::message! {
+    /// One line of a telemetry series, read back: a [`TelemetryView`] reads
+    /// these, and DESIGN §4.9 prints their table.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TelemetryLine: "telemetry line type" by "type" {}
+    structs {
+        /// The `meta` line.
+        Meta(TelemetryMeta),
+        /// An `epoch` line.
+        Epoch(EpochSnapshot),
+        /// An `alert` line.
+        Alert(HealthAlert),
+    }
+}
+
+impl TelemetryLine {
+    /// Decodes one line.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, an unknown `type`, or a field that is missing, of
+    /// the wrong type or out of range.
+    pub fn decode(line: &str) -> Result<TelemetryLine, String> {
+        decode_line(line, TelemetryLine::take_fields)
+    }
 }
 
 impl EpochSnapshot {
@@ -190,12 +310,12 @@ impl EpochSnapshot {
 
     /// The delta recorded for a counter key, if present.
     pub fn counter(&self, key: &str) -> Option<u64> {
-        self.counters.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+        self.counters.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
     }
 
     /// The value recorded for a gauge key, if present.
     pub fn gauge(&self, key: &str) -> Option<i64> {
-        self.gauges.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+        self.gauges.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
     }
 }
 
@@ -299,6 +419,16 @@ impl TelemetrySampler {
     /// Run-wide end-to-end latency histogram (ms).
     pub fn latency_histogram(&self) -> &LogHistogram {
         &self.latency_run
+    }
+
+    /// The `meta` line's settings and counts.
+    pub fn meta(&self) -> TelemetryMeta {
+        TelemetryMeta {
+            epoch_slots: self.settings.epoch_slots,
+            cap: self.settings.cap,
+            epochs: self.next_epoch,
+            dropped_epochs: self.dropped_epochs,
+        }
     }
 
     /// Aggregate summary for conformance records.
@@ -498,12 +628,12 @@ impl TelemetrySampler {
             epoch,
             asn_start,
             asn_end,
-            counters: self.registry.take_counter_deltas(),
-            gauges: self.registry.gauge_values(),
+            counters: named(self.registry.take_counter_deltas()),
+            gauges: named(self.registry.gauge_values()),
             flows,
             latency_ms,
-            etx,
-            duty_cycle: duty,
+            etx: Spread::from(&etx),
+            duty_cycle: Spread::from(&duty),
         };
         if let Some(pdr) = snapshot.pdr() {
             self.epoch_pdr_min = Some(self.epoch_pdr_min.map_or(pdr, |m: f64| m.min(pdr)));
@@ -612,123 +742,31 @@ impl TelemetrySampler {
     }
 }
 
+/// Registry entries with their keys borrowed, as an epoch line's map holds
+/// them.
+fn named<T>(entries: Vec<(&'static str, T)>) -> Vec<(Cow<'static, str>, T)> {
+    entries.into_iter().map(|(key, value)| (Cow::Borrowed(key), value)).collect()
+}
+
 // --- sinks -----------------------------------------------------------------
-
-fn write_histogram_json(out: &mut String, h: &LogHistogram) {
-    out.push_str("{\"count\":");
-    let _ = write!(out, "{}", h.count());
-    if let (Some(min), Some(max)) = (h.min(), h.max()) {
-        let _ = write!(out, ",\"min\":{min},\"max\":{max},\"buckets\":[");
-        for (i, (idx, count)) in h.sparse().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{idx},{count}]");
-        }
-        out.push(']');
-    }
-    out.push('}');
-}
-
-fn write_summary_json(out: &mut String, s: &StreamingSummary) {
-    let _ = write!(out, "{{\"count\":{}", s.count());
-    if let (Some(mean), Some(min), Some(max)) = (s.mean(), s.min(), s.max()) {
-        let _ = write!(out, ",\"mean\":{mean},\"min\":{min},\"max\":{max}");
-    }
-    out.push('}');
-}
-
-/// Appends a sampler's `meta` line (no trailing newline): settings,
-/// total epoch count, and drop count. In a streamed run this is the final
-/// frame, emitted once the run is complete (the counts are only then
-/// known).
-pub fn write_meta_line(out: &mut String, sampler: &TelemetrySampler) {
-    let _ = write!(
-        out,
-        "{{\"type\":\"meta\",\"epoch_slots\":{},\"cap\":{},\"epochs\":{},\"dropped_epochs\":{}}}",
-        sampler.settings().epoch_slots,
-        sampler.settings().cap,
-        sampler.next_epoch,
-        sampler.dropped_epochs(),
-    );
-}
-
-/// Appends one epoch snapshot as a single JSONL line (no trailing
-/// newline). Streaming exporters emit this per epoch; concatenating the
-/// lines reproduces the `epoch` section of [`to_jsonl`] byte for byte.
-pub fn write_epoch_line(out: &mut String, e: &EpochSnapshot) {
-    let _ = write!(
-        out,
-        "{{\"type\":\"epoch\",\"epoch\":{},\"asn_start\":{},\"asn_end\":{}",
-        e.epoch, e.asn_start, e.asn_end
-    );
-    out.push_str(",\"counters\":{");
-    for (i, (k, v)) in e.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{k}\":{v}");
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (k, v)) in e.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{k}\":{v}");
-    }
-    out.push_str("},\"flows\":[");
-    for (i, f) in e.flows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"flow\":{},\"generated\":{},\"delivered\":{}}}",
-            f.flow, f.generated, f.delivered
-        );
-    }
-    out.push_str("],\"latency_ms\":");
-    write_histogram_json(out, &e.latency_ms);
-    out.push_str(",\"etx\":");
-    write_summary_json(out, &e.etx);
-    out.push_str(",\"duty_cycle\":");
-    write_summary_json(out, &e.duty_cycle);
-    out.push('}');
-}
-
-/// Appends one health alert as a single JSONL line (no trailing
-/// newline); the streaming counterpart of the `alert` section of
-/// [`to_jsonl`].
-pub fn write_alert_line(out: &mut String, a: &HealthAlert) {
-    let _ = write!(
-        out,
-        "{{\"type\":\"alert\",\"rule\":\"{}\",\"epoch\":{},\"asn_start\":{},\"asn_end\":{},\"detail\":",
-        a.rule.as_str(),
-        a.epoch,
-        a.asn_start,
-        a.asn_end
-    );
-    digs_json::write_string(out, &a.detail);
-    out.push('}');
-}
 
 /// Serializes a sampler's full state as deterministic JSONL: one `meta`
 /// line, one `epoch` line per retained snapshot, one `alert` line per
-/// alert. Float fields use Rust's shortest-round-trip `Display`, so the
-/// output is byte-identical for identical runs. Built from the per-line
-/// writers ([`write_meta_line`], [`write_epoch_line`],
-/// [`write_alert_line`]) so a streamed export reassembles to these exact
-/// bytes.
+/// alert, each written from its rows ([`TelemetryMeta`], [`EpochSnapshot`],
+/// [`HealthAlert`]) — the lines a streamed run sends one by one, so a
+/// streamed export reassembles to these exact bytes. A float is written as
+/// `digs_json::write_num` writes it, so the output is byte-identical for
+/// identical runs.
 pub fn to_jsonl(sampler: &TelemetrySampler) -> String {
     let mut out = String::new();
-    write_meta_line(&mut out, sampler);
+    sampler.meta().write_json(&mut out);
     out.push('\n');
     for e in sampler.epochs() {
-        write_epoch_line(&mut out, e);
+        e.write_json(&mut out);
         out.push('\n');
     }
     for a in sampler.alerts() {
-        write_alert_line(&mut out, a);
+        a.write_json(&mut out);
         out.push('\n');
     }
     out
@@ -745,7 +783,7 @@ pub fn to_csv(sampler: &TelemetrySampler) -> String {
         let pdr = e.pdr().map_or(String::new(), |p| format!("{p:.4}"));
         let p50 = e.latency_ms.quantile(50.0).map_or(String::new(), |v| format!("{v:.1}"));
         let p99 = e.latency_ms.quantile(99.0).map_or(String::new(), |v| format!("{v:.1}"));
-        let duty = e.duty_cycle.mean().map_or(String::new(), |v| format!("{v:.6}"));
+        let duty = e.duty_cycle.mean.map_or(String::new(), |v| format!("{v:.6}"));
         let _ = writeln!(
             out,
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -791,15 +829,39 @@ impl Window {
 struct EpochRow {
     epoch: u64,
     asn_start: u64,
-    joined: (u64, u64),
+    joined: (i64, i64),
     generated: u64,
     delivered: u64,
     tx: u64,
     drops: u64,
     churn: u64,
-    queue_max: u64,
+    queue_max: i64,
     p50: Option<f64>,
     p99: Option<f64>,
+}
+
+impl EpochRow {
+    /// The row of an epoch: a counter or gauge it does not carry reads as
+    /// 0, and sums saturate (a line off the wire may carry any counts).
+    fn of(e: &EpochSnapshot) -> EpochRow {
+        let counter = |key| e.counter(key).unwrap_or(0);
+        let gauge = |key| e.gauge(key).unwrap_or(0);
+        let sum =
+            |count: fn(&FlowEpoch) -> u64| e.flows.iter().map(count).fold(0, u64::saturating_add);
+        EpochRow {
+            epoch: e.epoch,
+            asn_start: e.asn_start,
+            joined: (gauge("nodes.joined"), gauge("nodes.total")),
+            generated: sum(|f| f.generated),
+            delivered: sum(|f| f.delivered),
+            tx: counter("tx.data"),
+            drops: counter("drop.noise").saturating_add(counter("drop.collision")),
+            churn: counter("churn.parent"),
+            queue_max: gauge("queue.max"),
+            p50: e.latency_ms.quantile(50.0),
+            p99: e.latency_ms.quantile(99.0),
+        }
+    }
 }
 
 /// The human-readable telemetry view, built from the JSONL lines
@@ -827,22 +889,17 @@ impl TelemetryView {
 
     /// Adds one `meta`, `epoch` or `alert` line.
     pub fn push_line(&mut self, line: &str) -> Result<(), String> {
-        let v = digs_json::parse(line).map_err(|e| format!("bad telemetry line: {e}"))?;
-        match v.str("type")? {
-            "meta" => {
-                self.meta =
-                    Some((v.uint("epochs")?, v.uint("epoch_slots")?, v.uint("dropped_epochs")?))
-            }
-            "epoch" => self.epochs.push(epoch_row(&v)?),
-            "alert" => self.alerts.push(format!(
+        match TelemetryLine::decode(line).map_err(|e| format!("bad telemetry line: {e}"))? {
+            TelemetryLine::Meta(m) => self.meta = Some((m.epochs, m.epoch_slots, m.dropped_epochs)),
+            TelemetryLine::Epoch(e) => self.epochs.push(EpochRow::of(&e)),
+            TelemetryLine::Alert(a) => self.alerts.push(format!(
                 "ALERT {} epoch {} [{}-{}): {}",
-                v.str("rule")?,
-                v.uint::<u64>("epoch")?,
-                v.uint::<u64>("asn_start")?,
-                v.uint::<u64>("asn_end")?,
-                v.str("detail")?
+                a.rule.as_str(),
+                a.epoch,
+                a.asn_start,
+                a.asn_end,
+                a.detail
             )),
-            other => return Err(format!("unknown telemetry line type `{other}`")),
         }
         Ok(())
     }
@@ -900,49 +957,6 @@ impl TelemetryView {
         }
         out
     }
-}
-
-/// Reads an `epoch` line into its row; a counter or gauge the line does
-/// not carry reads as 0, and the latency quantiles come from the sparse
-/// histogram rebuilt with [`LogHistogram::from_sparse`].
-fn epoch_row(v: &digs_json::Value) -> Result<EpochRow, String> {
-    let in_map = |map: &str, key: &str| -> Result<u64, String> {
-        v.req(map)?.opt_uint(key).map(Option::unwrap_or_default)
-    };
-    let (mut generated, mut delivered) = (0u64, 0u64);
-    for f in v.arr("flows")? {
-        generated += f.uint::<u64>("generated")?;
-        delivered += f.uint::<u64>("delivered")?;
-    }
-    let h = v.req("latency_ms")?;
-    let latency = match (h.opt_uint("min")?, h.opt_uint("max")?) {
-        (Some(min), Some(max)) => {
-            let mut pairs = Vec::new();
-            for b in h.arr("buckets")? {
-                match b.as_arr() {
-                    Some([index, count]) => {
-                        pairs.push((index.to_uint("buckets")?, count.to_uint("buckets")?))
-                    }
-                    _ => return Err("`buckets` holds a non-pair".into()),
-                }
-            }
-            LogHistogram::from_sparse(&pairs, min, max)?
-        }
-        _ => LogHistogram::new(),
-    };
-    Ok(EpochRow {
-        epoch: v.uint("epoch")?,
-        asn_start: v.uint("asn_start")?,
-        joined: (in_map("gauges", "nodes.joined")?, in_map("gauges", "nodes.total")?),
-        generated,
-        delivered,
-        tx: in_map("counters", "tx.data")?,
-        drops: in_map("counters", "drop.noise")? + in_map("counters", "drop.collision")?,
-        churn: in_map("counters", "churn.parent")?,
-        queue_max: in_map("gauges", "queue.max")?,
-        p50: latency.quantile(50.0),
-        p99: latency.quantile(99.0),
-    })
 }
 
 /// The [`TelemetryView`] of a sampler's [`to_jsonl`] export, over `window`.
@@ -1014,6 +1028,25 @@ mod tests {
         let config = base_builder().telemetry_epoch(0).build();
         let net = crate::network::Network::new(config);
         assert!(net.telemetry().is_none(), "cadence 0 must not allocate a sampler");
+    }
+
+    #[test]
+    fn an_inconsistent_histogram_is_refused() {
+        let line = |h: &str| {
+            format!(
+                r#"{{"type":"epoch","epoch":0,"asn_start":0,"asn_end":0,"counters":{{}},"gauges":{{}},"flows":[],"latency_ms":{h},"etx":{{"count":0}},"duty_cycle":{{"count":0}}}}"#
+            )
+        };
+        assert!(TelemetryLine::decode(&line(r#"{"count":1,"min":3,"max":3,"buckets":[[3,1]]}"#))
+            .is_ok());
+        let err = TelemetryLine::decode(&line(r#"{"count":2,"min":3,"max":3,"buckets":[[3,1]]}"#))
+            .unwrap_err();
+        assert_eq!(err, "`latency_ms` counts 2 values, its buckets 1");
+        // A min above the max made the view's quantiles panic.
+        let err = TelemetryView::default()
+            .push_line(&line(r#"{"count":1,"min":4,"max":3,"buckets":[[3,1]]}"#))
+            .unwrap_err();
+        assert_eq!(err, "bad telemetry line: min 4 is above max 3");
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! they stand. The cap counts lines, not chunks.
 
 use crate::wire::{EventFrame, Filter, FrameKind, RunState};
+use digs_json::message::Rows;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -285,7 +286,17 @@ impl Hub {
                 offers.push(Offer { sub, state, chunk: String::new() });
             }
         }
-        // The frame being offered, encoded when its first taker turns up.
+        // The frame being offered, encoded when its first taker turns up. Its
+        // rows are written with the payload row — the last, which writes its
+        // text as it stands — left empty, so the payload is written into
+        // the line in its place.
+        let mut frame = EventFrame {
+            run: String::new(),
+            kind: FrameKind::Meta,
+            node: None,
+            seq: 0,
+            payload: String::new(),
+        };
         let mut line = String::new();
         for (kind, node, payload) in frames {
             let seq = *next_seq;
@@ -304,9 +315,15 @@ impl Hub {
                     continue;
                 }
                 if let Some(payload) = payload.take() {
+                    if frame.run.is_empty() {
+                        frame.run.push_str(run);
+                    }
+                    (frame.kind, frame.node, frame.seq) = (kind, node, seq);
                     line.clear();
-                    EventFrame::encode_into(&mut line, run, kind, node, seq, payload);
-                    line.push('\n');
+                    line.push('{');
+                    frame.write_rows(&mut line, true);
+                    payload(&mut line);
+                    line.push_str("}\n");
                 }
                 offer.chunk.push_str(&line);
                 offer.state.queued += 1;

@@ -17,7 +17,7 @@
 //! which recovery tolerates (a torn tail line is skipped, not fatal).
 
 use crate::wire::RunState;
-use digs_json::message::decode_line;
+use digs_json::message::{decode_line, Rows};
 use digs_json::{message, Value};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -28,7 +28,7 @@ message! {
     /// One journal record. The `spec` in [`Record::Launch`] is stored
     /// verbatim so recovery can hand it back to the registered runner.
     #[derive(Debug, Clone, PartialEq)]
-    pub enum Record: "journal record" {
+    pub enum Record: "journal record type" by "type" {
         /// A run was registered and its thread started.
         Launch = "launch" {
             /// Run name.
@@ -88,7 +88,7 @@ message! {
 impl Record {
     /// Decodes one line.
     pub fn decode(line: &str) -> Result<Record, String> {
-        decode_line(line, Record::from_value)
+        decode_line(line, Record::take_fields)
     }
 }
 

@@ -8,7 +8,8 @@ use crate::server::Shared;
 use crate::spec::{FleetParams, SingleSpec};
 use crate::wire::{FrameKind, RunState, ServerMsg};
 use digs::network::{Network, RunObserver};
-use digs_json::Value;
+use digs_json::message::Rows;
+use digs_json::{message, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -314,7 +315,7 @@ impl RunObserver for StreamObserver {
     fn on_events(&mut self, events: &[digs_trace::Event]) {
         self.ctx.publish_batch(events.iter().map(|e| {
             let node = (e.node != digs_trace::NETWORK_NODE).then_some(e.node);
-            (FrameKind::Trace, node, |out: &mut String| digs_trace::write_jsonl_line(out, e))
+            (FrameKind::Trace, node, |out: &mut String| e.write_json(out))
         }));
     }
 
@@ -323,12 +324,10 @@ impl RunObserver for StreamObserver {
         snapshot: &digs::telemetry::EpochSnapshot,
         alerts: &[digs::telemetry::HealthAlert],
     ) {
-        self.ctx.publish_with(FrameKind::Epoch, None, |out| {
-            digs::telemetry::write_epoch_line(out, snapshot);
-        });
-        self.ctx.publish_batch(alerts.iter().map(|a| {
-            (FrameKind::Alert, None, |out: &mut String| digs::telemetry::write_alert_line(out, a))
-        }));
+        self.ctx.publish_with(FrameKind::Epoch, None, |out| snapshot.write_json(out));
+        self.ctx.publish_batch(
+            alerts.iter().map(|a| (FrameKind::Alert, None, |out: &mut String| a.write_json(out))),
+        );
     }
 
     fn on_progress(&mut self, asn: u64) -> bool {
@@ -376,29 +375,53 @@ pub(crate) fn prepare_single(spec: &Value) -> Result<Job, String> {
         // positions, and a partial meta would occupy one.
         if !network.observer_stopped() {
             if let Some(sampler) = network.telemetry() {
-                ctx.publish_with(FrameKind::Meta, None, |out| {
-                    digs::telemetry::write_meta_line(out, sampler);
-                });
+                ctx.publish_with(FrameKind::Meta, None, |out| sampler.meta().write_json(out));
             }
         }
         Ok(())
     }))
 }
 
-fn network_summary_line(s: &digs_fleet::NetworkSummary) -> String {
-    Value::obj([
-        ("label", Value::Str(s.label.clone())),
-        ("nodes", Value::Int(u64::from(s.nodes))),
-        ("flows", Value::Int(u64::from(s.flows))),
-        ("generated", Value::Int(s.generated)),
-        ("delivered", Value::Int(s.delivered)),
-        ("pdr", Value::num(s.pdr)),
-        ("worst_flow_pdr", Value::num(s.worst_flow_pdr)),
-        ("fraction_joined", Value::num(s.fraction_joined)),
-        ("alerts", Value::Int(s.alerts)),
-        ("violations", Value::Int(s.violations)),
-    ])
-    .to_compact()
+message! {
+    /// A `fleet` frame's payload for a network that finished: what a
+    /// tailing client reads of its [`digs_fleet::NetworkSummary`].
+    pub struct FleetNetwork {
+        /// The network's stable label.
+        label: String,
+        /// Nodes simulated.
+        nodes: u32,
+        /// Flows configured.
+        flows: u32,
+        /// Packets generated.
+        generated: u64,
+        /// Distinct packets delivered.
+        delivered: u64,
+        /// Mean per-flow PDR.
+        pdr: f64,
+        /// Worst per-flow PDR.
+        worst_flow_pdr: f64,
+        /// Fraction of nodes that joined.
+        fraction_joined: f64,
+        /// Health alerts raised.
+        alerts: u64,
+        /// Invariant violations recorded.
+        violations: u64,
+    }
+}
+
+message! {
+    /// A `fleet` frame's payload for a network that failed an attempt: its
+    /// [`digs_fleet::DegradedRun`], the reason under `degraded`.
+    pub struct FleetDegraded {
+        /// The network's stable label.
+        label: String,
+        /// Why the last failed attempt failed.
+        degraded: String,
+        /// Attempts made.
+        attempts: u32,
+        /// Whether every attempt failed.
+        quarantined: bool,
+    }
 }
 
 pub(crate) fn prepare_fleet(spec: &Value) -> Result<Job, String> {
@@ -409,7 +432,19 @@ pub(crate) fn prepare_fleet(spec: &Value) -> Result<Job, String> {
         let completed = AtomicU64::new(0);
         let on_network = |s: &digs_fleet::NetworkSummary| {
             ctx.set_progress(completed.fetch_add(1, Ordering::Relaxed) + 1);
-            ctx.publish(FrameKind::Fleet, None, network_summary_line(s));
+            let line = FleetNetwork {
+                label: s.label.clone(),
+                nodes: s.nodes,
+                flows: s.flows,
+                generated: s.generated,
+                delivered: s.delivered,
+                pdr: s.pdr,
+                worst_flow_pdr: s.worst_flow_pdr,
+                fraction_joined: s.fraction_joined,
+                alerts: s.alerts,
+                violations: s.violations,
+            };
+            ctx.publish(FrameKind::Fleet, None, line.to_json_line());
         };
         let observer =
             digs_fleet::FleetObserver { on_network: &on_network, cancel: ctx.cancel_flag() };
@@ -419,17 +454,13 @@ pub(crate) fn prepare_fleet(spec: &Value) -> Result<Job, String> {
         // client sees quarantines as they are accounted, not only in the
         // final meta report.
         for d in &outcome.degraded {
-            ctx.publish(
-                FrameKind::Fleet,
-                None,
-                Value::obj([
-                    ("label", Value::Str(d.label.clone())),
-                    ("degraded", Value::Str(d.reason.clone())),
-                    ("attempts", Value::Int(u64::from(d.attempts))),
-                    ("quarantined", Value::Bool(d.quarantined)),
-                ])
-                .to_compact(),
-            );
+            let line = FleetDegraded {
+                label: d.label.clone(),
+                degraded: d.reason.clone(),
+                attempts: d.attempts,
+                quarantined: d.quarantined,
+            };
+            ctx.publish(FrameKind::Fleet, None, line.to_json_line());
         }
         let report = digs_fleet::aggregate_partial(
             &outcome.summaries,

@@ -45,7 +45,7 @@ message! {
     /// One single-network run, fully specified. Field-for-field this mirrors
     /// the `digs-cli` run/trace/telemetry options.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct SingleSpec = "single" {
+    pub struct SingleSpec: "single" by "kind" {
         /// Topology name (see [`topology_from`]).
         topology: String = "testbed-a".into(),
         /// Protocol name (`digs` | `orchestra` | `wirelesshart`).
@@ -168,7 +168,7 @@ message! {
     /// One fleet run: the options of `digs-cli fleet run`, which builds its
     /// fleet through this struct too.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct FleetParams = "fleet" {
+    pub struct FleetParams: "fleet" by "kind" {
         /// `oil` | `factory` | `mixed`.
         template: String = "mixed".into(),
         /// Independent networks to stamp out.

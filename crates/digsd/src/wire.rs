@@ -9,14 +9,17 @@
 //! line instead of re-encoding a parsed value. That slice is what makes
 //! streamed JSONL byte-identical to file export.
 //!
-//! An event line is read once. [`digs_json::walk_fields`] checks the whole
-//! line against the one JSON grammar — nesting bound and errors included —
-//! without building anything, and hands back the top-level fields as slices
-//! of the line: the few head fields are parsed from theirs, the payload is
-//! kept as the bytes it arrived in. Every other message is rare and small
-//! and goes through a [`Value`].
+//! An event frame is written like every other message, from its rows, with
+//! the payload's bytes as they stand in its last row. It is read once:
+//! [`digs_json::walk_fields`] checks the whole line against the one JSON
+//! grammar — nesting bound and errors included — without building anything,
+//! and hands back the top-level fields as slices of the line: the few head
+//! fields are parsed from theirs, the payload is kept as the bytes it
+//! arrived in. Every other message is rare and small and is read through a
+//! [`Value`].
 
-use digs_json::message::{decode_line, FieldDef, Flat, Kind, MessageDef, WireField};
+use crate::message::Verbatim;
+use digs_json::message::{decode_line, Flat, Omitted, Rows};
 use digs_json::{message, named, Value};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -44,11 +47,12 @@ named! {
     /// What kind of payload an event frame carries.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub enum FrameKind: "frame kind" {
-        /// One flight-recorder event (`digs_trace::write_jsonl_line`).
+        /// One flight-recorder event (a `digs_trace::Event` line).
         Trace = "trace",
-        /// One telemetry epoch snapshot (`digs::telemetry::write_epoch_line`).
+        /// One telemetry epoch snapshot (a `digs::telemetry::EpochSnapshot`
+        /// line).
         Epoch = "epoch",
-        /// One health alert (`digs::telemetry::write_alert_line`).
+        /// One health alert (a `digs::telemetry::HealthAlert` line).
         Alert = "alert",
         /// End-of-run summary line (telemetry meta line for single runs,
         /// a `RunMetrics` record for scenario runs).
@@ -143,7 +147,7 @@ impl Filter {
 message! {
     /// A message from a client to the server.
     #[derive(Debug, Clone, PartialEq)]
-    pub enum ClientMsg: "client message" {
+    pub enum ClientMsg: "client message type" by "type" {
         /// Mandatory first message: version negotiation.
         Hello = "hello" {
             /// The client's [`WIRE_VERSION`].
@@ -196,7 +200,7 @@ message! {
 impl ClientMsg {
     /// Decodes one line.
     pub fn decode(line: &str) -> Result<ClientMsg, String> {
-        decode_line(line, ClientMsg::from_value)
+        decode_line(line, ClientMsg::take_fields)
     }
 }
 
@@ -230,30 +234,33 @@ message! {
     }
 }
 
-/// One streamed event. `payload` is the *raw bytes* of one deterministic
-/// JSONL line (without its newline); encode places it last so decode can
-/// slice it back out unmodified.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventFrame {
-    /// Originating run.
-    pub run: String,
-    /// Payload kind.
-    pub kind: FrameKind,
-    /// Source node for trace events; `None` for network-level frames.
-    pub node: Option<u16>,
-    /// Position in the run's frame stream. Assigned per frame whether or
-    /// not anyone is subscribed, and reset to 0 when a run (re)starts —
-    /// deterministic replay regenerates the identical sequence, which is
-    /// what makes `from_seq` resume cursors meaningful.
-    pub seq: u64,
-    /// Raw payload line.
-    pub payload: String,
+message! {
+    /// One streamed event. `payload` is the *raw bytes* of one deterministic
+    /// JSONL line (without its newline); its row is the last, so decode can
+    /// slice it back out unmodified.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EventFrame: "event" by "type" {
+        /// Originating run.
+        run: String,
+        /// Payload kind.
+        kind: FrameKind,
+        /// Source node for trace events; `None` — no key — for
+        /// network-level frames.
+        node: Option<u16> as Omitted<u16>,
+        /// Position in the run's frame stream. Assigned per frame whether or
+        /// not anyone is subscribed, and reset to 0 when a run (re)starts —
+        /// deterministic replay regenerates the identical sequence, which is
+        /// what makes `from_seq` resume cursors meaningful.
+        seq: u64,
+        /// Raw payload line.
+        payload: String as Verbatim,
+    }
 }
 
 message! {
     /// A message from the server to a client.
     #[derive(Debug, Clone, PartialEq)]
-    pub enum ServerMsg: "server message" {
+    pub enum ServerMsg: "server message type" by "type" {
         /// Successful version negotiation.
         HelloAck = "hello-ack" {
             /// The server's [`WIRE_VERSION`].
@@ -313,61 +320,18 @@ message! {
         /// Response to `ping`.
         Pong = "pong",
     }
-    framed {
+    structs {
         /// One streamed event.
         Event(EventFrame),
     }
 }
 
 impl EventFrame {
-    /// The event frame's rows. Its codec is the hand-tuned one below — the
-    /// head written without a [`Value`], the payload spliced in last — and
-    /// a test holds what it writes to these rows.
-    pub const MESSAGE: MessageDef = MessageDef {
-        name: "event",
-        fields: &[
-            FieldDef { key: "run", kind: String::KIND, required: true },
-            FieldDef { key: "kind", kind: FrameKind::KIND, required: true },
-            FieldDef { key: "node", kind: Kind::Omitted(&u16::KIND), required: false },
-            FieldDef { key: "seq", kind: u64::KIND, required: true },
-            FieldDef { key: "payload", kind: Value::KIND, required: true },
-        ],
-    };
-
     /// Encodes with the payload spliced in verbatim as the final field.
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(64 + self.run.len() + self.payload.len());
-        EventFrame::encode_into(&mut out, &self.run, self.kind, self.node, self.seq, |out| {
-            out.push_str(&self.payload);
-        });
+        self.write_json(&mut out);
         out
-    }
-
-    /// Appends the line [`EventFrame::encode`] returns for these fields;
-    /// `payload` appends the payload. The hub encodes through this into a
-    /// buffer it reuses, with no frame or payload `String` between.
-    pub fn encode_into(
-        out: &mut String,
-        run: &str,
-        kind: FrameKind,
-        node: Option<u16>,
-        seq: u64,
-        payload: impl FnOnce(&mut String),
-    ) {
-        out.push_str("{\"type\":\"event\",\"run\":");
-        digs_json::write_string(out, run);
-        out.push_str(",\"kind\":\"");
-        out.push_str(kind.as_str());
-        out.push('"');
-        if let Some(n) = node {
-            out.push_str(",\"node\":");
-            digs_json::write_uint(out, n);
-        }
-        out.push_str(",\"seq\":");
-        digs_json::write_uint(out, seq);
-        out.push_str(",\"payload\":");
-        payload(out);
-        out.push('}');
     }
 
     /// Decodes in one pass over the line (see [`Fields`]). The payload is
@@ -457,7 +421,7 @@ impl ServerMsg {
         if head_str("type", fields.message)? == "event" {
             return fields.event().map(ServerMsg::Event);
         }
-        decode_line(line, ServerMsg::from_value)
+        decode_line(line, ServerMsg::take_fields)
     }
 }
 

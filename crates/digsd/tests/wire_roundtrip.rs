@@ -47,7 +47,7 @@ fn payload_from(seed: &[u8], n: u64) -> String {
     .to_compact()
 }
 
-/// Every line drawn from the five tables — one per message type — comes
+/// Every line drawn from the seven tables — one per message type — comes
 /// back byte for byte through its decoder and encoder; one that leaves out
 /// optional fields decodes too.
 #[test]
@@ -55,13 +55,13 @@ fn every_drawn_canonical_line_round_trips_byte_for_byte() {
     cases(256, |d| {
         for protocol in drawn::PROTOCOLS {
             for def in protocol.table {
-                let line = drawn::line(d, protocol.tag, def);
+                let line = drawn::line(d, protocol, def);
                 assert!(!line.contains('\n'), "one message, one line: {line}");
                 let back = (protocol.codec)(&line);
                 assert_eq!(back.as_ref(), Ok(&line), "{} `{}`", protocol.name, def.name);
                 // Leaving out what may be left out reads as the defaults,
                 // which then write a canonical line.
-                let sparse = drawn::sparse_line(d, protocol.tag, def);
+                let sparse = drawn::sparse_line(d, protocol, def);
                 let canonical = (protocol.codec)(&sparse)
                     .unwrap_or_else(|e| panic!("{} {sparse}: {e}", protocol.name));
                 assert_eq!((protocol.codec)(&canonical), Ok(canonical.clone()), "{sparse}");

@@ -3,10 +3,11 @@
 //!
 //! Every JSON seam — trace JSONL, telemetry epochs, the digsd wire and
 //! journal, canonical `RunMetrics` records, goldens, fleet reports — reads
-//! through [`parse`] and writes through [`Value`] or, for the per-event
-//! writers that format straight into a `String`, through [`write_string`]
-//! and [`write_uint`]: a string copied whole when it has nothing to escape,
-//! an integer as its decimal digits, neither through `core::fmt`. Nothing
+//! through [`parse`]. A line a row table declares is written straight into
+//! a `String` through [`write_string`], [`write_uint`] and [`write_num`]: a
+//! string copied whole when it has nothing to escape, an integer as its
+//! decimal digits, neither through `core::fmt`. A [`Value`] is written the
+//! same way, for the documents that are trees (a fleet report). Nothing
 //! outside this crate knows JSON syntax.
 //!
 //! There is one grammar, one reader, and two builders it reads into. The
@@ -21,10 +22,10 @@
 //! payload).
 //!
 //! A record type is declared once, by its rows ([`message`](mod@message)): the digsd
-//! messages, journal records and launch specs, `RunMetrics` and the
-//! goldens get their encoder, decoder and printed table from one
-//! `key: Type` list, and every enum that travels by name gets its names
-//! from one `(Variant, "name")` list.
+//! messages, journal records and launch specs, trace events, telemetry
+//! lines, `RunMetrics` and the goldens get their writer, decoder and
+//! printed table from one `key: Type` list, and every enum that travels by
+//! name gets its names from one `(Variant, "name")` list.
 //!
 //! Determinism is the hard requirement ("same spec + seed = same bytes"),
 //! so the rules are few and fixed: objects keep insertion order;
@@ -111,11 +112,6 @@ impl Value {
         x.map_or(Value::Null, Value::num)
     }
 
-    /// Builds an exact integer from an optional one (absent → `null`).
-    pub fn opt_int(x: Option<u64>) -> Value {
-        x.map_or(Value::Null, Value::Int)
-    }
-
     /// Builds an object from `(key, value)` pairs, in order.
     pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
         Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -190,11 +186,6 @@ impl Value {
         self.req(key)?.to_uint(key)
     }
 
-    /// An optional non-negative integer field, range-checked into `T`.
-    pub fn opt_uint<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
-        self.present(key).map(|v| v.to_uint(key)).transpose()
-    }
-
     /// A required number field.
     pub fn f64(&self, key: &str) -> Result<f64, String> {
         self.req(key)?.as_f64().ok_or_else(|| format!("`{key}` is not a number"))
@@ -243,7 +234,8 @@ impl Value {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact form.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -310,10 +302,14 @@ impl Value {
     }
 }
 
-fn write_num(out: &mut String, n: f64) {
+/// Appends a number: an integral one below 2^64 as the integer it holds,
+/// any other finite one as Rust's shortest round-trip `{}`, and a
+/// non-finite one — which JSON cannot spell — as `null`.
+pub fn write_num(out: &mut String, n: f64) {
     use std::fmt::Write;
-    debug_assert!(n.is_finite(), "use Value::num to map non-finite to null");
-    if n.fract() == 0.0 && n.abs() < 18_446_744_073_709_551_616.0 {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 18_446_744_073_709_551_616.0 {
         // The exact integer the float holds. Above 2^53 its shortest
         // round-trip digits are another integer, which `parse` would read
         // back exactly as an `Int` of a different value.
@@ -859,7 +855,6 @@ mod tests {
         let big = parse("18446744073709551616").unwrap();
         assert!(matches!(big, Value::Num(_)));
         assert_eq!(big.as_u64(), None);
-        assert_eq!(Value::opt_int(None), Value::Null);
     }
 
     #[test]
@@ -883,11 +878,6 @@ mod tests {
         assert!(err.contains("node") && err.contains("70000") && err.contains("u16"), "{err}");
         assert!(v.uint::<u64>("missing").unwrap_err().contains("missing"));
         assert!(v.uint::<u64>("f").unwrap_err().contains("`f`"));
-        assert_eq!(v.opt_uint::<u16>("seq"), Ok(Some(7)));
-        assert_eq!(v.opt_uint::<u16>("missing"), Ok(None));
-        assert_eq!(v.opt_uint::<u16>("nil"), Ok(None));
-        assert!(v.opt_uint::<u16>("node").is_err());
-        assert!(v.opt_uint::<u16>("s").is_err());
         assert_eq!(v.str("s"), Ok("x"));
         assert!(v.str("seq").unwrap_err().contains("seq"));
         assert_eq!(v.opt_str("nil"), Ok(None));

@@ -1,22 +1,29 @@
 //! One field table per record type: every wire message, journal record,
-//! launch spec and canonical record is declared by its rows, and its codec
-//! is read off them.
+//! launch spec, trace event, telemetry line and canonical record is
+//! declared by its rows, and its codec is read off them.
 //!
 //! A row gives a field's key (the Rust field's name), its type, the
 //! [`WireField`] kind that codes it when the type alone does not say
 //! (`secs: u64 as Secs`), and a default when an absent or `null` field is
 //! not an error (`tail: bool = false`). From those rows [`message!`] builds
-//! the type itself, its encoder and decoder over [`Value`], and its
-//! [`MessageDef`]s: the tables DESIGN prints, which a test holds the
-//! document to. The encoder writes the rows in order, so identical records
-//! are identical bytes. `None` is written `null`, and absent and `null` read
-//! alike. Enum names come from one `(Variant, "name")` list each
-//! ([`named!`]).
+//! the type itself, its writer and decoder, and its [`MessageDef`]s: the
+//! tables DESIGN prints, which a test holds the document to.
+//!
+//! The writer appends each row straight into the line: a comma unless the
+//! row opens its object (an object's first row is the one that branches on
+//! it), the quoted key and colon, then the value through [`write_uint`],
+//! [`write_string`], [`write_num`] or a [`named!`] name. No [`Value`] is built on the way
+//! out, and the rows are written in order, so identical records are
+//! identical bytes. `None` is written `null` — or,
+//! for an [`Omitted`] row, not at all — and absent and `null` read alike.
+//! The decoder reads a parsed [`Value`]. Enum names come from one
+//! `(Variant, "name")` list each ([`named!`]).
 //!
 //! [`message!`]: crate::message!
 //! [`named!`]: crate::named!
 
-use crate::Value;
+use crate::{write_num, write_string, write_uint, Value};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
@@ -30,11 +37,13 @@ pub enum Kind {
         /// The largest value that fits.
         max: u64,
     },
+    /// An integer that may be negative (an `i64`).
+    Signed,
     /// A finite number; a non-finite one is written `null`.
     Num,
     /// `true` or `false`.
     Bool,
-    /// Any JSON value, kept as it is (a launch spec).
+    /// Any JSON value, kept as it is (a launch spec, an event's payload).
     Raw,
     /// One of these names.
     Named(&'static [&'static str]),
@@ -50,10 +59,21 @@ pub enum Kind {
     List(&'static Kind),
     /// A list in ascending order, without repeats.
     Set(&'static Kind),
+    /// An object from names to values of the inner kind, in the order
+    /// written (telemetry's counters and gauges).
+    Map(&'static Kind),
     /// An object with these fields.
     Obj(&'static [FieldDef]),
     /// These fields, written into the enclosing object (a filter's).
     Flat(&'static [FieldDef]),
+    /// One of these messages, its name under `tag`, written into the
+    /// enclosing object (a trace event's kind).
+    OneOf {
+        /// The key the message's name goes under.
+        tag: &'static str,
+        /// The messages it may be.
+        messages: &'static [MessageDef],
+    },
 }
 
 /// One row: a field's key and kind, and whether it may be left out.
@@ -71,10 +91,26 @@ pub struct FieldDef {
 /// One message type: its name and its rows, in the order they are written.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MessageDef {
-    /// The `type` of a wire message or journal record, the `kind` of a spec.
+    /// The tag of a wire message, journal record, telemetry line or trace
+    /// event (`type`, `ev`), the `kind` of a spec.
     pub name: &'static str,
     /// The fields after that tag.
     pub fields: &'static [FieldDef],
+}
+
+/// Whether `name` is written as it stands between quotes: no quote,
+/// backslash or control character. [`named!`](crate::named!) holds every
+/// name to this when it compiles.
+pub const fn plain(name: &str) -> bool {
+    let bytes = name.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] < 0x20 || bytes[i] == b'"' || bytes[i] == b'\\' {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
 /// How one kind of field is written and read. `T` is the Rust type it
@@ -85,8 +121,8 @@ pub trait WireField<T = Self> {
     /// Whether an absent key reads as none rather than an error.
     const OPTIONAL: bool = false;
 
-    /// The field's value.
-    fn encode(value: &T) -> Value;
+    /// Appends the value.
+    fn write(value: &T, out: &mut String);
 
     /// Reads the value found under `key`, which errors name.
     ///
@@ -95,9 +131,11 @@ pub trait WireField<T = Self> {
     /// A value of the wrong type or out of range, naming `key`.
     fn decode(key: &str, value: &Value) -> Result<T, String>;
 
-    /// Appends the field to the object being written.
-    fn put(key: &str, value: &T, out: &mut Vec<(String, Value)>) {
-        out.push((key.to_string(), Self::encode(value)));
+    /// Appends the field to the object being written; `head` is its quoted
+    /// key and colon, after a comma unless the field opens the object.
+    fn write_row(head: &str, value: &T, out: &mut String) {
+        out.push_str(head);
+        Self::write(value, out);
     }
 
     /// Reads the field from the object it belongs to.
@@ -114,14 +152,16 @@ pub trait WireField<T = Self> {
     }
 }
 
-/// A struct declared by [`message!`](crate::message!): its rows, written
+/// A type declared by [`message!`](crate::message!): its rows, written
 /// into and read from an object.
 pub trait Rows: Sized {
-    /// The rows, in the order they are written.
-    const FIELDS: &'static [FieldDef];
+    /// What the rows are to an object they are written into: a struct's
+    /// fields, or an enum's tag and the fields of its message.
+    const ROWS: Kind;
 
-    /// Appends every field, in row order.
-    fn put_fields(&self, out: &mut Vec<(String, Value)>);
+    /// Appends every field, in row order, to the object being written:
+    /// `first` when they open it, else after a comma.
+    fn write_rows(&self, out: &mut String, first: bool);
 
     /// Reads every field from `obj`.
     ///
@@ -130,19 +170,32 @@ pub trait Rows: Sized {
     /// The first field that is missing, of the wrong type or out of range.
     fn take_fields(obj: &Value) -> Result<Self, String>;
 
-    /// The rows as one object, in row order.
+    /// Appends the rows as one object.
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        self.write_rows(out, true);
+        out.push('}');
+    }
+
+    /// The rows as one compact object: a line, without its newline.
+    fn to_json_line(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// The rows as a [`Value`]: the written line, parsed — for the cold
+    /// paths that want a tree (a pretty golden, a spec inside a launch).
     fn to_value(&self) -> Value {
-        let mut out = Vec::with_capacity(Self::FIELDS.len());
-        self.put_fields(&mut out);
-        Value::Obj(out)
+        crate::parse(&self.to_json_line()).expect("a written line parses")
     }
 }
 
 impl WireField for String {
     const KIND: Kind = Kind::Str;
 
-    fn encode(value: &String) -> Value {
-        Value::Str(value.clone())
+    fn write(value: &String, out: &mut String) {
+        write_string(out, value);
     }
 
     fn decode(key: &str, value: &Value) -> Result<String, String> {
@@ -151,12 +204,14 @@ impl WireField for String {
 }
 
 macro_rules! int_fields {
-    ($($int:ty),*) => {$(
+    ($($int:ty: $wide:ty),*) => {$(
         impl WireField for $int {
             const KIND: Kind = Kind::Int { max: <$int>::MAX as u64 };
 
-            fn encode(value: &$int) -> Value {
-                Value::Int(*value as u64)
+            fn write(value: &$int, out: &mut String) {
+                // Written at its own width: a narrow integer has fewer digits
+                // for `write_uint` to look for.
+                write_uint(out, *value as $wide);
             }
 
             fn decode(key: &str, value: &Value) -> Result<$int, String> {
@@ -166,13 +221,34 @@ macro_rules! int_fields {
     )*};
 }
 
-int_fields!(u16, u32, u64, usize);
+int_fields!(u8: u8, u16: u16, u32: u32, u64: u64, usize: u64);
+
+impl WireField for i64 {
+    const KIND: Kind = Kind::Signed;
+
+    fn write(value: &i64, out: &mut String) {
+        if *value < 0 {
+            out.push('-');
+        }
+        write_uint(out, value.unsigned_abs());
+    }
+
+    fn decode(key: &str, value: &Value) -> Result<i64, String> {
+        // A negative integer parses as a float, exact to ±2^53.
+        const BOUND: f64 = 9_223_372_036_854_775_808.0;
+        match *value {
+            Value::Int(n) => i64::try_from(n).map_err(|_| format!("`{key}`: {n} is out of range")),
+            Value::Num(x) if x.fract() == 0.0 && (-BOUND..BOUND).contains(&x) => Ok(x as i64),
+            _ => Err(format!("`{key}` is not an integer")),
+        }
+    }
+}
 
 impl WireField for f64 {
     const KIND: Kind = Kind::Num;
 
-    fn encode(value: &f64) -> Value {
-        Value::num(*value)
+    fn write(value: &f64, out: &mut String) {
+        write_num(out, *value);
     }
 
     fn decode(key: &str, value: &Value) -> Result<f64, String> {
@@ -183,8 +259,8 @@ impl WireField for f64 {
 impl WireField for bool {
     const KIND: Kind = Kind::Bool;
 
-    fn encode(value: &bool) -> Value {
-        Value::Bool(*value)
+    fn write(value: &bool, out: &mut String) {
+        out.push_str(if *value { "true" } else { "false" });
     }
 
     fn decode(key: &str, value: &Value) -> Result<bool, String> {
@@ -198,8 +274,8 @@ impl WireField for bool {
 impl WireField for Value {
     const KIND: Kind = Kind::Raw;
 
-    fn encode(value: &Value) -> Value {
-        value.clone()
+    fn write(value: &Value, out: &mut String) {
+        value.write(out);
     }
 
     fn decode(_: &str, value: &Value) -> Result<Value, String> {
@@ -207,18 +283,49 @@ impl WireField for Value {
     }
 }
 
+/// Reads `null` as none and anything else as the inner kind.
+fn decode_opt<T, K: WireField<T>>(key: &str, value: &Value) -> Result<Option<T>, String> {
+    match value {
+        Value::Null => Ok(None),
+        value => K::decode(key, value).map(Some),
+    }
+}
+
 impl<T, K: WireField<T>> WireField<Option<T>> for Option<K> {
     const KIND: Kind = Kind::Opt(&K::KIND);
     const OPTIONAL: bool = true;
 
-    fn encode(value: &Option<T>) -> Value {
-        value.as_ref().map_or(Value::Null, K::encode)
+    fn write(value: &Option<T>, out: &mut String) {
+        match value {
+            Some(value) => K::write(value, out),
+            None => out.push_str("null"),
+        }
     }
 
     fn decode(key: &str, value: &Value) -> Result<Option<T>, String> {
-        match value {
-            Value::Null => Ok(None),
-            value => K::decode(key, value).map(Some),
+        decode_opt::<T, K>(key, value)
+    }
+}
+
+/// An optional field whose none is no key at all: an event frame's `node`,
+/// a trace event's `dst` or `packet`.
+pub struct Omitted<K>(PhantomData<K>);
+
+impl<T, K: WireField<T>> WireField<Option<T>> for Omitted<K> {
+    const KIND: Kind = Kind::Omitted(&K::KIND);
+    const OPTIONAL: bool = true;
+
+    fn write(value: &Option<T>, out: &mut String) {
+        Option::<K>::write(value, out);
+    }
+
+    fn decode(key: &str, value: &Value) -> Result<Option<T>, String> {
+        decode_opt::<T, K>(key, value)
+    }
+
+    fn write_row(head: &str, value: &Option<T>, out: &mut String) {
+        if let Some(value) = value {
+            K::write_row(head, value, out);
         }
     }
 }
@@ -226,8 +333,12 @@ impl<T, K: WireField<T>> WireField<Option<T>> for Option<K> {
 impl<A, B, KA: WireField<A>, KB: WireField<B>> WireField<(A, B)> for (KA, KB) {
     const KIND: Kind = Kind::Pair(&KA::KIND, &KB::KIND);
 
-    fn encode((a, b): &(A, B)) -> Value {
-        Value::Arr(vec![KA::encode(a), KB::encode(b)])
+    fn write((a, b): &(A, B), out: &mut String) {
+        out.push('[');
+        KA::write(a, out);
+        out.push(',');
+        KB::write(b, out);
+        out.push(']');
     }
 
     fn decode(key: &str, value: &Value) -> Result<(A, B), String> {
@@ -240,6 +351,21 @@ impl<A, B, KA: WireField<A>, KB: WireField<B>> WireField<(A, B)> for (KA, KB) {
     }
 }
 
+/// Appends `items` as a list.
+fn write_items<'a, T: 'a, K: WireField<T>>(
+    items: impl IntoIterator<Item = &'a T>,
+    out: &mut String,
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        K::write(item, out);
+    }
+    out.push(']');
+}
+
 /// The elements of a list field, each read under `key[]`.
 fn elements<T, K: WireField<T>, C: FromIterator<T>>(key: &str, value: &Value) -> Result<C, String> {
     let items = value.as_arr().ok_or_else(|| format!("`{key}` is not a list"))?;
@@ -250,8 +376,8 @@ fn elements<T, K: WireField<T>, C: FromIterator<T>>(key: &str, value: &Value) ->
 impl<T, K: WireField<T>> WireField<Vec<T>> for Vec<K> {
     const KIND: Kind = Kind::List(&K::KIND);
 
-    fn encode(values: &Vec<T>) -> Value {
-        Value::Arr(values.iter().map(K::encode).collect())
+    fn write(values: &Vec<T>, out: &mut String) {
+        write_items::<T, K>(values, out);
     }
 
     fn decode(key: &str, value: &Value) -> Result<Vec<T>, String> {
@@ -262,8 +388,8 @@ impl<T, K: WireField<T>> WireField<Vec<T>> for Vec<K> {
 impl<T: Ord, K: WireField<T>> WireField<BTreeSet<T>> for BTreeSet<K> {
     const KIND: Kind = Kind::Set(&K::KIND);
 
-    fn encode(values: &BTreeSet<T>) -> Value {
-        Value::Arr(values.iter().map(K::encode).collect())
+    fn write(values: &BTreeSet<T>, out: &mut String) {
+        write_items::<T, K>(values, out);
     }
 
     fn decode(key: &str, value: &Value) -> Result<BTreeSet<T>, String> {
@@ -271,23 +397,57 @@ impl<T: Ord, K: WireField<T>> WireField<BTreeSet<T>> for BTreeSet<K> {
     }
 }
 
-/// A struct whose fields are written into the enclosing object instead of
-/// nested under a key of their own.
+/// Names mapped to values of kind `K`, as a list of pairs in the order
+/// written. A name is borrowed when it comes from the program (a registry
+/// key) and owned when it was read.
+pub struct Map<K>(PhantomData<K>);
+
+impl<T, K: WireField<T>> WireField<Vec<(Cow<'static, str>, T)>> for Map<K> {
+    const KIND: Kind = Kind::Map(&K::KIND);
+
+    fn write(entries: &Vec<(Cow<'static, str>, T)>, out: &mut String) {
+        out.push('{');
+        for (i, (name, value)) in entries.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_string(out, name);
+            out.push(':');
+            K::write(value, out);
+        }
+        out.push('}');
+    }
+
+    fn decode(key: &str, value: &Value) -> Result<Vec<(Cow<'static, str>, T)>, String> {
+        let Value::Obj(entries) = value else {
+            return Err(format!("`{key}` is not an object"));
+        };
+        entries
+            .iter()
+            .map(|(name, v)| {
+                Ok((Cow::Owned(name.clone()), K::decode(&format!("{key}.{name}"), v)?))
+            })
+            .collect()
+    }
+}
+
+/// A type whose rows are written into the enclosing object instead of
+/// nested under a key of their own: a filter's fields, an event's kind.
 pub struct Flat<T>(PhantomData<T>);
 
 impl<T: Rows> WireField<T> for Flat<T> {
-    const KIND: Kind = Kind::Flat(T::FIELDS);
+    const KIND: Kind = T::ROWS;
 
-    fn encode(value: &T) -> Value {
-        value.to_value()
+    fn write(value: &T, out: &mut String) {
+        value.write_json(out);
     }
 
     fn decode(_: &str, value: &Value) -> Result<T, String> {
         T::take_fields(value)
     }
 
-    fn put(_: &str, value: &T, out: &mut Vec<(String, Value)>) {
-        value.put_fields(out);
+    fn write_row(_: &str, value: &T, out: &mut String) {
+        value.write_rows(out, false);
     }
 
     fn take(_: &str, obj: &Value) -> Result<T, String> {
@@ -340,6 +500,69 @@ macro_rules! field_def {
     };
 }
 
+/// Appends a row's field, after a comma, to the object being written.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! write_field {
+    ($out:ident, $field:ident, $value:expr, $ty:ty, $kind:ty) => {
+        <$kind as $crate::message::WireField<$ty>>::write_row(
+            concat!(",\"", stringify!($field), "\":"),
+            $value,
+            $out,
+        )
+    };
+}
+
+/// Appends a message's tag: `first` when it opens the object.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! write_tag {
+    ($out:ident, $first:expr, $key:literal, $tag:literal) => {
+        if $first {
+            $out.push_str(concat!("\"", $key, "\":\"", $tag, "\""));
+        } else {
+            $out.push_str(concat!(",\"", $key, "\":\"", $tag, "\""));
+        }
+    };
+}
+
+/// A struct's `write_rows`: a message struct's tag opens its rows; an
+/// untagged struct's first field does, and so must always be written.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! write_rows {
+    ($out:ident, $first:ident, $this:ident, [$tag:literal, $key:literal];
+        $($field:ident: $ty:ty as $kind:ty),*) => {
+        $crate::write_tag!($out, $first, $key, $tag);
+        $( $crate::write_field!($out, $field, &$this.$field, $ty, $kind); )*
+    };
+    ($out:ident, $first:ident, $this:ident, [];
+        $head:ident: $head_ty:ty as $head_kind:ty $(, $field:ident: $ty:ty as $kind:ty)*) => {
+        const {
+            assert!(
+                !matches!(
+                    <$head_kind as $crate::message::WireField<$head_ty>>::KIND,
+                    $crate::message::Kind::Omitted(_)
+                        | $crate::message::Kind::Flat(_)
+                        | $crate::message::Kind::OneOf { .. }
+                ),
+                "a struct's first row opens its object, so it is always written",
+            )
+        };
+        if $first {
+            <$head_kind as $crate::message::WireField<$head_ty>>::write_row(
+                concat!("\"", stringify!($head), "\":"),
+                &$this.$head,
+                $out,
+            );
+        } else {
+            $crate::write_field!($out, $head, &$this.$head, $head_ty, $head_kind);
+        }
+        $( $crate::write_field!($out, $field, &$this.$field, $ty, $kind); )*
+    };
+    ($out:ident, $first:ident, $this:ident, [];) => {};
+}
+
 /// Reads a row's field from `obj`: absent or `null` is its default, when it
 /// has one.
 #[doc(hidden)]
@@ -361,16 +584,22 @@ macro_rules! take_field {
 /// Declares a record type from its rows.
 ///
 /// A struct implements [`Rows`](crate::message::Rows) and codes as an
-/// object; given `= "name"`, it is a launch spec whose `kind` is that name,
-/// and gets `MESSAGES`, `to_json` and `from_json`. An enum is a protocol:
-/// each variant is one message tagged by its `type`, and the enum gets
-/// `MESSAGES`, `encode` and `from_value`. Variants under `framed` keep a
-/// codec of their own; only their `encode` and `MESSAGE` are taken.
+/// object. Given `: "name" by "key"`, it is a message of its own — a launch
+/// spec (`by "kind"`), a telemetry line or an event frame (`by "type"`) —
+/// whose object opens with `"key":"name"`; it gets `MESSAGE`, `MESSAGES`,
+/// `to_json` and `from_json`. An enum is a protocol whose messages are
+/// tagged under `key`: each variant is one message, its `name()` that tag,
+/// and the enum gets `MESSAGES`, `encode` and its [`Rows`] (an event's kind
+/// is written into the event's object through them). A variant under
+/// `structs` holds a message struct declared `by` the enum's key, which
+/// writes and reads its own rows.
+///
+/// [`Rows`]: crate::message::Rows
 #[macro_export]
 macro_rules! message {
     (
         $(#[$meta:meta])*
-        pub struct $name:ident $(= $tag:literal)? {
+        pub struct $name:ident $(: $tag:literal by $key:literal)? {
             $(
                 $(#[$field_meta:meta])*
                 $field:ident: $ty:ty $(as $kind:ty)? $(= $default:expr)?
@@ -382,19 +611,19 @@ macro_rules! message {
             $( $(#[$field_meta])* pub $field: $ty, )*
         }
 
-        impl $crate::message::Rows for $name {
-            const FIELDS: &'static [$crate::message::FieldDef] = &[
+        impl $name {
+            /// The rows, in the order they are written.
+            pub const FIELDS: &'static [$crate::message::FieldDef] = &[
                 $( $crate::field_def!($field, $ty, $crate::codec!($ty $(, $kind)?) $(, $default)?), )*
             ];
+        }
 
-            fn put_fields(&self, out: &mut Vec<(String, $crate::Value)>) {
-                $(
-                    <$crate::codec!($ty $(, $kind)?) as $crate::message::WireField<$ty>>::put(
-                        stringify!($field),
-                        &self.$field,
-                        out,
-                    );
-                )*
+        impl $crate::message::Rows for $name {
+            const ROWS: $crate::message::Kind = $crate::message::Kind::Flat($name::FIELDS);
+
+            fn write_rows(&self, out: &mut String, first: bool) {
+                $crate::write_rows!(out, first, self, [$($tag, $key)?];
+                    $( $field: $ty as $crate::codec!($ty $(, $kind)?) ),*);
             }
 
             fn take_fields(obj: &$crate::Value) -> Result<$name, String> {
@@ -407,11 +636,10 @@ macro_rules! message {
         }
 
         impl $crate::message::WireField for $name {
-            const KIND: $crate::message::Kind =
-                $crate::message::Kind::Obj(<$name as $crate::message::Rows>::FIELDS);
+            const KIND: $crate::message::Kind = $crate::message::Kind::Obj($name::FIELDS);
 
-            fn encode(value: &$name) -> $crate::Value {
-                $crate::message::Rows::to_value(value)
+            fn write(value: &$name, out: &mut String) {
+                $crate::message::Rows::write_json(value, out);
             }
 
             fn decode(_: &str, value: &$crate::Value) -> Result<$name, String> {
@@ -421,21 +649,19 @@ macro_rules! message {
 
         $(
             impl $name {
-                /// This spec's table: its `kind` and its rows.
-                pub const MESSAGES: &'static [$crate::message::MessageDef] =
-                    &[$crate::message::MessageDef {
-                        name: $tag,
-                        fields: <$name as $crate::message::Rows>::FIELDS,
-                    }];
+                /// This message's table entry: its name and its rows.
+                pub const MESSAGE: $crate::message::MessageDef =
+                    $crate::message::MessageDef { name: $tag, fields: $name::FIELDS };
 
-                /// Encodes for the wire: the `kind`, then the rows.
+                /// This message's table, of one entry.
+                pub const MESSAGES: &'static [$crate::message::MessageDef] = &[$name::MESSAGE];
+
+                /// The written object as a tree, its name first.
                 pub fn to_json(&self) -> $crate::Value {
-                    let mut out = vec![("kind".to_string(), $crate::Value::Str($tag.to_string()))];
-                    $crate::message::Rows::put_fields(self, &mut out);
-                    $crate::Value::Obj(out)
+                    $crate::message::Rows::to_value(self)
                 }
 
-                /// Decodes from the wire (the `kind` is the caller's to
+                /// Decodes from the wire (the name is the caller's to
                 /// dispatch on). Absent or `null` fields take their defaults;
                 /// a field of the wrong type or out of range is an error.
                 pub fn from_json(v: &$crate::Value) -> Result<$name, String> {
@@ -447,7 +673,7 @@ macro_rules! message {
 
     (
         $(#[$meta:meta])*
-        pub enum $name:ident: $what:literal {
+        pub enum $name:ident: $what:literal by $key:literal {
             $(
                 $(#[$variant_meta:meta])*
                 $variant:ident = $tag:literal $({
@@ -458,14 +684,14 @@ macro_rules! message {
                 })?,
             )*
         }
-        $(framed {
-            $( $(#[$framed_meta:meta])* $framed:ident($framed_ty:ty), )*
+        $(structs {
+            $( $(#[$struct_meta:meta])* $wrapper:ident($struct:ty), )*
         })?
     ) => {
         $(#[$meta])*
         pub enum $name {
             $( $(#[$variant_meta])* $variant $({ $( $(#[$field_meta])* $field: $ty, )* })?, )*
-            $($( $(#[$framed_meta])* $framed($framed_ty), )*)?
+            $($( $(#[$struct_meta])* $wrapper($struct), )*)?
         }
 
         impl $name {
@@ -481,35 +707,43 @@ macro_rules! message {
                         )*)?],
                     },
                 )*
-                $($( <$framed_ty>::MESSAGE, )*)?
+                $($( <$struct>::MESSAGE, )*)?
             ];
 
-            /// Encodes to one line (no trailing newline).
-            pub fn encode(&self) -> String {
+            /// The message's name: what its object holds under its tag.
+            pub fn name(&self) -> &'static str {
                 match self {
-                    $(
-                        $name::$variant $({ $($field),* })? => {
-                            #[allow(unused_mut)]
-                            let mut out =
-                                vec![("type".to_string(), $crate::Value::Str($tag.to_string()))];
-                            $($(
-                                <$crate::codec!($ty $(, $kind)?) as $crate::message::WireField<$ty>>::put(
-                                    stringify!($field),
-                                    $field,
-                                    &mut out,
-                                );
-                            )*)?
-                            $crate::Value::Obj(out).to_compact()
-                        }
-                    )*
-                    $($( $name::$framed(message) => message.encode(), )*)?
+                    $( $name::$variant { .. } => $tag, )*
+                    $($( $name::$wrapper(_) => <$struct>::MESSAGE.name, )*)?
                 }
             }
 
-            /// Decodes a message read as a `Value`: its `type` picks the
-            /// rows.
-            fn from_value(v: &$crate::Value) -> Result<$name, String> {
-                match v.str("type")? {
+            /// Encodes to one line (no trailing newline).
+            pub fn encode(&self) -> String {
+                $crate::message::Rows::to_json_line(self)
+            }
+        }
+
+        impl $crate::message::Rows for $name {
+            const ROWS: $crate::message::Kind =
+                $crate::message::Kind::OneOf { tag: $key, messages: $name::MESSAGES };
+
+            fn write_rows(&self, out: &mut String, first: bool) {
+                match self {
+                    $(
+                        $name::$variant $({ $($field),* })? => {
+                            $crate::write_tag!(out, first, $key, $tag);
+                            $($( $crate::write_field!(
+                                out, $field, $field, $ty, $crate::codec!($ty $(, $kind)?)
+                            ); )*)?
+                        }
+                    )*
+                    $($( $name::$wrapper(message) => message.write_rows(out, first), )*)?
+                }
+            }
+
+            fn take_fields(v: &$crate::Value) -> Result<$name, String> {
+                match v.str($key)? {
                     $(
                         $tag => Ok($name::$variant $({
                             $( $field: $crate::take_field!(
@@ -517,7 +751,15 @@ macro_rules! message {
                             )?, )*
                         })?),
                     )*
-                    other => Err(format!(concat!("unknown ", $what, " type `{}`"), other)),
+                    other => {
+                        $($(
+                            if other == <$struct>::MESSAGE.name {
+                                return <$struct as $crate::message::Rows>::take_fields(v)
+                                    .map($name::$wrapper);
+                            }
+                        )*)?
+                        Err(format!(concat!("unknown ", $what, " \"{}\""), other))
+                    }
                 }
             }
         }
@@ -568,11 +810,19 @@ macro_rules! named {
             }
         }
 
+        const _: () = assert!(
+            $($crate::message::plain($wire))&&*,
+            concat!("a ", $what, " name needs escaping")
+        );
+
         impl $crate::message::WireField for $name {
             const KIND: $crate::message::Kind = $crate::message::Kind::Named(&[$($wire),*]);
 
-            fn encode(value: &$name) -> $crate::Value {
-                $crate::Value::Str(value.as_str().to_string())
+            fn write(value: &$name, out: &mut String) {
+                // A push per name: each copies a constant number of bytes.
+                match value {
+                    $( $name::$variant => out.push_str(concat!("\"", $wire, "\"")), )*
+                }
             }
 
             fn decode(key: &str, value: &$crate::Value) -> Result<$name, String> {

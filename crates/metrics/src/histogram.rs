@@ -201,8 +201,12 @@ impl LogHistogram {
     /// Rebuilds a histogram from its sparse wire form plus the exact
     /// min/max. Inverse of [`LogHistogram::sparse`] for every histogram.
     /// The pairs come off the wire: a bucket index no `u64` value falls
-    /// into (it would size the table) or counts that overflow are refused.
+    /// into (it would size the table), counts that overflow, and a min
+    /// above the max (the quantiles clamp to `[min, max]`) are refused.
     pub fn from_sparse(pairs: &[(usize, u64)], min: u64, max: u64) -> Result<LogHistogram, String> {
+        if min > max {
+            return Err(format!("min {min} is above max {max}"));
+        }
         let top = Self::bucket_index(u64::MAX);
         let mut h = LogHistogram::new();
         for &(idx, count) in pairs {
@@ -339,6 +343,10 @@ mod tests {
         let err = LogHistogram::from_sparse(&[(3, u64::MAX), (3, 1)], 3, 3).unwrap_err();
         assert!(err.contains("overflow"), "{err}");
         assert!(LogHistogram::from_sparse(&[(3, u64::MAX), (4, 1)], 3, 4).is_err());
+        // A min above the max used to come back, and its quantiles panicked
+        // in `f64::clamp`.
+        let err = LogHistogram::from_sparse(&[(3, 1)], 4, 3).unwrap_err();
+        assert_eq!(err, "min 4 is above max 3");
     }
 
     #[test]

@@ -152,9 +152,9 @@ pub fn journeys(events: &[Event]) -> Vec<Journey> {
                 let i = hop(journey, event.node);
                 journey.hops[i].nacks += 1;
             }
-            EventKind::Delivered { latency_slots, .. } => {
+            EventKind::Delivered { latency, .. } => {
                 journey.delivered_at = Some(event.asn);
-                journey.latency_slots = Some(*latency_slots);
+                journey.latency_slots = Some(*latency);
             }
             _ => {}
         }
@@ -331,7 +331,7 @@ mod tests {
             ev(8, 118, 4, EventKind::QueueEnq { packet: p, depth: 1 }),
             ev(9, 125, 4, tx(0, p)),
             ev(10, 125, 4, EventKind::Ack { dst: 0, packet: Some(p) }),
-            ev(11, 125, 0, EventKind::Delivered { packet: p, latency_slots: 25 }),
+            ev(11, 125, 0, EventKind::Delivered { packet: p, latency: 25 }),
         ];
         let js = journeys(&events);
         assert_eq!(js.len(), 1);
@@ -386,7 +386,7 @@ mod tests {
             ev(0, 0, 2, EventKind::Generated { packet: p1 }),
             ev(1, 4, 2, tx(0, p1)),
             ev(2, 4, 2, EventKind::Ack { dst: 0, packet: Some(p1) }),
-            ev(3, 4, 0, EventKind::Delivered { packet: p1, latency_slots: 4 }),
+            ev(3, 4, 0, EventKind::Delivered { packet: p1, latency: 4 }),
             // p2 never delivered.
             ev(4, 10, 2, EventKind::Generated { packet: p2 }),
             ev(5, 14, 2, tx(0, p2)),

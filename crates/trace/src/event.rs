@@ -6,24 +6,27 @@
 //! `NodeId::0` / `Asn::0` at the recording boundary.
 
 use core::fmt;
+use digs_json::message::{Flat, Omitted};
 
 /// Sentinel node id for network-scoped events (audit violations, health
 /// alerts, attack phases and defense epochs: attributed to the run rather
 /// than a device).
 pub const NETWORK_NODE: u16 = u16::MAX;
 
-/// End-to-end identity of one application data packet, stable across hops.
-///
-/// Mirrors the `DataPacket` key used by the harness for delivery dedup:
-/// `(flow, seq, origin)` uniquely names a generated packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PacketId {
-    /// Flow the packet belongs to.
-    pub flow: u16,
-    /// Per-origin sequence number.
-    pub seq: u32,
-    /// Originating node.
-    pub origin: u16,
+digs_json::message! {
+    /// End-to-end identity of one application data packet, stable across hops.
+    ///
+    /// Mirrors the `DataPacket` key used by the harness for delivery dedup:
+    /// `(flow, seq, origin)` uniquely names a generated packet.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct PacketId {
+        /// Flow the packet belongs to.
+        flow: u16,
+        /// Per-origin sequence number.
+        seq: u32,
+        /// Originating node.
+        origin: u16,
+    }
 }
 
 impl fmt::Display for PacketId {
@@ -79,193 +82,198 @@ digs_json::named! {
     }
 }
 
-/// One recorded flight-recorder event.
-///
-/// `seq` is a recorder-global monotone counter: sorting any merged event set
-/// by `seq` restores the exact order in which the (deterministic) simulation
-/// emitted them, which is what makes same-seed traces byte-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Global emission order.
-    pub seq: u64,
-    /// Absolute slot number the event occurred in.
-    pub asn: u64,
-    /// Node the event is attributed to ([`NETWORK_NODE`] for run-scoped
-    /// events).
-    pub node: u16,
-    /// What happened.
-    pub kind: EventKind,
+digs_json::message! {
+    /// One recorded flight-recorder event: one JSONL line, its head and then
+    /// its kind's name under `ev` and that kind's fields.
+    ///
+    /// `seq` is a recorder-global monotone counter: sorting any merged event set
+    /// by `seq` restores the exact order in which the (deterministic) simulation
+    /// emitted them, which is what makes same-seed traces byte-identical.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Event {
+        /// Global emission order.
+        seq: u64,
+        /// Absolute slot number the event occurred in.
+        asn: u64,
+        /// Node the event is attributed to ([`NETWORK_NODE`] for run-scoped
+        /// events).
+        node: u16,
+        /// What happened.
+        kind: EventKind as Flat<EventKind>,
+    }
 }
 
-/// Everything the flight recorder can log. See ISSUE/DESIGN §4.8 for the
-/// taxonomy rationale.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// A frame was committed to the air by this node.
-    Tx {
-        /// Unicast destination (`None` = broadcast).
-        dst: Option<u16>,
-        /// Traffic class.
-        class: TrafficClass,
-        /// Physical 802.15.4 channel index (0–15).
-        channel: u8,
-        /// Whether the slot was a shared (CSMA/CA) cell.
-        contention: bool,
-        /// Data-packet identity, when the frame carries application data.
-        packet: Option<PacketId>,
-    },
-    /// A frame from `src` was decoded by this node.
-    Rx {
-        /// Transmitting node.
-        src: u16,
-        /// Traffic class.
-        class: TrafficClass,
-        /// Data-packet identity, when the frame carries application data.
-        packet: Option<PacketId>,
-    },
-    /// This node's unicast to `dst` was acknowledged.
-    Ack {
-        /// Destination that acknowledged.
-        dst: u16,
-        /// Data-packet identity, if any.
-        packet: Option<PacketId>,
-    },
-    /// This node's unicast to `dst` went unacknowledged.
-    Nack {
-        /// Intended destination.
-        dst: u16,
-        /// Diagnosed cause.
-        reason: DropReason,
-        /// Data-packet identity, if any.
-        packet: Option<PacketId>,
-    },
-    /// CSMA/CA found the channel busy; the node deferred.
-    CcaDefer,
-    /// A packet entered this node's transmit queue.
-    QueueEnq {
-        /// The packet.
-        packet: PacketId,
-        /// Queue depth after the enqueue.
-        depth: u32,
-    },
-    /// A packet left this node's transmit queue (forwarded successfully).
-    QueueDeq {
-        /// The packet.
-        packet: PacketId,
-        /// Queue depth after the dequeue.
-        depth: u32,
-    },
-    /// The bounded queue rejected a packet.
-    QueueOverflow {
-        /// The rejected packet.
-        packet: PacketId,
-    },
-    /// A packet was dropped after exhausting its retransmission budget.
-    RetryDrop {
-        /// The dropped packet.
-        packet: PacketId,
-    },
-    /// An application packet was generated at its origin.
-    Generated {
-        /// The new packet.
-        packet: PacketId,
-    },
-    /// A packet reached an access point.
-    Delivered {
-        /// The delivered packet.
-        packet: PacketId,
-        /// End-to-end latency in slots.
-        latency_slots: u64,
-    },
-    /// The routing layer changed this node's parent set.
-    ParentSwitch {
-        /// Previous primary parent.
-        old_best: Option<u16>,
-        /// New primary parent.
-        new_best: Option<u16>,
-        /// Previous backup parent.
-        old_second: Option<u16>,
-        /// New backup parent.
-        new_second: Option<u16>,
-    },
-    /// This node's routing rank changed.
-    RankChange {
-        /// Previous rank (`None` before first join).
-        old: Option<u16>,
-        /// New rank.
-        new: u16,
-    },
-    /// A dedicated receive cell was provisioned for `child`.
-    CellAlloc {
-        /// Slot-in-slotframe of the cell.
-        slot: u32,
-        /// Channel offset of the cell.
-        offset: u8,
-        /// The transmitting child.
-        child: u16,
-    },
-    /// A dedicated receive cell for `child` was released.
-    CellRelease {
-        /// Slot-in-slotframe of the cell.
-        slot: u32,
-        /// Channel offset of the cell.
-        offset: u8,
-        /// The departing child.
-        child: u16,
-    },
-    /// A scripted fault hit this node (or link endpoint).
-    FaultInject {
-        /// Fault category.
-        fault: FaultKind,
-        /// Other endpoint for link outages.
-        peer: Option<u16>,
-    },
-    /// A scripted fault cleared.
-    FaultClear {
-        /// Fault category.
-        fault: FaultKind,
-        /// Other endpoint for link outages.
-        peer: Option<u16>,
-    },
-    /// The node cold-rebooted and its stack was factory-reset.
-    NodeReset,
-    /// The node's TSCH clock slipped past the guard time.
-    ClockDesync,
-    /// The runtime invariant auditor flagged a violation.
-    AuditViolation {
-        /// Invariant kind (display name of `digs::audit::InvariantKind`).
-        kind: String,
-        /// Human-readable detail.
-        detail: String,
-    },
-    /// The telemetry health monitor raised an alert at an epoch boundary.
-    HealthAlert {
-        /// Rule wire name (e.g. `pdr-collapse`, `churn-storm`).
-        rule: String,
-        /// Human-readable detail.
-        detail: String,
-    },
-    /// An adaptive jammer changed phase (run-scoped, on [`NETWORK_NODE`]):
-    /// it either finished a learning window and started jamming its chosen
-    /// target cells, or abandoned a stale target set and went back to
-    /// learning.
-    AttackPhase {
-        /// `true` when entering the jamming phase, `false` when the
-        /// attacker falls back to passive learning.
-        jamming: bool,
-        /// Number of (slot, channel-offset) target cells now jammed
-        /// (0 while learning).
-        targets: u32,
-        /// Hit-rate of the evaluation window that triggered the
-        /// transition, in basis points (0–10000).
-        hit_rate_bp: u32,
-    },
-    /// The schedule-randomization defense rolled over to a new epoch
-    /// permutation (run-scoped, on [`NETWORK_NODE`]).
-    DefenseEpoch {
-        /// Randomization epoch index (ASN / application slotframe length).
-        epoch: u64,
-    },
+digs_json::message! {
+    /// Everything the flight recorder can log, one row table per kind (DESIGN
+    /// §4.8 prints them): an `Option` field is left out of the line when none.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EventKind: "event name" by "ev" {
+        /// A frame was committed to the air by this node.
+        Tx = "tx" {
+            /// Unicast destination (`None` = broadcast).
+            dst: Option<u16> as Omitted<u16>,
+            /// Traffic class.
+            class: TrafficClass,
+            /// Physical 802.15.4 channel index (0–15).
+            channel: u8,
+            /// Whether the slot was a shared (CSMA/CA) cell.
+            contention: bool,
+            /// Data-packet identity, when the frame carries application data.
+            packet: Option<PacketId> as Omitted<PacketId>,
+        },
+        /// A frame from `src` was decoded by this node.
+        Rx = "rx" {
+            /// Transmitting node.
+            src: u16,
+            /// Traffic class.
+            class: TrafficClass,
+            /// Data-packet identity, when the frame carries application data.
+            packet: Option<PacketId> as Omitted<PacketId>,
+        },
+        /// This node's unicast to `dst` was acknowledged.
+        Ack = "ack" {
+            /// Destination that acknowledged.
+            dst: u16,
+            /// Data-packet identity, if any.
+            packet: Option<PacketId> as Omitted<PacketId>,
+        },
+        /// This node's unicast to `dst` went unacknowledged.
+        Nack = "nack" {
+            /// Intended destination.
+            dst: u16,
+            /// Diagnosed cause.
+            reason: DropReason,
+            /// Data-packet identity, if any.
+            packet: Option<PacketId> as Omitted<PacketId>,
+        },
+        /// CSMA/CA found the channel busy; the node deferred.
+        CcaDefer = "cca-defer",
+        /// A packet entered this node's transmit queue.
+        QueueEnq = "q-enq" {
+            /// The packet.
+            packet: PacketId,
+            /// Queue depth after the enqueue.
+            depth: u32,
+        },
+        /// A packet left this node's transmit queue (forwarded successfully).
+        QueueDeq = "q-deq" {
+            /// The packet.
+            packet: PacketId,
+            /// Queue depth after the dequeue.
+            depth: u32,
+        },
+        /// The bounded queue rejected a packet.
+        QueueOverflow = "q-overflow" {
+            /// The rejected packet.
+            packet: PacketId,
+        },
+        /// A packet was dropped after exhausting its retransmission budget.
+        RetryDrop = "retry-drop" {
+            /// The dropped packet.
+            packet: PacketId,
+        },
+        /// An application packet was generated at its origin.
+        Generated = "generated" {
+            /// The new packet.
+            packet: PacketId,
+        },
+        /// A packet reached an access point.
+        Delivered = "delivered" {
+            /// The delivered packet.
+            packet: PacketId,
+            /// End-to-end latency in slots.
+            latency: u64,
+        },
+        /// The routing layer changed this node's parent set.
+        ParentSwitch = "parent-switch" {
+            /// Previous primary parent.
+            old_best: Option<u16> as Omitted<u16>,
+            /// New primary parent.
+            new_best: Option<u16> as Omitted<u16>,
+            /// Previous backup parent.
+            old_second: Option<u16> as Omitted<u16>,
+            /// New backup parent.
+            new_second: Option<u16> as Omitted<u16>,
+        },
+        /// This node's routing rank changed.
+        RankChange = "rank-change" {
+            /// Previous rank (`None` before first join).
+            old: Option<u16> as Omitted<u16>,
+            /// New rank.
+            new: u16,
+        },
+        /// A dedicated receive cell was provisioned for `child`.
+        CellAlloc = "cell-alloc" {
+            /// Slot-in-slotframe of the cell.
+            slot: u32,
+            /// Channel offset of the cell.
+            offset: u8,
+            /// The transmitting child.
+            child: u16,
+        },
+        /// A dedicated receive cell for `child` was released.
+        CellRelease = "cell-release" {
+            /// Slot-in-slotframe of the cell.
+            slot: u32,
+            /// Channel offset of the cell.
+            offset: u8,
+            /// The departing child.
+            child: u16,
+        },
+        /// A scripted fault hit this node (or link endpoint).
+        FaultInject = "fault-inject" {
+            /// Fault category.
+            fault: FaultKind,
+            /// Other endpoint for link outages.
+            peer: Option<u16> as Omitted<u16>,
+        },
+        /// A scripted fault cleared.
+        FaultClear = "fault-clear" {
+            /// Fault category.
+            fault: FaultKind,
+            /// Other endpoint for link outages.
+            peer: Option<u16> as Omitted<u16>,
+        },
+        /// The node cold-rebooted and its stack was factory-reset.
+        NodeReset = "node-reset",
+        /// The node's TSCH clock slipped past the guard time.
+        ClockDesync = "clock-desync",
+        /// The runtime invariant auditor flagged a violation.
+        AuditViolation = "audit-violation" {
+            /// Invariant kind (display name of `digs::audit::InvariantKind`).
+            kind: String,
+            /// Human-readable detail.
+            detail: String,
+        },
+        /// The telemetry health monitor raised an alert at an epoch boundary.
+        HealthAlert = "health-alert" {
+            /// Rule wire name (e.g. `pdr-collapse`, `churn-storm`).
+            rule: String,
+            /// Human-readable detail.
+            detail: String,
+        },
+        /// An adaptive jammer changed phase (run-scoped, on [`NETWORK_NODE`]):
+        /// it either finished a learning window and started jamming its chosen
+        /// target cells, or abandoned a stale target set and went back to
+        /// learning.
+        AttackPhase = "attack-phase" {
+            /// `true` when entering the jamming phase, `false` when the
+            /// attacker falls back to passive learning.
+            jamming: bool,
+            /// Number of (slot, channel-offset) target cells now jammed
+            /// (0 while learning).
+            targets: u32,
+            /// Hit-rate of the evaluation window that triggered the
+            /// transition, in basis points (0–10000).
+            hit_rate_bp: u32,
+        },
+        /// The schedule-randomization defense rolled over to a new epoch
+        /// permutation (run-scoped, on [`NETWORK_NODE`]).
+        DefenseEpoch = "defense-epoch" {
+            /// Randomization epoch index (ASN / application slotframe length).
+            epoch: u64,
+        },
+    }
 }
 
 impl EventKind {
@@ -283,35 +291,6 @@ impl EventKind {
             | EventKind::Generated { packet }
             | EventKind::Delivered { packet, .. } => Some(*packet),
             _ => None,
-        }
-    }
-
-    /// Stable wire name of the variant (the `"ev"` JSONL field).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Tx { .. } => "tx",
-            EventKind::Rx { .. } => "rx",
-            EventKind::Ack { .. } => "ack",
-            EventKind::Nack { .. } => "nack",
-            EventKind::CcaDefer => "cca-defer",
-            EventKind::QueueEnq { .. } => "q-enq",
-            EventKind::QueueDeq { .. } => "q-deq",
-            EventKind::QueueOverflow { .. } => "q-overflow",
-            EventKind::RetryDrop { .. } => "retry-drop",
-            EventKind::Generated { .. } => "generated",
-            EventKind::Delivered { .. } => "delivered",
-            EventKind::ParentSwitch { .. } => "parent-switch",
-            EventKind::RankChange { .. } => "rank-change",
-            EventKind::CellAlloc { .. } => "cell-alloc",
-            EventKind::CellRelease { .. } => "cell-release",
-            EventKind::FaultInject { .. } => "fault-inject",
-            EventKind::FaultClear { .. } => "fault-clear",
-            EventKind::NodeReset => "node-reset",
-            EventKind::ClockDesync => "clock-desync",
-            EventKind::AuditViolation { .. } => "audit-violation",
-            EventKind::HealthAlert { .. } => "health-alert",
-            EventKind::AttackPhase { .. } => "attack-phase",
-            EventKind::DefenseEpoch { .. } => "defense-epoch",
         }
     }
 }
@@ -361,8 +340,8 @@ impl fmt::Display for Event {
             EventKind::QueueOverflow { packet }
             | EventKind::RetryDrop { packet }
             | EventKind::Generated { packet } => write!(f, " {packet}")?,
-            EventKind::Delivered { packet, latency_slots } => {
-                write!(f, " {packet} after {latency_slots} slots")?;
+            EventKind::Delivered { packet, latency } => {
+                write!(f, " {packet} after {latency} slots")?;
             }
             EventKind::ParentSwitch { old_best, new_best, old_second, new_second } => {
                 let opt = |v: &Option<u16>| match v {

@@ -1,17 +1,16 @@
 //! Deterministic JSONL (one JSON object per line) export and import.
 //!
-//! The encoder formats each event straight into the output `String` with a
-//! fixed field order (no value tree per event), so the same event stream
-//! always serializes to the same bytes — the property the determinism
-//! acceptance test pins down. It knows the events' field layout, not JSON
-//! syntax: strings go through [`digs_json::write_string`], integers through
-//! [`digs_json::write_uint`] (no `core::fmt` per field), and the decoder
-//! reads each line with [`digs_json::parse`] and its range-checked
-//! accessors (`seq`/`asn` are exact over the whole `u64` range).
+//! An [`Event`] is declared by its rows (`digs_json::message`): its head
+//! `seq`, `asn` and `node`, then its kind's name under `ev` and that kind's
+//! fields, each written straight into the output `String` in row order (no
+//! value tree per event), so the same event stream always serializes to the
+//! same bytes — the property the determinism acceptance test pins down. The
+//! decoder reads each line with [`digs_json::parse`] and the same rows
+//! (`seq`/`asn` are exact over the whole `u64` range).
 
-use crate::event::{DropReason, Event, EventKind, FaultKind, PacketId, TrafficClass};
+use crate::event::Event;
 use core::fmt;
-use digs_json::{write_string, write_uint, Value};
+use digs_json::message::{decode_line, Rows};
 
 /// Error from [`from_jsonl`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +33,7 @@ impl std::error::Error for ParseError {}
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::with_capacity(events.len() * 80);
     for event in events {
-        write_jsonl_line(&mut out, event);
+        event.write_json(&mut out);
         out.push('\n');
     }
     out
@@ -45,7 +44,7 @@ pub fn to_jsonl(events: &[Event]) -> String {
 /// byte-identical to a [`to_jsonl`] dump of the same events.
 pub fn to_jsonl_line(event: &Event) -> String {
     let mut out = String::with_capacity(80);
-    write_jsonl_line(&mut out, event);
+    event.write_json(&mut out);
     out
 }
 
@@ -58,242 +57,17 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
         if line.is_empty() {
             continue;
         }
-        let event = digs_json::parse(line)
-            .map_err(|e| e.to_string())
-            .and_then(|value| decode_event(&value))
+        let event = decode_line(line, Event::take_fields)
             .map_err(|message| ParseError { line: i + 1, message })?;
         events.push(event);
     }
     Ok(events)
 }
 
-// ---------------------------------------------------------------- encoding
-
-/// Appends what [`to_jsonl_line`] returns to `out`, for a caller that is
-/// assembling a larger buffer (a digsd frame around the line).
-pub fn write_jsonl_line(out: &mut String, event: &Event) {
-    put_uint(out, "{\"seq\":", event.seq);
-    put_uint(out, ",\"asn\":", event.asn);
-    put_uint(out, ",\"node\":", event.node);
-    put_name(out, ",\"ev\":\"", event.kind.name());
-    match &event.kind {
-        EventKind::CcaDefer | EventKind::NodeReset | EventKind::ClockDesync => {}
-        EventKind::Tx { dst, class, channel, contention, packet } => {
-            put_opt_u16(out, ",\"dst\":", dst);
-            put_name(out, ",\"class\":\"", class.as_str());
-            put_uint(out, ",\"channel\":", *channel);
-            out.push_str(if *contention {
-                ",\"contention\":true"
-            } else {
-                ",\"contention\":false"
-            });
-            put_opt_packet(out, packet);
-        }
-        EventKind::Rx { src, class, packet } => {
-            put_uint(out, ",\"src\":", *src);
-            put_name(out, ",\"class\":\"", class.as_str());
-            put_opt_packet(out, packet);
-        }
-        EventKind::Ack { dst, packet } => {
-            put_uint(out, ",\"dst\":", *dst);
-            put_opt_packet(out, packet);
-        }
-        EventKind::Nack { dst, reason, packet } => {
-            put_uint(out, ",\"dst\":", *dst);
-            put_name(out, ",\"reason\":\"", reason.as_str());
-            put_opt_packet(out, packet);
-        }
-        EventKind::QueueEnq { packet, depth } | EventKind::QueueDeq { packet, depth } => {
-            put_packet(out, packet);
-            put_uint(out, ",\"depth\":", *depth);
-        }
-        EventKind::QueueOverflow { packet }
-        | EventKind::RetryDrop { packet }
-        | EventKind::Generated { packet } => put_packet(out, packet),
-        EventKind::Delivered { packet, latency_slots } => {
-            put_packet(out, packet);
-            put_uint(out, ",\"latency\":", *latency_slots);
-        }
-        EventKind::ParentSwitch { old_best, new_best, old_second, new_second } => {
-            put_opt_u16(out, ",\"old_best\":", old_best);
-            put_opt_u16(out, ",\"new_best\":", new_best);
-            put_opt_u16(out, ",\"old_second\":", old_second);
-            put_opt_u16(out, ",\"new_second\":", new_second);
-        }
-        EventKind::RankChange { old, new } => {
-            put_opt_u16(out, ",\"old\":", old);
-            put_uint(out, ",\"new\":", *new);
-        }
-        EventKind::CellAlloc { slot, offset, child }
-        | EventKind::CellRelease { slot, offset, child } => {
-            put_uint(out, ",\"slot\":", *slot);
-            put_uint(out, ",\"offset\":", *offset);
-            put_uint(out, ",\"child\":", *child);
-        }
-        EventKind::FaultInject { fault, peer } | EventKind::FaultClear { fault, peer } => {
-            put_name(out, ",\"fault\":\"", fault.as_str());
-            put_opt_u16(out, ",\"peer\":", peer);
-        }
-        EventKind::AuditViolation { kind, detail } => {
-            out.push_str(",\"kind\":");
-            write_string(out, kind);
-            out.push_str(",\"detail\":");
-            write_string(out, detail);
-        }
-        EventKind::HealthAlert { rule, detail } => {
-            out.push_str(",\"rule\":");
-            write_string(out, rule);
-            out.push_str(",\"detail\":");
-            write_string(out, detail);
-        }
-        EventKind::AttackPhase { jamming, targets, hit_rate_bp } => {
-            out.push_str(if *jamming { ",\"jamming\":true" } else { ",\"jamming\":false" });
-            put_uint(out, ",\"targets\":", *targets);
-            put_uint(out, ",\"hit_rate_bp\":", *hit_rate_bp);
-        }
-        EventKind::DefenseEpoch { epoch } => put_uint(out, ",\"epoch\":", *epoch),
-    }
-    out.push('}');
-}
-
-/// Appends `head` — the field's comma, quoted key and colon — then `n`.
-fn put_uint(out: &mut String, head: &str, n: impl Into<u64>) {
-    out.push_str(head);
-    write_uint(out, n);
-}
-
-/// Appends `head` — up to the value's opening quote — then a wire name that
-/// needs no escaping and its closing quote.
-fn put_name(out: &mut String, head: &str, name: &str) {
-    out.push_str(head);
-    out.push_str(name);
-    out.push('"');
-}
-
-fn put_opt_u16(out: &mut String, head: &str, value: &Option<u16>) {
-    if let Some(v) = value {
-        put_uint(out, head, *v);
-    }
-}
-
-fn put_packet(out: &mut String, p: &PacketId) {
-    put_uint(out, ",\"packet\":{\"flow\":", p.flow);
-    put_uint(out, ",\"seq\":", p.seq);
-    put_uint(out, ",\"origin\":", p.origin);
-    out.push('}');
-}
-
-fn put_opt_packet(out: &mut String, p: &Option<PacketId>) {
-    if let Some(p) = p {
-        put_packet(out, p);
-    }
-}
-
-// ---------------------------------------------------------------- decoding
-
-fn packet_field(value: &Value) -> Result<PacketId, String> {
-    let p = value.req("packet")?;
-    Ok(PacketId { flow: p.uint("flow")?, seq: p.uint("seq")?, origin: p.uint("origin")? })
-}
-
-fn opt_packet_field(value: &Value) -> Result<Option<PacketId>, String> {
-    value.present("packet").map(|_| packet_field(value)).transpose()
-}
-
-fn class_field(value: &Value) -> Result<TrafficClass, String> {
-    TrafficClass::parse(value.str("class")?)
-}
-
-fn decode_event(value: &Value) -> Result<Event, String> {
-    let seq = value.uint("seq")?;
-    let asn = value.uint("asn")?;
-    let node = value.uint("node")?;
-    let ev = value.str("ev")?;
-    let kind = match ev {
-        "cca-defer" => EventKind::CcaDefer,
-        "node-reset" => EventKind::NodeReset,
-        "clock-desync" => EventKind::ClockDesync,
-        "tx" => EventKind::Tx {
-            dst: value.opt_uint("dst")?,
-            class: class_field(value)?,
-            channel: value.uint("channel")?,
-            contention: value.bool("contention")?,
-            packet: opt_packet_field(value)?,
-        },
-        "rx" => EventKind::Rx {
-            src: value.uint("src")?,
-            class: class_field(value)?,
-            packet: opt_packet_field(value)?,
-        },
-        "ack" => EventKind::Ack { dst: value.uint("dst")?, packet: opt_packet_field(value)? },
-        "nack" => EventKind::Nack {
-            dst: value.uint("dst")?,
-            reason: DropReason::parse(value.str("reason")?)?,
-            packet: opt_packet_field(value)?,
-        },
-        "q-enq" => {
-            EventKind::QueueEnq { packet: packet_field(value)?, depth: value.uint("depth")? }
-        }
-        "q-deq" => {
-            EventKind::QueueDeq { packet: packet_field(value)?, depth: value.uint("depth")? }
-        }
-        "q-overflow" => EventKind::QueueOverflow { packet: packet_field(value)? },
-        "retry-drop" => EventKind::RetryDrop { packet: packet_field(value)? },
-        "generated" => EventKind::Generated { packet: packet_field(value)? },
-        "delivered" => EventKind::Delivered {
-            packet: packet_field(value)?,
-            latency_slots: value.uint("latency")?,
-        },
-        "parent-switch" => EventKind::ParentSwitch {
-            old_best: value.opt_uint("old_best")?,
-            new_best: value.opt_uint("new_best")?,
-            old_second: value.opt_uint("old_second")?,
-            new_second: value.opt_uint("new_second")?,
-        },
-        "rank-change" => {
-            EventKind::RankChange { old: value.opt_uint("old")?, new: value.uint("new")? }
-        }
-        "cell-alloc" | "cell-release" => {
-            let slot = value.uint("slot")?;
-            let offset = value.uint("offset")?;
-            let child = value.uint("child")?;
-            if ev == "cell-alloc" {
-                EventKind::CellAlloc { slot, offset, child }
-            } else {
-                EventKind::CellRelease { slot, offset, child }
-            }
-        }
-        "fault-inject" | "fault-clear" => {
-            let fault = FaultKind::parse(value.str("fault")?)?;
-            let peer = value.opt_uint("peer")?;
-            if ev == "fault-inject" {
-                EventKind::FaultInject { fault, peer }
-            } else {
-                EventKind::FaultClear { fault, peer }
-            }
-        }
-        "audit-violation" => EventKind::AuditViolation {
-            kind: value.str("kind")?.to_owned(),
-            detail: value.str("detail")?.to_owned(),
-        },
-        "health-alert" => EventKind::HealthAlert {
-            rule: value.str("rule")?.to_owned(),
-            detail: value.str("detail")?.to_owned(),
-        },
-        "attack-phase" => EventKind::AttackPhase {
-            jamming: value.bool("jamming")?,
-            targets: value.uint("targets")?,
-            hit_rate_bp: value.uint("hit_rate_bp")?,
-        },
-        "defense-epoch" => EventKind::DefenseEpoch { epoch: value.uint("epoch")? },
-        other => return Err(format!("unknown event name \"{other}\"")),
-    };
-    Ok(Event { seq, asn, node, kind })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{DropReason, EventKind, FaultKind, PacketId, TrafficClass};
 
     fn sample_events() -> Vec<Event> {
         let p = PacketId { flow: 2, seq: 17, origin: 9 };
@@ -369,7 +143,7 @@ mod tests {
                 seq: 17,
                 asn: 150,
                 node: 0,
-                kind: EventKind::Delivered { packet: p, latency_slots: 50 },
+                kind: EventKind::Delivered { packet: p, latency: 50 },
             },
             Event { seq: 18, asn: 151, node: 9, kind: EventKind::QueueOverflow { packet: p } },
             Event { seq: 19, asn: 152, node: 9, kind: EventKind::RetryDrop { packet: p } },
@@ -476,7 +250,7 @@ mod tests {
                 seq: u64::MAX,
                 asn: u64::MAX,
                 node: u16::MAX,
-                kind: EventKind::Delivered { packet: p, latency_slots: u64::MAX },
+                kind: EventKind::Delivered { packet: p, latency: u64::MAX },
             },
             Event {
                 seq: 0,
@@ -535,8 +309,8 @@ mod tests {
             max(EventKind::QueueOverflow { packet: p }),
             zero(EventKind::RetryDrop { packet: z }),
             max(EventKind::Generated { packet: p }),
-            max(EventKind::Delivered { packet: p, latency_slots: u64::MAX }),
-            zero(EventKind::Delivered { packet: z, latency_slots: 0 }),
+            max(EventKind::Delivered { packet: p, latency: u64::MAX }),
+            zero(EventKind::Delivered { packet: z, latency: 0 }),
             max(EventKind::ParentSwitch {
                 old_best: Some(u16::MAX),
                 new_best: Some(u16::MAX),

@@ -37,6 +37,6 @@ pub use analysis::{
     LatencyBreakdown, RepairEpisode,
 };
 pub use event::{DropReason, Event, EventKind, FaultKind, PacketId, TrafficClass, NETWORK_NODE};
-pub use jsonl::{from_jsonl, to_jsonl, to_jsonl_line, write_jsonl_line, ParseError};
+pub use jsonl::{from_jsonl, to_jsonl, to_jsonl_line, ParseError};
 pub use recorder::{RingRecorder, TraceHandle, DEFAULT_CAPACITY};
 pub use ring::RingBuffer;
