@@ -159,10 +159,12 @@ fn a_long_traced_run_keeps_every_health_alert_the_sampler_raised() {
     assert_eq!((raised, kept), (24, 24), "(alerts raised, alerts still in the trace)");
 }
 
-/// The attack-vs-defense duel with every observer on: adaptive jammers
-/// next to each access point, schedule randomization enabled, trace and
-/// telemetry both recording. Returns (trace JSONL, telemetry JSONL).
-fn duel_once(seed: u64, secs: u64) -> (String, String) {
+/// An adaptive jammer next to each access point, learning from 30 s, with
+/// trace and telemetry both recording; `randomize` is the schedule
+/// randomization secret (`None`: the static Eq. 4 schedule the sniffers
+/// learn). Returns (trace JSONL, telemetry JSONL, final `EngineStats` as
+/// `Debug`).
+fn adversarial_once(seed: u64, secs: u64, randomize: Option<u64>) -> (String, String, String) {
     let topology = Topology::testbed_a_half();
     let ap_positions: Vec<_> =
         topology.access_points().iter().map(|ap| topology.position(*ap)).collect();
@@ -173,8 +175,10 @@ fn duel_once(seed: u64, secs: u64) -> (String, String) {
         .random_flows(2, 500, seed)
         .trace_cap(8192)
         .telemetry_epoch(1000)
-        .telemetry_cap(4096)
-        .randomize(0x5afe_c0de);
+        .telemetry_cap(4096);
+    if let Some(secret) = randomize {
+        builder = builder.randomize(secret);
+    }
     for (i, pos) in ap_positions.iter().enumerate() {
         builder = builder.jammer(Jammer::adaptive(
             Position::new(pos.x + 2.0, pos.y + 2.0),
@@ -187,7 +191,18 @@ fn duel_once(seed: u64, secs: u64) -> (String, String) {
     net.run_secs(secs);
     let trace = digs_trace::to_jsonl(&net.trace().events());
     let tele = telemetry::to_jsonl(net.telemetry().expect("telemetry pinned on"));
-    (trace, tele)
+    (trace, tele, format!("{:?}", net.engine().stats()))
+}
+
+/// The attack-vs-defense duel with every observer on: the adaptive jammers
+/// against schedule randomization.
+fn duel_once(seed: u64, secs: u64) -> (String, String, String) {
+    adversarial_once(seed, secs, Some(0x5afe_c0de))
+}
+
+/// The attack alone: the sniffers against the static schedule.
+fn attack_once(seed: u64, secs: u64) -> (String, String, String) {
+    adversarial_once(seed, secs, None)
 }
 
 #[test]
@@ -196,8 +211,8 @@ fn adversarial_duel_is_byte_identical_across_runs() {
     // sniffer's learned state machine, per-epoch permutations, and both
     // observability exports — so byte-equality here is the strongest
     // cheap determinism check the adversarial family gets.
-    let (trace_a, tele_a) = duel_once(7, 150);
-    let (trace_b, tele_b) = duel_once(7, 150);
+    let (trace_a, tele_a, _) = duel_once(7, 150);
+    let (trace_b, tele_b, _) = duel_once(7, 150);
     assert!(trace_a.lines().count() > 100, "duel trace must record a non-trivial event stream");
     assert!(
         tele_a.lines().count() > 5,
@@ -205,6 +220,43 @@ fn adversarial_duel_is_byte_identical_across_runs() {
     );
     assert_eq!(trace_a, trace_b, "duel trace JSONL diverged between identical runs");
     assert_eq!(tele_a, tele_b, "duel telemetry JSONL diverged between identical runs");
+}
+
+/// The adversarial runs' bytes across commits: FNV-1a-64 of the trace JSONL,
+/// the telemetry JSONL (the `jam.*` counters and hit-rate gauges) and the
+/// final `EngineStats` (the sniffers' summed counters) of the duel and of the
+/// attack alone, each pinned on its own so a moved byte says where. The
+/// sniffers observe every slot, and under randomization every node's receive
+/// cells move each epoch, so these are the runs the engine's gap jumps and the
+/// scheduler's per-epoch placement have to leave alone. Re-pin as above.
+#[test]
+fn pinned_adversarial_digests_hold_across_commits() {
+    let pinned = [
+        (
+            "duel",
+            duel_once(7, 150),
+            [0x7b36_20f3_49c9_5887u64, 0xc0da_fa87_9f46_c7c9, 0x4662_1627_b18b_916c],
+        ),
+        (
+            "attack",
+            attack_once(7, 150),
+            [0x06b8_fe52_9c6d_a191, 0xc008_39ca_431e_70b4, 0xbf94_5625_4d8d_e9c5],
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (name, (trace, tele, stats), want) in pinned {
+        assert!(trace.contains("\"attack-phase\""), "{name}: the sniffers must change phase");
+        assert!(tele.contains("jam."), "{name}: telemetry must carry the jam counters");
+        for (part, text, want) in
+            [("trace", &trace, want[0]), ("telemetry", &tele, want[1]), ("stats", &stats, want[2])]
+        {
+            let got = fnv1a64(&[text]);
+            if got != want {
+                moved.push(format!("{name} {part}: got {got:#018x}, pinned {want:#018x}"));
+            }
+        }
+    }
+    assert!(moved.is_empty(), "pinned digests moved: {moved:#?}");
 }
 
 #[test]

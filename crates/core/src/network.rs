@@ -156,6 +156,9 @@ impl Network {
             .resolve_randomize()
             .map(|secret| digs_sim::rng::mix(config.seed, secret, 0x0510_75a9, 0));
 
+        // Every DiGS node draws the same permutation each epoch: the first
+        // to ask builds it for the network.
+        let perms = std::sync::Arc::new(digs_scheduling::EpochPerms::default());
         let num_aps = config.topology.num_access_points() as u16;
         let mut stacks: Vec<ProtocolStack> = config
             .topology
@@ -179,6 +182,7 @@ impl Network {
                             max_cycles: config.max_cycles,
                             seed,
                             randomize: randomize_nonce,
+                            perms: std::sync::Arc::clone(&perms),
                         },
                     )),
                     Protocol::Orchestra => ProtocolStack::Orchestra(OrchestraStack::new(

@@ -9,6 +9,7 @@ use super::*;
 use crate::config::NetworkConfig;
 use digs_sim::fault::{ChaosConfig, ChaosPlan, Outage};
 use digs_sim::ids::NodeId;
+use digs_sim::interference::Jammer;
 use digs_sim::topology::Topology;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +21,12 @@ enum Scenario {
     Chaos,
     /// Schedule randomization on (DiGS).
     Randomized,
+    /// An adaptive jammer beside each access point, learning from 60 s:
+    /// the jumped slots are counted into its sniffer in bulk, and the slots
+    /// its windows end in are stepped.
+    Sniffed,
+    /// `Sniffed` against `Randomized` (DiGS).
+    Duel,
     /// A new central schedule installed mid-run (WirelessHART).
     Reprovisioned,
     /// All of Testbed A, on which three devices die for good: every
@@ -77,14 +84,19 @@ fn config(protocol: Protocol, scenario: Scenario, traced: bool, seed: u64) -> Ne
                     plan.with(Outage::permanent(v, dead_from))
                 }));
         }
-        Scenario::Randomized => builder = builder.randomize(0x5ec2e7),
-        Scenario::Clean | Scenario::Reprovisioned => {}
+        Scenario::Sniffed | Scenario::Duel => {
+            let app_len = digs_scheduling::SlotframeLengths::paper().app;
+            for (i, ap) in topology.access_points().into_iter().enumerate() {
+                let at = topology.position(ap);
+                let at = digs_sim::position::Position::new(at.x + 2.0, at.y + 2.0);
+                let salt = 0x5_1ff ^ ((i as u64) << 8);
+                builder = builder.jammer(Jammer::adaptive(at, app_len, Asn::from_secs(60), salt));
+            }
+        }
+        Scenario::Randomized | Scenario::Clean | Scenario::Reprovisioned => {}
     }
-    let mut config = builder.build();
-    if scenario != Scenario::Randomized {
-        config.sched_randomize = Some(0);
-    }
-    config
+    let randomized = matches!(scenario, Scenario::Randomized | Scenario::Duel);
+    builder.randomize(if randomized { 0x5ec2e7 } else { 0 }).build()
 }
 
 /// A schedule for the same flows over a longer superframe, so every cell
@@ -164,6 +176,11 @@ fn exercised(what: &str, protocol: Protocol, scenario: Scenario, network: &Netwo
         // Formation: unsynchronised scanning, first join, Trickle resets.
         assert!(count("parent-switch") > 0 && count("cell-alloc") > 0, "{what}: no formation");
     }
+    if matches!(scenario, Scenario::Sniffed | Scenario::Duel) {
+        // Learned, jammed and judged: the phase changes land in the trace.
+        assert!(count("attack-phase") > 1, "{what}: the sniffers never changed phase");
+        assert!(network.engine().stats().adaptive_jam_opportunities > 0, "{what}: never jammed");
+    }
     if scenario == Scenario::Deaths {
         let dead_from = Asn::from_secs(DEAD_FROM_SECS);
         let dead = |id: NodeId| !network.config().faults.is_alive(id, dead_from);
@@ -205,8 +222,13 @@ fn digs_wake_driven_matches_ask_every_slot() {
 }
 
 #[test]
+fn digs_under_a_sniffer_wake_driven_matches_ask_every_slot() {
+    matrix(Protocol::Digs, &[Scenario::Sniffed, Scenario::Duel]);
+}
+
+#[test]
 fn orchestra_wake_driven_matches_ask_every_slot() {
-    matrix(Protocol::Orchestra, &[Scenario::Clean, Scenario::Chaos]);
+    matrix(Protocol::Orchestra, &[Scenario::Clean, Scenario::Chaos, Scenario::Sniffed]);
 }
 
 #[test]

@@ -8,13 +8,14 @@ use crate::payload::Payload;
 use digs_routing::messages::{ParentSlot, RoutingEvent};
 use digs_routing::{DigsRouting, Rank, RoutingConfig};
 use digs_scheduling::slotframe::CellAction;
-use digs_scheduling::{DigsScheduler, SlotframeLengths};
+use digs_scheduling::{DigsScheduler, EpochPerms, SlotframeLengths};
 use digs_sim::engine::{NodeStack, SlotIntent, StandingListens, TxOutcome};
 use digs_sim::ids::NodeId;
 use digs_sim::packet::Frame;
 use digs_sim::rf::Dbm;
 use digs_sim::time::Asn;
 use digs_trace::TraceHandle;
+use std::sync::Arc;
 
 /// The DiGS protocol stack for one node.
 #[derive(Debug)]
@@ -37,7 +38,7 @@ pub struct DigsStack {
 /// The immutable provisioning a DiGS mote ships with: everything needed to
 /// build its routing and scheduling from scratch, at first boot and again
 /// on every cold reboot.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct DigsProvision {
     /// Number of access points in the network (Eq. 4's slot stride).
     pub num_aps: u16,
@@ -59,13 +60,18 @@ pub struct DigsProvision {
     /// reboots, so a rebooted mote rejoins the randomized schedule its
     /// neighbors are still following.
     pub randomize: Option<u64>,
+    /// The memo of the randomization epochs' slot permutations, one per
+    /// network: every node of the network is handed the same, so each
+    /// epoch's permutation is built once for all of them.
+    pub perms: Arc<EpochPerms>,
 }
 
 impl DigsProvision {
     /// Factory-fresh routing and scheduling for node `id` booting at `asn`.
     fn boot(&self, id: NodeId, is_ap: bool, seed: u64, asn: Asn) -> (DigsRouting, DigsScheduler) {
         let routing = DigsRouting::new(id, is_ap, self.routing_config, seed, asn);
-        let mut scheduler = DigsScheduler::new(id, self.num_aps, self.slotframes, self.attempts);
+        let mut scheduler = DigsScheduler::new(id, self.num_aps, self.slotframes, self.attempts)
+            .with_perms(Arc::clone(&self.perms));
         scheduler.set_randomize(self.randomize);
         (routing, scheduler)
     }
@@ -245,6 +251,10 @@ impl NodeStack for DigsStack {
             return scan;
         }
 
+        // A randomized schedule's cells move each epoch; the first slot of
+        // one is a wake slot, and this is where it is laid out.
+        self.scheduler.place(asn);
+
         // Routing housekeeping (Trickle, eviction).
         let events = self.routing.tick(asn);
         self.process_routing_events(events, asn);
@@ -338,7 +348,7 @@ impl NodeStack for DigsStack {
         // Cold reboot: routing, schedule, queues, children, and sync are
         // factory-fresh; the node must re-associate via EBs and rejoin the
         // graph from scratch.
-        let p = self.provision;
+        let p = &self.provision;
         let seed = digs_sim::rng::mix(p.seed, asn.0, 0x001e_b007, 0);
         (self.routing, self.scheduler) = p.boot(self.mac.core.id, self.mac.core.is_ap, seed, asn);
         self.mac.reboot(asn, self.routing.rank());

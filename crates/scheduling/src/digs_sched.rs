@@ -39,6 +39,16 @@
 //! parents' receive cells stay aligned. Logical coordinates remain the
 //! stable identity of a cell: claims, callbacks, and Eq. 4 inversion all
 //! operate in logical space and translate at the radio boundary.
+//!
+//! Since every node derives the same permutation, the schedulers of one
+//! network share one memo of it ([`EpochPerms`], handed down with the
+//! provisioning): whichever asks first in an epoch builds that epoch's
+//! permutation, once for the network. And since a node's cells stand still
+//! for a whole epoch, each scheduler lays its application cells out in
+//! physical slots once per epoch ([`DigsScheduler::place`]): its receive
+//! cells are then standing listens for the epoch, as they are for the
+//! whole run without randomization, and only its sync, routing and (with
+//! data queued) transmit cells and the epoch's end are wake slots.
 
 use crate::slotframe::{
     combine, frame_offset, next_sync_or_routing_cell, node_offset, Cell, CellAction, CellTable,
@@ -50,8 +60,8 @@ use digs_sim::engine::StandingListens;
 use digs_sim::ids::NodeId;
 use digs_sim::rng;
 use digs_sim::time::Asn;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Default number of scheduled transmission attempts per packet per
 /// application slotframe (two on the primary route, one on the backup).
@@ -66,24 +76,44 @@ const SHIFT_SALT: u64 = 0x0ff5_e7ed;
 /// The slot permutation for one randomization epoch.
 #[derive(Debug, Clone)]
 struct EpochPerm {
-    epoch: u64,
+    /// What the permutation was drawn for: `(nonce, epoch, app_len)`.
+    key: (u64, u64, u32),
     /// `forward[logical] = physical` application slot.
     forward: Vec<u32>,
     /// `inverse[physical] = logical` application slot.
     inverse: Vec<u32>,
 }
 
-/// Memo for the permutations of the two most recently resolved epochs,
-/// one of each parity: a lookup in the current epoch and a look ahead into
-/// the next do not evict each other (interior mutability: schedule lookup
-/// is logically `&self`).
-#[derive(Debug, Clone, Default)]
-struct PermCache(RefCell<[Option<EpochPerm>; 2]>);
+/// The slot permutations of the two most recently resolved epochs, one of
+/// each parity, shared by every DiGS scheduler of a network (a lookup in the
+/// current epoch and a look ahead into the next do not evict each other).
+/// Whichever scheduler asks first for an epoch builds its permutation; the
+/// others read it. An entry is keyed on everything it was drawn from, so
+/// schedulers that share a memo but not a nonce or a slotframe length only
+/// rebuild, never misread. A network's memo is part of what its
+/// configuration builds, not process state: a run stays a function of its
+/// configuration.
+#[derive(Debug, Default)]
+pub struct EpochPerms(Mutex<[Option<EpochPerm>; 2]>);
 
-impl PartialEq for PermCache {
-    /// The cache is derived data: schedulers with equal configuration are
-    /// equal regardless of which epoch they last resolved.
-    fn eq(&self, _other: &PermCache) -> bool {
+impl EpochPerms {
+    /// Runs `f` against the permutation for `(nonce, epoch)` of an
+    /// `app_len`-slot frame, building it if the memo does not hold it.
+    fn with<R>(&self, nonce: u64, epoch: u64, app_len: u32, f: impl FnOnce(&EpochPerm) -> R) -> R {
+        let mut memo = self.0.lock().expect("no scheduler panics holding the memo");
+        let cached = &mut memo[(epoch % 2) as usize];
+        let key = (nonce, epoch, app_len);
+        if cached.as_ref().is_none_or(|p| p.key != key) {
+            *cached = Some(build_perm(key));
+        }
+        f(cached.as_ref().expect("permutation just built"))
+    }
+}
+
+impl PartialEq for EpochPerms {
+    /// The memo is derived data: schedulers with equal configuration are
+    /// equal whichever epochs it last resolved and whoever shares it.
+    fn eq(&self, _other: &EpochPerms) -> bool {
         true
     }
 }
@@ -91,7 +121,8 @@ impl PartialEq for PermCache {
 /// Fisher–Yates keyed on `(nonce, epoch)`. The `% (i + 1)` modulo bias is
 /// irrelevant here: the shuffle defeats schedule learning, it is not
 /// cryptography.
-fn build_perm(nonce: u64, epoch: u64, app_len: u32) -> EpochPerm {
+fn build_perm(key: (u64, u64, u32)) -> EpochPerm {
+    let (nonce, epoch, app_len) = key;
     let mut forward: Vec<u32> = (0..app_len).collect();
     for i in (1..app_len as usize).rev() {
         let j = (rng::mix(nonce, epoch, i as u64, PERM_SALT) % (i as u64 + 1)) as usize;
@@ -101,7 +132,7 @@ fn build_perm(nonce: u64, epoch: u64, app_len: u32) -> EpochPerm {
     for (logical, &physical) in forward.iter().enumerate() {
         inverse[physical as usize] = logical as u32;
     }
-    EpochPerm { epoch, forward, inverse }
+    EpochPerm { key, forward, inverse }
 }
 
 /// The autonomous scheduler state for one node.
@@ -118,13 +149,18 @@ pub struct DigsScheduler {
     /// Network-wide schedule-randomization nonce (`None` = the paper's
     /// static Eq. 4 placement).
     randomize: Option<u64>,
-    /// Cached permutations for the last epochs queried.
-    perm: PermCache,
+    /// The network's memo of the epoch permutations.
+    perms: Arc<EpochPerms>,
     /// The application cells, keyed by logical (Eq. 4) slot and holding
     /// each cell's unshifted channel offset; rebuilt by
     /// [`Self::compile_app_cells`] whenever the parents or the set of
     /// children change.
     app_cells: CellTable,
+    /// Under randomization, the epoch the application cells were last laid
+    /// out for, and the cells of `app_cells` in that epoch's physical slots
+    /// with its shifted channel offsets ([`Self::place`]).
+    placed_epoch: Option<u64>,
+    placed: CellTable,
 }
 
 impl DigsScheduler {
@@ -149,9 +185,18 @@ impl DigsScheduler {
             second_parent: None,
             children: BTreeMap::new(),
             randomize: None,
-            perm: PermCache::default(),
+            perms: Arc::default(),
             app_cells: CellTable::default(),
+            placed_epoch: None,
+            placed: CellTable::default(),
         }
+    }
+
+    /// Reads the epoch permutations through `perms`, the memo every DiGS
+    /// scheduler of the network shares, instead of a memo of its own.
+    pub fn with_perms(mut self, perms: Arc<EpochPerms>) -> DigsScheduler {
+        self.perms = perms;
+        self
     }
 
     /// Enables (`Some`) or disables (`None`) per-epoch schedule
@@ -161,8 +206,9 @@ impl DigsScheduler {
     /// without any negotiation.
     pub fn set_randomize(&mut self, nonce: Option<u64>) {
         self.randomize = nonce;
-        self.perm.0.replace([None, None]);
-        // Whether the receive cells are standing listens just changed.
+        // Any layout was drawn under the old nonce.
+        self.placed_epoch = None;
+        self.placed.clear();
         self.compile_app_cells();
     }
 
@@ -261,6 +307,42 @@ impl DigsScheduler {
             }
         }
         self.app_cells = cells;
+        if let Some(epoch) = self.placed_epoch {
+            self.lay_out(epoch);
+        }
+    }
+
+    /// Lays the application cells out for `asn`'s epoch, unless they are
+    /// laid out for it already: the receive cells become the epoch's
+    /// [`Self::standing_listens`] and the transmit cells the ones
+    /// [`Self::next_wake_cell`] names. A no-op without randomization, where
+    /// the logical cells are the physical ones. The stack calls this
+    /// whenever it is asked, so a node is laid out at the first slot of
+    /// each epoch it is asked in — and [`Self::next_wake_cell`] names that
+    /// slot.
+    pub fn place(&mut self, asn: Asn) {
+        let epoch = self.epoch_of(asn);
+        if self.randomize.is_some() && self.placed_epoch != Some(epoch) {
+            self.lay_out(epoch);
+        }
+    }
+
+    /// Lays out `epoch`: each application cell at its physical slot, with
+    /// the shifted channel offset [`Self::cell`] gives it there.
+    fn lay_out(&mut self, epoch: u64) {
+        let Some(nonce) = self.randomize else { return };
+        let mut placed = std::mem::take(&mut self.placed);
+        placed.clear();
+        let epoch_asn = Asn(epoch * u64::from(self.lengths.app));
+        self.with_perm(nonce, epoch, |perm| {
+            for &(logical, mut cell) in self.app_cells.entries() {
+                let physical = perm.forward[logical as usize];
+                cell.offset = self.cell_offset(cell.offset, physical, epoch_asn);
+                placed.claim(physical, cell);
+            }
+        });
+        self.placed = placed;
+        self.placed_epoch = Some(epoch);
     }
 
     /// Currently registered children.
@@ -319,14 +401,10 @@ impl DigsScheduler {
         (1..=self.attempts).find(|p| self.tx_slot(node, *p) == off)
     }
 
-    /// Runs `f` against the permutation for `epoch`, (re)building the memo
-    /// when the epoch rolled over since the last lookup.
+    /// Runs `f` against the permutation for `epoch`, through the shared
+    /// memo.
     fn with_perm<R>(&self, nonce: u64, epoch: u64, f: impl FnOnce(&EpochPerm) -> R) -> R {
-        let cached = &mut self.perm.0.borrow_mut()[(epoch % 2) as usize];
-        if cached.as_ref().is_none_or(|p| p.epoch != epoch) {
-            *cached = Some(build_perm(nonce, epoch, self.lengths.app));
-        }
-        f(cached.as_ref().expect("permutation just built"))
+        self.perms.with(nonce, epoch, self.lengths.app, f)
     }
 
     /// Maps a logical (Eq. 4) application slot to its physical slot in
@@ -407,33 +485,41 @@ impl DigsScheduler {
     /// be asked in: a sync cell, the shared routing cell, and — only while
     /// it has application data queued (`has_data`) — one of its own transmit
     /// cells. Its receive cells are [`Self::standing_listens`], and an
-    /// empty-queue transmit cell sleeps. Under randomization every
-    /// application cell is named instead: a cell that moves each epoch is
-    /// not a standing listen.
+    /// empty-queue transmit cell sleeps. Under randomization the cells are
+    /// those laid out for `from`'s epoch, and the epoch's end is named too,
+    /// where the next layout is due; if the layout is not `from`'s epoch,
+    /// `from` itself is named, so that the node is asked and laid out.
     pub fn next_wake_cell(&self, from: Asn, has_data: bool) -> Asn {
         let next = next_sync_or_routing_cell(from, self.lengths, self.id, self.best_parent);
-        let app = if self.randomize.is_some() {
-            self.next_app_cell(from)
-        } else if has_data {
-            self.app_cells.next_transmit(from, self.lengths.app)
-        } else {
-            None
-        };
-        app.map_or(next, |app| next.min(app))
+        let app = self.lengths.app;
+        if self.randomize.is_none() {
+            let transmit = has_data.then(|| self.app_cells.next_transmit(from, app)).flatten();
+            return transmit.map_or(next, |transmit| next.min(transmit));
+        }
+        let epoch = self.epoch_of(from);
+        if self.placed_epoch != Some(epoch) {
+            return from;
+        }
+        let end = Asn((epoch + 1) * u64::from(app));
+        let transmit = has_data.then(|| self.placed.next_transmit(from, app)).flatten();
+        next.min(transmit.map_or(end, |transmit| transmit.min(end)))
     }
 
     /// The receive cells of the application slotframe, which
-    /// [`Self::next_wake_cell`] does not name (none under randomization):
-    /// where they are not masked by a sync or routing cell — slots the node
-    /// is asked in — [`Self::cell`] is a `RxData` cell on that offset.
+    /// [`Self::next_wake_cell`] does not name — under randomization, those
+    /// laid out for the epoch [`Self::next_wake_cell`] answers in: where
+    /// they are not masked by a sync or routing cell — slots the node is
+    /// asked in — [`Self::cell`] is a `RxData` cell on that offset.
     pub fn standing_listens(&self) -> StandingListens<'_> {
-        let cells = if self.randomize.is_none() { self.app_cells.listens() } else { &[] };
+        let cells =
+            if self.randomize.is_none() { self.app_cells.listens() } else { self.placed.listens() };
         StandingListens::Cells { period: self.lengths.app, cells }
     }
 
-    /// Differs from its last value whenever [`Self::standing_listens`] may.
+    /// Differs from its last value whenever [`Self::standing_listens`] may:
+    /// both tables only ever count their rebuilds up.
     pub fn standing_version(&self) -> u32 {
-        self.app_cells.version()
+        self.app_cells.version().wrapping_add(self.placed.version())
     }
 
     fn sync_cell(&self, asn: Asn) -> Option<Cell> {
@@ -479,25 +565,6 @@ impl DigsScheduler {
         let mut cell = self.app_cells.get(self.logical_slot(off, asn))?;
         cell.offset = self.cell_offset(cell.offset, off, asn);
         Some(cell)
-    }
-
-    /// The first slot at or after `from` that holds an application cell
-    /// of a randomized schedule.
-    fn next_app_cell(&self, from: Asn) -> Option<Asn> {
-        let app = self.lengths.app;
-        // Each epoch places the table's logical slots afresh: the earliest
-        // one still ahead in `from`'s epoch, else the earliest of the next.
-        let off = frame_offset(from, app);
-        let earliest = |epoch_asn: Asn, not_before: u32| {
-            let placed =
-                self.app_cells.slots().map(|logical| self.physical_slot(logical, epoch_asn));
-            placed.filter(|physical| *physical >= not_before).min()
-        };
-        if let Some(physical) = earliest(from, off) {
-            return Some(from + u64::from(physical - off));
-        }
-        let next_epoch = from + u64::from(app - off);
-        earliest(next_epoch, 0).map(|physical| next_epoch + u64::from(physical))
     }
 }
 
@@ -875,16 +942,17 @@ mod tests {
                 let start = d.int(0u64..1 << 20) * app + app - 1 - d.int(0..app.min(4));
                 for from in (start..start + 2 * app + 3).map(Asn) {
                     assert_eq!(s.app_cell(from), scanned_app_cell(&s, from), "{s:?} at {from}");
-                    let ahead = |a: &u64| s.app_cell(Asn(*a)).is_some();
-                    let brute = (from.0..from.0 + 2 * app).find(ahead).map(Asn);
-                    assert_eq!(s.next_app_cell(from), brute, "{s:?} from {from}");
-                    // Asked in: sync and routing cells, own transmit cells
-                    // while data is queued, and every cell that moves.
+                    if s.randomize.is_some() {
+                        randomized_wakes_and_listens(&mut s, from, d);
+                        continue;
+                    }
+                    // Asked in: sync and routing cells, and own transmit
+                    // cells while data is queued.
                     for has_data in [false, true] {
                         let ahead = |a: &u64| {
                             s.cell(Asn(*a)).is_some_and(|cell| match cell.action {
-                                CellAction::RxData => s.randomize.is_some(),
-                                CellAction::TxData { .. } => has_data || s.randomize.is_some(),
+                                CellAction::RxData => false,
+                                CellAction::TxData { .. } => has_data,
                                 _ => true,
                             })
                         };
@@ -901,5 +969,51 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// A randomized scheduler at `from`, as a stack asking it there sees it:
+    /// a layout of another epoch answers `from` itself; once laid out, the
+    /// wake slots are the sync and routing cells, the own transmit cells
+    /// while data is queued and the epoch's end, and the standing listens
+    /// are exactly the receive cells [`DigsScheduler::cell`]'s definition
+    /// puts in the epoch's slots. Now and then a child comes or goes
+    /// mid-epoch, which re-lays the held epoch.
+    fn randomized_wakes_and_listens(s: &mut DigsScheduler, from: Asn, d: &mut Draw) {
+        let app = u64::from(s.lengths.app);
+        let epoch = s.epoch_of(from);
+        if s.placed_epoch != Some(epoch) {
+            for has_data in [false, true] {
+                assert_eq!(s.next_wake_cell(from, has_data), from, "stale layout {s:?} {from}");
+            }
+            s.place(from);
+        }
+        if d.int(0..8) == 0 {
+            let child = NodeId(s.num_aps + d.int(0u16..40));
+            if d.bool() {
+                s.add_child(child, ParentSlot::Best);
+            } else {
+                s.remove_child(child);
+            }
+        }
+        let (first, end) = (epoch * app, (epoch + 1) * app);
+        for has_data in [false, true] {
+            let named = |a: &u64| {
+                *a == end
+                    || s.cell(Asn(*a)).is_some_and(|cell| match cell.action {
+                        CellAction::RxData => false,
+                        CellAction::TxData { .. } => has_data,
+                        _ => true,
+                    })
+            };
+            let brute = (from.0..=end).find(named).map(Asn);
+            assert_eq!(Some(s.next_wake_cell(from, has_data)), brute, "{s:?} {from}");
+        }
+        let listens = s.standing_listens();
+        for a in (first..end).map(Asn) {
+            let listen = s
+                .app_cell(a)
+                .and_then(|cell| (cell.action == CellAction::RxData).then_some(cell.offset));
+            assert_eq!(listens.offset_at(a), listen, "placed cells of {s:?} at {a}");
+        }
     }
 }

@@ -24,6 +24,6 @@ pub mod digs_sched;
 pub mod orchestra;
 pub mod slotframe;
 
-pub use digs_sched::DigsScheduler;
+pub use digs_sched::{DigsScheduler, EpochPerms};
 pub use orchestra::OrchestraScheduler;
 pub use slotframe::{Cell, CellAction, SlotframeLengths, TrafficClass};

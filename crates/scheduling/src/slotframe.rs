@@ -267,9 +267,9 @@ impl CellTable {
         Some(self.cells[at].1)
     }
 
-    /// The occupied slots, ascending.
-    pub fn slots(&self) -> impl Iterator<Item = u32> + '_ {
-        self.cells.iter().map(|(s, _)| *s)
+    /// The `(slot, cell)` entries, ascending by slot.
+    pub fn entries(&self) -> &[(u32, Cell)] {
+        &self.cells
     }
 
     /// The receive cells, ascending by slot.

@@ -69,16 +69,20 @@
 //! slot), and between edges a slot is one scan over `alive[i]` and
 //! `wake[i] <= asn` for the due nodes. The energy meters' slot counts are
 //! settled at each edge and on leaving `run` — alive slots only, as if
-//! ticked one by one. And when the scan finds nobody due and no jammer is
-//! adaptive, the engine moves straight to the earliest of the next wake slot
-//! of an alive node, the next edge and the end of the run, adding the gap to
-//! `stats.slots`: a slot in which no node is asked has nothing on the air,
-//! so it draws no randomness and calls no stack, what its standing listeners
-//! are charged is settled later, and the only thing that could tell it from
-//! a jumped one is an adaptive jammer's sniffer, which counts every slot.
-//! The recorder cannot: a fault transition is recorded at the top of its
-//! edge slot, where every jump lands, and every other event inside a call
-//! the engine makes into a stack, so a traced run jumps like an untraced one.
+//! ticked one by one. And when the scan finds nobody due, the engine moves
+//! straight to the earliest of the next wake slot of an alive node, the next
+//! edge, the end of the run and the next quiet edge of an adaptive jammer
+//! ([`Jammer::next_quiet_edge`]), adding the gap to `stats.slots`: a slot in
+//! which no node is asked has nothing on the air, so it draws no randomness
+//! and calls no stack, and what its standing listeners are charged is
+//! settled later. The only thing that reads such a slot is an adaptive
+//! jammer's sniffer, which observes it as empty: the jumped slots are counted
+//! into it in closed form ([`Jammer::observe_quiet`]), and the slot in which
+//! its window starts, stops or ends — where it may change phase and report
+//! it — is stepped. The recorder reads no gap either: a fault transition is
+//! recorded at the top of its edge slot, where every jump lands, a phase
+//! change inside its stepped slot, and every other event inside a call the
+//! engine makes into a stack, so a traced run jumps like an untraced one.
 //! The visiting order, the random stream, every meter, every trace event
 //! and every callback are therefore where they would be if every node were
 //! visited in every slot and answered `Listen` where its description says
@@ -413,10 +417,12 @@ struct Run<P> {
     /// What the radios do until then, by slot — who receives in a slot
     /// without being asked: the receive cells, per slotframe length in use,
     /// and the nodes receiving in every slot, each with its offset rule.
-    /// `standing_version[i]` is node `i`'s when its entries were made.
+    /// `standing_version[i]` is node `i`'s when its entries were made, and
+    /// `entered[i]` where in `cell_listeners` they are: `(frame, slot)`.
     cell_listeners: Vec<FrameListeners>,
     every_slot_listeners: Vec<(usize, OffsetRule)>,
     standing_version: Vec<u64>,
+    entered: Vec<Vec<(usize, u32)>>,
     /// Node `i`'s standing listens in the slots before `settled_to[i]` are
     /// on its meter, or were not its to make: it was dead, it was asked and
     /// its answer counted instead, or it took part in reception.
@@ -466,6 +472,7 @@ impl<P> Run<P> {
             cell_listeners: Vec::new(),
             every_slot_listeners: Vec::new(),
             standing_version: stacks.iter().map(NodeStack::standing_version).collect(),
+            entered: vec![Vec::new(); stacks.len()],
             settled_to: vec![from; stacks.len()],
             next_edge: from,
             ticked_to: from,
@@ -495,25 +502,26 @@ impl<P> Run<P> {
             StandingListens::Off => {}
             StandingListens::EverySlot(rule) => self.every_slot_listeners.push((i, rule)),
             StandingListens::Cells { period, cells } => {
-                let frame = match self.cell_listeners.iter_mut().find(|f| f.period == period) {
-                    Some(frame) => frame,
+                let at = match self.cell_listeners.iter().position(|f| f.period == period) {
+                    Some(at) => at,
                     None if cells.is_empty() => return,
                     None => {
                         let by_slot = vec![Vec::new(); period as usize];
                         self.cell_listeners.push(FrameListeners { period, by_slot });
-                        self.cell_listeners.last_mut().expect("just pushed")
+                        self.cell_listeners.len() - 1
                     }
                 };
                 for &(slot, offset) in cells {
-                    frame.by_slot[slot as usize].push((i, offset));
+                    self.cell_listeners[at].by_slot[slot as usize].push((i, offset));
+                    self.entered[i].push((at, slot));
                 }
             }
         }
     }
 
     /// Node `i`'s stack was called in the slot before `next`: names its
-    /// wake slot afresh and, if its standing description moved, takes it
-    /// out of the index and enters it again.
+    /// wake slot afresh and, if its standing description moved, takes its
+    /// entries out of the index and enters it again.
     fn refresh<S: NodeStack<Payload = P>>(&mut self, i: usize, stack: &S, next: Asn) {
         self.wake[i] = stack.next_wake(next);
         let version = stack.standing_version();
@@ -522,8 +530,8 @@ impl<P> Run<P> {
         }
         self.standing_version[i] = version;
         self.every_slot_listeners.retain(|(n, _)| *n != i);
-        for cell in self.cell_listeners.iter_mut().flat_map(|frame| &mut frame.by_slot) {
-            cell.retain(|(n, _)| *n != i);
+        for (frame, slot) in self.entered[i].drain(..) {
+            self.cell_listeners[frame].by_slot[slot as usize].retain(|(n, _)| *n != i);
         }
         self.index_standing(i, stack);
     }
@@ -598,8 +606,8 @@ pub struct Engine {
     noise_floor_mw: f64,
     jammers: Vec<Jammer>,
     jammer_field: JammerField,
-    /// Whether any of `jammers` is adaptive: its sniffer counts every slot,
-    /// so no slot may be jumped over.
+    /// Whether any of `jammers` is adaptive: its sniffer's counters are
+    /// mirrored into `stats` after every slot and every jump.
     any_adaptive: bool,
     /// Ambient (cross-network) interference sources: boundary load
     /// installed by the fleet's shard exchange. Kept apart from
@@ -868,13 +876,21 @@ impl Engine {
             }
         }
         // A slot in which nobody is asked draws no randomness, records no
-        // event and changes nothing but the slot counts, so unless something
-        // reads every slot (an adaptive jammer's sniffer) the whole gap is
-        // taken in this step.
-        if run.awake.is_empty() && !self.any_adaptive {
-            self.stats.slots += next - asn;
-            self.asn = next;
-            return;
+        // event and changes nothing but the slot counts and what an adaptive
+        // jammer's sniffer has observed — nothing, which it counts in closed
+        // form up to the slot in which it may change phase. So the whole gap
+        // up to that slot is taken in this step, and that slot is stepped.
+        if run.awake.is_empty() {
+            next = self.jammers.iter().fold(next, |next, j| next.min(j.next_quiet_edge(asn)));
+            if next > asn {
+                self.jammers.iter_mut().for_each(|jammer| jammer.observe_quiet(asn, next));
+                if self.any_adaptive {
+                    self.sum_adaptive_counters();
+                }
+                self.stats.slots += next - asn;
+                self.asn = next;
+                return;
+            }
         }
         self.enter_standing_listeners(stacks, run, asn);
 
@@ -1071,19 +1087,7 @@ impl Engine {
                     }
                 }
             }
-            let mut sum = crate::interference::AdaptiveCounters::default();
-            for c in self.jammers.iter().filter_map(Jammer::adaptive_counters) {
-                sum.jam_slots += c.jam_slots;
-                sum.hits += c.hits;
-                sum.opportunities += c.opportunities;
-                sum.retargets += c.retargets;
-                sum.relearns += c.relearns;
-            }
-            self.stats.adaptive_jam_slots = sum.jam_slots;
-            self.stats.adaptive_jam_hits = sum.hits;
-            self.stats.adaptive_jam_opportunities = sum.opportunities;
-            self.stats.adaptive_retargets = sum.retargets;
-            self.stats.adaptive_relearns = sum.relearns;
+            self.sum_adaptive_counters();
         }
 
         // Phase 5: callbacks — deliveries first, then outcomes, in id order.
@@ -1171,6 +1175,23 @@ impl Engine {
         }
         run.awake = awake;
         run.clear_slot();
+    }
+
+    /// Mirrors the adaptive jammers' counters, summed, into the stats.
+    fn sum_adaptive_counters(&mut self) {
+        let mut sum = crate::interference::AdaptiveCounters::default();
+        for c in self.jammers.iter().filter_map(Jammer::adaptive_counters) {
+            sum.jam_slots += c.jam_slots;
+            sum.hits += c.hits;
+            sum.opportunities += c.opportunities;
+            sum.retargets += c.retargets;
+            sum.relearns += c.relearns;
+        }
+        self.stats.adaptive_jam_slots = sum.jam_slots;
+        self.stats.adaptive_jam_hits = sum.hits;
+        self.stats.adaptive_jam_opportunities = sum.opportunities;
+        self.stats.adaptive_retargets = sum.retargets;
+        self.stats.adaptive_relearns = sum.relearns;
     }
 
     /// Finds the standing listeners of slot `asn` that can hear anything —
@@ -2725,7 +2746,8 @@ mod tests {
     }
 
     #[test]
-    fn a_traced_run_takes_the_untraced_steps_and_an_adaptive_jammer_reads_every_slot() {
+    fn a_traced_run_takes_the_untraced_steps_and_a_sniffer_is_stepped_only_where_its_window_moves()
+    {
         let untraced = nappers();
         let mut traced = nappers();
         traced.traced = true;
@@ -2742,11 +2764,20 @@ mod tests {
             traced_engine.trace().events().iter().map(|e| e.kind.name()).collect();
         assert_eq!(names, vec!["fault-inject", "fault-clear"], "the two edges landed on");
 
-        let every_slot: Vec<u64> = (0..100).collect();
+        // A sniffer on the air over 5..90 that learns in windows of 30 slots
+        // and hears nothing: a jump also stops where its window starts (5)
+        // and stops (90), and at the slots whose observation ends a learning
+        // window (34, 64), which are stepped, a jump going on from the next.
+        // The jumped slots are observed in bulk, and it ends where the
+        // reference kernel, stepping all 100, leaves it.
         let mut sniffed = nappers();
-        sniffed.jammers = vec![Jammer::adaptive(Position::new(1.0, 1.0), 7, Asn(0), 9)];
+        sniffed.traced = true;
+        let sniffer = AdaptiveSniffer::new(7, 30, 20, 2, 0.1);
+        let jammer = Jammer::adaptive(Position::new(1.0, 1.0), 7, Asn(5), 9).until(Asn(90));
+        sniffed.jammers = vec![Jammer { kind: JammerKind::Adaptive(sniffer), ..jammer }];
         run_against_reference(&sniffed);
         let (mut engine, mut stacks) = sniffed.build();
-        assert_eq!(run_noting_steps(&mut engine, &mut stacks, 100), every_slot);
+        let steps = run_noting_steps(&mut engine, &mut stacks, 100);
+        assert_eq!(steps, vec![0, 5, 34, 35, 40, 64, 65, 70, 90]);
     }
 }
