@@ -1,10 +1,10 @@
 //! `run`, `topology`, `graph`, `manager`: one network, run in-process.
 
 use crate::flags::Args;
-use digs_digsd::{topology_from, SingleSpec};
+use digs_digsd::{rf_for, topology_from, SingleSpec};
 use digs_json::Value;
+use digs_sim::analysis::TopologyAnalysis;
 use digs_sim::link::LinkModel;
-use digs_sim::rf::RfConfig;
 use digs_sim::topology::Topology;
 use digs_whart::{LinkDb, NetworkManager, UpdateCostConfig, UpdateReport};
 
@@ -125,24 +125,14 @@ pub fn topology(args: &Args) -> Result<(), String> {
         "access points : {:?}",
         topology.access_points().iter().map(|a| a.0).collect::<Vec<_>>()
     );
-    // Link census from the mean-RSS oracle.
-    let rf = RfConfig::indoor();
-    let mut usable = 0u32;
-    let mut total = 0u32;
-    for a in topology.node_ids() {
-        for b in topology.node_ids() {
-            if a < b {
-                total += 1;
-                let rss = rf.mean_rss(topology.distance(a, b));
-                if rss.dbm() >= digs_sim::rf::RSS_MIN.dbm() {
-                    usable += 1;
-                }
-            }
-        }
-    }
-    println!("usable links  : {usable} of {total} pairs (mean-RSS ≥ RSSmin)");
-    let mean_degree = 2.0 * f64::from(usable) / topology.len() as f64;
-    println!("mean degree   : {mean_degree:.1}");
+    // Link census from the mean-RSS oracle, under the radio model the
+    // topology's runs use.
+    let analysis = TopologyAnalysis::new(&topology, &rf_for(&topology));
+    let usable: usize = topology.node_ids().map(|n| analysis.degree(n)).sum::<usize>() / 2;
+    let n = topology.len();
+    println!("usable links  : {usable} of {} pairs (mean-RSS ≥ RSSmin)", n * (n - 1) / 2);
+    println!("mean degree   : {:.1}", analysis.mean_degree());
+    println!("connected     : {}", if analysis.is_connected() { "yes" } else { "no" });
     Ok(())
 }
 
@@ -178,7 +168,7 @@ pub(crate) fn manager_update(
     topology: &Topology,
     flows: usize,
 ) -> Result<(NetworkManager, UpdateReport), String> {
-    let model = LinkModel::new(topology, RfConfig::indoor(), 1);
+    let model = LinkModel::new(topology, rf_for(topology), 1);
     let db = LinkDb::from_link_model(&model);
     let mut manager =
         NetworkManager::new(db, topology.access_points(), UpdateCostConfig::default());

@@ -60,6 +60,24 @@ fn a_variable_nothing_reads_is_warned_about_once_and_changes_nothing() {
     );
 }
 
+/// The census counts links under the radio model the topology's runs
+/// use: open area for the 150-node Cooja layout (under the indoor model it
+/// read 170 links and a disconnected network), indoor with 18 dB per
+/// floor for Testbed B (630 links without the floors).
+#[test]
+fn the_topology_census_uses_the_radio_model_of_the_runs() {
+    for (topology, links) in [
+        ("cooja", "usable links  : 2027 of 11476 pairs"),
+        ("testbed-b", "usable links  : 334 of 946 pairs"),
+    ] {
+        let output = cli(&["topology", "--topology", topology], &[]);
+        assert!(output.status.success(), "{}", stderr(&output));
+        let census = String::from_utf8_lossy(&output.stdout).into_owned();
+        assert!(census.contains(links), "{topology}:\n{census}");
+        assert!(census.contains("connected     : yes"), "{topology}:\n{census}");
+    }
+}
+
 #[test]
 fn figure_3_is_the_cost_model_and_an_unknown_figure_lists_the_choices() {
     let fig3 = cli(&["figures", "--fig", "3"], &[]);

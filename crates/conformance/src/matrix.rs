@@ -19,7 +19,9 @@ use digs::flows::FlowSpec;
 use digs::network::Network;
 use digs::results::RunResults;
 use digs::scenarios;
-use digs_sim::fault::{ChaosConfig, ChaosPlan, FaultPlan, Outage};
+use digs_sim::fault::{ChaosConfig, ChaosPlan, Outage};
+use digs_sim::ids::NodeId;
+use digs_sim::link::LinkModel;
 use digs_sim::time::{Asn, SLOTS_PER_SECOND};
 use digs_sim::topology::Topology;
 
@@ -91,11 +93,13 @@ enum Kind {
     /// Adversarial attack: adaptive schedule-learning jammers parked at
     /// the access points, no defense.
     AdaptiveJam,
-    /// Defense-overhead leg: schedule randomization on, no jammers,
-    /// runtime auditor on (the permutation must not break Eq. 4).
+    /// Defense-overhead leg: the attack's network with its jammers
+    /// cleared and schedule randomization on, runtime auditor on (the
+    /// permutation must not break Eq. 4).
     Randomized,
-    /// Attack-vs-defense duel: adaptive jammers against a randomized
-    /// schedule, runtime auditor on.
+    /// Attack-vs-defense duel: the attack's network with schedule
+    /// randomization on — the sniffers' learned cell rankings go stale
+    /// every application-slotframe epoch — runtime auditor on.
     AdaptiveDuel,
     /// Ablation: Fig. 9 without the backup parent
     /// (`use_second_parent = false`) — single-path routing on the Eq. 4
@@ -350,7 +354,9 @@ impl ScenarioSpec {
         })
     }
 
-    /// The network one seed of the scenario runs.
+    /// The network one seed of the scenario runs: everything the run
+    /// does — flows, jammers, failures, chaos — is declared in it, so a
+    /// run of the config for [`ScenarioSpec::secs`] is the scenario.
     pub fn config(&self, seed: u64) -> NetworkConfig {
         let topology = self.topology.clone();
         let protocol = self.protocol;
@@ -359,23 +365,23 @@ impl ScenarioSpec {
             | Kind::SinglePath
             | Kind::PlainEtx
             | Kind::AppSlotframe { .. } => {
-                scenarios::testbed_a_interference_on(topology, protocol, seed)
+                scenarios::testbed_a_interference(topology, protocol, seed)
             }
             Kind::TestbedBInterference => {
-                scenarios::testbed_b_interference_on(topology, protocol, seed)
+                scenarios::testbed_b_interference(topology, protocol, seed)
             }
             Kind::JammerSweep { jammers } => {
-                scenarios::testbed_a_jammer_sweep_on(topology, protocol, jammers, seed)
+                scenarios::testbed_a_jammer_sweep(topology, protocol, jammers, seed)
             }
-            Kind::NodeFailure => scenarios::testbed_a_node_failure_on(topology, protocol, seed),
+            Kind::NodeFailure => scenarios::testbed_a_node_failure(topology, protocol, seed),
             Kind::LargeScale => scenarios::large_scale_on(topology, protocol, seed),
-            Kind::Initialization => scenarios::initialization_on(topology, protocol, seed),
+            Kind::Initialization => scenarios::initialization(topology, protocol, seed),
             Kind::ThreewayClean | Kind::ThreewayFail | Kind::Chaos => {
-                far_flows_config(topology, protocol, seed)
+                scenarios::far_flows(topology, protocol, seed)
             }
-            Kind::AdaptiveJam => scenarios::testbed_a_adaptive_jam_on(topology, protocol, seed),
-            Kind::Randomized => scenarios::testbed_a_randomized_on(topology, protocol, seed),
-            Kind::AdaptiveDuel => scenarios::testbed_a_adaptive_duel_on(topology, protocol, seed),
+            Kind::AdaptiveJam | Kind::Randomized | Kind::AdaptiveDuel => {
+                scenarios::testbed_a_adaptive_jam(topology, protocol, seed)
+            }
         };
         match self.kind {
             Kind::SinglePath => config.routing.use_second_parent = false,
@@ -384,14 +390,41 @@ impl ScenarioSpec {
                 config.jammers.clear();
                 config.slotframes.app = app;
             }
+            Kind::ThreewayFail => {
+                if let Some(victim) = shared_relay_victim(&config) {
+                    config.faults.push(Outage::transient(
+                        victim,
+                        Asn::from_secs(THREEWAY_FAIL_START_SECS),
+                        Asn::from_secs(THREEWAY_FAIL_END_SECS),
+                    ));
+                }
+            }
             Kind::Chaos => {
                 let plan = self.chaos_plan(seed).expect("a chaos scenario");
                 config.faults = plan.faults().clone();
                 config.jammers.extend(plan.jammers().iter().cloned());
             }
+            // The defense alone: what randomization costs with nobody
+            // jamming (a bijection per epoch should cost nothing).
+            Kind::Randomized => {
+                config.jammers.clear();
+                config.sched_randomize = Some(scenarios::DEFENSE_SECRET);
+            }
+            // The duel: the same sniffers against a randomized schedule.
+            Kind::AdaptiveDuel => config.sched_randomize = Some(scenarios::DEFENSE_SECRET),
             _ => {}
         }
         config
+    }
+
+    /// How often the scenario's runs are audited, in slots (`None` for an
+    /// unaudited scenario). The chaos soak and the defense legs run
+    /// audited: the golden pins their `audit_violations.max` to zero — for
+    /// the defense, proof that the per-epoch permutation never breaks
+    /// Eq. 4 conflict-freedom.
+    pub fn audit_every(&self) -> Option<u64> {
+        matches!(self.kind, Kind::Chaos | Kind::Randomized | Kind::AdaptiveDuel)
+            .then_some(AUDIT_EVERY_SLOTS)
     }
 
     /// Runs one seed of the scenario: the results and the flows they
@@ -399,59 +432,46 @@ impl ScenarioSpec {
     pub fn results(&self, seed: u64) -> (RunResults, Vec<FlowSpec>) {
         let config = self.config(seed);
         let flows = config.flows.clone();
-        let secs = self.secs;
-        let results = match self.kind {
-            Kind::ThreewayFail => {
-                let mut network = Network::new(config.clone());
-                network.run_secs(THREEWAY_FAIL_START_SECS);
-                if let Some(victim) = digs::experiment::shared_relay_victim(&config) {
-                    network.set_fault_plan(FaultPlan::none().with(Outage::transient(
-                        victim,
-                        Asn::from_secs(THREEWAY_FAIL_START_SECS),
-                        Asn::from_secs(THREEWAY_FAIL_END_SECS),
-                    )));
-                }
-                network.run_secs(secs - THREEWAY_FAIL_START_SECS);
-                network.results()
-            }
-            // The chaos soak and the defense legs run audited: the golden
-            // pins their `audit_violations.max` to zero — for the defense,
-            // proof that the per-epoch permutation never breaks Eq. 4
-            // conflict-freedom.
-            Kind::Chaos | Kind::Randomized | Kind::AdaptiveDuel => {
-                let mut network = Network::new(config);
-                network.run_audited(secs * SLOTS_PER_SECOND, AUDIT_EVERY_SLOTS);
-                network.results()
-            }
-            _ => digs::experiment::run_for(config, secs),
-        };
-        (results, flows)
+        let mut network = Network::new(config);
+        let slots = self.secs * SLOTS_PER_SECOND;
+        match self.audit_every() {
+            Some(every) => network.run_audited(slots, every),
+            None => network.run(slots),
+        }
+        (network.results(), flows)
+    }
+
+    /// One seed's results reduced to the scenario's canonical record.
+    pub fn record(&self, seed: u64, results: &RunResults, flows: &[FlowSpec]) -> RunMetrics {
+        let context = self.kind.context();
+        let protocol = self.protocol.name();
+        RunMetrics::from_results(&self.name, protocol, seed, self.secs, results, flows, context)
     }
 
     /// Runs one seed of the scenario and reduces it to its canonical
     /// record. Deterministic: same spec + seed → same record.
     pub fn run(&self, seed: u64) -> RunMetrics {
         let (results, flows) = self.results(seed);
-        RunMetrics::from_results(
-            &self.name,
-            self.protocol.name(),
-            seed,
-            self.secs,
-            &results,
-            &flows,
-            self.kind.context(),
-        )
+        self.record(seed, &results, &flows)
     }
 }
 
-/// Six far-source flows on Testbed A, phased past a 60 s warm-up: the
-/// three-way comparison's network, and the chaos soak's before its faults.
-fn far_flows_config(topology: Topology, protocol: Protocol, seed: u64) -> NetworkConfig {
-    let mut flows = scenarios::far_flow_set(&topology, 6, 500, seed);
-    for f in &mut flows {
-        f.phase += 60 * SLOTS_PER_SECOND;
-    }
-    NetworkConfig::builder(topology).protocol(protocol).seed(seed).flows(flows).build()
+/// Picks a relay on the centralized schedule's uplink paths: the first
+/// flow source's best parent that is neither an access point nor itself a
+/// source. Derived from the link *model*, so it is known before the run and
+/// all three protocol stacks fail at the same node — the shared victim of
+/// the three-way comparison. `None` when every flow is single-hop.
+fn shared_relay_victim(config: &NetworkConfig) -> Option<NodeId> {
+    let model = LinkModel::new(&config.topology, config.rf.clone(), config.seed);
+    let db = digs_whart::LinkDb::from_link_model(&model);
+    let graph = digs_whart::build_uplink_graph(&db, &config.topology.access_points());
+    let sources: Vec<NodeId> = config.flows.iter().map(|f| f.source).collect();
+    sources.iter().find_map(|s| {
+        graph
+            .entry(*s)
+            .and_then(|e| e.best)
+            .filter(|p| !config.topology.is_access_point(*p) && !sources.contains(p))
+    })
 }
 
 digs_json::named! {
@@ -561,6 +581,25 @@ mod tests {
         }
         let full = MatrixKind::Full.scenarios(None);
         assert!(full.iter().any(|s| s.name == "adv-attack-orchestra"));
+    }
+
+    /// The defense legs are the attack's network with the defense switched
+    /// on: same seed and flows, the attack's jammers or none.
+    #[test]
+    fn the_adversarial_family_differs_only_by_jammers_and_defense() {
+        let names = ["adv-attack-digs", "adv-defense-digs", "adv-duel-digs"];
+        let specs = scenarios(&names, None).expect("in the catalogue");
+        let [attack, defense, duel] = [0, 1, 2].map(|i| specs[i].config(1));
+        assert_eq!(attack.seed, defense.seed);
+        assert_eq!(attack.seed, duel.seed);
+        assert_eq!(attack.flows, defense.flows);
+        assert_eq!(attack.flows, duel.flows);
+        assert_eq!(attack.jammers.len(), 2);
+        assert!(defense.jammers.is_empty());
+        assert_eq!(format!("{:?}", attack.jammers), format!("{:?}", duel.jammers));
+        assert_eq!(attack.resolve_randomize(), None);
+        assert_eq!(defense.resolve_randomize(), Some(scenarios::DEFENSE_SECRET));
+        assert_eq!(duel.resolve_randomize(), Some(scenarios::DEFENSE_SECRET));
     }
 
     #[test]

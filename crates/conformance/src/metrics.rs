@@ -229,7 +229,9 @@ mod tests {
             .flows(flow_set_from_sources(&[NodeId(10), NodeId(15)], 300))
             .build();
         let specs = config.flows.clone();
-        let results = digs::experiment::run_for(config, 60);
+        let mut network = digs::network::Network::new(config);
+        network.run_secs(60);
+        let results = network.results();
         RunMetrics::from_results(
             "unit-test",
             "digs",

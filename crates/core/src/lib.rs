@@ -18,8 +18,10 @@
 //! - [`results`] — per-flow and network-level metrics (PDR, latency, power
 //!   per received packet, duty cycle, join time, repair time);
 //! - [`scenarios`] — the paper's canonical setups (Testbed A/B,
-//!   interference, node failure, 150-node large-scale);
-//! - [`experiment`] — repeated flow-set experiment runners.
+//!   interference, node failure, 150-node large-scale), each a whole
+//!   [`config::NetworkConfig`];
+//! - [`experiment`] — the centralized baseline's recovery run and the
+//!   windowed-PDR measurement.
 //!
 //! # Quickstart
 //!

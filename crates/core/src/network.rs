@@ -431,9 +431,10 @@ impl Network {
         self.telemetry.as_deref()
     }
 
-    /// Replaces the failure schedule mid-run (used by the node-failure
-    /// experiment, which picks victims from the *live* routing graph the
-    /// way the paper turned off "nodes on the routing graph").
+    /// Replaces the failure schedule mid-run. A scenario declares its
+    /// failures in [`NetworkConfig::faults`]; this serves only tests whose
+    /// victim is read off the live state of a formed network (a parent on
+    /// a source's current route, say).
     pub fn set_fault_plan(&mut self, plan: digs_sim::fault::FaultPlan) {
         self.engine.set_fault_plan(plan);
     }

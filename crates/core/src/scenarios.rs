@@ -1,20 +1,25 @@
 //! The paper's canonical experiment scenarios.
 //!
-//! Each function builds a [`NetworkConfig`] matching one of the evaluation
-//! setups in Section VII:
+//! Each function builds the whole [`NetworkConfig`] of one of the
+//! evaluation setups in Section VII — flows, jammers and failures are all
+//! declared up front, so a run of the config is the scenario. The testbed
+//! scenarios take the topology pre-built, so a seed sweep builds it once
+//! and hands each run a cheap clone:
 //!
 //! - **Testbed A under interference**: 50 nodes, 8 flows @ 5 s, three
 //!   jammers emulating WiFi data streaming at elevated power (Fig. 9);
 //! - **Testbed B under interference**: 44 nodes over two floors, 6 flows
 //!   (Fig. 10);
-//! - **Testbed A with node failure**: four routing-graph nodes switched
-//!   off in turn (Fig. 11);
+//! - **Testbed A with node failure**: the four central relays switched
+//!   off in turn, the same four for every protocol (Fig. 11);
 //! - **Large scale**: 150 nodes + 2 APs in 300 m × 300 m, 20 flows @ 10 s,
 //!   five disturbers toggling every 5 minutes (Fig. 12);
-//! - **Initialization**: a cold-start network for join-time CDFs (Fig. 13).
+//! - **Initialization**: a cold-start network for join-time CDFs (Fig. 13);
+//! - **Far flows**: six flows from Testbed A's far devices, the network of
+//!   the three-way comparison and the chaos soak.
 
 use crate::config::{NetworkConfig, Protocol};
-use crate::flows::random_flow_set;
+use crate::flows::{random_flow_set, FlowSpec};
 use digs_sim::fault::FaultPlan;
 use digs_sim::ids::NodeId;
 use digs_sim::interference::Jammer;
@@ -30,8 +35,8 @@ pub const WARMUP_SECS: u64 = 60;
 /// When jammers switch on, seconds into the run.
 pub const JAM_START_SECS: u64 = 120;
 
-/// Shifts every flow's phase past the warm-up window.
-fn delay_flows(mut flows: Vec<crate::flows::FlowSpec>, secs: u64) -> Vec<crate::flows::FlowSpec> {
+/// Shifts every flow's phase by `secs`, past the warm-up window.
+pub fn delay_flows(mut flows: Vec<FlowSpec>, secs: u64) -> Vec<FlowSpec> {
     for f in &mut flows {
         f.phase += secs * 100;
     }
@@ -83,14 +88,7 @@ fn testbed_b_jammers() -> Vec<Jammer> {
 
 /// Fig. 9 scenario: Testbed A, 8 flows @ 5 s, 3 WiFi jammers.
 /// `flow_seed` selects the flow set (the paper samples 300 of them).
-pub fn testbed_a_interference(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
-    testbed_a_interference_on(Topology::testbed_a(), protocol, flow_seed)
-}
-
-/// [`testbed_a_interference`] on a pre-built topology, so seed sweeps can
-/// hoist the (shared, immutable) topology construction out of the
-/// per-seed loop and hand each run a cheap clone.
-pub fn testbed_a_interference_on(
+pub fn testbed_a_interference(
     topology: Topology,
     protocol: Protocol,
     flow_seed: u64,
@@ -109,16 +107,6 @@ pub fn testbed_a_interference_on(
 /// Fig. 4/5 scenario: Testbed A with a configurable number of jammers
 /// (the empirical study sweeps 1–4).
 pub fn testbed_a_jammer_sweep(
-    protocol: Protocol,
-    num_jammers: usize,
-    flow_seed: u64,
-) -> NetworkConfig {
-    testbed_a_jammer_sweep_on(Topology::testbed_a(), protocol, num_jammers, flow_seed)
-}
-
-/// [`testbed_a_jammer_sweep`] on a pre-built topology (see
-/// [`testbed_a_interference_on`]).
-pub fn testbed_a_jammer_sweep_on(
     topology: Topology,
     protocol: Protocol,
     num_jammers: usize,
@@ -135,9 +123,8 @@ pub fn testbed_a_jammer_sweep_on(
     builder.build()
 }
 
-/// Fig. 10 scenario: Testbed B, 6 flows @ 5 s, 3 jammers over two floors,
-/// on a pre-built topology (see [`testbed_a_interference_on`]).
-pub fn testbed_b_interference_on(
+/// Fig. 10 scenario: Testbed B, 6 flows @ 5 s, 3 jammers over two floors.
+pub fn testbed_b_interference(
     topology: Topology,
     protocol: Protocol,
     flow_seed: u64,
@@ -183,14 +170,11 @@ fn adaptive_jammers_near_aps(topology: &Topology, app_len: u32) -> Vec<Jammer> {
 /// schedule-learning jammer per access point, **no defense**. The jammer
 /// sniffs during its learning window, then selectively jams the top-K
 /// busiest cells — against a static Eq. 4 schedule this collapses the
-/// victim flows' PDR.
-pub fn testbed_a_adaptive_jam(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
-    testbed_a_adaptive_jam_on(Topology::testbed_a(), protocol, flow_seed)
-}
-
-/// [`testbed_a_adaptive_jam`] on a pre-built topology (see
-/// [`testbed_a_interference_on`]).
-pub fn testbed_a_adaptive_jam_on(
+/// victim flows' PDR. The defense legs run the same network with schedule
+/// randomization on ([`NetworkConfig::sched_randomize`] =
+/// [`DEFENSE_SECRET`]): with the jammers cleared it shows what the
+/// defense alone costs, with them it is the attack-vs-defense duel.
+pub fn testbed_a_adaptive_jam(
     topology: Topology,
     protocol: Protocol,
     flow_seed: u64,
@@ -202,61 +186,6 @@ pub fn testbed_a_adaptive_jam_on(
         .protocol(protocol)
         .seed(flow_seed.wrapping_mul(0x9e37) ^ 0xAD)
         .flows(flows);
-    for j in jammers {
-        builder = builder.jammer(j);
-    }
-    builder.build()
-}
-
-/// Adversarial defense-overhead scenario: the same network and flow set
-/// as [`testbed_a_adaptive_jam`] with **no jammers** and schedule
-/// randomization on — quantifies what the defense alone costs (it should
-/// cost nothing: the per-epoch permutation is a bijection, so capacity
-/// and conflict-freedom are unchanged).
-pub fn testbed_a_randomized(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
-    testbed_a_randomized_on(Topology::testbed_a(), protocol, flow_seed)
-}
-
-/// [`testbed_a_randomized`] on a pre-built topology (see
-/// [`testbed_a_interference_on`]).
-pub fn testbed_a_randomized_on(
-    topology: Topology,
-    protocol: Protocol,
-    flow_seed: u64,
-) -> NetworkConfig {
-    let flows = delay_flows(random_flow_set(&topology, 8, 500, flow_seed), WARMUP_SECS);
-    NetworkConfig::builder(topology)
-        .protocol(protocol)
-        .seed(flow_seed.wrapping_mul(0x9e37) ^ 0xAD)
-        .flows(flows)
-        .randomize(DEFENSE_SECRET)
-        .build()
-}
-
-/// Adversarial duel scenario: [`testbed_a_adaptive_jam`] with the
-/// schedule-randomization defense switched on. The sniffer's learned cell
-/// rankings go stale every application-slotframe epoch, pinning its hit
-/// rate near the 1-in-16 blind-guess floor and restoring PDR to within
-/// tolerance of the clean baseline.
-pub fn testbed_a_adaptive_duel(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
-    testbed_a_adaptive_duel_on(Topology::testbed_a(), protocol, flow_seed)
-}
-
-/// [`testbed_a_adaptive_duel`] on a pre-built topology (see
-/// [`testbed_a_interference_on`]).
-pub fn testbed_a_adaptive_duel_on(
-    topology: Topology,
-    protocol: Protocol,
-    flow_seed: u64,
-) -> NetworkConfig {
-    let flows = delay_flows(random_flow_set(&topology, 8, 500, flow_seed), WARMUP_SECS);
-    let app_len = digs_scheduling::SlotframeLengths::paper().app;
-    let jammers = adaptive_jammers_near_aps(&topology, app_len);
-    let mut builder = NetworkConfig::builder(topology)
-        .protocol(protocol)
-        .seed(flow_seed.wrapping_mul(0x9e37) ^ 0xAD)
-        .flows(flows)
-        .randomize(DEFENSE_SECRET);
     for j in jammers {
         builder = builder.jammer(j);
     }
@@ -288,12 +217,7 @@ pub fn central_relays(topology: &Topology, exclude: &[NodeId], count: usize) -> 
 
 /// Builds a flow set whose sources are chosen (seed-shuffled) from the
 /// third of field devices farthest from any access point.
-pub fn far_flow_set(
-    topology: &Topology,
-    n: usize,
-    period: u64,
-    seed: u64,
-) -> Vec<crate::flows::FlowSpec> {
+pub fn far_flow_set(topology: &Topology, n: usize, period: u64, seed: u64) -> Vec<FlowSpec> {
     let aps = topology.access_points();
     let mut devices = topology.field_devices();
     devices.sort_by(|a, b| {
@@ -321,16 +245,11 @@ pub const FAILURE_EACH_SECS: u64 = 60;
 /// the field devices *farthest from any access point*, so every flow is
 /// genuinely multi-hop and depends on relays — the paper fails "nodes on
 /// the routing graph", which requires flows that actually route through
-/// field devices. The static fault plan here fails central relays; the
-/// [`crate::experiment::run_node_failure`] runner replaces it with victims
-/// picked from the live routing graph.
-pub fn testbed_a_node_failure(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
-    testbed_a_node_failure_on(Topology::testbed_a(), protocol, flow_seed)
-}
-
-/// [`testbed_a_node_failure`] on a pre-built topology (see
-/// [`testbed_a_interference_on`]).
-pub fn testbed_a_node_failure_on(
+/// field devices. The victims are the four [`central_relays`] — picked
+/// from the layout and the flow set alone, so every protocol loses the
+/// same four nodes, as the paper's does — switched off in turn from
+/// [`FAILURE_START_SECS`], [`FAILURE_EACH_SECS`] apiece.
+pub fn testbed_a_node_failure(
     topology: Topology,
     protocol: Protocol,
     flow_seed: u64,
@@ -354,8 +273,7 @@ pub fn large_scale(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
     large_scale_on(Topology::cooja_150(7), protocol, flow_seed)
 }
 
-/// [`large_scale`] on a pre-built topology (see
-/// [`testbed_a_interference_on`]).
+/// [`large_scale`] on a pre-built `cooja_150` topology.
 pub fn large_scale_on(topology: Topology, protocol: Protocol, flow_seed: u64) -> NetworkConfig {
     let flows = delay_flows(random_flow_set(&topology, 20, 1000, flow_seed), WARMUP_SECS);
     // Eq. 4 needs A x devices = 450 distinct application cells; the
@@ -381,10 +299,16 @@ pub fn large_scale_on(topology: Topology, protocol: Protocol, flow_seed: u64) ->
 }
 
 /// Fig. 13 scenario: a cold-start network with no flows, used to measure
-/// per-node joining time, on a pre-built topology (see
-/// [`testbed_a_interference_on`]).
-pub fn initialization_on(topology: Topology, protocol: Protocol, seed: u64) -> NetworkConfig {
+/// per-node joining time.
+pub fn initialization(topology: Topology, protocol: Protocol, seed: u64) -> NetworkConfig {
     NetworkConfig::builder(topology).protocol(protocol).seed(seed).build()
+}
+
+/// Six far-source flows on Testbed A, phased past the warm-up: the
+/// three-way comparison's network, and the chaos soak's before its faults.
+pub fn far_flows(topology: Topology, protocol: Protocol, seed: u64) -> NetworkConfig {
+    let flows = delay_flows(far_flow_set(&topology, 6, 500, seed), WARMUP_SECS);
+    NetworkConfig::builder(topology).protocol(protocol).seed(seed).flows(flows).build()
 }
 
 /// The oil-field deployment from the paper's introduction ("hundreds of
@@ -426,12 +350,7 @@ pub fn oil_field_topology() -> Topology {
 /// sized to the deployment (149 is prime: 45 devices × 3 attempts = 135
 /// cells fit).
 pub fn oil_field(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
-    oil_field_on(oil_field_topology(), protocol, flow_seed)
-}
-
-/// [`oil_field`] on a pre-built topology (see
-/// [`testbed_a_interference_on`]).
-pub fn oil_field_on(topology: Topology, protocol: Protocol, flow_seed: u64) -> NetworkConfig {
+    let topology = oil_field_topology();
     let flows = delay_flows(far_flow_set(&topology, 6, 500, flow_seed), WARMUP_SECS);
     let slotframes = digs_scheduling::SlotframeLengths {
         app: 149,
@@ -494,12 +413,7 @@ pub fn factory_floor_topology() -> Topology {
 /// at the stability edge: median latency ≈ the period, and whole flows
 /// starved whenever relays backlogged).
 pub fn factory_floor(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
-    factory_floor_on(factory_floor_topology(), protocol, flow_seed)
-}
-
-/// [`factory_floor`] on a pre-built topology (see
-/// [`testbed_a_interference_on`]).
-pub fn factory_floor_on(topology: Topology, protocol: Protocol, flow_seed: u64) -> NetworkConfig {
+    let topology = factory_floor_topology();
     let flows = delay_flows(far_flow_set(&topology, 8, 1000, flow_seed), WARMUP_SECS);
     let slotframes = digs_scheduling::SlotframeLengths {
         app: 241,
@@ -528,11 +442,11 @@ mod tests {
 
     #[test]
     fn interference_scenarios_have_jammers_and_flows() {
-        let c = testbed_a_interference(Protocol::Digs, 1);
+        let c = testbed_a_interference(Topology::testbed_a(), Protocol::Digs, 1);
         assert_eq!(c.flows.len(), 8);
         assert_eq!(c.jammers.len(), 3);
         assert!(c.flows.iter().all(|f| f.phase >= WARMUP_SECS * 100));
-        let b = testbed_b_interference_on(Topology::testbed_b(), Protocol::Orchestra, 1);
+        let b = testbed_b_interference(Topology::testbed_b(), Protocol::Orchestra, 1);
         assert_eq!(b.flows.len(), 6);
         assert_eq!(b.jammers.len(), 3);
     }
@@ -540,14 +454,14 @@ mod tests {
     #[test]
     fn jammer_sweep_counts() {
         for n in 1..=4 {
-            let c = testbed_a_jammer_sweep(Protocol::Orchestra, n, 1);
+            let c = testbed_a_jammer_sweep(Topology::testbed_a(), Protocol::Orchestra, n, 1);
             assert_eq!(c.jammers.len(), n);
         }
     }
 
     #[test]
     fn failure_scenario_spares_sources() {
-        let c = testbed_a_node_failure(Protocol::Digs, 3);
+        let c = testbed_a_node_failure(Topology::testbed_a(), Protocol::Digs, 3);
         let sources: Vec<NodeId> = c.flows.iter().map(|f| f.source).collect();
         for outage in c.faults.outages() {
             assert!(!sources.contains(&outage.node), "sources must not be failed");
@@ -604,14 +518,9 @@ mod tests {
     }
 
     #[test]
-    fn adversarial_family_differs_only_by_knob_and_jammers() {
-        let attack = testbed_a_adaptive_jam(Protocol::Digs, 1);
-        let defense = testbed_a_randomized(Protocol::Digs, 1);
-        let duel = testbed_a_adaptive_duel(Protocol::Digs, 1);
-        // One adaptive jammer per access point, parked right next to it.
+    fn the_attack_parks_one_adaptive_jammer_at_each_access_point() {
+        let attack = testbed_a_adaptive_jam(Topology::testbed_a(), Protocol::Digs, 1);
         assert_eq!(attack.jammers.len(), 2);
-        assert_eq!(duel.jammers.len(), 2);
-        assert!(defense.jammers.is_empty());
         for j in &attack.jammers {
             assert!(
                 matches!(j.kind, digs_sim::interference::JammerKind::Adaptive(_)),
@@ -619,20 +528,13 @@ mod tests {
             );
             assert_eq!(j.start, Asn::from_secs(JAM_START_SECS));
         }
-        // Same seed and flow set across the family: the only deltas are the
-        // jammers and the defense knob.
-        assert_eq!(attack.seed, duel.seed);
-        assert_eq!(attack.seed, defense.seed);
-        assert_eq!(attack.flows, duel.flows);
         assert_eq!(attack.resolve_randomize(), None);
-        assert_eq!(duel.resolve_randomize(), Some(DEFENSE_SECRET));
-        assert_eq!(defense.resolve_randomize(), Some(DEFENSE_SECRET));
     }
 
     #[test]
     fn flow_seeds_vary_flow_sets() {
-        let a = testbed_a_interference(Protocol::Digs, 1);
-        let b = testbed_a_interference(Protocol::Digs, 2);
+        let a = testbed_a_interference(Topology::testbed_a(), Protocol::Digs, 1);
+        let b = testbed_a_interference(Topology::testbed_a(), Protocol::Digs, 2);
         assert_ne!(
             a.flows.iter().map(|f| f.source).collect::<Vec<_>>(),
             b.flows.iter().map(|f| f.source).collect::<Vec<_>>()

@@ -40,7 +40,7 @@ pub use hub::{BackoffPolicy, Hub, Recv, Subscription, Supervisor, Verdict};
 pub use journal::{Journal, Record, RecoveredRun, Recovery};
 pub use run::{Job, RunCtx, RunHandle, Runner};
 pub use server::{Daemon, DaemonConfig, DEFAULT_ADDR, HEARTBEAT};
-pub use spec::{topology_from, FleetParams, SingleSpec};
+pub use spec::{rf_for, topology_from, FleetParams, SingleSpec};
 pub use wire::{
     valid_run_name, ClientMsg, ErrorCode, EventFrame, Filter, FrameKind, RunInfo, RunState,
     ServerMsg, WIRE_VERSION,

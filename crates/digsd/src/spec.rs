@@ -41,6 +41,18 @@ pub fn topology_from(name: &str) -> Result<Topology, String> {
     }
 }
 
+/// The radio model that goes with a topology from [`topology_from`]: the
+/// open-area model for the generated outdoor layouts (`cooja`,
+/// `random:…`), the indoor one — floor attenuation included — for the
+/// testbeds.
+pub fn rf_for(topology: &Topology) -> RfConfig {
+    if topology.name().starts_with("random") || topology.name().starts_with("cooja") {
+        RfConfig::open_area()
+    } else {
+        RfConfig::indoor()
+    }
+}
+
 message! {
     /// One single-network run, fully specified. Field-for-field this mirrors
     /// the `digs-cli` run/trace/telemetry options.
@@ -91,11 +103,7 @@ impl SingleSpec {
     pub fn build_config(&self) -> Result<NetworkConfig, String> {
         let topology = topology_from(&self.topology)?;
         let protocol = Protocol::parse(&self.protocol)?;
-        let rf = if topology.name().starts_with("random") || topology.name().starts_with("cooja") {
-            RfConfig::open_area()
-        } else {
-            RfConfig::indoor()
-        };
+        let rf = rf_for(&topology);
         let ap_positions: Vec<Position> =
             topology.access_points().iter().map(|ap| topology.position(*ap)).collect();
         let mut builder = NetworkConfig::builder(topology)

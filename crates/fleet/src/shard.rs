@@ -108,10 +108,10 @@ pub fn shard_configs(spec: &ShardedSpec, secs: u64, telemetry_epoch: u64) -> Vec
             // traffic rate (every NACK burst swaps a parent and resets a
             // registration), so campus monitor flows poll at SCADA pace
             // rather than the templates' 5-10 s.
-            let mut flow_set = scenarios::far_flow_set(&topology, flows, 3_000, flow_seed);
-            for f in &mut flow_set {
-                f.phase += scenarios::WARMUP_SECS * 100;
-            }
+            let flow_set = scenarios::delay_flows(
+                scenarios::far_flow_set(&topology, flows, 3_000, flow_seed),
+                scenarios::WARMUP_SECS,
+            );
             let slotframes = digs_scheduling::SlotframeLengths {
                 app: app_slotframe(devices),
                 ..digs_scheduling::SlotframeLengths::paper()

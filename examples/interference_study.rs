@@ -10,10 +10,11 @@ use digs::config::Protocol;
 use digs::network::Network;
 use digs::scenarios;
 use digs_sim::time::Asn;
+use digs_sim::topology::Topology;
 
 fn main() {
     for protocol in [Protocol::Digs, Protocol::Orchestra] {
-        let config = scenarios::testbed_a_interference(protocol, 1);
+        let config = scenarios::testbed_a_interference(Topology::testbed_a(), protocol, 1);
         let mut network = Network::new(config);
         network.run_secs(420);
         let results = network.results();

@@ -1,53 +1,46 @@
-//! Node-failure study (one run of the paper's Fig. 11 scenario): the
-//! current relays of the data flows are switched off in turn, and the two
-//! protocols' per-flow delivery is compared.
+//! Node-failure study (one run of the paper's Fig. 11 scenario): four
+//! central relays are switched off in turn — the same four for both
+//! protocols, as the paper turns off the same routing-graph nodes — and
+//! the two protocols' per-flow delivery is compared.
 //!
 //! ```sh
 //! cargo run --release --example node_failure
 //! ```
 
-use digs::config::Protocol;
-use digs::experiment::{run_node_failure, run_node_failure_with_victims};
+use digs::config::{NetworkConfig, Protocol};
+use digs::network::Network;
+use digs::results::RunResults;
 use digs::scenarios::{self, FAILURE_EACH_SECS, FAILURE_START_SECS};
+use digs_sim::topology::Topology;
+
+fn run(config: NetworkConfig) -> RunResults {
+    let mut network = Network::new(config);
+    network.run_secs(420);
+    network.results()
+}
 
 fn main() {
-    // Derive victims from the live DiGS routing graph, then fail the same
-    // nodes under both protocols (as the paper does).
-    let mut digs_cfg = scenarios::testbed_a_node_failure(Protocol::Digs, 2);
-    digs_cfg.faults = digs_sim::fault::FaultPlan::none();
-    let digs_run = run_node_failure(digs_cfg, FAILURE_START_SECS, FAILURE_EACH_SECS, 420, 4);
+    let testbed = Topology::testbed_a();
+    let [digs, orch] = [Protocol::Digs, Protocol::Orchestra]
+        .map(|protocol| scenarios::testbed_a_node_failure(testbed.clone(), protocol, 2));
+    let victims: Vec<u16> = digs.faults.outages().iter().map(|o| o.node.0).collect();
     println!(
-        "failing relays in turn: {:?} ({}s each, starting at {}s)",
-        digs_run.victims.iter().map(|v| v.0).collect::<Vec<_>>(),
-        FAILURE_EACH_SECS,
-        FAILURE_START_SECS
+        "failing central relays in turn: {victims:?} ({FAILURE_EACH_SECS}s each, starting at \
+         {FAILURE_START_SECS}s)"
     );
-
-    let mut orch_cfg = scenarios::testbed_a_node_failure(Protocol::Orchestra, 2);
-    orch_cfg.faults = digs_sim::fault::FaultPlan::none();
-    let orch_results = run_node_failure_with_victims(
-        orch_cfg,
-        &digs_run.victims,
-        FAILURE_START_SECS,
-        FAILURE_EACH_SECS,
-        420,
-    );
+    let (digs, orch) = (run(digs), run(orch));
 
     println!();
     println!("{:>8} | {:>8} | {:>10}", "flow", "digs", "orchestra");
-    for (d, o) in digs_run.results.flows.iter().zip(&orch_results.flows) {
+    for (d, o) in digs.flows.iter().zip(&orch.flows) {
         println!("{:>8} | {:>8.3} | {:>10.3}", d.flow.0, d.pdr(), o.pdr());
     }
     println!();
-    println!(
-        "set PDR: digs {:.3} vs orchestra {:.3}",
-        digs_run.results.network_pdr(),
-        orch_results.network_pdr()
-    );
+    println!("set PDR: digs {:.3} vs orchestra {:.3}", digs.network_pdr(), orch.network_pdr());
     println!(
         "power per received packet: digs {:.4} mW vs orchestra {:.4} mW",
-        digs_run.results.power_per_received_packet_mw(),
-        orch_results.power_per_received_packet_mw()
+        digs.power_per_received_packet_mw(),
+        orch.power_per_received_packet_mw()
     );
     println!();
     println!("expected shape (paper Fig. 11): DiGS flows keep delivering through");

@@ -28,15 +28,15 @@ fn central_update_is_minutes_distributed_repair_is_seconds() {
     assert!(report.total_secs() > 100.0, "centralized update {:.0}s", report.total_secs());
 
     // ...while the distributed protocol reacts to a failure within seconds
-    // (here: the backup takes over without any global cycle at all).
+    // (here: the backup takes over without any global cycle at all), on
+    // Fig. 11's network, whose four central relays fail in turn from 120 s.
     use digs::config::Protocol;
-    use digs::experiment::run_node_failure;
-    let mut config = digs::scenarios::testbed_a_node_failure(Protocol::Digs, 3);
-    config.faults = digs_sim::fault::FaultPlan::none();
-    let outcome = run_node_failure(config, 120, 60, 300, 2);
-    if let Some(repair) =
-        outcome.results.repair_time_secs(digs_sim::time::Asn::from_secs(120), 1000)
-    {
+    use digs::scenarios::{testbed_a_node_failure, FAILURE_START_SECS};
+    let config = testbed_a_node_failure(topology, Protocol::Digs, 3);
+    let mut network = digs::network::Network::new(config);
+    network.run_secs(300);
+    let failure_start = digs_sim::time::Asn::from_secs(FAILURE_START_SECS);
+    if let Some(repair) = network.results().repair_time_secs(failure_start, 1000) {
         assert!(
             repair < report.total_secs(),
             "distributed repair ({repair:.0}s) must beat the centralized cycle"

@@ -1,11 +1,19 @@
 //! Cross-crate integration: behaviour under network dynamics — the
 //! paper's central claims, checked end to end at reduced scale.
 
-use digs::config::Protocol;
-use digs::experiment::{run_node_failure, run_node_failure_with_victims};
+use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
+use digs::results::RunResults;
 use digs::scenarios;
 use digs_sim::time::Asn;
+use digs_sim::topology::Topology;
+
+/// Runs a config for `secs` simulated seconds.
+fn run(config: NetworkConfig, secs: u64) -> RunResults {
+    let mut network = Network::new(config);
+    network.run_secs(secs);
+    network.results()
+}
 
 #[test]
 fn digs_survives_interference_better_than_orchestra() {
@@ -13,14 +21,12 @@ fn digs_survives_interference_better_than_orchestra() {
     // noisy, so assert on the sum over two seeds.
     let mut digs_pdr = 0.0;
     let mut orch_pdr = 0.0;
+    let testbed = Topology::testbed_a();
     for seed in [3u64, 4] {
-        let mut network = Network::new(scenarios::testbed_a_interference(Protocol::Digs, seed));
-        network.run_secs(330);
-        digs_pdr += network.results().network_pdr();
-        let mut network =
-            Network::new(scenarios::testbed_a_interference(Protocol::Orchestra, seed));
-        network.run_secs(330);
-        orch_pdr += network.results().network_pdr();
+        let digs = scenarios::testbed_a_interference(testbed.clone(), Protocol::Digs, seed);
+        digs_pdr += run(digs, 330).network_pdr();
+        let orch = scenarios::testbed_a_interference(testbed.clone(), Protocol::Orchestra, seed);
+        orch_pdr += run(orch, 330).network_pdr();
     }
     assert!(
         digs_pdr > orch_pdr - 0.15,
@@ -29,48 +35,34 @@ fn digs_survives_interference_better_than_orchestra() {
     assert!(digs_pdr / 2.0 > 0.6, "DiGS jammed PDR collapsed: {:.3}", digs_pdr / 2.0);
 }
 
-#[test]
-fn digs_tolerates_node_failure() {
-    let mut config = scenarios::testbed_a_node_failure(Protocol::Digs, 2);
-    config.faults = digs_sim::fault::FaultPlan::none();
-    let outcome = run_node_failure(
-        config,
-        scenarios::FAILURE_START_SECS,
-        scenarios::FAILURE_EACH_SECS,
-        360,
-        4,
-    );
-    assert!(!outcome.victims.is_empty(), "victims must come from live routes");
-    assert!(
-        outcome.results.network_pdr() > 0.85,
-        "DiGS PDR under failure {:.3}",
-        outcome.results.network_pdr()
-    );
+/// Fig. 11's network: the four central relays fail in turn from 120 s,
+/// 60 s apiece, the same four for every protocol.
+fn node_failure(protocol: Protocol, seed: u64, secs: u64) -> RunResults {
+    run(scenarios::testbed_a_node_failure(Topology::testbed_a(), protocol, seed), secs)
 }
 
 #[test]
-fn same_victims_hurt_orchestra_more() {
-    let mut digs_cfg = scenarios::testbed_a_node_failure(Protocol::Digs, 1);
-    digs_cfg.faults = digs_sim::fault::FaultPlan::none();
-    let digs = run_node_failure(digs_cfg, 120, 60, 400, 4);
+fn digs_tolerates_node_failure() {
+    let results = node_failure(Protocol::Digs, 2, 360);
+    assert!(results.network_pdr() > 0.85, "DiGS PDR under failure {:.3}", results.network_pdr());
+}
 
-    let mut orch_cfg = scenarios::testbed_a_node_failure(Protocol::Orchestra, 1);
-    orch_cfg.faults = digs_sim::fault::FaultPlan::none();
-    let orch = run_node_failure_with_victims(orch_cfg, &digs.victims, 120, 60, 400);
-
+#[test]
+fn same_victims_leave_digs_worst_flow_within_a_tenth_of_orchestra() {
+    let digs = node_failure(Protocol::Digs, 1, 400);
+    let orch = node_failure(Protocol::Orchestra, 1, 400);
     assert!(
-        digs.results.worst_flow_pdr() >= orch.worst_flow_pdr() - 0.1,
+        digs.worst_flow_pdr() >= orch.worst_flow_pdr() - 0.1,
         "DiGS worst flow {:.3} vs Orchestra {:.3}",
-        digs.results.worst_flow_pdr(),
+        digs.worst_flow_pdr(),
         orch.worst_flow_pdr()
     );
 }
 
 #[test]
 fn repair_telemetry_fires_under_jamming() {
-    let mut network = Network::new(scenarios::testbed_a_jammer_sweep(Protocol::Orchestra, 3, 1));
-    network.run_secs(300);
-    let results = network.results();
+    let sweep = scenarios::testbed_a_jammer_sweep(Topology::testbed_a(), Protocol::Orchestra, 3, 1);
+    let results = run(sweep, 300);
     let after_jam = results
         .parent_change_times
         .iter()
@@ -85,7 +77,8 @@ fn repair_telemetry_fires_under_jamming() {
 
 #[test]
 fn jammed_network_still_has_a_valid_graph() {
-    let mut network = Network::new(scenarios::testbed_a_interference(Protocol::Digs, 6));
+    let config = scenarios::testbed_a_interference(Topology::testbed_a(), Protocol::Digs, 6);
+    let mut network = Network::new(config);
     network.run_secs(300);
     let graph = network.routing_graph();
     assert!(graph.is_dag(), "interference must never create routing loops");
@@ -102,12 +95,10 @@ fn disturbers_toggle_in_large_scale_scenario() {
 
 #[test]
 fn rebooted_digs_relay_cold_starts_and_rejoins() {
-    use digs::config::NetworkConfig;
     use digs::flows::flow_set_from_sources;
     use digs::stack::ProtocolStack;
     use digs_sim::fault::{FaultPlan, Reboot};
     use digs_sim::ids::NodeId;
-    use digs_sim::topology::Topology;
 
     // Form first, then cold-reboot a genuine relay on the flow's live
     // forwarding path: the node must come back with factory-fresh state,
@@ -204,11 +195,9 @@ fn rebooted_digs_relay_cold_starts_and_rejoins() {
 
 #[test]
 fn digs_rides_through_a_primary_link_outage() {
-    use digs::config::{NetworkConfig, Protocol};
     use digs::flows::flow_set_from_sources;
     use digs_sim::fault::{FaultPlan, LinkOutage};
     use digs_sim::ids::NodeId;
-    use digs_sim::topology::Topology;
 
     // Form first to find a real primary link, then break exactly that link
     // for a minute — the backup route should keep the flow alive.
