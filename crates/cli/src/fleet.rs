@@ -3,6 +3,8 @@
 
 use crate::flags::Args;
 use digs_digsd::FleetParams;
+use digs_fleet::FleetReport;
+use digs_json::message::Rows;
 use std::time::Duration;
 
 /// The fleet the fleet flags describe — what `fleet run` builds locally
@@ -47,7 +49,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
     let report =
         digs_fleet::aggregate_partial(&summaries, spec.secs, outcome.degraded, outcome.skipped);
-    let policy = digs_fleet::SloPolicy::new();
 
     let rate = outcome.node_secs as f64 / outcome.serial_equivalent.as_secs_f64().max(1e-9);
     eprintln!(
@@ -57,22 +58,20 @@ pub fn run(args: &Args) -> Result<(), String> {
         outcome.jobs,
         rate
     );
-    let json = report.to_json(&policy);
+    let json = report.to_value().to_pretty();
     if args.switch("json") {
-        println!("{}", json.to_pretty());
+        println!("{json}");
     } else {
-        print!("{}", digs_fleet::render(&json)?);
+        print!("{}", digs_fleet::render(&report));
     }
     if let Some(path) = args.get::<String>("report")? {
-        std::fs::write(&path, json.to_pretty() + "\n")
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(&path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("fleet: canonical report written to {path}");
     }
-    let breaches = report.breaches(&policy);
-    if breaches.is_empty() {
+    if report.slo.passed {
         Ok(())
     } else {
-        Err(format!("fleet SLO gate breached ({} breach(es))", breaches.len()))
+        Err(format!("fleet SLO gate breached ({} breach(es))", report.slo.breaches.len()))
     }
 }
 
@@ -82,12 +81,13 @@ pub fn report(args: &Args) -> Result<(), String> {
     let path: String = args.require("input")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
     let v = digs_json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    let report = FleetReport::take_fields(&v).map_err(|e| format!("{path}: {e}"))?;
     if args.switch("json") {
-        println!("{}", v.to_pretty());
+        println!("{}", report.to_value().to_pretty());
         return Ok(());
     }
-    print!("{}", digs_fleet::render(&v).map_err(|e| format!("{path}: {e}"))?);
-    if v.req("slo")?.bool("passed")? {
+    print!("{}", digs_fleet::render(&report));
+    if report.slo.passed {
         Ok(())
     } else {
         Err("saved report records an SLO breach".into())

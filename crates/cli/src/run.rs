@@ -1,8 +1,8 @@
 //! `run`, `topology`, `graph`, `manager`: one network, run in-process.
 
 use crate::flags::Args;
-use digs_digsd::{rf_for, topology_from, SingleSpec};
-use digs_json::Value;
+use digs_digsd::{topology_from, SingleSpec};
+use digs_json::message::Rows;
 use digs_sim::analysis::TopologyAnalysis;
 use digs_sim::link::LinkModel;
 use digs_sim::topology::Topology;
@@ -28,67 +28,13 @@ pub(crate) fn single_spec(args: &Args, default_secs: u64) -> Result<SingleSpec, 
     })
 }
 
-/// `run --json`: the results as one object, fields in declaration order,
-/// ids and ASNs as plain numbers, non-finite floats as `null`.
-fn results_json(results: &digs::results::RunResults) -> Value {
-    let int = Value::Int;
-    let flows = results.flows.iter().map(|f| {
-        Value::Obj(vec![
-            ("flow".into(), int(f.flow.0.into())),
-            ("source".into(), int(f.source.0.into())),
-            ("generated".into(), int(f.generated.into())),
-            ("delivered".into(), int(f.delivered.into())),
-            (
-                "delivered_seqs".into(),
-                Value::Arr(f.delivered_seqs.iter().map(|s| int((*s).into())).collect()),
-            ),
-            (
-                "latencies_ms".into(),
-                Value::Arr(f.latencies_ms.iter().map(|l| Value::num(*l)).collect()),
-            ),
-        ])
-    });
-    let nodes = results.nodes.iter().map(|n| {
-        Value::Obj(vec![
-            ("node".into(), int(n.node.0.into())),
-            ("energy_mj".into(), Value::num(n.energy_mj)),
-            ("mean_power_mw".into(), Value::num(n.mean_power_mw)),
-            ("duty_cycle".into(), Value::num(n.duty_cycle)),
-            ("tx_us".into(), int(n.tx_us)),
-            ("rx_us".into(), int(n.rx_us)),
-            ("joined_at".into(), n.joined_at.map_or(Value::Null, |t| int(t.0))),
-            ("parent_changes".into(), int(n.parent_changes as u64)),
-        ])
-    });
-    let violations = results.invariant_violations.iter().map(|v| {
-        Value::Obj(vec![
-            ("kind".into(), Value::Str(format!("{:?}", v.kind))),
-            ("asn".into(), int(v.asn.0)),
-            ("node".into(), int(v.node.0.into())),
-            ("detail".into(), Value::Str(v.detail.clone())),
-        ])
-    });
-    Value::Obj(vec![
-        ("duration".into(), int(results.duration.0)),
-        ("flows".into(), Value::Arr(flows.collect())),
-        ("nodes".into(), Value::Arr(nodes.collect())),
-        (
-            "parent_change_times".into(),
-            Value::Arr(results.parent_change_times.iter().map(|t| int(t.0)).collect()),
-        ),
-        ("retry_drops".into(), int(results.retry_drops)),
-        ("queue_drops".into(), int(results.queue_drops)),
-        ("invariant_violations".into(), Value::Arr(violations.collect())),
-    ])
-}
-
 pub fn run(args: &Args) -> Result<(), String> {
     let spec = single_spec(args, SingleSpec::default().secs)?;
     let mut network = spec.build()?;
     network.run_secs(spec.secs);
     let results = network.results();
     if args.switch("json") {
-        print!("{}", results_json(&results).to_pretty());
+        print!("{}", results.to_value().to_pretty());
         return Ok(());
     }
     println!("protocol        : {}", network.config().protocol.name());
@@ -127,7 +73,7 @@ pub fn topology(args: &Args) -> Result<(), String> {
     );
     // Link census from the mean-RSS oracle, under the radio model the
     // topology's runs use.
-    let analysis = TopologyAnalysis::new(&topology, &rf_for(&topology));
+    let analysis = TopologyAnalysis::new(&topology, topology.rf());
     let usable: usize = topology.node_ids().map(|n| analysis.degree(n)).sum::<usize>() / 2;
     let n = topology.len();
     println!("usable links  : {usable} of {} pairs (mean-RSS ≥ RSSmin)", n * (n - 1) / 2);
@@ -168,7 +114,7 @@ pub(crate) fn manager_update(
     topology: &Topology,
     flows: usize,
 ) -> Result<(NetworkManager, UpdateReport), String> {
-    let model = LinkModel::new(topology, rf_for(topology), 1);
+    let model = LinkModel::new(topology, topology.rf().clone(), 1);
     let db = LinkDb::from_link_model(&model);
     let mut manager =
         NetworkManager::new(db, topology.access_points(), UpdateCostConfig::default());
@@ -194,16 +140,17 @@ pub fn manager(args: &Args) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::results_json;
     use digs::audit::{InvariantKind, InvariantViolation};
     use digs::results::{FlowResult, NodeResult, RunResults};
+    use digs_json::message::Rows;
     use digs_json::{parse, Value};
     use digs_sim::ids::{FlowId, NodeId};
     use digs_sim::time::Asn;
 
-    #[test]
-    fn run_json_round_trips_and_nulls_non_finite_floats() {
-        let results = RunResults {
+    /// A run that reaches every row: a delivered and a lost packet, a node
+    /// that never joined, a non-finite power, an invariant violation.
+    fn synthetic() -> RunResults {
+        RunResults {
             duration: Asn(100),
             flows: vec![FlowResult {
                 flow: FlowId(0),
@@ -232,8 +179,13 @@ mod tests {
                 node: NodeId(3),
                 detail: "9 > 8".into(),
             }],
-        };
-        let value = results_json(&results);
+        }
+    }
+
+    #[test]
+    fn run_json_round_trips_and_nulls_non_finite_floats() {
+        let results = synthetic();
+        let value = results.to_value();
         assert_eq!(parse(&value.to_pretty()).expect("output parses"), value);
         let node = &value.field("nodes").and_then(Value::as_arr).expect("nodes")[0];
         assert_eq!(node.field("mean_power_mw"), Some(&Value::Null));
@@ -242,5 +194,69 @@ mod tests {
         assert_eq!(violation.field("kind").and_then(Value::as_str), Some("QueueBound"));
         let flow = &value.field("flows").and_then(Value::as_arr).expect("flows")[0];
         assert_eq!(flow.field("delivered_seqs"), Some(&Value::Arr(vec![Value::Num(1.0)])));
+    }
+
+    fn pretty(results: &RunResults) -> String {
+        results.to_value().to_pretty()
+    }
+
+    /// What `run --json` prints for [`synthetic`].
+    const SYNTHETIC_PRETTY: &str = r#"{
+  "duration": 100,
+  "flows": [
+    {
+      "flow": 0,
+      "source": 3,
+      "generated": 2,
+      "delivered": 1,
+      "delivered_seqs": [
+        1
+      ],
+      "latencies_ms": [
+        120
+      ]
+    }
+  ],
+  "nodes": [
+    {
+      "node": 3,
+      "energy_mj": 1.5,
+      "mean_power_mw": null,
+      "duty_cycle": 0.25,
+      "tx_us": 10,
+      "rx_us": 20,
+      "joined_at": null,
+      "parent_changes": 1
+    }
+  ],
+  "parent_change_times": [
+    7
+  ],
+  "retry_drops": 1,
+  "queue_drops": 0,
+  "invariant_violations": [
+    {
+      "kind": "QueueBound",
+      "asn": 9,
+      "node": 3,
+      "detail": "9 > 8"
+    }
+  ]
+}
+"#;
+
+    #[test]
+    fn run_json_writes_its_pinned_bytes() {
+        assert_eq!(pretty(&synthetic()), SYNTHETIC_PRETTY);
+    }
+
+    #[test]
+    fn run_json_decodes_to_the_results_that_printed_it() {
+        let mut results = synthetic();
+        results.nodes[0].mean_power_mw = 2.5;
+        results.nodes[0].joined_at = Some(Asn(42));
+        results.flows[0].latencies_ms.push(0.1 + 0.2);
+        let back = digs_json::message::decode_line(&pretty(&results), RunResults::take_fields);
+        assert_eq!(back, Ok(results));
     }
 }

@@ -137,10 +137,9 @@ fn fleet_report_prints_every_breach_of_a_saved_report_and_fails() {
         quarantined: true,
     };
     let report = digs_fleet::aggregate_partial(&[lossy], 60, vec![quarantined], 1);
-    let policy = digs_fleet::SloPolicy::new();
-    let breaches = report.breaches(&policy);
+    let breaches = &report.slo.breaches;
     assert_eq!(breaches.len(), 4, "{breaches:?}");
-    let json = report.to_json(&policy);
+    let json = digs_json::message::Rows::to_value(&report);
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fleet_breached.json");
     std::fs::write(&path, json.to_pretty() + "\n").unwrap();
 
@@ -148,8 +147,8 @@ fn fleet_report_prints_every_breach_of_a_saved_report_and_fails() {
     assert!(!output.status.success());
     assert_eq!(stderr(&output), "saved report records an SLO breach\n");
     let text = String::from_utf8_lossy(&output.stdout).into_owned();
-    assert_eq!(text, digs_fleet::render(&json).unwrap());
-    for breach in &breaches {
+    assert_eq!(text, digs_fleet::render(&report));
+    for breach in breaches {
         assert!(text.contains(&format!("    breach: {breach}\n")), "{text}");
     }
 }

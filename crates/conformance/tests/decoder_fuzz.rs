@@ -8,15 +8,20 @@
 //! `digs_json::walk_fields`, the reading of the grammar that builds nothing,
 //! must agree with `parse` on every one of those inputs.
 
+use digs::audit::{InvariantKind, InvariantViolation};
+use digs::results::{FlowResult, NodeResult, RunResults};
 use digs::telemetry::{TelemetryLine, TelemetryView, Window};
 use digs_cases::Draw;
 use digs_conformance::golden::Golden;
 use digs_conformance::RunMetrics;
 use digs_digsd::{ClientMsg, EventFrame, FleetParams, Journal, Record, ServerMsg, SingleSpec};
+use digs_fleet::{aggregate_partial, DegradedRun, FleetReport, NetworkSummary};
+use digs_json::message::{decode_line, Rows};
 use digs_json::Value;
 use digs_metrics::LogHistogram;
+use digs_sim::ids::{FlowId, NodeId};
 use digs_sim::seeds::SeedSpec;
-use digs_sim::time::SLOTS_PER_SECOND;
+use digs_sim::time::{Asn, SLOTS_PER_SECOND};
 use digs_trace::{Event, EventKind, PacketId, TrafficClass};
 use std::fmt::Debug;
 
@@ -70,7 +75,9 @@ fn fleet_params(input: &str) -> Result<FleetParams, String> {
 /// it: `{"min":…,"max":…,"buckets":[[index,count],…]}`.
 fn histogram(input: &str) -> Result<LogHistogram, String> {
     let v = digs_json::parse(input).map_err(|e| e.to_string())?;
-    let pairs = v.arr("buckets")?.iter().map(|pair| match pair {
+    let field = |key: &str| v.field(key).ok_or_else(|| format!("missing field `{key}`"));
+    let buckets = field("buckets")?.as_arr().ok_or("`buckets` is not a list")?;
+    let pairs = buckets.iter().map(|pair| match pair {
         Value::Arr(pair) if pair.len() == 2 => {
             Ok((pair[0].to_uint("index")?, pair[1].to_uint("count")?))
         }
@@ -78,8 +85,8 @@ fn histogram(input: &str) -> Result<LogHistogram, String> {
     });
     LogHistogram::from_sparse(
         &pairs.collect::<Result<Vec<_>, _>>()?,
-        v.uint("min")?,
-        v.uint("max")?,
+        field("min")?.to_uint("min")?,
+        field("max")?.to_uint("max")?,
     )
 }
 
@@ -134,6 +141,89 @@ fn feed(input: &str) {
     round_trip("single spec", input, single_spec, |spec| spec.to_json().to_compact());
     round_trip("fleet params", input, fleet_params, |params| params.to_json().to_compact());
     round_trip("histogram", input, histogram, histogram_json);
+    round_trip("fleet report", input, fleet_report, Rows::to_json_line);
+    round_trip("run results", input, run_results, Rows::to_json_line);
+}
+
+fn fleet_report(input: &str) -> Result<FleetReport, String> {
+    decode_line(input, FleetReport::take_fields)
+}
+
+fn run_results(input: &str) -> Result<RunResults, String> {
+    decode_line(input, RunResults::take_fields)
+}
+
+/// A fleet report that reaches every section: alerts under two rules, a
+/// violation, a retried and a quarantined network, a skip.
+fn fleet_report_line() -> String {
+    let summary = |label: &str, delivered: u64, alert_kinds: [u64; 4], violations: u64| {
+        let mut latency = LogHistogram::new();
+        for ms in [95, 330, 1_470] {
+            latency.record(ms + delivered);
+        }
+        NetworkSummary {
+            label: label.into(),
+            nodes: 47,
+            flows: 6,
+            generated: 120,
+            delivered,
+            pdr: delivered as f64 / 120.0,
+            worst_flow_pdr: delivered as f64 / 240.0,
+            fraction_joined: 0.9574468085106383,
+            alerts: alert_kinds.iter().sum(),
+            alert_kinds,
+            violations,
+            latency,
+        }
+    };
+    let runs = [("oil-field-0002/seed3", false), ("oil-field-0003/seed4", true)].map(
+        |(label, quarantined)| DegradedRun {
+            label: label.into(),
+            reason: "panicked: \"stuck\" in \\ slot".into(),
+            attempts: 2,
+            quarantined,
+        },
+    );
+    let summaries =
+        [summary("oil-field-0000/seed1", 97, [1, 2, 0, 0], 0), summary("f/seed2", 119, [0; 4], 2)];
+    aggregate_partial(&summaries, 600, runs.into(), 1).to_json_line()
+}
+
+/// `run --json`'s results, with finite floats only (a non-finite one is
+/// written `null`, which reads back as no number).
+fn run_results_line() -> String {
+    let node = |id: u16, joined_at: Option<Asn>| NodeResult {
+        node: NodeId(id),
+        energy_mj: 1.5,
+        mean_power_mw: 0.1 + 0.2,
+        duty_cycle: 0.012_5,
+        tx_us: 10,
+        rx_us: u64::MAX,
+        joined_at,
+        parent_changes: 3,
+    };
+    RunResults {
+        duration: Asn(42_000),
+        flows: vec![FlowResult {
+            flow: FlowId(1),
+            source: NodeId(7),
+            generated: 4,
+            delivered: 2,
+            delivered_seqs: [0, 3].into(),
+            latencies_ms: vec![120.0, 1_530.5],
+        }],
+        nodes: vec![node(0, Some(Asn(0))), node(7, None)],
+        parent_change_times: vec![Asn(7), Asn(9_100)],
+        retry_drops: 1,
+        queue_drops: 0,
+        invariant_violations: vec![InvariantViolation {
+            kind: InvariantKind::RoutingLoop,
+            asn: Asn(9),
+            node: NodeId(7),
+            detail: "cycle #1 → \"#2\"".into(),
+        }],
+    }
+    .to_json_line()
 }
 
 const METRICS_LINE: &str = r#"{"scenario":"fig04-05-jam4","protocol":"orchestra","seed":2,"secs":420,"pdr":0.9826388888888888,"worst_flow_pdr":0.9305555555555556,"median_latency_ms":2320,"worst_latency_ms":31260,"duty_cycle_percent":5.2728904,"power_per_packet_mw":0.2625899284474206,"energy_per_packet_mj":110.2877699479166,"repair_time_secs":80.05,"windowed_pdr_median":0.9916666666666667,"windowed_pdr_worst":0.9166666666666666,"fraction_joined":1,"mean_join_secs":16.2244,"parent_changes":82,"retry_drops":1,"queue_drops":0,"audit_violations":0,"telemetry_epochs":null,"health_alerts":3,"epoch_pdr_min":null}"#;
@@ -185,7 +275,13 @@ fn corpus(d: &mut Draw) -> Vec<String> {
         .flat_map(|p| p.table.iter().map(move |def| (p, def)))
         .flat_map(|(p, def)| [drawn::line(d, p, def), drawn::sparse_line(d, p, def)])
         .collect();
+    // The two documents: each comes back as the bytes it was read from.
+    let (fleet, run) = (fleet_report_line(), run_results_line());
+    assert_eq!(fleet_report(&fleet).map(|r| r.to_json_line()), Ok(fleet.clone()));
+    assert_eq!(run_results(&run).map(|r| r.to_json_line()), Ok(run.clone()));
     lines.extend([
+        fleet,
+        run,
         digs_trace::to_jsonl(&events),
         digs_trace::to_jsonl_line(&events[2]),
         METRICS_LINE.into(),

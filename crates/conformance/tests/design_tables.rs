@@ -1,12 +1,15 @@
 //! DESIGN prints every row table the code declares: the trace event, the
 //! telemetry line, the client, server and journal protocols (names, keys,
-//! order), the three launch specs (keys, kinds, defaults), and the
-//! `RunMetrics` record and the trace event's head (keys, kinds). This crate
-//! sees all of them.
+//! order), the three launch specs (keys, kinds, defaults), the `RunMetrics`
+//! record and the trace event's head (keys, kinds), and the two JSON
+//! documents, the fleet report and `run --json` (every key, nested ones
+//! dotted). This crate sees all of them.
 
+use digs::results::RunResults;
 use digs::telemetry::TelemetryLine;
 use digs_conformance::{RunMetrics, ScenarioLaunch};
 use digs_digsd::{ClientMsg, FieldDef, FleetParams, Kind, Record, ServerMsg, SingleSpec};
+use digs_fleet::FleetReport;
 use digs_json::Value;
 use digs_trace::{Event, EventKind};
 
@@ -64,11 +67,17 @@ fn label(kind: &Kind) -> String {
         Kind::Int { max } if max == u64::from(u32::MAX) => "32-bit integer".into(),
         Kind::Int { .. } => "integer".into(),
         Kind::Num => "number".into(),
+        Kind::Bool => "boolean".into(),
         Kind::Secs => "seconds".into(),
         Kind::Named(names) => names.join(" or "),
         Kind::Opt(inner) => format!("{} or null", label(inner)),
         Kind::Pair(a, b) => format!("[{}, {}]", label(a), label(b)),
         Kind::OneOf { .. } => "a name from the table below".into(),
+        Kind::Obj(_) => "object".into(),
+        Kind::List(Kind::Obj(_)) => "list of objects".into(),
+        Kind::List(inner) => format!("list of {}s", label(inner)),
+        Kind::Set(inner) => format!("ascending list of {}s", label(inner)),
+        Kind::Map(inner) => format!("object of {}s", label(inner)),
         other => format!("{other:?}"),
     }
 }
@@ -95,8 +104,9 @@ fn design_prints_every_protocol_table() {
     assert_eq!(printed, declared, "DESIGN's trace, telemetry, client, server and journal tables");
 }
 
-/// The `RunMetrics` record, the trace event's head and the three launch
-/// specs: each field's key and kind, in order; for a spec, its default too
+/// The `RunMetrics` record, `run --json`'s `RunResults`, the trace event's
+/// head, the fleet report and the three launch specs, in DESIGN's order:
+/// each field's key and kind, in order; for a spec, its default too
 /// (`required` for a field without one).
 #[test]
 fn design_prints_every_field_table() {
@@ -130,9 +140,26 @@ fn design_prints_every_field_table() {
     let record = |fields: &[FieldDef]| -> Vec<Vec<String>> {
         fields.iter().zip(keys(fields)).map(|(f, key)| vec![key, label(&f.kind)]).collect()
     };
+    // Every key of a document: an object's own keys after it, dotted, and
+    // a list of objects' keys after `[].`.
+    fn document(prefix: &str, fields: &[FieldDef]) -> Vec<Vec<String>> {
+        let mut rows = Vec::new();
+        for f in fields {
+            let key = format!("{prefix}{}", f.key);
+            rows.push(vec![key.clone(), label(&f.kind)]);
+            match f.kind {
+                Kind::Obj(inner) => rows.extend(document(&format!("{key}."), inner)),
+                Kind::List(Kind::Obj(inner)) => rows.extend(document(&format!("{key}[]."), inner)),
+                _ => {}
+            }
+        }
+        rows
+    }
     let declared = vec![
         ("RunMetrics".to_string(), record(RunMetrics::FIELDS)),
+        ("RunResults".to_string(), document("", RunResults::FIELDS)),
         ("Event".to_string(), record(Event::FIELDS)),
+        ("FleetReport".to_string(), document("", FleetReport::FIELDS)),
         (
             SingleSpec::MESSAGES[0].name.to_string(),
             spec(SingleSpec::MESSAGES[0].fields, SingleSpec::default().to_json()),

@@ -32,6 +32,8 @@
 //! audit hand-corrupted snapshots without running a simulation (the
 //! "deliberately broken scheduler" tests below do exactly that).
 
+use crate::results::{AsnNumber, NodeNumber};
+use digs_json::{message, named};
 use digs_routing::graph::RoutingGraph;
 use digs_routing::Rank;
 use digs_sim::channel::ChannelOffset;
@@ -112,42 +114,48 @@ pub struct AuditSnapshot {
     pub nodes: Vec<NodeAudit>,
 }
 
-/// Which invariant a violation breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvariantKind {
-    /// The union of primary and backup edges contains a cycle.
-    RoutingLoop,
-    /// A node holds a primary parent it believes to be at its own rank or
-    /// deeper (the selection rule forbids same-rank links).
-    RankInversion,
-    /// A node holds a backup parent it believes to be at its own rank or
-    /// deeper (the paper's second-parent loop-avoidance rule).
-    SecondParentRank,
-    /// Two nodes claim the same dedicated (slot, channel offset) cell.
-    CellOwnership,
-    /// A child-table registration outlived the garbage-collection horizon
-    /// without the child actually using this node as a parent.
-    ChildTable,
-    /// A bounded queue holds more items than its capacity.
-    QueueBound,
+named! {
+    /// Which invariant a violation breaks. Its name is what `run --json`
+    /// and the trace's `audit-violation` event write.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum InvariantKind: "invariant kind" {
+        /// The union of primary and backup edges contains a cycle.
+        RoutingLoop = "RoutingLoop",
+        /// A node holds a primary parent it believes to be at its own rank or
+        /// deeper (the selection rule forbids same-rank links).
+        RankInversion = "RankInversion",
+        /// A node holds a backup parent it believes to be at its own rank or
+        /// deeper (the paper's second-parent loop-avoidance rule).
+        SecondParentRank = "SecondParentRank",
+        /// Two nodes claim the same dedicated (slot, channel offset) cell.
+        CellOwnership = "CellOwnership",
+        /// A child-table registration outlived the garbage-collection horizon
+        /// without the child actually using this node as a parent.
+        ChildTable = "ChildTable",
+        /// A bounded queue holds more items than its capacity.
+        QueueBound = "QueueBound",
+    }
 }
 
-/// One recorded invariant violation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InvariantViolation {
-    /// The broken invariant.
-    pub kind: InvariantKind,
-    /// When the auditor observed it.
-    pub asn: Asn,
-    /// The node the violation is attributed to.
-    pub node: NodeId,
-    /// Human-readable context (the other party, ranks, slots involved).
-    pub detail: String,
+message! {
+    /// One recorded invariant violation.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct InvariantViolation {
+        /// The broken invariant.
+        kind: InvariantKind,
+        /// When the auditor observed it.
+        asn: Asn as AsnNumber,
+        /// The node the violation is attributed to.
+        node: NodeId as NodeNumber,
+        /// Human-readable context (the other party, ranks, slots involved).
+        detail: String,
+    }
 }
 
 impl std::fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[asn {}] {:?} at node {}: {}", self.asn.0, self.kind, self.node.0, self.detail)
+        let (kind, detail) = (self.kind.as_str(), &self.detail);
+        write!(f, "[asn {}] {kind} at node {}: {detail}", self.asn.0, self.node.0)
     }
 }
 

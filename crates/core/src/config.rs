@@ -37,7 +37,7 @@ impl Protocol {
 pub struct NetworkConfig {
     /// Device placement.
     pub topology: Topology,
-    /// Propagation environment.
+    /// Propagation environment: the topology's ([`Topology::rf`]).
     pub rf: RfConfig,
     /// Master seed (drives the channel realisation and every stack).
     pub seed: u64,
@@ -94,8 +94,8 @@ impl NetworkConfig {
     pub fn builder(topology: Topology) -> NetworkConfigBuilder {
         NetworkConfigBuilder {
             config: NetworkConfig {
+                rf: topology.rf().clone(),
                 topology,
-                rf: RfConfig::indoor(),
                 seed: 1,
                 protocol: Protocol::Digs,
                 slotframes: SlotframeLengths::paper(),
@@ -151,12 +151,6 @@ impl NetworkConfigBuilder {
     /// Sets the master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Sets the propagation environment.
-    pub fn rf(mut self, rf: RfConfig) -> Self {
-        self.config.rf = rf;
         self
     }
 
@@ -279,6 +273,7 @@ impl NetworkConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use digs_sim::rf::Dbm;
 
     #[test]
     fn builder_defaults_match_paper() {
@@ -309,6 +304,28 @@ mod tests {
         assert_eq!(on.resolve_randomize(), Some(7));
         let off = NetworkConfig::builder(Topology::testbed_a()).randomize(0).build();
         assert_eq!(off.resolve_randomize(), None);
+    }
+
+    #[test]
+    fn a_layout_keeps_its_radio_under_any_name() {
+        let rf = |topology: Topology| NetworkConfig::builder(topology).build().rf;
+        // The same placements under another name.
+        let renamed = |topology: &Topology, name: &str| {
+            let positions = topology.node_ids().map(|n| topology.position(n)).collect();
+            let roles = topology.node_ids().map(|n| topology.role(n)).collect();
+            Topology::new(name, positions, roles)
+        };
+        let cooja = Topology::cooja_150(7);
+        assert_eq!(rf(cooja.clone()), RfConfig::open_area());
+        let campus = renamed(&cooja, "plant-7").with_rf(cooja.rf().clone());
+        assert_eq!(rf(campus), RfConfig::open_area());
+        let testbed = Topology::testbed_a();
+        assert_eq!(rf(testbed.clone()), RfConfig::indoor());
+        assert_eq!(rf(renamed(&testbed, "random-150x300m")), RfConfig::indoor());
+        assert_eq!(rf(renamed(&testbed, "cooja")), RfConfig::indoor());
+        assert_eq!(crate::scenarios::oil_field_topology().rf(), &RfConfig::open_area());
+        let factory = crate::scenarios::factory_floor_topology();
+        assert_eq!(factory.rf(), &RfConfig { tx_power: Dbm(0.0), ..RfConfig::indoor() });
     }
 
     #[test]

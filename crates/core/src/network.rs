@@ -539,7 +539,7 @@ impl Network {
                 v.asn.0,
                 v.node.0,
                 EventKind::AuditViolation {
-                    kind: format!("{:?}", v.kind),
+                    kind: v.kind.as_str().to_string(),
                     detail: v.detail.clone(),
                 },
             );

@@ -1,25 +1,58 @@
 //! Run results: the paper's metrics computed from stack telemetry and the
 //! engine's energy meters.
 
+use digs_json::message;
+use digs_json::message::{Kind, WireField};
+use digs_json::Value;
 use digs_sim::ids::{FlowId, NodeId};
 use digs_sim::time::Asn;
 use std::collections::BTreeSet;
 
-/// Per-flow outcome of a run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowResult {
-    /// The flow.
-    pub flow: FlowId,
-    /// Its source device.
-    pub source: NodeId,
-    /// Packets the source generated.
-    pub generated: u32,
-    /// Distinct packets that reached an access point.
-    pub delivered: u32,
-    /// Sequence numbers delivered (for the Fig. 9f / 11b micro-benchmarks).
-    pub delivered_seqs: BTreeSet<u32>,
-    /// End-to-end latency of each delivered packet (first copy), in ms.
-    pub latencies_ms: Vec<f64>,
+macro_rules! number_fields {
+    ($($(#[$meta:meta])* $marker:ident: $id:ident($inner:ty),)*) => {$(
+        $(#[$meta])*
+        pub(crate) struct $marker;
+
+        impl WireField<$id> for $marker {
+            const KIND: Kind = <$inner as WireField>::KIND;
+
+            fn write(id: &$id, out: &mut String) {
+                <$inner as WireField>::write(&id.0, out);
+            }
+
+            fn decode(key: &str, value: &Value) -> Result<$id, String> {
+                <$inner as WireField>::decode(key, value).map($id)
+            }
+        }
+    )*};
+}
+
+number_fields! {
+    /// An [`Asn`] written as its slot number.
+    AsnNumber: Asn(u64),
+    /// A [`NodeId`] written as its number.
+    NodeNumber: NodeId(u16),
+    /// A [`FlowId`] written as its number.
+    FlowNumber: FlowId(u16),
+}
+
+message! {
+    /// Per-flow outcome of a run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FlowResult {
+        /// The flow.
+        flow: FlowId as FlowNumber,
+        /// Its source device.
+        source: NodeId as NodeNumber,
+        /// Packets the source generated.
+        generated: u32,
+        /// Distinct packets that reached an access point.
+        delivered: u32,
+        /// Sequence numbers delivered (for the Fig. 9f / 11b micro-benchmarks).
+        delivered_seqs: BTreeSet<u32>,
+        /// End-to-end latency of each delivered packet (first copy), in ms.
+        latencies_ms: Vec<f64>,
+    }
 }
 
 impl FlowResult {
@@ -39,45 +72,51 @@ impl FlowResult {
     }
 }
 
-/// Per-node outcome of a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeResult {
-    /// The node.
-    pub node: NodeId,
-    /// Radio energy consumed, mJ.
-    pub energy_mj: f64,
-    /// Mean radio power, mW.
-    pub mean_power_mw: f64,
-    /// Radio duty cycle in `[0, 1]`.
-    pub duty_cycle: f64,
-    /// Microseconds the radio spent transmitting (energy breakdown).
-    pub tx_us: u64,
-    /// Microseconds the radio spent in receive/listen (energy breakdown).
-    pub rx_us: u64,
-    /// When the node joined the network (synced + parents), if it did.
-    pub joined_at: Option<Asn>,
-    /// Number of parent-set changes.
-    pub parent_changes: usize,
+message! {
+    /// Per-node outcome of a run.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct NodeResult {
+        /// The node.
+        node: NodeId as NodeNumber,
+        /// Radio energy consumed, mJ.
+        energy_mj: f64,
+        /// Mean radio power, mW.
+        mean_power_mw: f64,
+        /// Radio duty cycle in `[0, 1]`.
+        duty_cycle: f64,
+        /// Microseconds the radio spent transmitting (energy breakdown).
+        tx_us: u64,
+        /// Microseconds the radio spent in receive/listen (energy breakdown).
+        rx_us: u64,
+        /// When the node joined the network (synced + parents), if it did.
+        joined_at: Option<Asn> as Option<AsnNumber>,
+        /// Number of parent-set changes.
+        parent_changes: usize,
+    }
 }
 
-/// The complete outcome of one network run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunResults {
-    /// Run duration.
-    pub duration: Asn,
-    /// Per-flow results, ordered by flow id.
-    pub flows: Vec<FlowResult>,
-    /// Per-node results, ordered by node id.
-    pub nodes: Vec<NodeResult>,
-    /// Every parent-change timestamp across all nodes (repair analysis).
-    pub parent_change_times: Vec<Asn>,
-    /// Packets dropped after exhausting retries, network-wide.
-    pub retry_drops: u64,
-    /// Packets dropped on queue overflow, network-wide.
-    pub queue_drops: u64,
-    /// Invariant violations recorded by the runtime auditor (empty when the
-    /// run was not audited — see [`crate::network::Network::run_audited`]).
-    pub invariant_violations: Vec<crate::audit::InvariantViolation>,
+message! {
+    /// The complete outcome of one network run: what `run --json` prints,
+    /// ids and ASNs as plain numbers, non-finite floats as `null`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunResults {
+        /// Run duration.
+        duration: Asn as AsnNumber,
+        /// Per-flow results, ordered by flow id.
+        flows: Vec<FlowResult>,
+        /// Per-node results, ordered by node id.
+        nodes: Vec<NodeResult>,
+        /// Every parent-change timestamp across all nodes (repair analysis).
+        parent_change_times: Vec<Asn> as Vec<AsnNumber>,
+        /// Packets dropped after exhausting retries, network-wide.
+        retry_drops: u64,
+        /// Packets dropped on queue overflow, network-wide.
+        queue_drops: u64,
+        /// Invariant violations recorded by the runtime auditor (empty when
+        /// the run was not audited — see
+        /// [`crate::network::Network::run_audited`]).
+        invariant_violations: Vec<crate::audit::InvariantViolation>,
+    }
 }
 
 impl RunResults {

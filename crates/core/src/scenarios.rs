@@ -287,7 +287,6 @@ pub fn large_scale_on(topology: Topology, protocol: Protocol, flow_seed: u64) ->
     };
     let mut builder = NetworkConfig::builder(topology)
         .protocol(protocol)
-        .rf(RfConfig::open_area())
         .slotframes(slotframes)
         .seed(flow_seed.wrapping_mul(0xc001) ^ 0x150)
         .flows(flows);
@@ -339,7 +338,7 @@ pub fn oil_field_topology() -> Topology {
             roles.push(Role::FieldDevice);
         }
     }
-    Topology::new("oil-field", positions, roles)
+    Topology::new("oil-field", positions, roles).with_rf(RfConfig::open_area())
 }
 
 /// Oil-field scenario: 6 monitor flows @ 5 s from the wellhead clusters
@@ -358,7 +357,6 @@ pub fn oil_field(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
     };
     NetworkConfig::builder(topology)
         .protocol(protocol)
-        .rf(RfConfig::open_area())
         .slotframes(slotframes)
         .seed(flow_seed.wrapping_mul(0x011f) ^ 0x01)
         .flows(flows)
@@ -401,7 +399,10 @@ pub fn factory_floor_topology() -> Topology {
             roles.push(Role::FieldDevice);
         }
     }
-    Topology::new("factory-floor", positions, roles)
+    // Full CC2420 power: the 9 m machine-row pitch under the indoor model
+    // needs the margin to keep per-hop PRR high.
+    let rf = RfConfig { tx_power: digs_sim::rf::Dbm(0.0), ..RfConfig::indoor() };
+    Topology::new("factory-floor", positions, roles).with_rf(rf)
 }
 
 /// Factory-floor scenario: 8 monitor flows @ 10 s sourced away from
@@ -421,9 +422,6 @@ pub fn factory_floor(protocol: Protocol, flow_seed: u64) -> NetworkConfig {
     };
     NetworkConfig::builder(topology)
         .protocol(protocol)
-        // Full CC2420 power: the 9 m machine-row pitch under the indoor
-        // model needs the margin to keep per-hop PRR high.
-        .rf(RfConfig { tx_power: digs_sim::rf::Dbm(0.0), ..RfConfig::indoor() })
         .slotframes(slotframes)
         .seed(flow_seed.wrapping_mul(0xfac7) ^ 0x0F)
         .flows(flows)

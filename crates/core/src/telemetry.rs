@@ -15,10 +15,11 @@
 //! - routing/scheduling: advertised-ETX distribution, Trickle interval
 //!   range (DiGS), slotframe utilization.
 //!
-//! A [`HealthMonitor`] evaluates per-epoch rules over the stream — PDR
-//! collapse below the paper's floors, churn storms, queue saturation,
-//! convergence stall (thresholds shared with [`crate::watchdog`]) — and
-//! emits typed [`HealthAlert`]s which [`crate::network::Network`]
+//! The sampler's health check evaluates per-epoch rules ([`HealthRule`],
+//! thresholds in [`HealthConfig`]) over the stream — PDR collapse below
+//! the paper's floors, churn storms, queue saturation, convergence stall
+//! (thresholds shared with [`crate::watchdog`]) — and emits typed
+//! [`HealthAlert`]s which [`crate::network::Network`]
 //! mirrors into the flight recorder as `health-alert` events.
 //!
 //! Like the trace recorder, telemetry is **off by default and zero-cost

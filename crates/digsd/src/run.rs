@@ -468,8 +468,7 @@ pub(crate) fn prepare_fleet(spec: &Value) -> Result<Job, String> {
             outcome.degraded,
             outcome.skipped,
         );
-        let policy = digs_fleet::SloPolicy::new();
-        ctx.publish(FrameKind::Meta, None, report.to_json(&policy).to_compact());
+        ctx.publish(FrameKind::Meta, None, report.to_json_line());
         Ok(())
     }))
 }

@@ -13,7 +13,7 @@ use digs_fleet::{FleetSpec, ShardedSpec, Template};
 use digs_json::{message, Value};
 use digs_sim::interference::Jammer;
 use digs_sim::position::Position;
-use digs_sim::rf::{Dbm, RfConfig};
+use digs_sim::rf::Dbm;
 use digs_sim::time::Asn;
 use digs_sim::topology::Topology;
 
@@ -38,18 +38,6 @@ pub fn topology_from(name: &str) -> Result<Topology, String> {
                 Err(format!("unknown topology `{other}`"))
             }
         }
-    }
-}
-
-/// The radio model that goes with a topology from [`topology_from`]: the
-/// open-area model for the generated outdoor layouts (`cooja`,
-/// `random:…`), the indoor one — floor attenuation included — for the
-/// testbeds.
-pub fn rf_for(topology: &Topology) -> RfConfig {
-    if topology.name().starts_with("random") || topology.name().starts_with("cooja") {
-        RfConfig::open_area()
-    } else {
-        RfConfig::indoor()
     }
 }
 
@@ -103,12 +91,10 @@ impl SingleSpec {
     pub fn build_config(&self) -> Result<NetworkConfig, String> {
         let topology = topology_from(&self.topology)?;
         let protocol = Protocol::parse(&self.protocol)?;
-        let rf = rf_for(&topology);
         let ap_positions: Vec<Position> =
             topology.access_points().iter().map(|ap| topology.position(*ap)).collect();
         let mut builder = NetworkConfig::builder(topology)
             .protocol(protocol)
-            .rf(rf)
             .seed(self.seed)
             .random_flows(self.flows, self.period_ms / 10, self.seed);
         if let Some(cap) = self.trace_cap {

@@ -334,9 +334,10 @@ impl EventFrame {
         out
     }
 
-    /// Decodes in one pass over the line (see [`Fields`]). The payload is
-    /// checked to be well-formed and otherwise opaque: it comes back as the
-    /// exact bytes its value has in the line.
+    /// Decodes in one pass over the line: [`digs_json::walk_fields`] checks
+    /// it and slices out its top-level fields, and nothing is built. The
+    /// payload is checked to be well-formed and otherwise opaque: it comes
+    /// back as the exact bytes its value has in the line.
     pub fn decode(line: &str) -> Result<EventFrame, String> {
         Fields::walk(line)?.event()
     }

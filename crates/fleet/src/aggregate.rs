@@ -1,124 +1,164 @@
 //! Fleet-level aggregation: merge per-network summaries into one SLO
-//! report, check it against a policy, and render it as canonical JSON
-//! (byte-identical for identical spec + seed — wall-clock timings are
+//! report, check it against the SLO floors, and render it as canonical
+//! JSON (byte-identical for identical spec + seed — wall-clock timings are
 //! deliberately excluded) or a human-readable table.
 
 use crate::runner::{DegradedRun, NetworkSummary};
 use digs::telemetry::HealthRule;
-use digs_json::Value;
+use digs_json::message;
+use digs_json::message::Map;
 use digs_metrics::histogram::LogHistogram;
+use std::borrow::Cow;
 
 /// How many worst networks the report names.
 pub const WORST_K: usize = 5;
 
-/// Fleet service-level objectives. A breach makes `digs-cli fleet run`
-/// exit non-zero (the CI gate).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloPolicy {
-    /// Minimum pooled fleet PDR (delivered / generated across every
-    /// network).
-    pub fleet_pdr_floor: f64,
-    /// Minimum per-network PDR — the single worst network may not fall
-    /// below this.
-    pub worst_network_pdr_floor: f64,
-    /// Maximum fraction of networks with at least one health alert.
-    pub max_alert_rate: f64,
-    /// Maximum fraction of networks with at least one audit violation.
-    pub max_violation_rate: f64,
-}
+// The fleet service-level objectives; a breach makes `digs-cli fleet run`
+// exit non-zero (the CI gate). They are calibrated to clean (un-jammed,
+// un-faulted) scenarios. The alert ceiling sits above the measured clean
+// realization tail: over 600 s, 150 of 1600 template networks (9.4%: 57 of
+// 800 oil-field, 93 of 800 factory-floor) raise at least one alert, and the
+// first 400 and 42 raise 11.75% and 11.9%. Those alerts are steady-state,
+// spread over the whole armed window rather than bunched after the settle
+// time: oil-field churn storms of 16–23 parent changes per epoch, and
+// factory-floor epochs that deliver 3–5 of their 8 packets. Violations stay
+// zero-tolerance because a frozen invariant breach is an incident, not
+// noise.
 
-impl SloPolicy {
-    /// Defaults calibrated to clean (un-jammed, un-faulted) scenarios:
-    /// pooled PDR ≥ 0.90, no network below 0.50, at most 15% of networks
-    /// alerting, zero invariant violations anywhere. The alert ceiling
-    /// sits above the measured clean realization tail: over 600 s, 150 of
-    /// 1600 template networks (9.4%: 57 of 800 oil-field, 93 of 800
-    /// factory-floor) raise at least one alert, and the first 400 and 42
-    /// raise 11.75% and 11.9%. Those alerts are steady-state, spread over
-    /// the whole armed window rather than bunched after the settle time:
-    /// oil-field churn storms of 16–23 parent changes per epoch, and
-    /// factory-floor epochs that deliver 3–5 of their 8 packets.
-    /// Violations stay zero-tolerance because a frozen invariant breach is
-    /// an incident, not noise.
-    pub fn new() -> SloPolicy {
-        SloPolicy {
-            fleet_pdr_floor: 0.90,
-            worst_network_pdr_floor: 0.50,
-            max_alert_rate: 0.15,
-            max_violation_rate: 0.0,
-        }
+/// Minimum pooled fleet PDR (delivered / generated across every network).
+pub const FLEET_PDR_FLOOR: f64 = 0.90;
+/// Minimum per-network PDR: the single worst network may not fall below it.
+pub const WORST_NETWORK_PDR_FLOOR: f64 = 0.50;
+/// Maximum fraction of networks with at least one health alert.
+pub const MAX_ALERT_RATE: f64 = 0.15;
+/// Maximum fraction of networks with at least one audit violation.
+pub const MAX_VIOLATION_RATE: f64 = 0.0;
+
+message! {
+    /// The canonical fleet SLO report: `fleet run --report` saves it pretty,
+    /// the digsd fleet runner publishes it as one line, and [`render`]
+    /// prints it. No wall-clock timing is in it, so two runs of the same
+    /// spec + seed write the same bytes.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FleetReport {
+        /// Networks aggregated (shards count individually).
+        networks: u64,
+        /// Total nodes simulated.
+        nodes: u64,
+        /// Simulated seconds per network.
+        secs: u64,
+        /// Packets generated fleet-wide.
+        generated: u64,
+        /// Packets delivered fleet-wide.
+        delivered: u64,
+        /// Pooled fleet PDR (delivered / generated).
+        fleet_pdr: f64,
+        /// Mean of per-network PDRs.
+        mean_network_pdr: f64,
+        /// Mean fraction of nodes joined.
+        mean_fraction_joined: f64,
+        /// End-to-end latency samples, fleet-wide.
+        latency_samples: u64,
+        /// Median end-to-end latency, ms (`null` without samples).
+        latency_p50_ms: Option<f64>,
+        /// 99th-percentile end-to-end latency, ms.
+        latency_p99_ms: Option<f64>,
+        /// Networks with at least one health alert.
+        alert_networks: u64,
+        /// Total health alerts.
+        total_alerts: u64,
+        /// Fleet-wide alerts by rule name, in [`HealthRule::ALL`] order.
+        alerts_by_rule: Vec<(Cow<'static, str>, u64)> as Map<u64>,
+        /// Networks with at least one audit violation.
+        violation_networks: u64,
+        /// Total audit violations.
+        total_violations: u64,
+        /// The worst [`WORST_K`] networks by PDR, ascending.
+        worst_networks: Vec<WorstNetwork>,
+        /// The [`WORST_K`] networks with the most health alerts,
+        /// descending; empty when nothing alerted.
+        alerting_networks: Vec<AlertingNetwork>,
+        /// The [`WORST_K`] networks with the most audit violations,
+        /// descending; empty when nothing violated.
+        violating_networks: Vec<ViolatingNetwork>,
+        /// Networks the runner could not run cleanly.
+        degraded: Degraded,
+        /// The verdict against the SLO floors.
+        slo: Slo,
     }
 }
 
-impl Default for SloPolicy {
-    fn default() -> SloPolicy {
-        SloPolicy::new()
+message! {
+    /// One of the worst networks by PDR.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WorstNetwork {
+        /// The network's label.
+        label: String,
+        /// Its PDR.
+        pdr: f64,
     }
 }
 
-/// The aggregated fleet SLO report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetReport {
-    /// Networks aggregated (shards count individually).
-    pub networks: u64,
-    /// Total nodes simulated.
-    pub nodes: u64,
-    /// Simulated seconds per network.
-    pub secs: u64,
-    /// Packets generated fleet-wide.
-    pub generated: u64,
-    /// Packets delivered fleet-wide.
-    pub delivered: u64,
-    /// Pooled fleet PDR (delivered / generated).
-    pub fleet_pdr: f64,
-    /// Mean of per-network PDRs.
-    pub mean_network_pdr: f64,
-    /// Mean fraction of nodes joined.
-    pub mean_fraction_joined: f64,
-    /// Merged end-to-end latency histogram, ms.
-    pub latency: LogHistogram,
-    /// Networks with at least one health alert.
-    pub alert_networks: u64,
-    /// Total health alerts.
-    pub total_alerts: u64,
-    /// Fleet-wide alerts by rule, in [`HealthRule::ALL`] order.
-    pub alert_kind_totals: [u64; HealthRule::ALL.len()],
-    /// Networks with at least one audit violation.
-    pub violation_networks: u64,
-    /// Total audit violations.
-    pub total_violations: u64,
-    /// The worst [`WORST_K`] networks by PDR (label, pdr), ascending.
-    pub worst: Vec<(String, f64)>,
-    /// The [`WORST_K`] networks with the most health alerts
-    /// (label, alerts), descending — empty when nothing alerted.
-    pub alerting: Vec<(String, u64)>,
-    /// The [`WORST_K`] networks with the most audit violations
-    /// (label, violations), descending — empty when nothing violated.
-    pub violating: Vec<(String, u64)>,
-    /// Networks the runner could not run cleanly (retried or
-    /// quarantined), in spec order. Quarantined entries contributed no
-    /// summary: the rest of the report is partial, and [`Self::breaches`]
-    /// gates on them.
-    pub degraded: Vec<DegradedRun>,
-    /// Networks skipped by cancellation before they started.
-    pub skipped: u64,
+message! {
+    /// One of the networks with the most health alerts.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct AlertingNetwork {
+        /// The network's label.
+        label: String,
+        /// Its health alerts.
+        alerts: u64,
+    }
 }
 
-/// Merges per-network summaries into the fleet report. The latency
-/// histograms merge per-bucket ([`LogHistogram::merge`]), so the fleet
-/// quantiles agree with a single histogram fed every network's samples.
-pub fn aggregate(summaries: &[NetworkSummary], secs: u64) -> FleetReport {
-    aggregate_partial(summaries, secs, Vec::new(), 0)
+message! {
+    /// One of the networks with the most audit violations.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ViolatingNetwork {
+        /// The network's label.
+        label: String,
+        /// Its audit violations.
+        violations: u64,
+    }
 }
 
-/// [`aggregate`] for a degraded fleet run: carries the runner's degraded
-/// list and skip count into the report, so quarantined and skipped
-/// networks gate the SLO instead of vanishing from a silently-partial
-/// report.
+message! {
+    /// The networks the runner could not run cleanly. Quarantined ones
+    /// contributed no summary: the rest of the report is partial, and the
+    /// SLO gates on them.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Degraded {
+        /// Networks skipped by cancellation before they started.
+        skipped: u64,
+        /// Networks that completed only after at least one retry.
+        retried: u64,
+        /// Networks quarantined after exhausting their attempts.
+        quarantined: u64,
+        /// Every retried or quarantined network, in spec order.
+        runs: Vec<DegradedRun>,
+    }
+}
+
+message! {
+    /// The report against the SLO floors.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Slo {
+        /// Whether nothing was breached.
+        passed: bool,
+        /// Every breach, in the order the floors are checked.
+        breaches: Vec<String>,
+    }
+}
+
+/// Merges per-network summaries, the runner's degraded list and its skip
+/// count into the fleet report, and checks it against the SLO floors, so
+/// quarantined and skipped networks gate the SLO instead of vanishing from
+/// a silently-partial report. The latency histograms merge per bucket
+/// ([`LogHistogram::merge`]), so the fleet quantiles agree with a single
+/// histogram fed every network's samples.
 pub fn aggregate_partial(
     summaries: &[NetworkSummary],
     secs: u64,
-    degraded: Vec<DegradedRun>,
+    runs: Vec<DegradedRun>,
     skipped: u64,
 ) -> FleetReport {
     let mut latency = LogHistogram::new();
@@ -144,11 +184,11 @@ pub fn aggregate_partial(
         nodes += u64::from(s.nodes);
     }
     let n = summaries.len().max(1) as f64;
-    let mut by_pdr: Vec<(String, f64)> =
-        summaries.iter().map(|s| (s.label.clone(), s.pdr)).collect();
+    let mut worst: Vec<WorstNetwork> =
+        summaries.iter().map(|s| WorstNetwork { label: s.label.clone(), pdr: s.pdr }).collect();
     // Ascending by PDR; label breaks ties so the report is deterministic.
-    by_pdr.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    by_pdr.truncate(WORST_K);
+    worst.sort_by(|a, b| a.pdr.total_cmp(&b.pdr).then_with(|| a.label.cmp(&b.label)));
+    worst.truncate(WORST_K);
     // Descending by count, label breaking ties — deterministic like the
     // worst-PDR table.
     let top_by = |count: fn(&NetworkSummary) -> u64| {
@@ -161,7 +201,8 @@ pub fn aggregate_partial(
         v.truncate(WORST_K);
         v
     };
-    FleetReport {
+    let quarantined = runs.iter().filter(|d| d.quarantined).count() as u64;
+    let mut report = FleetReport {
         networks: summaries.len() as u64,
         nodes,
         secs,
@@ -170,18 +211,33 @@ pub fn aggregate_partial(
         fleet_pdr: if generated == 0 { 1.0 } else { delivered as f64 / generated as f64 },
         mean_network_pdr: pdr_sum / n,
         mean_fraction_joined: joined_sum / n,
-        latency,
+        latency_samples: latency.count(),
+        latency_p50_ms: latency.quantile(50.0),
+        latency_p99_ms: latency.quantile(99.0),
         alert_networks: alerts.0,
         total_alerts: alerts.1,
-        alert_kind_totals,
+        alerts_by_rule: HealthRule::ALL
+            .iter()
+            .zip(alert_kind_totals)
+            .map(|(rule, n)| (Cow::Borrowed(rule.as_str()), n))
+            .collect(),
         violation_networks: violations.0,
         total_violations: violations.1,
-        worst: by_pdr,
-        alerting: top_by(|s| s.alerts),
-        violating: top_by(|s| s.violations),
-        degraded,
-        skipped,
-    }
+        worst_networks: worst,
+        alerting_networks: top_by(|s| s.alerts)
+            .into_iter()
+            .map(|(label, alerts)| AlertingNetwork { label, alerts })
+            .collect(),
+        violating_networks: top_by(|s| s.violations)
+            .into_iter()
+            .map(|(label, violations)| ViolatingNetwork { label, violations })
+            .collect(),
+        degraded: Degraded { skipped, retried: runs.len() as u64 - quarantined, quarantined, runs },
+        slo: Slo { passed: true, breaches: Vec::new() },
+    };
+    let breaches = report.breaches();
+    report.slo = Slo { passed: breaches.is_empty(), breaches };
+    report
 }
 
 /// Test hook mirroring the conformance gate's `--inject-loss`: halve the
@@ -199,304 +255,152 @@ pub fn degrade_matching(summaries: &mut [NetworkSummary], pattern: &str) -> usiz
 }
 
 impl FleetReport {
-    /// Fraction of networks with at least one health alert.
-    pub fn alert_rate(&self) -> f64 {
-        self.alert_networks as f64 / self.networks.max(1) as f64
+    /// The fraction of networks that `count` of them is.
+    fn rate(&self, count: u64) -> f64 {
+        count as f64 / self.networks.max(1) as f64
     }
 
-    /// Fraction of networks with at least one audit violation.
-    pub fn violation_rate(&self) -> f64 {
-        self.violation_networks as f64 / self.networks.max(1) as f64
-    }
-
-    /// Networks quarantined after exhausting their attempts.
-    pub fn quarantined_count(&self) -> u64 {
-        self.degraded.iter().filter(|d| d.quarantined).count() as u64
-    }
-
-    /// Networks that completed only after at least one retry.
-    pub fn retried_count(&self) -> u64 {
-        self.degraded.iter().filter(|d| !d.quarantined).count() as u64
-    }
-
-    /// Every SLO the report breaches under `policy` (empty = pass).
-    pub fn breaches(&self, policy: &SloPolicy) -> Vec<String> {
+    /// Every SLO floor the report breaches (empty = pass).
+    fn breaches(&self) -> Vec<String> {
         let mut out = Vec::new();
-        if self.fleet_pdr < policy.fleet_pdr_floor {
-            out.push(format!(
-                "fleet PDR {:.4} below floor {:.4}",
-                self.fleet_pdr, policy.fleet_pdr_floor
-            ));
+        if self.fleet_pdr < FLEET_PDR_FLOOR {
+            out.push(format!("fleet PDR {:.4} below floor {FLEET_PDR_FLOOR:.4}", self.fleet_pdr));
         }
-        if let Some((label, pdr)) = self.worst.first() {
-            if *pdr < policy.worst_network_pdr_floor {
+        if let Some(worst) = self.worst_networks.first() {
+            if worst.pdr < WORST_NETWORK_PDR_FLOOR {
                 out.push(format!(
-                    "worst network `{label}` PDR {:.4} below floor {:.4}",
-                    pdr, policy.worst_network_pdr_floor
+                    "worst network `{}` PDR {:.4} below floor {WORST_NETWORK_PDR_FLOOR:.4}",
+                    worst.label, worst.pdr
                 ));
             }
         }
-        if self.alert_rate() > policy.max_alert_rate {
+        let alert_rate = self.rate(self.alert_networks);
+        if alert_rate > MAX_ALERT_RATE {
             out.push(format!(
-                "{} of {} networks alerting ({:.4} > {:.4})",
-                self.alert_networks,
-                self.networks,
-                self.alert_rate(),
-                policy.max_alert_rate
+                "{} of {} networks alerting ({alert_rate:.4} > {MAX_ALERT_RATE:.4})",
+                self.alert_networks, self.networks
             ));
         }
-        if self.violation_rate() > policy.max_violation_rate {
+        let violation_rate = self.rate(self.violation_networks);
+        if violation_rate > MAX_VIOLATION_RATE {
             out.push(format!(
-                "{} of {} networks with audit violations ({:.4} > {:.4})",
-                self.violation_networks,
-                self.networks,
-                self.violation_rate(),
-                policy.max_violation_rate
+                "{} of {} networks with audit violations ({violation_rate:.4} > \
+                 {MAX_VIOLATION_RATE:.4})",
+                self.violation_networks, self.networks
             ));
         }
         // A partial report must never pass silently: quarantined or
         // skipped networks are missing from every other number above.
-        let quarantined = self.quarantined_count();
-        if quarantined > 0 {
+        if self.degraded.quarantined > 0 {
             out.push(format!(
-                "{quarantined} network(s) quarantined after exhausting retries (partial report)"
+                "{} network(s) quarantined after exhausting retries (partial report)",
+                self.degraded.quarantined
             ));
         }
-        if self.skipped > 0 {
+        if self.degraded.skipped > 0 {
             out.push(format!(
                 "{} network(s) skipped by cancellation (partial report)",
-                self.skipped
+                self.degraded.skipped
             ));
         }
         out
     }
-
-    /// The canonical JSON form — deterministic field order, no wall-clock
-    /// timings, so two runs of the same spec + seed serialize to the same
-    /// bytes.
-    pub fn to_json(&self, policy: &SloPolicy) -> Value {
-        let breaches = self.breaches(policy);
-        let q = |p: f64| Value::opt(self.latency.quantile(p));
-        Value::Obj(vec![
-            ("networks".into(), Value::Int(self.networks)),
-            ("nodes".into(), Value::Int(self.nodes)),
-            ("secs".into(), Value::Int(self.secs)),
-            ("generated".into(), Value::Int(self.generated)),
-            ("delivered".into(), Value::Int(self.delivered)),
-            ("fleet_pdr".into(), Value::num(self.fleet_pdr)),
-            ("mean_network_pdr".into(), Value::num(self.mean_network_pdr)),
-            ("mean_fraction_joined".into(), Value::num(self.mean_fraction_joined)),
-            ("latency_samples".into(), Value::Int(self.latency.count())),
-            ("latency_p50_ms".into(), q(50.0)),
-            ("latency_p99_ms".into(), q(99.0)),
-            ("alert_networks".into(), Value::Int(self.alert_networks)),
-            ("total_alerts".into(), Value::Int(self.total_alerts)),
-            (
-                "alerts_by_rule".into(),
-                Value::Obj(
-                    HealthRule::ALL
-                        .iter()
-                        .zip(&self.alert_kind_totals)
-                        .map(|(rule, &n)| (rule.as_str().to_string(), Value::Int(n)))
-                        .collect(),
-                ),
-            ),
-            ("violation_networks".into(), Value::Int(self.violation_networks)),
-            ("total_violations".into(), Value::Int(self.total_violations)),
-            (
-                "worst_networks".into(),
-                Value::Arr(
-                    self.worst
-                        .iter()
-                        .map(|(label, pdr)| {
-                            Value::Obj(vec![
-                                ("label".into(), Value::Str(label.clone())),
-                                ("pdr".into(), Value::num(*pdr)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "alerting_networks".into(),
-                Value::Arr(
-                    self.alerting
-                        .iter()
-                        .map(|(label, n)| {
-                            Value::Obj(vec![
-                                ("label".into(), Value::Str(label.clone())),
-                                ("alerts".into(), Value::Int(*n)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "violating_networks".into(),
-                Value::Arr(
-                    self.violating
-                        .iter()
-                        .map(|(label, n)| {
-                            Value::Obj(vec![
-                                ("label".into(), Value::Str(label.clone())),
-                                ("violations".into(), Value::Int(*n)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "degraded".into(),
-                Value::Obj(vec![
-                    ("skipped".into(), Value::Int(self.skipped)),
-                    ("retried".into(), Value::Int(self.retried_count())),
-                    ("quarantined".into(), Value::Int(self.quarantined_count())),
-                    (
-                        "runs".into(),
-                        Value::Arr(
-                            self.degraded
-                                .iter()
-                                .map(|d| {
-                                    Value::Obj(vec![
-                                        ("label".into(), Value::Str(d.label.clone())),
-                                        ("reason".into(), Value::Str(d.reason.clone())),
-                                        ("attempts".into(), Value::Int(u64::from(d.attempts))),
-                                        ("quarantined".into(), Value::Bool(d.quarantined)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "slo".into(),
-                Value::Obj(vec![
-                    ("passed".into(), Value::Bool(breaches.is_empty())),
-                    ("breaches".into(), Value::Arr(breaches.into_iter().map(Value::Str).collect())),
-                ]),
-            ),
-        ])
-    }
 }
 
-/// Renders a canonical fleet report — the [`FleetReport::to_json`] value,
-/// built in process or parsed back from a saved file — as the
-/// human-readable table. It is the only renderer, so a saved report
-/// prints exactly what its run printed. A missing or mistyped field is an
-/// error naming it.
-pub fn render(report: &Value) -> Result<String, String> {
+/// Renders a fleet report — built in process or decoded from a saved
+/// file — as the human-readable table. It is the only renderer, so a saved
+/// report prints exactly what its run printed.
+pub fn render(report: &FleetReport) -> String {
     use std::fmt::Write;
-    let int = |v: &Value, key: &str| v.uint::<u64>(key);
-    let networks = int(report, "networks")?;
-    let rate = |n: u64| n as f64 / networks.max(1) as f64;
-    let ms = |key: &str| -> Result<String, String> {
-        Ok(report.opt_f64(key)?.map_or("-".to_string(), |v| format!("{v:.0} ms")))
-    };
+    let ms = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.0} ms"));
     let mut out = String::new();
     let _ = writeln!(out, "fleet SLO report");
     let _ = writeln!(
         out,
-        "  networks        : {networks} ({} nodes, {} s simulated each)",
-        int(report, "nodes")?,
-        int(report, "secs")?
+        "  networks        : {} ({} nodes, {} s simulated each)",
+        report.networks, report.nodes, report.secs
     );
     let _ = writeln!(
         out,
         "  fleet PDR       : {:.4} ({} / {} packets; mean network {:.4})",
-        report.f64("fleet_pdr")?,
-        int(report, "delivered")?,
-        int(report, "generated")?,
-        report.f64("mean_network_pdr")?
+        report.fleet_pdr, report.delivered, report.generated, report.mean_network_pdr
     );
     let _ = writeln!(
         out,
         "  e2e latency     : p50 {} / p99 {} ({} samples)",
-        ms("latency_p50_ms")?,
-        ms("latency_p99_ms")?,
-        int(report, "latency_samples")?
+        ms(report.latency_p50_ms),
+        ms(report.latency_p99_ms),
+        report.latency_samples
     );
+    let _ = writeln!(out, "  joined          : {:.3} mean fraction", report.mean_fraction_joined);
     let _ = writeln!(
         out,
-        "  joined          : {:.3} mean fraction",
-        report.f64("mean_fraction_joined")?
+        "  health alerts   : {} network(s), {} alert(s) (rate {:.4})",
+        report.alert_networks,
+        report.total_alerts,
+        report.rate(report.alert_networks)
     );
-    let (alert_networks, total_alerts) =
-        (int(report, "alert_networks")?, int(report, "total_alerts")?);
-    let _ = writeln!(
-        out,
-        "  health alerts   : {alert_networks} network(s), {total_alerts} alert(s) (rate {:.4})",
-        rate(alert_networks)
-    );
-    if total_alerts > 0 {
-        let by_rule = report.req("alerts_by_rule")?;
-        let mut kinds = Vec::new();
-        for rule in HealthRule::ALL {
-            let n = int(by_rule, rule.as_str())?;
-            if n > 0 {
-                kinds.push(format!("{} {n}", rule.as_str()));
-            }
-        }
+    if report.total_alerts > 0 {
+        let kinds: Vec<String> = report
+            .alerts_by_rule
+            .iter()
+            .filter(|(_, n)| *n > 0)
+            .map(|(rule, n)| format!("{rule} {n}"))
+            .collect();
         let _ = writeln!(out, "    by rule: {}", kinds.join(", "));
     }
-    let violation_networks = int(report, "violation_networks")?;
     let _ = writeln!(
         out,
-        "  audit violations: {violation_networks} network(s), {} violation(s) (rate {:.4})",
-        int(report, "total_violations")?,
-        rate(violation_networks)
+        "  audit violations: {} network(s), {} violation(s) (rate {:.4})",
+        report.violation_networks,
+        report.total_violations,
+        report.rate(report.violation_networks)
     );
     let _ = writeln!(out, "  worst networks  :");
-    for w in report.arr("worst_networks")? {
-        let _ = writeln!(out, "    {:.4}  {}", w.f64("pdr")?, w.str("label")?);
+    for w in &report.worst_networks {
+        let _ = writeln!(out, "    {:.4}  {}", w.pdr, w.label);
     }
-    for (key, header, count) in [
-        ("alerting_networks", "  most alerting   :", "alerts"),
-        ("violating_networks", "  violating       :", "violations"),
-    ] {
-        let rows = report.arr(key)?;
+    let alerting: Vec<(u64, &str)> =
+        report.alerting_networks.iter().map(|w| (w.alerts, w.label.as_str())).collect();
+    let violating: Vec<(u64, &str)> =
+        report.violating_networks.iter().map(|w| (w.violations, w.label.as_str())).collect();
+    for (header, rows) in [("  most alerting   :", alerting), ("  violating       :", violating)] {
         if !rows.is_empty() {
             let _ = writeln!(out, "{header}");
-            for w in rows {
-                let _ = writeln!(out, "    {:>6}  {}", int(w, count)?, w.str("label")?);
+            for (count, label) in rows {
+                let _ = writeln!(out, "    {count:>6}  {label}");
             }
         }
     }
-    let degraded = report.req("degraded")?;
-    let (skipped, runs) = (int(degraded, "skipped")?, degraded.arr("runs")?);
-    if !runs.is_empty() || skipped > 0 {
+    let degraded = &report.degraded;
+    if !degraded.runs.is_empty() || degraded.skipped > 0 {
         let _ = writeln!(
             out,
-            "  degraded        : {skipped} skipped, {} retried, {} quarantined",
-            int(degraded, "retried")?,
-            int(degraded, "quarantined")?
+            "  degraded        : {} skipped, {} retried, {} quarantined",
+            degraded.skipped, degraded.retried, degraded.quarantined
         );
-        for d in runs {
-            let state = if d.bool("quarantined")? { "quarantined" } else { "recovered" };
-            let _ = writeln!(
-                out,
-                "    {state}  {} (attempt(s) {}: {})",
-                d.str("label")?,
-                int(d, "attempts")?,
-                d.str("reason")?
-            );
+        for d in &degraded.runs {
+            let state = if d.quarantined { "quarantined" } else { "recovered" };
+            let _ =
+                writeln!(out, "    {state}  {} (attempt(s) {}: {})", d.label, d.attempts, d.reason);
         }
     }
-    let slo = report.req("slo")?;
     let _ = writeln!(
         out,
         "  SLO             : {}",
-        if slo.bool("passed")? { "PASSED" } else { "FAILED" }
+        if report.slo.passed { "PASSED" } else { "FAILED" }
     );
-    for b in slo.arr("breaches")? {
-        let _ = writeln!(out, "    breach: {}", b.as_str().ok_or("`breaches` holds a non-string")?);
+    for b in &report.slo.breaches {
+        let _ = writeln!(out, "    breach: {b}");
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use digs_json::message::Rows;
+    use digs_json::Value;
 
     fn summary(label: &str, pdr: f64, alerts: u64, violations: u64) -> NetworkSummary {
         let mut latency = LogHistogram::new();
@@ -519,6 +423,10 @@ mod tests {
         }
     }
 
+    fn aggregate(summaries: &[NetworkSummary], secs: u64) -> FleetReport {
+        aggregate_partial(summaries, secs, Vec::new(), 0)
+    }
+
     #[test]
     fn aggregation_pools_and_ranks() {
         let summaries =
@@ -529,13 +437,20 @@ mod tests {
         assert_eq!(report.generated, 300);
         assert_eq!(report.delivered, 99 + 80 + 95);
         assert_eq!(report.alert_networks, 1);
-        assert_eq!(report.alert_kind_totals, [0, 1, 0, 0]);
+        let by_rule: Vec<u64> = report.alerts_by_rule.iter().map(|(_, n)| *n).collect();
+        assert_eq!(by_rule, [0, 1, 0, 0]);
         assert_eq!(report.violation_networks, 1);
         assert_eq!(report.total_violations, 2);
-        assert_eq!(report.alerting, vec![("b".to_string(), 1)]);
-        assert_eq!(report.violating, vec![("c".to_string(), 2)]);
-        assert_eq!(report.latency.count(), 9, "histograms merge");
-        assert_eq!(report.worst[0], ("b".to_string(), 0.80));
+        assert_eq!(
+            report.alerting_networks,
+            vec![AlertingNetwork { label: "b".into(), alerts: 1 }]
+        );
+        assert_eq!(
+            report.violating_networks,
+            vec![ViolatingNetwork { label: "c".into(), violations: 2 }]
+        );
+        assert_eq!(report.latency_samples, 9, "histograms merge");
+        assert_eq!(report.worst_networks[0], WorstNetwork { label: "b".into(), pdr: 0.80 });
         assert!((report.mean_network_pdr - (0.99 + 0.80 + 0.95) / 3.0).abs() < 1e-12);
     }
 
@@ -543,27 +458,25 @@ mod tests {
     fn worst_list_is_deterministic_under_ties() {
         let summaries = vec![summary("z", 0.9, 0, 0), summary("a", 0.9, 0, 0)];
         let report = aggregate(&summaries, 60);
-        assert_eq!(report.worst[0].0, "a", "label breaks PDR ties");
+        assert_eq!(report.worst_networks[0].label, "a", "label breaks PDR ties");
     }
 
     #[test]
     fn slo_breaches_trip_on_each_axis() {
         let clean = aggregate(&[summary("a", 0.99, 0, 0)], 60);
-        assert!(clean.breaches(&SloPolicy::new()).is_empty());
+        assert!(clean.slo.passed && clean.slo.breaches.is_empty());
 
         let lossy = aggregate(&[summary("a", 0.40, 0, 0)], 60);
-        let breaches = lossy.breaches(&SloPolicy::new());
+        let breaches = &lossy.slo.breaches;
+        assert!(!lossy.slo.passed);
         assert!(breaches.iter().any(|b| b.contains("fleet PDR")), "{breaches:?}");
         assert!(breaches.iter().any(|b| b.contains("worst network")), "{breaches:?}");
 
         let alerting = aggregate(&[summary("a", 0.99, 3, 0)], 60);
-        assert!(alerting.breaches(&SloPolicy::new()).iter().any(|b| b.contains("alerting")));
+        assert!(alerting.slo.breaches.iter().any(|b| b.contains("alerting")));
 
         let violating = aggregate(&[summary("a", 0.99, 0, 1)], 60);
-        assert!(violating
-            .breaches(&SloPolicy::new())
-            .iter()
-            .any(|b| b.contains("audit violations")));
+        assert!(violating.slo.breaches.iter().any(|b| b.contains("audit violations")));
     }
 
     #[test]
@@ -573,7 +486,7 @@ mod tests {
         assert_eq!(degrade_matching(&mut summaries, "oil-field"), 1);
         assert!((summaries[0].pdr - 0.495).abs() < 1e-12);
         let report = aggregate(&summaries, 60);
-        assert!(!report.breaches(&SloPolicy::new()).is_empty());
+        assert!(!report.slo.passed);
     }
 
     #[test]
@@ -593,26 +506,25 @@ mod tests {
             },
         ];
         let report = aggregate_partial(&[summary("a", 0.99, 0, 0)], 60, degraded, 3);
-        assert_eq!(report.quarantined_count(), 1);
-        assert_eq!(report.retried_count(), 1);
-        let breaches = report.breaches(&SloPolicy::new());
+        assert_eq!(report.degraded.quarantined, 1);
+        assert_eq!(report.degraded.retried, 1);
+        let breaches = &report.slo.breaches;
         assert!(breaches.iter().any(|b| b.contains("quarantined")), "{breaches:?}");
         assert!(breaches.iter().any(|b| b.contains("skipped")), "{breaches:?}");
         assert_eq!(breaches.len(), 2, "a recovered retry alone must not breach: {breaches:?}");
 
-        let json = report.to_json(&SloPolicy::new()).to_compact();
+        let json = report.to_json_line();
         assert!(json.contains("\"degraded\":{\"skipped\":3,\"retried\":1,\"quarantined\":1"));
         assert!(json.contains("oil-field-0003/seed4"));
-        let rendered = render(&report.to_json(&SloPolicy::new())).unwrap();
+        let rendered = render(&report);
         assert!(rendered.contains("quarantined"), "{rendered}");
         assert!(rendered.contains("FAILED"), "{rendered}");
 
         // A clean report serializes an empty degraded section and passes.
         let clean = aggregate(&[summary("a", 0.99, 0, 0)], 60);
-        assert!(clean.breaches(&SloPolicy::new()).is_empty());
+        assert!(clean.slo.passed);
         assert!(clean
-            .to_json(&SloPolicy::new())
-            .to_compact()
+            .to_json_line()
             .contains("\"degraded\":{\"skipped\":0,\"retried\":0,\"quarantined\":0,\"runs\":[]}"));
     }
 
@@ -635,12 +547,11 @@ mod tests {
             },
         ];
         let report = aggregate_partial(&summaries, 60, degraded, 2);
-        assert!(!report.worst.is_empty() && !report.alerting.is_empty());
-        assert!(!report.violating.is_empty());
-        let json = report.to_json(&SloPolicy::new());
-        let text = render(&json).unwrap();
-        let saved = digs_json::parse(&(json.to_pretty() + "\n")).unwrap();
-        assert_eq!(render(&saved).unwrap(), text);
+        assert!(!report.worst_networks.is_empty() && !report.alerting_networks.is_empty());
+        assert!(!report.violating_networks.is_empty());
+        let text = render(&report);
+        let saved = digs_json::parse(&(report.to_value().to_pretty() + "\n")).unwrap();
+        assert_eq!(FleetReport::take_fields(&saved).as_ref(), Ok(&report));
         for section in [
             "joined          : 1.000",
             "by rule: churn-storm 2",
@@ -653,7 +564,7 @@ mod tests {
         ] {
             assert!(text.contains(section), "missing `{section}` in\n{text}");
         }
-        for breach in report.breaches(&SloPolicy::new()) {
+        for breach in &report.slo.breaches {
             assert!(text.contains(&format!("    breach: {breach}\n")), "{text}");
         }
 
@@ -661,15 +572,17 @@ mod tests {
         if let Value::Obj(fields) = &mut broken {
             fields.retain(|(k, _)| k != "latency_samples");
         }
-        assert_eq!(render(&broken).unwrap_err(), "missing field `latency_samples`");
+        assert_eq!(
+            FleetReport::take_fields(&broken).unwrap_err(),
+            "missing field `latency_samples`"
+        );
     }
 
     #[test]
     fn json_is_deterministic_and_excludes_wall_clock() {
         let summaries = vec![summary("a", 0.99, 0, 0), summary("b", 0.95, 0, 0)];
-        let report = aggregate(&summaries, 120);
-        let a = report.to_json(&SloPolicy::new()).to_compact();
-        let b = aggregate(&summaries, 120).to_json(&SloPolicy::new()).to_compact();
+        let a = aggregate(&summaries, 120).to_json_line();
+        let b = aggregate(&summaries, 120).to_json_line();
         assert_eq!(a, b);
         assert!(a.contains("\"fleet_pdr\""));
         assert!(a.contains("\"slo\""));

@@ -20,12 +20,13 @@
 //!   ([`digs_sim::interference::JammerKind::Ambient`]) installed in its
 //!   neighbors, hash-gated so the exchange is deterministic and never
 //!   perturbs any shard's random stream;
-//! - [`aggregate`] merges the per-network summaries (latency histograms
+//! - [`aggregate`](mod@aggregate) merges the per-network summaries (latency histograms
 //!   via [`digs_metrics::histogram::LogHistogram::merge`]) into a fleet
 //!   SLO report — fleet-wide p50/p99 end-to-end latency, pooled PDR,
 //!   health-alert and audit-violation network rates, worst-k networks —
-//!   rendered as canonical JSON (byte-identical for identical spec +
-//!   seed; wall-clock timings are deliberately excluded).
+//!   declared by `message!` rows that write it as canonical JSON
+//!   (byte-identical for identical spec + seed; wall-clock timings are
+//!   deliberately excluded) and read a saved one back.
 //!
 //! Surfaced as `digs-cli fleet run|report`.
 
@@ -37,9 +38,7 @@ pub mod runner;
 pub mod shard;
 pub mod spec;
 
-pub use aggregate::{
-    aggregate, aggregate_partial, degrade_matching, render, FleetReport, SloPolicy,
-};
+pub use aggregate::{aggregate_partial, degrade_matching, render, FleetReport};
 pub use runner::{
     fleet_tuned, run_fleet, run_network, summarize, DegradedRun, FleetObserver, FleetOutcome,
     NetworkSummary, RunPolicy,

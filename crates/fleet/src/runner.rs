@@ -5,6 +5,7 @@ use crate::spec::FleetSpec;
 use digs::config::NetworkConfig;
 use digs::network::{Network, RunObserver};
 use digs::telemetry::HealthRule;
+use digs_json::message;
 use digs_metrics::histogram::LogHistogram;
 use digs_pool as pool;
 use digs_sim::time::SLOTS_PER_SECOND;
@@ -131,21 +132,23 @@ pub struct RunPolicy {
     pub inject_timeout: Option<String>,
 }
 
-/// One network the fleet could not run cleanly: it needed retries
-/// (`quarantined == false`, the last attempt succeeded) or exhausted its
-/// attempts (`quarantined == true`, no summary exists for it).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedRun {
-    /// The network's stable label.
-    pub label: String,
-    /// Why the last failed attempt failed (`timeout at asn N` or
-    /// `panic: ...`).
-    pub reason: String,
-    /// Attempts made (including the final successful one, if any).
-    pub attempts: u32,
-    /// True when every attempt failed: the network is excluded from the
-    /// summaries and the report must gate on it.
-    pub quarantined: bool,
+message! {
+    /// One network the fleet could not run cleanly: it needed retries
+    /// (`quarantined == false`, the last attempt succeeded) or exhausted its
+    /// attempts (`quarantined == true`, no summary exists for it).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DegradedRun {
+        /// The network's stable label.
+        label: String,
+        /// Why the last failed attempt failed (`timeout at asn N` or
+        /// `panic: ...`).
+        reason: String,
+        /// Attempts made (including the final successful one, if any).
+        attempts: u32,
+        /// True when every attempt failed: the network is excluded from the
+        /// summaries and the report must gate on it.
+        quarantined: bool,
+    }
 }
 
 /// Stops a run cooperatively once the wall-clock deadline passes. The

@@ -90,6 +90,7 @@ pub fn shard_topologies(spec: &ShardedSpec) -> Vec<Topology> {
                 roles.push(Role::FieldDevice);
             }
             Topology::new(format!("{}-shard{}", spec.name, s), positions, roles)
+                .with_rf(RfConfig::open_area())
         })
         .collect()
 }
@@ -118,7 +119,6 @@ pub fn shard_configs(spec: &ShardedSpec, secs: u64, telemetry_epoch: u64) -> Vec
             };
             let config = NetworkConfig::builder(topology)
                 .protocol(Protocol::Digs)
-                .rf(RfConfig::open_area())
                 .slotframes(slotframes)
                 .seed(rng::mix(spec.seed, s as u64, 0x5a4d, 3))
                 .flows(flow_set)

@@ -95,23 +95,6 @@ impl PartialEq for Value {
 }
 
 impl Value {
-    /// Builds a number value; non-finite input becomes [`Value::Null`]
-    /// (JSON has no `inf`/`NaN`, and "no data" is what they mean here —
-    /// e.g. power per packet when nothing was delivered).
-    pub fn num(x: f64) -> Value {
-        if x.is_finite() {
-            Value::Num(x)
-        } else {
-            Value::Null
-        }
-    }
-
-    /// Builds a number from an optional float (absent or non-finite →
-    /// `null`).
-    pub fn opt(x: Option<f64>) -> Value {
-        x.map_or(Value::Null, Value::num)
-    }
-
     /// Builds an object from `(key, value)` pairs, in order.
     pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
         Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -171,52 +154,16 @@ impl Value {
         })
     }
 
-    /// A required object field.
-    pub fn req(&self, key: &str) -> Result<&Value, String> {
-        self.field(key).ok_or_else(|| format!("missing field `{key}`"))
-    }
-
     /// An optional object field: absent and `null` are both `None`.
     pub fn present(&self, key: &str) -> Option<&Value> {
         self.field(key).filter(|v| !matches!(v, Value::Null))
     }
 
-    /// A required non-negative integer field, range-checked into `T`.
-    pub fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
-        self.req(key)?.to_uint(key)
-    }
-
-    /// A required number field.
-    pub fn f64(&self, key: &str) -> Result<f64, String> {
-        self.req(key)?.as_f64().ok_or_else(|| format!("`{key}` is not a number"))
-    }
-
-    /// An optional number field.
-    pub fn opt_f64(&self, key: &str) -> Result<Option<f64>, String> {
-        self.present(key).map(|_| self.f64(key)).transpose()
-    }
-
-    /// A required string field.
-    pub fn str(&self, key: &str) -> Result<&str, String> {
-        self.req(key)?.as_str().ok_or_else(|| format!("`{key}` is not a string"))
-    }
-
     /// An optional string field.
     pub fn opt_str(&self, key: &str) -> Result<Option<&str>, String> {
-        self.present(key).map(|_| self.str(key)).transpose()
-    }
-
-    /// A required array field.
-    pub fn arr(&self, key: &str) -> Result<&[Value], String> {
-        self.req(key)?.as_arr().ok_or_else(|| format!("`{key}` is not a list"))
-    }
-
-    /// A required boolean field.
-    pub fn bool(&self, key: &str) -> Result<bool, String> {
-        match self.req(key)? {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(format!("`{key}` is not a boolean")),
-        }
+        self.present(key)
+            .map(|v| v.as_str().ok_or_else(|| format!("`{key}` is not a string")))
+            .transpose()
     }
 
     /// Serializes compactly (no whitespace) — the canonical form.
@@ -801,10 +748,8 @@ mod tests {
 
     #[test]
     fn non_finite_becomes_null() {
-        assert_eq!(Value::num(f64::INFINITY), Value::Null);
-        assert_eq!(Value::num(f64::NAN), Value::Null);
-        assert_eq!(Value::opt(None), Value::Null);
-        assert_eq!(Value::opt(Some(2.0)), Value::Num(2.0));
+        assert_eq!(Value::Num(f64::INFINITY).to_compact(), "null");
+        assert_eq!(Value::Num(f64::NAN).to_pretty(), "null\n");
     }
 
     #[test]
@@ -872,22 +817,18 @@ mod tests {
     #[test]
     fn keyed_accessors_check_type_and_range_and_name_the_field() {
         let v = parse(r#"{"node":70000,"seq":7,"s":"x","f":1.5,"b":true,"nil":null}"#).unwrap();
-        assert_eq!(v.uint::<u64>("node"), Ok(70000));
-        assert_eq!(v.uint::<u32>("node"), Ok(70000));
-        let err = v.uint::<u16>("node").unwrap_err();
+        let node = v.field("node").unwrap();
+        assert_eq!(node.to_uint::<u64>("node"), Ok(70000));
+        assert_eq!(node.to_uint::<u32>("node"), Ok(70000));
+        let err = node.to_uint::<u16>("node").unwrap_err();
         assert!(err.contains("node") && err.contains("70000") && err.contains("u16"), "{err}");
-        assert!(v.uint::<u64>("missing").unwrap_err().contains("missing"));
-        assert!(v.uint::<u64>("f").unwrap_err().contains("`f`"));
-        assert_eq!(v.str("s"), Ok("x"));
-        assert!(v.str("seq").unwrap_err().contains("seq"));
+        assert!(v.field("f").unwrap().to_uint::<u64>("f").unwrap_err().contains("`f`"));
+        assert_eq!(v.opt_str("s"), Ok(Some("x")));
         assert_eq!(v.opt_str("nil"), Ok(None));
-        assert_eq!(v.f64("f"), Ok(1.5));
-        assert_eq!(v.f64("seq"), Ok(7.0));
-        assert_eq!(v.opt_f64("nil"), Ok(None));
-        assert!(v.opt_f64("s").is_err());
-        assert!(v.arr("s").unwrap_err().contains("`s`"));
-        assert_eq!(v.bool("b"), Ok(true));
-        assert!(v.bool("seq").is_err());
+        assert_eq!(v.opt_str("missing"), Ok(None));
+        assert!(v.opt_str("seq").unwrap_err().contains("`seq`"));
+        assert_eq!(v.present("nil"), None);
+        assert_eq!(v.present("b"), Some(&Value::Bool(true)));
     }
 
     #[test]

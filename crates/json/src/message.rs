@@ -468,6 +468,17 @@ pub fn decode_line<T>(
     from_value(&crate::parse(line).map_err(|e| e.to_string())?)
 }
 
+/// The name a protocol enum's object holds under its tag `key`.
+///
+/// # Errors
+///
+/// No `key`, or not a string there.
+#[doc(hidden)]
+pub fn tag<'a>(key: &str, obj: &'a Value) -> Result<&'a str, String> {
+    let value = obj.field(key).ok_or_else(|| format!("missing field `{key}`"))?;
+    value.as_str().ok_or_else(|| format!("`{key}` is not a string"))
+}
+
 /// The kind that codes a row: the one named after `as`, else the type.
 #[doc(hidden)]
 #[macro_export]
@@ -743,7 +754,7 @@ macro_rules! message {
             }
 
             fn take_fields(v: &$crate::Value) -> Result<$name, String> {
-                match v.str($key)? {
+                match $crate::message::tag($key, v)? {
                     $(
                         $tag => Ok($name::$variant $({
                             $( $field: $crate::take_field!(

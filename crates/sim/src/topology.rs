@@ -16,6 +16,7 @@
 
 use crate::ids::NodeId;
 use crate::position::Position;
+use crate::rf::RfConfig;
 use crate::rng;
 
 /// The role a device plays in the network.
@@ -28,16 +29,19 @@ pub enum Role {
     FieldDevice,
 }
 
-/// An immutable network topology: device roles and physical placement.
+/// An immutable network topology: device roles, physical placement, and
+/// the radio environment the devices are placed in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     name: String,
     positions: Vec<Position>,
     roles: Vec<Role>,
+    rf: RfConfig,
 }
 
 impl Topology {
-    /// Builds a topology from explicit placements.
+    /// Builds a topology from explicit placements, indoors
+    /// ([`RfConfig::indoor`]; see [`Topology::with_rf`]).
     ///
     /// # Panics
     ///
@@ -47,12 +51,23 @@ impl Topology {
         assert_eq!(positions.len(), roles.len(), "positions/roles length mismatch");
         assert!(positions.len() <= usize::from(u16::MAX), "too many nodes");
         assert!(roles.contains(&Role::AccessPoint), "topology needs at least one access point");
-        Topology { name: name.into(), positions, roles }
+        Topology { name: name.into(), positions, roles, rf: RfConfig::indoor() }
+    }
+
+    /// The same placements in another radio environment.
+    pub fn with_rf(self, rf: RfConfig) -> Topology {
+        Topology { rf, ..self }
     }
 
     /// Human-readable layout name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The radio environment: what a network on this layout is simulated
+    /// under, whatever the layout is named.
+    pub fn rf(&self) -> &RfConfig {
+        &self.rf
     }
 
     /// Total number of devices (access points + field devices).
@@ -131,7 +146,8 @@ impl Topology {
 
     /// The Cooja-scale layout: `n` nodes + 2 access points placed uniformly
     /// at random (deterministically from `seed`) in a `side` × `side` meter
-    /// area, with the access points near the center-west and center-east.
+    /// area, with the access points near the center-west and center-east,
+    /// outdoors ([`RfConfig::open_area`]).
     pub fn random_area(n: usize, side: f64, seed: u64) -> Topology {
         assert!(n >= 1, "need at least one field device");
         let mut positions =
@@ -144,6 +160,7 @@ impl Topology {
             roles.push(Role::FieldDevice);
         }
         Topology::new(format!("random-{}x{:.0}m", n, side), positions, roles)
+            .with_rf(RfConfig::open_area())
     }
 
     /// The paper's 150-node Cooja simulation layout (300 m × 300 m).
