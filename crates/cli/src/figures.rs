@@ -14,7 +14,7 @@ use crate::run::manager_update;
 use digs::flows::FlowSpec;
 use digs::results::{FlowResult, RunResults};
 use digs::scenarios::JAM_START_SECS;
-use digs::watchdog::{self, WatchdogConfig, WatchdogSummary};
+use digs::watchdog::{self, WatchdogSummary};
 use digs_conformance::matrix::{self, REPAIR_SETTLE_SECS};
 use digs_conformance::{pool, ScenarioSpec};
 use digs_metrics::stats::{mean_confidence_interval, ConfidenceInterval};
@@ -412,8 +412,7 @@ impl Runs {
         Sample::sets(runs.iter().map(|run| {
             let plan = spec.chaos_plan(run.seed).expect("a chaos scenario");
             let events = watchdog::events_from_chaos(plan.events());
-            let reports =
-                watchdog::analyze(&run.results, &run.flows, &events, &WatchdogConfig::default());
+            let reports = watchdog::analyze(&run.results, &run.flows, &events);
             value(&watchdog::summarize(&reports))
         }))
     }

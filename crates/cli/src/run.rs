@@ -6,7 +6,7 @@ use digs_json::message::Rows;
 use digs_sim::analysis::TopologyAnalysis;
 use digs_sim::link::LinkModel;
 use digs_sim::topology::Topology;
-use digs_whart::{LinkDb, NetworkManager, UpdateCostConfig, UpdateReport};
+use digs_whart::{LinkDb, NetworkManager, UpdateReport};
 
 /// The run flags as a [`SingleSpec`] — the one "options → network" code
 /// path shared with the daemon, so a local run and a `digsd launch` of
@@ -116,8 +116,7 @@ pub(crate) fn manager_update(
 ) -> Result<(NetworkManager, UpdateReport), String> {
     let model = LinkModel::new(topology, topology.rf().clone(), 1);
     let db = LinkDb::from_link_model(&model);
-    let mut manager =
-        NetworkManager::new(db, topology.access_points(), UpdateCostConfig::default());
+    let mut manager = NetworkManager::new(db, topology.access_points());
     let mut sources = topology.field_devices();
     sources.reverse();
     sources.truncate(flows);

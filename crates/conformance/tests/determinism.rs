@@ -6,11 +6,10 @@
 
 use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
+use digs::scenarios;
 use digs::telemetry;
 use digs_conformance::{MetricContext, RunMetrics};
 use digs_sim::fault::{ClockDesync, FaultPlan, Reboot};
-use digs_sim::interference::Jammer;
-use digs_sim::position::Position;
 use digs_sim::time::Asn;
 use digs_sim::topology::Topology;
 
@@ -166,9 +165,7 @@ fn a_long_traced_run_keeps_every_health_alert_the_sampler_raised() {
 /// `Debug`).
 fn adversarial_once(seed: u64, secs: u64, randomize: Option<u64>) -> (String, String, String) {
     let topology = Topology::testbed_a_half();
-    let ap_positions: Vec<_> =
-        topology.access_points().iter().map(|ap| topology.position(*ap)).collect();
-    let app_len = digs_scheduling::SlotframeLengths::paper().app;
+    let jammers = scenarios::adaptive_jammers_near_aps(&topology, Asn::from_secs(30));
     let mut builder = NetworkConfig::builder(topology)
         .protocol(Protocol::Digs)
         .seed(seed)
@@ -179,13 +176,8 @@ fn adversarial_once(seed: u64, secs: u64, randomize: Option<u64>) -> (String, St
     if let Some(secret) = randomize {
         builder = builder.randomize(secret);
     }
-    for (i, pos) in ap_positions.iter().enumerate() {
-        builder = builder.jammer(Jammer::adaptive(
-            Position::new(pos.x + 2.0, pos.y + 2.0),
-            app_len,
-            Asn::from_secs(30),
-            0xada9 ^ ((i as u64) << 8),
-        ));
+    for j in jammers {
+        builder = builder.jammer(j);
     }
     let mut net = Network::new(builder.build());
     net.run_secs(secs);

@@ -4,10 +4,8 @@
 
 use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
+use digs::scenarios;
 use digs::telemetry::{self, HealthRule};
-use digs_sim::interference::Jammer;
-use digs_sim::position::Position;
-use digs_sim::rf::Dbm;
 use digs_sim::time::{Asn, SLOTS_PER_SECOND};
 use digs_sim::topology::Topology;
 
@@ -67,8 +65,9 @@ fn telemetry_sampling_is_observation_only() {
 /// cluster per access point) and its clean twin.
 fn health_run(jam: Option<(u64, u64)>) -> Vec<telemetry::HealthAlert> {
     let topology = Topology::testbed_a_half();
-    let ap_positions: Vec<_> =
-        topology.access_points().iter().map(|ap| topology.position(*ap)).collect();
+    let jammers = jam.map_or(Vec::new(), |(start, end)| {
+        scenarios::jammer_clusters_on_aps(&topology, Asn::from_secs(start), Asn::from_secs(end))
+    });
     let mut builder = NetworkConfig::builder(topology)
         .protocol(Protocol::Digs)
         .seed(7)
@@ -76,16 +75,8 @@ fn health_run(jam: Option<(u64, u64)>) -> Vec<telemetry::HealthAlert> {
         .trace_cap(0)
         .telemetry_epoch(1000)
         .telemetry_cap(4096);
-    if let Some((start, end)) = jam {
-        for (i, pos) in ap_positions.iter().enumerate() {
-            for (k, wifi_ch) in [1u8, 5, 9, 13].into_iter().enumerate() {
-                let mut j =
-                    Jammer::wifi(*pos, wifi_ch, Asn::from_secs(start)).until(Asn::from_secs(end));
-                j.tx_power = Dbm(24.0);
-                j.salt = 0x9a7 ^ ((i as u64) << 8) ^ k as u64;
-                builder = builder.jammer(j);
-            }
-        }
+    for j in jammers {
+        builder = builder.jammer(j);
     }
     let mut net = Network::new(builder.build());
     net.run_secs(300);
@@ -121,9 +112,7 @@ fn health_monitor_catches_injected_jam_and_stays_quiet_on_clean_runs() {
 /// Returns the health alerts and the jammers' combined hit rate.
 fn adversarial_run(randomize: Option<u64>) -> (Vec<telemetry::HealthAlert>, f64) {
     let topology = Topology::testbed_a_half();
-    let ap_positions: Vec<_> =
-        topology.access_points().iter().map(|ap| topology.position(*ap)).collect();
-    let app_len = digs_scheduling::SlotframeLengths::paper().app;
+    let jammers = scenarios::adaptive_jammers_near_aps(&topology, Asn::from_secs(60));
     let mut builder = NetworkConfig::builder(topology)
         .protocol(Protocol::Digs)
         .seed(7)
@@ -131,13 +120,8 @@ fn adversarial_run(randomize: Option<u64>) -> (Vec<telemetry::HealthAlert>, f64)
         .trace_cap(0)
         .telemetry_epoch(1000)
         .telemetry_cap(4096);
-    for (i, pos) in ap_positions.iter().enumerate() {
-        builder = builder.jammer(Jammer::adaptive(
-            Position::new(pos.x + 2.0, pos.y + 2.0),
-            app_len,
-            Asn::from_secs(60),
-            0xada9 ^ ((i as u64) << 8),
-        ));
+    for j in jammers {
+        builder = builder.jammer(j);
     }
     if let Some(secret) = randomize {
         builder = builder.randomize(secret);

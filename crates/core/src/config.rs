@@ -32,6 +32,17 @@ impl Protocol {
     }
 }
 
+/// Scheduled transmission attempts per packet per slotframe (DiGS `A`).
+pub(crate) const ATTEMPTS: u8 = 3;
+
+/// Per-node application queue capacity (Contiki's queuebuf default).
+pub(crate) const QUEUE_CAPACITY: usize = 8;
+
+/// Application slotframe cycles a packet may spend at one hop before
+/// being dropped (total link-layer persistence: `ATTEMPTS × MAX_CYCLES`
+/// attempts).
+pub(crate) const MAX_CYCLES: u8 = 3;
+
 /// Complete configuration of one simulated network run.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
@@ -47,19 +58,12 @@ pub struct NetworkConfig {
     pub slotframes: SlotframeLengths,
     /// Routing-layer tuning.
     pub routing: RoutingConfig,
-    /// Scheduled transmission attempts per packet per slotframe (DiGS `A`).
-    pub attempts: u8,
     /// The data flows to run.
     pub flows: Vec<FlowSpec>,
     /// Interference sources.
     pub jammers: Vec<Jammer>,
     /// Node-failure schedule.
     pub faults: FaultPlan,
-    /// Per-node application queue capacity.
-    pub queue_capacity: usize,
-    /// Application slotframe cycles a packet may spend at one hop before
-    /// being dropped (total link-layer persistence).
-    pub max_cycles: u8,
     /// Flight-recorder ring capacity per node (events). `None` and
     /// `Some(0)` both mean tracing is off.
     pub trace_cap: Option<usize>,
@@ -71,17 +75,17 @@ pub struct NetworkConfig {
     /// telemetry off.
     pub telemetry_cap: Option<usize>,
     /// Seconds after convergence before the health monitor's steady-state
-    /// rules arm (`None` = the watchdog default). Large dense deployments
-    /// need this sized up: link quality is only discovered by data
-    /// traffic, so the first minutes after the flows start legitimately
-    /// lose packets while ETX estimates correct themselves.
-    pub health_settle_secs: Option<u64>,
-    /// Parent changes per telemetry epoch the health monitor tolerates
-    /// before raising a churn-storm alert (`None` = the watchdog default,
-    /// sized for ~30-node testbeds). Scale this with device count:
-    /// discovery-phase parent selection legitimately swaps more parents
-    /// per epoch in larger deployments.
-    pub health_churn_storm: Option<u32>,
+    /// rules arm (default 10 s, the watchdog's settle time). Large dense
+    /// deployments need this sized up: link quality is only discovered by
+    /// data traffic, so the first minutes after the flows start
+    /// legitimately lose packets while ETX estimates correct themselves.
+    pub health_settle_secs: u64,
+    /// Parent changes per telemetry epoch at which the health monitor
+    /// raises a churn-storm alert (default 8, sized for ~30-node
+    /// testbeds). Scale this with device count: discovery-phase parent
+    /// selection legitimately swaps more parents per epoch in larger
+    /// deployments.
+    pub health_churn_storm: u32,
     /// Schedule-randomization defense (DiGS only): a shared secret from
     /// which every node re-derives its application-cell placement each
     /// slotframe epoch, defeating schedule-learning jammers. `None` and
@@ -100,18 +104,14 @@ impl NetworkConfig {
                 protocol: Protocol::Digs,
                 slotframes: SlotframeLengths::paper(),
                 routing: RoutingConfig::default(),
-                attempts: 3,
                 flows: Vec::new(),
                 jammers: Vec::new(),
                 faults: FaultPlan::none(),
-                // Contiki's queuebuf default: 8 packets per node.
-                queue_capacity: 8,
-                max_cycles: 3,
                 trace_cap: None,
                 telemetry_epoch: None,
                 telemetry_cap: None,
-                health_settle_secs: None,
-                health_churn_storm: None,
+                health_settle_secs: crate::watchdog::SETTLE_SECS,
+                health_churn_storm: 8,
                 sched_randomize: None,
             },
         }
@@ -166,12 +166,6 @@ impl NetworkConfigBuilder {
         self
     }
 
-    /// Sets the scheduled attempts per packet (DiGS `A`).
-    pub fn attempts(mut self, attempts: u8) -> Self {
-        self.config.attempts = attempts;
-        self
-    }
-
     /// Installs an explicit flow set.
     pub fn flows(mut self, flows: Vec<FlowSpec>) -> Self {
         self.config.flows = flows;
@@ -202,18 +196,6 @@ impl NetworkConfigBuilder {
         self
     }
 
-    /// Sets the per-node queue capacity.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets per-hop persistence in application slotframe cycles.
-    pub fn max_cycles(mut self, cycles: u8) -> Self {
-        self.config.max_cycles = cycles;
-        self
-    }
-
     /// Enables the flight recorder with the given per-node ring capacity
     /// (0, the default, is off).
     pub fn trace_cap(mut self, cap: usize) -> Self {
@@ -236,19 +218,19 @@ impl NetworkConfigBuilder {
     }
 
     /// Sizes the health monitor's settle window (seconds after
-    /// convergence before the steady-state alert rules arm). Without this
-    /// call the watchdog default (10 s) applies — too short for large
-    /// deployments whose link discovery takes minutes of data traffic.
+    /// convergence before the steady-state alert rules arm). The default,
+    /// 10 s, is too short for large deployments whose link discovery
+    /// takes minutes of data traffic.
     pub fn health_settle_secs(mut self, secs: u64) -> Self {
-        self.config.health_settle_secs = Some(secs);
+        self.config.health_settle_secs = secs;
         self
     }
 
     /// Sets the churn-storm alert threshold (parent changes per telemetry
-    /// epoch). Without this call the watchdog default (8) applies — sized
-    /// for ~30-node testbeds, too twitchy for larger deployments.
+    /// epoch). The default, 8, is sized for ~30-node testbeds, too twitchy
+    /// for larger deployments.
     pub fn health_churn_storm(mut self, changes: u32) -> Self {
-        self.config.health_churn_storm = Some(changes);
+        self.config.health_churn_storm = changes;
         self
     }
 
@@ -280,7 +262,7 @@ mod tests {
         let c = NetworkConfig::builder(Topology::testbed_a()).build();
         assert_eq!(c.protocol, Protocol::Digs);
         assert_eq!(c.slotframes, SlotframeLengths::paper());
-        assert_eq!(c.attempts, 3);
+        assert_eq!((c.health_settle_secs, c.health_churn_storm), (10, 8));
         assert!(c.flows.is_empty());
     }
 
@@ -290,12 +272,12 @@ mod tests {
             .protocol(Protocol::Orchestra)
             .seed(9)
             .random_flows(8, 500, 3)
-            .queue_capacity(8)
+            .health_churn_storm(16)
             .build();
         assert_eq!(c.protocol, Protocol::Orchestra);
         assert_eq!(c.seed, 9);
         assert_eq!(c.flows.len(), 8);
-        assert_eq!(c.queue_capacity, 8);
+        assert_eq!(c.health_churn_storm, 16);
     }
 
     #[test]

@@ -39,11 +39,8 @@ pub fn run_whart_with_recovery(
     let mut network = Network::new(config);
     // Model the manager's reaction with the Fig. 3 cost model.
     let db = digs_whart::LinkDb::from_link_model(network.engine().link_model());
-    let mut manager = digs_whart::NetworkManager::new(
-        db,
-        network.config().topology.access_points(),
-        digs_whart::UpdateCostConfig::default(),
-    );
+    let mut manager =
+        digs_whart::NetworkManager::new(db, network.config().topology.access_points());
     manager.full_update(&sources, superframe)?;
     let report = manager.on_node_failure(victim, &sources, superframe)?;
     let delay_secs = report.total_secs().ceil() as u64;

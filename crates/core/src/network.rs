@@ -3,7 +3,7 @@
 use crate::audit::{
     AuditSnapshot, CellClaim, InvariantKind, InvariantViolation, NodeAudit, ParentView,
 };
-use crate::config::{NetworkConfig, Protocol};
+use crate::config::{NetworkConfig, Protocol, ATTEMPTS, MAX_CYCLES, QUEUE_CAPACITY};
 use crate::results::{FlowResult, NodeResult, RunResults};
 use crate::stack::{DigsProvision, DigsStack, OrchestraProvision, OrchestraStack, ProtocolStack};
 use crate::telemetry::{TelemetrySampler, TelemetrySettings};
@@ -176,10 +176,10 @@ impl Network {
                         DigsProvision {
                             num_aps,
                             slotframes: config.slotframes,
-                            attempts: config.attempts,
+                            attempts: ATTEMPTS,
                             routing_config: config.routing,
-                            queue_capacity: config.queue_capacity,
-                            max_cycles: config.max_cycles,
+                            queue_capacity: QUEUE_CAPACITY,
+                            max_cycles: MAX_CYCLES,
                             seed,
                             randomize: randomize_nonce,
                             perms: std::sync::Arc::clone(&perms),
@@ -192,7 +192,7 @@ impl Network {
                         OrchestraProvision {
                             slotframes: config.slotframes,
                             routing_config: config.routing,
-                            queue_capacity: config.queue_capacity,
+                            queue_capacity: QUEUE_CAPACITY,
                             seed,
                         },
                     )),
@@ -202,7 +202,7 @@ impl Network {
                             is_ap,
                             central_schedule.as_ref().expect("computed above"),
                             my_flows,
-                            config.queue_capacity,
+                            QUEUE_CAPACITY,
                         ))
                     }
                 }
@@ -213,16 +213,8 @@ impl Network {
                 stack.set_trace(trace.clone());
             }
         }
-        let telemetry = TelemetrySettings::resolve(&config).map(|settings| {
-            let mut health = crate::telemetry::HealthConfig::default();
-            if let Some(settle) = config.health_settle_secs {
-                health.settle_secs = settle;
-            }
-            if let Some(changes) = config.health_churn_storm {
-                health.churn_storm = u64::from(changes);
-            }
-            Box::new(TelemetrySampler::new(settings, health, config.topology.len()))
-        });
+        let telemetry = TelemetrySettings::resolve(&config)
+            .map(|settings| Box::new(TelemetrySampler::new(settings, config.topology.len())));
         Network {
             config,
             engine,
@@ -615,7 +607,7 @@ impl Network {
                                 .collect(),
                             children: s.children_last_seen(),
                             queue_len: s.app_queue_len(),
-                            queue_capacity: self.config.queue_capacity,
+                            queue_capacity: QUEUE_CAPACITY,
                         }
                     }
                     // Orchestra's autonomous cells are shared (contention),
@@ -633,7 +625,7 @@ impl Network {
                         claims: Vec::new(),
                         children: Vec::new(),
                         queue_len: s.app_queue_len(),
-                        queue_capacity: self.config.queue_capacity,
+                        queue_capacity: QUEUE_CAPACITY,
                     },
                     // Centralized: the manager owns the schedule; there is
                     // no distributed state to audit.
@@ -647,7 +639,7 @@ impl Network {
                         claims: Vec::new(),
                         children: Vec::new(),
                         queue_len: 0,
-                        queue_capacity: self.config.queue_capacity,
+                        queue_capacity: QUEUE_CAPACITY,
                     },
                 }
             })
@@ -669,7 +661,7 @@ impl Network {
         );
         for stack in &mut self.stacks {
             if let ProtocolStack::WirelessHart(s) = stack {
-                s.install_schedule(schedule, self.config.queue_capacity);
+                s.install_schedule(schedule, QUEUE_CAPACITY);
             }
         }
     }

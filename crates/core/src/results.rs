@@ -210,30 +210,32 @@ impl RunResults {
 
     /// Network repair time after an event at `event`: the time until the
     /// last parent change that is followed by at least `settle` quiet slots,
-    /// in seconds. `None` if no repair activity followed the event (either
+    /// in seconds (the last change of all when the run ends still
+    /// churning). `None` if no repair activity followed the event (either
     /// nothing was disturbed, or the protocol routed around it without any
     /// parent change — instantaneous repair).
     pub fn repair_time_secs(&self, event: Asn, settle: u64) -> Option<f64> {
+        let (change, _) = self.burst_end(event, settle)?;
+        Some(change.saturating_sub(event.0) as f64 * digs_sim::time::SLOT_MS as f64 / 1000.0)
+    }
+
+    /// The end of the reconfiguration burst that starts at `from`: walks
+    /// the parent changes at or after `from`, sorted and deduplicated, to
+    /// the first one followed by at least `settle` quiet slots (the end of
+    /// the run counts as quiet) and returns it with `true`. A run that
+    /// ends still churning gives its last change with `false`; no change
+    /// at or after `from` gives `None`.
+    pub(crate) fn burst_end(&self, from: Asn, settle: u64) -> Option<(u64, bool)> {
         let mut changes: Vec<u64> =
-            self.parent_change_times.iter().filter(|t| **t >= event).map(|t| t.0).collect();
+            self.parent_change_times.iter().filter(|t| **t >= from).map(|t| t.0).collect();
         changes.sort_unstable();
         changes.dedup();
-        if changes.is_empty() {
-            return None;
-        }
-        // Walk forward to the first change followed by at least `settle`
-        // quiet slots (the end of the run counts as quiet): that marks the
-        // end of the post-event reconfiguration burst.
-        for i in 0..changes.len() {
-            let quiet_until = changes.get(i + 1).copied().unwrap_or(self.duration.0);
-            if quiet_until.saturating_sub(changes[i]) >= settle {
-                let slots = changes[i].saturating_sub(event.0);
-                return Some(slots as f64 * digs_sim::time::SLOT_MS as f64 / 1000.0);
-            }
-        }
-        // Still churning at the end of the run: report the last change.
-        let slots = changes.last().expect("non-empty").saturating_sub(event.0);
-        Some(slots as f64 * digs_sim::time::SLOT_MS as f64 / 1000.0)
+        let last = *changes.last()?;
+        let quiet = changes.windows(2).find(|w| w[1] - w[0] >= settle).map(|w| w[0]);
+        Some(match quiet {
+            Some(change) => (change, true),
+            None => (last, self.duration.0.saturating_sub(last) >= settle),
+        })
     }
 }
 

@@ -24,7 +24,7 @@ use digs_sim::fault::FaultPlan;
 use digs_sim::ids::NodeId;
 use digs_sim::interference::Jammer;
 use digs_sim::position::Position;
-use digs_sim::rf::RfConfig;
+use digs_sim::rf::{Dbm, RfConfig};
 use digs_sim::time::Asn;
 use digs_sim::topology::{Role, Topology};
 
@@ -146,10 +146,12 @@ pub fn testbed_b_interference(
 pub const DEFENSE_SECRET: u64 = 0x5afe_c0de;
 
 /// One adaptive schedule-learning jammer parked a couple of meters from
-/// each access point — the worst case for DiGS, since every flow's last
-/// hop converges there and the sniffer sees (and can selectively kill)
-/// the busiest cells of the whole network.
-fn adaptive_jammers_near_aps(topology: &Topology, app_len: u32) -> Vec<Jammer> {
+/// each access point, observing from `start` — the worst case for DiGS,
+/// since every flow's last hop converges there and the sniffer sees (and
+/// can selectively kill) the busiest cells of the whole network. Each
+/// jammer has its own salt; they come in access-point order.
+pub fn adaptive_jammers_near_aps(topology: &Topology, start: Asn) -> Vec<Jammer> {
+    let app_len = digs_scheduling::SlotframeLengths::paper().app;
     topology
         .access_points()
         .iter()
@@ -159,11 +161,28 @@ fn adaptive_jammers_near_aps(topology: &Topology, app_len: u32) -> Vec<Jammer> {
             Jammer::adaptive(
                 Position::new(p.x + 2.0, p.y + 2.0),
                 app_len,
-                Asn::from_secs(JAM_START_SECS),
+                start,
                 0xada9 ^ ((i as u64) << 8),
             )
         })
         .collect()
+}
+
+/// A full-band jammer cluster on each access point, on from `start` until
+/// `end`: four WiFi channels spaced 20 MHz apart blanket all sixteen
+/// 802.15.4 channels, at an elevated 24 dBm, each jammer with its own
+/// salt. They come in access-point order, channel by channel.
+pub fn jammer_clusters_on_aps(topology: &Topology, start: Asn, end: Asn) -> Vec<Jammer> {
+    let mut jammers = Vec::new();
+    for (i, ap) in topology.access_points().iter().enumerate() {
+        for (k, wifi_ch) in [1u8, 5, 9, 13].into_iter().enumerate() {
+            let mut j = Jammer::wifi(topology.position(*ap), wifi_ch, start).until(end);
+            j.tx_power = Dbm(24.0);
+            j.salt = 0x9a7 ^ ((i as u64) << 8) ^ k as u64;
+            jammers.push(j);
+        }
+    }
+    jammers
 }
 
 /// Adversarial attack scenario: Testbed A, 8 flows @ 5 s, one adaptive
@@ -180,8 +199,7 @@ pub fn testbed_a_adaptive_jam(
     flow_seed: u64,
 ) -> NetworkConfig {
     let flows = delay_flows(random_flow_set(&topology, 8, 500, flow_seed), WARMUP_SECS);
-    let app_len = digs_scheduling::SlotframeLengths::paper().app;
-    let jammers = adaptive_jammers_near_aps(&topology, app_len);
+    let jammers = adaptive_jammers_near_aps(&topology, Asn::from_secs(JAM_START_SECS));
     let mut builder = NetworkConfig::builder(topology)
         .protocol(protocol)
         .seed(flow_seed.wrapping_mul(0x9e37) ^ 0xAD)

@@ -15,10 +15,11 @@
 //! - routing/scheduling: advertised-ETX distribution, Trickle interval
 //!   range (DiGS), slotframe utilization.
 //!
-//! The sampler's health check evaluates per-epoch rules ([`HealthRule`],
-//! thresholds in [`HealthConfig`]) over the stream — PDR collapse below
-//! the paper's floors, churn storms, queue saturation, convergence stall
-//! (thresholds shared with [`crate::watchdog`]) — and emits typed
+//! The sampler's health check evaluates per-epoch rules ([`HealthRule`])
+//! over the stream — PDR collapse below the paper's floors, churn storms,
+//! queue saturation, convergence stall (the joined-fraction bar shared
+//! with [`crate::watchdog`]; the settle time and the churn threshold read
+//! from the [`NetworkConfig`]) — and emits typed
 //! [`HealthAlert`]s which [`crate::network::Network`]
 //! mirrors into the flight recorder as `health-alert` events.
 //!
@@ -29,8 +30,9 @@
 //! Everything sampled comes from the deterministic simulation state, so
 //! exports are byte-identical across runs of the same seed.
 
-use crate::config::NetworkConfig;
+use crate::config::{NetworkConfig, QUEUE_CAPACITY};
 use crate::stack::ProtocolStack;
+use crate::watchdog::RESTORE_FRACTION;
 use digs_json::message::{decode_line, Kind, Map, Omitted, Rows, WireField};
 use digs_json::Value;
 use digs_metrics::{LogHistogram, Registry, StreamingSummary};
@@ -69,43 +71,17 @@ impl TelemetrySettings {
     }
 }
 
-/// Thresholds for the per-epoch health rules. Settle time and the
-/// joined-fraction bar are shared with [`crate::watchdog::WatchdogConfig`]
-/// so the live monitor and the post-hoc recovery analysis agree on what
-/// "converged" means.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// Epoch PDR below this fires [`HealthRule::PdrCollapse`] (the paper's
-    /// Fig. 5 floor band lower edge).
-    pub pdr_floor: f64,
-    /// Minimum packets generated in an epoch before its PDR is judged
-    /// (guards against small-sample noise at epoch boundaries).
-    pub min_generated: u64,
-    /// Parent changes per epoch at or above this fire
-    /// [`HealthRule::ChurnStorm`].
-    pub churn_storm: u64,
-    /// Seconds after which an unconverged network fires
-    /// [`HealthRule::ConvergenceStall`].
-    pub stall_secs: u64,
-    /// Quiet time after convergence before PDR rules arm, seconds.
-    pub settle_secs: u64,
-    /// Fraction of nodes that must be joined to count as converged.
-    pub converged_fraction: f64,
-}
+/// Epoch PDR below this fires [`HealthRule::PdrCollapse`] (the paper's
+/// Fig. 5 floor band lower edge).
+const PDR_FLOOR: f64 = 0.70;
 
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        let wd = crate::watchdog::WatchdogConfig::default();
-        HealthConfig {
-            pdr_floor: 0.70,
-            min_generated: 4,
-            churn_storm: 8,
-            stall_secs: 60,
-            settle_secs: wd.settle_secs,
-            converged_fraction: wd.restore_fraction,
-        }
-    }
-}
+/// Minimum packets generated in an epoch before its PDR is judged (guards
+/// against small-sample noise at epoch boundaries).
+const MIN_GENERATED: u64 = 4;
+
+/// Seconds after which an unconverged network fires
+/// [`HealthRule::ConvergenceStall`].
+const STALL_SECS: u64 = 60;
 
 digs_json::named! {
     /// The typed health rules the monitor evaluates each epoch. The names
@@ -347,7 +323,6 @@ enum Convergence {
 #[derive(Debug)]
 pub struct TelemetrySampler {
     settings: TelemetrySettings,
-    health: HealthConfig,
     registry: Registry,
     epochs: VecDeque<EpochSnapshot>,
     /// Snapshots dropped after hitting the retention cap.
@@ -376,10 +351,9 @@ pub struct TelemetrySampler {
 
 impl TelemetrySampler {
     /// Creates a sampler for a network of `num_nodes` nodes.
-    pub fn new(settings: TelemetrySettings, health: HealthConfig, num_nodes: usize) -> Self {
+    pub fn new(settings: TelemetrySettings, num_nodes: usize) -> Self {
         TelemetrySampler {
             settings,
-            health,
             registry: Registry::new(),
             epochs: VecDeque::new(),
             dropped_epochs: 0,
@@ -659,7 +633,6 @@ impl TelemetrySampler {
         joined: usize,
         config: &NetworkConfig,
     ) -> Vec<HealthAlert> {
-        let h = self.health;
         let mut alerts = Vec::new();
         let alert = |rule: HealthRule, detail: String| HealthAlert {
             rule,
@@ -673,12 +646,12 @@ impl TelemetrySampler {
         // clears the watchdog bar; PDR rules arm a settle time later so
         // formation-phase losses don't read as collapses.
         let fraction = joined as f64 / total_nodes.max(1) as f64;
-        if self.convergence == Convergence::Waiting && fraction >= h.converged_fraction {
+        if self.convergence == Convergence::Waiting && fraction >= RESTORE_FRACTION {
             self.convergence = Convergence::At(snap.asn_end);
         }
         let armed_at = match self.convergence {
             Convergence::Waiting => None,
-            Convergence::At(asn) => Some(asn + h.settle_secs * SLOTS_PER_SECOND),
+            Convergence::At(asn) => Some(asn + config.health_settle_secs * SLOTS_PER_SECOND),
         };
 
         // The steady-state rules only arm once the settle time after
@@ -687,15 +660,15 @@ impl TelemetrySampler {
         // would make every clean run noisy.
         if armed_at.is_some_and(|armed| snap.asn_start >= armed) {
             let generated = snap.generated();
-            if generated >= h.min_generated {
+            if generated >= MIN_GENERATED {
                 if let Some(pdr) = snap.pdr() {
-                    if pdr < h.pdr_floor {
+                    if pdr < PDR_FLOOR {
                         alerts.push(alert(
                             HealthRule::PdrCollapse,
                             format!(
                                 "epoch PDR {:.2} < {:.2} ({} delivered / {generated} generated)",
                                 pdr,
-                                h.pdr_floor,
+                                PDR_FLOOR,
                                 snap.delivered(),
                             ),
                         ));
@@ -703,23 +676,21 @@ impl TelemetrySampler {
                 }
             }
 
+            let storm = u64::from(config.health_churn_storm);
             if let Some(churn) = snap.counter("churn.parent") {
-                if churn >= h.churn_storm {
+                if churn >= storm {
                     alerts.push(alert(
                         HealthRule::ChurnStorm,
-                        format!(
-                            "{churn} parent changes in one epoch (threshold {})",
-                            h.churn_storm
-                        ),
+                        format!("{churn} parent changes in one epoch (threshold {storm})"),
                     ));
                 }
             }
 
             if let Some(depth) = snap.gauge("queue.max") {
-                if depth >= config.queue_capacity as i64 && config.queue_capacity > 0 {
+                if depth >= QUEUE_CAPACITY as i64 {
                     alerts.push(alert(
                         HealthRule::QueueSaturation,
-                        format!("max queue depth {depth} at capacity {}", config.queue_capacity),
+                        format!("max queue depth {depth} at capacity {QUEUE_CAPACITY}"),
                     ));
                 }
             }
@@ -727,7 +698,7 @@ impl TelemetrySampler {
 
         if !self.stall_fired
             && self.convergence == Convergence::Waiting
-            && snap.asn_end >= h.stall_secs * SLOTS_PER_SECOND
+            && snap.asn_end >= STALL_SECS * SLOTS_PER_SECOND
         {
             self.stall_fired = true;
             alerts.push(alert(
@@ -735,7 +706,7 @@ impl TelemetrySampler {
                 format!(
                     "{joined}/{total_nodes} nodes joined after {} s (need {:.0}%)",
                     snap.asn_end / SLOTS_PER_SECOND,
-                    h.converged_fraction * 100.0,
+                    RESTORE_FRACTION * 100.0,
                 ),
             ));
         }
@@ -1048,6 +1019,110 @@ mod tests {
             .push_line(&line(r#"{"count":1,"min":4,"max":3,"buckets":[[3,1]]}"#))
             .unwrap_err();
         assert_eq!(err, "bad telemetry line: min 4 is above max 3");
+    }
+
+    /// A sampler over 10 nodes and the config its rules read, with the
+    /// oil field's settle time and churn threshold when `oil` is set.
+    fn health_sampler(oil: bool) -> (TelemetrySampler, NetworkConfig) {
+        let settings = TelemetrySettings { epoch_slots: 500, cap: 64 };
+        let mut builder = base_builder();
+        if oil {
+            builder = builder.health_settle_secs(150).health_churn_storm(16);
+        }
+        (TelemetrySampler::new(settings, 10), builder.build())
+    }
+
+    /// Epoch `epoch` of 500 slots: one flow's counts, the epoch's parent
+    /// changes and its deepest queue.
+    fn epoch(epoch: u64, generated: u64, delivered: u64, churn: u64, queue: i64) -> EpochSnapshot {
+        EpochSnapshot {
+            epoch,
+            asn_start: epoch * 500,
+            asn_end: (epoch + 1) * 500,
+            counters: vec![(Cow::Borrowed("churn.parent"), churn)],
+            gauges: vec![(Cow::Borrowed("queue.max"), queue)],
+            flows: vec![FlowEpoch { flow: 0, generated, delivered }],
+            latency_ms: LogHistogram::new(),
+            etx: Spread::default(),
+            duty_cycle: Spread::default(),
+        }
+    }
+
+    /// The alerts one epoch raises with `joined` of the 10 nodes joined.
+    fn raised(
+        (sampler, config): &mut (TelemetrySampler, NetworkConfig),
+        snap: EpochSnapshot,
+        joined: usize,
+    ) -> Vec<(HealthRule, String)> {
+        let alerts = sampler.check_health(&snap, 10, joined, config);
+        alerts.into_iter().map(|a| (a.rule, a.detail)).collect()
+    }
+
+    /// Walks every health rule across its edge for a sampler whose PDR
+    /// rules arm `settle_secs` after convergence and whose churn storm is
+    /// `churn_storm` parent changes.
+    fn rules_fire_at_their_edges(oil: bool, settle_secs: u64, churn_storm: u64) {
+        let mut h = health_sampler(oil);
+        let bad = |e| epoch(e, 100, 0, churn_storm, 8);
+        // 8 of 10 joined is under the 0.9 bar; 9 of 10 converges at the
+        // end of epoch 1 (slot 1000), and nothing is armed yet.
+        assert_eq!(raised(&mut h, bad(0), 8), []);
+        assert_eq!(raised(&mut h, bad(1), 9), []);
+        // The rules arm exactly `settle_secs` after slot 1000.
+        let armed = (1000 + settle_secs * SLOTS_PER_SECOND) / 500;
+        assert_eq!(raised(&mut h, bad(armed - 1), 10), []);
+        let rules: Vec<HealthRule> = raised(&mut h, bad(armed), 10).iter().map(|r| r.0).collect();
+        let all = [HealthRule::PdrCollapse, HealthRule::ChurnStorm, HealthRule::QueueSaturation];
+        assert_eq!(rules, all);
+
+        let e = armed + 1;
+        // pdr-collapse: under 0.70 fires, 0.70 does not; 4 packets
+        // generated are judged, 3 are not.
+        let pdr = "epoch PDR 0.69 < 0.70 (69 delivered / 100 generated)";
+        assert_eq!(
+            raised(&mut h, epoch(e, 100, 69, 0, 0), 10),
+            [(HealthRule::PdrCollapse, pdr.into())]
+        );
+        assert_eq!(raised(&mut h, epoch(e + 1, 100, 70, 0, 0), 10), []);
+        let four = "epoch PDR 0.50 < 0.70 (2 delivered / 4 generated)";
+        assert_eq!(
+            raised(&mut h, epoch(e + 2, 4, 2, 0, 0), 10),
+            [(HealthRule::PdrCollapse, four.into())]
+        );
+        assert_eq!(raised(&mut h, epoch(e + 3, 3, 0, 0, 0), 10), []);
+        // churn-storm: at the threshold fires, one under does not.
+        let churn = format!("{churn_storm} parent changes in one epoch (threshold {churn_storm})");
+        assert_eq!(
+            raised(&mut h, epoch(e + 4, 0, 0, churn_storm, 0), 10),
+            [(HealthRule::ChurnStorm, churn)]
+        );
+        assert_eq!(raised(&mut h, epoch(e + 5, 0, 0, churn_storm - 1, 0), 10), []);
+        // queue-saturation: a depth of 8, the queue's capacity, fires.
+        let queue = "max queue depth 8 at capacity 8".to_string();
+        assert_eq!(
+            raised(&mut h, epoch(e + 6, 0, 0, 0, 8), 10),
+            [(HealthRule::QueueSaturation, queue)]
+        );
+        assert_eq!(raised(&mut h, epoch(e + 7, 0, 0, 0, 7), 10), []);
+
+        // convergence-stall: a network under the bar fires once, at 60 s.
+        let mut h = health_sampler(oil);
+        for e in 0..11 {
+            assert_eq!(raised(&mut h, bad(e), 8), [], "epoch {e} ends before 60 s");
+        }
+        let stall = "8/10 nodes joined after 60 s (need 90%)".to_string();
+        assert_eq!(raised(&mut h, bad(11), 8), [(HealthRule::ConvergenceStall, stall)]);
+        assert_eq!(raised(&mut h, bad(12), 8), [], "a stall fires once");
+    }
+
+    #[test]
+    fn health_rules_fire_at_their_edges() {
+        rules_fire_at_their_edges(false, 10, 8);
+    }
+
+    #[test]
+    fn health_rules_fire_at_their_edges_with_the_oil_fields_overrides() {
+        rules_fire_at_their_edges(true, 150, 16);
     }
 
     #[test]

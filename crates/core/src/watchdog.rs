@@ -16,23 +16,18 @@ use crate::timeline::delivery_timeline;
 use digs_sim::fault::ChaosEvent;
 use digs_sim::time::Asn;
 
-/// Tunables for the recovery analysis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// PDR windowing granularity, seconds.
-    pub window_secs: u64,
-    /// How long the routing graph must stay free of parent changes to
-    /// count as quiet, seconds.
-    pub settle_secs: u64,
-    /// Fraction of the pre-event baseline PDR that counts as "restored".
-    pub restore_fraction: f64,
-}
+/// PDR windowing granularity of the recovery analysis, seconds.
+pub(crate) const WINDOW_SECS: u64 = 10;
 
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig { window_secs: 10, settle_secs: 10, restore_fraction: 0.9 }
-    }
-}
+/// How long the routing graph must stay free of parent changes to count as
+/// quiet, seconds; also the health monitor's default settle time after
+/// convergence ([`crate::config::NetworkConfig::health_settle_secs`]).
+pub(crate) const SETTLE_SECS: u64 = 10;
+
+/// Fraction of the pre-event baseline PDR that counts as "restored"; also
+/// the fraction of joined nodes at which the health monitor counts the
+/// network as converged.
+pub(crate) const RESTORE_FRACTION: f64 = 0.9;
 
 /// A fault event the watchdog tracks recovery from.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,9 +60,9 @@ pub struct RecoveryReport {
     /// Time until windowed PDR climbed back above the restore threshold,
     /// seconds after injection (`None`: never before the run ended).
     pub pdr_restored_secs: Option<f64>,
-    /// Time until the routing graph went quiet (no parent change for
-    /// `settle_secs`), seconds after injection (`None`: still churning at
-    /// the end of the run).
+    /// Time until the routing graph went quiet (no parent change for 10 s),
+    /// seconds after injection (`None`: still churning at the end of the
+    /// run).
     pub graph_quiet_secs: Option<f64>,
     /// Overall time to recovery: both PDR restored and graph quiet
     /// (`None` when either never happened — non-convergence).
@@ -111,21 +106,16 @@ impl WatchdogSummary {
 ///
 /// # Panics
 ///
-/// Panics if `specs` doesn't match the run's flows or the configured
-/// window is zero (see [`delivery_timeline`]).
+/// Panics if `specs` doesn't match the run's flows (see
+/// [`delivery_timeline`]).
 pub fn analyze(
     results: &RunResults,
     specs: &[FlowSpec],
     events: &[WatchdogEvent],
-    config: &WatchdogConfig,
 ) -> Vec<RecoveryReport> {
-    let timeline = delivery_timeline(results, specs, config.window_secs);
-    let window_slots = Asn::from_secs(config.window_secs).0;
-    let settle_slots = Asn::from_secs(config.settle_secs).0;
-
-    let mut changes: Vec<u64> = results.parent_change_times.iter().map(|t| t.0).collect();
-    changes.sort_unstable();
-    changes.dedup();
+    let timeline = delivery_timeline(results, specs, WINDOW_SECS);
+    let window_slots = Asn::from_secs(WINDOW_SECS).0;
+    let settle_slots = Asn::from_secs(SETTLE_SECS).0;
 
     events
         .iter()
@@ -140,7 +130,7 @@ pub fn analyze(
                 .collect();
             let baseline =
                 if pre.is_empty() { 1.0 } else { pre.iter().sum::<f64>() / pre.len() as f64 };
-            let threshold = baseline * config.restore_fraction;
+            let threshold = baseline * RESTORE_FRACTION;
 
             // PDR restored: the first window at/after the event whose PDR
             // meets the threshold; restoration is credited at the window's
@@ -157,22 +147,13 @@ pub fn analyze(
             });
 
             // Graph quiet: the last parent change of the post-event burst
-            // that is followed by `settle_secs` of silence (the end of the
+            // that is followed by `SETTLE_SECS` of silence (the end of the
             // run counts as silence only if the remaining gap is long
             // enough — otherwise the graph may still be churning).
-            let post: Vec<u64> = changes.iter().copied().filter(|t| *t >= at).collect();
-            let graph_quiet_slots = if post.is_empty() {
-                Some(0)
-            } else {
-                let mut quiet = None;
-                for (i, t) in post.iter().enumerate() {
-                    let next = post.get(i + 1).copied().unwrap_or(results.duration.0);
-                    if next.saturating_sub(*t) >= settle_slots {
-                        quiet = Some(t.saturating_sub(at));
-                        break;
-                    }
-                }
-                quiet
+            let graph_quiet_slots = match results.burst_end(event.at, settle_slots) {
+                None => Some(0),
+                Some((change, true)) => Some(change - at),
+                Some((_, false)) => None,
             };
 
             let recovery_slots = match (pdr_restored_slots, graph_quiet_slots) {
@@ -247,48 +228,66 @@ mod tests {
         (results, specs)
     }
 
-    fn config() -> WatchdogConfig {
-        WatchdogConfig { window_secs: 5, settle_secs: 5, restore_fraction: 0.9 }
+    #[test]
+    fn default_windows_measure_a_recovery_the_graph_finishes() {
+        // 90 s at 1 pkt/s with 10 s windows. Seq 5 is lost before the
+        // 30 s event (baseline 0.967, threshold 0.87); seqs 30..45 are
+        // lost after it, so windows 30–40 s and 40–50 s read 0.0 and 0.5
+        // and 50–60 s restores PDR (closes 30 s after the event). Parent
+        // changes 9–9.5 s apart never leave 10 s of quiet until the last
+        // one at 68 s, whose 22 s to the end of the run count as quiet.
+        let lost: Vec<u32> = std::iter::once(5).chain(30..45).collect();
+        let (mut results, specs) = results_with_losses(90, &lost);
+        results.parent_change_times =
+            [3100, 4000, 4000, 4950, 5900, 6800].into_iter().map(Asn).collect();
+        let event = WatchdogEvent { label: "outage".into(), at: Asn(3000) };
+        let report = &analyze(&results, &specs, &[event])[0];
+        assert_eq!(report.pdr_restored_secs, Some(30.0));
+        assert_eq!(report.graph_quiet_secs, Some(38.0));
+        assert_eq!(report.recovery_secs, Some(38.0));
+        assert_eq!(report.min_window_pdr, 0.0);
+        assert_eq!(report.packets_lost_in_valley, 15);
+        assert!(report.converged);
     }
 
     #[test]
     fn clean_recovery_is_measured() {
-        // Seqs 20..30 lost (valley at 20–30 s); parent churn at 20.5 s and
-        // 22 s, then quiet.
-        let (mut results, specs) = results_with_losses(60, &(20..30).collect::<Vec<_>>());
-        results.parent_change_times = vec![Asn(2050), Asn(2200)];
-        let event = WatchdogEvent { label: "outage".into(), at: Asn(2000) };
-        let report = &analyze(&results, &specs, &[event], &config())[0];
+        // Seqs 40..60 lost (valley at 40–60 s); parent churn at 41 s and
+        // 44 s, then quiet.
+        let (mut results, specs) = results_with_losses(120, &(40..60).collect::<Vec<_>>());
+        results.parent_change_times = vec![Asn(4100), Asn(4400)];
+        let event = WatchdogEvent { label: "outage".into(), at: Asn(4000) };
+        let report = &analyze(&results, &specs, &[event])[0];
         assert!(report.converged);
-        // PDR back in the 30–35 s window (closes at 35 s → 15 s after the
-        // 20 s event); graph quiet at 22 s (2 s after).
-        assert_eq!(report.pdr_restored_secs, Some(15.0));
-        assert_eq!(report.graph_quiet_secs, Some(2.0));
-        assert_eq!(report.recovery_secs, Some(15.0));
+        // PDR back in the 60–70 s window (closes at 70 s → 30 s after the
+        // 40 s event); graph quiet at 44 s (4 s after).
+        assert_eq!(report.pdr_restored_secs, Some(30.0));
+        assert_eq!(report.graph_quiet_secs, Some(4.0));
+        assert_eq!(report.recovery_secs, Some(30.0));
         assert_eq!(report.min_window_pdr, 0.0);
-        assert_eq!(report.packets_lost_in_valley, 10);
+        assert_eq!(report.packets_lost_in_valley, 20);
     }
 
     #[test]
     fn unrecovered_pdr_flags_non_convergence() {
-        // Everything from 20 s onward is lost: PDR never restored.
-        let (results, specs) = results_with_losses(60, &(20..60).collect::<Vec<_>>());
-        let event = WatchdogEvent { label: "perma".into(), at: Asn(2000) };
-        let report = &analyze(&results, &specs, &[event], &config())[0];
+        // Everything from 40 s onward is lost: PDR never restored.
+        let (results, specs) = results_with_losses(120, &(40..120).collect::<Vec<_>>());
+        let event = WatchdogEvent { label: "perma".into(), at: Asn(4000) };
+        let report = &analyze(&results, &specs, &[event])[0];
         assert!(!report.converged);
         assert_eq!(report.pdr_restored_secs, None);
         assert_eq!(report.recovery_secs, None);
-        assert_eq!(report.packets_lost_in_valley, 40);
+        assert_eq!(report.packets_lost_in_valley, 80);
     }
 
     #[test]
     fn churn_to_the_end_flags_non_convergence() {
-        // PDR untouched, but parent changes every 2 s to the end of the
+        // PDR untouched, but parent changes every 4 s to the end of the
         // run: the graph never goes quiet.
-        let (mut results, specs) = results_with_losses(60, &[]);
-        results.parent_change_times = (2000..6000).step_by(200).map(Asn).collect();
-        let event = WatchdogEvent { label: "churny".into(), at: Asn(2000) };
-        let report = &analyze(&results, &specs, &[event], &config())[0];
+        let (mut results, specs) = results_with_losses(120, &[]);
+        results.parent_change_times = (4000..12000).step_by(400).map(Asn).collect();
+        let event = WatchdogEvent { label: "churny".into(), at: Asn(4000) };
+        let report = &analyze(&results, &specs, &[event])[0];
         assert!(report.pdr_restored_secs.is_some());
         assert_eq!(report.graph_quiet_secs, None);
         assert!(!report.converged);
@@ -296,27 +295,27 @@ mod tests {
 
     #[test]
     fn no_impact_recovers_within_one_window() {
-        let (results, specs) = results_with_losses(60, &[]);
-        let event = WatchdogEvent { label: "dud".into(), at: Asn(2000) };
-        let report = &analyze(&results, &specs, &[event], &config())[0];
+        let (results, specs) = results_with_losses(120, &[]);
+        let event = WatchdogEvent { label: "dud".into(), at: Asn(4000) };
+        let report = &analyze(&results, &specs, &[event])[0];
         assert!(report.converged);
         assert_eq!(report.graph_quiet_secs, Some(0.0));
         // The event's own window already meets the threshold; restoration
-        // is credited at its close (25 s → 5 s after the 20 s event).
-        assert_eq!(report.pdr_restored_secs, Some(5.0));
+        // is credited at its close (50 s → 10 s after the 40 s event).
+        assert_eq!(report.pdr_restored_secs, Some(10.0));
         assert_eq!(report.min_window_pdr, 1.0);
         assert_eq!(report.packets_lost_in_valley, 0);
     }
 
     #[test]
     fn summary_aggregates_reports() {
-        let (mut results, specs) = results_with_losses(60, &(20..30).collect::<Vec<_>>());
-        results.parent_change_times = vec![Asn(2050)];
+        let (mut results, specs) = results_with_losses(120, &(40..60).collect::<Vec<_>>());
+        results.parent_change_times = vec![Asn(4100)];
         let events = vec![
-            WatchdogEvent { label: "a".into(), at: Asn(2000) },
-            WatchdogEvent { label: "b".into(), at: Asn(2600) },
+            WatchdogEvent { label: "a".into(), at: Asn(4000) },
+            WatchdogEvent { label: "b".into(), at: Asn(5200) },
         ];
-        let reports = analyze(&results, &specs, &events, &config());
+        let reports = analyze(&results, &specs, &events);
         let summary = summarize(&reports);
         assert_eq!(summary.events, 2);
         assert!(summary.all_converged());

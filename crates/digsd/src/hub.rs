@@ -371,30 +371,27 @@ impl Hub {
     }
 }
 
-/// The supervisor's restart policy: how many failures to tolerate and how
-/// long to back off between attempts. Deterministic runs fail the same
-/// way on every replay, so the poison threshold is what separates a
-/// transient host-level fault (worth retrying) from a poisoned spec
-/// (quarantined, not crash-looped).
+/// The supervisor's first backoff; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(250);
+/// The supervisor's backoff ceiling.
+const BACKOFF_CEILING: Duration = Duration::from_secs(4);
+
+/// The supervisor's restart policy: how many failures to tolerate before
+/// giving up (between attempts it backs off from 250 ms, doubling to 4 s).
+/// Deterministic runs fail the same way on every replay, so the poison
+/// threshold is what separates a transient host-level fault (worth
+/// retrying) from a poisoned spec (quarantined, not crash-looped).
 #[derive(Debug, Clone)]
 pub struct BackoffPolicy {
     /// Restart attempts before giving up (`digsd serve --max-restarts`).
     /// Zero disables supervision: the first failure is terminal.
     pub max_restarts: u64,
-    /// First backoff; doubles per attempt.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
 }
 
 impl BackoffPolicy {
-    /// The default policy: 3 attempts, 250 ms doubling to a 4 s ceiling.
+    /// A policy that tolerates `max_restarts` failures.
     pub fn new(max_restarts: u64) -> BackoffPolicy {
-        BackoffPolicy {
-            max_restarts,
-            base: Duration::from_millis(250),
-            cap: Duration::from_secs(4),
-        }
+        BackoffPolicy { max_restarts }
     }
 }
 
@@ -456,11 +453,9 @@ impl Supervisor {
             });
         }
         let exp = u32::try_from(self.restarts - 1).unwrap_or(31).min(31);
-        let full = self
-            .policy
-            .base
+        let full = BACKOFF_BASE
             .saturating_mul(1u32 << exp.min(16))
-            .min(self.policy.cap)
+            .min(BACKOFF_CEILING)
             .max(Duration::from_millis(1));
         // Deterministic decorrelated jitter in [full/2, full): splitmix64
         // over (run salt, attempt) — no RNG dependency, reproducible in
@@ -691,10 +686,9 @@ mod tests {
             panic!("second failure restarts");
         };
         assert_eq!(sup.on_failure(), Verdict::GiveUp(RunState::Quarantined));
-        let policy = BackoffPolicy::new(2);
-        assert!(b1 >= policy.base / 2 && b1 < policy.base, "jitter stays in [base/2, base)");
-        assert!(b2 >= policy.base, "backoff grows");
-        assert!(b2 < policy.base * 2);
+        assert!(b1 >= BACKOFF_BASE / 2 && b1 < BACKOFF_BASE, "jitter stays in [base/2, base)");
+        assert!(b2 >= BACKOFF_BASE, "backoff grows");
+        assert!(b2 < BACKOFF_BASE * 2);
         // Deterministic: same salt and policy replay the same delays.
         let mut again = Supervisor::new(BackoffPolicy::new(2), "run-a");
         assert_eq!(again.on_failure(), Verdict::Restart { backoff: b1, restarts: 1 });

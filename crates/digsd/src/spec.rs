@@ -9,12 +9,12 @@
 use crate::message::Secs;
 use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
+use digs::scenarios;
 use digs_fleet::{FleetSpec, ShardedSpec, Template};
 use digs_json::{message, Value};
 use digs_sim::interference::Jammer;
 use digs_sim::position::Position;
-use digs_sim::rf::Dbm;
-use digs_sim::time::Asn;
+use digs_sim::time::{Asn, SLOT_MS};
 use digs_sim::topology::Topology;
 
 /// Parses a CLI/wire topology name.
@@ -33,6 +33,12 @@ pub fn topology_from(name: &str) -> Result<Topology, String> {
                 }
                 let n: usize = parts[0].parse().map_err(|e| format!("bad device count: {e}"))?;
                 let side: f64 = parts[1].parse().map_err(|e| format!("bad side length: {e}"))?;
+                if n == 0 {
+                    return Err("a random topology needs at least one device".into());
+                }
+                if !(side.is_finite() && side > 0.0) {
+                    return Err(format!("bad side length: {side} is not a positive length"));
+                }
                 Ok(Topology::random_area(n, side, 7))
             } else {
                 Err(format!("unknown topology `{other}`"))
@@ -40,6 +46,13 @@ pub fn topology_from(name: &str) -> Result<Topology, String> {
         }
     }
 }
+
+/// The most fixed WiFi jammers a [`SingleSpec`] may ask for: one per
+/// 802.15.4 channel. Each stands 14 m further along a diagonal than the
+/// last, so more would stand outside every topology while still costing
+/// the engine work each slot, and the count comes off the wire as any
+/// 64-bit number.
+const MAX_JAMMERS: usize = 16;
 
 message! {
     /// One single-network run, fully specified. Field-for-field this mirrors
@@ -91,12 +104,40 @@ impl SingleSpec {
     pub fn build_config(&self) -> Result<NetworkConfig, String> {
         let topology = topology_from(&self.topology)?;
         let protocol = Protocol::parse(&self.protocol)?;
-        let ap_positions: Vec<Position> =
-            topology.access_points().iter().map(|ap| topology.position(*ap)).collect();
+        if self.period_ms < SLOT_MS {
+            return Err(format!(
+                "period_ms: {} is shorter than one {SLOT_MS} ms slot",
+                self.period_ms
+            ));
+        }
+        let devices = topology.field_devices().len();
+        if self.flows > devices {
+            return Err(format!(
+                "flows: {} flows need as many field devices, and `{}` has {devices}",
+                self.flows, self.topology
+            ));
+        }
+        if self.jammers > MAX_JAMMERS {
+            return Err(format!("jammers: {} is above the most, {MAX_JAMMERS}", self.jammers));
+        }
+        let adaptive = self.adaptive_jam.map_or(Vec::new(), |start| {
+            scenarios::adaptive_jammers_near_aps(&topology, Asn::from_secs(start))
+        });
+        let clusters = match self.jam {
+            Some((start, end)) if end <= start => {
+                return Err(format!("jam window must have start < end, got {start}:{end}"));
+            }
+            Some((start, end)) => scenarios::jammer_clusters_on_aps(
+                &topology,
+                Asn::from_secs(start),
+                Asn::from_secs(end),
+            ),
+            None => Vec::new(),
+        };
         let mut builder = NetworkConfig::builder(topology)
             .protocol(protocol)
             .seed(self.seed)
-            .random_flows(self.flows, self.period_ms / 10, self.seed);
+            .random_flows(self.flows, self.period_ms / SLOT_MS, self.seed);
         if let Some(cap) = self.trace_cap {
             builder = builder.trace_cap(cap);
         }
@@ -110,37 +151,11 @@ impl SingleSpec {
             let pos = Position::new(12.0 + 14.0 * i as f64, 8.0 + 5.0 * i as f64);
             builder = builder.jammer(Jammer::wifi(pos, [1u8, 6, 11][i % 3], Asn::from_secs(60)));
         }
-        if let Some(start) = self.adaptive_jam {
-            let app_len = digs_scheduling::SlotframeLengths::paper().app;
-            for (i, pos) in ap_positions.iter().enumerate() {
-                builder = builder.jammer(Jammer::adaptive(
-                    Position::new(pos.x + 2.0, pos.y + 2.0),
-                    app_len,
-                    Asn::from_secs(start),
-                    0xada9 ^ ((i as u64) << 8),
-                ));
-            }
+        for j in adaptive.into_iter().chain(clusters) {
+            builder = builder.jammer(j);
         }
         if let Some(secret) = self.randomize {
             builder = builder.randomize(secret);
-        }
-        if let Some((start, end)) = self.jam {
-            if end <= start {
-                return Err(format!("jam window must have start < end, got {start}:{end}"));
-            }
-            // Four WiFi channels spaced 20 MHz apart blanket all sixteen
-            // 802.15.4 channels; one cluster per access point, elevated
-            // power, distinct salts (same construction as the CLI's
-            // canonical fault-injection smoke).
-            for (i, pos) in ap_positions.iter().enumerate() {
-                for (k, wifi_ch) in [1u8, 5, 9, 13].into_iter().enumerate() {
-                    let mut j = Jammer::wifi(*pos, wifi_ch, Asn::from_secs(start))
-                        .until(Asn::from_secs(end));
-                    j.tx_power = Dbm(24.0);
-                    j.salt = 0x9a7 ^ ((i as u64) << 8) ^ k as u64;
-                    builder = builder.jammer(j);
-                }
-            }
         }
         Ok(builder.build())
     }
@@ -366,6 +381,39 @@ mod tests {
         assert!(err.contains("sharded_devices"), "{err}");
         let big = fleet(r#"{"networks":0,"sharded_devices":4294967295,"shard_size":1}"#);
         assert_eq!(big.expect("decodes").build().expect("fits").total_nodes(), 3 * 4_294_967_295);
+    }
+
+    #[test]
+    fn a_spec_that_cannot_be_built_is_an_error_naming_its_field() {
+        // Each used to panic in `random_flow_set`, or to push jammers
+        // without bound, on the daemon's connection thread.
+        let refused = |spec: SingleSpec| spec.build_config().unwrap_err();
+        assert!(
+            refused(SingleSpec { period_ms: 9, ..SingleSpec::default() }).starts_with("period_ms")
+        );
+        assert!(
+            refused(SingleSpec { period_ms: 0, ..SingleSpec::default() }).starts_with("period_ms")
+        );
+        // Testbed A's 50 nodes are 48 field devices and 2 access points.
+        let flows = |flows| SingleSpec { flows, ..SingleSpec::default() };
+        assert!(flows(48).build_config().is_ok());
+        assert_eq!(
+            refused(flows(49)),
+            "flows: 49 flows need as many field devices, and `testbed-a` has 48"
+        );
+        assert!(refused(flows(usize::MAX)).starts_with("flows"));
+        let jammers = |jammers| SingleSpec { jammers, ..SingleSpec::default() };
+        assert_eq!(jammers(MAX_JAMMERS).build_config().expect("builds").jammers.len(), MAX_JAMMERS);
+        assert!(refused(jammers(MAX_JAMMERS + 1)).starts_with("jammers"));
+        assert!(refused(jammers(usize::MAX)).starts_with("jammers"));
+        let random =
+            |topology: &str| SingleSpec { topology: topology.into(), ..SingleSpec::default() };
+        assert!(refused(random("random:0:100")).contains("at least one device"));
+        for side in ["0", "-3", "nan", "inf"] {
+            assert!(refused(random(&format!("random:5:{side}"))).starts_with("bad side length"));
+        }
+        let shortest = SingleSpec { period_ms: 10, ..SingleSpec::default() };
+        assert_eq!(shortest.build_config().expect("builds").flows[0].period, 1);
     }
 
     #[test]

@@ -258,6 +258,36 @@ fn a_spec_whose_kind_is_not_a_string_is_bad_spec() {
 }
 
 #[test]
+fn a_spec_that_cannot_be_built_is_bad_spec_and_the_daemon_serves_on() {
+    // Each of these used to panic the connection thread while building the
+    // network: the client saw the connection close, not an error.
+    let addr = start_daemon(DaemonConfig::default());
+    let mut client = Client::connect(&addr, "unbuildable").expect("connect");
+    let refused = [
+        (SingleSpec { period_ms: 5, ..SingleSpec::default() }, "period_ms"),
+        (SingleSpec { flows: 500, ..SingleSpec::default() }, "flows"),
+        (SingleSpec { jammers: usize::MAX, ..SingleSpec::default() }, "jammers"),
+        (SingleSpec { topology: "random:0:100".into(), ..SingleSpec::default() }, "one device"),
+    ];
+    for (spec, field) in refused {
+        let err = client.launch("unbuildable", spec.to_json(), false, Filter::default());
+        let err = err.expect_err("bad spec");
+        assert_eq!(digs_digsd::error_code(&err), Some(digs_digsd::ErrorCode::BadSpec), "{err}");
+        assert!(err.contains(field), "{err}");
+    }
+    assert!(client.list().expect("list").is_empty(), "nothing was registered");
+    // The same connection and daemon then run a valid spec to its end.
+    let spec = SingleSpec {
+        topology: "testbed-a-half".into(),
+        flows: 1,
+        secs: 5,
+        ..SingleSpec::default()
+    };
+    client.launch("buildable", spec.to_json(), true, Filter::default()).expect("launch");
+    assert_eq!(drain(&mut client).end.state, RunState::Done);
+}
+
+#[test]
 fn filters_narrow_the_stream() {
     let spec = SingleSpec {
         topology: "testbed-a-half".into(),

@@ -27,5 +27,5 @@ pub mod schedule;
 
 pub use graph::build_uplink_graph;
 pub use linkdb::LinkDb;
-pub use manager::{NetworkManager, UpdateCostConfig, UpdateReport};
+pub use manager::{NetworkManager, UpdateReport};
 pub use schedule::CentralSchedule;

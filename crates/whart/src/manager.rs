@@ -24,40 +24,26 @@ use core::fmt;
 use digs_routing::graph::RoutingGraph;
 use digs_sim::ids::NodeId;
 
-/// Cost-model parameters for a manager update cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UpdateCostConfig {
-    /// Health-report frames each device sends per collection round.
-    pub report_frames: u32,
-    /// Base frames to carry one device's route table downstream.
-    pub route_table_frames: u32,
-    /// Schedule cells that fit in one dissemination frame.
-    pub cells_per_frame: u32,
-    /// Frames of fixed network-wide overhead per update cycle (superframe
-    /// reconfiguration broadcast and scheduled activation), independent of
-    /// network size.
-    pub fixed_overhead_frames: u64,
-    /// Management frames the network can move per second (management slots
-    /// are sparse: WirelessHART dedicates roughly one advertisement/
-    /// management slot per second-long superframe).
-    pub mgmt_frames_per_second: f64,
-    /// Manager computation throughput, in graph-construction operations
-    /// per second (a fast host; compute is not the bottleneck).
-    pub compute_ops_per_second: f64,
-}
+// Cost-model parameters for a manager update cycle, calibrated once
+// against Fig. 3.
 
-impl Default for UpdateCostConfig {
-    fn default() -> UpdateCostConfig {
-        UpdateCostConfig {
-            report_frames: 2,
-            route_table_frames: 2,
-            cells_per_frame: 4,
-            fixed_overhead_frames: 42,
-            mgmt_frames_per_second: 0.61,
-            compute_ops_per_second: 5e6,
-        }
-    }
-}
+/// Health-report frames each device sends per collection round.
+const REPORT_FRAMES: u32 = 2;
+/// Base frames to carry one device's route table downstream.
+const ROUTE_TABLE_FRAMES: u32 = 2;
+/// Schedule cells that fit in one dissemination frame.
+const CELLS_PER_FRAME: u32 = 4;
+/// Frames of fixed network-wide overhead per update cycle (superframe
+/// reconfiguration broadcast and scheduled activation), independent of
+/// network size.
+const FIXED_OVERHEAD_FRAMES: u64 = 42;
+/// Management frames the network can move per second (management slots
+/// are sparse: WirelessHART dedicates roughly one advertisement/
+/// management slot per second-long superframe).
+const MGMT_FRAMES_PER_SECOND: f64 = 0.61;
+/// Manager computation throughput, in graph-construction operations
+/// per second (a fast host; compute is not the bottleneck).
+const COMPUTE_OPS_PER_SECOND: f64 = 5e6;
 
 /// Breakdown of one full manager update cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,7 +87,6 @@ impl fmt::Display for UpdateReport {
 pub struct NetworkManager {
     db: LinkDb,
     roots: Vec<NodeId>,
-    cost: UpdateCostConfig,
     graph: RoutingGraph,
     schedule: Option<CentralSchedule>,
     updates: u64,
@@ -109,9 +94,9 @@ pub struct NetworkManager {
 
 impl NetworkManager {
     /// Creates a manager over an initial link database.
-    pub fn new(db: LinkDb, roots: Vec<NodeId>, cost: UpdateCostConfig) -> NetworkManager {
+    pub fn new(db: LinkDb, roots: Vec<NodeId>) -> NetworkManager {
         let graph = build_uplink_graph(&db, &roots);
-        NetworkManager { db, roots, cost, graph, schedule: None, updates: 0 }
+        NetworkManager { db, roots, graph, schedule: None, updates: 0 }
     }
 
     /// The manager's current routing graph.
@@ -148,11 +133,8 @@ impl NetworkManager {
 
         // Collection: every attached device sends `report_frames`, each
         // travelling depth hops to reach an access point.
-        let collection_frames: u64 = self
-            .graph
-            .nodes()
-            .map(|n| u64::from(self.depth(n)) * u64::from(self.cost.report_frames))
-            .sum();
+        let collection_frames: u64 =
+            self.graph.nodes().map(|n| u64::from(self.depth(n)) * u64::from(REPORT_FRAMES)).sum();
 
         // Dissemination: each device receives its route table plus its
         // slice of the schedule, again over depth hops.
@@ -161,8 +143,7 @@ impl NetworkManager {
             .nodes()
             .map(|n| {
                 let cells = schedule.cells_of(n).len() as u32;
-                let frames =
-                    self.cost.route_table_frames + cells.div_ceil(self.cost.cells_per_frame);
+                let frames = ROUTE_TABLE_FRAMES + cells.div_ceil(CELLS_PER_FRAME);
                 u64::from(self.depth(n)) * u64::from(frames)
             })
             .sum();
@@ -174,14 +155,14 @@ impl NetworkManager {
         let v = self.db.num_nodes().max(2) as u64;
         let compute_ops = e * v.ilog2() as u64 + schedule.cells().len() as u64 * 64;
 
-        let dissemination_total = dissemination_frames + self.cost.fixed_overhead_frames;
+        let dissemination_total = dissemination_frames + FIXED_OVERHEAD_FRAMES;
         let report = UpdateReport {
             collection_frames,
             dissemination_frames: dissemination_total,
             compute_ops,
-            collection_secs: collection_frames as f64 / self.cost.mgmt_frames_per_second,
-            compute_secs: compute_ops as f64 / self.cost.compute_ops_per_second,
-            dissemination_secs: dissemination_total as f64 / self.cost.mgmt_frames_per_second,
+            collection_secs: collection_frames as f64 / MGMT_FRAMES_PER_SECOND,
+            compute_secs: compute_ops as f64 / COMPUTE_OPS_PER_SECOND,
+            dissemination_secs: dissemination_total as f64 / MGMT_FRAMES_PER_SECOND,
         };
         self.schedule = Some(schedule);
         self.updates += 1;
@@ -221,7 +202,7 @@ mod tests {
     fn manager_for(topo: &Topology) -> NetworkManager {
         let model = LinkModel::new(topo, RfConfig::deterministic(), 1);
         let db = LinkDb::from_link_model(&model);
-        NetworkManager::new(db, topo.access_points(), UpdateCostConfig::default())
+        NetworkManager::new(db, topo.access_points())
     }
 
     fn default_sources(topo: &Topology, k: usize) -> Vec<NodeId> {

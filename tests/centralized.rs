@@ -4,12 +4,12 @@
 use digs_sim::link::LinkModel;
 use digs_sim::rf::RfConfig;
 use digs_sim::topology::Topology;
-use digs_whart::{build_uplink_graph, LinkDb, NetworkManager, UpdateCostConfig};
+use digs_whart::{build_uplink_graph, LinkDb, NetworkManager};
 
 fn manager(topology: &Topology) -> NetworkManager {
     let model = LinkModel::new(topology, RfConfig::indoor(), 3);
     let db = LinkDb::from_link_model(&model);
-    NetworkManager::new(db, topology.access_points(), UpdateCostConfig::default())
+    NetworkManager::new(db, topology.access_points())
 }
 
 fn sources(topology: &Topology, n: usize) -> Vec<digs_sim::ids::NodeId> {
