@@ -5,9 +5,10 @@ use crate::flags::Args;
 use crate::fleet::fleet_params;
 use crate::telemetry::telemetry_spec;
 use digs_digsd::{
-    BackoffPolicy, Client, Daemon, DaemonConfig, Filter, FleetParams, FrameKind, ResumableStream,
-    RunState, ServerMsg, SingleSpec, StreamItem, DEFAULT_ADDR,
+    BackoffPolicy, Client, Daemon, DaemonConfig, Filter, FrameKind, ResumableStream, RunState,
+    ServerMsg, SingleSpec, StreamItem, DEFAULT_ADDR,
 };
+use digs_fleet::FleetParams;
 use std::io::Write as _;
 use std::time::Duration;
 
@@ -161,10 +162,8 @@ fn follow_run(args: &Args, raw: bool) -> Result<(), String> {
     let (addr, filter) = (addr(args)?, filter(args)?);
     // --from-seq resumes a previous session's stream position (e.g. after
     // a daemon shutdown or a client crash) without duplicates.
-    let mut stream = match args.get("from-seq")? {
-        Some(from) => ResumableStream::attach_from(&addr, "digs-cli", &run, filter, from)?,
-        None => ResumableStream::attach(&addr, "digs-cli", &run, filter)?,
-    };
+    let mut stream =
+        ResumableStream::attach(&addr, "digs-cli", &run, filter, args.get("from-seq")?)?;
     follow(&mut stream, raw)
 }
 

@@ -63,7 +63,7 @@ const TELEMETRY: &[Flag] = &[
     flag("jam", "START:END", "full-band WiFi jammer cluster at every access point, seconds"),
 ];
 
-/// What describes a fleet: the fields of a `digs_digsd::FleetParams`.
+/// What describes a fleet: the fields of a `digs_fleet::FleetParams`.
 const FLEET: &[Flag] = &[
     flag("template", "NAME", "oil | factory | mixed (default: alternates the two)"),
     flag("networks", "N", "independent networks to stamp out (fleet run 32, digsd launch 4)"),

@@ -2,14 +2,13 @@
 //! report, and a saved report rendered by the same renderer.
 
 use crate::flags::Args;
-use digs_digsd::FleetParams;
-use digs_fleet::FleetReport;
+use digs_fleet::{FleetParams, FleetReport};
 use digs_json::message::Rows;
 use std::time::Duration;
 
-/// The fleet the fleet flags describe — what `fleet run` builds locally
-/// and what `digsd launch --kind fleet` sends, so the same flags are the
-/// same [`digs_fleet::FleetSpec`] either way.
+/// The fleet the fleet flags describe — what `fleet run` runs locally and
+/// what `digsd launch --kind fleet` sends, so the same flags are the same
+/// fleet either way.
 pub(crate) fn fleet_params(args: &Args, default_networks: u32) -> Result<FleetParams, String> {
     let d = FleetParams::default();
     Ok(FleetParams {
@@ -26,7 +25,6 @@ pub(crate) fn fleet_params(args: &Args, default_networks: u32) -> Result<FleetPa
 
 pub fn run(args: &Args) -> Result<(), String> {
     let params = fleet_params(args, 32)?;
-    let spec = params.build()?;
 
     // Degradation policy: one attempt and no deadline unless asked. The
     // --inject-timeout hook forces matching networks to time out so CI
@@ -41,14 +39,14 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
     run_policy.inject_timeout = args.get("inject-timeout")?;
 
-    let outcome = digs_fleet::run_fleet(&spec, params.jobs, None, &run_policy);
+    let outcome = digs_fleet::run_fleet(&params, None, &run_policy)?;
     let mut summaries = outcome.summaries;
     if let Some(pattern) = args.get::<String>("inject-loss")? {
         let hit = digs_fleet::degrade_matching(&mut summaries, &pattern);
         eprintln!("fleet: injected loss into {hit} network(s) matching `{pattern}`");
     }
     let report =
-        digs_fleet::aggregate_partial(&summaries, spec.secs, outcome.degraded, outcome.skipped);
+        digs_fleet::aggregate_partial(&summaries, params.secs, outcome.degraded, outcome.skipped);
 
     let rate = outcome.node_secs as f64 / outcome.serial_equivalent.as_secs_f64().max(1e-9);
     eprintln!(
@@ -91,5 +89,40 @@ pub fn report(args: &Args) -> Result<(), String> {
         Ok(())
     } else {
         Err("saved report records an SLO breach".into())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flags::parse;
+    use digs_fleet::RunPolicy;
+
+    /// FNV-1a-64 of the report's bytes.
+    fn fnv1a64(text: &str) -> u64 {
+        text.bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The flags → fleet → canonical report path, pinned across commits: a
+    /// mixed group of three networks and a 60-device campus in two shards.
+    #[test]
+    fn a_small_fleets_report_is_pinned() {
+        let argv: Vec<String> =
+            "fleet run --networks 3 --sharded-devices 60 --shard-size 30 --secs 120 --jobs 2"
+                .split(' ')
+                .map(str::to_string)
+                .collect();
+        let params = fleet_params(&parse(&argv).expect("parses"), 32).expect("flags");
+        let outcome = digs_fleet::run_fleet(&params, None, &RunPolicy::default()).expect("runs");
+        let report = digs_fleet::aggregate_partial(
+            &outcome.summaries,
+            params.secs,
+            outcome.degraded,
+            outcome.skipped,
+        );
+        let json = report.to_value().to_pretty();
+        assert_eq!(report.networks, 5, "{json}");
+        assert_eq!(fnv1a64(&json), 0x34cd_c522_5731_2252, "{json}");
     }
 }

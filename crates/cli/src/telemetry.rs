@@ -82,7 +82,8 @@ fn redraw(text: &str) {
 /// crash or a dropped connection reconnects with the cursor and the table
 /// keeps filling without duplicate epochs.
 fn top_attached(args: &Args, run: &str) -> Result<(), String> {
-    let stream = ResumableStream::attach(&crate::digsd::addr(args)?, "digs-cli", run, filter())?;
+    let stream =
+        ResumableStream::attach(&crate::digsd::addr(args)?, "digs-cli", run, filter(), None)?;
     follow(stream, run, |view, footer| redraw(&(view.render(TOP) + footer)))?;
     Ok(())
 }
@@ -115,7 +116,7 @@ fn follow(
             StreamItem::Event(frame) => {
                 view.push_line(&frame.payload)
                     .map_err(|e| format!("run `{run}` is not a telemetry stream: {e}"))?;
-                draw(&view, &footer(stream.delivered(), stream.gaps(), None));
+                draw(&view, &footer(stream.delivered(), stream.lost(), None));
             }
             StreamItem::Heartbeat { sent, dropped, .. } => {
                 draw(&view, &footer(sent, dropped, None))

@@ -95,6 +95,39 @@ fn figure_3_is_the_cost_model_and_an_unknown_figure_lists_the_choices() {
     );
 }
 
+/// A run length whose slots overflow the slot counter, or a shard the
+/// slotframe ladder cannot frame, is refused by name: a non-zero exit,
+/// nothing on stdout, no panic.
+#[test]
+fn a_count_no_run_can_hold_is_refused_without_a_panic() {
+    let overflowing = "184467440737095517";
+    for (args, field) in [
+        (&["figures", "--fig", "9", "--seeds", "1", "--secs", overflowing][..], "`secs`"),
+        (&["gate", "--matrix", "small", "--seeds", "1", "--secs", overflowing][..], "`secs`"),
+        (&["fleet", "run", "--networks", "1", "--secs", overflowing][..], "`secs`"),
+        (&["run", "--secs", overflowing][..], "`secs`"),
+        (
+            &[
+                "fleet",
+                "run",
+                "--networks",
+                "0",
+                "--sharded-devices",
+                "2000",
+                "--shard-size",
+                "2000",
+            ][..],
+            "shard_size",
+        ),
+    ] {
+        let output = cli(args, &[]);
+        let said = stderr(&output);
+        assert!(!output.status.success(), "{args:?} must fail");
+        assert!(output.stdout.is_empty(), "{args:?} must not print a result");
+        assert!(said.contains(field) && !said.contains("panicked"), "{args:?}: {said}");
+    }
+}
+
 #[test]
 fn help_and_a_missing_subcommand_print_the_generated_usage() {
     let help = cli(&["help"], &[]);

@@ -124,7 +124,7 @@ fn sigkilled_daemon_resumes_from_its_journal_byte_identically() {
     wait_ready(&addr_b);
 
     let mut resumed =
-        ResumableStream::attach_from(&addr_b, "kill9-test", "hardy", Filter::default(), cursor)
+        ResumableStream::attach(&addr_b, "kill9-test", "hardy", Filter::default(), Some(cursor))
             .expect("re-attach with cursor");
     let mut second = Segment::default();
     let end = loop {
@@ -136,7 +136,7 @@ fn sigkilled_daemon_resumes_from_its_journal_byte_identically() {
     };
     assert_eq!(end.state, RunState::Done, "the resumed run must complete");
     assert_eq!(end.dropped, 0, "the resumed stream must not drop");
-    assert_eq!(resumed.gaps(), 0, "no sequence gaps across the kill");
+    assert_eq!(resumed.lost(), 0, "no sequence gaps across the kill");
 
     // Sequences across both segments are exactly 0..n — zero gaps, zero
     // duplicates, even though the daemon died between them.

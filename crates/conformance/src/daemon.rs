@@ -12,6 +12,7 @@
 
 use crate::matrix::{MatrixKind, ScenarioSpec};
 use crate::metrics::RunMetrics;
+use digs::results::Secs;
 use digs_digsd::{Filter, FrameKind, Job, ResumableStream, RunState, StreamItem, Value};
 use digs_sim::time::SLOTS_PER_SECOND;
 use std::collections::BTreeSet;
@@ -28,7 +29,7 @@ digs_json::message! {
         /// Flow-set seed.
         seed: u64 = 1,
         /// Simulated seconds (`None` = the scenario's own length).
-        secs: Option<u64>,
+        secs: Option<u64> as Option<Secs>,
     }
 }
 
@@ -158,6 +159,25 @@ mod tests {
             let err = prepare_scenario(&spec).err().expect("must refuse");
             assert!(err.contains(field), "{err}");
         }
+    }
+
+    #[test]
+    fn a_scenario_whose_slots_overflow_is_refused_at_decode() {
+        // `secs` used to be a plain integer: the run wrapped `secs × 100`.
+        let edge = u64::MAX / SLOTS_PER_SECOND;
+        let launch = |secs: u64| {
+            let text = format!(r#"{{"kind":"scenario","scenario":"fig09-digs","secs":{secs}}}"#);
+            ScenarioLaunch::from_json(&crate::json::parse(&text).expect("parses"))
+        };
+        assert_eq!(launch(edge).expect("fits").secs, Some(edge));
+        let err = launch(edge + 1).expect_err("overflows");
+        assert!(err.contains("`secs`"), "{err}");
+        let spec = crate::json::parse(&format!(
+            r#"{{"kind":"scenario","matrix":"small","scenario":"fig09-digs","secs":{}}}"#,
+            u64::MAX
+        ))
+        .expect("parses");
+        assert!(prepare_scenario(&spec).err().expect("must refuse").contains("`secs`"));
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn run_gate(opts: &GateOptions) -> Result<GateOutcome, String> {
     if opts.seeds.is_empty() {
         return Err("empty seed sweep".into());
     }
-    let specs = opts.matrix.scenarios(opts.secs);
+    let specs = crate::matrix::scenarios(opts.matrix.names(), opts.secs)?;
     let say = |line: &str| {
         if opts.json {
             eprintln!("{line}");

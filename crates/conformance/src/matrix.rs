@@ -17,7 +17,7 @@ use crate::metrics::{MetricContext, RunMetrics};
 use digs::config::{NetworkConfig, Protocol};
 use digs::flows::FlowSpec;
 use digs::network::Network;
-use digs::results::RunResults;
+use digs::results::{RunResults, Secs};
 use digs::scenarios;
 use digs_sim::fault::{ChaosConfig, ChaosPlan, Outage};
 use digs_sim::ids::NodeId;
@@ -280,8 +280,12 @@ pub fn catalogue_names() -> impl Iterator<Item = &'static str> {
 ///
 /// # Errors
 ///
-/// Names the first scenario the catalogue lacks.
+/// Names `secs` when the override's slots do not fit the slot counter,
+/// else the first scenario the catalogue lacks.
 pub fn scenarios(names: &[&str], secs_override: Option<u64>) -> Result<Vec<ScenarioSpec>, String> {
+    if let Some(secs) = secs_override {
+        Secs::slots("secs", secs)?;
+    }
     let mut topologies: [Option<Topology>; 3] = Default::default();
     names
         .iter()
@@ -496,8 +500,13 @@ impl MatrixKind {
 
     /// Builds the tier's scenario list. `secs_override` shortens or
     /// lengthens every scenario (clamped to each scenario's minimum).
+    ///
+    /// # Panics
+    ///
+    /// When the override's slots do not fit the slot counter (see
+    /// [`scenarios()`], which refuses it).
     pub fn scenarios(self, secs_override: Option<u64>) -> Vec<ScenarioSpec> {
-        scenarios(self.names(), secs_override).expect("every matrix name is in the catalogue")
+        scenarios(self.names(), secs_override).expect("a countable run in the catalogue")
     }
 }
 
@@ -549,6 +558,18 @@ mod tests {
     fn an_unknown_name_is_refused_by_name() {
         let err = scenarios(&["fig09-digs", "fig07-digs"], None).expect_err("unknown");
         assert_eq!(err, "unknown scenario `fig07-digs`");
+    }
+
+    #[test]
+    fn an_override_whose_slots_overflow_is_refused_naming_secs() {
+        // `secs × 100` used to wrap in `ScenarioSpec::results`: the tables
+        // were headed with the asked length and filled from 84-slot runs.
+        let edge = u64::MAX / SLOTS_PER_SECOND;
+        for secs in [edge + 1, 184_467_440_737_095_517, u64::MAX] {
+            let err = scenarios(&["fig09-digs"], Some(secs)).expect_err("overflows");
+            assert!(err.starts_with("`secs`"), "{err}");
+        }
+        assert_eq!(scenarios(&["fig09-digs"], Some(edge)).expect("fits")[0].secs, edge);
     }
 
     #[test]

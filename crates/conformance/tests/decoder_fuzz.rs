@@ -61,11 +61,12 @@ fn fleet_params(input: &str) -> Result<FleetParams, String> {
     let params = FleetParams::from_json(&digs_json::parse(input).map_err(|e| e.to_string())?)?;
     assert!(params.secs.checked_mul(SLOTS_PER_SECOND).is_some(), "{input:?} overflows");
     // What `prepare_fleet` does with whatever a client sends; a fleet that
-    // builds must survive the sums the runner does before it simulates.
-    if let Ok(spec) = params.build() {
-        assert!(spec.networks() > 0 && spec.total_nodes() > 0, "{input:?}: an empty fleet built");
-        for group in &spec.groups {
-            assert!(!group.label(group.networks.saturating_sub(1)).is_empty());
+    // checks must survive the sums the runner does before it simulates.
+    if params.check().is_ok() {
+        assert!(params.networks() > 0 && params.total_nodes() > 0, "{input:?}: an empty fleet");
+        for (template, networks) in params.groups().expect("a checked fleet's template") {
+            let last = networks.saturating_sub(1);
+            assert!(!template.label(last, params.seed_base + u64::from(last)).is_empty());
         }
     }
     Ok(params)

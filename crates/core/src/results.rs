@@ -5,7 +5,7 @@ use digs_json::message;
 use digs_json::message::{Kind, WireField};
 use digs_json::Value;
 use digs_sim::ids::{FlowId, NodeId};
-use digs_sim::time::Asn;
+use digs_sim::time::{Asn, SLOTS_PER_SECOND};
 use std::collections::BTreeSet;
 
 macro_rules! number_fields {
@@ -34,6 +34,34 @@ number_fields! {
     NodeNumber: NodeId(u16),
     /// A [`FlowId`] written as its number.
     FlowNumber: FlowId(u16),
+}
+
+/// Simulated seconds, which a run turns into slots (`Asn::from_secs`,
+/// `secs × SLOTS_PER_SECOND`): a count whose slots do not fit the slot
+/// counter is refused. The row kind of every launch spec's seconds.
+pub struct Secs;
+
+impl Secs {
+    /// The slots `secs` seconds span, or an error naming `key` when they
+    /// do not fit the slot counter.
+    pub fn slots(key: &str, secs: u64) -> Result<u64, String> {
+        secs.checked_mul(SLOTS_PER_SECOND)
+            .ok_or_else(|| format!("`{key}`: {secs} s is more slots than a run can count"))
+    }
+}
+
+impl WireField<u64> for Secs {
+    const KIND: Kind = Kind::Secs;
+
+    fn write(secs: &u64, out: &mut String) {
+        digs_json::write_uint(out, *secs);
+    }
+
+    fn decode(key: &str, value: &Value) -> Result<u64, String> {
+        let secs: u64 = value.to_uint(key)?;
+        Secs::slots(key, secs)?;
+        Ok(secs)
+    }
 }
 
 message! {

@@ -92,27 +92,14 @@ impl Client {
         self.expect_ok()
     }
 
-    /// Attaches to a running run's stream (mid-stream: frames published
-    /// before this call are not replayed). An already-finished run
-    /// acknowledges and immediately delivers its terminal frame.
-    pub fn subscribe(&mut self, run: &str, filter: Filter) -> Result<(), String> {
-        self.subscribe_cursor(run, filter, None)
-    }
-
-    /// Attaches with an explicit resume cursor: the server delivers only
-    /// frames with sequence `from_seq` or later, which is how a
-    /// reconnecting client resumes without duplicates after a daemon
-    /// restart replays the run.
-    pub fn subscribe_from(
-        &mut self,
-        run: &str,
-        filter: Filter,
-        from_seq: u64,
-    ) -> Result<(), String> {
-        self.subscribe_cursor(run, filter, Some(from_seq))
-    }
-
-    fn subscribe_cursor(
+    /// Attaches to a run's stream. With no `from_seq` the stream starts at
+    /// the live point (frames published before this call are not
+    /// replayed); with one, the server delivers only frames with that
+    /// sequence or later, which is how a reconnecting client resumes
+    /// without duplicates after a daemon restart replays the run. An
+    /// already-finished run acknowledges and immediately delivers its
+    /// terminal frame.
+    pub fn subscribe(
         &mut self,
         run: &str,
         filter: Filter,
@@ -239,7 +226,7 @@ pub fn error_code(message: &str) -> Option<ErrorCode> {
 ///
 /// Flow-control accounting is cumulative across reconnects and reported
 /// in this stream's own terms: `sent` is frames actually handed to the
-/// caller, `dropped` is the loss estimate from [`ResumableStream::gaps`].
+/// caller, `dropped` is the loss estimate from [`ResumableStream::lost`].
 pub struct ResumableStream {
     addr: String,
     client_name: String,
@@ -285,31 +272,20 @@ impl ResumableStream {
         Ok(ResumableStream::assemble(addr, client_name, run, filter, Some(client), Some(0)))
     }
 
-    /// Attaches to a running run at the live point (no replay of earlier
-    /// frames); reconnects resume from wherever the stream got to.
+    /// Attaches to a run: at the live point (no replay of earlier frames)
+    /// without `from_seq`, else from that cursor (e.g. carried over from a
+    /// previous process via the journal or a saved offset); reconnects
+    /// resume from wherever the stream got to.
     pub fn attach(
         addr: &str,
         client_name: &str,
         run: &str,
         filter: Filter,
+        from_seq: Option<u64>,
     ) -> Result<ResumableStream, String> {
         let mut client = Client::connect(addr, client_name)?;
-        client.subscribe(run, filter.clone())?;
-        Ok(ResumableStream::assemble(addr, client_name, run, filter, Some(client), None))
-    }
-
-    /// Attaches with an explicit resume cursor (e.g. carried over from a
-    /// previous process via the journal or a saved offset).
-    pub fn attach_from(
-        addr: &str,
-        client_name: &str,
-        run: &str,
-        filter: Filter,
-        from_seq: u64,
-    ) -> Result<ResumableStream, String> {
-        let mut client = Client::connect(addr, client_name)?;
-        client.subscribe_from(run, filter.clone(), from_seq)?;
-        Ok(ResumableStream::assemble(addr, client_name, run, filter, Some(client), Some(from_seq)))
+        client.subscribe(run, filter.clone(), from_seq)?;
+        Ok(ResumableStream::assemble(addr, client_name, run, filter, Some(client), from_seq))
     }
 
     fn assemble(
@@ -337,17 +313,6 @@ impl ResumableStream {
         }
     }
 
-    /// Best estimate of frames lost to this subscriber: exact sequence
-    /// gaps on an unfiltered stream, cumulative server-reported overflow
-    /// drops under a filter.
-    fn lost(&self) -> u64 {
-        if self.track_gaps {
-            self.seq_gaps
-        } else {
-            self.carry_dropped + self.conn_dropped
-        }
-    }
-
     /// The resume cursor: first sequence still wanted.
     pub fn cursor(&self) -> Option<u64> {
         self.next_seq
@@ -363,8 +328,12 @@ impl ResumableStream {
     /// while disconnected from a live run), cumulative server-reported
     /// overflow drops under a filter (where sequence jumps also come
     /// from frames the filter excludes).
-    pub fn gaps(&self) -> u64 {
-        self.lost()
+    pub fn lost(&self) -> u64 {
+        if self.track_gaps {
+            self.seq_gaps
+        } else {
+            self.carry_dropped + self.conn_dropped
+        }
     }
 
     /// Frames handed to the caller so far.
@@ -440,7 +409,7 @@ impl ResumableStream {
         let mut delay = Duration::from_millis(100);
         loop {
             let attempt = Client::connect(&self.addr, &self.client_name).and_then(|mut c| {
-                c.subscribe_cursor(&self.run, self.filter.clone(), self.next_seq)?;
+                c.subscribe(&self.run, self.filter.clone(), self.next_seq)?;
                 Ok(c)
             });
             match attempt {

@@ -34,13 +34,14 @@ mod wire;
 
 pub use chaos::{ChaosConfig, ChaosState};
 pub use client::{error_code, Client, ResumableStream, StreamEnd, StreamItem};
+pub use digs_fleet::FleetParams;
 pub use digs_json::message::{FieldDef, Kind, MessageDef};
 pub use digs_json::Value;
 pub use hub::{BackoffPolicy, Hub, Recv, Subscription, Supervisor, Verdict};
 pub use journal::{Journal, Record, RecoveredRun, Recovery};
 pub use run::{Job, RunCtx, RunHandle, Runner};
 pub use server::{Daemon, DaemonConfig, DEFAULT_ADDR, HEARTBEAT};
-pub use spec::{topology_from, FleetParams, SingleSpec};
+pub use spec::{topology_from, SingleSpec};
 pub use wire::{
     valid_run_name, ClientMsg, ErrorCode, EventFrame, Filter, FrameKind, RunInfo, RunState,
     ServerMsg, WIRE_VERSION,

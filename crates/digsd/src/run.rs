@@ -5,9 +5,10 @@
 use crate::hub::{Hub, Supervisor, Verdict};
 use crate::journal::Record;
 use crate::server::Shared;
-use crate::spec::{FleetParams, SingleSpec};
+use crate::spec::SingleSpec;
 use crate::wire::{FrameKind, RunState, ServerMsg};
 use digs::network::{Network, RunObserver};
+use digs_fleet::FleetParams;
 use digs_json::message::Rows;
 use digs_json::{message, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -426,9 +427,8 @@ message! {
 
 pub(crate) fn prepare_fleet(spec: &Value) -> Result<Job, String> {
     let params = FleetParams::from_json(spec)?;
-    params.build()?; // validate now
+    params.check()?;
     Ok(Box::new(move |ctx: &RunCtx| {
-        let spec = params.build()?;
         let completed = AtomicU64::new(0);
         let on_network = |s: &digs_fleet::NetworkSummary| {
             ctx.set_progress(completed.fetch_add(1, Ordering::Relaxed) + 1);
@@ -449,7 +449,7 @@ pub(crate) fn prepare_fleet(spec: &Value) -> Result<Job, String> {
         let observer =
             digs_fleet::FleetObserver { on_network: &on_network, cancel: ctx.cancel_flag() };
         let policy = digs_fleet::RunPolicy::default();
-        let outcome = digs_fleet::run_fleet(&spec, params.jobs, Some(&observer), &policy);
+        let outcome = digs_fleet::run_fleet(&params, Some(&observer), &policy)?;
         // Degraded runs ride the fleet frame stream too, so a tailing
         // client sees quarantines as they are accounted, not only in the
         // final meta report.
@@ -464,7 +464,7 @@ pub(crate) fn prepare_fleet(spec: &Value) -> Result<Job, String> {
         }
         let report = digs_fleet::aggregate_partial(
             &outcome.summaries,
-            spec.secs,
+            params.secs,
             outcome.degraded,
             outcome.skipped,
         );

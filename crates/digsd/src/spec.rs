@@ -6,11 +6,10 @@
 //! in-process runs through the same code, so a daemon-launched run and a
 //! local `digs-cli run` of the same options are the same network.
 
-use crate::message::Secs;
 use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
+use digs::results::Secs;
 use digs::scenarios;
-use digs_fleet::{FleetSpec, ShardedSpec, Template};
 use digs_json::{message, Value};
 use digs_sim::interference::Jammer;
 use digs_sim::position::Position;
@@ -104,6 +103,20 @@ impl SingleSpec {
     pub fn build_config(&self) -> Result<NetworkConfig, String> {
         let topology = topology_from(&self.topology)?;
         let protocol = Protocol::parse(&self.protocol)?;
+        // A spec set in code skips the decoder's refusal of seconds whose
+        // slots overflow, so it is made here too.
+        let (jam_start, jam_end) = self.jam.unzip();
+        let times = [
+            ("secs", Some(self.secs)),
+            ("adaptive_jam", self.adaptive_jam),
+            ("jam", jam_start),
+            ("jam", jam_end),
+        ];
+        for (key, secs) in times {
+            if let Some(secs) = secs {
+                Secs::slots(key, secs)?;
+            }
+        }
         if self.period_ms < SLOT_MS {
             return Err(format!(
                 "period_ms: {} is shorter than one {SLOT_MS} ms slot",
@@ -173,85 +186,6 @@ impl SingleSpec {
     }
 }
 
-message! {
-    /// One fleet run: the options of `digs-cli fleet run`, which builds its
-    /// fleet through this struct too.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct FleetParams: "fleet" by "kind" {
-        /// `oil` | `factory` | `mixed`.
-        template: String = "mixed".into(),
-        /// Independent networks to stamp out.
-        networks: u32 = 4,
-        /// Seed of the first network.
-        seed_base: u64 = 1,
-        /// Simulated seconds per network.
-        secs: u64 as Secs = 600,
-        /// Devices in the optional sharded large network (0 = none). 32 bits
-        /// on the wire, so that the node sums the runner does over it fit.
-        sharded_devices: u32 = 0,
-        /// Devices per shard.
-        shard_size: u32 = 100,
-        /// Sharded network master seed (`None` = `seed_base`).
-        sharded_seed: Option<u64>,
-        /// Worker threads (`None` = one per core).
-        jobs: Option<usize>,
-    }
-}
-
-impl Default for FleetParams {
-    /// Every row's default.
-    fn default() -> FleetParams {
-        FleetParams::from_json(&Value::Obj(Vec::new())).expect("every row has a default")
-    }
-}
-
-impl FleetParams {
-    /// Expands to the fleet spec.
-    pub fn build(&self) -> Result<FleetSpec, String> {
-        // Network `k` runs at seed `seed_base + k`.
-        if self.seed_base.checked_add(u64::from(self.networks)).is_none() {
-            return Err(format!(
-                "seed_base: {} leaves no seeds for {} networks",
-                self.seed_base, self.networks
-            ));
-        }
-        let mut spec = FleetSpec::new().secs(self.secs);
-        match self.template.as_str() {
-            "mixed" => {
-                // Alternating split: oil-field gets the odd network out.
-                let oil = self.networks.div_ceil(2);
-                if oil > 0 {
-                    spec = spec.group(Template::OilField, oil, self.seed_base);
-                }
-                if self.networks > oil {
-                    spec = spec.group(Template::FactoryFloor, self.networks - oil, self.seed_base);
-                }
-            }
-            name => {
-                let template: Template = name.parse()?;
-                spec = spec.group(template, self.networks, self.seed_base);
-            }
-        }
-        if self.sharded_devices > 0 {
-            if self.shard_size == 0 {
-                return Err("shard_size must be > 0".into());
-            }
-            let seed = self.sharded_seed.unwrap_or(self.seed_base);
-            let mut sharded = ShardedSpec::sized(
-                format!("campus-{}", self.sharded_devices),
-                self.sharded_devices as usize,
-                seed,
-            );
-            sharded.shard_devices = self.shard_size as usize;
-            spec = spec.sharded(sharded);
-        }
-        if spec.networks() == 0 {
-            return Err("empty fleet: need networks > 0 or sharded_devices > 0".into());
-        }
-        Ok(spec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,11 +243,6 @@ mod tests {
         assert!(single(r#"{"flows":1e30}"#).unwrap_err().contains("flows"));
         assert!(single(r#"{"telemetry":[1000,1.5]}"#).unwrap_err().contains("telemetry[1]"));
         assert!(single(r#"{"topology":7}"#).unwrap_err().contains("topology"));
-        let fleet = |text: &str| FleetParams::from_json(&digs_json::parse(text).expect("parses"));
-        // 2^32+1 networks used to wrap to 1.
-        let err = fleet(r#"{"networks":4294967297}"#).unwrap_err();
-        assert!(err.contains("networks") && err.contains("4294967297"), "{err}");
-        assert_eq!(fleet(r#"{"networks":4294967295}"#).expect("fits").networks, u32::MAX);
     }
 
     #[test]
@@ -321,7 +250,6 @@ mod tests {
         // `secs × 100` used to panic a debug daemon in `total_slots` and
         // `Asn::from_secs`, and wrap to a garbage run length in release.
         let single = |text: &str| SingleSpec::from_json(&digs_json::parse(text).expect("parses"));
-        let fleet = |text: &str| FleetParams::from_json(&digs_json::parse(text).expect("parses"));
         let max = u64::MAX;
         assert!(single(&format!(r#"{{"secs":{max}}}"#)).unwrap_err().contains("`secs`"));
         assert!(single(&format!(r#"{{"adaptive_jam":{max}}}"#))
@@ -329,7 +257,6 @@ mod tests {
             .contains("`adaptive_jam`"));
         assert!(single(&format!(r#"{{"jam":[{max},5]}}"#)).unwrap_err().contains("`jam[0]`"));
         assert!(single(&format!(r#"{{"jam":[5,{max}]}}"#)).unwrap_err().contains("`jam[1]`"));
-        assert!(fleet(&format!(r#"{{"secs":{max}}}"#)).unwrap_err().contains("`secs`"));
         // The largest countable run still decodes, and its slots fit.
         let edge = max / digs_sim::time::SLOTS_PER_SECOND;
         let spec = single(&format!(r#"{{"secs":{edge},"jam":[1,{edge}]}}"#)).expect("fits");
@@ -341,46 +268,6 @@ mod tests {
     fn minimal_spec_takes_defaults() {
         let v = digs_json::parse(r#"{"kind":"single"}"#).expect("parses");
         assert_eq!(SingleSpec::from_json(&v).expect("decodes"), SingleSpec::default());
-    }
-
-    #[test]
-    fn fleet_params_round_trip_and_build() {
-        let params = FleetParams {
-            template: "mixed".into(),
-            networks: 3,
-            seed_base: 5,
-            secs: 150,
-            sharded_devices: 0,
-            shard_size: 100,
-            sharded_seed: None,
-            jobs: Some(2),
-        };
-        let back = FleetParams::from_json(&params.to_json()).expect("decodes");
-        assert_eq!(back, params);
-        let spec = params.build().expect("builds");
-        // mixed split: 2 oil + 1 factory.
-        assert_eq!(spec.networks(), 3);
-        assert_eq!(spec.secs, 150);
-    }
-
-    #[test]
-    fn a_fleet_whose_seeds_or_nodes_do_not_fit_is_refused() {
-        // Found by `decoder_fuzz.rs` once it built what it decoded: the
-        // last network's seed overflowed in `FleetGroup::label` on the run
-        // thread, and 2^64 − 1 sharded devices overflowed `total_nodes`.
-        let fleet = |text: &str| FleetParams::from_json(&digs_json::parse(text).expect("parses"));
-        let max = u64::MAX;
-        let late = fleet(&format!(r#"{{"template":"oil","networks":2,"seed_base":{max}}}"#));
-        assert!(late.expect("decodes").build().unwrap_err().contains("seed_base"));
-        let last = fleet(&format!(r#"{{"networks":2,"seed_base":{}}}"#, max - 2)).expect("decodes");
-        assert_eq!(
-            last.build().expect("fits").groups[0].label(0),
-            format!("oil-field-0000/seed{}", max - 2)
-        );
-        let err = fleet(&format!(r#"{{"sharded_devices":{max}}}"#)).unwrap_err();
-        assert!(err.contains("sharded_devices"), "{err}");
-        let big = fleet(r#"{"networks":0,"sharded_devices":4294967295,"shard_size":1}"#);
-        assert_eq!(big.expect("decodes").build().expect("fits").total_nodes(), 3 * 4_294_967_295);
     }
 
     #[test]
@@ -412,6 +299,14 @@ mod tests {
         for side in ["0", "-3", "nan", "inf"] {
             assert!(refused(random(&format!("random:5:{side}"))).starts_with("bad side length"));
         }
+        let edge = u64::MAX / digs_sim::time::SLOTS_PER_SECOND;
+        assert!(
+            refused(SingleSpec { secs: edge + 1, ..SingleSpec::default() }).starts_with("`secs`")
+        );
+        let late = SingleSpec { adaptive_jam: Some(edge + 1), ..SingleSpec::default() };
+        assert!(refused(late).starts_with("`adaptive_jam`"));
+        let jam = SingleSpec { jam: Some((1, edge + 1)), ..SingleSpec::default() };
+        assert!(refused(jam).starts_with("`jam`"));
         let shortest = SingleSpec { period_ms: 10, ..SingleSpec::default() };
         assert_eq!(shortest.build_config().expect("builds").flows[0].period, 1);
     }

@@ -180,7 +180,7 @@ fn late_subscriber_joins_a_restarted_run() {
         }
     }
     let mut late = Client::connect(&addr, "late-sub").expect("connect");
-    late.subscribe("phoenix2", Filter::default()).expect("mid-restart subscribe");
+    late.subscribe("phoenix2", Filter::default(), None).expect("mid-restart subscribe");
     let (got, end) = drain_client(&mut late);
     assert_eq!(end.state, RunState::Done);
     assert_eq!(end.dropped, 0);
@@ -342,7 +342,7 @@ fn graceful_shutdown_then_journal_resume_is_byte_identical() {
             }
         }
     };
-    assert_eq!(stream.gaps(), 0, "suspension must not lose frames");
+    assert_eq!(stream.lost(), 0, "suspension must not lose frames");
     assert!(first.meta.is_empty(), "a suspended run must not publish a partial meta line");
 
     // Daemon B: same journal, full speed. It must re-prepare the run,
@@ -354,12 +354,12 @@ fn graceful_shutdown_then_journal_resume_is_byte_identical() {
         resume_grace: Duration::from_secs(10),
         ..DaemonConfig::default()
     });
-    let mut resumed = ResumableStream::attach_from(
+    let mut resumed = ResumableStream::attach(
         &addr_b,
         "resume-test",
         "journaled",
         Filter::default(),
-        cursor,
+        Some(cursor),
     )
     .expect("re-attach with cursor");
     let (second, end) = drain_resumable(&mut resumed);

@@ -4,7 +4,8 @@
 //! kill.
 
 use digs_digsd::{
-    Client, Daemon, DaemonConfig, Filter, FrameKind, RunState, SingleSpec, StreamEnd, StreamItem,
+    Client, Daemon, DaemonConfig, Filter, FleetParams, FrameKind, RunState, SingleSpec, StreamEnd,
+    StreamItem,
 };
 use std::time::Duration;
 
@@ -238,7 +239,7 @@ fn kill_stops_a_run_and_the_stream_reports_it() {
 
     // A late subscriber to the finished run gets the terminal state
     // immediately.
-    killer.subscribe("doomed", Filter::default()).expect("subscribe");
+    killer.subscribe("doomed", Filter::default(), None).expect("subscribe");
     match killer.next_stream_item().expect("terminal item") {
         StreamItem::End(end) => assert_eq!(end.state, RunState::Killed),
         other => panic!("expected immediate end, got {other:?}"),
@@ -285,6 +286,38 @@ fn a_spec_that_cannot_be_built_is_bad_spec_and_the_daemon_serves_on() {
     };
     client.launch("buildable", spec.to_json(), true, Filter::default()).expect("launch");
     assert_eq!(drain(&mut client).end.state, RunState::Done);
+}
+
+#[test]
+fn a_fleet_whose_shard_the_slotframe_ladder_cannot_frame_is_bad_spec() {
+    // It used to pass validation, panic on the run thread, and end
+    // `quarantined` after the supervisor had replayed it.
+    let addr = start_daemon(DaemonConfig::default());
+    let mut client = Client::connect(&addr, "oversized").expect("connect");
+    let oversized = FleetParams {
+        networks: 0,
+        sharded_devices: 2000,
+        shard_size: 2000,
+        secs: 1,
+        ..FleetParams::default()
+    };
+    let err = client.launch("oversized", oversized.to_json(), false, Filter::default());
+    let err = err.expect_err("bad spec");
+    assert_eq!(digs_digsd::error_code(&err), Some(digs_digsd::ErrorCode::BadSpec), "{err}");
+    assert!(err.contains("shard_size"), "{err}");
+    assert!(client.list().expect("list").is_empty(), "nothing was registered");
+    // The same connection then runs a valid fleet to its end.
+    let framed = FleetParams {
+        template: "oil".into(),
+        networks: 1,
+        secs: 5,
+        jobs: Some(1),
+        ..FleetParams::default()
+    };
+    client.launch("framed", framed.to_json(), true, Filter::default()).expect("launch");
+    let got = drain(&mut client);
+    assert_eq!(got.end.state, RunState::Done);
+    assert_eq!(got.meta.len(), 1, "the fleet report");
 }
 
 #[test]

@@ -5,14 +5,17 @@
 //! occasional site too large for a single 16-channel TSCH domain. This
 //! crate simulates a whole campus in one invocation:
 //!
-//! - [`spec`] describes the fleet: groups of independent networks stamped
-//!   out from scenario templates ([`spec::Template`]) with per-network
-//!   seeds, plus spatially sharded single large networks
-//!   ([`spec::ShardedSpec`]);
+//! - [`spec`] describes the fleet, once: [`FleetParams`] is what
+//!   `digs-cli fleet run`'s flags and the daemon's `fleet` launch spec
+//!   both build — independent networks stamped out from scenario
+//!   templates ([`spec::Template`]) with per-network seeds, plus an
+//!   optional spatially sharded large network ([`spec::ShardedSpec`]) —
+//!   and [`FleetParams::check`] is its one validation;
 //! - [`runner`] fans the independent networks over the shared
 //!   [`digs_pool`] executor (one simulation per worker, labeled panics,
 //!   results in input order) and reduces each run to a
-//!   [`runner::NetworkSummary`];
+//!   [`runner::NetworkSummary`]; every fleet network is audited every
+//!   2 000 slots and sampled every 1 000 (`runner`'s two constants);
 //! - [`shard`] runs one large network as strip-partitioned shards that
 //!   each own their slot loop and exchange *boundary interference* state
 //!   at slotframe-window edges: each shard's observed per-channel
@@ -44,4 +47,4 @@ pub use runner::{
     NetworkSummary, RunPolicy,
 };
 pub use shard::ShardedOutcome;
-pub use spec::{FleetGroup, FleetSpec, ShardedSpec, Template};
+pub use spec::{FleetParams, ShardedSpec, Template};

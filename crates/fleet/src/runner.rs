@@ -1,7 +1,7 @@
 //! Fans independent fleet networks over the shared worker pool and
 //! reduces each run to a [`NetworkSummary`].
 
-use crate::spec::FleetSpec;
+use crate::spec::FleetParams;
 use digs::config::NetworkConfig;
 use digs::network::{Network, RunObserver};
 use digs::telemetry::HealthRule;
@@ -43,23 +43,32 @@ pub struct NetworkSummary {
     pub latency: LogHistogram,
 }
 
-/// Runs one fleet network to completion (audited, telemetry on) and
-/// summarizes it. `config` should already have its telemetry cadence and
-/// trace capacity set (see [`fleet_tuned`]). With a wall-clock `deadline`
-/// the run is checked against it at every stop; `Err(asn)` is the slot it
-/// had reached when the deadline interrupted it.
+/// Invariant-audit cadence of every fleet network, in slots (20 s; see
+/// [`digs::network::Network::run_audited`]).
+pub(crate) const AUDIT_EVERY: u64 = 2_000;
+
+/// Telemetry sampling cadence of every fleet network, in slots (10 s): it
+/// drives the per-network latency histograms and health alerts the fleet
+/// report aggregates.
+pub(crate) const TELEMETRY_EPOCH: u64 = 1_000;
+
+/// Runs one fleet network to completion (audited every `AUDIT_EVERY`
+/// slots, telemetry on) and summarizes it. `config` should already have
+/// its telemetry cadence and trace capacity set (see [`fleet_tuned`]).
+/// With a wall-clock `deadline` the run is checked against it at every
+/// stop; `Err(asn)` is the slot it had reached when the deadline
+/// interrupted it.
 pub fn run_network(
     label: &str,
     config: NetworkConfig,
     secs: u64,
-    audit_every: u64,
     deadline: Option<Instant>,
 ) -> Result<NetworkSummary, u64> {
     let mut net = Network::new(config);
     if let Some(deadline) = deadline {
         net.set_observer(Box::new(DeadlineObserver { deadline }));
     }
-    net.run_audited(secs * SLOTS_PER_SECOND, audit_every);
+    net.run_audited(secs * SLOTS_PER_SECOND, AUDIT_EVERY);
     if net.observer_stopped() {
         return Err(net.asn().0);
     }
@@ -97,17 +106,13 @@ pub fn summarize(label: &str, net: &Network) -> NetworkSummary {
 }
 
 /// Sets the per-run knobs the fleet requires for bounded memory and a
-/// complete report: tracing off, telemetry at the fleet cadence with a cap
-/// sized to the run length (no epoch is ever dropped, so the latency
-/// histogram covers the whole run).
-pub fn fleet_tuned(mut config: NetworkConfig, secs: u64, telemetry_epoch: u64) -> NetworkConfig {
+/// complete report: tracing off, telemetry every `TELEMETRY_EPOCH` slots
+/// with a cap sized to the run length (no epoch is ever dropped, so
+/// the latency histogram covers the whole run).
+pub fn fleet_tuned(mut config: NetworkConfig, secs: u64) -> NetworkConfig {
     config.trace_cap = Some(0);
-    config.telemetry_epoch = Some(telemetry_epoch);
-    let epochs = if telemetry_epoch == 0 {
-        0
-    } else {
-        (secs * SLOTS_PER_SECOND).div_ceil(telemetry_epoch) + 8
-    };
+    config.telemetry_epoch = Some(TELEMETRY_EPOCH);
+    let epochs = (secs * SLOTS_PER_SECOND).div_ceil(TELEMETRY_EPOCH) + 8;
     config.telemetry_cap = Some(epochs as usize);
     config
 }
@@ -168,7 +173,7 @@ impl RunObserver for DeadlineObserver {
 #[derive(Debug)]
 pub struct FleetOutcome {
     /// Per-network summaries: independent networks in group order, then
-    /// one summary per shard of each sharded network.
+    /// one summary per shard of the sharded network.
     pub summaries: Vec<NetworkSummary>,
     /// End-to-end wall-clock time.
     pub wall: Duration,
@@ -179,16 +184,16 @@ pub struct FleetOutcome {
     /// Simulated node-seconds (Σ nodes × secs) — the numerator of the
     /// nodes-per-core-second headline.
     pub node_secs: u64,
-    /// Per-shard busy time of each sharded network — what a utilization
+    /// Per-shard busy time of the sharded network — what a utilization
     /// report reads to find the window-barrier stragglers (empty without
-    /// sharded specs).
+    /// one).
     pub shard_busy: Vec<(String, Vec<Duration>)>,
     /// Networks that needed retries or were quarantined, in spec order.
     /// Quarantined entries have no summary in `summaries`.
     pub degraded: Vec<DegradedRun>,
     /// Independent networks skipped by cancellation before they started
-    /// (sharded networks skipped whole are not counted — the cancel flag
-    /// stops the sharded loop between networks).
+    /// (a sharded network skipped whole is not counted — the cancel flag
+    /// is read once, before it starts).
     pub skipped: u64,
 }
 
@@ -216,8 +221,8 @@ enum TaskOutcome {
 }
 
 /// Runs the whole fleet: independent networks fan out over the pool
-/// (results in input order), then each sharded network runs its windowed
-/// shard loop. Progress goes to stderr.
+/// (results in input order) on `params.jobs` workers, then the sharded
+/// network, if any, runs its windowed shard loop. Progress goes to stderr.
 ///
 /// With an `observer`, each completed network's summary is pushed through
 /// `on_network` as it finishes, and a raised `cancel` flag skips networks
@@ -229,34 +234,37 @@ enum TaskOutcome {
 /// the caller gates on the partial report instead of losing the whole
 /// sweep to one bad run. [`RunPolicy::default`] is one attempt with no
 /// deadline.
+///
+/// # Errors
+///
+/// What [`FleetParams::check`] refuses; nothing runs then.
 pub fn run_fleet(
-    spec: &FleetSpec,
-    jobs: Option<usize>,
+    params: &FleetParams,
     observer: Option<&FleetObserver<'_>>,
     policy: &RunPolicy,
-) -> FleetOutcome {
+) -> Result<FleetOutcome, String> {
+    params.check()?;
+    let secs = params.secs;
     let mut tasks: Vec<(String, NetworkConfig)> = Vec::new();
-    for group in &spec.groups {
-        for k in 0..group.networks {
-            let seed = group.seed_base + u64::from(k);
-            let config = fleet_tuned(group.template.config(seed), spec.secs, spec.telemetry_epoch);
-            tasks.push((group.label(k), config));
+    for (template, networks) in params.groups()? {
+        for k in 0..networks {
+            let seed = params.seed_base + u64::from(k);
+            tasks.push((template.label(k, seed), fleet_tuned(template.config(seed), secs)));
         }
     }
-    let jobs = jobs.unwrap_or_else(|| pool::default_jobs(tasks.len().max(1))).max(1);
+    let sharded = params.sharded();
+    let jobs = params.jobs.unwrap_or_else(|| pool::default_jobs(tasks.len().max(1))).max(1);
     eprintln!(
         "fleet: {} independent network(s) + {} sharded network(s), {} nodes total, \
          {} s simulated on {} worker(s)",
         tasks.len(),
-        spec.sharded.len(),
-        spec.total_nodes(),
-        spec.secs,
+        usize::from(sharded.is_some()),
+        params.total_nodes(),
+        secs,
         jobs
     );
 
     let wall_start = std::time::Instant::now();
-    let secs = spec.secs;
-    let audit_every = spec.audit_every;
     let labels: Vec<String> = tasks.iter().map(|(label, _)| label.clone()).collect();
     let caught = pool::par_map_caught(
         tasks,
@@ -278,9 +286,7 @@ pub fn run_fleet(
                     policy.timeout.map(|t| Instant::now() + t)
                 };
                 let config = config.clone();
-                let attempted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_network(&label, config, secs, audit_every, deadline)
-                }));
+                let attempted = pool::run_caught(|| run_network(&label, config, secs, deadline));
                 match attempted {
                     Ok(Ok(summary)) => {
                         if let Some(o) = observer {
@@ -293,12 +299,7 @@ pub fn run_fleet(
                         };
                     }
                     Ok(Err(asn)) => last_failure = Some(format!("timeout at asn {asn}")),
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
+                    Err(msg) => {
                         last_failure = Some(format!("panic: {msg}"));
                     }
                 }
@@ -346,12 +347,9 @@ pub fn run_fleet(
     }
 
     let mut shard_busy = Vec::new();
-    for sharded in &spec.sharded {
-        if observer.is_some_and(|o| o.cancel.load(std::sync::atomic::Ordering::Relaxed)) {
-            break;
-        }
-        let outcome =
-            crate::shard::run_sharded(sharded, spec.secs, audit_every, spec.telemetry_epoch, jobs);
+    let cancelled = observer.is_some_and(|o| o.cancel.load(std::sync::atomic::Ordering::Relaxed));
+    if let Some(sharded) = sharded.filter(|_| !cancelled) {
+        let outcome = crate::shard::run_sharded(&sharded, secs, jobs);
         serial_equivalent += outcome.busy.iter().sum::<Duration>();
         shard_busy.push((sharded.name.clone(), outcome.busy.clone()));
         if let Some(o) = observer {
@@ -362,43 +360,53 @@ pub fn run_fleet(
         summaries.extend(outcome.summaries);
     }
 
-    FleetOutcome {
+    Ok(FleetOutcome {
         summaries,
         wall: wall_start.elapsed(),
         serial_equivalent,
         jobs,
-        node_secs: spec.total_nodes() * spec.secs,
+        node_secs: params.total_nodes() * secs,
         shard_busy,
         degraded,
         skipped,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{FleetSpec, Template};
+    use crate::spec::Template;
+
+    /// `networks` oil fields from `seed_base`, run for `secs` on `jobs`
+    /// workers.
+    fn oil_fields(networks: u32, seed_base: u64, secs: u64, jobs: usize) -> FleetParams {
+        FleetParams {
+            template: "oil".into(),
+            networks,
+            seed_base,
+            secs,
+            jobs: Some(jobs),
+            ..FleetParams::default()
+        }
+    }
 
     #[test]
     fn fleet_tuned_pins_observation_knobs() {
-        let config = fleet_tuned(Template::OilField.config(1), 120, 1_000);
+        let config = fleet_tuned(Template::OilField.config(1), 120);
         assert_eq!(config.trace_cap, Some(0));
         assert_eq!(config.telemetry_epoch, Some(1_000));
         // 120 s * 100 slots / 1000 = 12 epochs, plus slack — never dropped.
         assert_eq!(config.telemetry_cap, Some(20));
-        let off = fleet_tuned(Template::OilField.config(1), 120, 0);
-        assert_eq!(off.telemetry_cap, Some(0));
     }
 
     #[test]
     fn injected_timeout_quarantines_without_aborting_the_fleet() {
-        let spec = FleetSpec::new().group(Template::OilField, 3, 1).secs(120);
         let policy = RunPolicy {
             timeout: None,
             retries: 1,
             inject_timeout: Some("0001".into()), // label of network index 1
         };
-        let outcome = run_fleet(&spec, Some(2), None, &policy);
+        let outcome = run_fleet(&oil_fields(3, 1, 120, 2), None, &policy).expect("runs");
         assert_eq!(outcome.summaries.len(), 2, "the quarantined network has no summary");
         assert_eq!(outcome.skipped, 0);
         assert_eq!(outcome.degraded.len(), 1);
@@ -408,7 +416,8 @@ mod tests {
         assert_eq!(d.attempts, 2, "one retry means two attempts");
         assert!(d.reason.starts_with("timeout at asn"), "reason: {}", d.reason);
         // The survivors are the byte-identical runs the clean fleet produces.
-        let clean = run_fleet(&spec, Some(1), None, &RunPolicy::default());
+        let clean =
+            run_fleet(&oil_fields(3, 1, 120, 1), None, &RunPolicy::default()).expect("runs");
         assert!(clean.degraded.is_empty());
         assert_eq!(outcome.summaries[0], clean.summaries[0]);
         assert_eq!(outcome.summaries[1], clean.summaries[2]);
@@ -417,23 +426,29 @@ mod tests {
     #[test]
     fn generous_deadline_changes_nothing() {
         // A deadline the run never hits must not perturb determinism.
-        let spec = FleetSpec::new().group(Template::OilField, 1, 9).secs(120);
+        let params = oil_fields(1, 9, 120, 1);
         let policy = RunPolicy {
             timeout: Some(Duration::from_secs(3600)),
             retries: 0,
             inject_timeout: None,
         };
-        let bounded = run_fleet(&spec, Some(1), None, &policy);
-        let unbounded = run_fleet(&spec, Some(1), None, &RunPolicy::default());
+        let bounded = run_fleet(&params, None, &policy).expect("runs");
+        let unbounded = run_fleet(&params, None, &RunPolicy::default()).expect("runs");
         assert!(bounded.degraded.is_empty());
         assert_eq!(bounded.summaries, unbounded.summaries);
     }
 
     #[test]
+    fn a_fleet_that_does_not_check_runs_nothing() {
+        let empty = FleetParams { networks: 0, ..FleetParams::default() };
+        let err = run_fleet(&empty, None, &RunPolicy::default()).expect_err("refused");
+        assert_eq!(err, "empty fleet: need networks > 0 or sharded_devices > 0");
+    }
+
+    #[test]
     fn small_fleet_is_deterministic_and_summarized() {
-        let spec = FleetSpec::new().group(Template::OilField, 2, 1).secs(150);
-        let a = run_fleet(&spec, Some(2), None, &RunPolicy::default());
-        let b = run_fleet(&spec, Some(1), None, &RunPolicy::default());
+        let a = run_fleet(&oil_fields(2, 1, 150, 2), None, &RunPolicy::default()).expect("runs");
+        let b = run_fleet(&oil_fields(2, 1, 150, 1), None, &RunPolicy::default()).expect("runs");
         assert_eq!(a.summaries.len(), 2);
         assert_eq!(a.node_secs, 2 * 47 * 150);
         // Same spec, different worker counts: identical summaries.

@@ -16,7 +16,7 @@
 //! from any engine's RNG — so the whole sharded run is reproducible
 //! bit-for-bit regardless of worker count or scheduling order.
 
-use crate::runner::{fleet_tuned, summarize, NetworkSummary};
+use crate::runner::{fleet_tuned, summarize, NetworkSummary, AUDIT_EVERY};
 use crate::spec::ShardedSpec;
 use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
@@ -31,21 +31,23 @@ use digs_sim::topology::{Role, Topology};
 use std::time::Duration;
 
 /// Application-slotframe ladder for shard sizing: Eq. 4 needs
-/// `A × devices` distinct cells, so pick the first prime comfortably
+/// `A × devices` distinct cells, so each frame is a prime comfortably
 /// above `3 × devices` (all coprime with the paper's 557/47 frames).
-fn app_slotframe(devices: usize) -> u32 {
-    const LADDER: [u32; 7] = [149, 307, 457, 761, 1531, 2039, 3067];
+const LADDER: [u32; 7] = [149, 307, 457, 761, 1531, 2039, 3067];
+
+/// The most devices one shard may hold: the ladder's largest frame must
+/// exceed `3 × (devices + 1)`.
+pub(crate) const MAX_SHARD_DEVICES: usize = (LADDER[LADDER.len() - 1] as usize - 1) / 3 - 1;
+
+/// The first frame of the ladder that holds a shard of `devices`, or
+/// `None` above [`MAX_SHARD_DEVICES`].
+pub(crate) fn app_slotframe(devices: usize) -> Option<u32> {
     let need = 3 * (devices + 1);
-    for p in LADDER {
-        if p as usize > need {
-            return p;
-        }
-    }
-    panic!("shard of {devices} devices exceeds the slotframe ladder (max ~1020 devices)");
+    LADDER.into_iter().find(|&p| p as usize > need)
 }
 
 /// Per-shard device counts: as even as possible, earlier strips take the
-/// remainder.
+/// remainder (the first is [`ShardedSpec::largest_shard`]).
 fn device_split(spec: &ShardedSpec) -> Vec<usize> {
     let shards = spec.num_shards();
     let base = spec.devices / shards;
@@ -97,7 +99,12 @@ pub fn shard_topologies(spec: &ShardedSpec) -> Vec<Topology> {
 
 /// Builds the per-shard network configs (flows sourced far from the
 /// shard's access point, slotframe sized to the shard).
-pub fn shard_configs(spec: &ShardedSpec, secs: u64, telemetry_epoch: u64) -> Vec<NetworkConfig> {
+///
+/// # Panics
+///
+/// When a shard holds more than `MAX_SHARD_DEVICES` (1021) devices, which
+/// [`crate::FleetParams::check`] refuses.
+pub fn shard_configs(spec: &ShardedSpec, secs: u64) -> Vec<NetworkConfig> {
     shard_topologies(spec)
         .into_iter()
         .enumerate()
@@ -114,7 +121,9 @@ pub fn shard_configs(spec: &ShardedSpec, secs: u64, telemetry_epoch: u64) -> Vec
                 scenarios::WARMUP_SECS,
             );
             let slotframes = digs_scheduling::SlotframeLengths {
-                app: app_slotframe(devices),
+                app: app_slotframe(devices).unwrap_or_else(|| {
+                    panic!("shard of {devices} devices exceeds the slotframe ladder")
+                }),
                 ..digs_scheduling::SlotframeLengths::paper()
             };
             let config = NetworkConfig::builder(topology)
@@ -130,7 +139,7 @@ pub fn shard_configs(spec: &ShardedSpec, secs: u64, telemetry_epoch: u64) -> Vec
                 .health_settle_secs(300)
                 .health_churn_storm((devices as u32 / 3).max(16))
                 .build();
-            fleet_tuned(config, secs, telemetry_epoch)
+            fleet_tuned(config, secs)
         })
         .collect()
 }
@@ -176,14 +185,8 @@ pub struct ShardedOutcome {
 
 /// Runs one sharded network: all shards advance one slotframe window per
 /// round (fanned over the pool), then exchange boundary interference.
-pub fn run_sharded(
-    spec: &ShardedSpec,
-    secs: u64,
-    audit_every: u64,
-    telemetry_epoch: u64,
-    jobs: usize,
-) -> ShardedOutcome {
-    let configs = shard_configs(spec, secs, telemetry_epoch);
+pub fn run_sharded(spec: &ShardedSpec, secs: u64, jobs: usize) -> ShardedOutcome {
+    let configs = shard_configs(spec, secs);
     let shards = configs.len();
     let strip_w = spec.side;
     // All shards exchange on the widest shard's application slotframe so
@@ -211,7 +214,7 @@ pub fn run_sharded(
             jobs,
             |_, (s, _)| format!("{name}/shard{s}@slot{done}"),
             move |(s, mut net)| {
-                net.run_audited(step, audit_every);
+                net.run_audited(step, AUDIT_EVERY);
                 (s, net)
             },
         );
@@ -286,12 +289,15 @@ mod tests {
 
     #[test]
     fn slotframe_ladder_covers_shard_sizes() {
-        assert_eq!(app_slotframe(40), 149);
-        assert_eq!(app_slotframe(100), 307);
-        assert_eq!(app_slotframe(150), 457);
-        assert_eq!(app_slotframe(250), 761);
-        assert_eq!(app_slotframe(500), 1531);
-        assert_eq!(app_slotframe(1000), 3067);
+        assert_eq!(app_slotframe(40), Some(149));
+        assert_eq!(app_slotframe(100), Some(307));
+        assert_eq!(app_slotframe(150), Some(457));
+        assert_eq!(app_slotframe(250), Some(761));
+        assert_eq!(app_slotframe(500), Some(1531));
+        assert_eq!(app_slotframe(1000), Some(3067));
+        assert_eq!(MAX_SHARD_DEVICES, 1021);
+        assert_eq!(app_slotframe(MAX_SHARD_DEVICES), Some(3067));
+        assert_eq!(app_slotframe(MAX_SHARD_DEVICES + 1), None);
     }
 
     #[test]
@@ -316,6 +322,7 @@ mod tests {
     fn uneven_devices_split_deterministically() {
         let spec = ShardedSpec { devices: 61, ..tiny_spec() };
         assert_eq!(device_split(&spec), vec![21, 20, 20]);
+        assert_eq!(spec.largest_shard(), 21);
     }
 
     #[test]
@@ -334,8 +341,8 @@ mod tests {
     #[test]
     fn sharded_run_is_deterministic_and_exchanges_load() {
         let spec = tiny_spec();
-        let a = run_sharded(&spec, 150, 2_000, 1_000, 2);
-        let b = run_sharded(&spec, 150, 2_000, 1_000, 1);
+        let a = run_sharded(&spec, 150, 2);
+        let b = run_sharded(&spec, 150, 1);
         assert_eq!(a.summaries.len(), 2);
         assert!(a.windows > 1, "the run must cross at least one exchange edge");
         assert!(a.boundary_installs > 0, "steady-state traffic must produce nonzero boundary load");

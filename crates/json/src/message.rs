@@ -114,7 +114,7 @@ pub const fn plain(name: &str) -> bool {
 }
 
 /// How one kind of field is written and read. `T` is the Rust type it
-/// codes; a marker type (digsd's `Secs`) codes a type it is not.
+/// codes; a marker type (`digs::results::Secs`) codes a type it is not.
 pub trait WireField<T = Self> {
     /// What the rows record for this kind.
     const KIND: Kind;

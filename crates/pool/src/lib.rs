@@ -110,7 +110,7 @@ where
             .enumerate()
             .map(|(index, item)| {
                 let start = Instant::now();
-                run_caught(&f, item)
+                run_caught(|| f(item))
                     .map(|value| Timed { value, elapsed: start.elapsed() })
                     .map_err(|msg| failure(&labels[index], &msg))
             })
@@ -144,7 +144,7 @@ where
                 };
                 let start = Instant::now();
                 let outcome =
-                    run_caught(f, item).map(|value| Timed { value, elapsed: start.elapsed() });
+                    run_caught(|| f(item)).map(|value| Timed { value, elapsed: start.elapsed() });
                 if res_tx.send((index, outcome)).is_err() {
                     break;
                 }
@@ -158,9 +158,10 @@ where
     results.into_iter().map(|r| r.expect("every task completed")).collect()
 }
 
-/// Runs one task, converting an unwind into the panic payload's message.
-fn run_caught<I, O, F: Fn(I) -> O>(f: &F, item: I) -> Result<O, String> {
-    catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| {
+/// Runs `f`, converting an unwind into the panic payload's message (a
+/// payload that is not a string reads "non-string panic payload").
+pub fn run_caught<O>(f: impl FnOnce() -> O) -> Result<O, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {

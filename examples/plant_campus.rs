@@ -3,7 +3,7 @@
 //! 2000-device campus network, reduced into a single fleet SLO report.
 //!
 //! This is the `digs-fleet` subsystem end to end — template stamping
-//! ([`digs_fleet::FleetSpec`]), the shared worker pool, shard
+//! ([`digs_fleet::FleetParams`]), the shared worker pool, shard
 //! boundary-interference exchange, and `LogHistogram`-based latency
 //! aggregation — the same pipeline `digs-cli fleet run` drives.
 //!
@@ -15,28 +15,30 @@
 //! worker count (`digs-cli fleet run --jobs N` runs the same pipeline on
 //! a chosen count).
 
-use digs_fleet::{aggregate_partial, run_fleet, FleetSpec, RunPolicy, ShardedSpec, Template};
+use digs_fleet::{aggregate_partial, run_fleet, FleetParams, RunPolicy};
 
 fn main() {
-    // Eight oil fields, eight factory floors, and one sharded campus:
-    // 2000 devices in 100-device shards that exchange boundary
-    // interference at slotframe-window edges.
-    let spec = FleetSpec::new()
-        .group(Template::OilField, 8, 1)
-        .group(Template::FactoryFloor, 8, 1)
-        .sharded(ShardedSpec::sized("campus-2000", 2000, 42));
+    // Eight oil fields, eight factory floors (a mixed fleet from seed 1),
+    // and one sharded campus: 2000 devices in 100-device shards that
+    // exchange boundary interference at slotframe-window edges.
+    let params = FleetParams {
+        networks: 16,
+        sharded_devices: 2000,
+        sharded_seed: Some(42),
+        ..FleetParams::default()
+    };
 
     println!(
         "plant campus: {} networks, {} nodes, {} s simulated each",
-        spec.networks(),
-        spec.total_nodes(),
-        spec.secs
+        params.networks(),
+        params.total_nodes(),
+        params.secs
     );
 
-    let outcome = run_fleet(&spec, None, None, &RunPolicy::default());
+    let outcome = run_fleet(&params, None, &RunPolicy::default()).expect("a valid fleet");
 
     let report =
-        aggregate_partial(&outcome.summaries, spec.secs, outcome.degraded, outcome.skipped);
+        aggregate_partial(&outcome.summaries, params.secs, outcome.degraded, outcome.skipped);
     println!("\n{}", digs_fleet::render(&report));
 
     // Shard utilization: how evenly the windowed shard loop kept its
