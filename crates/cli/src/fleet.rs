@@ -123,6 +123,6 @@ mod tests {
         );
         let json = report.to_value().to_pretty();
         assert_eq!(report.networks, 5, "{json}");
-        assert_eq!(fnv1a64(&json), 0x34cd_c522_5731_2252, "{json}");
+        assert_eq!(fnv1a64(&json), 0x6a0c_d767_003c_2e45, "{json}");
     }
 }

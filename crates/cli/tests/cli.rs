@@ -95,8 +95,9 @@ fn figure_3_is_the_cost_model_and_an_unknown_figure_lists_the_choices() {
     );
 }
 
-/// A run length whose slots overflow the slot counter, or a shard the
-/// slotframe ladder cannot frame, is refused by name: a non-zero exit,
+/// A run length whose slots overflow the slot counter or whose chaos plan
+/// exceeds its ceiling, or a shard the slotframe ladder cannot frame, is
+/// refused by name: a non-zero exit,
 /// nothing on stdout, no panic.
 #[test]
 fn a_count_no_run_can_hold_is_refused_without_a_panic() {
@@ -106,6 +107,12 @@ fn a_count_no_run_can_hold_is_refused_without_a_panic() {
         (&["gate", "--matrix", "small", "--seeds", "1", "--secs", overflowing][..], "`secs`"),
         (&["fleet", "run", "--networks", "1", "--secs", overflowing][..], "`secs`"),
         (&["run", "--secs", overflowing][..], "`secs`"),
+        // Fits the slot counter, but its chaos plan would not fit memory.
+        (&["figures", "--fig", "soak", "--seeds", "1", "--secs", "1000000000000000"][..], "`secs`"),
+        (
+            &["gate", "--matrix", "small", "--seeds", "1", "--secs", "1000000000000000"][..],
+            "`secs`",
+        ),
         (
             &[
                 "fleet",

@@ -38,10 +38,10 @@ digs_json::message! {
 /// record as the run's single `meta` frame.
 pub fn prepare_scenario(spec: &Value) -> Result<Job, String> {
     let ScenarioLaunch { matrix, scenario: name, seed, secs } = ScenarioLaunch::from_json(spec)?;
-    let scenario: ScenarioSpec =
-        matrix.scenarios(secs).into_iter().find(|s| s.name == name).ok_or_else(|| {
-            format!("unknown scenario `{name}` in the {} matrix", matrix.as_str())
-        })?;
+    if !matrix.names().contains(&name.as_str()) {
+        return Err(format!("unknown scenario `{name}` in the {} matrix", matrix.as_str()));
+    }
+    let scenario: ScenarioSpec = crate::matrix::scenarios(&[&name], secs)?.remove(0);
     Ok(Box::new(move |ctx| {
         // ScenarioSpec::run is monolithic, so kill granularity is the
         // whole run: a cancelled scenario still finishes simulating but
@@ -122,7 +122,7 @@ pub fn collect_attached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use digs_digsd::{Daemon, DaemonConfig};
+    use digs_digsd::{Client, Daemon, DaemonConfig};
 
     fn start() -> String {
         let mut daemon = Daemon::bind("127.0.0.1:0", DaemonConfig::default()).expect("bind");
@@ -178,6 +178,26 @@ mod tests {
         ))
         .expect("parses");
         assert!(prepare_scenario(&spec).err().expect("must refuse").contains("`secs`"));
+    }
+
+    #[test]
+    fn a_chaos_scenario_past_the_event_ceiling_is_bad_spec() {
+        let addr = start();
+        let mut client = Client::connect(&addr, "ceiling").expect("connect");
+        let launch = |scenario: &str| ScenarioLaunch {
+            matrix: MatrixKind::Small,
+            scenario: scenario.into(),
+            seed: 1,
+            secs: Some(1_000_000_000_000_000),
+        };
+        let err =
+            client.launch("ceiling", launch("chaos-digs").to_json(), false, Filter::default());
+        let err = err.expect_err("bad spec");
+        assert_eq!(digs_digsd::error_code(&err), Some(digs_digsd::ErrorCode::BadSpec), "{err}");
+        assert!(err.contains("`secs`"), "{err}");
+        assert!(client.list().expect("list").is_empty(), "nothing was registered");
+        // The same length builds a scenario without chaos (it is not run).
+        assert!(prepare_scenario(&launch("fig09-digs").to_json()).is_ok());
     }
 
     #[test]

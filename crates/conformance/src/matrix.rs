@@ -36,6 +36,11 @@ pub const AUDIT_EVERY_SLOTS: u64 = 10 * SLOTS_PER_SECOND;
 /// chaos-free tail so the last fault has room to recover.
 const CHAOS_WARMUP_SECS: u64 = 120;
 const CHAOS_TAIL_SECS: u64 = 120;
+/// The most fault events a chaos scenario's plan may hold. The plan is
+/// generated whole before the run's first slot, so a length override that
+/// asks for more (about 20 days of the moderate rates) is refused rather
+/// than allocated.
+const MAX_CHAOS_EVENTS: u64 = 100_000;
 
 /// When the three-way comparison's shared relay fails / recovers.
 const THREEWAY_FAIL_START_SECS: u64 = 120;
@@ -280,8 +285,9 @@ pub fn catalogue_names() -> impl Iterator<Item = &'static str> {
 ///
 /// # Errors
 ///
-/// Names `secs` when the override's slots do not fit the slot counter,
-/// else the first scenario the catalogue lacks.
+/// Names `secs` when the override's slots do not fit the slot counter, or
+/// when it would give a chaos scenario more than 100 000 faults; else the
+/// first scenario the catalogue lacks.
 pub fn scenarios(names: &[&str], secs_override: Option<u64>) -> Result<Vec<ScenarioSpec>, String> {
     if let Some(secs) = secs_override {
         Secs::slots("secs", secs)?;
@@ -295,7 +301,15 @@ pub fn scenarios(names: &[&str], secs_override: Option<u64>) -> Result<Vec<Scena
                 .find(|entry| entry.0 == *name)
                 .ok_or_else(|| format!("unknown scenario `{name}`"))?;
             let topology = topologies[kind.testbed()].get_or_insert_with(TESTBEDS[kind.testbed()]);
-            Ok(ScenarioSpec::new(name, protocol, kind, topology, secs_override))
+            let spec = ScenarioSpec::new(name, protocol, kind, topology, secs_override);
+            match spec.chaos_config().map(|config| config.max_events()) {
+                Some(events) if events > MAX_CHAOS_EVENTS => Err(format!(
+                    "`secs`: {} s of `{name}` would schedule {events} chaos faults, \
+                     more than {MAX_CHAOS_EVENTS}",
+                    spec.secs
+                )),
+                _ => Ok(spec),
+            }
         })
         .collect()
 }
@@ -351,10 +365,14 @@ impl ScenarioSpec {
     /// The seeded chaos plan of a chaos scenario: which faults and jammer
     /// bursts its run injects, and when (`None` for any other scenario).
     pub fn chaos_plan(&self, seed: u64) -> Option<ChaosPlan> {
+        self.chaos_config().map(|config| ChaosPlan::generate(&config, &self.topology, seed))
+    }
+
+    /// The rates and window a chaos scenario's plan is drawn from.
+    fn chaos_config(&self) -> Option<ChaosConfig> {
         (self.kind == Kind::Chaos).then(|| {
             let chaos_secs = self.secs - CHAOS_WARMUP_SECS - CHAOS_TAIL_SECS;
-            let config = ChaosConfig::moderate(Asn::from_secs(CHAOS_WARMUP_SECS), chaos_secs);
-            ChaosPlan::generate(&config, &self.topology, seed)
+            ChaosConfig::moderate(Asn::from_secs(CHAOS_WARMUP_SECS), chaos_secs)
         })
     }
 
@@ -503,8 +521,8 @@ impl MatrixKind {
     ///
     /// # Panics
     ///
-    /// When the override's slots do not fit the slot counter (see
-    /// [`scenarios()`], which refuses it).
+    /// When [`scenarios()`] refuses the override (its slots do not fit the
+    /// slot counter, or a chaos plan would exceed its ceiling).
     pub fn scenarios(self, secs_override: Option<u64>) -> Vec<ScenarioSpec> {
         scenarios(self.names(), secs_override).expect("a countable run in the catalogue")
     }
@@ -570,6 +588,27 @@ mod tests {
             assert!(err.starts_with("`secs`"), "{err}");
         }
         assert_eq!(scenarios(&["fig09-digs"], Some(edge)).expect("fits")[0].secs, edge);
+    }
+
+    #[test]
+    fn a_chaos_override_past_the_event_ceiling_is_refused_naming_secs() {
+        // The plan is drawn whole before the first slot: 10^15 s of chaos
+        // asked for some 6·10^13 events, a length whose slots fit a `u64`.
+        let chaos = |secs| scenarios(&["fig09-digs", "chaos-digs"], Some(secs));
+        let err = chaos(1_000_000_000_000_000).expect_err("too many faults");
+        assert!(err.starts_with("`secs`") && err.contains("`chaos-digs`"), "{err}");
+        // 10^6 s plans at most some 58 000 faults, 2·10^6 s twice that.
+        assert!(chaos(1_000_000).is_ok() && chaos(2_000_000).is_err());
+        // The bound holds the plans drawn.
+        let spec = scenarios(&["chaos-digs"], None).expect("in the catalogue").remove(0);
+        let max = spec.chaos_config().expect("chaos").max_events();
+        for seed in 1..=20 {
+            let plan = spec.chaos_plan(seed).expect("chaos");
+            assert!(plan.events().len() as u64 <= max, "seed {seed}");
+        }
+        // Other scenarios take the same length.
+        let secs = 1_000_000_000_000_000;
+        assert_eq!(scenarios(&["fig09-digs"], Some(secs)).expect("no chaos")[0].secs, secs);
     }
 
     #[test]

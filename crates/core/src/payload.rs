@@ -1,6 +1,6 @@
 //! The frame payload carried over the simulated network.
 
-use digs_routing::messages::{Dio, JoinIn, JoinedCallback};
+use digs_routing::messages::{Dio, JoinIn};
 use digs_sim::ids::{FlowId, NodeId};
 use digs_sim::time::Asn;
 
@@ -26,8 +26,6 @@ pub enum Payload {
     Eb,
     /// DiGS join-in broadcast.
     JoinIn(JoinIn),
-    /// DiGS joined-callback unicast.
-    JoinedCallback(JoinedCallback),
     /// RPL DIO broadcast (Orchestra baseline).
     Dio(Dio),
     /// Application data.
@@ -41,7 +39,6 @@ impl Payload {
         match self {
             Payload::Eb => 50,
             Payload::JoinIn(_) | Payload::Dio(_) => 64,
-            Payload::JoinedCallback(_) => 40,
             Payload::Data(_) => 90,
         }
     }
@@ -50,9 +47,7 @@ impl Payload {
     pub fn frame_kind(&self) -> digs_sim::packet::FrameKind {
         match self {
             Payload::Eb => digs_sim::packet::FrameKind::Beacon,
-            Payload::JoinIn(_) | Payload::JoinedCallback(_) | Payload::Dio(_) => {
-                digs_sim::packet::FrameKind::Routing
-            }
+            Payload::JoinIn(_) | Payload::Dio(_) => digs_sim::packet::FrameKind::Routing,
             Payload::Data(_) => digs_sim::packet::FrameKind::Data,
         }
     }

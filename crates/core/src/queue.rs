@@ -57,11 +57,6 @@ impl<T> BoundedQueue<T> {
         self.items.is_empty()
     }
 
-    /// Retains only items matching the predicate.
-    pub fn retain(&mut self, f: impl FnMut(&T) -> bool) {
-        self.items.retain(f);
-    }
-
     /// Discards every queued item (a cold reboot wiping the mote's RAM).
     pub fn clear(&mut self) {
         self.items.clear();
@@ -91,17 +86,6 @@ mod tests {
         assert!(!q.push(3));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(1));
-    }
-
-    #[test]
-    fn retain_filters() {
-        let mut q = BoundedQueue::new(8);
-        for i in 0..6 {
-            q.push(i);
-        }
-        q.retain(|x| x % 2 == 0);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(0));
     }
 
     #[test]

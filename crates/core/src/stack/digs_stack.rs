@@ -24,10 +24,10 @@ pub struct DigsStack {
     mac: TschMac,
     routing: DigsRouting,
     scheduler: DigsScheduler,
-    /// Whether the current second-best parent has confirmed (by ACKing a
-    /// callback or a data frame) that it holds our registration. Until
-    /// then, attempt-3 traffic is redirected to the primary parent — an
-    /// unregistered backup would silently eat every third attempt — and
+    /// Whether the current second-best parent has confirmed, by ACKing a
+    /// data frame, that it holds our registration. Until then, attempt-3
+    /// traffic is redirected to the primary parent — a backup that has not
+    /// yet heard our join-in would silently eat every third attempt — and
     /// the backup is probed on every fourth application cycle.
     second_confirmed: bool,
     /// Retained so a cold reboot (engine `reset`) can reprovision the
@@ -48,7 +48,7 @@ pub struct DigsProvision {
     pub attempts: u8,
     /// Routing-layer parameters.
     pub routing_config: RoutingConfig,
-    /// Capacity of the application and routing queues.
+    /// Capacity of the application queue.
     pub queue_capacity: usize,
     /// Application cycles a packet is retried at one hop before it is
     /// dropped (its attempt budget is `attempts × max_cycles`).
@@ -117,8 +117,9 @@ impl DigsStack {
     }
 
     /// Registers `child` (or refreshes its registration) in the role it
-    /// gave us. Absence from a later join-in is NOT a removal — only
-    /// explicit revocation or prolonged silence unregisters a child.
+    /// gave us. Only prolonged silence releases the child's cells: a
+    /// later join-in naming other parents leaves them in place, and the
+    /// old parent over-listens until the sweep finds the child silent.
     fn register_child(&mut self, child: NodeId, role: ParentSlot, asn: Asn) {
         self.scheduler.add_child(child, role);
         if self.mac.child_heard(child, asn) {
@@ -195,9 +196,6 @@ impl DigsStack {
                 RoutingEvent::BroadcastJoinIn(msg) => {
                     self.mac.queue_broadcast(Payload::JoinIn(msg));
                 }
-                RoutingEvent::SendJoinedCallback { to, callback } => {
-                    self.mac.queue_unicast(to, Payload::JoinedCallback(callback));
-                }
                 RoutingEvent::BroadcastDio(_) => {
                     debug_assert!(false, "DiGS routing never emits DIOs");
                 }
@@ -207,8 +205,8 @@ impl DigsStack {
                     self.scheduler.set_parents(best, second);
                     // Announce the new parent set at the next shared slot
                     // without waiting for the Trickle firing point: until
-                    // the new parents hear it (or the callback), their
-                    // schedules lack our receive cells.
+                    // the new parents hear it, their schedules lack our
+                    // receive cells.
                     if best.is_some() {
                         self.mac.queue_broadcast(Payload::JoinIn(self.routing.join_in()));
                     }
@@ -221,10 +219,10 @@ impl DigsStack {
     }
 
     /// Picks the actual next hop for a data cell: the backup route is only
-    /// used once its registration is confirmed; before that, attempt-A
-    /// cells go to the primary, with a probe toward the backup every
-    /// fourth application cycle (the primary listens in all of our attempt
-    /// cells, so the redirect always has a receiver).
+    /// used once the backup has ACKed one of our data frames; before that,
+    /// attempt-A cells go to the primary, with that probe toward the backup
+    /// every fourth application cycle (the primary listens in all of our
+    /// attempt cells, so the redirect always has a receiver).
     fn resolve_data_target(&self, scheduled: NodeId, attempt: u8, asn: Asn) -> NodeId {
         if attempt < self.scheduler.attempts() {
             return scheduled;
@@ -305,20 +303,6 @@ impl NodeStack for DigsStack {
                     }
                 }
             }
-            Payload::JoinedCallback(cb) => {
-                if self.mac.core.is_unicast_to_me(frame) {
-                    let events = self.routing.on_joined_callback(frame.src, cb, asn);
-                    if cb.selected {
-                        self.register_child(frame.src, cb.slot, asn);
-                    } else {
-                        self.scheduler.remove_child(frame.src);
-                        if self.mac.child_revoked(frame.src) {
-                            self.trace_cell(asn, frame.src, true);
-                        }
-                    }
-                    self.process_routing_events(events, asn);
-                }
-            }
             Payload::Dio(_) => {} // not ours; Orchestra traffic in mixed tests
             Payload::Data(packet) => {
                 if !self.mac.core.is_unicast_to_me(frame) {
@@ -329,8 +313,8 @@ impl NodeStack for DigsStack {
                 // epoch permutation derandomizes first), which tells us
                 // whether the sender uses us as its primary or backup
                 // parent — refresh the child table from actual traffic so a
-                // lost joined-callback cannot leave the schedule
-                // permanently asymmetric.
+                // lost join-in cannot leave the schedule permanently
+                // asymmetric.
                 if let Some(p) = self.scheduler.infer_attempt_at(frame.src, asn) {
                     let role = if p < self.scheduler.attempts() {
                         ParentSlot::Best

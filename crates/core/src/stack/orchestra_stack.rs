@@ -42,7 +42,7 @@ pub struct OrchestraProvision {
     pub slotframes: SlotframeLengths,
     /// Routing-layer parameters.
     pub routing_config: RoutingConfig,
-    /// Capacity of the application and routing queues.
+    /// Capacity of the application queue.
     pub queue_capacity: usize,
     /// Per-node seed of the routing layer's randomness.
     pub seed: u64,
@@ -150,7 +150,7 @@ impl OrchestraStack {
                     self.mac.parents_changed(asn, best, None);
                     self.scheduler.set_parent(best);
                 }
-                RoutingEvent::BroadcastJoinIn(_) | RoutingEvent::SendJoinedCallback { .. } => {
+                RoutingEvent::BroadcastJoinIn(_) => {
                     debug_assert!(false, "RPL never emits DiGS messages");
                 }
             }
@@ -210,7 +210,7 @@ impl NodeStack for OrchestraStack {
                     self.register_child(frame.src, asn);
                 }
             }
-            Payload::JoinIn(_) | Payload::JoinedCallback(_) => {}
+            Payload::JoinIn(_) => {}
             Payload::Data(packet) => {
                 if !self.mac.core.is_unicast_to_me(frame) {
                     return;

@@ -5,7 +5,7 @@
 //! dequeue on ACK → on NoAck keep head-of-line or drop at the retry budget —
 //! with the telemetry and flight-recorder events each step leaves behind.
 //! [`TschMac`] adds the half DiGS and Orchestra have in common: EB
-//! association, the routing-message queue, the child last-heard table, and
+//! association, the pending routing broadcast, the child last-heard table, and
 //! the mapping from a scheduler cell to a slot intent and back from its
 //! outcome.
 //!
@@ -203,21 +203,8 @@ impl StackCore {
 enum LastTx {
     Beacon,
     RoutingBroadcast,
-    RoutingUnicast { to: NodeId },
     Data { to: NodeId },
 }
-
-/// A routing-queue entry with the retries it has used.
-#[derive(Debug, Clone, PartialEq)]
-struct QueuedRoutingMsg {
-    dest: Dest,
-    payload: Payload,
-    retries: u8,
-}
-
-/// Maximum CSMA/unicast retries for a routing-plane message before it is
-/// abandoned (a fresher one will follow via Trickle).
-const MAX_ROUTING_RETRIES: u8 = 8;
 
 /// A child not heard from in three Trickle maximum intervals (192 s) is
 /// unregistered — long enough that a child whose routing broadcasts are
@@ -228,17 +215,20 @@ const CHILD_SILENCE_SLOTS: u64 = 19_200;
 const CHILD_SWEEP_PERIOD: u64 = 64;
 
 /// The TSCH node DiGS and Orchestra both are underneath their routing and
-/// scheduling: one application queue, one routing queue, EB-acquired
-/// synchronization, and receive cells kept per child heard.
+/// scheduling: one application queue, one pending routing broadcast,
+/// EB-acquired synchronization, and receive cells kept per child heard.
 #[derive(Debug)]
 pub(crate) struct TschMac {
     pub core: StackCore,
     pub app_queue: BoundedQueue<QueuedPacket>,
-    routing_queue: BoundedQueue<QueuedRoutingMsg>,
-    /// When each registered child was last heard from. Children are only
-    /// unregistered on explicit revocation or after an extended silence:
-    /// over-listening costs idle-listen energy (the overhead the paper
-    /// acknowledges) but never loses packets.
+    /// The routing broadcast waiting for a shared cell. Each stack sends one
+    /// kind (DiGS join-ins, RPL DIOs), and only the freshest is worth
+    /// sending, so a new one replaces it.
+    routing_broadcast: Option<Payload>,
+    /// When each registered child was last heard from. A child is only
+    /// unregistered after an extended silence (or, under DiGS, when its
+    /// join-in names other parents): over-listening costs idle-listen
+    /// energy (the overhead the paper acknowledges) but never loses packets.
     child_last_seen: BTreeMap<NodeId, Asn>,
     /// The first slot in which a sweep finds a silent child (`None`: no
     /// child is registered), kept so that it is named without a walk over
@@ -275,7 +265,7 @@ impl TschMac {
         TschMac {
             core,
             app_queue: BoundedQueue::new(queue_capacity),
-            routing_queue: BoundedQueue::new(queue_capacity),
+            routing_broadcast: None,
             child_last_seen: BTreeMap::new(),
             first_silent_at: None,
             synced_at: is_ap.then_some(Asn::ZERO),
@@ -291,7 +281,7 @@ impl TschMac {
     /// layer's).
     pub fn reboot(&mut self, asn: Asn, rank: Rank) {
         self.app_queue.clear();
-        self.routing_queue.clear();
+        self.routing_broadcast = None;
         self.child_last_seen.clear();
         self.first_silent_at = None;
         self.set_synced_at(self.core.is_ap.then_some(asn));
@@ -426,17 +416,10 @@ impl TschMac {
         u64::from(self.sync_changes) << 32 | u64::from(cells_version)
     }
 
-    /// Queues a routing broadcast, replacing any queued one of its kind:
-    /// only the freshest is worth sending.
+    /// Queues a routing broadcast, replacing any pending one: only the
+    /// freshest is worth sending.
     pub fn queue_broadcast(&mut self, payload: Payload) {
-        let kind = std::mem::discriminant(&payload);
-        self.routing_queue.retain(|m| std::mem::discriminant(&m.payload) != kind);
-        self.routing_queue.push(QueuedRoutingMsg { dest: Dest::Broadcast, payload, retries: 0 });
-    }
-
-    /// Queues a routing unicast to `to`.
-    pub fn queue_unicast(&mut self, to: NodeId, payload: Payload) {
-        self.routing_queue.push(QueuedRoutingMsg { dest: Dest::Unicast(to), payload, retries: 0 });
+        self.routing_broadcast = Some(payload);
     }
 
     /// Notes that `child` was heard at `asn`; `true` when it is newly
@@ -445,13 +428,6 @@ impl TschMac {
         let new = self.child_last_seen.insert(child, asn).is_none();
         self.find_first_silent();
         new
-    }
-
-    /// Forgets `child`; `true` when it was registered.
-    pub fn child_revoked(&mut self, child: NodeId) -> bool {
-        let registered = self.child_last_seen.remove(&child).is_some();
-        self.find_first_silent();
-        registered
     }
 
     /// A sweep at `asn` forgets the children with
@@ -503,13 +479,9 @@ impl TschMac {
             CellAction::TxBeacon => {
                 (LastTx::Beacon, self.core.frame(Dest::Broadcast, Payload::Eb), cell.contention)
             }
-            CellAction::Shared => match self.routing_queue.front() {
-                Some(msg) => {
-                    let tx = match msg.dest {
-                        Dest::Broadcast => LastTx::RoutingBroadcast,
-                        Dest::Unicast(to) => LastTx::RoutingUnicast { to },
-                    };
-                    (tx, self.core.frame(msg.dest, msg.payload), true)
+            CellAction::Shared => match self.routing_broadcast {
+                Some(payload) => {
+                    (LastTx::RoutingBroadcast, self.core.frame(Dest::Broadcast, payload), true)
                 }
                 None => return SlotIntent::Listen { offset: cell.offset },
             },
@@ -532,7 +504,7 @@ impl TschMac {
 
     /// Settles this slot's transmission against the engine's `outcome`
     /// (`data_budget`: attempts a data packet gets at this hop). Returns
-    /// `(peer, acked)` for a unicast that was put on the air, which the
+    /// `(peer, acked)` for a data frame that was put on the air, which the
     /// caller feeds to its routing layer's link estimator.
     pub fn settle(
         &mut self,
@@ -540,26 +512,14 @@ impl TschMac {
         data_budget: u16,
         asn: Asn,
     ) -> Option<(NodeId, bool)> {
-        let acked = outcome == TxOutcome::Acked;
         match (self.last_tx.take()?, outcome) {
             (LastTx::RoutingBroadcast, TxOutcome::SentBroadcast) => {
-                self.routing_queue.pop();
+                self.routing_broadcast = None;
                 None
-            }
-            (LastTx::RoutingUnicast { to }, TxOutcome::Acked | TxOutcome::NoAck) => {
-                // An unacknowledged message goes to the back of the queue
-                // until its retries are spent.
-                if let Some(mut msg) = self.routing_queue.pop() {
-                    msg.retries += 1;
-                    if !acked && msg.retries < MAX_ROUTING_RETRIES {
-                        self.routing_queue.push(msg);
-                    }
-                }
-                Some((to, acked))
             }
             (LastTx::Data { to }, TxOutcome::Acked | TxOutcome::NoAck) => {
                 self.core.settle_data(&mut self.app_queue, outcome, data_budget, asn);
-                Some((to, acked))
+                Some((to, outcome == TxOutcome::Acked))
             }
             // A beacon needs no settlement, and a CCA deferral leaves
             // whatever it held back queued for its next cell.

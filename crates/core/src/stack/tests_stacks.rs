@@ -214,8 +214,7 @@ fn parent_change_broadcasts_fresh_join_in_quickly() {
     let mut s = digs_stack(5, false);
     let asn = sync(&mut s, 0);
     s.on_frame(Asn(asn + 1), &join_in_frame(0, 1, 0.0), STRONG);
-    // A near shared routing slot must carry our announcement (the
-    // joined-callback, queued first, goes out one shared slot earlier).
+    // A near shared routing slot must carry our announcement.
     let mut announced = false;
     for t in (asn + 2)..(asn + 2 + 200) {
         if t % 50 == 0 {
@@ -227,14 +226,7 @@ fn parent_change_broadcasts_fresh_join_in_quickly() {
                 announced = true;
                 break;
             }
-            // Answer with the outcome the engine would produce for the
-            // frame's addressing (a unicast that never gets an ACK would
-            // head-of-line-block the queue, as on air).
-            let outcome = match frame.dst {
-                Dest::Broadcast => TxOutcome::SentBroadcast,
-                Dest::Unicast(_) => TxOutcome::Acked,
-            };
-            s.on_tx_outcome(Asn(t), outcome);
+            s.on_tx_outcome(Asn(t), clean(&frame));
         }
     }
     assert!(announced, "parent selection must be announced promptly");
@@ -406,18 +398,29 @@ fn full_queue_counts_the_overflow_and_keeps_what_it_holds() {
 }
 
 #[test]
-fn unacknowledged_routing_unicast_is_abandoned_after_eight_tries() {
-    // Only DiGS sends routing unicasts (RPL's DIOs are all broadcast).
-    let [(mut digs, _), ..] = three_sources(8);
-    let mut callbacks = 0;
-    drive(&mut digs, 0..GEN_AT, 1, |frame| match frame.payload {
-        Payload::JoinedCallback(_) => {
-            callbacks += 1;
-            TxOutcome::NoAck
-        }
-        _ => clean(frame),
-    });
-    assert_eq!(callbacks, 8);
+fn every_frame_offered_in_a_shared_cell_is_a_broadcast() {
+    // Only data travels as a unicast: the parents a node picks learn of it
+    // from its routing broadcasts, also when a parent is lost. A second
+    // root shows up (DiGS gains a backup parent), then no data frame is
+    // acknowledged, so parents fail.
+    let [(digs, _), (orchestra, _), _] = three_sources(8);
+    for mut stack in [digs, orchestra] {
+        let mut shared = 0;
+        let mut lossy = |frame: &Frame<Payload>| match frame.kind {
+            FrameKind::Data => TxOutcome::NoAck,
+            kind => {
+                assert_eq!(frame.dst, Dest::Broadcast, "{:?}", frame.payload);
+                shared += u32::from(kind == FrameKind::Routing);
+                TxOutcome::SentBroadcast
+            }
+        };
+        drive(&mut stack, 0..GEN_AT, 1, &mut lossy);
+        stack.on_frame(Asn(GEN_AT), &join_in_frame(1, 1, 0.0), STRONG);
+        stack.on_frame(Asn(GEN_AT), &dio_frame(1, 1), STRONG);
+        drive(&mut stack, GEN_AT..GEN_AT + 3_000, 1, &mut lossy);
+        let changes = stack.telemetry().parent_changes.len();
+        assert!(shared >= 8 && changes >= 2, "{shared} routing frames, {changes} parent changes");
+    }
 }
 
 #[test]

@@ -12,9 +12,10 @@
 //! ω2 = (1 − 1/ETXbp)²          (fall back to the backup route)
 //! ```
 //!
-//! Join-in broadcasts are paced by Trickle and carry `(rank, ETXw)`;
-//! joined-callback unicasts inform a selected parent so it can maintain its
-//! child table. Children are excluded from parent candidacy and the
+//! Join-in broadcasts are paced by Trickle and carry `(rank, ETXw)` and the
+//! sender's two parent ids, from which each parent maintains its child table
+//! (the paper's joined-callback unicast is not sent; see DESIGN deviation
+//! 4). Children are excluded from parent candidacy and the
 //! second-best parent must have strictly lower rank — the paper's
 //! loop-avoidance rules (same-rank links are never used for routing).
 //!
@@ -26,7 +27,7 @@
 //! new entry, could beat the best or the second-best parent under
 //! hysteresis — nobody else's standing can have moved.
 
-use crate::messages::{JoinIn, JoinedCallback, ParentSlot, Rank, RoutingEvent};
+use crate::messages::{JoinIn, Rank, RoutingEvent};
 use crate::neighbor::{
     is_housekeeping_turn, next_due_housekeeping_turn, NeighborEntry, NeighborTable,
 };
@@ -137,16 +138,15 @@ pub struct DigsRouting {
     /// lockout's expiry, or the backup parent's advertisement passing
     /// `backup_staleness`. Everything else that moves the selection's
     /// inputs clears it — `record_tx` (and `degrade`) in `on_tx_result`, an
-    /// eviction in `tick`, `on_joined_callback`'s change to `children`, and
-    /// any selection that changed something — except the two mutations
-    /// `on_join_in` makes (`record_advertisement` and the sender's own
-    /// child-set membership), which touch the sender alone and are what
-    /// [`Self::could_take_a_slot`] tests. Those are all the mutators of
-    /// `neighbors` and `children` there are. (Clearing on an eviction, and
-    /// requiring the rank to have held, are more than exactness needs — a
-    /// neighbor leaving only reveals dearer challengers, and this selection
-    /// does not read the node's own rank — but keep the rule the same as
-    /// RPL's, where the rank is read.)
+    /// eviction in `tick`, and any selection that changed something —
+    /// except the two mutations `on_join_in` makes (`record_advertisement`
+    /// and the sender's own child-set membership), which touch the sender
+    /// alone and are what [`Self::could_take_a_slot`] tests. Those are all
+    /// the mutators of `neighbors` and `children` there are. (Clearing on
+    /// an eviction, and requiring the rank to have held, are more than
+    /// exactness needs — a neighbor leaving only reveals dearer challengers,
+    /// and this selection does not read the node's own rank — but keep the
+    /// rule the same as RPL's, where the rank is read.)
     settled_until: Asn,
     /// Test builds only: full selections run the pre-PR-22 body, the
     /// oracle of the differential twin.
@@ -292,7 +292,9 @@ impl DigsRouting {
 
     /// Handles a received join-in broadcast. Besides evaluating the sender
     /// as a parent, this refreshes our child table from the parent ids the
-    /// sender advertises (self-healing when a joined-callback was lost).
+    /// sender advertises: a sender naming us is a child, and one that does
+    /// not is not (and a parent that names us is dropped by the selection,
+    /// which breaks mutual parenthood).
     pub fn on_join_in(
         &mut self,
         from: NodeId,
@@ -361,32 +363,9 @@ impl DigsRouting {
         entry.is_usable() && !self.children.contains(&id)
     }
 
-    /// Handles a received joined-callback unicast addressed to us.
-    pub fn on_joined_callback(
-        &mut self,
-        from: NodeId,
-        cb: &JoinedCallback,
-        now: Asn,
-    ) -> Vec<RoutingEvent> {
-        self.settled_until = Asn::ZERO;
-        if cb.selected {
-            self.children.insert(from);
-            // A child cannot simultaneously be our parent: if it just
-            // selected us, drop it from our parent set and re-evaluate
-            // (rank updates will sort the hierarchy out).
-            if self.best == Some(from) || self.second == Some(from) {
-                return self.reevaluate(now);
-            }
-        } else {
-            let _ = cb.slot; // revocations clear the child regardless of slot
-            self.children.remove(&from);
-        }
-        Vec::new()
-    }
-
-    /// Handles the outcome of a unicast transmission to `to` (data or
-    /// callback traffic): updates the link ETX and drops the parent after
-    /// `parent_failure_threshold` consecutive failures.
+    /// Handles the outcome of a data transmission to `to`: updates the
+    /// link ETX and drops the parent after `parent_failure_threshold`
+    /// consecutive failures.
     pub fn on_tx_result(&mut self, to: NodeId, acked: bool, now: Asn) -> Vec<RoutingEvent> {
         let Some(failures) = self.neighbors.record_tx(to, acked) else {
             return Vec::new();
@@ -467,9 +446,9 @@ impl DigsRouting {
     }
 
     /// Re-runs parent selection over the neighbor table — the full
-    /// selection, one walk per slot and no allocation. Emits callbacks and
-    /// telemetry, and resets Trickle, when the parent set changes; settles
-    /// the node (see `settled_until`) when nothing does.
+    /// selection, one walk per slot and no allocation. Emits telemetry, and
+    /// resets Trickle, when the parent set changes; settles the node (see
+    /// `settled_until`) when nothing does.
     fn reevaluate(&mut self, now: Asn) -> Vec<RoutingEvent> {
         debug_assert!(!self.is_root, "roots never select parents");
         #[cfg(test)]
@@ -512,8 +491,8 @@ impl DigsRouting {
 
         // Second-best parent: next-cheapest candidate with *strictly lower
         // rank than us* (paper's loop rule: same-rank links are not used).
-        // The incumbent also enjoys hysteresis — backup flapping costs a
-        // joined-callback exchange per flip.
+        // The incumbent also enjoys hysteresis — backup flapping moves the
+        // child's backup cells between parents on every flip.
         let new_second = if self.config.use_second_parent {
             // Freshness bar for backup edges only: the primary parent's
             // liveness is continuously probed by data traffic (failure
@@ -587,33 +566,7 @@ impl DigsRouting {
             self.joined_at = Some(now);
         }
         self.trickle.reset(now);
-
-        let mut events = Vec::new();
-        for (slot, new, old) in [
-            (ParentSlot::Best, new_best, old_best),
-            (ParentSlot::SecondBest, new_second, old_second),
-        ] {
-            if new != old {
-                if let Some(o) = old {
-                    // Revoke unless the node still holds the other slot.
-                    let still_parent = Some(o) == new_best || Some(o) == new_second;
-                    if !still_parent {
-                        events.push(RoutingEvent::SendJoinedCallback {
-                            to: o,
-                            callback: JoinedCallback { slot, selected: false },
-                        });
-                    }
-                }
-                if let Some(n) = new {
-                    events.push(RoutingEvent::SendJoinedCallback {
-                        to: n,
-                        callback: JoinedCallback { slot, selected: true },
-                    });
-                }
-            }
-        }
-        events.push(RoutingEvent::ParentsChanged { best: new_best, second: new_second });
-        events
+        vec![RoutingEvent::ParentsChanged { best: new_best, second: new_second }]
     }
 }
 
@@ -624,9 +577,9 @@ mod tests {
 
     impl DigsRouting {
         /// `reevaluate` as it stood before PR 22 — every candidate collected
-        /// into a `Vec` and sorted, on every call — kept verbatim (name and
-        /// indentation aside) as the oracle of the differential twin below. It
-        /// knows nothing of `settled_until`.
+        /// into a `Vec` and sorted, on every call — kept verbatim (name,
+        /// indentation and the retired joined-callbacks aside) as the oracle of
+        /// the differential twin below. It knows nothing of `settled_until`.
         pub(super) fn reference_reevaluate(&mut self, now: Asn) -> Vec<RoutingEvent> {
             debug_assert!(!self.is_root, "roots never select parents");
             let old_best = self.best;
@@ -742,33 +695,7 @@ mod tests {
                 self.joined_at = Some(now);
             }
             self.trickle.reset(now);
-
-            let mut events = Vec::new();
-            for (slot, new, old) in [
-                (ParentSlot::Best, new_best, old_best),
-                (ParentSlot::SecondBest, new_second, old_second),
-            ] {
-                if new != old {
-                    if let Some(o) = old {
-                        // Revoke unless the node still holds the other slot.
-                        let still_parent = Some(o) == new_best || Some(o) == new_second;
-                        if !still_parent {
-                            events.push(RoutingEvent::SendJoinedCallback {
-                                to: o,
-                                callback: JoinedCallback { slot, selected: false },
-                            });
-                        }
-                    }
-                    if let Some(n) = new {
-                        events.push(RoutingEvent::SendJoinedCallback {
-                            to: n,
-                            callback: JoinedCallback { slot, selected: true },
-                        });
-                    }
-                }
-            }
-            events.push(RoutingEvent::ParentsChanged { best: new_best, second: new_second });
-            events
+            vec![RoutingEvent::ParentsChanged { best: new_best, second: new_second }]
         }
     }
 
@@ -812,10 +739,11 @@ mod tests {
         assert_eq!(d.rank(), Rank(2));
         assert!(d.is_joined());
         assert_eq!(d.joined_at(), Some(Asn(1)));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            RoutingEvent::SendJoinedCallback { to, callback } if *to == NodeId(0) && callback.selected
-        )));
+        assert_eq!(
+            events,
+            [RoutingEvent::ParentsChanged { best: Some(NodeId(0)), second: None }],
+            "the parent learns of its child from the join-in this announces"
+        );
     }
 
     #[test]
@@ -827,10 +755,10 @@ mod tests {
         let events = d.on_join_in(NodeId(1), &join_in_from(&r1), Dbm(-70.0), Asn(2));
         assert_eq!(d.best_parent(), Some(NodeId(0)));
         assert_eq!(d.second_best_parent(), Some(NodeId(1)));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            RoutingEvent::SendJoinedCallback { to, .. } if *to == NodeId(1)
-        )));
+        assert_eq!(
+            events,
+            [RoutingEvent::ParentsChanged { best: Some(NodeId(0)), second: Some(NodeId(1)) }]
+        );
     }
 
     #[test]
@@ -910,28 +838,30 @@ mod tests {
 
     #[test]
     fn child_is_excluded_from_parent_candidacy() {
-        let mut d = device(5);
-        d.on_join_in(
-            NodeId(0),
-            &JoinIn { rank: Rank::ROOT, etx_w: 0.0, best_parent: None, second_parent: None },
-            STRONG,
-            Asn(1),
-        );
-        // Node 8 selects us as parent.
-        d.on_joined_callback(
-            NodeId(8),
-            &JoinedCallback { slot: ParentSlot::Best, selected: true },
-            Asn(2),
-        );
-        // Node 8 later advertises a tempting cost — but it's our child.
-        d.on_join_in(
-            NodeId(8),
-            &JoinIn { rank: Rank(3), etx_w: 0.1, best_parent: None, second_parent: None },
-            STRONG,
-            Asn(3),
-        );
-        assert_eq!(d.best_parent(), Some(NodeId(0)));
-        assert_ne!(d.second_best_parent(), Some(NodeId(8)));
+        // Node 8 advertises a route far cheaper than parent 9's: we take it
+        // once the switch lockout is over — unless node 8's join-in names us
+        // as its parent, which makes it our child.
+        let after_lockout = Asn(2 + RoutingConfig::fast().switch_lockout);
+        for names_us in [false, true] {
+            let mut d = device(5);
+            d.on_join_in(
+                NodeId(9),
+                &JoinIn { rank: Rank(2), etx_w: 3.0, best_parent: None, second_parent: None },
+                Dbm(-88.0),
+                Asn(1),
+            );
+            let best_parent = Some(NodeId(5)).filter(|_| names_us);
+            d.on_join_in(
+                NodeId(8),
+                &JoinIn { rank: Rank(3), etx_w: 0.1, best_parent, second_parent: None },
+                STRONG,
+                after_lockout,
+            );
+            let parent = if names_us { NodeId(9) } else { NodeId(8) };
+            assert_eq!(d.best_parent(), Some(parent), "node 8 names us: {names_us}");
+            assert_eq!(d.children().any(|c| c == NodeId(8)), names_us);
+            assert_ne!(d.second_best_parent(), Some(NodeId(8)));
+        }
     }
 
     #[test]
@@ -1155,7 +1085,7 @@ mod tests {
     }
 
     #[test]
-    fn callback_from_parent_resolves_conflict() {
+    fn join_in_from_parent_naming_us_breaks_mutual_parenthood() {
         let mut d = device(5);
         d.on_join_in(
             NodeId(7),
@@ -1165,11 +1095,18 @@ mod tests {
         );
         assert_eq!(d.best_parent(), Some(NodeId(7)));
         // Node 7 (erroneously, e.g. after its own parent loss) picks us.
-        d.on_joined_callback(
+        d.on_join_in(
             NodeId(7),
-            &JoinedCallback { slot: ParentSlot::Best, selected: true },
+            &JoinIn {
+                rank: Rank(3),
+                etx_w: 1.0,
+                best_parent: Some(NodeId(5)),
+                second_parent: None,
+            },
+            STRONG,
             Asn(2),
         );
+        assert!(d.children().any(|c| c == NodeId(7)));
         assert_ne!(d.best_parent(), Some(NodeId(7)), "mutual parenthood must break");
     }
 
@@ -1206,23 +1143,14 @@ mod tests {
                 assert_eq!(ours.tick(now), twin.tick(now), "{id} ticks at {now}");
                 let at = d.int(0..neighbors.len());
                 let from = neighbors[at].id;
-                match d.int(0..12) {
+                match d.int(0..11) {
                     0 => {
                         let to = if d.bool() { ours.best_parent().unwrap_or(from) } else { from };
                         let acked = d.int(0..3) > 0;
                         let events = ours.on_tx_result(to, acked, now);
                         assert_eq!(events, twin.on_tx_result(to, acked, now), "{id} at {now}");
                     }
-                    1 => {
-                        let cb = JoinedCallback { slot: ParentSlot::Best, selected: d.bool() };
-                        let events = ours.on_joined_callback(from, &cb, now);
-                        assert_eq!(
-                            events,
-                            twin.on_joined_callback(from, &cb, now),
-                            "{id} at {now}"
-                        );
-                    }
-                    2..=5 => {
+                    1..=4 => {
                         let Some((rank, etx_w, rss)) = neighbors[at].advertise(d, now) else {
                             continue;
                         };

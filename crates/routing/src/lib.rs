@@ -9,7 +9,7 @@
 //!   acknowledgements;
 //! - [`trickle`] — the Trickle timer (RFC 6206) governing join-in / DIO
 //!   emission;
-//! - [`messages`] — the join-in, joined-callback, and DIO wire messages;
+//! - [`messages`] — the join-in and DIO wire messages;
 //! - [`neighbor`] — the neighbor table shared by both protocols;
 //! - [`digs`] — **the paper's contribution**: the distributed graph routing
 //!   state machine of Algorithm 1, in which every field device selects a
@@ -39,5 +39,5 @@ pub mod trickle;
 
 pub use digs::{DigsRouting, RoutingConfig};
 pub use graph::RoutingGraph;
-pub use messages::{JoinIn, JoinedCallback, Rank, RoutingEvent};
+pub use messages::{JoinIn, Rank, RoutingEvent};
 pub use rpl::RplRouting;

@@ -51,11 +51,12 @@ impl fmt::Display for Rank {
 /// ETX so neighbors can evaluate it as a parent (paper Section V).
 ///
 /// In addition to the paper's `(rank, ETXw)` pair, our join-in carries the
-/// sender's current parent selections. Hearing a join-in therefore lets a
-/// parent *refresh* its child table even when the joined-callback unicast
-/// was lost — without this, a lost callback leaves the parent's autonomous
-/// schedule permanently missing the child's receive cells (two node ids of
-/// extra payload buy schedule self-healing).
+/// sender's current parent selections, and it is the one way a parent
+/// learns its children: hearing it registers the sender with each parent it
+/// names and unregisters it from any other. This replaces the paper's
+/// joined-callback unicast, which contends for the shared routing cell and
+/// must be retried; the broadcast goes out at once on every parent change
+/// and again with each Trickle firing (two node ids of extra payload).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinIn {
     /// Sender's rank.
@@ -68,25 +69,14 @@ pub struct JoinIn {
     pub second_parent: Option<NodeId>,
 }
 
-/// Which parent slot a joined-callback refers to.
+/// Which parent slot a child gave a node: the role the child's join-in or
+/// data traffic names it in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParentSlot {
     /// The primary (best) parent.
     Best,
     /// The backup (second-best) parent.
     SecondBest,
-}
-
-/// The joined-callback unicast (DiGS): tells a node it has been selected
-/// (or dropped) as a parent, so it can maintain its child table — which
-/// both feeds the autonomous scheduler's receive cells and excludes
-/// children from parent candidacy (loop avoidance).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JoinedCallback {
-    /// Which role the sender assigned to the addressee.
-    pub slot: ParentSlot,
-    /// `false` if the sender is *revoking* a previous selection.
-    pub selected: bool,
 }
 
 /// The DIO broadcast (RPL baseline): advertises rank and accumulated path
@@ -109,13 +99,6 @@ pub struct Dio {
 pub enum RoutingEvent {
     /// Broadcast a join-in message (DiGS).
     BroadcastJoinIn(JoinIn),
-    /// Send a joined-callback to a (de)selected parent (DiGS).
-    SendJoinedCallback {
-        /// The parent being informed.
-        to: NodeId,
-        /// The callback content.
-        callback: JoinedCallback,
-    },
     /// Broadcast a DIO (RPL).
     BroadcastDio(Dio),
     /// The node's parent set changed (telemetry for repair-time metrics).

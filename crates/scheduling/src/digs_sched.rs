@@ -3,12 +3,13 @@
 //! Each node derives its entire TSCH schedule from local information only:
 //! its node id, the number of access points, the slotframe lengths, and its
 //! routing state (parents from [`digs_routing::DigsRouting`], children from
-//! received joined-callbacks). No schedule negotiation or sharing occurs.
+//! the join-ins that name this node as a parent, and from their data
+//! frames). No schedule negotiation or sharing occurs.
 //!
 //! - **Synchronization slotframe**: node *i* broadcasts its EB in slot
 //!   `i mod L_sync` and listens in its best parent's slot.
-//! - **Routing slotframe**: one fixed shared (CSMA) cell for join-in /
-//!   joined-callback traffic, identical on all nodes.
+//! - **Routing slotframe**: one fixed shared (CSMA) cell for the join-in
+//!   broadcasts, identical on all nodes.
 //! - **Application slotframe**: Eq. 4 —
 //!   `s = A·(NodeID − N_AP) − A + p` for attempt `p` (with the paper's
 //!   1-based device numbering; equivalently `A·(id − N_AP) + p` for our
@@ -37,7 +38,7 @@
 //! (provisioned like the slotframe lengths — no negotiation, preserving
 //! the paper's autonomy property), so a child's transmit cell and its
 //! parents' receive cells stay aligned. Logical coordinates remain the
-//! stable identity of a cell: claims, callbacks, and Eq. 4 inversion all
+//! stable identity of a cell: claims, child tables, and Eq. 4 inversion all
 //! operate in logical space and translate at the radio boundary.
 //!
 //! Since every node derives the same permutation, the schedulers of one
@@ -255,7 +256,8 @@ impl DigsScheduler {
         }
     }
 
-    /// Registers a child (from a joined-callback with `selected = true`).
+    /// Registers a child (from a join-in or a data frame that gives this
+    /// node a parent role).
     ///
     /// # Panics
     ///
@@ -268,7 +270,7 @@ impl DigsScheduler {
         }
     }
 
-    /// Removes a child (revocation callback, or child death).
+    /// Removes a child (silent past the child-silence horizon, or dead).
     pub fn remove_child(&mut self, child: NodeId) {
         if self.children.remove(&child).is_some() {
             self.compile_app_cells();
@@ -393,7 +395,7 @@ impl DigsScheduler {
     /// Inverts Eq. 4: which attempt number would have `node` transmitting
     /// in application-slotframe offset `off`? Used by a parent to infer its
     /// role (primary vs backup) from an actually received data frame, which
-    /// keeps the child table correct even when a joined-callback was lost.
+    /// keeps the child table correct even when a join-in was lost.
     pub fn infer_attempt(&self, node: NodeId, off: u32) -> Option<u8> {
         if node.0 < self.num_aps {
             return None;

@@ -17,7 +17,7 @@ use digs_sim::time::Asn;
 pub enum TrafficClass {
     /// Time synchronization (Enhanced Beacons). Highest priority.
     Sync,
-    /// Routing signalling (join-in / joined-callback / DIO).
+    /// Routing signalling (join-in / DIO).
     Routing,
     /// Application data. Lowest priority.
     App,

@@ -385,6 +385,22 @@ impl ChaosConfig {
         }
     }
 
+    /// The most events [`ChaosPlan::generate`] schedules under this config:
+    /// `ceil(rate × minutes)` of each kind.
+    pub fn max_events(&self) -> u64 {
+        let minutes = self.duration_secs as f64 / 60.0;
+        [
+            self.churn_per_min,
+            self.reboot_per_min,
+            self.link_flap_per_min,
+            self.desync_per_min,
+            self.jammer_burst_per_min,
+        ]
+        .iter()
+        .map(|rate| (rate * minutes).ceil() as u64)
+        .fold(0, u64::saturating_add)
+    }
+
     /// A harsher profile: double the moderate rates at 1.5× intensity.
     pub fn harsh(start: Asn, duration_secs: u64) -> ChaosConfig {
         ChaosConfig {

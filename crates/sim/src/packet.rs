@@ -47,7 +47,7 @@ impl fmt::Display for Dest {
 pub enum FrameKind {
     /// Enhanced Beacon: time-synchronization traffic.
     Beacon,
-    /// Routing signalling (join-in, joined-callback, DIO, health reports).
+    /// Routing signalling (join-in, DIO, health reports).
     Routing,
     /// Application data.
     Data,

@@ -1,7 +1,7 @@
 //! The paper's Fig. 6 routing example, reproduced with the real
 //! [`DigsRouting`] state machines: two access points (AP1, AP2) and four
-//! field devices (#3–#6) exchange join-in / joined-callback messages until
-//! the routing graph of Fig. 6(b) emerges.
+//! field devices (#3–#6) exchange join-in broadcasts until the routing graph
+//! of Fig. 6(b) emerges.
 //!
 //! ```sh
 //! cargo run --release --example routing_example

@@ -40,8 +40,8 @@ fn main() {
         (0..4u16).map(|i| DigsScheduler::new(NodeId(i), 2, lengths, 3)).collect();
     schedulers[2].set_parents(Some(NodeId(0)), Some(NodeId(1)));
     schedulers[3].set_parents(Some(NodeId(1)), Some(NodeId(0)));
-    // Parents learn their children (in the full stack this happens via
-    // joined-callbacks and join-in piggybacks).
+    // Parents learn their children (in the full stack, from the parent ids
+    // each child's join-in carries).
     schedulers[0].add_child(NodeId(2), ParentSlot::Best);
     schedulers[0].add_child(NodeId(3), ParentSlot::SecondBest);
     schedulers[1].add_child(NodeId(3), ParentSlot::Best);

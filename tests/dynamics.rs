@@ -1,6 +1,8 @@
 //! Cross-crate integration: behaviour under network dynamics — the
 //! paper's central claims, checked end to end at reduced scale.
 
+mod common;
+
 use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
 use digs::results::RunResults;
@@ -95,26 +97,16 @@ fn disturbers_toggle_in_large_scale_scenario() {
 
 #[test]
 fn rebooted_digs_relay_cold_starts_and_rejoins() {
-    use digs::flows::flow_set_from_sources;
     use digs::stack::ProtocolStack;
     use digs_sim::fault::{FaultPlan, Reboot};
-    use digs_sim::ids::NodeId;
 
     // Form first, then cold-reboot a genuine relay on the flow's live
     // forwarding path: the node must come back with factory-fresh state,
     // re-execute the join (EB scan → rank → parents), re-register with a
     // parent, and the flow must deliver again once it has.
     let topology = Topology::testbed_a();
-    let source = NodeId(40);
-    let mut flows = flow_set_from_sources(&[source], 500);
-    flows[0].phase += 6000;
-    let config = NetworkConfig::builder(topology.clone())
-        .protocol(Protocol::Digs)
-        .seed(21)
-        .flows(flows)
-        .build();
-    let mut network = Network::new(config);
-    network.run_secs(120);
+    let (mut network, source, _, _) = common::formed_relay_with_a_backup(None);
+    network.run_secs(30);
 
     // Walk the source's primary-parent chain for a field-device relay.
     let mut relay = None;
@@ -128,7 +120,7 @@ fn rebooted_digs_relay_cold_starts_and_rejoins() {
         relay = Some(next);
         node = next;
     }
-    let relay = relay.unwrap_or(source); // worst case: reboot the source itself
+    let relay = relay.expect("the source routes through a relay");
     {
         let ProtocolStack::Digs(s) = &network.stacks()[relay.index()] else {
             unreachable!("the run is configured for DiGS");
@@ -195,27 +187,11 @@ fn rebooted_digs_relay_cold_starts_and_rejoins() {
 
 #[test]
 fn digs_rides_through_a_primary_link_outage() {
-    use digs::flows::flow_set_from_sources;
     use digs_sim::fault::{FaultPlan, LinkOutage};
-    use digs_sim::ids::NodeId;
 
     // Form first to find a real primary link, then break exactly that link
     // for a minute — the backup route should keep the flow alive.
-    let topology = Topology::testbed_a();
-    let source = NodeId(40);
-    let mut flows = flow_set_from_sources(&[source], 500);
-    flows[0].phase += 6000;
-    let config =
-        NetworkConfig::builder(topology).protocol(Protocol::Digs).seed(21).flows(flows).build();
-    let mut network = Network::new(config);
-    network.run_secs(90);
-    let (best, second) = network.stacks()[source.index()].parents();
-    let best = best.expect("joined after 90 s");
-    if second.is_none() {
-        // Without a backup the scenario tests nothing; topology/seed
-        // guarantee one in practice.
-        panic!("expected a backup parent for the source");
-    }
+    let (mut network, source, best, _) = common::formed_relay_with_a_backup(None);
     network.set_fault_plan(FaultPlan::none().with_link(LinkOutage::transient(
         source,
         best,

@@ -2,11 +2,11 @@
 //! deterministic export, and journey reconstruction through a scripted
 //! link failure.
 
+mod common;
+
 use digs::config::{NetworkConfig, Protocol};
-use digs::flows::flow_set_from_sources;
 use digs::network::Network;
 use digs_sim::fault::{FaultPlan, LinkOutage};
-use digs_sim::ids::NodeId;
 use digs_sim::time::Asn;
 use digs_sim::topology::Topology;
 
@@ -43,21 +43,7 @@ fn same_seed_traced_runs_export_identical_jsonl() {
 /// observed packet by packet instead of through aggregate PDR).
 #[test]
 fn link_failure_journey_diverts_to_backup_parent() {
-    let topology = Topology::testbed_a();
-    let source = NodeId(40);
-    let mut flows = flow_set_from_sources(&[source], 500);
-    flows[0].phase += 6000;
-    let config = NetworkConfig::builder(topology)
-        .protocol(Protocol::Digs)
-        .seed(21)
-        .flows(flows)
-        .trace_cap(400_000)
-        .build();
-    let mut network = Network::new(config);
-    network.run_secs(90);
-    let (best, second) = network.stacks()[source.index()].parents();
-    let best = best.expect("joined after 90 s");
-    let second = second.expect("expected a backup parent for the source");
+    let (mut network, source, best, second) = common::formed_relay_with_a_backup(Some(400_000));
 
     network.set_fault_plan(FaultPlan::none().with_link(LinkOutage::transient(
         source,
@@ -101,20 +87,7 @@ fn link_failure_journey_diverts_to_backup_parent() {
 /// routing response for the churn timeline.
 #[test]
 fn link_outage_appears_in_churn_timeline() {
-    let topology = Topology::testbed_a();
-    let source = NodeId(40);
-    let mut flows = flow_set_from_sources(&[source], 500);
-    flows[0].phase += 6000;
-    let config = NetworkConfig::builder(topology)
-        .protocol(Protocol::Digs)
-        .seed(21)
-        .flows(flows)
-        .trace_cap(400_000)
-        .build();
-    let mut network = Network::new(config);
-    network.run_secs(90);
-    let (best, _) = network.stacks()[source.index()].parents();
-    let best = best.expect("joined after 90 s");
+    let (mut network, source, best, _) = common::formed_relay_with_a_backup(Some(400_000));
     network.set_fault_plan(FaultPlan::none().with_link(LinkOutage::transient(
         source,
         best,
