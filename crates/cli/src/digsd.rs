@@ -125,11 +125,6 @@ pub fn launch(args: &Args) -> Result<(), String> {
             // telemetry sampling are on by default (unlike plain `run`).
             let mut spec = telemetry_spec(args, SingleSpec::default().secs)?;
             spec.trace_cap = Some(args.get("trace-cap")?.unwrap_or(65_536));
-            // The CI-facing alias for --jam: a full-band jammer cluster
-            // window that collapses delivery on cue.
-            if let Some(window) = args.window("inject-loss")? {
-                spec.jam = Some(window);
-            }
             spec.to_json()
         }
         "fleet" => fleet_params(args, FleetParams::default().networks)?.to_json(),

@@ -260,7 +260,6 @@ pub const COMMANDS: &[Command] = &[
                 flag("name", "RUN", "the run's name, [a-z0-9_-]{1,64} (required)"),
                 flag("kind", "K", "single (default) | fleet | scenario"),
                 flag("tail", "", "follow the stream: payload on stdout, control on stderr"),
-                flag("inject-loss", "START:END", "--jam under its daemon name"),
                 flag("matrix", "M", "scenario runs: small | full (default)"),
                 flag("scenario", "NAME", "scenario runs: which scenario of the matrix (required)"),
             ],

@@ -1,5 +1,5 @@
 //! The Orchestra baseline stack: EB scanning → RPL (single preferred
-//! parent) → Orchestra receiver-based scheduling.
+//! parent) → Orchestra sender-based scheduling.
 
 use super::stack_core::TschMac;
 use super::StackTelemetry;

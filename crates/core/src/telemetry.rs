@@ -296,16 +296,13 @@ impl EpochSnapshot {
     }
 }
 
-/// Aggregate view of a whole run's telemetry, attached to conformance
-/// records.
+/// Aggregate view of a whole run's telemetry: its epoch and alert counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetrySummary {
     /// Epochs sampled (including any dropped past the cap).
     pub epochs: u64,
     /// Health alerts raised.
     pub alerts: u64,
-    /// Lowest non-idle epoch PDR seen, if any epoch had traffic.
-    pub epoch_pdr_min: Option<f64>,
 }
 
 /// Convergence-state machine the PDR rules gate on.
@@ -342,8 +339,6 @@ pub struct TelemetrySampler {
     alerts: Vec<HealthAlert>,
     convergence: Convergence,
     stall_fired: bool,
-    /// Lowest non-idle epoch PDR observed.
-    epoch_pdr_min: Option<f64>,
     /// Cumulative per-channel transmit counts at the previous epoch (for
     /// the per-window channel-entropy gauge).
     prev_channel_tx: [u64; 16],
@@ -366,7 +361,6 @@ impl TelemetrySampler {
             alerts: Vec::new(),
             convergence: Convergence::Waiting,
             stall_fired: false,
-            epoch_pdr_min: None,
             prev_channel_tx: [0; 16],
         }
     }
@@ -408,11 +402,7 @@ impl TelemetrySampler {
 
     /// Aggregate summary for conformance records.
     pub fn summary(&self) -> TelemetrySummary {
-        TelemetrySummary {
-            epochs: self.next_epoch,
-            alerts: self.alerts.len() as u64,
-            epoch_pdr_min: self.epoch_pdr_min,
-        }
+        TelemetrySummary { epochs: self.next_epoch, alerts: self.alerts.len() as u64 }
     }
 
     /// Samples one epoch ending at the engine's current slot and runs the
@@ -610,10 +600,6 @@ impl TelemetrySampler {
             etx: Spread::from(&etx),
             duty_cycle: Spread::from(&duty),
         };
-        if let Some(pdr) = snapshot.pdr() {
-            self.epoch_pdr_min = Some(self.epoch_pdr_min.map_or(pdr, |m: f64| m.min(pdr)));
-        }
-
         let new_alerts = self.check_health(&snapshot, stacks.len(), joined, config);
         self.alerts.extend(new_alerts.iter().cloned());
 

@@ -91,13 +91,6 @@ pub struct WatchdogSummary {
     pub total_packets_lost: u32,
 }
 
-impl WatchdogSummary {
-    /// Whether every injected fault was recovered from.
-    pub fn all_converged(&self) -> bool {
-        self.converged == self.events
-    }
-}
-
 /// Analyzes recovery from each injected fault.
 ///
 /// The pre-event baseline is the mean windowed PDR over the non-empty
@@ -318,7 +311,7 @@ mod tests {
         let reports = analyze(&results, &specs, &events);
         let summary = summarize(&reports);
         assert_eq!(summary.events, 2);
-        assert!(summary.all_converged());
+        assert_eq!(summary.converged, summary.events);
         assert_eq!(summary.min_window_pdr, 0.0);
         assert!(summary.worst_recovery_secs.is_some());
     }

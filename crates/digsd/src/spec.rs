@@ -84,7 +84,8 @@ message! {
         /// `(start_secs, end_secs)` — full-band jammer cluster on every
         /// access point for the window.
         jam: Option<(u64, u64)> as Option<(Secs, Secs)>,
-        /// Invariant-audit cadence in slots (`None` = unaudited run).
+        /// Invariant-audit cadence in slots, at least 1 (`None` = unaudited
+        /// run).
         audit_every: Option<u64>,
     }
 }
@@ -122,6 +123,9 @@ impl SingleSpec {
                 "period_ms: {} is shorter than one {SLOT_MS} ms slot",
                 self.period_ms
             ));
+        }
+        if self.audit_every == Some(0) {
+            return Err("audit_every: 0 is no cadence; leave it out for an unaudited run".into());
         }
         let devices = topology.field_devices().len();
         if self.flows > devices {
@@ -309,6 +313,9 @@ mod tests {
         assert!(refused(jam).starts_with("`jam`"));
         let shortest = SingleSpec { period_ms: 10, ..SingleSpec::default() };
         assert_eq!(shortest.build_config().expect("builds").flows[0].period, 1);
+        let audited = |every| SingleSpec { audit_every: Some(every), ..SingleSpec::default() };
+        assert!(refused(audited(0)).starts_with("audit_every"));
+        assert!(audited(1).build_config().is_ok());
     }
 
     #[test]

@@ -266,6 +266,7 @@ fn a_spec_that_cannot_be_built_is_bad_spec_and_the_daemon_serves_on() {
     let mut client = Client::connect(&addr, "unbuildable").expect("connect");
     let refused = [
         (SingleSpec { period_ms: 5, ..SingleSpec::default() }, "period_ms"),
+        (SingleSpec { audit_every: Some(0), ..SingleSpec::default() }, "audit_every"),
         (SingleSpec { flows: 500, ..SingleSpec::default() }, "flows"),
         (SingleSpec { jammers: usize::MAX, ..SingleSpec::default() }, "jammers"),
         (SingleSpec { topology: "random:0:100".into(), ..SingleSpec::default() }, "one device"),

@@ -127,8 +127,6 @@ pub struct DigsRouting {
     rank: Rank,
     children: BTreeSet<NodeId>,
     joined_at: Option<Asn>,
-    parent_changes: u64,
-    last_parent_change: Option<Asn>,
     /// Voluntary switches are suppressed until this slot.
     lockout_until: Asn,
     /// Before this slot a full selection ([`Self::reevaluate`]) over
@@ -176,8 +174,6 @@ impl DigsRouting {
             rank: if is_root { Rank::ROOT } else { Rank::INFINITE },
             children: BTreeSet::new(),
             joined_at: if is_root { Some(now) } else { None },
-            parent_changes: 0,
-            last_parent_change: None,
             lockout_until: Asn::ZERO,
             settled_until: Asn::ZERO,
             #[cfg(test)]
@@ -223,16 +219,6 @@ impl DigsRouting {
     /// When the node first joined, if it has.
     pub fn joined_at(&self) -> Option<Asn> {
         self.joined_at
-    }
-
-    /// Number of parent-set changes so far (repair telemetry).
-    pub fn parent_changes(&self) -> u64 {
-        self.parent_changes
-    }
-
-    /// When the parent set last changed (repair telemetry).
-    pub fn last_parent_change(&self) -> Option<Asn> {
-        self.last_parent_change
     }
 
     /// Read access to the neighbor table.
@@ -559,8 +545,6 @@ impl DigsRouting {
         self.settled_until = Asn::ZERO;
         self.best = new_best;
         self.second = new_second;
-        self.parent_changes += 1;
-        self.last_parent_change = Some(now);
         self.lockout_until = Asn(now.0 + self.config.switch_lockout);
         if self.joined_at.is_none() && new_best.is_some() {
             self.joined_at = Some(now);
@@ -688,8 +672,6 @@ mod tests {
             }
             self.best = new_best;
             self.second = new_second;
-            self.parent_changes += 1;
-            self.last_parent_change = Some(now);
             self.lockout_until = Asn(now.0 + self.config.switch_lockout);
             if self.joined_at.is_none() && new_best.is_some() {
                 self.joined_at = Some(now);
@@ -1111,18 +1093,6 @@ mod tests {
     }
 
     #[test]
-    fn parent_changes_counted() {
-        let r0 = root(0);
-        let r1 = root(1);
-        let mut d = device(5);
-        assert_eq!(d.parent_changes(), 0);
-        d.on_join_in(NodeId(0), &join_in_from(&r0), STRONG, Asn(1));
-        assert_eq!(d.parent_changes(), 1);
-        d.on_join_in(NodeId(1), &join_in_from(&r1), STRONG, Asn(2));
-        assert_eq!(d.parent_changes(), 2);
-        assert_eq!(d.last_parent_change(), Some(Asn(2)));
-    }
-    #[test]
     fn settled_skip_and_sort_free_selection_match_the_reference_selection() {
         let (mut heard, mut skipped, mut changes) = (0u64, 0u64, 0u64);
         digs_cases::cases(400, |d| {
@@ -1159,7 +1129,6 @@ mod tests {
                         let join_in = JoinIn { rank, etx_w, best_parent, second_parent: None };
                         let was_parent = [ours.best, ours.second].contains(&Some(from));
                         let may_skip = now < ours.settled_until && !was_parent;
-                        let before = ours.parent_changes();
                         let events = ours.on_join_in(from, &join_in, rss, now);
                         assert_eq!(
                             events,
@@ -1172,7 +1141,10 @@ mod tests {
                         // full selection runs only after a yes.
                         let quiet_call = events.is_empty() && !ours.could_take_a_slot(from);
                         skipped += u64::from(may_skip && quiet_call);
-                        changes += ours.parent_changes() - before;
+                        changes += events
+                            .iter()
+                            .filter(|e| matches!(e, RoutingEvent::ParentsChanged { .. }))
+                            .count() as u64;
                     }
                     _ => {}
                 }

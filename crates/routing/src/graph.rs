@@ -151,67 +151,6 @@ impl RoutingGraph {
         joined.iter().filter(|e| e.second.is_some()).count() as f64 / joined.len() as f64
     }
 
-    /// The primary **downlink** path from an access point to `node`: the
-    /// reverse of the node's best-parent chain (the paper's footnote 2 —
-    /// "other graphs such as downlink graph and broadcast graph can be
-    /// generated following the same method"). WirelessHART source-routes
-    /// downlink commands along exactly this path. Returns `None` if the
-    /// node is detached or the chain does not terminate at a root within
-    /// 32 hops.
-    pub fn primary_downlink_path(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        let mut path = vec![node];
-        let mut cursor = node;
-        for _ in 0..32 {
-            if self.roots.contains(&cursor) {
-                path.reverse();
-                return Some(path);
-            }
-            cursor = self.entries.get(&cursor)?.best?;
-            path.push(cursor);
-        }
-        None
-    }
-
-    /// The **broadcast graph**: the set of parent→child edges over which a
-    /// flood from the access points reaches every attached device (the
-    /// reversal of the union of primary and backup uplink edges). Edges
-    /// are returned in deterministic (parent, child) order.
-    pub fn broadcast_edges(&self) -> Vec<(NodeId, NodeId)> {
-        let mut edges: Vec<(NodeId, NodeId)> = self
-            .entries
-            .iter()
-            .flat_map(|(child, e)| {
-                e.best.into_iter().chain(e.second).map(move |parent| (parent, *child))
-            })
-            .collect();
-        edges.sort();
-        edges.dedup();
-        edges
-    }
-
-    /// Whether a flood over [`RoutingGraph::broadcast_edges`] starting at
-    /// the roots reaches every joined device — the correctness condition of
-    /// the broadcast graph (equivalent to uplink reachability, asserted
-    /// independently here).
-    pub fn broadcast_covers_all(&self) -> bool {
-        let mut reached: BTreeSet<NodeId> = self.roots.clone();
-        let edges = self.broadcast_edges();
-        // Breadth-first over the edge list (small graphs; simplicity wins).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (parent, child) in &edges {
-                if reached.contains(parent) && reached.insert(*child) {
-                    changed = true;
-                }
-            }
-        }
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.best.is_some())
-            .all(|(node, _)| reached.contains(node))
-    }
-
     /// Fraction of recorded nodes that are joined (have a best parent).
     pub fn fraction_joined(&self) -> f64 {
         if self.entries.is_empty() {
@@ -293,44 +232,6 @@ mod tests {
         assert!(g.is_dag());
         assert!(g.all_reachable());
         assert_eq!(g.fraction_with_backup(), 0.0);
-    }
-
-    #[test]
-    fn downlink_path_reverses_uplink_chain() {
-        let g = figure6();
-        // Uplink: #3 → #4 → #6 → AP(1); downlink is the exact reverse.
-        assert_eq!(
-            g.primary_downlink_path(NodeId(3)),
-            Some(vec![NodeId(1), NodeId(6), NodeId(4), NodeId(3)])
-        );
-        assert_eq!(g.primary_downlink_path(NodeId(5)), Some(vec![NodeId(0), NodeId(5)]));
-    }
-
-    #[test]
-    fn downlink_path_missing_for_detached_node() {
-        let mut g = RoutingGraph::new([NodeId(0)]);
-        g.insert(NodeId(2), entry(None, None, u16::MAX));
-        assert_eq!(g.primary_downlink_path(NodeId(2)), None);
-        assert_eq!(g.primary_downlink_path(NodeId(9)), None);
-    }
-
-    #[test]
-    fn broadcast_edges_reverse_all_parent_links() {
-        let g = figure6();
-        let edges = g.broadcast_edges();
-        assert!(edges.contains(&(NodeId(4), NodeId(3))), "primary edge reversed");
-        assert!(edges.contains(&(NodeId(5), NodeId(3))), "backup edge reversed");
-        // 4 devices × 2 parents = 8 edges.
-        assert_eq!(edges.len(), 8);
-    }
-
-    #[test]
-    fn broadcast_reaches_every_joined_device() {
-        assert!(figure6().broadcast_covers_all());
-        // A device hanging off an unattached parent is not covered.
-        let mut g = RoutingGraph::new([NodeId(0)]);
-        g.insert(NodeId(3), entry(Some(9), None, 3));
-        assert!(!g.broadcast_covers_all());
     }
 
     #[test]

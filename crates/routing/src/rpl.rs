@@ -41,8 +41,6 @@ pub struct RplRouting {
     poison_pending: bool,
     joined_at: Option<Asn>,
     lockout_until: Asn,
-    parent_changes: u64,
-    last_parent_change: Option<Asn>,
     /// Before this slot a full selection ([`Self::reevaluate`]) over
     /// `neighbors` as it stands changes neither the parent nor the rank.
     /// Only a selection that changed neither sets it — the rank too,
@@ -83,8 +81,6 @@ impl RplRouting {
             poison_pending: false,
             lockout_until: Asn::ZERO,
             joined_at: if is_root { Some(now) } else { None },
-            parent_changes: 0,
-            last_parent_change: None,
             settled_until: Asn::ZERO,
             #[cfg(test)]
             oracle: false,
@@ -119,16 +115,6 @@ impl RplRouting {
     /// When the node first joined, if it has.
     pub fn joined_at(&self) -> Option<Asn> {
         self.joined_at
-    }
-
-    /// Number of parent changes so far (repair telemetry).
-    pub fn parent_changes(&self) -> u64 {
-        self.parent_changes
-    }
-
-    /// When the parent last changed (repair telemetry).
-    pub fn last_parent_change(&self) -> Option<Asn> {
-        self.last_parent_change
     }
 
     /// Read access to the neighbor table.
@@ -314,8 +300,6 @@ impl RplRouting {
         }
         self.settled_until = Asn::ZERO;
         self.preferred = new;
-        self.parent_changes += 1;
-        self.last_parent_change = Some(now);
         self.lockout_until = Asn(now.0 + self.config.switch_lockout);
         if self.joined_at.is_none() && new.is_some() {
             self.joined_at = Some(now);
@@ -397,8 +381,6 @@ mod tests {
                 return Vec::new();
             }
             self.preferred = new;
-            self.parent_changes += 1;
-            self.last_parent_change = Some(now);
             self.lockout_until = Asn(now.0 + self.config.switch_lockout);
             if self.joined_at.is_none() && new.is_some() {
                 self.joined_at = Some(now);
@@ -582,7 +564,6 @@ mod tests {
                         let dio = Dio { rank, path_etx, parent: None };
                         let may_skip =
                             now < ours.settled_until && ours.preferred_parent() != Some(from);
-                        let before = ours.parent_changes();
                         let events = ours.on_dio(from, &dio, rss, now);
                         assert_eq!(events, twin.on_dio(from, &dio, rss, now), "{id} at {now}");
                         heard += 1;
@@ -591,7 +572,10 @@ mod tests {
                         // full selection runs only after a yes.
                         let quiet_call = events.is_empty() && !ours.could_take_over(from);
                         skipped += u64::from(may_skip && quiet_call);
-                        changes += ours.parent_changes() - before;
+                        changes += events
+                            .iter()
+                            .filter(|e| matches!(e, RoutingEvent::ParentsChanged { .. }))
+                            .count() as u64;
                     }
                     _ => {}
                 }

@@ -64,10 +64,6 @@ use digs_sim::time::Asn;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Default number of scheduled transmission attempts per packet per
-/// application slotframe (two on the primary route, one on the backup).
-pub const DEFAULT_ATTEMPTS: u8 = 3;
-
 /// Salt separating the slot-permutation stream from other mix users.
 const PERM_SALT: u64 = 0x51a7_0b1e;
 

@@ -8,7 +8,7 @@
 //!   every node derives its transmission and reception cells purely from its
 //!   node id, the number of access points, and its routing state — no
 //!   schedule negotiation with neighbors;
-//! - [`orchestra`] — the Orchestra baseline (SenSys 2015): receiver-based
+//! - [`orchestra`] — the Orchestra baseline (SenSys 2015): sender-based
 //!   unicast cells over RPL;
 //! - [`analysis`] — the paper's Eq. 5 (shared-slot contention probability)
 //!   and Eq. 6 (slotframe skip probability).

@@ -2,20 +2,15 @@
 //! configured as in the paper's comparison.
 //!
 //! Orchestra schedules autonomously over RPL with a **single preferred
-//! parent**. Its unicast cells come in two flavors:
-//!
-//! - **Sender-based (default here)**: every node owns one transmission
-//!   cell per application slotframe at `id mod L_app`, directed to its
-//!   preferred parent; the parent derives matching receive cells from its
-//!   child set (learned from RPL's DAO signalling). This is the only mode
-//!   whose sink capacity scales with the paper's configuration — a
-//!   receiver-based cell at the paper's 151-slot application slotframe
-//!   would cap each access point at 0.66 packets/s, below the offered
-//!   load of the Testbed A workload — and it is the mode DiGS's Eq. 4
-//!   structurally extends (with multiple attempts and a backup parent).
-//! - **Receiver-based** (kept as an ablation): every node listens on one
-//!   cell per unicast slotframe at `id mod L_unicast`; children of the
-//!   same parent contend for the parent's cell.
+//! parent**. Its unicast cells are **sender-based**: every node owns one
+//! transmission cell per application slotframe at `id mod L_app`, directed
+//! to its preferred parent; the parent derives matching receive cells from
+//! its child set (learned from RPL's DAO signalling). Only sender-based
+//! cells give the sink the capacity the paper's configuration needs — a
+//! receiver-based cell at the paper's 151-slot application slotframe would
+//! cap each access point at 0.66 packets/s, below the offered load of the
+//! Testbed A workload — and it is the layout DiGS's Eq. 4 structurally
+//! extends (with multiple attempts and a backup parent).
 //!
 //! EBs and routing traffic use the same sync and shared-slot layout as
 //! DiGS (the paper runs both protocols with identical slotframe lengths
@@ -30,32 +25,16 @@ use digs_sim::ids::NodeId;
 use digs_sim::time::Asn;
 use std::collections::BTreeSet;
 
-/// Unicast slotframe length for the receiver-based ablation mode.
-pub const DEFAULT_UNICAST_LEN: u32 = 53;
-
-/// Which Orchestra unicast-cell flavor to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrchestraMode {
-    /// Sender-owned dedicated cells; receive cells derived from children.
-    SenderBased,
-    /// Receiver-owned shared cells; siblings contend.
-    ReceiverBased {
-        /// Length of the unicast slotframe.
-        unicast_len: u32,
-    },
-}
-
 /// The Orchestra scheduler state for one node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrchestraScheduler {
     id: NodeId,
     lengths: SlotframeLengths,
-    mode: OrchestraMode,
     preferred_parent: Option<NodeId>,
-    /// Children (sender-based mode only): nodes whose preferred parent is
-    /// us, learned from RPL signalling and observed traffic.
+    /// Children: nodes whose preferred parent is us, learned from RPL
+    /// signalling and observed traffic.
     children: BTreeSet<NodeId>,
-    /// The unicast cells of one [`Self::unicast_len`] slotframe; rebuilt by
+    /// The unicast cells of one application slotframe; rebuilt by
     /// [`Self::compile_app_cells`] whenever the parent or the set of
     /// children changes.
     app_cells: CellTable,
@@ -69,28 +48,10 @@ impl OrchestraScheduler {
     ///
     /// Panics if the slotframe lengths are invalid.
     pub fn new(id: NodeId, lengths: SlotframeLengths) -> OrchestraScheduler {
-        Self::with_mode(id, lengths, OrchestraMode::SenderBased)
-    }
-
-    /// Creates a scheduler with an explicit unicast-cell mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slotframe lengths are invalid or a receiver-based
-    /// unicast slotframe length is 0.
-    pub fn with_mode(
-        id: NodeId,
-        lengths: SlotframeLengths,
-        mode: OrchestraMode,
-    ) -> OrchestraScheduler {
         lengths.validate().expect("valid slotframe lengths");
-        if let OrchestraMode::ReceiverBased { unicast_len } = mode {
-            assert!(unicast_len > 0, "unicast slotframe length must be positive");
-        }
         let mut scheduler = OrchestraScheduler {
             id,
             lengths,
-            mode,
             preferred_parent: None,
             children: BTreeSet::new(),
             app_cells: CellTable::default(),
@@ -102,11 +63,6 @@ impl OrchestraScheduler {
     /// This node's id.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The configured unicast mode.
-    pub fn mode(&self) -> OrchestraMode {
-        self.mode
     }
 
     /// Updates the preferred parent (on RPL parent change).
@@ -122,8 +78,7 @@ impl OrchestraScheduler {
         self.preferred_parent
     }
 
-    /// Registers a child (sender-based mode; no-op semantics for
-    /// receiver-based, which always listens in its own cell).
+    /// Registers a child.
     pub fn add_child(&mut self, child: NodeId) {
         if self.children.insert(child) {
             self.compile_app_cells();
@@ -137,51 +92,20 @@ impl OrchestraScheduler {
         }
     }
 
-    /// Length of the slotframe the unicast cells repeat in.
-    fn unicast_len(&self) -> u32 {
-        match self.mode {
-            OrchestraMode::SenderBased => self.lengths.app,
-            OrchestraMode::ReceiverBased { unicast_len } => unicast_len,
-        }
-    }
-
     /// Rebuilds the unicast-cell table, claimants in priority order (the
     /// first claimant of a slot keeps it).
     fn compile_app_cells(&mut self) {
         let mut cells = std::mem::take(&mut self.app_cells);
         cells.clear();
-        let app_cell = |action, offset, contention| Cell {
-            class: TrafficClass::App,
-            action,
-            offset,
-            contention,
-        };
-        match self.mode {
-            OrchestraMode::SenderBased => {
-                if let Some(to) = self.preferred_parent {
-                    let action = CellAction::TxData { to, attempt: 1 };
-                    let own = app_cell(action, node_offset(self.id), false);
-                    cells.claim(self.sbs_tx_slot(self.id), own);
-                }
-                for child in &self.children {
-                    let listen = app_cell(CellAction::RxData, node_offset(*child), false);
-                    cells.claim(self.sbs_tx_slot(*child), listen);
-                }
-            }
-            // Siblings share the parent's cell, so both cells contend.
-            OrchestraMode::ReceiverBased { unicast_len } => {
-                if let Some(to) = self.preferred_parent {
-                    let action = CellAction::TxData { to, attempt: 1 };
-                    cells.claim(
-                        self.rbs_rx_slot(to, unicast_len),
-                        app_cell(action, node_offset(to), true),
-                    );
-                }
-                cells.claim(
-                    self.rbs_rx_slot(self.id, unicast_len),
-                    app_cell(CellAction::RxData, node_offset(self.id), true),
-                );
-            }
+        let app_cell =
+            |action, offset| Cell { class: TrafficClass::App, action, offset, contention: false };
+        if let Some(to) = self.preferred_parent {
+            let action = CellAction::TxData { to, attempt: 1 };
+            cells.claim(self.sbs_tx_slot(self.id), app_cell(action, node_offset(self.id)));
+        }
+        for child in &self.children {
+            let listen = app_cell(CellAction::RxData, node_offset(*child));
+            cells.claim(self.sbs_tx_slot(*child), listen);
         }
         self.app_cells = cells;
     }
@@ -195,11 +119,6 @@ impl OrchestraScheduler {
     /// slotframe.
     pub fn sbs_tx_slot(&self, node: NodeId) -> u32 {
         u32::from(node.0) % self.lengths.app
-    }
-
-    /// The receiver-based cell slot owned by `node` (ablation mode).
-    pub fn rbs_rx_slot(&self, node: NodeId, unicast_len: u32) -> u32 {
-        u32::from(node.0) % unicast_len
     }
 
     /// The sync-slotframe slot in which `node` broadcasts its EB.
@@ -220,16 +139,16 @@ impl OrchestraScheduler {
     pub fn next_wake_cell(&self, from: Asn, has_data: bool) -> Asn {
         let next = next_sync_or_routing_cell(from, self.lengths, self.id, self.preferred_parent);
         let own =
-            if has_data { self.app_cells.next_transmit(from, self.unicast_len()) } else { None };
+            if has_data { self.app_cells.next_transmit(from, self.lengths.app) } else { None };
         own.map_or(next, |own| next.min(own))
     }
 
-    /// The receive cells of the unicast slotframe, which
+    /// The receive cells of the application slotframe, which
     /// [`Self::next_wake_cell`] does not name: where they are not masked by
     /// a sync or routing cell — slots the node is asked in — [`Self::cell`]
     /// is a `RxData` cell on that offset.
     pub fn standing_listens(&self) -> StandingListens<'_> {
-        StandingListens::Cells { period: self.unicast_len(), cells: self.app_cells.listens() }
+        StandingListens::Cells { period: self.lengths.app, cells: self.app_cells.listens() }
     }
 
     /// Differs from its last value whenever [`Self::standing_listens`] may.
@@ -274,7 +193,7 @@ impl OrchestraScheduler {
     }
 
     fn app_cell(&self, asn: Asn) -> Option<Cell> {
-        self.app_cells.get(frame_offset(asn, self.unicast_len()))
+        self.app_cells.get(frame_offset(asn, self.lengths.app))
     }
 }
 
@@ -285,14 +204,6 @@ mod tests {
 
     fn sbs(id: u16) -> OrchestraScheduler {
         OrchestraScheduler::new(NodeId(id), SlotframeLengths::example())
-    }
-
-    fn rbs(id: u16) -> OrchestraScheduler {
-        OrchestraScheduler::with_mode(
-            NodeId(id),
-            SlotframeLengths::example(),
-            OrchestraMode::ReceiverBased { unicast_len: 7 },
-        )
     }
 
     #[test]
@@ -339,38 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn rbs_owns_one_rx_cell_per_slotframe() {
-        let s = rbs(3);
-        let rx_cells: Vec<u64> = (0..77u64)
-            .filter(|asn| matches!(s.cell(Asn(*asn)).map(|c| c.action), Some(CellAction::RxData)))
-            .collect();
-        assert!(!rx_cells.is_empty());
-        assert!(rx_cells.iter().all(|asn| asn % 7 == 3));
-    }
-
-    #[test]
-    fn rbs_transmits_in_parents_cell_with_contention() {
-        let mut s = rbs(3);
-        s.set_parent(Some(NodeId(5)));
-        // ASN 12: unicast offset 12 % 7 = 5 (the parent's cell).
-        let cell = s.cell(Asn(12)).expect("tx cell");
-        assert_eq!(cell.action, CellAction::TxData { to: NodeId(5), attempt: 1 });
-        assert!(cell.contention, "RBS cells are contention cells");
-    }
-
-    #[test]
-    fn rbs_siblings_share_the_parents_cell() {
-        let mut a = rbs(3);
-        let mut b = rbs(4);
-        a.set_parent(Some(NodeId(5)));
-        b.set_parent(Some(NodeId(5)));
-        let ca = a.cell(Asn(12)).expect("cell");
-        let cb = b.cell(Asn(12)).expect("cell");
-        assert_eq!(ca.action, cb.action);
-        assert_eq!(ca.offset, cb.offset);
-    }
-
-    #[test]
     fn sync_beats_app() {
         let mut s = sbs(0);
         s.set_parent(Some(NodeId(1)));
@@ -404,39 +283,22 @@ mod tests {
     /// The per-slot scan the compiled table replaced, kept as the table's
     /// reference.
     fn scanned_app_cell(s: &OrchestraScheduler, asn: Asn) -> Option<Cell> {
-        let cell = |action, offset, contention| {
-            Some(Cell { class: TrafficClass::App, action, offset, contention })
+        let cell = |action, offset| {
+            Some(Cell { class: TrafficClass::App, action, offset, contention: false })
         };
-        match s.mode {
-            OrchestraMode::SenderBased => {
-                let off = frame_offset(asn, s.lengths.app);
-                if let Some(p) = s.preferred_parent {
-                    if off == s.sbs_tx_slot(s.id) {
-                        let action = CellAction::TxData { to: p, attempt: 1 };
-                        return cell(action, node_offset(s.id), false);
-                    }
-                }
-                for child in &s.children {
-                    if off == s.sbs_tx_slot(*child) {
-                        return cell(CellAction::RxData, node_offset(*child), false);
-                    }
-                }
-                None
-            }
-            OrchestraMode::ReceiverBased { unicast_len } => {
-                let off = frame_offset(asn, unicast_len);
-                if let Some(p) = s.preferred_parent {
-                    if off == s.rbs_rx_slot(p, unicast_len) {
-                        let action = CellAction::TxData { to: p, attempt: 1 };
-                        return cell(action, node_offset(p), true);
-                    }
-                }
-                if off == s.rbs_rx_slot(s.id, unicast_len) {
-                    return cell(CellAction::RxData, node_offset(s.id), true);
-                }
-                None
+        let off = frame_offset(asn, s.lengths.app);
+        if let Some(p) = s.preferred_parent {
+            if off == s.sbs_tx_slot(s.id) {
+                let action = CellAction::TxData { to: p, attempt: 1 };
+                return cell(action, node_offset(s.id));
             }
         }
+        for child in &s.children {
+            if off == s.sbs_tx_slot(*child) {
+                return cell(CellAction::RxData, node_offset(*child));
+            }
+        }
+        None
     }
 
     #[test]
@@ -448,11 +310,7 @@ mod tests {
         ];
         digs_cases::cases(200, |d| {
             let node = |d: &mut Draw| NodeId(d.int(0u16..60));
-            let mode = match d.int(0..3) {
-                0 => OrchestraMode::ReceiverBased { unicast_len: d.int(1u32..=60) },
-                _ => OrchestraMode::SenderBased,
-            };
-            let mut s = OrchestraScheduler::with_mode(node(d), *d.pick(&lengths), mode);
+            let mut s = OrchestraScheduler::new(node(d), *d.pick(&lengths));
             for _ in 0..6 {
                 for _ in 0..d.int(1..=6) {
                     match d.int(0..3) {
@@ -466,7 +324,7 @@ mod tests {
                     _ => {}
                 }
                 let start = d.int(0u64..1 << 30);
-                for from in (start..start + 2 * u64::from(s.unicast_len()) + 3).map(Asn) {
+                for from in (start..start + 2 * u64::from(s.lengths.app) + 3).map(Asn) {
                     assert_eq!(s.app_cell(from), scanned_app_cell(&s, from), "{s:?} at {from}");
                     // Asked in: sync and routing cells, and the own transmit
                     // cell while data is queued.

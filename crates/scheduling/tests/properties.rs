@@ -83,7 +83,7 @@ fn attempt_offsets_distinct() {
 }
 
 /// An Orchestra node's schedule contains at most one data transmission
-/// cell per unicast slotframe.
+/// cell per application slotframe.
 #[test]
 fn orchestra_single_attempt_per_frame() {
     cases(256, |d| {

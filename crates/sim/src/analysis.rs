@@ -10,7 +10,7 @@
 use crate::ids::NodeId;
 use crate::rf::{RfConfig, RSS_MIN};
 use crate::topology::Topology;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Static connectivity analysis of a topology under an RF configuration.
 ///
@@ -166,42 +166,6 @@ impl TopologyAnalysis {
         }
         (0..n).filter(|i| is_ap[*i]).map(|i| NodeId(i as u16)).collect()
     }
-
-    /// The nodes most traffic must pass through: for each node, the number
-    /// of other nodes whose *only shortest paths* to the APs run through
-    /// it (a cheap betweenness proxy: count of descendants in the BFS
-    /// shortest-path DAG when the node is their unique predecessor).
-    pub fn bottleneck_scores(&self) -> BTreeMap<NodeId, usize> {
-        let mut scores = BTreeMap::new();
-        for v in 0..self.n {
-            let Some(dv) = self.hops_from_ap[v] else { continue };
-            if dv == 0 {
-                continue;
-            }
-            // Unique predecessor?
-            let preds: Vec<usize> = self.adjacency[v]
-                .iter()
-                .filter(|u| self.hops_from_ap[u.index()] == Some(dv - 1))
-                .map(|u| u.index())
-                .collect();
-            if preds.len() == 1 && self.hops_from_ap[preds[0]].is_some_and(|d| d > 0) {
-                *scores.entry(NodeId(preds[0] as u16)).or_insert(0) += 1;
-            }
-        }
-        scores
-    }
-
-    /// Nodes disconnected from every access point.
-    pub fn disconnected_nodes(&self) -> Vec<NodeId> {
-        let connected: BTreeSet<usize> = self
-            .hops_from_ap
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        (0..self.n).filter(|i| !connected.contains(i)).map(|i| NodeId(i as u16)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -241,15 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_bottlenecks_count_descendants() {
-        let a = TopologyAnalysis::new(&chain(), &RfConfig::deterministic());
-        let scores = a.bottleneck_scores();
-        // Node 1 is the unique predecessor of node 2; node 2 of node 3.
-        assert_eq!(scores.get(&NodeId(1)), Some(&1));
-        assert_eq!(scores.get(&NodeId(2)), Some(&1));
-    }
-
-    #[test]
     fn disconnected_node_detected() {
         let topo = Topology::new(
             "island",
@@ -259,7 +214,7 @@ mod tests {
         let a = TopologyAnalysis::new(&topo, &RfConfig::deterministic());
         assert!(!a.is_connected());
         assert_eq!(a.depth(), None);
-        assert_eq!(a.disconnected_nodes(), vec![NodeId(2)]);
+        assert_eq!(a.hops_to_ap(NodeId(2)), None);
     }
 
     #[test]

@@ -905,7 +905,7 @@ impl Engine {
         for (id, ch, frame) in contenders.drain(..) {
             // CCA: busy if any committed 802.15.4 transmitter on this
             // channel is audible. Jammers do NOT trip CCA: the emulated
-            // WiFi/Bluetooth bursts are microseconds long and use a foreign
+            // WiFi bursts are microseconds long and use a foreign
             // modulation, which 802.15.4 carrier sense does not reliably
             // detect — nodes transmit into the jam and lose frames, as on
             // the paper's testbeds.
@@ -1795,7 +1795,7 @@ mod tests {
                 let ch = offset.hop(asn);
                 // CCA: busy if any committed 802.15.4 transmitter on this
                 // channel is audible. Jammers do NOT trip CCA: the emulated
-                // WiFi/Bluetooth bursts are microseconds long and use a foreign
+                // WiFi bursts are microseconds long and use a foreign
                 // modulation, which 802.15.4 carrier sense does not reliably
                 // detect — nodes transmit into the jam and lose frames, as on
                 // the paper's testbeds.
@@ -2200,7 +2200,7 @@ mod tests {
         let start = Asn(d.int(0..horizon));
         let jammer = match d.int(0u8..5) {
             0 => Jammer::wifi(at, d.int(1u8..=13), start),
-            1 => Jammer::bluetooth(at, start),
+            1 => Jammer::wifi(at, d.int(1u8..=13), start).until(Asn(start.0 + d.int(1..horizon))),
             2 => Jammer::disturber(at, 1, d.u64()).with_period(d.int(1u64..40)),
             3 => Jammer {
                 kind: JammerKind::Adaptive(AdaptiveSniffer::new(

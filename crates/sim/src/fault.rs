@@ -413,13 +413,6 @@ impl ChaosConfig {
             ..ChaosConfig::moderate(start, duration_secs)
         }
     }
-
-    /// Overrides the intensity multiplier.
-    pub fn with_intensity(mut self, intensity: f64) -> ChaosConfig {
-        assert!(intensity > 0.0, "intensity must be positive");
-        self.intensity = intensity;
-        self
-    }
 }
 
 /// What kind of chaos event was injected (for the convergence watchdog).
@@ -908,8 +901,8 @@ mod chaos_tests {
     #[test]
     fn intensity_stretches_event_durations() {
         let topo = Topology::testbed_a();
-        let mild = ChaosPlan::generate(&config().with_intensity(0.5), &topo, 5);
-        let harsh = ChaosPlan::generate(&config().with_intensity(2.0), &topo, 5);
+        let mild = ChaosPlan::generate(&ChaosConfig { intensity: 0.5, ..config() }, &topo, 5);
+        let harsh = ChaosPlan::generate(&ChaosConfig { intensity: 2.0, ..config() }, &topo, 5);
         let mean_len = |plan: &ChaosPlan| {
             let lens: Vec<u64> = plan
                 .faults()

@@ -13,9 +13,8 @@
 //!   frequency-selective fading, and additive white Gaussian noise; see
 //!   [`rf`] and [`link`].
 //! - **Channel hopping** over the 16 IEEE 802.15.4 channels; see [`channel`].
-//! - **Interference** from jammers emulating WiFi streaming or Bluetooth
-//!   traffic (the paper's JamLab setup) and Cooja-style disturber nodes; see
-//!   [`interference`].
+//! - **Interference** from jammers emulating WiFi streaming (the paper's
+//!   JamLab setup) and Cooja-style disturber nodes; see [`interference`].
 //! - **Energy** with a CC2420 radio state model; see [`energy`].
 //! - **Faults** as scripted node failures and recoveries; see [`fault`].
 //!

@@ -177,10 +177,6 @@ pub fn prr_from_sinr_db(sinr_db: f64) -> f64 {
     p.clamp(0.0, 0.999)
 }
 
-/// Capture threshold in dB: a frame survives interference from a concurrent
-/// transmission if it is at least this much stronger.
-pub const CAPTURE_THRESHOLD_DB: f64 = 3.0;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -90,17 +90,6 @@ impl EngineStats {
             + self.data.transmitted
             + self.management.transmitted
     }
-
-    /// Link-layer delivery ratio for unicast data frames
-    /// (acked / (acked + unacked)), or `None` if no unicast data was sent.
-    pub fn data_link_delivery_ratio(&self) -> Option<f64> {
-        let total = self.data.acked + self.data.unacked;
-        if total == 0 {
-            None
-        } else {
-            Some(self.data.acked as f64 / total as f64)
-        }
-    }
 }
 
 impl fmt::Display for EngineStats {
@@ -132,14 +121,5 @@ mod tests {
         assert_eq!(s.beacon.transmitted, 1);
         assert_eq!(s.total_transmitted(), 3);
         assert_eq!(s.kind(FrameKind::Data).transmitted, 2);
-    }
-
-    #[test]
-    fn link_delivery_ratio() {
-        let mut s = EngineStats::default();
-        assert_eq!(s.data_link_delivery_ratio(), None);
-        s.data.acked = 3;
-        s.data.unacked = 1;
-        assert_eq!(s.data_link_delivery_ratio(), Some(0.75));
     }
 }

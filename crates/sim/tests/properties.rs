@@ -493,7 +493,7 @@ fn interference_is_the_carrier_gated_by_emission() {
         }
         let jammers = [
             Jammer::wifi(at, d.int(1u8..=13), start),
-            Jammer::bluetooth(at, start).until(Asn(start.0 + 300)),
+            Jammer::wifi(at, d.int(1u8..=13), start).until(Asn(start.0 + 300)),
             Jammer::disturber(at, 1, d.u64()).with_period(d.int(1u64..50)),
             learnt,
             Jammer::ambient(at, duty_pm, Dbm(d.f64(-10.0..10.0)), d.u64()),

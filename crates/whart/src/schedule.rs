@@ -130,55 +130,6 @@ impl CentralSchedule {
         Ok(CentralSchedule { length, cells })
     }
 
-    /// Builds a **downlink** schedule: source-routed command flows from the
-    /// access points to each destination device, following the reverse of
-    /// the uplink primary paths (the downlink graph of the paper's footnote
-    /// 2). Each hop gets two attempts; downlink routes are source routes,
-    /// so there is no backup branch.
-    ///
-    /// Flow *i* (id `FlowId(i)`) delivers to `destinations[i]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a destination is unrouted or the superframe is
-    /// full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `length` is zero.
-    pub fn build_downlink(
-        graph: &RoutingGraph,
-        destinations: &[NodeId],
-        length: u32,
-    ) -> Result<CentralSchedule, ScheduleError> {
-        assert!(length > 0, "superframe length must be positive");
-        let mut cells = Vec::new();
-        let mut busy: BTreeMap<u32, BTreeSet<NodeId>> = BTreeMap::new();
-        let mut used: BTreeSet<(u32, u8)> = BTreeSet::new();
-
-        for (i, dest) in destinations.iter().enumerate() {
-            let flow = FlowId(i as u16);
-            let path = graph
-                .primary_downlink_path(*dest)
-                .ok_or(ScheduleError::UnroutedSource { source: *dest })?;
-            let mut prev_slot: Option<u32> = None;
-            for hop in path.windows(2) {
-                let (tx, rx) = (hop[0], hop[1]);
-                for attempt in 1..=2u8 {
-                    let slot = Self::allocate(length, prev_slot, tx, rx, &mut busy, &mut used)
-                        .ok_or(ScheduleError::SuperframeFull { flow })?;
-                    let offset = Self::free_offset(slot, &used).expect("checked in allocate");
-                    used.insert((slot, offset.0));
-                    busy.entry(slot).or_default().extend([tx, rx]);
-                    cells.push(CentralCell { slot, offset, tx, rx, flow, attempt });
-                    prev_slot = Some(slot);
-                }
-            }
-        }
-        cells.sort_by_key(|c| (c.slot, c.offset.0));
-        Ok(CentralSchedule { length, cells })
-    }
-
     /// First slot strictly after `prev_slot` where both nodes are free and
     /// a channel offset remains.
     fn allocate(
@@ -230,12 +181,6 @@ impl CentralSchedule {
             }
         }
         true
-    }
-
-    /// End-to-end latency bound of a flow within the superframe: the last
-    /// primary-attempt slot of the flow, in slots.
-    pub fn flow_span(&self, flow: FlowId) -> Option<u32> {
-        self.cells.iter().filter(|c| c.flow == flow && c.attempt <= 2).map(|c| c.slot).max()
     }
 }
 
@@ -309,43 +254,5 @@ mod tests {
         let of3 = s.cells_of(NodeId(3));
         assert!(of3.iter().any(|c| c.tx == NodeId(3)));
         assert!(of3.iter().any(|c| c.rx == NodeId(3)));
-    }
-
-    #[test]
-    fn downlink_schedules_along_reversed_path() {
-        let s = CentralSchedule::build_downlink(&graph(), &[NodeId(4)], 100).expect("fits");
-        assert!(s.is_conflict_free());
-        // 3 hops x 2 attempts = 6 cells, starting at an access point.
-        assert_eq!(s.cells().len(), 6);
-        assert_eq!(s.cells()[0].tx, NodeId(0), "downlink starts at the AP");
-        let last = s.cells().last().expect("cells");
-        assert_eq!(last.rx, NodeId(4), "downlink ends at the device");
-        // Slots strictly increase along the route.
-        let slots: Vec<u32> = s.cells().iter().map(|c| c.slot).collect();
-        assert!(slots.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn downlink_to_unrouted_device_errors() {
-        let mut g = graph();
-        g.insert(NodeId(9), GraphEntry { best: None, second: None, rank: Rank::INFINITE });
-        let err = CentralSchedule::build_downlink(&g, &[NodeId(9)], 100).expect_err("no route");
-        assert_eq!(err, ScheduleError::UnroutedSource { source: NodeId(9) });
-    }
-
-    #[test]
-    fn downlink_multiple_destinations_conflict_free() {
-        let s = CentralSchedule::build_downlink(&graph(), &[NodeId(4), NodeId(3), NodeId(2)], 200)
-            .expect("fits");
-        assert!(s.is_conflict_free());
-        assert_eq!(s.cells().len(), 6 + 4 + 2);
-    }
-
-    #[test]
-    fn flow_span_reflects_path_depth() {
-        let s = CentralSchedule::build(&graph(), &[NodeId(4), NodeId(2)], 200).expect("fits");
-        let deep = s.flow_span(FlowId(0)).expect("flow 0");
-        let shallow = s.flow_span(FlowId(1)).expect("flow 1");
-        assert!(deep > shallow, "3-hop flow ends later than 1-hop flow");
     }
 }
