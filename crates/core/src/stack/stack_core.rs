@@ -425,9 +425,19 @@ impl TschMac {
     /// Notes that `child` was heard at `asn`; `true` when it is newly
     /// registered (its receive cell was just installed).
     pub fn child_heard(&mut self, child: NodeId, asn: Asn) -> bool {
-        let new = self.child_last_seen.insert(child, asn).is_none();
-        self.find_first_silent();
-        new
+        let before = self.child_last_seen.insert(child, asn);
+        let silent_at = asn + (CHILD_SILENCE_SLOTS + 1);
+        match self.first_silent_at {
+            // The child that held the minimum moved later: another may hold it.
+            Some(first)
+                if silent_at > first
+                    && before.is_some_and(|seen| seen + (CHILD_SILENCE_SLOTS + 1) == first) =>
+            {
+                self.find_first_silent();
+            }
+            first => self.first_silent_at = Some(first.map_or(silent_at, |f| f.min(silent_at))),
+        }
+        before.is_none()
     }
 
     /// A sweep at `asn` forgets the children with
@@ -448,7 +458,9 @@ impl TschMac {
     /// their cells.
     #[inline]
     pub fn sweep_children(&mut self, asn: Asn) -> Vec<NodeId> {
-        if asn.0.is_multiple_of(CHILD_SWEEP_PERIOD) && !self.child_last_seen.is_empty() {
+        if asn.0.is_multiple_of(CHILD_SWEEP_PERIOD)
+            && self.first_silent_at.is_some_and(|silent| silent <= asn)
+        {
             self.sweep_children_now(asn)
         } else {
             Vec::new()
@@ -531,6 +543,48 @@ impl TschMac {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn incremental_first_silent_matches_a_walk_over_the_children() {
+        let (mut moved_off_the_minimum, mut swept) = (0, 0);
+        digs_cases::cases(60, |d| {
+            let mut mac = TschMac::new(NodeId(0), true, Vec::new(), 4, Rank::ROOT);
+            let children = d.vec(1..12, |d| NodeId(d.int(1u16..40)));
+            let mut now = Asn(0);
+            for _ in 0..3_000 {
+                let most = *d.pick(&[8, 64, 2_000, 20_000]);
+                now += d.int(0u64..most);
+                if d.int(0u8..4) == 0 {
+                    if d.int(0u8..4) > 0 {
+                        now = Asn(now.0.next_multiple_of(CHILD_SWEEP_PERIOD));
+                    }
+                    let walked = mac.child_last_seen.clone();
+                    let horizon = now.0.saturating_sub(CHILD_SILENCE_SLOTS);
+                    let stale: Vec<NodeId> = (walked.iter())
+                        .filter(|(_, seen)| {
+                            now.0.is_multiple_of(CHILD_SWEEP_PERIOD) && seen.0 < horizon
+                        })
+                        .map(|(id, _)| *id)
+                        .collect();
+                    assert_eq!(mac.sweep_children(now), stale, "at {now}");
+                    swept += stale.len();
+                } else {
+                    let child = *d.pick(&children);
+                    let held =
+                        mac.child_last_seen.values().min() == mac.child_last_heard(child).as_ref();
+                    moved_off_the_minimum += usize::from(held && mac.child_last_seen.len() > 1);
+                    mac.child_heard(child, now);
+                }
+                let walked = mac.child_last_seen.values().min();
+                let first = walked.map(|seen| *seen + (CHILD_SILENCE_SLOTS + 1));
+                assert_eq!(mac.first_silent_at, first, "at {now}");
+            }
+        });
+        assert!(
+            moved_off_the_minimum > 10_000 && swept > 1_000,
+            "{moved_off_the_minimum} refreshed minima, {swept} swept"
+        );
+    }
 
     #[test]
     fn closed_form_sweep_wake_matches_sweeping_every_slot() {

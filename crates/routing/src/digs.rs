@@ -35,7 +35,6 @@ use crate::trickle::{Trickle, TrickleConfig};
 use digs_sim::ids::NodeId;
 use digs_sim::rf::Dbm;
 use digs_sim::time::Asn;
-use std::collections::BTreeSet;
 
 /// Tuning knobs for [`DigsRouting`] (and, where shared, [`crate::rpl::RplRouting`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,7 +124,8 @@ pub struct DigsRouting {
     best: Option<NodeId>,
     second: Option<NodeId>,
     rank: Rank,
-    children: BTreeSet<NodeId>,
+    /// The neighbors whose join-in names us as a parent, ascending.
+    children: Vec<NodeId>,
     joined_at: Option<Asn>,
     /// Voluntary switches are suppressed until this slot.
     lockout_until: Asn,
@@ -172,7 +172,7 @@ impl DigsRouting {
             best: None,
             second: None,
             rank: if is_root { Rank::ROOT } else { Rank::INFINITE },
-            children: BTreeSet::new(),
+            children: Vec::new(),
             joined_at: if is_root { Some(now) } else { None },
             lockout_until: Asn::ZERO,
             settled_until: Asn::ZERO,
@@ -296,10 +296,12 @@ impl DigsRouting {
         // (link quality is still real) but it won't qualify as a parent.
         self.neighbors.record_advertisement(from, msg.rank, msg.etx_w, rss, now);
         let advertises_us = msg.best_parent == Some(self.id) || msg.second_parent == Some(self.id);
-        if advertises_us {
-            self.children.insert(from);
-        } else {
-            self.children.remove(&from);
+        match (self.children.binary_search(&from), advertises_us) {
+            (Err(at), true) => self.children.insert(at, from),
+            (Ok(at), false) => {
+                self.children.remove(at);
+            }
+            _ => {}
         }
         if self.is_root {
             return Vec::new();
@@ -346,7 +348,11 @@ impl DigsRouting {
 
     /// Candidate parents: usable neighbors that are not our children.
     fn is_candidate(&self, id: NodeId, entry: &NeighborEntry) -> bool {
-        entry.is_usable() && !self.children.contains(&id)
+        entry.is_usable() && !self.is_child(id)
+    }
+
+    fn is_child(&self, id: NodeId) -> bool {
+        self.children.binary_search(&id).is_ok()
     }
 
     /// Handles the outcome of a data transmission to `to`: updates the
@@ -380,9 +386,7 @@ impl DigsRouting {
                 evicted.iter().any(|id| self.best == Some(*id) || self.second == Some(*id));
             if !evicted.is_empty() {
                 self.settled_until = Asn::ZERO;
-            }
-            for id in evicted {
-                self.children.remove(&id);
+                self.children.retain(|id| evicted.binary_search(id).is_err());
             }
             if lost_parent {
                 self.lockout_until = Asn::ZERO;
@@ -446,7 +450,9 @@ impl DigsRouting {
 
         // Best parent: minimum accumulated ETX, with hysteresis in favor of
         // the incumbent.
-        let new_best = match self.neighbors.cheapest(|id, e| self.is_candidate(id, e)) {
+        // Candidates are usable neighbors that are not children; the
+        // children are passed over as the walk meets them.
+        let new_best = match self.neighbors.cheapest(&self.children, |_, e| e.is_usable()) {
             None => None,
             Some((challenger, challenger_cost)) => {
                 // The incumbent only survives if it still passes the same
@@ -487,15 +493,11 @@ impl DigsRouting {
             let fresh = |last_heard: Asn| {
                 now.0.saturating_sub(last_heard.0) <= self.config.backup_staleness
             };
-            let challenger = self.neighbors.cheapest(|id, e| {
-                self.is_candidate(id, e)
-                    && Some(id) != new_best
-                    && e.rank < new_rank
-                    && fresh(e.last_heard)
+            let challenger = self.neighbors.cheapest(&self.children, |id, e| {
+                e.is_usable() && Some(id) != new_best && e.rank < new_rank && fresh(e.last_heard)
             });
-            let incumbent = old_second
-                .filter(|s| Some(*s) != new_best && !self.children.contains(s))
-                .and_then(|s| {
+            let incumbent =
+                old_second.filter(|s| Some(*s) != new_best && !self.is_child(*s)).and_then(|s| {
                     self.neighbors
                         .get(s)
                         .filter(|e| {

@@ -5,7 +5,6 @@ use crate::messages::Rank;
 use digs_sim::ids::NodeId;
 use digs_sim::rf::Dbm;
 use digs_sim::time::Asn;
-use std::collections::BTreeMap;
 
 /// Neighbor-table housekeeping (eviction, backup re-validation) runs once
 /// every this many slots, each node on its own turn `id mod 64` so the
@@ -68,10 +67,13 @@ impl NeighborEntry {
     }
 }
 
-/// The neighbor table, ordered by id for determinism.
+/// The neighbor table, ordered by id for determinism: the ids ascending
+/// and, in step with them, their entries, so that a lookup is one binary
+/// search and a selection one walk over contiguous memory.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborTable {
-    entries: BTreeMap<NodeId, NeighborEntry>,
+    ids: Vec<NodeId>,
+    entries: Vec<NeighborEntry>,
     /// The earliest `last_heard` of any entry, kept so that the next
     /// eviction is named without a walk over the table.
     oldest_heard: Option<Asn>,
@@ -81,6 +83,10 @@ impl NeighborTable {
     /// Creates an empty table.
     pub fn new() -> NeighborTable {
         NeighborTable::default()
+    }
+
+    fn position(&self, id: NodeId) -> Result<usize, usize> {
+        self.ids.binary_search(&id)
     }
 
     /// Records an advertisement (join-in or DIO) from a neighbor, creating
@@ -94,14 +100,20 @@ impl NeighborTable {
         rss: Dbm,
         now: Asn,
     ) {
-        let entry = self.entries.entry(from).or_insert_with(|| NeighborEntry {
-            etx: EtxEstimator::from_rss(rss),
-            last_rss: rss,
-            rank,
-            advertised_cost,
-            last_heard: now,
-            consecutive_failures: 0,
+        let at = self.position(from).unwrap_or_else(|at| {
+            self.ids.insert(at, from);
+            let entry = NeighborEntry {
+                etx: EtxEstimator::from_rss(rss),
+                last_rss: rss,
+                rank,
+                advertised_cost,
+                last_heard: now,
+                consecutive_failures: 0,
+            };
+            self.entries.insert(at, entry);
+            at
         });
+        let entry = &mut self.entries[at];
         // Smooth the per-advertisement RSS (channel fading makes single
         // readings noisy) so eligibility doesn't flap around RSSmin.
         entry.last_rss = Dbm(0.7 * entry.last_rss.dbm() + 0.3 * rss.dbm());
@@ -121,7 +133,8 @@ impl NeighborTable {
     /// the updated consecutive-failure count (0 after a success), or `None`
     /// if the neighbor is unknown.
     pub fn record_tx(&mut self, to: NodeId, acked: bool) -> Option<u32> {
-        let entry = self.entries.get_mut(&to)?;
+        let at = self.position(to).ok()?;
+        let entry = &mut self.entries[at];
         entry.etx.record(acked);
         if acked {
             entry.consecutive_failures = 0;
@@ -133,7 +146,7 @@ impl NeighborTable {
 
     /// Looks up a neighbor.
     pub fn get(&self, id: NodeId) -> Option<&NeighborEntry> {
-        self.entries.get(&id)
+        self.position(id).ok().map(|at| &self.entries[at])
     }
 
     /// When the neighbor silent for longest was last heard (`None`: the
@@ -143,7 +156,7 @@ impl NeighborTable {
     }
 
     fn find_oldest_heard(&mut self) {
-        self.oldest_heard = self.entries.values().map(|e| e.last_heard).min();
+        self.oldest_heard = self.entries.iter().map(|e| e.last_heard).min();
     }
 
     /// Degrades a neighbor's link estimate to the worst value without
@@ -152,31 +165,39 @@ impl NeighborTable {
     /// advertisements (gentler than forgetting it, which forces a full
     /// re-discovery).
     pub fn degrade(&mut self, id: NodeId) -> bool {
-        match self.entries.get_mut(&id) {
-            Some(e) => {
-                e.etx = crate::etx::EtxEstimator::from_etx(crate::etx::ETX_CAP);
+        match self.position(id) {
+            Ok(at) => {
+                self.entries[at].etx = crate::etx::EtxEstimator::from_etx(crate::etx::ETX_CAP);
                 true
             }
-            None => false,
+            Err(_) => false,
         }
     }
 
     /// Iterates over neighbors in id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NeighborEntry)> {
-        self.entries.iter().map(|(id, e)| (*id, e))
+        self.ids.iter().copied().zip(&self.entries)
     }
 
     /// The neighbor `admits` lets through with the least accumulated cost,
-    /// and that cost; among equals the lowest rank, then the lowest id —
-    /// the first element of a `(cost, rank, id)` sort, found in one walk:
-    /// the table is in id order, so only a strictly smaller `(cost, rank)`
-    /// displaces the holder. `admits` must refuse non-finite costs.
+    /// and that cost, passing over the ids in `excluded` (ascending); among
+    /// equals the lowest rank, then the lowest id — the first element of a
+    /// `(cost, rank, id)` sort, found in one walk: the table is in id
+    /// order, so only a strictly smaller `(cost, rank)` displaces the
+    /// holder, and `excluded` is merged alongside it. `admits` must refuse
+    /// non-finite costs.
     pub(crate) fn cheapest(
         &self,
+        excluded: &[NodeId],
         admits: impl Fn(NodeId, &NeighborEntry) -> bool,
     ) -> Option<(NodeId, f64)> {
         let mut holder: Option<(NodeId, f64, Rank)> = None;
-        for (id, e) in self.iter().filter(|(id, e)| admits(*id, e)) {
+        let mut excluded = excluded.iter().peekable();
+        for (id, e) in self.iter() {
+            while excluded.next_if(|x| **x < id).is_some() {}
+            if excluded.next_if_eq(&&id).is_some() || !admits(id, e) {
+                continue;
+            }
             let cost = e.accumulated_cost();
             if holder.is_none_or(|(_, c, r)| cost < c || (cost == c && e.rank < r)) {
                 holder = Some((id, cost, e.rank));
@@ -187,26 +208,33 @@ impl NeighborTable {
 
     /// Number of known neighbors.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ids.is_empty()
     }
 
     /// Drops neighbors not heard from since `horizon`; returns the ids
     /// evicted.
     pub fn evict_stale(&mut self, horizon: Asn) -> Vec<NodeId> {
-        let stale: Vec<NodeId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.last_heard < horizon)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &stale {
-            self.entries.remove(id);
+        if self.oldest_heard.is_none_or(|oldest| oldest >= horizon) {
+            return Vec::new();
         }
+        let mut stale = Vec::new();
+        let mut kept = 0;
+        for at in 0..self.ids.len() {
+            if self.entries[at].last_heard < horizon {
+                stale.push(self.ids[at]);
+            } else {
+                self.ids.swap(kept, at);
+                self.entries.swap(kept, at);
+                kept += 1;
+            }
+        }
+        self.ids.truncate(kept);
+        self.entries.truncate(kept);
         self.find_oldest_heard();
         stale
     }
@@ -307,6 +335,134 @@ mod tests {
         assert_eq!(evicted, vec![NodeId(1)]);
         assert!(t.get(NodeId(1)).is_none());
         assert!(t.get(NodeId(2)).is_some());
+    }
+
+    /// The table as it was before it was flattened: a `BTreeMap` by id,
+    /// the minimum and the selection found by walking it afresh, and the
+    /// selection by sorting every admitted neighbor on `(cost, rank, id)`.
+    #[derive(Default)]
+    struct MapTable(std::collections::BTreeMap<NodeId, NeighborEntry>);
+
+    impl MapTable {
+        fn record_advertisement(
+            &mut self,
+            from: NodeId,
+            rank: Rank,
+            cost: f64,
+            rss: Dbm,
+            now: Asn,
+        ) {
+            let entry = self.0.entry(from).or_insert_with(|| NeighborEntry {
+                etx: EtxEstimator::from_rss(rss),
+                last_rss: rss,
+                rank,
+                advertised_cost: cost,
+                last_heard: now,
+                consecutive_failures: 0,
+            });
+            entry.last_rss = Dbm(0.7 * entry.last_rss.dbm() + 0.3 * rss.dbm());
+            entry.rank = rank;
+            entry.advertised_cost = cost;
+            entry.last_heard = now;
+        }
+
+        fn record_tx(&mut self, to: NodeId, acked: bool) -> Option<u32> {
+            let entry = self.0.get_mut(&to)?;
+            entry.etx.record(acked);
+            entry.consecutive_failures = if acked { 0 } else { entry.consecutive_failures + 1 };
+            Some(entry.consecutive_failures)
+        }
+
+        fn degrade(&mut self, id: NodeId) -> bool {
+            let entry = self.0.get_mut(&id);
+            entry.map(|e| e.etx = EtxEstimator::from_etx(crate::etx::ETX_CAP)).is_some()
+        }
+
+        fn evict_stale(&mut self, horizon: Asn) -> Vec<NodeId> {
+            let stale: Vec<NodeId> =
+                self.0.iter().filter(|(_, e)| e.last_heard < horizon).map(|(id, _)| *id).collect();
+            self.0.retain(|_, e| e.last_heard >= horizon);
+            stale
+        }
+
+        fn cheapest(
+            &self,
+            admits: impl Fn(NodeId, &NeighborEntry) -> bool,
+        ) -> Option<(NodeId, f64)> {
+            let mut admitted: Vec<(f64, Rank, NodeId)> = (self.0.iter())
+                .filter(|(id, e)| admits(**id, e))
+                .map(|(id, e)| (e.accumulated_cost(), e.rank, *id))
+                .collect();
+            admitted.sort_by(|a, b| a.partial_cmp(b).expect("finite costs"));
+            admitted.first().map(|(cost, _, id)| (*id, *cost))
+        }
+    }
+
+    #[test]
+    fn the_flat_table_matches_the_map_it_replaced() {
+        let mut counts = [0u32; 6];
+        digs_cases::cases(300, |d| {
+            let (mut flat, mut map) = (NeighborTable::new(), MapTable::default());
+            let mut neighbors = d.vec(2..13, drawn::Neighbor::draw);
+            for now in (0..2000).map(Asn) {
+                let at = d.int(0..neighbors.len());
+                let id = neighbors[at].id;
+                match d.int(0u8..10) {
+                    0..=4 => {
+                        if let Some((rank, cost, rss)) = neighbors[at].advertise(d, now) {
+                            counts[usize::from(flat.get(id).is_some())] += 1;
+                            flat.record_advertisement(id, rank, cost, rss, now);
+                            map.record_advertisement(id, rank, cost, rss, now);
+                        }
+                    }
+                    5 | 6 => {
+                        let acked = d.bool();
+                        let failures = flat.record_tx(id, acked);
+                        assert_eq!(failures, map.record_tx(id, acked), "{id} at {now}");
+                        counts[2] += u32::from(failures.is_some());
+                    }
+                    7 => {
+                        let known = flat.degrade(id);
+                        assert_eq!(known, map.degrade(id), "{id} at {now}");
+                        counts[3] += u32::from(known);
+                    }
+                    _ => {
+                        let horizon = Asn(now.0.saturating_sub(d.int(0u64..600)));
+                        let evicted = flat.evict_stale(horizon);
+                        assert_eq!(evicted, map.evict_stale(horizon), "at {now}");
+                        counts[4] += evicted.len() as u32;
+                    }
+                }
+                let entries: Vec<_> = map.0.iter().map(|(id, e)| (*id, e)).collect();
+                assert!(flat.iter().eq(entries.iter().copied()), "at {now}");
+                assert_eq!(flat.len(), map.0.len());
+                assert_eq!(flat.is_empty(), map.0.is_empty());
+                for id in (0..20).map(NodeId) {
+                    assert_eq!(flat.get(id), map.0.get(&id), "{id} at {now}");
+                }
+                let oldest = map.0.values().map(|e| e.last_heard).min();
+                assert_eq!(flat.oldest_heard(), oldest, "at {now}");
+                // A selection as the routings make one: usable, below a
+                // drawn rank, and not one of a drawn set of children, which
+                // the walk passes over as it meets them.
+                let below = Rank(d.int(2u16..=6));
+                let admits = |_: NodeId, e: &NeighborEntry| e.is_usable() && e.rank < below;
+                let children: Vec<NodeId> =
+                    (0..20).map(NodeId).filter(|_| d.int(0..4) == 0).collect();
+                let not_child =
+                    |id: NodeId, e: &NeighborEntry| !children.contains(&id) && admits(id, e);
+                let merged = flat.cheapest(&children, admits);
+                assert_eq!(merged, flat.cheapest(&[], not_child), "{children:?} at {now}");
+                assert_eq!(merged, map.cheapest(not_child), "{children:?} at {now}");
+                counts[5] += u32::from(merged.is_some());
+            }
+        });
+        let [first, repeat, tx, degraded, evicted, selected] = counts;
+        assert!(
+            first > 10_000 && repeat > 100_000 && tx > 50_000 && degraded > 20_000,
+            "{first} first contacts, {repeat} repeats, {tx} outcomes, {degraded} degraded"
+        );
+        assert!(evicted > 10_000 && selected > 100_000, "{evicted} evicted, {selected} selected");
     }
 
     #[test]

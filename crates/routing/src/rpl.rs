@@ -257,7 +257,7 @@ impl RplRouting {
         }
         let old = self.preferred;
 
-        let new = match self.neighbors.cheapest(|_, e| self.is_eligible(e)) {
+        let new = match self.neighbors.cheapest(&[], |_, e| self.is_eligible(e)) {
             None => None,
             Some((challenger, ccost)) => {
                 // Incumbents must pass the same usability bar as

@@ -25,6 +25,15 @@ use digs_sim::ids::NodeId;
 use digs_sim::time::Asn;
 use std::collections::BTreeSet;
 
+/// Who keeps a slot of the application slotframe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Claimant {
+    /// The node's own transmit cell.
+    Own,
+    /// A child's receive cell.
+    Child(NodeId),
+}
+
 /// The Orchestra scheduler state for one node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrchestraScheduler {
@@ -35,8 +44,8 @@ pub struct OrchestraScheduler {
     /// signalling and observed traffic.
     children: BTreeSet<NodeId>,
     /// The unicast cells of one application slotframe; rebuilt by
-    /// [`Self::compile_app_cells`] whenever the parent or the set of
-    /// children changes.
+    /// [`Self::compile_app_cells`] when the parent changes, and patched in
+    /// the one slot a child claims when a child comes or goes.
     app_cells: CellTable,
 }
 
@@ -78,18 +87,47 @@ impl OrchestraScheduler {
         self.preferred_parent
     }
 
-    /// Registers a child.
+    /// Registers a child: its receive cell takes the child's slot unless
+    /// the own transmit cell or a lower child holds it.
     pub fn add_child(&mut self, child: NodeId) {
-        if self.children.insert(child) {
-            self.compile_app_cells();
+        let slot = self.sbs_tx_slot(child);
+        if self.children.insert(child) && self.holder(slot) == Some(Claimant::Child(child)) {
+            self.app_cells.put(slot, Self::unicast_cell(CellAction::RxData, child));
         }
     }
 
-    /// Unregisters a child.
+    /// Unregisters a child: if its receive cell held the child's slot, the
+    /// next child with that slot takes it, and otherwise it is released.
     pub fn remove_child(&mut self, child: NodeId) {
-        if self.children.remove(&child) {
-            self.compile_app_cells();
+        if !self.children.remove(&child) {
+            return;
         }
+        let slot = self.sbs_tx_slot(child);
+        match self.holder(slot) {
+            None => self.app_cells.release(slot),
+            Some(Claimant::Child(next)) if next > child => {
+                self.app_cells.put(slot, Self::unicast_cell(CellAction::RxData, next));
+            }
+            // The own transmit cell, or a lower child, held it and holds it.
+            Some(_) => {}
+        }
+    }
+
+    /// Who keeps `slot` of the application slotframe by the first-claimant
+    /// rule: the node itself (its transmit cell, while it has a parent),
+    /// else the lowest child whose transmit slot it is.
+    fn holder(&self, slot: u32) -> Option<Claimant> {
+        if self.preferred_parent.is_some() && self.sbs_tx_slot(self.id) == slot {
+            return Some(Claimant::Own);
+        }
+        let child = self.children.iter().find(|child| self.sbs_tx_slot(**child) == slot);
+        child.map(|child| Claimant::Child(*child))
+    }
+
+    /// A dedicated application cell on the channel offset of the node
+    /// whose transmit slot it is.
+    fn unicast_cell(action: CellAction, sender: NodeId) -> Cell {
+        Cell { class: TrafficClass::App, action, offset: node_offset(sender), contention: false }
     }
 
     /// Rebuilds the unicast-cell table, claimants in priority order (the
@@ -97,15 +135,12 @@ impl OrchestraScheduler {
     fn compile_app_cells(&mut self) {
         let mut cells = std::mem::take(&mut self.app_cells);
         cells.clear();
-        let app_cell =
-            |action, offset| Cell { class: TrafficClass::App, action, offset, contention: false };
         if let Some(to) = self.preferred_parent {
             let action = CellAction::TxData { to, attempt: 1 };
-            cells.claim(self.sbs_tx_slot(self.id), app_cell(action, node_offset(self.id)));
+            cells.claim(self.sbs_tx_slot(self.id), Self::unicast_cell(action, self.id));
         }
         for child in &self.children {
-            let listen = app_cell(CellAction::RxData, node_offset(*child));
-            cells.claim(self.sbs_tx_slot(*child), listen);
+            cells.claim(self.sbs_tx_slot(*child), Self::unicast_cell(CellAction::RxData, *child));
         }
         self.app_cells = cells;
     }
@@ -278,6 +313,54 @@ mod tests {
         for asn in 0..1000u64 {
             assert_eq!(a.cell(Asn(asn)), b.cell(Asn(asn)));
         }
+    }
+
+    #[test]
+    fn patched_cells_match_a_fresh_compile() {
+        let (mut own_clashes, mut child_clashes, mut handed_on) = (0, 0, 0);
+        digs_cases::cases(200, |d| {
+            let lengths = *d.pick(&[
+                SlotframeLengths::example(),
+                SlotframeLengths::paper(),
+                SlotframeLengths { sync: 101, routing: 9, app: 20 },
+            ]);
+            // Ids over three application slotframes, so that the own transmit
+            // slot and the children's slots clash.
+            let node = |d: &mut Draw| NodeId(d.int(0..3 * lengths.app as u16));
+            let mut s = OrchestraScheduler::new(node(d), lengths);
+            for _ in 0..300 {
+                let before = s.clone();
+                let child = node(d);
+                let slot = s.sbs_tx_slot(child);
+                match d.int(0u8..10) {
+                    0 => s.set_parent(None),
+                    1 => s.set_parent(Some(node(d))),
+                    2..=5 => {
+                        s.remove_child(child);
+                        let held = before.holder(slot) == Some(Claimant::Child(child));
+                        handed_on += usize::from(held && s.holder(slot).is_some());
+                    }
+                    _ => {
+                        s.add_child(child);
+                        match before.holder(slot) {
+                            Some(Claimant::Own) => own_clashes += 1,
+                            Some(Claimant::Child(other)) if other != child => child_clashes += 1,
+                            _ => {}
+                        }
+                    }
+                }
+                let mut fresh = s.clone();
+                fresh.compile_app_cells();
+                assert!(s.app_cells.same_cells(&fresh.app_cells), "{before:?} to {s:?}");
+                if s.app_cells.listens() != before.app_cells.listens() {
+                    assert_ne!(s.standing_version(), before.standing_version(), "{s:?}");
+                }
+            }
+        });
+        assert!(
+            own_clashes > 400 && child_clashes > 4_000 && handed_on > 1_000,
+            "{own_clashes} own/child, {child_clashes} child/child clashes, {handed_on} handed on"
+        );
     }
 
     /// The per-slot scan the compiled table replaced, kept as the table's

@@ -217,8 +217,9 @@ pub(crate) fn next_sync_or_routing_cell(
 /// Claimants are entered in priority order and the **first claimant of a
 /// slot keeps it** (a node's own transmit cells before its children's
 /// receive cells, children in id order) — the order the schedulers'
-/// per-slot scans used to resolve a clash in. The table is rebuilt when
-/// the set of claimants changes and never per slot.
+/// per-slot scans used to resolve a clash in. The table is rebuilt, or
+/// patched slot by slot ([`Self::put`], [`Self::release`]), when the set of
+/// claimants changes and never per slot.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct CellTable {
     /// `(slot, cell)`, sorted by slot, one entry per slot.
@@ -229,7 +230,7 @@ pub(crate) struct CellTable {
     /// `(slot, offset)` of the cells that receive, ascending by slot: what
     /// the radio does unasked (the engine's `StandingListens::Cells`).
     listens: Vec<(u32, ChannelOffset)>,
-    /// How many times the table was rebuilt.
+    /// How many times the table was rebuilt or patched.
     version: u32,
 }
 
@@ -261,6 +262,42 @@ impl CellTable {
         }
     }
 
+    /// Puts `cell` at `slot`, in place of whichever claimant held it.
+    pub fn put(&mut self, slot: u32, cell: Cell) {
+        self.take(slot);
+        self.claim(slot, cell);
+        self.version = self.version.wrapping_add(1);
+    }
+
+    /// Empties `slot`.
+    pub fn release(&mut self, slot: u32) {
+        self.take(slot);
+        self.version = self.version.wrapping_add(1);
+    }
+
+    fn take(&mut self, slot: u32) {
+        let Ok(at) = self.cells.binary_search_by_key(&slot, |(s, _)| *s) else {
+            return;
+        };
+        match self.cells.remove(at).1.action {
+            CellAction::TxData { .. } => {
+                let at = self.transmits.partition_point(|s| *s < slot);
+                self.transmits.remove(at);
+            }
+            CellAction::RxData => {
+                let at = self.listens.partition_point(|(s, _)| *s < slot);
+                self.listens.remove(at);
+            }
+            _ => unreachable!("application cells transmit or receive data"),
+        }
+    }
+
+    /// Whether the two tables hold the same cells, their versions aside.
+    #[cfg(test)]
+    pub(crate) fn same_cells(&self, other: &CellTable) -> bool {
+        CellTable { version: other.version, ..self.clone() } == *other
+    }
+
     /// The cell at `slot`.
     pub fn get(&self, slot: u32) -> Option<Cell> {
         let at = self.cells.binary_search_by_key(&slot, |(s, _)| *s).ok()?;
@@ -277,7 +314,8 @@ impl CellTable {
         &self.listens
     }
 
-    /// Differs between two tables whose [`Self::listens`] differ.
+    /// Differs from its last value whenever [`Self::listens`] may have
+    /// changed.
     pub fn version(&self) -> u32 {
         self.version
     }

@@ -418,11 +418,17 @@ struct Run<P> {
     /// without being asked: the receive cells, per slotframe length in use,
     /// and the nodes receiving in every slot, each with its offset rule.
     /// `standing_version[i]` is node `i`'s when its entries were made, and
-    /// `entered[i]` where in `cell_listeners` they are: `(frame, slot)`.
+    /// `entered[i]` where in `cell_listeners` they are and on which offset,
+    /// `(frame, slot, offset)` ascending by slot (`patched` is the spare
+    /// list a patch writes node `i`'s next entries into).
     cell_listeners: Vec<FrameListeners>,
     every_slot_listeners: Vec<(usize, OffsetRule)>,
     standing_version: Vec<u64>,
-    entered: Vec<Vec<(usize, u32)>>,
+    entered: Vec<Vec<(usize, u32, ChannelOffset)>>,
+    patched: Vec<(usize, u32, ChannelOffset)>,
+    /// Test builds: how many refreshes patched the index.
+    #[cfg(test)]
+    patches: u64,
     /// Node `i`'s standing listens in the slots before `settled_to[i]` are
     /// on its meter, or were not its to make: it was dead, it was asked and
     /// its answer counted instead, or it took part in reception.
@@ -473,6 +479,9 @@ impl<P> Run<P> {
             every_slot_listeners: Vec::new(),
             standing_version: stacks.iter().map(NodeStack::standing_version).collect(),
             entered: vec![Vec::new(); stacks.len()],
+            patched: Vec::new(),
+            #[cfg(test)]
+            patches: 0,
             settled_to: vec![from; stacks.len()],
             next_edge: from,
             ticked_to: from,
@@ -513,15 +522,17 @@ impl<P> Run<P> {
                 };
                 for &(slot, offset) in cells {
                     self.cell_listeners[at].by_slot[slot as usize].push((i, offset));
-                    self.entered[i].push((at, slot));
+                    self.entered[i].push((at, slot, offset));
                 }
             }
         }
     }
 
     /// Node `i`'s stack was called in the slot before `next`: names its
-    /// wake slot afresh and, if its standing description moved, takes its
-    /// entries out of the index and enters it again.
+    /// wake slot afresh and, if its standing description moved, patches its
+    /// entries where it still receives in cells of the slotframe its
+    /// entries are in, and otherwise takes them all out of the index and
+    /// enters it again.
     fn refresh<S: NodeStack<Payload = P>>(&mut self, i: usize, stack: &S, next: Asn) {
         self.wake[i] = stack.next_wake(next);
         let version = stack.standing_version();
@@ -529,11 +540,100 @@ impl<P> Run<P> {
             return;
         }
         self.standing_version[i] = version;
+        let listens = stack.standing_listens();
+        if let (StandingListens::Cells { period, cells }, Some(&(frame, ..))) =
+            (listens, self.entered[i].first())
+        {
+            if self.cell_listeners[frame].period == period {
+                self.patch_cells(i, frame, cells);
+                return;
+            }
+        }
         self.every_slot_listeners.retain(|(n, _)| *n != i);
-        for (frame, slot) in self.entered[i].drain(..) {
+        for (frame, slot, _) in self.entered[i].drain(..) {
             self.cell_listeners[frame].by_slot[slot as usize].retain(|(n, _)| *n != i);
         }
         self.index_standing(i, stack);
+    }
+
+    /// Moves node `i`'s entries in slotframe `frame` to `cells`, one merge
+    /// of the two slot-ordered lists: an entry whose slot and offset held
+    /// stays where it is, one whose offset moved is rewritten in place, and
+    /// only a slot that came or went is entered or left.
+    fn patch_cells(&mut self, i: usize, frame: usize, cells: &[(u32, ChannelOffset)]) {
+        let by_slot = &mut self.cell_listeners[frame].by_slot;
+        let leave = |listeners: &mut Vec<(usize, ChannelOffset)>| {
+            let at = listeners.iter().position(|(n, _)| *n == i).expect("entered");
+            listeners.swap_remove(at);
+        };
+        let mut patched = std::mem::take(&mut self.patched);
+        let mut old = self.entered[i].iter().peekable();
+        for &(slot, offset) in cells {
+            while let Some((_, gone, _)) = old.next_if(|(_, old_slot, _)| *old_slot < slot) {
+                leave(&mut by_slot[*gone as usize]);
+            }
+            let listeners = &mut by_slot[slot as usize];
+            match old.next_if(|(_, old_slot, _)| *old_slot == slot) {
+                Some((.., held)) if *held == offset => {}
+                Some(_) => {
+                    let entry = listeners.iter_mut().find(|(n, _)| *n == i).expect("entered");
+                    entry.1 = offset;
+                }
+                None => listeners.push((i, offset)),
+            }
+            patched.push((frame, slot, offset));
+        }
+        for (_, gone, _) in old {
+            leave(&mut by_slot[*gone as usize]);
+        }
+        self.patched = std::mem::replace(&mut self.entered[i], patched);
+        self.patched.clear();
+        #[cfg(test)]
+        {
+            self.patches += 1;
+        }
+    }
+
+    /// Test builds: panics unless the index holds, slot by slot as sets,
+    /// what one built anew over `stacks` would, and `entered` says
+    /// where every entry is.
+    #[cfg(test)]
+    fn assert_index_is_rebuilt<S: NodeStack<Payload = P>>(&self, stacks: &[S]) {
+        use std::collections::BTreeSet;
+        let (mut cells, mut every_slot) = (BTreeSet::new(), BTreeSet::new());
+        for (i, stack) in stacks.iter().enumerate() {
+            match stack.standing_listens() {
+                StandingListens::Off => {}
+                StandingListens::EverySlot(rule) => {
+                    every_slot.insert((i, rule as usize));
+                }
+                StandingListens::Cells { period, cells: described } => {
+                    cells.extend(described.iter().map(|&(slot, off)| (period, slot, i, off.0)));
+                }
+            }
+        }
+        let indexed: Vec<_> = (self.cell_listeners.iter())
+            .flat_map(|frame| {
+                let by_slot = frame.by_slot.iter().enumerate();
+                by_slot.flat_map(move |(slot, listeners)| {
+                    listeners.iter().map(move |&(i, off)| (frame.period, slot as u32, i, off.0))
+                })
+            })
+            .collect();
+        assert_eq!(indexed.len(), cells.len(), "an entry twice");
+        assert_eq!(indexed.into_iter().collect::<BTreeSet<_>>(), cells, "the cells index");
+        let entered: BTreeSet<_> = (self.entered.iter().enumerate())
+            .flat_map(|(i, entries)| {
+                entries.iter().map(move |&(frame, slot, off)| {
+                    (self.cell_listeners[frame].period, slot, i, off.0)
+                })
+            })
+            .collect();
+        assert_eq!(entered, cells, "where the entries are");
+        let indexed: BTreeSet<_> =
+            self.every_slot_listeners.iter().map(|&(i, rule)| (i, rule as usize)).collect();
+        assert_eq!(self.every_slot_listeners.len(), every_slot.len(), "an every-slot entry twice");
+        assert_eq!(indexed, every_slot, "the every-slot index");
     }
 
     /// Asks node `i` for its intent and files the answer.
@@ -635,6 +735,10 @@ pub struct Engine {
     /// test can say that it went every way often.
     #[cfg(test)]
     routes: [u64; ROUTES.len()],
+    /// How many times a run's index of standing listens was patched rather
+    /// than rebuilt for a node, for the same test.
+    #[cfg(test)]
+    patches: u64,
 }
 
 /// What [`Engine::routes`] counts, in its order: signals drawn because their
@@ -671,6 +775,8 @@ impl Engine {
             trace: TraceHandle::off(),
             #[cfg(test)]
             routes: [0; ROUTES.len()],
+            #[cfg(test)]
+            patches: 0,
         }
     }
 
@@ -774,6 +880,10 @@ impl Engine {
             self.slot(stacks, &mut run);
         }
         self.settle_alive_to(stacks, &mut run, self.asn);
+        #[cfg(test)]
+        {
+            self.patches += run.patches;
+        }
     }
 
     /// Simulates one slot (`run(stacks, 1)`).
@@ -1174,6 +1284,8 @@ impl Engine {
             run.refresh(i, &stacks[i], self.asn);
         }
         run.awake = awake;
+        #[cfg(test)]
+        run.assert_index_is_rebuilt(stacks);
         run.clear_slot();
     }
 
@@ -2290,6 +2402,39 @@ mod tests {
         }
     }
 
+    /// What a standing description becomes: mostly the same receive cells
+    /// with one to three added, dropped or moved to another offset, else a
+    /// fresh draw (another slotframe, every slot, off).
+    fn draw_change(d: &mut Draw, from: &Drawn, offsets: u8) -> Drawn {
+        let Drawn::Cells { period, cells } = from else {
+            return draw_standing(d, offsets);
+        };
+        if d.int(0u8..4) == 0 {
+            return draw_standing(d, offsets);
+        }
+        let mut cells = cells.clone();
+        for _ in 0..d.int(1u8..=3) {
+            let offset = ChannelOffset::new(d.int(0..offsets));
+            match d.int(0u8..3) {
+                0 => {
+                    let slot = d.int(0..*period);
+                    if let Err(at) = cells.binary_search_by_key(&slot, |(slot, _)| *slot) {
+                        cells.insert(at, (slot, offset));
+                    }
+                }
+                1 if !cells.is_empty() => {
+                    cells.remove(d.int(0..cells.len()));
+                }
+                _ if !cells.is_empty() => {
+                    let at = d.int(0..cells.len());
+                    cells[at].1 = offset;
+                }
+                _ => {}
+            }
+        }
+        Drawn::Cells { period: *period, cells }
+    }
+
     fn draw_case(d: &mut Draw) -> Case {
         let n = d.int(2u16..=60);
         let horizon = d.int(40u64..300);
@@ -2388,8 +2533,16 @@ mod tests {
         // there were standing listens.
         case.standing = (0..n)
             .map(|_| {
-                let changes = d.vec(0..3, |d| (d.int(1usize..12), draw_standing(d, offsets)));
-                (draw_standing(d, offsets), changes.into_iter().collect())
+                let first = draw_standing(d, offsets);
+                let (mut call, mut last) = (0, first.clone());
+                let changes = (0..d.int(0..4))
+                    .map(|_| {
+                        call += d.int(1usize..6);
+                        last = draw_change(d, &last, offsets);
+                        (call, last.clone())
+                    })
+                    .collect();
+                (first, changes)
             })
             .collect();
         case
@@ -2464,9 +2617,9 @@ mod tests {
 
     /// Runs a case on the production kernel and on the reference kernel,
     /// comparing after every chunk. Returns how many frames were heard
-    /// through a standing listen (by a node with nothing planned) and the
-    /// production kernel's [`ROUTES`].
-    fn run_against_reference(case: &Case) -> (usize, [u64; ROUTES.len()]) {
+    /// through a standing listen (by a node with nothing planned), the
+    /// production kernel's [`ROUTES`] and how often it patched its index.
+    fn run_against_reference(case: &Case) -> (usize, [u64; ROUTES.len()], u64) {
         let mut ours = case.build();
         let mut reference = case.build_reference();
         for (chunk, (slots, between)) in case.chunks.iter().enumerate() {
@@ -2482,7 +2635,7 @@ mod tests {
             };
             stack.calls.iter().filter(unplanned).count()
         };
-        (ours.1.iter().map(heard_standing).sum(), ours.0.routes)
+        (ours.1.iter().map(heard_standing).sum(), ours.0.routes, ours.0.patches)
     }
 
     #[test]
@@ -2490,10 +2643,12 @@ mod tests {
         let mut jumped = 0;
         let mut heard_standing = 0;
         let mut routes = [0; ROUTES.len()];
+        let mut patches = 0;
         cases(320, |d| {
             let case = draw_case(d);
-            let (heard, case_routes) = run_against_reference(&case);
+            let (heard, case_routes, case_patches) = run_against_reference(&case);
             heard_standing += heard;
+            patches += case_patches;
             routes.iter_mut().zip(case_routes).for_each(|(sum, n)| *sum += n);
             let (mut engine, mut stacks) = case.build();
             for (slots, between) in &case.chunks {
@@ -2507,6 +2662,9 @@ mod tests {
             heard_standing >= 10_000,
             "only {heard_standing} frames heard by standing listeners"
         );
+        // Every slot's index is held to one rebuilt anew, so the
+        // patches are checked as often as this says they were made.
+        assert!(patches >= 2_000, "only {patches} indexes patched");
         let floors = [50, 200, 200, 200, 200];
         for ((route, n), floor) in ROUTES.iter().zip(routes).zip(floors) {
             assert!(n >= floor, "only {n} {route}: {routes:?}");
