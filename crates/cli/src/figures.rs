@@ -411,8 +411,9 @@ impl Runs {
         let (spec, runs) = self.of(name);
         Sample::sets(runs.iter().map(|run| {
             let plan = spec.chaos_plan(run.seed).expect("a chaos scenario");
-            let events = watchdog::events_from_chaos(plan.events());
-            let reports = watchdog::analyze(&run.results, &run.flows, &events);
+            let faults = plan.faults.iter().map(|fault| fault.from);
+            let onsets: Vec<_> = faults.chain(plan.jammers.iter().map(|j| j.start)).collect();
+            let reports = watchdog::analyze(&run.results, &run.flows, &onsets);
             value(&watchdog::summarize(&reports))
         }))
     }

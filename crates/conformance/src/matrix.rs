@@ -19,7 +19,7 @@ use digs::flows::FlowSpec;
 use digs::network::Network;
 use digs::results::{RunResults, Secs};
 use digs::scenarios;
-use digs_sim::fault::{ChaosConfig, ChaosPlan, Outage};
+use digs_sim::fault::{ChaosPlan, Fault};
 use digs_sim::ids::NodeId;
 use digs_sim::link::LinkModel;
 use digs_sim::time::{Asn, SLOTS_PER_SECOND};
@@ -302,7 +302,7 @@ pub fn scenarios(names: &[&str], secs_override: Option<u64>) -> Result<Vec<Scena
                 .ok_or_else(|| format!("unknown scenario `{name}`"))?;
             let topology = topologies[kind.testbed()].get_or_insert_with(TESTBEDS[kind.testbed()]);
             let spec = ScenarioSpec::new(name, protocol, kind, topology, secs_override);
-            match spec.chaos_config().map(|config| config.max_events()) {
+            match spec.chaos_window().map(|(_, secs)| ChaosPlan::max_events(secs)) {
                 Some(events) if events > MAX_CHAOS_EVENTS => Err(format!(
                     "`secs`: {} s of `{name}` would schedule {events} chaos faults, \
                      more than {MAX_CHAOS_EVENTS}",
@@ -365,14 +365,16 @@ impl ScenarioSpec {
     /// The seeded chaos plan of a chaos scenario: which faults and jammer
     /// bursts its run injects, and when (`None` for any other scenario).
     pub fn chaos_plan(&self, seed: u64) -> Option<ChaosPlan> {
-        self.chaos_config().map(|config| ChaosPlan::generate(&config, &self.topology, seed))
+        let (start, secs) = self.chaos_window()?;
+        Some(ChaosPlan::generate(start, secs, &self.topology, seed))
     }
 
-    /// The rates and window a chaos scenario's plan is drawn from.
-    fn chaos_config(&self) -> Option<ChaosConfig> {
+    /// The first slot and the length in seconds of a chaos scenario's
+    /// chaos window.
+    fn chaos_window(&self) -> Option<(Asn, u64)> {
         (self.kind == Kind::Chaos).then(|| {
-            let chaos_secs = self.secs - CHAOS_WARMUP_SECS - CHAOS_TAIL_SECS;
-            ChaosConfig::moderate(Asn::from_secs(CHAOS_WARMUP_SECS), chaos_secs)
+            let secs = self.secs - CHAOS_WARMUP_SECS - CHAOS_TAIL_SECS;
+            (Asn::from_secs(CHAOS_WARMUP_SECS), secs)
         })
     }
 
@@ -414,17 +416,17 @@ impl ScenarioSpec {
             }
             Kind::ThreewayFail => {
                 if let Some(victim) = shared_relay_victim(&config) {
-                    config.faults.push(Outage::transient(
+                    config.faults.push(Fault::outage(
                         victim,
                         Asn::from_secs(THREEWAY_FAIL_START_SECS),
-                        Asn::from_secs(THREEWAY_FAIL_END_SECS),
+                        Some(Asn::from_secs(THREEWAY_FAIL_END_SECS)),
                     ));
                 }
             }
             Kind::Chaos => {
                 let plan = self.chaos_plan(seed).expect("a chaos scenario");
-                config.faults = plan.faults().clone();
-                config.jammers.extend(plan.jammers().iter().cloned());
+                config.faults = plan.faults;
+                config.jammers.extend(plan.jammers);
             }
             // The defense alone: what randomization costs with nobody
             // jamming (a bijection per epoch should cost nothing).
@@ -601,10 +603,10 @@ mod tests {
         assert!(chaos(1_000_000).is_ok() && chaos(2_000_000).is_err());
         // The bound holds the plans drawn.
         let spec = scenarios(&["chaos-digs"], None).expect("in the catalogue").remove(0);
-        let max = spec.chaos_config().expect("chaos").max_events();
+        let max = ChaosPlan::max_events(spec.chaos_window().expect("chaos").1);
         for seed in 1..=20 {
             let plan = spec.chaos_plan(seed).expect("chaos");
-            assert!(plan.events().len() as u64 <= max, "seed {seed}");
+            assert!((plan.faults.iter().count() + plan.jammers.len()) as u64 <= max, "seed {seed}");
         }
         // Other scenarios take the same length.
         let secs = 1_000_000_000_000_000;

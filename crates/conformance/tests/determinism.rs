@@ -9,7 +9,7 @@ use digs::network::Network;
 use digs::scenarios;
 use digs::telemetry;
 use digs_conformance::{MetricContext, RunMetrics};
-use digs_sim::fault::{ClockDesync, FaultPlan, Reboot};
+use digs_sim::fault::{Fault, FaultPlan};
 use digs_sim::time::Asn;
 use digs_sim::topology::Topology;
 
@@ -24,9 +24,10 @@ fn run_once(protocol: Protocol, seed: u64, secs: u64) -> (String, String) {
         .random_flows(2, 500, seed)
         .trace_cap(1 << 18)
         .build();
-    config.faults = FaultPlan::none()
-        .with_reboot(Reboot::new(config.flows[0].source, Asn::from_secs(30), Asn::from_secs(35)))
-        .with_desync(ClockDesync::new(config.flows[1].source, Asn::from_secs(50)));
+    config.faults = FaultPlan::from_iter([
+        Fault::reboot(config.flows[0].source, Asn::from_secs(30), Asn::from_secs(35)),
+        Fault::desync(config.flows[1].source, Asn::from_secs(50)),
+    ]);
     let specs = config.flows.clone();
     let mut net = Network::new(config);
     net.run_secs(secs);

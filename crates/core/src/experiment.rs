@@ -4,7 +4,7 @@
 use crate::config::NetworkConfig;
 use crate::network::Network;
 use crate::results::RunResults;
-use digs_sim::fault::Outage;
+use digs_sim::fault::Fault;
 use digs_sim::time::Asn;
 
 /// Runs the centralized baseline through a relay failure *including* the
@@ -34,7 +34,7 @@ pub fn run_whart_with_recovery(
     assert_eq!(config.protocol, crate::config::Protocol::WirelessHart);
     let sources: Vec<_> = config.flows.iter().map(|f| f.source).collect();
     let superframe = config.flows.iter().map(|f| f.period).max().unwrap_or(500) as u32;
-    config.faults.push(Outage::permanent(victim, Asn::from_secs(failure_start_secs)));
+    config.faults.push(Fault::outage(victim, Asn::from_secs(failure_start_secs), None));
 
     let mut network = Network::new(config);
     // Model the manager's reaction with the Fig. 3 cost model.

@@ -1124,10 +1124,8 @@ mod whart_tests {
         };
         let mut net = Network::new(config);
         net.run_secs(60);
-        net.set_fault_plan(
-            digs_sim::fault::FaultPlan::none()
-                .with(digs_sim::fault::Outage::permanent(relay, net.asn())),
-        );
+        let outage = digs_sim::fault::Fault::outage(relay, net.asn(), None);
+        net.set_fault_plan(digs_sim::fault::FaultPlan::from_iter([outage]));
         net.run_secs(60);
         let failed_pdr = net.results().network_pdr();
         assert!(

@@ -7,7 +7,7 @@
 
 use super::*;
 use crate::config::NetworkConfig;
-use digs_sim::fault::{ChaosConfig, ChaosPlan, Outage};
+use digs_sim::fault::{ChaosPlan, Fault, FaultPlan};
 use digs_sim::ids::NodeId;
 use digs_sim::interference::Jammer;
 use digs_sim::topology::Topology;
@@ -68,21 +68,23 @@ fn config(protocol: Protocol, scenario: Scenario, traced: bool, seed: u64) -> Ne
         .telemetry_cap(4_096);
     match scenario {
         Scenario::Chaos => {
-            let chaos = ChaosConfig::harsh(Asn::from_secs(30), 150);
-            let (mut faults, jammers, _) =
-                ChaosPlan::generate(&chaos, &topology, seed).into_parts();
-            for victim in topology.field_devices().into_iter().skip(2).step_by(9).take(2) {
-                faults.push(Outage::permanent(victim, Asn::from_secs(DEAD_FROM_SECS)));
+            // Two draws of the chaos profile over the rest of the run: twice
+            // its rates.
+            let mut faults = FaultPlan::none();
+            for draw in [seed, !seed] {
+                let plan = ChaosPlan::generate(Asn::from_secs(30), 270, &topology, draw);
+                plan.faults.iter().for_each(|fault| faults.push(*fault));
+                builder = plan.jammers.into_iter().fold(builder, |b, j| b.jammer(j));
             }
-            builder = jammers.into_iter().fold(builder.faults(faults), |b, j| b.jammer(j));
+            for victim in topology.field_devices().into_iter().skip(2).step_by(9).take(2) {
+                faults.push(Fault::outage(victim, Asn::from_secs(DEAD_FROM_SECS), None));
+            }
+            builder = builder.faults(faults);
         }
         Scenario::Deaths => {
             let dead_from = Asn::from_secs(DEAD_FROM_SECS);
             let victims = topology.field_devices().into_iter().skip(5).step_by(16);
-            builder =
-                builder.faults(victims.fold(digs_sim::fault::FaultPlan::none(), |plan, v| {
-                    plan.with(Outage::permanent(v, dead_from))
-                }));
+            builder = builder.faults(victims.map(|v| Fault::outage(v, dead_from, None)).collect());
         }
         Scenario::Sniffed | Scenario::Duel => {
             let app_len = digs_scheduling::SlotframeLengths::paper().app;

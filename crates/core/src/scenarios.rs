@@ -479,10 +479,11 @@ mod tests {
     fn failure_scenario_spares_sources() {
         let c = testbed_a_node_failure(Topology::testbed_a(), Protocol::Digs, 3);
         let sources: Vec<NodeId> = c.flows.iter().map(|f| f.source).collect();
-        for outage in c.faults.outages() {
+        for outage in c.faults.iter() {
+            assert_eq!(outage.kind, digs_sim::fault::Kind::Outage);
             assert!(!sources.contains(&outage.node), "sources must not be failed");
         }
-        assert_eq!(c.faults.outages().len(), 4);
+        assert_eq!(c.faults.iter().count(), 4);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The chaos layer ([`digs_sim::fault::ChaosPlan`]) injects a randomized
 //! stream of churn, reboots, link flaps, desyncs, and jammer bursts; this
-//! module answers, for each injected event, the questions the paper's
+//! module answers, for each injected fault's onset, the questions the paper's
 //! Fig. 9(f)/11(b) micro-benchmarks answer for a single event: how long
 //! until the network recovered (windowed PDR back near its pre-event
 //! baseline *and* the routing graph quiet again), how gracefully it
@@ -13,7 +13,6 @@
 use crate::flows::FlowSpec;
 use crate::results::RunResults;
 use crate::timeline::delivery_timeline;
-use digs_sim::fault::ChaosEvent;
 use digs_sim::time::Asn;
 
 /// PDR windowing granularity of the recovery analysis, seconds.
@@ -29,34 +28,9 @@ pub(crate) const SETTLE_SECS: u64 = 10;
 /// network as converged.
 pub(crate) const RESTORE_FRACTION: f64 = 0.9;
 
-/// A fault event the watchdog tracks recovery from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WatchdogEvent {
-    /// Human-readable description of the injected fault.
-    pub label: String,
-    /// Injection time.
-    pub at: Asn,
-}
-
-/// Adapts a chaos plan's event log into watchdog events.
-pub fn events_from_chaos(events: &[ChaosEvent]) -> Vec<WatchdogEvent> {
-    events
-        .iter()
-        .map(|e| WatchdogEvent {
-            label: match e.peer {
-                Some(peer) => format!("{:?} node {} peer {}", e.kind, e.node.0, peer.0),
-                None => format!("{:?} node {}", e.kind, e.node.0),
-            },
-            at: e.from,
-        })
-        .collect()
-}
-
-/// Recovery outcome for one injected fault.
+/// Recovery outcome for one injected fault (reports come in onset order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryReport {
-    /// The fault this report covers.
-    pub event: WatchdogEvent,
     /// Time until windowed PDR climbed back above the restore threshold,
     /// seconds after injection (`None`: never before the run ended).
     pub pdr_restored_secs: Option<f64>,
@@ -91,7 +65,7 @@ pub struct WatchdogSummary {
     pub total_packets_lost: u32,
 }
 
-/// Analyzes recovery from each injected fault.
+/// Analyzes recovery from each injected fault, given by its onset.
 ///
 /// The pre-event baseline is the mean windowed PDR over the non-empty
 /// windows that closed before the event; a fault injected before any
@@ -101,19 +75,15 @@ pub struct WatchdogSummary {
 ///
 /// Panics if `specs` doesn't match the run's flows (see
 /// [`delivery_timeline`]).
-pub fn analyze(
-    results: &RunResults,
-    specs: &[FlowSpec],
-    events: &[WatchdogEvent],
-) -> Vec<RecoveryReport> {
+pub fn analyze(results: &RunResults, specs: &[FlowSpec], onsets: &[Asn]) -> Vec<RecoveryReport> {
     let timeline = delivery_timeline(results, specs, WINDOW_SECS);
     let window_slots = Asn::from_secs(WINDOW_SECS).0;
     let settle_slots = Asn::from_secs(SETTLE_SECS).0;
 
-    events
+    onsets
         .iter()
-        .map(|event| {
-            let at = event.at.0;
+        .map(|&onset| {
+            let at = onset.0;
             let event_window = (at / window_slots) as usize;
 
             // Baseline: mean PDR over complete pre-event windows.
@@ -143,7 +113,7 @@ pub fn analyze(
             // that is followed by `SETTLE_SECS` of silence (the end of the
             // run counts as silence only if the remaining gap is long
             // enough — otherwise the graph may still be churning).
-            let graph_quiet_slots = match results.burst_end(event.at, settle_slots) {
+            let graph_quiet_slots = match results.burst_end(onset, settle_slots) {
                 None => Some(0),
                 Some((change, true)) => Some(change - at),
                 Some((_, false)) => None,
@@ -163,7 +133,6 @@ pub fn analyze(
 
             let secs = |slots: u64| slots as f64 / digs_sim::time::SLOTS_PER_SECOND as f64;
             RecoveryReport {
-                event: event.clone(),
                 pdr_restored_secs: pdr_restored_slots.map(secs),
                 graph_quiet_secs: graph_quiet_slots.map(secs),
                 recovery_secs: recovery_slots.map(secs),
@@ -233,8 +202,7 @@ mod tests {
         let (mut results, specs) = results_with_losses(90, &lost);
         results.parent_change_times =
             [3100, 4000, 4000, 4950, 5900, 6800].into_iter().map(Asn).collect();
-        let event = WatchdogEvent { label: "outage".into(), at: Asn(3000) };
-        let report = &analyze(&results, &specs, &[event])[0];
+        let report = &analyze(&results, &specs, &[Asn(3000)])[0];
         assert_eq!(report.pdr_restored_secs, Some(30.0));
         assert_eq!(report.graph_quiet_secs, Some(38.0));
         assert_eq!(report.recovery_secs, Some(38.0));
@@ -249,8 +217,7 @@ mod tests {
         // 44 s, then quiet.
         let (mut results, specs) = results_with_losses(120, &(40..60).collect::<Vec<_>>());
         results.parent_change_times = vec![Asn(4100), Asn(4400)];
-        let event = WatchdogEvent { label: "outage".into(), at: Asn(4000) };
-        let report = &analyze(&results, &specs, &[event])[0];
+        let report = &analyze(&results, &specs, &[Asn(4000)])[0];
         assert!(report.converged);
         // PDR back in the 60–70 s window (closes at 70 s → 30 s after the
         // 40 s event); graph quiet at 44 s (4 s after).
@@ -265,8 +232,7 @@ mod tests {
     fn unrecovered_pdr_flags_non_convergence() {
         // Everything from 40 s onward is lost: PDR never restored.
         let (results, specs) = results_with_losses(120, &(40..120).collect::<Vec<_>>());
-        let event = WatchdogEvent { label: "perma".into(), at: Asn(4000) };
-        let report = &analyze(&results, &specs, &[event])[0];
+        let report = &analyze(&results, &specs, &[Asn(4000)])[0];
         assert!(!report.converged);
         assert_eq!(report.pdr_restored_secs, None);
         assert_eq!(report.recovery_secs, None);
@@ -279,8 +245,7 @@ mod tests {
         // run: the graph never goes quiet.
         let (mut results, specs) = results_with_losses(120, &[]);
         results.parent_change_times = (4000..12000).step_by(400).map(Asn).collect();
-        let event = WatchdogEvent { label: "churny".into(), at: Asn(4000) };
-        let report = &analyze(&results, &specs, &[event])[0];
+        let report = &analyze(&results, &specs, &[Asn(4000)])[0];
         assert!(report.pdr_restored_secs.is_some());
         assert_eq!(report.graph_quiet_secs, None);
         assert!(!report.converged);
@@ -289,8 +254,7 @@ mod tests {
     #[test]
     fn no_impact_recovers_within_one_window() {
         let (results, specs) = results_with_losses(120, &[]);
-        let event = WatchdogEvent { label: "dud".into(), at: Asn(4000) };
-        let report = &analyze(&results, &specs, &[event])[0];
+        let report = &analyze(&results, &specs, &[Asn(4000)])[0];
         assert!(report.converged);
         assert_eq!(report.graph_quiet_secs, Some(0.0));
         // The event's own window already meets the threshold; restoration
@@ -304,32 +268,11 @@ mod tests {
     fn summary_aggregates_reports() {
         let (mut results, specs) = results_with_losses(120, &(40..60).collect::<Vec<_>>());
         results.parent_change_times = vec![Asn(4100)];
-        let events = vec![
-            WatchdogEvent { label: "a".into(), at: Asn(4000) },
-            WatchdogEvent { label: "b".into(), at: Asn(5200) },
-        ];
-        let reports = analyze(&results, &specs, &events);
+        let reports = analyze(&results, &specs, &[Asn(4000), Asn(5200)]);
         let summary = summarize(&reports);
         assert_eq!(summary.events, 2);
         assert_eq!(summary.converged, summary.events);
         assert_eq!(summary.min_window_pdr, 0.0);
         assert!(summary.worst_recovery_secs.is_some());
-    }
-
-    #[test]
-    fn chaos_events_adapt_with_labels() {
-        use digs_sim::fault::{ChaosEvent, ChaosEventKind};
-        let events = vec![ChaosEvent {
-            kind: ChaosEventKind::LinkFlap,
-            node: NodeId(7),
-            peer: Some(NodeId(9)),
-            from: Asn(500),
-            until: Some(Asn(900)),
-        }];
-        let adapted = events_from_chaos(&events);
-        assert_eq!(adapted.len(), 1);
-        assert!(adapted[0].label.contains("LinkFlap"));
-        assert!(adapted[0].label.contains('7'));
-        assert_eq!(adapted[0].at, Asn(500));
     }
 }

@@ -100,7 +100,7 @@
 
 use crate::channel::{ChannelOffset, PhysChannel, NUM_CHANNELS};
 use crate::energy::{EnergyMeter, ACK_WAIT_US, IDLE_LISTEN_US};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, Kind};
 use crate::ids::NodeId;
 use crate::interference::{Jammer, JammerField};
 use crate::link::LinkModel;
@@ -261,16 +261,16 @@ pub trait NodeStack {
     fn on_tx_outcome(&mut self, asn: Asn, outcome: TxOutcome);
 
     /// Cold-restarts the stack: the node just finished a
-    /// [`Reboot`](crate::fault::Reboot) and comes back with factory state —
-    /// no routes, no schedule, no time sync. Invoked by the engine at the
-    /// first slot the node is alive again. The default is a no-op so simple
+    /// [reboot](crate::fault::Kind::Reboot) and comes back with factory
+    /// state — no routes, no schedule, no time sync. Invoked by the engine at
+    /// the first slot the node is alive again. The default is a no-op so simple
     /// test stacks need not care.
     fn reset(&mut self, _asn: Asn) {}
 
     /// Notifies the stack that its TSCH clock slipped past the guard time
-    /// (a [`ClockDesync`](crate::fault::ClockDesync) event): the node keeps
-    /// its routing state but must re-acquire slot alignment from enhanced
-    /// beacons. Default no-op.
+    /// (a [desync](crate::fault::Kind::Desync)): the node keeps its routing
+    /// state but must re-acquire slot alignment from enhanced beacons.
+    /// Default no-op.
     fn desync(&mut self, _asn: Asn) {}
 
     /// The earliest slot at or after `from` at which `slot_intent` must be
@@ -718,6 +718,9 @@ pub struct Engine {
     faults: FaultPlan,
     /// [`FaultPlan::edges`] of `faults`.
     edges: Vec<Asn>,
+    /// Whether `faults` breaks any link: without one, a reception skips the
+    /// plan.
+    any_link_fault: bool,
     /// Whether each node is alive; inside [`Engine::run`] only, where it is
     /// brought up to date at every fault edge.
     alive: Vec<bool>,
@@ -766,6 +769,7 @@ impl Engine {
             link,
             faults: FaultPlan::none(),
             edges: Vec::new(),
+            any_link_fault: false,
             alive: vec![true; n],
             rng: rng::engine_rng(seed),
             asn: Asn::ZERO,
@@ -832,6 +836,7 @@ impl Engine {
     /// Installs the failure schedule.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.edges = plan.edges().collect();
+        self.any_link_fault = plan.iter().any(|f| f.kind == Kind::Link);
         self.faults = plan;
     }
 
@@ -1051,9 +1056,7 @@ impl Engine {
             run.heard.clear();
             for &k in &run.on_channel[usize::from(ch.0)] {
                 let tx = run.committed[k].node;
-                if tx == rx_id
-                    || (self.faults.has_link_outages() && !self.faults.is_link_up(tx, rx_id, asn))
-                {
+                if tx == rx_id || (self.any_link_fault && !self.faults.is_link_up(tx, rx_id, asn)) {
                     continue;
                 }
                 let signal = self.link.signal(tx, rx_id, ch, asn);
@@ -1126,8 +1129,7 @@ impl Engine {
                     // The receiver transmits an ACK on the reverse link.
                     self.energy[rx].charge_tx(ACK_AIRTIME_US);
                     let tx_id = frame.src;
-                    let link_up = !self.faults.has_link_outages()
-                        || self.faults.is_link_up(rx_id, tx_id, asn);
+                    let link_up = !self.any_link_fault || self.faults.is_link_up(rx_id, tx_id, asn);
                     // Every term of the RSS is keyed on the unordered pair,
                     // so the reverse link reads what the frame arrived at.
                     debug_assert_eq!(tx_id, run.committed[best_idx].node);
@@ -1347,6 +1349,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Fault;
     use crate::interference::{total_interference_mw, AdaptiveSniffer, JammerKind};
     use crate::position::Position;
     use crate::topology::{Role, Topology};
@@ -1471,9 +1474,7 @@ mod tests {
     fn dead_node_does_not_participate() {
         let topo = two_node_topology(5.0);
         let mut engine = Engine::new(topo, RfConfig::deterministic(), 7);
-        engine.set_fault_plan(
-            FaultPlan::none().with(crate::fault::Outage::permanent(NodeId(1), Asn(0))),
-        );
+        engine.set_fault_plan(FaultPlan::from_iter([Fault::outage(NodeId(1), Asn(0), None)]));
         let mut stacks = vec![TestStack::default(), TestStack::default()];
         stacks[1].plan.insert(0, tx_intent(1, Some(0), 42, false));
         stacks[0].plan.insert(0, SlotIntent::Listen { offset: ChannelOffset::new(0) });
@@ -1587,18 +1588,18 @@ mod tests {
 
     #[test]
     fn link_outage_blocks_frames_but_not_other_links() {
-        use crate::fault::LinkOutage;
         let topo = Topology::new(
             "triple",
             vec![Position::new(0.0, 0.0), Position::new(5.0, 0.0), Position::new(-5.0, 0.0)],
             vec![Role::AccessPoint, Role::FieldDevice, Role::FieldDevice],
         );
         let mut engine = Engine::new(topo, RfConfig::deterministic(), 7);
-        engine.set_fault_plan(FaultPlan::none().with_link(LinkOutage::permanent(
+        engine.set_fault_plan(FaultPlan::from_iter([Fault::link(
             NodeId(1),
             NodeId(0),
             Asn(0),
-        )));
+            None,
+        )]));
         let mut stacks = vec![TestStack::default(), TestStack::default(), TestStack::default()];
         // Node 1 → AP over the broken link fails; node 2 → AP still works.
         stacks[1].plan.insert(0, tx_intent(1, Some(0), 11, false));
@@ -1615,14 +1616,9 @@ mod tests {
 
     #[test]
     fn reboot_is_dead_during_window_and_resets_on_return() {
-        use crate::fault::Reboot;
         let topo = two_node_topology(5.0);
         let mut engine = Engine::new(topo, RfConfig::deterministic(), 7);
-        engine.set_fault_plan(FaultPlan::none().with_reboot(Reboot::new(
-            NodeId(1),
-            Asn(1),
-            Asn(3),
-        )));
+        engine.set_fault_plan(FaultPlan::from_iter([Fault::reboot(NodeId(1), Asn(1), Asn(3))]));
         let mut stacks = vec![TestStack::default(), TestStack::default()];
         for asn in [1u64, 2] {
             stacks[1].plan.insert(asn, tx_intent(1, Some(0), 42, false));
@@ -1638,16 +1634,14 @@ mod tests {
 
     #[test]
     fn reset_waits_for_overlapping_outage_to_clear() {
-        use crate::fault::{Outage, Reboot};
         let topo = two_node_topology(5.0);
         let mut engine = Engine::new(topo, RfConfig::deterministic(), 7);
         // The reboot ends at slot 3, but a longer outage keeps the node
         // down until slot 6: the cold reset must fire at 6, not 3.
-        engine.set_fault_plan(
-            FaultPlan::none()
-                .with_reboot(Reboot::new(NodeId(1), Asn(1), Asn(3)))
-                .with(Outage::transient(NodeId(1), Asn(2), Asn(6))),
-        );
+        engine.set_fault_plan(FaultPlan::from_iter([
+            Fault::reboot(NodeId(1), Asn(1), Asn(3)),
+            Fault::outage(NodeId(1), Asn(2), Some(Asn(6))),
+        ]));
         let mut stacks = vec![TestStack::default(), TestStack::default()];
         engine.run(&mut stacks, 8);
         assert_eq!(stacks[1].resets, vec![6]);
@@ -1655,10 +1649,9 @@ mod tests {
 
     #[test]
     fn desync_hook_fires_at_the_scheduled_slot() {
-        use crate::fault::ClockDesync;
         let topo = two_node_topology(5.0);
         let mut engine = Engine::new(topo, RfConfig::deterministic(), 7);
-        engine.set_fault_plan(FaultPlan::none().with_desync(ClockDesync::new(NodeId(0), Asn(4))));
+        engine.set_fault_plan(FaultPlan::from_iter([Fault::desync(NodeId(0), Asn(4))]));
         let mut stacks = vec![TestStack::default(), TestStack::default()];
         engine.run(&mut stacks, 6);
         assert_eq!(stacks[0].desyncs, vec![4]);
@@ -1704,14 +1697,12 @@ mod tests {
 
     #[test]
     fn reset_desync_and_a_wake_slot_missed_while_dead_all_wake_the_node() {
-        use crate::fault::{ClockDesync, Outage, Reboot};
         let mut engine = Engine::new(two_node_topology(5.0), RfConfig::deterministic(), 7);
-        engine.set_fault_plan(
-            FaultPlan::none()
-                .with_reboot(Reboot::new(NodeId(0), Asn(1), Asn(3)))
-                .with_desync(ClockDesync::new(NodeId(0), Asn(7)))
-                .with(Outage::transient(NodeId(1), Asn(4), Asn(8))),
-        );
+        engine.set_fault_plan(FaultPlan::from_iter([
+            Fault::reboot(NodeId(0), Asn(1), Asn(3)),
+            Fault::desync(NodeId(0), Asn(7)),
+            Fault::outage(NodeId(1), Asn(4), Some(Asn(8))),
+        ]));
         let mut stacks = vec![Napping::default(), Napping::default()];
         engine.run(&mut stacks, 12);
         assert_eq!(stacks[0].asked, vec![0, 3, 5, 7, 10], "reset at 3, desync at 7");
@@ -1738,14 +1729,9 @@ mod tests {
 
     #[test]
     fn traced_fault_boundaries_and_reset_are_recorded() {
-        use crate::fault::Reboot;
         let topo = two_node_topology(5.0);
         let mut engine = Engine::new(topo, RfConfig::deterministic(), 7);
-        engine.set_fault_plan(FaultPlan::none().with_reboot(Reboot::new(
-            NodeId(1),
-            Asn(1),
-            Asn(3),
-        )));
+        engine.set_fault_plan(FaultPlan::from_iter([Fault::reboot(NodeId(1), Asn(1), Asn(3))]));
         let trace = TraceHandle::bounded(64);
         engine.set_trace(trace.clone());
         let mut stacks = vec![TestStack::default(), TestStack::default()];
@@ -1844,7 +1830,7 @@ mod tests {
             let mut contenders: Vec<(NodeId, ChannelOffset, Frame<S::Payload>)> = Vec::new();
             for (i, stack) in stacks.iter_mut().enumerate() {
                 let id = NodeId(i as u16);
-                if self.faults.has_reboots() && self.faults.reboot_completing_at(id, asn) {
+                if self.faults.reboot_completing_at(id, asn) {
                     self.pending_reset[i] = true;
                 }
                 if !self.faults.is_alive(id, asn) {
@@ -1861,7 +1847,7 @@ mod tests {
                     stack.reset(asn);
                     awake = true;
                 }
-                if self.faults.has_desyncs() && self.faults.desync_at(id, asn) {
+                if self.faults.desync_at(id, asn) {
                     if tracing {
                         self.trace.record(asn.0, id.0, EventKind::ClockDesync);
                     }
@@ -1948,7 +1934,7 @@ mod tests {
                     .filter(|(k, tx)| {
                         tx.node != *rx_id
                             && committed_channels[*k] == ch
-                            && (!self.faults.has_link_outages()
+                            && (!self.any_link_fault
                                 || self.faults.is_link_up(tx.node, *rx_id, asn))
                     })
                     .map(|(k, tx)| (k, self.link.rss(tx.node, *rx_id, ch, asn)))
@@ -1979,8 +1965,8 @@ mod tests {
                         self.energy[rx_id.index()].charge_tx(ACK_AIRTIME_US);
                         let tx_id = frame.src;
                         let tx_pos = self.topology.position(tx_id);
-                        let link_up = !self.faults.has_link_outages()
-                            || self.faults.is_link_up(*rx_id, tx_id, asn);
+                        let link_up =
+                            !self.any_link_fault || self.faults.is_link_up(*rx_id, tx_id, asn);
                         let ack_rss = self.link.rss(*rx_id, tx_id, ch, asn);
                         let ack_inter = total_interference_mw(&self.jammers, &tx_pos, ch, asn, rf)
                             + total_interference_mw(&self.ambient, &tx_pos, ch, asn, rf)
@@ -2281,7 +2267,7 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Between {
         Nothing,
-        AddJammer(Jammer),
+        AddJammer(Box<Jammer>),
         SwapAmbient(Vec<Jammer>),
         SwapFaults(FaultPlan),
     }
@@ -2343,47 +2329,32 @@ mod tests {
     }
 
     fn draw_faults(d: &mut Draw, n: u16, horizon: u64) -> FaultPlan {
-        use crate::fault::{ClockDesync, LinkOutage, Outage, Reboot};
         let mut plan = FaultPlan::none();
         for _ in 0..d.int(0u8..4) {
             let node = NodeId(d.int(0..n));
             let from = d.int(0..horizon);
-            plan.push(if d.bool() {
-                Outage::permanent(node, Asn(from))
-            } else {
-                Outage::transient(node, Asn(from), Asn(from + d.int(1..horizon)))
-            });
+            let until = if d.bool() { None } else { Some(Asn(from + d.int(1..horizon))) };
+            plan.push(Fault::outage(node, Asn(from), until));
             if d.bool() {
                 // A reboot whose window straddles the outage's start.
                 let down = from.saturating_sub(d.int(0u64..5));
-                plan.push_reboot(Reboot::new(node, Asn(down), Asn(down + d.int(1u64..30))));
+                plan.push(Fault::reboot(node, Asn(down), Asn(down + d.int(1u64..30))));
             }
         }
         for _ in 0..d.int(0u8..3) {
             let from = d.int(0..horizon);
-            plan.push_reboot(Reboot::new(
-                NodeId(d.int(0..n)),
-                Asn(from),
-                Asn(from + d.int(1u64..40)),
-            ));
+            let node = NodeId(d.int(0..n));
+            plan.push(Fault::reboot(node, Asn(from), Asn(from + d.int(1u64..40))));
         }
         for _ in 0..d.int(0u8..3) {
-            plan.push_desync(ClockDesync::new(NodeId(d.int(0..n)), Asn(d.int(0..horizon))));
+            plan.push(Fault::desync(NodeId(d.int(0..n)), Asn(d.int(0..horizon))));
         }
         for _ in 0..d.int(0u8..4) {
             let a = d.int(0..n);
             let b = (a + d.int(1..n)) % n;
             let from = d.int(0..horizon);
-            plan.push_link(if d.bool() {
-                LinkOutage::permanent(NodeId(a), NodeId(b), Asn(from))
-            } else {
-                LinkOutage::transient(
-                    NodeId(a),
-                    NodeId(b),
-                    Asn(from),
-                    Asn(from + d.int(1..horizon)),
-                )
-            });
+            let until = if d.bool() { None } else { Some(Asn(from + d.int(1..horizon))) };
+            plan.push(Fault::link(NodeId(a), NodeId(b), Asn(from), until));
         }
         plan
     }
@@ -2510,7 +2481,7 @@ mod tests {
             let slots = d.int(1..=most);
             left -= slots;
             let between = match d.int(0u8..8) {
-                0 => Between::AddJammer(draw_jammer(d, side, horizon)),
+                0 => Between::AddJammer(Box::new(draw_jammer(d, side, horizon))),
                 1 => Between::SwapAmbient(d.vec(0..3, |d| draw_ambient(d, side))),
                 2 => Between::SwapFaults(draw_faults(d, n, horizon)),
                 _ => Between::Nothing,
@@ -2591,7 +2562,7 @@ mod tests {
         fn apply(&self, engine: &mut Engine) {
             match self.clone() {
                 Between::Nothing => {}
-                Between::AddJammer(jammer) => engine.add_jammer(jammer),
+                Between::AddJammer(jammer) => engine.add_jammer(*jammer),
                 Between::SwapAmbient(ambient) => engine.set_ambient_jammers(ambient),
                 Between::SwapFaults(plan) => engine.set_fault_plan(plan),
             }
@@ -2819,7 +2790,7 @@ mod tests {
         let mut case = jammable_pair(200);
         let mut jammer = Jammer::disturber(Position::new(0.5, 0.0), 1, 3).with_period(1_000);
         jammer.tx_power = Dbm(20.0);
-        case.chunks = vec![(100, Between::AddJammer(jammer)), (100, Between::Nothing)];
+        case.chunks = vec![(100, Between::AddJammer(Box::new(jammer))), (100, Between::Nothing)];
         run_against_reference(&case);
 
         let (mut engine, mut stacks) = case.build();
@@ -2860,7 +2831,6 @@ mod tests {
     /// Three nodes that nap: node 0 has nothing planned, node 1 is down
     /// over slots 40..70, node 2 listens in slot 100 only.
     fn nappers() -> Case {
-        use crate::fault::Outage;
         let listen = SlotIntent::Listen { offset: ChannelOffset::new(0) };
         Case {
             topology: Topology::new(
@@ -2876,7 +2846,7 @@ mod tests {
                 (BTreeMap::from([(100, listen)]), true),
             ],
             standing: Vec::new(),
-            faults: FaultPlan::none().with(Outage::transient(NodeId(1), Asn(40), Asn(70))),
+            faults: FaultPlan::from_iter([Fault::outage(NodeId(1), Asn(40), Some(Asn(70)))]),
             jammers: Vec::new(),
             ambient: Vec::new(),
             traced: false,

@@ -3,7 +3,7 @@
 use digs_cases::cases;
 use digs_sim::channel::{wifi_overlap, ChannelOffset, PhysChannel, NUM_CHANNELS};
 use digs_sim::energy::EnergyMeter;
-use digs_sim::fault::{FaultPlan, Outage};
+use digs_sim::fault::{ChaosPlan, Fault, FaultPlan, Kind};
 use digs_sim::ids::NodeId;
 use digs_sim::interference::{AdaptiveSniffer, Jammer, JammerKind};
 use digs_sim::link::LinkModel;
@@ -153,7 +153,8 @@ fn outage_windows_are_exact() {
         let from = d.int(0u64..10_000);
         let len = d.int(1u64..10_000);
         let probe = d.int(0u64..30_000);
-        let plan = FaultPlan::none().with(Outage::transient(NodeId(3), Asn(from), Asn(from + len)));
+        let plan =
+            FaultPlan::from_iter([Fault::outage(NodeId(3), Asn(from), Some(Asn(from + len)))]);
         let alive = plan.is_alive(NodeId(3), Asn(probe));
         let inside = probe >= from && probe < from + len;
         assert_eq!(alive, !inside);
@@ -174,9 +175,10 @@ fn overlapping_outages_compose() {
         let len2 = d.int(1u64..2_000);
         let probe = d.int(0u64..5_000);
         let span = d.int(0u64..200);
-        let plan = FaultPlan::none()
-            .with(Outage::transient(NodeId(3), Asn(from1), Asn(from1 + len1)))
-            .with(Outage::transient(NodeId(3), Asn(from2), Asn(from2 + len2)));
+        let plan = FaultPlan::from_iter([
+            Fault::outage(NodeId(3), Asn(from1), Some(Asn(from1 + len1))),
+            Fault::outage(NodeId(3), Asn(from2), Some(Asn(from2 + len2))),
+        ]);
         let in_union =
             (probe >= from1 && probe < from1 + len1) || (probe >= from2 && probe < from2 + len2);
         assert_eq!(plan.is_alive(NodeId(3), Asn(probe)), !in_union);
@@ -194,48 +196,127 @@ fn covers_boundaries_are_half_open() {
     cases(256, |d| {
         let from = d.int(1u64..10_000);
         let len = d.int(1u64..10_000);
-        let outage = Outage::transient(NodeId(1), Asn(from), Asn(from + len));
-        assert!(!outage.covers(Asn(from - 1)));
-        assert!(outage.covers(Asn(from)));
-        assert!(outage.covers(Asn(from + len - 1)));
-        assert!(!outage.covers(Asn(from + len)));
+        let outage = Fault::outage(NodeId(1), Asn(from), Some(Asn(from + len)));
+        let reboot = Fault::reboot(NodeId(1), Asn(from), Asn(from + len));
+        for fault in [outage, reboot] {
+            assert!(!fault.covers(Asn(from - 1)));
+            assert!(fault.covers(Asn(from)));
+            assert!(fault.covers(Asn(from + len - 1)));
+            assert!(!fault.covers(Asn(from + len)));
+        }
 
-        let reboot = digs_sim::fault::Reboot::new(NodeId(1), Asn(from), Asn(from + len));
-        assert!(!reboot.covers(Asn(from - 1)));
-        assert!(reboot.covers(Asn(from)));
-        assert!(reboot.covers(Asn(from + len - 1)));
-        assert!(!reboot.covers(Asn(from + len)));
-
-        let permanent = Outage::permanent(NodeId(1), Asn(from));
+        let permanent = Fault::outage(NodeId(1), Asn(from), None);
         assert!(!permanent.covers(Asn(from - 1)));
         assert!(permanent.covers(Asn(from + 1_000_000)));
     });
 }
 
-/// Chaos plans are a pure function of (config, topology, seed): the
-/// same seed reproduces the identical plan, and every generated event
-/// starts inside the configured chaos window.
+/// The engine consults a plan only at its edges, so every slot at which one
+/// of its answers moves must be one: drawn plans mix all four kinds on four
+/// nodes, overlapping, permanent, and sharing slots.
+#[test]
+fn every_change_falls_on_an_edge() {
+    const NODES: u16 = 4;
+    const HORIZON: u64 = 60;
+    cases(256, |d| {
+        let mut plan = FaultPlan::none();
+        for _ in 0..d.int(1u8..10) {
+            let node = NodeId(d.int(0..NODES));
+            // Few distinct slots, so boundaries of different faults coincide.
+            let from = Asn(d.int(0..HORIZON / 4) * 4);
+            let until = (d.int(0u8..4) > 0).then(|| Asn(from.0 + d.int(1u64..6) * 4));
+            plan.push(match d.int(0u8..4) {
+                0 => Fault::outage(node, from, until),
+                1 => Fault::reboot(node, from, until.unwrap_or(Asn(from.0 + 4))),
+                2 => Fault::link(node, NodeId((node.0 + d.int(1..NODES)) % NODES), from, until),
+                _ => Fault::desync(node, from),
+            });
+        }
+        let edges: Vec<Asn> = plan.edges().collect();
+        let nodes = || (0..NODES).map(NodeId);
+        for asn in (1..HORIZON + 30).map(Asn) {
+            let before = Asn(asn.0 - 1);
+            let moved = nodes().any(|n| {
+                plan.is_alive(n, asn) != plan.is_alive(n, before)
+                    || plan.reboot_completing_at(n, asn)
+                    || plan.desync_at(n, asn)
+                    || nodes().any(|m| {
+                        m != n && plan.is_link_up(n, m, asn) != plan.is_link_up(n, m, before)
+                    })
+            });
+            let traced = plan.transitions_at(asn).next().is_some();
+            assert!(!(moved || traced) || edges.contains(&asn), "{asn} is no edge of {plan:?}");
+        }
+        // `alive_throughout` is `is_alive` at every slot of the range.
+        let (a, len) = (d.int(0..HORIZON + 30), d.int(0u64..20));
+        for n in nodes() {
+            let slot_by_slot = (a..=a + len).all(|t| plan.is_alive(n, Asn(t)));
+            assert_eq!(
+                plan.alive_throughout(n, Asn(a), Asn(a + len)),
+                slot_by_slot,
+                "{n:?} {plan:?}"
+            );
+        }
+    });
+}
+
+/// Chaos plans are a pure function of (start, length, topology, seed): the
+/// same seed reproduces the identical plan, and every generated fault and
+/// jammer burst starts inside the chaos window.
 #[test]
 fn chaos_generation_is_seed_deterministic() {
     cases(256, |d| {
         let seed = d.u64();
         let start = d.int(0u64..50_000);
         let dur = d.int(60u64..600);
-        use digs_sim::fault::{ChaosConfig, ChaosPlan};
         let topo = Topology::testbed_a_half();
-        let config = ChaosConfig::moderate(Asn(start), dur);
-        let a = ChaosPlan::generate(&config, &topo, seed);
-        let b = ChaosPlan::generate(&config, &topo, seed);
+        let a = ChaosPlan::generate(Asn(start), dur, &topo, seed);
+        let b = ChaosPlan::generate(Asn(start), dur, &topo, seed);
         assert_eq!(&a, &b);
-        let window_end = start + dur * 100;
-        for event in a.events() {
-            assert!(
-                event.from.0 >= start && event.from.0 < window_end,
-                "event start {} outside chaos window [{start}, {window_end})",
-                event.from.0
-            );
+        let window = start..start + dur * 100;
+        let onsets = a.faults.iter().map(|f| f.from).chain(a.jammers.iter().map(|j| j.start));
+        for from in onsets {
+            assert!(window.contains(&from.0), "onset {from} outside chaos window {window:?}");
         }
     });
+}
+
+/// The chaos plans drawn at seeds 1–16, fault for fault and burst for burst,
+/// pinned by an FNV-1a digest of each plan's faults in order as `(kind, node,
+/// peer, from, until)` and of its jammers as `(start, stop, salt)`; a missing
+/// value hashes as `u64::MAX`. Any moved draw changes a digest.
+#[test]
+fn drawn_chaos_plans_are_pinned() {
+    let fnv = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    let or_max = |asn: Option<Asn>| asn.map_or(u64::MAX, |a| a.0);
+    let pinned = [
+        (Topology::testbed_a(), 0x6fb1_5849_40f8_ddb3, 0x8010_39a2_a69d_8a2c),
+        (Topology::cooja_150(7), 0x7464_40bb_0ab2_4bc2, 0x8010_39a2_a69d_8a2c),
+    ];
+    for (topology, faults_digest, jammers_digest) in pinned {
+        let (mut faults, mut jammers) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+        for seed in 1..=16 {
+            let plan = ChaosPlan::generate(Asn::from_secs(120), 360, &topology, seed);
+            faults = fnv(faults, seed);
+            for f in plan.faults.iter() {
+                let kind = match f.kind {
+                    Kind::Outage => 0,
+                    Kind::Reboot => 1,
+                    Kind::Link => 2,
+                    Kind::Desync => 3,
+                };
+                let peer = f.peer.map_or(u64::MAX, |p| u64::from(p.0));
+                faults = [kind, u64::from(f.node.0), peer, f.from.0, or_max(f.until)]
+                    .into_iter()
+                    .fold(faults, fnv);
+            }
+            jammers = fnv(jammers, seed);
+            for j in &plan.jammers {
+                jammers = [j.start.0, or_max(j.stop), j.salt].into_iter().fold(jammers, fnv);
+            }
+        }
+        assert_eq!((faults, jammers), (faults_digest, jammers_digest), "{}", topology.name());
+    }
 }
 
 /// Jammer interference is deterministic and decays with distance.

@@ -23,7 +23,7 @@ fn main() {
     let testbed = Topology::testbed_a();
     let [digs, orch] = [Protocol::Digs, Protocol::Orchestra]
         .map(|protocol| scenarios::testbed_a_node_failure(testbed.clone(), protocol, 2));
-    let victims: Vec<u16> = digs.faults.outages().iter().map(|o| o.node.0).collect();
+    let victims: Vec<u16> = digs.faults.iter().map(|outage| outage.node.0).collect();
     println!(
         "failing central relays in turn: {victims:?} ({FAILURE_EACH_SECS}s each, starting at \
          {FAILURE_START_SECS}s)"

@@ -98,7 +98,7 @@ fn disturbers_toggle_in_large_scale_scenario() {
 #[test]
 fn rebooted_digs_relay_cold_starts_and_rejoins() {
     use digs::stack::ProtocolStack;
-    use digs_sim::fault::{FaultPlan, Reboot};
+    use digs_sim::fault::{Fault, FaultPlan};
 
     // Form first, then cold-reboot a genuine relay on the flow's live
     // forwarding path: the node must come back with factory-fresh state,
@@ -128,11 +128,11 @@ fn rebooted_digs_relay_cold_starts_and_rejoins() {
         assert!(s.is_joined(), "the relay must be part of the formed network");
     }
 
-    network.set_fault_plan(FaultPlan::none().with_reboot(Reboot::new(
+    network.set_fault_plan(FaultPlan::from_iter([Fault::reboot(
         relay,
         Asn::from_secs(125),
         Asn::from_secs(135),
-    )));
+    )]));
     // Just past the reboot's completion, the cold reset has fired: no
     // sync, no rank, no parents, no children — the join starts over.
     network.run_secs(16);
@@ -187,17 +187,17 @@ fn rebooted_digs_relay_cold_starts_and_rejoins() {
 
 #[test]
 fn digs_rides_through_a_primary_link_outage() {
-    use digs_sim::fault::{FaultPlan, LinkOutage};
+    use digs_sim::fault::{Fault, FaultPlan};
 
     // Form first to find a real primary link, then break exactly that link
     // for a minute — the backup route should keep the flow alive.
     let (mut network, source, best, _) = common::formed_relay_with_a_backup(None);
-    network.set_fault_plan(FaultPlan::none().with_link(LinkOutage::transient(
+    network.set_fault_plan(FaultPlan::from_iter([Fault::link(
         source,
         best,
         Asn::from_secs(120),
-        Asn::from_secs(180),
-    )));
+        Some(Asn::from_secs(180)),
+    )]));
     network.run_secs(210);
     let results = network.results();
     assert!(

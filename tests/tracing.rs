@@ -6,7 +6,7 @@ mod common;
 
 use digs::config::{NetworkConfig, Protocol};
 use digs::network::Network;
-use digs_sim::fault::{FaultPlan, LinkOutage};
+use digs_sim::fault::{Fault, FaultPlan};
 use digs_sim::time::Asn;
 use digs_sim::topology::Topology;
 
@@ -45,12 +45,12 @@ fn same_seed_traced_runs_export_identical_jsonl() {
 fn link_failure_journey_diverts_to_backup_parent() {
     let (mut network, source, best, second) = common::formed_relay_with_a_backup(Some(400_000));
 
-    network.set_fault_plan(FaultPlan::none().with_link(LinkOutage::transient(
+    network.set_fault_plan(FaultPlan::from_iter([Fault::link(
         source,
         best,
         Asn::from_secs(120),
-        Asn::from_secs(180),
-    )));
+        Some(Asn::from_secs(180)),
+    )]));
     network.run_secs(210);
 
     let journeys = digs_trace::journeys(&network.trace().events());
@@ -88,12 +88,12 @@ fn link_failure_journey_diverts_to_backup_parent() {
 #[test]
 fn link_outage_appears_in_churn_timeline() {
     let (mut network, source, best, _) = common::formed_relay_with_a_backup(Some(400_000));
-    network.set_fault_plan(FaultPlan::none().with_link(LinkOutage::transient(
+    network.set_fault_plan(FaultPlan::from_iter([Fault::link(
         source,
         best,
         Asn::from_secs(120),
-        Asn::from_secs(180),
-    )));
+        Some(Asn::from_secs(180)),
+    )]));
     network.run_secs(120);
 
     let churn = digs_trace::churn_timeline(&network.trace().events());
