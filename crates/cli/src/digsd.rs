@@ -49,12 +49,10 @@ pub fn serve(args: &Args) -> Result<(), String> {
         config.resume_grace = Duration::from_millis(ms);
     }
     config.chaos.slow_run_ms = args.get("chaos-slow-ms")?;
-    let mut daemon =
-        Daemon::bind(&addr, config.clone()).map_err(|e| format!("binding {addr}: {e}"))?;
-    daemon.register_runner("scenario", digs_conformance::prepare_scenario);
+    let daemon = Daemon::bind(&addr, config.clone()).map_err(|e| format!("binding {addr}: {e}"))?;
     let bound = daemon.local_addr().map_err(|e| format!("local addr: {e}"))?;
     eprintln!(
-        "digsd: serving on {bound} (runners: single, fleet, scenario; \
+        "digsd: serving on {bound} (runs: single, fleet; \
          per-subscriber queue cap {}; journal {})",
         config.queue_cap,
         config.journal.as_ref().map_or("off".to_string(), |p| p.display().to_string()),
@@ -128,17 +126,7 @@ pub fn launch(args: &Args) -> Result<(), String> {
             spec.to_json()
         }
         "fleet" => fleet_params(args, FleetParams::default().networks)?.to_json(),
-        "scenario" => {
-            let matrix: Option<String> = args.get("matrix")?;
-            digs_conformance::ScenarioLaunch {
-                matrix: digs_conformance::MatrixKind::parse(matrix.as_deref().unwrap_or("full"))?,
-                scenario: args.require("scenario")?,
-                seed: args.get("seed")?.unwrap_or(1),
-                secs: args.get("secs")?,
-            }
-            .to_json()
-        }
-        other => return Err(format!("unknown --kind `{other}` (single|fleet|scenario)")),
+        other => return Err(format!("unknown --kind `{other}` (single|fleet)")),
     };
     let addr = addr(args)?;
     if args.switch("tail") {

@@ -192,7 +192,6 @@ pub const COMMANDS: &[Command] = &[
                 flag("bless", "", "regenerate the baseline and pass"),
                 flag("summary", "FILE", "append the markdown diff table to FILE"),
                 flag("inject-loss", "SUBSTR", "halve delivery of matching scenarios (test hook)"),
-                flag("attach", "ADDR", "collect the records from a running digsd at ADDR"),
             ],
             JSON,
         ],
@@ -234,7 +233,7 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         path: &["digsd", "serve"],
-        about: "the simulation daemon (DESIGN §4.12), runners single, fleet and scenario",
+        about: "the simulation daemon (DESIGN §4.12): single and fleet runs",
         run: digsd::serve,
         flags: &[
             ADDR,
@@ -258,10 +257,8 @@ pub const COMMANDS: &[Command] = &[
         flags: &[
             &[
                 flag("name", "RUN", "the run's name, [a-z0-9_-]{1,64} (required)"),
-                flag("kind", "K", "single (default) | fleet | scenario"),
+                flag("kind", "K", "single (default) | fleet"),
                 flag("tail", "", "follow the stream: payload on stdout, control on stderr"),
-                flag("matrix", "M", "scenario runs: small | full (default)"),
-                flag("scenario", "NAME", "scenario runs: which scenario of the matrix (required)"),
             ],
             TOPOLOGY,
             RUN,

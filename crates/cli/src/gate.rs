@@ -1,5 +1,4 @@
-//! `gate`: the conformance matrix against the goldens, in-process or
-//! collected from a running daemon with `--attach`.
+//! `gate`: the conformance matrix against the goldens.
 
 use crate::flags::Args;
 use digs_conformance::{run_gate, GateOptions, MatrixKind};
@@ -21,7 +20,6 @@ pub fn gate(args: &Args) -> Result<(), String> {
     opts.json = args.switch("json");
     opts.inject_loss = args.get("inject-loss")?;
     opts.summary = args.get("summary")?;
-    opts.attach = args.get("attach")?;
     if run_gate(&opts)?.passed {
         Ok(())
     } else {

@@ -35,10 +35,6 @@ pub struct GateOptions {
     /// Append the markdown diff table to this file on failure (CI step
     /// summaries).
     pub summary: Option<PathBuf>,
-    /// Collect the runs from a digsd daemon at this address instead of
-    /// simulating in-process (the daemon must have the `scenario` runner
-    /// registered — `digs-cli digsd serve` does).
-    pub attach: Option<String>,
 }
 
 impl GateOptions {
@@ -54,7 +50,6 @@ impl GateOptions {
             json: false,
             inject_loss: None,
             summary: None,
-            attach: None,
         }
     }
 
@@ -121,47 +116,25 @@ pub fn run_gate(opts: &GateOptions) -> Result<GateOutcome, String> {
         (0..specs.len()).flat_map(|i| opts.seeds.iter().map(move |s| (i, *s))).collect();
     let jobs = opts.jobs.unwrap_or_else(|| pool::default_jobs(tasks.len())).max(1);
     eprintln!(
-        "gate: {} matrix, {} scenarios x {} seeds = {} runs on {} worker(s){}",
+        "gate: {} matrix, {} scenarios x {} seeds = {} runs on {} worker(s)",
         opts.matrix.as_str(),
         specs.len(),
         opts.seeds.len(),
         tasks.len(),
         jobs,
-        opts.attach.as_deref().map(|a| format!(" via digsd at {a}")).unwrap_or_default(),
     );
     let wall_start = std::time::Instant::now();
-    let (mut records, wall, serial_equivalent) = match &opts.attach {
-        // Attached mode: each task is a daemon run, collected as a
-        // streaming client in waves of `jobs`. The daemon's run threads
-        // provide the parallelism, so a serial-equivalent cost is not
-        // observable from here — report wall for both.
-        Some(addr) => {
-            let records = crate::daemon::collect_attached(
-                addr,
-                opts.matrix,
-                &specs,
-                &tasks,
-                jobs,
-                opts.secs,
-            )?;
-            let wall = wall_start.elapsed();
-            (records, wall, wall)
-        }
-        None => {
-            // Labeled fan-out: if a run panics, the pool reports which
-            // scenario/seed fell over instead of a bare join failure.
-            let timed = pool::par_map_labeled(
-                tasks,
-                jobs,
-                |_, (i, seed)| format!("{}/seed{}", specs[*i].name, seed),
-                |(i, seed)| specs[i].run(seed),
-            );
-            let wall = wall_start.elapsed();
-            let serial_equivalent: Duration = timed.iter().map(|t| t.elapsed).sum();
-            let records: Vec<RunMetrics> = timed.into_iter().map(|t| t.value).collect();
-            (records, wall, serial_equivalent)
-        }
-    };
+    // Labeled fan-out: if a run panics, the pool reports which
+    // scenario/seed fell over instead of a bare join failure.
+    let timed = pool::par_map_labeled(
+        tasks,
+        jobs,
+        |_, (i, seed)| format!("{}/seed{}", specs[*i].name, seed),
+        |(i, seed)| specs[i].run(seed),
+    );
+    let wall = wall_start.elapsed();
+    let serial_equivalent: Duration = timed.iter().map(|t| t.elapsed).sum();
+    let mut records: Vec<RunMetrics> = timed.into_iter().map(|t| t.value).collect();
 
     if let Some(pattern) = &opts.inject_loss {
         let mut hit = 0;

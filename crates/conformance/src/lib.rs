@@ -18,10 +18,7 @@
 //!   checked-in `goldens/*.json` baselines;
 //! - [`report`] compares fresh aggregates against a golden and renders
 //!   the human-readable diff table;
-//! - [`gate`] orchestrates the whole thing behind `digs-cli gate`;
-//! - [`daemon`] plugs the matrix into `digsd`: a `scenario` runner that
-//!   publishes each run's record as a streamed `meta` frame, and the
-//!   attached-gate collector behind `digs-cli gate --attach`.
+//! - [`gate`] orchestrates the whole thing behind `digs-cli gate`.
 //!
 //! The [`json`] module (the shared [`digs_json`] crate, re-exported) is
 //! the deterministic JSON writer/reader the records, goldens, and fleet
@@ -31,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod daemon;
 pub mod gate;
 pub mod golden;
 pub mod matrix;
@@ -48,7 +44,6 @@ pub use digs_pool as pool;
 /// under the historical `digs_conformance::json` path.
 pub use digs_json as json;
 
-pub use daemon::{collect_attached, prepare_scenario, ScenarioLaunch};
 pub use gate::{run_gate, GateOptions, GateOutcome};
 pub use matrix::{MatrixKind, ScenarioSpec};
 pub use metrics::{MetricContext, RunMetrics};

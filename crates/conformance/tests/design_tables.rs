@@ -1,13 +1,13 @@
 //! DESIGN prints every row table the code declares: the trace event, the
 //! telemetry line, the client, server and journal protocols (names, keys,
-//! order), the three launch specs (keys, kinds, defaults), the `RunMetrics`
+//! order), the two launch specs (keys, kinds, defaults), the `RunMetrics`
 //! record and the trace event's head (keys, kinds), and the two JSON
 //! documents, the fleet report and `run --json` (every key, nested ones
 //! dotted). This crate sees all of them.
 
 use digs::results::RunResults;
 use digs::telemetry::TelemetryLine;
-use digs_conformance::{RunMetrics, ScenarioLaunch};
+use digs_conformance::RunMetrics;
 use digs_digsd::{ClientMsg, FieldDef, FleetParams, Kind, Record, ServerMsg, SingleSpec};
 use digs_fleet::FleetReport;
 use digs_json::Value;
@@ -105,7 +105,7 @@ fn design_prints_every_protocol_table() {
 }
 
 /// The `RunMetrics` record, `run --json`'s `RunResults`, the trace event's
-/// head, the fleet report and the three launch specs, in DESIGN's order:
+/// head, the fleet report and the two launch specs, in DESIGN's order:
 /// each field's key and kind, in order; for a spec, its default too
 /// (`required` for a field without one).
 #[test]
@@ -136,7 +136,6 @@ fn design_prints_every_field_table() {
             })
             .collect()
     };
-    let scenario = digs_json::parse(r#"{"scenario":"fig09-digs"}"#).expect("parses");
     let record = |fields: &[FieldDef]| -> Vec<Vec<String>> {
         fields.iter().zip(keys(fields)).map(|(f, key)| vec![key, label(&f.kind)]).collect()
     };
@@ -167,13 +166,6 @@ fn design_prints_every_field_table() {
         (
             FleetParams::MESSAGES[0].name.to_string(),
             spec(FleetParams::MESSAGES[0].fields, FleetParams::default().to_json()),
-        ),
-        (
-            ScenarioLaunch::MESSAGES[0].name.to_string(),
-            spec(
-                ScenarioLaunch::MESSAGES[0].fields,
-                ScenarioLaunch::from_json(&scenario).expect("decodes").to_json(),
-            ),
         ),
     ];
     assert_eq!(printed, declared, "DESIGN's field tables");

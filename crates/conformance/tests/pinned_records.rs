@@ -1,11 +1,11 @@
-//! The records the conformance gate writes — `RunMetrics` lines, the
-//! `scenario` launch spec, the goldens — held to literal bytes. The
+//! The records the conformance gate writes — `RunMetrics` lines and the
+//! goldens — held to literal bytes. The
 //! literals were written by the hand codecs the row tables replaced. They
 //! cover the extremes (`u64::MAX`), both sides of every `Option`, an
 //! integral float and non-finite ones, which are written `null`.
 
 use digs_conformance::golden::Golden;
-use digs_conformance::{MatrixKind, RunMetrics, ScenarioLaunch};
+use digs_conformance::RunMetrics;
 
 /// Every `Option` holds a value; the integers are at their extremes.
 fn every_field_set() -> RunMetrics {
@@ -99,35 +99,6 @@ fn a_non_finite_metric_is_written_null() {
     let line = RunMetrics { pdr: f64::NAN, ..every_field_set() }.to_line();
     assert!(line.contains(r#","pdr":null,"#), "{line}");
     assert_eq!(RunMetrics::from_line(&line), Err("`pdr` is not a number".to_string()));
-}
-
-const SCENARIO_SPECS: &[&str] = &[
-    r#"{"kind":"scenario","matrix":"small","scenario":"fig09-digs","seed":18446744073709551615,"secs":60}"#,
-    r#"{"kind":"scenario","matrix":"full","scenario":"adv-duel-digs","seed":1,"secs":null}"#,
-];
-
-#[test]
-fn every_scenario_spec_writes_its_pinned_line() {
-    let specs = [
-        ScenarioLaunch {
-            matrix: MatrixKind::Small,
-            scenario: "fig09-digs".into(),
-            seed: u64::MAX,
-            secs: Some(60),
-        },
-        ScenarioLaunch {
-            matrix: MatrixKind::Full,
-            scenario: "adv-duel-digs".into(),
-            seed: 1,
-            secs: None,
-        },
-    ];
-    let lines: Vec<String> = specs.iter().map(|spec| spec.to_json().to_compact()).collect();
-    assert_eq!(lines, SCENARIO_SPECS);
-    for (spec, line) in specs.iter().zip(SCENARIO_SPECS) {
-        let back = ScenarioLaunch::from_json(&digs_json::parse(line).expect("parses"));
-        assert_eq!(back.as_ref(), Ok(spec), "{line}");
-    }
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! measurements the scenario catalogue derives from a run.
 
 use crate::config::NetworkConfig;
-use crate::network::Network;
+use crate::network::{central_plan, CentralPlan, Network};
 use crate::results::RunResults;
 use digs_sim::fault::Fault;
+use digs_sim::link::LinkModel;
 use digs_sim::time::Asn;
 
 /// Runs the centralized baseline through a relay failure *including* the
@@ -32,13 +33,13 @@ pub fn run_whart_with_recovery(
     total_secs: u64,
 ) -> Result<(RunResults, f64), digs_whart::schedule::ScheduleError> {
     assert_eq!(config.protocol, crate::config::Protocol::WirelessHart);
-    let sources: Vec<_> = config.flows.iter().map(|f| f.source).collect();
-    let superframe = config.flows.iter().map(|f| f.period).max().unwrap_or(500) as u32;
+    let link = LinkModel::new(&config.topology, config.rf.clone(), config.seed);
+    let CentralPlan { sources, superframe, .. } = central_plan(&config, &link)?;
     config.faults.push(Fault::outage(victim, Asn::from_secs(failure_start_secs), None));
 
     let mut network = Network::new(config);
     // Model the manager's reaction with the Fig. 3 cost model.
-    let db = digs_whart::LinkDb::from_link_model(network.engine().link_model());
+    let db = digs_whart::LinkDb::from_link_model(&link);
     let mut manager =
         digs_whart::NetworkManager::new(db, network.config().topology.access_points());
     manager.full_update(&sources, superframe)?;

@@ -10,8 +10,10 @@ use crate::telemetry::{TelemetrySampler, TelemetrySettings};
 use digs_routing::graph::{GraphEntry, RoutingGraph};
 use digs_sim::engine::Engine;
 use digs_sim::ids::NodeId;
+use digs_sim::link::LinkModel;
 use digs_sim::time::{Asn, SLOTS_PER_SECOND};
 use digs_trace::{Event, EventKind, TraceHandle};
+use digs_whart::schedule::ScheduleError;
 use std::collections::BTreeMap;
 
 /// Observation hook threaded through [`Network::run`]: a streaming sink
@@ -119,8 +121,46 @@ pub struct Network {
     asks: Option<u64>,
 }
 
+/// What the centralized WirelessHART manager schedules for a config.
+#[derive(Debug)]
+pub struct CentralPlan {
+    /// Each flow's source device, in flow order.
+    pub sources: Vec<NodeId>,
+    /// The superframe, slots: the longest flow period (500 without
+    /// flows), clamped to `u32`.
+    pub superframe: u32,
+    /// The manager's schedule of the flows over the uplink graph.
+    pub schedule: digs_whart::CentralSchedule,
+}
+
+/// The manager's [`CentralPlan`] for `config` over `link`, the link model
+/// the config's engine draws (`LinkModel::new(&config.topology,
+/// config.rf.clone(), config.seed)`).
+///
+/// # Errors
+///
+/// Returns the [`ScheduleError`] when a flow's source has no route to an
+/// access point or the superframe cannot fit every flow.
+pub fn central_plan(
+    config: &NetworkConfig,
+    link: &LinkModel,
+) -> Result<CentralPlan, ScheduleError> {
+    let db = digs_whart::LinkDb::from_link_model(link);
+    let graph = digs_whart::build_uplink_graph(&db, &config.topology.access_points());
+    let sources: Vec<NodeId> = config.flows.iter().map(|f| f.source).collect();
+    let superframe =
+        config.flows.iter().map(|f| f.period).max().unwrap_or(500).min(u64::from(u32::MAX)) as u32;
+    let schedule = digs_whart::CentralSchedule::build(&graph, &sources, superframe)?;
+    Ok(CentralPlan { sources, superframe, schedule })
+}
+
 impl Network {
     /// Builds the network from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config is WirelessHART's and its flows cannot be
+    /// scheduled ([`central_plan`] refuses them).
     pub fn new(config: NetworkConfig) -> Network {
         let mut engine = Engine::new(config.topology.clone(), config.rf.clone(), config.seed);
         for jammer in &config.jammers {
@@ -133,20 +173,11 @@ impl Network {
         // The centralized baseline needs the manager's schedule computed
         // up front from the link-state oracle (which is what the manager's
         // collection phase would have gathered).
-        let central_schedule = if config.protocol == Protocol::WirelessHart {
-            let db = digs_whart::LinkDb::from_link_model(engine.link_model());
-            let graph = digs_whart::build_uplink_graph(&db, &config.topology.access_points());
-            let sources: Vec<_> = config.flows.iter().map(|f| f.source).collect();
-            let superframe =
-                config.flows.iter().map(|f| f.period).max().unwrap_or(500).min(u64::from(u32::MAX))
-                    as u32;
-            Some(
-                digs_whart::CentralSchedule::build(&graph, &sources, superframe)
-                    .expect("the manager must be able to schedule the flows"),
-            )
-        } else {
-            None
-        };
+        let central_schedule = (config.protocol == Protocol::WirelessHart).then(|| {
+            central_plan(&config, engine.link_model())
+                .expect("the manager must be able to schedule the flows")
+                .schedule
+        });
 
         // Mix the shared randomization secret with the run seed so two
         // seeds never share a permutation sequence (an attacker replaying

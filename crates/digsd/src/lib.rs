@@ -2,8 +2,7 @@
 //! trace/telemetry/health event API.
 //!
 //! The daemon launches, lists, and kills named simulation runs (single
-//! networks, fleets, and embedder-registered kinds such as the CLI's
-//! conformance scenarios) and streams their flight-recorder events,
+//! networks and fleets) and streams their flight-recorder events,
 //! telemetry epoch samples, and health alerts to any number of
 //! subscribers over a versioned line-oriented wire protocol (DESIGN
 //! §4.12).
@@ -39,7 +38,6 @@ pub use digs_json::message::{FieldDef, Kind, MessageDef};
 pub use digs_json::Value;
 pub use hub::{BackoffPolicy, Hub, Recv, Subscription, Supervisor, Verdict};
 pub use journal::{Journal, Record, RecoveredRun, Recovery};
-pub use run::{Job, RunCtx, RunHandle, Runner};
 pub use server::{Daemon, DaemonConfig, DEFAULT_ADDR, HEARTBEAT};
 pub use spec::{topology_from, SingleSpec};
 pub use wire::{

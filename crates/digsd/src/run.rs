@@ -1,6 +1,6 @@
 //! One run: its registry entry ([`RunHandle`]), what its thread publishes
-//! through ([`RunCtx`]), the supervision loop that restarts it, and the
-//! built-in `single` and `fleet` runners.
+//! through ([`RunCtx`]), the supervision loop that restarts it, and how a
+//! `single` or a `fleet` spec becomes the [`Job`] that thread runs.
 
 use crate::hub::{Hub, Supervisor, Verdict};
 use crate::journal::Record;
@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 /// One registered run: its stream hub, lifecycle state, and the spec it
 /// was launched with (kept so the supervisor can re-prepare it).
-pub struct RunHandle {
+pub(crate) struct RunHandle {
     pub(crate) name: String,
     pub(crate) kind: String,
     spec: Value,
@@ -79,7 +79,7 @@ impl RunHandle {
 /// What a run thread uses to publish its stream and observe control
 /// signals. Cheap to clone; safe to share across worker threads.
 #[derive(Clone)]
-pub struct RunCtx {
+pub(crate) struct RunCtx {
     handle: Arc<RunHandle>,
     shared: Arc<Shared>,
 }
@@ -132,7 +132,7 @@ impl RunCtx {
     }
 
     /// The ASN this attempt should replay to before it is caught up
-    /// (0 for a fresh run). Runner jobs use it to drive
+    /// (0 for a fresh run). A `single` job uses it to drive
     /// [`Network::resume_to`].
     pub fn resume_asn(&self) -> u64 {
         self.handle.resume_asn.load(Ordering::Relaxed)
@@ -151,15 +151,21 @@ impl RunCtx {
     }
 }
 
-/// The work a validated launch will execute on its run thread.
-pub type Job = Box<dyn FnOnce(&RunCtx) -> Result<(), String> + Send>;
+/// The work a validated launch will execute on its run thread. A launch
+/// is prepared on the connection thread, so a spec error is a `bad-spec`
+/// reply *before* the run is registered; the supervisor prepares it again
+/// from the stored spec on every restart, so preparation is repeatable.
+pub(crate) type Job = Box<dyn FnOnce(&RunCtx) -> Result<(), String> + Send>;
 
-/// A launchable run kind: validates the spec and packages the run. It
-/// runs on the connection thread so spec errors surface as a `bad-spec`
-/// reply *before* the run is registered; the returned [`Job`] runs on a
-/// dedicated thread. The supervisor calls it again with the stored spec
-/// on every restart, so preparation must be repeatable.
-pub type Runner = fn(&Value) -> Result<Job, String>;
+/// Validates `spec` as a run of `kind` and packages the run; called again
+/// with the stored spec on every restart.
+pub(crate) fn prepare(kind: &str, spec: &Value) -> Result<Job, String> {
+    match kind {
+        "single" => prepare_single(spec),
+        "fleet" => prepare_fleet(spec),
+        _ => Err(format!("unknown run kind `{kind}`")),
+    }
+}
 
 /// Spawns the supervised run thread and tracks it for shutdown. A
 /// recovered run passes `hold`: the journaled subscriber count and the
@@ -255,7 +261,7 @@ fn run_supervised(shared: &Arc<Shared>, handle: &Arc<RunHandle>, job: Job) {
                     }
                     std::thread::sleep(Duration::from_millis(10));
                 }
-                match shared.prepare(&handle.kind, &handle.spec) {
+                match prepare(&handle.kind, &handle.spec) {
                     Ok(next) => {
                         // Replay from slot 0: sequences regenerate and
                         // every subscription's cursor skips its
@@ -343,7 +349,7 @@ impl RunObserver for StreamObserver {
     }
 }
 
-pub(crate) fn prepare_single(spec: &Value) -> Result<Job, String> {
+fn prepare_single(spec: &Value) -> Result<Job, String> {
     let spec = SingleSpec::from_json(spec)?;
     spec.build_config()?; // validate now, build on the run thread
     Ok(Box::new(move |ctx: &RunCtx| {
@@ -425,7 +431,7 @@ message! {
     }
 }
 
-pub(crate) fn prepare_fleet(spec: &Value) -> Result<Job, String> {
+fn prepare_fleet(spec: &Value) -> Result<Job, String> {
     let params = FleetParams::from_json(spec)?;
     params.check()?;
     Ok(Box::new(move |ctx: &RunCtx| {

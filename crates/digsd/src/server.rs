@@ -19,7 +19,7 @@
 use crate::chaos::{ChaosConfig, ChaosState};
 use crate::hub::BackoffPolicy;
 use crate::journal::{Journal, Record};
-use crate::run::{prepare_fleet, prepare_single, spawn_run, Job, RunHandle, Runner};
+use crate::run::{prepare, spawn_run, RunHandle};
 use crate::session::serve_connection;
 use crate::wire::RunState;
 use digs_json::Value;
@@ -67,7 +67,6 @@ impl Default for DaemonConfig {
 
 pub(crate) struct Shared {
     pub(crate) runs: Mutex<BTreeMap<String, Arc<RunHandle>>>,
-    pub(crate) runners: BTreeMap<String, Runner>,
     queue_cap: usize,
     pub(crate) policy: BackoffPolicy,
     resume_grace: Duration,
@@ -99,15 +98,6 @@ impl Shared {
         }
     }
 
-    /// Validates `spec` with the runner registered for `kind` and packages
-    /// the run; called again with the stored spec on every restart.
-    pub(crate) fn prepare(&self, kind: &str, spec: &Value) -> Result<Job, String> {
-        match self.runners.get(kind) {
-            Some(runner) => runner(spec),
-            None => Err(format!("unknown run kind `{kind}`")),
-        }
-    }
-
     /// Adds a run to the registry in `state`, its hub closed unless the
     /// state is live. `None` when the name is taken.
     pub(crate) fn register(
@@ -130,20 +120,17 @@ impl Shared {
     }
 }
 
-/// The digsd server. Bind, optionally register extra runners, then
-/// [`Daemon::serve_forever`].
+/// The digsd server. Bind, then [`Daemon::serve_forever`].
 pub struct Daemon {
     listener: TcpListener,
     shared: Arc<Shared>,
 }
 
 impl Daemon {
-    /// Binds the listener and installs the built-in `single` and `fleet`
-    /// runners. `addr` may use port 0 to let the OS pick (see
+    /// Binds the listener. `addr` may use port 0 to let the OS pick (see
     /// [`Daemon::local_addr`]). Opens (creating if needed) the journal,
     /// if configured; recovery itself happens in
-    /// [`Daemon::serve_forever`], after embedders had a chance to
-    /// register their runners.
+    /// [`Daemon::serve_forever`].
     pub fn bind(addr: &str, config: DaemonConfig) -> std::io::Result<Daemon> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -151,14 +138,10 @@ impl Daemon {
             Some(path) => Some(Mutex::new(Journal::open(path)?)),
             None => None,
         };
-        let mut runners: BTreeMap<String, Runner> = BTreeMap::new();
-        runners.insert("single".into(), prepare_single);
-        runners.insert("fleet".into(), prepare_fleet);
         Ok(Daemon {
             listener,
             shared: Arc::new(Shared {
                 runs: Mutex::new(BTreeMap::new()),
-                runners,
                 queue_cap: config.queue_cap,
                 policy: config.backoff,
                 resume_grace: config.resume_grace,
@@ -169,21 +152,6 @@ impl Daemon {
                 active_runs: AtomicU64::new(0),
             }),
         })
-    }
-
-    /// Registers an additional runner kind (e.g. the CLI registers a
-    /// `scenario` runner backed by the conformance matrix). Must be
-    /// called before [`Daemon::serve_forever`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the daemon has already started serving (the registry is
-    /// frozen once shared with connection threads).
-    pub fn register_runner(&mut self, kind: &str, runner: Runner) {
-        Arc::get_mut(&mut self.shared)
-            .expect("register runners before serving")
-            .runners
-            .insert(kind.to_string(), runner);
     }
 
     /// The bound address (resolves port 0).
@@ -243,7 +211,7 @@ impl Daemon {
                 handle.restarts.store(rec.restarts, Ordering::Relaxed);
                 continue;
             }
-            let job = match self.shared.prepare(&rec.kind, &rec.spec) {
+            let job = match prepare(&rec.kind, &rec.spec) {
                 Ok(job) => job,
                 Err(e) => {
                     eprintln!("digsd: cannot resume run `{}`: {e}", rec.name);

@@ -4,7 +4,7 @@
 
 use crate::hub::{Recv, Subscription};
 use crate::journal::Record;
-use crate::run::{spawn_run, RunHandle};
+use crate::run::{prepare, spawn_run, RunHandle};
 use crate::server::{shutdown_daemon, Shared, HEARTBEAT};
 use crate::wire::{
     spec_kind, valid_run_name, ClientMsg, ErrorCode, RunInfo, RunState, ServerMsg, WIRE_VERSION,
@@ -180,8 +180,8 @@ pub(crate) fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::
                     )?;
                     continue;
                 }
-                let prepared = spec_kind(&spec)
-                    .and_then(|kind| Ok((kind.to_string(), shared.prepare(kind, &spec)?)));
+                let prepared =
+                    spec_kind(&spec).and_then(|kind| Ok((kind.to_string(), prepare(kind, &spec)?)));
                 let (kind, job) = match prepared {
                     Ok(prepared) => prepared,
                     Err(e) => {

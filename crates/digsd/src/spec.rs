@@ -7,11 +7,12 @@
 //! local `digs-cli run` of the same options are the same network.
 
 use digs::config::{NetworkConfig, Protocol};
-use digs::network::Network;
+use digs::network::{central_plan, Network};
 use digs::results::Secs;
 use digs::scenarios;
 use digs_json::{message, Value};
 use digs_sim::interference::Jammer;
+use digs_sim::link::LinkModel;
 use digs_sim::position::Position;
 use digs_sim::time::{Asn, SLOT_MS};
 use digs_sim::topology::Topology;
@@ -34,6 +35,14 @@ pub fn topology_from(name: &str) -> Result<Topology, String> {
                 let side: f64 = parts[1].parse().map_err(|e| format!("bad side length: {e}"))?;
                 if n == 0 {
                     return Err("a random topology needs at least one device".into());
+                }
+                // The two access points take node ids too, and an id is a `u16`.
+                if n > usize::from(u16::MAX) - 2 {
+                    return Err(format!(
+                        "bad device count: {n} devices and two access points need more than \
+                         the {} node ids",
+                        u16::MAX
+                    ));
                 }
                 if !(side.is_finite() && side > 0.0) {
                     return Err(format!("bad side length: {side} is not a positive length"));
@@ -101,6 +110,9 @@ impl SingleSpec {
     /// Builds the network config. One code path for CLI and daemon: the
     /// construction order below is deterministic, so the same spec always
     /// produces the same network.
+    ///
+    /// A WirelessHART spec whose flows the manager cannot schedule is
+    /// refused here, so [`SingleSpec::build`] cannot panic on it.
     pub fn build_config(&self) -> Result<NetworkConfig, String> {
         let topology = topology_from(&self.topology)?;
         let protocol = Protocol::parse(&self.protocol)?;
@@ -174,7 +186,17 @@ impl SingleSpec {
         if let Some(secret) = self.randomize {
             builder = builder.randomize(secret);
         }
-        Ok(builder.build())
+        let config = builder.build();
+        if protocol == Protocol::WirelessHart {
+            let link = LinkModel::new(&config.topology, config.rf.clone(), config.seed);
+            central_plan(&config, &link).map_err(|e| {
+                format!(
+                    "protocol: the WirelessHART manager cannot schedule `{}`: {e}",
+                    self.topology
+                )
+            })?;
+        }
+        Ok(config)
     }
 
     /// Builds the network itself.
@@ -300,6 +322,12 @@ mod tests {
         let random =
             |topology: &str| SingleSpec { topology: topology.into(), ..SingleSpec::default() };
         assert!(refused(random("random:0:100")).contains("at least one device"));
+        // Testbed-sized or not, a node id is a `u16`: the count is refused
+        // before a position is drawn.
+        assert!(random("random:65533:100").build_config().is_ok());
+        for n in ["65534", "70000"] {
+            assert!(refused(random(&format!("random:{n}:100"))).starts_with("bad device count"));
+        }
         for side in ["0", "-3", "nan", "inf"] {
             assert!(refused(random(&format!("random:5:{side}"))).starts_with("bad side length"));
         }
@@ -316,6 +344,19 @@ mod tests {
         let audited = |every| SingleSpec { audit_every: Some(every), ..SingleSpec::default() };
         assert!(refused(audited(0)).starts_with("audit_every"));
         assert!(audited(1).build_config().is_ok());
+        // Devices 100 km apart have no route to an access point, so the
+        // WirelessHART manager cannot schedule their flows; DiGS forms
+        // no network there either, but runs.
+        let sparse = |protocol: &str| SingleSpec {
+            protocol: protocol.into(),
+            topology: "random:5:100000".into(),
+            ..SingleSpec::default()
+        };
+        let err = refused(sparse("wirelesshart"));
+        assert!(err.starts_with("protocol") && err.contains("no route"), "{err}");
+        assert!(sparse("digs").build_config().is_ok());
+        let dense = SingleSpec { protocol: "wirelesshart".into(), ..SingleSpec::default() };
+        assert!(dense.build_config().is_ok());
     }
 
     #[test]

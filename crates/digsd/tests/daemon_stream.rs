@@ -270,9 +270,27 @@ fn a_spec_that_cannot_be_built_is_bad_spec_and_the_daemon_serves_on() {
         (SingleSpec { flows: 500, ..SingleSpec::default() }, "flows"),
         (SingleSpec { jammers: usize::MAX, ..SingleSpec::default() }, "jammers"),
         (SingleSpec { topology: "random:0:100".into(), ..SingleSpec::default() }, "one device"),
+        (
+            SingleSpec { topology: "random:70000:100".into(), ..SingleSpec::default() },
+            "device count",
+        ),
+        (
+            SingleSpec {
+                protocol: "wirelesshart".into(),
+                topology: "random:5:100000".into(),
+                ..SingleSpec::default()
+            },
+            "protocol",
+        ),
     ];
+    // A kind the daemon does not run is refused by name too.
+    let scenario = r#"{"kind":"scenario","matrix":"small","scenario":"fig09-digs","seed":1}"#;
+    let refused = refused
+        .into_iter()
+        .map(|(spec, field)| (spec.to_json(), field))
+        .chain([(digs_json::parse(scenario).expect("parses"), "`scenario`")]);
     for (spec, field) in refused {
-        let err = client.launch("unbuildable", spec.to_json(), false, Filter::default());
+        let err = client.launch("unbuildable", spec, false, Filter::default());
         let err = err.expect_err("bad spec");
         assert_eq!(digs_digsd::error_code(&err), Some(digs_digsd::ErrorCode::BadSpec), "{err}");
         assert!(err.contains(field), "{err}");
